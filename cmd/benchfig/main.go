@@ -109,6 +109,12 @@ func main() {
 		elapsed := time.Since(start)
 		fmt.Print(res.Format())
 		fmt.Printf("  (completed in %s)\n\n", elapsed.Round(time.Millisecond))
+		if r.name == "train" {
+			if err := trainGate(res, cfg); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", r.name, err)
+				os.Exit(1)
+			}
+		}
 		if *jsonOut {
 			path, err := res.WriteJSON(*jsonDir, cfg, elapsed)
 			if err != nil {
@@ -128,4 +134,31 @@ func main() {
 			run(r)
 		}
 	}
+}
+
+// trainGate is the train scenario's absolute-throughput gate: 16-worker
+// streaming must match or beat both format baselines in samples/sec, not
+// merely scale over its own serial path. It compares wall clocks, so it
+// lives here and not in the runner, which `go test` also executes. An
+// explicit A/B run with a throughput knob disabled measures the degraded
+// configuration instead of being gated against it.
+func trainGate(res *bench.Result, cfg bench.Config) error {
+	if cfg.FetchBatch < 0 || cfg.AutotuneCapBytes < 0 {
+		fmt.Println("  absolute gate skipped: a throughput knob (-fetch-batch/-autotune-cap) is explicitly disabled for A/B measurement")
+		return nil
+	}
+	w16, ok := res.Value("workers-16")
+	if !ok {
+		return fmt.Errorf("workers-16 row missing")
+	}
+	for _, name := range []string{"tfrecord", "webdataset"} {
+		base, ok := res.Value(name)
+		if !ok {
+			return fmt.Errorf("%s baseline row missing", name)
+		}
+		if w16 < base {
+			return fmt.Errorf("16-worker streaming %.0f smp/s is below the %s baseline %.0f smp/s", w16, name, base)
+		}
+	}
+	return nil
 }

@@ -22,21 +22,31 @@
 //
 // # Caching and the concurrent read path
 //
-// The §3.6 provider chain — an in-memory cache in front of remote object
-// storage — is built for many concurrent readers. WithLRUCache (or
-// WithCache for explicit sizing) chains a cache whose entries are spread
-// over mutex-striped shards, so parallel lookups do not serialize behind a
-// single lock, and whose misses are read-coalesced: however many readers
-// miss on the same object at the same moment, exactly one Get reaches the
-// origin and every waiter shares its result. Stats (per-shard hits, misses,
-// resident bytes, plus the coalesced-fetch count) are available from the
-// concrete *storage.LRU via WithCache.
+// The paper caches at three depths — raw objects in RAM in front of remote
+// object storage (§3.6), the same objects on local disk under that, and
+// decoded chunks in the dataloader's buffer cache (§3.5, §4.6). Here that is
+// one cache core (storage.Cache) and three policies over it. The core is a
+// byte-budgeted LRU table spread over mutex-striped shards, so parallel
+// lookups do not serialize behind a single lock; it has one eviction rule
+// (least recently used first, never a pinned entry, never the one just
+// admitted); and its misses are read-coalesced: however many readers miss
+// on the same key at the same moment, exactly one load runs and every
+// waiter shares its result. The policies add only what is theirs:
 //
-// The dataloader layers the same idea over decoded chunks: its chunk cache
-// coalesces concurrent fetch+decode of one chunk across workers, and a
-// readahead scheduler walks the chunk visit order a configurable number
-// of chunks ahead (LoaderOptions.Readahead) so origin latency overlaps with
-// decode and transform work. Run
+//   - WithLRUCache / WithCache (storage.LRU): whole objects, copied out to
+//     each reader, written through on Put, bypassed when larger than a
+//     shard, warmed by coalesced batched Prefetch. Stats (per-shard hits,
+//     misses, resident bytes, the coalesced-fetch count, and the counters
+//     of every layer below) are available from the concrete *storage.LRU.
+//   - WithDiskTier (storage.Disk): an index of files that survives the
+//     process, CRC-verified on read; eviction deletes the file.
+//   - NewNodeCache (the dataloader's chunk cache): decoded chunks keyed by
+//     dataset and commit, pinned while planned jobs still need them, one
+//     fetch+decode per chunk per node however many workers or Loaders ask.
+//
+// On top of the chunk cache a readahead scheduler walks the chunk visit
+// order a configurable number of chunks ahead (LoaderOptions.Readahead) so
+// origin latency overlaps with decode and transform work. Run
 //
 //	go run ./cmd/benchfig readers
 //
@@ -101,8 +111,7 @@
 // chunks in fixed-width strips of the global visit order — strips cross
 // partition boundaries, so chunks owned by different workers share one
 // coalesced ranged origin request (QueryOptions.StripWidth tunes the
-// width, PerPartitionPrefetch restores the old per-partition path for
-// A/B runs, and Stats reports planned/claimed/skipped prefetches).
+// width and Stats reports planned/claimed/skipped prefetches).
 // Merges are positional, so results are byte-identical at any worker
 // count. Run
 //
@@ -261,11 +270,6 @@ type QueryOptions struct {
 	// exists to measure (and cross-check) what the pushdown saves; leave
 	// it false in production.
 	DisablePushdown bool
-	// PerPartitionPrefetch reverts the scan's chunk prefetch to the legacy
-	// one-batch-per-partition shape instead of cross-partition strips. It
-	// exists as the A/B baseline for measuring what strips save; leave it
-	// false in production.
-	PerPartitionPrefetch bool
 	// StripWidth bounds the chunks per prefetch strip; zero uses
 	// tql.DefaultStripWidth (16).
 	StripWidth int
@@ -282,11 +286,10 @@ type QueryOptions struct {
 // ranged origin requests.
 func QueryWith(ctx context.Context, ds *Dataset, src string, opts QueryOptions) (*View, error) {
 	return tql.RunWith(ctx, ds, src, tql.Options{
-		Workers:              opts.Workers,
-		DisablePushdown:      opts.DisablePushdown,
-		PerPartitionPrefetch: opts.PerPartitionPrefetch,
-		StripWidth:           opts.StripWidth,
-		Stats:                opts.Stats,
+		Workers:         opts.Workers,
+		DisablePushdown: opts.DisablePushdown,
+		StripWidth:      opts.StripWidth,
+		Stats:           opts.Stats,
 	})
 }
 

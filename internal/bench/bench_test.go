@@ -112,14 +112,25 @@ func TestFig9ShapeHolds(t *testing.T) {
 	if local <= 0 || stream <= 0 || fileMode <= 0 || fastFile <= 0 {
 		t.Fatalf("rows = %+v", res.Rows)
 	}
-	// Headline: streaming ~ local; file mode pays the copy phase. Ordering
-	// at this reduced scale is within the race detector's noise floor, so
-	// it is only asserted in uninstrumented builds.
+	// Headline: streaming ~ local; file mode pays the copy phase. The copy
+	// phase is asserted as what it moves — every object crosses the network
+	// before the first batch — not as file mode's wall clock exceeding
+	// streaming's: at this reduced scale that is a 10% gap (0.06s vs 0.055s)
+	// which failed 1 run in 3 on a 2-core host.
 	if stream > local*3 {
 		t.Fatalf("deeplake-stream %.2fs too far from local %.2fs", stream, local)
 	}
-	if !raceEnabled && fileMode <= stream {
-		t.Fatalf("file mode %.2fs should exceed streaming %.2fs", fileMode, stream)
+	for _, row := range res.Rows {
+		if row.Name != "aws-file-mode" {
+			continue
+		}
+		var copied int
+		if _, err := fmt.Sscanf(row.Extra, "%d objects copied first", &copied); err != nil {
+			t.Fatalf("cannot parse extra %q: %v", row.Extra, err)
+		}
+		if copied < 64 {
+			t.Fatalf("file mode copied %d objects before training, want all 64 images", copied)
+		}
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 
 // TestConcurrentReadersScenario asserts the PR's acceptance criteria: 16
 // concurrent misses on one hot chunk reach the origin as exactly one Get,
-// and 16 readers sharing the cache beat the single-reader baseline in
-// aggregate throughput over simnet-throttled storage.
+// and every reader count reports a throughput. How the throughputs compare
+// depends on the host, so CI's benchcheck baselines gate that, not a test.
 func TestConcurrentReadersScenario(t *testing.T) {
 	res, err := ConcurrentReaders(context.Background(), Config{N: 64, Workers: 4, ImageSide: 48})
 	if err != nil {
@@ -29,8 +29,5 @@ func TestConcurrentReadersScenario(t *testing.T) {
 	}
 	if t1 <= 0 || t4 <= 0 || t16 <= 0 {
 		t.Fatalf("non-positive throughput: %.1f/%.1f/%.1f", t1, t4, t16)
-	}
-	if t16 <= t1 {
-		t.Fatalf("16-reader aggregate %.1f smp/s should exceed 1-reader baseline %.1f smp/s", t16, t1)
 	}
 }

@@ -470,6 +470,8 @@ func Fig9ImageNetCloud(ctx context.Context, cfg Config) (*Result, error) {
 		copyDur := time.Since(start)
 		tl := gpu.Train(ctx, formatSource{f: fs, store: local, workers: cfg.Workers, batch: batchSize}, 0)
 		addRow("aws-file-mode", copyDur, copyDur+tl.Wall, tl)
+		row := &res.Rows[len(res.Rows)-1]
+		row.Extra = fmt.Sprintf("%d objects copied first, %s", len(keys), row.Extra)
 	}
 	// AWS Fast File Mode: stream file-per-sample straight from S3.
 	{

@@ -30,7 +30,7 @@ func TQLScan(ctx context.Context, cfg Config) (*Result, error) {
 		"filter-workers-N scans a data-touching WHERE (MEAN(images)) over a cold sharded cache on simulated S3",
 		"pushdown-origin-requests is the origin traffic of a shape-only WHERE; 0 = answered entirely from the shape encoder",
 		"fullscan-origin-requests is the same shape-only WHERE with pushdown disabled (shapes measured from decoded chunk data)",
-		"strip- vs perpartition-origin-requests A/B the cross-partition strip scheduler against the legacy per-partition prefetch at 16 workers; strips must cost strictly fewer origin requests for identical results")
+		"strip-origin-requests is the cold 16-worker filter scan's origin traffic; cross-partition strips must cost strictly fewer requests than the distinct chunks planned, for the serial scan's row set")
 
 	// Tiny raw images in small chunks at a mild time compression: the
 	// filter scan spans many chunks and per-request origin latency dwarfs
@@ -59,14 +59,20 @@ func TQLScan(ctx context.Context, cfg Config) (*Result, error) {
 		return ds, nil
 	}
 
+	// The 16-worker run doubles as the strip scheduler's IO-shape gate:
+	// strips pack chunks owned by different workers into shared coalesced
+	// batches, so the scan must cost strictly fewer origin requests than the
+	// distinct chunks it planned, for exactly the serial scan's rows.
 	var serial float64
+	var serialRows []uint64
 	for _, workers := range []int{1, 4, 16} {
 		ds, err := openCold()
 		if err != nil {
 			return nil, err
 		}
+		var stats tql.ScanStats
 		start := time.Now()
-		v, err := tql.RunWith(ctx, ds, dataQuery, tql.Options{Workers: workers})
+		v, err := tql.RunWith(ctx, ds, dataQuery, tql.Options{Workers: workers, Stats: &stats})
 		if err != nil {
 			return nil, err
 		}
@@ -75,10 +81,11 @@ func TQLScan(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("filter-workers-%d returned %d/%d rows", workers, v.Len(), cfg.N)
 		}
 		throughput := float64(cfg.N) / elapsed
+		reqs := counting.Requests()
 		if workers == 1 {
-			serial = throughput
+			serial, serialRows = throughput, v.Indices()
 		}
-		extra := fmt.Sprintf("%d origin requests", counting.Requests())
+		extra := fmt.Sprintf("%d origin requests", reqs)
 		if workers > 1 && serial > 0 {
 			extra += fmt.Sprintf(", %.1fx vs serial", throughput/serial)
 		}
@@ -87,75 +94,25 @@ func TQLScan(ctx context.Context, cfg Config) (*Result, error) {
 			Value: throughput, Unit: "rows/s",
 			Extra: extra,
 		})
-	}
-
-	// The pre-strip serial engine: one worker, per-partition prefetch, so
-	// every span pays its own origin round trip with no cross-span
-	// lookahead. This is the PR 3 baseline the parallel strip engine is
-	// gated against — strips erased most of the serial path's IO stalls,
-	// so filter-workers-1 above is no longer a handicapped baseline.
-	ds, err := openCold()
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	legacyV, err := tql.RunWith(ctx, ds, dataQuery, tql.Options{Workers: 1, PerPartitionPrefetch: true})
-	if err != nil {
-		return nil, err
-	}
-	legacyRate := float64(cfg.N) / time.Since(start).Seconds()
-	if legacyV.Len() != cfg.N {
-		return nil, fmt.Errorf("filter-serial-legacy returned %d/%d rows", legacyV.Len(), cfg.N)
-	}
-	res.Rows = append(res.Rows, Row{
-		Name: "filter-serial-legacy", Value: legacyRate, Unit: "rows/s",
-		Extra: fmt.Sprintf("%d origin requests, 1 worker, per-partition prefetch (pre-strip serial engine)", counting.Requests()),
-	})
-
-	// Cross-partition strips vs the legacy per-partition prefetch: the same
-	// 16-worker scan, byte-identical row set, strictly fewer origin requests
-	// because strips pack chunks owned by different workers into shared
-	// coalesced batches.
-	ds, err = openCold()
-	if err != nil {
-		return nil, err
-	}
-	var stripStats tql.ScanStats
-	sv, err := tql.RunWith(ctx, ds, dataQuery, tql.Options{Workers: 16, Stats: &stripStats})
-	if err != nil {
-		return nil, err
-	}
-	stripReqs := counting.Requests()
-	ds, err = openCold()
-	if err != nil {
-		return nil, err
-	}
-	var perStats tql.ScanStats
-	lv, err := tql.RunWith(ctx, ds, dataQuery, tql.Options{Workers: 16, PerPartitionPrefetch: true, Stats: &perStats})
-	if err != nil {
-		return nil, err
-	}
-	perReqs := counting.Requests()
-	if !equalRows(sv.Indices(), lv.Indices()) {
-		return nil, fmt.Errorf("strip scan and per-partition scan disagree: %d vs %d rows", sv.Len(), lv.Len())
-	}
-	res.Rows = append(res.Rows,
-		Row{
-			Name: "strip-origin-requests", Value: float64(stripReqs), Unit: "reqs",
-			Extra: fmt.Sprintf("16 workers, %s", &stripStats),
-		},
-		Row{
-			Name: "perpartition-origin-requests", Value: float64(perReqs), Unit: "reqs",
-			Extra: fmt.Sprintf("16 workers, legacy A/B baseline, %s", &perStats),
+		if workers != 16 {
+			continue
+		}
+		if !equalRows(v.Indices(), serialRows) {
+			return nil, fmt.Errorf("16-worker scan and serial scan disagree: %d vs %d rows", v.Len(), len(serialRows))
+		}
+		res.Rows = append(res.Rows, Row{
+			Name: "strip-origin-requests", Value: float64(reqs), Unit: "reqs",
+			Extra: fmt.Sprintf("16 workers, %s", &stats),
 		})
-	if stripReqs >= perReqs {
-		return nil, fmt.Errorf("cross-partition strips cost %d origin requests, per-partition prefetch %d; strips must be strictly cheaper", stripReqs, perReqs)
+		if reqs >= stats.PrefetchPlanned() {
+			return nil, fmt.Errorf("cross-partition strips cost %d origin requests for %d planned chunks; strips must coalesce", reqs, stats.PrefetchPlanned())
+		}
 	}
 
 	// Shape-encoder pushdown vs forced full scan: identical results,
 	// radically different origin traffic.
 	const shapeQuery = `SELECT labels FROM bench WHERE SHAPE(images)[0] >= 1 AND NDIM(images) == 3`
-	ds, err = openCold()
+	ds, err := openCold()
 	if err != nil {
 		return nil, err
 	}

@@ -33,13 +33,15 @@ const trainBatch = 16
 // tfrecord/webdataset baselines. Tiny raw images in small chunks at a mild
 // time compression keep the epoch latency-bound, the regime a real S3
 // train loop lives in, so request-count economics (not CPU core count) set
-// the scaling. The runner itself enforces the PR's contracts: 16-worker
-// streaming at or above BOTH format baselines in absolute samples/sec,
+// the scaling. The runner itself enforces the deterministic contracts:
 // origin requests strictly below the chunk count (the coalesced fetch
 // planner batching near-adjacent chunks into ranged multi-gets), every
 // chunk moved from origin and decoded exactly once per epoch per rank
 // (request ledger + cache/decode counters), and the batch stream
-// byte-identical across worker counts for a fixed seed.
+// byte-identical across worker counts for a fixed seed. The one
+// host-dependent contract — 16-worker streaming at or above BOTH format
+// baselines in absolute samples/sec — is cmd/benchfig's check on the
+// returned rows, so that nothing `go test` runs compares two wall clocks.
 func TrainStream(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults(384)
 	spec := workload.ImageSpec{Height: 16, Width: 16, Channels: 3, Seed: cfg.Seed}
@@ -77,17 +79,15 @@ func TrainStream(ctx context.Context, cfg Config) (*Result, error) {
 		"serial = 1 worker with readahead disabled (the per-sample read path's schedule); workers-N = chunk-aligned pipeline with coalesced ranged prefetch",
 		"ranks-N shards the chunk order across N rank loaders colocated on one node (Rank/WorldSize), 4 workers and one GPU per rank, all sharing one node-level decoded-chunk cache; both RAM tiers derive from one 1GB NodeBudget (3/8 raw-chunk LRU, 5/8 decoded)",
 		"every deeplake row is checked: each chunk moved from origin + decoded exactly once per epoch — per loader when alone, per NODE across the rank loaders — and origin requests < chunks (coalescing)",
-		"gate: 16-worker streaming must match or beat both format baselines in absolute samples/sec")
+		"benchfig gate: workers-16 must match or beat both format baselines in absolute samples/sec")
 
 	// Baselines: same samples, same storage profile, 16 iteration workers.
-	baselineRate := map[string]float64{}
 	for _, f := range []baselines.Format{baselines.TFRecord{}, baselines.WebDataset{}} {
 		store := storage.NewSimObjectStore(profile)
 		if err := f.Write(ctx, store, samples); err != nil {
 			return nil, err
 		}
 		tl := gpu.Train(ctx, formatSource{f: f, store: store, workers: 16, batch: trainBatch}, 0)
-		baselineRate[f.Name()] = tl.RowsPerSec()
 		res.Rows = append(res.Rows, Row{
 			Name: f.Name(), Value: tl.RowsPerSec(), Unit: "smp/s",
 			Extra: fmt.Sprintf("gpu idle %.0f%%", tl.IdleFraction()*100),
@@ -144,7 +144,6 @@ func TrainStream(ctx context.Context, cfg Config) (*Result, error) {
 		Extra: fmt.Sprintf("gpu idle %.0f%%, first batch %s", serialTL.IdleFraction()*100, serialTL.FirstBatch.Round(time.Millisecond)),
 	})
 
-	var rate16 float64
 	for _, workers := range []int{1, 4, 16} {
 		ds, err := openCold()
 		if err != nil {
@@ -177,7 +176,6 @@ func TrainStream(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("train: workers-%d made %d origin requests for %d chunks (coalescing must batch them)", workers, reqs, chunks)
 		}
 		if workers == 16 {
-			rate16 = tl.RowsPerSec()
 			res.Rows = append(res.Rows, Row{
 				Name: "origin-requests-16", Value: float64(reqs), Unit: "req",
 				Extra: fmt.Sprintf("%d chunks moved in %d requests (%d batched multi-gets carrying %d ranges)",
@@ -190,25 +188,6 @@ func TrainStream(ctx context.Context, cfg Config) (*Result, error) {
 				tl.RowsPerSec()/serial, reqs, chunks, tl.IdleFraction()*100, tl.FirstBatch.Round(time.Millisecond)),
 		})
 	}
-	// Absolute-throughput gate: 16-worker streaming must match or beat both
-	// format baselines, not merely scale over its own serial path. An explicit
-	// A/B run with a throughput knob disabled measures the degraded
-	// configuration instead of enforcing the gate against it. Skipped under
-	// the race detector, whose instrumentation slows real decode work ~10x
-	// against the fixed simulated network clock — a skew production builds
-	// never see; the deterministic invariants above stay enforced.
-	if raceEnabled {
-		res.Notes = append(res.Notes, "absolute gate skipped under the race detector (CPU-time skew vs the simulated network clock)")
-	} else if cfg.FetchBatch >= 0 && cfg.AutotuneCapBytes >= 0 {
-		for name, rate := range baselineRate {
-			if rate16 < rate {
-				return nil, fmt.Errorf("train: 16-worker streaming %.0f smp/s is below the %s baseline %.0f smp/s", rate16, name, rate)
-			}
-		}
-	} else {
-		res.Notes = append(res.Notes, "absolute gate skipped: a throughput knob (-fetch-batch/-autotune-cap) is explicitly disabled for A/B measurement")
-	}
-
 	// Distributed: cfg.Ranks rank loaders shard one epoch's chunk order
 	// disjointly, each feeding its own simulated GPU (the §6.5 multi-node
 	// setup) — but all colocated on ONE simulated node, sharing a

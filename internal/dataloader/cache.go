@@ -1,7 +1,6 @@
 package dataloader
 
 import (
-	"container/list"
 	"context"
 	"strconv"
 	"sync"
@@ -21,11 +20,12 @@ import (
 // given a shared cache get a private one, which degrades to exactly the old
 // per-Loader behavior.
 //
-// The concurrency story is the same as storage.LRU's byte cache: the entry
-// table is split across mutex-striped shards keyed by an FNV-1a hash of the
-// chunk identity, and a singleflight layer collapses concurrent fetches of
-// one chunk — across workers, the readahead scheduler, and every sharing
-// Loader — into a single fetch+decode that everyone receives.
+// It is the decoded-chunk policy over storage.Cache, the core it shares
+// with storage.LRU and storage.Disk: the sharded LRU table, the eviction
+// rule and the coalesced-miss protocol — concurrent fetches of one chunk,
+// across workers, the readahead scheduler, and every sharing Loader, collapse
+// into a single fetch+decode that everyone receives — live there. What is
+// the NodeCache's own is the key, the loader, and the per-Loader ledgers.
 //
 // Entries are keyed by (dataset scope, commit-scoped chunk object key):
 // core.Dataset.ScopeID disambiguates dataset handles (two datasets sharing
@@ -48,10 +48,8 @@ import (
 // workers×queue-depth×chunk-size, the same working set the pipeline needs
 // resident anyway).
 type NodeCache struct {
-	flight storage.Flight[[]chunk.Sample]
-	shards []*cacheShard
-
-	hits, misses, coalesced, decodes, evictions atomic.Int64
+	table   *storage.Cache[cacheKey, []chunk.Sample]
+	decodes atomic.Int64
 }
 
 // NodeCacheStats is a point-in-time copy of a NodeCache's node-level
@@ -86,40 +84,9 @@ func (k cacheKey) flightKey() string {
 	return strconv.FormatUint(k.scope, 36) + "\x00" + k.obj
 }
 
-type cacheEntry struct {
-	key     cacheKey
-	samples []chunk.Sample
-	bytes   int64
-}
-
-// cacheShard is one mutex stripe of the entry table.
-type cacheShard struct {
-	budget int64
-
-	mu      sync.Mutex
-	entries map[cacheKey]*list.Element
-	order   *list.List // front = most recently used
-	used    int64
-	// pins maps keys to their outstanding-job reference count. A pin may
-	// exist before its entry does (the feeder pins at enqueue time, the
-	// decode lands later) and survives the entry's eviction window: pinned
-	// entries are skipped by eviction.
-	pins map[cacheKey]int
-}
-
-// nodeCacheShardCount sizes the stripe count like storage.NewLRU does: one
-// shard per 32MB of budget (decoded chunks are a few to ~16MB, so a shard
-// always fits several), at most 16.
-func nodeCacheShardCount(budget int64) int {
-	shards := int(budget / (32 << 20))
-	if shards < 1 {
-		return 1
-	}
-	if shards > 16 {
-		return 16
-	}
-	return shards
-}
+// minShardBytes floors the automatic per-shard budget: decoded chunks are a
+// few to ~16MB, so a 32MB shard always fits several.
+const minShardBytes = 32 << 20
 
 // NewNodeCache builds a node-level decoded-chunk cache with the given byte
 // budget (<=0 means the Loader default, 256MB). Hand the same cache to
@@ -128,49 +95,25 @@ func NewNodeCache(budget int64) *NodeCache {
 	if budget <= 0 {
 		budget = 256 << 20
 	}
-	shards := nodeCacheShardCount(budget)
-	c := &NodeCache{shards: make([]*cacheShard, shards)}
-	per, rem := budget/int64(shards), budget%int64(shards)
-	for i := range c.shards {
-		b := per
-		if int64(i) < rem {
-			b++
-		}
-		c.shards[i] = &cacheShard{
-			budget:  b,
-			entries: map[cacheKey]*list.Element{},
-			order:   list.New(),
-			pins:    map[cacheKey]int{},
-		}
-	}
-	return c
+	return &NodeCache{table: storage.NewCache(budget, storage.ShardsFor(budget, minShardBytes),
+		storage.CacheFuncs[cacheKey, []chunk.Sample]{
+			// The scope is folded in ahead of the object key so distinct
+			// datasets spread over the shards independently.
+			Hash: func(k cacheKey) uint64 {
+				return storage.HashString(storage.HashUint64(storage.HashSeed, k.scope), k.obj)
+			},
+			Size: func(samples []chunk.Sample) (bytes int64) {
+				for _, s := range samples {
+					bytes += int64(len(s.Data))
+				}
+				return bytes
+			},
+			FlightKey: cacheKey.flightKey,
+		})}
 }
 
 // Budget returns the cache's total byte budget across shards.
-func (c *NodeCache) Budget() int64 {
-	var total int64
-	for _, s := range c.shards {
-		total += s.budget
-	}
-	return total
-}
-
-// shard maps a key to its stripe by FNV-1a hash of the object key (the
-// scope is folded in as well so distinct datasets spread independently).
-func (c *NodeCache) shard(key cacheKey) *cacheShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h ^= key.scope
-	h *= prime64
-	for i := 0; i < len(key.obj); i++ {
-		h ^= uint64(key.obj[i])
-		h *= prime64
-	}
-	return c.shards[h%uint64(len(c.shards))]
-}
+func (c *NodeCache) Budget() int64 { return c.table.Capacity() }
 
 // cacheLedger is one Loader's private view of the shared cache's activity:
 // every counter increment lands both here and on the node-level NodeCache
@@ -187,132 +130,40 @@ type cacheLedger struct {
 // the counters.
 func (c *NodeCache) get(ctx context.Context, led *cacheLedger, scope uint64, t *core.Tensor, chunkID uint64) ([]chunk.Sample, error) {
 	key := cacheKey{scope: scope, obj: t.ChunkIdentity(chunkID)}
-	if samples, ok := c.lookup(key, led); ok {
+	samples, hit, coalesced, err := c.table.GetOrLoad(ctx, key, func() ([]chunk.Sample, error) {
+		samples, err := t.ReadChunkSamples(ctx, chunkID)
+		if err != nil {
+			return nil, err
+		}
+		c.decodes.Add(1)
+		led.decodes.Add(1)
+		c.table.Add(key, samples)
 		return samples, nil
-	}
-	samples, coalesced, err := c.flight.GetCoalesced(ctx, key.flightKey(),
-		func() ([]chunk.Sample, bool) { return c.peek(key) },
-		func() ([]chunk.Sample, error) {
-			samples, err := t.ReadChunkSamples(ctx, chunkID)
-			if err != nil {
-				return nil, err
-			}
-			c.decodes.Add(1)
-			led.decodes.Add(1)
-			c.admit(key, samples)
-			return samples, nil
-		})
-	if coalesced {
-		c.coalesced.Add(1)
-		led.coalesced.Add(1)
+	})
+	if hit {
+		led.hits.Add(1)
+	} else {
+		led.misses.Add(1)
+		if coalesced {
+			led.coalesced.Add(1)
+		}
 	}
 	return samples, err
 }
 
-// lookup probes the cache and updates the hit/miss ledgers.
-func (c *NodeCache) lookup(key cacheKey, led *cacheLedger) ([]chunk.Sample, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		c.misses.Add(1)
-		led.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	led.hits.Add(1)
-	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).samples, true
-}
-
-// peek is the singleflight leader's re-check: same probe, no ledger churn
-// (it is not a new lookup).
-func (c *NodeCache) peek(key cacheKey) ([]chunk.Sample, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).samples, true
-}
-
-func (c *NodeCache) admit(key cacheKey, samples []chunk.Sample) {
-	var bytes int64
-	for _, s := range samples {
-		bytes += int64(len(s.Data))
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
-		return
-	}
-	s.entries[key] = s.order.PushFront(&cacheEntry{key: key, samples: samples, bytes: bytes})
-	s.used += bytes
-	// Evict least-recently-used UNPINNED entries. The just-admitted entry
-	// (front) is never evicted, pinned entries are skipped, and when
-	// nothing evictable remains the shard runs soft-over-budget rather
-	// than breaking the decode-once contract.
-	for s.used > s.budget && s.order.Len() > 1 {
-		el := s.order.Back()
-		for el != nil && el != s.order.Front() && s.pins[el.Value.(*cacheEntry).key] > 0 {
-			el = el.Prev()
-		}
-		if el == nil || el == s.order.Front() {
-			return
-		}
-		ent := el.Value.(*cacheEntry)
-		s.order.Remove(el)
-		delete(s.entries, ent.key)
-		s.used -= ent.bytes
-		c.evictions.Add(1)
-	}
-}
-
-// pin protects key from eviction until a matching unpin; calls nest as a
-// reference count, one per outstanding planned job. Pinning a key with no
-// resident entry is valid (and the common case): the feeder pins at plan
-// time, before the decode lands.
-func (c *NodeCache) pin(key cacheKey) {
-	s := c.shard(key)
-	s.mu.Lock()
-	s.pins[key]++
-	s.mu.Unlock()
-}
-
-// unpin drops one pin reference of key.
-func (c *NodeCache) unpin(key cacheKey) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if n := s.pins[key]; n > 1 {
-		s.pins[key] = n - 1
-	} else {
-		delete(s.pins, key)
-	}
-	s.mu.Unlock()
-}
-
 // Stats reports the cache's node-level counters.
 func (c *NodeCache) Stats() NodeCacheStats {
-	st := NodeCacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
+	cs := c.table.Stats()
+	return NodeCacheStats{
+		Hits:      cs.Hits,
+		Misses:    cs.Misses,
+		Coalesced: cs.Coalesced,
 		Decodes:   c.decodes.Load(),
-		Evictions: c.evictions.Load(),
+		Evictions: cs.Evictions,
+		UsedBytes: cs.UsedBytes,
+		Entries:   int64(cs.Entries),
+		Pinned:    int64(cs.Pinned),
 	}
-	for _, s := range c.shards {
-		s.mu.Lock()
-		st.UsedBytes += s.used
-		st.Entries += int64(len(s.entries))
-		st.Pinned += int64(len(s.pins))
-		s.mu.Unlock()
-	}
-	return st
 }
 
 // pinLedger tracks the pins one Loader currently holds on a (possibly
@@ -325,6 +176,10 @@ type pinLedger struct {
 	held map[cacheKey]int
 }
 
+// pin protects key from eviction until a matching unpin; calls nest as a
+// reference count, one per outstanding planned job. Pinning a key with no
+// resident entry is valid (and the common case): the feeder pins at plan
+// time, before the decode lands.
 func (p *pinLedger) pin(c *NodeCache, key cacheKey) {
 	p.mu.Lock()
 	if p.held == nil {
@@ -332,7 +187,7 @@ func (p *pinLedger) pin(c *NodeCache, key cacheKey) {
 	}
 	p.held[key]++
 	p.mu.Unlock()
-	c.pin(key)
+	c.table.Pin(key)
 }
 
 func (p *pinLedger) unpin(c *NodeCache, key cacheKey) {
@@ -344,7 +199,7 @@ func (p *pinLedger) unpin(c *NodeCache, key cacheKey) {
 			delete(p.held, key)
 		}
 		p.mu.Unlock()
-		c.unpin(key)
+		c.table.Unpin(key)
 		return
 	}
 	// Not held: the pipeline already swept this Loader's pins (releaseAll
@@ -361,7 +216,7 @@ func (p *pinLedger) releaseAll(c *NodeCache) {
 	p.mu.Unlock()
 	for key, n := range held {
 		for i := 0; i < n; i++ {
-			c.unpin(key)
+			c.table.Unpin(key)
 		}
 	}
 }

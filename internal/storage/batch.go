@@ -376,13 +376,9 @@ func (l *LRU) prefetchClaim(keys []string) ([]RangeReq, []func([]byte, error)) {
 	reqs := make([]RangeReq, 0, len(keys))
 	finishes := make([]func([]byte, error), 0, len(keys))
 	for _, key := range keys {
-		sh := l.shard(key)
-		if _, ok := sh.peek(key); ok {
-			continue // already cached: no wire traffic
-		}
-		finish, ok := l.flight.Lead(key)
+		finish, ok := l.table.Lead(key)
 		if !ok {
-			continue // another caller is already fetching it
+			continue // cached (no wire traffic) or already being fetched
 		}
 		reqs = append(reqs, RangeReq{Key: key, Offset: 0, Length: -1})
 		finishes = append(finishes, finish)

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"context"
 	"io/fs"
 	"os"
@@ -72,27 +71,30 @@ type DiskStats struct {
 // are published atomically (temp file + fsync + rename, the FS provider's
 // protocol), so a crash mid-admit leaves no torn cache entries — at worst a
 // .tmp-* orphan that the next scan ignores.
+//
+// The index of what is on disk is the shared Cache core with one shard
+// (exact LRU order over files) and os.Remove as its evict hook; cold Gets go
+// through its coalesced-miss protocol, so a herd missing on one object
+// reaches the origin once. The tier's own code is the file IO, the CRC
+// check, the warm scan and the oversize bypass.
 type Disk struct {
 	origin Provider
 	files  *FS
-	cap    int64
+	table  *Cache[string, diskObject]
 
-	mu      sync.Mutex
-	items   map[string]*list.Element // key -> *diskEntry element
-	order   *list.List               // front = most recently used
-	used    int64
+	mu      sync.Mutex // guards digests
 	digests map[string]uint32
 
 	hits        atomic.Int64
 	warmHits    atomic.Int64
 	misses      atomic.Int64
-	evictions   atomic.Int64
 	bypassed    atomic.Int64
 	corruptions atomic.Int64
 }
 
-type diskEntry struct {
-	key  string
+// diskObject is the index's record of one cached file; the bytes stay on
+// disk.
+type diskObject struct {
 	size int64
 	// warm marks an entry discovered on disk at construction time — the
 	// previous process's population — rather than admitted by this one.
@@ -112,14 +114,13 @@ func NewDisk(origin Provider, dir string, opts DiskOptions) (*Disk, error) {
 	if capacity == 0 {
 		capacity = DefaultDiskCapacity
 	}
-	d := &Disk{
-		origin:  origin,
-		files:   files,
-		cap:     capacity,
-		items:   make(map[string]*list.Element),
-		order:   list.New(),
-		digests: make(map[string]uint32),
-	}
+	d := &Disk{origin: origin, files: files, digests: make(map[string]uint32)}
+	d.table = NewCache(capacity, 1, CacheFuncs[string, diskObject]{
+		Hash:      func(string) uint64 { return 0 },
+		Size:      func(o diskObject) int64 { return o.size },
+		FlightKey: func(key string) string { return key },
+		OnEvict:   func(key string, _ diskObject) { os.Remove(files.path(key)) },
+	})
 	if err := d.scan(); err != nil {
 		return nil, err
 	}
@@ -128,11 +129,11 @@ func NewDisk(origin Provider, dir string, opts DiskOptions) (*Disk, error) {
 
 // Capacity is the tier's effective byte bound after defaulting: negative
 // means unbounded.
-func (d *Disk) Capacity() int64 { return d.cap }
+func (d *Disk) Capacity() int64 { return d.table.Capacity() }
 
-// scan indexes the directory's existing files as warm entries, oldest at
-// the LRU tail, then evicts down to capacity (the tier may have been
-// reopened smaller than it was written).
+// scan indexes the directory's existing files as warm entries, oldest
+// first, so that the stalest are what eviction drops when the tier was
+// reopened smaller than it was written.
 func (d *Disk) scan() error {
 	type found struct {
 		key  string
@@ -163,31 +164,10 @@ func (d *Disk) scan() error {
 		return err
 	}
 	sort.Slice(warm, func(i, j int) bool { return warm[i].mod < warm[j].mod })
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, f := range warm {
-		d.items[f.key] = d.order.PushFront(&diskEntry{key: f.key, size: f.size, warm: true})
-		d.used += f.size
+		d.table.Add(f.key, diskObject{size: f.size, warm: true})
 	}
-	d.evictLocked()
 	return nil
-}
-
-// evictLocked deletes least-recently-used entries (and their files) until
-// the tier fits its capacity. Caller holds d.mu.
-func (d *Disk) evictLocked() {
-	for d.cap >= 0 && d.used > d.cap {
-		back := d.order.Back()
-		if back == nil {
-			return
-		}
-		ent := back.Value.(*diskEntry)
-		d.order.Remove(back)
-		delete(d.items, ent.key)
-		d.used -= ent.size
-		d.evictions.Add(1)
-		os.Remove(d.files.path(ent.key))
-	}
 }
 
 // Origin returns the wrapped provider.
@@ -201,18 +181,16 @@ func (d *Disk) Root() string { return d.files.Root() }
 
 // Stats reports the tier's counters.
 func (d *Disk) Stats() DiskStats {
-	d.mu.Lock()
-	used, entries := d.used, int64(len(d.items))
-	d.mu.Unlock()
+	cs := d.table.Stats()
 	return DiskStats{
 		Hits:                d.hits.Load(),
 		WarmHits:            d.warmHits.Load(),
 		Misses:              d.misses.Load(),
-		Evictions:           d.evictions.Load(),
+		Evictions:           cs.Evictions,
 		Bypassed:            d.bypassed.Load(),
 		CorruptionsDetected: d.corruptions.Load(),
-		UsedBytes:           used,
-		Entries:             entries,
+		UsedBytes:           cs.UsedBytes,
+		Entries:             int64(cs.Entries),
 	}
 }
 
@@ -225,31 +203,10 @@ func (d *Disk) SeedDigest(key string, crc uint32) {
 	d.mu.Unlock()
 }
 
-// touch marks a cached key as used and reports whether it exists and came
-// from the warm-start population.
-func (d *Disk) touch(key string) (size int64, warm, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	el, found := d.items[key]
-	if !found {
-		return 0, false, false
-	}
-	d.order.MoveToFront(el)
-	ent := el.Value.(*diskEntry)
-	return ent.size, ent.warm, true
-}
-
 // forget drops key's index entry and file (used when the file is missing or
 // fails verification).
 func (d *Disk) forget(key string) {
-	d.mu.Lock()
-	if el, ok := d.items[key]; ok {
-		ent := el.Value.(*diskEntry)
-		d.order.Remove(el)
-		delete(d.items, key)
-		d.used -= ent.size
-	}
-	d.mu.Unlock()
+	d.table.Remove(key)
 	os.Remove(d.files.path(key))
 }
 
@@ -261,68 +218,54 @@ func (d *Disk) digest(key string) (uint32, bool) {
 	return crc, ok
 }
 
-// readCached serves key from disk if present and intact; warm reports the
-// warm-start provenance. A missing, unreadable, or corrupt file is forgotten
-// (and deleted) so the caller falls through to the origin.
-func (d *Disk) readCached(ctx context.Context, key string) (data []byte, warm, ok bool) {
-	_, warm, ok = d.touch(key)
+// readCached serves key from disk if indexed and intact.
+func (d *Disk) readCached(ctx context.Context, key string) ([]byte, bool) {
+	obj, ok := d.table.Peek(key)
 	if !ok {
-		return nil, false, false
+		return nil, false
 	}
+	return d.readFile(ctx, key, obj)
+}
+
+// readFile reads the file behind index entry obj, verifies it, and counts
+// the hit. A missing, unreadable, or corrupt file is forgotten (and deleted)
+// so the caller falls through to the origin.
+func (d *Disk) readFile(ctx context.Context, key string, obj diskObject) ([]byte, bool) {
 	data, err := d.files.Get(ctx, key)
 	if err != nil {
 		d.forget(key)
-		return nil, false, false
+		return nil, false
 	}
 	if want, known := d.digest(key); known && Checksum(data) != want {
 		d.corruptions.Add(1)
 		d.forget(key)
-		return nil, false, false
+		return nil, false
 	}
-	return data, warm, true
+	d.hits.Add(1)
+	if obj.warm {
+		d.warmHits.Add(1)
+	}
+	return data, true
 }
 
 // admit writes data under key (atomically) and indexes it, evicting LRU
 // entries over capacity. The stored digest is recorded so later disk reads
 // verify. Objects larger than the whole capacity are bypassed.
 func (d *Disk) admit(ctx context.Context, key string, data []byte) {
-	if d.cap >= 0 && int64(len(data)) > d.cap {
+	if c := d.table.Capacity(); c >= 0 && int64(len(data)) > c {
 		d.bypassed.Add(1)
 		return
 	}
 	if err := d.files.Put(ctx, key, data); err != nil {
 		return // cache population is best-effort; the caller has the bytes
 	}
-	crc := Checksum(data)
-	d.mu.Lock()
-	d.digests[key] = crc
-	if el, ok := d.items[key]; ok {
-		ent := el.Value.(*diskEntry)
-		d.used += int64(len(data)) - ent.size
-		ent.size = int64(len(data))
-		ent.warm = false
-		d.order.MoveToFront(el)
-	} else {
-		d.items[key] = d.order.PushFront(&diskEntry{key: key, size: int64(len(data))})
-		d.used += int64(len(data))
-	}
-	d.evictLocked()
-	d.mu.Unlock()
+	d.SeedDigest(key, Checksum(data))
+	d.table.Add(key, diskObject{size: int64(len(data))})
 }
 
-// Get implements Provider: disk first (verified), origin on miss, with the
-// fetched bytes admitted for the next process.
-func (d *Disk) Get(ctx context.Context, key string) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if data, warm, ok := d.readCached(ctx, key); ok {
-		d.hits.Add(1)
-		if warm {
-			d.warmHits.Add(1)
-		}
-		return data, nil
-	}
+// fetch is the miss path: the origin's bytes, admitted for the next reader
+// and the next process.
+func (d *Disk) fetch(ctx context.Context, key string) ([]byte, error) {
 	d.misses.Add(1)
 	data, err := d.origin.Get(ctx, key)
 	if err != nil {
@@ -332,12 +275,43 @@ func (d *Disk) Get(ctx context.Context, key string) ([]byte, error) {
 	return data, nil
 }
 
+// Get implements Provider: disk first (verified), origin on miss — one
+// origin Get however many readers miss on the key at once. Only the index
+// entry travels through the flight, never the bytes: the reader whose fetch
+// ran keeps the origin's slice to itself, and every reader coalesced onto it
+// reads the file that fetch just published, so no two callers are ever
+// handed the same backing array. (When the fetch could not cache the object
+// — oversize, or a failed local write — its followers find no file and fetch
+// for themselves.)
+func (d *Disk) Get(ctx context.Context, key string) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var fetched []byte
+	led := false
+	obj, _, _, err := d.table.GetOrLoad(ctx, key, func() (diskObject, error) {
+		data, err := d.fetch(ctx, key)
+		fetched, led = data, err == nil
+		return diskObject{size: int64(len(data))}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if led {
+		return fetched, nil
+	}
+	if data, ok := d.readFile(ctx, key, obj); ok {
+		return data, nil
+	}
+	return d.fetch(ctx, key)
+}
+
 // GetRange implements Provider. Cached objects serve the range from the
 // local file; misses go to the origin without promoting the object (range
 // reads are the streaming sub-chunk path — caching whole objects for them
 // would inflate the tier exactly like the RAM cache refuses to).
 func (d *Disk) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
-	if _, _, ok := d.touch(key); ok {
+	if _, ok := d.table.Peek(key); ok {
 		if data, err := d.files.GetRange(ctx, key, offset, length); err == nil {
 			d.hits.Add(1)
 			return data, nil
@@ -368,11 +342,7 @@ func (d *Disk) GetRanges(ctx context.Context, reqs []RangeReq) ([][]byte, error)
 	var fwdIdx []int
 	for i, r := range reqs {
 		if r.whole() {
-			if data, warm, ok := d.readCached(ctx, r.Key); ok {
-				d.hits.Add(1)
-				if warm {
-					d.warmHits.Add(1)
-				}
+			if data, ok := d.readCached(ctx, r.Key); ok {
 				out[i] = data
 				continue
 			}
@@ -417,7 +387,7 @@ func (d *Disk) Delete(ctx context.Context, key string) error {
 
 // Exists implements Provider.
 func (d *Disk) Exists(ctx context.Context, key string) (bool, error) {
-	if _, _, ok := d.touch(key); ok {
+	if _, ok := d.table.Peek(key); ok {
 		return true, nil
 	}
 	return d.origin.Exists(ctx, key)
@@ -431,8 +401,8 @@ func (d *Disk) List(ctx context.Context, prefix string) ([]string, error) {
 
 // Size implements Provider.
 func (d *Disk) Size(ctx context.Context, key string) (int64, error) {
-	if size, _, ok := d.touch(key); ok {
-		return size, nil
+	if obj, ok := d.table.Peek(key); ok {
+		return obj.size, nil
 	}
 	return d.origin.Size(ctx, key)
 }

@@ -3,9 +3,12 @@ package storage
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -196,6 +199,71 @@ func TestDiskTierGetRangesServesCachedWholeObjects(t *testing.T) {
 	}
 }
 
+// TestDiskTierCoalescesColdHerd is the herd case the RAM cache and the node
+// cache already have: N readers cold-miss on one object at once and the
+// origin sees exactly one Get, every reader gets its own copy of the bytes,
+// and the object is on disk for the next reader.
+func TestDiskTierCoalescesColdHerd(t *testing.T) {
+	ctx := context.Background()
+	blocking := newBlockingProvider()
+	want := []byte("chunk-bytes")
+	if err := blocking.Provider.Put(ctx, "hot", want); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDisk(blocking, t.TempDir(), DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 16
+	var wg sync.WaitGroup
+	errs := make([]error, readers)
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, err := d.Get(ctx, "hot")
+			if err == nil && !bytes.Equal(got, want) {
+				err = fmt.Errorf("got %q", got)
+			}
+			errs[i] = err
+			// Every reader owns its bytes: scribbling on them at once, while
+			// the rest of the herd is still being served, must neither reach
+			// another reader nor trip the race detector.
+			for j := range got {
+				got[j] ^= 0xff
+			}
+		}(i)
+	}
+	// Release the origin only once every reader has missed the index.
+	for d.table.Stats().Misses < readers {
+		runtime.Gosched()
+	}
+	close(blocking.release)
+	wg.Wait()
+
+	if got := blocking.gets.Load(); got != 1 {
+		t.Fatalf("origin Gets = %d, want 1 (coalesced)", got)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("reader %d: %v", i, err)
+		}
+	}
+	// One reader fetched from the origin: the miss. The rest read the file
+	// that fetch published: hits.
+	herd := d.Stats()
+	if herd.Misses != 1 || herd.Hits != readers-1 || herd.Entries != 1 {
+		t.Fatalf("misses/hits/entries = %d/%d/%d, want 1/%d/1", herd.Misses, herd.Hits, herd.Entries, readers-1)
+	}
+	got, err := d.Get(ctx, "hot")
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Get after the herd = %q, %v", got, err)
+	}
+	if st := d.Stats(); st.Hits != herd.Hits+1 || blocking.gets.Load() != 1 {
+		t.Fatalf("Get after the herd: hits=%d origin Gets=%d, want %d/1", st.Hits, blocking.gets.Load(), herd.Hits+1)
+	}
+}
+
 // TestFSPutCrashPathLeavesNoTempResidue is the fsync satellite's test: a
 // failed publish (rename refused) must remove its temp file, and a
 // successful Put must leave exactly the destination behind — no .tmp-*
@@ -250,14 +318,14 @@ func assertNoTempResidue(t *testing.T, dir string) {
 func TestShardedLRUDistributesRemainder(t *testing.T) {
 	l := NewShardedLRU(NewMemory(), 4099, 8)
 	var total int64
-	for i, s := range l.shards {
-		total += s.capacity
+	for i, s := range l.table.Stats().Shards {
+		total += s.Capacity
 		want := int64(512)
 		if i < 3 { // 4099 = 8*512 + 3
 			want = 513
 		}
-		if s.capacity != want {
-			t.Fatalf("shard %d capacity = %d, want %d", i, s.capacity, want)
+		if s.Capacity != want {
+			t.Fatalf("shard %d capacity = %d, want %d", i, s.Capacity, want)
 		}
 	}
 	if total != 4099 {

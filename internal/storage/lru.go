@@ -1,110 +1,59 @@
 package storage
 
 import (
-	"container/list"
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 )
 
-// DefaultShards is the maximum shard count NewLRU chooses. Sixteen
-// mutex-striped shards keep lock hold times short enough that dozens of
-// dataloader workers probe the cache without serializing behind one another.
-const DefaultShards = 16
-
-// minShardBytes floors the automatic per-shard capacity at two of the
+// minShardBytes floors NewLRU's automatic per-shard capacity at two of the
 // paper's ~8MB target chunks (§3.4), so sharding a modest cache never
 // silently un-caches the very objects the chain exists to hold.
 const minShardBytes = 16 << 20
 
-// defaultShardCount scales the shard count to capacity: one shard per
-// minShardBytes, at most DefaultShards, at least one.
-func defaultShardCount(capacity int64) int {
-	n := int(capacity / minShardBytes)
-	if n > DefaultShards {
-		n = DefaultShards
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // LRU chains a fast cache in front of a slower origin provider (§3.6: "LRU
-// cache of remote S3 storage with local in-memory data"). Whole objects are
-// cached on Get and Put; range reads consult the cache and fall back to a
-// range request against the origin without promoting the full object, so
-// streaming sub-chunk access never inflates the cache with 8MB chunks the
-// training loop only needed a slice of.
-//
-// The cache is built for the many-reader regime: entries are spread over
-// mutex-striped shards keyed by a hash of the object key, and a singleflight
-// layer coalesces concurrent misses so any number of workers missing on the
-// same object trigger exactly one origin Get.
+// cache of remote S3 storage with local in-memory data"). It is the
+// raw-object policy over the shared Cache core, which supplies the sharded
+// table, the eviction rule and the coalesced-miss protocol (any number of
+// workers missing on the same object trigger exactly one origin Get). What
+// is the LRU's own: whole objects are cached on Get and Put (write-through)
+// and copied out to every reader; range reads consult the cache and fall
+// back to a range request against the origin without promoting the full
+// object, so streaming sub-chunk access never inflates the cache with 8MB
+// chunks the training loop only needed a slice of; objects larger than
+// their shard bypass the cache; Prefetch warms it with coalesced batched
+// reads (batch.go); and Stats gathers the counters of the whole chain below.
 type LRU struct {
 	origin Provider
-	shards []*lruShard
-	flight Flight[[]byte]
+	table  *Cache[string, []byte]
 
-	coalesced  atomic.Int64
 	prefetched atomic.Int64
 	bypassed   atomic.Int64
 	shed       atomic.Int64
-}
-
-type lruShard struct {
-	capacity int64
-
-	mu    sync.Mutex
-	used  int64
-	order *list.List // front = most recently used; values are *lruEntry
-	items map[string]*list.Element
-
-	hits, misses int64
-}
-
-type lruEntry struct {
-	key  string
-	data []byte
 }
 
 // NewLRU wraps origin with an in-memory cache of the given byte capacity.
 // The shard count scales with capacity (one shard per 16MB, at most
 // DefaultShards), so per-shard capacity always fits full-size chunks.
 func NewLRU(origin Provider, capacity int64) *LRU {
-	return NewShardedLRU(origin, capacity, defaultShardCount(capacity))
+	return NewShardedLRU(origin, capacity, ShardsFor(capacity, minShardBytes))
 }
 
 // NewShardedLRU wraps origin with an in-memory cache of the given byte
-// capacity split across the given number of mutex-striped shards — evenly,
-// with the division remainder spread one byte at a time over the leading
-// shards, so no fraction of the configured budget is silently lost. A
-// single shard
-// gives globally exact LRU ordering (useful for deterministic tests); more
-// shards trade eviction precision for lookup concurrency. Note that an
-// object larger than one shard's budget bypasses the cache entirely — the
-// bypass is counted in Stats.Bypassed, and callers choosing an explicit
-// shard count are expected to size shards for their objects, or use NewLRU
-// which does so automatically.
+// capacity split across the given number of mutex-striped shards (the
+// division remainder goes to the leading shards, so none of the budget is
+// lost). A single shard gives globally exact LRU ordering (useful for
+// deterministic tests); more shards trade eviction precision for lookup
+// concurrency. Note that an object larger than one shard's budget bypasses
+// the cache entirely — the bypass is counted in Stats.Bypassed, and callers
+// choosing an explicit shard count are expected to size shards for their
+// objects, or use NewLRU which does so automatically.
 func NewShardedLRU(origin Provider, capacity int64, shards int) *LRU {
-	if shards < 1 {
-		shards = 1
-	}
-	l := &LRU{origin: origin, shards: make([]*lruShard, shards)}
-	per, rem := capacity/int64(shards), capacity%int64(shards)
-	for i := range l.shards {
-		cap := per
-		if int64(i) < rem {
-			cap++
-		}
-		l.shards[i] = &lruShard{
-			capacity: cap,
-			order:    list.New(),
-			items:    make(map[string]*list.Element),
-		}
-	}
-	return l
+	return &LRU{origin: origin, table: NewCache(capacity, shards, CacheFuncs[string, []byte]{
+		Hash:      func(key string) uint64 { return HashString(HashSeed, key) },
+		Size:      func(data []byte) int64 { return int64(len(data)) },
+		FlightKey: func(key string) string { return key },
+	})}
 }
 
 // Origin returns the wrapped provider.
@@ -114,40 +63,10 @@ func (l *LRU) Origin() Provider { return l.origin }
 func (l *LRU) Unwrap() Provider { return l.origin }
 
 // NumShards returns the shard count.
-func (l *LRU) NumShards() int { return len(l.shards) }
+func (l *LRU) NumShards() int { return l.table.NumShards() }
 
 // Capacity returns the cache's total byte capacity across shards.
-func (l *LRU) Capacity() int64 {
-	var total int64
-	for _, s := range l.shards {
-		total += s.capacity
-	}
-	return total
-}
-
-// shard maps a key to its shard by FNV-1a hash.
-func (l *LRU) shard(key string) *lruShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return l.shards[h%uint64(len(l.shards))]
-}
-
-// ShardStats reports one shard's counters.
-type ShardStats struct {
-	// Hits and Misses count lookups resolved from / past this shard.
-	Hits, Misses int64
-	// UsedBytes is the shard's resident payload size.
-	UsedBytes int64
-	// Entries is the number of cached objects in the shard.
-	Entries int
-}
+func (l *LRU) Capacity() int64 { return l.table.Capacity() }
 
 // Stats aggregates cache counters: totals across shards plus the per-shard
 // breakdown, the number of origin fetches avoided by read coalescing, and —
@@ -202,24 +121,19 @@ type Stats struct {
 // Stats reports cache counters across all shards, plus retry/fault counters
 // gathered by walking the origin chain through Unwrap.
 func (l *LRU) Stats() Stats {
+	cs := l.table.Stats()
 	s := Stats{
-		Coalesced:    l.coalesced.Load(),
+		Hits:         cs.Hits,
+		Misses:       cs.Misses,
+		Coalesced:    cs.Coalesced,
 		Prefetched:   l.prefetched.Load(),
 		Bypassed:     l.bypassed.Load(),
 		PrefetchShed: l.shed.Load(),
-		Shards:       make([]ShardStats, len(l.shards)),
-	}
-	for i, sh := range l.shards {
-		sh.mu.Lock()
-		ss := ShardStats{Hits: sh.hits, Misses: sh.misses, UsedBytes: sh.used, Entries: len(sh.items)}
-		sh.mu.Unlock()
-		s.Shards[i] = ss
-		s.Hits += ss.Hits
-		s.Misses += ss.Misses
-		s.UsedBytes += ss.UsedBytes
+		UsedBytes:    cs.UsedBytes,
+		Shards:       cs.Shards,
 	}
 	sawCounting := false
-	for p := l.origin; p != nil; {
+	walkChain(l.origin, func(p Provider) bool {
 		switch v := p.(type) {
 		case *Retry:
 			s.Retries += v.Stats().Retries
@@ -246,105 +160,30 @@ func (l *LRU) Stats() Stats {
 				sawCounting = true
 			}
 		}
-		u, ok := p.(interface{ Unwrap() Provider })
-		if !ok {
-			break
-		}
-		p = u.Unwrap()
-	}
+		return true
+	})
 	return s
 }
 
-func (s *lruShard) lookup(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		s.misses++
-		return nil, false
-	}
-	s.hits++
-	s.order.MoveToFront(el)
-	return el.Value.(*lruEntry).data, true
-}
-
-// peek is lookup without touching the hit/miss counters; the singleflight
-// leader uses it to re-check the shard after winning leadership, so a miss
-// that raced with another caller's admit does not refetch from the origin.
-func (s *lruShard) peek(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	return el.Value.(*lruEntry).data, true
-}
-
-// admit inserts (or refreshes) key and reports whether the object was
-// actually cached; an object larger than the whole shard is rejected.
-func (s *lruShard) admit(key string, data []byte) bool {
-	if int64(len(data)) > s.capacity {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.used += int64(len(data)) - int64(len(el.Value.(*lruEntry).data))
-		el.Value.(*lruEntry).data = data
-		s.order.MoveToFront(el)
-	} else {
-		s.items[key] = s.order.PushFront(&lruEntry{key: key, data: data})
-		s.used += int64(len(data))
-	}
-	for s.used > s.capacity {
-		back := s.order.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*lruEntry)
-		s.order.Remove(back)
-		delete(s.items, ent.key)
-		s.used -= int64(len(ent.data))
-	}
-	return true
-}
-
-// admit routes an object to its shard and counts the silent-bypass case —
-// an object larger than one shard's budget that the cache cannot hold —
-// so undersized shard configurations are visible in Stats.Bypassed instead
-// of masquerading as a stream of misses.
+// admit caches an object, unless it is larger than its shard's whole budget:
+// the cache cannot hold it, and the bypass is counted in Stats.Bypassed so
+// undersized shard configurations do not masquerade as a stream of misses.
 func (l *LRU) admit(key string, data []byte) {
-	if !l.shard(key).admit(key, data) {
+	if int64(len(data)) > l.table.ShardCapacity(key) {
 		l.bypassed.Add(1)
+		return
 	}
-}
-
-func (s *lruShard) evict(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.order.Remove(el)
-		delete(s.items, key)
-		s.used -= int64(len(el.Value.(*lruEntry).data))
-	}
+	l.table.Add(key, data)
 }
 
 // Evict drops key from the cache without touching the origin. Callers that
 // discover a cached object is bad (a failed chunk-footer check above the
 // cache) evict it so the next Get re-fetches through the verifying chain.
-func (l *LRU) Evict(key string) { l.shard(key).evict(key) }
+func (l *LRU) Evict(key string) { l.table.Remove(key) }
 
 // Get implements Provider. Concurrent misses on the same key are coalesced
 // into a single origin fetch.
 func (l *LRU) Get(ctx context.Context, key string) ([]byte, error) {
-	sh := l.shard(key)
-	if data, ok := sh.lookup(key); ok {
-		out := make([]byte, len(data))
-		copy(out, data)
-		return out, nil
-	}
 	fetch := func() ([]byte, error) {
 		data, err := l.origin.Get(ctx, key)
 		if err != nil {
@@ -353,11 +192,7 @@ func (l *LRU) Get(ctx context.Context, key string) ([]byte, error) {
 		l.admit(key, data)
 		return data, nil
 	}
-	data, coalesced, err := l.flight.GetCoalesced(ctx, key,
-		func() ([]byte, bool) { return sh.peek(key) }, fetch)
-	if coalesced {
-		l.coalesced.Add(1)
-	}
+	data, _, _, err := l.table.GetOrLoad(ctx, key, fetch)
 	if err != nil && errors.Is(err, errPrefetchShed) && ctx.Err() == nil {
 		// This reader coalesced onto a batch prefetch whose round trip
 		// failed before reaching the key; fall back to an on-demand fetch
@@ -374,7 +209,7 @@ func (l *LRU) Get(ctx context.Context, key string) ([]byte, error) {
 
 // GetRange implements Provider.
 func (l *LRU) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
-	if data, ok := l.shard(key).lookup(key); ok {
+	if data, ok := l.table.Get(key); ok {
 		lo, hi, ok := clampRange(int64(len(data)), offset, length)
 		if !ok {
 			return nil, rangeErr(key, offset, length, int64(len(data)))
@@ -400,13 +235,13 @@ func (l *LRU) Put(ctx context.Context, key string, data []byte) error {
 
 // Delete implements Provider.
 func (l *LRU) Delete(ctx context.Context, key string) error {
-	l.shard(key).evict(key)
+	l.table.Remove(key)
 	return l.origin.Delete(ctx, key)
 }
 
 // Exists implements Provider.
 func (l *LRU) Exists(ctx context.Context, key string) (bool, error) {
-	if _, ok := l.shard(key).lookup(key); ok {
+	if _, ok := l.table.Get(key); ok {
 		return true, nil
 	}
 	return l.origin.Exists(ctx, key)
@@ -420,7 +255,7 @@ func (l *LRU) List(ctx context.Context, prefix string) ([]string, error) {
 
 // Size implements Provider.
 func (l *LRU) Size(ctx context.Context, key string) (int64, error) {
-	if data, ok := l.shard(key).lookup(key); ok {
+	if data, ok := l.table.Get(key); ok {
 		return int64(len(data)), nil
 	}
 	return l.origin.Size(ctx, key)

@@ -70,31 +70,6 @@ func (f *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v
 // or exited without returning.
 var errFlightAbandoned = errors.New("storage: singleflight leader exited without a result")
 
-// GetCoalesced runs the full read-coalescing miss protocol shared by the
-// storage LRU and the dataloader chunk cache: win leadership or join an
-// in-flight call; as leader, re-check the caller's cache via peek (another
-// caller may have admitted the value between the caller's miss and
-// leadership) before fetching; as follower, retry on a fresh flight when the
-// leader failed of its own cancellation rather than inheriting its error.
-// coalesced reports that the value came from — or was made unnecessary by —
-// another caller's work, i.e. a fetch was avoided.
-func (f *Flight[V]) GetCoalesced(ctx context.Context, key string, peek func() (V, bool), fetch func() (V, error)) (v V, coalesced bool, err error) {
-	for {
-		rescued := false
-		v, shared, err := f.Do(ctx, key, func() (V, error) {
-			if v, ok := peek(); ok {
-				rescued = true
-				return v, nil
-			}
-			return fetch()
-		})
-		if shared && SharedCancellation(ctx, err) {
-			continue
-		}
-		return v, err == nil && (shared || rescued), err
-	}
-}
-
 // SharedCancellation reports whether a shared flight error is another
 // caller's context cancellation rather than the given (still live) context's
 // own: the signal that a follower should retry instead of failing.

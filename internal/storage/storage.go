@@ -93,6 +93,18 @@ type Provider interface {
 	Size(ctx context.Context, key string) (int64, error)
 }
 
+// walkChain visits p and then each provider below it, following the
+// layers' Unwrap methods, until visit returns false or a layer wraps nothing.
+func walkChain(p Provider, visit func(Provider) bool) {
+	for p != nil && visit(p) {
+		u, ok := p.(interface{ Unwrap() Provider })
+		if !ok {
+			return
+		}
+		p = u.Unwrap()
+	}
+}
+
 // clampRange resolves an (offset, length) pair against an object of size n
 // using HTTP Range semantics. ok is false when offset is out of bounds.
 func clampRange(n int64, offset, length int64) (lo, hi int64, ok bool) {

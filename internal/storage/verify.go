@@ -341,7 +341,7 @@ func (v *Verify) Size(ctx context.Context, key string) (int64, error) {
 // wrapper, whose key rewriting would invalidate the digest keys.
 func SeedDigests(p Provider, digests map[string]uint32) int {
 	seeded := 0
-	for p != nil {
+	walkChain(p, func(p Provider) bool {
 		switch v := p.(type) {
 		case *Verify:
 			for key, crc := range digests {
@@ -354,14 +354,10 @@ func SeedDigests(p Provider, digests map[string]uint32) int {
 			}
 			seeded = len(digests)
 		case *Prefix:
-			return seeded
+			return false
 		}
-		u, ok := p.(interface{ Unwrap() Provider })
-		if !ok {
-			return seeded
-		}
-		p = u.Unwrap()
-	}
+		return true
+	})
 	return seeded
 }
 
@@ -371,17 +367,11 @@ func SeedDigests(p Provider, digests map[string]uint32) int {
 // does not simply re-read the bad cached bytes. Like SeedDigests, the walk
 // stops at a Prefix wrapper.
 func Evict(p Provider, key string) {
-	for p != nil {
+	walkChain(p, func(p Provider) bool {
 		if l, ok := p.(*LRU); ok {
 			l.Evict(key)
 		}
-		if _, ok := p.(*Prefix); ok {
-			return
-		}
-		u, ok := p.(interface{ Unwrap() Provider })
-		if !ok {
-			return
-		}
-		p = u.Unwrap()
-	}
+		_, isPrefix := p.(*Prefix)
+		return !isPrefix
+	})
 }

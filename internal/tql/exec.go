@@ -257,12 +257,11 @@ func ExecuteWith(ctx context.Context, ds *core.Dataset, q *Query, opts Options) 
 		}
 	}
 	sc := &scanner{
-		ds:           ds,
-		workers:      opts.workers(),
-		rawShapes:    opts.DisablePushdown,
-		perPartition: opts.PerPartitionPrefetch,
-		stripWidth:   opts.stripWidth(),
-		stats:        opts.Stats,
+		ds:         ds,
+		workers:    opts.workers(),
+		rawShapes:  opts.DisablePushdown,
+		stripWidth: opts.stripWidth(),
+		stats:      opts.Stats,
 	}
 	n := ds.NumRows()
 	rows := make([]uint64, n)

@@ -23,12 +23,6 @@ type Options struct {
 	// instead of the shape encoder. Benchmarks and tests use it to measure
 	// (and cross-check) what the shape-encoder pushdown saves.
 	DisablePushdown bool
-	// PerPartitionPrefetch reverts to the legacy prefetch shape: each worker
-	// hands the storage planner only the chunks of the partition it is about
-	// to walk, so chunks that are near-adjacent in the keyspace but owned by
-	// different workers never share a coalesced origin request. Kept as the
-	// A/B baseline for the cross-partition strip scheduler (the default).
-	PerPartitionPrefetch bool
 	// StripWidth bounds how many chunks the strip scheduler hands to the
 	// fetch planner per strip. Zero or negative uses DefaultStripWidth.
 	StripWidth int
@@ -130,8 +124,7 @@ func (s *ScanStats) PrefetchFailed() int64 {
 	return s.failed.Load()
 }
 
-// PrefetchStrips counts strips issued by the cross-partition scheduler;
-// zero under Options.PerPartitionPrefetch.
+// PrefetchStrips counts strips issued by the cross-partition scheduler.
 func (s *ScanStats) PrefetchStrips() int64 {
 	if s == nil {
 		return 0
@@ -159,12 +152,9 @@ type scanner struct {
 	ds      *core.Dataset
 	workers int
 	// rawShapes bypasses the shape encoder (Options.DisablePushdown).
-	rawShapes bool
-	// perPartition selects the legacy one-prefetch-per-partition shape
-	// (Options.PerPartitionPrefetch) over the cross-partition strips.
-	perPartition bool
-	stripWidth   int
-	stats        *ScanStats
+	rawShapes  bool
+	stripWidth int
+	stats      *ScanStats
 }
 
 // splitConjuncts flattens the AND tree of a filter left-to-right and
@@ -282,12 +272,11 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 	// Prefetch: before a worker walks a partition, the chunks the scan will
 	// touch are handed to the storage layer's fetch planner, so near-adjacent
 	// chunk objects arrive in coalesced ranged origin requests instead of one
-	// round trip each. The default shape is the cross-partition strip
-	// scheduler: strips of fixed width cut across partition boundaries, so
-	// chunks owned by different workers still share a coalesced request (and
-	// the tail of each strip is lookahead for whichever worker claims the
-	// next partition). Options.PerPartitionPrefetch reverts to handing each
-	// partition's chunks over separately. Shape-only expressions are
+	// round trip each. The shape is the cross-partition strip scheduler:
+	// strips of fixed width cut across partition boundaries, so chunks owned
+	// by different workers still share a coalesced request (and the tail of
+	// each strip is lookahead for whichever worker claims the next
+	// partition). Shape-only expressions are
 	// excluded: they resolve from the shape encoder (pushdown's
 	// zero-chunk-IO guarantee), so prefetching chunks for them would be pure
 	// waste. Errors are counted into ScanStats, never fatal — the per-row
@@ -298,25 +287,13 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 		driverChunks = driver.ChunkSpans()
 	}
 	var strips *stripScheduler
-	if len(driverChunks) > 0 && !sc.perPartition {
+	if len(driverChunks) > 0 {
 		strips = newStripScheduler(driver, driverChunks, rows, spans, sc.stripWidth, sc.stats)
 	}
-	prefetchSpan := func(ctx context.Context, i int) {
+	evalSpan := func(ctx context.Context, e *env, i int) error {
 		if strips != nil {
 			strips.ensure(ctx, i)
-			return
 		}
-		if len(driverChunks) == 0 {
-			return
-		}
-		sp := spans[i]
-		if ids := spanChunkIDs(driverChunks, rows[sp.lo:sp.hi]); len(ids) > 0 {
-			claimed, err := driver.PrefetchChunks(ctx, ids, storage.PlanOptions{})
-			sc.stats.record(len(ids), claimed, err)
-		}
-	}
-	evalSpan := func(ctx context.Context, e *env, i int) error {
-		prefetchSpan(ctx, i)
 		sp := spans[i]
 		for pos := sp.lo; pos < sp.hi; pos++ {
 			if err := ctx.Err(); err != nil {
@@ -569,28 +546,6 @@ func scanDriver(ds *core.Dataset, x Expr) *core.Tensor {
 		walk(x)
 	}
 	return found
-}
-
-// spanChunkIDs lists the distinct chunk ids covering rows (which must be
-// ascending), in visit order.
-func spanChunkIDs(chunks []core.ChunkSpan, rows []uint64) []uint64 {
-	var ids []uint64
-	ci := 0
-	for _, row := range rows {
-		for ci < len(chunks) && row > chunks[ci].Last {
-			ci++
-		}
-		if ci >= len(chunks) {
-			break
-		}
-		if row < chunks[ci].First {
-			continue
-		}
-		if n := len(ids); n == 0 || ids[n-1] != chunks[ci].ChunkID {
-			ids = append(ids, chunks[ci].ChunkID)
-		}
-	}
-	return ids
 }
 
 func ascending(rows []uint64) bool {
