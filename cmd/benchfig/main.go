@@ -11,27 +11,14 @@
 //
 // Usage:
 //
-//	benchfig [-n N] [-workers W] [-side PX] [-json [-json-dir DIR]] \
-//	         [-fetch-batch CHUNKS] [-autotune-cap BYTES] [-ranks R] \
+//	benchfig [-n N] [-workers W] [-side PX] [-json [-json-dir DIR]] [-ranks R] \
 //	         [fig6|fig7|fig8|fig9|fig10|readers|tql|ingest|train|ablations|all]
 //
-// The absolute-throughput knobs (train scenario):
-//
-//   - -fetch-batch sets how many upcoming chunks the readahead scheduler
-//     hands to the storage fetch planner per strip; near-adjacent chunks
-//     coalesce into single batched ranged origin requests. 0 keeps the
-//     scenario default (32); negative disables batching, restoring
-//     one-request-per-chunk for A/B comparison.
-//   - -autotune-cap sets the ingest chunk-size autotuner's ceiling in bytes.
-//     The train scenario ingests under deliberately pathological static
-//     bounds and lets the autotuner grow chunks toward this cap; 0 keeps
-//     the scenario default (16KiB at toy scale), negative disables the
-//     autotuner entirely to measure the untuned layout.
-//   - -ranks sets how many rank-sharded loaders run colocated on one
-//     simulated node, all sharing one node-level decoded-chunk cache; the
-//     runner asserts each shared chunk is fetched+decoded once per NODE
-//     (not once per rank), and a kill+reopen pass over the local-disk tier
-//     must show a nonzero warm-start hit rate with byte-identical batches.
+// -ranks (train scenario) sets how many rank-sharded loaders run colocated
+// on one simulated node, all sharing one node-level decoded-chunk cache; the
+// runner asserts each shared chunk is fetched+decoded once per NODE (not
+// once per rank), and a kill+reopen pass over the local-disk tier must show
+// a nonzero warm-start hit rate with byte-identical batches.
 package main
 
 import (
@@ -55,8 +42,6 @@ func main() {
 	workers := flag.Int("workers", 8, "loader/ingest parallelism")
 	side := flag.Int("side", 0, "override synthetic image edge length (0 = figure default)")
 	seed := flag.Int64("seed", 1, "workload seed")
-	fetchBatch := flag.Int("fetch-batch", 0, "train: chunks per coalesced prefetch strip (0 = default 32, negative disables batching)")
-	autotuneCap := flag.Int("autotune-cap", 0, "train: ingest chunk autotuner cap in bytes (0 = default, negative disables)")
 	ranks := flag.Int("ranks", 0, "train: same-node rank loaders sharing one node-level chunk cache (0 = default 4); the runner enforces per-node decode-once across them")
 	jsonOut := flag.Bool("json", false, "write BENCH_<scenario>.json with the measured series")
 	jsonDir := flag.String("json-dir", ".", "directory for -json output")
@@ -93,10 +78,7 @@ func main() {
 		want[t] = true
 	}
 	run := func(r runner) {
-		cfg := bench.Config{
-			N: *n, Workers: *workers, ImageSide: *side, Seed: *seed,
-			FetchBatch: *fetchBatch, AutotuneCapBytes: *autotuneCap, Ranks: *ranks,
-		}
+		cfg := bench.Config{N: *n, Workers: *workers, ImageSide: *side, Seed: *seed, Ranks: *ranks}
 		if cfg.N == 0 {
 			cfg.N = r.def
 		}
@@ -110,7 +92,7 @@ func main() {
 		fmt.Print(res.Format())
 		fmt.Printf("  (completed in %s)\n\n", elapsed.Round(time.Millisecond))
 		if r.name == "train" {
-			if err := trainGate(res, cfg); err != nil {
+			if err := trainGate(res); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: %v\n", r.name, err)
 				os.Exit(1)
 			}
@@ -139,14 +121,8 @@ func main() {
 // trainGate is the train scenario's absolute-throughput gate: 16-worker
 // streaming must match or beat both format baselines in samples/sec, not
 // merely scale over its own serial path. It compares wall clocks, so it
-// lives here and not in the runner, which `go test` also executes. An
-// explicit A/B run with a throughput knob disabled measures the degraded
-// configuration instead of being gated against it.
-func trainGate(res *bench.Result, cfg bench.Config) error {
-	if cfg.FetchBatch < 0 || cfg.AutotuneCapBytes < 0 {
-		fmt.Println("  absolute gate skipped: a throughput knob (-fetch-batch/-autotune-cap) is explicitly disabled for A/B measurement")
-		return nil
-	}
+// lives here and not in the runner, which `go test` also executes.
+func trainGate(res *bench.Result) error {
 	w16, ok := res.Value("workers-16")
 	if !ok {
 		return fmt.Errorf("workers-16 row missing")

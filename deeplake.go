@@ -140,7 +140,13 @@
 // metadata that references it is persisted, upload errors (including
 // context cancellation) surface there, and the stored objects are
 // byte-identical to the serial path at every worker count — only the upload
-// order differs. Transform pipelines (ETL ingestion) and view
+// order differs. A failed upload keeps its chunk in memory, readable, and
+// the next Flush retries it. With WriteOptions.FlushRetries (re-attempts per
+// upload, delays shaped by FlushBackoff) or UploadTimeout (a deadline per
+// attempt) set, uploads go through the same storage.Retry layer WithRetry
+// stacks on the read side: a transient failure is re-attempted under backoff
+// by the upload that hit it, holding its worker lane meanwhile, and the
+// barrier waits for it. Transform pipelines (ETL ingestion) and view
 // materialization write through the same engine by default. Run
 //
 //	go run ./cmd/benchfig ingest

@@ -137,14 +137,6 @@ type Config struct {
 	ImageSide int
 	// Seed drives the deterministic generators.
 	Seed int64
-	// FetchBatch overrides the train scenario's coalesced-prefetch strip
-	// width (chunks per batched ranged origin request; 0 = scenario
-	// default of 32, negative disables batching).
-	FetchBatch int
-	// AutotuneCapBytes overrides the train scenario's ingest chunk-size
-	// autotuner ceiling (0 = scenario default; negative disables the
-	// autotuner, leaving the deliberately pathological static bounds).
-	AutotuneCapBytes int
 	// Ranks sets the train scenario's simulated same-node rank count: that
 	// many rank-sharded loaders share one node-level decoded-chunk cache,
 	// and the runner enforces per-NODE decode-once across them (0 =

@@ -21,8 +21,8 @@ import (
 	"repro/internal/workload"
 )
 
-// chaosFlushRetries bounds both the pipeline's automatic redrive bursts and
-// the bench's own Flush retry loop during the faulty ingest phase.
+// chaosFlushRetries bounds both the pipeline's re-attempts per chunk upload
+// and the bench's own Flush retry loop during the faulty ingest phase.
 const chaosFlushRetries = 8
 
 // Chaos measures the resilience layer end to end: the same train and ingest
@@ -38,9 +38,10 @@ const chaosFlushRetries = 8
 //   - train: an epoch over 5%-flaky S3 delivers a batch stream byte-identical
 //     to the fault-free epoch, with logical (net-of-retries) origin requests
 //     still exactly one per chunk.
-//   - ingest: a full ingest over a Put-faulty origin — parked chunk uploads
-//     redriven automatically by the flush pipeline under backoff — lands an
-//     object set byte-identical to the fault-free ingest.
+//   - ingest: a full ingest over a Put-faulty origin — failed chunk uploads
+//     re-attempted by the flush pipeline under backoff, what survives that
+//     parked and redriven by Flush — lands an object set byte-identical to
+//     the fault-free ingest.
 //   - corruption: an epoch over a wire that silently flips bits and truncates
 //     transfers still delivers a byte-identical batch stream — the Verify
 //     layer (digests seeded from the chunk checksum manifests at Open)
@@ -760,9 +761,9 @@ func stripTimes(v any) any {
 
 // chaosIngest writes the sample set twice with an identical deterministic
 // schedule — once onto a clean origin, once onto a Put-faulty origin where
-// failed chunk uploads park in the flush pipeline and are redriven
-// automatically under backoff — and byte-compares the two stored object
-// sets. Appends that surface a DeferredFlushError keep going (the bytes are
+// failed chunk uploads are re-attempted by the flush pipeline under backoff
+// and park only once those attempts run out — and byte-compares the two
+// stored object sets. Appends that surface a DeferredFlushError keep going (the bytes are
 // parked, not lost), and Flush is retried while it reports transient
 // failures, exercising the sticky-error-clearing redrive path.
 func chaosIngest(ctx context.Context, cfg Config, res *Result) error {
@@ -916,7 +917,7 @@ func chaosIngest(ctx context.Context, cfg Config, res *Result) error {
 	}
 	res.Rows = append(res.Rows, Row{
 		Name: "ingest-slowdown", Value: chaosElapsed.Seconds() / cleanElapsed.Seconds(), Unit: "x",
-		Extra: fmt.Sprintf("%s vs %s clean; %d Put faults parked+redriven, %d objects byte-identical",
+		Extra: fmt.Sprintf("%s vs %s clean; %d Put faults recovered, %d objects byte-identical",
 			chaosElapsed.Round(time.Millisecond), cleanElapsed.Round(time.Millisecond), fs.Total(), len(cleanKeys)),
 	})
 	res.Notes = append(res.Notes,

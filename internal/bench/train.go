@@ -27,6 +27,14 @@ const trainScale = 5
 // trainBatch is the per-step batch size of the simulated train loop.
 const trainBatch = 16
 
+// trainFetchBatch is the coalesced-prefetch strip width (chunks per batched
+// ranged origin request) and trainAutotuneCap the ceiling, in bytes, the
+// ingest chunk-size autotuner grows toward.
+const (
+	trainFetchBatch  = 32
+	trainAutotuneCap = 16 << 10
+)
+
 // TrainStream measures the §4.6/§6.4 headline: an end-to-end train loop —
 // simulated GPU, chunk-granular shuffling, collation — streaming from
 // simulated S3 through the chunk-aligned dataloader, against the
@@ -48,23 +56,13 @@ func TrainStream(ctx context.Context, cfg Config) (*Result, error) {
 	samples := rawSampleSet(cfg, spec)
 	// Deliberately pathological static bounds (~1 image per chunk) stand in
 	// for an untuned ingest; the chunk-size autotuner below is what rescues
-	// them, growing the effective target toward autotuneCap exactly as the
+	// them, growing the effective target toward trainAutotuneCap exactly as the
 	// real knob grows toward the paper's 8–16MB band (the toy samples are
 	// ~1000x smaller than real training images, so the cap scales with
 	// them). The result is a mid-size chunk layout: enough chunks to
 	// exercise fan-out and coalescing, few enough that per-chunk round
 	// trips don't drown the pipeline.
 	bounds := chunk.Bounds{Min: 512, Target: 1 << 10, Max: 2 << 10}
-	autotuneCap := int64(16 << 10)
-	if cfg.AutotuneCapBytes > 0 {
-		autotuneCap = int64(cfg.AutotuneCapBytes)
-	} else if cfg.AutotuneCapBytes < 0 {
-		autotuneCap = 0
-	}
-	fetchBatch := 32
-	if cfg.FetchBatch != 0 {
-		fetchBatch = cfg.FetchBatch
-	}
 	profile := simnet.S3SameRegion()
 	profile.TimeScale = trainScale
 	gpu := gpusim.GPU{ComputePerBatch: 2 * time.Millisecond, TimeScale: trainScale}
@@ -100,7 +98,7 @@ func TrainStream(ctx context.Context, cfg Config) (*Result, error) {
 	// the ledger counts exactly that run's origin traffic.
 	origin := storage.NewSimObjectStore(profile)
 	counting := storage.NewCounting(origin)
-	if _, err := ingestDeepLakeOpts(ctx, counting, samples, bounds, core.WriteOptions{AutotuneChunkBytes: autotuneCap}); err != nil {
+	if _, err := ingestDeepLakeOpts(ctx, counting, samples, bounds, core.WriteOptions{AutotuneChunkBytes: trainAutotuneCap}); err != nil {
 		return nil, err
 	}
 	openCold := func() (*core.Dataset, error) {
@@ -123,7 +121,7 @@ func TrainStream(ctx context.Context, cfg Config) (*Result, error) {
 			// strip of chunks ahead of the workers, so whole strips arrive
 			// in single batched ranged requests while the previous strip
 			// decodes.
-			FetchBatch: fetchBatch,
+			FetchBatch: trainFetchBatch,
 			Rank:       rank, WorldSize: world,
 		}
 	}
@@ -168,11 +166,9 @@ func TrainStream(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("train: workers-%d moved %d chunk objects from origin for %d chunks (fetch-once per epoch)", workers, moved, chunks)
 		}
 		// Coalescing: the fetch planner must pack those moves into strictly
-		// fewer origin round trips than chunks. Only enforceable when batched
-		// prefetch is on — -fetch-batch < 0 deliberately restores
-		// one-request-per-chunk for A/B runs.
+		// fewer origin round trips than chunks.
 		reqs := snap.Requests()
-		if fetchBatch > 0 && reqs >= chunks {
+		if reqs >= chunks {
 			return nil, fmt.Errorf("train: workers-%d made %d origin requests for %d chunks (coalescing must batch them)", workers, reqs, chunks)
 		}
 		if workers == 16 {
@@ -266,7 +262,7 @@ func TrainStream(ctx context.Context, cfg Config) (*Result, error) {
 	var ref uint64
 	{
 		mem := storage.NewMemory()
-		mds, err := ingestDeepLakeOpts(ctx, mem, samples, bounds, core.WriteOptions{AutotuneChunkBytes: autotuneCap})
+		mds, err := ingestDeepLakeOpts(ctx, mem, samples, bounds, core.WriteOptions{AutotuneChunkBytes: trainAutotuneCap})
 		if err != nil {
 			return nil, err
 		}

@@ -34,21 +34,23 @@ type WriteOptions struct {
 	// accumulate one parked blob per sealed chunk until a Flush redrives
 	// them — stop ingesting when appends report flush failures.
 	MaxPending int
-	// UploadTimeout bounds each background Put. 0 means no deadline; set
-	// it when the provider has no internal timeout, so a hung upload
-	// fails (and parks its chunk for retry) instead of pinning a worker
-	// lane and a pending slot forever.
+	// UploadTimeout bounds each attempt of a background Put. 0 means no
+	// deadline; set it when the provider has no internal timeout, so a hung
+	// attempt fails (and is re-attempted, or parks its chunk) instead of
+	// pinning a worker lane and a pending slot forever.
 	UploadTimeout time.Duration
-	// FlushRetries enables automatic recovery: after a retryable upload
-	// failure (storage.IsRetryable, or the pipeline's own UploadTimeout
-	// firing) the pipeline redrives every parked blob by itself under
-	// capped exponential backoff, up to FlushRetries redrive bursts per
-	// failure streak, instead of waiting for the next manual Flush. A
-	// successful full drain resets the streak. 0 keeps the manual-only
-	// behavior.
+	// FlushRetries is the number of re-attempts per upload: a Put that
+	// fails retryably (storage.IsRetryable, or its own UploadTimeout
+	// firing) is tried again by the uploader that owns the chunk, under
+	// capped exponential backoff, up to FlushRetries more times before the
+	// chunk parks for the next manual Flush. The uploader holds its worker
+	// lane through the backoff, so Flush and Commit wait for the recovery.
+	// These are storage.Retry's attempts: over a provider chain that
+	// already has a Retry layer they multiply with its own. 0 parks on the
+	// first failure.
 	FlushRetries int
-	// FlushBackoff shapes the automatic redrive schedule. The zero value
-	// uses the storage.Backoff defaults (10ms base, 1s cap).
+	// FlushBackoff shapes the delays between those re-attempts. The zero
+	// value uses the storage.Backoff defaults (10ms base, 1s cap).
 	FlushBackoff storage.Backoff
 	// AutotuneChunkBytes enables ingest-time chunk-size autotuning with the
 	// given target ceiling in bytes: each tensor's builder grows its
@@ -124,14 +126,16 @@ func (o WriteOptions) withDefaults() WriteOptions {
 // A failed or aborted upload parks the entry (uploader=false) instead of
 // dropping it — the data stays readable, and the next flush attempt
 // redrives parked entries, which makes transient upload errors recoverable
-// by simply calling Flush again. With FlushRetries > 0 the pipeline also
-// redrives parked entries by itself under capped exponential backoff after
-// a retryable failure, so recovery does not wait for a manual Flush; the
-// sticky error clears once every pending blob has drained, so a recovered
-// dataset never reports a stale failure. Re-enqueueing a key still in
-// flight (copy-on-write SetAt rewrites a chunk under its existing id) hands
-// the newer bytes to the existing uploader via a generation counter instead
-// of racing a second Put on the same object.
+// by simply calling Flush again. With FlushRetries or UploadTimeout set,
+// store is the dataset's provider behind a storage.Retry, so a retryable
+// failure is first re-attempted under backoff inside the uploader that owns
+// the key — the one retry loop in the repo — and only what survives those
+// attempts parks; drain waits for the recovery because that uploader is
+// simply still running. The sticky error clears once every pending blob has
+// drained, so a recovered dataset never reports a stale failure.
+// Re-enqueueing a key still in flight (copy-on-write SetAt rewrites a chunk
+// under its existing id) hands the newer bytes to the existing uploader via
+// a generation counter instead of racing a second Put on the same object.
 //
 // Uploads run on the pipeline's own background context, not the enqueuing
 // caller's: once an append has been acknowledged, cancelling that caller's
@@ -140,26 +144,14 @@ func (o WriteOptions) withDefaults() WriteOptions {
 // the drain barrier both select on the caller's context.
 type flushPipeline struct {
 	store storage.Provider
-	// putTimeout bounds each Put (0 = none); see WriteOptions.UploadTimeout.
-	putTimeout time.Duration
 
 	// slots bounds total in-flight uploads; workers bounds concurrent Puts.
 	slots   chan struct{}
 	workers chan struct{}
 
-	// autoRetries/backoff configure automatic redrive of parked uploads
-	// (WriteOptions.FlushRetries/FlushBackoff); 0 disables it.
-	autoRetries int
-	backoff     storage.Backoff
-
 	mu       sync.Mutex
 	firstErr error
 	pending  map[string]*pendingChunk
-	// retryAttempt counts automatic redrive bursts in the current failure
-	// streak; retryStop is non-nil while a backoff timer is pending and is
-	// closed by a manual redrive that takes over recovery.
-	retryAttempt int
-	retryStop    chan struct{}
 	// active counts uploader goroutines; idle is closed when active drops
 	// to zero (and replaced when it rises again), so drain can select on
 	// quiescence against its caller's context without a dangling waiter —
@@ -179,17 +171,21 @@ type pendingChunk struct {
 
 func newFlushPipeline(store storage.Provider, opts WriteOptions) *flushPipeline {
 	opts = opts.withDefaults()
+	if opts.FlushRetries > 0 || opts.UploadTimeout > 0 {
+		store = storage.NewRetry(store, storage.RetryOptions{
+			Attempts:  opts.FlushRetries + 1,
+			Backoff:   opts.FlushBackoff,
+			OpTimeout: opts.UploadTimeout,
+		})
+	}
 	idle := make(chan struct{})
 	close(idle)
 	return &flushPipeline{
-		store:       store,
-		putTimeout:  opts.UploadTimeout,
-		autoRetries: opts.FlushRetries,
-		backoff:     opts.FlushBackoff,
-		slots:       make(chan struct{}, opts.MaxPending),
-		workers:     make(chan struct{}, opts.FlushWorkers),
-		pending:     map[string]*pendingChunk{},
-		idle:        idle,
+		store:   store,
+		slots:   make(chan struct{}, opts.MaxPending),
+		workers: make(chan struct{}, opts.FlushWorkers),
+		pending: map[string]*pendingChunk{},
+		idle:    idle,
 	}
 }
 
@@ -301,13 +297,7 @@ func (p *flushPipeline) upload(key string) {
 		// Pipeline-owned context: the enqueuing caller's cancellation must
 		// not retroactively fail an acknowledged write. UploadTimeout (when
 		// set) keeps a black-holed Put from pinning this lane forever.
-		putCtx, cancel := context.Background(), func() {}
-		if p.putTimeout > 0 {
-			putCtx, cancel = context.WithTimeout(putCtx, p.putTimeout)
-		}
-		err := p.store.Put(putCtx, key, blob)
-		cancel()
-		if err != nil {
+		if err := p.store.Put(context.Background(), key, blob); err != nil {
 			p.failAndPark(key, err)
 			return
 		}
@@ -318,10 +308,8 @@ func (p *flushPipeline) upload(key string) {
 				// Every blob is durable. A sticky error left over from a
 				// failure that has since been redriven successfully would
 				// misreport this recovered dataset on the next
-				// Flush/Commit, so clear it — and reset the automatic
-				// redrive streak, since the pipeline is healthy again.
+				// Flush/Commit, so clear it.
 				p.firstErr = nil
-				p.retryAttempt = 0
 			}
 			p.mu.Unlock()
 			return
@@ -330,19 +318,9 @@ func (p *flushPipeline) upload(key string) {
 	}
 }
 
-// retryableUpload classifies a background Put failure for automatic
-// redrive: explicitly transient storage errors, plus the pipeline's own
-// UploadTimeout firing (uploads run on a background context, so a deadline
-// error here is never the appending caller giving up).
-func retryableUpload(err error) bool {
-	return storage.IsRetryable(err) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // failAndPark atomically parks key's entry and records the sticky error —
 // one critical section, so a concurrent redrive can never observe the park
 // without the error (recover the blob, then be re-failed by a stale write).
-// If automatic redrive is enabled and the failure is retryable, it also
-// schedules a backoff-delayed redrive of everything parked.
 func (p *flushPipeline) failAndPark(key string, err error) {
 	p.mu.Lock()
 	if pc, ok := p.pending[key]; ok {
@@ -351,78 +329,16 @@ func (p *flushPipeline) failAndPark(key string, err error) {
 	if p.firstErr == nil {
 		p.firstErr = err
 	}
-	schedule := p.autoRetries > 0 && p.retryStop == nil &&
-		p.retryAttempt < p.autoRetries && retryableUpload(err)
-	var (
-		stop  chan struct{}
-		delay time.Duration
-	)
-	if schedule {
-		p.retryAttempt++
-		delay = p.backoff.Delay(p.retryAttempt)
-		stop = make(chan struct{})
-		p.retryStop = stop
-	}
 	p.mu.Unlock()
-	if schedule {
-		// The redrive timer registers as an active uploader so drain (the
-		// Flush/Commit barrier) waits for the recovery attempt instead of
-		// reporting a failure that is about to be retried.
-		p.begin()
-		go p.autoRedrive(stop, delay)
-	}
-}
-
-// autoRedrive waits out the backoff, then restarts an uploader for every
-// parked entry — the automatic counterpart of a manual Flush's redrive. A
-// manual redrive that arrives first closes stop and takes over; the timer
-// then exits without touching anything.
-func (p *flushPipeline) autoRedrive(stop chan struct{}, delay time.Duration) {
-	defer p.end()
-	t := time.NewTimer(delay)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-stop:
-		return
-	}
-	p.mu.Lock()
-	if p.retryStop == stop {
-		p.retryStop = nil
-	}
-	var parked []string
-	for key, pc := range p.pending {
-		if !pc.uploader {
-			pc.uploader = true
-			parked = append(parked, key)
-		}
-	}
-	p.mu.Unlock()
-	for _, key := range parked {
-		// Block for a slot unconditionally: slots are only held by upload
-		// goroutines, which always release, so this cannot deadlock — and
-		// bailing out here would strand entries marked uploader=true with
-		// no uploader.
-		p.slots <- struct{}{}
-		p.begin()
-		go p.upload(key)
-	}
 }
 
 // redrive clears the sticky error and restarts an uploader for every
 // parked entry, making a new flush attempt after a transient failure (or a
-// cancelled ingest) retry everything that never landed. It also cancels any
-// pending automatic redrive timer and resets the failure streak — the
-// manual flush takes over recovery. Caller holds the dataset structure lock
-// exclusively.
+// cancelled ingest) retry everything that never landed. Caller holds the
+// dataset structure lock exclusively.
 func (p *flushPipeline) redrive(ctx context.Context) error {
 	p.mu.Lock()
 	p.firstErr = nil
-	p.retryAttempt = 0
-	if p.retryStop != nil {
-		close(p.retryStop)
-		p.retryStop = nil
-	}
 	var parked []string
 	for key, pc := range p.pending {
 		if !pc.uploader {

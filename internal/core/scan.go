@@ -161,18 +161,16 @@ func (r *ScanReader) At(ctx context.Context, idx uint64) (*tensor.NDArray, error
 // pending map, or unknown to the version map are skipped. A provider chain
 // without a Prefetcher makes this a no-op, so callers can prefetch
 // unconditionally. Returns the number of chunk objects claimed for fetch.
-func (t *Tensor) PrefetchChunks(ctx context.Context, ids []uint64, opts storage.PlanOptions) (int, error) {
+func (t *Tensor) PrefetchChunks(ctx context.Context, ids []uint64) (int, error) {
 	pf, ok := t.ds.store.(storage.Prefetcher)
 	if !ok || len(ids) == 0 {
 		return 0, nil
 	}
 	t.ds.mu.RLock()
 	t.mu.RLock()
-	if opts.SizeHint <= 0 {
-		// Chunk objects are ~effective-target bytes; the planner sizes
-		// whole-object requests it cannot stat with this.
-		opts.SizeHint = int64(t.builder.EffectiveBounds().Target)
-	}
+	// Chunk objects are ~effective-target bytes; the planner sizes
+	// whole-object requests it cannot stat with this.
+	opts := storage.PlanOptions{SizeHint: int64(t.builder.EffectiveBounds().Target)}
 	keys := make([]string, 0, len(ids))
 	for _, id := range ids {
 		if t.builder.Len() > 0 && id == t.pendingID {

@@ -413,6 +413,7 @@ func (ds *Dataset) ReadAtVersion(ctx context.Context, ref string) (*Dataset, err
 		head:    node.ID,
 		tensors: map[string]*Tensor{},
 		now:     ds.now,
+		scope:   scopeCounter.Add(1),
 	}
 	if err := out.loadTensors(ctx); err != nil {
 		return nil, err

@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/chunk"
 	"repro/internal/core"
+	"repro/internal/storage"
 	"repro/internal/tensor"
 	"repro/internal/view"
 )
@@ -460,10 +461,13 @@ func (l *Loader) Batches(ctx context.Context) <-chan Batch {
 	// the wire, so goroutines beyond the CPU count only add scheduler churn.
 	// Cap the spawned pool at a small multiple of GOMAXPROCS then; the
 	// batch stream is delivery-sequence ordered, so the cap (like Workers
-	// itself) never changes what is delivered. Without batched prefetch,
-	// workers ARE the IO parallelism and the full count is spawned.
+	// itself) never changes what is delivered. The path is active only over
+	// a provider chain that can prefetch (PrefetchChunks is a no-op over any
+	// other, whatever FetchBatch says): without one, workers ARE the IO
+	// parallelism and the full count is spawned.
 	spawn := l.opts.Workers
-	if prog != nil && l.opts.FetchBatch > 0 {
+	_, canPrefetch := l.v.Dataset().Store().(storage.Prefetcher)
+	if canPrefetch && prog != nil && l.opts.FetchBatch > 0 {
 		if c := 2 * runtime.GOMAXPROCS(0); c < spawn {
 			spawn = c
 		}

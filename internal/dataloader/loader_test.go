@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/core"
@@ -249,6 +252,87 @@ func TestStorageErrorPropagates(t *testing.T) {
 	// Open itself may hit the injected failure, which is also fine.
 	if !errors.Is(err, boom) {
 		t.Fatalf("unexpected open error: %v", err)
+	}
+}
+
+// gatedGets holds every read of an armed provider until want of them are in
+// flight at once, then lets all through: a loader that cannot put want
+// concurrent Gets on the wire never gets past it.
+type gatedGets struct {
+	storage.Provider
+	want int
+
+	mu       sync.Mutex
+	armed    bool
+	inflight int
+	open     chan struct{}
+}
+
+func (g *gatedGets) wait(ctx context.Context) error {
+	g.mu.Lock()
+	if !g.armed {
+		g.mu.Unlock()
+		return nil
+	}
+	if g.inflight++; g.inflight == g.want {
+		close(g.open)
+	}
+	g.mu.Unlock()
+	select {
+	case <-g.open:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (g *gatedGets) Get(ctx context.Context, key string) ([]byte, error) {
+	if err := g.wait(ctx); err != nil {
+		return nil, err
+	}
+	return g.Provider.Get(ctx, key)
+}
+
+func (g *gatedGets) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
+	if err := g.wait(ctx); err != nil {
+		return nil, err
+	}
+	return g.Provider.GetRange(ctx, key, offset, length)
+}
+
+// TestWorkersAreIOParallelismWithoutPrefetcher: over a provider chain with
+// no storage.Prefetcher the batched-prefetch path is a no-op, so Workers is
+// the only IO parallelism there is and must not be capped by the CPU count.
+// With one CPU the cap would be 2 workers; the gate needs 8 concurrent Gets.
+func TestWorkersAreIOParallelismWithoutPrefetcher(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const want, rows = 8, 2048
+	gate := &gatedGets{Provider: storage.NewMemory(), want: want, open: make(chan struct{})}
+	ds := loaderDataset(t, gate, rows)
+	// Chunk groups larger than rows/(Workers*oversubscribe) are split into
+	// sub-jobs that share one fetch; keep them smaller, so 16 busy workers
+	// are 16 distinct chunks.
+	if n := ds.Tensor("x").NumChunks(); n < 16*oversubscribe {
+		t.Fatalf("dataset has %d chunks; workers would share chunk fetches", n)
+	}
+	gate.mu.Lock()
+	gate.armed = true
+	gate.mu.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	l := ForDataset(ds, Options{BatchSize: 16, Workers: 16, Fields: []string{"x"}})
+	got := 0
+	for b := range l.Batches(ctx) {
+		got += len(b.Samples)
+	}
+	if err := l.Err(); err != nil {
+		gate.mu.Lock()
+		defer gate.mu.Unlock()
+		t.Fatalf("16 workers reached %d concurrent Gets, want %d: %v", gate.inflight, want, err)
+	}
+	if got != rows {
+		t.Fatalf("delivered %d/%d rows", got, rows)
 	}
 }
 

@@ -109,11 +109,44 @@ func TestSharedNodeCacheCrossDatasetIsolation(t *testing.T) {
 	const n, off = 96, 100000
 	dsA := loaderDataset(t, storage.NewMemory(), n)
 	dsB := offsetDataset(t, storage.NewMemory(), n, off)
+	assertNoCacheAliasing(t, dsA, dsB, n, off)
+}
 
+// TestSharedNodeCacheTimeTravelIsolation is the same contract for
+// time-travel handles: version ids are counters, so two different datasets'
+// ReadAtVersion twins carry the same version, tensor and chunk ids, and only
+// the handle's ScopeID keeps their decoded chunks apart. A twin built
+// without a scope (ScopeID 0 on both) served dataset A's rows to dataset B.
+func TestSharedNodeCacheTimeTravelIsolation(t *testing.T) {
+	const n, off = 96, 100000
+	ctx := context.Background()
+	atFirstCommit := func(ds *core.Dataset) *core.Dataset {
+		id, err := ds.Commit(ctx, "first")
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := ds.ReadAtVersion(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return twin
+	}
+	twinA := atFirstCommit(loaderDataset(t, storage.NewMemory(), n))
+	twinB := atFirstCommit(offsetDataset(t, storage.NewMemory(), n, off))
+	if twinA.ScopeID() == twinB.ScopeID() {
+		t.Fatalf("time-travel handles of two datasets share ScopeID %d", twinA.ScopeID())
+	}
+	assertNoCacheAliasing(t, twinA, twinB, n, off)
+}
+
+// assertNoCacheAliasing streams dsA (x rows 0..n) and dsB (x rows off..off+n)
+// concurrently through one shared NodeCache and fails if either loader is
+// handed the other dataset's bytes.
+func assertNoCacheAliasing(t *testing.T, dsA, dsB *core.Dataset, n int, off float64) {
+	t.Helper()
 	node := NewNodeCache(0)
-	check := func(ds *core.Dataset, base float64) []error {
+	check := func(ds *core.Dataset, base float64) {
 		l := ForDataset(ds, Options{BatchSize: 8, Workers: 4, Cache: node})
-		var errs []error
 		seen := 0
 		for b := range l.Batches(context.Background()) {
 			for _, s := range b.Samples {
@@ -130,7 +163,6 @@ func TestSharedNodeCacheCrossDatasetIsolation(t *testing.T) {
 		if seen != n {
 			t.Errorf("delivered %d/%d rows", seen, n)
 		}
-		return errs
 	}
 
 	// Concurrently, so the aliasing window (if any) is actually exercised.

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/storage"
 	"repro/internal/view"
 )
 
@@ -181,11 +180,11 @@ func runReadahead(ctx context.Context, l *Loader, t *core.Tensor, secondaries []
 				// reach a strip chunk early coalesce onto its in-flight
 				// fetch through the cache's singleflight layer.
 				if len(ids) > 0 {
-					_, _ = t.PrefetchChunks(ctx, ids, storage.PlanOptions{})
+					_, _ = t.PrefetchChunks(ctx, ids)
 				}
 				for _, sec := range secondaries {
 					if sids := stripSecondaryIDs(v, sec, shard.groups[i:j]); len(sids) > 0 {
-						_, _ = sec.PrefetchChunks(ctx, sids, storage.PlanOptions{})
+						_, _ = sec.PrefetchChunks(ctx, sids)
 					}
 				}
 			}

@@ -391,7 +391,7 @@ func (l *LRU) prefetchClaim(keys []string) ([]RangeReq, []func([]byte, error)) {
 // so waiting readers fall back to their own fetch).
 func (l *LRU) prefetchExec(ctx context.Context, reqs []RangeReq, finishes []func([]byte, error), opts PlanOptions) (int, error) {
 	plans := Coalesce(reqs, opts)
-	results, err := ExecutePlans(ctx, l.origin, len(reqs), plans)
+	results, err := ExecutePlans(ctx, l.inner, len(reqs), plans)
 	fetched := 0
 	for i, data := range results {
 		if data != nil {

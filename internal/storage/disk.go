@@ -76,11 +76,12 @@ type DiskStats struct {
 // (exact LRU order over files) and os.Remove as its evict hook; cold Gets go
 // through its coalesced-miss protocol, so a herd missing on one object
 // reaches the origin once. The tier's own code is the file IO, the CRC
-// check, the warm scan and the oversize bypass.
+// check, the warm scan and the oversize bypass. List is not intercepted:
+// the tier holds a subset of the origin and cannot answer authoritatively.
 type Disk struct {
-	origin Provider
-	files  *FS
-	table  *Cache[string, diskObject]
+	passthrough // inner is the origin
+	files       *FS
+	table       *Cache[string, diskObject]
 
 	mu      sync.Mutex // guards digests
 	digests map[string]uint32
@@ -114,7 +115,7 @@ func NewDisk(origin Provider, dir string, opts DiskOptions) (*Disk, error) {
 	if capacity == 0 {
 		capacity = DefaultDiskCapacity
 	}
-	d := &Disk{origin: origin, files: files, digests: make(map[string]uint32)}
+	d := &Disk{passthrough: passthrough{origin}, files: files, digests: make(map[string]uint32)}
 	d.table = NewCache(capacity, 1, CacheFuncs[string, diskObject]{
 		Hash:      func(string) uint64 { return 0 },
 		Size:      func(o diskObject) int64 { return o.size },
@@ -171,10 +172,7 @@ func (d *Disk) scan() error {
 }
 
 // Origin returns the wrapped provider.
-func (d *Disk) Origin() Provider { return d.origin }
-
-// Unwrap returns the wrapped provider (the chain-walking alias of Origin).
-func (d *Disk) Unwrap() Provider { return d.origin }
+func (d *Disk) Origin() Provider { return d.inner }
 
 // Root returns the directory backing the tier.
 func (d *Disk) Root() string { return d.files.Root() }
@@ -267,7 +265,7 @@ func (d *Disk) admit(ctx context.Context, key string, data []byte) {
 // and the next process.
 func (d *Disk) fetch(ctx context.Context, key string) ([]byte, error) {
 	d.misses.Add(1)
-	data, err := d.origin.Get(ctx, key)
+	data, err := d.inner.Get(ctx, key)
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +322,7 @@ func (d *Disk) GetRange(ctx context.Context, key string, offset, length int64) (
 		d.forget(key)
 	}
 	d.misses.Add(1)
-	return d.origin.GetRange(ctx, key, offset, length)
+	return d.inner.GetRange(ctx, key, offset, length)
 }
 
 // GetRanges implements BatchProvider: whole-object requests present on disk
@@ -354,7 +352,7 @@ func (d *Disk) GetRanges(ctx context.Context, reqs []RangeReq) ([][]byte, error)
 	if len(fwd) == 0 {
 		return out, nil
 	}
-	got, err := GetRanges(ctx, d.origin, fwd)
+	got, err := GetRanges(ctx, d.inner, fwd)
 	for j, data := range got {
 		if data == nil {
 			continue
@@ -369,7 +367,7 @@ func (d *Disk) GetRanges(ctx context.Context, reqs []RangeReq) ([][]byte, error)
 
 // Put implements Provider: write-through, origin first.
 func (d *Disk) Put(ctx context.Context, key string, data []byte) error {
-	if err := d.origin.Put(ctx, key, data); err != nil {
+	if err := d.inner.Put(ctx, key, data); err != nil {
 		return err
 	}
 	d.admit(ctx, key, data)
@@ -382,7 +380,7 @@ func (d *Disk) Delete(ctx context.Context, key string) error {
 	d.mu.Lock()
 	delete(d.digests, key)
 	d.mu.Unlock()
-	return d.origin.Delete(ctx, key)
+	return d.inner.Delete(ctx, key)
 }
 
 // Exists implements Provider.
@@ -390,13 +388,7 @@ func (d *Disk) Exists(ctx context.Context, key string) (bool, error) {
 	if _, ok := d.table.Peek(key); ok {
 		return true, nil
 	}
-	return d.origin.Exists(ctx, key)
-}
-
-// List implements Provider. Listing always consults the origin: the tier
-// holds a subset and cannot answer authoritatively.
-func (d *Disk) List(ctx context.Context, prefix string) ([]string, error) {
-	return d.origin.List(ctx, prefix)
+	return d.inner.Exists(ctx, key)
 }
 
 // Size implements Provider.
@@ -404,5 +396,5 @@ func (d *Disk) Size(ctx context.Context, key string) (int64, error) {
 	if obj, ok := d.table.Peek(key); ok {
 		return obj.size, nil
 	}
-	return d.origin.Size(ctx, key)
+	return d.inner.Size(ctx, key)
 }

@@ -89,8 +89,8 @@ func (s FaultStats) Total() int64 {
 // test can open a dataset cleanly and arm faults only for the phase under
 // study.
 type Faulty struct {
-	inner Provider
-	cfg   FaultConfig
+	passthrough
+	cfg FaultConfig
 
 	armed       atomic.Bool
 	seq         [faultClasses]atomic.Int64
@@ -107,13 +107,10 @@ func NewFaulty(inner Provider, cfg FaultConfig) *Faulty {
 	if cfg.PartialBytes <= 0 {
 		cfg.PartialBytes = 1 << 10
 	}
-	f := &Faulty{inner: inner, cfg: cfg}
+	f := &Faulty{passthrough: passthrough{inner}, cfg: cfg}
 	f.armed.Store(true)
 	return f
 }
-
-// Unwrap returns the wrapped provider.
-func (f *Faulty) Unwrap() Provider { return f.inner }
 
 // SetArmed enables or disables fault injection. While disarmed, operations
 // pass straight through and do not advance the fault schedule.

@@ -23,9 +23,11 @@ const minShardBytes = 16 << 20
 // chunks the training loop only needed a slice of; objects larger than
 // their shard bypass the cache; Prefetch warms it with coalesced batched
 // reads (batch.go); and Stats gathers the counters of the whole chain below.
+// List is not intercepted: the cache holds a subset of the origin and cannot
+// answer authoritatively.
 type LRU struct {
-	origin Provider
-	table  *Cache[string, []byte]
+	passthrough // inner is the origin
+	table       *Cache[string, []byte]
 
 	prefetched atomic.Int64
 	bypassed   atomic.Int64
@@ -49,7 +51,7 @@ func NewLRU(origin Provider, capacity int64) *LRU {
 // choosing an explicit shard count are expected to size shards for their
 // objects, or use NewLRU which does so automatically.
 func NewShardedLRU(origin Provider, capacity int64, shards int) *LRU {
-	return &LRU{origin: origin, table: NewCache(capacity, shards, CacheFuncs[string, []byte]{
+	return &LRU{passthrough: passthrough{origin}, table: NewCache(capacity, shards, CacheFuncs[string, []byte]{
 		Hash:      func(key string) uint64 { return HashString(HashSeed, key) },
 		Size:      func(data []byte) int64 { return int64(len(data)) },
 		FlightKey: func(key string) string { return key },
@@ -57,10 +59,7 @@ func NewShardedLRU(origin Provider, capacity int64, shards int) *LRU {
 }
 
 // Origin returns the wrapped provider.
-func (l *LRU) Origin() Provider { return l.origin }
-
-// Unwrap returns the wrapped provider (the chain-walking alias of Origin).
-func (l *LRU) Unwrap() Provider { return l.origin }
+func (l *LRU) Origin() Provider { return l.inner }
 
 // NumShards returns the shard count.
 func (l *LRU) NumShards() int { return l.table.NumShards() }
@@ -133,7 +132,7 @@ func (l *LRU) Stats() Stats {
 		Shards:       cs.Shards,
 	}
 	sawCounting := false
-	walkChain(l.origin, func(p Provider) bool {
+	walkChain(l.inner, func(p Provider) bool {
 		switch v := p.(type) {
 		case *Retry:
 			s.Retries += v.Stats().Retries
@@ -185,7 +184,7 @@ func (l *LRU) Evict(key string) { l.table.Remove(key) }
 // into a single origin fetch.
 func (l *LRU) Get(ctx context.Context, key string) ([]byte, error) {
 	fetch := func() ([]byte, error) {
-		data, err := l.origin.Get(ctx, key)
+		data, err := l.inner.Get(ctx, key)
 		if err != nil {
 			return nil, err
 		}
@@ -218,13 +217,13 @@ func (l *LRU) GetRange(ctx context.Context, key string, offset, length int64) ([
 		copy(out, data[lo:hi])
 		return out, nil
 	}
-	return l.origin.GetRange(ctx, key, offset, length)
+	return l.inner.GetRange(ctx, key, offset, length)
 }
 
 // Put implements Provider. Write-through: the object lands in the origin and
 // the cache.
 func (l *LRU) Put(ctx context.Context, key string, data []byte) error {
-	if err := l.origin.Put(ctx, key, data); err != nil {
+	if err := l.inner.Put(ctx, key, data); err != nil {
 		return err
 	}
 	cp := make([]byte, len(data))
@@ -236,7 +235,7 @@ func (l *LRU) Put(ctx context.Context, key string, data []byte) error {
 // Delete implements Provider.
 func (l *LRU) Delete(ctx context.Context, key string) error {
 	l.table.Remove(key)
-	return l.origin.Delete(ctx, key)
+	return l.inner.Delete(ctx, key)
 }
 
 // Exists implements Provider.
@@ -244,13 +243,7 @@ func (l *LRU) Exists(ctx context.Context, key string) (bool, error) {
 	if _, ok := l.table.Get(key); ok {
 		return true, nil
 	}
-	return l.origin.Exists(ctx, key)
-}
-
-// List implements Provider. Listing always consults the origin: the cache
-// holds a subset and cannot answer authoritatively.
-func (l *LRU) List(ctx context.Context, prefix string) ([]string, error) {
-	return l.origin.List(ctx, prefix)
+	return l.inner.Exists(ctx, key)
 }
 
 // Size implements Provider.
@@ -258,5 +251,5 @@ func (l *LRU) Size(ctx context.Context, key string) (int64, error) {
 	if data, ok := l.table.Get(key); ok {
 		return int64(len(data)), nil
 	}
-	return l.origin.Size(ctx, key)
+	return l.inner.Size(ctx, key)
 }

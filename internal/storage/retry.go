@@ -178,8 +178,8 @@ type RetryStats struct {
 // All operations on the Provider contract are idempotent (whole-object puts,
 // deletes, lookups), so re-attempting any of them is safe.
 type Retry struct {
-	inner Provider
-	opts  RetryOptions
+	passthrough
+	opts RetryOptions
 
 	attempts     atomic.Int64
 	retries      atomic.Int64
@@ -190,13 +190,10 @@ type Retry struct {
 
 // NewRetry wraps inner with the given retry policy.
 func NewRetry(inner Provider, opts RetryOptions) *Retry {
-	r := &Retry{inner: inner, opts: opts.withDefaults()}
+	r := &Retry{passthrough: passthrough{inner}, opts: opts.withDefaults()}
 	r.budgetLeft.Store(opts.Budget)
 	return r
 }
-
-// Unwrap returns the wrapped provider.
-func (r *Retry) Unwrap() Provider { return r.inner }
 
 // Stats reports the wrapper's counters.
 func (r *Retry) Stats() RetryStats {
@@ -269,21 +266,26 @@ func (r *Retry) do(ctx context.Context, opName, key string, op func(context.Cont
 	}
 }
 
-// Get implements Provider.
-func (r *Retry) Get(ctx context.Context, key string) ([]byte, error) {
-	var out []byte
-	err := r.do(ctx, "Get", key, func(c context.Context) error {
-		data, err := r.inner.Get(c, key)
-		if err != nil {
-			return err
-		}
-		out = data
-		return nil
+// retryValue runs one value-returning inner call under r.do. A failed
+// operation returns the zero value, never a failed attempt's partial result.
+func retryValue[T any](ctx context.Context, r *Retry, opName, key string, call func(context.Context) (T, error)) (T, error) {
+	var out T
+	err := r.do(ctx, opName, key, func(c context.Context) (err error) {
+		out, err = call(c)
+		return err
 	})
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	return out, nil
+}
+
+// Get implements Provider.
+func (r *Retry) Get(ctx context.Context, key string) ([]byte, error) {
+	return retryValue(ctx, r, "Get", key, func(c context.Context) ([]byte, error) {
+		return r.inner.Get(c, key)
+	})
 }
 
 // GetRanges implements BatchProvider. Recovery is incremental: ranges
@@ -328,19 +330,9 @@ func (r *Retry) GetRanges(ctx context.Context, reqs []RangeReq) ([][]byte, error
 
 // GetRange implements Provider.
 func (r *Retry) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
-	var out []byte
-	err := r.do(ctx, "GetRange", key, func(c context.Context) error {
-		data, err := r.inner.GetRange(c, key, offset, length)
-		if err != nil {
-			return err
-		}
-		out = data
-		return nil
+	return retryValue(ctx, r, "GetRange", key, func(c context.Context) ([]byte, error) {
+		return r.inner.GetRange(c, key, offset, length)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Put implements Provider. Whole-object puts are idempotent, so a put whose
@@ -360,51 +352,21 @@ func (r *Retry) Delete(ctx context.Context, key string) error {
 
 // Exists implements Provider.
 func (r *Retry) Exists(ctx context.Context, key string) (bool, error) {
-	var out bool
-	err := r.do(ctx, "Exists", key, func(c context.Context) error {
-		ok, err := r.inner.Exists(c, key)
-		if err != nil {
-			return err
-		}
-		out = ok
-		return nil
+	return retryValue(ctx, r, "Exists", key, func(c context.Context) (bool, error) {
+		return r.inner.Exists(c, key)
 	})
-	if err != nil {
-		return false, err
-	}
-	return out, nil
 }
 
 // List implements Provider.
 func (r *Retry) List(ctx context.Context, prefix string) ([]string, error) {
-	var out []string
-	err := r.do(ctx, "List", prefix, func(c context.Context) error {
-		keys, err := r.inner.List(c, prefix)
-		if err != nil {
-			return err
-		}
-		out = keys
-		return nil
+	return retryValue(ctx, r, "List", prefix, func(c context.Context) ([]string, error) {
+		return r.inner.List(c, prefix)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Size implements Provider.
 func (r *Retry) Size(ctx context.Context, key string) (int64, error) {
-	var out int64
-	err := r.do(ctx, "Size", key, func(c context.Context) error {
-		n, err := r.inner.Size(c, key)
-		if err != nil {
-			return err
-		}
-		out = n
-		return nil
+	return retryValue(ctx, r, "Size", key, func(c context.Context) (int64, error) {
+		return r.inner.Size(c, key)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return out, nil
 }

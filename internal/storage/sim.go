@@ -11,13 +11,13 @@ import (
 // the simnet charge (latency + bandwidth on a bounded lane pool), then
 // delegates to the inner provider.
 type Sim struct {
-	inner Provider
-	net   *simnet.Network
+	passthrough
+	net *simnet.Network
 }
 
 // NewSim wraps inner with the given cost profile.
 func NewSim(inner Provider, profile simnet.Profile) *Sim {
-	return &Sim{inner: inner, net: simnet.NewNetwork(profile)}
+	return &Sim{passthrough: passthrough{inner}, net: simnet.NewNetwork(profile)}
 }
 
 // NewSimObjectStore is the common construction: a fresh in-memory bucket
@@ -31,9 +31,6 @@ func (s *Sim) Network() *simnet.Network { return s.net }
 
 // Inner returns the wrapped provider.
 func (s *Sim) Inner() Provider { return s.inner }
-
-// Unwrap returns the wrapped provider (the chain-walking alias of Inner).
-func (s *Sim) Unwrap() Provider { return s.inner }
 
 // Get implements Provider. Exactly one inner call and one network charge per
 // logical request: anything stacked below (fault injection, counting) sees a

@@ -19,11 +19,19 @@
 //     recorded digest (see Verify). Distinct from both of the above: the key
 //     exists and the transport worked, but the bytes are wrong.
 //
-// Every wrapper in the chain (Prefix, Sim, LRU, Counting, Flaky, Faulty,
-// Retry, Verify) must keep these predicates working through it: return inner
-// errors unchanged, or wrap them with fmt.Errorf("...: %w", err) so
-// errors.Is/As still see the sentinels. A wrapper that flattens an inner
-// error into a new string breaks retry classification for everything stacked
+// # Writing a layer
+//
+// A layer embeds passthrough, which carries Unwrap and forwards the seven
+// Provider methods to inner, and declares only the methods it intercepts.
+// Everything beyond Provider is an explicit per-layer opt-in, never
+// inherited: GetRanges (a layer without it is read key by key through its
+// Get/GetRange, which is what a layer that keeps per-key state needs; a
+// stateless layer forwards the batch with the package-level GetRanges so a
+// coalesced plan stays one round trip), SeedDigest(key, crc) (found by
+// SeedDigests) and Evict(key) (found by Evict). Inner errors are returned
+// unchanged, or wrapped with fmt.Errorf("...: %w", err), so the predicates
+// above keep working through the layer: one that flattens an inner error
+// into a new string breaks retry classification for everything stacked
 // above it. Providers signal a missing key with ErrNotFound (wrapped or
 // bare) and mark only genuinely momentary failures transient — never
 // validation errors.
@@ -91,6 +99,43 @@ type Provider interface {
 	List(ctx context.Context, prefix string) ([]string, error)
 	// Size returns the byte length of the object at key.
 	Size(ctx context.Context, key string) (int64, error)
+}
+
+// passthrough is the forwarding base every layer embeds (see "Writing a
+// layer" in the package comment). It deliberately has no GetRanges: a layer
+// that keeps per-key state (LRU, Verify, Disk) must see every read, so
+// inheriting a batch forward would silently route reads around it.
+type passthrough struct{ inner Provider }
+
+// Unwrap returns the wrapped provider, for walkChain.
+func (p passthrough) Unwrap() Provider { return p.inner }
+
+func (p passthrough) Get(ctx context.Context, key string) ([]byte, error) {
+	return p.inner.Get(ctx, key)
+}
+
+func (p passthrough) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
+	return p.inner.GetRange(ctx, key, offset, length)
+}
+
+func (p passthrough) Put(ctx context.Context, key string, data []byte) error {
+	return p.inner.Put(ctx, key, data)
+}
+
+func (p passthrough) Delete(ctx context.Context, key string) error {
+	return p.inner.Delete(ctx, key)
+}
+
+func (p passthrough) Exists(ctx context.Context, key string) (bool, error) {
+	return p.inner.Exists(ctx, key)
+}
+
+func (p passthrough) List(ctx context.Context, prefix string) ([]string, error) {
+	return p.inner.List(ctx, prefix)
+}
+
+func (p passthrough) Size(ctx context.Context, key string) (int64, error) {
+	return p.inner.Size(ctx, key)
 }
 
 // walkChain visits p and then each provider below it, following the

@@ -26,6 +26,8 @@ func providers(t *testing.T) map[string]Provider {
 	if err != nil {
 		t.Fatal(err)
 	}
+	disarmed := NewFaulty(NewMemory(), FaultConfig{GetErrRate: 1, RangeErrRate: 1, PutErrRate: 1, MetaErrRate: 1})
+	disarmed.SetArmed(false)
 	return map[string]Provider{
 		"memory": NewMemory(),
 		"fs":     fsp,
@@ -34,6 +36,10 @@ func providers(t *testing.T) map[string]Provider {
 		"prefix": NewPrefix(NewMemory(), "sub/dir"),
 		"count":  NewCounting(NewMemory()),
 		"disk":   disk,
+		"retry":  NewRetry(NewMemory(), RetryOptions{}),
+		"verify": NewVerify(NewMemory(), VerifyOptions{}),
+		"faulty": disarmed,
+		"flaky":  NewFlaky(NewMemory(), 0, errors.New("never injected")),
 	}
 }
 
@@ -111,6 +117,23 @@ func TestProviderContract(t *testing.T) {
 			want := []string{"t/img/chunk0", "t/img/chunk1", "t/img/chunk2"}
 			if !reflect.DeepEqual(keys, want) {
 				t.Fatalf("List = %v, want %v", keys, want)
+			}
+
+			// Batched reads agree with per-key reads, whether the layer
+			// serves the batch itself (BatchProvider) or is read key by key.
+			reqs := []RangeReq{{Key: "a/b/c", Length: -1}, {Key: "t/img/chunk1", Length: -1}, {Key: "a/b/c", Offset: 1, Length: 1}}
+			batch, err := GetRanges(ctx, p, reqs)
+			if err != nil || len(batch) != len(reqs) {
+				t.Fatalf("GetRanges = %d results, %v; want %d", len(batch), err, len(reqs))
+			}
+			for i, r := range reqs {
+				single, err := p.GetRange(ctx, r.Key, r.Offset, r.Length)
+				if r.whole() {
+					single, err = p.Get(ctx, r.Key)
+				}
+				if err != nil || !bytes.Equal(batch[i], single) {
+					t.Fatalf("GetRanges[%d] = %q, per-key read = %q, %v", i, batch[i], single, err)
+				}
 			}
 
 			// Delete removes.

@@ -84,8 +84,8 @@ type VerifyStats struct {
 // counted as Unverified, so pre-checksum datasets keep working and the gap
 // is visible in stats.
 type Verify struct {
-	inner Provider
-	opts  VerifyOptions
+	passthrough
+	opts VerifyOptions
 
 	mu          sync.Mutex
 	digests     map[string]uint32
@@ -108,16 +108,13 @@ func NewVerify(inner Provider, opts VerifyOptions) *Verify {
 		opts.QuarantineAfter = DefaultQuarantineAfter
 	}
 	return &Verify{
-		inner:       inner,
+		passthrough: passthrough{inner},
 		opts:        opts,
 		digests:     make(map[string]uint32),
 		strikes:     make(map[string]int),
 		quarantined: make(map[string]bool),
 	}
 }
-
-// Unwrap returns the wrapped provider.
-func (v *Verify) Unwrap() Provider { return v.inner }
 
 // Stats reports the wrapper's counters.
 func (v *Verify) Stats() VerifyStats {
@@ -316,60 +313,40 @@ func (v *Verify) Delete(ctx context.Context, key string) error {
 	return nil
 }
 
-// Exists implements Provider.
-func (v *Verify) Exists(ctx context.Context, key string) (bool, error) {
-	return v.inner.Exists(ctx, key)
-}
-
-// List implements Provider.
-func (v *Verify) List(ctx context.Context, prefix string) ([]string, error) {
-	return v.inner.List(ctx, prefix)
-}
-
-// Size implements Provider.
-func (v *Verify) Size(ctx context.Context, key string) (int64, error) {
-	return v.inner.Size(ctx, key)
-}
-
 // SeedDigests walks the provider chain from p and registers the given
-// digests with every Verify and Disk layer it finds, returning how many
-// were seeded (zero when the chain has neither layer — integrity
-// verification is optional). Disk tiers need the digests too: their
-// warm-start population was written by a previous process, so reads from it
-// are verified against the dataset's checksum manifests, not against
-// anything recorded in this process's lifetime. The walk stops at a Prefix
-// wrapper, whose key rewriting would invalidate the digest keys.
+// digests with every layer that accepts them — one with a
+// SeedDigest(key, crc) method: Verify and Disk — returning how many were
+// seeded (zero when the chain has no such layer — integrity verification is
+// optional). Disk tiers need the digests too: their warm-start population
+// was written by a previous process, so reads from it are verified against
+// the dataset's checksum manifests, not against anything recorded in this
+// process's lifetime. The walk stops at a Prefix wrapper, whose key
+// rewriting would invalidate the digest keys.
 func SeedDigests(p Provider, digests map[string]uint32) int {
 	seeded := 0
 	walkChain(p, func(p Provider) bool {
-		switch v := p.(type) {
-		case *Verify:
+		if s, ok := p.(interface{ SeedDigest(key string, crc uint32) }); ok {
 			for key, crc := range digests {
-				v.SeedDigest(key, crc)
+				s.SeedDigest(key, crc)
 			}
 			seeded = len(digests)
-		case *Disk:
-			for key, crc := range digests {
-				v.SeedDigest(key, crc)
-			}
-			seeded = len(digests)
-		case *Prefix:
-			return false
 		}
-		return true
+		_, isPrefix := p.(*Prefix)
+		return !isPrefix
 	})
 	return seeded
 }
 
-// Evict drops key from every LRU cache layer in the provider chain rooted
-// at p. Readers that detect corruption above the cache (the chunk footer
-// check) use it to purge the poisoned entry before re-fetching, so the heal
-// does not simply re-read the bad cached bytes. Like SeedDigests, the walk
-// stops at a Prefix wrapper.
+// Evict drops key from every cache layer in the provider chain rooted at p
+// that can purge a single entry — one with an Evict(key) method: LRU.
+// Readers that detect corruption above the cache (the chunk footer check)
+// use it to purge the poisoned entry before re-fetching, so the heal does
+// not simply re-read the bad cached bytes. Like SeedDigests, the walk stops
+// at a Prefix wrapper.
 func Evict(p Provider, key string) {
 	walkChain(p, func(p Provider) bool {
-		if l, ok := p.(*LRU); ok {
-			l.Evict(key)
+		if e, ok := p.(interface{ Evict(key string) }); ok {
+			e.Evict(key)
 		}
 		_, isPrefix := p.(*Prefix)
 		return !isPrefix

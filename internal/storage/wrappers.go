@@ -10,7 +10,7 @@ import (
 // Prefix exposes a sub-tree of a provider as its own flat namespace,
 // the way each dataset version lives in its own sub-directory (§4.2).
 type Prefix struct {
-	inner  Provider
+	passthrough
 	prefix string
 }
 
@@ -20,14 +20,10 @@ func NewPrefix(inner Provider, prefix string) *Prefix {
 	if prefix != "" && !strings.HasSuffix(prefix, "/") {
 		prefix += "/"
 	}
-	return &Prefix{inner: inner, prefix: prefix}
+	return &Prefix{passthrough: passthrough{inner}, prefix: prefix}
 }
 
 func (p *Prefix) key(k string) string { return p.prefix + k }
-
-// Unwrap returns the wrapped provider. Prefix forwards inner errors
-// unchanged, so ErrNotFound / ErrTransient classification survives it.
-func (p *Prefix) Unwrap() Provider { return p.inner }
 
 // Get implements Provider.
 func (p *Prefix) Get(ctx context.Context, key string) ([]byte, error) {
@@ -92,7 +88,7 @@ func (p *Prefix) Size(ctx context.Context, key string) (int64, error) {
 // atomic: read them with Snapshot and zero them with Reset, so a benchmark
 // can reset between phases while readers are still in flight without racing.
 type Counting struct {
-	inner Provider
+	passthrough
 
 	gets, rangeGets, batchGets, batchRanges atomic.Int64
 	puts, deletes, lists                    atomic.Int64
@@ -100,10 +96,7 @@ type Counting struct {
 }
 
 // NewCounting wraps inner with operation counters.
-func NewCounting(inner Provider) *Counting { return &Counting{inner: inner} }
-
-// Unwrap returns the wrapped provider.
-func (c *Counting) Unwrap() Provider { return c.inner }
+func NewCounting(inner Provider) *Counting { return &Counting{passthrough: passthrough{inner}} }
 
 // CountingStats is a point-in-time copy of a Counting wrapper's counters.
 type CountingStats struct {
@@ -206,20 +199,10 @@ func (c *Counting) Delete(ctx context.Context, key string) error {
 	return c.inner.Delete(ctx, key)
 }
 
-// Exists implements Provider.
-func (c *Counting) Exists(ctx context.Context, key string) (bool, error) {
-	return c.inner.Exists(ctx, key)
-}
-
 // List implements Provider.
 func (c *Counting) List(ctx context.Context, prefix string) ([]string, error) {
 	c.lists.Add(1)
 	return c.inner.List(ctx, prefix)
-}
-
-// Size implements Provider.
-func (c *Counting) Size(ctx context.Context, key string) (int64, error) {
-	return c.inner.Size(ctx, key)
 }
 
 // Requests returns the total read-path request count (each batched
@@ -229,9 +212,11 @@ func (c *Counting) Requests() int64 {
 }
 
 // Flaky injects failures into a provider for failure-injection tests: every
-// Nth read-path operation returns err.
+// Nth read-path operation (Get, GetRange) returns err. It stays beside
+// Faulty for what Faulty does not offer: a caller-supplied error value and
+// an exact every-Nth schedule.
 type Flaky struct {
-	inner Provider
+	passthrough
 	every int64
 	err   error
 
@@ -243,11 +228,8 @@ type Flaky struct {
 // Transient-wrapped error to make the failures recoverable by a Retry layer;
 // see Faulty for rate-based schedules, stalls and partial reads.
 func NewFlaky(inner Provider, n int64, err error) *Flaky {
-	return &Flaky{inner: inner, every: n, err: err}
+	return &Flaky{passthrough: passthrough{inner}, every: n, err: err}
 }
-
-// Unwrap returns the wrapped provider.
-func (f *Flaky) Unwrap() Provider { return f.inner }
 
 func (f *Flaky) tick() error {
 	f.mu.Lock()
@@ -273,27 +255,4 @@ func (f *Flaky) GetRange(ctx context.Context, key string, offset, length int64) 
 		return nil, err
 	}
 	return f.inner.GetRange(ctx, key, offset, length)
-}
-
-// Put implements Provider.
-func (f *Flaky) Put(ctx context.Context, key string, data []byte) error {
-	return f.inner.Put(ctx, key, data)
-}
-
-// Delete implements Provider.
-func (f *Flaky) Delete(ctx context.Context, key string) error { return f.inner.Delete(ctx, key) }
-
-// Exists implements Provider.
-func (f *Flaky) Exists(ctx context.Context, key string) (bool, error) {
-	return f.inner.Exists(ctx, key)
-}
-
-// List implements Provider.
-func (f *Flaky) List(ctx context.Context, prefix string) ([]string, error) {
-	return f.inner.List(ctx, prefix)
-}
-
-// Size implements Provider.
-func (f *Flaky) Size(ctx context.Context, key string) (int64, error) {
-	return f.inner.Size(ctx, key)
 }

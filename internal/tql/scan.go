@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/storage"
 )
 
 // Options tunes query execution. The zero value picks defaults.
@@ -432,7 +431,7 @@ func (s *stripScheduler) ensure(ctx context.Context, spanIdx int) {
 		// PrefetchChunks is asynchronous — it claims keys and returns while
 		// the coalesced fetches run in the background — so holding mu here
 		// serialises planning, not IO.
-		claimed, err := s.driver.PrefetchChunks(ctx, strip, storage.PlanOptions{})
+		claimed, err := s.driver.PrefetchChunks(ctx, strip)
 		s.stats.record(len(strip), claimed, err)
 		s.stats.recordStrip()
 	}
