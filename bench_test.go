@@ -3,7 +3,8 @@ package deeplake
 // testing.B benchmarks, one per evaluation figure and ablation of the paper
 // (§6). Each delegates to internal/bench with a bench-friendly sample count;
 // cmd/benchfig runs the same experiments at full scale and prints the series
-// tables. Run with:
+// tables. They regenerate figures; the repo's regression benchmark is
+// benchmarks/lakebench. Run with:
 //
 //	go test -bench=. -benchmem
 import (
@@ -98,38 +99,4 @@ func BenchmarkAblationSparseViews(b *testing.B) {
 // across epochs (§3.6 memory caching by chaining storage providers).
 func BenchmarkAblationCacheEpochs(b *testing.B) {
 	runFigure(b, benchConfig(128, 64), bench.AblationCacheEpochs)
-}
-
-// BenchmarkTQLScan measures the chunk-partitioned parallel TQL filter scan
-// and the shape-encoder pushdown's origin-request savings (§4.4 query
-// scheduler over the Tensor Storage Format).
-func BenchmarkTQLScan(b *testing.B) {
-	runFigure(b, benchConfig(96, 0), bench.TQLScan)
-}
-
-// BenchmarkIngestThroughput measures the parallel ingestion engine: 1/4/16
-// concurrent writers into one dataset over simulated S3, lock-split append
-// path plus the background chunk flush pipeline, against the TFRecord and
-// WebDataset write paths (§4.1.2 ingestion).
-func BenchmarkIngestThroughput(b *testing.B) {
-	runFigure(b, benchConfig(96, 0), bench.IngestThroughput)
-}
-
-// BenchmarkTrainStream measures the end-to-end train loop on the
-// chunk-aligned streaming dataloader: a simulated GPU fed from simulated
-// S3 at 1/4/16 workers and 4 Rank/WorldSize shards, against the TFRecord
-// and WebDataset read paths (§4.6 streaming dataloader). The runner also
-// enforces the decode-once and batch-determinism contracts.
-func BenchmarkTrainStream(b *testing.B) {
-	runFigure(b, benchConfig(96, 0), bench.TrainStream)
-}
-
-// BenchmarkChaos measures the resilience layer: the train and ingest
-// workloads over a fault-injecting simulated S3 (seeded transient errors,
-// stalls, partial reads) behind the singleflight+retry chain. The runner
-// enforces byte-identical delivery and stored bytes versus the fault-free
-// runs, fetch-once accounting net of retries, and the one-extra-request
-// coalesced-fault contract.
-func BenchmarkChaos(b *testing.B) {
-	runFigure(b, benchConfig(96, 0), bench.Chaos)
 }

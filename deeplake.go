@@ -48,10 +48,10 @@
 // order a configurable number of chunks ahead (LoaderOptions.Readahead) so
 // origin latency overlaps with decode and transform work. Run
 //
-//	go run ./cmd/benchfig readers
+//	go run ./benchmarks/lakebench --workload stream_s3 --seed 1 --seconds 20 --trace 1
 //
-// to measure the aggregate throughput of 1/4/16 concurrent readers sharing
-// one cache over simulated S3, and the hot-chunk coalescing guarantee.
+// to measure cold epochs over simulated S3 through these tiers, per tier.
+// The coalescing guarantee is storage.TestLRUCoalescesConcurrentMisses.
 //
 // # One node budget for every cache tier
 //
@@ -89,13 +89,13 @@
 // Loader.Err after the channel closes, deterministically for a
 // deterministic fault. Run
 //
-//	go run ./cmd/benchfig train
+//	go run ./benchmarks/lakebench --workload train_decode --seed 1 --seconds 20 --trace 1
 //
-// to measure the end-to-end train loop — a simulated GPU streaming from
-// simulated S3 at 1/4/16 workers and 4 rank shards against the TFRecord
-// and WebDataset read paths — with the decode-once and batch-determinism
-// contracts enforced by the runner (add -json for a machine-readable
-// BENCH_train.json).
+// to measure epochs end to end (stream_s3: the same over cold simulated S3).
+// The fetch-once, decode-once and determinism contracts are tests in
+// internal/dataloader (TestEpochCoalescesStripsAndMovesEachChunkOnce,
+// TestSharedNodeCacheDecodesOncePerNode, TestBatchesIdenticalAcrossWorkerCounts);
+// cmd/benchfig fig7…fig10 print the paper's figures against format baselines.
 //
 // # The parallel TQL scan engine
 //
@@ -115,10 +115,10 @@
 // Merges are positional, so results are byte-identical at any worker
 // count. Run
 //
-//	go run ./cmd/benchfig tql
+//	go run ./benchmarks/lakebench --workload tql_mixed --seed 1 --seconds 20 --trace 1
 //
-// to measure filter-scan throughput at 1/4/16 workers over simulated S3 and
-// the pushdown's origin-request savings against a forced full scan.
+// to measure scan, filter, pushdown and group-by queries over cold simulated
+// S3. Zero chunk IO for a shape-only WHERE is tql.TestShapeOnlyWhereZeroChunkGets.
 //
 // # The parallel ingestion engine
 //
@@ -149,10 +149,10 @@
 // barrier waits for it. Transform pipelines (ETL ingestion) and view
 // materialization write through the same engine by default. Run
 //
-//	go run ./cmd/benchfig ingest
+//	go run ./benchmarks/lakebench --workload ingest_commit --seed 1 --seconds 20 --trace 1
 //
-// to measure 1/4/16-writer ingest throughput over simulated S3 against the
-// TFRecord and WebDataset baselines.
+// to measure ingest and commit over simulated S3 (cmd/benchfig fig6: the
+// paper's figure). Byte-identity is core.TestParallelFlushGoldenEquivalence.
 package deeplake
 
 import (

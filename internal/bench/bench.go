@@ -2,31 +2,31 @@
 // text series: ingestion speed across formats (Fig 6), local dataloader
 // throughput (Fig 7), streaming from different storage locations (Fig 8),
 // ImageNet training modes on S3 (Fig 9), and distributed multi-modal
-// training utilization (Fig 10), plus ablations over the design choices
-// DESIGN.md calls out. The same runners back the root bench_test.go
-// (testing.B, small N) and cmd/benchfig (larger N, printed tables).
+// training utilization (Fig 10), plus ablations over the design choices.
+// It is a figure printer, not a gate: the runners measure and report, and
+// assert nothing beyond having delivered every row. Regressions are judged
+// by benchmarks/lakebench; the contracts of the layers these figures run
+// over are tests in those layers' packages. The same runners back the root
+// bench_test.go (testing.B, small N) and cmd/benchfig (larger N, printed
+// tables).
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Row is one measured series point.
 type Row struct {
 	// Name labels the system/configuration.
-	Name string `json:"name"`
+	Name string
 	// Value is the measurement in Unit.
-	Value float64 `json:"value"`
+	Value float64
 	// Unit is the measurement unit ("s", "img/s", "%", ...).
-	Unit string `json:"unit"`
+	Unit string
 	// Extra carries secondary measurements for the table.
-	Extra string `json:"extra,omitempty"`
+	Extra string
 }
 
 // Result is one regenerated figure.
@@ -85,46 +85,6 @@ func (r *Result) Value(name string) (float64, bool) {
 	return 0, false
 }
 
-// Report is the machine-readable form of one scenario run, written by
-// cmd/benchfig -json as BENCH_<scenario>.json so the perf trajectory is
-// recorded per PR.
-type Report struct {
-	ID         string   `json:"id"`
-	Title      string   `json:"title"`
-	Better     string   `json:"better"`
-	N          int      `json:"n"`
-	Workers    int      `json:"workers"`
-	Seed       int64    `json:"seed"`
-	ElapsedSec float64  `json:"elapsed_sec"`
-	Rows       []Row    `json:"rows"`
-	Notes      []string `json:"notes,omitempty"`
-}
-
-// WriteJSON writes the result as BENCH_<id>.json under dir (created if
-// missing) and returns the path.
-func (r *Result) WriteJSON(dir string, cfg Config, elapsed time.Duration) (string, error) {
-	rep := Report{
-		ID: r.ID, Title: r.Title, Better: r.Better,
-		N: cfg.N, Workers: cfg.Workers, Seed: cfg.Seed,
-		ElapsedSec: elapsed.Seconds(),
-		Rows:       r.Rows, Notes: r.Notes,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	if dir != "" && dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return "", err
-		}
-	}
-	path := filepath.Join(dir, "BENCH_"+r.ID+".json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
 // Config scales an experiment.
 type Config struct {
 	// N is the sample count (each figure has its own full-scale default;
@@ -137,11 +97,6 @@ type Config struct {
 	ImageSide int
 	// Seed drives the deterministic generators.
 	Seed int64
-	// Ranks sets the train scenario's simulated same-node rank count: that
-	// many rank-sharded loaders share one node-level decoded-chunk cache,
-	// and the runner enforces per-NODE decode-once across them (0 =
-	// scenario default of 4).
-	Ranks int
 }
 
 func (c Config) withDefaults(defaultN int) Config {

@@ -61,18 +61,8 @@ func jpegSampleSet(cfg Config, spec workload.ImageSpec) ([]baselines.Sample, err
 // ingestDeepLake writes a sample set into a fresh Deep Lake dataset on the
 // provider. JPEG samples take the direct-copy path (§5).
 func ingestDeepLake(ctx context.Context, store storage.Provider, samples []baselines.Sample, bounds chunk.Bounds) (*core.Dataset, error) {
-	return ingestDeepLakeOpts(ctx, store, samples, bounds, core.WriteOptions{})
-}
-
-// ingestDeepLakeOpts is ingestDeepLake with explicit write options, for
-// runners that exercise the ingest-time knobs (chunk-size autotuning,
-// background flush workers).
-func ingestDeepLakeOpts(ctx context.Context, store storage.Provider, samples []baselines.Sample, bounds chunk.Bounds, opts core.WriteOptions) (*core.Dataset, error) {
 	ds, err := core.Create(ctx, store, "bench")
 	if err != nil {
-		return nil, err
-	}
-	if err := ds.SetWriteOptions(opts); err != nil {
 		return nil, err
 	}
 	spec := core.TensorSpec{Name: "images", Htype: "generic", Dtype: tensor.UInt8, Bounds: bounds}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/storage"
@@ -91,33 +89,12 @@ func buildResumable(t *testing.T, reopen bool) (storage.Provider, int) {
 // reopen, append must store objects byte-identical to an uninterrupted
 // writer flushing at the same point.
 func TestAutotunePersistResumesSchedule(t *testing.T) {
-	ctx := context.Background()
 	straight, level := buildResumable(t, false)
 	resumed, _ := buildResumable(t, true)
 	if level == 0 {
 		t.Fatal("phase one never grew the schedule; the reopen comparison proves nothing")
 	}
-
-	wantKeys := snapshotKeys(t, straight)
-	gotKeys := snapshotKeys(t, resumed)
-	if got, want := fmt.Sprint(gotKeys), fmt.Sprint(wantKeys); got != want {
-		t.Fatalf("stored key sets differ after reopen:\nuninterrupted: %v\nresumed:       %v",
-			wantKeys, gotKeys)
-	}
-	for _, key := range wantKeys {
-		want, err := straight.Get(ctx, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := resumed.Get(ctx, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("object %q differs between uninterrupted and reopened writer (%d vs %d bytes)",
-				key, len(want), len(got))
-		}
-	}
+	assertSameObjects(t, straight, resumed)
 }
 
 // TestAutotuneStateSurvivesReopen pins the mechanism itself: the persisted

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,8 +36,16 @@ func pinClock(ds *Dataset) {
 // post-commit appends — through the given write options.
 func buildGoldenDataset(t *testing.T, opts WriteOptions) storage.Provider {
 	t.Helper()
-	ctx := context.Background()
 	store := storage.NewMemory()
+	buildGoldenDatasetOn(t, store, opts)
+	return store
+}
+
+// buildGoldenDatasetOn is buildGoldenDataset writing through the given
+// provider, which may wrap the store the caller inspects afterwards.
+func buildGoldenDatasetOn(t *testing.T, store storage.Provider, opts WriteOptions) {
+	t.Helper()
+	ctx := context.Background()
 	ds, err := Create(ctx, store, "golden")
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +118,7 @@ func buildGoldenDataset(t *testing.T, opts WriteOptions) storage.Provider {
 	for i := 0; i < 8; i++ {
 		items := []*tensor.NDArray{
 			tensor.Scalar(tensor.Int32, float64(i)),
-			tensor.Scalar(tensor.Int32, float64(i * 2)),
+			tensor.Scalar(tensor.Int32, float64(i*2)),
 		}
 		if err := seq.AppendSequence(ctx, items); err != nil {
 			t.Fatal(err)
@@ -139,7 +148,6 @@ func buildGoldenDataset(t *testing.T, opts WriteOptions) storage.Provider {
 	if err := ds.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	return store
 }
 
 // snapshotKeys lists every stored object key.
@@ -157,7 +165,6 @@ func snapshotKeys(t *testing.T, store storage.Provider) []string {
 // serial path, a 1-worker pipeline and a 16-worker pipeline, and asserts the
 // stored objects are byte-identical across all three.
 func TestParallelFlushGoldenEquivalence(t *testing.T) {
-	ctx := context.Background()
 	serial := buildGoldenDataset(t, WriteOptions{})
 	serialKeys := snapshotKeys(t, serial)
 	if len(serialKeys) == 0 {
@@ -175,25 +182,82 @@ func TestParallelFlushGoldenEquivalence(t *testing.T) {
 
 	for _, workers := range []int{1, 16} {
 		t.Run(fmt.Sprintf("flushworkers-%d", workers), func(t *testing.T) {
-			parallel := buildGoldenDataset(t, WriteOptions{FlushWorkers: workers})
-			parallelKeys := snapshotKeys(t, parallel)
-			if got, want := fmt.Sprint(parallelKeys), fmt.Sprint(serialKeys); got != want {
-				t.Fatalf("stored key sets differ:\nserial:   %v\nparallel: %v", serialKeys, parallelKeys)
-			}
-			for _, key := range serialKeys {
-				want, err := serial.Get(ctx, key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := parallel.Get(ctx, key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("object %q differs between serial and %d-worker flush (%d vs %d bytes)",
-						key, workers, len(want), len(got))
-				}
-			}
+			assertSameObjects(t, serial, buildGoldenDataset(t, WriteOptions{FlushWorkers: workers}))
 		})
 	}
+}
+
+// assertSameObjects fails unless got holds exactly want's keys with
+// byte-identical values.
+func assertSameObjects(t *testing.T, want, got storage.Provider) {
+	t.Helper()
+	ctx := context.Background()
+	wantKeys, gotKeys := snapshotKeys(t, want), snapshotKeys(t, got)
+	if fmt.Sprint(gotKeys) != fmt.Sprint(wantKeys) {
+		t.Fatalf("stored key sets differ:\nwant: %v\ngot:  %v", wantKeys, gotKeys)
+	}
+	for _, key := range wantKeys {
+		w, err := want.Get(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := got.Get(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("object %q differs (%d vs %d bytes)", key, len(w), len(g))
+		}
+	}
+}
+
+// chunkPutFaults fails the first `perKey` Puts of every chunk object with a
+// transient error before the store is touched, whatever order the flush
+// workers issue them in; every other operation passes through.
+type chunkPutFaults struct {
+	storage.Provider
+	perKey int
+
+	mu     sync.Mutex
+	failed map[string]int
+}
+
+func (f *chunkPutFaults) Put(ctx context.Context, key string, data []byte) error {
+	if strings.Contains(key, "/chunks/") {
+		f.mu.Lock()
+		n := f.failed[key]
+		fail := n < f.perKey
+		if fail {
+			f.failed[key] = n + 1
+		}
+		f.mu.Unlock()
+		if fail {
+			return storage.Transient(fmt.Errorf("injected put fault %d on %q", n+1, key))
+		}
+	}
+	return f.Provider.Put(ctx, key, data)
+}
+
+// TestFaultyIngestGoldenEquivalence: uploads that fail transiently and are
+// re-attempted under WriteOptions.FlushRetries may land later, never
+// differently. Every chunk object's first two Puts fail; the golden workload
+// must complete with no error surfacing and leave exactly the objects, byte
+// for byte, of the fault-free serial build.
+func TestFaultyIngestGoldenEquivalence(t *testing.T) {
+	const perKey = 2
+	mem := storage.NewMemory()
+	faults := &chunkPutFaults{Provider: mem, perKey: perKey, failed: map[string]int{}}
+	buildGoldenDatasetOn(t, faults, WriteOptions{
+		FlushWorkers: 4, MaxPending: 8, FlushRetries: perKey,
+		FlushBackoff: storage.Backoff{Base: time.Microsecond, Max: time.Microsecond, Seed: 1},
+	})
+	if len(faults.failed) < 10 {
+		t.Fatalf("only %d chunk objects met faults; workload too small to be meaningful", len(faults.failed))
+	}
+	for key, n := range faults.failed {
+		if n != perKey {
+			t.Fatalf("chunk %q met %d faults, want %d", key, n, perKey)
+		}
+	}
+	assertSameObjects(t, buildGoldenDataset(t, WriteOptions{}), mem)
 }

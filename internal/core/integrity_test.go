@@ -128,7 +128,7 @@ func TestCrashBetweenFlushAndPublish(t *testing.T) {
 	if countIssues(rep, FsckTornMetadata) == 0 {
 		t.Fatalf("want torn plain head metadata, got report:\n%s", rep.Format())
 	}
-	if n := countIssues(rep, FsckMissingChunk) + countIssues(rep, FsckChecksumMismatch) + countIssues(rep, FsckMissingObject); n != 0 {
+	if n := countIssues(rep, FsckMissingChunk) + countIssues(rep, FsckChecksumMismatch) + countIssues(rep, FsckMissingObject) + countIssues(rep, FsckMissingRoot); n != 0 {
 		t.Fatalf("crash must not lose or corrupt published data, got report:\n%s", rep.Format())
 	}
 	for _, i := range rep.Issues {

@@ -84,6 +84,79 @@ func TestParallelWritersDisjointTensors(t *testing.T) {
 	}
 }
 
+// TestParallelWritersSharedTensorsStayRowAligned: 16 goroutines stride one
+// sample set into ONE shared tensor pair through row-atomic Dataset.Append
+// over the background flush pipeline. After Flush and a reopen every sample
+// is there exactly once, and index k holds the same writer's values in both
+// tensors however the writers interleaved.
+func TestParallelWritersSharedTensorsStayRowAligned(t *testing.T) {
+	ctx := context.Background()
+	ds, store := newTestDataset(t)
+	if err := ds.SetWriteOptions(WriteOptions{FlushWorkers: 8, MaxPending: 16}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		if _, err := ds.CreateTensor(ctx, TensorSpec{Name: name, Dtype: tensor.Int64, Bounds: smallBounds}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const writers, total = 16, 512
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < total; i += writers {
+				err := ds.Append(ctx, map[string]*tensor.NDArray{
+					"a": tensor.Scalar(tensor.Int64, float64(i)),
+					"b": tensor.Scalar(tensor.Int64, float64(10*i)),
+				})
+				if err != nil {
+					errs <- fmt.Errorf("writer %d sample %d: %w", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(ctx, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := reopened.Tensor("a"), reopened.Tensor("b")
+	if a.Len() != total || b.Len() != total {
+		t.Fatalf("%d/%d rows landed in a/b, want %d in each", a.Len(), b.Len(), total)
+	}
+	seen := make(map[int]bool, total)
+	for k := uint64(0); k < total; k++ {
+		av, err := a.At(ctx, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bv, err := b.At(ctx, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ai, _ := av.Item()
+		bi, _ := bv.Item()
+		if bi != 10*ai {
+			t.Fatalf("row %d torn across tensors: a=%v b=%v", k, ai, bi)
+		}
+		if seen[int(ai)] {
+			t.Fatalf("sample %v landed twice", ai)
+		}
+		seen[int(ai)] = true
+	}
+}
+
 // TestConcurrentAppendAndFlush interleaves appends with dataset-wide
 // flushes; Flush must act as a barrier (no torn chunk/encoder state) while
 // appends continue around it.

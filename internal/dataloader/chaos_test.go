@@ -96,8 +96,10 @@ func TestLoaderRecoversTransparentlyWithRetryLayer(t *testing.T) {
 		t.Fatalf("reference epoch delivered %d/%d", refN, rows)
 	}
 
-	// Same epoch over the resilient chain: Retry below the loader's cache
-	// absorbs every injected fault (errors and stalls both).
+	// Same epoch over the resilient chain: Retry below the byte cache and the
+	// loader's chunk cache absorbs every injected fault (errors and stalls
+	// both). The ledger sits above Retry, so it counts requests net of
+	// recovery traffic.
 	faulty := storage.NewFaulty(mem, storage.FaultConfig{
 		Seed: 17, GetErrRate: 0.2, RangeErrRate: 0.2, StallRate: 0.05,
 	})
@@ -107,10 +109,13 @@ func TestLoaderRecoversTransparentlyWithRetryLayer(t *testing.T) {
 		OpTimeout: 50 * time.Millisecond,
 		Backoff:   storage.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Seed: 9},
 	})
-	fds, err := core.Open(context.Background(), retry)
+	logical := storage.NewCounting(retry)
+	fds, err := core.Open(context.Background(), storage.NewLRU(logical, 1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
+	chunks := int64(fds.Tensor("x").NumChunks() + fds.Tensor("label").NumChunks())
+	logical.Reset()
 	faulty.SetArmed(true)
 	hash, n, fl := epochHash(t, fds, opts)
 	faulty.SetArmed(false)
@@ -128,6 +133,87 @@ func TestLoaderRecoversTransparentlyWithRetryLayer(t *testing.T) {
 	}
 	if retry.Stats().Retries == 0 {
 		t.Fatal("no retries recorded despite injected faults")
+	}
+	// Recovery changes neither what moves nor how it is batched: net of
+	// retries every chunk object still moves exactly once, and the strips
+	// still coalesce into fewer requests than chunks.
+	snap := logical.Snapshot()
+	if moved := snap.Gets + snap.RangeGets + snap.BatchRanges; moved != chunks {
+		t.Fatalf("faulty epoch moved %d chunk objects for %d chunks (fetch-once net of retries)", moved, chunks)
+	}
+	if reqs := snap.Requests(); reqs >= chunks {
+		t.Fatalf("faulty epoch made %d logical origin requests for %d chunks; coalescing collapsed under faults", reqs, chunks)
+	}
+}
+
+// TestLoaderHealsSilentCorruptionAtOneRequestEach streams an epoch over a
+// wire that flips bits and truncates transfers while reporting success, with
+// Verify under the byte cache and digests seeded from the chunk manifests at
+// Open. The stream must match the clean epoch byte for byte, every damaged
+// transfer must be detected and repaired with none quarantined, and each must
+// cost exactly one extra object moved on top of fetch-once per chunk.
+func TestLoaderHealsSilentCorruptionAtOneRequestEach(t *testing.T) {
+	const rows = 256
+	ctx := context.Background()
+	// Combined rate 1 under a small MaxFaults budget: exactly `budget`
+	// transfers arrive damaged however the readahead strips batch requests.
+	// A heal re-fetch draws from the same schedule, so one key can spend
+	// several units in its heal loop; HealAttempts must exceed the budget.
+	const budget = 6
+	faulty := storage.NewFaulty(storage.NewMemory(), storage.FaultConfig{
+		Seed: 17, CorruptRate: 0.7, TruncateRate: 0.3, MaxFaults: budget,
+	})
+	faulty.SetArmed(false)
+	logical := storage.NewCounting(faulty)
+	loaderDataset(t, logical, rows)
+	verify := storage.NewVerify(logical, storage.VerifyOptions{HealAttempts: budget + 2, QuarantineAfter: -1})
+	openCold := func() (*core.Dataset, *storage.LRU, int64) {
+		t.Helper()
+		cache := storage.NewLRU(verify, 1<<30)
+		ds, err := core.Open(ctx, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info := ds.Integrity(); info.SeededDigests == 0 || info.ChunksWithoutChecksum != 0 {
+			t.Fatalf("digest seeding incomplete at open: %+v", info)
+		}
+		logical.Reset()
+		return ds, cache, int64(ds.Tensor("x").NumChunks() + ds.Tensor("label").NumChunks())
+	}
+	opts := Options{BatchSize: 8, Workers: 4, Shuffle: true, Seed: 9}
+
+	ds, _, _ := openCold()
+	refHash, refN, rl := epochHash(t, ds, opts)
+	if err := rl.Err(); err != nil || refN != rows {
+		t.Fatalf("clean epoch delivered %d/%d rows, err %v", refN, rows, err)
+	}
+
+	ds, cache, chunks := openCold()
+	faulty.SetArmed(true)
+	hash, n, l := epochHash(t, ds, opts)
+	faulty.SetArmed(false)
+	if err := l.Err(); err != nil {
+		t.Fatalf("verification leaked a silent fault into the loader: %v", err)
+	}
+	if n != rows {
+		t.Fatalf("corrupted epoch delivered %d/%d rows", n, rows)
+	}
+	if hash != refHash {
+		t.Fatal("batch stream over the corrupting wire differs from the clean epoch")
+	}
+	fs := faulty.Stats()
+	damaged := fs.Corruptions + fs.Truncations
+	if damaged != budget {
+		t.Fatalf("fault schedule damaged %d transfers, want the whole budget of %d", damaged, budget)
+	}
+	stats := cache.Stats()
+	if stats.CorruptionsDetected != damaged || stats.CorruptionsRepaired != damaged || stats.Quarantined != 0 {
+		t.Fatalf("%d transfers damaged; verify detected %d, repaired %d, quarantined %d",
+			damaged, stats.CorruptionsDetected, stats.CorruptionsRepaired, stats.Quarantined)
+	}
+	snap := logical.Snapshot()
+	if moved := snap.Gets + snap.RangeGets + snap.BatchRanges; moved != chunks+damaged {
+		t.Fatalf("moved %d objects for %d chunks + %d damaged transfers; a heal must cost exactly one re-fetch", moved, chunks, damaged)
 	}
 }
 

@@ -2,9 +2,12 @@ package dataloader
 
 import (
 	"context"
-	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/simnet"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 	"repro/internal/view"
@@ -31,20 +34,25 @@ func epochRows(t *testing.T, l *Loader) []float64 {
 func TestBatchesIdenticalAcrossWorkerCounts(t *testing.T) {
 	ds := loaderDataset(t, storage.NewMemory(), 300)
 	for _, shuffle := range []bool{false, true} {
-		run := func(workers int) []float64 {
-			l := ForDataset(ds, Options{
+		// epochHash covers every delivered field's bytes in delivery order.
+		run := func(workers int) uint64 {
+			h, n, l := epochHash(t, ds, Options{
 				BatchSize: 16, Workers: workers,
 				Shuffle: shuffle, Seed: 11, ShuffleBuffer: 64,
 			})
-			return epochRows(t, l)
+			if err := l.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if n != 300 {
+				t.Fatalf("shuffle=%v workers=%d: delivered %d rows", shuffle, workers, n)
+			}
+			return h
 		}
 		one := run(1)
-		sixteen := run(16)
-		if len(one) != 300 {
-			t.Fatalf("shuffle=%v: delivered %d rows", shuffle, len(one))
-		}
-		if !reflect.DeepEqual(one, sixteen) {
-			t.Fatalf("shuffle=%v: batches differ between 1 and 16 workers", shuffle)
+		for _, workers := range []int{4, 16} {
+			if run(workers) != one {
+				t.Fatalf("shuffle=%v: batch stream differs between 1 and %d workers", shuffle, workers)
+			}
 		}
 	}
 }
@@ -63,6 +71,100 @@ func TestReadaheadDoesNotDuplicateFetches(t *testing.T) {
 	chunks := int64(ds.Tensor("x").NumChunks() + ds.Tensor("label").NumChunks())
 	if gets := counting.Snapshot().Gets; gets > chunks {
 		t.Fatalf("epoch fetched %d objects for %d chunks; readahead duplicated fetches", gets, chunks)
+	}
+}
+
+// TestEpochCoalescesStripsAndMovesEachChunkOnce: over a prefetch-capable
+// chain (a byte LRU above a batch-capable origin) the readahead scheduler's
+// strips reach the origin as batched ranged requests. A cold epoch therefore
+// costs strictly fewer origin requests than it has chunks, while every chunk
+// object still moves exactly once — whole, as a range, or inside a batch —
+// and is decoded exactly once, at any worker count.
+func TestEpochCoalescesStripsAndMovesEachChunkOnce(t *testing.T) {
+	ctx := context.Background()
+	profile := simnet.S3SameRegion()
+	profile.TimeScale = 1000
+	counting := storage.NewCounting(storage.NewSimObjectStore(profile))
+	const rows = 256
+	loaderDataset(t, counting, rows)
+	for _, workers := range []int{1, 4, 16} {
+		ds, err := core.Open(ctx, storage.NewLRU(counting, 1<<30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := int64(ds.Tensor("x").NumChunks() + ds.Tensor("label").NumChunks())
+		counting.Reset()
+		l := ForDataset(ds, Options{BatchSize: 16, Workers: workers, Shuffle: true, Seed: 3})
+		got := epochRows(t, l)
+		sort.Float64s(got)
+		if len(got) != rows {
+			t.Fatalf("workers=%d: delivered %d/%d rows", workers, len(got), rows)
+		}
+		for i, v := range got {
+			if v != float64(i) {
+				t.Fatalf("workers=%d: row %d missing or duplicated (got %v)", workers, i, v)
+			}
+		}
+		if decodes := l.CacheDecodes(); decodes != chunks {
+			t.Fatalf("workers=%d: decoded %d chunks, want exactly %d", workers, decodes, chunks)
+		}
+		snap := counting.Snapshot()
+		if moved := snap.Gets + snap.RangeGets + snap.BatchRanges; moved != chunks {
+			t.Fatalf("workers=%d: moved %d chunk objects from origin for %d chunks (fetch-once)", workers, moved, chunks)
+		}
+		if reqs := snap.Requests(); reqs >= chunks {
+			t.Fatalf("workers=%d: %d origin requests for %d chunks; strips must coalesce into batched requests", workers, reqs, chunks)
+		}
+	}
+}
+
+// TestConcurrentReadersShareOneByteCache: 16 readers at once, each opening
+// its own dataset handle through one shared byte cache and streaming a full
+// epoch; every reader sees every row, in order. Run under -race this covers
+// the cache's hit, coalesced-miss and batch-prefetch paths crossing between
+// independent loaders.
+func TestConcurrentReadersShareOneByteCache(t *testing.T) {
+	ctx := context.Background()
+	mem := storage.NewMemory()
+	const rows, readers = 256, 16
+	loaderDataset(t, mem, rows)
+	cache := storage.NewLRU(mem, 1<<30)
+
+	got := make([][]float64, readers)
+	errs := make([]error, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ds, err := core.Open(ctx, cache)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			l := ForDataset(ds, Options{BatchSize: 32, Workers: 4})
+			for b := range l.Batches(ctx) {
+				for _, s := range b.Samples {
+					v, _ := s["x"].At(0)
+					got[r] = append(got[r], v)
+				}
+			}
+			errs[r] = l.Err()
+		}(r)
+	}
+	wg.Wait()
+	for r := 0; r < readers; r++ {
+		if errs[r] != nil {
+			t.Fatalf("reader %d: %v", r, errs[r])
+		}
+		if len(got[r]) != rows {
+			t.Fatalf("reader %d delivered %d/%d rows", r, len(got[r]), rows)
+		}
+		for i, v := range got[r] {
+			if v != float64(i) {
+				t.Fatalf("reader %d row %d = %v", r, i, v)
+			}
+		}
 	}
 }
 

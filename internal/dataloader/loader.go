@@ -85,14 +85,6 @@ type Options struct {
 	// disables readahead. Prefetches coalesce with worker fetches through
 	// the chunk cache's singleflight layer, so no chunk is read twice.
 	Readahead int
-	// FetchBatch is how many upcoming chunks the readahead scheduler hands
-	// to the storage layer's fetch planner at a time: near-adjacent chunk
-	// objects in the strip coalesce into single batched ranged origin
-	// requests (default 8). Requires a prefetch-capable provider chain (a
-	// storage.LRU over a BatchProvider); otherwise it is a no-op. Negative
-	// disables batched prefetch, keeping the one-request-per-chunk
-	// behavior.
-	FetchBatch int
 	// RawBytes controls media decoding of sample-compressed tensors.
 	// When true, raw stored bytes are exposed as 1-d uint8 arrays
 	// (useful for byte-throughput benchmarks). Default false (decode).
@@ -140,9 +132,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Readahead == 0 {
 		o.Readahead = 4
-	}
-	if o.FetchBatch == 0 {
-		o.FetchBatch = 8
 	}
 	if o.WorldSize <= 0 {
 		o.WorldSize = 1
@@ -463,11 +452,11 @@ func (l *Loader) Batches(ctx context.Context) <-chan Batch {
 	// batch stream is delivery-sequence ordered, so the cap (like Workers
 	// itself) never changes what is delivered. The path is active only over
 	// a provider chain that can prefetch (PrefetchChunks is a no-op over any
-	// other, whatever FetchBatch says): without one, workers ARE the IO
-	// parallelism and the full count is spawned.
+	// other): without one, workers ARE the IO parallelism and the full count
+	// is spawned.
 	spawn := l.opts.Workers
 	_, canPrefetch := l.v.Dataset().Store().(storage.Prefetcher)
-	if canPrefetch && prog != nil && l.opts.FetchBatch > 0 {
+	if canPrefetch && prog != nil {
 		if c := 2 * runtime.GOMAXPROCS(0); c < spawn {
 			spawn = c
 		}

@@ -17,6 +17,13 @@ import (
 // through the cache's singleflight layer — the chunk is still read only
 // once.
 
+// fetchBatch is how many upcoming chunks the scheduler hands to the storage
+// layer's fetch planner at a time: near-adjacent chunk objects in the strip
+// coalesce into single batched ranged origin requests. Over a provider chain
+// that cannot prefetch (no storage.LRU above a batch-capable origin) the
+// hand-off is a no-op.
+const fetchBatch = 8
+
 // readaheadDriver resolves the tensor whose chunks the scheduler
 // prefetches. It returns nil when no column drives chunked reads
 // (computed-only views, sequence/link primaries, no chunk-aligned groups),
@@ -150,7 +157,7 @@ func runReadahead(ctx context.Context, l *Loader, t *core.Tensor, secondaries []
 				return
 			}
 			releasePast(prog.current())
-			// Strip prefetch: hand the next FetchBatch upcoming chunks to
+			// Strip prefetch: hand the next fetchBatch upcoming chunks to
 			// the tensor's storage prefetcher as one coalesced fetch plan —
 			// near-adjacent chunk objects ride one batched ranged origin
 			// request into the byte cache, so the per-chunk cache.get below
@@ -158,10 +165,10 @@ func runReadahead(ctx context.Context, l *Loader, t *core.Tensor, secondaries []
 			// the same frontier wait as the walk, so at most one strip of
 			// bytes runs ahead of the lookahead window. Errors are ignored
 			// like fetch errors below: readers recover per-chunk.
-			if o.FetchBatch > 0 && i >= planned {
-				ids := make([]uint64, 0, o.FetchBatch)
+			if i >= planned {
+				ids := make([]uint64, 0, fetchBatch)
 				j := i
-				for ; j < len(shard.groups) && len(ids) < o.FetchBatch; j++ {
+				for ; j < len(shard.groups) && len(ids) < fetchBatch; j++ {
 					if shard.groups[j].chunk {
 						ids = append(ids, shard.groups[j].key)
 					}

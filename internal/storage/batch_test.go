@@ -504,51 +504,80 @@ func TestCountingBatchCounters(t *testing.T) {
 
 // --- Retry over batched gets -------------------------------------------------
 
+// TestRetryGetRangesReissuesOnlyMissing: one fault inside a batched get costs
+// exactly one extra origin round trip carrying only the ranges not yet
+// served — whether the batch is issued directly or is the single fetch plan
+// an LRU.Prefetch above the Retry coalesced the keys into, in which case
+// every key also ends up cache-resident and later reads stay off the origin.
 func TestRetryGetRangesReissuesOnlyMissing(t *testing.T) {
-	ctx := context.Background()
-	mem := NewMemory()
-	const n = 8
-	var reqs []RangeReq
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if err := mem.Put(ctx, k, []byte("v-"+k)); err != nil {
-			t.Fatal(err)
-		}
-		reqs = append(reqs, RangeReq{Key: k, Offset: 0, Length: -1})
-	}
-	// Exactly one injected fault on the first batched get, then transparent:
-	// the ISSUE's litmus — one fault inside a coalesced request costs exactly
-	// one extra origin round trip.
-	faulty := NewFaulty(mem, FaultConfig{Seed: 7, GetErrRate: 1, MaxFaults: 1})
-	counting := NewCounting(faulty)
-	retry := NewRetry(counting, RetryOptions{Attempts: 3})
+	for _, via := range []string{"retry", "lru-prefetch"} {
+		t.Run(via, func(t *testing.T) {
+			ctx := context.Background()
+			mem := NewMemory()
+			const n = 8
+			var reqs []RangeReq
+			var keys []string
+			for i := 0; i < n; i++ {
+				k := fmt.Sprintf("k%d", i)
+				if err := mem.Put(ctx, k, []byte("v-"+k)); err != nil {
+					t.Fatal(err)
+				}
+				keys = append(keys, k)
+				reqs = append(reqs, RangeReq{Key: k, Offset: 0, Length: -1})
+			}
+			// Exactly one injected fault on the first batched get, then
+			// transparent.
+			faulty := NewFaulty(mem, FaultConfig{Seed: 7, GetErrRate: 1, MaxFaults: 1})
+			counting := NewCounting(faulty)
+			retry := NewRetry(counting, RetryOptions{Attempts: 3})
+			cache := NewLRU(retry, 1<<20)
 
-	out, err := retry.GetRanges(ctx, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, data := range out {
-		if string(data) != "v-"+reqs[i].Key {
-			t.Fatalf("range %d: got %q", i, data)
-		}
-	}
-	if got := faulty.Stats().Total(); got != 1 {
-		t.Fatalf("want exactly 1 injected fault, got %d", got)
-	}
-	snap := counting.Snapshot()
-	if snap.BatchGets != 2 {
-		t.Fatalf("one mid-batch fault must cost exactly one extra batched request: BatchGets = %d, want 2", snap.BatchGets)
-	}
-	// The re-issue carries only the missing tail: total ranges on the wire
-	// stay under 2n (a full resend).
-	if snap.BatchRanges >= 2*n {
-		t.Fatalf("retry resent already-received ranges: %d wire ranges for %d requests", snap.BatchRanges, n)
-	}
-	if snap.BatchRanges < n {
-		t.Fatalf("wire ranges %d cannot be below the request count %d", snap.BatchRanges, n)
-	}
-	if got := retry.Stats().Retries; got != 1 {
-		t.Fatalf("Retries = %d, want 1", got)
+			if via == "retry" {
+				out, err := retry.GetRanges(ctx, reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, data := range out {
+					if string(data) != "v-"+reqs[i].Key {
+						t.Fatalf("range %d: got %q", i, data)
+					}
+				}
+			} else if fetched, err := cache.Prefetch(ctx, keys, PlanOptions{SizeHint: 8}); err != nil || fetched != n {
+				t.Fatalf("Prefetch = %d, %v; want all %d keys through the faulted batch", fetched, err, n)
+			}
+			if got := faulty.Stats().Total(); got != 1 {
+				t.Fatalf("want exactly 1 injected fault, got %d", got)
+			}
+			snap := counting.Snapshot()
+			if snap.BatchGets != 2 {
+				t.Fatalf("one mid-batch fault must cost exactly one extra batched request: BatchGets = %d, want 2", snap.BatchGets)
+			}
+			// The re-issue carries only the missing tail: total ranges on the
+			// wire stay under 2n (a full resend).
+			if snap.BatchRanges >= 2*n {
+				t.Fatalf("retry resent already-received ranges: %d wire ranges for %d requests", snap.BatchRanges, n)
+			}
+			if snap.BatchRanges < n {
+				t.Fatalf("wire ranges %d cannot be below the request count %d", snap.BatchRanges, n)
+			}
+			if snap.Gets != 0 || snap.RangeGets != 0 {
+				t.Fatalf("recovery degraded to per-object requests: %+v", snap)
+			}
+			if got := retry.Stats().Retries; got != 1 {
+				t.Fatalf("Retries = %d, want 1", got)
+			}
+			if via == "retry" {
+				return
+			}
+			for _, k := range keys {
+				if data, err := cache.Get(ctx, k); err != nil || string(data) != "v-"+k {
+					t.Fatalf("cached %q = %q, %v", k, data, err)
+				}
+			}
+			if after := counting.Snapshot().Requests(); after != snap.Requests() {
+				t.Fatalf("reads after the prefetch reached the origin (%d -> %d requests)", snap.Requests(), after)
+			}
+		})
 	}
 }
 
