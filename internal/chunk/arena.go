@@ -19,16 +19,20 @@ var arenaSlabs = sync.Pool{
 // Arena is a bump allocator over pooled slabs for decode-path sample
 // buffers. Instead of one heap allocation per decoded sample, samples are
 // carved out of shared slabs: a scan touching thousands of samples costs a
-// handful of slab requests, and Reset hands the slabs back for the next
-// chunk or epoch.
+// handful of slab requests.
 //
-// Arenas are NOT goroutine-safe — use one per worker. Reset recycles every
-// buffer previously handed out, so it must only be called once the caller
-// can prove no allocation escaped to a consumer that still holds it (e.g.
-// between benchmark iterations, or after copying samples into user-owned
-// batches). Production read paths that hand decoded tensors to user code
-// keep the arena un-Reset and rely on the bump allocation alone — fewer,
-// larger heap allocations — which is still a large allocs/op win.
+// Arenas are NOT goroutine-safe — use one per worker. What happens to the
+// buffers an arena has handed out is the owner's choice between two calls:
+//
+//   - Reset recycles them. It is for owners that can prove nothing they
+//     handed out is still in use: the TQL scan resets its worker's arena
+//     before every row, because a row's arrays never outlive its
+//     evaluation (and Releases it when the worker exits).
+//   - Forget lets them go. It is for owners whose buffers escape to a
+//     consumer (the dataloader's batches): the slabs are neither reused nor
+//     pooled, and the garbage collector frees each one once the consumer
+//     has dropped every buffer carved from it. An owner that did neither
+//     would pin every slab it ever filled for as long as the arena lives.
 type Arena struct {
 	cur  *[]byte
 	off  int
@@ -77,6 +81,26 @@ func (a *Arena) Reset() {
 	for _, s := range a.full {
 		arenaSlabs.Put(s)
 	}
-	a.full = a.full[:0]
+	a.Forget()
 	a.off = 0
+}
+
+// Release is Reset for an owner that is done with the arena: the current
+// slab goes back to the pool too, so the next arena (the next query's scan
+// worker) starts on a recycled slab instead of allocating and zeroing one.
+func (a *Arena) Release() {
+	a.Reset()
+	if a.cur != nil {
+		arenaSlabs.Put(a.cur)
+		a.cur = nil
+	}
+}
+
+// Forget drops the arena's references to the slabs it has filled without
+// recycling them: every buffer handed out stays valid, and a slab becomes
+// garbage when the last of its buffers does. The partly filled current slab
+// stays, and later allocations continue in it.
+func (a *Arena) Forget() {
+	clear(a.full)
+	a.full = a.full[:0]
 }

@@ -309,6 +309,62 @@ func TestArenaResetRecyclesSlabs(t *testing.T) {
 	}
 }
 
+// TestArenaReleaseEmptiesTheArena: Release hands every slab back, the
+// current one included, and the arena starts over on its next Alloc.
+func TestArenaReleaseEmptiesTheArena(t *testing.T) {
+	a := NewArena()
+	for i := 0; i < 5; i++ {
+		a.Alloc(100 << 10)
+	}
+	a.Release()
+	if a.cur != nil || len(a.full) != 0 {
+		t.Fatalf("arena holds slabs after Release: cur=%v full=%d", a.cur != nil, len(a.full))
+	}
+	if buf := a.Alloc(64); len(buf) != 64 || a.off != 64 {
+		t.Fatalf("first allocation after Release: len %d at offset %d, want 64 at the start of a slab", len(buf), a.off-len(buf))
+	}
+}
+
+// TestArenaForgetLeavesBuffersToTheirHolders: after Forget the arena holds
+// no filled slab (so nothing pins them, and a later Reset cannot recycle
+// them under a consumer), every buffer handed out before is intact, and
+// allocation continues without aliasing any of them.
+func TestArenaForgetLeavesBuffersToTheirHolders(t *testing.T) {
+	a := NewArena()
+	const size = 100 << 10 // two per slab: every other Alloc fills one
+	var bufs [][]byte
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			buf := a.Alloc(size)
+			for j := range buf {
+				buf[j] = byte(len(bufs))
+			}
+			bufs = append(bufs, buf)
+		}
+	}
+	fill(7)
+	if len(a.full) != 3 {
+		t.Fatalf("arena tracks %d filled slabs after 7 half-slab allocations, want 3", len(a.full))
+	}
+	a.Forget()
+	if len(a.full) != 0 {
+		t.Fatalf("arena still tracks %d filled slabs after Forget", len(a.full))
+	}
+	for _, s := range a.full[:cap(a.full)] {
+		if s != nil {
+			t.Fatal("Forget left a slab pointer behind in the backing array, which would keep pinning it")
+		}
+	}
+	fill(6)
+	for i, buf := range bufs {
+		for j, v := range buf {
+			if v != byte(i) {
+				t.Fatalf("buffer %d byte %d overwritten (by buffer %d) across Forget", i, j, v)
+			}
+		}
+	}
+}
+
 // TestArenaSteadyStateAllocsFree is the allocs/op contract the arena exists
 // for: sample-sized allocations from a reset arena never touch the heap.
 func TestArenaSteadyStateAllocsFree(t *testing.T) {

@@ -70,11 +70,12 @@ func (t *Tensor) NewScanReaderWith(fetch ChunkFetch) *ScanReader {
 }
 
 // SetArena installs a buffer arena for At's sample decodes: raw payload
-// copies bump-allocate from pooled slabs instead of the heap, taking the
-// steady-state scan loop to near-zero allocations per sample. The caller
-// owns the arena's lifecycle — Reset it only once every array decoded
-// through this reader is dead (see chunk.Arena). A nil arena restores plain
-// heap allocation.
+// copies and decoded media pixels bump-allocate from pooled slabs instead of
+// the heap, taking the steady-state scan loop to near-zero allocations per
+// sample. The caller owns the arena's lifecycle: Reset it only once every
+// array decoded through this reader is dead (the TQL scan does, per row),
+// Forget its slabs when the arrays escape (the dataloader does, per chunk
+// job) — see chunk.Arena. A nil arena restores plain heap allocation.
 func (r *ScanReader) SetArena(a *chunk.Arena) { r.arena = a }
 
 // locate resolves idx to chunk coordinates under the read locks, reporting

@@ -3,6 +3,7 @@ package dataloader
 import (
 	"context"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -118,17 +119,57 @@ func TestEpochCoalescesStripsAndMovesEachChunkOnce(t *testing.T) {
 	}
 }
 
+// chunkMoves is an origin that counts, per chunk object, how many times it
+// was read — whole, by range, or as one range of a batch.
+type chunkMoves struct {
+	storage.Provider
+	mu    sync.Mutex
+	moves map[string]int
+}
+
+func (c *chunkMoves) moved(keys ...string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range keys {
+		if strings.Contains(k, "/chunks/") {
+			c.moves[k]++
+		}
+	}
+}
+
+func (c *chunkMoves) Get(ctx context.Context, key string) ([]byte, error) {
+	c.moved(key)
+	return c.Provider.Get(ctx, key)
+}
+
+func (c *chunkMoves) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
+	c.moved(key)
+	return c.Provider.GetRange(ctx, key, offset, length)
+}
+
+func (c *chunkMoves) GetRanges(ctx context.Context, reqs []storage.RangeReq) ([][]byte, error) {
+	for _, r := range reqs {
+		c.moved(r.Key)
+	}
+	return storage.GetRanges(ctx, c.Provider, reqs)
+}
+
 // TestConcurrentReadersShareOneByteCache: 16 readers at once, each opening
 // its own dataset handle through one shared byte cache and streaming a full
-// epoch; every reader sees every row, in order. Run under -race this covers
-// the cache's hit, coalesced-miss and batch-prefetch paths crossing between
-// independent loaders.
+// epoch; every reader sees every row, in order, and between them every chunk
+// object leaves the origin exactly once — whichever of the 16 loaders'
+// workers and prefetch strips got to it first, all others hit the cache or
+// join its flight. Run under -race this covers the cache's hit,
+// coalesced-miss and batch-prefetch paths crossing between independent
+// loaders.
 func TestConcurrentReadersShareOneByteCache(t *testing.T) {
 	ctx := context.Background()
-	mem := storage.NewMemory()
+	origin := &chunkMoves{Provider: storage.NewMemory(), moves: map[string]int{}}
 	const rows, readers = 256, 16
-	loaderDataset(t, mem, rows)
-	cache := storage.NewLRU(mem, 1<<30)
+	seed := loaderDataset(t, origin, rows)
+	chunks := seed.Tensor("x").NumChunks() + seed.Tensor("label").NumChunks()
+	clear(origin.moves) // count the readers' moves, not the writer's
+	cache := storage.NewLRU(origin, 1<<30)
 
 	got := make([][]float64, readers)
 	errs := make([]error, readers)
@@ -164,6 +205,14 @@ func TestConcurrentReadersShareOneByteCache(t *testing.T) {
 			if v != float64(i) {
 				t.Fatalf("reader %d row %d = %v", r, i, v)
 			}
+		}
+	}
+	if len(origin.moves) != chunks {
+		t.Fatalf("%d distinct chunk objects left the origin, dataset has %d", len(origin.moves), chunks)
+	}
+	for key, n := range origin.moves {
+		if n != 1 {
+			t.Fatalf("chunk object %s left the origin %d times for %d readers of one cache, want once", key, n, readers)
 		}
 	}
 }

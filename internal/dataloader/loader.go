@@ -509,6 +509,7 @@ func (l *Loader) Batches(ctx context.Context) <-chan Batch {
 				if cj.pinned {
 					l.pins.unpin(l.cache, cj.pin)
 				}
+				rl.arena.Forget()
 			}
 			exited = true
 		}()
@@ -614,10 +615,11 @@ type rowLoader struct {
 	l       *Loader
 	cols    []view.Column
 	readers map[string]*core.ScanReader
-	// arena serves the worker's sample decode copies from pooled slabs.
-	// The decoded arrays escape into user batches, so the arena is never
-	// Reset — it amortizes allocation (few large slabs instead of one heap
-	// allocation per sample), it does not recycle memory.
+	// arena serves the worker's sample decodes from 256KB slabs: few large
+	// allocations instead of one per sample. The decoded arrays escape into
+	// user batches, so the slabs cannot be recycled (no Reset); the worker
+	// Forgets them after every chunk job instead, and the garbage collector
+	// frees a slab once the consumer has dropped the batches cut from it.
 	arena *chunk.Arena
 }
 
@@ -697,11 +699,11 @@ func (w *rowLoader) loadStored(ctx context.Context, tensorName string, src uint6
 
 // collator assembles the Stacked side of batches for one pipeline. The
 // stacked columns' backing bytes are drawn from a per-pipeline arena
-// instead of a fresh heap array per column per batch: stacked arrays escape
-// into user batches, so the arena is never Reset — like the rowLoader's
-// decode arena it amortizes allocation into pooled 256KB slabs rather than
-// recycling memory. One collator is owned by the single reorder/emit
-// goroutine, so it needs no locking.
+// instead of a fresh heap array per column per batch. Stacked arrays escape
+// into user batches, so — like the rowLoader's decode arena — the arena
+// amortizes allocation into 256KB slabs and Forgets them after every batch
+// rather than recycling them. One collator is owned by the single
+// reorder/emit goroutine, so it needs no locking.
 type collator struct {
 	arena *chunk.Arena
 	// arrs is the reused per-column gather scratch.
@@ -746,6 +748,7 @@ func (c *collator) collate(samples []map[string]*tensor.NDArray) (out map[string
 		out[name] = stacked
 	}
 	sort.Strings(unstacked)
+	c.arena.Forget()
 	return out, unstacked
 }
 

@@ -451,3 +451,61 @@ func BenchmarkLoaderThroughput(b *testing.B) {
 		}
 	}
 }
+
+// TestMultiEpochBatchesDoNotPinDroppedBatches: many epochs through one
+// Batches call, every batch dropped on receipt. The worker and collator
+// arenas Forget their slabs as they go, so the heap after epoch 10 is what
+// it was after epoch 2; an arena that kept its filled slabs would hold every
+// epoch's samples and stacked columns until the call ended. Both readings
+// are taken inside the call (on the first batch of the following epoch),
+// while the pipeline and its arenas are alive.
+func TestMultiEpochBatchesDoNotPinDroppedBatches(t *testing.T) {
+	ctx := context.Background()
+	ds, err := core.Create(ctx, storage.NewMemory(), "epochs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := ds.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.UInt8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, sampleBytes = 1024, 8 << 10 // 8 MB an epoch, twice with collation
+	for i := 0; i < rows; i++ {
+		arr := tensor.MustNew(tensor.UInt8, sampleBytes)
+		arr.Bytes()[0] = byte(i)
+		if err := x.Append(ctx, arr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	heapInuse := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	l := ForDataset(ds, Options{BatchSize: 32, Workers: 2, Epochs: 11})
+	var afterTwo, afterTen uint64
+	for b := range l.Batches(ctx) {
+		switch {
+		case b.Epoch == 2 && afterTwo == 0:
+			afterTwo = heapInuse()
+		case b.Epoch == 10 && afterTen == 0:
+			afterTen = heapInuse()
+		}
+	}
+	if err := l.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if afterTwo == 0 || afterTen == 0 {
+		t.Fatalf("missed an epoch boundary: after two %d, after ten %d", afterTwo, afterTen)
+	}
+	if afterTen > 2*afterTwo {
+		t.Fatalf("heap in use grew from %d MB after epoch 2 to %d MB after epoch 10 with every batch dropped",
+			afterTwo>>20, afterTen>>20)
+	}
+	t.Logf("heap in use: %d MB after epoch 2, %d MB after epoch 10", afterTwo>>20, afterTen>>20)
+}

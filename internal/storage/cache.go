@@ -278,7 +278,18 @@ func (c *Cache[K, V]) Lead(k K) (finish func(V, error), ok bool) {
 	if _, cached := c.Peek(k); cached {
 		return nil, false
 	}
-	return c.flight.Lead(c.fn.FlightKey(k))
+	finish, ok = c.flight.Lead(c.fn.FlightKey(k))
+	if !ok {
+		return nil, false
+	}
+	// Re-check as leader, as GetOrLoad does: a flight for k may have landed
+	// and left between the Peek above and taking leadership, and loading k
+	// again would be a duplicate fetch of a cached key.
+	if v, cached := c.Peek(k); cached {
+		finish(v, nil)
+		return nil, false
+	}
+	return finish, true
 }
 
 // ShardStats reports one shard's counters.

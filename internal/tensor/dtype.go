@@ -43,20 +43,6 @@ var dtypeNames = map[Dtype]string{
 	Float64: "float64",
 }
 
-var dtypeSizes = map[Dtype]int{
-	Bool:    1,
-	UInt8:   1,
-	UInt16:  2,
-	UInt32:  4,
-	UInt64:  8,
-	Int8:    1,
-	Int16:   2,
-	Int32:   4,
-	Int64:   8,
-	Float32: 4,
-	Float64: 8,
-}
-
 // String returns the NumPy-style name.
 func (d Dtype) String() string {
 	if s, ok := dtypeNames[d]; ok {
@@ -65,16 +51,24 @@ func (d Dtype) String() string {
 	return fmt.Sprintf("dtype(%d)", uint8(d))
 }
 
-// Size returns the element size in bytes.
+// Size returns the element size in bytes, 0 for an unknown dtype. It sits
+// under every element access, hence a switch and not a table lookup.
 func (d Dtype) Size() int {
-	if s, ok := dtypeSizes[d]; ok {
-		return s
+	switch d {
+	case Bool, UInt8, Int8:
+		return 1
+	case UInt16, Int16:
+		return 2
+	case UInt32, Int32, Float32:
+		return 4
+	case UInt64, Int64, Float64:
+		return 8
 	}
 	return 0
 }
 
 // Valid reports whether d is a known dtype.
-func (d Dtype) Valid() bool { _, ok := dtypeSizes[d]; return ok }
+func (d Dtype) Valid() bool { return d.Size() != 0 }
 
 // IsFloat reports whether d is a floating-point dtype.
 func (d Dtype) IsFloat() bool { return d == Float32 || d == Float64 }

@@ -249,6 +249,145 @@ func (a *NDArray) getFlat(i int) float64 {
 	return 0
 }
 
+// blockElems is how many elements the reductions convert at a time: small
+// enough for the float64 scratch to live on the stack, large enough that the
+// dtype switch in loadBlock is paid once per few hundred elements.
+const blockElems = 256
+
+// loadBlock converts the elements starting at flat index off into dst,
+// exactly as getFlat would one by one, and returns the filled prefix of dst
+// (shorter than dst only at the end of the array). The whole-array
+// reductions walk an array through it; getFlat stays the accessor of the
+// elementwise and per-axis kernels and the reference the tests compare
+// loadBlock against.
+func (a *NDArray) loadBlock(dst []float64, off int) []float64 {
+	sz := a.dtype.Size()
+	if sz == 0 {
+		return dst[:0]
+	}
+	if n := len(a.data)/sz - off; n < len(dst) {
+		dst = dst[:n]
+	}
+	b := a.data[off*sz:]
+	le := binary.LittleEndian
+	switch a.dtype {
+	case Bool:
+		for i := range dst {
+			dst[i] = 0
+			if b[i] != 0 {
+				dst[i] = 1
+			}
+		}
+	case UInt8:
+		for i := range dst {
+			dst[i] = float64(b[i])
+		}
+	case Int8:
+		for i := range dst {
+			dst[i] = float64(int8(b[i]))
+		}
+	case UInt16:
+		for i := range dst {
+			dst[i] = float64(le.Uint16(b[i*2:]))
+		}
+	case Int16:
+		for i := range dst {
+			dst[i] = float64(int16(le.Uint16(b[i*2:])))
+		}
+	case UInt32:
+		for i := range dst {
+			dst[i] = float64(le.Uint32(b[i*4:]))
+		}
+	case Int32:
+		for i := range dst {
+			dst[i] = float64(int32(le.Uint32(b[i*4:])))
+		}
+	case Float32:
+		for i := range dst {
+			dst[i] = float64(math.Float32frombits(le.Uint32(b[i*4:])))
+		}
+	case UInt64:
+		for i := range dst {
+			dst[i] = float64(le.Uint64(b[i*8:]))
+		}
+	case Int64:
+		for i := range dst {
+			dst[i] = float64(int64(le.Uint64(b[i*8:])))
+		}
+	case Float64:
+		for i := range dst {
+			dst[i] = math.Float64frombits(le.Uint64(b[i*8:]))
+		}
+	}
+	return dst
+}
+
+// intSum returns the sum of a bool or 8/16/32-bit integer array accumulated
+// in an int64, and ok=false for every other dtype and for arrays so long
+// that length x largest magnitude reaches 2^53. Below that bound every
+// partial sum of the float64 loop is an exactly representable integer, so
+// float64(sum) is bit-identical to it — at an add per element instead of a
+// convert and a dependent float add.
+func (a *NDArray) intSum() (sum int64, ok bool) {
+	var maxAbs int64
+	switch a.dtype {
+	case Bool:
+		maxAbs = 1
+	case UInt8:
+		maxAbs = math.MaxUint8
+	case Int8:
+		maxAbs = -math.MinInt8
+	case UInt16:
+		maxAbs = math.MaxUint16
+	case Int16:
+		maxAbs = -math.MinInt16
+	case UInt32:
+		maxAbs = math.MaxUint32
+	case Int32:
+		maxAbs = -math.MinInt32
+	default:
+		return 0, false
+	}
+	b := a.data
+	if int64(len(b)/a.dtype.Size()) > (1<<53-1)/maxAbs {
+		return 0, false
+	}
+	le := binary.LittleEndian
+	switch a.dtype {
+	case Bool:
+		for _, v := range b {
+			if v != 0 {
+				sum++
+			}
+		}
+	case UInt8:
+		for _, v := range b {
+			sum += int64(v)
+		}
+	case Int8:
+		for _, v := range b {
+			sum += int64(int8(v))
+		}
+	case UInt16:
+		for ; len(b) >= 2; b = b[2:] {
+			sum += int64(le.Uint16(b))
+		}
+	case Int16:
+		for ; len(b) >= 2; b = b[2:] {
+			sum += int64(int16(le.Uint16(b)))
+		}
+	case UInt32:
+		for ; len(b) >= 4; b = b[4:] {
+			sum += int64(le.Uint32(b))
+		}
+	case Int32:
+		for ; len(b) >= 4; b = b[4:] {
+			sum += int64(int32(le.Uint32(b)))
+		}
+	}
+	return sum, true
+}
+
 // setFlat writes v at element i, casting to the array dtype.
 func (a *NDArray) setFlat(i int, v float64) {
 	sz := a.dtype.Size()

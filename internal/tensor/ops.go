@@ -86,11 +86,22 @@ func (a *NDArray) Div(b *NDArray) (*NDArray, error) {
 	return binop(a, b, func(x, y float64) float64 { return x / y })
 }
 
+// The whole-array reductions below accumulate in float64 in element order,
+// one loadBlock at a time, so their results are those of a getFlat loop bit
+// for bit; only Sum (and Mean through it) has a shortcut, intSum, and only
+// where that is exact.
+
 // Sum reduces over all elements.
 func (a *NDArray) Sum() float64 {
+	if s, ok := a.intSum(); ok {
+		return float64(s)
+	}
 	var s float64
-	for i, n := 0, a.Len(); i < n; i++ {
-		s += a.getFlat(i)
+	var buf [blockElems]float64
+	for off, n := 0, a.Len(); off < n; off += blockElems {
+		for _, v := range a.loadBlock(buf[:], off) {
+			s += v
+		}
 	}
 	return s
 }
@@ -107,9 +118,12 @@ func (a *NDArray) Mean() float64 {
 // Min reduces over all elements; Min of an empty array is +Inf.
 func (a *NDArray) Min() float64 {
 	m := math.Inf(1)
-	for i, n := 0, a.Len(); i < n; i++ {
-		if v := a.getFlat(i); v < m {
-			m = v
+	var buf [blockElems]float64
+	for off, n := 0, a.Len(); off < n; off += blockElems {
+		for _, v := range a.loadBlock(buf[:], off) {
+			if v < m {
+				m = v
+			}
 		}
 	}
 	return m
@@ -118,9 +132,12 @@ func (a *NDArray) Min() float64 {
 // Max reduces over all elements; Max of an empty array is -Inf.
 func (a *NDArray) Max() float64 {
 	m := math.Inf(-1)
-	for i, n := 0, a.Len(); i < n; i++ {
-		if v := a.getFlat(i); v > m {
-			m = v
+	var buf [blockElems]float64
+	for off, n := 0, a.Len(); off < n; off += blockElems {
+		for _, v := range a.loadBlock(buf[:], off) {
+			if v > m {
+				m = v
+			}
 		}
 	}
 	return m
@@ -128,9 +145,12 @@ func (a *NDArray) Max() float64 {
 
 // Any reports whether any element is non-zero.
 func (a *NDArray) Any() bool {
-	for i, n := 0, a.Len(); i < n; i++ {
-		if a.getFlat(i) != 0 {
-			return true
+	var buf [blockElems]float64
+	for off, n := 0, a.Len(); off < n; off += blockElems {
+		for _, v := range a.loadBlock(buf[:], off) {
+			if v != 0 {
+				return true
+			}
 		}
 	}
 	return false
@@ -139,9 +159,12 @@ func (a *NDArray) Any() bool {
 // All reports whether all elements are non-zero; All of an empty array is
 // true, matching NumPy.
 func (a *NDArray) All() bool {
-	for i, n := 0, a.Len(); i < n; i++ {
-		if a.getFlat(i) == 0 {
-			return false
+	var buf [blockElems]float64
+	for off, n := 0, a.Len(); off < n; off += blockElems {
+		for _, v := range a.loadBlock(buf[:], off) {
+			if v == 0 {
+				return false
+			}
 		}
 	}
 	return true
@@ -163,9 +186,11 @@ func (a *NDArray) Clip(lo, hi float64) *NDArray {
 // L2 returns the Euclidean norm over all elements.
 func (a *NDArray) L2() float64 {
 	var s float64
-	for i, n := 0, a.Len(); i < n; i++ {
-		v := a.getFlat(i)
-		s += v * v
+	var buf [blockElems]float64
+	for off, n := 0, a.Len(); off < n; off += blockElems {
+		for _, v := range a.loadBlock(buf[:], off) {
+			s += v * v
+		}
 	}
 	return math.Sqrt(s)
 }
@@ -177,8 +202,12 @@ func (a *NDArray) Dot(b *NDArray) (float64, error) {
 		return 0, fmt.Errorf("tensor: dot length mismatch %d vs %d", a.Len(), b.Len())
 	}
 	var s float64
-	for i, n := 0, a.Len(); i < n; i++ {
-		s += a.getFlat(i) * b.getFlat(i)
+	var abuf, bbuf [blockElems]float64
+	for off, n := 0, a.Len(); off < n; off += blockElems {
+		ys := b.loadBlock(bbuf[:], off)
+		for i, x := range a.loadBlock(abuf[:], off) {
+			s += x * ys[i]
+		}
 	}
 	return s, nil
 }

@@ -259,6 +259,12 @@ func (sc *scanner) keys(ctx context.Context, rows []uint64, key Expr, stage stri
 // on worker goroutines with disjoint positions: it may write into shared
 // slices at pos without locking, but must not touch other positions. Errors
 // are wrapped with the stage name and failing row.
+//
+// Ownership: the arrays a row loads, and every view cut from them (v itself,
+// when x is a tensor or a subscript of one), live in the worker's arena,
+// which the env recycles when it moves to the next row. sink must therefore
+// reduce v to what it keeps (a bool, a number, a string) before it returns
+// and never retain v or an array reached through it.
 func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string, sink func(pos int, row uint64, v Value) error) error {
 	if len(rows) == 0 {
 		return nil
@@ -311,6 +317,7 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 	}
 	if workers <= 1 {
 		e := sc.newWorkerEnv(ctx)
+		defer e.arena.Release()
 		for i := range spans {
 			if err := evalSpan(ctx, e, i); err != nil {
 				return err
@@ -337,6 +344,7 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 		go func() {
 			defer wg.Done()
 			e := sc.newWorkerEnv(scanCtx)
+			defer e.arena.Release()
 			for {
 				i := int(nextSpan.Add(1)) - 1
 				if i >= len(spans) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/tensor"
 )
@@ -116,6 +117,9 @@ type env struct {
 	// once. Scan workers own one env each and reposition it with reset;
 	// per-call envs (view columns) leave readers nil.
 	readers map[string]*core.ScanReader
+	// arena, set with readers, backs every array the readers decode. reset
+	// recycles it, so a row's arrays die with the row (see scanner.eval).
+	arena *chunk.Arena
 	// rawShapes resolves SHAPE/NDIM/LEN/SIZE from decoded sample data
 	// instead of the shape encoder (Options.DisablePushdown).
 	rawShapes bool
@@ -133,15 +137,20 @@ func newScanEnv(ctx context.Context, ds *core.Dataset) *env {
 		ds:      ds,
 		cache:   map[string]*tensor.NDArray{},
 		readers: map[string]*core.ScanReader{},
+		arena:   chunk.NewArena(),
 	}
 }
 
 // reset repositions the env on a row, keeping the tensor readers (and their
-// decoded chunks) while dropping the per-row value cache.
+// decoded chunks) while dropping the per-row value cache and recycling the
+// buffers of the arrays that were in it.
 func (e *env) reset(row uint64) {
 	e.mu.Lock()
 	e.row = row
 	clear(e.cache)
+	if e.arena != nil {
+		e.arena.Reset()
+	}
 	e.mu.Unlock()
 }
 
@@ -171,6 +180,7 @@ func (e *env) lookupTensor(name string) (*tensor.NDArray, error) {
 		r := e.readers[name]
 		if r == nil {
 			r = t.NewScanReader()
+			r.SetArena(e.arena)
 			e.readers[name] = r
 		}
 		arr, err = r.At(e.ctx, e.row)
