@@ -44,8 +44,8 @@
 //     dataset and commit, pinned while planned jobs still need them, one
 //     fetch+decode per chunk per node however many workers or Loaders ask.
 //
-// On top of the chunk cache a readahead scheduler walks the chunk visit
-// order a configurable number of chunks ahead (LoaderOptions.Readahead) so
+// Ahead of the chunk cache the loader's job feeder hands the provider chain
+// the next strips of the chunk visit order as coalesced batched reads, so
 // origin latency overlaps with decode and transform work. Run
 //
 //	go run ./benchmarks/lakebench --workload stream_s3 --seed 1 --seconds 20 --trace 1
@@ -107,11 +107,11 @@
 // QueryOptions.Workers along chunk boundaries. Each worker reuses one
 // evaluation environment and decodes every chunk it owns exactly once;
 // fetches of chunks shared between workers coalesce in the provider chain.
-// Ahead of evaluation, a strip scheduler prefetches the driver tensor's
-// chunks in fixed-width strips of the global visit order — strips cross
-// partition boundaries, so chunks owned by different workers share one
-// coalesced ranged origin request (QueryOptions.StripWidth tunes the
-// width and Stats reports planned/claimed/skipped prefetches).
+// Ahead of evaluation, the scan prefetches the driver tensor's chunks in
+// fixed-width strips of the global visit order (core.StripPlan, the planner
+// the dataloader also uses) — strips cross partition boundaries, so chunks
+// owned by different workers share one coalesced ranged origin request
+// (QueryOptions.Stats reports planned/claimed/skipped prefetches).
 // Merges are positional, so results are byte-identical at any worker
 // count. Run
 //
@@ -259,7 +259,7 @@ func Query(ctx context.Context, ds *Dataset, src string) (*View, error) {
 }
 
 // ScanStats accumulates prefetch observability counters for TQL execution:
-// chunks planned/claimed/skipped by the strip scheduler, failed prefetch
+// chunks planned/claimed/skipped by the scan's strip plan, failed prefetch
 // rounds, and strips issued. Pass a pointer via QueryOptions.Stats; the
 // same instance may accumulate across queries. Shed coalesced fetches are
 // counted cache-side in CacheStats.PrefetchShed.
@@ -271,14 +271,6 @@ type QueryOptions struct {
 	// by sort/group/arrange/sample key evaluation. Zero uses GOMAXPROCS; 1
 	// forces a serial scan. Results are identical for every worker count.
 	Workers int
-	// DisablePushdown forces shape-only filters through the data-touching
-	// evaluator instead of answering them from the shape encoder. It
-	// exists to measure (and cross-check) what the pushdown saves; leave
-	// it false in production.
-	DisablePushdown bool
-	// StripWidth bounds the chunks per prefetch strip; zero uses
-	// tql.DefaultStripWidth (16).
-	StripWidth int
 	// Stats, when non-nil, accumulates the scan's prefetch counters.
 	Stats *ScanStats
 }
@@ -286,17 +278,12 @@ type QueryOptions struct {
 // QueryWith is Query with explicit execution options: the WHERE clause's
 // leading shape-only conjuncts are answered by the shape encoder with zero
 // chunk IO, and the remainder is evaluated across a bounded worker pool
-// over chunk-aligned row partitions. Ahead of the workers, a strip
-// scheduler hands the provider chain fixed-width runs of the scan's global
-// chunk order, so chunks owned by different workers still share coalesced
-// ranged origin requests.
+// over chunk-aligned row partitions. Ahead of the workers, a strip plan
+// hands the provider chain fixed-width runs of the scan's global chunk
+// order, so chunks owned by different workers still share coalesced ranged
+// origin requests.
 func QueryWith(ctx context.Context, ds *Dataset, src string, opts QueryOptions) (*View, error) {
-	return tql.RunWith(ctx, ds, src, tql.Options{
-		Workers:         opts.Workers,
-		DisablePushdown: opts.DisablePushdown,
-		StripWidth:      opts.StripWidth,
-		Stats:           opts.Stats,
-	})
+	return tql.RunWith(ctx, ds, src, tql.Options{Workers: opts.Workers, Stats: opts.Stats})
 }
 
 // Explain parses a TQL statement and renders its logical plan.

@@ -188,14 +188,6 @@ func TestQueryWithWorkersMatchesSerial(t *testing.T) {
 			t.Fatalf("row %d: serial %d vs parallel %d", i, idx, parallel.Indices()[i])
 		}
 	}
-	// DisablePushdown must not change results, only the IO strategy.
-	full, err := QueryWith(ctx, ds, `SELECT * FROM it WHERE SHAPE(images)[0] == 32`, QueryOptions{DisablePushdown: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Len() != 60 {
-		t.Fatalf("full scan rows = %d, want 60", full.Len())
-	}
 }
 
 func TestExplainPublicAPI(t *testing.T) {

@@ -18,17 +18,16 @@ const (
 	// Magic identifies a chunk blob.
 	Magic = "DLCH"
 	// FormatVersion is bumped on layout changes. Version 2 appends a CRC32C
-	// integrity footer (see FooterMagic); version 1 blobs (no footer) are
-	// still decoded, with verification reported as skipped.
+	// integrity footer (see FooterMagic). It is the only version decoded:
+	// this tree reads what this tree writes, and a header naming any other
+	// version is corruption.
 	FormatVersion = 2
-	// legacyVersion is the pre-checksum layout, accepted on decode.
-	legacyVersion = 1
 
 	// FooterMagic opens the 8-byte trailer of a version-2 chunk:
 	// FooterMagic(4) then CRC32C(4, little-endian, Castagnoli) of every
 	// preceding byte of the blob (header, directory, payload, footer magic).
-	// The footer sits after the data section so directory-prefix reads and
-	// sample range reads are laid out exactly as in version 1.
+	// The footer sits after the data section so a directory-prefix read
+	// never needs it.
 	FooterMagic = "DLCF"
 	// footerSize is the byte length of the version-2 trailer.
 	footerSize = len(FooterMagic) + 4
@@ -137,39 +136,34 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 }
 
-// parseHeader validates the fixed header and returns sample count,
-// directory length, and the blob's format version.
-func parseHeader(raw []byte) (numSamples, dirBytes int, version uint16, err error) {
+// parseHeader validates the fixed header and returns sample count and
+// directory length.
+func parseHeader(raw []byte) (numSamples, dirBytes int, err error) {
 	if len(raw) < headerSize {
-		return 0, 0, 0, corruptf("%d bytes is shorter than the %d-byte header", len(raw), headerSize)
+		return 0, 0, corruptf("%d bytes is shorter than the %d-byte header", len(raw), headerSize)
 	}
 	if string(raw[:4]) != Magic {
-		return 0, 0, 0, corruptf("bad magic %q", raw[:4])
+		return 0, 0, corruptf("bad magic %q", raw[:4])
 	}
-	version = binary.LittleEndian.Uint16(raw[4:])
-	if version != FormatVersion && version != legacyVersion {
-		return 0, 0, 0, corruptf("unsupported version %d", version)
+	if version := binary.LittleEndian.Uint16(raw[4:]); version != FormatVersion {
+		return 0, 0, corruptf("unsupported version %d", version)
 	}
 	numSamples = int(binary.LittleEndian.Uint32(raw[6:]))
 	dirBytes = int(binary.LittleEndian.Uint32(raw[10:]))
 	if dirBytes < 0 || headerSize+dirBytes > len(raw) {
-		return 0, 0, 0, corruptf("directory of %d bytes overruns %d-byte blob", dirBytes, len(raw))
+		return 0, 0, corruptf("directory of %d bytes overruns %d-byte blob", dirBytes, len(raw))
 	}
-	return numSamples, dirBytes, version, nil
+	return numSamples, dirBytes, nil
 }
 
-// Verify checks the integrity footer of a full chunk blob. It returns
-// checked=false for version-1 blobs, which predate the footer and cannot be
-// verified. A version-2 blob with a missing or mismatched footer yields an
-// error wrapping ErrCorrupt. Verify only inspects the header and trailer, so
-// it is safe to call before (or instead of) a full Decode.
+// Verify checks the integrity footer of a full chunk blob. checked reports
+// that the header parsed and the footer was examined; a missing or
+// mismatched footer yields an error wrapping ErrCorrupt. Verify only
+// inspects the header and trailer, so it is safe to call before (or instead
+// of) a full Decode.
 func Verify(raw []byte) (checked bool, err error) {
-	_, _, version, err := parseHeader(raw)
-	if err != nil {
+	if _, _, err := parseHeader(raw); err != nil {
 		return false, err
-	}
-	if version < 2 {
-		return false, nil
 	}
 	if len(raw) < headerSize+footerSize {
 		return true, corruptf("%d bytes is too short for the version-2 footer", len(raw))
@@ -189,7 +183,7 @@ func Verify(raw []byte) (checked bool, err error) {
 // input may be a prefix of the chunk (a header range request), as long as it
 // covers the directory.
 func DecodeDirectory(raw []byte) (*Directory, error) {
-	n, dirBytes, _, err := parseHeader(raw)
+	n, dirBytes, err := parseHeader(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -249,18 +243,16 @@ func DecodeAppend(raw []byte, dst []Sample) ([]Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, dirBytes, version, err := parseHeader(raw)
+	_, dirBytes, err := parseHeader(raw)
 	if err != nil {
 		return nil, err
 	}
+	// The trailer sits after the data section.
 	data := raw[dataStart(dirBytes):]
-	if version >= 2 {
-		// The version-2 trailer sits after the data section.
-		if len(data) < footerSize {
-			return nil, corruptf("blob too short for the version-2 footer")
-		}
-		data = data[:len(data)-footerSize]
+	if len(data) < footerSize {
+		return nil, corruptf("blob too short for the version-2 footer")
 	}
+	data = data[:len(data)-footerSize]
 	n := d.NumSamples()
 	if n > 0 && d.Offsets[n] > uint64(len(data)) {
 		return nil, corruptf("payload truncated: directory spans %d bytes, data section holds %d", d.Offsets[n], len(data))
@@ -292,7 +284,7 @@ func (d *Directory) SampleRange(raw []byte, i int) (offset, length int64, shape 
 	if i < 0 || i >= d.NumSamples() {
 		return 0, 0, nil, fmt.Errorf("chunk: sample %d out of range (%d samples)", i, d.NumSamples())
 	}
-	_, dirBytes, _, err := parseHeader(raw)
+	_, dirBytes, err := parseHeader(raw)
 	if err != nil {
 		return 0, 0, nil, err
 	}

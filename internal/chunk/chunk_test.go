@@ -87,19 +87,6 @@ func mustDecodeErr(t *testing.T, raw []byte) error {
 	return err
 }
 
-// legacyV1Blob rewrites a version-2 blob into the pre-footer version-1
-// layout: strip the trailer and patch the header version field.
-func legacyV1Blob(t *testing.T, blob []byte) []byte {
-	t.Helper()
-	if len(blob) < headerSize+footerSize {
-		t.Fatal("blob too short to down-convert")
-	}
-	old := append([]byte(nil), blob[:len(blob)-footerSize]...)
-	old[4] = legacyVersion
-	old[5] = 0
-	return old
-}
-
 func TestVerifyFooter(t *testing.T) {
 	blob, err := Encode([]Sample{{Shape: []int{3}, Data: []byte("abc")}})
 	if err != nil {
@@ -129,31 +116,27 @@ func TestVerifyFooter(t *testing.T) {
 	}
 }
 
-func TestLegacyV1BlobsStillDecode(t *testing.T) {
-	samples := []Sample{
+// TestV1BlobsAreRejected: a blob down-converted to the retired footerless
+// version-1 layout is corruption to every entry point — in particular Verify
+// must not wave it through unchecked because its version field reads 1.
+func TestV1BlobsAreRejected(t *testing.T) {
+	blob, err := Encode([]Sample{
 		{Shape: []int{2}, Data: []byte("hi")},
 		{Shape: []int{3}, Data: []byte("bye")},
-	}
-	blob, err := Encode(samples)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := legacyV1Blob(t, blob)
-
-	got, err := Decode(old)
-	if err != nil {
-		t.Fatalf("Decode(v1) = %v", err)
+	old := append([]byte(nil), blob[:len(blob)-footerSize]...)
+	old[4], old[5] = 1, 0
+	if _, err := Decode(old); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Decode(v1) = %v, want ErrCorrupt", err)
 	}
-	if len(got) != 2 || !bytes.Equal(got[0].Data, []byte("hi")) || !bytes.Equal(got[1].Data, []byte("bye")) {
-		t.Fatalf("v1 decode mismatch: %+v", got)
+	if _, err := DecodeDirectory(old); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeDirectory(v1) = %v, want ErrCorrupt", err)
 	}
-	// No footer to check: verification is skipped, not failed.
-	if checked, err := Verify(old); checked || err != nil {
-		t.Fatalf("Verify(v1) = %v, %v; want unchecked, nil", checked, err)
-	}
-	// The directory of a v1 blob parses from a prefix exactly like v2.
-	if d, err := DecodeDirectory(old); err != nil || d.NumSamples() != 2 {
-		t.Fatalf("DecodeDirectory(v1) = %v, %v", d, err)
+	if checked, err := Verify(old); checked || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Verify(v1) = %v, %v; want unchecked, ErrCorrupt", checked, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/chunk"
 	"repro/internal/storage"
@@ -39,8 +40,7 @@ func (t *Tensor) ChunkSpans() []ChunkSpan {
 // ChunkFetch is a pluggable fetch+decode source for a ScanReader: given a
 // chunk id it returns the chunk's stored samples. The streaming dataloader
 // passes its decoded-chunk cache here, so the reader's chunk loads coalesce
-// with other workers and the readahead scheduler instead of going straight
-// to the tensor's read path.
+// with other workers instead of going straight to the tensor's read path.
 type ChunkFetch func(ctx context.Context, chunkID uint64) ([]chunk.Sample, error)
 
 // ScanReader reads samples of one tensor with chunk-granular reuse: walking
@@ -162,6 +162,7 @@ func (r *ScanReader) At(ctx context.Context, idx uint64) (*tensor.NDArray, error
 // pending map, or unknown to the version map are skipped. A provider chain
 // without a Prefetcher makes this a no-op, so callers can prefetch
 // unconditionally. Returns the number of chunk objects claimed for fetch.
+// StripPlan is its one caller outside tests.
 func (t *Tensor) PrefetchChunks(ctx context.Context, ids []uint64) (int, error) {
 	pf, ok := t.ds.store.(storage.Prefetcher)
 	if !ok || len(ids) == 0 {
@@ -195,4 +196,73 @@ func (t *Tensor) PrefetchChunks(ctx context.Context, ids []uint64) (int, error) 
 		return 0, nil
 	}
 	return pf.PrefetchAsync(ctx, keys, opts), nil
+}
+
+// StripPlan is the look-ahead both chunk walks share (§4.6 "fetches the next
+// batch in advance"): the chunk ids of one tensor in the order a walk will
+// need them, cut into strips a fixed number of steps wide and handed to
+// PrefetchChunks strip by strip as the walk's frontier advances. A step is
+// one stop of the walk: a chunk of the tensor that drives it (one id a step)
+// or, for a tensor read beside the driver, whatever new chunks of its own the
+// rows of the driver's chunk reach into (any number of ids a step). Strips
+// ignore which worker owns which step, so chunks adjacent in the keyspace
+// share a coalesced ranged origin request whoever reads them, and the tail of
+// a strip is look-ahead for whoever comes next. The TQL scan advances the
+// frontier when a worker claims a partition; the dataloader's job feeder
+// advances it before it enqueues a job.
+type StripPlan struct {
+	t       *Tensor
+	ids     []uint64
+	through []int
+	width   int
+	issued  func(planned, claimed int, err error)
+
+	mu   sync.Mutex
+	next int // first step not yet handed to PrefetchChunks
+}
+
+// NewStripPlan plans strips of width (at least one) steps over ids, the
+// tensor's chunk ids in visit order. through[s] is how many of ids the steps
+// up to and including s need; nil means one id a step. issued, when non-nil,
+// observes every strip handed over: the ids in it, how many of them the cache
+// claimed for fetch, and the hand-off's error (never fatal: readers re-fetch
+// on demand).
+func NewStripPlan(t *Tensor, ids []uint64, through []int, width int, issued func(planned, claimed int, err error)) *StripPlan {
+	return &StripPlan{t: t, ids: ids, through: through, width: width, issued: issued}
+}
+
+// before returns how many ids the steps ahead of step need.
+func (p *StripPlan) before(step int) int {
+	if p.through == nil || step == 0 {
+		return step
+	}
+	return p.through[step-1]
+}
+
+// Cover hands out strips until the ids of the first n steps have all been
+// given to the fetch planner, each id exactly once however many goroutines
+// call it; it never issues past the strip holding step n-1. The common call
+// is a no-op (an earlier strip already reached n) or one strip.
+func (p *StripPlan) Cover(ctx context.Context, n int) {
+	steps := len(p.ids)
+	if p.through != nil {
+		steps = len(p.through)
+	}
+	n = min(n, steps)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.next < n {
+		hi := min(p.next+p.width, steps)
+		strip := p.ids[p.before(p.next):p.before(hi)]
+		p.next = hi
+		if len(strip) == 0 {
+			continue
+		}
+		// PrefetchChunks claims keys and returns while the coalesced fetches
+		// run in the background, so holding mu serialises planning, not IO.
+		claimed, err := p.t.PrefetchChunks(ctx, strip)
+		if p.issued != nil {
+			p.issued(len(strip), claimed, err)
+		}
+	}
 }

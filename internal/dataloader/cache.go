@@ -23,8 +23,8 @@ import (
 // It is the decoded-chunk policy over storage.Cache, the core it shares
 // with storage.LRU and storage.Disk: the sharded LRU table, the eviction
 // rule and the coalesced-miss protocol — concurrent fetches of one chunk,
-// across workers, the readahead scheduler, and every sharing Loader, collapse
-// into a single fetch+decode that everyone receives — live there. What is
+// across workers and every sharing Loader, collapse into a single
+// fetch+decode that everyone receives — live there. What is
 // the NodeCache's own is the key, the loader, and the per-Loader ledgers.
 //
 // Entries are keyed by (dataset scope, commit-scoped chunk object key):

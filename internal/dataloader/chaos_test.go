@@ -156,7 +156,7 @@ func TestLoaderHealsSilentCorruptionAtOneRequestEach(t *testing.T) {
 	const rows = 256
 	ctx := context.Background()
 	// Combined rate 1 under a small MaxFaults budget: exactly `budget`
-	// transfers arrive damaged however the readahead strips batch requests.
+	// transfers arrive damaged however the feeder's strips batch requests.
 	// A heal re-fetch draws from the same schedule, so one key can spend
 	// several units in its heal loop; HealAttempts must exceed the budget.
 	const budget = 6

@@ -29,9 +29,9 @@ func epochRows(t *testing.T, l *Loader) []float64 {
 }
 
 // TestBatchesIdenticalAcrossWorkerCounts is the determinism contract of the
-// concurrent read path: worker parallelism, readahead, and fetch coalescing
-// must not change what the consumer sees. Run under -race this also shakes
-// out data races between workers, the readahead scheduler, and the cache.
+// concurrent read path: worker parallelism, strip look-ahead, and fetch
+// coalescing must not change what the consumer sees. Run under -race this
+// also shakes out data races between workers, the feeder, and the cache.
 func TestBatchesIdenticalAcrossWorkerCounts(t *testing.T) {
 	ds := loaderDataset(t, storage.NewMemory(), 300)
 	for _, shuffle := range []bool{false, true} {
@@ -58,26 +58,25 @@ func TestBatchesIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestReadaheadDoesNotDuplicateFetches: with the scheduler racing the
-// workers for every chunk, singleflight must keep origin traffic at one Get
-// per chunk.
+// TestReadaheadDoesNotDuplicateFetches: with eight workers racing for every
+// chunk, singleflight must keep origin traffic at one Get per chunk.
 func TestReadaheadDoesNotDuplicateFetches(t *testing.T) {
 	inner := storage.NewMemory()
 	counting := storage.NewCounting(inner)
 	ds := loaderDataset(t, counting, 256)
 
 	counting.Reset()
-	l := ForDataset(ds, Options{BatchSize: 16, Workers: 8, Readahead: 8})
+	l := ForDataset(ds, Options{BatchSize: 16, Workers: 8})
 	drain(t, l)
 	chunks := int64(ds.Tensor("x").NumChunks() + ds.Tensor("label").NumChunks())
 	if gets := counting.Snapshot().Gets; gets > chunks {
-		t.Fatalf("epoch fetched %d objects for %d chunks; readahead duplicated fetches", gets, chunks)
+		t.Fatalf("epoch fetched %d objects for %d chunks; workers duplicated fetches", gets, chunks)
 	}
 }
 
 // TestEpochCoalescesStripsAndMovesEachChunkOnce: over a prefetch-capable
-// chain (a byte LRU above a batch-capable origin) the readahead scheduler's
-// strips reach the origin as batched ranged requests. A cold epoch therefore
+// chain (a byte LRU above a batch-capable origin) the feeder's strips reach
+// the origin as batched ranged requests. A cold epoch therefore
 // costs strictly fewer origin requests than it has chunks, while every chunk
 // object still moves exactly once — whole, as a range, or inside a batch —
 // and is decoded exactly once, at any worker count.
@@ -115,6 +114,48 @@ func TestEpochCoalescesStripsAndMovesEachChunkOnce(t *testing.T) {
 		}
 		if reqs := snap.Requests(); reqs >= chunks {
 			t.Fatalf("workers=%d: %d origin requests for %d chunks; strips must coalesce into batched requests", workers, reqs, chunks)
+		}
+	}
+}
+
+// TestEpochRequestCountsAreDeterministic: the feeder claims every chunk in
+// the byte cache's singleflight layer before a job that reads it exists, so
+// over a prefetch-capable chain no worker ever issues its own single-object
+// read: every chunk object arrives as one range of a strip's batched request,
+// and the number of batched requests depends on the visit order alone — not
+// on the worker count or on who wins a race.
+func TestEpochRequestCountsAreDeterministic(t *testing.T) {
+	ctx := context.Background()
+	counting := storage.NewCounting(storage.NewMemory())
+	loaderDataset(t, counting, 2000)
+	for _, shuffle := range []bool{false, true} {
+		var batchGets int64
+		for i, workers := range []int{1, 2, 8} {
+			ds, err := core.Open(ctx, storage.NewLRU(counting, 1<<30))
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := int64(ds.Tensor("x").NumChunks() + ds.Tensor("label").NumChunks())
+			counting.Reset()
+			l := ForDataset(ds, Options{BatchSize: 32, Workers: workers, Shuffle: shuffle, Seed: 5})
+			if rows := len(epochRows(t, l)); rows != 2000 {
+				t.Fatalf("shuffle=%v workers=%d: delivered %d/2000 rows", shuffle, workers, rows)
+			}
+			snap := counting.Snapshot()
+			if snap.Gets != 0 || snap.RangeGets != 0 {
+				t.Fatalf("shuffle=%v workers=%d: %d Gets and %d RangeGets raced the strips, want none", shuffle, workers, snap.Gets, snap.RangeGets)
+			}
+			if snap.BatchRanges != chunks {
+				t.Fatalf("shuffle=%v workers=%d: strips carried %d chunk objects, want %d", shuffle, workers, snap.BatchRanges, chunks)
+			}
+			if decodes := l.CacheDecodes(); decodes != chunks {
+				t.Fatalf("shuffle=%v workers=%d: decoded %d chunks, want exactly %d", shuffle, workers, decodes, chunks)
+			}
+			if i == 0 {
+				batchGets = snap.BatchGets
+			} else if snap.BatchGets != batchGets {
+				t.Fatalf("shuffle=%v: %d batched requests at %d workers, %d at 1", shuffle, snap.BatchGets, workers, batchGets)
+			}
 		}
 	}
 }
@@ -219,7 +260,7 @@ func TestConcurrentReadersShareOneByteCache(t *testing.T) {
 
 func TestReadaheadDisabled(t *testing.T) {
 	ds := loaderDataset(t, storage.NewMemory(), 64)
-	l := ForDataset(ds, Options{BatchSize: 8, Workers: 4, Readahead: -1})
+	l := ForDataset(ds, Options{BatchSize: 8, Workers: 4})
 	rows := epochRows(t, l)
 	if len(rows) != 64 {
 		t.Fatalf("rows = %d", len(rows))
@@ -231,22 +272,27 @@ func TestReadaheadDisabled(t *testing.T) {
 	}
 }
 
-// TestReadaheadWarmsCache: a single slow worker should find chunks already
-// resident because the scheduler ran ahead of it.
+// TestReadaheadWarmsCache: a single worker behind the feeder's look-ahead
+// still fetches no chunk twice and decodes each exactly once.
 func TestReadaheadWarmsCache(t *testing.T) {
-	ds := loaderDataset(t, storage.NewMemory(), 256)
-	l := ForDataset(ds, Options{BatchSize: 16, Workers: 1, Readahead: 16})
+	counting := storage.NewCounting(storage.NewMemory())
+	ds := loaderDataset(t, counting, 256)
+	chunks := int64(ds.Tensor("x").NumChunks() + ds.Tensor("label").NumChunks())
+	counting.Reset()
+	l := ForDataset(ds, Options{BatchSize: 16, Workers: 1})
 	drain(t, l)
-	hits, _ := l.CacheStats()
-	if hits == 0 {
-		t.Fatal("no cache hits despite readahead warming the cache")
+	if gets := counting.Snapshot().Gets; gets > chunks {
+		t.Fatalf("epoch fetched %d objects for %d chunks", gets, chunks)
+	}
+	if decodes := l.CacheDecodes(); decodes != chunks {
+		t.Fatalf("decoded %d chunks, want exactly %d", decodes, chunks)
 	}
 }
 
 // TestEpochPlanInvariants checks the plan the pipeline relies on: every view
 // row appears in exactly one chunk job, the delivery sequences form a
 // permutation, sub-jobs of a split group stay adjacent and share their
-// group's DISTINCT chunk ordinal (the readahead window is measured in
+// group's DISTINCT chunk ordinal (the strip look-ahead is measured in
 // chunks, not jobs), and rows inside a job stay in stored order (the
 // ScanReader's decode-once walk).
 func TestEpochPlanInvariants(t *testing.T) {
@@ -299,12 +345,16 @@ func TestEpochPlanInvariants(t *testing.T) {
 			t.Fatalf("shuffle=%v: jobs cover %d/128 rows", shuffle, len(seenRow))
 		}
 
-		// The readahead scheduler has a driver tensor to prefetch for,
-		// and rebuilding the shard reproduces the same visit order (the
-		// scheduler and feeder each regenerate it independently).
-		if readaheadDriver(v, primary, groups) == nil {
-			t.Fatal("readahead driver is nil for a stored primary tensor")
+		// The primary's strip plan is the visit order itself: one chunk id
+		// per visit group.
+		ids, through := stripIDs(v, ds.Tensor(primary), shard.groups)
+		for ord, g := range shard.groups {
+			if ids[ord] != g.key || through[ord] != ord+1 {
+				t.Fatalf("visit ordinal %d (chunk %d): strip plan holds chunk %d and needs %d ids through it", ord, g.key, ids[ord], through[ord])
+			}
 		}
+		// Rebuilding the shard reproduces the same visit order (Batches and
+		// the feeder each regenerate it independently).
 		again := buildShard(groups, o, 0)
 		if len(again.groups) != len(shard.groups) || again.rows != shard.rows {
 			t.Fatal("rebuilding the epoch shard changed the visit order")
@@ -341,7 +391,7 @@ func TestShuffleBufferBoundsDisplacement(t *testing.T) {
 }
 
 // TestPrefetchPlanNilForComputedViews: a view with only computed columns has
-// no chunk itinerary and readahead must stand down.
+// no chunk itinerary and the strip look-ahead must stand down.
 func TestPrefetchPlanNilForComputedViews(t *testing.T) {
 	ds := loaderDataset(t, storage.NewMemory(), 16)
 	v := view.New(ds, []uint64{0, 1, 2, 3}, []view.Column{
@@ -359,8 +409,8 @@ func TestPrefetchPlanNilForComputedViews(t *testing.T) {
 	if got := len(plan.jobs); got != 4 {
 		t.Fatalf("computed view produced %d jobs, want 4 per-row jobs", got)
 	}
-	if d := readaheadDriver(v, primary, groups); d != nil {
-		t.Fatalf("readahead driver = %v, want nil", d)
+	if ts := stripTensors(v, v.Columns()); len(ts) != 0 {
+		t.Fatalf("strip tensors = %v, want none", ts)
 	}
 	// The loader still streams fine without a plan.
 	l := New(v, Options{BatchSize: 2, Workers: 2})

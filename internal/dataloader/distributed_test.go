@@ -138,7 +138,7 @@ func TestEpochsReshuffleAndDoNotStraddleBatches(t *testing.T) {
 // TestChunksDecodedOncePerEpochPerRank is the decode-once contract the
 // chunk-aligned pipeline exists for: one epoch decodes every touched chunk
 // exactly once (per rank), and origin Gets match — regardless of worker
-// count racing the readahead scheduler.
+// count.
 func TestChunksDecodedOncePerEpochPerRank(t *testing.T) {
 	inner := storage.NewMemory()
 	counting := storage.NewCounting(inner)
@@ -147,7 +147,7 @@ func TestChunksDecodedOncePerEpochPerRank(t *testing.T) {
 
 	// Single rank: equality, not just a bound.
 	counting.Reset()
-	l := ForDataset(ds, Options{BatchSize: 16, Workers: 16, Shuffle: true, Seed: 3, Readahead: 8})
+	l := ForDataset(ds, Options{BatchSize: 16, Workers: 16, Shuffle: true, Seed: 3})
 	drain(t, l)
 	if got := l.CacheDecodes(); got != chunks {
 		t.Fatalf("epoch decoded %d chunks, want exactly %d", got, chunks)

@@ -6,8 +6,7 @@
 //
 // The pipeline is:
 //
-//	epoch plans -> readahead scheduler ┐
-//	epoch plans -> chunk jobs -> fetch+decode+transform workers -> reorder -> collate -> Batches()
+//	epoch plans -> feed (pin, strip look-ahead, chunk jobs) -> work (fetch+decode+transform) -> deliver (reorder, collate) -> Batches()
 //
 // The sampler precomputes, per epoch, a chunk visit order (shuffled and
 // sharded across Rank/WorldSize) and a delivery order (rows spilled through
@@ -15,9 +14,11 @@
 // chunk's rows through reused core.ScanReaders backed by a byte-budgeted
 // chunk cache, so a chunk is fetched and decoded exactly once per epoch per
 // rank no matter how many rows, columns or workers touch it — concurrent
-// fetches of the same chunk coalesce through a singleflight layer — and a
-// readahead scheduler walks the visit order a few chunks ahead of the
-// workers so fetch latency overlaps with decode. Media decoding runs inside
+// fetches of the same chunk coalesce through a singleflight layer — and the
+// job feeder hands the storage layer's fetch planner the visit order one
+// strip of chunks ahead of the jobs it enqueues (core.StripPlan, the planner
+// the TQL scan also uses), so fetch latency overlaps with decode and chunks
+// arrive in coalesced batched requests. Media decoding runs inside
 // the worker pool (the Go analogue of the paper's per-process C++ decode
 // that avoids the Python GIL). Because the delivery order is fixed before
 // any worker starts, the batch stream is byte-identical for a given seed at
@@ -80,11 +81,6 @@ type Options struct {
 	// MemoryBudget caps the chunk buffer cache in bytes (default 256MB).
 	// This is the loader's "efficient resource allocation" bound (§4.6).
 	MemoryBudget int64
-	// Readahead is how many chunks the prefetch scheduler stays ahead of
-	// the workers along the chunk visit order (default 4). Negative
-	// disables readahead. Prefetches coalesce with worker fetches through
-	// the chunk cache's singleflight layer, so no chunk is read twice.
-	Readahead int
 	// RawBytes controls media decoding of sample-compressed tensors.
 	// When true, raw stored bytes are exposed as 1-d uint8 arrays
 	// (useful for byte-throughput benchmarks). Default false (decode).
@@ -129,9 +125,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MemoryBudget <= 0 {
 		o.MemoryBudget = 256 << 20
-	}
-	if o.Readahead == 0 {
-		o.Readahead = 4
 	}
 	if o.WorldSize <= 0 {
 		o.WorldSize = 1
@@ -228,8 +221,8 @@ func (l *Loader) CacheStats() (hits, misses int64) {
 }
 
 // CacheCoalesced reports how many of this Loader's chunk fetches were
-// absorbed into another in-flight fetch of the same chunk (workers, the
-// readahead scheduler, or — on a shared cache — another Loader entirely).
+// absorbed into another in-flight fetch of the same chunk (another worker
+// or — on a shared cache — another Loader entirely).
 func (l *Loader) CacheCoalesced() int64 { return l.led.coalesced.Load() }
 
 // CacheDecodes reports how many chunk fetch+decodes this Loader actually
@@ -262,9 +255,9 @@ func (l *Loader) columns() ([]view.Column, error) {
 	return out, nil
 }
 
-// primaryColumn picks the column whose chunk layout drives shuffling,
-// sharding and readahead: the first stored identity column (typically the
-// large media tensor).
+// primaryColumn picks the column whose chunk layout drives shuffling and
+// sharding: the first stored identity column (typically the large media
+// tensor).
 func primaryColumn(cols []view.Column) string {
 	for _, c := range cols {
 		if c.Stored() {
@@ -340,178 +333,53 @@ func (l *Loader) Batches(ctx context.Context) <-chan Batch {
 		return out
 	}
 	ctx, cancel := context.WithCancel(ctx)
-	primary := primaryColumn(cols)
 
 	// Group rows by primary chunk once (the partition never changes), then
 	// walk every epoch's shuffled, sharded chunk visit order to fix the
-	// epoch row counts and ordinal bases. Only these O(Epochs) integers
-	// are retained: the skeletons themselves are deterministic to rebuild,
-	// so the feeder and the readahead scheduler regenerate each epoch's
-	// shard on demand and the O(rows) plans live one epoch at a time.
+	// epoch row counts. Only these O(Epochs) integers are retained: the
+	// skeletons themselves are deterministic to rebuild, so the feeder
+	// regenerates each epoch's shard on demand and the O(rows) plans live
+	// one epoch at a time.
+	primary := primaryColumn(cols)
 	groups := chunkGroups(l.v, primary)
 	epochEnd := make([]int, l.opts.Epochs)
-	ordBase := make([]int, l.opts.Epochs)
-	totalRows, totalOrds := 0, 0
+	totalRows := 0
 	for e := range epochEnd {
-		shard := buildShard(groups, l.opts, e)
-		ordBase[e] = totalOrds
-		totalOrds += len(shard.groups)
-		totalRows += shard.rows
+		totalRows += buildShard(groups, l.opts, e).rows
 		epochEnd[e] = totalRows
+	}
+
+	planned := stripTensors(l.v, cols)
+
+	// When strips are being prefetched, the fetch planner — not the worker
+	// count — overlaps origin latency: workers almost never block on the
+	// wire, so goroutines beyond the CPU count only add scheduler churn. Cap
+	// the spawned pool at a small multiple of GOMAXPROCS then; the batch
+	// stream is delivery-sequence ordered, so the cap (like Workers itself)
+	// never changes what is delivered. Strips are prefetched only over a
+	// provider chain that can (StripPlan.Cover is a no-op over any other):
+	// without one, workers ARE the IO parallelism and the full count is
+	// spawned.
+	spawn := l.opts.Workers
+	if _, canPrefetch := l.v.Dataset().Store().(storage.Prefetcher); canPrefetch && len(planned) > 0 {
+		spawn = min(spawn, 2*runtime.GOMAXPROCS(0))
 	}
 
 	jobs := make(chan chunkJob, l.opts.Workers*2)
 	results := make(chan result, l.opts.Workers*4)
 	sink := &errSink{}
-
-	// Readahead scheduler: prefetch upcoming chunks into the chunk cache,
-	// staying at most Readahead distinct chunks ahead of the workers along
-	// the chunk visit order.
-	var prog *raProgress
-	var raReady chan struct{}
-	if l.opts.Readahead > 0 {
-		if t := readaheadDriver(l.v, primary, groups); t != nil {
-			// Secondary stored fields ride the same strip prefetch so their
-			// chunks land in coalesced plans instead of worker round trips.
-			var secondaries []*core.Tensor
-			for _, c := range cols {
-				if !c.Stored() || c.Source == primary {
-					continue
-				}
-				if st := l.v.Dataset().Tensor(c.Source); st != nil && !st.Htype().Sequence && !st.Htype().Link {
-					secondaries = append(secondaries, st)
-				}
-			}
-			prog = newRAProgress()
-			go func() {
-				<-ctx.Done()
-				prog.stop()
-			}()
-			raReady = make(chan struct{})
-			go runReadahead(ctx, l, t, secondaries, groups, l.opts, prog, l.opts.Readahead, raReady)
-		}
-	}
-
-	// Job feeder: chunk jobs in visit order, epochs back to back, with
-	// sequences and chunk ordinals renumbered into the global stream. The
-	// first job waits for the readahead scheduler's opening fetch strip, so
-	// the workers' first misses coalesce onto the strip's batched origin
-	// requests instead of racing them with one-chunk round trips.
-	//
-	// Each job's primary chunk is pinned in the node cache before the job
-	// is enqueued and unpinned by the worker that finishes it, so a tight
-	// MemoryBudget can never evict a decoded chunk that a
-	// planned-but-unstarted job still needs (the silent re-decode that
-	// would break the fetch+decode-once contract). The feeder joins the
-	// worker WaitGroup so the pipeline's pin sweep (releaseAll below) runs
+	// The feeder joins the worker WaitGroup so the pin sweep below runs
 	// strictly after the last pin is taken.
-	primaryTensor := l.v.Dataset().Tensor(primary)
 	var wg sync.WaitGroup
-	wg.Add(1)
+	wg.Add(1 + spawn)
 	go func() {
 		defer wg.Done()
-		defer close(jobs)
-		if raReady != nil {
-			select {
-			case <-raReady:
-			case <-ctx.Done():
-				return
-			}
-		}
-		seqBase := 0
-		for e := 0; e < l.opts.Epochs; e++ {
-			p := buildPlan(l.v, buildShard(groups, l.opts, e), l.opts, e)
-			for _, cj := range p.jobs {
-				cj.ord += ordBase[e]
-				for ri := range cj.rows {
-					cj.rows[ri].seq += seqBase
-				}
-				if primaryTensor != nil && cj.chunkID != noChunk {
-					cj.pin = cacheKey{scope: l.scope, obj: primaryTensor.ChunkIdentity(cj.chunkID)}
-					cj.pinned = true
-					l.pins.pin(l.cache, cj.pin)
-				}
-				select {
-				case jobs <- cj:
-				case <-ctx.Done():
-					return
-				}
-			}
-			seqBase += p.rows
-		}
+		l.feed(ctx, l.v.Dataset().Tensor(primary), planned, groups, jobs)
 	}()
-
-	// Workers: each owns whole chunk jobs and drains them through reused
-	// per-tensor ScanReaders backed by the shared chunk cache, so one job
-	// fetches and decodes its chunk exactly once.
-	//
-	// When the batched-prefetch path is active, the fetch planner — not the
-	// worker count — overlaps origin latency: workers almost never block on
-	// the wire, so goroutines beyond the CPU count only add scheduler churn.
-	// Cap the spawned pool at a small multiple of GOMAXPROCS then; the
-	// batch stream is delivery-sequence ordered, so the cap (like Workers
-	// itself) never changes what is delivered. The path is active only over
-	// a provider chain that can prefetch (PrefetchChunks is a no-op over any
-	// other): without one, workers ARE the IO parallelism and the full count
-	// is spawned.
-	spawn := l.opts.Workers
-	_, canPrefetch := l.v.Dataset().Store().(storage.Prefetcher)
-	if canPrefetch && prog != nil {
-		if c := 2 * runtime.GOMAXPROCS(0); c < spawn {
-			spawn = c
-		}
-	}
 	for w := 0; w < spawn; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Worker-death watchdog: a goroutine that dies mid-job without
-			// reaching a normal exit path (user code calling runtime.Goexit,
-			// or a panic unwinding) would otherwise strand its undelivered
-			// rows — the reorder stage would wait on sequence numbers that
-			// never arrive and the stream would truncate silently with a nil
-			// Err. Record the death at the dying row's delivery position
-			// instead: the contract stays the worker-failure contract — an
-			// in-order prefix strictly before the death position, then a
-			// deterministic error.
-			exited, deathSeq := false, 0
-			defer func() {
-				if exited {
-					return
-				}
-				sink.record(deathSeq, fmt.Errorf("%w at delivery position %d", ErrWorkerDied, deathSeq))
-				cancel()
-			}()
-			rl := newRowLoader(l, cols)
-			for cj := range jobs {
-				if prog != nil {
-					prog.advance(cj.ord)
-				}
-				for _, rj := range cj.rows {
-					deathSeq = rj.seq
-					sample, err := rl.load(ctx, rj)
-					if err != nil {
-						sink.record(rj.seq, err)
-						cancel()
-						exited = true
-						return
-					}
-					select {
-					case results <- result{seq: rj.seq, sample: sample}:
-					case <-ctx.Done():
-						exited = true
-						return
-					}
-				}
-				// Job done: its chunk no longer needs eviction protection
-				// from this job. Early-return paths above leave the pin to
-				// the pipeline sweep below.
-				if cj.pinned {
-					l.pins.unpin(l.cache, cj.pin)
-				}
-				rl.arena.Forget()
-			}
-			exited = true
+			l.work(ctx, cancel, cols, jobs, results, sink)
 		}()
 	}
 	go func() {
@@ -523,88 +391,244 @@ func (l *Loader) Batches(ctx context.Context) <-chan Batch {
 		l.pins.releaseAll(l.cache)
 		close(results)
 	}()
+	go l.deliver(ctx, cancel, epochEnd, results, sink, out)
+	return out
+}
 
-	// Reorder + collate + emit: rows leave in the precomputed delivery
-	// order regardless of which worker decoded them, and never at or past
-	// a recorded failure's position.
-	go func() {
-		defer cancel()
-		defer close(out)
-		// Finalize the epoch error before the channel closes (LIFO: this
-		// runs first), whichever path unwound the stage: a recorded worker
-		// failure always wins over cancellation fallout, so Err() is
-		// deterministic once the consumer sees the close.
-		defer func() {
-			if err := sink.get(); err != nil {
-				l.err.Store(err)
-				return
-			}
-			if ctx.Err() != nil {
-				l.err.Store(ctx.Err())
-			}
-		}()
-		pending := map[int]map[string]*tensor.NDArray{}
-		next := 0
-		epoch := 0
-		batchIdx := 0
-		coll := newCollator()
-		var cur []map[string]*tensor.NDArray
-		flush := func(force bool) bool {
-			if len(cur) == 0 {
-				return true
-			}
-			if !force && len(cur) < l.opts.BatchSize {
-				return true
-			}
-			if force && l.opts.DropLast && len(cur) < l.opts.BatchSize {
-				cur = nil
-				return true
-			}
-			stacked, unstacked := coll.collate(cur)
-			b := Batch{Index: batchIdx, Epoch: epoch, Samples: cur, Stacked: stacked, Unstacked: unstacked}
-			batchIdx++
-			cur = nil
-			select {
-			case out <- b:
-				return true
-			case <-ctx.Done():
-				return false
-			}
+// stripWidth is how many upcoming visit groups' chunks the feeder hands to
+// the storage layer's fetch planner at a time: near-adjacent chunk objects in
+// a strip coalesce into single batched ranged origin requests.
+const stripWidth = 8
+
+// stripTensors lists the tensors whose chunks the feeder prefetches in
+// strips: the stored columns read chunk by chunk. Computed columns and
+// sequence/link tensors take their own read paths.
+func stripTensors(v *view.View, cols []view.Column) []*core.Tensor {
+	var out []*core.Tensor
+	for _, c := range cols {
+		if !c.Stored() {
+			continue
 		}
-		for r := range results {
-			if bseq, bad := sink.barrier(); bad && r.seq >= bseq {
+		if t := v.Dataset().Tensor(c.Source); t != nil && !t.Htype().Sequence && !t.Htype().Link {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// stripIDs resolves the distinct chunks of t covering the groups' view
+// rows, in visit order, and through[ord], how many of them the groups up to
+// and including visit ordinal ord need. For the primary tensor that is the
+// groups' own chunk ids, one a group; a secondary column (labels beside
+// images, say) has its own chunk layout, which without this the workers would
+// first touch as bare origin round trips on the delivery critical path. Rows
+// that fail to resolve (computed views) are skipped — the worker's own read
+// path handles them.
+func stripIDs(v *view.View, t *core.Tensor, groups []groupRef) (ids []uint64, through []int) {
+	through = make([]int, len(groups))
+	seen := map[uint64]bool{}
+	for ord, g := range groups {
+		for _, row := range g.rows {
+			src, err := v.SourceRow(row)
+			if err != nil {
 				continue
 			}
-			pending[r.seq] = r.sample
-			for {
-				if bseq, bad := sink.barrier(); bad && next >= bseq {
-					break
-				}
-				s, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				// Skip past epochs the rank's shard left empty.
-				for epoch+1 < len(epochEnd) && next >= epochEnd[epoch] {
-					epoch++
-				}
-				next++
-				cur = append(cur, s)
-				atomic.AddInt64(&l.rows, 1)
-				if next == epochEnd[epoch] {
-					if !flush(true) {
-						return
+			if id, _, err := t.ChunkOf(src); err == nil && !seen[id] {
+				seen[id] = true
+				ids = append(ids, id)
+			}
+		}
+		through[ord] = len(ids)
+	}
+	return ids, through
+}
+
+// feed is the pipeline's first stage and the strip planner's frontier
+// (§4.6 "fetches the next batch in advance"): chunk jobs in visit order,
+// epochs back to back, with sequences renumbered into the global stream.
+// It blocks on the bounded jobs channel, so it runs just ahead of the
+// workers; before it enqueues a job it has the planned columns' strips cover
+// that job's visit group and one strip width beyond — every column's strips
+// are cut at the same visit groups, stripWidth of them a strip. Every chunk is
+// therefore claimed in the byte cache's singleflight layer before a job that
+// reads it exists: workers find it cached or join the strip's in-flight
+// batched request and never race the planner with a one-chunk round trip.
+// The strips land in the byte cache; workers container-decode them on
+// arrival through the node cache.
+//
+// Each job's primary chunk is pinned in the node cache before the job is
+// enqueued and unpinned by the worker that finishes it, so a tight
+// MemoryBudget can never evict a decoded chunk that a planned-but-unstarted
+// job still needs (the silent re-decode that would break the
+// fetch+decode-once contract).
+func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core.Tensor, groups []groupRef, jobs chan<- chunkJob) {
+	defer close(jobs)
+	seqBase := 0
+	for e := 0; e < l.opts.Epochs; e++ {
+		shard := buildShard(groups, l.opts, e)
+		plans := make([]*core.StripPlan, len(planned))
+		for i, t := range planned {
+			ids, through := stripIDs(l.v, t, shard.groups)
+			plans[i] = core.NewStripPlan(t, ids, through, stripWidth, nil)
+		}
+		p := buildPlan(l.v, shard, l.opts, e)
+		for i := range p.jobs {
+			cj := &p.jobs[i]
+			if i == 0 || p.jobs[i-1].ord != cj.ord {
+				// A new visit group. Its sub-jobs all take their pin now,
+				// before the first is enqueued: one finishing early must not
+				// leave the chunk unpinned while a sibling is still planned.
+				if cj.chunkID != noChunk {
+					key := cacheKey{scope: l.scope, obj: primary.ChunkIdentity(cj.chunkID)}
+					for j := i; j < len(p.jobs) && p.jobs[j].ord == cj.ord; j++ {
+						p.jobs[j].pin, p.jobs[j].pinned = key, true
+						l.pins.pin(l.cache, key)
 					}
-				} else if len(cur) == l.opts.BatchSize {
-					if !flush(false) {
-						return
-					}
+				}
+				for _, plan := range plans {
+					plan.Cover(ctx, cj.ord+1+stripWidth)
+				}
+			}
+			for ri := range cj.rows {
+				cj.rows[ri].seq += seqBase
+			}
+			select {
+			case jobs <- *cj:
+			case <-ctx.Done():
+				return
+			}
+		}
+		seqBase += p.rows
+	}
+}
+
+// work is one worker: it owns whole chunk jobs and drains them through
+// reused per-tensor ScanReaders backed by the shared chunk cache, so one job
+// fetches and decodes its chunk exactly once.
+func (l *Loader) work(ctx context.Context, cancel context.CancelFunc, cols []view.Column, jobs <-chan chunkJob, results chan<- result, sink *errSink) {
+	// Worker-death watchdog: a goroutine that dies mid-job without reaching
+	// a normal exit path (user code calling runtime.Goexit, or a panic
+	// unwinding) would otherwise strand its undelivered rows — the reorder
+	// stage would wait on sequence numbers that never arrive and the stream
+	// would truncate silently with a nil Err. Record the death at the dying
+	// row's delivery position instead: the contract stays the worker-failure
+	// contract — an in-order prefix strictly before the death position, then
+	// a deterministic error.
+	exited, deathSeq := false, 0
+	defer func() {
+		if exited {
+			return
+		}
+		sink.record(deathSeq, fmt.Errorf("%w at delivery position %d", ErrWorkerDied, deathSeq))
+		cancel()
+	}()
+	rl := newRowLoader(l, cols)
+	for cj := range jobs {
+		for _, rj := range cj.rows {
+			deathSeq = rj.seq
+			sample, err := rl.load(ctx, rj)
+			if err != nil {
+				sink.record(rj.seq, err)
+				cancel()
+				exited = true
+				return
+			}
+			select {
+			case results <- result{seq: rj.seq, sample: sample}:
+			case <-ctx.Done():
+				exited = true
+				return
+			}
+		}
+		// Job done: its chunk no longer needs eviction protection from this
+		// job. Early-return paths above leave the pin to the pipeline sweep.
+		if cj.pinned {
+			l.pins.unpin(l.cache, cj.pin)
+		}
+		rl.arena.Forget()
+	}
+	exited = true
+}
+
+// deliver is the last stage — reorder, collate, emit: rows leave in the
+// precomputed delivery order regardless of which worker decoded them, and
+// never at or past a recorded failure's position.
+func (l *Loader) deliver(ctx context.Context, cancel context.CancelFunc, epochEnd []int, results <-chan result, sink *errSink, out chan<- Batch) {
+	defer cancel()
+	defer close(out)
+	// Finalize the epoch error before the channel closes (LIFO: this runs
+	// first), whichever path unwound the stage: a recorded worker failure
+	// always wins over cancellation fallout, so Err() is deterministic once
+	// the consumer sees the close.
+	defer func() {
+		if err := sink.get(); err != nil {
+			l.err.Store(err)
+			return
+		}
+		if ctx.Err() != nil {
+			l.err.Store(ctx.Err())
+		}
+	}()
+	pending := map[int]map[string]*tensor.NDArray{}
+	next := 0
+	epoch := 0
+	batchIdx := 0
+	coll := newCollator()
+	var cur []map[string]*tensor.NDArray
+	flush := func(force bool) bool {
+		if len(cur) == 0 {
+			return true
+		}
+		if !force && len(cur) < l.opts.BatchSize {
+			return true
+		}
+		if force && l.opts.DropLast && len(cur) < l.opts.BatchSize {
+			cur = nil
+			return true
+		}
+		stacked, unstacked := coll.collate(cur)
+		b := Batch{Index: batchIdx, Epoch: epoch, Samples: cur, Stacked: stacked, Unstacked: unstacked}
+		batchIdx++
+		cur = nil
+		select {
+		case out <- b:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
+	for r := range results {
+		if bseq, bad := sink.barrier(); bad && r.seq >= bseq {
+			continue
+		}
+		pending[r.seq] = r.sample
+		for {
+			if bseq, bad := sink.barrier(); bad && next >= bseq {
+				break
+			}
+			s, ok := pending[next]
+			if !ok {
+				break
+			}
+			delete(pending, next)
+			// Skip past epochs the rank's shard left empty.
+			for epoch+1 < len(epochEnd) && next >= epochEnd[epoch] {
+				epoch++
+			}
+			next++
+			cur = append(cur, s)
+			atomic.AddInt64(&l.rows, 1)
+			if next == epochEnd[epoch] {
+				if !flush(true) {
+					return
+				}
+			} else if len(cur) == l.opts.BatchSize {
+				if !flush(false) {
+					return
 				}
 			}
 		}
-	}()
-	return out
+	}
 }
 
 // rowLoader is one worker's read state: a ScanReader per stored column,

@@ -236,7 +236,7 @@ func TestTightBudgetKeepsDecodeOnce(t *testing.T) {
 	// any chunk still needed by a queued sub-job would be evicted and
 	// silently re-decoded.
 	l := ForDataset(ds, Options{
-		BatchSize: 16, Workers: 8, Shuffle: true, Seed: 7, MemoryBudget: 1, Readahead: 8,
+		BatchSize: 16, Workers: 8, Shuffle: true, Seed: 7, MemoryBudget: 1,
 		Fields: []string{"x"},
 	})
 	batches := drain(t, l)

@@ -13,7 +13,8 @@ import (
 //   - the CHUNK VISIT ORDER: the distinct chunks of the primary tensor,
 //     shuffled per epoch and sharded disjointly across Rank/WorldSize. This
 //     is the order chunks are fetched and decoded in — each exactly once
-//     per epoch per rank — and the order the readahead scheduler follows.
+//     per epoch per rank — and the order the feeder's strip look-ahead
+//     follows.
 //   - the DELIVERY ORDER: the row order the consumer sees, produced by
 //     spilling the visit order's rows through a bounded shuffle buffer.
 //     Near-uniform shuffling with chunk-local fetches, no shuffle cluster.
@@ -25,7 +26,7 @@ import (
 
 // noChunk marks a chunk job with no stored primary chunk (computed-only
 // views, sequence/link primaries): the job is a degenerate single-row group
-// and the readahead scheduler skips it.
+// and is never pinned.
 const noChunk = ^uint64(0)
 
 // oversubscribe controls how many jobs each worker gets on average: large
@@ -49,8 +50,8 @@ type rowJob struct {
 // selected rows living in it, in stored order. A worker drains the whole
 // job through its reused ScanReaders, so the chunk is fetched and decoded
 // once however many rows (or columns) it covers. ord is the job's DISTINCT
-// CHUNK ordinal in the (global) visit order: sub-jobs of one split group
-// share it, so the readahead window is always measured in chunks.
+// CHUNK ordinal in its epoch's visit order: sub-jobs of one split group
+// share it, so the feeder's strip look-ahead is measured in chunks.
 type chunkJob struct {
 	ord     int
 	chunkID uint64
@@ -64,7 +65,7 @@ type chunkJob struct {
 
 // epochShard is one epoch's shuffled, rank-sharded chunk visit order —
 // the O(chunks) skeleton computed up front for every epoch, from which row
-// counts, the readahead itinerary, and (lazily) the row-level plan derive.
+// counts, the strip look-ahead, and (lazily) the row-level plan derive.
 type epochShard struct {
 	groups []groupRef
 	rows   int
@@ -74,7 +75,8 @@ type epochShard struct {
 // delivery sequences. It is O(rows) and built lazily, one epoch at a time,
 // by the pipeline's feeder — then dropped, so multi-epoch runs never hold
 // more than one epoch's row state. Sequences and ordinals are epoch-local;
-// the loader offsets them into a global numbering when chaining epochs.
+// the feeder offsets the sequences into a global numbering when chaining
+// epochs.
 type epochPlan struct {
 	jobs []chunkJob
 	rows int
@@ -218,7 +220,7 @@ func buildPlan(v *view.View, shard epochShard, o Options, epoch int) *epochPlan 
 
 	// Split oversized groups so one hot chunk cannot serialize the pool's
 	// per-sample decode work behind a single worker. Sub-jobs keep their
-	// group's ordinal: the readahead window counts chunks, not jobs.
+	// group's ordinal: the strip look-ahead counts chunks, not jobs.
 	maxRows := (next + o.Workers*oversubscribe - 1) / (o.Workers * oversubscribe)
 	if maxRows < 1 {
 		maxRows = 1

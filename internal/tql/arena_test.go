@@ -97,7 +97,7 @@ func TestScanSinksKeepNothingFromTheRowArena(t *testing.T) {
 		return v
 	}
 	for _, workers := range []int{1, 4} {
-		sc := &scanner{ds: ds, workers: workers, stripWidth: DefaultStripWidth}
+		sc := &scanner{ds: ds, workers: workers}
 
 		for _, src := range []string{
 			"MEAN(images) > 120",
@@ -154,7 +154,7 @@ func TestScanSinksKeepNothingFromTheRowArena(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := sampleRows(ctx, &scanner{ds: ds, workers: 1, stripWidth: DefaultStripWidth}, rows, q)
+		serial, err := sampleRows(ctx, &scanner{ds: ds, workers: 1}, rows, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestScanSinksKeepNothingFromTheRowArena(t *testing.T) {
 	// What the rule protects against: a sink that does keep the row's array
 	// finds it overwritten once the worker has moved on. (This is also the
 	// proof that the scan decodes into a recycled arena at all.)
-	sc := &scanner{ds: ds, workers: 1, stripWidth: DefaultStripWidth}
+	sc := &scanner{ds: ds, workers: 1}
 	images := parseExprT(t, "images")
 	kept := make([]*tensor.NDArray, n)
 	err := sc.eval(ctx, rows, images, "test", func(pos int, _ uint64, v Value) error {

@@ -257,11 +257,10 @@ func ExecuteWith(ctx context.Context, ds *core.Dataset, q *Query, opts Options) 
 		}
 	}
 	sc := &scanner{
-		ds:         ds,
-		workers:    opts.workers(),
-		rawShapes:  opts.DisablePushdown,
-		stripWidth: opts.stripWidth(),
-		stats:      opts.Stats,
+		ds:        ds,
+		workers:   opts.workers(),
+		rawShapes: opts.disablePushdown,
+		stats:     opts.Stats,
 	}
 	n := ds.NumRows()
 	rows := make([]uint64, n)
@@ -272,7 +271,7 @@ func ExecuteWith(ctx context.Context, ds *core.Dataset, q *Query, opts Options) 
 	// no chunk IO), then the remainder over the surviving rows.
 	if q.Where != nil {
 		shapeConj, dataConj := splitConjuncts(q.Where)
-		if opts.DisablePushdown {
+		if opts.disablePushdown {
 			shapeConj, dataConj = nil, []Expr{q.Where}
 		}
 		var err error

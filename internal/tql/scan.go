@@ -17,18 +17,16 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 forces a serial scan. Results are identical
 	// for every worker count.
 	Workers int
-	// DisablePushdown routes shape-only filters through the data-touching
-	// evaluator and resolves SHAPE/NDIM/LEN/SIZE from decoded samples
-	// instead of the shape encoder. Benchmarks and tests use it to measure
-	// (and cross-check) what the shape-encoder pushdown saves.
-	DisablePushdown bool
-	// StripWidth bounds how many chunks the strip scheduler hands to the
-	// fetch planner per strip. Zero or negative uses DefaultStripWidth.
-	StripWidth int
 	// Stats, when non-nil, accumulates prefetch observability counters for
 	// the query (planned/claimed/skipped chunks, failed rounds, strips
 	// issued). Safe to share across queries; counters only ever add.
 	Stats *ScanStats
+
+	// disablePushdown is a test hook: it routes shape-only filters through
+	// the data-touching evaluator and resolves SHAPE/NDIM/LEN/SIZE from
+	// decoded samples instead of the shape encoder, so tests can cross-check
+	// the encoder against the data.
+	disablePushdown bool
 }
 
 func (o Options) workers() int {
@@ -38,18 +36,11 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// DefaultStripWidth is the chunk count per prefetch strip. At the 8–16MB
-// chunk band a strip is ~128–256MB of lookahead split across a handful of
-// coalesced ranged requests — deep enough to keep 16 workers fed, shallow
-// enough that shedding one strip loses seconds, not the scan.
-const DefaultStripWidth = 16
-
-func (o Options) stripWidth() int {
-	if o.StripWidth > 0 {
-		return o.StripWidth
-	}
-	return DefaultStripWidth
-}
+// stripWidth is the chunk count per prefetch strip. At the 8–16MB chunk band
+// a strip is ~128–256MB of lookahead split across a handful of coalesced
+// ranged requests — deep enough to keep 16 workers fed, shallow enough that
+// shedding one strip loses seconds, not the scan.
+const stripWidth = 16
 
 // ScanStats counts what the scan's prefetch machinery actually did, so
 // degraded prefetch (shed batches, unclaimable chunks) is visible instead of
@@ -62,14 +53,15 @@ type ScanStats struct {
 	strips  atomic.Int64
 }
 
-// record books one prefetch round: planned chunk ids handed to the planner,
-// claimed ids accepted into the cache's singleflight layer, and the round's
-// error if any. The planned−claimed remainder (already cached, in flight, or
-// still write-buffered) counts as skipped.
+// record books one strip (core.StripPlan's issued hook): planned chunk ids
+// handed to the planner, claimed ids accepted into the cache's singleflight
+// layer, and the hand-off's error if any. The planned−claimed remainder
+// (already cached, in flight, or still write-buffered) counts as skipped.
 func (s *ScanStats) record(planned, claimed int, err error) {
 	if s == nil {
 		return
 	}
+	s.strips.Add(1)
 	s.planned.Add(int64(planned))
 	s.claimed.Add(int64(claimed))
 	if skipped := planned - claimed; skipped > 0 {
@@ -77,12 +69,6 @@ func (s *ScanStats) record(planned, claimed int, err error) {
 	}
 	if err != nil {
 		s.failed.Add(1)
-	}
-}
-
-func (s *ScanStats) recordStrip() {
-	if s != nil {
-		s.strips.Add(1)
 	}
 }
 
@@ -123,7 +109,7 @@ func (s *ScanStats) PrefetchFailed() int64 {
 	return s.failed.Load()
 }
 
-// PrefetchStrips counts strips issued by the cross-partition scheduler.
+// PrefetchStrips counts strips the scan's strip plan issued.
 func (s *ScanStats) PrefetchStrips() int64 {
 	if s == nil {
 		return 0
@@ -150,10 +136,9 @@ type span struct{ lo, hi int }
 type scanner struct {
 	ds      *core.Dataset
 	workers int
-	// rawShapes bypasses the shape encoder (Options.DisablePushdown).
-	rawShapes  bool
-	stripWidth int
-	stats      *ScanStats
+	// rawShapes bypasses the shape encoder (Options.disablePushdown).
+	rawShapes bool
+	stats     *ScanStats
 }
 
 // splitConjuncts flattens the AND tree of a filter left-to-right and
@@ -277,27 +262,28 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 	// Prefetch: before a worker walks a partition, the chunks the scan will
 	// touch are handed to the storage layer's fetch planner, so near-adjacent
 	// chunk objects arrive in coalesced ranged origin requests instead of one
-	// round trip each. The shape is the cross-partition strip scheduler:
-	// strips of fixed width cut across partition boundaries, so chunks owned
-	// by different workers still share a coalesced request (and the tail of
-	// each strip is lookahead for whichever worker claims the next
-	// partition). Shape-only expressions are
-	// excluded: they resolve from the shape encoder (pushdown's
+	// round trip each. The strips of a core.StripPlan cut across partition
+	// boundaries, so chunks owned by different workers still share a
+	// coalesced request; a worker claiming partition i covers the plan up to
+	// that partition's last chunk, which is usually a no-op or one strip, and
+	// a worker that skips ahead issues the strips for everything in between,
+	// which the slower workers then find in flight. Shape-only expressions
+	// are excluded: they resolve from the shape encoder (pushdown's
 	// zero-chunk-IO guarantee), so prefetching chunks for them would be pure
 	// waste. Errors are counted into ScanStats, never fatal — the per-row
 	// read path re-fetches and reports with row context.
-	driver := scanDriver(sc.ds, x)
-	var driverChunks []core.ChunkSpan
-	if driver != nil && ascending(rows) && (sc.rawShapes || !shapeOnly(x)) {
-		driverChunks = driver.ChunkSpans()
-	}
-	var strips *stripScheduler
-	if len(driverChunks) > 0 {
-		strips = newStripScheduler(driver, driverChunks, rows, spans, sc.stripWidth, sc.stats)
+	var strips *core.StripPlan
+	var spanEnd []int
+	if driver := scanDriver(sc.ds, x); driver != nil && ascending(rows) && (sc.rawShapes || !shapeOnly(x)) {
+		if chunks := driver.ChunkSpans(); len(chunks) > 0 {
+			var ids []uint64
+			ids, spanEnd = stripIDs(chunks, rows, spans)
+			strips = core.NewStripPlan(driver, ids, nil, stripWidth, sc.stats.record)
+		}
 	}
 	evalSpan := func(ctx context.Context, e *env, i int) error {
 		if strips != nil {
-			strips.ensure(ctx, i)
+			strips.Cover(ctx, spanEnd[i])
 		}
 		sp := spans[i]
 		for pos := sp.lo; pos < sp.hi; pos++ {
@@ -367,38 +353,15 @@ func (sc *scanner) newWorkerEnv(ctx context.Context) *env {
 	return e
 }
 
-// stripScheduler issues prefetch strips over the scan's global chunk order
-// rather than per partition. Per-partition prefetch caps every coalesced
-// batch at one partition's chunks, so two chunks that are adjacent in the
-// keyspace but sit either side of a partition boundary always cost two
-// origin round trips; a strip ignores the boundaries and packs them into
-// one ranged request. Because strips are fixed-width, issuing enough of
-// them to cover one partition usually reaches into the next — free
-// lookahead for whichever worker claims it.
-type stripScheduler struct {
-	driver *core.Tensor
-	// ids is every distinct chunk id the scan will visit, in visit order;
-	// spanEnd[i] is the exclusive end of partition i's chunks within ids.
-	ids     []uint64
-	spanEnd []int
-	width   int
-	stats   *ScanStats
-
-	mu   sync.Mutex
-	next int // first index in ids not yet handed to the fetch planner
-}
-
-func newStripScheduler(driver *core.Tensor, chunks []core.ChunkSpan, rows []uint64, spans []span, width int, stats *ScanStats) *stripScheduler {
-	s := &stripScheduler{
-		driver:  driver,
-		spanEnd: make([]int, len(spans)),
-		width:   width,
-		stats:   stats,
-	}
+// stripIDs lists every distinct chunk id the scan will visit, in visit
+// order, and for each partition the exclusive end of its chunks within that
+// list — what a worker claiming the partition needs covered.
+func stripIDs(chunks []core.ChunkSpan, rows []uint64, spans []span) (ids []uint64, spanEnd []int) {
+	spanEnd = make([]int, len(spans))
 	ci, si := 0, 0
 	for pos, row := range rows {
 		for si < len(spans) && pos >= spans[si].hi {
-			s.spanEnd[si] = len(s.ids)
+			spanEnd[si] = len(ids)
 			si++
 		}
 		for ci < len(chunks) && row > chunks[ci].Last {
@@ -410,39 +373,14 @@ func newStripScheduler(driver *core.Tensor, chunks []core.ChunkSpan, rows []uint
 		if row < chunks[ci].First {
 			continue
 		}
-		if n := len(s.ids); n == 0 || s.ids[n-1] != chunks[ci].ChunkID {
-			s.ids = append(s.ids, chunks[ci].ChunkID)
+		if n := len(ids); n == 0 || ids[n-1] != chunks[ci].ChunkID {
+			ids = append(ids, chunks[ci].ChunkID)
 		}
 	}
 	for ; si < len(spans); si++ {
-		s.spanEnd[si] = len(s.ids)
+		spanEnd[si] = len(ids)
 	}
-	return s
-}
-
-// ensure hands out strips until every chunk of partition spanIdx has been
-// given to the fetch planner. Workers claim partitions in ascending order,
-// so the common case is a no-op (a previous strip already covered this
-// partition) or one strip; a worker that skips ahead issues the strips for
-// everything in between, which those slower workers then find in flight.
-func (s *stripScheduler) ensure(ctx context.Context, spanIdx int) {
-	target := s.spanEnd[spanIdx]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.next < target {
-		hi := s.next + s.width
-		if hi > len(s.ids) {
-			hi = len(s.ids)
-		}
-		strip := s.ids[s.next:hi]
-		s.next = hi
-		// PrefetchChunks is asynchronous — it claims keys and returns while
-		// the coalesced fetches run in the background — so holding mu here
-		// serialises planning, not IO.
-		claimed, err := s.driver.PrefetchChunks(ctx, strip)
-		s.stats.record(len(strip), claimed, err)
-		s.stats.recordStrip()
-	}
+	return ids, spanEnd
 }
 
 // partition splits the positions of rows into contiguous partitions aligned

@@ -174,7 +174,7 @@ func TestChunkAwareScanFetchesEachChunkOnce(t *testing.T) {
 // TestPushdownMatchesFullScanRandomized cross-checks the shape encoder
 // against the data itself: on randomized datasets, every shape-flavoured
 // query returns the same row set whether answered by the encoder (pushdown)
-// or by decoding samples (DisablePushdown).
+// or by decoding samples (the disablePushdown hook).
 func TestPushdownMatchesFullScanRandomized(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(11))
@@ -196,7 +196,7 @@ func TestPushdownMatchesFullScanRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
-			full, err := RunWith(ctx, ds, q, Options{Workers: 8, DisablePushdown: true})
+			full, err := RunWith(ctx, ds, q, Options{Workers: 8, disablePushdown: true})
 			if err != nil {
 				t.Fatalf("%s (full scan): %v", q, err)
 			}
@@ -331,30 +331,6 @@ func TestScanStatsCountSkippedPrefetch(t *testing.T) {
 	}
 	if warm.PrefetchSkipped() != warm.PrefetchPlanned() {
 		t.Fatalf("skipped %d != planned %d on warm cache", warm.PrefetchSkipped(), warm.PrefetchPlanned())
-	}
-}
-
-// TestStripWidthOne degenerates the strip scheduler to one chunk per strip
-// and checks it still covers the whole scan correctly — the boundary case
-// of the width knob.
-func TestStripWidthOne(t *testing.T) {
-	ctx := context.Background()
-	mem := storage.NewMemory()
-	scanDataset(t, mem, 60, []int{8})
-	ds, err := core.Open(ctx, storage.NewShardedLRU(mem, 1<<30, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats ScanStats
-	v, err := RunWith(ctx, ds, "SELECT labels FROM scan WHERE MEAN(x) >= 0", Options{Workers: 8, StripWidth: 1, Stats: &stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Len() != 60 {
-		t.Fatalf("rows = %d, want 60", v.Len())
-	}
-	if stats.PrefetchStrips() != stats.PrefetchPlanned() {
-		t.Fatalf("width-1 strips carry one chunk each: strips %d, planned %d", stats.PrefetchStrips(), stats.PrefetchPlanned())
 	}
 }
 

@@ -121,7 +121,7 @@ type env struct {
 	// recycles it, so a row's arrays die with the row (see scanner.eval).
 	arena *chunk.Arena
 	// rawShapes resolves SHAPE/NDIM/LEN/SIZE from decoded sample data
-	// instead of the shape encoder (Options.DisablePushdown).
+	// instead of the shape encoder (Options.disablePushdown).
 	rawShapes bool
 }
 
