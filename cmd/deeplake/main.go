@@ -19,11 +19,11 @@
 //	deeplake merge   -path DIR -from BRANCH [-theirs]
 //	deeplake fsck    -path DIR [-repair]
 //
-// fsck walks the manifest against stored objects — missing chunks, orphaned
-// blobs from dead generations, checksum mismatches, torn metadata — and
-// exits non-zero when the dataset is not clean. With -repair it rewrites
-// torn metadata from the published root snapshot and collects the garbage;
-// missing or corrupt data is reported but cannot be repaired.
+// fsck walks the manifest (dataset.json → roots/<gen> → versions/<vid>/
+// state.json) against stored objects — missing or unparseable state, missing
+// chunks, orphaned blobs from dead generations, checksum mismatches — and
+// exits non-zero when the dataset is not clean. With -repair it collects the
+// garbage; missing or corrupt data is reported but cannot be repaired.
 package main
 
 import (

@@ -20,6 +20,10 @@
 //	loader := deeplake.NewLoader(view, deeplake.LoaderOptions{BatchSize: 32, Shuffle: true})
 //	for batch := range loader.Batches(ctx) { ... }
 //
+// On-disk compatibility policy: this tree reads what this tree writes. There
+// is one dataset layout (core.FormatVersion); an older one is refused by
+// name, not half-read.
+//
 // # Caching and the concurrent read path
 //
 // The paper caches at three depths — raw objects in RAM in front of remote
@@ -516,8 +520,7 @@ func ProvisionNode(origin Provider, cacheDir string, budget NodeBudget) (*storag
 
 // Fsck types, re-exported for integrity tooling.
 type (
-	// FsckOptions selects fsck behavior (Repair collects garbage and
-	// rewrites torn metadata).
+	// FsckOptions selects fsck behavior (Repair collects garbage).
 	FsckOptions = core.FsckOptions
 	// FsckReport is the outcome of a consistency walk.
 	FsckReport = core.FsckReport
@@ -529,10 +532,9 @@ type (
 )
 
 // Fsck walks a dataset's manifest against its stored objects: missing
-// chunks, orphaned blobs from dead generations, checksum mismatches, torn
-// metadata. With opts.Repair it rewrites torn metadata from the published
-// root snapshot and deletes the garbage; missing or corrupt data is
-// reported but never repairable.
+// or corrupt state objects and chunks, orphaned blobs from dead generations,
+// checksum mismatches. With opts.Repair it deletes the garbage; missing or
+// corrupt data is reported but never repairable.
 func Fsck(ctx context.Context, store Provider, opts FsckOptions) (*FsckReport, error) {
 	return core.Fsck(ctx, store, opts)
 }

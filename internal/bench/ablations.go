@@ -160,9 +160,8 @@ func AblationWorkers(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // AblationVersionDepth measures dataset-open latency against commit-chain
-// depth: chunk resolution walks the version tree reading one chunk_set per
-// ancestor (§4.2), so deep histories cost more at open time while reads
-// stay O(1) afterwards.
+// depth: the resolved chunk→version map (§4.2) rides the root snapshot, so
+// open reads two objects at any depth and only the map's size grows.
 func AblationVersionDepth(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults(50)
 	res := &Result{ID: "ablation-versiondepth", Title: "dataset open latency vs commit depth", Better: "lower"}

@@ -118,15 +118,11 @@ func TestAutotuneStateSurvivesReopen(t *testing.T) {
 	if err := ds.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := store.Get(ctx, tensorMetaKey(ds.head, "x"))
+	root, err := loadRoot(ctx, store, ds.meta.Generation)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m TensorMeta
-	if err := unmarshalJSON(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	want := m.Autotune
+	want := root.Tensors["x"].Meta.Autotune
 	if want == nil {
 		t.Fatal("flush did not persist autotune state")
 	}

@@ -5,9 +5,11 @@
 // provider.
 //
 // A dataset on storage is fully self-contained (§5): a provenance file
-// (dataset.json), a version-control file, and per-version sub-directories
-// holding tensor metadata, encoders, and only the chunks modified in that
-// version (§4.2).
+// (dataset.json) pointing at the root snapshot roots/<gen> — the version tree
+// plus the state of the version being written — and per-version
+// sub-directories versions/<vid>/ holding only the chunks modified in that
+// version (§4.2) and, once a handle has left the version, its state.json.
+// Nothing else is written or read.
 package core
 
 import (
@@ -132,12 +134,6 @@ func Create(ctx context.Context, store storage.Provider, name string) (*Dataset,
 		return nil, err
 	}
 	ds.head = headNode.ID
-	// Schema first, root last: the staged-publish protocol (see
-	// persistRoot) means the dataset only becomes visible to Open once the
-	// root that references the schema is published.
-	if err := ds.store.Put(ctx, schemaKey(ds.head), mustJSON(schemaFile{Tensors: []string{}})); err != nil {
-		return nil, err
-	}
 	if err := ds.persistRoot(ctx); err != nil {
 		return nil, err
 	}
@@ -163,41 +159,20 @@ func Open(ctx context.Context, store storage.Provider) (*Dataset, error) {
 		return nil, fmt.Errorf("core: corrupt dataset.json: %w", err)
 	}
 	if ds.meta.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("core: unsupported format version %d", ds.meta.FormatVersion)
+		return nil, fmt.Errorf("core: dataset.json: unsupported format version %d (this tree reads version %d)", ds.meta.FormatVersion, FormatVersion)
+	}
+	if ds.meta.Generation == 0 {
+		return nil, fmt.Errorf("core: dataset.json names no generation, so there is no root snapshot to open")
 	}
 	ds.integrity.Generation = ds.meta.Generation
 
-	// Prefer the published root snapshot: it is written whole under a
-	// fresh key before dataset.json points at it, so unlike the plain head
-	// objects it cannot be torn by a writer killed mid-flush. A legacy
-	// dataset (Generation 0) has no snapshot and opens from plain objects.
-	var root *rootFile
-	if ds.meta.Generation > 0 {
-		root, err = loadRoot(ctx, store, ds.meta.Generation)
-		if err != nil {
-			if !storage.IsNotFound(err) {
-				return nil, err
-			}
-			// Snapshot vanished (over-eager manual cleanup): fall back
-			// to the plain layout and surface the fact.
-			ds.integrity.RootMissing = true
-			root = nil
-		}
+	root, err := loadRoot(ctx, store, ds.meta.Generation)
+	if err != nil {
+		return nil, err
 	}
-	if root != nil {
-		ds.tree, err = version.Unmarshal(root.Tree)
-		if err != nil {
-			return nil, fmt.Errorf("core: corrupt version tree in root snapshot %s: %w", rootKey(ds.meta.Generation), err)
-		}
-	} else {
-		rawTree, err := store.Get(ctx, versionTreeKey)
-		if err != nil {
-			return nil, fmt.Errorf("core: missing version tree: %w", err)
-		}
-		ds.tree, err = version.Unmarshal(rawTree)
-		if err != nil {
-			return nil, fmt.Errorf("core: corrupt version tree: %w", err)
-		}
+	ds.tree, err = version.Unmarshal(root.Tree)
+	if err != nil {
+		return nil, fmt.Errorf("core: corrupt version tree in root snapshot %s: %w", rootKey(ds.meta.Generation), err)
 	}
 	ds.branch = ds.meta.CurrentBranch
 	headNode, err := ds.tree.Head(ds.branch)
@@ -205,6 +180,9 @@ func Open(ctx context.Context, store storage.Provider) (*Dataset, error) {
 		return nil, err
 	}
 	ds.head = headNode.ID
+	if root.Head != ds.head {
+		return nil, fmt.Errorf("core: root snapshot %s holds version %s, not the head %s of branch %q", rootKey(ds.meta.Generation), root.Head, ds.head, ds.branch)
+	}
 
 	// A staged generation past the published one is the footprint of a
 	// writer killed between staging its snapshot and publishing it. The
@@ -214,13 +192,11 @@ func Open(ctx context.Context, store storage.Provider) (*Dataset, error) {
 		ds.integrity.AbandonedGeneration = ds.meta.Generation + 1
 	}
 
-	if root != nil && root.Head == ds.head {
-		if err := ds.loadTensorsFromRoot(ctx, root); err != nil {
-			return nil, err
-		}
-	} else if err := ds.loadTensors(ctx); err != nil {
-		return nil, err
+	tensors, err := ds.tensorsFromState(root.versionState)
+	if err != nil {
+		return nil, fmt.Errorf("core: root snapshot %s: %w", rootKey(ds.meta.Generation), err)
 	}
+	ds.install(root.versionState, tensors)
 	return ds, nil
 }
 
@@ -266,33 +242,12 @@ func (ds *Dataset) CreateTensor(ctx context.Context, spec TensorSpec) (*Tensor, 
 	if err != nil {
 		return nil, err
 	}
-	// Clear any sticky error from unrelated background uploads (their
-	// blobs redrive here), then land the tensor's metadata before the
-	// schema that references it. The tensor is registered in ds.tensors
-	// only once everything is durable, so a failed create leaves no
-	// half-registered tensor behind — the call can simply be retried.
-	if ds.flusher != nil {
-		if err := ds.flusher.redrive(ctx); err != nil {
-			return nil, err
-		}
-	}
-	if err := t.save(ctx); err != nil {
-		return nil, err
-	}
-	if err := ds.drainFlusher(ctx); err != nil {
-		return nil, err
-	}
-	ds.tensors[spec.Name] = t
-	ds.order = append(ds.order, spec.Name)
-	if err := ds.persistSchema(ctx); err != nil {
-		delete(ds.tensors, spec.Name)
-		ds.order = ds.order[:len(ds.order)-1]
-		return nil, err
-	}
 	// Publish a generation covering the schema change so a process that
 	// opens the dataset without an intervening Flush still sees the new
-	// tensor through the snapshot. Roll back on failure: the staged (or
-	// plain) objects are harmless garbage and the call can be retried.
+	// tensor. Roll back on failure: a staged root is harmless garbage and
+	// the call can be retried.
+	ds.tensors[spec.Name] = t
+	ds.order = append(ds.order, spec.Name)
 	if err := ds.persistRoot(ctx); err != nil {
 		delete(ds.tensors, spec.Name)
 		ds.order = ds.order[:len(ds.order)-1]
@@ -331,8 +286,7 @@ func (ds *Dataset) DeleteTensor(ctx context.Context, name string) error {
 			break
 		}
 	}
-	// Drop the working version's copies of the tensor state; chunks in
-	// this head are garbage but ancestors keep theirs.
+	// Chunks written in this head are garbage; ancestors keep theirs.
 	keys, err := ds.store.List(ctx, tensorPrefix(ds.head, name)+"/")
 	if err != nil {
 		return err
@@ -341,9 +295,6 @@ func (ds *Dataset) DeleteTensor(ctx context.Context, name string) error {
 		if err := ds.store.Delete(ctx, key); err != nil {
 			return err
 		}
-	}
-	if err := ds.persistSchema(ctx); err != nil {
-		return err
 	}
 	return ds.persistRoot(ctx)
 }
@@ -545,14 +496,22 @@ func (ds *Dataset) Flush(ctx context.Context) error {
 	return ds.flushLocked(ctx)
 }
 
-// flushLocked seals every tensor's pending chunk, waits for the flush
-// pipeline to land all chunk uploads (the barrier that keeps version
-// semantics identical to the serial path), then persists metadata strictly
-// after the data it references — in parallel across tensors when a
-// pipeline is configured, since per-tensor metadata objects are
-// independent. dataset.json and the version tree go last, once everything
-// they reference is durable. Caller holds ds.mu exclusively.
+// flushLocked makes everything appended so far durable and publishes it:
+// seal, then one root snapshot and the dataset.json flip. Caller holds ds.mu
+// exclusively.
 func (ds *Dataset) flushLocked(ctx context.Context) error {
+	if err := ds.sealLocked(ctx); err != nil {
+		return err
+	}
+	return ds.persistRoot(ctx)
+}
+
+// sealLocked seals every tensor's pending chunk, waits for the flush
+// pipeline to land all chunk uploads (the barrier that keeps version
+// semantics identical to the serial path), and only then snapshots each
+// tensor's state as its savedState — so what gets published next never
+// references a chunk that is not in storage. Caller holds ds.mu exclusively.
+func (ds *Dataset) sealLocked(ctx context.Context) error {
 	// A new flush attempt restarts uploads that failed or were cancelled
 	// earlier — their blobs are still in the pipeline's pending map, so a
 	// transient upload error is recovered by simply flushing again.
@@ -566,40 +525,20 @@ func (ds *Dataset) flushLocked(ctx context.Context) error {
 			return err
 		}
 	}
-	if err := ds.drainFlusher(ctx); err != nil {
-		return err
-	}
-	// save() routes per-tensor metadata through the pipeline as well (the
-	// objects are independent), so a second drain fences them before the
-	// root files that reference everything go out.
-	for _, name := range ds.order {
-		if err := ds.tensors[name].save(ctx); err != nil {
+	if ds.flusher != nil {
+		if err := ds.flusher.drain(ctx); err != nil {
 			return err
 		}
 	}
-	if err := ds.drainFlusher(ctx); err != nil {
-		return err
+	for _, name := range ds.order {
+		t := ds.tensors[name]
+		st, err := t.snapshotState()
+		if err != nil {
+			return err
+		}
+		t.savedState = st
 	}
-	return ds.persistRoot(ctx)
-}
-
-// drainFlusher waits for every queued upload and surfaces the first error.
-// Caller holds ds.mu exclusively.
-func (ds *Dataset) drainFlusher(ctx context.Context) error {
-	if ds.flusher == nil {
-		return nil
-	}
-	return ds.flusher.drain(ctx)
-}
-
-// putObject stores one metadata object: through the flush pipeline when one
-// is configured (callers fence with drainFlusher before depending on it),
-// inline otherwise.
-func (ds *Dataset) putObject(ctx context.Context, key string, blob []byte) error {
-	if ds.flusher != nil {
-		return ds.flusher.enqueue(ctx, key, blob)
-	}
-	return ds.store.Put(ctx, key, blob)
+	return nil
 }
 
 func (ds *Dataset) ensureWritable() error {
@@ -609,88 +548,56 @@ func (ds *Dataset) ensureWritable() error {
 	return nil
 }
 
-// persistRoot publishes the dataset's mutable head state with the staged
-// write-new-then-publish protocol: stage a complete snapshot of everything a
-// reader needs under the next generation's roots/ key, then atomically flip
-// dataset.json to point at it (FS providers rename into place; object stores
-// replace whole objects). A writer killed anywhere before the dataset.json
-// rewrite leaves the previous generation untouched and fully readable — the
-// staged snapshot and any chunks uploaded for it are mere garbage that fsck
-// collects. version_control.json is also rewritten (after the publish) as a
-// convenience copy for tooling; readers of generation-aware datasets treat
-// the tree embedded in the snapshot as authoritative.
-//
-// Caller holds ds.mu exclusively; NextSampleID is copied under idMu because
-// row appends allocate ids outside the structure lock. The in-memory
-// generation advances only after a successful publish, so a retried flush
-// restages the same generation and converges to identical bytes.
+// persistRoot publishes the saved state of the version the handle is on.
+// Caller holds ds.mu exclusively.
 func (ds *Dataset) persistRoot(ctx context.Context) error {
-	ds.meta.CurrentBranch = ds.branch
-	if ds.branch == "" {
-		// Keep the last real branch on detached checkouts so a plain
-		// Open recovers a writable state.
-		ds.meta.CurrentBranch = version.DefaultBranch
+	return ds.publish(ctx, ds.tree, ds.branch, ds.head, ds.savedVersionState())
+}
+
+// publish makes vs, as the state of branch's head version in tree, the
+// dataset's published head with the staged write-new-then-publish protocol:
+// stage the root snapshot under the next generation's roots/ key, then
+// atomically flip dataset.json to point at it (FS providers rename into
+// place; object stores replace whole objects). Everything the root
+// references — chunks, the state objects of versions already left — must be
+// durable before the call. A writer killed anywhere before the dataset.json
+// rewrite leaves the previous generation untouched and fully readable; the
+// staged snapshot and any chunks uploaded for it are garbage fsck collects.
+//
+// The handle moves onto tree/branch/head only once the publish succeeded, so
+// a failed Commit or Checkout leaves it where it was, and the generation
+// advances only then too, so a retried flush restages the same generation
+// and converges to identical bytes. Caller holds ds.mu exclusively;
+// NextSampleID is copied under idMu because row appends allocate ids outside
+// the structure lock.
+func (ds *Dataset) publish(ctx context.Context, tree *version.Tree, branch, head string, vs versionState) error {
+	rawTree, err := tree.Marshal()
+	if err != nil {
+		return err
 	}
 	ds.idMu.Lock()
 	meta := ds.meta
 	ds.idMu.Unlock()
-	rawTree, err := ds.tree.Marshal()
-	if err != nil {
+	meta.CurrentBranch = branch
+	meta.Generation++
+	root := rootFile{Meta: meta, Branch: branch, Head: head, Tree: rawTree, versionState: vs}
+	if err := ds.store.Put(ctx, rootKey(meta.Generation), mustJSON(root)); err != nil {
 		return err
 	}
-	gen := meta.Generation + 1
-	meta.Generation = gen
-	root, err := ds.buildRootLocked(meta, rawTree)
-	if err != nil {
-		return err
-	}
-	if err := ds.store.Put(ctx, rootKey(gen), mustJSON(root)); err != nil {
-		return err
-	}
-	// The publish point: after this Put, generation gen is live.
+	// The publish point: after this Put, the new generation is live.
 	if err := ds.store.Put(ctx, datasetMetaKey, mustJSON(meta)); err != nil {
 		return err
 	}
-	if err := ds.store.Put(ctx, versionTreeKey, rawTree); err != nil {
-		return err
-	}
 	ds.idMu.Lock()
-	ds.meta.Generation = gen
+	ds.meta.Generation, ds.meta.CurrentBranch = meta.Generation, branch
 	ds.idMu.Unlock()
+	ds.tree, ds.branch, ds.head = tree, branch, head
 	// Keep the current and previous snapshots (the previous one is the
 	// crash-recovery target while the next publish is in flight); drop
 	// older ones best-effort.
-	if gen > 2 {
-		_ = ds.store.Delete(ctx, rootKey(gen-2))
+	if meta.Generation > 2 {
+		_ = ds.store.Delete(ctx, rootKey(meta.Generation-2))
 	}
-	return nil
-}
-
-func (ds *Dataset) persistSchema(ctx context.Context) error {
-	return ds.store.Put(ctx, schemaKey(ds.head), mustJSON(schemaFile{Tensors: append([]string(nil), ds.order...)}))
-}
-
-// loadTensors reads the schema of the current head and opens every tensor.
-func (ds *Dataset) loadTensors(ctx context.Context) error {
-	raw, err := ds.store.Get(ctx, schemaKey(ds.head))
-	if err != nil {
-		return fmt.Errorf("core: missing schema for version %s: %w", ds.head, err)
-	}
-	var schema schemaFile
-	if err := unmarshalJSON(raw, &schema); err != nil {
-		return err
-	}
-	ds.tensors = map[string]*Tensor{}
-	ds.order = nil
-	for _, name := range schema.Tensors {
-		t, err := loadTensor(ctx, ds, name)
-		if err != nil {
-			return fmt.Errorf("core: load tensor %q: %w", name, err)
-		}
-		ds.tensors[name] = t
-		ds.order = append(ds.order, name)
-	}
-	ds.seedChecksums()
 	return nil
 }
 

@@ -18,7 +18,7 @@ import (
 // is uploaded inline before the append returns, exactly as the serial
 // format reference behaves. Any FlushWorkers > 0 switches to pipelined
 // uploads; Flush and Commit drain the pipeline before persisting metadata,
-// so the stored objects (chunks, chunk sets, diffs, encoders, meta) are
+// so the stored objects (chunks, version states, root snapshots) are
 // byte-identical to the serial path at every worker count — only the upload
 // order differs.
 type WriteOptions struct {
@@ -416,7 +416,7 @@ func (ds *Dataset) SetWriteOptions(opts WriteOptions) error {
 		ds.flusher = nil
 	}
 	// Propagate the autotune cap to every existing builder; tensors created
-	// later pick it up from ds.writeOpts in newTensor/loadTensor.
+	// later pick it up from ds.writeOpts in newTensorShell.
 	for _, name := range ds.order {
 		t := ds.tensors[name]
 		t.mu.Lock()

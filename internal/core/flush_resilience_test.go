@@ -178,8 +178,12 @@ func TestFlushManualRedriveTakesOverAutoRetry(t *testing.T) {
 func TestFlushUploadTimeoutParksStalledPuts(t *testing.T) {
 	ctx := context.Background()
 	const rows = 120
+	// Seed 20 stalls Puts 2, 4, 5 and 6 of the schedule: all four faults are
+	// spent on background chunk uploads — the only Puts UploadTimeout covers —
+	// before the flush's two inline publish Puts (root, dataset.json), which
+	// a stall would hang on the test's deadline-free context.
 	ds, tr, faulty := faultyDataset(t,
-		storage.FaultConfig{Seed: 5, StallRate: 0.2, MaxFaults: 4},
+		storage.FaultConfig{Seed: 20, StallRate: 0.2, MaxFaults: 4},
 		WriteOptions{
 			FlushWorkers: 4, MaxPending: 8,
 			UploadTimeout: 20 * time.Millisecond,

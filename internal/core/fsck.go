@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 
@@ -24,17 +23,13 @@ const (
 	// FsckStaleRoot: a snapshot older than the previous generation that
 	// best-effort cleanup failed to remove.
 	FsckStaleRoot = "stale-root"
-	// FsckTornMetadata: a plain head object disagrees with the published
-	// root snapshot (torn by a crashed writer; the snapshot is
-	// authoritative).
-	FsckTornMetadata = "torn-metadata"
-	// FsckMissingObject: a metadata object referenced by the version tree
-	// is absent.
+	// FsckMissingObject: the state object of a version in the tree is
+	// absent.
 	FsckMissingObject = "missing-object"
 	// FsckMissingChunk: a chunk listed in a version's chunk set is absent.
 	FsckMissingChunk = "missing-chunk"
 	// FsckChecksumMismatch: a stored chunk's bytes fail the CRC32C recorded
-	// in the tensor's checksum manifest.
+	// in the tensor's checksum manifest, or the manifest records none.
 	FsckChecksumMismatch = "checksum-mismatch"
 	// FsckOrphanChunk: a stored chunk not referenced by its version's chunk
 	// set (e.g. uploaded for a generation that was never published).
@@ -46,10 +41,9 @@ const (
 
 // FsckOptions configures a consistency walk.
 type FsckOptions struct {
-	// Repair makes fsck fix what it safely can: rewrite torn head metadata
-	// from the published root snapshot, and delete abandoned/stale roots,
-	// orphan chunks and orphan version directories. Missing chunks and
-	// checksum mismatches are data loss and are only ever reported.
+	// Repair makes fsck fix what it safely can: delete abandoned/stale
+	// roots, orphan chunks and orphan version directories. Missing objects
+	// and checksum mismatches are data loss and are only ever reported.
 	Repair bool
 }
 
@@ -75,16 +69,15 @@ func (i FsckIssue) String() string {
 
 // FsckReport is the result of a consistency walk.
 type FsckReport struct {
-	// Generation is the published generation (0 for legacy datasets).
+	// Generation is the published generation.
 	Generation uint64
 	// Issues lists every problem found, in discovery order.
 	Issues []FsckIssue
 	// ObjectsChecked counts storage objects inspected.
 	ObjectsChecked int
-	// ChunksVerified / ChunksUnverified count chunks whose bytes were /
-	// could not be CRC-checked (no manifest entry — pre-checksum data).
-	ChunksVerified   int
-	ChunksUnverified int
+	// ChunksVerified counts chunks whose bytes matched their recorded
+	// CRC32C.
+	ChunksVerified int
 }
 
 // Clean reports whether the dataset has no outstanding problems: no issues,
@@ -101,8 +94,8 @@ func (r *FsckReport) Clean() bool {
 // Format renders the report for humans, one line per issue.
 func (r *FsckReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fsck: generation %d, %d objects checked, %d chunks verified, %d unverified (no checksum)\n",
-		r.Generation, r.ObjectsChecked, r.ChunksVerified, r.ChunksUnverified)
+	fmt.Fprintf(&b, "fsck: generation %d, %d objects checked, %d chunks verified\n",
+		r.Generation, r.ObjectsChecked, r.ChunksVerified)
 	for _, i := range r.Issues {
 		fmt.Fprintf(&b, "  %s\n", i.String())
 	}
@@ -128,9 +121,9 @@ func (f *fsckState) issue(kind, key, detail string, fix func(context.Context) er
 }
 
 // Fsck walks a dataset's storage namespace and cross-checks the manifest
-// against the stored objects: every referenced chunk present, every stored
-// chunk referenced, every checksum matching, the plain head metadata in
-// agreement with the published root snapshot, and no leftovers from dead
+// against the stored objects: the published root and every left version's
+// state present and parsing, every referenced chunk present, every stored
+// chunk referenced, every checksum matching, and no leftovers from dead
 // generations. With opts.Repair it fixes what is safely fixable (see
 // FsckOptions). The returned error is reserved for infrastructure failures
 // (storage errors, no dataset at all); consistency problems land in the
@@ -153,51 +146,29 @@ func Fsck(ctx context.Context, store storage.Provider, opts FsckOptions) (*FsckR
 	}
 	f.rep.Generation = meta.Generation
 
-	if meta.Generation > 0 {
-		root, err := loadRoot(ctx, store, meta.Generation)
-		switch {
-		case err == nil:
-			f.root = root
-		case storage.IsNotFound(err):
-			f.issue(FsckMissingRoot, rootKey(meta.Generation),
-				"dataset.json points at this generation but its snapshot is gone", nil)
-		default:
-			f.issue(FsckCorruptObject, rootKey(meta.Generation), err.Error(), nil)
-		}
-		f.rep.ObjectsChecked++
+	root, err := loadRoot(ctx, store, meta.Generation)
+	switch {
+	case err == nil:
+		f.root = root
+	case storage.IsNotFound(err):
+		f.issue(FsckMissingRoot, rootKey(meta.Generation),
+			"dataset.json points at this generation but its snapshot is gone", nil)
+	default:
+		f.issue(FsckCorruptObject, rootKey(meta.Generation), err.Error(), nil)
 	}
+	f.rep.ObjectsChecked++
 	if err := f.checkRootsListing(ctx, meta.Generation); err != nil {
 		return nil, err
 	}
-
-	// Resolve the version tree: the snapshot's embedded copy is
-	// authoritative when present; otherwise the plain object must parse.
-	if f.root != nil {
-		f.tree, err = version.Unmarshal(f.root.Tree)
-		if err != nil {
-			f.issue(FsckCorruptObject, rootKey(meta.Generation), fmt.Sprintf("embedded version tree does not parse: %v", err), nil)
-			return f.rep, nil
-		}
-		f.checkPlainTree(ctx)
-	} else {
-		rawTree, err := store.Get(ctx, versionTreeKey)
-		if err != nil {
-			if storage.IsNotFound(err) {
-				f.issue(FsckMissingObject, versionTreeKey, "version tree is missing and no root snapshot exists to restore it", nil)
-				return f.rep, nil
-			}
-			return nil, err
-		}
-		f.rep.ObjectsChecked++
-		f.tree, err = version.Unmarshal(rawTree)
-		if err != nil {
-			f.issue(FsckCorruptObject, versionTreeKey, fmt.Sprintf("does not parse: %v", err), nil)
-			return f.rep, nil
-		}
+	// Without the root there is no version tree to judge the rest by, and
+	// the other snapshots are all that is left to recover from: report only.
+	if f.root == nil {
+		return f.rep, nil
 	}
-
-	if f.root != nil {
-		f.checkHeadObjects(ctx, meta.CurrentBranch)
+	f.tree, err = version.Unmarshal(f.root.Tree)
+	if err != nil {
+		f.issue(FsckCorruptObject, rootKey(meta.Generation), fmt.Sprintf("embedded version tree does not parse: %v", err), nil)
+		return f.rep, nil
 	}
 	if err := f.checkVersions(ctx); err != nil {
 		return nil, err
@@ -245,150 +216,29 @@ func (f *fsckState) checkRootsListing(ctx context.Context, gen uint64) error {
 	return nil
 }
 
-// checkPlainTree cross-checks the convenience version_control.json copy
-// against the snapshot's embedded tree.
-func (f *fsckState) checkPlainTree(ctx context.Context) {
-	fix := func(ctx context.Context) error {
-		tree, err := version.Unmarshal(f.root.Tree)
-		if err != nil {
-			return err
-		}
-		raw, err := tree.Marshal()
-		if err != nil {
-			return err
-		}
-		return f.store.Put(ctx, versionTreeKey, raw)
+// versionState resolves one version's state the way loadVersionState does:
+// the root for the version it is on, versions/<vid>/state.json otherwise. A
+// missing or unparseable state object is an issue naming it, and the version
+// then checks as empty.
+func (f *fsckState) versionState(ctx context.Context, vid string) (versionState, error) {
+	if f.root.Head == vid {
+		return f.root.versionState, nil
 	}
-	raw, err := f.store.Get(ctx, versionTreeKey)
+	key := versionStateKey(vid)
+	raw, err := f.store.Get(ctx, key)
+	if storage.IsNotFound(err) {
+		f.issue(FsckMissingObject, key, "version is in the tree but its state object is gone", nil)
+		return versionState{}, nil
+	}
 	if err != nil {
-		f.issue(FsckTornMetadata, versionTreeKey, "missing; the published root snapshot has the authoritative copy", fix)
-		return
+		return versionState{}, err
 	}
 	f.rep.ObjectsChecked++
-	if !jsonSemanticallyEqual(raw, f.root.Tree) {
-		f.issue(FsckTornMetadata, versionTreeKey, "disagrees with the tree embedded in the published root snapshot", fix)
-	}
-}
-
-// checkHeadObjects cross-checks the plain per-object copies of the head
-// version's mutable state against the authoritative snapshot.
-func (f *fsckState) checkHeadObjects(ctx context.Context, branch string) {
-	headNode, err := f.tree.Head(branch)
+	vs, err := parseVersionState(key, raw)
 	if err != nil {
-		return
+		f.issue(FsckCorruptObject, key, fmt.Sprintf("does not parse: %v", err), nil)
 	}
-	head := headNode.ID
-	if f.root.Head != head {
-		// Snapshot was published from a detached checkout; the plain head
-		// objects have no snapshot counterpart to compare against.
-		return
-	}
-
-	compare := func(key string, want []byte, semantic bool) {
-		raw, err := f.store.Get(ctx, key)
-		missing := storage.IsNotFound(err)
-		if err != nil && !missing {
-			return
-		}
-		if !missing {
-			f.rep.ObjectsChecked++
-		}
-		equal := false
-		switch {
-		case missing:
-			// A missing plain object equals an empty snapshot payload
-			// (encoders with no state are simply not written).
-			equal = len(want) == 0
-		case semantic:
-			equal = jsonSemanticallyEqual(raw, want)
-		default:
-			equal = string(raw) == string(want)
-		}
-		if !equal {
-			f.issue(FsckTornMetadata, key, "disagrees with the published root snapshot", func(ctx context.Context) error {
-				return f.store.Put(ctx, key, want)
-			})
-		}
-	}
-
-	compare(schemaKey(head), mustJSON(f.root.Schema), true)
-	for _, name := range f.root.Schema.Tensors {
-		st, ok := f.root.Tensors[name]
-		if !ok {
-			continue
-		}
-		compare(tensorMetaKey(head, name), mustJSON(st.Meta), true)
-		compare(chunkEncoderKey(head, name), st.ChunkEnc, false)
-		compare(shapeEncoderKey(head, name), st.ShapeEnc, false)
-		compare(tileEncoderKey(head, name), st.TileEnc, false)
-		compare(seqEncoderKey(head, name), st.SeqEnc, false)
-		compare(chunkSetKey(head, name), mustJSON(st.ChunkSet), true)
-		compare(diffKey(head, name), mustJSON(st.Diff), true)
-	}
-}
-
-// versionTensorState is what checkVersions needs per tensor: the chunk set
-// and the checksum manifest.
-type versionTensorState struct {
-	chunks    []uint64
-	checksums map[string]uint32
-}
-
-// versionState resolves one version's tensor states: from the snapshot for
-// the snapshot's own version, from plain objects otherwise (frozen at commit
-// time, so safe to read directly).
-func (f *fsckState) versionState(ctx context.Context, vid string) (map[string]versionTensorState, error) {
-	out := map[string]versionTensorState{}
-	if f.root != nil && f.root.Head == vid {
-		for _, name := range f.root.Schema.Tensors {
-			st := f.root.Tensors[name]
-			out[name] = versionTensorState{chunks: st.ChunkSet.Chunks, checksums: st.Meta.Checksums}
-		}
-		return out, nil
-	}
-	raw, err := f.store.Get(ctx, schemaKey(vid))
-	if err != nil {
-		if storage.IsNotFound(err) {
-			f.issue(FsckMissingObject, schemaKey(vid), "version has no schema object", nil)
-			return out, nil
-		}
-		return nil, err
-	}
-	f.rep.ObjectsChecked++
-	var schema schemaFile
-	if err := unmarshalJSON(raw, &schema); err != nil {
-		f.issue(FsckCorruptObject, schemaKey(vid), fmt.Sprintf("does not parse: %v", err), nil)
-		return out, nil
-	}
-	for _, name := range schema.Tensors {
-		ts := versionTensorState{}
-		if raw, err := f.store.Get(ctx, tensorMetaKey(vid, name)); err == nil {
-			f.rep.ObjectsChecked++
-			var tm TensorMeta
-			if err := unmarshalJSON(raw, &tm); err != nil {
-				f.issue(FsckCorruptObject, tensorMetaKey(vid, name), fmt.Sprintf("does not parse: %v", err), nil)
-			} else {
-				ts.checksums = tm.Checksums
-			}
-		} else if storage.IsNotFound(err) {
-			f.issue(FsckMissingObject, tensorMetaKey(vid, name), "tensor listed in the version schema has no metadata object", nil)
-		} else {
-			return nil, err
-		}
-		if raw, err := f.store.Get(ctx, chunkSetKey(vid, name)); err == nil {
-			f.rep.ObjectsChecked++
-			var set chunkSetFile
-			if err := unmarshalJSON(raw, &set); err != nil {
-				f.issue(FsckCorruptObject, chunkSetKey(vid, name), fmt.Sprintf("does not parse: %v", err), nil)
-			} else {
-				ts.chunks = set.Chunks
-			}
-		} else if !storage.IsNotFound(err) {
-			return nil, err
-		}
-		out[name] = ts
-	}
-	return out, nil
+	return vs, nil
 }
 
 // checkVersions walks every version in the tree: referenced chunks must
@@ -401,35 +251,24 @@ func (f *fsckState) checkVersions(ctx context.Context) error {
 	}
 	sort.Strings(vids)
 	for _, vid := range vids {
-		tensors, err := f.versionState(ctx, vid)
+		vs, err := f.versionState(ctx, vid)
 		if err != nil {
 			return err
 		}
-		names := make([]string, 0, len(tensors))
-		for name := range tensors {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ts := tensors[name]
-			referenced := make(map[uint64]bool, len(ts.chunks))
-			for _, id := range ts.chunks {
+		for _, name := range vs.Schema.Tensors {
+			st := vs.Tensors[name]
+			// The version's chunk set: the ids its state binds to itself.
+			var ids []uint64
+			for _, g := range st.ChunkVersions {
+				if g.Version == vid {
+					ids = append(ids, g.Chunks...)
+				}
+			}
+			referenced := make(map[uint64]bool, len(ids))
+			for _, id := range ids {
 				referenced[id] = true
 				key := chunkKey(vid, name, id)
 				f.rep.ObjectsChecked++
-				want, hasDigest := ts.checksums[chunkName(id)]
-				if !hasDigest {
-					ok, err := f.store.Exists(ctx, key)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						f.issue(FsckMissingChunk, key, "referenced by the version's chunk set but absent from storage", nil)
-						continue
-					}
-					f.rep.ChunksUnverified++
-					continue
-				}
 				raw, err := f.store.Get(ctx, key)
 				if err != nil {
 					if storage.IsNotFound(err) {
@@ -437,6 +276,11 @@ func (f *fsckState) checkVersions(ctx context.Context) error {
 						continue
 					}
 					return err
+				}
+				want, hasDigest := st.Meta.Checksums[chunkName(id)]
+				if !hasDigest {
+					f.issue(FsckChecksumMismatch, key, "no digest recorded in the tensor's checksum manifest", nil)
+					continue
 				}
 				if got := storage.Checksum(raw); got != want {
 					f.issue(FsckChecksumMismatch, key,
@@ -502,43 +346,16 @@ func (f *fsckState) checkOrphanVersions(ctx context.Context) error {
 	return nil
 }
 
-// repair runs the collected fixes: metadata rewrites first (they restore the
-// invariants deletions are judged against), then deletions of orphans and
-// dead snapshots.
+// repair runs the collected fixes.
 func (f *fsckState) repair(ctx context.Context) error {
-	order := func(kind string) int {
-		switch kind {
-		case FsckTornMetadata:
-			return 0
-		default:
-			return 1
+	for i, fix := range f.fixes {
+		if fix == nil {
+			continue
 		}
-	}
-	idx := make([]int, 0, len(f.rep.Issues))
-	for i := range f.rep.Issues {
-		if f.fixes[i] != nil {
-			idx = append(idx, i)
-		}
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return order(f.rep.Issues[idx[a]].Kind) < order(f.rep.Issues[idx[b]].Kind)
-	})
-	for _, i := range idx {
-		if err := f.fixes[i](ctx); err != nil {
+		if err := fix(ctx); err != nil {
 			return fmt.Errorf("core: fsck repair of %s %q: %w", f.rep.Issues[i].Kind, f.rep.Issues[i].Key, err)
 		}
 		f.rep.Issues[i].Repaired = true
 	}
 	return nil
-}
-
-// jsonSemanticallyEqual compares two JSON documents structurally, ignoring
-// formatting (the snapshot embeds nested JSON re-indented by the outer
-// marshal).
-func jsonSemanticallyEqual(a, b []byte) bool {
-	var va, vb any
-	if unmarshalJSON(a, &va) != nil || unmarshalJSON(b, &vb) != nil {
-		return string(a) == string(b)
-	}
-	return reflect.DeepEqual(va, vb)
 }

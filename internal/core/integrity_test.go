@@ -11,20 +11,40 @@ import (
 	"repro/internal/tensor"
 )
 
-// guillotine simulates a writer killed at the worst possible moment of the
-// commit protocol: the instant before dataset.json is rewritten to publish
-// the staged generation. Everything before that Put (chunk uploads, plain
-// metadata, the staged root snapshot) lands; the publish itself never does.
+// guillotine simulates a writer killed mid-protocol: killAt is asked before
+// every mutating op (Put/Delete) — with how many went through so far and the
+// key about to be written — whether the writer dies there. A dead writer
+// mutates nothing more; everything before the kill landed.
 type guillotine struct {
 	storage.Provider
-	armed bool
+	killAt func(ops int, key string) bool
+	ops    int
+	dead   bool
+	// published, when set, runs after every dataset.json Put that lands.
+	published func()
+}
+
+func (g *guillotine) mutate(key string, op func() error) error {
+	if g.dead || (g.killAt != nil && g.killAt(g.ops, key)) {
+		g.dead = true
+		return errors.New("simulated crash: writer killed before " + key)
+	}
+	g.ops++
+	if err := op(); err != nil {
+		return err
+	}
+	if key == datasetMetaKey && g.published != nil {
+		g.published()
+	}
+	return nil
 }
 
 func (g *guillotine) Put(ctx context.Context, key string, data []byte) error {
-	if g.armed && key == datasetMetaKey {
-		return errors.New("simulated crash: writer killed before publishing dataset.json")
-	}
-	return g.Provider.Put(ctx, key, data)
+	return g.mutate(key, func() error { return g.Provider.Put(ctx, key, data) })
+}
+
+func (g *guillotine) Delete(ctx context.Context, key string) error {
+	return g.mutate(key, func() error { return g.Provider.Delete(ctx, key) })
 }
 
 func appendLabels(t *testing.T, ds *Dataset, from, to int) {
@@ -61,11 +81,11 @@ func countIssues(rep *FsckReport, kind string) int {
 }
 
 // TestCrashBetweenFlushAndPublish is the crash-consistency litmus from the
-// integrity work: a writer killed after uploading chunks (and rewriting the
-// plain head metadata) but before the atomic dataset.json publish must leave
-// the previous generation fully readable, fsck must find only collectable
-// garbage — orphans and torn plain metadata, nothing missing — and repair
-// must bring the dataset back to clean.
+// integrity work: a writer killed after uploading chunks and staging the
+// root but before the atomic dataset.json publish must leave the previous
+// generation fully readable, fsck must find only collectable garbage —
+// the abandoned root and orphan chunks, nothing missing — and repair must
+// bring the dataset back to clean.
 func TestCrashBetweenFlushAndPublish(t *testing.T) {
 	ctx := context.Background()
 	mem := storage.NewMemory()
@@ -82,8 +102,9 @@ func TestCrashBetweenFlushAndPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The kill: more rows land chunks and metadata, but the publish fails.
-	g.armed = true
+	// The kill: more rows land chunks and a staged root, but the publish
+	// fails.
+	g.killAt = func(_ int, key string) bool { return key == datasetMetaKey }
 	appendLabels(t, ds, 40, 80)
 	if err := ds.Flush(ctx); err == nil {
 		t.Fatal("flush through the guillotine should fail")
@@ -110,8 +131,8 @@ func TestCrashBetweenFlushAndPublish(t *testing.T) {
 		t.Fatalf("abandoned generation = %d, want %d", info.AbandonedGeneration, info.Generation+1)
 	}
 
-	// fsck: the abandoned root and its orphan chunks, torn plain metadata —
-	// and NOTHING missing or corrupt.
+	// fsck: the abandoned root and its orphan chunks — and NOTHING missing
+	// or corrupt.
 	rep, err := Fsck(ctx, mem, FsckOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +145,6 @@ func TestCrashBetweenFlushAndPublish(t *testing.T) {
 	}
 	if countIssues(rep, FsckOrphanChunk) == 0 {
 		t.Fatalf("want orphan chunks from the dead generation, got report:\n%s", rep.Format())
-	}
-	if countIssues(rep, FsckTornMetadata) == 0 {
-		t.Fatalf("want torn plain head metadata, got report:\n%s", rep.Format())
 	}
 	if n := countIssues(rep, FsckMissingChunk) + countIssues(rep, FsckChecksumMismatch) + countIssues(rep, FsckMissingObject) + countIssues(rep, FsckMissingRoot); n != 0 {
 		t.Fatalf("crash must not lose or corrupt published data, got report:\n%s", rep.Format())
@@ -164,7 +182,6 @@ func TestCrashBetweenFlushAndPublish(t *testing.T) {
 	}
 
 	// The repaired dataset accepts new writes.
-	g.armed = false
 	ds2, err := Open(ctx, mem)
 	if err != nil {
 		t.Fatal(err)
@@ -225,29 +242,8 @@ func TestOpenRejectsGarbageMetadata(t *testing.T) {
 		}
 	})
 
-	t.Run("torn version_control.json is shadowed by the root snapshot", func(t *testing.T) {
-		mem := newFlushed(t)
-		if err := mem.Put(ctx, versionTreeKey, []byte("garbage tree")); err != nil {
-			t.Fatal(err)
-		}
-		ds, err := Open(ctx, mem)
-		if err != nil {
-			t.Fatalf("Open with torn plain tree should recover from the snapshot, got %v", err)
-		}
-		if n := ds.NumRows(); n != 10 {
-			t.Fatalf("rows = %d", n)
-		}
-		rep, err := Fsck(ctx, mem, FsckOptions{Repair: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if countIssues(rep, FsckTornMetadata) == 0 || !rep.Clean() {
-			t.Fatalf("fsck should repair the torn tree copy:\n%s", rep.Format())
-		}
-	})
-
-	t.Run("garbage root snapshot", func(t *testing.T) {
-		mem := newFlushed(t)
+	published := func(t *testing.T, mem *storage.Memory) string {
+		t.Helper()
 		var meta datasetMeta
 		raw, err := mem.Get(ctx, datasetMetaKey)
 		if err != nil {
@@ -256,10 +252,15 @@ func TestOpenRejectsGarbageMetadata(t *testing.T) {
 		if err := unmarshalJSON(raw, &meta); err != nil {
 			t.Fatal(err)
 		}
-		if err := mem.Put(ctx, rootKey(meta.Generation), []byte("}{")); err != nil {
+		return rootKey(meta.Generation)
+	}
+
+	t.Run("garbage root snapshot", func(t *testing.T) {
+		mem := newFlushed(t)
+		if err := mem.Put(ctx, published(t, mem), []byte("}{")); err != nil {
 			t.Fatal(err)
 		}
-		_, err = Open(ctx, mem)
+		_, err := Open(ctx, mem)
 		if err == nil || !strings.Contains(err.Error(), "corrupt root snapshot") {
 			t.Fatalf("Open = %v, want corrupt root snapshot error", err)
 		}
@@ -269,6 +270,81 @@ func TestOpenRejectsGarbageMetadata(t *testing.T) {
 		}
 		if countIssues(rep, FsckCorruptObject) == 0 {
 			t.Fatalf("fsck should name the corrupt snapshot:\n%s", rep.Format())
+		}
+	})
+
+	t.Run("root snapshot missing", func(t *testing.T) {
+		mem := newFlushed(t)
+		key := published(t, mem)
+		if err := mem.Delete(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(ctx, mem)
+		if err == nil || !strings.Contains(err.Error(), key) || !storage.IsNotFound(err) {
+			t.Fatalf("Open = %v, want a not-found error naming %s", err, key)
+		}
+		rep, err := Fsck(ctx, mem, FsckOptions{Repair: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if countIssues(rep, FsckMissingRoot) != 1 || rep.Clean() {
+			t.Fatalf("fsck should report the missing root and stay dirty:\n%s", rep.Format())
+		}
+	})
+
+	t.Run("older layout is refused by name", func(t *testing.T) {
+		mem := newFlushed(t)
+		raw, err := mem.Get(ctx, datasetMetaKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := strings.Replace(string(raw), fmt.Sprintf(`"format_version":%d`, FormatVersion), `"format_version":1`, 1)
+		if old == string(raw) {
+			t.Fatalf("dataset.json carries no format_version: %s", raw)
+		}
+		if err := mem.Put(ctx, datasetMetaKey, []byte(old)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(ctx, mem)
+		if err == nil || !strings.Contains(err.Error(), "unsupported format version 1") {
+			t.Fatalf("Open = %v, want the format version refused", err)
+		}
+	})
+
+	t.Run("garbage version state", func(t *testing.T) {
+		mem := storage.NewMemory()
+		ds, err := Create(ctx, mem, "garbage")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ds.CreateTensor(ctx, TensorSpec{Name: "labels", Htype: "class_label", Bounds: smallBounds}); err != nil {
+			t.Fatal(err)
+		}
+		appendLabels(t, ds, 0, 10)
+		commit, err := ds.Commit(ctx, "first")
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := versionStateKey(commit)
+		if err := mem.Put(ctx, key, []byte("{not json")); err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Checkout(ctx, commit, false); err == nil || !strings.Contains(err.Error(), key) {
+			t.Fatalf("Checkout = %v, want an error naming %s", err, key)
+		}
+		if ds.Branch() != "main" || ds.NumRows() != 10 {
+			t.Fatalf("failed checkout moved the handle: branch %q, %d rows", ds.Branch(), ds.NumRows())
+		}
+		rep, err := Fsck(ctx, mem, FsckOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		named := false
+		for _, i := range rep.Issues {
+			named = named || (i.Kind == FsckCorruptObject && i.Key == key)
+		}
+		if !named {
+			t.Fatalf("fsck should name %s as corrupt:\n%s", key, rep.Format())
 		}
 	})
 }
@@ -412,7 +488,7 @@ func TestChecksumMismatchDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := back.Integrity()
-	if info.SeededDigests == 0 || info.ChunksWithChecksum == 0 || info.ChunksWithoutChecksum != 0 {
+	if info.SeededDigests == 0 || info.ChunksWithChecksum == 0 {
 		t.Fatalf("digest seeding at open: %+v", info)
 	}
 	var readErr error
@@ -487,89 +563,6 @@ func TestSelfHealingReadThroughVerifyChain(t *testing.T) {
 	chunks := int64(back.Tensor("labels").NumChunks())
 	if moved := counting.Snapshot().Requests(); moved != chunks+fs.Corruptions {
 		t.Fatalf("origin requests = %d, want %d chunks + %d corruptions", moved, chunks, fs.Corruptions)
-	}
-}
-
-// TestLegacyDatasetWithoutChecksumsOpens: a pre-integrity layout (no
-// generation, no roots, no checksum manifest) still opens and reads;
-// verification is skipped and surfaced in IntegrityInfo, and fsck treats the
-// unverifiable chunks as clean.
-func TestLegacyDatasetWithoutChecksumsOpens(t *testing.T) {
-	ctx := context.Background()
-	mem := storage.NewMemory()
-	ds, err := Create(ctx, mem, "legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ds.CreateTensor(ctx, TensorSpec{Name: "labels", Htype: "class_label", Bounds: smallBounds}); err != nil {
-		t.Fatal(err)
-	}
-	appendLabels(t, ds, 0, 30)
-	if err := ds.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewrite the layout as a pre-integrity writer would have left it:
-	// no generation pointer, no roots/, no checksums in tensor metadata.
-	strip := func(key string, fields ...string) {
-		raw, err := mem.Get(ctx, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m map[string]any
-		if err := unmarshalJSON(raw, &m); err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range fields {
-			delete(m, f)
-		}
-		if err := mem.Put(ctx, key, mustJSON(m)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	strip(datasetMetaKey, "generation")
-	roots, err := mem.List(ctx, rootsPrefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range roots {
-		if err := mem.Delete(ctx, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys, err := mem.List(ctx, "versions/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if strings.HasSuffix(k, "/meta.json") {
-			strip(k, "checksums")
-		}
-	}
-
-	back, err := Open(ctx, storage.NewLRU(storage.NewVerify(mem, storage.VerifyOptions{}), 1<<20))
-	if err != nil {
-		t.Fatalf("legacy dataset must open: %v", err)
-	}
-	for i := 0; i < 30; i++ {
-		if got := readLabel(t, back, i); got != i {
-			t.Fatalf("legacy row %d = %d", i, got)
-		}
-	}
-	info := back.Integrity()
-	if info.Generation != 0 || info.ChunksWithChecksum != 0 || info.ChunksWithoutChecksum == 0 || info.SeededDigests != 0 {
-		t.Fatalf("legacy integrity info: %+v", info)
-	}
-
-	rep, err := Fsck(ctx, mem, FsckOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("legacy dataset should fsck clean:\n%s", rep.Format())
-	}
-	if rep.ChunksUnverified == 0 || rep.ChunksVerified != 0 {
-		t.Fatalf("legacy chunks should count as unverified: %+v", rep)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -9,8 +8,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// FormatVersion is bumped on incompatible dataset layout changes.
-const FormatVersion = 1
+// FormatVersion is bumped on incompatible dataset layout changes; Open
+// refuses a dataset.json carrying any other. Version 2 keeps a version's
+// state as one record (versionState) where version 1 spread it over
+// per-tensor objects.
+const FormatVersion = 2
 
 // TensorSpec declares a new tensor column (§3.2-3.3).
 type TensorSpec struct {
@@ -36,7 +38,7 @@ type TensorSpec struct {
 	Bounds chunk.Bounds
 }
 
-// TensorMeta is the persisted tensor metadata (meta.json).
+// TensorMeta is the persisted tensor metadata, part of tensorRootState.
 type TensorMeta struct {
 	Htype             string       `json:"htype"`
 	Dtype             string       `json:"dtype"`
@@ -52,18 +54,13 @@ type TensorMeta struct {
 	// Checksums maps chunk names ("%016x" of the chunk id) to the CRC32C
 	// of the stored (post-compression) chunk object. Entries accumulate as
 	// chunks are written and ride along commits, so readers of any version
-	// in this lineage can verify the bytes they fetch. Datasets written
-	// before checksums existed simply have no entries; verification is
-	// skipped for those chunks and surfaced in IntegrityInfo.
+	// in this lineage can verify the bytes they fetch.
 	Checksums map[string]uint32 `json:"checksums,omitempty"`
 	// Autotune is the chunk-size autotuner's schedule position at save
-	// time. It rides meta.json and the root snapshots dataset.json points
-	// at, so a writer that reopens the dataset resumes the exact per-tensor
-	// chunk-size trajectory — same levels, same observed-sample floor — and
-	// produces chunks byte-identical to an uninterrupted run. Absent for
-	// datasets written before the autotuner persisted state (the schedule
-	// then restarts from the base target, which is only a layout
-	// pessimisation, never a correctness issue).
+	// time. It rides the version's state record, so a writer that reopens
+	// the dataset resumes the exact per-tensor chunk-size trajectory — same
+	// levels, same observed-sample floor — and produces chunks
+	// byte-identical to an uninterrupted run.
 	Autotune *chunk.AutotuneState `json:"autotune,omitempty"`
 }
 
@@ -75,13 +72,11 @@ type datasetMeta struct {
 	CreatedAt     time.Time `json:"created_at"`
 	CurrentBranch string    `json:"current_branch"`
 	NextSampleID  uint64    `json:"next_sample_id"`
-	// Generation is the commit protocol's publish pointer: every
-	// persistRoot stages a full snapshot of the mutable head state under
-	// roots/<generation> and only then rewrites dataset.json to point at
-	// it. A writer killed mid-flush leaves the previous generation fully
-	// readable. Zero means a legacy dataset written before the staged
-	// protocol existed; such datasets open from the plain per-object
-	// layout.
+	// Generation is the commit protocol's publish pointer: every publish
+	// stages the root snapshot roots/<generation> and only then rewrites
+	// dataset.json to point at it, so a writer killed mid-flush leaves the
+	// previous generation fully readable. Create publishes generation 1;
+	// Open refuses a pointer without one.
 	Generation uint64 `json:"generation,omitempty"`
 }
 
@@ -102,18 +97,10 @@ type diffRecord struct {
 	Updated []uint64 `json:"updated,omitempty"`
 }
 
-// chunkSetFile lists chunk ids materialized in one version directory
-// (§4.2: "a corresponding chunk_set per tensor containing the names of all
-// the modified chunks").
-type chunkSetFile struct {
-	Chunks []uint64 `json:"chunks"`
-}
-
 // Storage layout helpers. All keys are relative to the dataset root.
 
 const (
 	datasetMetaKey = "dataset.json"
-	versionTreeKey = "version_control.json"
 	rootsPrefix    = "roots/"
 )
 
@@ -127,26 +114,12 @@ func chunkName(id uint64) string { return fmt.Sprintf("%016x", id) }
 
 func versionPrefix(vid string) string { return "versions/" + vid }
 
-func schemaKey(vid string) string { return versionPrefix(vid) + "/schema.json" }
+// versionStateKey is where a version's state lives once the handle has left
+// it; see loadVersionState.
+func versionStateKey(vid string) string { return versionPrefix(vid) + "/state.json" }
 
 func tensorPrefix(vid, name string) string { return versionPrefix(vid) + "/tensors/" + name }
-
-func tensorMetaKey(vid, name string) string { return tensorPrefix(vid, name) + "/meta.json" }
-
-func chunkEncoderKey(vid, name string) string { return tensorPrefix(vid, name) + "/chunk_encoder" }
-
-func shapeEncoderKey(vid, name string) string { return tensorPrefix(vid, name) + "/shape_encoder" }
-
-func tileEncoderKey(vid, name string) string { return tensorPrefix(vid, name) + "/tile_encoder" }
-
-func seqEncoderKey(vid, name string) string { return tensorPrefix(vid, name) + "/sequence_encoder" }
-
-func chunkSetKey(vid, name string) string { return tensorPrefix(vid, name) + "/chunk_set.json" }
-
-func diffKey(vid, name string) string { return tensorPrefix(vid, name) + "/diff.json" }
 
 func chunkKey(vid, name string, id uint64) string {
 	return tensorPrefix(vid, name) + "/chunks/" + chunkName(id)
 }
-
-func marshalJSON(v any) ([]byte, error) { return json.MarshalIndent(v, "", "  ") }

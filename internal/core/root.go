@@ -2,72 +2,101 @@ package core
 
 import (
 	"context"
+	"encoding"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
+	"sort"
 	"strconv"
 
 	"repro/internal/storage"
 	"repro/internal/tensor"
 )
 
-// rootFile is the staged generation snapshot (roots/<gen>): a single object
-// holding every piece of mutable head state — dataset metadata, the version
-// tree, the head schema, and each tensor's metadata, encoders, chunk set and
-// diff. persistRoot writes it under a brand-new key and only then rewrites
-// dataset.json to point at it, so the snapshot a reader follows is immutable
-// once published and a writer killed mid-flush cannot tear it.
-type rootFile struct {
-	Meta datasetMeta `json:"meta"`
-	// Branch/Head identify the version the tensor snapshots belong to.
-	// Open uses the embedded tensor state only when it resolves to the
-	// same head (a detached checkout may publish a root for a commit other
-	// than the branch head a fresh Open lands on).
-	Branch  string                     `json:"branch"`
-	Head    string                     `json:"head"`
-	Tree    json.RawMessage            `json:"tree"`
+// versionState is everything one version records besides its chunk objects:
+// the schema and, per tensor, metadata, encoders, the resolved chunk→version
+// map and the commit diff (§4.2). It lives in one of two places: inside the
+// published root snapshot while the handle is on the version, and in
+// versions/<vid>/state.json once a handle has left it — frozen there by
+// Commit, parked there by a Checkout to another branch.
+type versionState struct {
 	Schema  schemaFile                 `json:"schema"`
 	Tensors map[string]tensorRootState `json:"tensors"`
 }
 
-// tensorRootState is one tensor's full mutable head state as embedded in a
-// root snapshot. Encoder payloads are the same binary blobs the plain
-// per-object layout stores (base64 in JSON).
-type tensorRootState struct {
-	Meta     TensorMeta   `json:"meta"`
-	ChunkEnc []byte       `json:"chunk_encoder,omitempty"`
-	ShapeEnc []byte       `json:"shape_encoder,omitempty"`
-	TileEnc  []byte       `json:"tile_encoder,omitempty"`
-	SeqEnc   []byte       `json:"sequence_encoder,omitempty"`
-	ChunkSet chunkSetFile `json:"chunk_set"`
-	Diff     diffRecord   `json:"diff"`
+// rootFile is the root snapshot (roots/<gen>), the only metadata a flush
+// writes: dataset metadata, the version tree, and the state of the version
+// the handle is on. publish stages it under a brand-new key and only then
+// rewrites dataset.json to point at it, so the snapshot a reader follows is
+// immutable once published and a writer killed mid-flush cannot tear it.
+type rootFile struct {
+	Meta datasetMeta `json:"meta"`
+	// Branch/Head name the version the embedded state belongs to: always
+	// the mutable head of Branch (a detached checkout publishes nothing).
+	Branch string          `json:"branch"`
+	Head   string          `json:"head"`
+	Tree   json.RawMessage `json:"tree"`
+	versionState
 }
 
-// buildRootLocked assembles the snapshot for the given (already staged)
-// metadata and marshalled tree. Caller holds ds.mu exclusively.
-func (ds *Dataset) buildRootLocked(meta datasetMeta, rawTree []byte) (*rootFile, error) {
-	root := &rootFile{
-		Meta:    meta,
-		Branch:  ds.branch,
-		Head:    ds.head,
-		Tree:    rawTree,
+// tensorRootState is one tensor's full state in one version. Encoder
+// payloads are their binary marshallings (base64 in JSON).
+type tensorRootState struct {
+	Meta     TensorMeta `json:"meta"`
+	ChunkEnc []byte     `json:"chunk_encoder,omitempty"`
+	ShapeEnc []byte     `json:"shape_encoder,omitempty"`
+	TileEnc  []byte     `json:"tile_encoder,omitempty"`
+	SeqEnc   []byte     `json:"sequence_encoder,omitempty"`
+	// ChunkVersions is the resolved chunk id → version directory map (§4.2
+	// chunk resolution, done once at write time instead of by walking the
+	// ancestry at open). The chunk_set of §4.2 is the group whose Version is
+	// the state's own.
+	ChunkVersions []chunkVersionGroup `json:"chunk_versions"`
+	Diff          diffRecord          `json:"diff"`
+}
+
+// chunkVersionGroup lists the chunk ids of one tensor whose bytes live in one
+// version directory.
+type chunkVersionGroup struct {
+	Version string   `json:"version"`
+	Chunks  []uint64 `json:"chunks"`
+}
+
+// groupChunkVersions renders a chunk→version map in its stored form: groups
+// ordered by version, ids ascending, so equal maps marshal to equal bytes.
+func groupChunkVersions(m map[uint64]string) []chunkVersionGroup {
+	byVersion := map[string][]uint64{}
+	for id, vid := range m {
+		byVersion[vid] = append(byVersion[vid], id)
+	}
+	groups := make([]chunkVersionGroup, 0, len(byVersion))
+	for vid, ids := range byVersion {
+		slices.Sort(ids)
+		groups = append(groups, chunkVersionGroup{Version: vid, Chunks: ids})
+	}
+	sort.Slice(groups, func(i, j int) bool { return groups[i].Version < groups[j].Version })
+	return groups
+}
+
+// savedVersionState assembles the durable state of the version the handle is
+// on from each tensor's savedState. Caller holds ds.mu.
+func (ds *Dataset) savedVersionState() versionState {
+	vs := versionState{
 		Schema:  schemaFile{Tensors: append([]string{}, ds.order...)},
 		Tensors: make(map[string]tensorRootState, len(ds.order)),
 	}
 	for _, name := range ds.order {
-		st, err := ds.tensors[name].rootState()
-		if err != nil {
-			return nil, err
-		}
-		root.Tensors[name] = st
+		vs.Tensors[name] = ds.tensors[name].savedState
 	}
-	return root, nil
+	return vs
 }
 
 // loadRoot fetches and parses the snapshot for one generation.
 func loadRoot(ctx context.Context, store storage.Provider, gen uint64) (*rootFile, error) {
 	raw, err := store.Get(ctx, rootKey(gen))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: root snapshot %s that dataset.json points at: %w", rootKey(gen), err)
 	}
 	root := &rootFile{}
 	if err := unmarshalJSON(raw, root); err != nil {
@@ -76,43 +105,78 @@ func loadRoot(ctx context.Context, store storage.Provider, gen uint64) (*rootFil
 	return root, nil
 }
 
-// loadTensorsFromRoot opens every tensor from the embedded snapshot state
-// instead of the plain per-object layout. The snapshot is authoritative: the
-// plain head objects may be torn by a writer killed mid-flush, but the
-// published root never is.
-func (ds *Dataset) loadTensorsFromRoot(ctx context.Context, root *rootFile) error {
-	ds.tensors = map[string]*Tensor{}
-	ds.order = nil
-	for _, name := range root.Schema.Tensors {
-		st, ok := root.Tensors[name]
-		if !ok {
-			return fmt.Errorf("core: root snapshot generation %d lists tensor %q in its schema but carries no state for it", root.Meta.Generation, name)
-		}
-		t, err := loadTensorFromState(ctx, ds, name, st)
+// loadVersionState is the one lookup for a version's recorded state. The
+// version this handle is on is what its last flush published (savedState);
+// detached, the root still holds the head of the branch the handle left;
+// every other version was left by a handle, which wrote
+// versions/<vid>/state.json. Caller holds ds.mu.
+func (ds *Dataset) loadVersionState(ctx context.Context, vid string) (versionState, error) {
+	switch {
+	case ds.branch != "" && vid == ds.head:
+		return ds.savedVersionState(), nil
+	case ds.branch == "" && vid == ds.tree.Heads[ds.meta.CurrentBranch]:
+		root, err := loadRoot(ctx, ds.store, ds.meta.Generation)
 		if err != nil {
-			return fmt.Errorf("core: load tensor %q: %w", name, err)
+			return versionState{}, err
 		}
-		ds.tensors[name] = t
-		ds.order = append(ds.order, name)
+		return root.versionState, nil
 	}
-	ds.seedChecksums()
-	return nil
+	key := versionStateKey(vid)
+	raw, err := ds.store.Get(ctx, key)
+	if err != nil {
+		return versionState{}, fmt.Errorf("core: state of version %s: %s: %w", vid, key, err)
+	}
+	return parseVersionState(key, raw)
 }
 
-// loadTensorFromState builds a tensor handle from snapshot state. Ancestor
-// versions are still resolved through the tree (their chunk sets are frozen
-// at commit time and safe to read as plain objects); only the head version's
-// chunk set comes from the snapshot.
-func loadTensorFromState(ctx context.Context, ds *Dataset, name string, st tensorRootState) (*Tensor, error) {
+func parseVersionState(key string, raw []byte) (versionState, error) {
+	var vs versionState
+	if err := unmarshalJSON(raw, &vs); err != nil {
+		return versionState{}, fmt.Errorf("core: corrupt version state %s: %w", key, err)
+	}
+	return vs, nil
+}
+
+// tensorsFromState builds fresh tensor handles for ds from a version's
+// state. Nothing is installed: the caller swaps them in (install) once
+// whatever it publishes is durable.
+func (ds *Dataset) tensorsFromState(vs versionState) (map[string]*Tensor, error) {
+	tensors := make(map[string]*Tensor, len(vs.Schema.Tensors))
+	for _, name := range vs.Schema.Tensors {
+		st, ok := vs.Tensors[name]
+		if !ok {
+			return nil, fmt.Errorf("core: version state lists tensor %q in its schema but carries no state for it", name)
+		}
+		t, err := tensorFromState(ds, name, st)
+		if err != nil {
+			return nil, fmt.Errorf("core: load tensor %q: %w", name, err)
+		}
+		tensors[name] = t
+	}
+	return tensors, nil
+}
+
+// install makes the tensors built from vs the handle's open tensors and
+// seeds their digests. Caller holds ds.mu exclusively (or owns ds).
+func (ds *Dataset) install(vs versionState, tensors map[string]*Tensor) {
+	ds.tensors = tensors
+	ds.order = append([]string(nil), vs.Schema.Tensors...)
+	ds.seedChecksums()
+}
+
+// tensorFromState builds a tensor handle from its recorded state.
+func tensorFromState(ds *Dataset, name string, st tensorRootState) (*Tensor, error) {
 	hspec, err := tensor.ParseHtype(st.Meta.Htype)
 	if err != nil {
 		return nil, err
 	}
 	t := newTensorShell(ds, name, st.Meta, hspec)
+	// The record's manifest stays frozen (twins share it); the live one grows.
+	t.meta.Checksums = maps.Clone(st.Meta.Checksums)
 	if err := t.resolveCodecs(); err != nil {
 		return nil, err
 	}
-	for blob, enc := range map[*[]byte]binaryCodec{
+	for blob, enc := range map[*[]byte]encoding.BinaryUnmarshaler{
 		&st.ChunkEnc: t.chunkEnc,
 		&st.ShapeEnc: t.shapeEnc,
 		&st.TileEnc:  t.tileEnc,
@@ -126,34 +190,30 @@ func loadTensorFromState(ctx context.Context, ds *Dataset, name string, st tenso
 		}
 	}
 	t.diff = st.Diff
-	if err := t.resolveChunkVersionsWith(ctx, st.ChunkSet.Chunks, true); err != nil {
-		return nil, err
+	for _, g := range st.ChunkVersions {
+		for _, id := range g.Chunks {
+			t.chunkVersion[id] = g.Version
+		}
 	}
-	t.savedState, t.savedStateOK = st, true
+	t.savedState = st
 	return t, nil
 }
 
-// seedChecksums registers every resolved chunk's recorded CRC32C with a
+// seedChecksums registers every chunk's recorded CRC32C with a
 // storage.Verify layer in the provider chain (a no-op when none is stacked),
-// and tallies coverage for IntegrityInfo. Called after tensor loading, when
-// the chunk-to-version maps are complete.
+// and tallies coverage for IntegrityInfo. writeChunk records a digest for
+// every chunk it stores; one without is a fault fsck names.
 func (ds *Dataset) seedChecksums() {
 	digests := map[string]uint32{}
-	withDigest, withoutDigest := 0, 0
 	for _, name := range ds.order {
 		t := ds.tensors[name]
 		for id, vid := range t.chunkVersion {
-			crc, ok := t.meta.Checksums[chunkName(id)]
-			if !ok {
-				withoutDigest++
-				continue
+			if crc, ok := t.meta.Checksums[chunkName(id)]; ok {
+				digests[chunkKey(vid, t.name, id)] = crc
 			}
-			withDigest++
-			digests[chunkKey(vid, t.name, id)] = crc
 		}
 	}
-	ds.integrity.ChunksWithChecksum = withDigest
-	ds.integrity.ChunksWithoutChecksum = withoutDigest
+	ds.integrity.ChunksWithChecksum = len(digests)
 	ds.integrity.SeededDigests = storage.SeedDigests(ds.store, digests)
 }
 
@@ -162,24 +222,16 @@ func (ds *Dataset) seedChecksums() {
 // published generation from a crashed writer was found, and how much of the
 // chunk population carries checksums.
 type IntegrityInfo struct {
-	// Generation is the published commit generation this handle opened at
-	// (0 for legacy datasets written before the staged-root protocol, or
-	// for a handle that created the dataset in this process).
+	// Generation is the published generation this handle opened at (0 for
+	// the handle that created the dataset in this process).
 	Generation uint64
 	// AbandonedGeneration is a staged generation found past the published
 	// one — the footprint of a writer killed between staging its snapshot
 	// and publishing it. Zero when none was found. The abandoned snapshot
 	// and its chunks are garbage; fsck -repair removes them.
 	AbandonedGeneration uint64
-	// RootMissing reports that dataset.json pointed at a generation whose
-	// snapshot object was gone, so the dataset opened from the plain
-	// per-object layout instead.
-	RootMissing bool
-	// ChunksWithChecksum / ChunksWithoutChecksum count resolved chunks
-	// with and without a recorded CRC32C. Pre-checksum datasets show all
-	// chunks unverified rather than failing to open.
-	ChunksWithChecksum    int
-	ChunksWithoutChecksum int
+	// ChunksWithChecksum counts resolved chunks with a recorded CRC32C.
+	ChunksWithChecksum int
 	// SeededDigests is how many digests were handed to a storage.Verify
 	// layer at load time (0 when the provider chain has none).
 	SeededDigests int

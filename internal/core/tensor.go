@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/chunk"
@@ -43,21 +44,20 @@ type Tensor struct {
 	pendingID      uint64
 	pendingSamples []chunk.Sample
 
-	// chunkVersion maps chunk id -> version directory holding it,
-	// resolved by walking the version tree (§4.2).
+	// chunkVersion maps chunk id -> version directory holding it (§4.2):
+	// writeChunk binds an id to the head it writes into, and the map rides
+	// the version's state. The ids bound to ds.head are this version's
+	// chunk set.
 	chunkVersion map[uint64]string
-	// chunkSet holds the ids written in the current head version.
-	chunkSet map[uint64]bool
 
 	diff diffRecord
 
-	// savedState is the tensor state as of the last successful save()
-	// (or as loaded), i.e. the durable state whose chunks are all in
-	// storage. Root snapshots embed this rather than the live state, so a
-	// generation published between flushes (e.g. by CreateTensor) never
-	// references pending chunks. Guarded like the rest of the write state.
-	savedState   tensorRootState
-	savedStateOK bool
+	// savedState is the tensor state as of the last seal (or as loaded or
+	// created), i.e. the durable state whose chunks are all in storage.
+	// Root snapshots embed this rather than the live state, so a generation
+	// published between flushes (e.g. by CreateTensor) never references
+	// pending chunks. Written under ds.mu held exclusively.
+	savedState tensorRootState
 }
 
 // newTensor builds an empty tensor from a spec and resolves codecs.
@@ -101,13 +101,17 @@ func newTensor(ds *Dataset, spec TensorSpec) (*Tensor, error) {
 	if err := t.resolveCodecs(); err != nil {
 		return nil, err
 	}
+	// An empty tensor references no chunk, so its state is durable as is.
+	if t.savedState, err = t.snapshotState(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
 // newTensorShell builds the common in-memory skeleton of a tensor handle:
-// fresh encoders, an empty builder sized from meta.Bounds, empty chunk maps.
-// Callers still resolve codecs and (when loading) hydrate encoder/diff/chunk
-// state.
+// fresh encoders, an empty builder sized from meta.Bounds, an empty chunk
+// map. Callers still resolve codecs and (when loading) hydrate
+// encoder/diff/chunk state.
 func newTensorShell(ds *Dataset, name string, meta TensorMeta, hspec tensor.HtypeSpec) *Tensor {
 	t := &Tensor{
 		ds:           ds,
@@ -120,7 +124,6 @@ func newTensorShell(ds *Dataset, name string, meta TensorMeta, hspec tensor.Htyp
 		seqEnc:       encoder.NewSequenceEncoder(),
 		builder:      chunk.NewBuilder(meta.Bounds),
 		chunkVersion: map[uint64]string{},
-		chunkSet:     map[uint64]bool{},
 	}
 	t.builder.SetAutotune(int(ds.writeOpts.AutotuneChunkBytes))
 	if meta.Autotune != nil {
@@ -150,120 +153,6 @@ func (t *Tensor) resolveCodecs() error {
 			return err
 		}
 		t.sampleCodec = c
-	}
-	return nil
-}
-
-// loadTensor opens a tensor from the current head version directory and
-// resolves its chunk-to-version map by walking the tree ancestry.
-func loadTensor(ctx context.Context, ds *Dataset, name string) (*Tensor, error) {
-	vid := ds.head
-	rawMeta, err := ds.store.Get(ctx, tensorMetaKey(vid, name))
-	if err != nil {
-		return nil, err
-	}
-	var meta TensorMeta
-	if err := unmarshalJSON(rawMeta, &meta); err != nil {
-		return nil, err
-	}
-	hspec, err := tensor.ParseHtype(meta.Htype)
-	if err != nil {
-		return nil, err
-	}
-	t := newTensorShell(ds, name, meta, hspec)
-	if err := t.resolveCodecs(); err != nil {
-		return nil, err
-	}
-	if err := loadEncoder(ctx, ds.store, chunkEncoderKey(vid, name), t.chunkEnc); err != nil {
-		return nil, err
-	}
-	if err := loadEncoder(ctx, ds.store, shapeEncoderKey(vid, name), t.shapeEnc); err != nil {
-		return nil, err
-	}
-	if err := loadEncoder(ctx, ds.store, tileEncoderKey(vid, name), t.tileEnc); err != nil {
-		return nil, err
-	}
-	if err := loadEncoder(ctx, ds.store, seqEncoderKey(vid, name), t.seqEnc); err != nil {
-		return nil, err
-	}
-	if raw, err := ds.store.Get(ctx, diffKey(vid, name)); err == nil {
-		if err := unmarshalJSON(raw, &t.diff); err != nil {
-			return nil, err
-		}
-	} else if !storage.IsNotFound(err) {
-		return nil, err
-	}
-	if err := t.resolveChunkVersions(ctx); err != nil {
-		return nil, err
-	}
-	if st, err := t.snapshotState(); err == nil {
-		t.savedState, t.savedStateOK = st, true
-	}
-	return t, nil
-}
-
-type binaryCodec interface {
-	MarshalBinary() ([]byte, error)
-	UnmarshalBinary([]byte) error
-}
-
-func loadEncoder(ctx context.Context, store storage.Provider, key string, enc binaryCodec) error {
-	raw, err := store.Get(ctx, key)
-	if storage.IsNotFound(err) {
-		return nil // empty encoder
-	}
-	if err != nil {
-		return err
-	}
-	return enc.UnmarshalBinary(raw)
-}
-
-// resolveChunkVersions walks the version ancestry from the current head to
-// the root, reading each version's chunk_set and recording, for every chunk
-// id, the first (newest) version that materializes it — the paper's chunk
-// resolution rule (§4.2).
-func (t *Tensor) resolveChunkVersions(ctx context.Context) error {
-	return t.resolveChunkVersionsWith(ctx, nil, false)
-}
-
-// resolveChunkVersionsWith is resolveChunkVersions with an optional override
-// for the head version's chunk set: when haveHead is true, headChunks is used
-// instead of reading the head's chunk_set.json. Root-snapshot loading passes
-// the embedded set, since the plain head object may be torn by a writer
-// killed mid-flush while ancestor chunk sets are frozen at commit time.
-func (t *Tensor) resolveChunkVersionsWith(ctx context.Context, headChunks []uint64, haveHead bool) error {
-	anc, err := t.ds.tree.Ancestry(t.ds.head)
-	if err != nil {
-		return err
-	}
-	t.chunkVersion = map[uint64]string{}
-	t.chunkSet = map[uint64]bool{}
-	for i, vid := range anc {
-		var ids []uint64
-		if i == 0 && haveHead {
-			ids = headChunks
-		} else {
-			raw, err := t.ds.store.Get(ctx, chunkSetKey(vid, t.name))
-			if storage.IsNotFound(err) {
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			var set chunkSetFile
-			if err := unmarshalJSON(raw, &set); err != nil {
-				return err
-			}
-			ids = set.Chunks
-		}
-		for _, id := range ids {
-			if _, seen := t.chunkVersion[id]; !seen {
-				t.chunkVersion[id] = vid
-			}
-			if i == 0 {
-				t.chunkSet[id] = true
-			}
-		}
 	}
 	return nil
 }
@@ -355,52 +244,12 @@ func (t *Tensor) allocChunkID() uint64 {
 	return id
 }
 
-// save persists tensor metadata, encoders, chunk set and diff into the
-// current head version directory. The writes route through the flush
-// pipeline when one is configured (they are independent objects; callers
-// drain before persisting the root files that reference them). Caller
-// holds ds.mu exclusively.
-func (t *Tensor) save(ctx context.Context) error {
-	st, err := t.snapshotState()
-	if err != nil {
-		return err
-	}
-	vid := t.ds.head
-	if err := t.ds.putObject(ctx, tensorMetaKey(vid, t.name), mustJSON(st.Meta)); err != nil {
-		return err
-	}
-	for key, blob := range map[string][]byte{
-		chunkEncoderKey(vid, t.name): st.ChunkEnc,
-		shapeEncoderKey(vid, t.name): st.ShapeEnc,
-		tileEncoderKey(vid, t.name):  st.TileEnc,
-		seqEncoderKey(vid, t.name):   st.SeqEnc,
-	} {
-		if err := t.ds.putObject(ctx, key, blob); err != nil {
-			return err
-		}
-	}
-	if err := t.ds.putObject(ctx, chunkSetKey(vid, t.name), mustJSON(st.ChunkSet)); err != nil {
-		return err
-	}
-	if err := t.ds.putObject(ctx, diffKey(vid, t.name), mustJSON(st.Diff)); err != nil {
-		return err
-	}
-	t.savedState, t.savedStateOK = st, true
-	return nil
-}
-
-// snapshotState captures the tensor's live state as a root-snapshot record.
-// The Checksums map is deep-copied: the live map keeps growing as chunks are
-// written, while the snapshot must stay frozen at save time.
+// snapshotState captures the tensor's live state as a state record. The
+// Checksums map is deep-copied: the live map keeps growing as chunks are
+// written, while the snapshot must stay frozen at seal time.
 func (t *Tensor) snapshotState() (tensorRootState, error) {
 	st := tensorRootState{Meta: t.meta, Diff: t.diff}
-	if len(t.meta.Checksums) > 0 {
-		cs := make(map[string]uint32, len(t.meta.Checksums))
-		for k, v := range t.meta.Checksums {
-			cs[k] = v
-		}
-		st.Meta.Checksums = cs
-	}
+	st.Meta.Checksums = maps.Clone(t.meta.Checksums)
 	// Freeze the autotuner's schedule position into the snapshot (fresh
 	// pointer: the live builder keeps moving after save).
 	at := t.builder.AutotuneState()
@@ -418,23 +267,8 @@ func (t *Tensor) snapshotState() (tensorRootState, error) {
 	if st.SeqEnc, err = t.seqEnc.MarshalBinary(); err != nil {
 		return st, err
 	}
-	ids := make([]uint64, 0, len(t.chunkSet))
-	for id := range t.chunkSet {
-		ids = append(ids, id)
-	}
-	sortUint64s(ids)
-	st.ChunkSet = chunkSetFile{Chunks: ids}
+	st.ChunkVersions = groupChunkVersions(t.chunkVersion)
 	return st, nil
-}
-
-// rootState returns the state a root snapshot should embed: the last durably
-// saved state when one exists, else the live state of a tensor created in
-// this process and not yet saved (necessarily empty, hence durable).
-func (t *Tensor) rootState() (tensorRootState, error) {
-	if t.savedStateOK {
-		return t.savedState, nil
-	}
-	return t.snapshotState()
 }
 
 // flushPending seals the buffered chunk and writes it to storage. Caller
@@ -455,7 +289,7 @@ func (t *Tensor) flushPending(ctx context.Context) error {
 }
 
 // writeChunk compresses and stores one chunk blob in the head version,
-// updating the chunk set and version map. With a flush pipeline configured
+// binding its id to that version. With a flush pipeline configured
 // the sealed blob is handed to the background uploaders and the call
 // returns once the chunk is queued (readers see it through the pipeline's
 // pending map until the upload lands); otherwise the Put happens inline.
@@ -486,7 +320,6 @@ func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
 		// deferred — append paths finish recording their row before
 		// reporting it, keeping multi-tensor rows aligned.
 		err := fp.enqueue(ctx, key, blob)
-		t.chunkSet[id] = true
 		t.chunkVersion[id] = t.ds.head
 		if err != nil {
 			return &DeferredFlushError{Cause: err}
@@ -496,7 +329,6 @@ func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
 	if err := t.ds.store.Put(ctx, key, blob); err != nil {
 		return err
 	}
-	t.chunkSet[id] = true
 	t.chunkVersion[id] = t.ds.head
 	return nil
 }
@@ -571,16 +403,8 @@ func (t *Tensor) decodeChunkBlob(raw []byte) ([]byte, error) {
 	return blob, nil
 }
 
-func sortUint64s(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 func mustJSON(v any) []byte {
-	b, err := marshalJSON(v)
+	b, err := json.Marshal(v)
 	if err != nil {
 		panic(err)
 	}

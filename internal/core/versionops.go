@@ -5,65 +5,60 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/storage"
 	"repro/internal/version"
 )
 
 // Commit flushes the working version, freezes it as an immutable snapshot
 // with the given message, and opens a fresh mutable head (§4.2). It returns
-// the commit id.
+// the commit id. A failed Commit leaves the handle on the uncommitted head it
+// was on, so the call can be retried.
 func (ds *Dataset) Commit(ctx context.Context, message string) (string, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if err := ds.ensureWritable(); err != nil {
 		return "", err
 	}
-	if err := ds.flushLocked(ctx); err != nil {
+	if err := ds.sealLocked(ctx); err != nil {
 		return "", err
 	}
-	committed, newHead, err := ds.tree.Commit(ds.branch, message, ds.now())
+	// Freeze the version being committed where loadVersionState finds it,
+	// before the root that moves past it.
+	vs := ds.savedVersionState()
+	if err := ds.store.Put(ctx, versionStateKey(ds.head), mustJSON(vs)); err != nil {
+		return "", err
+	}
+	tree := ds.tree.Clone()
+	committed, newHead, err := tree.Commit(ds.branch, message, ds.now())
 	if err != nil {
 		return "", err
 	}
-	oldHead := ds.head
-	ds.head = newHead.ID
-	if err := ds.carryStateForward(ctx, oldHead); err != nil {
+	// The new head starts from the same tensors with an empty diff; chunks
+	// are NOT copied — it will hold only chunks modified in it (§4.2).
+	vs.resetDiffs()
+	if err := ds.publish(ctx, tree, ds.branch, newHead.ID, vs); err != nil {
 		return "", err
 	}
-	if err := ds.persistRoot(ctx); err != nil {
-		return "", err
+	for _, name := range ds.order {
+		t := ds.tensors[name]
+		t.savedState = vs.Tensors[name]
+		t.diff = t.savedState.Diff
 	}
 	return committed.ID, nil
 }
 
-// carryStateForward copies schema, tensor metadata, encoders and resets
-// chunk sets/diffs into the (new, empty) head version directory. Chunks are
-// NOT copied — the new version holds only chunks modified in it (§4.2).
-// Caller holds the write lock; ds.head is already the new version.
-func (ds *Dataset) carryStateForward(ctx context.Context, from string) error {
-	raw, err := ds.store.Get(ctx, schemaKey(from))
-	if err != nil {
-		return err
+// resetDiffs empties every tensor's commit diff: vs becomes the starting
+// state of a fresh head forked from the version it described.
+func (vs versionState) resetDiffs() {
+	for name, st := range vs.Tensors {
+		st.Diff = diffRecord{AddedFrom: st.Meta.Length, AddedTo: st.Meta.Length}
+		vs.Tensors[name] = st
 	}
-	if err := ds.store.Put(ctx, schemaKey(ds.head), raw); err != nil {
-		return err
-	}
-	for _, name := range ds.order {
-		t := ds.tensors[name]
-		t.chunkSet = map[uint64]bool{}
-		t.diff = diffRecord{AddedFrom: t.meta.Length, AddedTo: t.meta.Length}
-		if err := t.save(ctx); err != nil {
-			return err
-		}
-	}
-	// save routes through the flush pipeline; fence the new head's state
-	// before the caller persists the root files.
-	return ds.drainFlusher(ctx)
 }
 
 // Checkout switches to a branch, creating it when create is true, or enters
 // a detached read-only state at a commit id. Pending writes are flushed
-// first.
+// first. A detached checkout publishes nothing: the root stays on the head of
+// the branch the handle left, which is where a plain Open lands.
 func (ds *Dataset) Checkout(ctx context.Context, ref string, create bool) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -72,99 +67,64 @@ func (ds *Dataset) Checkout(ctx context.Context, ref string, create bool) error 
 			return err
 		}
 	}
+	tree, branch := ds.tree, ref
+	var node *version.Node
+	var vs versionState
+	var err error
 	if create {
-		head, err := ds.tree.CreateBranch(ref, ds.currentRefLocked(), ds.now())
+		tree = ds.tree.Clone()
+		node, err = tree.CreateBranch(ref, ds.currentRefLocked(), ds.now())
 		if err != nil {
 			return err
 		}
-		ds.branch = ref
-		oldState := head.Parent
-		ds.head = head.ID
-		if oldState == "" {
-			// Branch rooted at an empty lineage: fresh schema.
-			if err := ds.store.Put(ctx, schemaKey(ds.head), mustJSON(schemaFile{Tensors: []string{}})); err != nil {
+		// A branch rooted at an empty lineage starts from the empty state.
+		if node.Parent != "" {
+			if vs, err = ds.loadVersionState(ctx, node.Parent); err != nil {
 				return err
 			}
-		} else if err := ds.carryStateFrom(ctx, oldState); err != nil {
-			return err
+			vs.resetDiffs()
 		}
-		if err := ds.loadTensors(ctx); err != nil {
-			return err
-		}
-		return ds.persistRoot(ctx)
-	}
-	node, err := ds.tree.Resolve(ref)
-	if err != nil {
-		return err
-	}
-	if _, isBranch := ds.tree.Heads[ref]; isBranch {
-		ds.branch = ref
-		ds.head = node.ID
 	} else {
-		// Detached checkout of a specific commit: read-only time travel
-		// (§5.2).
-		if !node.Committed {
-			return fmt.Errorf("core: cannot checkout mutable head %q of another branch", ref)
-		}
-		ds.branch = ""
-		ds.head = node.ID
-	}
-	if err := ds.loadTensors(ctx); err != nil {
-		return err
-	}
-	return ds.persistRoot(ctx)
-}
-
-// carryStateFrom copies schema/meta/encoders from an existing version dir
-// into the current head (used when forking a branch).
-func (ds *Dataset) carryStateFrom(ctx context.Context, from string) error {
-	raw, err := ds.store.Get(ctx, schemaKey(from))
-	if err != nil {
-		return err
-	}
-	if err := ds.store.Put(ctx, schemaKey(ds.head), raw); err != nil {
-		return err
-	}
-	var schema schemaFile
-	if err := unmarshalJSON(raw, &schema); err != nil {
-		return err
-	}
-	for _, name := range schema.Tensors {
-		for _, key := range []struct{ src, dst string }{
-			{tensorMetaKey(from, name), tensorMetaKey(ds.head, name)},
-			{chunkEncoderKey(from, name), chunkEncoderKey(ds.head, name)},
-			{shapeEncoderKey(from, name), shapeEncoderKey(ds.head, name)},
-			{tileEncoderKey(from, name), tileEncoderKey(ds.head, name)},
-			{seqEncoderKey(from, name), seqEncoderKey(ds.head, name)},
-		} {
-			blob, err := ds.store.Get(ctx, key.src)
-			if storage.IsNotFound(err) {
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			if err := ds.store.Put(ctx, key.dst, blob); err != nil {
-				return err
-			}
-		}
-		// Fresh chunk set and diff for the fork head.
-		if err := ds.store.Put(ctx, chunkSetKey(ds.head, name), mustJSON(chunkSetFile{})); err != nil {
-			return err
-		}
-		var meta TensorMeta
-		rawMeta, err := ds.store.Get(ctx, tensorMetaKey(from, name))
+		node, err = tree.Resolve(ref)
 		if err != nil {
 			return err
 		}
-		if err := unmarshalJSON(rawMeta, &meta); err != nil {
-			return err
+		if _, isBranch := tree.Heads[ref]; !isBranch {
+			// Detached checkout of a specific commit: read-only time travel
+			// (§5.2).
+			if !node.Committed {
+				return fmt.Errorf("core: cannot checkout mutable head %q of another branch", ref)
+			}
+			branch = ""
 		}
-		d := diffRecord{AddedFrom: meta.Length, AddedTo: meta.Length}
-		if err := ds.store.Put(ctx, diffKey(ds.head, name), mustJSON(d)); err != nil {
+		if vs, err = ds.loadVersionState(ctx, node.ID); err != nil {
 			return err
 		}
 	}
+	tensors, err := ds.tensorsFromState(vs)
+	if err != nil {
+		return err
+	}
+	if branch == "" {
+		ds.branch, ds.head = "", node.ID
+		ds.install(vs, tensors)
+		return nil
+	}
+	// Moving the root off the head it is on: park that head's state where
+	// loadVersionState will look for it from now on.
+	if left := ds.tree.Heads[ds.meta.CurrentBranch]; left != node.ID {
+		parked, err := ds.loadVersionState(ctx, left)
+		if err != nil {
+			return err
+		}
+		if err := ds.store.Put(ctx, versionStateKey(left), mustJSON(parked)); err != nil {
+			return err
+		}
+	}
+	if err := ds.publish(ctx, tree, branch, node.ID, vs); err != nil {
+		return err
+	}
+	ds.install(vs, tensors)
 	return nil
 }
 
@@ -247,29 +207,12 @@ func (ds *Dataset) collectDiffs(ctx context.Context, ref, base string) (map[stri
 		if vid == base {
 			break
 		}
-		raw, err := ds.store.Get(ctx, schemaKey(vid))
-		if storage.IsNotFound(err) {
-			continue
-		}
+		vs, err := ds.loadVersionState(ctx, vid)
 		if err != nil {
 			return nil, err
 		}
-		var schema schemaFile
-		if err := unmarshalJSON(raw, &schema); err != nil {
-			return nil, err
-		}
-		for _, name := range schema.Tensors {
-			rawDiff, err := ds.store.Get(ctx, diffKey(vid, name))
-			if storage.IsNotFound(err) {
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			var d diffRecord
-			if err := unmarshalJSON(rawDiff, &d); err != nil {
-				return nil, err
-			}
+		for _, name := range vs.Schema.Tensors {
+			d := vs.Tensors[name].Diff
 			agg := out[name]
 			agg.Added += d.AddedTo - d.AddedFrom
 			agg.Updated = append(agg.Updated, d.Updated...)
@@ -309,24 +252,8 @@ func (ds *Dataset) Merge(ctx context.Context, srcBranch string, policy MergePoli
 		return err
 	}
 	// Open a read-only view of the source head to pull data from.
-	srcNode, err := func() (*version.Node, error) {
-		ds.mu.RLock()
-		defer ds.mu.RUnlock()
-		return ds.tree.Resolve(srcBranch)
-	}()
+	src, err := ds.ReadAtVersion(ctx, srcBranch)
 	if err != nil {
-		return err
-	}
-	src := &Dataset{
-		store:   ds.store,
-		meta:    ds.meta,
-		tree:    ds.tree,
-		branch:  "", // detached
-		head:    srcNode.ID,
-		tensors: map[string]*Tensor{},
-		now:     ds.now,
-	}
-	if err := src.loadTensors(ctx); err != nil {
 		return err
 	}
 	for name, change := range diff.Left {
@@ -394,8 +321,8 @@ func (ds *Dataset) Merge(ctx context.Context, srcBranch string, policy MergePoli
 // versioned queries (§4.4).
 func (ds *Dataset) ReadAtVersion(ctx context.Context, ref string) (*Dataset, error) {
 	ds.mu.RLock()
+	defer ds.mu.RUnlock()
 	node, err := ds.tree.Resolve(ref)
-	ds.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
@@ -405,18 +332,23 @@ func (ds *Dataset) ReadAtVersion(ctx context.Context, ref string) (*Dataset, err
 			return nil, fmt.Errorf("core: ref %q is not a commit or branch", ref)
 		}
 	}
-	out := &Dataset{
-		store:   ds.store,
-		meta:    ds.meta,
-		tree:    ds.tree,
-		branch:  "",
-		head:    node.ID,
-		tensors: map[string]*Tensor{},
-		now:     ds.now,
-		scope:   scopeCounter.Add(1),
-	}
-	if err := out.loadTensors(ctx); err != nil {
+	vs, err := ds.loadVersionState(ctx, node.ID)
+	if err != nil {
 		return nil, err
 	}
+	out := &Dataset{
+		store:  ds.store,
+		meta:   ds.meta,
+		tree:   ds.tree,
+		branch: "",
+		head:   node.ID,
+		now:    ds.now,
+		scope:  scopeCounter.Add(1),
+	}
+	tensors, err := out.tensorsFromState(vs)
+	if err != nil {
+		return nil, err
+	}
+	out.install(vs, tensors)
 	return out, nil
 }

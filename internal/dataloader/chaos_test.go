@@ -174,7 +174,7 @@ func TestLoaderHealsSilentCorruptionAtOneRequestEach(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info := ds.Integrity(); info.SeededDigests == 0 || info.ChunksWithoutChecksum != 0 {
+		if info := ds.Integrity(); info.SeededDigests == 0 || info.SeededDigests != info.ChunksWithChecksum {
 			t.Fatalf("digest seeding incomplete at open: %+v", info)
 		}
 		logical.Reset()

@@ -221,6 +221,20 @@ func (t *Tree) Log(ref string) ([]*Node, error) {
 	return out, nil
 }
 
+// Clone returns a deep copy, so a caller can apply Commit or CreateBranch to
+// the copy and adopt it only once the result is durable.
+func (t *Tree) Clone() *Tree {
+	c := &Tree{Nodes: make(map[string]*Node, len(t.Nodes)), Heads: make(map[string]string, len(t.Heads)), Counter: t.Counter}
+	for id, n := range t.Nodes {
+		cp := *n
+		c.Nodes[id] = &cp
+	}
+	for branch, id := range t.Heads {
+		c.Heads[branch] = id
+	}
+	return c
+}
+
 // Marshal serializes the tree as JSON.
 func (t *Tree) Marshal() ([]byte, error) { return json.MarshalIndent(t, "", "  ") }
 
