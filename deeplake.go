@@ -131,27 +131,26 @@
 // encoding (htype checks, media codecs) happen outside every lock, each
 // tensor guards its own chunk builder and index encoders with a private
 // lock, and only a narrow dataset-level critical section remains for
-// row-count and version metadata. Sealed chunks leave the builders through
-// a background flush pipeline — a bounded queue drained by
-// WriteOptions.FlushWorkers concurrent uploads — so appends never stall on
-// object-store Put latency:
+// row-count and version metadata. Every sealed chunk leaves the builders
+// through the dataset's background flush pipeline — a bounded queue drained
+// by WriteOptions.FlushWorkers concurrent uploads (8 unless set) — so
+// appends never stall on object-store Put latency:
 //
-//	ds.SetWriteOptions(deeplake.WriteOptions{FlushWorkers: 16, MaxPending: 32})
+//	ds.SetWriteOptions(deeplake.WriteOptions{FlushWorkers: 16})
 //	... concurrent Append / AppendBatch / transform.Pipeline.Eval ...
 //	ds.Flush(ctx) // barrier: drains the pipeline, then persists metadata
 //
 // Flush and Commit act as barriers: every queued chunk lands before any
 // metadata that references it is persisted, upload errors (including
 // context cancellation) surface there, and the stored objects are
-// byte-identical to the serial path at every worker count — only the upload
-// order differs. A failed upload keeps its chunk in memory, readable, and
-// the next Flush retries it. With WriteOptions.FlushRetries (re-attempts per
-// upload, delays shaped by FlushBackoff) or UploadTimeout (a deadline per
-// attempt) set, uploads go through the same storage.Retry layer WithRetry
-// stacks on the read side: a transient failure is re-attempted under backoff
-// by the upload that hit it, holding its worker lane meanwhile, and the
-// barrier waits for it. Transform pipelines (ETL ingestion) and view
-// materialization write through the same engine by default. Run
+// byte-identical at every lane count — only the upload order differs. A
+// failed upload keeps its chunk in memory, readable, and the next Flush
+// retries it. Upload retries: stack WithRetry under the dataset. Its
+// storage.Retry layer then covers chunk uploads and publish Puts alike: a
+// transient failure (or a stalled attempt past OpTimeout) is re-attempted
+// under backoff by the upload that hit it, holding its lane meanwhile, and
+// the barrier waits for it. Transform pipelines (ETL ingestion) and view
+// materialization write through the destination's pipeline. Run
 //
 //	go run ./benchmarks/lakebench --workload ingest_commit --seed 1 --seconds 20 --trace 1
 //
@@ -213,14 +212,13 @@ type (
 	MergePolicy = core.MergePolicy
 
 	// WriteOptions configures the parallel ingestion engine: sealed chunks
-	// upload through FlushWorkers concurrent background Puts with at most
-	// MaxPending chunks in flight. The zero value is the synchronous
-	// serial write path. Apply with Dataset.SetWriteOptions; Flush/Commit
-	// drain the pipeline before persisting metadata.
+	// upload through FlushWorkers concurrent background Puts (8 unless
+	// set). Apply with Dataset.SetWriteOptions; Flush/Commit drain the
+	// pipeline before persisting metadata. Upload retries: stack WithRetry
+	// under the dataset.
 	WriteOptions = core.WriteOptions
 
-	// MaterializeOptions configures MaterializeWith (§4.5), including the
-	// destination's WriteOptions.
+	// MaterializeOptions configures MaterializeWith (§4.5).
 	MaterializeOptions = view.MaterializeOptions
 )
 
@@ -322,13 +320,13 @@ func NewView(ds *Dataset, indices []uint64, columns []Column) *View {
 
 // Materialize writes a view into a fresh dataset with an optimal streaming
 // layout (§4.5). Chunk uploads overlap row evaluation through the
-// destination's flush pipeline; see MaterializeWith to tune or disable it.
+// destination's flush pipeline; see MaterializeWith for the commit message.
 func Materialize(ctx context.Context, v *View, dst Provider, name string) (*Dataset, error) {
 	return view.Materialize(ctx, v, dst, view.MaterializeOptions{Name: name})
 }
 
-// MaterializeWith is Materialize with explicit options: commit message and
-// the destination dataset's write pipeline (WriteOptions).
+// MaterializeWith is Materialize with explicit options: the produced
+// dataset's name and commit message.
 func MaterializeWith(ctx context.Context, v *View, dst Provider, opts MaterializeOptions) (*Dataset, error) {
 	return view.Materialize(ctx, v, dst, opts)
 }
@@ -409,7 +407,8 @@ type RetryOptions = storage.RetryOptions
 // Context cancellation and missing keys are never retried. Stack it below
 // WithCache — cache over retry over origin — so a miss coalesced across N
 // readers is retried once for all of them, and the cache's Stats() then
-// reports the retry count.
+// reports the retry count. A dataset opened over it writes through it too:
+// chunk uploads and publish Puts get the same attempts, backoff and timeout.
 func WithRetry(origin Provider, opts RetryOptions) *storage.Retry {
 	return storage.NewRetry(origin, opts)
 }

@@ -14,7 +14,7 @@ import (
 
 // TestAutotuneGoldenDeterminism is the ingest autotuner's acceptance test:
 // with AutotuneChunkBytes set, the stored bytes are a pure function of the
-// append sequence — the serial path, a 1-worker and a 16-worker flush
+// append sequence — a 1-lane reference build, a 1-lane and a 16-lane flush
 // pipeline all produce byte-identical objects — and the grown targets
 // actually change the layout (fewer, larger chunk objects than the static
 // policy).
@@ -25,12 +25,12 @@ func TestAutotuneGoldenDeterminism(t *testing.T) {
 	static := buildGoldenDataset(t, WriteOptions{})
 	staticChunks := countChunkKeys(snapshotKeys(t, static))
 
-	serial := buildGoldenDataset(t, WriteOptions{AutotuneChunkBytes: autoCap})
-	serialKeys := snapshotKeys(t, serial)
-	if len(serialKeys) == 0 {
+	ref := buildGoldenDataset(t, WriteOptions{FlushWorkers: 1, AutotuneChunkBytes: autoCap})
+	refKeys := snapshotKeys(t, ref)
+	if len(refKeys) == 0 {
 		t.Fatal("autotuned golden build produced no objects")
 	}
-	autoChunks := countChunkKeys(serialKeys)
+	autoChunks := countChunkKeys(refKeys)
 	if autoChunks >= staticChunks {
 		t.Fatalf("autotune left the layout unchanged: %d chunk objects with cap %d, %d without",
 			autoChunks, autoCap, staticChunks)
@@ -40,12 +40,12 @@ func TestAutotuneGoldenDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("flushworkers-%d", workers), func(t *testing.T) {
 			parallel := buildGoldenDataset(t, WriteOptions{FlushWorkers: workers, AutotuneChunkBytes: autoCap})
 			parallelKeys := snapshotKeys(t, parallel)
-			if got, want := fmt.Sprint(parallelKeys), fmt.Sprint(serialKeys); got != want {
-				t.Fatalf("stored key sets differ under autotune:\nserial:   %v\nparallel: %v",
-					serialKeys, parallelKeys)
+			if got, want := fmt.Sprint(parallelKeys), fmt.Sprint(refKeys); got != want {
+				t.Fatalf("stored key sets differ under autotune:\nref:      %v\nparallel: %v",
+					refKeys, parallelKeys)
 			}
-			for _, key := range serialKeys {
-				want, err := serial.Get(ctx, key)
+			for _, key := range refKeys {
+				want, err := ref.Get(ctx, key)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,7 +54,7 @@ func TestAutotuneGoldenDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Errorf("object %q differs between serial and %d-worker autotuned flush (%d vs %d bytes)",
+					t.Errorf("object %q differs between the 1-lane reference and %d-worker autotuned flush (%d vs %d bytes)",
 						key, workers, len(want), len(got))
 				}
 			}

@@ -51,13 +51,11 @@ type Dataset struct {
 	// without ds.mu held exclusively so row appends stay concurrent.
 	idMu sync.Mutex
 
-	// writeOpts/flusher configure the parallel ingestion engine; nil
-	// flusher means the synchronous serial write path. writeOptsSet
-	// records that SetWriteOptions was called, distinguishing explicit
-	// serial from never-configured. Guarded by ds.mu.
-	writeOpts    WriteOptions
-	writeOptsSet bool
-	flusher      *flushPipeline
+	// writeOpts configures the write path; flusher is the pipeline every
+	// sealed chunk of this handle leaves through, present from construction.
+	// Both change only in SetWriteOptions. Guarded by ds.mu.
+	writeOpts WriteOptions
+	flusher   *flushPipeline
 
 	// branch is the checked-out branch; empty when detached at a commit.
 	branch string
@@ -115,20 +113,15 @@ func Create(ctx context.Context, store storage.Provider, name string) (*Dataset,
 		return nil, fmt.Errorf("core: dataset already exists")
 	}
 	now := time.Now().UTC()
-	ds := &Dataset{
-		store: store,
-		meta: datasetMeta{
-			Name:          name,
-			FormatVersion: FormatVersion,
-			CreatedAt:     now,
-			CurrentBranch: version.DefaultBranch,
-		},
-		tree:    version.NewTree(now),
-		branch:  version.DefaultBranch,
-		tensors: map[string]*Tensor{},
-		now:     func() time.Time { return time.Now().UTC() },
-		scope:   scopeCounter.Add(1),
+	ds := newHandle(store)
+	ds.meta = datasetMeta{
+		Name:          name,
+		FormatVersion: FormatVersion,
+		CreatedAt:     now,
+		CurrentBranch: version.DefaultBranch,
 	}
+	ds.tree = version.NewTree(now)
+	ds.branch = version.DefaultBranch
 	headNode, err := ds.tree.Head(ds.branch)
 	if err != nil {
 		return nil, err
@@ -140,14 +133,21 @@ func Create(ctx context.Context, store storage.Provider, name string) (*Dataset,
 	return ds, nil
 }
 
-// Open loads an existing dataset at its current branch head.
-func Open(ctx context.Context, store storage.Provider) (*Dataset, error) {
-	ds := &Dataset{
+// newHandle returns an empty handle on store with a process-unique scope and
+// its flush pipeline.
+func newHandle(store storage.Provider) *Dataset {
+	return &Dataset{
 		store:   store,
+		flusher: newFlushPipeline(store, 0),
 		tensors: map[string]*Tensor{},
 		now:     func() time.Time { return time.Now().UTC() },
 		scope:   scopeCounter.Add(1),
 	}
+}
+
+// Open loads an existing dataset at its current branch head.
+func Open(ctx context.Context, store storage.Provider) (*Dataset, error) {
+	ds := newHandle(store)
 	raw, err := store.Get(ctx, datasetMetaKey)
 	if err != nil {
 		if storage.IsNotFound(err) {
@@ -271,13 +271,8 @@ func (ds *Dataset) DeleteTensor(ctx context.Context, name string) error {
 	// Land every queued AND parked upload before listing this tensor's
 	// keys, so neither a background Put nor a later flush's redrive
 	// resurrects an object after the delete.
-	if ds.flusher != nil {
-		if err := ds.flusher.redrive(ctx); err != nil {
-			return err
-		}
-		if err := ds.flusher.drain(ctx); err != nil {
-			return err
-		}
+	if err := ds.flusher.land(ctx); err != nil {
+		return err
 	}
 	delete(ds.tensors, name)
 	for i, n := range ds.order {
@@ -506,29 +501,24 @@ func (ds *Dataset) flushLocked(ctx context.Context) error {
 	return ds.persistRoot(ctx)
 }
 
-// sealLocked seals every tensor's pending chunk, waits for the flush
-// pipeline to land all chunk uploads (the barrier that keeps version
-// semantics identical to the serial path), and only then snapshots each
+// sealLocked hands every tensor's pending chunk to the flush pipeline, waits
+// for the pipeline to land every chunk upload, and only then snapshots each
 // tensor's state as its savedState — so what gets published next never
 // references a chunk that is not in storage. Caller holds ds.mu exclusively.
 func (ds *Dataset) sealLocked(ctx context.Context) error {
 	// A new flush attempt restarts uploads that failed or were cancelled
 	// earlier — their blobs are still in the pipeline's pending map, so a
 	// transient upload error is recovered by simply flushing again.
-	if ds.flusher != nil {
-		if err := ds.flusher.redrive(ctx); err != nil {
-			return err
-		}
+	if err := ds.flusher.redrive(ctx); err != nil {
+		return err
 	}
 	for _, name := range ds.order {
 		if err := ds.tensors[name].flushPending(ctx); err != nil {
 			return err
 		}
 	}
-	if ds.flusher != nil {
-		if err := ds.flusher.drain(ctx); err != nil {
-			return err
-		}
+	if err := ds.flusher.drain(ctx); err != nil {
+		return err
 	}
 	for _, name := range ds.order {
 		t := ds.tensors[name]

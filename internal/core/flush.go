@@ -4,54 +4,24 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"repro/internal/storage"
 )
 
-// WriteOptions configures the dataset's parallel ingestion engine: sealed
-// chunks leave the per-tensor builders through a background flush pipeline
-// that uploads to the storage provider with bounded concurrency, so appends
-// never stall on object-store Put latency.
-//
-// The zero value keeps the fully synchronous write path: every sealed chunk
-// is uploaded inline before the append returns, exactly as the serial
-// format reference behaves. Any FlushWorkers > 0 switches to pipelined
-// uploads; Flush and Commit drain the pipeline before persisting metadata,
-// so the stored objects (chunks, version states, root snapshots) are
-// byte-identical to the serial path at every worker count — only the upload
-// order differs.
+// WriteOptions configures the dataset's write path. Every sealed chunk leaves
+// the per-tensor builders through the dataset's background flush pipeline,
+// which uploads with bounded concurrency so appends never stall on
+// object-store Put latency. Flush and Commit drain the pipeline before
+// publishing metadata, so the stored objects (chunks, version states, root
+// snapshots) are byte-identical at every lane count — only the upload order
+// differs. Upload retries are the provider chain's job: stack storage.Retry
+// (deeplake.WithRetry) under the dataset, and its attempts, backoff and
+// per-attempt timeout cover chunk uploads and publish Puts alike.
 type WriteOptions struct {
-	// FlushWorkers is the number of concurrent chunk uploads. 0 keeps the
-	// synchronous serial path; 1 pipelines uploads behind a single worker.
+	// FlushWorkers is the number of concurrent chunk uploads; twice as many
+	// sealed chunks may be queued or uploading before appends block for
+	// backpressure. Zero or negative means the default, 8.
 	FlushWorkers int
-	// MaxPending bounds how many sealed chunks may sit in the pipeline
-	// (queued or uploading) before appends block for backpressure. 0
-	// defaults to 2*FlushWorkers. Note that chunks parked by a FAILED
-	// upload (kept in memory, readable, retried by the next Flush) are
-	// outside this bound: appends surface a DeferredFlushError while the
-	// provider is failing, and callers that keep appending anyway
-	// accumulate one parked blob per sealed chunk until a Flush redrives
-	// them — stop ingesting when appends report flush failures.
-	MaxPending int
-	// UploadTimeout bounds each attempt of a background Put. 0 means no
-	// deadline; set it when the provider has no internal timeout, so a hung
-	// attempt fails (and is re-attempted, or parks its chunk) instead of
-	// pinning a worker lane and a pending slot forever.
-	UploadTimeout time.Duration
-	// FlushRetries is the number of re-attempts per upload: a Put that
-	// fails retryably (storage.IsRetryable, or its own UploadTimeout
-	// firing) is tried again by the uploader that owns the chunk, under
-	// capped exponential backoff, up to FlushRetries more times before the
-	// chunk parks for the next manual Flush. The uploader holds its worker
-	// lane through the backoff, so Flush and Commit wait for the recovery.
-	// These are storage.Retry's attempts: over a provider chain that
-	// already has a Retry layer they multiply with its own. 0 parks on the
-	// first failure.
-	FlushRetries int
-	// FlushBackoff shapes the delays between those re-attempts. The zero
-	// value uses the storage.Backoff defaults (10ms base, 1s cap).
-	FlushBackoff storage.Backoff
 	// AutotuneChunkBytes enables ingest-time chunk-size autotuning with the
 	// given target ceiling in bytes: each tensor's builder grows its
 	// effective target from the configured Bounds.Target toward this cap
@@ -105,20 +75,14 @@ func (c *deferredCollector) note(err error) error {
 
 func (c *deferredCollector) err() error { return c.first }
 
-func (o WriteOptions) withDefaults() WriteOptions {
-	if o.FlushWorkers > 0 && o.MaxPending <= 0 {
-		o.MaxPending = 2 * o.FlushWorkers
-	}
-	if o.MaxPending < o.FlushWorkers {
-		o.MaxPending = o.FlushWorkers
-	}
-	return o
-}
+// defaultFlushWorkers is the upload lane count of a handle whose
+// WriteOptions leave FlushWorkers unset.
+const defaultFlushWorkers = 8
 
-// flushPipeline is the background chunk uploader. Sealed blobs enter
-// through enqueue (blocking once MaxPending uploads are in flight —
-// backpressure on the appenders) and are uploaded by at most FlushWorkers
-// concurrent Puts.
+// flushPipeline is the background chunk uploader, the one way a sealed chunk
+// reaches storage. Sealed blobs enter through enqueue (blocking once twice
+// the lane count of uploads are in flight — backpressure on the appenders)
+// and are uploaded by at most one Put per lane.
 //
 // The pending map is the source of truth for every blob that is not yet
 // durable: readers consult it before the provider, so same-process reads
@@ -126,13 +90,15 @@ func (o WriteOptions) withDefaults() WriteOptions {
 // A failed or aborted upload parks the entry (uploader=false) instead of
 // dropping it — the data stays readable, and the next flush attempt
 // redrives parked entries, which makes transient upload errors recoverable
-// by simply calling Flush again. With FlushRetries or UploadTimeout set,
-// store is the dataset's provider behind a storage.Retry, so a retryable
-// failure is first re-attempted under backoff inside the uploader that owns
-// the key — the one retry loop in the repo — and only what survives those
-// attempts parks; drain waits for the recovery because that uploader is
-// simply still running. The sticky error clears once every pending blob has
-// drained, so a recovered dataset never reports a stale failure.
+// by simply calling Flush again. Parked entries sit outside the backpressure
+// bound: while the provider fails, appends keep recording rows (and report
+// a DeferredFlushError), one parked blob per sealed chunk, so callers should
+// stop ingesting when appends report flush failures. A storage.Retry in the
+// provider chain re-attempts a retryable failure inside the uploader that
+// owns the key, which holds its lane through the backoff, so only what
+// survives those attempts parks and drain waits for the recovery. The
+// sticky error clears once every pending blob has drained, so a recovered
+// dataset never reports a stale failure.
 // Re-enqueueing a key still in flight (copy-on-write SetAt rewrites a chunk
 // under its existing id) hands the newer bytes to the existing uploader via
 // a generation counter instead of racing a second Put on the same object.
@@ -169,21 +135,16 @@ type pendingChunk struct {
 	uploader bool
 }
 
-func newFlushPipeline(store storage.Provider, opts WriteOptions) *flushPipeline {
-	opts = opts.withDefaults()
-	if opts.FlushRetries > 0 || opts.UploadTimeout > 0 {
-		store = storage.NewRetry(store, storage.RetryOptions{
-			Attempts:  opts.FlushRetries + 1,
-			Backoff:   opts.FlushBackoff,
-			OpTimeout: opts.UploadTimeout,
-		})
+func newFlushPipeline(store storage.Provider, lanes int) *flushPipeline {
+	if lanes <= 0 {
+		lanes = defaultFlushWorkers
 	}
 	idle := make(chan struct{})
 	close(idle)
 	return &flushPipeline{
 		store:   store,
-		slots:   make(chan struct{}, opts.MaxPending),
-		workers: make(chan struct{}, opts.FlushWorkers),
+		slots:   make(chan struct{}, 2*lanes),
+		workers: make(chan struct{}, lanes),
 		pending: map[string]*pendingChunk{},
 		idle:    idle,
 	}
@@ -295,8 +256,8 @@ func (p *flushPipeline) upload(key string) {
 		blob, gen := pc.blob, pc.gen
 		p.mu.Unlock()
 		// Pipeline-owned context: the enqueuing caller's cancellation must
-		// not retroactively fail an acknowledged write. UploadTimeout (when
-		// set) keeps a black-holed Put from pinning this lane forever.
+		// not retroactively fail an acknowledged write. A Retry layer's
+		// OpTimeout keeps a black-holed Put from pinning this lane forever.
 		if err := p.store.Put(context.Background(), key, blob); err != nil {
 			p.failAndPark(key, err)
 			return
@@ -387,34 +348,31 @@ func (p *flushPipeline) drain(ctx context.Context) error {
 	}
 }
 
-// SetWriteOptions reconfigures the dataset's write path. FlushWorkers > 0
-// installs the background flush pipeline; the zero value restores the
-// synchronous serial path. Reconfiguring first redrives and drains any
-// previous pipeline so no queued upload outlives its configuration; on
-// error the previous configuration stays in place (with its pending data
-// intact) and the call can be retried. The drain waits without a deadline
-// — if the provider can hang, set WriteOptions.UploadTimeout when first
-// configuring the pipeline so a black-holed Put fails instead of blocking
-// this call.
+// land redrives every parked upload and waits for all of them: afterwards
+// nothing the pipeline held is still on its way to storage, or the error says
+// why. Caller holds the dataset structure lock exclusively.
+func (p *flushPipeline) land(ctx context.Context) error {
+	if err := p.redrive(ctx); err != nil {
+		return err
+	}
+	return p.drain(ctx)
+}
+
+// SetWriteOptions reconfigures the dataset's write path: it lands every
+// upload of the current pipeline, so none outlives its configuration, then
+// installs a pipeline with the new lane count. On error the current pipeline
+// stays in place (with its pending data intact) and the call can be retried.
+// The wait has no deadline: over a provider that can hang, stack
+// storage.Retry with an OpTimeout under the dataset so a black-holed Put
+// fails instead of blocking this call.
 func (ds *Dataset) SetWriteOptions(opts WriteOptions) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if ds.flusher != nil {
-		ctx := context.Background()
-		if err := ds.flusher.redrive(ctx); err != nil {
-			return err
-		}
-		if err := ds.flusher.drain(ctx); err != nil {
-			return err
-		}
+	if err := ds.flusher.land(context.Background()); err != nil {
+		return err
 	}
 	ds.writeOpts = opts
-	ds.writeOptsSet = true
-	if opts.FlushWorkers > 0 {
-		ds.flusher = newFlushPipeline(ds.store, opts)
-	} else {
-		ds.flusher = nil
-	}
+	ds.flusher = newFlushPipeline(ds.store, opts.FlushWorkers)
 	// Propagate the autotune cap to every existing builder; tensors created
 	// later pick it up from ds.writeOpts in newTensorShell.
 	for _, name := range ds.order {
@@ -424,22 +382,4 @@ func (ds *Dataset) SetWriteOptions(opts WriteOptions) error {
 		t.mu.Unlock()
 	}
 	return nil
-}
-
-// WriteOptions returns the currently configured write options.
-func (ds *Dataset) WriteOptions() WriteOptions {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	return ds.writeOpts
-}
-
-// WriteOptionsConfigured reports whether SetWriteOptions has been called on
-// this handle — it distinguishes an explicitly-serial dataset (zero options
-// set on purpose) from one that was never configured, so layers that
-// install a default pipeline (transform.Pipeline.Eval) don't override a
-// deliberate choice.
-func (ds *Dataset) WriteOptionsConfigured() bool {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	return ds.writeOptsSet
 }

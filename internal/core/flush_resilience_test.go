@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,23 +14,22 @@ import (
 )
 
 // The flush-pipeline resilience suite: run with -race. It covers the
-// automatic redrive of parked uploads (WriteOptions.FlushRetries), the
-// sticky error clearing once every pending blob drains, and the interaction
-// between automatic and manual recovery under a fault-injecting provider.
+// re-attempts a storage.Retry in the provider chain makes on behalf of the
+// uploads, the sticky error clearing once every pending blob drains, and the
+// interaction between automatic and manual recovery under a fault-injecting
+// provider.
 
-// faultyDataset builds a dataset whose chunk uploads hit a Faulty provider.
-// Setup (Create, CreateTensor) runs disarmed so only the write path under
-// study sees faults.
-func faultyDataset(t *testing.T, cfg storage.FaultConfig, opts WriteOptions) (*Dataset, *Tensor, *storage.Faulty) {
+// faultyDataset builds a default-configured dataset over Retry → Faulty →
+// Memory, so chunk uploads and publish Puts alike hit the faults and the
+// retry policy. Setup (Create, CreateTensor) runs disarmed so only the write
+// path under study sees faults.
+func faultyDataset(t *testing.T, cfg storage.FaultConfig, retry storage.RetryOptions) (*Dataset, *Tensor, *storage.Faulty) {
 	t.Helper()
 	ctx := context.Background()
 	faulty := storage.NewFaulty(storage.NewMemory(), cfg)
 	faulty.SetArmed(false)
-	ds, err := Create(ctx, faulty, "resilience")
+	ds, err := Create(ctx, storage.NewRetry(faulty, retry), "resilience")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.SetWriteOptions(opts); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := ds.CreateTensor(ctx, TensorSpec{Name: "x", Dtype: tensor.Int64, Bounds: smallBounds})
@@ -56,8 +56,9 @@ func appendRows(t *testing.T, tr *Tensor, n int) {
 }
 
 // retryFlush drives Flush until it succeeds, failing the test on a
-// non-transient error. The faulty provider also faults metadata Puts (which
-// bypass the pipeline), so individual Flush calls may legitimately fail.
+// non-transient error. Failures that outlast the retry policy park their
+// chunks (or fail the publish), so individual Flush calls may legitimately
+// fail.
 func retryFlush(t *testing.T, ds *Dataset, attempts int) {
 	t.Helper()
 	ctx := context.Background()
@@ -81,9 +82,9 @@ func TestFlushAutoRedriveRecoversParkedUploads(t *testing.T) {
 	const rows = 300
 	ds, tr, faulty := faultyDataset(t,
 		storage.FaultConfig{Seed: 11, PutErrRate: 0.3},
-		WriteOptions{
-			FlushWorkers: 4, MaxPending: 8, FlushRetries: 16,
-			FlushBackoff: storage.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond, Seed: 11},
+		storage.RetryOptions{
+			Attempts: 17,
+			Backoff:  storage.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond, Seed: 11},
 		})
 	appendRows(t, tr, rows)
 	retryFlush(t, ds, 32)
@@ -126,9 +127,9 @@ func TestFlushStickyErrorClearsAfterRecovery(t *testing.T) {
 	// parks; everything afterwards succeeds.
 	ds, tr, _ := faultyDataset(t,
 		storage.FaultConfig{Seed: 1, PutErrRate: 1, MaxFaults: 1},
-		WriteOptions{
-			FlushWorkers: 2, MaxPending: 4, FlushRetries: 8,
-			FlushBackoff: storage.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Seed: 1},
+		storage.RetryOptions{
+			Attempts: 9,
+			Backoff:  storage.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Seed: 1},
 		})
 	appendRows(t, tr, 100)
 	retryFlush(t, ds, 8)
@@ -149,18 +150,17 @@ func TestFlushStickyErrorClearsAfterRecovery(t *testing.T) {
 func TestFlushManualRedriveTakesOverAutoRetry(t *testing.T) {
 	ctx := context.Background()
 	const rows = 200
-	ds, tr, _ := faultyDataset(t,
+	ds, tr, faulty := faultyDataset(t,
 		storage.FaultConfig{Seed: 23, PutErrRate: 0.5},
-		WriteOptions{
-			FlushWorkers: 4, MaxPending: 8, FlushRetries: 16,
+		storage.RetryOptions{
+			Attempts: 17,
 			// Long backoff: the auto-redrive timer is almost always pending
 			// when the manual Flush arrives, maximizing the takeover window.
-			FlushBackoff: storage.Backoff{Base: 50 * time.Millisecond, Max: 100 * time.Millisecond, Seed: 23},
+			Backoff: storage.Backoff{Base: 50 * time.Millisecond, Max: 100 * time.Millisecond, Seed: 23},
 		})
 	appendRows(t, tr, rows)
 	retryFlush(t, ds, 64)
 
-	faulty := ds.store.(*storage.Faulty)
 	faulty.SetArmed(false)
 	reopened, err := Open(ctx, faulty)
 	if err != nil {
@@ -172,58 +172,79 @@ func TestFlushManualRedriveTakesOverAutoRetry(t *testing.T) {
 }
 
 // TestFlushUploadTimeoutParksStalledPuts covers the black-hole failure mode:
-// a stalled background Put must die of WriteOptions.UploadTimeout (uploads
-// run on a pipeline-owned context), park its chunk, and be recovered by the
-// automatic redrive — the appending caller is never stuck.
+// a stalled Put must die of the chain's OpTimeout (uploads run on a
+// pipeline-owned context) and be re-attempted — the appending caller is never
+// stuck. That holds for chunk uploads and for the two publish Puts of a flush
+// (root, dataset.json), which go through the same Retry layer.
 func TestFlushUploadTimeoutParksStalledPuts(t *testing.T) {
 	ctx := context.Background()
 	const rows = 120
-	// Seed 20 stalls Puts 2, 4, 5 and 6 of the schedule: all four faults are
-	// spent on background chunk uploads — the only Puts UploadTimeout covers —
-	// before the flush's two inline publish Puts (root, dataset.json), which
-	// a stall would hang on the test's deadline-free context.
-	ds, tr, faulty := faultyDataset(t,
-		storage.FaultConfig{Seed: 20, StallRate: 0.2, MaxFaults: 4},
-		WriteOptions{
-			FlushWorkers: 4, MaxPending: 8,
-			UploadTimeout: 20 * time.Millisecond,
-			FlushRetries:  16,
-			FlushBackoff:  storage.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond, Seed: 5},
-		})
-	appendRows(t, tr, rows)
-	retryFlush(t, ds, 32)
-	if faulty.Stats().Stalls == 0 {
-		t.Fatal("no stalls injected; the timeout path was not exercised")
+	retry := storage.RetryOptions{
+		Attempts:  17,
+		Backoff:   storage.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond, Seed: 5},
+		OpTimeout: 20 * time.Millisecond,
+	}
+	durable := func(t *testing.T, faulty *storage.Faulty) {
+		t.Helper()
+		faulty.SetArmed(false)
+		reopened, err := Open(ctx, faulty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reopened.Tensor("x").Len(); got != rows {
+			t.Fatalf("%d/%d rows durable after stalled uploads", got, rows)
+		}
 	}
 
-	faulty.SetArmed(false)
-	reopened, err := Open(ctx, faulty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reopened.Tensor("x").Len(); got != rows {
-		t.Fatalf("%d/%d rows durable after stalled uploads", got, rows)
-	}
+	t.Run("chunk uploads", func(t *testing.T) {
+		// Seed 20 stalls Puts 2, 4, 5 and 6 of the schedule.
+		ds, tr, faulty := faultyDataset(t, storage.FaultConfig{Seed: 20, StallRate: 0.2, MaxFaults: 4}, retry)
+		appendRows(t, tr, rows)
+		retryFlush(t, ds, 32)
+		if faulty.Stats().Stalls == 0 {
+			t.Fatal("no stalls injected; the timeout path was not exercised")
+		}
+		durable(t, faulty)
+	})
+
+	t.Run("publish puts", func(t *testing.T) {
+		// Everything lands fault-free, then a flush that seals nothing: its
+		// only Puts are the publish pair, and the first two attempts stall.
+		ds, tr, faulty := faultyDataset(t, storage.FaultConfig{Seed: 1, StallRate: 1, MaxFaults: 2}, retry)
+		faulty.SetArmed(false)
+		appendRows(t, tr, rows)
+		if err := ds.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		faulty.SetArmed(true)
+		if err := ds.Flush(ctx); err != nil {
+			t.Fatalf("flush through stalled publish Puts: %v", err)
+		}
+		if got := faulty.Stats().Stalls; got != 2 {
+			t.Fatalf("%d stalls injected, want the 2 the publish Puts met", got)
+		}
+		if got := ds.store.(*storage.Retry).Stats().Retries; got != 2 {
+			t.Fatalf("%d retries, want one per stalled publish attempt", got)
+		}
+		durable(t, faulty)
+	})
 }
 
 // TestFlushNonRetryableErrorStaysManual asserts the classification boundary:
-// a permanent upload failure must NOT trigger automatic redrive (which would
-// hammer a broken provider); it stays parked until a manual Flush redrives
-// it.
+// a permanent upload failure must NOT be re-attempted automatically (which
+// would hammer a broken provider); it stays parked until a manual Flush
+// redrives it.
 func TestFlushNonRetryableErrorStaysManual(t *testing.T) {
 	ctx := context.Background()
-	// Flaky fails exactly one Put with a permanent (non-transient) error.
-	// Flaky's counter covers read-path ops only, so wrap Puts by hand.
+	// Fail exactly one Put with a permanent (non-transient) error, under a
+	// Retry layer that would re-attempt a transient one.
 	mem := storage.NewMemory()
 	perm := &failNthPut{inner: mem, failOn: 1, err: errors.New("permanent: access denied")}
-	ds, err := Create(ctx, perm, "manual")
+	ds, err := Create(ctx, storage.NewRetry(perm, storage.RetryOptions{
+		Attempts: 9,
+		Backoff:  storage.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+	}), "manual")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.SetWriteOptions(WriteOptions{
-		FlushWorkers: 2, MaxPending: 4, FlushRetries: 8,
-		FlushBackoff: storage.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-	}); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := ds.CreateTensor(ctx, TensorSpec{Name: "x", Dtype: tensor.Int64, Bounds: smallBounds})
@@ -233,9 +254,15 @@ func TestFlushNonRetryableErrorStaysManual(t *testing.T) {
 	perm.arm()
 	appendRows(t, tr, 100)
 
-	// Give any (wrong) automatic redrive time to fire, then flush manually:
-	// the manual path clears the sticky error and redrives.
-	time.Sleep(30 * time.Millisecond)
+	// Once every uploader has returned, the barrier reports the permanent
+	// error and the key it hit was Put exactly once: nothing retried it.
+	if err := ds.flusher.drain(ctx); err == nil || storage.IsRetryable(err) {
+		t.Fatalf("drain = %v, want the permanent failure", err)
+	}
+	if key, n := perm.failedPuts(); n != 1 {
+		t.Fatalf("%q saw %d Puts after its permanent failure, want only the failed one", key, n)
+	}
+	// The manual path clears the sticky error and redrives.
 	if err := ds.Flush(ctx); err != nil {
 		t.Fatalf("manual flush after permanent fault: %v", err)
 	}
@@ -248,7 +275,129 @@ func TestFlushNonRetryableErrorStaysManual(t *testing.T) {
 	}
 }
 
-// failNthPut fails the n-th armed Put with a fixed (non-transient) error.
+// TestFlushFailedUploadLosesNoRows: one transient failure of one chunk Put,
+// on a handle nobody configured and under a one-attempt Retry layer (no
+// re-attempts), costs a Flush retry and nothing else. No append reports more
+// than a deferred error, Flush converges within two calls, and all 40 rows
+// read back on the handle and after reopen, with fsck clean. The chunk that meets the fault is either
+// the first armed Put (sealed mid-append) or the one the Flush itself seals,
+// whose failure the Flush must report.
+func TestFlushFailedUploadLosesNoRows(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// before rows are appended fault-free and flushed before arming.
+		before     int
+		flushFails bool
+	}{
+		{"sealed mid-append", 0, false},
+		{"sealed by flush", 32, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			const rows = 40
+			ds, tr, faulty := faultyDataset(t, storage.FaultConfig{Seed: 1, PutErrRate: 1, MaxFaults: 1}, storage.RetryOptions{Attempts: 1})
+			faulty.SetArmed(false)
+			appendRows(t, tr, tc.before)
+			if err := ds.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			faulty.SetArmed(true)
+			for i := tc.before; i < rows; i++ {
+				if err := tr.Append(ctx, tensor.Scalar(tensor.Int64, float64(i))); err != nil && !isDeferredFlush(err) {
+					t.Fatalf("append %d: %v", i, err)
+				}
+			}
+			err := ds.Flush(ctx)
+			if err != nil && !storage.IsRetryable(err) {
+				t.Fatalf("flush: %v", err)
+			}
+			if tc.flushFails && err == nil {
+				t.Fatal("the flush that sealed the failing chunk reported nothing")
+			}
+			if err != nil {
+				if err := ds.Flush(ctx); err != nil {
+					t.Fatalf("second flush: %v", err)
+				}
+			}
+			if got := faulty.Stats().Total(); got != 1 {
+				t.Fatalf("%d faults injected, want exactly 1", got)
+			}
+
+			faulty.SetArmed(false)
+			for name, h := range map[string]*Dataset{"handle": ds, "reopened": mustOpen(t, faulty)} {
+				x := h.Tensor("x")
+				if got := x.Len(); got != rows {
+					t.Fatalf("%s: %d/%d rows", name, got, rows)
+				}
+				for i := uint64(0); i < rows; i++ {
+					arr, err := x.At(ctx, i)
+					if err != nil {
+						t.Fatalf("%s: row %d: %v", name, i, err)
+					}
+					if v, _ := arr.Item(); int64(v) != int64(i) {
+						t.Fatalf("%s: row %d = %v", name, i, v)
+					}
+				}
+			}
+			if rep, err := Fsck(ctx, faulty, FsckOptions{}); err != nil || len(rep.Issues) != 0 {
+				t.Fatalf("fsck: %v\n%s", err, rep.Format())
+			}
+		})
+	}
+}
+
+// TestFlushSliceReadsParkedChunk: a sealed chunk whose upload failed stays in
+// the pipeline's pending map, and Slice's byte-range fast path must read it
+// from there like At does — before any Flush, on a handle nobody configured.
+func TestFlushSliceReadsParkedChunk(t *testing.T) {
+	ctx := context.Background()
+	const rows, width = 20, 4
+	perm := &failNthPut{inner: storage.NewMemory(), failOn: 1, err: errors.New("permanent: access denied")}
+	ds, err := Create(ctx, perm, "slice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ds.CreateTensor(ctx, TensorSpec{Name: "x", Dtype: tensor.Int64, Bounds: smallBounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm.arm()
+	for i := 0; i < rows; i++ {
+		row, _ := tensor.FromInt64s(tensor.Int64, []int{width}, []int64{int64(i * width), int64(i*width + 1), int64(i*width + 2), int64(i*width + 3)})
+		if err := tr.Append(ctx, row); err != nil && !isDeferredFlush(err) {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	// A permanent failure is never re-attempted automatically: once the
+	// uploaders return, one sealed chunk is parked and nowhere in the store.
+	if err := ds.flusher.drain(ctx); err == nil {
+		t.Fatal("no upload failed; nothing was parked")
+	}
+	if _, n := perm.failedPuts(); n != 1 {
+		t.Fatalf("the failed key saw %d Puts, want 1", n)
+	}
+
+	check := func(when string) {
+		t.Helper()
+		for i := 0; i < rows; i++ {
+			got, err := tr.Slice(ctx, uint64(i), []tensor.Range{{Start: 1, Stop: 3}})
+			if err != nil {
+				t.Fatalf("%s: Slice row %d: %v", when, i, err)
+			}
+			if v := got.Float64s(); len(v) != 2 || int64(v[0]) != int64(i*width+1) || int64(v[1]) != int64(i*width+2) {
+				t.Fatalf("%s: row %d[1:3] = %v", when, i, v)
+			}
+		}
+	}
+	check("parked")
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatalf("manual flush after permanent fault: %v", err)
+	}
+	check("flushed")
+}
+
+// failNthPut fails the n-th armed Put with a fixed (non-transient) error and
+// counts the Puts each key receives.
 type failNthPut struct {
 	inner  storage.Provider
 	failOn int64
@@ -256,17 +405,37 @@ type failNthPut struct {
 
 	armed atomic.Bool
 	seen  atomic.Int64
+
+	mu     sync.Mutex
+	failed string         // the key the fault hit
+	puts   map[string]int // Puts per key, the failed one included
 }
 
 func (p *failNthPut) arm() { p.armed.Store(true) }
 
+// failedPuts reports the key the fault hit and how many Puts it received.
+func (p *failNthPut) failedPuts() (string, int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.failed, p.puts[p.failed]
+}
+
 func (p *failNthPut) Put(ctx context.Context, key string, data []byte) error {
-	if p.armed.Load() && p.seen.Add(1) == p.failOn {
+	p.mu.Lock()
+	if p.puts == nil {
+		p.puts = map[string]int{}
+	}
+	p.puts[key]++
+	fail := p.armed.Load() && p.seen.Add(1) == p.failOn
+	if fail {
+		p.failed = key
+	}
+	p.mu.Unlock()
+	if fail {
 		return fmt.Errorf("put %q: %w", key, p.err)
 	}
 	return p.inner.Put(ctx, key, data)
 }
-
 func (p *failNthPut) Get(ctx context.Context, key string) ([]byte, error) {
 	return p.inner.Get(ctx, key)
 }

@@ -10,9 +10,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestFlushRetriesAreAttemptsPerUpload pins what WriteOptions.FlushRetries
-// counts: re-attempts of ONE upload, made by the uploader that owns the
-// chunk. The provider fails exactly the first three Puts it sees and a
+// TestFlushRetriesAreAttemptsPerUpload pins what a Retry layer under the
+// dataset does for uploads: re-attempts of ONE upload, made by the uploader
+// that owns the chunk. The provider fails exactly the first three Puts it sees and a
 // single worker lane serializes uploads, so the first sealed chunk's upload
 // meets all three faults whatever else is queued behind it: with three
 // re-attempts its fourth try lands and no failure is ever visible; with two
@@ -31,10 +31,13 @@ func TestFlushRetriesAreAttemptsPerUpload(t *testing.T) {
 			const rows = 40 // at least two sealed chunks of int64 scalars under smallBounds
 			ds, tr, faulty := faultyDataset(t,
 				storage.FaultConfig{Seed: 1, PutErrRate: 1, MaxFaults: 3},
-				WriteOptions{
-					FlushWorkers: 1, FlushRetries: tc.retries,
-					FlushBackoff: storage.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Seed: 1},
+				storage.RetryOptions{
+					Attempts: tc.retries + 1,
+					Backoff:  storage.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Seed: 1},
 				})
+			if err := ds.SetWriteOptions(WriteOptions{FlushWorkers: 1}); err != nil {
+				t.Fatal(err)
+			}
 			goroutines := runtime.NumGoroutine()
 
 			var appendErr error

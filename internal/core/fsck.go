@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/encoder"
 	"repro/internal/storage"
 	"repro/internal/version"
 )
@@ -26,7 +27,9 @@ const (
 	// FsckMissingObject: the state object of a version in the tree is
 	// absent.
 	FsckMissingObject = "missing-object"
-	// FsckMissingChunk: a chunk listed in a version's chunk set is absent.
+	// FsckMissingChunk: a chunk listed in a version's chunk set is absent,
+	// or a chunk the tensor's encoders reference is bound to no version in
+	// its state's chunk_versions (the issue then names the state object).
 	FsckMissingChunk = "missing-chunk"
 	// FsckChecksumMismatch: a stored chunk's bytes fail the CRC32C recorded
 	// in the tensor's checksum manifest, or the manifest records none.
@@ -217,33 +220,69 @@ func (f *fsckState) checkRootsListing(ctx context.Context, gen uint64) error {
 }
 
 // versionState resolves one version's state the way loadVersionState does:
-// the root for the version it is on, versions/<vid>/state.json otherwise. A
-// missing or unparseable state object is an issue naming it, and the version
-// then checks as empty.
-func (f *fsckState) versionState(ctx context.Context, vid string) (versionState, error) {
+// the root for the version it is on, versions/<vid>/state.json otherwise, and
+// names the object it came from. A missing or unparseable state object is an
+// issue naming it, and the version then checks as empty.
+func (f *fsckState) versionState(ctx context.Context, vid string) (versionState, string, error) {
 	if f.root.Head == vid {
-		return f.root.versionState, nil
+		return f.root.versionState, rootKey(f.rep.Generation), nil
 	}
 	key := versionStateKey(vid)
 	raw, err := f.store.Get(ctx, key)
 	if storage.IsNotFound(err) {
 		f.issue(FsckMissingObject, key, "version is in the tree but its state object is gone", nil)
-		return versionState{}, nil
+		return versionState{}, key, nil
 	}
 	if err != nil {
-		return versionState{}, err
+		return versionState{}, key, err
 	}
 	f.rep.ObjectsChecked++
 	vs, err := parseVersionState(key, raw)
 	if err != nil {
 		f.issue(FsckCorruptObject, key, fmt.Sprintf("does not parse: %v", err), nil)
 	}
-	return vs, nil
+	return vs, key, nil
 }
 
-// checkVersions walks every version in the tree: referenced chunks must
-// exist and match their recorded CRC32C, and stored chunks must be
-// referenced.
+// checkBindings flags every chunk id a tensor's chunk or tile encoder
+// references that the state's chunk_versions binds to no version: the rows
+// in such a chunk are unreadable whatever is in storage.
+func (f *fsckState) checkBindings(stateKey, name string, st tensorRootState) {
+	bound := map[uint64]bool{}
+	for _, g := range st.ChunkVersions {
+		for _, id := range g.Chunks {
+			bound[id] = true
+		}
+	}
+	chunks, tiles := encoder.NewChunkEncoder(), encoder.NewTileEncoder()
+	var err error
+	if len(st.ChunkEnc) > 0 {
+		err = chunks.UnmarshalBinary(st.ChunkEnc)
+	}
+	if err == nil && len(st.TileEnc) > 0 {
+		err = tiles.UnmarshalBinary(st.TileEnc)
+	}
+	if err != nil {
+		f.issue(FsckCorruptObject, stateKey, fmt.Sprintf("tensor %q: encoder does not parse: %v", name, err), nil)
+		return
+	}
+	ids := chunks.ChunkIDs()
+	for _, idx := range tiles.Indices() {
+		entry, _ := tiles.Get(idx)
+		ids = append(ids, entry.ChunkIDs...)
+	}
+	for _, id := range ids {
+		if !bound[id] {
+			bound[id] = true // one issue per id
+			f.issue(FsckMissingChunk, stateKey,
+				fmt.Sprintf("tensor %q: chunk %d is referenced by the tensor's encoders but bound to no version in chunk_versions", name, id), nil)
+		}
+	}
+}
+
+// checkVersions walks every version in the tree: every chunk the encoders
+// reference must be bound to a version, referenced chunks must exist and
+// match their recorded CRC32C, and stored chunks must be referenced.
 func (f *fsckState) checkVersions(ctx context.Context) error {
 	vids := make([]string, 0, len(f.tree.Nodes))
 	for vid := range f.tree.Nodes {
@@ -251,12 +290,13 @@ func (f *fsckState) checkVersions(ctx context.Context) error {
 	}
 	sort.Strings(vids)
 	for _, vid := range vids {
-		vs, err := f.versionState(ctx, vid)
+		vs, stateKey, err := f.versionState(ctx, vid)
 		if err != nil {
 			return err
 		}
 		for _, name := range vs.Schema.Tensors {
 			st := vs.Tensors[name]
+			f.checkBindings(stateKey, name, st)
 			// The version's chunk set: the ids its state binds to itself.
 			var ids []uint64
 			for _, g := range st.ChunkVersions {

@@ -14,10 +14,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Golden equivalence suite: the parallel flush pipeline must produce a
-// byte-identical dataset to the serial write path — same storage keys, same
-// blobs — for every chunk, chunk set, diff, meta, encoder, schema and root
-// file, at any flush-worker count. Only the upload ORDER may differ.
+// Golden equivalence suite: the flush pipeline must produce a byte-identical
+// dataset — same storage keys, same blobs — for every chunk, chunk set, diff,
+// meta, encoder, schema and root file, at any lane count, faults or not. Only
+// the upload ORDER may differ.
 
 // pinClock fixes every timestamp source of a freshly created dataset so two
 // builds are bit-comparable.
@@ -161,17 +161,17 @@ func snapshotKeys(t *testing.T, store storage.Provider) []string {
 	return keys
 }
 
-// TestParallelFlushGoldenEquivalence builds the same dataset through the
-// serial path, a 1-worker pipeline and a 16-worker pipeline, and asserts the
-// stored objects are byte-identical across all three.
+// TestParallelFlushGoldenEquivalence builds the same dataset through a
+// 1-lane pipeline — the reference, uploads in seal order — and at 1, 4 and
+// 16 lanes, and asserts the stored objects are byte-identical across all.
 func TestParallelFlushGoldenEquivalence(t *testing.T) {
-	serial := buildGoldenDataset(t, WriteOptions{})
-	serialKeys := snapshotKeys(t, serial)
-	if len(serialKeys) == 0 {
+	ref := buildGoldenDataset(t, WriteOptions{FlushWorkers: 1})
+	refKeys := snapshotKeys(t, ref)
+	if len(refKeys) == 0 {
 		t.Fatal("golden build produced no objects")
 	}
 	var chunkKeys int
-	for _, k := range serialKeys {
+	for _, k := range refKeys {
 		if strings.Contains(k, "/chunks/") {
 			chunkKeys++
 		}
@@ -180,9 +180,9 @@ func TestParallelFlushGoldenEquivalence(t *testing.T) {
 		t.Fatalf("golden build produced only %d chunk objects; workload too small to be meaningful", chunkKeys)
 	}
 
-	for _, workers := range []int{1, 16} {
+	for _, workers := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("flushworkers-%d", workers), func(t *testing.T) {
-			assertSameObjects(t, serial, buildGoldenDataset(t, WriteOptions{FlushWorkers: workers}))
+			assertSameObjects(t, ref, buildGoldenDataset(t, WriteOptions{FlushWorkers: workers}))
 		})
 	}
 }
@@ -239,18 +239,18 @@ func (f *chunkPutFaults) Put(ctx context.Context, key string, data []byte) error
 }
 
 // TestFaultyIngestGoldenEquivalence: uploads that fail transiently and are
-// re-attempted under WriteOptions.FlushRetries may land later, never
+// re-attempted by a Retry layer under the dataset may land later, never
 // differently. Every chunk object's first two Puts fail; the golden workload
 // must complete with no error surfacing and leave exactly the objects, byte
-// for byte, of the fault-free serial build.
+// for byte, of the fault-free 1-lane build.
 func TestFaultyIngestGoldenEquivalence(t *testing.T) {
 	const perKey = 2
 	mem := storage.NewMemory()
 	faults := &chunkPutFaults{Provider: mem, perKey: perKey, failed: map[string]int{}}
-	buildGoldenDatasetOn(t, faults, WriteOptions{
-		FlushWorkers: 4, MaxPending: 8, FlushRetries: perKey,
-		FlushBackoff: storage.Backoff{Base: time.Microsecond, Max: time.Microsecond, Seed: 1},
-	})
+	buildGoldenDatasetOn(t, storage.NewRetry(faults, storage.RetryOptions{
+		Attempts: perKey + 1,
+		Backoff:  storage.Backoff{Base: time.Microsecond, Max: time.Microsecond, Seed: 1},
+	}), WriteOptions{FlushWorkers: 4})
 	if len(faults.failed) < 10 {
 		t.Fatalf("only %d chunk objects met faults; workload too small to be meaningful", len(faults.failed))
 	}
@@ -259,5 +259,5 @@ func TestFaultyIngestGoldenEquivalence(t *testing.T) {
 			t.Fatalf("chunk %q met %d faults, want %d", key, n, perKey)
 		}
 	}
-	assertSameObjects(t, buildGoldenDataset(t, WriteOptions{}), mem)
+	assertSameObjects(t, buildGoldenDataset(t, WriteOptions{FlushWorkers: 1}), mem)
 }

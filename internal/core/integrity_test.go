@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/storage"
@@ -14,17 +15,31 @@ import (
 // guillotine simulates a writer killed mid-protocol: killAt is asked before
 // every mutating op (Put/Delete) — with how many went through so far and the
 // key about to be written — whether the writer dies there. A dead writer
-// mutates nothing more; everything before the kill landed.
+// mutates nothing more; everything before the kill landed. Mutations are
+// serialized, kill decision included, so under concurrent uploads every op
+// either completed before the kill or never reaches storage.
 type guillotine struct {
 	storage.Provider
 	killAt func(ops int, key string) bool
-	ops    int
-	dead   bool
 	// published, when set, runs after every dataset.json Put that lands.
 	published func()
+
+	mu   sync.Mutex
+	ops  int
+	dead bool
+}
+
+// state reports how many mutating ops went through and whether the writer
+// was killed.
+func (g *guillotine) state() (ops int, dead bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.ops, g.dead
 }
 
 func (g *guillotine) mutate(key string, op func() error) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.dead || (g.killAt != nil && g.killAt(g.ops, key)) {
 		g.dead = true
 		return errors.New("simulated crash: writer killed before " + key)
@@ -423,6 +438,77 @@ func TestMissingChunkIsNamedExactly(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("fsck does not name %q:\n%s", victim, rep.Format())
+	}
+}
+
+// TestFsckNamesUnboundChunks: a published state whose encoders reference
+// chunk ids its chunk_versions binds to no version — rows nothing can read —
+// is data loss fsck must name, once per id, by the state object and tensor,
+// and never claim to repair.
+func TestFsckNamesUnboundChunks(t *testing.T) {
+	ctx := context.Background()
+	mem := storage.NewMemory()
+	ds, err := Create(ctx, mem, "unbound")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.CreateTensor(ctx, TensorSpec{Name: "labels", Htype: "class_label", Bounds: smallBounds}); err != nil {
+		t.Fatal(err)
+	}
+	appendLabels(t, ds, 0, 60)
+	committed, err := ds.Commit(ctx, "first")
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendLabels(t, ds, 60, 70)
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := Fsck(ctx, mem, FsckOptions{}); err != nil || len(rep.Issues) != 0 {
+		t.Fatalf("fsck before the damage: %v\n%s", err, rep.Format())
+	}
+
+	// Drop the committed version's group from the published root: its
+	// chunks stay stored and referenced by the commit's own state, but the
+	// head no longer says where its first 60 rows live.
+	gen := ds.meta.Generation
+	root, err := loadRoot(ctx, mem, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := root.Tensors["labels"]
+	var dropped []uint64
+	kept := st.ChunkVersions[:0]
+	for _, g := range st.ChunkVersions {
+		if g.Version == committed {
+			dropped = g.Chunks
+			continue
+		}
+		kept = append(kept, g)
+	}
+	if len(dropped) < 2 {
+		t.Fatalf("committed version binds %d chunks; the damage would mean little", len(dropped))
+	}
+	st.ChunkVersions = kept
+	root.Tensors["labels"] = st
+	if err := mem.Put(ctx, rootKey(gen), mustJSON(root)); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, repair := range []bool{false, true} {
+		rep, err := Fsck(ctx, mem, FsckOptions{Repair: repair})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Issues) != len(dropped) || rep.Clean() {
+			t.Fatalf("repair=%v: want one issue per unbound chunk (%d), got:\n%s", repair, len(dropped), rep.Format())
+		}
+		for i, issue := range rep.Issues {
+			want := fmt.Sprintf("tensor %q: chunk %d ", "labels", dropped[i])
+			if issue.Kind != FsckMissingChunk || issue.Key != rootKey(gen) || !strings.Contains(issue.Detail, want) || issue.Repairable || issue.Repaired {
+				t.Fatalf("repair=%v: issue %d = %s, want a non-repairable %s on %s naming %s", repair, i, issue, FsckMissingChunk, rootKey(gen), want)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/storage"
@@ -31,10 +32,14 @@ func appendPairs(ctx context.Context, ds *Dataset, from, to int) error {
 
 // publishScript drives one writer through every operation that publishes:
 // create → 2 tensors → append → flush → append → commit → branch → append →
-// commit → checkout main → merge → flush. It stops at the first error.
-func publishScript(ctx context.Context, store storage.Provider) (*Dataset, error) {
+// commit → checkout main → merge → flush, with the given write options. It
+// stops at the first error.
+func publishScript(ctx context.Context, store storage.Provider, opts WriteOptions) (*Dataset, error) {
 	ds, err := Create(ctx, store, "script")
 	if err != nil {
+		return nil, err
+	}
+	if err := ds.SetWriteOptions(opts); err != nil {
 		return nil, err
 	}
 	if _, err := ds.CreateTensor(ctx, TensorSpec{Name: "labels", Htype: "class_label", Bounds: smallBounds}); err != nil {
@@ -87,11 +92,17 @@ func rowsOf(t *testing.T, ds *Dataset) string {
 }
 
 // TestCrashPointEnumeration kills the writer before the k-th mutating storage
-// op, for every k of the script. Each time a reopen must land on a published
-// generation holding exactly that generation's rows, fsck must find only
-// repairable debris, -repair must reach clean, and the dataset must accept a
-// write afterwards.
+// op, for every k of the script, with one upload lane (uploads in seal order)
+// and with the default lanes (uploads racing each other and the kill). Each
+// time a reopen must land on a published generation holding exactly that
+// generation's rows, fsck must find only repairable debris, -repair must
+// reach clean, and the dataset must accept a write afterwards.
 func TestCrashPointEnumeration(t *testing.T) {
+	t.Run("one-lane", func(t *testing.T) { enumerateCrashPoints(t, WriteOptions{FlushWorkers: 1}) })
+	t.Run("default-lanes", func(t *testing.T) { enumerateCrashPoints(t, WriteOptions{}) })
+}
+
+func enumerateCrashPoints(t *testing.T, opts WriteOptions) {
 	ctx := context.Background()
 
 	// Reference run: what each generation holds, read by a second handle at
@@ -106,10 +117,10 @@ func TestCrashPointEnumeration(t *testing.T) {
 		}
 		want[back.Integrity().Generation] = rowsOf(t, back)
 	}
-	if _, err := publishScript(ctx, ref); err != nil {
+	if _, err := publishScript(ctx, ref, opts); err != nil {
 		t.Fatal(err)
 	}
-	total := ref.ops
+	total, _ := ref.state()
 	t.Logf("%d mutating ops, %d generations", total, len(want))
 	if total < 40 || len(want) < 10 {
 		t.Fatalf("script too short to mean anything: %d mutating ops, %d generations", total, len(want))
@@ -121,8 +132,8 @@ func TestCrashPointEnumeration(t *testing.T) {
 		g := &guillotine{Provider: mem, killAt: func(ops int, _ string) bool { return ops == k }}
 		// The error is not the signal: the last ops of a publish are
 		// best-effort deletes whose failure the writer swallows.
-		_, _ = publishScript(ctx, g)
-		if !g.dead {
+		_, _ = publishScript(ctx, g, opts)
+		if _, dead := g.state(); !dead {
 			t.Fatalf("k=%d: the script finished without reaching the kill", k)
 		}
 		if ok, err := mem.Exists(ctx, datasetMetaKey); err != nil {
@@ -186,7 +197,7 @@ func TestLayoutAndRequestCounts(t *testing.T) {
 	ctx := context.Background()
 	mem := storage.NewMemory()
 	counting := storage.NewCounting(mem)
-	ds, err := publishScript(ctx, counting)
+	ds, err := publishScript(ctx, counting, WriteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,12 +324,11 @@ func TestLayoutAndRequestCounts(t *testing.T) {
 type failOnce struct {
 	storage.Provider
 	match string
-	armed bool
+	armed atomic.Bool
 }
 
 func (f *failOnce) Put(ctx context.Context, key string, data []byte) error {
-	if f.armed && strings.Contains(key, f.match) {
-		f.armed = false
+	if strings.Contains(key, f.match) && f.armed.CompareAndSwap(true, false) {
 		return errors.New("injected: Put " + key + " failed")
 	}
 	return f.Provider.Put(ctx, key, data)
@@ -343,7 +353,7 @@ func TestFailedCommitLeavesHandleWhereItWas(t *testing.T) {
 			appendLabels(t, ds, 0, 40)
 			head := ds.Version()
 
-			f.armed = true
+			f.armed.Store(true)
 			if id, err := ds.Commit(ctx, "only"); err == nil {
 				t.Fatalf("Commit through the failing Put returned %q", id)
 			}

@@ -181,7 +181,8 @@ func (t *Tensor) Slice(ctx context.Context, idx uint64, region []tensor.Range) (
 
 // rangeReadFirstAxis serves Slice(idx, [lo:hi]) with one byte-range request
 // when the sample is raw and its chunk is uncompressed. ok=false means the
-// fast path does not apply (e.g. the sample sits in the write buffer).
+// fast path does not apply (e.g. the sample sits in the write buffer or in
+// a chunk still in flight).
 func (t *Tensor) rangeReadFirstAxis(ctx context.Context, idx uint64, r tensor.Range) (*tensor.NDArray, bool, error) {
 	chunkID, local, err := t.chunkEnc.Lookup(idx)
 	if err != nil {
@@ -195,6 +196,11 @@ func (t *Tensor) rangeReadFirstAxis(ctx context.Context, idx uint64, r tensor.Ra
 		return nil, false, fmt.Errorf("core: chunk %d not found in any version", chunkID)
 	}
 	key := chunkKey(vid, t.name, chunkID)
+	// A sealed chunk whose upload has not landed lives only in the
+	// pipeline's pending map; itemAt reads it from there.
+	if _, inflight := t.ds.flusher.lookup(key); inflight {
+		return nil, false, nil
+	}
 
 	shape, err := t.shapeEnc.Get(idx)
 	if err != nil {

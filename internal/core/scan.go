@@ -183,10 +183,8 @@ func (t *Tensor) PrefetchChunks(ctx context.Context, ids []uint64) (int, error) 
 			continue
 		}
 		key := chunkKey(vid, t.name, id)
-		if fp := t.ds.flusher; fp != nil {
-			if _, inflight := fp.lookup(key); inflight {
-				continue
-			}
+		if _, inflight := t.ds.flusher.lookup(key); inflight {
+			continue
 		}
 		keys = append(keys, key)
 	}

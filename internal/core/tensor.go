@@ -271,10 +271,10 @@ func (t *Tensor) snapshotState() (tensorRootState, error) {
 	return st, nil
 }
 
-// flushPending seals the buffered chunk and writes it to storage. Caller
-// holds the tensor write lock (or ds.mu exclusively). pendingSamples is
-// cleared as soon as the builder is consumed — from that point the sealed
-// blob (inline-stored, or held in the pipeline's pending map) is the
+// flushPending seals the buffered chunk and hands it to the flush pipeline.
+// Caller holds the tensor write lock (or ds.mu exclusively). pendingSamples
+// is cleared as soon as the builder is consumed — from that point the sealed
+// blob, held in the pipeline's pending map until its upload lands, is the
 // authoritative copy those rows are read from.
 func (t *Tensor) flushPending(ctx context.Context) error {
 	if t.builder.Len() == 0 {
@@ -288,13 +288,11 @@ func (t *Tensor) flushPending(ctx context.Context) error {
 	return t.writeChunk(ctx, t.pendingID, blob)
 }
 
-// writeChunk compresses and stores one chunk blob in the head version,
-// binding its id to that version. With a flush pipeline configured
-// the sealed blob is handed to the background uploaders and the call
-// returns once the chunk is queued (readers see it through the pipeline's
-// pending map until the upload lands); otherwise the Put happens inline.
-// Caller holds the tensor write lock (or ds.mu exclusively); ds.head is
-// stable because every writer also holds ds.mu shared.
+// writeChunk compresses one chunk blob, binds its id to the head version and
+// enqueues it on the flush pipeline; the call returns once the chunk is
+// queued, and readers see it through the pipeline's pending map until the
+// upload lands. Caller holds the tensor write lock (or ds.mu exclusively);
+// ds.head is stable because every writer also holds ds.mu shared.
 func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
 	if t.chunkCodec != nil {
 		var err error
@@ -310,26 +308,17 @@ func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
 		t.meta.Checksums = map[string]uint32{}
 	}
 	t.meta.Checksums[chunkName(id)] = storage.Checksum(blob)
-	key := chunkKey(t.ds.head, t.name, id)
-	if fp := t.ds.flusher; fp != nil {
-		// The pipeline records the blob even when enqueue errors (sticky
-		// failure or cancelled backpressure wait): the bytes stay readable
-		// and a later flush redrives them. Register the chunk in the index
-		// maps regardless so tensor state stays consistent with the rows
-		// the chunk encoder already references, then surface the error as
-		// deferred — append paths finish recording their row before
-		// reporting it, keeping multi-tensor rows aligned.
-		err := fp.enqueue(ctx, key, blob)
-		t.chunkVersion[id] = t.ds.head
-		if err != nil {
-			return &DeferredFlushError{Cause: err}
-		}
-		return nil
-	}
-	if err := t.ds.store.Put(ctx, key, blob); err != nil {
-		return err
-	}
+	// The pipeline records the blob even when enqueue errors (sticky
+	// failure or cancelled backpressure wait): the bytes stay readable and a
+	// later flush redrives them. Bind the id regardless so tensor state stays
+	// consistent with the rows the chunk encoder already references, then
+	// surface the error as deferred — append paths finish recording their
+	// row before reporting it, keeping multi-tensor rows aligned.
+	err := t.ds.flusher.enqueue(ctx, chunkKey(t.ds.head, t.name, id), blob)
 	t.chunkVersion[id] = t.ds.head
+	if err != nil {
+		return &DeferredFlushError{Cause: err}
+	}
 	return nil
 }
 
@@ -349,10 +338,7 @@ func (t *Tensor) readChunk(ctx context.Context, id uint64) ([]byte, error) {
 		return nil, fmt.Errorf("core: chunk %d of tensor %q not found in any version", id, t.name)
 	}
 	key := chunkKey(vid, t.name, id)
-	raw, inflight := []byte(nil), false
-	if fp := t.ds.flusher; fp != nil {
-		raw, inflight = fp.lookup(key)
-	}
+	raw, inflight := t.ds.flusher.lookup(key)
 	if !inflight {
 		var err error
 		raw, err = t.ds.store.Get(ctx, key)

@@ -336,15 +336,8 @@ func (ds *Dataset) ReadAtVersion(ctx context.Context, ref string) (*Dataset, err
 	if err != nil {
 		return nil, err
 	}
-	out := &Dataset{
-		store:  ds.store,
-		meta:   ds.meta,
-		tree:   ds.tree,
-		branch: "",
-		head:   node.ID,
-		now:    ds.now,
-		scope:  scopeCounter.Add(1),
-	}
+	out := newHandle(ds.store)
+	out.meta, out.tree, out.head, out.now = ds.meta, ds.tree, node.ID, ds.now
 	tensors, err := out.tensorsFromState(vs)
 	if err != nil {
 		return nil, err

@@ -19,8 +19,8 @@ import (
 // part) run outside every lock, then the append takes ds.mu shared (so the
 // dataset cannot be flushed, committed, or checked out mid-append, while
 // appends to other tensors proceed concurrently) plus this tensor's write
-// lock for the index/builder mutation, which with a flush pipeline
-// configured is pure in-memory work.
+// lock for the index/builder mutation, which is pure in-memory work: sealed
+// chunks leave through the flush pipeline.
 
 // beginWrite takes the shared structure lock and re-checks that the write
 // can proceed: the dataset must be writable, and this handle must still be

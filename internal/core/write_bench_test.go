@@ -86,24 +86,6 @@ func BenchmarkAppendBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAppendBatchPipelined is the batched path with the background
-// flush pipeline: sealed chunks upload off the append path.
-func BenchmarkAppendBatchPipelined(b *testing.B) {
-	ctx := context.Background()
-	t := benchWriteDataset(b)
-	if err := t.ds.SetWriteOptions(WriteOptions{FlushWorkers: 4}); err != nil {
-		b.Fatal(err)
-	}
-	batch := benchBatch(b)
-	b.ReportMetric(benchBatchRows, "rows/op")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := t.AppendBatch(ctx, batch); err != nil {
-			b.Fatal(err)
-		}
-	}
 	b.StopTimer()
 	if err := t.ds.Flush(ctx); err != nil {
 		b.Fatal(err)

@@ -23,7 +23,7 @@ import (
 func TestParallelWritersDisjointTensors(t *testing.T) {
 	ctx := context.Background()
 	ds, store := newTestDataset(t)
-	if err := ds.SetWriteOptions(WriteOptions{FlushWorkers: 8, MaxPending: 16}); err != nil {
+	if err := ds.SetWriteOptions(WriteOptions{FlushWorkers: 8}); err != nil {
 		t.Fatal(err)
 	}
 	const writers, perWriter = 16, 64
@@ -92,7 +92,7 @@ func TestParallelWritersDisjointTensors(t *testing.T) {
 func TestParallelWritersSharedTensorsStayRowAligned(t *testing.T) {
 	ctx := context.Background()
 	ds, store := newTestDataset(t)
-	if err := ds.SetWriteOptions(WriteOptions{FlushWorkers: 8, MaxPending: 16}); err != nil {
+	if err := ds.SetWriteOptions(WriteOptions{FlushWorkers: 8}); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"a", "b"} {
@@ -286,7 +286,7 @@ func TestCancelMidIngestReopenable(t *testing.T) {
 	}
 
 	// Switch to pipelined uploads and block the wire.
-	if err := ds.SetWriteOptions(WriteOptions{FlushWorkers: 2, MaxPending: 4}); err != nil {
+	if err := ds.SetWriteOptions(WriteOptions{FlushWorkers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	gs.mu.Lock()

@@ -5,12 +5,10 @@
 // workers touch nearby chunks, with outputs committed in input order so the
 // produced dataset is deterministic.
 //
-// Outputs write through the destination's parallel ingestion engine:
-// unless the caller configured the dataset otherwise, Eval installs a
-// background chunk flush pipeline (core.WriteOptions, one flush lane per
-// worker) so the ordered commit loop appends at memory speed while sealed
-// chunks upload concurrently; the final Flush drains the pipeline before
-// metadata is persisted.
+// Outputs write through the destination's flush pipeline, configured however
+// the destination was (core.WriteOptions): the ordered commit loop appends at
+// memory speed while sealed chunks upload concurrently, and the final Flush
+// drains the pipeline before metadata is persisted.
 //
 // It is the Go analogue of @deeplake.compute-decorated Python functions
 // running on a process pool.
@@ -128,39 +126,6 @@ type Options struct {
 	// BatchSize groups adjacent input indices per worker so a worker's
 	// reads stay within neighboring chunks (default 16).
 	BatchSize int
-	// FlushWorkers configures the destination dataset's background chunk
-	// flush pipeline, so the ordered commit loop never stalls on
-	// object-store Puts. 0 defaults to Workers (unless the destination
-	// already has write options configured, which are then respected);
-	// negative forces the synchronous serial write path.
-	FlushWorkers int
-	// MaxPendingFlush bounds sealed chunks in flight before appends block
-	// for backpressure (default 2*FlushWorkers).
-	MaxPendingFlush int
-}
-
-// configureWrites applies the flush-pipeline options to the destination,
-// leaving an already-identical configuration untouched (repeated Eval
-// calls must not pay a drain barrier rebuilding the same pipeline).
-func (o Options) configureWrites(dst *core.Dataset) error {
-	apply := func(w core.WriteOptions) error {
-		if dst.WriteOptionsConfigured() && dst.WriteOptions() == w {
-			return nil
-		}
-		return dst.SetWriteOptions(w)
-	}
-	switch {
-	case o.FlushWorkers < 0:
-		return apply(core.WriteOptions{})
-	case o.FlushWorkers > 0:
-		return apply(core.WriteOptions{FlushWorkers: o.FlushWorkers, MaxPending: o.MaxPendingFlush})
-	case !dst.WriteOptionsConfigured():
-		// Never-configured destination: default to one flush lane per
-		// worker. A dataset explicitly set to serial (SetWriteOptions with
-		// the zero value) is respected.
-		return dst.SetWriteOptions(core.WriteOptions{FlushWorkers: o.Workers, MaxPending: o.MaxPendingFlush})
-	}
-	return nil
 }
 
 // Stats reports an Eval run.
@@ -177,9 +142,6 @@ func (p *Pipeline) Eval(ctx context.Context, src Source, dst *core.Dataset, opts
 	}
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = 16
-	}
-	if err := opts.configureWrites(dst); err != nil {
-		return Stats{}, err
 	}
 	n := src.Len()
 	numBatches := (n + opts.BatchSize - 1) / opts.BatchSize
@@ -286,9 +248,6 @@ func (p *Pipeline) Eval(ctx context.Context, src Source, dst *core.Dataset, opts
 func (p *Pipeline) EvalInPlace(ctx context.Context, ds *core.Dataset, opts Options) (Stats, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if err := opts.configureWrites(ds); err != nil {
-		return Stats{}, err
 	}
 	src := FromDataset(ds)
 	n := src.Len()

@@ -15,26 +15,6 @@ type MaterializeOptions struct {
 	// Message recorded as the first commit of the produced dataset,
 	// preserving lineage back to the query.
 	Message string
-	// Write configures the destination's parallel ingestion engine. The
-	// zero value defaults to a small background flush pipeline
-	// (FlushWorkers = 4) so chunk uploads overlap row evaluation; set
-	// Write.FlushWorkers < 0 to force the synchronous serial path. The
-	// stored bytes are identical either way — the final Commit drains the
-	// pipeline before metadata is persisted.
-	Write core.WriteOptions
-}
-
-// resolveWrite maps the option's zero/negative conventions onto the core
-// semantics (0 workers = synchronous).
-func (o MaterializeOptions) resolveWrite() core.WriteOptions {
-	w := o.Write
-	if w.FlushWorkers == 0 {
-		w.FlushWorkers = 4
-	}
-	if w.FlushWorkers < 0 {
-		w = core.WriteOptions{}
-	}
-	return w
 }
 
 // Materialize evaluates every view row and writes a fresh dataset with an
@@ -42,16 +22,14 @@ func (o MaterializeOptions) resolveWrite() core.WriteOptions {
 // dataset view into an optimal layout to stream into deep learning
 // frameworks"). Identity columns keep their tensor metadata (htype and
 // compressions); computed and resolved-link columns are written from their
-// evaluated arrays.
+// evaluated arrays. Chunk uploads overlap row evaluation through the new
+// dataset's flush pipeline; the final Commit drains it.
 func Materialize(ctx context.Context, v *View, dst storage.Provider, opts MaterializeOptions) (*core.Dataset, error) {
 	if opts.Name == "" {
 		opts.Name = v.ds.Name() + "-view"
 	}
 	out, err := core.Create(ctx, dst, opts.Name)
 	if err != nil {
-		return nil, err
-	}
-	if err := out.SetWriteOptions(opts.resolveWrite()); err != nil {
 		return nil, err
 	}
 	// Create output tensors.
