@@ -49,8 +49,9 @@
 //     fetch+decode per chunk per node however many workers or Loaders ask.
 //
 // Ahead of the chunk cache the loader's job feeder hands the provider chain
-// the next strips of the chunk visit order as coalesced batched reads, so
-// origin latency overlaps with decode and transform work. Run
+// the next strips of the chunk visit order as coalesced batched reads, as
+// many as half the LRU can hold unread (storage.Headroom), so origin latency
+// overlaps with decode and transform work. Run
 //
 //	go run ./benchmarks/lakebench --workload stream_s3 --seed 1 --seconds 20 --trace 1
 //

@@ -197,16 +197,17 @@ func (t *Tensor) PrefetchChunks(ctx context.Context, ids []uint64) (int, error) 
 }
 
 // StripPlan is the look-ahead both chunk walks share (§4.6 "fetches the next
-// batch in advance"): the chunk ids of one tensor in the order a walk will
-// need them, cut into strips a fixed number of steps wide and handed to
-// PrefetchChunks strip by strip as the walk's frontier advances. A step is
-// one stop of the walk: a chunk of the tensor that drives it (one id a step)
-// or, for a tensor read beside the driver, whatever new chunks of its own the
-// rows of the driver's chunk reach into (any number of ids a step). Strips
-// ignore which worker owns which step, so chunks adjacent in the keyspace
-// share a coalesced ranged origin request whoever reads them, and the tail of
-// a strip is look-ahead for whoever comes next. The TQL scan advances the
-// frontier when a worker claims a partition; the dataloader's job feeder
+// batch in advance" within a resource budget): the chunk ids of one tensor in
+// the order a walk will need them, cut into strips a fixed number of steps
+// wide and handed to PrefetchChunks strip by strip as the walk's frontier
+// advances. A step is one stop of the walk: a chunk of the tensor that drives
+// it (one id a step) or, for a tensor read beside the driver, whatever new
+// chunks of its own the rows of the driver's chunk reach into (any number of
+// ids a step). Strips ignore which worker owns which step, so chunks adjacent
+// in the keyspace share a coalesced ranged origin request whoever reads them.
+// How far ahead of the frontier the plan runs is set by the byte cache the
+// strips land in (storage.Headroom), not by a constant. The TQL scan advances
+// the frontier when a worker claims a partition; the dataloader's job feeder
 // advances it before it enqueues a job.
 type StripPlan struct {
 	t       *Tensor
@@ -237,21 +238,26 @@ func (p *StripPlan) before(step int) int {
 	return p.through[step-1]
 }
 
-// Cover hands out strips until the ids of the first n steps have all been
-// given to the fetch planner, each id exactly once however many goroutines
-// call it; it never issues past the strip holding step n-1. The common call
-// is a no-op (an earlier strip already reached n) or one strip.
+// Cover hands out strips, each id exactly once however many goroutines call
+// it. Every strip up to the one holding step n-1 is issued whatever the cache
+// can hold: the walk is about to read it. Past that, whole next strips are
+// issued while the byte cache's headroom covers a strip's estimated bytes
+// (its ids at the tensor's chunk target each), so the look-ahead deepens when
+// fetched chunks are read and stops before it would evict its own unread
+// strips. Over a chain without a byte cache only the first part runs.
 func (p *StripPlan) Cover(ctx context.Context, n int) {
 	steps := len(p.ids)
 	if p.through != nil {
 		steps = len(p.through)
 	}
-	n = min(n, steps)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for p.next < n {
+	for p.next < steps {
 		hi := min(p.next+p.width, steps)
 		strip := p.ids[p.before(p.next):p.before(hi)]
+		if p.next >= n && storage.Headroom(p.t.ds.store) < int64(len(strip))*int64(p.t.EffectiveBounds().Target) {
+			return
+		}
 		p.next = hi
 		if len(strip) == 0 {
 			continue

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,8 +21,10 @@ import (
 // layer), or be recovered transparently with a byte-identical batch stream
 // (Retry stacked below the loader's chunk cache).
 
-// epochHash drains one epoch and hashes every delivered sample's dtype,
-// shape and bytes in delivery order, returning the loader for Err checks.
+// epochHash drains one epoch and hashes every delivered sample's "x" and
+// "label" bytes (those the dataset has) in delivery order, returning the
+// loader for Err checks. It never fails t, so it may run off the test's
+// goroutine.
 func epochHash(t *testing.T, ds *core.Dataset, opts Options) (uint64, int, *Loader) {
 	t.Helper()
 	l := ForDataset(ds, opts)
@@ -30,9 +33,10 @@ func epochHash(t *testing.T, ds *core.Dataset, opts Options) (uint64, int, *Load
 	for b := range l.Batches(context.Background()) {
 		for _, s := range b.Samples {
 			for _, name := range []string{"x", "label"} {
-				arr := s[name]
-				h.Write([]byte(name))
-				h.Write(arr.Bytes())
+				if arr, ok := s[name]; ok {
+					h.Write([]byte(name))
+					h.Write(arr.Bytes())
+				}
 			}
 			n++
 		}
@@ -226,7 +230,8 @@ func TestLoaderCancelDuringBackoffStopsPromptly(t *testing.T) {
 	// context must tear the loader down promptly, not wait out the timers.
 	faulty := storage.NewFaulty(mem, storage.FaultConfig{Seed: 3, GetErrRate: 1, RangeErrRate: 1})
 	faulty.SetArmed(false)
-	retry := storage.NewRetry(faulty, storage.RetryOptions{
+	seen := &faultSeen{Provider: faulty, first: make(chan struct{})}
+	retry := storage.NewRetry(seen, storage.RetryOptions{
 		Attempts: 10,
 		Backoff:  storage.Backoff{Base: 30 * time.Second, Max: 30 * time.Second},
 	})
@@ -243,13 +248,36 @@ func TestLoaderCancelDuringBackoffStopsPromptly(t *testing.T) {
 		for range l.Batches(ctx) {
 		}
 	}()
-	time.Sleep(20 * time.Millisecond) // let workers fault and enter backoff
+	// Once a read has faulted, its worker is in (or entering) a 30 s
+	// backoff; the epoch ends only if cancel cuts that short.
+	<-seen.first
 	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancel did not abort retry backoffs; loader still running")
+	<-done
+}
+
+// faultSeen closes first when a read through it fails for the first time.
+type faultSeen struct {
+	storage.Provider
+	once  sync.Once
+	first chan struct{}
+}
+
+func (f *faultSeen) saw(err error) {
+	if err != nil {
+		f.once.Do(func() { close(f.first) })
 	}
+}
+
+func (f *faultSeen) Get(ctx context.Context, key string) ([]byte, error) {
+	data, err := f.Provider.Get(ctx, key)
+	f.saw(err)
+	return data, err
+}
+
+func (f *faultSeen) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
+	data, err := f.Provider.GetRange(ctx, key, offset, length)
+	f.saw(err)
+	return data, err
 }
 
 // TestLoaderWarmRestartsFromDiskTier is the disk-tier chaos scenario: a

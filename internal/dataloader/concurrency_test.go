@@ -2,11 +2,13 @@ package dataloader
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/simnet"
 	"repro/internal/storage"
@@ -255,6 +257,199 @@ func TestConcurrentReadersShareOneByteCache(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("chunk object %s left the origin %d times for %d readers of one cache, want once", key, n, readers)
 		}
+	}
+}
+
+// wideDataset builds n rows of one tensor "x", [256]int32 whose first
+// element is the row number, four rows to a chunk. Its chunk objects come
+// within a few percent of the 4 KiB chunk target, the size the strip
+// look-ahead estimates a chunk at; loaderDataset's 16-byte rows carry about
+// as many bytes of index as of payload, so its chunk objects run at twice
+// their target.
+func wideDataset(t testing.TB, store storage.Provider, n int) *core.Dataset {
+	t.Helper()
+	ctx := context.Background()
+	ds, err := core.Create(ctx, store, "wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := ds.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.Int32, Bounds: chunk.Bounds{Min: 2048, Target: 4096, Max: 8192}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, 256)
+	for i := 0; i < n; i++ {
+		row[0] = float64(i)
+		arr, _ := tensor.FromFloat64s(tensor.Int32, []int{256}, row)
+		if err := x.Append(ctx, arr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// TestLookAheadNeverEvictsItsOwnPrefetches: the strip look-ahead owes the
+// byte cache at most half its capacity — strips still on the wire plus landed
+// chunks nobody has read — and the cache drops an unread chunk only when no
+// read one is left, so however the workers are scheduled, no prefetched chunk
+// is evicted before a worker reads it. Every chunk object leaves the origin
+// exactly once and PrefetchWasted stays 0, for one shuffled loader at any
+// worker count and for four ranks of one node streaming at once through the
+// one cache, whose headroom they share. The cache holds a quarter of the
+// dataset: more than the feeder's own lead, which it covers whatever the
+// headroom (every job it has queued or handed out, four ranks at once), while
+// a look-ahead counted against the whole cache would fill it with unread
+// chunks and evict them.
+func TestLookAheadNeverEvictsItsOwnPrefetches(t *testing.T) {
+	ctx := context.Background()
+	origin := &chunkMoves{Provider: storage.NewMemory(), moves: map[string]int{}}
+	seed := wideDataset(t, origin, 2048)
+	chunks := seed.Tensor("x").NumChunks()
+	capacity := int64(chunks/4) * int64(seed.Tensor("x").EffectiveBounds().Target)
+
+	// run streams one epoch through each of opts at once, all over one fresh
+	// cache, and wants every chunk object moved once and nothing wasted.
+	run := func(name string, opts ...Options) {
+		t.Helper()
+		clear(origin.moves)
+		cache := storage.NewLRU(origin, capacity)
+		errs := make([]error, len(opts))
+		delivered := make([]int, len(opts))
+		var wg sync.WaitGroup
+		for i, o := range opts {
+			wg.Add(1)
+			go func(i int, o Options) {
+				defer wg.Done()
+				ds, err := core.Open(ctx, cache)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				l := ForDataset(ds, o)
+				for b := range l.Batches(ctx) {
+					delivered[i] += len(b.Samples)
+				}
+				errs[i] = l.Err()
+			}(i, o)
+		}
+		wg.Wait()
+		rows := 0
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			rows += delivered[i]
+		}
+		if rows != 2048 {
+			t.Fatalf("%s: delivered %d/2048 rows", name, rows)
+		}
+		if len(origin.moves) != chunks {
+			t.Fatalf("%s: %d distinct chunk objects left the origin, dataset has %d", name, len(origin.moves), chunks)
+		}
+		for key, n := range origin.moves {
+			if n != 1 {
+				t.Fatalf("%s: chunk object %s left the origin %d times, want once", name, key, n)
+			}
+		}
+		if wasted := cache.Stats().PrefetchWasted; wasted != 0 {
+			t.Fatalf("%s: %d prefetched chunks evicted unread", name, wasted)
+		}
+	}
+	for _, workers := range []int{1, 4, 16} {
+		run(fmt.Sprintf("workers=%d", workers), Options{BatchSize: 16, Workers: workers, Shuffle: true, Seed: 21})
+	}
+	var ranks []Options
+	for r := 0; r < 4; r++ {
+		ranks = append(ranks, Options{BatchSize: 16, Workers: 4, Shuffle: true, Seed: 21, Rank: r, WorldSize: 4})
+	}
+	run("4 ranks", ranks...)
+}
+
+// gatedOrigin parks every batched read until gate is closed, announcing it on
+// held first, so a test can count the strip requests in flight.
+type gatedOrigin struct {
+	storage.Provider
+	held chan struct{}
+	gate chan struct{}
+}
+
+func (g *gatedOrigin) GetRanges(ctx context.Context, reqs []storage.RangeReq) ([][]byte, error) {
+	g.held <- struct{}{}
+	select {
+	case <-g.gate:
+	case <-ctx.Done():
+		return make([][]byte, len(reqs)), ctx.Err()
+	}
+	return storage.GetRanges(ctx, g.Provider, reqs)
+}
+
+// TestLookAheadDepthIsHalfTheByteCache counts the look-ahead instead of
+// timing it. Over a byte cache of capacity C, with every strip request held
+// at the origin, a cold epoch's feeder issues ⌊(C/2) ÷ S⌋ strips, S being a
+// strip's estimated bytes (stripWidth chunks at the chunk target): the strip
+// under the first job, which goes out whatever the headroom, and then more
+// while they fit in half the cache (a fixed one-strip-ahead rule holds 2).
+// The cache's headroom is then below one strip, so nothing more can be
+// issued until bytes land. Released, the epoch is byte-identical to one
+// worker's.
+func TestLookAheadDepthIsHalfTheByteCache(t *testing.T) {
+	ctx := context.Background()
+	mem := storage.NewMemory()
+	ds := wideDataset(t, mem, 512)
+	x := ds.Tensor("x")
+	stripBytes := int64(stripWidth) * int64(x.EffectiveBounds().Target)
+	capacity := 9 * stripBytes // half of it is 4½ strips
+	depth := int(capacity / 2 / stripBytes)
+	if strips := (x.NumChunks() + stripWidth - 1) / stripWidth; strips <= depth+1 {
+		t.Fatalf("%d strips in the epoch: too few to see the look-ahead stop at %d", strips, depth)
+	}
+	// Workers 4 keeps the feeder's own lead (the queued and handed-out jobs,
+	// whose strips go out whatever the headroom) inside the first strips.
+	opts := Options{BatchSize: 16, Workers: 4, Shuffle: true, Seed: 5}
+
+	// held has a slot for every strip request of the epoch, so sends after
+	// the count is taken never block.
+	origin := &gatedOrigin{Provider: mem, held: make(chan struct{}, 64), gate: make(chan struct{})}
+	cache := storage.NewLRU(origin, capacity)
+	gated, err := core.Open(ctx, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type epoch struct {
+		hash uint64
+		rows int
+		err  error
+	}
+	done := make(chan epoch, 1)
+	go func() {
+		h, n, l := epochHash(t, gated, opts)
+		done <- epoch{h, n, l.Err()}
+	}()
+	for i := 0; i < depth; i++ {
+		<-origin.held
+	}
+	// Nothing has landed, so the cache owes exactly the claimed strips.
+	if room, want := storage.Headroom(cache), capacity/2-int64(depth)*stripBytes; room != want || room >= stripBytes {
+		t.Fatalf("with %d strips held, headroom = %d, want %d (< one strip of %d)", depth, room, want, stripBytes)
+	}
+	close(origin.gate)
+	got := <-done
+	if got.err != nil || got.rows != 512 {
+		t.Fatalf("gated epoch delivered %d/512 rows, err %v", got.rows, got.err)
+	}
+	opts.Workers = 1
+	want, _, l := epochHash(t, ds, opts)
+	if err := l.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got.hash != want {
+		t.Fatal("the gated epoch's batches differ from a one-worker epoch's")
+	}
+	if wasted := cache.Stats().PrefetchWasted; wasted != 0 {
+		t.Fatalf("%d prefetched chunks evicted unread", wasted)
 	}
 }
 

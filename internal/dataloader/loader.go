@@ -15,10 +15,11 @@
 // chunk cache, so a chunk is fetched and decoded exactly once per epoch per
 // rank no matter how many rows, columns or workers touch it — concurrent
 // fetches of the same chunk coalesce through a singleflight layer — and the
-// job feeder hands the storage layer's fetch planner the visit order one
-// strip of chunks ahead of the jobs it enqueues (core.StripPlan, the planner
-// the TQL scan also uses), so fetch latency overlaps with decode and chunks
-// arrive in coalesced batched requests. Media decoding runs inside
+// job feeder hands the storage layer's fetch planner the visit order in
+// strips of chunks, as far ahead of the jobs it enqueues as the byte cache
+// has room for unread prefetches (core.StripPlan, the planner the TQL scan
+// also uses), so fetch latency overlaps with decode and chunks arrive in
+// coalesced batched requests. Media decoding runs inside
 // the worker pool (the Go analogue of the paper's per-process C++ decode
 // that avoids the Python GIL). Because the delivery order is fixed before
 // any worker starts, the batch stream is byte-identical for a given seed at
@@ -395,9 +396,10 @@ func (l *Loader) Batches(ctx context.Context) <-chan Batch {
 	return out
 }
 
-// stripWidth is how many upcoming visit groups' chunks the feeder hands to
-// the storage layer's fetch planner at a time: near-adjacent chunk objects in
-// a strip coalesce into single batched ranged origin requests.
+// stripWidth is how many visit groups' chunks the feeder hands to the
+// storage layer's fetch planner at a time: near-adjacent chunk objects in a
+// strip coalesce into single batched ranged origin requests. It sets the
+// request size, not the look-ahead depth.
 const stripWidth = 8
 
 // stripTensors lists the tensors whose chunks the feeder prefetches in
@@ -448,13 +450,14 @@ func stripIDs(v *view.View, t *core.Tensor, groups []groupRef) (ids []uint64, th
 // epochs back to back, with sequences renumbered into the global stream.
 // It blocks on the bounded jobs channel, so it runs just ahead of the
 // workers; before it enqueues a job it has the planned columns' strips cover
-// that job's visit group and one strip width beyond — every column's strips
-// are cut at the same visit groups, stripWidth of them a strip. Every chunk is
-// therefore claimed in the byte cache's singleflight layer before a job that
-// reads it exists: workers find it cached or join the strip's in-flight
-// batched request and never race the planner with a one-chunk round trip.
-// The strips land in the byte cache; workers container-decode them on
-// arrival through the node cache.
+// that job's visit group — every column's strips are cut at the same visit
+// groups, stripWidth of them a strip — and run on ahead as far as the byte
+// cache has headroom for (core.StripPlan.Cover). Every chunk is therefore
+// claimed in the byte cache's singleflight layer before a job that reads it
+// exists: workers find it cached or join the strip's in-flight batched
+// request and never race the planner with a one-chunk round trip. The strips
+// land in the byte cache; workers container-decode them on arrival through
+// the node cache.
 //
 // Each job's primary chunk is pinned in the node cache before the job is
 // enqueued and unpinned by the worker that finishes it, so a tight
@@ -486,7 +489,7 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 					}
 				}
 				for _, plan := range plans {
-					plan.Cover(ctx, cj.ord+1+stripWidth)
+					plan.Cover(ctx, cj.ord+1)
 				}
 			}
 			for ri := range cj.rows {

@@ -82,7 +82,8 @@ type PlanOptions struct {
 	MaxRequestBytes int64
 	// SizeHint estimates the payload of a whole-object request (Length < 0)
 	// for packing purposes — callers that know their chunk target pass it.
-	// Zero means DefaultSizeHint.
+	// It is also what a prefetch claim owes the LRU's Headroom until its
+	// bytes land. Zero means DefaultSizeHint.
 	SizeHint int64
 }
 
@@ -348,7 +349,8 @@ var errPrefetchShed = errors.New("storage: prefetch batch did not reach this key
 // (readers waiting on them retry their own Get); sibling batches still
 // execute. fetched counts objects actually transferred and admitted.
 func (l *LRU) Prefetch(ctx context.Context, keys []string, opts PlanOptions) (int, error) {
-	reqs, finishes := l.prefetchClaim(keys)
+	opts = opts.withDefaults()
+	reqs, finishes := l.prefetchClaim(keys, opts)
 	if len(reqs) == 0 {
 		return 0, nil
 	}
@@ -361,7 +363,8 @@ func (l *LRU) Prefetch(ctx context.Context, keys []string, opts PlanOptions) (in
 // origin round trips run in the background. Returns how many objects are
 // being fetched.
 func (l *LRU) PrefetchAsync(ctx context.Context, keys []string, opts PlanOptions) int {
-	reqs, finishes := l.prefetchClaim(keys)
+	opts = opts.withDefaults()
+	reqs, finishes := l.prefetchClaim(keys, opts)
 	if len(reqs) == 0 {
 		return 0
 	}
@@ -371,8 +374,9 @@ func (l *LRU) PrefetchAsync(ctx context.Context, keys []string, opts PlanOptions
 
 // prefetchClaim takes fetch leadership for every key that is neither cached
 // nor already in flight, returning the whole-object requests to issue and,
-// parallel to them, the flight-completion callbacks.
-func (l *LRU) prefetchClaim(keys []string) ([]RangeReq, []func([]byte, error)) {
+// parallel to them, the flight-completion callbacks. Each claim owes the
+// cache opts.SizeHint bytes until it lands.
+func (l *LRU) prefetchClaim(keys []string, opts PlanOptions) ([]RangeReq, []func([]byte, error)) {
 	reqs := make([]RangeReq, 0, len(keys))
 	finishes := make([]func([]byte, error), 0, len(keys))
 	for _, key := range keys {
@@ -383,23 +387,25 @@ func (l *LRU) prefetchClaim(keys []string) ([]RangeReq, []func([]byte, error)) {
 		reqs = append(reqs, RangeReq{Key: key, Offset: 0, Length: -1})
 		finishes = append(finishes, finish)
 	}
+	l.inflight.Add(int64(len(reqs)) * opts.SizeHint)
 	return reqs, finishes
 }
 
 // prefetchExec runs the claimed requests as coalesced plans and admits what
-// lands, completing every claimed flight (with data, or with errPrefetchShed
-// so waiting readers fall back to their own fetch).
+// lands, unread, completing every claimed flight (with data, or with
+// errPrefetchShed so waiting readers fall back to their own fetch).
 func (l *LRU) prefetchExec(ctx context.Context, reqs []RangeReq, finishes []func([]byte, error), opts PlanOptions) (int, error) {
 	plans := Coalesce(reqs, opts)
 	results, err := ExecutePlans(ctx, l.inner, len(reqs), plans)
 	fetched := 0
 	for i, data := range results {
+		l.inflight.Add(-opts.SizeHint)
 		if data != nil {
 			// Admit a private copy: ExecutePlans payload slices may alias a
 			// larger wire buffer shared with sibling parts.
 			cp := make([]byte, len(data))
 			copy(cp, data)
-			l.admit(reqs[i].Key, cp)
+			l.admit(reqs[i].Key, cp, true)
 			finishes[i](cp, nil)
 			fetched++
 			continue
@@ -413,4 +419,25 @@ func (l *LRU) prefetchExec(ctx context.Context, reqs []RangeReq, finishes []func
 	}
 	l.prefetched.Add(int64(fetched))
 	return fetched, err
+}
+
+// Headroom reports how many more bytes of read-ahead the byte cache in p's
+// chain can take: half the LRU's capacity minus the bytes it owes to
+// prefetch, that is claimed objects still on the wire (at their
+// PlanOptions.SizeHint) and landed objects no reader has had yet. The other
+// half is left to what readers touched recently, so read-ahead that stays
+// inside it does not evict its own unread objects. Everything reading through
+// one LRU shares its headroom. The walk follows Unwrap, like SeedDigests and
+// Evict, so wrappers above the cache keep it visible; a chain without an LRU
+// has no headroom (0).
+func Headroom(p Provider) int64 {
+	var room int64
+	walkChain(p, func(p Provider) bool {
+		l, ok := p.(*LRU)
+		if ok {
+			room = l.Capacity()/2 - l.inflight.Load() - l.table.Unread()
+		}
+		return !ok
+	})
+	return room
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -420,6 +421,98 @@ func TestLRUPrefetchShedReadersRecover(t *testing.T) {
 	}
 	if origin.gets != 2 {
 		t.Fatalf("readers should have fallen back to 2 on-demand Gets, saw %d", origin.gets)
+	}
+}
+
+// unwrapOnly hides every capability of the provider it wraps but Unwrap,
+// like a tracing tap stacked above the cache.
+type unwrapOnly struct{ Provider }
+
+func (u unwrapOnly) Unwrap() Provider { return u.Provider }
+
+// TestLRUPrefetchOwesHeadroomUntilRead is the accounting behind Headroom: a
+// claim owes its SizeHint while on the wire, landing corrects that to the
+// object's real size, and the first read frees it — a Get that joined the
+// prefetch's flight included. An eviction before any read frees it too and
+// counts as PrefetchWasted. Every reading goes through a wrapper that only
+// unwraps, so the walk to the cache is covered as well.
+func TestLRUPrefetchOwesHeadroomUntilRead(t *testing.T) {
+	ctx := context.Background()
+	mem := NewMemory()
+	origin := &gatedProvider{Memory: mem, gate: make(chan struct{})}
+	const capacity, hint = 10_000, 1_000
+	lru := NewShardedLRU(origin, capacity, 1) // one shard: exact LRU order
+	sizes := map[string]int64{"a": 100, "b": 200, "c": 300}
+	for k, n := range sizes {
+		if err := mem.Put(ctx, k, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wrapped := unwrapOnly{lru}
+	owed := func() int64 { return capacity/2 - Headroom(wrapped) }
+	if got := Headroom(NewMemory()); got != 0 {
+		t.Fatalf("a chain without an LRU has headroom %d, want 0", got)
+	}
+	if got := owed(); got != 0 {
+		t.Fatalf("an idle cache owes %d bytes", got)
+	}
+
+	if claimed := lru.PrefetchAsync(ctx, []string{"a", "b"}, PlanOptions{SizeHint: hint}); claimed != 2 {
+		t.Fatalf("claimed %d keys, want 2", claimed)
+	}
+	if got := owed(); got != 2*hint {
+		t.Fatalf("two claims on the wire owe %d bytes, want 2 × SizeHint = %d", got, 2*hint)
+	}
+	if got, want := Headroom(wrapped), Headroom(lru); got != want {
+		t.Fatalf("headroom through an Unwrap-only wrapper = %d, at the cache %d", got, want)
+	}
+
+	// A reader of b arriving now misses and joins the prefetch's flight;
+	// wait for the miss, then open the gate. Whether it joined before the
+	// bytes landed or finds them as the flight's next leader, the prefetch
+	// served it.
+	joined := make(chan error, 1)
+	go func() {
+		_, err := lru.Get(ctx, "b")
+		joined <- err
+	}()
+	for lru.Stats().Misses == 0 {
+		runtime.Gosched()
+	}
+	close(origin.gate)
+	if err := <-joined; err != nil {
+		t.Fatal(err)
+	}
+	if st := lru.Stats(); st.Coalesced != 1 {
+		t.Fatalf("the reader of b was not served by the prefetch (coalesced %d)", st.Coalesced)
+	}
+	if got := owed(); got != sizes["a"] {
+		t.Fatalf("after landing and the joined read of b, owed %d bytes, want a's real size %d", got, sizes["a"])
+	}
+
+	if _, err := lru.Get(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := owed(); got != 0 {
+		t.Fatalf("after reading a, owed %d bytes, want 0", got)
+	}
+
+	if _, err := lru.Prefetch(ctx, []string{"c"}, PlanOptions{SizeHint: hint}); err != nil {
+		t.Fatal(err)
+	}
+	if got := owed(); got != sizes["c"] {
+		t.Fatalf("landed unread c owes %d bytes, want %d", got, sizes["c"])
+	}
+	// Admitting d overfills the cache by more than the read a and b hold,
+	// so the unread c goes too.
+	if err := lru.Put(ctx, "d", make([]byte, capacity-100)); err != nil {
+		t.Fatal(err)
+	}
+	if got := owed(); got != 0 {
+		t.Fatalf("after c's eviction, owed %d bytes, want 0", got)
+	}
+	if st := lru.Stats(); st.PrefetchWasted != 1 {
+		t.Fatalf("PrefetchWasted = %d, want 1 (c evicted unread; a and b were read)", st.PrefetchWasted)
 	}
 }
 

@@ -76,6 +76,13 @@ type CacheFuncs[K comparable, V any] struct {
 // other residents are all pinned runs over budget rather than break a pin.
 // A negative capacity never evicts. Rejecting objects too large to be worth
 // caching is the caller's check (ShardCapacity).
+//
+// An entry added by AddUnread was loaded ahead of any reader. Its bytes count
+// in Unread until the first Get of its key, or until GetOrLoad hands it to a
+// caller that joined the load. Until then it is dropped only when no entry
+// that has been read is left to drop, and dropping it counts as wasted. So
+// read-ahead is evicted before its reader arrives only when unread and pinned
+// entries alone overfill the shard, however far one reader lags the others.
 type Cache[K comparable, V any] struct {
 	fn       CacheFuncs[K, V]
 	capacity int64
@@ -83,6 +90,8 @@ type Cache[K comparable, V any] struct {
 	flight   Flight[V]
 
 	coalesced atomic.Int64
+	unread    atomic.Int64 // bytes of AddUnread entries not yet read
+	wasted    atomic.Int64 // AddUnread entries evicted before any read
 }
 
 type cacheShard[K comparable, V any] struct {
@@ -100,9 +109,10 @@ type cacheShard[K comparable, V any] struct {
 }
 
 type cacheEntry[K comparable, V any] struct {
-	key  K
-	val  V
-	size int64
+	key    K
+	val    V
+	size   int64
+	unread bool
 }
 
 // NewCache builds a cache of the given byte capacity split across shards
@@ -154,11 +164,21 @@ func (c *Cache[K, V]) find(k K, count bool) (v V, ok bool) {
 		}
 		return v, false
 	}
+	ent := el.Value.(*cacheEntry[K, V])
 	if count {
 		s.hits++
+		c.markRead(ent)
 	}
 	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry[K, V]).val, true
+	return ent.val, true
+}
+
+// markRead clears ent's unread mark. The caller holds ent's shard lock.
+func (c *Cache[K, V]) markRead(ent *cacheEntry[K, V]) {
+	if ent.unread {
+		ent.unread = false
+		c.unread.Add(-ent.size)
+	}
 }
 
 // Get looks k up, marks it most recently used, and counts a hit or a miss.
@@ -170,36 +190,57 @@ func (c *Cache[K, V]) Peek(k K) (V, bool) { return c.find(k, false) }
 
 // Add inserts k (or replaces its value, adjusting the byte count), marks it
 // most recently used, and evicts by the rule in the type comment.
-func (c *Cache[K, V]) Add(k K, v V) {
+func (c *Cache[K, V]) Add(k K, v V) { c.add(k, v, false) }
+
+// AddUnread is Add for a value loaded ahead of any reader: its bytes count in
+// Unread until it is first read (see the type comment).
+func (c *Cache[K, V]) AddUnread(k K, v V) { c.add(k, v, true) }
+
+func (c *Cache[K, V]) add(k K, v V, unread bool) {
 	size := c.fn.Size(v)
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[k]; ok {
+	el, ok := s.items[k]
+	if ok {
 		ent := el.Value.(*cacheEntry[K, V])
-		s.used += size - ent.size
+		c.markRead(ent)
+		s.used -= ent.size
 		ent.val, ent.size = v, size
 		s.order.MoveToFront(el)
 	} else {
-		s.items[k] = s.order.PushFront(&cacheEntry[K, V]{key: k, val: v, size: size})
-		s.used += size
+		el = s.order.PushFront(&cacheEntry[K, V]{key: k, val: v, size: size})
+		s.items[k] = el
 	}
-	for el := s.order.Back(); s.capacity >= 0 && s.used > s.capacity && el != s.order.Front(); {
-		victim := el
-		el = el.Prev()
-		ent := victim.Value.(*cacheEntry[K, V])
-		if s.pins[ent.key] > 0 {
-			continue
-		}
-		s.drop(victim, ent)
-		s.evictions++
-		if c.fn.OnEvict != nil {
-			c.fn.OnEvict(ent.key, ent.val)
+	s.used += size
+	if unread {
+		el.Value.(*cacheEntry[K, V]).unread = true
+		c.unread.Add(size)
+	}
+	// The first pass spares unread entries; the second drops them too.
+	for _, spareUnread := range [2]bool{true, false} {
+		for el := s.order.Back(); s.capacity >= 0 && s.used > s.capacity && el != s.order.Front(); {
+			victim := el
+			el = el.Prev()
+			ent := victim.Value.(*cacheEntry[K, V])
+			if s.pins[ent.key] > 0 || spareUnread && ent.unread {
+				continue
+			}
+			if ent.unread {
+				c.wasted.Add(1)
+			}
+			c.drop(s, victim, ent)
+			s.evictions++
+			if c.fn.OnEvict != nil {
+				c.fn.OnEvict(ent.key, ent.val)
+			}
 		}
 	}
 }
 
-func (s *cacheShard[K, V]) drop(el *list.Element, ent *cacheEntry[K, V]) {
+// drop unlinks ent from its shard s, whose lock the caller holds.
+func (c *Cache[K, V]) drop(s *cacheShard[K, V], el *list.Element, ent *cacheEntry[K, V]) {
+	c.markRead(ent)
 	s.order.Remove(el)
 	delete(s.items, ent.key)
 	s.used -= ent.size
@@ -212,9 +253,12 @@ func (c *Cache[K, V]) Remove(k K) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[k]; ok {
-		s.drop(el, el.Value.(*cacheEntry[K, V]))
+		c.drop(s, el, el.Value.(*cacheEntry[K, V]))
 	}
 }
+
+// Unread returns the bytes of AddUnread entries that no reader has had yet.
+func (c *Cache[K, V]) Unread() int64 { return c.unread.Load() }
 
 // Pin protects k from eviction until a matching Unpin; calls nest as a
 // reference count. Pinning a key with no entry yet is valid.
@@ -265,6 +309,14 @@ func (c *Cache[K, V]) GetOrLoad(ctx context.Context, k K, load func() (V, error)
 		}
 		if coalesced = err == nil && (shared || rescued); coalesced {
 			c.coalesced.Add(1)
+			// Served by another caller's load, this caller is the value's
+			// first reader when that load was a read-ahead (AddUnread).
+			s := c.shard(k)
+			s.mu.Lock()
+			if el, ok := s.items[k]; ok {
+				c.markRead(el.Value.(*cacheEntry[K, V]))
+			}
+			s.mu.Unlock()
 		}
 		return v, false, coalesced, err
 	}
@@ -311,13 +363,15 @@ type CacheStats struct {
 	ShardStats
 	// Coalesced counts GetOrLoad misses served by another caller's load.
 	Coalesced int64
+	// Wasted counts AddUnread entries evicted before any read.
+	Wasted int64
 	// Shards is the per-shard breakdown, indexed by shard number.
 	Shards []ShardStats
 }
 
 // Stats reports the cache's counters.
 func (c *Cache[K, V]) Stats() CacheStats {
-	st := CacheStats{Coalesced: c.coalesced.Load(), Shards: make([]ShardStats, len(c.shards))}
+	st := CacheStats{Coalesced: c.coalesced.Load(), Wasted: c.wasted.Load(), Shards: make([]ShardStats, len(c.shards))}
 	st.Capacity = c.capacity
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -28,7 +28,7 @@ func newSizedCache(capacity int64, shards int, onEvict func(string, int64)) *sto
 // three policies rely on.
 func TestCacheEvictionRule(t *testing.T) {
 	type step struct {
-		op   string // add, get, pin, unpin, remove
+		op   string // add, addUnread, get, pin, unpin, remove
 		key  string
 		size int64
 	}
@@ -40,6 +40,9 @@ func TestCacheEvictionRule(t *testing.T) {
 		used      int64
 		evictions int64
 		pinned    int
+		// unread is the bytes of unread entries left; wasted counts those
+		// evicted.
+		unread, wasted int64
 	}{
 		{
 			name:     "least recently used goes first",
@@ -103,6 +106,24 @@ func TestCacheEvictionRule(t *testing.T) {
 			resident: []string{"b"}, used: 40, evictions: 0,
 		},
 		{
+			name:     "unread entries go after every read one",
+			capacity: 100,
+			steps:    []step{{"addUnread", "a", 40}, {"add", "b", 40}, {"add", "c", 40}},
+			resident: []string{"a", "c"}, used: 80, evictions: 1, unread: 40,
+		},
+		{
+			name:     "an unread entry goes when nothing read is left, and counts as wasted",
+			capacity: 100,
+			steps:    []step{{"addUnread", "a", 40}, {"addUnread", "b", 40}, {"add", "c", 40}},
+			resident: []string{"b", "c"}, used: 80, evictions: 1, unread: 40, wasted: 1,
+		},
+		{
+			name:     "once read, an unread entry ages like any other",
+			capacity: 100,
+			steps:    []step{{"addUnread", "a", 40}, {"add", "b", 40}, {"get", "a", 0}, {"add", "c", 40}, {"add", "d", 40}},
+			resident: []string{"c", "d"}, used: 80, evictions: 2,
+		},
+		{
 			name:     "negative capacity never evicts",
 			capacity: -1,
 			steps:    []step{{"add", "a", 1 << 40}, {"add", "b", 1 << 40}, {"add", "c", 1 << 40}},
@@ -119,6 +140,8 @@ func TestCacheEvictionRule(t *testing.T) {
 				switch s.op {
 				case "add":
 					c.Add(s.key, s.size)
+				case "addUnread":
+					c.AddUnread(s.key, s.size)
 				case "get":
 					c.Get(s.key)
 				case "pin":
@@ -148,6 +171,9 @@ func TestCacheEvictionRule(t *testing.T) {
 			}
 			if int64(len(hooked)) != tc.evictions {
 				t.Fatalf("OnEvict told of %v, want %d evictions", hooked, tc.evictions)
+			}
+			if c.Unread() != tc.unread || st.Wasted != tc.wasted {
+				t.Fatalf("unread/wasted = %d/%d, want %d/%d", c.Unread(), st.Wasted, tc.unread, tc.wasted)
 			}
 		})
 	}

@@ -32,6 +32,10 @@ type LRU struct {
 	prefetched atomic.Int64
 	bypassed   atomic.Int64
 	shed       atomic.Int64
+	// inflight is the bytes of claimed prefetches still on the wire, each
+	// at its PlanOptions.SizeHint; landing moves an object into the
+	// table's Unread bytes at its real size.
+	inflight atomic.Int64
 }
 
 // NewLRU wraps origin with an in-memory cache of the given byte capacity.
@@ -86,6 +90,10 @@ type Stats struct {
 	// nonzero value means prefetching is degraded (origin faults mid-batch),
 	// not that data was lost.
 	PrefetchShed int64
+	// PrefetchWasted counts prefetched objects evicted before any read: the
+	// read-ahead ran further than the cache could hold, and a reader will
+	// fetch the object again.
+	PrefetchWasted int64
 	// Bypassed counts objects that could not be cached because they were
 	// larger than one shard's byte budget — the signal that the shard
 	// count is too high (or the capacity too low) for the object sizes
@@ -122,14 +130,15 @@ type Stats struct {
 func (l *LRU) Stats() Stats {
 	cs := l.table.Stats()
 	s := Stats{
-		Hits:         cs.Hits,
-		Misses:       cs.Misses,
-		Coalesced:    cs.Coalesced,
-		Prefetched:   l.prefetched.Load(),
-		Bypassed:     l.bypassed.Load(),
-		PrefetchShed: l.shed.Load(),
-		UsedBytes:    cs.UsedBytes,
-		Shards:       cs.Shards,
+		Hits:           cs.Hits,
+		Misses:         cs.Misses,
+		Coalesced:      cs.Coalesced,
+		Prefetched:     l.prefetched.Load(),
+		Bypassed:       l.bypassed.Load(),
+		PrefetchShed:   l.shed.Load(),
+		PrefetchWasted: cs.Wasted,
+		UsedBytes:      cs.UsedBytes,
+		Shards:         cs.Shards,
 	}
 	sawCounting := false
 	walkChain(l.inner, func(p Provider) bool {
@@ -167,12 +176,17 @@ func (l *LRU) Stats() Stats {
 // admit caches an object, unless it is larger than its shard's whole budget:
 // the cache cannot hold it, and the bypass is counted in Stats.Bypassed so
 // undersized shard configurations do not masquerade as a stream of misses.
-func (l *LRU) admit(key string, data []byte) {
-	if int64(len(data)) > l.table.ShardCapacity(key) {
+// A prefetched object is admitted unread: it counts against Headroom until
+// its first read.
+func (l *LRU) admit(key string, data []byte, prefetched bool) {
+	switch {
+	case int64(len(data)) > l.table.ShardCapacity(key):
 		l.bypassed.Add(1)
-		return
+	case prefetched:
+		l.table.AddUnread(key, data)
+	default:
+		l.table.Add(key, data)
 	}
-	l.table.Add(key, data)
 }
 
 // Evict drops key from the cache without touching the origin. Callers that
@@ -188,7 +202,7 @@ func (l *LRU) Get(ctx context.Context, key string) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.admit(key, data)
+		l.admit(key, data, false)
 		return data, nil
 	}
 	data, _, _, err := l.table.GetOrLoad(ctx, key, fetch)
@@ -228,7 +242,7 @@ func (l *LRU) Put(ctx context.Context, key string, data []byte) error {
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	l.admit(key, cp)
+	l.admit(key, cp, false)
 	return nil
 }
 

@@ -36,10 +36,10 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// stripWidth is the chunk count per prefetch strip. At the 8–16MB chunk band
-// a strip is ~128–256MB of lookahead split across a handful of coalesced
-// ranged requests — deep enough to keep 16 workers fed, shallow enough that
-// shedding one strip loses seconds, not the scan.
+// stripWidth is the chunk count per prefetch strip: the unit the scan hands
+// the fetch planner, coalesced into a few ranged requests. It sets the
+// request size, not the look-ahead depth; the byte cache's headroom decides
+// how many strips run ahead of the partitions workers have claimed.
 const stripWidth = 16
 
 // ScanStats counts what the scan's prefetch machinery actually did, so
@@ -265,13 +265,12 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 	// round trip each. The strips of a core.StripPlan cut across partition
 	// boundaries, so chunks owned by different workers still share a
 	// coalesced request; a worker claiming partition i covers the plan up to
-	// that partition's last chunk, which is usually a no-op or one strip, and
-	// a worker that skips ahead issues the strips for everything in between,
-	// which the slower workers then find in flight. Shape-only expressions
-	// are excluded: they resolve from the shape encoder (pushdown's
-	// zero-chunk-IO guarantee), so prefetching chunks for them would be pure
-	// waste. Errors are counted into ScanStats, never fatal — the per-row
-	// read path re-fetches and reports with row context.
+	// that partition's last chunk, and on as far as the byte cache has
+	// headroom, so later partitions find their strips in flight. Shape-only
+	// expressions are excluded: they resolve from the shape encoder
+	// (pushdown's zero-chunk-IO guarantee), so prefetching chunks for them
+	// would be pure waste. Errors are counted into ScanStats, never fatal —
+	// the per-row read path re-fetches and reports with row context.
 	var strips *core.StripPlan
 	var spanEnd []int
 	if driver := scanDriver(sc.ds, x); driver != nil && ascending(rows) && (sc.rawShapes || !shapeOnly(x)) {
