@@ -49,9 +49,10 @@
 //     fetch+decode per chunk per node however many workers or Loaders ask.
 //
 // Ahead of the chunk cache the loader's job feeder hands the provider chain
-// the next strips of the chunk visit order as coalesced batched reads, as
-// many as half the LRU can hold unread (storage.Headroom), so origin latency
-// overlaps with decode and transform work. Run
+// the next strips of its fetch itinerary (chunks in the order the delivery
+// stream first needs them) as coalesced batched reads, as many as half the
+// LRU can hold unread (storage.Headroom), so origin latency overlaps with
+// decode and transform work. Run
 //
 //	go run ./benchmarks/lakebench --workload stream_s3 --seed 1 --seconds 20 --trace 1
 //
@@ -83,8 +84,11 @@
 // optionally sharded disjointly across simulated nodes
 // (LoaderOptions{Rank, WorldSize} — every rank uses the same Seed), and the
 // delivery order is fixed by spilling rows through a bounded shuffle
-// buffer. Workers then own chunk-aligned jobs and drain each chunk through
-// reused scan readers backed by the loader's chunk cache, so a chunk is
+// buffer. The chunks are then fetched in a third order, by the first
+// delivery position each one serves, so the first batch waits for its own
+// chunks rather than for the buffer to fill. Workers own chunk-aligned jobs
+// and drain each chunk through reused scan readers backed by the loader's
+// chunk cache, so a chunk is
 // fetched and decoded exactly once per epoch per rank however many rows,
 // columns or workers touch it — and because delivery order is precomputed,
 // the batch stream is byte-identical for a fixed seed at any worker count.

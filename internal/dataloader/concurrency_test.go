@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/simnet"
 	"repro/internal/storage"
@@ -268,27 +267,7 @@ func TestConcurrentReadersShareOneByteCache(t *testing.T) {
 // their target.
 func wideDataset(t testing.TB, store storage.Provider, n int) *core.Dataset {
 	t.Helper()
-	ctx := context.Background()
-	ds, err := core.Create(ctx, store, "wide")
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := ds.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.Int32, Bounds: chunk.Bounds{Min: 2048, Target: 4096, Max: 8192}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := make([]float64, 256)
-	for i := 0; i < n; i++ {
-		row[0] = float64(i)
-		arr, _ := tensor.FromFloat64s(tensor.Int32, []int{256}, row)
-		if err := x.Append(ctx, arr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ds.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	return ds
+	return gridDataset(t, store, n, 4)
 }
 
 // TestLookAheadNeverEvictsItsOwnPrefetches: the strip look-ahead owes the
@@ -515,8 +494,8 @@ func TestEpochPlanInvariants(t *testing.T) {
 			if cj.chunkID == noChunk {
 				t.Fatalf("ordinal %d has no chunk despite a stored primary", cj.ord)
 			}
-			if cj.chunkID != shard.groups[cj.ord].key {
-				t.Fatalf("ordinal %d carries chunk %d, visit order holds %d", cj.ord, cj.chunkID, shard.groups[cj.ord].key)
+			if cj.chunkID != plan.groups[cj.ord].key {
+				t.Fatalf("ordinal %d carries chunk %d, itinerary holds %d", cj.ord, cj.chunkID, plan.groups[cj.ord].key)
 			}
 			lastOrd = cj.ord
 			for i, rj := range cj.rows {
@@ -540,12 +519,12 @@ func TestEpochPlanInvariants(t *testing.T) {
 			t.Fatalf("shuffle=%v: jobs cover %d/128 rows", shuffle, len(seenRow))
 		}
 
-		// The primary's strip plan is the visit order itself: one chunk id
-		// per visit group.
-		ids, through := stripIDs(v, ds.Tensor(primary), shard.groups)
-		for ord, g := range shard.groups {
+		// The primary's strip plan is the itinerary itself: one chunk id
+		// per itinerary group.
+		ids, through := stripIDs(v, ds.Tensor(primary), plan.groups)
+		for ord, g := range plan.groups {
 			if ids[ord] != g.key || through[ord] != ord+1 {
-				t.Fatalf("visit ordinal %d (chunk %d): strip plan holds chunk %d and needs %d ids through it", ord, g.key, ids[ord], through[ord])
+				t.Fatalf("itinerary ordinal %d (chunk %d): strip plan holds chunk %d and needs %d ids through it", ord, g.key, ids[ord], through[ord])
 			}
 		}
 		// Rebuilding the shard reproduces the same visit order (Batches and
@@ -571,14 +550,21 @@ func TestShuffleBufferBoundsDisplacement(t *testing.T) {
 	const buffer = 16
 	o := Options{Shuffle: true, ShuffleBuffer: buffer, Seed: 9}.withDefaults()
 	groups := chunkGroups(v, primaryColumn(v.Columns()))
-	plan := buildPlan(v, buildShard(groups, o, 0), o, 0)
-	visit := 0
+	shard := buildShard(groups, o, 0)
+	plan := buildPlan(v, shard, o, 0)
+	seqOf := map[int]int{}
 	for _, cj := range plan.jobs {
 		for _, rj := range cj.rows {
+			seqOf[rj.row] = rj.seq
+		}
+	}
+	visit := 0
+	for _, g := range shard.groups {
+		for _, row := range g.rows {
 			// A row entering the buffer at visit position p is emitted no
 			// earlier than p-buffer.
-			if rj.seq < visit-buffer {
-				t.Fatalf("row %d entered at visit %d but delivered at %d (buffer %d)", rj.row, visit, rj.seq, buffer)
+			if seq := seqOf[row]; seq < visit-buffer {
+				t.Fatalf("row %d entered at visit %d but delivered at %d (buffer %d)", row, visit, seq, buffer)
 			}
 			visit++
 		}

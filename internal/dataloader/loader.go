@@ -9,14 +9,16 @@
 //	epoch plans -> feed (pin, strip look-ahead, chunk jobs) -> work (fetch+decode+transform) -> deliver (reorder, collate) -> Batches()
 //
 // The sampler precomputes, per epoch, a chunk visit order (shuffled and
-// sharded across Rank/WorldSize) and a delivery order (rows spilled through
-// a bounded shuffle buffer). Workers own whole chunk jobs: each drains one
-// chunk's rows through reused core.ScanReaders backed by a byte-budgeted
-// chunk cache, so a chunk is fetched and decoded exactly once per epoch per
-// rank no matter how many rows, columns or workers touch it — concurrent
-// fetches of the same chunk coalesce through a singleflight layer — and the
-// job feeder hands the storage layer's fetch planner the visit order in
-// strips of chunks, as far ahead of the jobs it enqueues as the byte cache
+// sharded across Rank/WorldSize), a delivery order (rows spilled through a
+// bounded shuffle buffer) and a fetch itinerary (the visit order's chunks
+// sorted by the first delivery position each one serves). Workers own whole
+// chunk jobs, taken in itinerary order: each drains one chunk's rows through
+// reused core.ScanReaders backed by a byte-budgeted chunk cache, so a chunk
+// is fetched and decoded exactly once per epoch per rank no matter how many
+// rows, columns or workers touch it — concurrent fetches of the same chunk
+// coalesce through a singleflight layer — and the job feeder hands the
+// storage layer's fetch planner the itinerary in strips of chunks, as far
+// ahead of the jobs it enqueues as the byte cache
 // has room for unread prefetches (core.StripPlan, the planner the TQL scan
 // also uses), so fetch latency overlaps with decode and chunks arrive in
 // coalesced batched requests. Media decoding runs inside
@@ -172,6 +174,9 @@ type Loader struct {
 
 	err  atomic.Value // error
 	rows int64        // rows delivered (stats)
+	// pendingPeak is the most rows the reorder stage ever held waiting for
+	// an earlier delivery position; final once Batches' channel is closed.
+	pendingPeak int
 }
 
 // New builds a loader over a view.
@@ -396,7 +401,7 @@ func (l *Loader) Batches(ctx context.Context) <-chan Batch {
 	return out
 }
 
-// stripWidth is how many visit groups' chunks the feeder hands to the
+// stripWidth is how many itinerary groups' chunks the feeder hands to the
 // storage layer's fetch planner at a time: near-adjacent chunk objects in a
 // strip coalesce into single batched ranged origin requests. It sets the
 // request size, not the look-ahead depth.
@@ -419,8 +424,8 @@ func stripTensors(v *view.View, cols []view.Column) []*core.Tensor {
 }
 
 // stripIDs resolves the distinct chunks of t covering the groups' view
-// rows, in visit order, and through[ord], how many of them the groups up to
-// and including visit ordinal ord need. For the primary tensor that is the
+// rows, in the groups' order, and through[ord], how many of them the groups
+// up to and including ordinal ord need. For the primary tensor that is the
 // groups' own chunk ids, one a group; a secondary column (labels beside
 // images, say) has its own chunk layout, which without this the workers would
 // first touch as bare origin round trips on the delivery critical path. Rows
@@ -446,13 +451,14 @@ func stripIDs(v *view.View, t *core.Tensor, groups []groupRef) (ids []uint64, th
 }
 
 // feed is the pipeline's first stage and the strip planner's frontier
-// (§4.6 "fetches the next batch in advance"): chunk jobs in visit order,
-// epochs back to back, with sequences renumbered into the global stream.
-// It blocks on the bounded jobs channel, so it runs just ahead of the
-// workers; before it enqueues a job it has the planned columns' strips cover
-// that job's visit group — every column's strips are cut at the same visit
-// groups, stripWidth of them a strip — and run on ahead as far as the byte
-// cache has headroom for (core.StripPlan.Cover). Every chunk is therefore
+// (§4.6 "fetches the next batch in advance"): chunk jobs in fetch-itinerary
+// order — first needed, first fetched — epochs back to back, with sequences
+// renumbered into the global stream. It blocks on the bounded jobs channel,
+// so it runs just ahead of the workers; before it enqueues a job it has the
+// planned columns' strips cover that job's itinerary group — every column's
+// strips are cut at the same itinerary groups, stripWidth of them a strip —
+// and run on ahead as far as the byte cache has headroom for
+// (core.StripPlan.Cover). Every chunk is therefore
 // claimed in the byte cache's singleflight layer before a job that reads it
 // exists: workers find it cached or join the strip's in-flight batched
 // request and never race the planner with a one-chunk round trip. The strips
@@ -468,17 +474,16 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 	defer close(jobs)
 	seqBase := 0
 	for e := 0; e < l.opts.Epochs; e++ {
-		shard := buildShard(groups, l.opts, e)
+		p := buildPlan(l.v, buildShard(groups, l.opts, e), l.opts, e)
 		plans := make([]*core.StripPlan, len(planned))
 		for i, t := range planned {
-			ids, through := stripIDs(l.v, t, shard.groups)
+			ids, through := stripIDs(l.v, t, p.groups)
 			plans[i] = core.NewStripPlan(t, ids, through, stripWidth, nil)
 		}
-		p := buildPlan(l.v, shard, l.opts, e)
 		for i := range p.jobs {
 			cj := &p.jobs[i]
 			if i == 0 || p.jobs[i-1].ord != cj.ord {
-				// A new visit group. Its sub-jobs all take their pin now,
+				// A new itinerary group. Its sub-jobs all take their pin now,
 				// before the first is enqueued: one finishing early must not
 				// leave the chunk unpinned while a sibling is still planned.
 				if cj.chunkID != noChunk {
@@ -605,6 +610,7 @@ func (l *Loader) deliver(ctx context.Context, cancel context.CancelFunc, epochEn
 			continue
 		}
 		pending[r.seq] = r.sample
+		l.pendingPeak = max(l.pendingPeak, len(pending))
 		for {
 			if bseq, bad := sink.barrier(); bad && next >= bseq {
 				break

@@ -2,24 +2,29 @@ package dataloader
 
 import (
 	"math/rand"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/view"
 )
 
 // The sampler implements the paper's chunk-granular shuffle (§3.5, §4.6)
-// as a precomputed epoch plan with two independent orders:
+// as a precomputed epoch plan with three orders:
 //
 //   - the CHUNK VISIT ORDER: the distinct chunks of the primary tensor,
-//     shuffled per epoch and sharded disjointly across Rank/WorldSize. This
-//     is the order chunks are fetched and decoded in — each exactly once
-//     per epoch per rank — and the order the feeder's strip look-ahead
-//     follows.
+//     shuffled per epoch and sharded disjointly across Rank/WorldSize. It
+//     decides which rows a rank owns and feeds the shuffle buffer.
 //   - the DELIVERY ORDER: the row order the consumer sees, produced by
 //     spilling the visit order's rows through a bounded shuffle buffer.
 //     Near-uniform shuffling with chunk-local fetches, no shuffle cluster.
+//   - the FETCH ITINERARY: the visit order's chunks sorted by the first
+//     delivery position that needs each of them. It is the order chunks are
+//     fetched and decoded in — each exactly once per epoch per rank — and
+//     the order the feeder's strip look-ahead follows, so the first batch
+//     waits for its own chunks, not for the shuffle buffer to fill. Without
+//     shuffling it is the visit order itself.
 //
-// Both orders are fixed before any worker starts, so batches are
+// All three are fixed before any worker starts, so batches are
 // byte-identical for a given (Seed, epoch, Rank, WorldSize) at any worker
 // count: workers race only over who decodes which chunk, never over what
 // the consumer receives.
@@ -50,7 +55,7 @@ type rowJob struct {
 // selected rows living in it, in stored order. A worker drains the whole
 // job through its reused ScanReaders, so the chunk is fetched and decoded
 // once however many rows (or columns) it covers. ord is the job's DISTINCT
-// CHUNK ordinal in its epoch's visit order: sub-jobs of one split group
+// CHUNK ordinal in its epoch's fetch itinerary: sub-jobs of one split group
 // share it, so the feeder's strip look-ahead is measured in chunks.
 type chunkJob struct {
 	ord     int
@@ -65,21 +70,24 @@ type chunkJob struct {
 
 // epochShard is one epoch's shuffled, rank-sharded chunk visit order —
 // the O(chunks) skeleton computed up front for every epoch, from which row
-// counts, the strip look-ahead, and (lazily) the row-level plan derive.
+// counts and (lazily) the row-level plan and its itinerary derive.
 type epochShard struct {
 	groups []groupRef
 	rows   int
 }
 
 // epochPlan is the row-level expansion of one epochShard: chunk jobs with
-// delivery sequences. It is O(rows) and built lazily, one epoch at a time,
-// by the pipeline's feeder — then dropped, so multi-epoch runs never hold
-// more than one epoch's row state. Sequences and ordinals are epoch-local;
-// the feeder offsets the sequences into a global numbering when chaining
-// epochs.
+// delivery sequences, in fetch-itinerary order. It is O(rows) and built
+// lazily, one epoch at a time, by the pipeline's feeder — then dropped, so
+// multi-epoch runs never hold more than one epoch's row state. Sequences and
+// ordinals are epoch-local; the feeder offsets the sequences into a global
+// numbering when chaining epochs.
 type epochPlan struct {
 	jobs []chunkJob
-	rows int
+	// groups is the itinerary: the shard's visit groups, groups[ord] being
+	// the group of the jobs with ordinal ord.
+	groups []groupRef
+	rows   int
 }
 
 // groupRef is one chunk-aligned row group during plan construction.
@@ -184,7 +192,7 @@ func buildShard(groups []groupRef, o Options, epoch int) epochShard {
 // buildPlan expands one epoch's shard into chunk jobs with delivery
 // sequences — the O(rows) step the feeder runs lazily per epoch. The
 // delivery order is the visit order itself, or, when shuffling, the visit
-// order spilled through a bounded buffer.
+// order spilled through a bounded buffer. The jobs come in itinerary order.
 func buildPlan(v *view.View, shard epochShard, o Options, epoch int) *epochPlan {
 	seqOf := make([]int, v.Len())
 	next := 0
@@ -218,6 +226,19 @@ func buildPlan(v *view.View, shard epochShard, o Options, epoch int) *epochPlan 
 		}
 	}
 
+	// The itinerary: visit groups by the first delivery position needing
+	// each. Positions are distinct, so the order is total; without shuffling
+	// they rise along the visit order, which therefore stays as it is.
+	order := make([]int, len(shard.groups))
+	first := make([]int, len(shard.groups))
+	for i, g := range shard.groups {
+		order[i], first[i] = i, next
+		for _, row := range g.rows {
+			first[i] = min(first[i], seqOf[row])
+		}
+	}
+	sort.Slice(order, func(a, b int) bool { return first[order[a]] < first[order[b]] })
+
 	// Split oversized groups so one hot chunk cannot serialize the pool's
 	// per-sample decode work behind a single worker. Sub-jobs keep their
 	// group's ordinal: the strip look-ahead counts chunks, not jobs.
@@ -225,8 +246,10 @@ func buildPlan(v *view.View, shard epochShard, o Options, epoch int) *epochPlan 
 	if maxRows < 1 {
 		maxRows = 1
 	}
-	plan := &epochPlan{rows: next, jobs: make([]chunkJob, 0, len(shard.groups))}
-	for ord, g := range shard.groups {
+	plan := &epochPlan{rows: next, jobs: make([]chunkJob, 0, len(order)), groups: make([]groupRef, len(order))}
+	for ord, gi := range order {
+		g := shard.groups[gi]
+		plan.groups[ord] = g
 		for lo := 0; lo < len(g.rows); lo += maxRows {
 			hi := lo + maxRows
 			if hi > len(g.rows) {

@@ -4,32 +4,54 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // blockingProvider wraps Memory and holds every Get until released, so tests
-// can pile up concurrent misses on the same key deterministically.
+// can pile up concurrent misses on the same key deterministically. The first
+// Get to arrive closes entered.
 type blockingProvider struct {
 	Provider
 	release chan struct{}
+	entered chan struct{}
+	once    sync.Once
 	gets    atomic.Int64
 }
 
 func newBlockingProvider() *blockingProvider {
-	return &blockingProvider{Provider: NewMemory(), release: make(chan struct{})}
+	return &blockingProvider{Provider: NewMemory(), release: make(chan struct{}), entered: make(chan struct{})}
 }
 
 func (b *blockingProvider) Get(ctx context.Context, key string) ([]byte, error) {
 	b.gets.Add(1)
+	b.once.Do(func() { close(b.entered) })
 	select {
 	case <-b.release:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 	return b.Provider.Get(ctx, key)
+}
+
+// followers reports how many callers have joined key's in-flight call: the
+// event the coalescing tests wait for before they let the leader finish.
+func (f *Flight[V]) followers(key string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok := f.calls[key]; ok {
+		return c.followers
+	}
+	return 0
+}
+
+// awaitFollowers yields until n callers have joined key's in-flight call.
+func awaitFollowers[V any](f *Flight[V], key string, n int) {
+	for f.followers(key) < n {
+		runtime.Gosched()
+	}
 }
 
 func TestFlightCoalescesConcurrentCalls(t *testing.T) {
@@ -60,11 +82,8 @@ func TestFlightCoalescesConcurrentCalls(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Let every goroutine reach the flight before releasing the leader.
-	for f.Inflight() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
+	// Every goroutine but the leader joins the flight before it is released.
+	awaitFollowers(&f, "k", waiters-1)
 	close(gate)
 	wg.Wait()
 
@@ -127,10 +146,7 @@ func TestFlightErrorSharedByFollowers(t *testing.T) {
 			})
 		}(i)
 	}
-	for f.Inflight() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(5 * time.Millisecond)
+	awaitFollowers(&f, "k", len(errs)-1)
 	close(gate)
 	wg.Wait()
 	for i, err := range errs {
@@ -143,11 +159,13 @@ func TestFlightErrorSharedByFollowers(t *testing.T) {
 func TestFlightFollowerContextCancellation(t *testing.T) {
 	var f Flight[int]
 	gate := make(chan struct{})
+	started := make(chan struct{})
 	leaderDone := make(chan struct{})
 
 	go func() {
 		defer close(leaderDone)
 		v, _, err := f.Do(context.Background(), "k", func() (int, error) {
+			close(started)
 			<-gate
 			return 7, nil
 		})
@@ -155,9 +173,7 @@ func TestFlightFollowerContextCancellation(t *testing.T) {
 			t.Errorf("leader got %d, %v", v, err)
 		}
 	}()
-	for f.Inflight() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	<-started
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -244,6 +260,7 @@ func TestFlightLeaderPanicDoesNotPoisonKey(t *testing.T) {
 	ctx := context.Background()
 	var f Flight[int]
 	gate := make(chan struct{})
+	started := make(chan struct{})
 
 	leaderDone := make(chan struct{})
 	go func() {
@@ -254,30 +271,25 @@ func TestFlightLeaderPanicDoesNotPoisonKey(t *testing.T) {
 			}
 		}()
 		f.Do(ctx, "k", func() (int, error) {
+			close(started)
 			<-gate
 			panic("provider bug")
 		})
 	}()
-	for f.Inflight() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	<-started
 
 	followerErr := make(chan error, 1)
 	go func() {
 		_, _, err := f.Do(ctx, "k", func() (int, error) { return 0, nil })
 		followerErr <- err
 	}()
-	time.Sleep(5 * time.Millisecond)
+	awaitFollowers(&f, "k", 1)
 	close(gate)
 	<-leaderDone
 
-	select {
-	case err := <-followerErr:
-		if err != nil && !errors.Is(err, errFlightAbandoned) {
-			t.Fatalf("follower err = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("follower deadlocked on poisoned key")
+	// A follower deadlocked on the poisoned key hangs here.
+	if err := <-followerErr; !errors.Is(err, errFlightAbandoned) {
+		t.Fatalf("follower err = %v, want the abandoned-leader error", err)
 	}
 	// The key is released: a fresh call runs fn normally.
 	v, shared, err := f.Do(ctx, "k", func() (int, error) { return 9, nil })
@@ -339,9 +351,7 @@ func TestLRUFollowerSurvivesLeaderCancellation(t *testing.T) {
 		_, err := cache.Get(leaderCtx, "k")
 		leaderErr <- err
 	}()
-	for blocking.gets.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	<-blocking.entered
 
 	followerDone := make(chan struct{})
 	var followerData []byte
@@ -350,21 +360,21 @@ func TestLRUFollowerSurvivesLeaderCancellation(t *testing.T) {
 		defer close(followerDone)
 		followerData, followerFetchErr = cache.Get(context.Background(), "k")
 	}()
-	time.Sleep(10 * time.Millisecond) // let the follower join the flight
+	awaitFollowers(&cache.table.flight, "k", 1)
 
 	cancelLeader()
 	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("leader err = %v, want Canceled", err)
 	}
-	// The follower retries, becomes the new leader, and blocks in the
-	// origin; release it.
-	for blocking.gets.Load() < 2 {
-		time.Sleep(time.Millisecond)
-	}
+	// The follower retries and becomes the new leader, whose origin Get
+	// passes the released gate.
 	close(blocking.release)
 	<-followerDone
 	if followerFetchErr != nil || string(followerData) != "v" {
 		t.Fatalf("follower = %q, %v; want value despite cancelled leader", followerData, followerFetchErr)
+	}
+	if got := blocking.gets.Load(); got != 2 {
+		t.Fatalf("origin Gets = %d, want 2 (the cancelled leader's and the follower's own)", got)
 	}
 	// The retry was a real fetch, not a shared one: no coalesced credit.
 	if c := cache.Stats().Coalesced; c != 0 {
@@ -416,12 +426,10 @@ func TestLRUCoalescesConcurrentMisses(t *testing.T) {
 			results[i], errs[i] = cache.Get(ctx, "hot")
 		}(i)
 	}
-	// Wait for the leader to reach the (blocked) origin, give followers time
-	// to pile onto the flight, then release.
-	for blocking.gets.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
+	// Wait for the leader to reach the (blocked) origin and for every other
+	// reader to join its flight, then release.
+	<-blocking.entered
+	awaitFollowers(&cache.table.flight, "hot", readers-1)
 	close(blocking.release)
 	wg.Wait()
 
@@ -434,11 +442,8 @@ func TestLRUCoalescesConcurrentMisses(t *testing.T) {
 		}
 	}
 	stats := cache.Stats()
-	if stats.Coalesced == 0 {
-		t.Fatalf("coalesced = 0, want > 0 (%d readers shared one fetch)", readers)
-	}
-	if stats.Coalesced > readers-1 {
-		t.Fatalf("coalesced = %d, want <= %d", stats.Coalesced, readers-1)
+	if stats.Coalesced != readers-1 {
+		t.Fatalf("coalesced = %d, want %d (%d readers shared one fetch)", stats.Coalesced, readers-1, readers)
 	}
 }
 

@@ -22,6 +22,8 @@ type flightCall[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
+	// followers counts the callers that joined this call, under Flight.mu.
+	followers int
 }
 
 // Do executes fn once per key across concurrent callers. The leader runs fn
@@ -40,6 +42,7 @@ func (f *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v
 		f.calls = make(map[string]*flightCall[V])
 	}
 	if c, ok := f.calls[key]; ok {
+		c.followers++
 		f.mu.Unlock()
 		select {
 		case <-c.done:
