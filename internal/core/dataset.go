@@ -9,12 +9,17 @@
 // plus the state of the version being written — and per-version
 // sub-directories versions/<vid>/ holding only the chunks modified in that
 // version (§4.2) and, once a handle has left the version, its state.json.
-// Nothing else is written or read.
+// Nothing else is written or read. Every publish (Create, CreateTensor,
+// DeleteTensor, Flush, Commit, Checkout, Merge) takes two write round trips:
+// the chunk uploads, the state objects of versions being left and the new
+// root land together, then dataset.json moves to the new root.
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -242,6 +247,11 @@ func (ds *Dataset) CreateTensor(ctx context.Context, spec TensorSpec) (*Tensor, 
 	if err != nil {
 		return nil, err
 	}
+	// Restart uploads a failed Flush parked: the root below lists their
+	// chunks, and their stale error must not fail a publish that seals nothing.
+	if err := ds.flusher.redrive(ctx); err != nil {
+		return nil, err
+	}
 	// Publish a generation covering the schema change so a process that
 	// opens the dataset without an intervening Flush still sees the new
 	// tensor. Roll back on failure: a staged root is harmless garbage and
@@ -265,7 +275,8 @@ func (ds *Dataset) DeleteTensor(ctx context.Context, name string) error {
 	if err := ds.ensureWritable(); err != nil {
 		return err
 	}
-	if _, ok := ds.tensors[name]; !ok {
+	t, ok := ds.tensors[name]
+	if !ok {
 		return fmt.Errorf("core: tensor %q does not exist", name)
 	}
 	// Land every queued AND parked upload before listing this tensor's
@@ -274,24 +285,30 @@ func (ds *Dataset) DeleteTensor(ctx context.Context, name string) error {
 	if err := ds.flusher.land(ctx); err != nil {
 		return err
 	}
+	// Publish, then collect: the schema without the tensor goes out first,
+	// so a crash in between leaves only chunks no published root lists (fsck
+	// names them orphan-chunk). Roll back on failure, as CreateTensor does.
+	at := slices.Index(ds.order, name)
 	delete(ds.tensors, name)
-	for i, n := range ds.order {
-		if n == name {
-			ds.order = append(ds.order[:i], ds.order[i+1:]...)
-			break
-		}
-	}
-	// Chunks written in this head are garbage; ancestors keep theirs.
-	keys, err := ds.store.List(ctx, tensorPrefix(ds.head, name)+"/")
-	if err != nil {
+	ds.order = slices.Delete(ds.order, at, at+1)
+	if err := ds.persistRoot(ctx); err != nil {
+		ds.tensors[name] = t
+		ds.order = slices.Insert(ds.order, at, name)
 		return err
 	}
+	// Chunks written in this head are garbage; ancestors keep theirs. The
+	// collection is best-effort: whatever a failed List or Delete leaves,
+	// fsck names and repairs as orphan-chunk. The prefix also matches the
+	// chunks of a tensor named "<name>/chunks", so only direct chunk names
+	// are this tensor's.
+	prefix := tensorPrefix(ds.head, name) + "/chunks/"
+	keys, _ := ds.store.List(ctx, prefix)
 	for _, key := range keys {
-		if err := ds.store.Delete(ctx, key); err != nil {
-			return err
+		if _, ok := parseChunkName(strings.TrimPrefix(key, prefix)); ok {
+			_ = ds.store.Delete(ctx, key)
 		}
 	}
-	return ds.persistRoot(ctx)
+	return nil
 }
 
 // Tensor returns an open tensor by name, or nil if absent.
@@ -492,7 +509,8 @@ func (ds *Dataset) Flush(ctx context.Context) error {
 }
 
 // flushLocked makes everything appended so far durable and publishes it:
-// seal, then one root snapshot and the dataset.json flip. Caller holds ds.mu
+// seal, then the publish's two round trips (chunk uploads landing alongside
+// the root snapshot, then the dataset.json flip). Caller holds ds.mu
 // exclusively.
 func (ds *Dataset) flushLocked(ctx context.Context) error {
 	if err := ds.sealLocked(ctx); err != nil {
@@ -501,10 +519,13 @@ func (ds *Dataset) flushLocked(ctx context.Context) error {
 	return ds.persistRoot(ctx)
 }
 
-// sealLocked hands every tensor's pending chunk to the flush pipeline, waits
-// for the pipeline to land every chunk upload, and only then snapshots each
-// tensor's state as its savedState — so what gets published next never
-// references a chunk that is not in storage. Caller holds ds.mu exclusively.
+// sealLocked hands every tensor's pending chunk to the flush pipeline and
+// snapshots each tensor's state as its savedState. It does not wait for the
+// uploads: the snapshot does not depend on them landing (writeChunk records
+// each chunk's CRC before the bytes go out), and the publish that follows
+// waits for the pipeline to drain before it moves the pointer, so nothing
+// published references a chunk that is not in storage. Caller holds ds.mu
+// exclusively.
 func (ds *Dataset) sealLocked(ctx context.Context) error {
 	// A new flush attempt restarts uploads that failed or were cancelled
 	// earlier — their blobs are still in the pipeline's pending map, so a
@@ -516,9 +537,6 @@ func (ds *Dataset) sealLocked(ctx context.Context) error {
 		if err := ds.tensors[name].flushPending(ctx); err != nil {
 			return err
 		}
-	}
-	if err := ds.flusher.drain(ctx); err != nil {
-		return err
 	}
 	for _, name := range ds.order {
 		t := ds.tensors[name]
@@ -541,18 +559,24 @@ func (ds *Dataset) ensureWritable() error {
 // persistRoot publishes the saved state of the version the handle is on.
 // Caller holds ds.mu exclusively.
 func (ds *Dataset) persistRoot(ctx context.Context) error {
-	return ds.publish(ctx, ds.tree, ds.branch, ds.head, ds.savedVersionState())
+	return ds.publish(ctx, ds.tree, ds.branch, ds.head, ds.savedVersionState(), "", nil)
 }
 
 // publish makes vs, as the state of branch's head version in tree, the
-// dataset's published head with the staged write-new-then-publish protocol:
-// stage the root snapshot under the next generation's roots/ key, then
-// atomically flip dataset.json to point at it (FS providers rename into
-// place; object stores replace whole objects). Everything the root
-// references — chunks, the state objects of versions already left — must be
-// durable before the call. A writer killed anywhere before the dataset.json
-// rewrite leaves the previous generation untouched and fully readable; the
-// staged snapshot and any chunks uploaded for it are garbage fsck collects.
+// dataset's published head in two round trips. Round 1 does everything the
+// new root needs at once: it waits for the flush pipeline to land every chunk
+// upload, Puts the staged object (stagedKey → stagedBlob unless the key is
+// empty: the state object of the version the root moves past) and the root
+// snapshot under the next generation's roots/ key, and drops the snapshot two
+// generations back best-effort. Round 2, only once every round-1 step
+// succeeded, atomically flips dataset.json to the new root (FS providers
+// rename into place; object stores replace whole objects). That is the one
+// ordering crash consistency needs: everything the
+// root references is durable before the pointer moves. A writer killed
+// anywhere before the dataset.json rewrite leaves the previous generation
+// untouched and fully readable; the staged root and the chunks uploaded for
+// it are garbage fsck collects, and a staged state object of a version the
+// published root is still on is ignored and overwritten by the next Commit.
 //
 // The handle moves onto tree/branch/head only once the publish succeeded, so
 // a failed Commit or Checkout leaves it where it was, and the generation
@@ -560,7 +584,7 @@ func (ds *Dataset) persistRoot(ctx context.Context) error {
 // and converges to identical bytes. Caller holds ds.mu exclusively;
 // NextSampleID is copied under idMu because row appends allocate ids outside
 // the structure lock.
-func (ds *Dataset) publish(ctx context.Context, tree *version.Tree, branch, head string, vs versionState) error {
+func (ds *Dataset) publish(ctx context.Context, tree *version.Tree, branch, head string, vs versionState, stagedKey string, stagedBlob []byte) error {
 	rawTree, err := tree.Marshal()
 	if err != nil {
 		return err
@@ -571,10 +595,28 @@ func (ds *Dataset) publish(ctx context.Context, tree *version.Tree, branch, head
 	meta.CurrentBranch = branch
 	meta.Generation++
 	root := rootFile{Meta: meta, Branch: branch, Head: head, Tree: rawTree, versionState: vs}
-	if err := ds.store.Put(ctx, rootKey(meta.Generation), mustJSON(root)); err != nil {
+
+	// Round 1: the staged Put and the old-root delete on their own
+	// goroutines, the root Put on this one, then the drain. Two snapshots
+	// stay (the current one and the one being staged), so a reader that just
+	// followed the pointer still finds its root.
+	var wg sync.WaitGroup
+	var stagedErr error
+	if stagedKey != "" {
+		wg.Add(1)
+		go func() { defer wg.Done(); stagedErr = ds.store.Put(ctx, stagedKey, stagedBlob) }()
+	}
+	if meta.Generation > 2 {
+		wg.Add(1)
+		go func() { defer wg.Done(); _ = ds.store.Delete(ctx, rootKey(meta.Generation-2)) }()
+	}
+	err = ds.store.Put(ctx, rootKey(meta.Generation), mustJSON(root))
+	drainErr := ds.flusher.drain(ctx)
+	wg.Wait()
+	if err := cmp.Or(err, drainErr, stagedErr); err != nil {
 		return err
 	}
-	// The publish point: after this Put, the new generation is live.
+	// Round 2, the publish point: after this Put, the new generation is live.
 	if err := ds.store.Put(ctx, datasetMetaKey, mustJSON(meta)); err != nil {
 		return err
 	}
@@ -582,12 +624,6 @@ func (ds *Dataset) publish(ctx context.Context, tree *version.Tree, branch, head
 	ds.meta.Generation, ds.meta.CurrentBranch = meta.Generation, branch
 	ds.idMu.Unlock()
 	ds.tree, ds.branch, ds.head = tree, branch, head
-	// Keep the current and previous snapshots (the previous one is the
-	// crash-recovery target while the next publish is in flight); drop
-	// older ones best-effort.
-	if meta.Generation > 2 {
-		_ = ds.store.Delete(ctx, rootKey(meta.Generation-2))
-	}
 	return nil
 }
 

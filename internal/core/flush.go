@@ -11,10 +11,12 @@ import (
 // WriteOptions configures the dataset's write path. Every sealed chunk leaves
 // the per-tensor builders through the dataset's background flush pipeline,
 // which uploads with bounded concurrency so appends never stall on
-// object-store Put latency. Flush and Commit drain the pipeline before
-// publishing metadata, so the stored objects (chunks, version states, root
-// snapshots) are byte-identical at every lane count — only the upload order
-// differs. Upload retries are the provider chain's job: stack storage.Retry
+// object-store Put latency. Uploads carry the appending caller's context
+// values but not its cancellation. Every publish waits for the pipeline to
+// drain while its own metadata Puts are in flight, and moves the dataset.json
+// pointer only after both, so the stored objects (chunks, version states,
+// root snapshots) are byte-identical at every lane count — only the upload
+// order differs. Upload retries are the provider chain's job: stack storage.Retry
 // (deeplake.WithRetry) under the dataset, and its attempts, backoff and
 // per-attempt timeout cover chunk uploads and publish Puts alike.
 type WriteOptions struct {
@@ -103,11 +105,12 @@ const defaultFlushWorkers = 8
 // under its existing id) hands the newer bytes to the existing uploader via
 // a generation counter instead of racing a second Put on the same object.
 //
-// Uploads run on the pipeline's own background context, not the enqueuing
-// caller's: once an append has been acknowledged, cancelling that caller's
-// context must not retroactively fail the upload. Cancellation is honored
-// where the caller is actually waiting — the enqueue backpressure wait and
-// the drain barrier both select on the caller's context.
+// Uploads run on the enqueuing (or redriving) caller's context stripped of
+// its cancellation (context.WithoutCancel): they carry the caller's values,
+// such as trace spans, but once an append has been acknowledged, cancelling
+// that caller's context must not retroactively fail the upload. Cancellation
+// is honored where the caller is actually waiting — the enqueue backpressure
+// wait and the drain barrier both select on the caller's context.
 type flushPipeline struct {
 	store storage.Provider
 
@@ -130,6 +133,10 @@ type flushPipeline struct {
 type pendingChunk struct {
 	blob []byte
 	gen  uint64
+	// ctx is the latest enqueuing (or redriving) caller's context without
+	// its cancellation: the upload carries the caller's values (trace spans,
+	// request ids) but outlives the caller.
+	ctx context.Context
 	// uploader marks an uploader goroutine responsible for this entry;
 	// false means the entry is parked (failed or aborted) awaiting redrive.
 	uploader bool
@@ -203,6 +210,7 @@ func (p *flushPipeline) enqueue(ctx context.Context, key string, blob []byte) er
 		pc = &pendingChunk{blob: blob, gen: 1}
 		p.pending[key] = pc
 	}
+	pc.ctx = context.WithoutCancel(ctx)
 	if err := p.firstErr; err != nil {
 		// Writes are failing; park the entry and fail fast.
 		p.mu.Unlock()
@@ -253,12 +261,13 @@ func (p *flushPipeline) upload(key string) {
 			p.mu.Unlock()
 			return
 		}
-		blob, gen := pc.blob, pc.gen
+		blob, gen, ctx := pc.blob, pc.gen, pc.ctx
 		p.mu.Unlock()
-		// Pipeline-owned context: the enqueuing caller's cancellation must
-		// not retroactively fail an acknowledged write. A Retry layer's
-		// OpTimeout keeps a black-holed Put from pinning this lane forever.
-		if err := p.store.Put(context.Background(), key, blob); err != nil {
+		// The caller's values without its cancellation: cancelling the
+		// enqueuing caller must not retroactively fail an acknowledged
+		// write. A Retry layer's OpTimeout keeps a black-holed Put from
+		// pinning this lane forever.
+		if err := p.store.Put(ctx, key, blob); err != nil {
 			p.failAndPark(key, err)
 			return
 		}
@@ -303,7 +312,7 @@ func (p *flushPipeline) redrive(ctx context.Context) error {
 	var parked []string
 	for key, pc := range p.pending {
 		if !pc.uploader {
-			pc.uploader = true
+			pc.uploader, pc.ctx = true, context.WithoutCancel(ctx)
 			parked = append(parked, key)
 		}
 	}

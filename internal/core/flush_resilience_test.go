@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -456,4 +457,101 @@ func (p *failNthPut) List(ctx context.Context, prefix string) ([]string, error) 
 
 func (p *failNthPut) Size(ctx context.Context, key string) (int64, error) {
 	return p.inner.Size(ctx, key)
+}
+
+// callerValue tags the context of whoever enqueued or redrove an upload.
+type callerValue struct{}
+
+// valueRecorder holds every chunk Put until hold is closed, then records the
+// caller value and whether the context it arrived on was already cancelled.
+// The first chunk Put fails, so one upload is parked and redriven.
+type valueRecorder struct {
+	storage.Provider
+	hold chan struct{}
+
+	mu        sync.Mutex
+	seen      map[string][]any // per chunk key, the caller value of each Put
+	cancelled int
+}
+
+func (r *valueRecorder) Put(ctx context.Context, key string, data []byte) error {
+	if !strings.Contains(key, "/chunks/") {
+		return r.Provider.Put(ctx, key, data)
+	}
+	<-r.hold
+	r.mu.Lock()
+	first := len(r.seen) == 0
+	r.seen[key] = append(r.seen[key], ctx.Value(callerValue{}))
+	if ctx.Err() != nil {
+		r.cancelled++
+	}
+	r.mu.Unlock()
+	if first {
+		return errors.New("injected: the first chunk Put fails")
+	}
+	return r.Provider.Put(ctx, key, data)
+}
+
+// TestUploadsKeepCallerValuesNotCancellation: a chunk upload runs on its
+// enqueuing caller's context values, so a trace span follows it, but not on
+// its cancellation — the appends' context is cancelled while every upload is
+// still held, and each lands anyway. A parked upload takes the values of the
+// Flush that redrives it.
+func TestUploadsKeepCallerValuesNotCancellation(t *testing.T) {
+	bg := context.Background()
+	rec := &valueRecorder{Provider: storage.NewMemory(), hold: make(chan struct{}), seen: map[string][]any{}}
+	ds, err := Create(bg, rec, "values")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ds.CreateTensor(bg, TensorSpec{Name: "x", Dtype: tensor.Int64, Bounds: smallBounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 40 // a few sealed chunks, fewer than the pipeline's slots
+	ingest, cancel := context.WithCancel(context.WithValue(bg, callerValue{}, "ingest"))
+	for i := 0; i < rows; i++ {
+		if err := tr.Append(ingest, tensor.Scalar(tensor.Int64, float64(i))); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	ds.flusher.mu.Lock()
+	enqueued := len(ds.flusher.pending)
+	ds.flusher.mu.Unlock()
+	if enqueued == 0 {
+		t.Fatal("the appends sealed no chunk")
+	}
+	cancel()
+	close(rec.hold)
+	if err := ds.flusher.drain(bg); err == nil {
+		t.Fatal("the injected upload failure did not surface")
+	}
+	if err := ds.Flush(context.WithValue(bg, callerValue{}, "flush")); err != nil {
+		t.Fatal(err)
+	}
+
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.cancelled != 0 {
+		t.Fatalf("%d uploads ran on a cancelled context", rec.cancelled)
+	}
+	fromIngest, redriven := 0, 0
+	for key, values := range rec.seen {
+		switch fmt.Sprint(values) {
+		case "[ingest]":
+			fromIngest++
+		case "[ingest flush]":
+			redriven++
+		case "[flush]": // sealed by the Flush itself
+		default:
+			t.Fatalf("%s: Puts carried caller values %v", key, values)
+		}
+	}
+	if fromIngest+redriven != enqueued || redriven != 1 {
+		t.Fatalf("%d appended chunks landed on the appends' values and %d redriven on the Flush's; want %d and 1",
+			fromIngest, redriven, enqueued-1)
+	}
+	if back := mustOpen(t, rec.Provider); back.Tensor("x").Len() != rows {
+		t.Fatalf("%d/%d rows durable", back.Tensor("x").Len(), rows)
+	}
 }

@@ -35,7 +35,8 @@ const (
 	// in the tensor's checksum manifest, or the manifest records none.
 	FsckChecksumMismatch = "checksum-mismatch"
 	// FsckOrphanChunk: a stored chunk not referenced by its version's chunk
-	// set (e.g. uploaded for a generation that was never published).
+	// set (e.g. uploaded for a generation that was never published, or left
+	// by a tensor the version's schema no longer has).
 	FsckOrphanChunk = "orphan-chunk"
 	// FsckOrphanVersion: a version directory with no node in the version
 	// tree.
@@ -294,19 +295,21 @@ func (f *fsckState) checkVersions(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
+		// Per tensor in the version's schema, its chunk set: the ids its
+		// state binds to itself.
+		referenced := make(map[string]map[uint64]bool, len(vs.Schema.Tensors))
 		for _, name := range vs.Schema.Tensors {
 			st := vs.Tensors[name]
 			f.checkBindings(stateKey, name, st)
-			// The version's chunk set: the ids its state binds to itself.
 			var ids []uint64
 			for _, g := range st.ChunkVersions {
 				if g.Version == vid {
 					ids = append(ids, g.Chunks...)
 				}
 			}
-			referenced := make(map[uint64]bool, len(ids))
+			referenced[name] = make(map[uint64]bool, len(ids))
 			for _, id := range ids {
-				referenced[id] = true
+				referenced[name][id] = true
 				key := chunkKey(vid, name, id)
 				f.rep.ObjectsChecked++
 				raw, err := f.store.Get(ctx, key)
@@ -329,20 +332,29 @@ func (f *fsckState) checkVersions(ctx context.Context) error {
 				}
 				f.rep.ChunksVerified++
 			}
-			// Stored chunks this version's set does not reference.
-			prefix := tensorPrefix(vid, name) + "/chunks/"
-			keys, err := f.store.List(ctx, prefix)
-			if err != nil {
-				return err
+		}
+		// Stored chunks no chunk set of this version references, including
+		// those of tensors its schema no longer has (a DeleteTensor that
+		// published and died before collecting). Group tensor names contain
+		// "/", so the name runs up to the last /chunks/.
+		prefix := versionPrefix(vid) + "/tensors/"
+		keys, err := f.store.List(ctx, prefix)
+		if err != nil {
+			return err
+		}
+		for _, key := range keys {
+			name, id := strings.TrimPrefix(key, prefix), ""
+			if i := strings.LastIndex(name, "/chunks/"); i >= 0 {
+				name, id = name[:i], name[i+len("/chunks/"):]
 			}
-			for _, key := range keys {
-				key := key
-				id, ok := parseChunkName(strings.TrimPrefix(key, prefix))
-				if !ok || !referenced[id] {
-					f.issue(FsckOrphanChunk, key,
-						"stored but not referenced by the version's chunk set (e.g. uploaded for a generation that was never published)",
-						func(ctx context.Context) error { return f.store.Delete(ctx, key) })
-				}
+			detail := "stored but not referenced by the version's chunk set (e.g. uploaded for a generation that was never published)"
+			chunks, inSchema := referenced[name]
+			if !inSchema {
+				detail = fmt.Sprintf("stored for tensor %q, which the version's schema does not have (e.g. deleted before its chunks were collected)", name)
+			}
+			if n, ok := parseChunkName(id); !ok || !chunks[n] {
+				f.issue(FsckOrphanChunk, key, detail,
+					func(ctx context.Context) error { return f.store.Delete(ctx, key) })
 			}
 		}
 	}

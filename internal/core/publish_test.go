@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -68,6 +69,32 @@ func publishScript(ctx context.Context, store storage.Provider, opts WriteOption
 	return ds, nil
 }
 
+// deleteTensorScript runs publishScript, then CreateTensor → append → Flush
+// → DeleteTensor → Flush on a group tensor, whose name contains "/".
+func deleteTensorScript(ctx context.Context, store storage.Provider, opts WriteOptions) (*Dataset, error) {
+	ds, err := publishScript(ctx, store, opts)
+	if err != nil {
+		return nil, err
+	}
+	const name = "extra/ids"
+	extra, err := ds.CreateTensor(ctx, TensorSpec{Name: name, Dtype: tensor.Int64, Bounds: smallBounds})
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < 40; i++ {
+		if err := extra.Append(ctx, tensor.Scalar(tensor.Int64, float64(i))); err != nil {
+			return nil, err
+		}
+	}
+	if err := ds.Flush(ctx); err != nil {
+		return nil, err
+	}
+	if err := ds.DeleteTensor(ctx, name); err != nil {
+		return nil, err
+	}
+	return ds, ds.Flush(ctx)
+}
+
 // rowsOf renders the branch and every row of every tensor (hidden ones
 // included) of a handle: the oracle two handles on one generation must agree
 // on.
@@ -98,11 +125,22 @@ func rowsOf(t *testing.T, ds *Dataset) string {
 // generation's rows, fsck must find only repairable debris, -repair must
 // reach clean, and the dataset must accept a write afterwards.
 func TestCrashPointEnumeration(t *testing.T) {
-	t.Run("one-lane", func(t *testing.T) { enumerateCrashPoints(t, WriteOptions{FlushWorkers: 1}) })
-	t.Run("default-lanes", func(t *testing.T) { enumerateCrashPoints(t, WriteOptions{}) })
+	t.Run("one-lane", func(t *testing.T) { enumerateCrashPoints(t, publishScript, WriteOptions{FlushWorkers: 1}) })
+	t.Run("default-lanes", func(t *testing.T) { enumerateCrashPoints(t, publishScript, WriteOptions{}) })
 }
 
-func enumerateCrashPoints(t *testing.T, opts WriteOptions) {
+// TestCrashPointEnumerationDeleteTensor runs the same enumeration over a
+// script that ends in deleting a tensor: a kill between DeleteTensor's
+// publish and its collection leaves the tensor's chunks, which no published
+// root lists, and fsck must name them as repairable orphans.
+func TestCrashPointEnumerationDeleteTensor(t *testing.T) {
+	t.Run("one-lane", func(t *testing.T) { enumerateCrashPoints(t, deleteTensorScript, WriteOptions{FlushWorkers: 1}) })
+	t.Run("default-lanes", func(t *testing.T) { enumerateCrashPoints(t, deleteTensorScript, WriteOptions{}) })
+}
+
+type writerScript func(context.Context, storage.Provider, WriteOptions) (*Dataset, error)
+
+func enumerateCrashPoints(t *testing.T, script writerScript, opts WriteOptions) {
 	ctx := context.Background()
 
 	// Reference run: what each generation holds, read by a second handle at
@@ -117,7 +155,7 @@ func enumerateCrashPoints(t *testing.T, opts WriteOptions) {
 		}
 		want[back.Integrity().Generation] = rowsOf(t, back)
 	}
-	if _, err := publishScript(ctx, ref, opts); err != nil {
+	if _, err := script(ctx, ref, opts); err != nil {
 		t.Fatal(err)
 	}
 	total, _ := ref.state()
@@ -130,9 +168,10 @@ func enumerateCrashPoints(t *testing.T, opts WriteOptions) {
 	for k := 0; k < total; k++ {
 		mem := storage.NewMemory()
 		g := &guillotine{Provider: mem, killAt: func(ops int, _ string) bool { return ops == k }}
-		// The error is not the signal: the last ops of a publish are
-		// best-effort deletes whose failure the writer swallows.
-		_, _ = publishScript(ctx, g, opts)
+		// The error is not the signal: some ops are best-effort deletes
+		// (old roots, a deleted tensor's chunks) whose failure the writer
+		// swallows.
+		_, _ = script(ctx, g, opts)
 		if _, dead := g.state(); !dead {
 			t.Fatalf("k=%d: the script finished without reaching the kill", k)
 		}
@@ -320,26 +359,32 @@ func TestLayoutAndRequestCounts(t *testing.T) {
 	}
 }
 
-// failOnce fails the first Put whose key contains match, once armed.
+// failOnce fails the first Put whose key contains match, once armed, and
+// counts the dataset.json Puts attempted.
 type failOnce struct {
 	storage.Provider
-	match string
-	armed atomic.Bool
+	match       string
+	armed       atomic.Bool
+	pointerPuts atomic.Int64
 }
 
 func (f *failOnce) Put(ctx context.Context, key string, data []byte) error {
+	if key == datasetMetaKey {
+		f.pointerPuts.Add(1)
+	}
 	if strings.Contains(key, f.match) && f.armed.CompareAndSwap(true, false) {
 		return errors.New("injected: Put " + key + " failed")
 	}
 	return f.Provider.Put(ctx, key, data)
 }
 
-// TestFailedCommitLeavesHandleWhereItWas: whichever of a commit's three
-// metadata Puts fails, the handle stays on the uncommitted head, and the
-// retried Commit is the one and only commit.
+// TestFailedCommitLeavesHandleWhereItWas: whichever of a commit's Puts fails
+// — a chunk upload or one of its three metadata Puts — the handle stays on the
+// uncommitted head, the pointer is not touched unless it is what failed, and
+// the retried Commit is the one and only commit.
 func TestFailedCommitLeavesHandleWhereItWas(t *testing.T) {
 	ctx := context.Background()
-	for _, object := range []string{"state.json", rootsPrefix, datasetMetaKey} {
+	for _, object := range []string{"state.json", rootsPrefix, datasetMetaKey, "/chunks/"} {
 		t.Run(object, func(t *testing.T) {
 			mem := storage.NewMemory()
 			f := &failOnce{Provider: mem, match: object}
@@ -352,10 +397,26 @@ func TestFailedCommitLeavesHandleWhereItWas(t *testing.T) {
 			}
 			appendLabels(t, ds, 0, 40)
 			head := ds.Version()
+			// Uploads sealed by the appends land before the fault is armed,
+			// so the one that fails belongs to the Commit.
+			if err := ds.flusher.drain(ctx); err != nil {
+				t.Fatal(err)
+			}
 
 			f.armed.Store(true)
+			f.pointerPuts.Store(0)
 			if id, err := ds.Commit(ctx, "only"); err == nil {
 				t.Fatalf("Commit through the failing Put returned %q", id)
+			}
+			if f.armed.Load() {
+				t.Fatalf("the Commit issued no Put matching %q", object)
+			}
+			var want int64 // round 1 failed: no pointer Put was issued
+			if object == datasetMetaKey {
+				want = 1 // round 1 succeeded and the pointer Put is the failure
+			}
+			if n := f.pointerPuts.Load(); n != want {
+				t.Fatalf("failed Commit attempted %d %s Puts, want %d", n, datasetMetaKey, want)
 			}
 			if log, _ := ds.Log(); ds.Version() != head || len(log) != 0 {
 				t.Fatalf("failed Commit moved the handle: version %s → %s, %d commits", head, ds.Version(), len(log))
@@ -385,6 +446,49 @@ func TestFailedCommitLeavesHandleWhereItWas(t *testing.T) {
 				t.Fatalf("fsck after the retried commit: %v\n%s", err, rep.Format())
 			}
 		})
+	}
+}
+
+// TestPublishAfterFailedFlushRedrives: a chunk upload that fails once fails
+// the Flush, and the sealed chunk stays parked in the pipeline. The next
+// publish that seals nothing (CreateTensor) restarts that upload instead of
+// failing with its stale error, and the dataset reopens with every row. The
+// failing upload is the last tensor's, so the Flush seals every tensor and
+// snapshots the state before the failure can stop it.
+func TestPublishAfterFailedFlushRedrives(t *testing.T) {
+	ctx := context.Background()
+	mem := storage.NewMemory()
+	f := &failOnce{Provider: mem, match: SampleIDTensor + "/chunks/"}
+	ds, err := Create(ctx, f, "redrive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.CreateTensor(ctx, TensorSpec{Name: "labels", Htype: "class_label", Bounds: smallBounds}); err != nil {
+		t.Fatal(err)
+	}
+	appendLabels(t, ds, 0, 40)
+	if err := ds.flusher.drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if last := ds.order[len(ds.order)-1]; last != SampleIDTensor {
+		t.Fatalf("tensor order %v: want %s last", ds.order, SampleIDTensor)
+	}
+	f.armed.Store(true)
+	if err := ds.Flush(ctx); err == nil {
+		t.Fatal("Flush through a failing chunk upload succeeded")
+	}
+	if f.armed.Load() {
+		t.Fatal("the Flush issued no chunk upload")
+	}
+	if _, err := ds.CreateTensor(ctx, TensorSpec{Name: "extra", Dtype: tensor.Int64, Bounds: smallBounds}); err != nil {
+		t.Fatalf("CreateTensor after the store recovered: %v", err)
+	}
+	back := mustOpen(t, mem)
+	if back.Tensor("labels").Len() != 40 || readLabel(t, back, 39) != 39 || back.Tensor("extra") == nil {
+		t.Fatalf("reopened with %d labels and tensors %v, want 40 labels and extra", back.Tensor("labels").Len(), back.AllTensors())
+	}
+	if rep, err := Fsck(ctx, mem, FsckOptions{}); err != nil || len(rep.Issues) != 0 {
+		t.Fatalf("fsck: %v\n%s", err, rep.Format())
 	}
 }
 
@@ -457,4 +561,270 @@ func TestDetachedCheckoutKeepsCurrentBranch(t *testing.T) {
 	if rep, err := Fsck(ctx, mem, FsckOptions{}); err != nil || len(rep.Issues) != 0 {
 		t.Fatalf("fsck: %v\n%s", err, rep.Format())
 	}
+}
+
+// gate holds every Put issued while it is armed until want of them are
+// waiting at once, then releases them all together. A publish that issues its
+// round-1 Puts concurrently fills the gate; one that waits for any of them
+// before issuing the next never does, and hangs. It also records how many
+// held Puts had returned when the dataset.json Put arrived: the pointer must
+// wait for every one of them.
+type gate struct {
+	storage.Provider
+
+	mu       sync.Mutex
+	want     int
+	held     []string
+	returned int
+	open     chan struct{}
+	// pointerAfter is returned at the moment dataset.json was Put, or -1.
+	pointerAfter int
+}
+
+// arm starts holding Puts until want are waiting.
+func (g *gate) arm(want int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.want, g.held, g.returned, g.pointerAfter = want, nil, 0, -1
+	g.open = make(chan struct{})
+}
+
+func (g *gate) Put(ctx context.Context, key string, data []byte) error {
+	g.mu.Lock()
+	if g.open == nil {
+		g.mu.Unlock()
+		return g.Provider.Put(ctx, key, data)
+	}
+	if key == datasetMetaKey {
+		g.pointerAfter = g.returned
+		g.mu.Unlock()
+		return g.Provider.Put(ctx, key, data)
+	}
+	g.held = append(g.held, key)
+	if len(g.held) == g.want {
+		close(g.open)
+	}
+	open := g.open
+	g.mu.Unlock()
+	<-open
+	err := g.Provider.Put(ctx, key, data)
+	g.mu.Lock()
+	g.returned++
+	g.mu.Unlock()
+	return err
+}
+
+// TestPublishIssuesRoundOneAtOnce pins the publish protocol by the order of
+// events alone: every Put an operation makes before its pointer flip — the k
+// chunks it seals, the frozen state object (Commit) and the root — is in
+// flight at the same time, and dataset.json arrives only after all of them
+// returned. CreateTensor seals nothing: its round 1 is the root alone.
+func TestPublishIssuesRoundOneAtOnce(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		// metadata is the number of round-1 metadata Puts; seals says
+		// whether the operation seals the builders' pending chunks.
+		metadata int
+		seals    bool
+		op       func(*Dataset) error
+	}{
+		{"CreateTensor", 1, false, func(ds *Dataset) error {
+			_, err := ds.CreateTensor(ctx, TensorSpec{Name: "extra", Dtype: tensor.Int64, Bounds: smallBounds})
+			return err
+		}},
+		{"Flush", 1, true, func(ds *Dataset) error { return ds.Flush(ctx) }},
+		{"Commit", 2, true, func(ds *Dataset) error { _, err := ds.Commit(ctx, "gated"); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := &gate{Provider: storage.NewMemory()}
+			ds, err := Create(ctx, g, "gated")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range []TensorSpec{
+				{Name: "labels", Htype: "class_label", Bounds: smallBounds},
+				{Name: "vals", Dtype: tensor.Int64, Bounds: smallBounds},
+			} {
+				if _, err := ds.CreateTensor(ctx, spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Generation 4 onward, so round 1 also drops a snapshot.
+			if err := appendPairs(ctx, ds, 0, 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.flusher.drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			k := 0
+			if tc.seals {
+				for _, tr := range ds.tensors {
+					if tr.builder.Len() > 0 {
+						k++
+					}
+				}
+			}
+			want := k + tc.metadata
+			if tc.seals && (k == 0 || k > defaultFlushWorkers) {
+				t.Fatalf("%d pending chunks: want 1..%d so every upload holds a lane at once", k, defaultFlushWorkers)
+			}
+
+			g.arm(want)
+			if err := tc.op(ds); err != nil {
+				t.Fatal(err)
+			}
+			g.mu.Lock()
+			defer g.mu.Unlock()
+			var chunks, states, roots int
+			for _, key := range g.held {
+				switch {
+				case strings.Contains(key, "/chunks/"):
+					chunks++
+				case strings.HasSuffix(key, "/state.json"):
+					states++
+				case strings.HasPrefix(key, rootsPrefix):
+					roots++
+				}
+			}
+			if len(g.held) != want || chunks != k || roots != 1 || states != tc.metadata-1 {
+				t.Fatalf("round 1 held %v, want %d chunks, %d state object(s) and 1 root", g.held, k, tc.metadata-1)
+			}
+			if g.pointerAfter != want {
+				t.Fatalf("dataset.json was Put after %d of the %d round-1 Puts returned (-1: never)", g.pointerAfter, want)
+			}
+		})
+	}
+}
+
+// TestDeleteTensorPublishesThenCollects: DeleteTensor publishes the schema
+// without the tensor before it deletes anything. A failed publish leaves the
+// tensor open, readable and stored; a writer killed after the publish leaves
+// only chunks of a tensor the schema no longer has, which fsck names as
+// repairable orphans — the group name up to its last /chunks/ included.
+func TestDeleteTensorPublishesThenCollects(t *testing.T) {
+	ctx := context.Background()
+	const name = "group/b"
+	setup := func(t *testing.T, store storage.Provider) *Dataset {
+		t.Helper()
+		ds, err := Create(ctx, store, "delete")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []string{"a", name} {
+			tr, err := ds.CreateTensor(ctx, TensorSpec{Name: n, Dtype: tensor.Int32, Bounds: smallBounds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendInts(t, tr, make([]int, 60)...)
+		}
+		if err := ds.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	stored := func(t *testing.T, mem *storage.Memory, ds *Dataset) []string {
+		t.Helper()
+		keys, err := mem.List(ctx, tensorPrefix(ds.Version(), name)+"/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+
+	t.Run("publish fails", func(t *testing.T) {
+		mem := storage.NewMemory()
+		f := &failOnce{Provider: mem, match: rootsPrefix}
+		ds := setup(t, f)
+		before := stored(t, mem, ds)
+		if len(before) < 2 {
+			t.Fatalf("%d chunks stored for %s, want several", len(before), name)
+		}
+		f.armed.Store(true)
+		if err := ds.DeleteTensor(ctx, name); err == nil {
+			t.Fatal("DeleteTensor through a failing root Put succeeded")
+		}
+		if got := ds.AllTensors(); fmt.Sprint(got) != fmt.Sprint([]string{"a", name}) || ds.Tensor(name).Len() != 60 {
+			t.Fatalf("failed DeleteTensor left tensors %v", got)
+		}
+		if after := stored(t, mem, ds); len(after) != len(before) {
+			t.Fatalf("failed DeleteTensor deleted %d of %d chunks", len(before)-len(after), len(before))
+		}
+		if err := ds.DeleteTensor(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+		if ds.Tensor(name) != nil || mustOpen(t, mem).Tensor(name) != nil || len(stored(t, mem, ds)) != 0 {
+			t.Fatalf("retried DeleteTensor left the tensor or its chunks behind")
+		}
+		if rep, err := Fsck(ctx, mem, FsckOptions{}); err != nil || len(rep.Issues) != 0 {
+			t.Fatalf("fsck: %v\n%s", err, rep.Format())
+		}
+	})
+
+	t.Run("killed before collecting", func(t *testing.T) {
+		mem := storage.NewMemory()
+		g := &guillotine{Provider: mem}
+		ds := setup(t, g)
+		leftover := stored(t, mem, ds)
+		g.killAt = func(_ int, key string) bool { return strings.Contains(key, "/chunks/") }
+		if err := ds.DeleteTensor(ctx, name); err != nil {
+			t.Fatalf("collection is best-effort, yet DeleteTensor reported %v", err)
+		}
+		if back := mustOpen(t, mem); back.Tensor(name) != nil || back.Tensor("a").Len() != 60 {
+			t.Fatalf("reopened with tensors %v", back.AllTensors())
+		}
+		rep, err := Fsck(ctx, mem, FsckOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		orphans := map[string]bool{}
+		for _, i := range rep.Issues {
+			if i.Kind != FsckOrphanChunk || !i.Repairable || !strings.Contains(i.Detail, fmt.Sprintf("%q", name)) {
+				t.Fatalf("want only repairable orphan chunks of %s, got:\n%s", name, rep.Format())
+			}
+			orphans[i.Key] = true
+		}
+		for _, key := range leftover {
+			if !orphans[key] {
+				t.Fatalf("fsck does not name leftover %s:\n%s", key, rep.Format())
+			}
+		}
+		if rep, err := Fsck(ctx, mem, FsckOptions{Repair: true}); err != nil || !rep.Clean() {
+			t.Fatalf("repair: %v\n%s", err, rep.Format())
+		}
+		if rep, err := Fsck(ctx, mem, FsckOptions{}); err != nil || len(rep.Issues) != 0 {
+			t.Fatalf("not clean after repair: %v\n%s", err, rep.Format())
+		}
+	})
+
+	// A live tensor named "<name>/chunks" stores its chunks under the deleted
+	// tensor's chunk prefix; collecting must leave them alone.
+	t.Run("sibling under the chunk prefix", func(t *testing.T) {
+		mem := storage.NewMemory()
+		ds := setup(t, mem)
+		sibling := name + "/chunks"
+		tr, err := ds.CreateTensor(ctx, TensorSpec{Name: sibling, Dtype: tensor.Int32, Bounds: smallBounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendInts(t, tr, make([]int, 60)...)
+		if err := ds.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.DeleteTensor(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+		back := mustOpen(t, mem)
+		if back.Tensor(name) != nil || back.Tensor(sibling) == nil || back.Tensor(sibling).Len() != 60 {
+			t.Fatalf("reopened with tensors %v", back.AllTensors())
+		}
+		for row := uint64(0); row < 60; row++ {
+			if _, err := back.Tensor(sibling).At(ctx, row); err != nil {
+				t.Fatalf("%s lost its chunks: %v", sibling, err)
+			}
+		}
+		if rep, err := Fsck(ctx, mem, FsckOptions{}); err != nil || len(rep.Issues) != 0 {
+			t.Fatalf("fsck: %v\n%s", err, rep.Format())
+		}
+	})
 }

@@ -21,12 +21,10 @@ func (ds *Dataset) Commit(ctx context.Context, message string) (string, error) {
 	if err := ds.sealLocked(ctx); err != nil {
 		return "", err
 	}
-	// Freeze the version being committed where loadVersionState finds it,
-	// before the root that moves past it.
+	// Freeze the version being committed where loadVersionState finds it; the
+	// publish stages it alongside the root that moves past it.
 	vs := ds.savedVersionState()
-	if err := ds.store.Put(ctx, versionStateKey(ds.head), mustJSON(vs)); err != nil {
-		return "", err
-	}
+	frozen := mustJSON(vs)
 	tree := ds.tree.Clone()
 	committed, newHead, err := tree.Commit(ds.branch, message, ds.now())
 	if err != nil {
@@ -35,7 +33,7 @@ func (ds *Dataset) Commit(ctx context.Context, message string) (string, error) {
 	// The new head starts from the same tensors with an empty diff; chunks
 	// are NOT copied — it will hold only chunks modified in it (§4.2).
 	vs.resetDiffs()
-	if err := ds.publish(ctx, tree, ds.branch, newHead.ID, vs); err != nil {
+	if err := ds.publish(ctx, tree, ds.branch, newHead.ID, vs, versionStateKey(ds.head), frozen); err != nil {
 		return "", err
 	}
 	for _, name := range ds.order {
@@ -111,17 +109,17 @@ func (ds *Dataset) Checkout(ctx context.Context, ref string, create bool) error 
 		return nil
 	}
 	// Moving the root off the head it is on: park that head's state where
-	// loadVersionState will look for it from now on.
+	// loadVersionState will look for it from now on, staged with the root.
+	var parkedKey string
+	var parkedBlob []byte
 	if left := ds.tree.Heads[ds.meta.CurrentBranch]; left != node.ID {
 		parked, err := ds.loadVersionState(ctx, left)
 		if err != nil {
 			return err
 		}
-		if err := ds.store.Put(ctx, versionStateKey(left), mustJSON(parked)); err != nil {
-			return err
-		}
+		parkedKey, parkedBlob = versionStateKey(left), mustJSON(parked)
 	}
-	if err := ds.publish(ctx, tree, branch, node.ID, vs); err != nil {
+	if err := ds.publish(ctx, tree, branch, node.ID, vs, parkedKey, parkedBlob); err != nil {
 		return err
 	}
 	ds.install(vs, tensors)
