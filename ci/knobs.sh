@@ -1,6 +1,8 @@
 #!/bin/sh
 # Exported field counts of the option structs callers configure — the knob
-# count every CHANGES.md entry reports before → after (ROADMAP aim 2).
+# count every CHANGES.md entry reports before → after (ROADMAP aim 2). Exits
+# non-zero when a count rises above its ceiling in ci/knobs.max, so a new
+# knob has to raise its ceiling in the same diff.
 #
 #	ci/knobs.sh	(from the repository root)
 set -eu
@@ -17,9 +19,18 @@ count() { # <label> <file> <struct>
 		}
 		END { printf "%-24s %d\n", label, n }' "$2"
 }
-count dataloader.Options internal/dataloader/loader.go Options
-count tql.Options internal/tql/scan.go Options
-count core.WriteOptions internal/core/flush.go WriteOptions
-count deeplake.QueryOptions deeplake.go QueryOptions
-count transform.Options internal/transform/transform.go Options
-count view.MaterializeOptions internal/view/materialize.go MaterializeOptions
+{
+	count dataloader.Options internal/dataloader/loader.go Options
+	count tql.Options internal/tql/scan.go Options
+	count core.WriteOptions internal/core/flush.go WriteOptions
+	count deeplake.QueryOptions deeplake.go QueryOptions
+	count transform.Options internal/transform/transform.go Options
+	count view.MaterializeOptions internal/view/materialize.go MaterializeOptions
+} | awk '
+	NR == FNR { max[$1] = $2; next }
+	{
+		print
+		if (!($1 in max)) { printf "%s: no ceiling in ci/knobs.max\n", $1; bad = 1 }
+		else if ($2 > max[$1]) { printf "%s: %d knobs, ceiling %d\n", $1, $2, max[$1]; bad = 1 }
+	}
+	END { exit bad }' ci/knobs.max -

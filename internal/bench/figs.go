@@ -537,7 +537,7 @@ func Fig10DistributedCLIP(ctx context.Context, cfg Config) (*Result, error) {
 	for g := 0; g < numGPUs; g++ {
 		gpus[g] = gpusim.GPU{ComputePerBatch: 600 * time.Millisecond, TimeScale: 10}
 		sources[g] = dataloader.ForDataset(ds, dataloader.Options{
-			BatchSize: 8, Workers: 4, Shuffle: true, Seed: cfg.Seed, Prefetch: 8,
+			BatchSize: 8, Workers: 4, Shuffle: true, Seed: cfg.Seed,
 			Rank: g, WorldSize: numGPUs,
 		})
 	}

@@ -22,62 +22,11 @@ func (b Bounds) Validate() error {
 	return nil
 }
 
-// meanSampleFloor is the autotuner's sample-size heuristic: the effective
-// target never sits below this many mean-sized samples, so a stream of
-// large samples jumps straight to big chunks instead of waiting out the
-// doubling schedule.
-const meanSampleFloor = 16
-
-// regretNum/regretDen set the shrink-on-regret threshold: a sealed chunk
-// whose payload overshot the effective target by more than 3/2 (a closing
-// sample worth over half the target blew through the band) walks the
-// doubling clock back one level instead of forward.
-const (
-	regretNum = 3
-	regretDen = 2
-)
-
 // Builder accumulates samples into one chunk under a Bounds policy.
-//
-// With autotuning enabled (SetAutotune), the effective target grows from
-// Bounds.Target toward the configured cap — doubling with every sealed
-// chunk, floored at meanSampleFloor mean observed sample sizes — so an
-// ingest that starts with a conservative target converges into the paper's
-// 8–16MB band (§3.4) without a priori knowledge of sample sizes. Mixed-size
-// appends get the reverse move too: a sealed chunk that overshot the target
-// by more than regretNum/regretDen (an oversized closing sample) steps the
-// schedule back one level, so occasional huge samples do not ratchet every
-// later chunk past the band. The schedule depends only on the sequence of
-// Append/Flush calls, never on timing or upload concurrency, so stored
-// bytes stay deterministic for a fixed append order at any flush-worker
-// count, and its state (AutotuneState) is small enough to persist with
-// tensor metadata so a reopened writer resumes exactly where it left off.
 type Builder struct {
 	bounds  Bounds
 	samples []Sample
 	bytes   int
-
-	// autoCap enables autotuning when > 0: the ceiling the effective target
-	// grows toward.
-	autoCap int
-	// level is the doubling clock: the effective target is the base target
-	// shifted left level times (capped). Grows by one per in-band sealed
-	// chunk, shrinks by one per oversized sealed chunk.
-	level int
-	// obsBytes/obsCount accumulate appended sample sizes for the mean floor.
-	obsBytes int64
-	obsCount int64
-}
-
-// AutotuneState is the autotuner's persistable schedule position: the
-// doubling-clock level plus the observed-sample statistics behind the mean
-// floor. Persisting it with tensor metadata and restoring it on reopen
-// (RestoreAutotune) makes a resumed writer continue the exact chunk-size
-// schedule of an uninterrupted one.
-type AutotuneState struct {
-	Level    int   `json:"level"`
-	ObsBytes int64 `json:"obs_bytes"`
-	ObsCount int64 `json:"obs_count"`
 }
 
 // NewBuilder returns an empty builder. Invalid bounds fall back to defaults.
@@ -88,80 +37,8 @@ func NewBuilder(bounds Bounds) *Builder {
 	return &Builder{bounds: bounds}
 }
 
-// Bounds returns the configured (base) sizing policy.
+// Bounds returns the configured sizing policy.
 func (b *Builder) Bounds() Bounds { return b.bounds }
-
-// SetAutotune enables chunk-size autotuning with the given target ceiling
-// in bytes (at least the base target; the paper's sweet spot is 8–16MB).
-// capBytes <= 0 disables autotuning, restoring the static policy.
-func (b *Builder) SetAutotune(capBytes int) {
-	if capBytes > 0 && capBytes < b.bounds.Target {
-		capBytes = b.bounds.Target
-	}
-	b.autoCap = capBytes
-}
-
-// AutotuneState returns the autotuner's current schedule position for
-// persistence. Meaningful (but harmless) even when autotuning is disabled.
-func (b *Builder) AutotuneState() AutotuneState {
-	return AutotuneState{Level: b.level, ObsBytes: b.obsBytes, ObsCount: b.obsCount}
-}
-
-// RestoreAutotune rewinds the autotuner to a previously captured schedule
-// position, so a reopened writer continues the chunk-size trajectory instead
-// of restarting the doubling clock from the base target.
-func (b *Builder) RestoreAutotune(s AutotuneState) {
-	if s.Level >= 0 {
-		b.level = s.Level
-	}
-	if s.ObsBytes >= 0 && s.ObsCount >= 0 {
-		b.obsBytes, b.obsCount = s.ObsBytes, s.ObsCount
-	}
-}
-
-// EffectiveBounds returns the sizing policy currently in force: the base
-// bounds with Target/Max lifted by the autotuner's schedule.
-func (b *Builder) EffectiveBounds() Bounds {
-	return Bounds{Min: b.bounds.Min, Target: b.effectiveTarget(), Max: b.effectiveMax()}
-}
-
-// effectiveTarget is the autotuned preferred chunk size: base target
-// doubled per schedule level, floored at meanSampleFloor mean sample sizes,
-// capped at autoCap.
-func (b *Builder) effectiveTarget() int {
-	if b.autoCap <= 0 {
-		return b.bounds.Target
-	}
-	t := b.bounds.Target
-	for i := 0; i < b.level && t < b.autoCap; i++ {
-		t <<= 1
-	}
-	if b.obsCount > 0 {
-		if floor := int(b.obsBytes / b.obsCount * meanSampleFloor); floor > t {
-			t = floor
-		}
-	}
-	if t > b.autoCap {
-		t = b.autoCap
-	}
-	if t < b.bounds.Target {
-		t = b.bounds.Target
-	}
-	return t
-}
-
-// effectiveMax keeps the hard ceiling at least twice the autotuned target,
-// so a grown target still leaves headroom for the closing sample.
-func (b *Builder) effectiveMax() int {
-	if b.autoCap <= 0 {
-		return b.bounds.Max
-	}
-	m := b.bounds.Max
-	if t := b.effectiveTarget(); m < 2*t {
-		m = 2 * t
-	}
-	return m
-}
 
 // Len returns the number of buffered samples.
 func (b *Builder) Len() int { return len(b.samples) }
@@ -171,43 +48,37 @@ func (b *Builder) PayloadBytes() int { return b.bytes }
 
 // NeedsTiling reports whether a sample of n payload bytes can never fit in
 // one chunk and must be tiled (§3.4), except for videos which are exempt.
-func (b *Builder) NeedsTiling(n int) bool { return n > b.effectiveMax() }
+func (b *Builder) NeedsTiling(n int) bool { return n > b.bounds.Max }
 
 // ShouldFlushBefore reports whether the builder should be flushed before
 // appending a sample of n bytes: the chunk already holds data and adding the
 // sample would exceed the upper bound, or the chunk already reached its
-// (autotuned) target size.
+// target size.
 func (b *Builder) ShouldFlushBefore(n int) bool {
 	if len(b.samples) == 0 {
 		return false
 	}
-	if b.bytes >= b.effectiveTarget() {
+	if b.bytes >= b.bounds.Target {
 		return true
 	}
-	return b.bytes+n > b.effectiveMax()
+	return b.bytes+n > b.bounds.Max
 }
 
 // Append buffers one sample. Callers must consult ShouldFlushBefore and
 // NeedsTiling first; Append rejects samples that violate the upper bound on
 // a non-empty builder.
 func (b *Builder) Append(s Sample) error {
-	if max := b.effectiveMax(); len(b.samples) > 0 && b.bytes+len(s.Data) > max {
-		return fmt.Errorf("chunk: appending %d bytes would exceed upper bound %d (have %d)", len(s.Data), max, b.bytes)
+	if len(b.samples) > 0 && b.bytes+len(s.Data) > b.bounds.Max {
+		return fmt.Errorf("chunk: appending %d bytes would exceed upper bound %d (have %d)", len(s.Data), b.bounds.Max, b.bytes)
 	}
 	b.samples = append(b.samples, s)
 	b.bytes += len(s.Data)
-	b.obsBytes += int64(len(s.Data))
-	b.obsCount++
 	return nil
 }
 
 // Flush encodes the buffered samples into a chunk blob and resets the
 // builder. It returns the blob and the number of samples it holds; flushing
-// an empty builder returns (nil, 0, nil). Each non-empty flush moves the
-// autotuner's clock: forward when the sealed payload landed in band, back
-// one level when it overshot the target by more than regretNum/regretDen —
-// the shrink-on-regret move that keeps mixed-size streams from ratcheting
-// past the band on the strength of one oversized closing sample.
+// an empty builder returns (nil, 0, nil).
 func (b *Builder) Flush() ([]byte, int, error) {
 	if len(b.samples) == 0 {
 		return nil, 0, nil
@@ -217,17 +88,6 @@ func (b *Builder) Flush() ([]byte, int, error) {
 		return nil, 0, err
 	}
 	n := len(b.samples)
-	if b.autoCap > 0 {
-		if t := b.effectiveTarget(); b.bytes*regretDen > t*regretNum {
-			if b.level > 0 {
-				b.level--
-			}
-		} else if b.bounds.Target<<uint(b.level) < b.autoCap {
-			// Saturate at the cap: surplus levels would make a later
-			// shrink step invisible until they unwound.
-			b.level++
-		}
-	}
 	b.samples = b.samples[:0]
 	b.bytes = 0
 	return blob, n, nil

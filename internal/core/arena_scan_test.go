@@ -3,74 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/chunk"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 )
-
-// TestAutotuneGoldenDeterminism is the ingest autotuner's acceptance test:
-// with AutotuneChunkBytes set, the stored bytes are a pure function of the
-// append sequence — a 1-lane reference build, a 1-lane and a 16-lane flush
-// pipeline all produce byte-identical objects — and the grown targets
-// actually change the layout (fewer, larger chunk objects than the static
-// policy).
-func TestAutotuneGoldenDeterminism(t *testing.T) {
-	ctx := context.Background()
-	const autoCap = 4096
-
-	static := buildGoldenDataset(t, WriteOptions{})
-	staticChunks := countChunkKeys(snapshotKeys(t, static))
-
-	ref := buildGoldenDataset(t, WriteOptions{FlushWorkers: 1, AutotuneChunkBytes: autoCap})
-	refKeys := snapshotKeys(t, ref)
-	if len(refKeys) == 0 {
-		t.Fatal("autotuned golden build produced no objects")
-	}
-	autoChunks := countChunkKeys(refKeys)
-	if autoChunks >= staticChunks {
-		t.Fatalf("autotune left the layout unchanged: %d chunk objects with cap %d, %d without",
-			autoChunks, autoCap, staticChunks)
-	}
-
-	for _, workers := range []int{1, 16} {
-		t.Run(fmt.Sprintf("flushworkers-%d", workers), func(t *testing.T) {
-			parallel := buildGoldenDataset(t, WriteOptions{FlushWorkers: workers, AutotuneChunkBytes: autoCap})
-			parallelKeys := snapshotKeys(t, parallel)
-			if got, want := fmt.Sprint(parallelKeys), fmt.Sprint(refKeys); got != want {
-				t.Fatalf("stored key sets differ under autotune:\nref:      %v\nparallel: %v",
-					refKeys, parallelKeys)
-			}
-			for _, key := range refKeys {
-				want, err := ref.Get(ctx, key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := parallel.Get(ctx, key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("object %q differs between the 1-lane reference and %d-worker autotuned flush (%d vs %d bytes)",
-						key, workers, len(want), len(got))
-				}
-			}
-		})
-	}
-}
-
-func countChunkKeys(keys []string) int {
-	n := 0
-	for _, k := range keys {
-		if strings.Contains(k, "/chunks/") {
-			n++
-		}
-	}
-	return n
-}
 
 // TestScanReaderArenaMatchesHeapPath: installing an arena changes where the
 // decoded payload bytes live, never what they are.

@@ -56,11 +56,10 @@ type Dataset struct {
 	// without ds.mu held exclusively so row appends stay concurrent.
 	idMu sync.Mutex
 
-	// writeOpts configures the write path; flusher is the pipeline every
-	// sealed chunk of this handle leaves through, present from construction.
-	// Both change only in SetWriteOptions. Guarded by ds.mu.
-	writeOpts WriteOptions
-	flusher   *flushPipeline
+	// flusher is the pipeline every sealed chunk of this handle leaves
+	// through, present from construction. It changes only in
+	// SetWriteOptions. Guarded by ds.mu.
+	flusher *flushPipeline
 
 	// branch is the checked-out branch; empty when detached at a commit.
 	branch string

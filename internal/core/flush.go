@@ -18,23 +18,13 @@ import (
 // root snapshots) are byte-identical at every lane count — only the upload
 // order differs. Upload retries are the provider chain's job: stack storage.Retry
 // (deeplake.WithRetry) under the dataset, and its attempts, backoff and
-// per-attempt timeout cover chunk uploads and publish Puts alike.
+// per-attempt timeout cover chunk uploads and publish Puts alike. Chunk size
+// is not a write option: each tensor's TensorSpec.Bounds sets it.
 type WriteOptions struct {
 	// FlushWorkers is the number of concurrent chunk uploads; twice as many
 	// sealed chunks may be queued or uploading before appends block for
 	// backpressure. Zero or negative means the default, 8.
 	FlushWorkers int
-	// AutotuneChunkBytes enables ingest-time chunk-size autotuning with the
-	// given target ceiling in bytes: each tensor's builder grows its
-	// effective target from the configured Bounds.Target toward this cap
-	// (doubling per sealed chunk, floored at the mean observed sample size
-	// times a small factor), converging into the paper's 8–16MB band without
-	// per-dataset tuning. The schedule depends only on each tensor's append
-	// sequence — appends are serialized per tensor regardless of
-	// FlushWorkers — so the stored chunks are byte-identical at any worker
-	// count. 0 disables autotuning and keeps the static bounds (the default,
-	// so existing golden layouts are unaffected).
-	AutotuneChunkBytes int64
 }
 
 // DeferredFlushError wraps a storage error from the background flush
@@ -380,15 +370,6 @@ func (ds *Dataset) SetWriteOptions(opts WriteOptions) error {
 	if err := ds.flusher.land(context.Background()); err != nil {
 		return err
 	}
-	ds.writeOpts = opts
 	ds.flusher = newFlushPipeline(ds.store, opts.FlushWorkers)
-	// Propagate the autotune cap to every existing builder; tensors created
-	// later pick it up from ds.writeOpts in newTensorShell.
-	for _, name := range ds.order {
-		t := ds.tensors[name]
-		t.mu.Lock()
-		t.builder.SetAutotune(int(opts.AutotuneChunkBytes))
-		t.mu.Unlock()
-	}
 	return nil
 }

@@ -261,3 +261,69 @@ func TestFaultyIngestGoldenEquivalence(t *testing.T) {
 	}
 	assertSameObjects(t, buildGoldenDataset(t, WriteOptions{FlushWorkers: 1}), mem)
 }
+
+// appendMixedSizes appends rows [lo, hi) of deterministically varying byte
+// widths: small rows that share chunks, punctuated by rows past the tensor's
+// Bounds.Max that tile.
+func appendMixedSizes(t *testing.T, x *Tensor, lo, hi int) {
+	t.Helper()
+	ctx := context.Background()
+	sizes := []int{16, 48, 700, 32, 24, 64, 900, 40}
+	for i := lo; i < hi; i++ {
+		n := sizes[i%len(sizes)]
+		data := make([]byte, n)
+		for p := range data {
+			data[p] = byte((i*13 + p) % 251)
+		}
+		arr, err := tensor.FromBytes(tensor.UInt8, []int{n}, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Append(ctx, arr); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// buildResumable writes two mixed-size phases, flushing between them; when
+// reopen is set the dataset is reopened from storage at the phase boundary.
+func buildResumable(t *testing.T, reopen bool) storage.Provider {
+	t.Helper()
+	ctx := context.Background()
+	store := storage.NewMemory()
+	ds, err := Create(ctx, store, "resume")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinClock(ds)
+	x, err := ds.CreateTensor(ctx, TensorSpec{Name: "x", Dtype: tensor.UInt8, Bounds: smallBounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendMixedSizes(t, x, 0, 120)
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if reopen {
+		if ds, err = Open(ctx, store); err != nil {
+			t.Fatal(err)
+		}
+		pinClock(ds)
+		if x = ds.Tensor("x"); x == nil {
+			t.Fatal("tensor x missing after reopen")
+		}
+	}
+	appendMixedSizes(t, x, 120, 240)
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// TestReopenedWriterStoresSameObjects is the reopen golden test: flush,
+// reopen, append must store objects byte-identical to an uninterrupted
+// writer flushing at the same point, so nothing the chunk sizing depends on
+// lives only in a handle.
+func TestReopenedWriterStoresSameObjects(t *testing.T) {
+	assertSameObjects(t, buildResumable(t, false), buildResumable(t, true))
+}

@@ -56,12 +56,6 @@ type TensorMeta struct {
 	// chunks are written and ride along commits, so readers of any version
 	// in this lineage can verify the bytes they fetch.
 	Checksums map[string]uint32 `json:"checksums,omitempty"`
-	// Autotune is the chunk-size autotuner's schedule position at save
-	// time. It rides the version's state record, so a writer that reopens
-	// the dataset resumes the exact per-tensor chunk-size trajectory — same
-	// levels, same observed-sample floor — and produces chunks
-	// byte-identical to an uninterrupted run.
-	Autotune *chunk.AutotuneState `json:"autotune,omitempty"`
 }
 
 // datasetMeta is the persisted dataset metadata (dataset.json), the

@@ -170,9 +170,9 @@ func (t *Tensor) PrefetchChunks(ctx context.Context, ids []uint64) (int, error) 
 	}
 	t.ds.mu.RLock()
 	t.mu.RLock()
-	// Chunk objects are ~effective-target bytes; the planner sizes
-	// whole-object requests it cannot stat with this.
-	opts := storage.PlanOptions{SizeHint: int64(t.builder.EffectiveBounds().Target)}
+	// Chunk objects are ~target bytes; the planner sizes whole-object
+	// requests it cannot stat with this.
+	opts := storage.PlanOptions{SizeHint: int64(t.meta.Bounds.Target)}
 	keys := make([]string, 0, len(ids))
 	for _, id := range ids {
 		if t.builder.Len() > 0 && id == t.pendingID {
@@ -250,12 +250,13 @@ func (p *StripPlan) Cover(ctx context.Context, n int) {
 	if p.through != nil {
 		steps = len(p.through)
 	}
+	target := int64(p.t.Meta().Bounds.Target)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.next < steps {
 		hi := min(p.next+p.width, steps)
 		strip := p.ids[p.before(p.next):p.before(hi)]
-		if p.next >= n && storage.Headroom(p.t.ds.store) < int64(len(strip))*int64(p.t.EffectiveBounds().Target) {
+		if p.next >= n && storage.Headroom(p.t.ds.store) < int64(len(strip))*target {
 			return
 		}
 		p.next = hi

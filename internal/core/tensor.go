@@ -113,7 +113,7 @@ func newTensor(ds *Dataset, spec TensorSpec) (*Tensor, error) {
 // map. Callers still resolve codecs and (when loading) hydrate
 // encoder/diff/chunk state.
 func newTensorShell(ds *Dataset, name string, meta TensorMeta, hspec tensor.HtypeSpec) *Tensor {
-	t := &Tensor{
+	return &Tensor{
 		ds:           ds,
 		name:         name,
 		meta:         meta,
@@ -125,11 +125,6 @@ func newTensorShell(ds *Dataset, name string, meta TensorMeta, hspec tensor.Htyp
 		builder:      chunk.NewBuilder(meta.Bounds),
 		chunkVersion: map[uint64]string{},
 	}
-	t.builder.SetAutotune(int(ds.writeOpts.AutotuneChunkBytes))
-	if meta.Autotune != nil {
-		t.builder.RestoreAutotune(*meta.Autotune)
-	}
-	return t
 }
 
 func normalizeCodecName(name string) string {
@@ -214,19 +209,6 @@ func (t *Tensor) lengthShared() uint64 {
 	return t.meta.Length
 }
 
-// EffectiveBounds returns the chunk builder's current working bounds: the
-// static spec bounds reshaped by the autotune schedule (doubling toward the
-// cap, shrink-on-regret after oversized seals, the mean-sample floor).
-// Observability for ingest tooling; the schedule itself persists in the
-// tensor metadata so reopened writers resume it.
-func (t *Tensor) EffectiveBounds() chunk.Bounds {
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.builder.EffectiveBounds()
-}
-
 // NumChunks returns the number of chunks indexed by the chunk encoder.
 func (t *Tensor) NumChunks() int {
 	t.ds.mu.RLock()
@@ -250,10 +232,6 @@ func (t *Tensor) allocChunkID() uint64 {
 func (t *Tensor) snapshotState() (tensorRootState, error) {
 	st := tensorRootState{Meta: t.meta, Diff: t.diff}
 	st.Meta.Checksums = maps.Clone(t.meta.Checksums)
-	// Freeze the autotuner's schedule position into the snapshot (fresh
-	// pointer: the live builder keeps moving after save).
-	at := t.builder.AutotuneState()
-	st.Meta.Autotune = &at
 	var err error
 	if st.ChunkEnc, err = t.chunkEnc.MarshalBinary(); err != nil {
 		return st, err

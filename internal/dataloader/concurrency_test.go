@@ -287,7 +287,7 @@ func TestLookAheadNeverEvictsItsOwnPrefetches(t *testing.T) {
 	origin := &chunkMoves{Provider: storage.NewMemory(), moves: map[string]int{}}
 	seed := wideDataset(t, origin, 2048)
 	chunks := seed.Tensor("x").NumChunks()
-	capacity := int64(chunks/4) * int64(seed.Tensor("x").EffectiveBounds().Target)
+	capacity := int64(chunks/4) * int64(seed.Tensor("x").Meta().Bounds.Target)
 
 	// run streams one epoch through each of opts at once, all over one fresh
 	// cache, and wants every chunk object moved once and nothing wasted.
@@ -379,7 +379,7 @@ func TestLookAheadDepthIsHalfTheByteCache(t *testing.T) {
 	mem := storage.NewMemory()
 	ds := wideDataset(t, mem, 512)
 	x := ds.Tensor("x")
-	stripBytes := int64(stripWidth) * int64(x.EffectiveBounds().Target)
+	stripBytes := int64(stripWidth) * int64(x.Meta().Bounds.Target)
 	capacity := 9 * stripBytes // half of it is 4½ strips
 	depth := int(capacity / 2 / stripBytes)
 	if strips := (x.NumChunks() + stripWidth - 1) / stripWidth; strips <= depth+1 {

@@ -339,7 +339,7 @@ func TestWorkersAreIOParallelismWithoutPrefetcher(t *testing.T) {
 func TestContextCancellationStopsPipeline(t *testing.T) {
 	ds := loaderDataset(t, storage.NewMemory(), 1000)
 	ctx, cancel := context.WithCancel(context.Background())
-	l := ForDataset(ds, Options{BatchSize: 1, Workers: 2, Prefetch: 1})
+	l := ForDataset(ds, Options{BatchSize: 1, Workers: 2})
 	ch := l.Batches(ctx)
 	<-ch // first batch
 	cancel()

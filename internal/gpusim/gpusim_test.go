@@ -64,7 +64,7 @@ func TestFastLoaderKeepsGPUBusy(t *testing.T) {
 	// With an in-memory store and heavy per-batch compute, stall should
 	// be a small fraction: utilization near 1.
 	ds := smallDataset(t, 128)
-	l := dataloader.ForDataset(ds, dataloader.Options{BatchSize: 16, Workers: 4, Prefetch: 4})
+	l := dataloader.ForDataset(ds, dataloader.Options{BatchSize: 16, Workers: 4})
 	gpu := GPU{ComputePerBatch: 20 * time.Millisecond, TimeScale: 10}
 	tl := gpu.Train(context.Background(), l, 0)
 	if u := tl.Utilization(); u < 0.5 {

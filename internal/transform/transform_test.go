@@ -3,17 +3,20 @@ package transform
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/chunk"
 	"repro/internal/core"
+	"repro/internal/simnet"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 )
 
 var smallBounds = chunk.Bounds{Min: 64, Target: 128, Max: 256}
 
-func sourceDataset(t *testing.T, n int) *core.Dataset {
+func sourceDataset(t testing.TB, n int) *core.Dataset {
 	t.Helper()
 	ctx := context.Background()
 	ds, err := core.Create(ctx, storage.NewMemory(), "src")
@@ -211,5 +214,45 @@ func TestEvalInPlaceRejectsOneToMany(t *testing.T) {
 	})
 	if _, err := p.EvalInPlace(ctx, ds, Options{Workers: 2}); err == nil {
 		t.Fatal("in-place one-to-many should error")
+	}
+}
+
+// BenchmarkEvalLanes measures Eval into an unconfigured destination on
+// simulated same-region S3 (default 8 flush lanes) against the same
+// destination set to GOMAXPROCS lanes through SetWriteOptions.
+func BenchmarkEvalLanes(b *testing.B) {
+	ctx := context.Background()
+	src := sourceDataset(b, 2048)
+	p := Compute(func(in Sample, out *Collector) error {
+		v, _ := in["x"].Item()
+		out.Emit(Sample{"y": tensor.Scalar(tensor.Float64, v)})
+		return nil
+	})
+	for _, lanes := range []int{0, runtime.GOMAXPROCS(0)} {
+		name := "default"
+		if lanes > 0 {
+			name = fmt.Sprintf("gomaxprocs-%d", lanes)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dst, err := core.Create(ctx, storage.NewSimObjectStore(simnet.S3SameRegion()), "dst")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := dst.CreateTensor(ctx, core.TensorSpec{Name: "y", Dtype: tensor.Float64, Bounds: smallBounds}); err != nil {
+					b.Fatal(err)
+				}
+				if lanes > 0 {
+					if err := dst.SetWriteOptions(core.WriteOptions{FlushWorkers: lanes}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if _, err := p.Eval(ctx, FromDataset(src), dst, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
