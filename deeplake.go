@@ -52,7 +52,9 @@
 // the next strips of its fetch itinerary (chunks in the order the delivery
 // stream first needs them) as coalesced batched reads, as many as half the
 // LRU can hold unread (storage.Headroom), so origin latency overlaps with
-// decode and transform work. Run
+// decode and transform work. On a JPEG/PNG primary the workers decode in
+// delivery order, one chunk's rows of one batch at a time, so the first batch
+// waits for its own rows' decodes. Run
 //
 //	go run ./benchmarks/lakebench --workload stream_s3 --seed 1 --seconds 20 --trace 1
 //

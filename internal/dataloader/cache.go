@@ -44,9 +44,10 @@ import (
 // Loader releases any leftovers when its pipeline shuts down, so an aborted
 // epoch never leaks pins into a long-lived shared cache. The budget is soft
 // against pins: if every resident chunk is pinned the cache runs over
-// budget rather than breaking the contract (bounded by
-// workers×queue-depth×chunk-size, the same working set the pipeline needs
-// resident anyway).
+// budget rather than breaking the contract. The pinned set is the working
+// set the pipeline needs resident anyway: the chunks of the jobs queued or
+// running (workers×queue-depth of them) or, for a JPEG/PNG primary, whose
+// jobs follow batch windows, the chunks holding the shuffle buffer's rows.
 type NodeCache struct {
 	table   *storage.Cache[cacheKey, []chunk.Sample]
 	decodes atomic.Int64

@@ -59,6 +59,24 @@ func TestBatchesIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestMediaBatchesIdenticalAcrossWorkerCounts: on a JPEG primary, whose jobs
+// are cut at batch windows, the batch stream is the same at any worker count
+// and is the stream whole-chunk jobs delivered: the constant was recorded
+// before jobs followed batch windows.
+func TestMediaBatchesIdenticalAcrossWorkerCounts(t *testing.T) {
+	ds := mediaDataset(t, storage.NewMemory(), 3200)
+	const want = uint64(0xa04443a39703845d)
+	for _, workers := range []int{1, 4, 16} {
+		h, n, l := epochHash(t, ds, Options{BatchSize: 32, ShuffleBuffer: 2048, Shuffle: true, Seed: 11, Workers: workers})
+		if err := l.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if h != want || n != 3200 {
+			t.Fatalf("workers=%d: delivered %d rows hashing to %#x, want 3200 hashing to %#x", workers, n, h, want)
+		}
+	}
+}
+
 // TestReadaheadDoesNotDuplicateFetches: with eight workers racing for every
 // chunk, singleflight must keep origin traffic at one Get per chunk.
 func TestReadaheadDoesNotDuplicateFetches(t *testing.T) {

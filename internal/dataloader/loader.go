@@ -11,11 +11,13 @@
 // The sampler precomputes, per epoch, a chunk visit order (shuffled and
 // sharded across Rank/WorldSize), a delivery order (rows spilled through a
 // bounded shuffle buffer) and a fetch itinerary (the visit order's chunks
-// sorted by the first delivery position each one serves). Workers own whole
-// chunk jobs, taken in itinerary order: each drains one chunk's rows through
-// reused core.ScanReaders backed by a byte-budgeted chunk cache, so a chunk
-// is fetched and decoded exactly once per epoch per rank no matter how many
-// rows, columns or workers touch it — concurrent fetches of the same chunk
+// sorted by the first delivery position each one serves). Workers take chunk
+// jobs — a chunk's rows, or for a JPEG/PNG primary the chunk's rows inside
+// one batch window, in delivery order — and drain each through reused
+// core.ScanReaders backed by a byte-budgeted chunk cache that keeps the chunk
+// pinned until its last job is done, so a chunk is fetched and decoded
+// exactly once per epoch per rank no matter how many rows, columns, jobs or
+// workers touch it — concurrent fetches of the same chunk
 // coalesce through a singleflight layer — and the job feeder hands the
 // storage layer's fetch planner the itinerary in strips of chunks, as far
 // ahead of the jobs it enqueues as the byte cache
@@ -109,11 +111,11 @@ type Options struct {
 	// Cache shares a node-level decoded-chunk cache between Loaders: hand
 	// the same NodeCache to every Loader (every rank) colocated on one
 	// node and each shared chunk is fetched+decoded once per node instead
-	// of once per rank (§3.5 buffer promoted to node scope; ROADMAP item
-	// 4). Keys carry dataset and commit identity, so Loaders over
-	// different datasets or commits can share one cache safely. Nil keeps
-	// a private per-Loader cache sized by MemoryBudget; when Cache is set
-	// the shared cache's own budget governs and MemoryBudget is ignored.
+	// of once per rank (the §3.5 buffer cache promoted to node scope). Keys
+	// carry dataset and commit identity, so Loaders over different datasets
+	// or commits can share one cache safely. Nil keeps a private per-Loader
+	// cache sized by MemoryBudget; when Cache is set the shared cache's own
+	// budget governs and MemoryBudget is ignored.
 	Cache *NodeCache
 }
 
@@ -452,25 +454,27 @@ func stripIDs(v *view.View, t *core.Tensor, groups []groupRef) (ids []uint64, th
 }
 
 // feed is the pipeline's first stage and the strip planner's frontier
-// (§4.6 "fetches the next batch in advance"): chunk jobs in fetch-itinerary
-// order — first needed, first fetched — epochs back to back, with sequences
-// renumbered into the global stream. It blocks on the bounded jobs channel,
-// so it runs just ahead of the workers; before it enqueues a job it has the
-// planned columns' strips cover that job's itinerary group — every column's
-// strips are cut at the same itinerary groups, stripWidth of them a strip —
-// and run on ahead as far as the byte cache has headroom for
-// (core.StripPlan.Cover). Every chunk is therefore
-// claimed in the byte cache's singleflight layer before a job that reads it
-// exists: workers find it cached or join the strip's in-flight batched
-// request and never race the planner with a one-chunk round trip. The strips
-// land in the byte cache; workers container-decode them on arrival through
-// the node cache.
+// (§4.6 "fetches the next batch in advance"): chunk jobs in plan order —
+// the fetch itinerary, first needed, first fetched, or for a media primary
+// delivery order, in which each group's first job still comes in itinerary
+// order — epochs back to back, with sequences renumbered into the global
+// stream. It blocks on the bounded jobs channel, so it runs just ahead of
+// the workers; before it enqueues a group's first job it has the planned
+// columns' strips cover that itinerary group — every column's strips are
+// cut at the same itinerary groups, stripWidth of them a strip — and run on
+// ahead as far as the byte cache has headroom for (core.StripPlan.Cover).
+// Every chunk is therefore claimed in the byte cache's singleflight layer
+// before a job that reads it exists: workers find it cached or join the
+// strip's in-flight batched request and never race the planner with a
+// one-chunk round trip. The strips land in the byte cache; workers
+// container-decode them on arrival through the node cache.
 //
-// Each job's primary chunk is pinned in the node cache before the job is
-// enqueued and unpinned by the worker that finishes it, so a tight
-// MemoryBudget can never evict a decoded chunk that a planned-but-unstarted
-// job still needs (the silent re-decode that would break the
-// fetch+decode-once contract).
+// A group's primary chunk is pinned in the node cache once per job, all
+// before its first job is enqueued, and each worker that finishes one of
+// its jobs drops one pin, so a tight MemoryBudget can never evict a decoded
+// chunk that a planned-but-unstarted job still needs (the silent re-decode
+// that would break the fetch+decode-once contract) — a media chunk stays
+// pinned from its first batch window to its last.
 func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core.Tensor, groups []groupRef, jobs chan<- chunkJob) {
 	defer close(jobs)
 	seqBase := 0
@@ -481,23 +485,31 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 			ids, through := stripIDs(l.v, t, p.groups)
 			plans[i] = core.NewStripPlan(t, ids, through, stripWidth, nil)
 		}
+		subJobs := make([]int, len(p.groups))
+		for _, cj := range p.jobs {
+			subJobs[cj.ord]++
+		}
+		keys := make([]cacheKey, len(p.groups))
+		nextOrd := 0
 		for i := range p.jobs {
 			cj := &p.jobs[i]
-			if i == 0 || p.jobs[i-1].ord != cj.ord {
-				// A new itinerary group. Its sub-jobs all take their pin now,
-				// before the first is enqueued: one finishing early must not
-				// leave the chunk unpinned while a sibling is still planned.
+			if cj.ord == nextOrd {
+				// A new itinerary group (a media group's later sub-jobs
+				// interleave with other groups'). All its sub-jobs take their
+				// pin now: one finishing early must not leave the chunk
+				// unpinned while a sibling is still planned.
+				nextOrd++
 				if cj.chunkID != noChunk {
-					key := cacheKey{scope: l.scope, obj: primary.ChunkIdentity(cj.chunkID)}
-					for j := i; j < len(p.jobs) && p.jobs[j].ord == cj.ord; j++ {
-						p.jobs[j].pin, p.jobs[j].pinned = key, true
-						l.pins.pin(l.cache, key)
+					keys[cj.ord] = cacheKey{scope: l.scope, obj: primary.ChunkIdentity(cj.chunkID)}
+					for range subJobs[cj.ord] {
+						l.pins.pin(l.cache, keys[cj.ord])
 					}
 				}
 				for _, plan := range plans {
 					plan.Cover(ctx, cj.ord+1)
 				}
 			}
+			cj.pin, cj.pinned = keys[cj.ord], cj.chunkID != noChunk
 			for ri := range cj.rows {
 				cj.rows[ri].seq += seqBase
 			}
@@ -511,9 +523,10 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 	}
 }
 
-// work is one worker: it owns whole chunk jobs and drains them through
-// reused per-tensor ScanReaders backed by the shared chunk cache, so one job
-// fetches and decodes its chunk exactly once.
+// work is one worker: it drains chunk jobs through reused per-tensor
+// ScanReaders backed by the shared chunk cache, where the job's chunk stays
+// pinned, so however many jobs a chunk is cut into it is fetched and decoded
+// exactly once.
 func (l *Loader) work(ctx context.Context, cancel context.CancelFunc, cols []view.Column, jobs <-chan chunkJob, results chan<- result, sink *errSink) {
 	// Worker-death watchdog: a goroutine that dies mid-job without reaching
 	// a normal exit path (user code calling runtime.Goexit, or a panic
@@ -642,9 +655,10 @@ func (l *Loader) deliver(ctx context.Context, cancel context.CancelFunc, epochEn
 }
 
 // rowLoader is one worker's read state: a ScanReader per stored column,
-// backed by the shared chunk cache, so the rows of one chunk job decode
-// their chunk once however many rows and columns it covers, and chunks
-// shared between workers are still fetched once (singleflight).
+// backed by the shared chunk cache, so the rows of one chunk job — in stored
+// order or, for a media primary, in delivery order — decode their chunk once
+// however many rows and columns it covers, and chunks shared between workers
+// or jobs are still fetched once (singleflight, pins).
 type rowLoader struct {
 	l       *Loader
 	cols    []view.Column

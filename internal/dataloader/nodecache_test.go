@@ -259,3 +259,34 @@ func TestTightBudgetKeepsDecodeOnce(t *testing.T) {
 		t.Fatalf("%d pins leaked past pipeline shutdown", st.Pinned)
 	}
 }
+
+// TestMediaTightBudgetKeepsDecodeOnce is TestTightBudgetKeepsDecodeOnce on a
+// JPEG primary, whose chunks serve jobs in every batch window their rows
+// reach: the pins must hold each chunk from its first window to its last.
+func TestMediaTightBudgetKeepsDecodeOnce(t *testing.T) {
+	counting := storage.NewCounting(storage.NewMemory())
+	ds := mediaDataset(t, counting, 3200)
+	chunks := int64(ds.Tensor("x").NumChunks())
+	counting.Reset()
+
+	l := ForDataset(ds, Options{
+		BatchSize: 32, ShuffleBuffer: 2048, Workers: 8, Shuffle: true, Seed: 7, MemoryBudget: 1,
+		Fields: []string{"x"},
+	})
+	rows := 0
+	for _, b := range drain(t, l) {
+		rows += len(b.Samples)
+	}
+	if rows != 3200 {
+		t.Fatalf("delivered %d/3200 rows", rows)
+	}
+	if got := l.CacheDecodes(); got != chunks {
+		t.Fatalf("tight budget decoded %d chunks, want exactly %d", got, chunks)
+	}
+	if gets := counting.Snapshot().Gets; gets != chunks {
+		t.Fatalf("tight budget fetched %d objects for %d chunks", gets, chunks)
+	}
+	if st := l.Cache().Stats(); st.Pinned != 0 {
+		t.Fatalf("%d pins leaked past pipeline shutdown", st.Pinned)
+	}
+}

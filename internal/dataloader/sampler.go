@@ -28,6 +28,13 @@ import (
 // byte-identical for a given (Seed, epoch, Rank, WorldSize) at any worker
 // count: workers race only over who decodes which chunk, never over what
 // the consumer receives.
+//
+// Worker jobs are cut from the itinerary's groups. A JPEG/PNG primary's rows
+// decode one at a time from their chunk's stored bytes, so its groups are cut
+// in delivery order wherever the rows cross a batch window, and the jobs run
+// in delivery order: the first batch waits for its own decodes, not for every
+// row of its chunks. Any other group is one job in stored order (split only
+// to spread a hot chunk across the pool), decoding its chunk in one pass.
 
 // noChunk marks a chunk job with no stored primary chunk (computed-only
 // views, sequence/link primaries): the job is a degenerate single-row group
@@ -52,11 +59,13 @@ type rowJob struct {
 }
 
 // chunkJob is the unit of worker scheduling: one primary-tensor chunk and
-// selected rows living in it, in stored order. A worker drains the whole
-// job through its reused ScanReaders, so the chunk is fetched and decoded
-// once however many rows (or columns) it covers. ord is the job's DISTINCT
-// CHUNK ordinal in its epoch's fetch itinerary: sub-jobs of one split group
-// share it, so the feeder's strip look-ahead is measured in chunks.
+// selected rows living in it — in stored order, or for a media primary in
+// delivery order inside one batch window. A worker drains the job through
+// its reused ScanReaders over the chunk the node cache holds pinned for all
+// of the chunk's jobs, so it is fetched and decoded once however many rows,
+// columns or jobs it covers. ord is the job's DISTINCT CHUNK ordinal in its
+// epoch's fetch itinerary: sub-jobs of one split group share it, so the
+// feeder's strip look-ahead is measured in chunks.
 type chunkJob struct {
 	ord     int
 	chunkID uint64
@@ -94,6 +103,7 @@ type epochPlan struct {
 type groupRef struct {
 	key   uint64
 	chunk bool // key is a primary chunk id, not a degenerate per-row group
+	media bool // the chunk's samples are JPEG/PNG, each decoding on its own
 	rows  []int
 }
 
@@ -105,6 +115,7 @@ func chunkGroups(v *view.View, primary string) []groupRef {
 	if t != nil && (t.Htype().Sequence || t.Htype().Link) {
 		t = nil
 	}
+	media := t != nil && t.Meta().SampleCompression != "none"
 	n := v.Len()
 	idx := map[uint64]int{}
 	var groups []groupRef
@@ -116,7 +127,7 @@ func chunkGroups(v *view.View, primary string) []groupRef {
 				if !ok {
 					g = len(groups)
 					idx[id] = g
-					groups = append(groups, groupRef{key: id, chunk: true})
+					groups = append(groups, groupRef{key: id, chunk: true, media: media})
 				}
 				groups[g].rows = append(groups[g].rows, row)
 				continue
@@ -168,7 +179,7 @@ func buildShard(groups []groupRef, o Options, epoch int) epochShard {
 			mine := make([]groupRef, 0, len(order))
 			i := 0
 			for _, g := range order {
-				keep := groupRef{key: g.key, chunk: g.chunk}
+				keep := groupRef{key: g.key, chunk: g.chunk, media: g.media}
 				for _, row := range g.rows {
 					if i%o.WorldSize == o.Rank {
 						keep.rows = append(keep.rows, row)
@@ -192,7 +203,8 @@ func buildShard(groups []groupRef, o Options, epoch int) epochShard {
 // buildPlan expands one epoch's shard into chunk jobs with delivery
 // sequences — the O(rows) step the feeder runs lazily per epoch. The
 // delivery order is the visit order itself, or, when shuffling, the visit
-// order spilled through a bounded buffer. The jobs come in itinerary order.
+// order spilled through a bounded buffer. The jobs come in itinerary order,
+// or for a media primary in delivery order.
 func buildPlan(v *view.View, shard epochShard, o Options, epoch int) *epochPlan {
 	seqOf := make([]int, v.Len())
 	next := 0
@@ -240,26 +252,34 @@ func buildPlan(v *view.View, shard epochShard, o Options, epoch int) *epochPlan 
 	sort.Slice(order, func(a, b int) bool { return first[order[a]] < first[order[b]] })
 
 	// Split oversized groups so one hot chunk cannot serialize the pool's
-	// per-sample decode work behind a single worker. Sub-jobs keep their
+	// per-sample decode work behind a single worker; cut a media group in
+	// delivery order at every batch window as well. Sub-jobs keep their
 	// group's ordinal: the strip look-ahead counts chunks, not jobs.
 	maxRows := (next + o.Workers*oversubscribe - 1) / (o.Workers * oversubscribe)
 	if maxRows < 1 {
 		maxRows = 1
 	}
+	windowed := false
 	plan := &epochPlan{rows: next, jobs: make([]chunkJob, 0, len(order)), groups: make([]groupRef, len(order))}
 	for ord, gi := range order {
 		g := shard.groups[gi]
 		plan.groups[ord] = g
-		for lo := 0; lo < len(g.rows); lo += maxRows {
-			hi := lo + maxRows
-			if hi > len(g.rows) {
-				hi = len(g.rows)
+		rows := g.rows
+		if g.media {
+			windowed = true
+			rows = append([]int(nil), rows...)
+			sort.Slice(rows, func(a, b int) bool { return seqOf[rows[a]] < seqOf[rows[b]] })
+		}
+		for lo := 0; lo < len(rows); {
+			hi := lo + 1
+			for hi < min(lo+maxRows, len(rows)) && (!g.media || seqOf[rows[hi]]/o.BatchSize == seqOf[rows[lo]]/o.BatchSize) {
+				hi++
 			}
 			cj := chunkJob{ord: ord, chunkID: noChunk, rows: make([]rowJob, 0, hi-lo)}
 			if g.chunk {
 				cj.chunkID = g.key
 			}
-			for _, row := range g.rows[lo:hi] {
+			for _, row := range rows[lo:hi] {
 				src, err := v.SourceRow(row)
 				if err != nil {
 					continue // unreachable: row came from the same view walk
@@ -267,7 +287,13 @@ func buildPlan(v *view.View, shard epochShard, o Options, epoch int) *epochPlan 
 				cj.rows = append(cj.rows, rowJob{seq: seqOf[row], row: row, src: src})
 			}
 			plan.jobs = append(plan.jobs, cj)
+			lo = hi
 		}
+	}
+	if windowed {
+		// Jobs in delivery order. Each ordinal's first job still comes in
+		// itinerary order: both are sorted by first delivery position.
+		sort.SliceStable(plan.jobs, func(a, b int) bool { return plan.jobs[a].rows[0].seq < plan.jobs[b].rows[0].seq })
 	}
 	return plan
 }

@@ -1,8 +1,11 @@
 package dataloader
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"image"
+	"image/jpeg"
 	"reflect"
 	"sort"
 	"testing"
@@ -42,6 +45,55 @@ func gridDataset(t testing.TB, store storage.Provider, n, perChunk int) *core.Da
 	}
 	if want := (n + perChunk - 1) / perChunk; x.NumChunks() != want {
 		t.Fatalf("%d rows at %d a chunk made %d chunks, want %d", n, perChunk, x.NumChunks(), want)
+	}
+	return ds
+}
+
+// mediaDataset builds n rows of a JPEG image tensor "x" — 8×8 frames of one
+// colour each, stored verbatim through AppendEncoded, about 100 to a chunk —
+// and "label", int32 = row: the shape of an image dataset, whose primary's
+// rows decode one at a time.
+func mediaDataset(t testing.TB, store storage.Provider, n int) *core.Dataset {
+	t.Helper()
+	ctx := context.Background()
+	ds, err := core.Create(ctx, store, "media")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make([][]byte, n)
+	for i := range frames {
+		img := image.NewRGBA(image.Rect(0, 0, 8, 8))
+		for p := 0; p < len(img.Pix); p += 4 {
+			copy(img.Pix[p:], []byte{byte(i), byte(i>>8) * 32, 128, 255})
+		}
+		var buf bytes.Buffer
+		if err := jpeg.Encode(&buf, img, nil); err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = buf.Bytes()
+	}
+	target := 100 * len(frames[0])
+	x, err := ds.CreateTensor(ctx, core.TensorSpec{Name: "x", Htype: "image", SampleCompression: "jpeg", Bounds: chunk.Bounds{Min: target / 2, Target: target, Max: 2 * target}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbl, err := ds.CreateTensor(ctx, core.TensorSpec{Name: "label", Dtype: tensor.Int32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range frames {
+		if err := x.AppendEncoded(ctx, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := lbl.Append(ctx, tensor.Scalar(tensor.Int32, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := x.NumChunks(), n/100; got < want*9/10 || got > want*11/10 {
+		t.Fatalf("%d frames made %d chunks, want about %d", n, got, want)
 	}
 	return ds
 }
@@ -92,10 +144,19 @@ func checkItinerary(t *testing.T, name string, v *view.View, o Options, epoch in
 			first[cj.ord] = min(first[cj.ord], rj.seq)
 		}
 	}
-	for i := 1; i < len(plan.jobs); i++ {
-		if a, b := first[plan.jobs[i-1].ord], first[plan.jobs[i].ord]; a > b {
-			t.Fatalf("%s: job %d is first needed at %d, after job %d's %d", name, i-1, a, i, b)
+	// Groups enter in itinerary order: along the jobs, each ordinal's first
+	// job is first needed no earlier than the previous new ordinal's. (A
+	// media group's later sub-jobs interleave with other groups'.)
+	entered, prev := map[int]bool{}, -1
+	for i, cj := range plan.jobs {
+		if entered[cj.ord] {
+			continue
 		}
+		entered[cj.ord] = true
+		if b := first[cj.ord]; b < prev {
+			t.Fatalf("%s: job %d enters a group first needed at %d, after one first needed at %d", name, i, b, prev)
+		}
+		prev = first[cj.ord]
 	}
 
 	// Batch k's positions need D_k distinct chunks; the jobs holding them
@@ -142,6 +203,65 @@ func TestItineraryFollowsFirstNeededPosition(t *testing.T) {
 	}
 }
 
+// TestMediaJobsFollowBatchWindows: on a JPEG primary, whose rows decode one at
+// a time, a job is one chunk's rows inside one batch window, in delivery
+// order, and the jobs run in delivery order while the groups still enter in
+// itinerary order. The jobs up to the first batch's last row then hold that
+// batch's 32 rows, where whole-chunk jobs held every row of the 16 to 19
+// chunks those rows sit in (1 614 to 1 918 rows).
+func TestMediaJobsFollowBatchWindows(t *testing.T) {
+	v := view.All(mediaDataset(t, storage.NewMemory(), 3200))
+	for seed := int64(1); seed <= 5; seed++ {
+		o := Options{Shuffle: true, ShuffleBuffer: 2048, BatchSize: 32, Seed: seed, Workers: 1}
+		name := fmt.Sprintf("seed %d", seed)
+		d0 := checkItinerary(t, name, v, o, 0)
+		o = o.withDefaults()
+		plan := buildPlan(v, buildShard(chunkGroups(v, "x"), o, 0), o, 0)
+
+		// The work ahead of the first batch: every job up to the last one
+		// holding one of its positions.
+		rows, through := 0, 0
+		for _, cj := range plan.jobs {
+			rows += len(cj.rows)
+			for _, rj := range cj.rows {
+				if rj.seq < o.BatchSize {
+					through = rows
+				}
+			}
+		}
+		if through != o.BatchSize {
+			t.Fatalf("%s: the jobs through the first batch's last row hold %d rows (the batch needs %d chunks), want %d", name, through, d0, o.BatchSize)
+		}
+
+		held := make([][]int, len(plan.groups))
+		entered := 0
+		for i, cj := range plan.jobs {
+			window := cj.rows[0].seq / o.BatchSize
+			for k, rj := range cj.rows {
+				if rj.seq/o.BatchSize != window || (k > 0 && rj.seq <= cj.rows[k-1].seq) {
+					t.Fatalf("%s: job %d's rows leave batch window %d or delivery order at position %d", name, i, window, rj.seq)
+				}
+				held[cj.ord] = append(held[cj.ord], rj.row)
+			}
+			if i > 0 && cj.rows[0].seq < plan.jobs[i-1].rows[0].seq {
+				t.Fatalf("%s: job %d is first needed at %d, before job %d's %d", name, i, cj.rows[0].seq, i-1, plan.jobs[i-1].rows[0].seq)
+			}
+			if cj.ord > entered {
+				t.Fatalf("%s: job %d enters ordinal %d before ordinal %d", name, i, cj.ord, entered)
+			}
+			if cj.ord == entered {
+				entered++
+			}
+		}
+		for ord, g := range plan.groups {
+			sort.Ints(held[ord])
+			if !reflect.DeepEqual(held[ord], g.rows) {
+				t.Fatalf("%s: ordinal %d's jobs hold %d rows, not its group's %d", name, ord, len(held[ord]), len(g.rows))
+			}
+		}
+	}
+}
+
 // TestDeliveredOrderGolden pins the delivered rows for one seed: epochHash
 // covers each row's "x" (which holds its row id) and "label" in delivery
 // order. The constants were recorded before the feeder took up the fetch
@@ -182,26 +302,35 @@ func TestDeliveredOrderGolden(t *testing.T) {
 // buffer's worth of rows plus one job's. Rows still pending past position X
 // either sat in the buffer when X was emitted or belong to the one chunk
 // being entered at that moment; every later chunk is first needed after X,
-// so it comes after X's chunk in the itinerary.
+// so it comes after X's chunk in the itinerary. On a JPEG primary the jobs
+// run window by window, so the map never holds more than one batch.
 func TestReorderMapBoundedByShuffleBuffer(t *testing.T) {
 	stream, sparse := streamShaped(t)
 	for _, shape := range []struct {
-		name string
-		v    *view.View
-	}{{"stream", stream}, {"view", sparse}} {
+		name  string
+		v     *view.View
+		media bool
+	}{{"stream", stream, false}, {"view", sparse, false}, {"media", view.All(mediaDataset(t, storage.NewMemory(), 3200)), true}} {
 		for seed := int64(1); seed <= 5; seed++ {
 			o := Options{Shuffle: true, ShuffleBuffer: 2048, BatchSize: 32, Seed: seed, Workers: 1}
 			job := 0
 			plan := buildPlan(shape.v, buildShard(chunkGroups(shape.v, "x"), o.withDefaults(), 0), o.withDefaults(), 0)
-			for _, cj := range plan.jobs {
+			for i, cj := range plan.jobs {
 				job = max(job, len(cj.rows))
+				if shape.media && i > 0 && cj.rows[0].seq/o.BatchSize < plan.jobs[i-1].rows[0].seq/o.BatchSize {
+					t.Fatalf("%s seed %d: job %d of batch window %d runs after one of window %d", shape.name, seed, i, cj.rows[0].seq/o.BatchSize, plan.jobs[i-1].rows[0].seq/o.BatchSize)
+				}
 			}
 			l := New(shape.v, o)
 			if n := len(epochRows(t, l)); n != shape.v.Len() {
 				t.Fatalf("%s seed %d: delivered %d/%d rows", shape.name, seed, n, shape.v.Len())
 			}
-			if bound := o.ShuffleBuffer + job; l.pendingPeak > bound {
-				t.Fatalf("%s seed %d: the reorder map held %d rows, over the buffer plus one job (%d)", shape.name, seed, l.pendingPeak, bound)
+			bound := o.ShuffleBuffer + job
+			if shape.media {
+				bound = o.BatchSize
+			}
+			if l.pendingPeak > bound {
+				t.Fatalf("%s seed %d: the reorder map held %d rows, over its bound of %d", shape.name, seed, l.pendingPeak, bound)
 			}
 			t.Logf("%s seed %d: reorder map peak %d rows", shape.name, seed, l.pendingPeak)
 		}
