@@ -50,7 +50,7 @@
 //
 // Ahead of the chunk cache the loader's job feeder hands the provider chain
 // the next strips of its fetch itinerary (chunks in the order the delivery
-// stream first needs them) as coalesced batched reads, as many as half the
+// stream first needs them) as coalesced batched reads, as many as the whole
 // LRU can hold unread (storage.Headroom), so origin latency overlaps with
 // decode and transform work. On a JPEG/PNG primary the workers decode in
 // delivery order, one chunk's rows of one batch at a time, so the first batch

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"repro/internal/chunk"
@@ -208,16 +209,19 @@ func (t *Tensor) PrefetchChunks(ctx context.Context, ids []uint64) (int, error) 
 // How far ahead of the frontier the plan runs is set by the byte cache the
 // strips land in (storage.Headroom), not by a constant. The TQL scan advances
 // the frontier when a worker claims a partition; the dataloader's job feeder
-// advances it before it enqueues a job.
+// advances it before it enqueues a job. A walk ends with Disown.
 type StripPlan struct {
 	t       *Tensor
 	ids     []uint64
 	through []int
 	width   int
 	issued  func(planned, claimed int, err error)
+	// Skip, set before the first Cover, leaves out ids no reader will read.
+	Skip func(id uint64) bool
 
-	mu   sync.Mutex
-	next int // first step not yet handed to PrefetchChunks
+	mu     sync.Mutex
+	next   int      // first step not yet handed to PrefetchChunks
+	handed []uint64 // ids handed to PrefetchChunks
 }
 
 // NewStripPlan plans strips of width (at least one) steps over ids, the
@@ -260,9 +264,13 @@ func (p *StripPlan) Cover(ctx context.Context, n int) {
 			return
 		}
 		p.next = hi
+		if p.Skip != nil {
+			strip = slices.DeleteFunc(slices.Clone(strip), p.Skip)
+		}
 		if len(strip) == 0 {
 			continue
 		}
+		p.handed = append(p.handed, strip...)
 		// PrefetchChunks claims keys and returns while the coalesced fetches
 		// run in the background, so holding mu serialises planning, not IO.
 		claimed, err := p.t.PrefetchChunks(ctx, strip)
@@ -270,4 +278,16 @@ func (p *StripPlan) Cover(ctx context.Context, n int) {
 			p.issued(len(strip), claimed, err)
 		}
 	}
+}
+
+// Disown ends the walk (storage.Disown): call it once every context passed
+// to Cover is done, so a walk that stopped early leaves no unread debt.
+func (p *StripPlan) Disown() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	keys := make([]string, len(p.handed))
+	for i, id := range p.handed {
+		keys[i] = p.t.ChunkIdentity(id)
+	}
+	storage.Disown(p.t.ds.store, keys)
 }

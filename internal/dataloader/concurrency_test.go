@@ -2,10 +2,13 @@ package dataloader
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -289,17 +292,16 @@ func wideDataset(t testing.TB, store storage.Provider, n int) *core.Dataset {
 }
 
 // TestLookAheadNeverEvictsItsOwnPrefetches: the strip look-ahead owes the
-// byte cache at most half its capacity — strips still on the wire plus landed
-// chunks nobody has read — and the cache drops an unread chunk only when no
-// read one is left, so however the workers are scheduled, no prefetched chunk
-// is evicted before a worker reads it. Every chunk object leaves the origin
-// exactly once and PrefetchWasted stays 0, for one shuffled loader at any
-// worker count and for four ranks of one node streaming at once through the
-// one cache, whose headroom they share. The cache holds a quarter of the
-// dataset: more than the feeder's own lead, which it covers whatever the
-// headroom (every job it has queued or handed out, four ranks at once), while
-// a look-ahead counted against the whole cache would fill it with unread
-// chunks and evict them.
+// byte cache at most its capacity — strips still on the wire plus landed
+// chunks nobody has read — and the cache never drops an unread chunk, so
+// however the workers are scheduled, no prefetched chunk is evicted before a
+// worker reads it: every chunk object leaves the origin exactly once, for one
+// shuffled loader at any worker count and for four ranks of one node
+// streaming at once through the one cache, whose headroom they share. The
+// cache holds a quarter of the dataset, so the look-ahead fills it with
+// unread chunks; the feeder's own lead (every job it has queued or handed
+// out, four ranks at once), which it covers whatever the headroom, runs it
+// over budget rather than evict them.
 func TestLookAheadNeverEvictsItsOwnPrefetches(t *testing.T) {
 	ctx := context.Background()
 	origin := &chunkMoves{Provider: storage.NewMemory(), moves: map[string]int{}}
@@ -308,7 +310,7 @@ func TestLookAheadNeverEvictsItsOwnPrefetches(t *testing.T) {
 	capacity := int64(chunks/4) * int64(seed.Tensor("x").Meta().Bounds.Target)
 
 	// run streams one epoch through each of opts at once, all over one fresh
-	// cache, and wants every chunk object moved once and nothing wasted.
+	// cache, and wants every chunk object moved once.
 	run := func(name string, opts ...Options) {
 		t.Helper()
 		clear(origin.moves)
@@ -351,9 +353,6 @@ func TestLookAheadNeverEvictsItsOwnPrefetches(t *testing.T) {
 				t.Fatalf("%s: chunk object %s left the origin %d times, want once", name, key, n)
 			}
 		}
-		if wasted := cache.Stats().PrefetchWasted; wasted != 0 {
-			t.Fatalf("%s: %d prefetched chunks evicted unread", name, wasted)
-		}
 	}
 	for _, workers := range []int{1, 4, 16} {
 		run(fmt.Sprintf("workers=%d", workers), Options{BatchSize: 16, Workers: workers, Shuffle: true, Seed: 21})
@@ -383,23 +382,22 @@ func (g *gatedOrigin) GetRanges(ctx context.Context, reqs []storage.RangeReq) ([
 	return storage.GetRanges(ctx, g.Provider, reqs)
 }
 
-// TestLookAheadDepthIsHalfTheByteCache counts the look-ahead instead of
-// timing it. Over a byte cache of capacity C, with every strip request held
-// at the origin, a cold epoch's feeder issues ⌊(C/2) ÷ S⌋ strips, S being a
-// strip's estimated bytes (stripWidth chunks at the chunk target): the strip
-// under the first job, which goes out whatever the headroom, and then more
-// while they fit in half the cache (a fixed one-strip-ahead rule holds 2).
-// The cache's headroom is then below one strip, so nothing more can be
-// issued until bytes land. Released, the epoch is byte-identical to one
-// worker's.
-func TestLookAheadDepthIsHalfTheByteCache(t *testing.T) {
+// TestLookAheadDepthIsTheByteCache counts the look-ahead instead of timing
+// it. Over a byte cache of capacity C, with every strip request held at the
+// origin, a cold epoch's feeder issues ⌊C ÷ S⌋ strips, S being a strip's
+// estimated bytes (stripWidth chunks at the chunk target): the strip under
+// the first job, which goes out whatever the headroom, and then more while
+// they fit in the cache (a fixed one-strip-ahead rule holds 2). The cache's
+// headroom is then below one strip, so nothing more can be issued until
+// bytes land. Released, the epoch is byte-identical to one worker's.
+func TestLookAheadDepthIsTheByteCache(t *testing.T) {
 	ctx := context.Background()
 	mem := storage.NewMemory()
 	ds := wideDataset(t, mem, 512)
 	x := ds.Tensor("x")
 	stripBytes := int64(stripWidth) * int64(x.Meta().Bounds.Target)
-	capacity := 9 * stripBytes // half of it is 4½ strips
-	depth := int(capacity / 2 / stripBytes)
+	capacity := 19 * stripBytes / 2 // 9½ strips
+	depth := int(capacity / stripBytes)
 	if strips := (x.NumChunks() + stripWidth - 1) / stripWidth; strips <= depth+1 {
 		t.Fatalf("%d strips in the epoch: too few to see the look-ahead stop at %d", strips, depth)
 	}
@@ -429,7 +427,7 @@ func TestLookAheadDepthIsHalfTheByteCache(t *testing.T) {
 		<-origin.held
 	}
 	// Nothing has landed, so the cache owes exactly the claimed strips.
-	if room, want := storage.Headroom(cache), capacity/2-int64(depth)*stripBytes; room != want || room >= stripBytes {
+	if room, want := storage.Headroom(cache), capacity-int64(depth)*stripBytes; room != want || room >= stripBytes {
 		t.Fatalf("with %d strips held, headroom = %d, want %d (< one strip of %d)", depth, room, want, stripBytes)
 	}
 	close(origin.gate)
@@ -445,8 +443,100 @@ func TestLookAheadDepthIsHalfTheByteCache(t *testing.T) {
 	if got.hash != want {
 		t.Fatal("the gated epoch's batches differ from a one-worker epoch's")
 	}
-	if wasted := cache.Stats().PrefetchWasted; wasted != 0 {
-		t.Fatalf("%d prefetched chunks evicted unread", wasted)
+}
+
+// claimCounter sits above a byte cache like a tracing tap and counts the
+// chunk objects its strips claim, so a test can wait until every claim has
+// landed or been shed.
+type claimCounter struct {
+	*storage.LRU
+	claimed atomic.Int64
+}
+
+func (c *claimCounter) Unwrap() storage.Provider { return c.LRU }
+
+func (c *claimCounter) PrefetchAsync(ctx context.Context, keys []string, opts storage.PlanOptions) int {
+	n := c.LRU.PrefetchAsync(ctx, keys, opts)
+	c.claimed.Add(int64(n))
+	return n
+}
+
+// settled waits, without a clock, until every claim has landed or been shed.
+func (c *claimCounter) settled() {
+	for st := c.Stats(); st.Prefetched+st.PrefetchShed < c.claimed.Load(); st = c.Stats() {
+		runtime.Gosched()
+	}
+}
+
+// TestSecondLoaderOverWarmNodeCacheMovesNothing: a loader over a node cache
+// that already holds every decoded chunk claims none of their stored bytes.
+// Its workers read nothing from storage, so a claim would move chunk objects
+// no one reads and leave them owed to the byte cache for good, with no
+// look-ahead left for any later walk over it.
+func TestSecondLoaderOverWarmNodeCacheMovesNothing(t *testing.T) {
+	ctx := context.Background()
+	origin := &chunkMoves{Provider: storage.NewMemory(), moves: map[string]int{}}
+	seed := wideDataset(t, origin, 2048)
+	chunks := seed.Tensor("x").NumChunks()
+	capacity := int64(chunks/4) * int64(seed.Tensor("x").Meta().Bounds.Target)
+	cache := &claimCounter{LRU: storage.NewLRU(origin, capacity)}
+	ds, err := core.Open(ctx, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := NewNodeCache(0)
+	opts := Options{BatchSize: 16, Workers: 4, Shuffle: true, Seed: 21, Cache: node}
+	if rows := len(epochRows(t, ForDataset(ds, opts))); rows != 2048 {
+		t.Fatalf("first loader delivered %d/2048 rows", rows)
+	}
+	if decodes := node.Stats().Decodes; decodes != int64(chunks) {
+		t.Fatalf("first loader decoded %d of %d chunks", decodes, chunks)
+	}
+	clear(origin.moves)
+	second := ForDataset(ds, opts)
+	if rows := len(epochRows(t, second)); rows != 2048 {
+		t.Fatalf("second loader delivered %d/2048 rows", rows)
+	}
+	cache.settled()
+	if len(origin.moves) != 0 || second.CacheDecodes() != 0 {
+		t.Fatalf("second loader moved %d chunk objects and decoded %d chunks, want none", len(origin.moves), second.CacheDecodes())
+	}
+	if room := storage.Headroom(cache); room != capacity {
+		t.Fatalf("after both loaders, headroom = %d, want the whole %d", room, capacity)
+	}
+}
+
+// TestCancelledLoaderLeavesNoDebt: a loader cancelled after its first batch
+// hands back every claim its workers never read, including those still on
+// the wire, so once they land the byte cache's headroom is its capacity again
+// and the next walk has its full look-ahead.
+func TestCancelledLoaderLeavesNoDebt(t *testing.T) {
+	ctx := context.Background()
+	mem := storage.NewMemory()
+	seed := wideDataset(t, mem, 2048)
+	capacity := int64(seed.Tensor("x").NumChunks()/4) * int64(seed.Tensor("x").Meta().Bounds.Target)
+	cache := &claimCounter{LRU: storage.NewLRU(mem, capacity)}
+	ds, err := core.Open(ctx, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, cancel := context.WithCancel(ctx)
+	defer cancel()
+	l := ForDataset(ds, Options{BatchSize: 16, Workers: 4, Shuffle: true, Seed: 21})
+	rows := 0
+	for b := range l.Batches(run) {
+		rows += len(b.Samples)
+		cancel()
+	}
+	if !errors.Is(l.Err(), context.Canceled) || rows >= 2048 {
+		t.Fatalf("cancelled loader delivered %d/2048 rows, err %v", rows, l.Err())
+	}
+	cache.settled()
+	if cache.claimed.Load() == 0 {
+		t.Fatal("the loader claimed nothing before its first batch")
+	}
+	if room := storage.Headroom(cache); room != capacity {
+		t.Fatalf("after a cancelled epoch, headroom = %d, want the whole %d", room, capacity)
 	}
 }
 

@@ -368,22 +368,26 @@ func (l *Loader) Batches(ctx context.Context) <-chan Batch {
 	// never changes what is delivered. Strips are prefetched only over a
 	// provider chain that can (StripPlan.Cover is a no-op over any other):
 	// without one, workers ARE the IO parallelism and the full count is
-	// spawned.
+	// spawned. Jobs queue two per spawned worker: each finds its next job
+	// waiting, and the strips covered whatever the headroom stay few.
 	spawn := l.opts.Workers
 	if _, canPrefetch := l.v.Dataset().Store().(storage.Prefetcher); canPrefetch && len(planned) > 0 {
 		spawn = min(spawn, 2*runtime.GOMAXPROCS(0))
 	}
 
-	jobs := make(chan chunkJob, l.opts.Workers*2)
+	jobs := make(chan chunkJob, spawn*2)
 	results := make(chan result, l.opts.Workers*4)
 	sink := &errSink{}
+	// Strips are claimed under walkCtx, which the sweep below ends first.
+	walkCtx, endWalk := context.WithCancel(ctx)
 	// The feeder joins the worker WaitGroup so the pin sweep below runs
 	// strictly after the last pin is taken.
 	var wg sync.WaitGroup
+	var walks []*core.StripPlan
 	wg.Add(1 + spawn)
 	go func() {
 		defer wg.Done()
-		l.feed(ctx, l.v.Dataset().Tensor(primary), planned, groups, jobs)
+		walks = l.feed(walkCtx, l.v.Dataset().Tensor(primary), planned, groups, jobs)
 	}()
 	for w := 0; w < spawn; w++ {
 		go func() {
@@ -395,8 +399,12 @@ func (l *Loader) Batches(ctx context.Context) <-chan Batch {
 		wg.Wait()
 		// Pipeline over (feeder and workers both done): drop whatever pins
 		// are still held — jobs stranded in the channel by a cancellation,
-		// jobs a dying worker never finished — so an aborted epoch cannot
-		// leak pinned entries into a shared, long-lived cache.
+		// jobs a dying worker never finished — and every strip claim, so an
+		// aborted epoch leaks neither into a shared, long-lived cache.
+		endWalk()
+		for _, w := range walks {
+			w.Disown()
+		}
 		l.pins.releaseAll(l.cache)
 		close(results)
 	}()
@@ -467,7 +475,8 @@ func stripIDs(v *view.View, t *core.Tensor, groups []groupRef) (ids []uint64, th
 // before a job that reads it exists: workers find it cached or join the
 // strip's in-flight batched request and never race the planner with a
 // one-chunk round trip. The strips land in the byte cache; workers
-// container-decode them on arrival through the node cache.
+// container-decode them on arrival through the node cache. Strips leave out
+// chunks already decoded there, and are returned for the pipeline's sweep.
 //
 // A group's primary chunk is pinned in the node cache once per job, all
 // before its first job is enqueued, and each worker that finishes one of
@@ -475,7 +484,7 @@ func stripIDs(v *view.View, t *core.Tensor, groups []groupRef) (ids []uint64, th
 // chunk that a planned-but-unstarted job still needs (the silent re-decode
 // that would break the fetch+decode-once contract) — a media chunk stays
 // pinned from its first batch window to its last.
-func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core.Tensor, groups []groupRef, jobs chan<- chunkJob) {
+func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core.Tensor, groups []groupRef, jobs chan<- chunkJob) (walks []*core.StripPlan) {
 	defer close(jobs)
 	seqBase := 0
 	for e := 0; e < l.opts.Epochs; e++ {
@@ -484,7 +493,12 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 		for i, t := range planned {
 			ids, through := stripIDs(l.v, t, p.groups)
 			plans[i] = core.NewStripPlan(t, ids, through, stripWidth, nil)
+			plans[i].Skip = func(id uint64) bool {
+				_, decoded := l.cache.table.Peek(cacheKey{scope: l.scope, obj: t.ChunkIdentity(id)})
+				return decoded
+			}
 		}
+		walks = append(walks, plans...)
 		subJobs := make([]int, len(p.groups))
 		for _, cj := range p.jobs {
 			subJobs[cj.ord]++
@@ -516,11 +530,12 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 			select {
 			case jobs <- *cj:
 			case <-ctx.Done():
-				return
+				return walks
 			}
 		}
 		seqBase += p.rows
 	}
+	return walks
 }
 
 // work is one worker: it drains chunk jobs through reused per-tensor
@@ -578,6 +593,11 @@ func (l *Loader) work(ctx context.Context, cancel context.CancelFunc, cols []vie
 func (l *Loader) deliver(ctx context.Context, cancel context.CancelFunc, epochEnd []int, results <-chan result, sink *errSink, out chan<- Batch) {
 	defer cancel()
 	defer close(out)
+	// Wait for the pipeline's sweep (then results closes) before out closes.
+	defer func() {
+		for range results {
+		}
+	}()
 	// Finalize the epoch error before the channel closes (LIFO: this runs
 	// first), whichever path unwound the stage: a recorded worker failure
 	// always wins over cancellation fallout, so Err() is deterministic once

@@ -382,7 +382,7 @@ func (l *LRU) prefetchClaim(keys []string, opts PlanOptions) ([]RangeReq, []func
 	for _, key := range keys {
 		finish, ok := l.table.Lead(key)
 		if !ok {
-			continue // cached (no wire traffic) or already being fetched
+			continue // cached (re-armed, no wire traffic) or already being fetched
 		}
 		reqs = append(reqs, RangeReq{Key: key, Offset: 0, Length: -1})
 		finishes = append(finishes, finish)
@@ -406,6 +406,10 @@ func (l *LRU) prefetchExec(ctx context.Context, reqs []RangeReq, finishes []func
 			cp := make([]byte, len(data))
 			copy(cp, data)
 			l.admit(reqs[i].Key, cp, true)
+			// Checked after the admit, so this or the walk's Disown clears it.
+			if ctx.Err() != nil {
+				l.table.owe(reqs[i].Key, false)
+			}
 			finishes[i](cp, nil)
 			fetched++
 			continue
@@ -422,22 +426,36 @@ func (l *LRU) prefetchExec(ctx context.Context, reqs []RangeReq, finishes []func
 }
 
 // Headroom reports how many more bytes of read-ahead the byte cache in p's
-// chain can take: half the LRU's capacity minus the bytes it owes to
-// prefetch, that is claimed objects still on the wire (at their
-// PlanOptions.SizeHint) and landed objects no reader has had yet. The other
-// half is left to what readers touched recently, so read-ahead that stays
-// inside it does not evict its own unread objects. Everything reading through
-// one LRU shares its headroom. The walk follows Unwrap, like SeedDigests and
-// Evict, so wrappers above the cache keep it visible; a chain without an LRU
-// has no headroom (0).
+// chain can take: the LRU's capacity minus the bytes it owes to prefetch,
+// that is claimed objects still on the wire (at their PlanOptions.SizeHint)
+// and unread ones, which it never evicts. Everything reading through one LRU
+// shares its headroom. The walk follows Unwrap, like SeedDigests and Evict,
+// so wrappers above the cache keep it visible; a chain without an LRU has no
+// headroom (0).
 func Headroom(p Provider) int64 {
 	var room int64
 	walkChain(p, func(p Provider) bool {
 		l, ok := p.(*LRU)
 		if ok {
-			room = l.Capacity()/2 - l.inflight.Load() - l.table.Unread()
+			room = l.Capacity() - l.inflight.Load() - l.table.Unread()
 		}
 		return !ok
 	})
 	return room
+}
+
+// Disown hands a walk's prefetch claims on keys back to the byte cache in
+// p's chain, to age from then on like anything read. Call it once every
+// context the walk claimed under is done, so claims still on the wire land
+// disowned too.
+func Disown(p Provider, keys []string) {
+	walkChain(p, func(p Provider) bool {
+		l, ok := p.(*LRU)
+		if ok {
+			for _, k := range keys {
+				l.table.owe(k, false)
+			}
+		}
+		return !ok
+	})
 }

@@ -433,9 +433,10 @@ func (u unwrapOnly) Unwrap() Provider { return u.Provider }
 // TestLRUPrefetchOwesHeadroomUntilRead is the accounting behind Headroom: a
 // claim owes its SizeHint while on the wire, landing corrects that to the
 // object's real size, and the first read frees it — a Get that joined the
-// prefetch's flight included. An eviction before any read frees it too and
-// counts as PrefetchWasted. Every reading goes through a wrapper that only
-// unwraps, so the walk to the cache is covered as well.
+// prefetch's flight included. Until then the object is never evicted: an
+// overfilling Put keeps it and runs the cache over budget. Every reading goes
+// through a wrapper that only unwraps, so the walk to the cache is covered as
+// well.
 func TestLRUPrefetchOwesHeadroomUntilRead(t *testing.T) {
 	ctx := context.Background()
 	mem := NewMemory()
@@ -449,7 +450,7 @@ func TestLRUPrefetchOwesHeadroomUntilRead(t *testing.T) {
 		}
 	}
 	wrapped := unwrapOnly{lru}
-	owed := func() int64 { return capacity/2 - Headroom(wrapped) }
+	owed := func() int64 { return capacity - Headroom(wrapped) }
 	if got := Headroom(NewMemory()); got != 0 {
 		t.Fatalf("a chain without an LRU has headroom %d, want 0", got)
 	}
@@ -503,16 +504,16 @@ func TestLRUPrefetchOwesHeadroomUntilRead(t *testing.T) {
 	if got := owed(); got != sizes["c"] {
 		t.Fatalf("landed unread c owes %d bytes, want %d", got, sizes["c"])
 	}
-	// Admitting d overfills the cache by more than the read a and b hold,
-	// so the unread c goes too.
+	// Admitting d overfills the cache by more than the read a and b hold:
+	// they go, and the unread c stays, over budget.
 	if err := lru.Put(ctx, "d", make([]byte, capacity-100)); err != nil {
 		t.Fatal(err)
 	}
-	if got := owed(); got != 0 {
-		t.Fatalf("after c's eviction, owed %d bytes, want 0", got)
+	if got := owed(); got != sizes["c"] {
+		t.Fatalf("after an overfilling Put, owed %d bytes, want unread c's %d", got, sizes["c"])
 	}
-	if st := lru.Stats(); st.PrefetchWasted != 1 {
-		t.Fatalf("PrefetchWasted = %d, want 1 (c evicted unread; a and b were read)", st.PrefetchWasted)
+	if st, want := lru.Stats(), capacity-100+sizes["c"]; st.UsedBytes != want {
+		t.Fatalf("resident %d bytes, want c and d's %d, over the %d capacity", st.UsedBytes, want, capacity)
 	}
 }
 

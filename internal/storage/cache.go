@@ -72,17 +72,14 @@ type CacheFuncs[K comparable, V any] struct {
 //
 // There is one eviction rule and no policy switches. After an Add, while
 // the shard is over capacity, its least recently used entries are dropped —
-// except pinned ones, and except the entry just added, so a shard whose
-// other residents are all pinned runs over budget rather than break a pin.
-// A negative capacity never evicts. Rejecting objects too large to be worth
+// except pinned or unread ones, and except the entry just added, so a shard
+// whose other residents are all pinned or unread runs over budget. A
+// negative capacity never evicts. Rejecting objects too large to be worth
 // caching is the caller's check (ShardCapacity).
 //
-// An entry added by AddUnread was loaded ahead of any reader. Its bytes count
-// in Unread until the first Get of its key, or until GetOrLoad hands it to a
-// caller that joined the load. Until then it is dropped only when no entry
-// that has been read is left to drop, and dropping it counts as wasted. So
-// read-ahead is evicted before its reader arrives only when unread and pinned
-// entries alone overfill the shard, however far one reader lags the others.
+// An unread entry (AddUnread, or re-armed by Lead) is owed to a reader: its
+// bytes count in Unread until the first Get of its key, until GetOrLoad
+// hands it to a caller that joined the load, or until it is disowned.
 type Cache[K comparable, V any] struct {
 	fn       CacheFuncs[K, V]
 	capacity int64
@@ -90,8 +87,7 @@ type Cache[K comparable, V any] struct {
 	flight   Flight[V]
 
 	coalesced atomic.Int64
-	unread    atomic.Int64 // bytes of AddUnread entries not yet read
-	wasted    atomic.Int64 // AddUnread entries evicted before any read
+	unread    atomic.Int64 // bytes of entries owed to a reader
 }
 
 type cacheShard[K comparable, V any] struct {
@@ -181,6 +177,26 @@ func (c *Cache[K, V]) markRead(ent *cacheEntry[K, V]) {
 	}
 }
 
+// owe marks k, if resident, owed to a reader (and most recently used) or not,
+// without counting a hit, and returns its value.
+func (c *Cache[K, V]) owe(k K, unread bool) (v V, ok bool) {
+	s := c.shard(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.items[k]
+	if !ok {
+		return v, false
+	}
+	ent := el.Value.(*cacheEntry[K, V])
+	c.markRead(ent)
+	if unread {
+		ent.unread = true
+		c.unread.Add(ent.size)
+		s.order.MoveToFront(el)
+	}
+	return ent.val, true
+}
+
 // Get looks k up, marks it most recently used, and counts a hit or a miss.
 func (c *Cache[K, V]) Get(k K) (V, bool) { return c.find(k, true) }
 
@@ -217,23 +233,17 @@ func (c *Cache[K, V]) add(k K, v V, unread bool) {
 		el.Value.(*cacheEntry[K, V]).unread = true
 		c.unread.Add(size)
 	}
-	// The first pass spares unread entries; the second drops them too.
-	for _, spareUnread := range [2]bool{true, false} {
-		for el := s.order.Back(); s.capacity >= 0 && s.used > s.capacity && el != s.order.Front(); {
-			victim := el
-			el = el.Prev()
-			ent := victim.Value.(*cacheEntry[K, V])
-			if s.pins[ent.key] > 0 || spareUnread && ent.unread {
-				continue
-			}
-			if ent.unread {
-				c.wasted.Add(1)
-			}
-			c.drop(s, victim, ent)
-			s.evictions++
-			if c.fn.OnEvict != nil {
-				c.fn.OnEvict(ent.key, ent.val)
-			}
+	for el := s.order.Back(); s.capacity >= 0 && s.used > s.capacity && el != s.order.Front(); {
+		victim := el
+		el = el.Prev()
+		ent := victim.Value.(*cacheEntry[K, V])
+		if s.pins[ent.key] > 0 || ent.unread {
+			continue
+		}
+		c.drop(s, victim, ent)
+		s.evictions++
+		if c.fn.OnEvict != nil {
+			c.fn.OnEvict(ent.key, ent.val)
 		}
 	}
 }
@@ -257,7 +267,7 @@ func (c *Cache[K, V]) Remove(k K) {
 	}
 }
 
-// Unread returns the bytes of AddUnread entries that no reader has had yet.
+// Unread returns the bytes of entries owed to a reader (see the type comment).
 func (c *Cache[K, V]) Unread() int64 { return c.unread.Load() }
 
 // Pin protects k from eviction until a matching Unpin; calls nest as a
@@ -311,23 +321,18 @@ func (c *Cache[K, V]) GetOrLoad(ctx context.Context, k K, load func() (V, error)
 			c.coalesced.Add(1)
 			// Served by another caller's load, this caller is the value's
 			// first reader when that load was a read-ahead (AddUnread).
-			s := c.shard(k)
-			s.mu.Lock()
-			if el, ok := s.items[k]; ok {
-				c.markRead(el.Value.(*cacheEntry[K, V]))
-			}
-			s.mu.Unlock()
+			c.owe(k, false)
 		}
 		return v, false, coalesced, err
 	}
 }
 
 // Lead takes non-blocking leadership of k's flight for a caller that loads
-// many keys in one batch: ok is false when k is already cached or already
-// being loaded. On success the caller MUST invoke finish exactly once
-// (after any Add), which wakes every GetOrLoad that joined in the meantime.
+// many keys ahead of their readers: ok is false when k is being loaded, or
+// cached, which re-arms it as unread. On success the caller MUST invoke
+// finish exactly once (after any Add), which wakes every joined GetOrLoad.
 func (c *Cache[K, V]) Lead(k K) (finish func(V, error), ok bool) {
-	if _, cached := c.Peek(k); cached {
+	if _, cached := c.owe(k, true); cached {
 		return nil, false
 	}
 	finish, ok = c.flight.Lead(c.fn.FlightKey(k))
@@ -335,9 +340,9 @@ func (c *Cache[K, V]) Lead(k K) (finish func(V, error), ok bool) {
 		return nil, false
 	}
 	// Re-check as leader, as GetOrLoad does: a flight for k may have landed
-	// and left between the Peek above and taking leadership, and loading k
+	// and left between the check above and taking leadership, and loading k
 	// again would be a duplicate fetch of a cached key.
-	if v, cached := c.Peek(k); cached {
+	if v, cached := c.owe(k, true); cached {
 		finish(v, nil)
 		return nil, false
 	}
@@ -363,15 +368,13 @@ type CacheStats struct {
 	ShardStats
 	// Coalesced counts GetOrLoad misses served by another caller's load.
 	Coalesced int64
-	// Wasted counts AddUnread entries evicted before any read.
-	Wasted int64
 	// Shards is the per-shard breakdown, indexed by shard number.
 	Shards []ShardStats
 }
 
 // Stats reports the cache's counters.
 func (c *Cache[K, V]) Stats() CacheStats {
-	st := CacheStats{Coalesced: c.coalesced.Load(), Wasted: c.wasted.Load(), Shards: make([]ShardStats, len(c.shards))}
+	st := CacheStats{Coalesced: c.coalesced.Load(), Shards: make([]ShardStats, len(c.shards))}
 	st.Capacity = c.capacity
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -28,7 +28,7 @@ func newSizedCache(capacity int64, shards int, onEvict func(string, int64)) *sto
 // three policies rely on.
 func TestCacheEvictionRule(t *testing.T) {
 	type step struct {
-		op   string // add, addUnread, get, pin, unpin, remove
+		op   string // add, addUnread, get, lead, pin, unpin, remove
 		key  string
 		size int64
 	}
@@ -40,9 +40,7 @@ func TestCacheEvictionRule(t *testing.T) {
 		used      int64
 		evictions int64
 		pinned    int
-		// unread is the bytes of unread entries left; wasted counts those
-		// evicted.
-		unread, wasted int64
+		unread    int64 // bytes of unread entries left
 	}{
 		{
 			name:     "least recently used goes first",
@@ -112,10 +110,17 @@ func TestCacheEvictionRule(t *testing.T) {
 			resident: []string{"a", "c"}, used: 80, evictions: 1, unread: 40,
 		},
 		{
-			name:     "an unread entry goes when nothing read is left, and counts as wasted",
+			name:     "unread runs over budget like a pin",
 			capacity: 100,
 			steps:    []step{{"addUnread", "a", 40}, {"addUnread", "b", 40}, {"add", "c", 40}},
-			resident: []string{"b", "c"}, used: 80, evictions: 1, unread: 40, wasted: 1,
+			resident: []string{"a", "b", "c"}, used: 120, evictions: 0, unread: 80,
+		},
+		{
+			name:     "a lead on a cached entry re-arms it as unread",
+			capacity: 100,
+			steps: []step{{"add", "a", 40}, {"add", "b", 40}, {"get", "a", 0}, {"get", "b", 0},
+				{"lead", "a", 0}, {"add", "c", 40}, {"add", "d", 40}},
+			resident: []string{"a", "d"}, used: 80, evictions: 2, unread: 40,
 		},
 		{
 			name:     "once read, an unread entry ages like any other",
@@ -144,6 +149,11 @@ func TestCacheEvictionRule(t *testing.T) {
 					c.AddUnread(s.key, s.size)
 				case "get":
 					c.Get(s.key)
+				case "lead":
+					if finish, ok := c.Lead(s.key); ok {
+						finish(0, nil)
+						t.Fatalf("Lead took %q", s.key)
+					}
 				case "pin":
 					c.Pin(s.key)
 				case "unpin":
@@ -172,8 +182,8 @@ func TestCacheEvictionRule(t *testing.T) {
 			if int64(len(hooked)) != tc.evictions {
 				t.Fatalf("OnEvict told of %v, want %d evictions", hooked, tc.evictions)
 			}
-			if c.Unread() != tc.unread || st.Wasted != tc.wasted {
-				t.Fatalf("unread/wasted = %d/%d, want %d/%d", c.Unread(), st.Wasted, tc.unread, tc.wasted)
+			if c.Unread() != tc.unread {
+				t.Fatalf("unread = %d, want %d", c.Unread(), tc.unread)
 			}
 		})
 	}

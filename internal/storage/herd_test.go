@@ -9,11 +9,12 @@ import (
 	"time"
 )
 
-// TestJitteredHerdOnHotPrefix is the ROADMAP "many processes, one hot
-// prefix" stress test: a herd of goroutines hammers a handful of hot keys
-// through the full resilient chain — LRU (singleflight) -> Verify -> Retry
-// -> Faulty -> Memory — while the fault layer injects both transient errors
-// and silent bit flips. It asserts the coalesced-miss invariant holds under
+// TestJitteredHerdOnHotPrefix is the "many processes, one hot prefix" stress
+// test of the §3.6 LRU cache over remote storage: a herd of goroutines
+// hammers a handful of hot keys through the full resilient chain — LRU
+// (singleflight) -> Verify -> Retry -> Faulty -> Memory — while the fault
+// layer injects both transient errors and silent bit flips. It asserts the
+// coalesced-miss invariant holds under
 // faults with an exact request ledger: every attempt the origin sees is
 // either a first fetch of a key, a Retry re-attempt, or a Verify heal.
 func TestJitteredHerdOnHotPrefix(t *testing.T) {

@@ -90,16 +90,13 @@ type Stats struct {
 	// nonzero value means prefetching is degraded (origin faults mid-batch),
 	// not that data was lost.
 	PrefetchShed int64
-	// PrefetchWasted counts prefetched objects evicted before any read: the
-	// read-ahead ran further than the cache could hold, and a reader will
-	// fetch the object again.
-	PrefetchWasted int64
 	// Bypassed counts objects that could not be cached because they were
 	// larger than one shard's byte budget — the signal that the shard
 	// count is too high (or the capacity too low) for the object sizes
 	// flowing through the chain.
 	Bypassed int64
-	// UsedBytes is the total resident payload size.
+	// UsedBytes is the total resident payload size; unread prefetches can
+	// take it over the capacity.
 	UsedBytes int64
 	// Origin is the per-op-class origin request ledger gathered from the
 	// first Counting layer below this cache in the provider chain (zero when
@@ -130,15 +127,14 @@ type Stats struct {
 func (l *LRU) Stats() Stats {
 	cs := l.table.Stats()
 	s := Stats{
-		Hits:           cs.Hits,
-		Misses:         cs.Misses,
-		Coalesced:      cs.Coalesced,
-		Prefetched:     l.prefetched.Load(),
-		Bypassed:       l.bypassed.Load(),
-		PrefetchShed:   l.shed.Load(),
-		PrefetchWasted: cs.Wasted,
-		UsedBytes:      cs.UsedBytes,
-		Shards:         cs.Shards,
+		Hits:         cs.Hits,
+		Misses:       cs.Misses,
+		Coalesced:    cs.Coalesced,
+		Prefetched:   l.prefetched.Load(),
+		Bypassed:     l.bypassed.Load(),
+		PrefetchShed: l.shed.Load(),
+		UsedBytes:    cs.UsedBytes,
+		Shards:       cs.Shards,
 	}
 	sawCounting := false
 	walkChain(l.inner, func(p Provider) bool {

@@ -280,6 +280,11 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 			strips = core.NewStripPlan(driver, ids, nil, stripWidth, sc.stats.record)
 		}
 	}
+	scanCtx, cancel := context.WithCancel(ctx)
+	if strips != nil {
+		defer strips.Disown() // however the scan exits, once scanCtx has ended
+	}
+	defer cancel()
 	evalSpan := func(ctx context.Context, e *env, i int) error {
 		if strips != nil {
 			strips.Cover(ctx, spanEnd[i])
@@ -301,17 +306,15 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 		return nil
 	}
 	if workers <= 1 {
-		e := sc.newWorkerEnv(ctx)
+		e := sc.newWorkerEnv(scanCtx)
 		defer e.arena.Release()
 		for i := range spans {
-			if err := evalSpan(ctx, e, i); err != nil {
+			if err := evalSpan(scanCtx, e, i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	scanCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	var (
 		wg       sync.WaitGroup
 		nextSpan atomic.Int64

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -331,6 +332,54 @@ func TestScanStatsCountSkippedPrefetch(t *testing.T) {
 	}
 	if warm.PrefetchSkipped() != warm.PrefetchPlanned() {
 		t.Fatalf("skipped %d != planned %d on warm cache", warm.PrefetchSkipped(), warm.PrefetchPlanned())
+	}
+}
+
+// cancelOnClaim sits above a byte cache like a tracing tap, counts the chunk
+// objects the scan's strips claim, and cancels the scan at its nth claim.
+type cancelOnClaim struct {
+	*storage.LRU
+	nth     int64
+	cancel  context.CancelFunc
+	calls   atomic.Int64
+	claimed atomic.Int64
+}
+
+func (c *cancelOnClaim) Unwrap() storage.Provider { return c.LRU }
+
+func (c *cancelOnClaim) PrefetchAsync(ctx context.Context, keys []string, opts storage.PlanOptions) int {
+	n := c.LRU.PrefetchAsync(ctx, keys, opts)
+	c.claimed.Add(int64(n))
+	if c.calls.Add(1) == c.nth {
+		c.cancel()
+	}
+	return n
+}
+
+// TestCancelledScanLeavesNoDebt: a scan cancelled mid-scan hands back every
+// strip it claimed and no row read, including strips still on the wire, so
+// once they land the byte cache's headroom is its capacity again. The cache
+// holds three strips, so the fourth is claimed as the scan's reads free room.
+func TestCancelledScanLeavesNoDebt(t *testing.T) {
+	ctx := context.Background()
+	mem := storage.NewMemory()
+	x := scanDataset(t, mem, 400, []int{8}).Tensor("x")
+	capacity := int64(3*stripWidth) * int64(x.Meta().Bounds.Target)
+	run, cancel := context.WithCancel(ctx)
+	defer cancel()
+	cache := &cancelOnClaim{LRU: storage.NewShardedLRU(mem, capacity, 1), nth: 4, cancel: cancel}
+	ds, err := core.Open(ctx, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunWith(run, ds, "SELECT labels FROM scan WHERE MEAN(x) >= 0", Options{Workers: 4}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("scan cancelled at its fourth strip returned %v", err)
+	}
+	for st := cache.Stats(); st.Prefetched+st.PrefetchShed < cache.claimed.Load(); st = cache.Stats() {
+		runtime.Gosched()
+	}
+	if room := storage.Headroom(cache); room != capacity {
+		t.Fatalf("after a cancelled scan, headroom = %d, want the whole %d", room, capacity)
 	}
 }
 
