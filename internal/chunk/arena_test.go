@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -143,6 +144,45 @@ func BenchmarkArenaAlloc(b *testing.B) {
 		}
 		buf := a.Alloc(768)
 		buf[0] = byte(i)
+	}
+}
+
+// TestDecodeDirectoryAllocsIndependentOfSamples is the directory's allocs/op
+// contract: decoding one is a fixed handful of allocations however many
+// samples it lists, since every shape is cut from one backing slice — and
+// each cut is capacity-clipped, so growing one shape never writes into the
+// next.
+func TestDecodeDirectoryAllocsIndependentOfSamples(t *testing.T) {
+	dirOf := func(n int) []byte {
+		samples := make([]Sample, n)
+		for i := range samples {
+			samples[i] = Sample{Shape: []int{i % 3, 2, 1}[:i%4%3], Data: []byte{byte(i)}}
+		}
+		raw, err := Encode(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for _, n := range []int{4, 4000} {
+		raw := dirOf(n)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeDirectory(raw); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Fatalf("DecodeDirectory of %d samples costs %.0f allocs/op, want <= 4", n, allocs)
+		}
+	}
+	d, err := DecodeDirectory(dirOf(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := append([]int(nil), d.Shapes[2]...)
+	_ = append(d.Shapes[1], 99)
+	if !reflect.DeepEqual(d.Shapes[2], next) {
+		t.Fatalf("appending to shape 1 overwrote shape 2: %v, want %v", d.Shapes[2], next)
 	}
 }
 

@@ -196,6 +196,11 @@ func DecodeDirectory(raw []byte) (*Directory, error) {
 	for i := 0; i <= n; i++ {
 		d.Offsets = append(d.Offsets, binary.LittleEndian.Uint64(dir[i*8:]))
 	}
+	// Every shape is cut from one backing slice, capacity-clipped so that an
+	// append to one shape cannot overwrite its neighbour. The shape section
+	// holds one rank byte per sample and 4 bytes per dimension, which bounds
+	// the dimension count before a single shape is read.
+	dims := make([]int, 0, max(0, len(dir)-need-n)/4)
 	p := need
 	for i := 0; i < n; i++ {
 		if p >= len(dir) {
@@ -206,12 +211,12 @@ func DecodeDirectory(raw []byte) (*Directory, error) {
 		if p+nd*4 > len(dir) {
 			return nil, corruptf("directory truncated inside rank-%d shape %d", nd, i)
 		}
-		shape := make([]int, nd)
+		lo := len(dims)
 		for j := 0; j < nd; j++ {
-			shape[j] = int(binary.LittleEndian.Uint32(dir[p:]))
+			dims = append(dims, int(binary.LittleEndian.Uint32(dir[p:])))
 			p += 4
 		}
-		d.Shapes = append(d.Shapes, shape)
+		d.Shapes = append(d.Shapes, dims[lo:len(dims):len(dims)])
 	}
 	// Offsets must be monotone.
 	for i := 0; i < n; i++ {

@@ -111,31 +111,42 @@ func (r *ScanReader) locate(idx uint64) (chunkID uint64, local int, fallback boo
 // load itself runs outside the tensor locks, so a ChunkFetch may re-enter
 // tensor read methods (the dataloader's cache calls ReadChunkSamples).
 func (r *ScanReader) StoredAt(ctx context.Context, idx uint64) (chunk.Sample, bool, error) {
-	chunkID, local, fallback, err := r.locate(idx)
-	if err != nil {
+	samples, first, ok, err := r.Chunk(ctx, idx)
+	if !ok {
 		return chunk.Sample{}, false, err
 	}
-	if fallback {
+	local := int(idx - first)
+	if local >= len(samples) {
+		// Tiled samples register under their first tile chunk; the direct
+		// read path reassembles them.
 		return chunk.Sample{}, false, nil
 	}
+	return samples[local], true, nil
+}
+
+// Chunk returns the stored samples of the chunk holding sample idx, through
+// the same one-chunk slot as StoredAt, and the index of the chunk's first
+// sample: sample first+i of the chunk's span (ChunkSpans) is samples[i], so
+// a caller walking the span's rows resolves none of them on its own.
+// ok=false, with no IO, means idx needs the direct read path (sequences,
+// tiles, write-buffered rows); every error is the one StoredAt returns.
+func (r *ScanReader) Chunk(ctx context.Context, idx uint64) (samples []chunk.Sample, first uint64, ok bool, err error) {
+	chunkID, local, fallback, err := r.locate(idx)
+	if err != nil || fallback {
+		return nil, 0, false, err
+	}
 	if !r.valid || r.chunkID != chunkID {
-		var samples []chunk.Sample
 		if r.fetch != nil {
 			samples, err = r.fetch(ctx, chunkID)
 		} else {
 			samples, err = r.t.ReadChunkSamples(ctx, chunkID)
 		}
 		if err != nil {
-			return chunk.Sample{}, false, err
+			return nil, 0, false, err
 		}
 		r.chunkID, r.samples, r.valid = chunkID, samples, true
 	}
-	if local >= len(r.samples) {
-		// Tiled samples register under their first tile chunk; the direct
-		// read path reassembles them.
-		return chunk.Sample{}, false, nil
-	}
-	return r.samples[local], true, nil
+	return r.samples, idx - uint64(local), true, nil
 }
 
 // At returns sample idx like Tensor.At, but keeps the decoded chunk of the

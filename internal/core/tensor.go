@@ -29,6 +29,8 @@ type Tensor struct {
 	name string
 	meta TensorMeta
 	spec tensor.HtypeSpec
+	// dtype is meta.Dtype resolved once, when the handle is built.
+	dtype tensor.Dtype
 
 	mu sync.RWMutex
 
@@ -113,11 +115,13 @@ func newTensor(ds *Dataset, spec TensorSpec) (*Tensor, error) {
 // map. Callers still resolve codecs and (when loading) hydrate
 // encoder/diff/chunk state.
 func newTensorShell(ds *Dataset, name string, meta TensorMeta, hspec tensor.HtypeSpec) *Tensor {
+	dtype, _ := tensor.ParseDtype(meta.Dtype)
 	return &Tensor{
 		ds:           ds,
 		name:         name,
 		meta:         meta,
 		spec:         hspec,
+		dtype:        dtype,
 		chunkEnc:     encoder.NewChunkEncoder(),
 		shapeEnc:     encoder.NewShapeEncoder(),
 		tileEnc:      encoder.NewTileEncoder(),
@@ -189,10 +193,7 @@ func (t *Tensor) Meta() TensorMeta {
 func (t *Tensor) Htype() tensor.HtypeSpec { return t.spec }
 
 // Dtype returns the element type.
-func (t *Tensor) Dtype() tensor.Dtype {
-	d, _ := tensor.ParseDtype(t.meta.Dtype)
-	return d
-}
+func (t *Tensor) Dtype() tensor.Dtype { return t.dtype }
 
 // Len returns the logical row count.
 func (t *Tensor) Len() uint64 {

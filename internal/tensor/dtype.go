@@ -82,12 +82,19 @@ func (d Dtype) IsInteger() bool {
 	return false
 }
 
+// dtypesByName inverts dtypeNames.
+var dtypesByName = func() map[string]Dtype {
+	m := make(map[string]Dtype, len(dtypeNames))
+	for d, n := range dtypeNames {
+		m[n] = d
+	}
+	return m
+}()
+
 // ParseDtype resolves a NumPy-style dtype name.
 func ParseDtype(name string) (Dtype, error) {
-	for d, n := range dtypeNames {
-		if n == name {
-			return d, nil
-		}
+	if d, ok := dtypesByName[name]; ok {
+		return d, nil
 	}
 	return InvalidDtype, fmt.Errorf("tensor: unknown dtype %q", name)
 }

@@ -216,10 +216,12 @@ func (a *NDArray) Float64s() []float64 {
 }
 
 // getFlat reads element i as float64.
-func (a *NDArray) getFlat(i int) float64 {
-	sz := a.dtype.Size()
-	b := a.data[i*sz:]
-	switch a.dtype {
+func (a *NDArray) getFlat(i int) float64 { return a.dtype.Load(a.data[i*a.dtype.Size():]) }
+
+// Load reads the element at the front of b, a little-endian buffer of
+// dtype d, as float64: what an array of dtype d over b reads at that index.
+func (d Dtype) Load(b []byte) float64 {
+	switch d {
 	case Bool:
 		if b[0] != 0 {
 			return 1
@@ -254,23 +256,23 @@ func (a *NDArray) getFlat(i int) float64 {
 // dtype switch in loadBlock is paid once per few hundred elements.
 const blockElems = 256
 
-// loadBlock converts the elements starting at flat index off into dst,
-// exactly as getFlat would one by one, and returns the filled prefix of dst
-// (shorter than dst only at the end of the array). The whole-array
-// reductions walk an array through it; getFlat stays the accessor of the
-// elementwise and per-axis kernels and the reference the tests compare
-// loadBlock against.
-func (a *NDArray) loadBlock(dst []float64, off int) []float64 {
-	sz := a.dtype.Size()
+// loadBlock converts the elements of the dtype-d buffer data starting at
+// flat index off into dst, exactly as getFlat would one by one, and returns
+// the filled prefix of dst (shorter than dst only at the end of the buffer).
+// The whole-array reductions walk a buffer through it; getFlat stays the
+// accessor of the elementwise and per-axis kernels and the reference the
+// tests compare loadBlock against.
+func loadBlock(d Dtype, data []byte, dst []float64, off int) []float64 {
+	sz := d.Size()
 	if sz == 0 {
 		return dst[:0]
 	}
-	if n := len(a.data)/sz - off; n < len(dst) {
+	if n := len(data)/sz - off; n < len(dst) {
 		dst = dst[:n]
 	}
-	b := a.data[off*sz:]
+	b := data[off*sz:]
 	le := binary.LittleEndian
-	switch a.dtype {
+	switch d {
 	case Bool:
 		for i := range dst {
 			dst[i] = 0
@@ -322,15 +324,15 @@ func (a *NDArray) loadBlock(dst []float64, off int) []float64 {
 	return dst
 }
 
-// intSum returns the sum of a bool or 8/16/32-bit integer array accumulated
-// in an int64, and ok=false for every other dtype and for arrays so long
+// intSum returns the sum of a bool or 8/16/32-bit integer buffer accumulated
+// in an int64, and ok=false for every other dtype and for buffers so long
 // that length x largest magnitude reaches 2^53. Below that bound every
 // partial sum of the float64 loop is an exactly representable integer, so
 // float64(sum) is bit-identical to it — at an add per element instead of a
 // convert and a dependent float add.
-func (a *NDArray) intSum() (sum int64, ok bool) {
+func intSum(d Dtype, b []byte) (sum int64, ok bool) {
 	var maxAbs int64
-	switch a.dtype {
+	switch d {
 	case Bool:
 		maxAbs = 1
 	case UInt8:
@@ -348,12 +350,11 @@ func (a *NDArray) intSum() (sum int64, ok bool) {
 	default:
 		return 0, false
 	}
-	b := a.data
-	if int64(len(b)/a.dtype.Size()) > (1<<53-1)/maxAbs {
+	if int64(len(b)/d.Size()) > (1<<53-1)/maxAbs {
 		return 0, false
 	}
 	le := binary.LittleEndian
-	switch a.dtype {
+	switch d {
 	case Bool:
 		for _, v := range b {
 			if v != 0 {

@@ -89,38 +89,62 @@ func (a *NDArray) Div(b *NDArray) (*NDArray, error) {
 // The whole-array reductions below accumulate in float64 in element order,
 // one loadBlock at a time, so their results are those of a getFlat loop bit
 // for bit; only Sum (and Mean through it) has a shortcut, intSum, and only
-// where that is exact.
+// where that is exact. Sum, Mean, Min and Max are SumOf, MeanOf, MinOf and
+// MaxOf over the array's buffer, which a caller holding a raw stored sample
+// reduces without wrapping it in an array.
 
 // Sum reduces over all elements.
-func (a *NDArray) Sum() float64 {
-	if s, ok := a.intSum(); ok {
+func (a *NDArray) Sum() float64 { return SumOf(a.dtype, a.data) }
+
+// Mean reduces over all elements; the mean of an empty array is NaN.
+func (a *NDArray) Mean() float64 { return MeanOf(a.dtype, a.data) }
+
+// Min reduces over all elements; Min of an empty array is +Inf.
+func (a *NDArray) Min() float64 { return MinOf(a.dtype, a.data) }
+
+// Max reduces over all elements; Max of an empty array is -Inf.
+func (a *NDArray) Max() float64 { return MaxOf(a.dtype, a.data) }
+
+// elems is the element count of a dtype-d buffer.
+func elems(d Dtype, b []byte) int {
+	if sz := d.Size(); sz > 0 {
+		return len(b) / sz
+	}
+	return 0
+}
+
+// SumOf sums the elements of b, a little-endian buffer of dtype d.
+func SumOf(d Dtype, b []byte) float64 {
+	if s, ok := intSum(d, b); ok {
 		return float64(s)
 	}
 	var s float64
 	var buf [blockElems]float64
-	for off, n := 0, a.Len(); off < n; off += blockElems {
-		for _, v := range a.loadBlock(buf[:], off) {
+	for off, n := 0, elems(d, b); off < n; off += blockElems {
+		for _, v := range loadBlock(d, b, buf[:], off) {
 			s += v
 		}
 	}
 	return s
 }
 
-// Mean reduces over all elements; the mean of an empty array is NaN.
-func (a *NDArray) Mean() float64 {
-	n := a.Len()
+// MeanOf is the mean of the elements of b, a little-endian buffer of dtype
+// d; NaN when b is empty.
+func MeanOf(d Dtype, b []byte) float64 {
+	n := elems(d, b)
 	if n == 0 {
 		return math.NaN()
 	}
-	return a.Sum() / float64(n)
+	return SumOf(d, b) / float64(n)
 }
 
-// Min reduces over all elements; Min of an empty array is +Inf.
-func (a *NDArray) Min() float64 {
+// MinOf is the least element of b, a little-endian buffer of dtype d; +Inf
+// when b is empty.
+func MinOf(d Dtype, b []byte) float64 {
 	m := math.Inf(1)
 	var buf [blockElems]float64
-	for off, n := 0, a.Len(); off < n; off += blockElems {
-		for _, v := range a.loadBlock(buf[:], off) {
+	for off, n := 0, elems(d, b); off < n; off += blockElems {
+		for _, v := range loadBlock(d, b, buf[:], off) {
 			if v < m {
 				m = v
 			}
@@ -129,12 +153,13 @@ func (a *NDArray) Min() float64 {
 	return m
 }
 
-// Max reduces over all elements; Max of an empty array is -Inf.
-func (a *NDArray) Max() float64 {
+// MaxOf is the greatest element of b, a little-endian buffer of dtype d;
+// -Inf when b is empty.
+func MaxOf(d Dtype, b []byte) float64 {
 	m := math.Inf(-1)
 	var buf [blockElems]float64
-	for off, n := 0, a.Len(); off < n; off += blockElems {
-		for _, v := range a.loadBlock(buf[:], off) {
+	for off, n := 0, elems(d, b); off < n; off += blockElems {
+		for _, v := range loadBlock(d, b, buf[:], off) {
 			if v > m {
 				m = v
 			}
@@ -147,7 +172,7 @@ func (a *NDArray) Max() float64 {
 func (a *NDArray) Any() bool {
 	var buf [blockElems]float64
 	for off, n := 0, a.Len(); off < n; off += blockElems {
-		for _, v := range a.loadBlock(buf[:], off) {
+		for _, v := range loadBlock(a.dtype, a.data, buf[:], off) {
 			if v != 0 {
 				return true
 			}
@@ -161,7 +186,7 @@ func (a *NDArray) Any() bool {
 func (a *NDArray) All() bool {
 	var buf [blockElems]float64
 	for off, n := 0, a.Len(); off < n; off += blockElems {
-		for _, v := range a.loadBlock(buf[:], off) {
+		for _, v := range loadBlock(a.dtype, a.data, buf[:], off) {
 			if v == 0 {
 				return false
 			}
@@ -188,7 +213,7 @@ func (a *NDArray) L2() float64 {
 	var s float64
 	var buf [blockElems]float64
 	for off, n := 0, a.Len(); off < n; off += blockElems {
-		for _, v := range a.loadBlock(buf[:], off) {
+		for _, v := range loadBlock(a.dtype, a.data, buf[:], off) {
 			s += v * v
 		}
 	}
@@ -204,8 +229,8 @@ func (a *NDArray) Dot(b *NDArray) (float64, error) {
 	var s float64
 	var abuf, bbuf [blockElems]float64
 	for off, n := 0, a.Len(); off < n; off += blockElems {
-		ys := b.loadBlock(bbuf[:], off)
-		for i, x := range a.loadBlock(abuf[:], off) {
+		ys := loadBlock(b.dtype, b.data, bbuf[:], off)
+		for i, x := range loadBlock(a.dtype, a.data, abuf[:], off) {
 			s += x * ys[i]
 		}
 	}

@@ -257,7 +257,7 @@ func TestIntSumStopsWhereFloat64StopsBeingExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := a.intSum(); ok != c.int {
+		if _, ok := intSum(a.dtype, a.data); ok != c.int {
 			t.Fatalf("n=%d: integer accumulation used=%v, want %v", c.n, ok, c.int)
 		}
 		if got, want := a.Sum(), refSum(a); !sameBits(got, want) {

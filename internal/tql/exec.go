@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -41,6 +42,17 @@ func Compile(q *Query) (*Plan, error) {
 	if touchesChunkData(q) {
 		p.stages = append(p.stages, "prefetch chunk strips [cross-partition coalesced origin fetch]")
 	}
+	// A stage scanner.eval runs goes a chunk at a time when its expression is
+	// in the chunk-at-a-time subset, the rows still arrive in stored order
+	// (no ORDER, GROUP or ARRANGE BY before it), and the tensors it reads
+	// turn out to be raw numeric ones.
+	inOrder := true
+	chunked := func(x Expr) string {
+		if inOrder && compileChunk(x) != nil {
+			return " [chunk-at-a-time over raw numeric tensors]"
+		}
+		return ""
+	}
 	if q.Where != nil {
 		shapeConj, dataConj := splitConjuncts(q.Where)
 		switch {
@@ -48,9 +60,9 @@ func Compile(q *Query) (*Plan, error) {
 			p.stages = append(p.stages, "filter "+q.Where.String()+" [shape-encoder pushdown: no chunk IO]")
 		case len(shapeConj) > 0:
 			p.stages = append(p.stages, "prefilter "+andAll(shapeConj).String()+" [shape-encoder pushdown: no chunk IO]")
-			p.stages = append(p.stages, "filter "+andAll(dataConj).String()+" [parallel chunk scan]")
+			p.stages = append(p.stages, "filter "+andAll(dataConj).String()+" [parallel chunk scan]"+chunked(andAll(dataConj)))
 		default:
-			p.stages = append(p.stages, "filter "+q.Where.String()+" [parallel chunk scan]")
+			p.stages = append(p.stages, "filter "+q.Where.String()+" [parallel chunk scan]"+chunked(q.Where))
 		}
 	}
 	if q.OrderBy != nil {
@@ -58,16 +70,19 @@ func Compile(q *Query) (*Plan, error) {
 		if q.OrderDesc {
 			dir = "desc"
 		}
-		p.stages = append(p.stages, fmt.Sprintf("order by %s %s", q.OrderBy, dir))
+		p.stages = append(p.stages, fmt.Sprintf("order by %s %s", q.OrderBy, dir)+chunked(q.OrderBy))
+		inOrder = false
 	}
 	if q.GroupBy != nil {
-		p.stages = append(p.stages, "group by "+q.GroupBy.String())
+		p.stages = append(p.stages, "group by "+q.GroupBy.String()+chunked(q.GroupBy))
+		inOrder = false
 	}
 	if q.ArrangeBy != nil {
-		p.stages = append(p.stages, "arrange by "+q.ArrangeBy.String()+" [round-robin class balancing]")
+		p.stages = append(p.stages, "arrange by "+q.ArrangeBy.String()+" [round-robin class balancing]"+chunked(q.ArrangeBy))
+		inOrder = false
 	}
 	if q.SampleBy != nil {
-		p.stages = append(p.stages, "weighted sample by "+q.SampleBy.String())
+		p.stages = append(p.stages, "weighted sample by "+q.SampleBy.String()+chunked(q.SampleBy))
 	}
 	if q.Offset > 0 || q.Limit >= 0 {
 		p.stages = append(p.stages, fmt.Sprintf("limit %d offset %d", q.Limit, q.Offset))
@@ -244,7 +259,11 @@ func Execute(ctx context.Context, ds *core.Dataset, q *Query) (*view.View, error
 // prefilter (zero chunk IO) with the remainder evaluated only over the
 // prefilter's survivors; both phases, and every key evaluation, fan out across
 // Options.Workers with chunk-aligned partitions and positional merges, so
-// results are byte-identical for any worker count.
+// results are byte-identical for any worker count. Each of those evaluations
+// runs a chunk at a time — typed loops over a batch of rows inside one
+// decoded chunk — when its expression and the tensors it reads allow it (see
+// scanner.eval), and row at a time through the tree walker otherwise, with
+// the same results either way.
 func ExecuteWith(ctx context.Context, ds *core.Dataset, q *Query, opts Options) (*view.View, error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
@@ -257,10 +276,11 @@ func ExecuteWith(ctx context.Context, ds *core.Dataset, q *Query, opts Options) 
 		}
 	}
 	sc := &scanner{
-		ds:        ds,
-		workers:   opts.workers(),
-		rawShapes: opts.disablePushdown,
-		stats:     opts.Stats,
+		ds:         ds,
+		workers:    opts.workers(),
+		rawShapes:  opts.disablePushdown,
+		rowAtATime: opts.rowAtATime,
+		stats:      opts.Stats,
 	}
 	n := ds.NumRows()
 	rows := make([]uint64, n)
@@ -342,23 +362,66 @@ func sortRows(ctx context.Context, sc *scanner, rows []uint64, key Expr, desc bo
 	if err != nil {
 		return err
 	}
-	ord := make([]int, len(rows))
-	for i := range ord {
-		ord[i] = i
+	sortByKeys(rows, keys, desc)
+	return nil
+}
+
+// sortByKeys stably sorts rows by keys, its parallel slice.
+func sortByKeys(rows []uint64, keys []keyed, desc bool) {
+	// Numeric keys without NaN are ordered, so (key, position) is their one
+	// stable order, which pdqsort reaches over compact entries without the
+	// merge sort's rotations. Any other key list keeps the merge sort,
+	// comparison for comparison: NaN is unordered, and which stable order
+	// comes out then depends on the algorithm.
+	type numEntry struct {
+		num float64
+		pos int
 	}
-	sort.SliceStable(ord, func(i, j int) bool {
-		a, b := keys[ord[i]], keys[ord[j]]
-		if desc {
-			return b.less(a)
+	ents := make([]numEntry, 0, len(keys))
+	for i, k := range keys {
+		if k.isStr || math.IsNaN(k.num) {
+			ents = nil
+			break
 		}
-		return a.less(b)
-	})
+		if desc {
+			k.num = -k.num
+		}
+		ents = append(ents, numEntry{k.num, i})
+	}
 	sorted := make([]uint64, len(rows))
-	for i, o := range ord {
-		sorted[i] = rows[o]
+	if ents != nil {
+		slices.SortFunc(ents, func(a, b numEntry) int {
+			switch {
+			case a.num < b.num:
+				return -1
+			case a.num > b.num:
+				return 1
+			}
+			return a.pos - b.pos
+		})
+		for i, e := range ents {
+			sorted[i] = rows[e.pos]
+		}
+	} else {
+		ord := make([]int, len(rows))
+		for i := range ord {
+			ord[i] = i
+		}
+		slices.SortStableFunc(ord, func(i, j int) int {
+			a, b := keys[i], keys[j]
+			if desc {
+				a, b = b, a
+			}
+			if a.less(b) {
+				return -1
+			}
+			return 0
+		})
+		for i, o := range ord {
+			sorted[i] = rows[o]
+		}
 	}
 	copy(rows, sorted)
-	return nil
 }
 
 // arrangeRows groups rows by key (first-appearance group order) and

@@ -27,6 +27,9 @@ type Options struct {
 	// decoded samples instead of the shape encoder, so tests can cross-check
 	// the encoder against the data.
 	disablePushdown bool
+	// rowAtATime is a test hook: it turns chunk-at-a-time evaluation off, so
+	// tests can cross-check it against the tree walker.
+	rowAtATime bool
 }
 
 func (o Options) workers() int {
@@ -138,7 +141,9 @@ type scanner struct {
 	workers int
 	// rawShapes bypasses the shape encoder (Options.disablePushdown).
 	rawShapes bool
-	stats     *ScanStats
+	// rowAtATime keeps every row on the tree walker (Options.rowAtATime).
+	rowAtATime bool
+	stats      *ScanStats
 }
 
 // splitConjuncts flattens the AND tree of a filter left-to-right and
@@ -236,23 +241,36 @@ func (sc *scanner) keys(ctx context.Context, rows []uint64, key Expr, stage stri
 	return keys, nil
 }
 
-// eval evaluates x once per row across the worker pool. Partitions follow
+// eval evaluates x for every row across the worker pool. Partitions follow
 // the chunk boundaries of the first tensor x references; each worker reuses
 // one environment (and its per-tensor ScanReaders), so a partition fetches
 // and decodes every chunk it covers at most once, and concurrent fetches of
-// a chunk shared between workers coalesce in the provider chain. sink runs
-// on worker goroutines with disjoint positions: it may write into shared
-// slices at pos without locking, but must not touch other positions. Errors
-// are wrapped with the stage name and failing row.
+// a chunk shared between workers coalesce in the provider chain. When x is
+// in the chunk-at-a-time subset (see chunkeval.go) and rows ascend, a
+// worker evaluates its partition a batch of rows inside one chunk at a time
+// with typed loops, and hands only the rows that subset cannot serve exactly
+// to the row-at-a-time tree walker; otherwise every row goes through the
+// walker. Either way sink sees each position once, in position order within
+// a partition, with the value, error and row the walker would have produced.
+// sink runs on worker goroutines with disjoint positions: it may write into
+// shared slices at pos without locking, but must not touch other positions.
+// Errors are wrapped with the stage name and failing row.
 //
 // Ownership: the arrays a row loads, and every view cut from them (v itself,
 // when x is a tensor or a subscript of one), live in the worker's arena,
 // which the env recycles when it moves to the next row. sink must therefore
 // reduce v to what it keeps (a bool, a number, a string) before it returns
-// and never retain v or an array reached through it.
+// and never retain v or an array reached through it. A chunk-evaluated
+// tensor reference arrives already reduced to its one element.
 func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string, sink func(pos int, row uint64, v Value) error) error {
 	if len(rows) == 0 {
 		return nil
+	}
+	var prog *chunkProg
+	if !sc.rowAtATime && ascending(rows) {
+		if prog = compileChunk(x); prog != nil && !prog.bind(sc.ds) {
+			prog = nil
+		}
 	}
 	spans := sc.partition(x, rows)
 	workers := sc.workers
@@ -285,35 +303,42 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 		defer strips.Disown() // however the scan exits, once scanCtx has ended
 	}
 	defer cancel()
-	evalSpan := func(ctx context.Context, e *env, i int) error {
-		if strips != nil {
-			strips.Cover(ctx, spanEnd[i])
+	// runWorker evaluates partitions on one worker's env until next reports
+	// none is left.
+	runWorker := func(ctx context.Context, next func() (int, bool)) error {
+		e := sc.newWorkerEnv(ctx)
+		defer e.arena.Release()
+		var cw *chunkWorker
+		if prog != nil {
+			cw = prog.worker(e, len(rows))
 		}
-		sp := spans[i]
-		for pos := sp.lo; pos < sp.hi; pos++ {
-			if err := ctx.Err(); err != nil {
-				return err
+		for i, ok := next(); ok; i, ok = next() {
+			if strips != nil {
+				strips.Cover(ctx, spanEnd[i])
 			}
-			e.reset(rows[pos])
-			v, err := evalExpr(e, x)
-			if err == nil {
-				err = sink(pos, rows[pos], v)
+			if cw != nil {
+				if err := cw.run(ctx, rows, spans[i], stage, sink); err != nil {
+					return err
+				}
+				continue
 			}
-			if err != nil {
-				return fmt.Errorf("tql: %s at row %d: %w", stage, rows[pos], err)
+			for pos := spans[i].lo; pos < spans[i].hi; pos++ {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				if err := evalRow(e, x, rows, pos, stage, sink); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	}
 	if workers <= 1 {
-		e := sc.newWorkerEnv(scanCtx)
-		defer e.arena.Release()
-		for i := range spans {
-			if err := evalSpan(scanCtx, e, i); err != nil {
-				return err
-			}
-		}
-		return nil
+		i := 0
+		return runWorker(scanCtx, func() (int, bool) {
+			i++
+			return i - 1, i <= len(spans)
+		})
 	}
 	var (
 		wg       sync.WaitGroup
@@ -331,22 +356,35 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := sc.newWorkerEnv(scanCtx)
-			defer e.arena.Release()
-			for {
+			err := runWorker(scanCtx, func() (int, bool) {
 				i := int(nextSpan.Add(1)) - 1
-				if i >= len(spans) {
-					return
-				}
-				if err := evalSpan(scanCtx, e, i); err != nil {
-					fail(err)
-					return
-				}
+				return i, i < len(spans)
+			})
+			if err != nil {
+				fail(err)
 			}
 		}()
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// evalRow is the tree walker on one row: it repositions e on rows[pos],
+// evaluates x and hands the value to sink.
+func evalRow(e *env, x Expr, rows []uint64, pos int, stage string, sink func(pos int, row uint64, v Value) error) error {
+	e.reset(rows[pos])
+	v, err := evalExpr(e, x)
+	if err == nil {
+		err = sink(pos, rows[pos], v)
+	}
+	if err != nil {
+		return rowError(stage, rows[pos], err)
+	}
+	return nil
+}
+
+func rowError(stage string, row uint64, err error) error {
+	return fmt.Errorf("tql: %s at row %d: %w", stage, row, err)
 }
 
 func (sc *scanner) newWorkerEnv(ctx context.Context) *env {

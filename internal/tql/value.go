@@ -177,13 +177,7 @@ func (e *env) lookupTensor(name string) (*tensor.NDArray, error) {
 		}
 		arr = tensor.FromString(url)
 	} else if e.readers != nil {
-		r := e.readers[name]
-		if r == nil {
-			r = t.NewScanReader()
-			r.SetArena(e.arena)
-			e.readers[name] = r
-		}
-		arr, err = r.At(e.ctx, e.row)
+		arr, err = e.reader(t).At(e.ctx, e.row)
 		if err != nil {
 			return nil, err
 		}
@@ -197,6 +191,19 @@ func (e *env) lookupTensor(name string) (*tensor.NDArray, error) {
 	e.cache[name] = arr
 	e.mu.Unlock()
 	return arr, nil
+}
+
+// reader returns the scan env's ScanReader of t, creating it on first use.
+// The chunk-at-a-time evaluator reads through the same readers, so a row it
+// hands back to the tree walker finds the chunk already loaded.
+func (e *env) reader(t *core.Tensor) *core.ScanReader {
+	r := e.readers[t.Name()]
+	if r == nil {
+		r = t.NewScanReader()
+		r.SetArena(e.arena)
+		e.readers[t.Name()] = r
+	}
+	return r
 }
 
 // shapeOf resolves a sample shape through the shape encoder without chunk
