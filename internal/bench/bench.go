@@ -13,7 +13,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -60,19 +59,6 @@ func (r *Result) Format() string {
 		fmt.Fprintf(&sb, "  note: %s\n", n)
 	}
 	return sb.String()
-}
-
-// Sorted returns rows ordered by value (ascending when Better == "lower").
-func (r *Result) Sorted() []Row {
-	rows := append([]Row(nil), r.Rows...)
-	asc := r.Better == "lower"
-	sort.SliceStable(rows, func(i, j int) bool {
-		if asc {
-			return rows[i].Value < rows[j].Value
-		}
-		return rows[i].Value > rows[j].Value
-	})
-	return rows
 }
 
 // Value returns the measurement of a named row.

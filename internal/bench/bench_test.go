@@ -206,9 +206,8 @@ func TestResultHelpers(t *testing.T) {
 		{Name: "b", Value: 2, Unit: "s"},
 		{Name: "a", Value: 1, Unit: "s"},
 	}}
-	sorted := r.Sorted()
-	if sorted[0].Name != "a" {
-		t.Fatalf("sorted = %v", sorted)
+	if v, ok := r.Value("a"); !ok || v != 1 {
+		t.Fatalf("Value(a) = %v, %v", v, ok)
 	}
 	if _, ok := r.Value("zz"); ok {
 		t.Fatal("missing row should not resolve")

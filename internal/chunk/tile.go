@@ -299,17 +299,3 @@ func shapeEqual(a, b []int) bool {
 	}
 	return true
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

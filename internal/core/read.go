@@ -319,9 +319,9 @@ func (t *Tensor) LinkAt(ctx context.Context, idx uint64) (string, error) {
 	return string(s.Data), nil
 }
 
-// RawAt returns the stored (still media-encoded) bytes and logical shape of
-// sample idx. The streaming dataloader uses it to move decode work into its
-// worker pool (§4.6).
+// RawAt returns a copy of the stored (still media-encoded) bytes and the
+// logical shape of sample idx. The streaming dataloader reads stored
+// samples through a ScanReader instead, which reuses the decoded chunk.
 func (t *Tensor) RawAt(ctx context.Context, idx uint64) ([]byte, []int, error) {
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()
@@ -346,8 +346,8 @@ func (t *Tensor) Shape(idx uint64) ([]int, error) {
 	return t.shapeEnc.Get(idx)
 }
 
-// DecodeStored decodes bytes previously returned by RawAt into an array;
-// safe for concurrent use (dataloader workers).
+// DecodeStored decodes a stored sample (RawAt's bytes, or a ScanReader
+// sample's Data and Shape) into an array; safe for concurrent use.
 func (t *Tensor) DecodeStored(data []byte, shape []int) (*tensor.NDArray, error) {
 	return t.decodeSample(chunk.Sample{Shape: shape, Data: data})
 }

@@ -2,7 +2,6 @@ package dataloader
 
 import (
 	"context"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -81,10 +80,6 @@ type cacheKey struct {
 	obj string
 }
 
-func (k cacheKey) flightKey() string {
-	return strconv.FormatUint(k.scope, 36) + "\x00" + k.obj
-}
-
 // minShardBytes floors the automatic per-shard budget: decoded chunks are a
 // few to ~16MB, so a 32MB shard always fits several.
 const minShardBytes = 32 << 20
@@ -109,7 +104,6 @@ func NewNodeCache(budget int64) *NodeCache {
 				}
 				return bytes
 			},
-			FlightKey: cacheKey.flightKey,
 		})}
 }
 

@@ -238,15 +238,6 @@ func TestSequenceEncoder(t *testing.T) {
 	if _, _, err := e.RowRange(3); err == nil {
 		t.Fatal("row out of range should error")
 	}
-	for item, wantRow := range map[uint64]int{0: 0, 2: 0, 3: 2, 7: 2} {
-		row, err := e.RowOf(item)
-		if err != nil || row != wantRow {
-			t.Errorf("RowOf(%d) = %d,%v; want %d", item, row, err, wantRow)
-		}
-	}
-	if _, err := e.RowOf(8); err == nil {
-		t.Fatal("item out of range should error")
-	}
 
 	blob, _ := e.MarshalBinary()
 	var back SequenceEncoder

@@ -130,14 +130,6 @@ func (e *SequenceEncoder) RowRange(i int) (start, end uint64, err error) {
 	return start, e.cum[i], nil
 }
 
-// RowOf returns the row containing flat item idx.
-func (e *SequenceEncoder) RowOf(idx uint64) (int, error) {
-	if idx >= e.NumItems() {
-		return 0, fmt.Errorf("encoder: item %d out of range (%d items)", idx, e.NumItems())
-	}
-	return sort.Search(len(e.cum), func(i int) bool { return e.cum[i] > idx }), nil
-}
-
 // MarshalBinary serializes the encoder.
 func (e *SequenceEncoder) MarshalBinary() ([]byte, error) {
 	return json.Marshal(e.cum)

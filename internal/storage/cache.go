@@ -53,9 +53,6 @@ type CacheFuncs[K comparable, V any] struct {
 	Hash func(K) uint64
 	// Size is a value's charge against the byte capacity.
 	Size func(V) int64
-	// FlightKey names a key's in-flight load in the singleflight layer. It
-	// is called only on a miss, so the hit path never builds the string.
-	FlightKey func(K) string
 	// OnEvict, when set, is told of every entry dropped for capacity
 	// (Remove does not report). It runs under the shard lock, so that a
 	// policy releasing an outside resource (the disk tier's file) does so
@@ -84,7 +81,7 @@ type Cache[K comparable, V any] struct {
 	fn       CacheFuncs[K, V]
 	capacity int64
 	shards   []cacheShard[K, V]
-	flight   Flight[V]
+	flight   Flight[K, V]
 
 	coalesced atomic.Int64
 	unread    atomic.Int64 // bytes of entries owed to a reader
@@ -304,10 +301,9 @@ func (c *Cache[K, V]) GetOrLoad(ctx context.Context, k K, load func() (V, error)
 	if v, ok := c.Get(k); ok {
 		return v, true, false, nil
 	}
-	key := c.fn.FlightKey(k)
 	for {
 		rescued := false
-		v, shared, err := c.flight.Do(ctx, key, func() (V, error) {
+		v, shared, err := c.flight.Do(ctx, k, func() (V, error) {
 			if v, ok := c.Peek(k); ok {
 				rescued = true
 				return v, nil
@@ -335,7 +331,7 @@ func (c *Cache[K, V]) Lead(k K) (finish func(V, error), ok bool) {
 	if _, cached := c.owe(k, true); cached {
 		return nil, false
 	}
-	finish, ok = c.flight.Lead(c.fn.FlightKey(k))
+	finish, ok = c.flight.Lead(k)
 	if !ok {
 		return nil, false
 	}

@@ -17,10 +17,9 @@ import (
 // by the shared hash.
 func newSizedCache(capacity int64, shards int, onEvict func(string, int64)) *storage.Cache[string, int64] {
 	return storage.NewCache(capacity, shards, storage.CacheFuncs[string, int64]{
-		Hash:      func(k string) uint64 { return storage.HashString(storage.HashSeed, k) },
-		Size:      func(v int64) int64 { return v },
-		FlightKey: func(k string) string { return k },
-		OnEvict:   onEvict,
+		Hash:    func(k string) uint64 { return storage.HashString(storage.HashSeed, k) },
+		Size:    func(v int64) int64 { return v },
+		OnEvict: onEvict,
 	})
 }
 

@@ -117,10 +117,9 @@ func NewDisk(origin Provider, dir string, opts DiskOptions) (*Disk, error) {
 	}
 	d := &Disk{passthrough: passthrough{origin}, files: files, digests: make(map[string]uint32)}
 	d.table = NewCache(capacity, 1, CacheFuncs[string, diskObject]{
-		Hash:      func(string) uint64 { return 0 },
-		Size:      func(o diskObject) int64 { return o.size },
-		FlightKey: func(key string) string { return key },
-		OnEvict:   func(key string, _ diskObject) { os.Remove(files.path(key)) },
+		Hash:    func(string) uint64 { return 0 },
+		Size:    func(o diskObject) int64 { return o.size },
+		OnEvict: func(key string, _ diskObject) { os.Remove(files.path(key)) },
 	})
 	if err := d.scan(); err != nil {
 		return nil, err

@@ -56,9 +56,8 @@ func NewLRU(origin Provider, capacity int64) *LRU {
 // objects, or use NewLRU which does so automatically.
 func NewShardedLRU(origin Provider, capacity int64, shards int) *LRU {
 	return &LRU{passthrough: passthrough{origin}, table: NewCache(capacity, shards, CacheFuncs[string, []byte]{
-		Hash:      func(key string) uint64 { return HashString(HashSeed, key) },
-		Size:      func(data []byte) int64 { return int64(len(data)) },
-		FlightKey: func(key string) string { return key },
+		Hash: func(key string) uint64 { return HashString(HashSeed, key) },
+		Size: func(data []byte) int64 { return int64(len(data)) },
 	})}
 }
 

@@ -47,7 +47,7 @@ func (e *transientError) Transient() bool { return true }
 //     interface{ Transient() bool } returning true, is retryable.
 //
 // Wrappers must preserve the chain (wrap with %w or return inner errors
-// unchanged) for this classification to survive Prefix/Sim/LRU/Counting.
+// unchanged) for this classification to survive Sim/LRU/Counting.
 func IsRetryable(err error) bool {
 	if err == nil {
 		return false

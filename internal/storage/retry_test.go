@@ -272,15 +272,15 @@ func TestSingleflightRetryNoFanout(t *testing.T) {
 
 // TestRetryClassificationSurvivesWrappers asserts the package's error
 // contract end to end: transient and not-found classifications pass through
-// Prefix and Counting unchanged, so a Retry stacked anywhere above still
-// classifies correctly.
+// Counting unchanged, so a Retry stacked anywhere above still classifies
+// correctly.
 func TestRetryClassificationSurvivesWrappers(t *testing.T) {
 	ctx := context.Background()
 	faulty := NewFaulty(NewMemory(), FaultConfig{GetErrRate: 1, MaxFaults: 1})
-	chain := NewCounting(NewPrefix(faulty, "ds/"))
+	chain := NewCounting(faulty)
 	_, err := chain.Get(ctx, "k")
 	if !IsRetryable(err) {
-		t.Fatalf("transient marker lost through Prefix+Counting: %v", err)
+		t.Fatalf("transient marker lost through Counting: %v", err)
 	}
 	_, err = chain.Get(ctx, "k") // fault budget spent; now a clean miss
 	if !IsNotFound(err) || IsRetryable(err) {

@@ -38,7 +38,7 @@ func (b *blockingProvider) Get(ctx context.Context, key string) ([]byte, error) 
 
 // followers reports how many callers have joined key's in-flight call: the
 // event the coalescing tests wait for before they let the leader finish.
-func (f *Flight[V]) followers(key string) int {
+func (f *Flight[K, V]) followers(key K) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.calls[key]; ok {
@@ -48,7 +48,7 @@ func (f *Flight[V]) followers(key string) int {
 }
 
 // awaitFollowers yields until n callers have joined key's in-flight call.
-func awaitFollowers[V any](f *Flight[V], key string, n int) {
+func awaitFollowers[K comparable, V any](f *Flight[K, V], key K, n int) {
 	for f.followers(key) < n {
 		runtime.Gosched()
 	}
@@ -56,7 +56,7 @@ func awaitFollowers[V any](f *Flight[V], key string, n int) {
 
 func TestFlightCoalescesConcurrentCalls(t *testing.T) {
 	ctx := context.Background()
-	var f Flight[int]
+	var f Flight[string, int]
 	var calls atomic.Int64
 	gate := make(chan struct{})
 
@@ -105,7 +105,7 @@ func TestFlightCoalescesConcurrentCalls(t *testing.T) {
 
 func TestFlightDistinctKeysDoNotCoalesce(t *testing.T) {
 	ctx := context.Background()
-	var f Flight[string]
+	var f Flight[string, string]
 	var calls atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -130,7 +130,7 @@ func TestFlightDistinctKeysDoNotCoalesce(t *testing.T) {
 
 func TestFlightErrorSharedByFollowers(t *testing.T) {
 	ctx := context.Background()
-	var f Flight[int]
+	var f Flight[string, int]
 	boom := errors.New("origin down")
 	gate := make(chan struct{})
 
@@ -157,7 +157,7 @@ func TestFlightErrorSharedByFollowers(t *testing.T) {
 }
 
 func TestFlightFollowerContextCancellation(t *testing.T) {
-	var f Flight[int]
+	var f Flight[string, int]
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	leaderDone := make(chan struct{})
@@ -258,7 +258,7 @@ func TestShardedLRUTable(t *testing.T) {
 // flight reusable.
 func TestFlightLeaderPanicDoesNotPoisonKey(t *testing.T) {
 	ctx := context.Background()
-	var f Flight[int]
+	var f Flight[string, int]
 	gate := make(chan struct{})
 	started := make(chan struct{})
 

@@ -29,9 +29,6 @@ func NewSimObjectStore(profile simnet.Profile) *Sim {
 // Network exposes the underlying transport for traffic statistics.
 func (s *Sim) Network() *simnet.Network { return s.net }
 
-// Inner returns the wrapped provider.
-func (s *Sim) Inner() Provider { return s.inner }
-
 // Get implements Provider. Exactly one inner call and one network charge per
 // logical request: anything stacked below (fault injection, counting) sees a
 // Get as a single origin touch, and the object cannot change between a

@@ -13,9 +13,9 @@ import (
 // workers miss on the same chunk at once, exactly one origin fetch happens.
 //
 // The zero value is ready to use. Flight is safe for concurrent use.
-type Flight[V any] struct {
+type Flight[K comparable, V any] struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall[V]
+	calls map[K]*flightCall[V]
 }
 
 type flightCall[V any] struct {
@@ -36,10 +36,10 @@ type flightCall[V any] struct {
 // fails, every follower observes the leader's error; callers that need
 // isolation from a cancelled leader should retry when SharedCancellation
 // reports the error came from the leader's context, not their own.
-func (f *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, shared bool, err error) {
+func (f *Flight[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (v V, shared bool, err error) {
 	f.mu.Lock()
 	if f.calls == nil {
-		f.calls = make(map[string]*flightCall[V])
+		f.calls = make(map[K]*flightCall[V])
 	}
 	if c, ok := f.calls[key]; ok {
 		c.followers++
@@ -88,11 +88,11 @@ func SharedCancellation(ctx context.Context, err error) bool {
 // meantime. This is how a batch prefetch registers many keys at once and
 // delivers each key's bytes as they arrive, while on-demand readers
 // coalesce onto the batch instead of issuing duplicate fetches.
-func (f *Flight[V]) Lead(key string) (finish func(V, error), ok bool) {
+func (f *Flight[K, V]) Lead(key K) (finish func(V, error), ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.calls == nil {
-		f.calls = make(map[string]*flightCall[V])
+		f.calls = make(map[K]*flightCall[V])
 	}
 	if _, exists := f.calls[key]; exists {
 		return nil, false
@@ -109,7 +109,7 @@ func (f *Flight[V]) Lead(key string) (finish func(V, error), ok bool) {
 }
 
 // Inflight reports how many keys currently have an executing leader.
-func (f *Flight[V]) Inflight() int {
+func (f *Flight[K, V]) Inflight() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.calls)

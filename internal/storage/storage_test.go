@@ -33,7 +33,6 @@ func providers(t *testing.T) map[string]Provider {
 		"fs":     fsp,
 		"sim":    NewSim(NewMemory(), fast),
 		"lru":    NewLRU(NewMemory(), 1<<20),
-		"prefix": NewPrefix(NewMemory(), "sub/dir"),
 		"count":  NewCounting(NewMemory()),
 		"disk":   disk,
 		"retry":  NewRetry(NewMemory(), RetryOptions{}),
@@ -241,31 +240,6 @@ func TestLRURangeReadDoesNotPromote(t *testing.T) {
 	}
 	if used := cache.Stats().UsedBytes; used != 0 {
 		t.Fatalf("range read promoted object into cache: used = %d", used)
-	}
-}
-
-func TestPrefixIsolatesNamespace(t *testing.T) {
-	ctx := context.Background()
-	base := NewMemory()
-	v1 := NewPrefix(base, "versions/v1")
-	v2 := NewPrefix(base, "versions/v2")
-	if err := v1.Put(ctx, "meta.json", []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.Put(ctx, "meta.json", []byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := v1.Get(ctx, "meta.json")
-	if err != nil || string(got) != "one" {
-		t.Fatalf("v1 read = %q, %v", got, err)
-	}
-	keys, err := base.List(ctx, "versions/")
-	if err != nil || len(keys) != 2 {
-		t.Fatalf("base list = %v, %v", keys, err)
-	}
-	rel, err := v1.List(ctx, "")
-	if err != nil || len(rel) != 1 || rel[0] != "meta.json" {
-		t.Fatalf("prefix-relative list = %v, %v", rel, err)
 	}
 }
 

@@ -320,8 +320,7 @@ func (v *Verify) Delete(ctx context.Context, key string) error {
 // optional). Disk tiers need the digests too: their warm-start population
 // was written by a previous process, so reads from it are verified against
 // the dataset's checksum manifests, not against anything recorded in this
-// process's lifetime. The walk stops at a Prefix wrapper, whose key
-// rewriting would invalidate the digest keys.
+// process's lifetime.
 func SeedDigests(p Provider, digests map[string]uint32) int {
 	seeded := 0
 	walkChain(p, func(p Provider) bool {
@@ -331,8 +330,7 @@ func SeedDigests(p Provider, digests map[string]uint32) int {
 			}
 			seeded = len(digests)
 		}
-		_, isPrefix := p.(*Prefix)
-		return !isPrefix
+		return true
 	})
 	return seeded
 }
@@ -341,14 +339,12 @@ func SeedDigests(p Provider, digests map[string]uint32) int {
 // that can purge a single entry — one with an Evict(key) method: LRU.
 // Readers that detect corruption above the cache (the chunk footer check)
 // use it to purge the poisoned entry before re-fetching, so the heal does
-// not simply re-read the bad cached bytes. Like SeedDigests, the walk stops
-// at a Prefix wrapper.
+// not simply re-read the bad cached bytes.
 func Evict(p Provider, key string) {
 	walkChain(p, func(p Provider) bool {
 		if e, ok := p.(interface{ Evict(key string) }); ok {
 			e.Evict(key)
 		}
-		_, isPrefix := p.(*Prefix)
-		return !isPrefix
+		return true
 	})
 }

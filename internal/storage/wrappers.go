@@ -2,86 +2,9 @@ package storage
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
-
-// Prefix exposes a sub-tree of a provider as its own flat namespace,
-// the way each dataset version lives in its own sub-directory (§4.2).
-type Prefix struct {
-	passthrough
-	prefix string
-}
-
-// NewPrefix returns a view of inner rooted at prefix. A trailing slash is
-// appended if missing.
-func NewPrefix(inner Provider, prefix string) *Prefix {
-	if prefix != "" && !strings.HasSuffix(prefix, "/") {
-		prefix += "/"
-	}
-	return &Prefix{passthrough: passthrough{inner}, prefix: prefix}
-}
-
-func (p *Prefix) key(k string) string { return p.prefix + k }
-
-// Get implements Provider.
-func (p *Prefix) Get(ctx context.Context, key string) ([]byte, error) {
-	return p.inner.Get(ctx, p.key(key))
-}
-
-// GetRange implements Provider.
-func (p *Prefix) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
-	return p.inner.GetRange(ctx, p.key(key), offset, length)
-}
-
-// GetRanges implements BatchProvider: keys are rewritten into the sub-tree
-// and the batch forwarded, so coalesced fetch plans survive a Prefix in the
-// chain as one round trip.
-func (p *Prefix) GetRanges(ctx context.Context, reqs []RangeReq) ([][]byte, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	inner := make([]RangeReq, len(reqs))
-	for i, r := range reqs {
-		r.Key = p.key(r.Key)
-		inner[i] = r
-	}
-	return GetRanges(ctx, p.inner, inner)
-}
-
-// Put implements Provider.
-func (p *Prefix) Put(ctx context.Context, key string, data []byte) error {
-	return p.inner.Put(ctx, p.key(key), data)
-}
-
-// Delete implements Provider.
-func (p *Prefix) Delete(ctx context.Context, key string) error {
-	return p.inner.Delete(ctx, p.key(key))
-}
-
-// Exists implements Provider.
-func (p *Prefix) Exists(ctx context.Context, key string) (bool, error) {
-	return p.inner.Exists(ctx, p.key(key))
-}
-
-// List implements Provider; returned keys are relative to the prefix.
-func (p *Prefix) List(ctx context.Context, prefix string) ([]string, error) {
-	keys, err := p.inner.List(ctx, p.key(prefix))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = strings.TrimPrefix(k, p.prefix)
-	}
-	return out, nil
-}
-
-// Size implements Provider.
-func (p *Prefix) Size(ctx context.Context, key string) (int64, error) {
-	return p.inner.Size(ctx, p.key(key))
-}
 
 // Counting wraps a provider and tallies operations and bytes moved, used by
 // benchmarks to report request counts alongside wall time. All counters are

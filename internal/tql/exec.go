@@ -249,11 +249,6 @@ func validateQuery(q *Query) error {
 	return nil
 }
 
-// Execute runs a parsed query against a dataset with default options.
-func Execute(ctx context.Context, ds *core.Dataset, q *Query) (*view.View, error) {
-	return ExecuteWith(ctx, ds, q, Options{})
-}
-
 // ExecuteWith runs a parsed query through the chunk-partitioned parallel
 // scan engine. WHERE's leading shape-only conjuncts become a shape-encoder
 // prefilter (zero chunk IO) with the remainder evaluated only over the

@@ -1,9 +1,10 @@
 // Package transform implements the parallel ingestion/transformation
 // framework of §4.1.2: user functions that consume one input sample and
 // emit zero or more output samples (one-to-one and one-to-many), stacked
-// into pipelines, scheduled over a worker pool in chunk-aligned batches so
-// workers touch nearby chunks, with outputs committed in input order so the
-// produced dataset is deterministic.
+// into pipelines and run by one worker pool: each worker loads and
+// transforms a batch of adjacent input rows, and the calling goroutine
+// commits every row's outputs in input order, so the produced dataset is
+// deterministic for any worker count.
 //
 // Outputs write through the destination's flush pipeline, configured however
 // the destination was (core.WriteOptions): the ordered commit loop appends at
@@ -81,7 +82,9 @@ type Source interface {
 	At(ctx context.Context, i int) (Sample, error)
 }
 
-// DatasetSource adapts a dataset (all visible tensors) as a Source.
+// DatasetSource adapts a dataset (all visible tensors) as a Source. At
+// reads one row through View.Row, which decodes the row's whole chunk of
+// every column on each call.
 type DatasetSource struct {
 	View *view.View
 }
@@ -119,14 +122,15 @@ func (s IterSource) Len() int { return s.N }
 // At implements Source.
 func (s IterSource) At(ctx context.Context, i int) (Sample, error) { return s.Fn(i) }
 
-// Options configures Eval.
+// Options configures Eval and EvalInPlace.
 type Options struct {
 	// Workers is the parallel worker count (default GOMAXPROCS).
 	Workers int
-	// BatchSize groups adjacent input indices per worker so a worker's
-	// reads stay within neighboring chunks (default 16).
-	BatchSize int
 }
+
+// batchSize is how many adjacent input rows a worker loads and transforms
+// as one unit of work.
+const batchSize = 16
 
 // Stats reports an Eval run.
 type Stats struct {
@@ -137,189 +141,141 @@ type Stats struct {
 // Eval runs the pipeline over src and appends outputs to dst in input
 // order. dst tensors must already exist for every output key.
 func (p *Pipeline) Eval(ctx context.Context, src Source, dst *core.Dataset, opts Options) (Stats, error) {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = 16
-	}
-	n := src.Len()
-	numBatches := (n + opts.BatchSize - 1) / opts.BatchSize
-
-	type batchResult struct {
-		idx int
-		out []Sample
-		err error
-	}
-	jobs := make(chan int)
-	results := make(chan batchResult, opts.Workers)
-
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for bi := range jobs {
-				lo := bi * opts.BatchSize
-				hi := lo + opts.BatchSize
-				if hi > n {
-					hi = n
+	stats := Stats{InputSamples: src.Len()}
+	err := p.run(ctx, src, opts.Workers, func(_ int, outs []Sample) error {
+		for _, s := range outs {
+			for name, arr := range s {
+				t := dst.Tensor(name)
+				if t == nil {
+					return fmt.Errorf("transform: output tensor %q does not exist in destination", name)
 				}
-				var outs []Sample
-				var err error
-				for i := lo; i < hi; i++ {
-					var in Sample
-					in, err = src.At(ctx, i)
-					if err != nil {
-						break
-					}
-					var produced []Sample
-					produced, err = p.apply(in)
-					if err != nil {
-						break
-					}
-					outs = append(outs, produced...)
-				}
-				select {
-				case results <- batchResult{idx: bi, out: outs, err: err}:
-				case <-ctx.Done():
-					return
+				if err := t.Append(ctx, arr); err != nil {
+					return err
 				}
 			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for bi := 0; bi < numBatches; bi++ {
-			select {
-			case jobs <- bi:
-			case <-ctx.Done():
-				return
-			}
+			stats.OutputSamples++
 		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Commit batches in input order.
-	stats := Stats{InputSamples: n}
-	pending := map[int]batchResult{}
-	next := 0
-	for r := range results {
-		pending[r.idx] = r
-		for {
-			br, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if br.err != nil {
-				return stats, br.err
-			}
-			for _, s := range br.out {
-				for name, arr := range s {
-					t := dst.Tensor(name)
-					if t == nil {
-						return stats, fmt.Errorf("transform: output tensor %q does not exist in destination", name)
-					}
-					if err := t.Append(ctx, arr); err != nil {
-						return stats, err
-					}
-				}
-				stats.OutputSamples++
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return stats, err
-	}
-	if next != numBatches {
-		return stats, fmt.Errorf("transform: pipeline stalled at batch %d/%d", next, numBatches)
 	}
 	return stats, dst.Flush(ctx)
 }
 
 // EvalInPlace applies a strictly one-to-one pipeline onto the source
 // dataset itself, overwriting each row (§4.1.2: "The transformation can
-// also be applied in place").
+// also be applied in place"). Rows are rewritten in order: when row k
+// fails, every row before it has been rewritten and none after it.
 func (p *Pipeline) EvalInPlace(ctx context.Context, ds *core.Dataset, opts Options) (Stats, error) {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	src := FromDataset(ds)
-	n := src.Len()
-	stats := Stats{InputSamples: n}
-	type rowResult struct {
-		row int
-		out Sample
-		err error
-	}
-	jobs := make(chan int)
-	results := make(chan rowResult, opts.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				in, err := src.At(ctx, i)
-				var out Sample
-				if err == nil {
-					var produced []Sample
-					produced, err = p.apply(in)
-					if err == nil && len(produced) != 1 {
-						err = fmt.Errorf("transform: in-place pipelines must be one-to-one, got %d outputs", len(produced))
-					}
-					if err == nil {
-						out = produced[0]
-					}
-				}
-				select {
-				case results <- rowResult{row: i, out: out, err: err}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for i := 0; i < n; i++ {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				return
-			}
+	stats := Stats{InputSamples: src.Len()}
+	err := p.run(ctx, src, opts.Workers, func(i int, outs []Sample) error {
+		if len(outs) != 1 {
+			return fmt.Errorf("transform: in-place pipelines must be one-to-one, got %d outputs", len(outs))
 		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	for r := range results {
-		if r.err != nil {
-			return stats, r.err
-		}
-		srcRow, err := src.View.SourceRow(r.row)
+		srcRow, err := src.View.SourceRow(i)
 		if err != nil {
-			return stats, err
+			return err
 		}
-		for name, arr := range r.out {
+		for name, arr := range outs[0] {
 			t := ds.Tensor(name)
 			if t == nil {
-				return stats, fmt.Errorf("transform: output tensor %q does not exist", name)
+				return fmt.Errorf("transform: output tensor %q does not exist", name)
 			}
 			if err := t.SetAt(ctx, srcRow, arr); err != nil {
-				return stats, err
+				return err
 			}
 		}
 		stats.OutputSamples++
-	}
-	if err := ctx.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return stats, err
 	}
 	return stats, ds.Flush(ctx)
+}
+
+// batch is one unit of work: input rows [lo, lo+batchSize) clipped to the
+// source, with transformRows' results, which are ready once done is closed.
+type batch struct {
+	lo   int
+	outs [][]Sample
+	err  error
+	done chan struct{}
+}
+
+// run is the worker pool under Eval and EvalInPlace. The calling goroutine
+// hands batches to the workers through a window of 2×workers batches kept
+// in input order, waits on the oldest and passes commit each of its rows'
+// outputs, in input order, before it queues the next. The first error — a
+// load, a stage or commit — ends the run: rows before the failing one are
+// committed and none after it. On every exit run cancels the context its
+// workers read under and returns only after all of them have exited.
+func (p *Pipeline) run(ctx context.Context, src Source, workers int, commit func(row int, outs []Sample) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	// jobs' capacity is the window: two batches per worker keep every
+	// worker busy while the caller commits the oldest.
+	jobs := make(chan *batch, 2*workers)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(jobs)
+	defer cancel()
+	n := src.Len()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range jobs {
+				b.outs, b.err = p.transformRows(ctx, src, b.lo, min(b.lo+batchSize, n))
+				close(b.done)
+			}
+		}()
+	}
+
+	var window []*batch
+	for lo := 0; lo < n || len(window) > 0; {
+		if lo < n && len(window) < cap(jobs) {
+			b := &batch{lo: lo, done: make(chan struct{})}
+			jobs <- b // never blocks: jobs holds only batches in the window
+			window = append(window, b)
+			lo += batchSize
+			continue
+		}
+		b := window[0]
+		window = window[1:]
+		<-b.done
+		for i, outs := range b.outs {
+			if err := commit(b.lo+i, outs); err != nil {
+				return err
+			}
+		}
+		if b.err != nil {
+			return b.err
+		}
+	}
+	return nil
+}
+
+// transformRows loads and transforms input rows [lo, hi): one entry of
+// outputs per row, up to the first row that fails, and that failure.
+func (p *Pipeline) transformRows(ctx context.Context, src Source, lo, hi int) (outs [][]Sample, err error) {
+	for i := lo; i < hi; i++ {
+		if err := ctx.Err(); err != nil {
+			return outs, err
+		}
+		in, err := src.At(ctx, i)
+		if err != nil {
+			return outs, err
+		}
+		produced, err := p.apply(in)
+		if err != nil {
+			return outs, err
+		}
+		outs = append(outs, produced)
+	}
+	return outs, nil
 }

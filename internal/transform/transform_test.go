@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/core"
@@ -59,7 +60,7 @@ func TestOneToOneTransformPreservesOrder(t *testing.T) {
 		out.Emit(Sample{"y": tensor.Scalar(tensor.Float64, v*v)})
 		return nil
 	})
-	stats, err := p.Eval(ctx, FromDataset(src), dst, Options{Workers: 4, BatchSize: 7})
+	stats, err := p.Eval(ctx, FromDataset(src), dst, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestOneToManyTransform(t *testing.T) {
 		}
 		return nil
 	})
-	stats, err := p.Eval(ctx, FromDataset(src), dst, Options{Workers: 2, BatchSize: 3})
+	stats, err := p.Eval(ctx, FromDataset(src), dst, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestIterSourceIngestion(t *testing.T) {
 		out.Emit(in)
 		return nil
 	})
-	stats, err := p.Eval(ctx, src, dst, Options{Workers: 4, BatchSize: 4})
+	stats, err := p.Eval(ctx, src, dst, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestTransformErrorAborts(t *testing.T) {
 		out.Emit(Sample{"y": tensor.Scalar(tensor.Float64, v)})
 		return nil
 	})
-	if _, err := p.Eval(ctx, FromDataset(src), dst, Options{Workers: 4, BatchSize: 4}); !errors.Is(err, boom) {
+	if _, err := p.Eval(ctx, FromDataset(src), dst, Options{Workers: 4}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want transform failure", err)
 	}
 }
@@ -214,6 +215,105 @@ func TestEvalInPlaceRejectsOneToMany(t *testing.T) {
 	})
 	if _, err := p.EvalInPlace(ctx, ds, Options{Workers: 2}); err == nil {
 		t.Fatal("in-place one-to-many should error")
+	}
+}
+
+// failAt returns a pipeline that adds 1000 to x and fails on the row whose
+// x is k.
+func failAt(k float64, boom error) *Pipeline {
+	return Compute(func(in Sample, out *Collector) error {
+		v, _ := in["x"].Item()
+		if v == k {
+			return boom
+		}
+		out.Emit(Sample{"x": tensor.Scalar(tensor.Int32, v+1000)})
+		return nil
+	})
+}
+
+// settledGoroutines reports runtime.NumGoroutine once it is at most want,
+// yielding until then for up to five seconds. A goroutine that has
+// signalled its WaitGroup is still counted until the scheduler runs it to
+// its exit, which can lag a join; a leaked goroutine never leaves.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > want && time.Now().Before(deadline) {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestFailedEvalJoinsItsGoroutines checks that a failing Eval and a failing
+// EvalInPlace return only after every goroutine they started has exited.
+// Neither run seals a chunk, so no uploader runs: Eval appends at most 5
+// int32 rows, below smallBounds.Min, and EvalInPlace rewrites rows of a
+// dataset whose every row is still in its write buffer.
+func TestFailedEvalJoinsItsGoroutines(t *testing.T) {
+	ctx := context.Background()
+	boom := errors.New("bad input")
+	src := sourceDataset(t, 400)
+	dst := destDataset(t)
+	if _, err := dst.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.Int32, Bounds: smallBounds}); err != nil {
+		t.Fatal(err)
+	}
+	buffered := destDataset(t)
+	x, err := buffered.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.Int32,
+		Bounds: chunk.Bounds{Min: 1 << 12, Target: 1 << 13, Max: 1 << 14}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ {
+		if err := x.Append(ctx, tensor.Scalar(tensor.Int32, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := runtime.NumGoroutine()
+	if _, err := failAt(5, boom).Eval(ctx, FromDataset(src), dst, Options{Workers: 4}); !errors.Is(err, boom) {
+		t.Fatalf("Eval err = %v, want %v", err, boom)
+	}
+	if after := settledGoroutines(before); after != before {
+		t.Fatalf("failed Eval left %d goroutines behind", after-before)
+	}
+	if _, err := failAt(5, boom).EvalInPlace(ctx, buffered, Options{Workers: 4}); !errors.Is(err, boom) {
+		t.Fatalf("EvalInPlace err = %v, want %v", err, boom)
+	}
+	if after := settledGoroutines(before); after != before {
+		t.Fatalf("failed EvalInPlace left %d goroutines behind", after-before)
+	}
+}
+
+// TestFailedEvalInPlaceRewritesOnlyEarlierRows checks that EvalInPlace
+// rewrites rows in input order: when row k fails, every row before it has
+// been rewritten and every row after it is untouched, at any worker count.
+func TestFailedEvalInPlaceRewritesOnlyEarlierRows(t *testing.T) {
+	ctx := context.Background()
+	boom := errors.New("bad input")
+	const n = 400
+	for _, workers := range []int{1, 2, 8} {
+		for _, k := range []int{5, 37} {
+			t.Run(fmt.Sprintf("workers=%d/k=%d", workers, k), func(t *testing.T) {
+				ds := sourceDataset(t, n)
+				if _, err := failAt(float64(k), boom).EvalInPlace(ctx, ds, Options{Workers: workers}); !errors.Is(err, boom) {
+					t.Fatalf("err = %v, want %v", err, boom)
+				}
+				for i := 0; i < n; i++ {
+					arr, err := ds.Tensor("x").At(ctx, uint64(i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					v, _ := arr.Item()
+					want := float64(i)
+					if i < k {
+						want += 1000
+					}
+					if v != want {
+						t.Fatalf("x[%d] = %v, want %v", i, v, want)
+					}
+				}
+			})
+		}
 	}
 }
 
