@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Format constants.
@@ -262,7 +263,7 @@ func DecodeAppend(raw []byte, dst []Sample) ([]Sample, error) {
 	if n > 0 && d.Offsets[n] > uint64(len(data)) {
 		return nil, corruptf("payload truncated: directory spans %d bytes, data section holds %d", d.Offsets[n], len(data))
 	}
-	dst = dst[:0]
+	dst = slices.Grow(dst[:0], n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, Sample{
 			Shape: d.Shapes[i],

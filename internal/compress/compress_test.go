@@ -247,9 +247,10 @@ func TestSampleCodecValidation(t *testing.T) {
 }
 
 func TestSampleRegistry(t *testing.T) {
-	names := SampleNames()
-	if len(names) < 2 {
-		t.Fatalf("expected jpeg and png registered, got %v", names)
+	for _, name := range []string{"jpeg", "png"} {
+		if _, err := SampleByName(name); err != nil {
+			t.Fatalf("%s not registered: %v", name, err)
+		}
 	}
 	if _, err := SampleByName("webp"); err == nil {
 		t.Fatal("unknown sample codec should error")

@@ -8,7 +8,6 @@ import (
 	"image/jpeg"
 	"image/png"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -49,18 +48,6 @@ func SampleByName(name string) (SampleCodec, error) {
 		return nil, fmt.Errorf("compress: unknown sample codec %q", name)
 	}
 	return c, nil
-}
-
-// SampleNames lists registered sample codec names in sorted order.
-func SampleNames() []string {
-	sampleMu.RLock()
-	defer sampleMu.RUnlock()
-	out := make([]string, 0, len(sampleRegistry))
-	for name := range sampleRegistry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // pixelsToImage wraps an HWC uint8 buffer as an image.Image without copying

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -103,13 +104,13 @@ func TestConcurrentChunkReads(t *testing.T) {
 					t.Errorf("ReadChunkSamples(%d): %v", chunkID, err)
 					return
 				}
-				arr, err := x.DecodeStored(samples[local].Data, samples[local].Shape)
+				arr, err := x.At(ctx, i)
 				if err != nil {
-					t.Errorf("decode: %v", err)
+					t.Errorf("At(%d): %v", i, err)
 					return
 				}
-				if v, _ := arr.Item(); v != float64(i) {
-					t.Errorf("x[%d] = %v via chunk path", i, v)
+				if v, _ := arr.Item(); v != float64(i) || !bytes.Equal(samples[local].Data, arr.Bytes()) {
+					t.Errorf("x[%d] = %v, stored %v via chunk path", i, v, samples[local].Data)
 					return
 				}
 			}

@@ -415,6 +415,11 @@ func TestLinkTensor(t *testing.T) {
 		if err != nil || got != u {
 			t.Fatalf("LinkAt(%d) = %q, %v", i, got, err)
 		}
+		// At returns the stored URL bytes.
+		arr, err := links.At(ctx, uint64(i))
+		if err != nil || string(arr.Bytes()) != u {
+			t.Fatalf("At(%d) = %v, %v", i, arr, err)
+		}
 	}
 	if err := links.Append(ctx, tensor.MustNew(tensor.UInt8, 2, 2, 3)); err == nil {
 		t.Fatal("Append on link tensor should error")

@@ -132,6 +132,16 @@ func TestSliceErrorsAndEdges(t *testing.T) {
 	if !reflect.DeepEqual(got.Shape(), []int{2, 2}) {
 		t.Fatalf("slice shape = %v", got.Shape())
 	}
+	// A write-buffered sample slices the same way, on one axis or two.
+	if err := x.Append(ctx, arr); err != nil {
+		t.Fatal(err)
+	}
+	for _, region := range [][]tensor.Range{{{Start: 1, Stop: 3}}, {{Start: 1, Stop: 3}, {Start: 0, Stop: 2}}} {
+		got, err := x.Slice(ctx, 1, region)
+		if want, _ := arr.Slice(region...); err != nil || !got.Equal(want) {
+			t.Fatalf("buffered slice %v = %v, %v", region, got, err)
+		}
+	}
 	// Invalid ranges propagate.
 	if _, err := x.Slice(ctx, 0, []tensor.Range{{Start: 5, Stop: 2}}); err == nil {
 		t.Fatal("invalid range should error")

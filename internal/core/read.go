@@ -3,86 +3,28 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/chunk"
 	"repro/internal/compress"
-	"repro/internal/encoder"
 	"repro/internal/tensor"
 )
 
 // At returns sample idx as an array. Sequence rows come back stacked when
 // items share a shape (use SequenceAt otherwise); link samples come back as
-// the stored URL bytes (use view.Resolve to fetch the target).
+// the stored URL bytes (use view.Resolve to fetch the target). It is a
+// one-shot ScanReader, so every call fetches and decodes the row's whole
+// chunk: a walk over many rows keeps one reader instead.
 func (t *Tensor) At(ctx context.Context, idx uint64) (*tensor.NDArray, error) {
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.atLocked(ctx, idx)
+	return t.NewScanReader().At(ctx, idx)
 }
 
-func (t *Tensor) atLocked(ctx context.Context, idx uint64) (*tensor.NDArray, error) {
-	if t.spec.Sequence {
-		items, err := t.sequenceAtLocked(ctx, int(idx))
-		if err != nil {
-			return nil, err
-		}
-		return tensor.Stack(items)
-	}
-	return t.itemAt(ctx, idx)
-}
-
-// itemAt reads one flat stored sample (for sequence tensors, one item).
-func (t *Tensor) itemAt(ctx context.Context, idx uint64) (*tensor.NDArray, error) {
-	if entry, tiled := t.tileEnc.Get(idx); tiled {
-		return t.readTiled(ctx, entry, nil)
-	}
-	s, err := t.storedSample(ctx, idx)
-	if err != nil {
-		return nil, err
-	}
-	return t.decodeSample(s)
-}
-
-// storedSample fetches the encoded bytes + shape of flat sample idx, from
-// the pending write buffer or from its chunk.
-func (t *Tensor) storedSample(ctx context.Context, idx uint64) (chunk.Sample, error) {
-	chunkID, local, err := t.chunkEnc.Lookup(idx)
-	if err != nil {
-		return chunk.Sample{}, err
-	}
-	if t.builder.Len() > 0 && chunkID == t.pendingID {
-		if local >= len(t.pendingSamples) {
-			return chunk.Sample{}, fmt.Errorf("core: pending sample %d out of range", local)
-		}
-		return t.pendingSamples[local], nil
-	}
-	raw, err := t.readChunk(ctx, chunkID)
-	if err != nil {
-		return chunk.Sample{}, err
-	}
-	samples, err := chunk.Decode(raw)
-	if err != nil {
-		return chunk.Sample{}, err
-	}
-	if local >= len(samples) {
-		return chunk.Sample{}, fmt.Errorf("core: sample %d beyond chunk %d (%d samples)", local, chunkID, len(samples))
-	}
-	return samples[local], nil
-}
-
-// decodeSample turns a stored sample into an array.
-func (t *Tensor) decodeSample(s chunk.Sample) (*tensor.NDArray, error) {
-	return t.decodeSampleArena(s, nil)
-}
-
-// decodeSampleArena is decodeSample with the raw-payload copy drawn from an
-// arena (nil falls back to the heap): the per-sample make+copy the hot scan
-// path would otherwise pay becomes a bump allocation in a pooled slab.
-// Media decodes draw their flattened HWC pixel buffer from the arena too
-// when the codec supports DecodeInto; only the codec's internal decode
-// state still allocates where the codec puts it.
-func (t *Tensor) decodeSampleArena(s chunk.Sample, a *chunk.Arena) (*tensor.NDArray, error) {
+// decode turns a stored sample into an array. The raw-payload copy, and
+// the decoded pixels of a codec that supports DecodeInto, come from a (nil
+// means the heap): the per-sample make+copy the hot scan path would
+// otherwise pay becomes a bump allocation in a pooled slab. Only the
+// codec's internal decode state still allocates where the codec puts it.
+func (t *Tensor) decode(s chunk.Sample, a *chunk.Arena) (*tensor.NDArray, error) {
 	if t.sampleCodec != nil {
 		var (
 			pixels  []byte
@@ -122,46 +64,22 @@ func (t *Tensor) decodeSampleArena(s chunk.Sample, a *chunk.Arena) (*tensor.NDAr
 	return tensor.FromBytes(t.Dtype(), s.Shape, data)
 }
 
-// readTiled assembles a tiled sample, fetching only the tiles overlapping
-// region (nil = whole sample).
-func (t *Tensor) readTiled(ctx context.Context, entry encoder.TileEntry, region []tensor.Range) (*tensor.NDArray, error) {
-	needed := entry.Layout.TilesOverlapping(region)
-	tiles := make(map[int]*tensor.NDArray, len(needed))
-	for _, ti := range needed {
-		raw, err := t.readChunk(ctx, entry.ChunkIDs[ti])
-		if err != nil {
-			return nil, err
-		}
-		samples, err := chunk.Decode(raw)
-		if err != nil {
-			return nil, err
-		}
-		if len(samples) != 1 {
-			return nil, fmt.Errorf("core: tile chunk holds %d samples, want 1", len(samples))
-		}
-		arr, err := t.decodeSample(samples[0])
-		if err != nil {
-			return nil, err
-		}
-		tiles[ti] = arr
-	}
-	return entry.Layout.Assemble(t.Dtype(), tiles, region)
-}
-
 // Slice reads a sub-region of sample idx (TQL's images[a:b, c:d]). Tiled
 // samples fetch only overlapping tiles; raw uncompressed samples whose
 // region constrains only the first axis are read with a sub-chunk byte
-// range request (§3.5), never transferring the rest of the sample.
+// range request (§3.5), never transferring the rest of the sample. Any
+// other sample is read whole by a one-shot ScanReader and then sliced.
 func (t *Tensor) Slice(ctx context.Context, idx uint64, region []tensor.Range) (*tensor.NDArray, error) {
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.spec.Sequence {
 		return nil, fmt.Errorf("core: Slice of sequence tensors is not supported; slice items individually")
 	}
-	if entry, tiled := t.tileEnc.Get(idx); tiled {
-		return t.readTiled(ctx, entry, region)
+	r := t.NewScanReader()
+	loc, err := r.locate(idx)
+	if err != nil {
+		return nil, err
+	}
+	if loc.tiled {
+		return r.tiled(ctx, loc.tile, region)
 	}
 	// Range-read fast path: uncompressed chunk + raw sample + region
 	// constraining only axis 0.
@@ -172,7 +90,7 @@ func (t *Tensor) Slice(ctx context.Context, idx uint64, region []tensor.Range) (
 			return arr, nil
 		}
 	}
-	arr, err := t.itemAt(ctx, idx)
+	arr, err := r.At(ctx, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -184,6 +102,10 @@ func (t *Tensor) Slice(ctx context.Context, idx uint64, region []tensor.Range) (
 // fast path does not apply (e.g. the sample sits in the write buffer or in
 // a chunk still in flight).
 func (t *Tensor) rangeReadFirstAxis(ctx context.Context, idx uint64, r tensor.Range) (*tensor.NDArray, bool, error) {
+	t.ds.mu.RLock()
+	defer t.ds.mu.RUnlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	chunkID, local, err := t.chunkEnc.Lookup(idx)
 	if err != nil {
 		return nil, false, err
@@ -197,7 +119,7 @@ func (t *Tensor) rangeReadFirstAxis(ctx context.Context, idx uint64, r tensor.Ra
 	}
 	key := chunkKey(vid, t.name, chunkID)
 	// A sealed chunk whose upload has not landed lives only in the
-	// pipeline's pending map; itemAt reads it from there.
+	// pipeline's pending map; the ScanReader reads it from there.
 	if _, inflight := t.ds.flusher.lookup(key); inflight {
 		return nil, false, nil
 	}
@@ -262,78 +184,65 @@ func (t *Tensor) rangeReadFirstAxis(ctx context.Context, idx uint64, r tensor.Ra
 // directory prefetch for range reads.
 const maxRankHint = 8
 
-// SequenceAt returns the items of sequence row i.
+// SequenceAt returns the items of sequence row i through a one-shot
+// ScanReader.
 func (t *Tensor) SequenceAt(ctx context.Context, row int) ([]*tensor.NDArray, error) {
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.sequenceAtLocked(ctx, row)
-}
-
-func (t *Tensor) sequenceAtLocked(ctx context.Context, row int) ([]*tensor.NDArray, error) {
-	if !t.spec.Sequence {
-		return nil, fmt.Errorf("core: tensor %q is not a sequence tensor", t.name)
-	}
-	start, end, err := t.seqEnc.RowRange(row)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]*tensor.NDArray, 0, end-start)
-	for i := start; i < end; i++ {
-		item, err := t.itemAt(ctx, i)
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, item)
-	}
-	return items, nil
+	return t.NewScanReader().SequenceAt(ctx, row)
 }
 
 // SequenceLen returns the item count of sequence row i.
 func (t *Tensor) SequenceLen(row int) (int, error) {
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	start, end, err := t.seqEnc.RowRange(row)
-	if err != nil {
-		return 0, err
-	}
-	return int(end - start), nil
+	start, end, err := t.itemRange(row)
+	return int(end - start), err
 }
 
-// LinkAt returns the URL stored at idx of a link tensor.
-func (t *Tensor) LinkAt(ctx context.Context, idx uint64) (string, error) {
+// itemRange returns the flat item range [start, end) of sequence row i.
+func (t *Tensor) itemRange(row int) (start, end uint64, err error) {
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.seqEnc.RowRange(row)
+}
+
+// LinkAt returns the URL stored at idx of a link tensor, read by a one-shot
+// ScanReader.
+func (t *Tensor) LinkAt(ctx context.Context, idx uint64) (string, error) {
 	if !t.spec.Link {
 		return "", fmt.Errorf("core: tensor %q is not a link tensor", t.name)
 	}
-	s, err := t.storedSample(ctx, idx)
+	r := t.NewScanReader()
+	loc, err := r.locate(idx)
 	if err != nil {
 		return "", err
 	}
-	return string(s.Data), nil
+	s, err := r.sample(ctx, loc)
+	return string(s.Data), err
 }
 
 // RawAt returns a copy of the stored (still media-encoded) bytes and the
-// logical shape of sample idx. The streaming dataloader reads stored
-// samples through a ScanReader instead, which reuses the decoded chunk.
+// logical shape of sample idx, read by a one-shot ScanReader. A tiled
+// sample is raw, so its bytes are those of the assembled array. The
+// streaming dataloader keeps a ScanReader instead, which reuses the decoded
+// chunk.
 func (t *Tensor) RawAt(ctx context.Context, idx uint64) ([]byte, []int, error) {
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	s, err := t.storedSample(ctx, idx)
+	r := t.NewScanReader()
+	loc, err := r.locate(idx)
 	if err != nil {
 		return nil, nil, err
 	}
-	data := make([]byte, len(s.Data))
-	copy(data, s.Data)
-	return data, append([]int(nil), s.Shape...), nil
+	if loc.tiled {
+		arr, err := r.tiled(ctx, loc.tile, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		return arr.Bytes(), arr.Shape(), nil
+	}
+	s, err := r.sample(ctx, loc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return slices.Clone(s.Data), slices.Clone(s.Shape), nil
 }
 
 // Shape returns the logical shape of sample idx from the shape encoder —
@@ -344,12 +253,6 @@ func (t *Tensor) Shape(idx uint64) ([]int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.shapeEnc.Get(idx)
-}
-
-// DecodeStored decodes a stored sample (RawAt's bytes, or a ScanReader
-// sample's Data and Shape) into an array; safe for concurrent use.
-func (t *Tensor) DecodeStored(data []byte, shape []int) (*tensor.NDArray, error) {
-	return t.decodeSample(chunk.Sample{Shape: shape, Data: data})
 }
 
 // ChunkOf exposes the chunk id and local index of a sample; the chunk-aware
@@ -369,10 +272,15 @@ func (t *Tensor) ReadChunkSamples(ctx context.Context, chunkID uint64) ([]chunk.
 	defer t.ds.mu.RUnlock()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.chunkSamples(ctx, chunkID)
+}
+
+// chunkSamples is ReadChunkSamples under the caller's tensor locks, read or
+// write: Rechunk and SetAt, which hold the write lock, read through it. The
+// write buffer's chunk comes back as a copy of its sample list.
+func (t *Tensor) chunkSamples(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
 	if t.builder.Len() > 0 && chunkID == t.pendingID {
-		out := make([]chunk.Sample, len(t.pendingSamples))
-		copy(out, t.pendingSamples)
-		return out, nil
+		return slices.Clone(t.pendingSamples), nil
 	}
 	raw, err := t.readChunk(ctx, chunkID)
 	if err != nil {

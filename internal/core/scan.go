@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 
 	"repro/internal/chunk"
+	"repro/internal/encoder"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 )
@@ -44,12 +46,22 @@ func (t *Tensor) ChunkSpans() []ChunkSpan {
 // with other workers instead of going straight to the tensor's read path.
 type ChunkFetch func(ctx context.Context, chunkID uint64) ([]chunk.Sample, error)
 
-// ScanReader reads samples of one tensor with chunk-granular reuse: walking
-// rows in ascending order fetches and decodes each chunk once instead of
-// once per sample. Without a ChunkFetch the fetch goes through the provider
-// chain, so concurrent readers pulling the same chunk still coalesce into
-// one origin Get. A ScanReader is NOT safe for concurrent use; each scan or
-// loader worker owns one per tensor.
+// ScanReader is the one read path from a flat sample index to its stored
+// sample and decoded array: Tensor.At, SequenceAt, LinkAt, RawAt and
+// Slice's whole-sample case are one-shot readers. A reader keeps the last
+// chunk it decoded in a one-chunk slot, so a walk over rows in ascending
+// order fetches and decodes each chunk once instead of once per row.
+// Without a ChunkFetch the fetch goes through the provider chain, so
+// concurrent readers pulling the same chunk still coalesce into one origin
+// Get. A row still in the write buffer is copied out under the tensor's
+// locks, and a tiled sample is assembled from its tiles; neither goes
+// through the slot.
+//
+// Lifetime: a reader's slot lives for one walk. SetAt rewrites a chunk
+// copy-on-write under the same id, so a reader kept across a write can serve
+// the chunk as it was before; take a new reader after writing. A ScanReader
+// is NOT safe for concurrent use; each scan or loader worker owns one per
+// tensor.
 type ScanReader struct {
 	t       *Tensor
 	fetch   ChunkFetch
@@ -59,13 +71,13 @@ type ScanReader struct {
 	samples []chunk.Sample
 }
 
-// NewScanReader returns a reader with an empty chunk slot whose fetches use
-// the tensor's direct read path.
+// NewScanReader returns a reader with an empty chunk slot whose fetches go
+// through ReadChunkSamples.
 func (t *Tensor) NewScanReader() *ScanReader { return &ScanReader{t: t} }
 
 // NewScanReaderWith returns a reader whose chunk fetches are served by fetch
-// (e.g. the dataloader's decoded-chunk cache) instead of the tensor's direct
-// read path.
+// (e.g. the dataloader's decoded-chunk cache) instead of ReadChunkSamples.
+// Tiles are read through ReadChunkSamples either way.
 func (t *Tensor) NewScanReaderWith(fetch ChunkFetch) *ScanReader {
 	return &ScanReader{t: t, fetch: fetch}
 }
@@ -79,89 +91,181 @@ func (t *Tensor) NewScanReaderWith(fetch ChunkFetch) *ScanReader {
 // job) — see chunk.Arena. A nil arena restores plain heap allocation.
 func (r *ScanReader) SetArena(a *chunk.Arena) { r.arena = a }
 
-// locate resolves idx to chunk coordinates under the read locks, reporting
-// fallback=true for samples the chunk-granular path cannot serve: sequence
-// rows, tiled samples, and rows still in the write buffer.
-func (r *ScanReader) locate(idx uint64) (chunkID uint64, local int, fallback bool, err error) {
+// location is a flat sample index resolved under the tensor's read locks:
+// a tiled sample's layout, a copy of a write-buffered row's stored sample,
+// or else the chunk coordinates.
+type location struct {
+	chunkID uint64
+	local   int
+	tiled   bool
+	tile    encoder.TileEntry
+	pending *chunk.Sample
+}
+
+// locate resolves flat sample idx (for a sequence tensor, one item).
+func (r *ScanReader) locate(idx uint64) (location, error) {
 	t := r.t
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.spec.Sequence {
-		return 0, 0, true, nil
+	if entry, tiled := t.tileEnc.Get(idx); tiled {
+		return location{tiled: true, tile: entry}, nil
 	}
-	if _, tiled := t.tileEnc.Get(idx); tiled {
-		return 0, 0, true, nil
-	}
-	chunkID, local, err = t.chunkEnc.Lookup(idx)
+	chunkID, local, err := t.chunkEnc.Lookup(idx)
 	if err != nil {
-		return 0, 0, false, err
+		return location{}, err
 	}
+	loc := location{chunkID: chunkID, local: local}
 	if t.builder.Len() > 0 && chunkID == t.pendingID {
-		return 0, 0, true, nil
+		if local >= len(t.pendingSamples) {
+			return location{}, fmt.Errorf("core: pending sample %d out of range", local)
+		}
+		s := t.pendingSamples[local]
+		loc.pending = &s
 	}
-	return chunkID, local, false, nil
+	return loc, nil
+}
+
+// load fills the slot with chunk id's stored samples unless it holds them.
+// It runs outside the tensor locks, so a ChunkFetch may re-enter tensor read
+// methods (the dataloader's cache calls ReadChunkSamples).
+func (r *ScanReader) load(ctx context.Context, id uint64) error {
+	if r.valid && r.chunkID == id {
+		return nil
+	}
+	fetch := r.fetch
+	if fetch == nil {
+		fetch = r.t.ReadChunkSamples
+	}
+	samples, err := fetch(ctx, id)
+	if err != nil {
+		return err
+	}
+	r.chunkID, r.samples, r.valid = id, samples, true
+	return nil
+}
+
+// sample returns the stored sample at an untiled location.
+func (r *ScanReader) sample(ctx context.Context, loc location) (chunk.Sample, error) {
+	if loc.pending != nil {
+		return *loc.pending, nil
+	}
+	if err := r.load(ctx, loc.chunkID); err != nil {
+		return chunk.Sample{}, err
+	}
+	if loc.local >= len(r.samples) {
+		return chunk.Sample{}, fmt.Errorf("core: sample %d beyond chunk %d (%d samples)", loc.local, loc.chunkID, len(r.samples))
+	}
+	return r.samples[loc.local], nil
+}
+
+// tiled assembles a tiled sample from the tiles overlapping region (nil
+// means the whole sample), each fetched directly rather than through the
+// slot.
+func (r *ScanReader) tiled(ctx context.Context, entry encoder.TileEntry, region []tensor.Range) (*tensor.NDArray, error) {
+	needed := entry.Layout.TilesOverlapping(region)
+	tiles := make(map[int]*tensor.NDArray, len(needed))
+	for _, ti := range needed {
+		samples, err := r.t.ReadChunkSamples(ctx, entry.ChunkIDs[ti])
+		if err != nil {
+			return nil, err
+		}
+		if len(samples) != 1 {
+			return nil, fmt.Errorf("core: tile chunk holds %d samples, want 1", len(samples))
+		}
+		if tiles[ti], err = r.t.decode(samples[0], r.arena); err != nil {
+			return nil, err
+		}
+	}
+	return entry.Layout.Assemble(r.t.Dtype(), tiles, region)
+}
+
+// item decodes flat sample idx (for a sequence tensor, one item).
+func (r *ScanReader) item(ctx context.Context, idx uint64) (*tensor.NDArray, error) {
+	loc, err := r.locate(idx)
+	if err != nil {
+		return nil, err
+	}
+	if loc.tiled {
+		return r.tiled(ctx, loc.tile, nil)
+	}
+	s, err := r.sample(ctx, loc)
+	if err != nil {
+		return nil, err
+	}
+	return r.t.decode(s, r.arena)
 }
 
 // StoredAt returns the stored (still media-encoded) sample idx, decoding the
-// containing chunk once and reusing it across calls. ok=false means the
-// sample needs the tensor's direct read path (sequences, tiles,
-// write-buffered rows); callers fall back to Tensor.At or RawAt. The chunk
-// load itself runs outside the tensor locks, so a ChunkFetch may re-enter
-// tensor read methods (the dataloader's cache calls ReadChunkSamples).
+// containing chunk once and reusing it across calls; a write-buffered row is
+// served from its copy. ok=false, with no IO, means idx has no one stored
+// sample: a sequence row or a tiled sample, which At reads.
 func (r *ScanReader) StoredAt(ctx context.Context, idx uint64) (chunk.Sample, bool, error) {
-	samples, first, ok, err := r.Chunk(ctx, idx)
-	if !ok {
-		return chunk.Sample{}, false, err
-	}
-	local := int(idx - first)
-	if local >= len(samples) {
-		// Tiled samples register under their first tile chunk; the direct
-		// read path reassembles them.
+	if r.t.spec.Sequence {
 		return chunk.Sample{}, false, nil
 	}
-	return samples[local], true, nil
+	loc, err := r.locate(idx)
+	if err != nil || loc.tiled {
+		return chunk.Sample{}, false, err
+	}
+	s, err := r.sample(ctx, loc)
+	return s, err == nil, err
 }
 
 // Chunk returns the stored samples of the chunk holding sample idx, through
 // the same one-chunk slot as StoredAt, and the index of the chunk's first
 // sample: sample first+i of the chunk's span (ChunkSpans) is samples[i], so
 // a caller walking the span's rows resolves none of them on its own.
-// ok=false, with no IO, means idx needs the direct read path (sequences,
-// tiles, write-buffered rows); every error is the one StoredAt returns.
+// ok=false, with no IO, means idx is not in a stored chunk (sequences,
+// tiles, write-buffered rows), which At reads; every error is the one
+// StoredAt returns.
 func (r *ScanReader) Chunk(ctx context.Context, idx uint64) (samples []chunk.Sample, first uint64, ok bool, err error) {
-	chunkID, local, fallback, err := r.locate(idx)
-	if err != nil || fallback {
+	if r.t.spec.Sequence {
+		return nil, 0, false, nil
+	}
+	loc, err := r.locate(idx)
+	if err != nil || loc.tiled || loc.pending != nil {
 		return nil, 0, false, err
 	}
-	if !r.valid || r.chunkID != chunkID {
-		if r.fetch != nil {
-			samples, err = r.fetch(ctx, chunkID)
-		} else {
-			samples, err = r.t.ReadChunkSamples(ctx, chunkID)
-		}
-		if err != nil {
-			return nil, 0, false, err
-		}
-		r.chunkID, r.samples, r.valid = chunkID, samples, true
+	if err := r.load(ctx, loc.chunkID); err != nil {
+		return nil, 0, false, err
 	}
-	return r.samples, idx - uint64(local), true, nil
+	return r.samples, idx - uint64(loc.local), true, nil
 }
 
-// At returns sample idx like Tensor.At, but keeps the decoded chunk of the
-// previous call so sequential reads within one chunk pay a single
-// fetch+decode. Sequence, tiled and write-buffered samples fall back to the
-// direct per-sample path.
+// At returns sample idx like Tensor.At, reusing the slot's decoded chunk, so
+// sequential reads within one chunk pay a single fetch+decode.
 func (r *ScanReader) At(ctx context.Context, idx uint64) (*tensor.NDArray, error) {
-	s, ok, err := r.StoredAt(ctx, idx)
+	if !r.t.spec.Sequence {
+		return r.item(ctx, idx)
+	}
+	items, err := r.SequenceAt(ctx, int(idx))
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return r.t.At(ctx, idx)
+	return tensor.Stack(items)
+}
+
+// SequenceAt returns the items of sequence row i, reading them through the
+// slot.
+func (r *ScanReader) SequenceAt(ctx context.Context, row int) ([]*tensor.NDArray, error) {
+	if !r.t.spec.Sequence {
+		return nil, fmt.Errorf("core: tensor %q is not a sequence tensor", r.t.name)
 	}
-	return r.t.decodeSampleArena(s, r.arena)
+	start, end, err := r.t.itemRange(row)
+	if err != nil {
+		return nil, err
+	}
+	items := make([]*tensor.NDArray, 0, end-start)
+	for i := start; i < end; i++ {
+		item, err := r.item(ctx, i)
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, item)
+	}
+	return items, nil
 }
 
 // PrefetchChunks resolves the given chunk ids to storage keys and hands them

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"slices"
@@ -66,12 +67,12 @@ func TestScanReaderFetchHook(t *testing.T) {
 		if !ok {
 			t.Fatalf("row %d took the fallback path on a plain flushed tensor", i)
 		}
-		arr, err := x.DecodeStored(s.Data, s.Shape)
+		arr, err := r.At(ctx, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v, _ := arr.At(0); v != float64(i) {
-			t.Fatalf("row %d decoded to %v", i, v)
+		if v, _ := arr.At(0); v != float64(i) || !bytes.Equal(s.Data, arr.Bytes()) {
+			t.Fatalf("row %d decoded to %v, stored %v", i, v, s.Data)
 		}
 	}
 	if want := int64(x.NumChunks()); fetches != want {
@@ -107,8 +108,8 @@ func TestScanReaderAtMatchesTensorAt(t *testing.T) {
 }
 
 // TestScanReaderFallsBackForWriteBufferedRows: rows still in the chunk
-// builder are not served from sealed chunks; StoredAt reports the fallback
-// and ScanReader.At transparently reads them through Tensor.At.
+// builder are not served from sealed chunks; StoredAt and ScanReader.At read
+// them from the write buffer.
 func TestScanReaderFallsBackForWriteBufferedRows(t *testing.T) {
 	ctx := context.Background()
 	ds, err := Create(ctx, storage.NewMemory(), "pending")
@@ -127,8 +128,8 @@ func TestScanReaderFallsBackForWriteBufferedRows(t *testing.T) {
 	}
 	// No flush: every row is write-buffered.
 	r := x.NewScanReader()
-	if _, ok, err := r.StoredAt(ctx, 3); err != nil || ok {
-		t.Fatalf("StoredAt on a buffered row: ok=%v err=%v, want fallback", ok, err)
+	if s, ok, err := r.StoredAt(ctx, 3); err != nil || !ok || !bytes.Equal(s.Data, []byte{3, 0, 0, 0}) {
+		t.Fatalf("StoredAt on a buffered row: %v ok=%v err=%v", s.Data, ok, err)
 	}
 	arr, err := r.At(ctx, 3)
 	if err != nil {

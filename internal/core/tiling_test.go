@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -38,6 +39,11 @@ func TestOversizeSampleIsTiled(t *testing.T) {
 	}
 	if !got.Equal(big) {
 		t.Fatal("tiled sample did not round trip")
+	}
+	// A tiled sample is raw: its stored bytes are the assembled array's.
+	raw, shape, err := tr.RawAt(ctx, 0)
+	if err != nil || !bytes.Equal(raw, big.Bytes()) || !reflect.DeepEqual(shape, big.Shape()) {
+		t.Fatalf("RawAt of the tiled sample: %d bytes, shape %v, %v", len(raw), shape, err)
 	}
 	if v := readInt(t, tr, 1); v != 5 {
 		t.Fatalf("sample after tiled = %d", v)

@@ -71,15 +71,9 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 	note := dc.note
 	if _, tiled := t.tileEnc.Get(idx); tiled {
 		// Replacing a tiled sample re-tiles it from scratch.
-		arr, err := t.decodeSample(s)
+		arr, err := t.decode(s, nil)
 		if err != nil {
 			return err
-		}
-		if t.sampleCodec == nil {
-			arr, err = tensor.FromBytes(t.Dtype(), s.Shape, s.Data)
-			if err != nil {
-				return err
-			}
 		}
 		if err := note(t.appendTiledReplace(ctx, idx, arr)); err != nil {
 			return err
@@ -109,11 +103,7 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 			return err
 		}
 	}
-	raw, err := t.readChunk(ctx, chunkID)
-	if err != nil {
-		return err
-	}
-	samples, err := chunk.Decode(raw)
+	samples, err := t.chunkSamples(ctx, chunkID)
 	if err != nil {
 		return err
 	}
@@ -239,6 +229,9 @@ func (t *Tensor) Rechunk(ctx context.Context) error {
 		builder   = chunk.NewBuilder(t.meta.Bounds)
 		curID     uint64
 		curCount  int
+		// The last source chunk read: rows ascend, so each is read once.
+		srcID  uint64
+		source []chunk.Sample
 	)
 	flush := func() error {
 		if builder.Len() == 0 {
@@ -266,10 +259,20 @@ func (t *Tensor) Rechunk(ctx context.Context) error {
 			newCounts = append(newCounts, 1)
 			continue
 		}
-		s, err := t.storedSample(ctx, idx)
+		id, local, err := t.chunkEnc.Lookup(idx)
 		if err != nil {
 			return err
 		}
+		if source == nil || id != srcID {
+			if source, err = t.chunkSamples(ctx, id); err != nil {
+				return err
+			}
+			srcID = id
+		}
+		if local >= len(source) {
+			return fmt.Errorf("core: sample %d beyond chunk %d (%d samples)", local, id, len(source))
+		}
+		s := source[local]
 		// Deep-copy: source chunk buffers are reused across reads.
 		cp := chunk.Sample{Shape: append([]int(nil), s.Shape...), Data: append([]byte(nil), s.Data...)}
 		if builder.ShouldFlushBefore(len(cp.Data)) {

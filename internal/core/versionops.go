@@ -277,10 +277,15 @@ func (ds *Dataset) Merge(ctx context.Context, srcBranch string, policy MergePoli
 				return err
 			}
 		}
+		// One reader for the tensor's whole walk: the appended rows, then
+		// the updated ones, each ascend, so a source chunk is read once per
+		// pass. The source is a read-only twin, so writes here never
+		// rewrite a chunk under the reader.
+		r := srcT.NewScanReader()
 		// Appends: source samples beyond its base length.
 		srcLen := srcT.Len()
 		for idx := srcLen - change.Added; idx < srcLen; idx++ {
-			arr, err := srcT.At(ctx, idx)
+			arr, err := r.At(ctx, idx)
 			if err != nil {
 				return err
 			}
@@ -302,7 +307,7 @@ func (ds *Dataset) Merge(ctx context.Context, srcBranch string, policy MergePoli
 			if idx >= dstT.Len() {
 				continue // updated a sample we do not have
 			}
-			arr, err := srcT.At(ctx, idx)
+			arr, err := r.At(ctx, idx)
 			if err != nil {
 				return err
 			}

@@ -419,8 +419,8 @@ func (l *Loader) Batches(ctx context.Context) <-chan Batch {
 const stripWidth = 8
 
 // stripTensors lists the tensors whose chunks the feeder prefetches in
-// strips: the stored columns read chunk by chunk. Computed columns and
-// sequence/link tensors take their own read paths.
+// strips: the stored columns read chunk by chunk. Computed columns, and
+// sequence and link tensors, are read without strips.
 func stripTensors(v *view.View, cols []view.Column) []*core.Tensor {
 	var out []*core.Tensor
 	for _, c := range cols {
@@ -743,25 +743,18 @@ func (w *rowLoader) loadStored(ctx context.Context, tensorName string, src uint6
 	if t == nil {
 		return nil, fmt.Errorf("dataloader: unknown tensor %q", tensorName)
 	}
-	// Sequence/link samples take the tensor's own read path.
-	if t.Htype().Sequence || t.Htype().Link {
-		return t.At(ctx, src)
-	}
 	r := w.reader(t)
-	if w.l.opts.RawBytes {
+	if w.l.opts.RawBytes && !t.Htype().Link {
 		s, ok, err := r.StoredAt(ctx, src)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			// Tiled or write-buffered samples fall back to the tensor read
-			// path, which reassembles them.
-			return t.At(ctx, src)
+		if ok {
+			return tensor.FromBytes(tensor.UInt8, []int{len(s.Data)}, w.arena.Copy(s.Data))
 		}
-		return tensor.FromBytes(tensor.UInt8, []int{len(s.Data)}, w.arena.Copy(s.Data))
 	}
-	// At decodes through the reader's arena and falls back to the tensor
-	// read path for tiled or write-buffered samples itself.
+	// At decodes through the reader's arena; it reads sequence rows, links
+	// and tiled samples (which StoredAt cannot hand over whole) itself.
 	return r.At(ctx, src)
 }
 

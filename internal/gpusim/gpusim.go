@@ -64,16 +64,6 @@ func (t *Timeline) Utilization() float64 {
 	return float64(t.ComputeTime) / float64(total)
 }
 
-// IdleFraction is the fraction of the run the GPU spent starved for data —
-// the quantity Figures 9 and 10 minimize.
-func (t *Timeline) IdleFraction() float64 {
-	total := t.ComputeTime + t.StallTime
-	if total == 0 {
-		return 0
-	}
-	return float64(t.StallTime) / float64(total)
-}
-
 // RowsPerSec is the end-to-end training throughput in samples per second of
 // simulated time.
 func (t *Timeline) RowsPerSec() float64 {

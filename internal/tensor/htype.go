@@ -124,15 +124,6 @@ func ParseHtype(expr string) (HtypeSpec, error) {
 	}
 }
 
-// HtypeNames lists all registered base htypes.
-func HtypeNames() []string {
-	out := make([]string, 0, len(htypes))
-	for name := range htypes {
-		out = append(out, name)
-	}
-	return out
-}
-
 func init() {
 	registerHtype(&Htype{
 		Name: "generic",

@@ -115,9 +115,3 @@ func TestImageDefaultsMatchPaper(t *testing.T) {
 		t.Fatalf("image default dtype = %v, want uint8", spec.Base.DefaultDtype)
 	}
 }
-
-func TestHtypeNamesNonEmpty(t *testing.T) {
-	if len(HtypeNames()) < 10 {
-		t.Fatalf("expected >= 10 registered htypes, got %v", HtypeNames())
-	}
-}

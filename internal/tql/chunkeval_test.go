@@ -215,14 +215,10 @@ func TestChunkEvalMatchesTreeWalkerRandomized(t *testing.T) {
 			wKept, wKeys, wFerr, wKerr, wReqs := run(true)
 			where := fmt.Sprintf("workers=%d %s", workers, src)
 			// An expression that fails on several rows (% of an array fails
-			// on every row) fails in several partitions at once, and which
-			// one reports first is a race, for either path.
-			sameErr := func(a, b error) bool {
-				if workers > 1 {
-					return (a == nil) == (b == nil)
-				}
-				return fmt.Sprint(a) == fmt.Sprint(b)
-			}
+			// on every row) fails in several partitions at once; either path
+			// reports the lowest failing partition's error at any worker
+			// count.
+			sameErr := func(a, b error) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
 			if !sameErr(ferr, wFerr) || !sameErr(kerr, wKerr) {
 				t.Fatalf("%s: errors differ:\n chunk:  %v / %v\n walker: %v / %v", where, ferr, kerr, wFerr, wKerr)
 			}
@@ -278,6 +274,33 @@ func TestChunkEvalQueriesMatchTreeWalker(t *testing.T) {
 	if _, err := RunWith(ctx, ds, "SELECT * FROM xc WHERE bad > 0", Options{}); err == nil ||
 		!strings.Contains(err.Error(), fmt.Sprintf("at row %d: tql: array of 3 elements is not a scalar", crossCheckBadRow)) {
 		t.Fatalf("multi-element sample: %v", err)
+	}
+}
+
+// TestScanErrorIsTheOneWorkerError: a query that fails in several partitions
+// reports, at any worker count and on either evaluation path, the error a
+// 1-worker scan reports, which names the lowest failing row.
+func TestScanErrorIsTheOneWorkerError(t *testing.T) {
+	ctx := context.Background()
+	ds := crossCheckDataset(t, storage.NewMemory())
+	for _, q := range []string{
+		"SELECT * FROM xc WHERE NOT t_bool OR t_uint8 % 2 == 1",
+		"SELECT * FROM xc ORDER BY t_float64 % 3",
+	} {
+		_, want := RunWith(ctx, ds, q, Options{Workers: 1})
+		if want == nil {
+			t.Fatalf("%s: no error at 1 worker", q)
+		}
+		for _, workers := range []int{2, 8} {
+			for _, rowAtATime := range []bool{false, true} {
+				for run := 0; run < 5; run++ {
+					_, err := RunWith(ctx, ds, q, Options{Workers: workers, rowAtATime: rowAtATime})
+					if fmt.Sprint(err) != fmt.Sprint(want) {
+						t.Fatalf("workers=%d rowAtATime=%v %s:\n got  %v\n want %v", workers, rowAtATime, q, err, want)
+					}
+				}
+			}
+		}
 	}
 }
 

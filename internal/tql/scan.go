@@ -340,28 +340,34 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 			return i - 1, i <= len(spans)
 		})
 	}
+	// Partitions are claimed in index order. A failure in partition i stops
+	// claims past i, while lower partitions run to completion, so the scan
+	// reports the lowest failing partition's error: the one a 1-worker scan
+	// reports.
 	var (
 		wg       sync.WaitGroup
 		nextSpan atomic.Int64
-		errOnce  sync.Once
+		mu       sync.Mutex
+		failed   = len(spans) // the lowest partition that failed
 		firstErr error
 	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			cur := 0
 			err := runWorker(scanCtx, func() (int, bool) {
-				i := int(nextSpan.Add(1)) - 1
-				return i, i < len(spans)
+				cur = int(nextSpan.Add(1)) - 1
+				mu.Lock()
+				defer mu.Unlock()
+				return cur, cur < failed
 			})
 			if err != nil {
-				fail(err)
+				mu.Lock()
+				if cur < failed {
+					failed, firstErr = cur, err
+				}
+				mu.Unlock()
 			}
 		}()
 	}

@@ -83,8 +83,11 @@ type Source interface {
 }
 
 // DatasetSource adapts a dataset (all visible tensors) as a Source. At
-// reads one row through View.Row, which decodes the row's whole chunk of
-// every column on each call.
+// reads one row through View.Row, whose Tensor.At is a one-shot ScanReader,
+// so each call decodes the row's whole chunk of every column. It keeps no
+// readers of its own because Source.At is called from every pool worker at
+// once and a ScanReader serves one goroutine; a reader per worker needs
+// per-worker state the pool does not have.
 type DatasetSource struct {
 	View *view.View
 }

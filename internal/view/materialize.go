@@ -32,8 +32,12 @@ func Materialize(ctx context.Context, v *View, dst storage.Provider, opts Materi
 	if err != nil {
 		return nil, err
 	}
-	// Create output tensors.
-	for _, c := range v.Columns() {
+	// Create output tensors, and one reader per identity column for the
+	// whole walk: rows in view order fetch and decode each source chunk
+	// once, not once per row.
+	cols := v.Columns()
+	readers := make([]*core.ScanReader, len(cols))
+	for i, c := range cols {
 		spec := core.TensorSpec{Name: c.Name}
 		if c.Source == "" && v.Len() > 0 {
 			// Computed column: infer the dtype from the first row.
@@ -54,6 +58,9 @@ func Materialize(ctx context.Context, v *View, dst storage.Provider, opts Materi
 			spec.SampleCompression = m.SampleCompression
 			spec.ChunkCompression = m.ChunkCompression
 			spec.Bounds = m.Bounds
+			if c.Eval == nil {
+				readers[i] = src.NewScanReader()
+			}
 		}
 		if _, err := out.CreateTensor(ctx, spec); err != nil {
 			return nil, err
@@ -66,39 +73,9 @@ func Materialize(ctx context.Context, v *View, dst storage.Provider, opts Materi
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range v.Columns() {
-			dstT := out.Tensor(c.Name)
-			// Identity columns over link/sequence tensors copy
-			// through their specialized append paths.
-			if c.Eval == nil && c.Source != "" {
-				srcT := v.ds.Tensor(c.Source)
-				switch {
-				case srcT.Htype().Link:
-					url, err := srcT.LinkAt(ctx, src)
-					if err != nil {
-						return nil, err
-					}
-					if err := dstT.AppendLink(ctx, url); err != nil {
-						return nil, err
-					}
-					continue
-				case srcT.Htype().Sequence:
-					items, err := srcT.SequenceAt(ctx, int(src))
-					if err != nil {
-						return nil, err
-					}
-					if err := dstT.AppendSequence(ctx, items); err != nil {
-						return nil, err
-					}
-					continue
-				}
-			}
-			arr, err := v.At(ctx, row, c.Name)
-			if err != nil {
+		for i, c := range cols {
+			if err := materializeCell(ctx, v, out.Tensor(c.Name), readers[i], row, src, c); err != nil {
 				return nil, fmt.Errorf("view: materialize row %d column %q: %w", row, c.Name, err)
-			}
-			if err := dstT.Append(ctx, arr); err != nil {
-				return nil, err
 			}
 		}
 	}
@@ -109,4 +86,36 @@ func Materialize(ctx context.Context, v *View, dst storage.Provider, opts Materi
 		return nil, err
 	}
 	return out, nil
+}
+
+// materializeCell appends one view cell to dst: an identity column's (r
+// non-nil) through its source reader, keeping the link and sequence append
+// paths, and a computed column's from its evaluated array.
+func materializeCell(ctx context.Context, v *View, dst *core.Tensor, r *core.ScanReader, row int, src uint64, c Column) error {
+	if r == nil {
+		arr, err := v.At(ctx, row, c.Name)
+		if err != nil {
+			return err
+		}
+		return dst.Append(ctx, arr)
+	}
+	switch h := dst.Htype(); {
+	case h.Sequence:
+		items, err := r.SequenceAt(ctx, int(src))
+		if err != nil {
+			return err
+		}
+		return dst.AppendSequence(ctx, items)
+	case h.Link:
+		s, _, err := r.StoredAt(ctx, src)
+		if err != nil {
+			return err
+		}
+		return dst.AppendLink(ctx, string(s.Data))
+	}
+	arr, err := r.At(ctx, src)
+	if err != nil {
+		return err
+	}
+	return dst.Append(ctx, arr)
 }

@@ -231,74 +231,3 @@ func blendMask(img *image.RGBA, mask *tensor.NDArray, c color.RGBA) {
 		}
 	}
 }
-
-// Downsample produces a preview image array at 1/factor scale (nearest
-// neighbor), the content of the hidden preview tensors §3.4 mentions.
-func Downsample(arr *tensor.NDArray, factor int) (*tensor.NDArray, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("viz: invalid downsample factor %d", factor)
-	}
-	s := arr.Shape()
-	if len(s) < 2 {
-		return nil, fmt.Errorf("viz: downsample needs a 2-d or 3-d image, got %v", s)
-	}
-	h, w := s[0], s[1]
-	c := 1
-	if len(s) == 3 {
-		c = s[2]
-	}
-	oh, ow := (h+factor-1)/factor, (w+factor-1)/factor
-	outShape := []int{oh, ow}
-	if len(s) == 3 {
-		outShape = append(outShape, c)
-	}
-	out := tensor.MustNew(arr.Dtype(), outShape...)
-	pix := arr.Bytes()
-	dst := out.Bytes()
-	for y := 0; y < oh; y++ {
-		for x := 0; x < ow; x++ {
-			sy, sx := y*factor, x*factor
-			if sy >= h {
-				sy = h - 1
-			}
-			if sx >= w {
-				sx = w - 1
-			}
-			copy(dst[(y*ow+x)*c:(y*ow+x+1)*c], pix[(sy*w+sx)*c:(sy*w+sx+1)*c])
-		}
-	}
-	return out, nil
-}
-
-// CreatePreviews materializes a hidden downsampled preview tensor for the
-// named image tensor (§3.4: "hidden tensors can be used to maintain
-// down-sampled versions of images").
-func CreatePreviews(ctx context.Context, ds *core.Dataset, tensorName string, factor int) (*core.Tensor, error) {
-	src := ds.Tensor(tensorName)
-	if src == nil {
-		return nil, fmt.Errorf("viz: unknown tensor %q", tensorName)
-	}
-	preview, err := ds.CreateTensor(ctx, core.TensorSpec{
-		Name:              "_preview/" + tensorName,
-		Htype:             "image",
-		SampleCompression: "jpeg",
-		Hidden:            true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < src.Len(); i++ {
-		arr, err := src.At(ctx, i)
-		if err != nil {
-			return nil, err
-		}
-		small, err := Downsample(arr, factor)
-		if err != nil {
-			return nil, err
-		}
-		if err := preview.Append(ctx, small); err != nil {
-			return nil, err
-		}
-	}
-	return preview, nil
-}

@@ -108,57 +108,6 @@ func TestRenderNoImageErrors(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	src := tensor.MustNew(tensor.UInt8, 8, 8, 3)
-	for i := range src.Bytes() {
-		src.Bytes()[i] = byte(i)
-	}
-	small, err := Downsample(src, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := small.Shape(); s[0] != 4 || s[1] != 4 || s[2] != 3 {
-		t.Fatalf("downsampled shape = %v", s)
-	}
-	// Nearest neighbor: (0,0) of output == (0,0) of input.
-	v0, _ := small.At(0, 0, 0)
-	w0, _ := src.At(0, 0, 0)
-	if v0 != w0 {
-		t.Fatal("nearest-neighbor sample mismatch")
-	}
-	if _, err := Downsample(src, 0); err == nil {
-		t.Fatal("zero factor should error")
-	}
-}
-
-func TestCreatePreviews(t *testing.T) {
-	ctx := context.Background()
-	ds := vizDataset(t)
-	prev, err := CreatePreviews(ctx, ds, "images", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prev.Len() != 3 {
-		t.Fatalf("previews = %d", prev.Len())
-	}
-	arr, err := prev.At(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arr.Shape()[0] != 8 {
-		t.Fatalf("preview shape = %v", arr.Shape())
-	}
-	// Hidden: not listed.
-	for _, name := range ds.Tensors() {
-		if name == "_preview/images" {
-			t.Fatal("preview tensor must be hidden")
-		}
-	}
-	if _, err := CreatePreviews(ctx, ds, "nosuch", 2); err == nil {
-		t.Fatal("unknown tensor should error")
-	}
-}
-
 func TestServerEndpoints(t *testing.T) {
 	ds := vizDataset(t)
 	srv := httptest.NewServer(NewServer(ds))
