@@ -19,7 +19,7 @@
 //	deeplake merge   -path DIR -from BRANCH [-theirs]
 //	deeplake fsck    -path DIR [-repair]
 //
-// fsck walks the manifest (dataset.json → roots/<gen> → versions/<vid>/
+// fsck walks the manifest (the newest roots/<gen> → versions/<vid>/
 // state.json) against stored objects — missing or unparseable state, missing
 // chunks, orphaned blobs from dead generations, checksum mismatches — and
 // exits non-zero when the dataset is not clean. With -repair it collects the

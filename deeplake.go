@@ -21,8 +21,10 @@
 //	for batch := range loader.Batches(ctx) { ... }
 //
 // On-disk compatibility policy: this tree reads what this tree writes. There
-// is one dataset layout (core.FormatVersion); an older one is refused by
-// name, not half-read.
+// is one dataset layout (core.FormatVersion): root snapshots under roots/,
+// the newest being the published one, and per-version directories under
+// versions/. An older layout is refused by the key of its root, not
+// half-read.
 //
 // # Caching and the concurrent read path
 //
@@ -533,7 +535,7 @@ type (
 	// FsckIssue is one finding: kind, exact object key, detail.
 	FsckIssue = core.FsckIssue
 	// IntegrityInfo summarizes an open handle's integrity state (commit
-	// generation, abandoned staged generations, checksum coverage).
+	// generation, checksum coverage).
 	IntegrityInfo = core.IntegrityInfo
 )
 

@@ -4,15 +4,15 @@
 // encoders, and versioned through a branching commit tree over any storage
 // provider.
 //
-// A dataset on storage is fully self-contained (§5): a provenance file
-// (dataset.json) pointing at the root snapshot roots/<gen> — the version tree
-// plus the state of the version being written — and per-version
-// sub-directories versions/<vid>/ holding only the chunks modified in that
-// version (§4.2) and, once a handle has left the version, its state.json.
-// Nothing else is written or read. Every publish (Create, CreateTensor,
-// DeleteTensor, Flush, Commit, Checkout, Merge) takes two write round trips:
-// the chunk uploads, the state objects of versions being left and the new
-// root land together, then dataset.json moves to the new root.
+// A dataset on storage is fully self-contained (§5): root snapshots
+// roots/<gen>, each holding the dataset's provenance record, the version tree
+// and the state of the version being written, the newest being the published
+// one; and per-version sub-directories versions/<vid>/ holding only the
+// chunks modified in that version (§4.2) and, once a handle has left the
+// version, its state.json. Nothing else is written or read. Every publish
+// (Create, CreateTensor, DeleteTensor, Flush, Commit, Checkout, Merge) takes
+// two write round trips: the chunk uploads and the state objects of versions
+// being left land together, then the new root.
 package core
 
 import (
@@ -66,6 +66,11 @@ type Dataset struct {
 	// head is the current version id (mutable head, or a frozen commit
 	// when detached).
 	head string
+	// gen is the generation of the root this handle last opened or
+	// published, and rootBranch the branch that root is on: branch, or the
+	// one a detached checkout left.
+	gen        uint64
+	rootBranch string
 
 	tensors map[string]*Tensor
 	order   []string
@@ -76,8 +81,7 @@ type Dataset struct {
 	strict bool
 
 	// integrity summarizes what Open learned about the dataset's
-	// integrity state (generation, abandoned staged roots, checksum
-	// coverage). Guarded by ds.mu.
+	// integrity state (generation, checksum coverage). Guarded by ds.mu.
 	integrity IntegrityInfo
 
 	// scope is a process-unique handle identity assigned at Create/Open,
@@ -109,21 +113,16 @@ func (ds *Dataset) SetStrict(strict bool) {
 }
 
 // Create initializes an empty dataset on the provider. The provider's
-// namespace must not already contain a dataset.
+// namespace must not already contain a root.
 func Create(ctx context.Context, store storage.Provider, name string) (*Dataset, error) {
-	if ok, err := store.Exists(ctx, datasetMetaKey); err != nil {
-		return nil, err
-	} else if ok {
+	if _, err := publishedGeneration(ctx, store); err == nil {
 		return nil, fmt.Errorf("core: dataset already exists")
+	} else if err != errNoDataset {
+		return nil, err
 	}
 	now := time.Now().UTC()
 	ds := newHandle(store)
-	ds.meta = datasetMeta{
-		Name:          name,
-		FormatVersion: FormatVersion,
-		CreatedAt:     now,
-		CurrentBranch: version.DefaultBranch,
-	}
+	ds.meta = datasetMeta{Name: name, FormatVersion: FormatVersion, CreatedAt: now}
 	ds.tree = version.NewTree(now)
 	ds.branch = version.DefaultBranch
 	headNode, err := ds.tree.Head(ds.branch)
@@ -149,56 +148,34 @@ func newHandle(store storage.Provider) *Dataset {
 	}
 }
 
-// Open loads an existing dataset at its current branch head.
+// Open loads an existing dataset at the head its newest root is on.
 func Open(ctx context.Context, store storage.Provider) (*Dataset, error) {
+	gen, err := publishedGeneration(ctx, store)
+	if err != nil {
+		return nil, err
+	}
+	root, err := loadRoot(ctx, store, gen)
+	if err != nil {
+		return nil, err
+	}
 	ds := newHandle(store)
-	raw, err := store.Get(ctx, datasetMetaKey)
-	if err != nil {
-		if storage.IsNotFound(err) {
-			return nil, fmt.Errorf("core: no dataset at this location")
-		}
-		return nil, err
-	}
-	if err := unmarshalJSON(raw, &ds.meta); err != nil {
-		return nil, fmt.Errorf("core: corrupt dataset.json: %w", err)
-	}
-	if ds.meta.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("core: dataset.json: unsupported format version %d (this tree reads version %d)", ds.meta.FormatVersion, FormatVersion)
-	}
-	if ds.meta.Generation == 0 {
-		return nil, fmt.Errorf("core: dataset.json names no generation, so there is no root snapshot to open")
-	}
-	ds.integrity.Generation = ds.meta.Generation
-
-	root, err := loadRoot(ctx, store, ds.meta.Generation)
-	if err != nil {
-		return nil, err
-	}
+	ds.meta, ds.gen, ds.branch, ds.rootBranch = root.Meta, gen, root.Branch, root.Branch
+	ds.integrity.Generation = gen
 	ds.tree, err = version.Unmarshal(root.Tree)
 	if err != nil {
-		return nil, fmt.Errorf("core: corrupt version tree in root snapshot %s: %w", rootKey(ds.meta.Generation), err)
+		return nil, fmt.Errorf("core: corrupt version tree in root snapshot %s: %w", rootKey(gen), err)
 	}
-	ds.branch = ds.meta.CurrentBranch
 	headNode, err := ds.tree.Head(ds.branch)
 	if err != nil {
 		return nil, err
 	}
 	ds.head = headNode.ID
 	if root.Head != ds.head {
-		return nil, fmt.Errorf("core: root snapshot %s holds version %s, not the head %s of branch %q", rootKey(ds.meta.Generation), root.Head, ds.head, ds.branch)
+		return nil, fmt.Errorf("core: root snapshot %s holds version %s, not the head %s of branch %q", rootKey(gen), root.Head, ds.head, ds.branch)
 	}
-
-	// A staged generation past the published one is the footprint of a
-	// writer killed between staging its snapshot and publishing it. The
-	// previous (published) generation stays authoritative; the abandoned
-	// one is reported so fsck can collect it.
-	if ok, err := store.Exists(ctx, rootKey(ds.meta.Generation+1)); err == nil && ok {
-		ds.integrity.AbandonedGeneration = ds.meta.Generation + 1
-	}
-
 	tensors, err := ds.tensorsFromState(root.versionState)
 	if err != nil {
-		return nil, fmt.Errorf("core: root snapshot %s: %w", rootKey(ds.meta.Generation), err)
+		return nil, fmt.Errorf("core: root snapshot %s: %w", rootKey(gen), err)
 	}
 	ds.install(root.versionState, tensors)
 	return ds, nil
@@ -508,9 +485,8 @@ func (ds *Dataset) Flush(ctx context.Context) error {
 }
 
 // flushLocked makes everything appended so far durable and publishes it:
-// seal, then the publish's two round trips (chunk uploads landing alongside
-// the root snapshot, then the dataset.json flip). Caller holds ds.mu
-// exclusively.
+// seal, then the publish's two round trips (the chunk uploads landing, then
+// the root snapshot). Caller holds ds.mu exclusively.
 func (ds *Dataset) flushLocked(ctx context.Context) error {
 	if err := ds.sealLocked(ctx); err != nil {
 		return err
@@ -522,7 +498,7 @@ func (ds *Dataset) flushLocked(ctx context.Context) error {
 // snapshots each tensor's state as its savedState. It does not wait for the
 // uploads: the snapshot does not depend on them landing (writeChunk records
 // each chunk's CRC before the bytes go out), and the publish that follows
-// waits for the pipeline to drain before it moves the pointer, so nothing
+// waits for the pipeline to drain before it writes the root, so nothing
 // published references a chunk that is not in storage. Caller holds ds.mu
 // exclusively.
 func (ds *Dataset) sealLocked(ctx context.Context) error {
@@ -565,63 +541,59 @@ func (ds *Dataset) persistRoot(ctx context.Context) error {
 // dataset's published head in two round trips. Round 1 does everything the
 // new root needs at once: it waits for the flush pipeline to land every chunk
 // upload, Puts the staged object (stagedKey → stagedBlob unless the key is
-// empty: the state object of the version the root moves past) and the root
-// snapshot under the next generation's roots/ key, and drops the snapshot two
-// generations back best-effort. Round 2, only once every round-1 step
-// succeeded, atomically flips dataset.json to the new root (FS providers
-// rename into place; object stores replace whole objects). That is the one
-// ordering crash consistency needs: everything the
-// root references is durable before the pointer moves. A writer killed
-// anywhere before the dataset.json rewrite leaves the previous generation
-// untouched and fully readable; the staged root and the chunks uploaded for
-// it are garbage fsck collects, and a staged state object of a version the
-// published root is still on is ignored and overwritten by the next Commit.
+// empty: the state object of the version the root moves past), and drops the
+// snapshot two generations back best-effort. Round 2, only once every round-1
+// step succeeded, Puts the root under the next generation's roots/ key: the
+// commit point, since the newest root is the published one and a Put replaces
+// a whole object atomically (FS providers rename into place). That is the one
+// ordering crash consistency needs: everything the root references is durable
+// before the root is written. A writer killed anywhere before the root Put
+// leaves the previous generation untouched and fully readable; the chunks
+// uploaded for the lost root are orphans fsck collects, and a staged state
+// object of a version the published root is still on is ignored and
+// overwritten by the next Commit. The same holds for a newest root deleted
+// from outside the program: the previous generation opens, as after a crash
+// before its publish, and fsck names the lost generation's chunks as orphans.
 //
 // The handle moves onto tree/branch/head only once the publish succeeded, so
 // a failed Commit or Checkout leaves it where it was, and the generation
-// advances only then too, so a retried flush restages the same generation
-// and converges to identical bytes. Caller holds ds.mu exclusively;
-// NextSampleID is copied under idMu because row appends allocate ids outside
-// the structure lock.
+// advances only then too, so a retried flush rewrites the same generation.
+// Caller holds ds.mu exclusively; NextSampleID is copied under idMu because
+// row appends allocate ids outside the structure lock.
 func (ds *Dataset) publish(ctx context.Context, tree *version.Tree, branch, head string, vs versionState, stagedKey string, stagedBlob []byte) error {
 	rawTree, err := tree.Marshal()
 	if err != nil {
 		return err
 	}
 	ds.idMu.Lock()
-	meta := ds.meta
+	root := rootFile{Meta: ds.meta, Branch: branch, Head: head, Tree: rawTree, versionState: vs}
 	ds.idMu.Unlock()
-	meta.CurrentBranch = branch
-	meta.Generation++
-	root := rootFile{Meta: meta, Branch: branch, Head: head, Tree: rawTree, versionState: vs}
+	gen := ds.gen + 1
 
 	// Round 1: the staged Put and the old-root delete on their own
-	// goroutines, the root Put on this one, then the drain. Two snapshots
-	// stay (the current one and the one being staged), so a reader that just
-	// followed the pointer still finds its root.
+	// goroutines, the drain on this one. Two snapshots stay (the published
+	// one and the one being written), so a reader that just listed roots/
+	// still finds the root it chose.
 	var wg sync.WaitGroup
 	var stagedErr error
 	if stagedKey != "" {
 		wg.Add(1)
 		go func() { defer wg.Done(); stagedErr = ds.store.Put(ctx, stagedKey, stagedBlob) }()
 	}
-	if meta.Generation > 2 {
+	if gen > 2 {
 		wg.Add(1)
-		go func() { defer wg.Done(); _ = ds.store.Delete(ctx, rootKey(meta.Generation-2)) }()
+		go func() { defer wg.Done(); _ = ds.store.Delete(ctx, rootKey(gen-2)) }()
 	}
-	err = ds.store.Put(ctx, rootKey(meta.Generation), mustJSON(root))
 	drainErr := ds.flusher.drain(ctx)
 	wg.Wait()
-	if err := cmp.Or(err, drainErr, stagedErr); err != nil {
+	if err := cmp.Or(drainErr, stagedErr); err != nil {
 		return err
 	}
-	// Round 2, the publish point: after this Put, the new generation is live.
-	if err := ds.store.Put(ctx, datasetMetaKey, mustJSON(meta)); err != nil {
+	// Round 2, the commit point: after this Put, the new generation is live.
+	if err := ds.store.Put(ctx, rootKey(gen), mustJSON(root)); err != nil {
 		return err
 	}
-	ds.idMu.Lock()
-	ds.meta.Generation, ds.meta.CurrentBranch = meta.Generation, branch
-	ds.idMu.Unlock()
+	ds.gen, ds.rootBranch = gen, branch
 	ds.tree, ds.branch, ds.head = tree, branch, head
 	return nil
 }

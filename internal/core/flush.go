@@ -13,10 +13,10 @@ import (
 // which uploads with bounded concurrency so appends never stall on
 // object-store Put latency. Uploads carry the appending caller's context
 // values but not its cancellation. Every publish waits for the pipeline to
-// drain while its own metadata Puts are in flight, and moves the dataset.json
-// pointer only after both, so the stored objects (chunks, version states,
-// root snapshots) are byte-identical at every lane count — only the upload
-// order differs. Upload retries are the provider chain's job: stack storage.Retry
+// drain while its staged state Put is in flight, and writes the root only
+// after both, so the stored objects (chunks, version states, root
+// snapshots) are byte-identical at every lane count — only the upload order
+// differs. Upload retries are the provider chain's job: stack storage.Retry
 // (deeplake.WithRetry) under the dataset, and its attempts, backoff and
 // per-attempt timeout cover chunk uploads and publish Puts alike. Chunk size
 // is not a write option: each tensor's TensorSpec.Bounds sets it.

@@ -175,8 +175,8 @@ func TestFlushManualRedriveTakesOverAutoRetry(t *testing.T) {
 // TestFlushUploadTimeoutParksStalledPuts covers the black-hole failure mode:
 // a stalled Put must die of the chain's OpTimeout (uploads run on a
 // pipeline-owned context) and be re-attempted — the appending caller is never
-// stuck. That holds for chunk uploads and for the two publish Puts of a flush
-// (root, dataset.json), which go through the same Retry layer.
+// stuck. That holds for chunk uploads and for the root Put that publishes a
+// flush, which goes through the same Retry layer.
 func TestFlushUploadTimeoutParksStalledPuts(t *testing.T) {
 	ctx := context.Background()
 	const rows = 120

@@ -15,12 +15,6 @@ import (
 const (
 	// FsckCorruptObject: a metadata object exists but does not parse.
 	FsckCorruptObject = "corrupt-object"
-	// FsckMissingRoot: dataset.json points at a generation whose snapshot
-	// object is gone.
-	FsckMissingRoot = "missing-root"
-	// FsckAbandonedRoot: a staged generation newer than the published one —
-	// the footprint of a writer killed between staging and publishing.
-	FsckAbandonedRoot = "abandoned-root"
 	// FsckStaleRoot: a snapshot older than the previous generation that
 	// best-effort cleanup failed to remove.
 	FsckStaleRoot = "stale-root"
@@ -45,9 +39,9 @@ const (
 
 // FsckOptions configures a consistency walk.
 type FsckOptions struct {
-	// Repair makes fsck fix what it safely can: delete abandoned/stale
-	// roots, orphan chunks and orphan version directories. Missing objects
-	// and checksum mismatches are data loss and are only ever reported.
+	// Repair makes fsck fix what it safely can: delete stale roots, orphan
+	// chunks and orphan version directories. Missing objects and checksum
+	// mismatches are data loss and are only ever reported.
 	Repair bool
 }
 
@@ -134,35 +128,27 @@ func (f *fsckState) issue(kind, key, detail string, fix func(context.Context) er
 // report.
 func Fsck(ctx context.Context, store storage.Provider, opts FsckOptions) (*FsckReport, error) {
 	f := &fsckState{store: store, rep: &FsckReport{}}
-
-	raw, err := store.Get(ctx, datasetMetaKey)
+	gens, stray, err := listRoots(ctx, store)
 	if err != nil {
-		if storage.IsNotFound(err) {
-			return nil, fmt.Errorf("core: no dataset at this location")
+		return nil, err
+	}
+	if len(gens) == 0 {
+		return nil, errNoDataset
+	}
+	gen := gens[len(gens)-1]
+	f.rep.Generation = gen
+	for _, key := range stray {
+		f.issue(FsckOrphanVersion, key, "unparseable name under roots/", f.deleteFix(key))
+	}
+	// Publish keeps two snapshots: the published one and the one before it.
+	for _, g := range gens {
+		if g+1 < gen {
+			f.issue(FsckStaleRoot, rootKey(g), fmt.Sprintf("superseded snapshot (published generation is %d)", gen), f.deleteFix(rootKey(g)))
 		}
-		return nil, err
 	}
 	f.rep.ObjectsChecked++
-	var meta datasetMeta
-	if err := unmarshalJSON(raw, &meta); err != nil {
-		f.issue(FsckCorruptObject, datasetMetaKey, fmt.Sprintf("does not parse: %v", err), nil)
-		return f.rep, nil
-	}
-	f.rep.Generation = meta.Generation
-
-	root, err := loadRoot(ctx, store, meta.Generation)
-	switch {
-	case err == nil:
-		f.root = root
-	case storage.IsNotFound(err):
-		f.issue(FsckMissingRoot, rootKey(meta.Generation),
-			"dataset.json points at this generation but its snapshot is gone", nil)
-	default:
-		f.issue(FsckCorruptObject, rootKey(meta.Generation), err.Error(), nil)
-	}
-	f.rep.ObjectsChecked++
-	if err := f.checkRootsListing(ctx, meta.Generation); err != nil {
-		return nil, err
+	if f.root, err = loadRoot(ctx, store, gen); err != nil {
+		f.issue(FsckCorruptObject, rootKey(gen), err.Error(), nil)
 	}
 	// Without the root there is no version tree to judge the rest by, and
 	// the other snapshots are all that is left to recover from: report only.
@@ -171,7 +157,7 @@ func Fsck(ctx context.Context, store storage.Provider, opts FsckOptions) (*FsckR
 	}
 	f.tree, err = version.Unmarshal(f.root.Tree)
 	if err != nil {
-		f.issue(FsckCorruptObject, rootKey(meta.Generation), fmt.Sprintf("embedded version tree does not parse: %v", err), nil)
+		f.issue(FsckCorruptObject, rootKey(gen), fmt.Sprintf("embedded version tree does not parse: %v", err), nil)
 		return f.rep, nil
 	}
 	if err := f.checkVersions(ctx); err != nil {
@@ -189,35 +175,9 @@ func Fsck(ctx context.Context, store storage.Provider, opts FsckOptions) (*FsckR
 	return f.rep, nil
 }
 
-// checkRootsListing flags staged-but-unpublished generations (a crashed
-// writer's footprint) and stale snapshots older than the kept window
-// (current + previous).
-func (f *fsckState) checkRootsListing(ctx context.Context, gen uint64) error {
-	keys, err := f.store.List(ctx, rootsPrefix)
-	if err != nil {
-		return err
-	}
-	for _, key := range keys {
-		key := key
-		g, ok := parseChunkName(strings.TrimPrefix(key, rootsPrefix))
-		if !ok {
-			f.issue(FsckOrphanVersion, key, "unparseable name under roots/", func(ctx context.Context) error {
-				return f.store.Delete(ctx, key)
-			})
-			continue
-		}
-		switch {
-		case g > gen:
-			f.issue(FsckAbandonedRoot, key,
-				fmt.Sprintf("staged generation %d was never published (writer died before the dataset.json flip); published generation is %d", g, gen),
-				func(ctx context.Context) error { return f.store.Delete(ctx, key) })
-		case gen >= 2 && g < gen-1:
-			f.issue(FsckStaleRoot, key,
-				fmt.Sprintf("superseded snapshot (published generation is %d)", gen),
-				func(ctx context.Context) error { return f.store.Delete(ctx, key) })
-		}
-	}
-	return nil
+// deleteFix is the repair that deletes key.
+func (f *fsckState) deleteFix(key string) func(context.Context) error {
+	return func(ctx context.Context) error { return f.store.Delete(ctx, key) }
 }
 
 // versionState resolves one version's state the way loadVersionState does:
@@ -353,8 +313,7 @@ func (f *fsckState) checkVersions(ctx context.Context) error {
 				detail = fmt.Sprintf("stored for tensor %q, which the version's schema does not have (e.g. deleted before its chunks were collected)", name)
 			}
 			if n, ok := parseChunkName(id); !ok || !chunks[n] {
-				f.issue(FsckOrphanChunk, key, detail,
-					func(ctx context.Context) error { return f.store.Delete(ctx, key) })
+				f.issue(FsckOrphanChunk, key, detail, f.deleteFix(key))
 			}
 		}
 	}

@@ -21,7 +21,7 @@ import (
 type guillotine struct {
 	storage.Provider
 	killAt func(ops int, key string) bool
-	// published, when set, runs after every dataset.json Put that lands.
+	// published, when set, runs after every root Put that lands.
 	published func()
 
 	mu   sync.Mutex
@@ -45,17 +45,19 @@ func (g *guillotine) mutate(key string, op func() error) error {
 		return errors.New("simulated crash: writer killed before " + key)
 	}
 	g.ops++
-	if err := op(); err != nil {
-		return err
-	}
-	if key == datasetMetaKey && g.published != nil {
-		g.published()
-	}
-	return nil
+	return op()
 }
 
 func (g *guillotine) Put(ctx context.Context, key string, data []byte) error {
-	return g.mutate(key, func() error { return g.Provider.Put(ctx, key, data) })
+	return g.mutate(key, func() error {
+		if err := g.Provider.Put(ctx, key, data); err != nil {
+			return err
+		}
+		if strings.HasPrefix(key, rootsPrefix) && g.published != nil {
+			g.published()
+		}
+		return nil
+	})
 }
 
 func (g *guillotine) Delete(ctx context.Context, key string) error {
@@ -96,11 +98,10 @@ func countIssues(rep *FsckReport, kind string) int {
 }
 
 // TestCrashBetweenFlushAndPublish is the crash-consistency litmus from the
-// integrity work: a writer killed after uploading chunks and staging the
-// root but before the atomic dataset.json publish must leave the previous
-// generation fully readable, fsck must find only collectable garbage —
-// the abandoned root and orphan chunks, nothing missing — and repair must
-// bring the dataset back to clean.
+// integrity work: a writer killed after uploading chunks but before the
+// atomic root Put must leave the previous generation fully readable, fsck
+// must find only collectable garbage — orphan chunks, nothing missing — and
+// repair must bring the dataset back to clean.
 func TestCrashBetweenFlushAndPublish(t *testing.T) {
 	ctx := context.Background()
 	mem := storage.NewMemory()
@@ -117,9 +118,9 @@ func TestCrashBetweenFlushAndPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The kill: more rows land chunks and a staged root, but the publish
-	// fails.
-	g.killAt = func(_ int, key string) bool { return key == datasetMetaKey }
+	// The kill: more rows land chunks, but the root Put fails.
+	next := rootKey(ds.gen + 1)
+	g.killAt = func(_ int, key string) bool { return key == next }
 	appendLabels(t, ds, 40, 80)
 	if err := ds.Flush(ctx); err == nil {
 		t.Fatal("flush through the guillotine should fail")
@@ -142,12 +143,9 @@ func TestCrashBetweenFlushAndPublish(t *testing.T) {
 	if info.Generation == 0 {
 		t.Fatal("expected a published generation")
 	}
-	if info.AbandonedGeneration != info.Generation+1 {
-		t.Fatalf("abandoned generation = %d, want %d", info.AbandonedGeneration, info.Generation+1)
-	}
 
-	// fsck: the abandoned root and its orphan chunks — and NOTHING missing
-	// or corrupt.
+	// fsck: the lost generation's orphan chunks — and NOTHING missing or
+	// corrupt.
 	rep, err := Fsck(ctx, mem, FsckOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -155,13 +153,10 @@ func TestCrashBetweenFlushAndPublish(t *testing.T) {
 	if rep.Clean() {
 		t.Fatal("fsck should flag the crashed writer's footprint")
 	}
-	if countIssues(rep, FsckAbandonedRoot) != 1 {
-		t.Fatalf("want 1 abandoned root, got report:\n%s", rep.Format())
-	}
 	if countIssues(rep, FsckOrphanChunk) == 0 {
 		t.Fatalf("want orphan chunks from the dead generation, got report:\n%s", rep.Format())
 	}
-	if n := countIssues(rep, FsckMissingChunk) + countIssues(rep, FsckChecksumMismatch) + countIssues(rep, FsckMissingObject) + countIssues(rep, FsckMissingRoot); n != 0 {
+	if n := countIssues(rep, FsckMissingChunk) + countIssues(rep, FsckChecksumMismatch) + countIssues(rep, FsckMissingObject); n != 0 {
 		t.Fatalf("crash must not lose or corrupt published data, got report:\n%s", rep.Format())
 	}
 	for _, i := range rep.Issues {
@@ -191,9 +186,6 @@ func TestCrashBetweenFlushAndPublish(t *testing.T) {
 	}
 	if n := back.NumRows(); n != 40 {
 		t.Fatalf("post-repair reopen has %d rows", n)
-	}
-	if info := back.Integrity(); info.AbandonedGeneration != 0 {
-		t.Fatalf("abandoned generation still reported after repair: %+v", info)
 	}
 
 	// The repaired dataset accepts new writes.
@@ -231,43 +223,13 @@ func TestOpenRejectsGarbageMetadata(t *testing.T) {
 		return mem
 	}
 
-	t.Run("garbage dataset.json", func(t *testing.T) {
-		mem := newFlushed(t)
-		if err := mem.Put(ctx, datasetMetaKey, []byte("{not json")); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Open(ctx, mem)
-		if err == nil || !strings.Contains(err.Error(), "corrupt dataset.json") {
-			t.Fatalf("Open = %v, want corrupt dataset.json error", err)
-		}
-	})
-
-	t.Run("truncated dataset.json", func(t *testing.T) {
-		mem := newFlushed(t)
-		raw, err := mem.Get(ctx, datasetMetaKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mem.Put(ctx, datasetMetaKey, raw[:len(raw)/2]); err != nil {
-			t.Fatal(err)
-		}
-		_, err = Open(ctx, mem)
-		if err == nil || !strings.Contains(err.Error(), "corrupt dataset.json") {
-			t.Fatalf("Open = %v, want corrupt dataset.json error", err)
-		}
-	})
-
 	published := func(t *testing.T, mem *storage.Memory) string {
 		t.Helper()
-		var meta datasetMeta
-		raw, err := mem.Get(ctx, datasetMetaKey)
+		gen, err := publishedGeneration(ctx, mem)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := unmarshalJSON(raw, &meta); err != nil {
-			t.Fatal(err)
-		}
-		return rootKey(meta.Generation)
+		return rootKey(gen)
 	}
 
 	t.Run("garbage root snapshot", func(t *testing.T) {
@@ -288,41 +250,58 @@ func TestOpenRejectsGarbageMetadata(t *testing.T) {
 		}
 	})
 
-	t.Run("root snapshot missing", func(t *testing.T) {
+	t.Run("truncated root snapshot", func(t *testing.T) {
 		mem := newFlushed(t)
 		key := published(t, mem)
-		if err := mem.Delete(ctx, key); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Open(ctx, mem)
-		if err == nil || !strings.Contains(err.Error(), key) || !storage.IsNotFound(err) {
-			t.Fatalf("Open = %v, want a not-found error naming %s", err, key)
-		}
-		rep, err := Fsck(ctx, mem, FsckOptions{Repair: true})
+		raw, err := mem.Get(ctx, key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if countIssues(rep, FsckMissingRoot) != 1 || rep.Clean() {
-			t.Fatalf("fsck should report the missing root and stay dirty:\n%s", rep.Format())
+		if err := mem.Put(ctx, key, raw[:len(raw)/2]); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(ctx, mem)
+		if err == nil || !strings.Contains(err.Error(), "corrupt root snapshot "+key) {
+			t.Fatalf("Open = %v, want corrupt root snapshot error naming %s", err, key)
+		}
+	})
+
+	t.Run("no root left", func(t *testing.T) {
+		mem := newFlushed(t)
+		keys, err := mem.List(ctx, rootsPrefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range keys {
+			if err := mem.Delete(ctx, key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Open(ctx, mem); err == nil || !strings.Contains(err.Error(), "no dataset") {
+			t.Fatalf("Open = %v, want no dataset reported", err)
+		}
+		if _, err := Fsck(ctx, mem, FsckOptions{}); err == nil || !strings.Contains(err.Error(), "no dataset") {
+			t.Fatalf("Fsck = %v, want no dataset reported", err)
 		}
 	})
 
 	t.Run("older layout is refused by name", func(t *testing.T) {
 		mem := newFlushed(t)
-		raw, err := mem.Get(ctx, datasetMetaKey)
+		key := published(t, mem)
+		raw, err := mem.Get(ctx, key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := strings.Replace(string(raw), fmt.Sprintf(`"format_version":%d`, FormatVersion), `"format_version":1`, 1)
+		old := strings.Replace(string(raw), fmt.Sprintf(`"format_version":%d`, FormatVersion), `"format_version":2`, 1)
 		if old == string(raw) {
-			t.Fatalf("dataset.json carries no format_version: %s", raw)
+			t.Fatalf("%s carries no format_version: %s", key, raw)
 		}
-		if err := mem.Put(ctx, datasetMetaKey, []byte(old)); err != nil {
+		if err := mem.Put(ctx, key, []byte(old)); err != nil {
 			t.Fatal(err)
 		}
 		_, err = Open(ctx, mem)
-		if err == nil || !strings.Contains(err.Error(), "unsupported format version 1") {
-			t.Fatalf("Open = %v, want the format version refused", err)
+		if err == nil || !strings.Contains(err.Error(), key+": unsupported format version 2") {
+			t.Fatalf("Open = %v, want format version 2 refused naming %s", err, key)
 		}
 	})
 
@@ -471,7 +450,7 @@ func TestFsckNamesUnboundChunks(t *testing.T) {
 	// Drop the committed version's group from the published root: its
 	// chunks stay stored and referenced by the commit's own state, but the
 	// head no longer says where its first 60 rows live.
-	gen := ds.meta.Generation
+	gen := ds.gen
 	root, err := loadRoot(ctx, mem, gen)
 	if err != nil {
 		t.Fatal(err)

@@ -9,10 +9,12 @@ import (
 )
 
 // FormatVersion is bumped on incompatible dataset layout changes; Open
-// refuses a dataset.json carrying any other. Version 2 keeps a version's
-// state as one record (versionState) where version 1 spread it over
-// per-tensor objects.
-const FormatVersion = 2
+// refuses a root carrying any other. Version 3 stores only roots/ and
+// versions/: the newest root is the published one. Version 2 also kept a
+// dataset.json pointer, and its roots/ could hold a staged root whose chunks
+// never landed, so listing it would open garbage. Version 1 spread a
+// version's state over per-tensor objects.
+const FormatVersion = 3
 
 // TensorSpec declares a new tensor column (§3.2-3.3).
 type TensorSpec struct {
@@ -58,20 +60,13 @@ type TensorMeta struct {
 	Checksums map[string]uint32 `json:"checksums,omitempty"`
 }
 
-// datasetMeta is the persisted dataset metadata (dataset.json), the
-// provenance file of §3.4.
+// datasetMeta is the persisted dataset metadata, the provenance record of
+// §3.4, carried by every root.
 type datasetMeta struct {
 	Name          string    `json:"name"`
 	FormatVersion int       `json:"format_version"`
 	CreatedAt     time.Time `json:"created_at"`
-	CurrentBranch string    `json:"current_branch"`
 	NextSampleID  uint64    `json:"next_sample_id"`
-	// Generation is the commit protocol's publish pointer: every publish
-	// stages the root snapshot roots/<generation> and only then rewrites
-	// dataset.json to point at it, so a writer killed mid-flush leaves the
-	// previous generation fully readable. Create publishes generation 1;
-	// Open refuses a pointer without one.
-	Generation uint64 `json:"generation,omitempty"`
 }
 
 // schemaFile lists the tensors of one version (schema evolution is tracked
@@ -93,13 +88,9 @@ type diffRecord struct {
 
 // Storage layout helpers. All keys are relative to the dataset root.
 
-const (
-	datasetMetaKey = "dataset.json"
-	rootsPrefix    = "roots/"
-)
+const rootsPrefix = "roots/"
 
-// rootKey is the staged snapshot object for one generation; see
-// datasetMeta.Generation.
+// rootKey is the root snapshot of one generation; see Dataset.publish.
 func rootKey(gen uint64) string { return fmt.Sprintf("%s%016x", rootsPrefix, gen) }
 
 // chunkName is the canonical textual name of a chunk id, used both as the

@@ -144,7 +144,7 @@ func enumerateCrashPoints(t *testing.T, script writerScript, opts WriteOptions) 
 	ctx := context.Background()
 
 	// Reference run: what each generation holds, read by a second handle at
-	// the moment its dataset.json lands.
+	// the moment its root lands.
 	mem := storage.NewMemory()
 	ref := &guillotine{Provider: mem}
 	want := map[uint64]string{}
@@ -164,7 +164,7 @@ func enumerateCrashPoints(t *testing.T, script writerScript, opts WriteOptions) 
 		t.Fatalf("script too short to mean anything: %d mutating ops, %d generations", total, len(want))
 	}
 
-	debris := map[string]bool{FsckAbandonedRoot: true, FsckStaleRoot: true, FsckOrphanChunk: true, FsckOrphanVersion: true}
+	debris := map[string]bool{FsckStaleRoot: true, FsckOrphanChunk: true, FsckOrphanVersion: true}
 	for k := 0; k < total; k++ {
 		mem := storage.NewMemory()
 		g := &guillotine{Provider: mem, killAt: func(ops int, _ string) bool { return ops == k }}
@@ -175,10 +175,10 @@ func enumerateCrashPoints(t *testing.T, script writerScript, opts WriteOptions) 
 		if _, dead := g.state(); !dead {
 			t.Fatalf("k=%d: the script finished without reaching the kill", k)
 		}
-		if ok, err := mem.Exists(ctx, datasetMetaKey); err != nil {
+		if keys, err := mem.List(ctx, rootsPrefix); err != nil {
 			t.Fatal(err)
-		} else if !ok {
-			continue // killed before the first publish: there is no dataset yet
+		} else if len(keys) == 0 {
+			continue // killed before the first publish: no root under roots/
 		}
 
 		back, err := Open(ctx, mem)
@@ -230,12 +230,32 @@ func enumerateCrashPoints(t *testing.T, script writerScript, opts WriteOptions) 
 	}
 }
 
+// existsCounting counts the Exists calls, which Counting does not.
+type existsCounting struct {
+	storage.Provider
+	calls atomic.Int64
+}
+
+func (e *existsCounting) Exists(ctx context.Context, key string) (bool, error) {
+	e.calls.Add(1)
+	return e.Provider.Exists(ctx, key)
+}
+
 // TestLayoutAndRequestCounts pins what the writer leaves in storage and what
 // each operation costs, over Counting → Memory.
 func TestLayoutAndRequestCounts(t *testing.T) {
 	ctx := context.Background()
 	mem := storage.NewMemory()
 	counting := storage.NewCounting(mem)
+	// Create: one List to refuse an existing root, one Put for the first.
+	if _, err := Create(ctx, counting, "created"); err != nil {
+		t.Fatal(err)
+	}
+	if s := counting.Snapshot(); s.Lists != 1 || s.Puts != 1 || s.Requests() != 0 {
+		t.Fatalf("Create: %d Lists, %d Puts, %d reads, want 1, 1 and 0", s.Lists, s.Puts, s.Requests())
+	}
+	mem = storage.NewMemory()
+	counting = storage.NewCounting(mem)
 	ds, err := publishScript(ctx, counting, WriteOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -254,10 +274,10 @@ func TestLayoutAndRequestCounts(t *testing.T) {
 		return n
 	}
 
-	// The key set: pointer, two roots, and per version a state object and
-	// chunks. Nothing else.
-	gen := ds.meta.Generation
-	layout := regexp.MustCompile(`^(dataset\.json|versions/v\d{8}/state\.json|versions/v\d{8}/tensors/[a-z_]+/chunks/[0-9a-f]{16})$`)
+	// The key set: two roots, and per version a state object and chunks.
+	// Nothing else.
+	gen := ds.gen
+	layout := regexp.MustCompile(`^(versions/v\d{8}/state\.json|versions/v\d{8}/tensors/[a-z_]+/chunks/[0-9a-f]{16})$`)
 	keys, err := mem.List(ctx, "")
 	if err != nil {
 		t.Fatal(err)
@@ -275,16 +295,16 @@ func TestLayoutAndRequestCounts(t *testing.T) {
 		t.Fatalf("want exactly roots %d and %d and some chunks, got keys %v", gen-1, gen, keys)
 	}
 
-	// CreateTensor: root + pointer.
+	// CreateTensor: the root.
 	counting.Reset()
 	if _, err := ds.CreateTensor(ctx, TensorSpec{Name: "extra", Dtype: tensor.Int64, Bounds: smallBounds}); err != nil {
 		t.Fatal(err)
 	}
-	if s := counting.Snapshot(); s.Puts != 2 || s.Requests() != 0 {
-		t.Fatalf("CreateTensor: %d Puts, %d reads, want 2 and 0", s.Puts, s.Requests())
+	if s := counting.Snapshot(); s.Puts != 1 || s.Requests() != 0 {
+		t.Fatalf("CreateTensor: %d Puts, %d reads, want 1 and 0", s.Puts, s.Requests())
 	}
 
-	// Flush: the k chunks it seals + root + pointer.
+	// Flush: the k chunks it seals + root.
 	if err := appendPairs(ctx, ds, 200, 203); err != nil {
 		t.Fatal(err)
 	}
@@ -294,35 +314,37 @@ func TestLayoutAndRequestCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	sealed := chunkKeys() - before
-	if s := counting.Snapshot(); sealed == 0 || s.Puts != int64(sealed)+2 || s.Requests() != 0 {
-		t.Fatalf("Flush sealing %d chunks: %d Puts, %d reads, want %d and 0", sealed, s.Puts, s.Requests(), sealed+2)
+	if s := counting.Snapshot(); sealed == 0 || s.Puts != int64(sealed)+1 || s.Requests() != 0 {
+		t.Fatalf("Flush sealing %d chunks: %d Puts, %d reads, want %d and 0", sealed, s.Puts, s.Requests(), sealed+1)
 	}
 
 	// Commit: the same plus the frozen state object, and ONE generation.
 	if err := appendPairs(ctx, ds, 203, 206); err != nil {
 		t.Fatal(err)
 	}
-	before, gen = chunkKeys(), ds.meta.Generation
+	before, gen = chunkKeys(), ds.gen
 	counting.Reset()
 	first, err := ds.Commit(ctx, "counted")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sealed = chunkKeys() - before
-	if s := counting.Snapshot(); sealed == 0 || s.Puts != int64(sealed)+3 || s.Requests() != 0 || ds.meta.Generation != gen+1 {
+	if s := counting.Snapshot(); sealed == 0 || s.Puts != int64(sealed)+2 || s.Requests() != 0 || ds.gen != gen+1 {
 		t.Fatalf("Commit sealing %d chunks: %d Puts, %d reads, generation %d → %d; want %d Puts, 0 reads, one generation",
-			sealed, s.Puts, s.Requests(), gen, ds.meta.Generation, sealed+3)
+			sealed, s.Puts, s.Requests(), gen, ds.gen, sealed+2)
 	}
 
-	// Open: pointer + root, however deep the history.
+	// Open: one List of roots/ + the newest root, however deep the history.
 	open := func(depth int) {
 		counting.Reset()
-		back, err := Open(ctx, counting)
+		exists := &existsCounting{Provider: counting}
+		back, err := Open(ctx, exists)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s := counting.Snapshot(); s.Requests() != 2 || s.Puts != 0 {
-			t.Fatalf("Open at depth %d: %d reads, %d Puts, want 2 and 0", depth, s.Requests(), s.Puts)
+		if s := counting.Snapshot(); s.Lists != 1 || s.Gets != 1 || s.Requests() != 1 || s.Puts != 0 || exists.calls.Load() != 0 {
+			t.Fatalf("Open at depth %d: %d Lists, %d reads, %d Puts, %d Exists, want 1, 1, 0 and 0",
+				depth, s.Lists, s.Requests(), s.Puts, exists.calls.Load())
 		}
 		if log, err := back.Log(); err != nil || len(log) != depth {
 			t.Fatalf("Open at depth %d: log has %d commits (%v)", depth, len(log), err)
@@ -342,13 +364,13 @@ func TestLayoutAndRequestCounts(t *testing.T) {
 
 	// Checkout of a commit id reads that version's state and publishes
 	// nothing. From a branch it is preceded by the flush of pending writes
-	// (here none: 0 chunks + 2).
+	// (here none: 0 chunks + 1).
 	counting.Reset()
 	if err := ds.Checkout(ctx, first, false); err != nil {
 		t.Fatal(err)
 	}
-	if s := counting.Snapshot(); s.Requests() != 1 || s.Puts != 2 {
-		t.Fatalf("checkout of a commit from a branch: %d reads, %d Puts, want 1 and the flush's 2", s.Requests(), s.Puts)
+	if s := counting.Snapshot(); s.Requests() != 1 || s.Puts != 1 {
+		t.Fatalf("checkout of a commit from a branch: %d reads, %d Puts, want 1 and the flush's 1", s.Requests(), s.Puts)
 	}
 	counting.Reset()
 	if err := ds.Checkout(ctx, second, false); err != nil {
@@ -360,17 +382,17 @@ func TestLayoutAndRequestCounts(t *testing.T) {
 }
 
 // failOnce fails the first Put whose key contains match, once armed, and
-// counts the dataset.json Puts attempted.
+// counts the root Puts attempted.
 type failOnce struct {
 	storage.Provider
-	match       string
-	armed       atomic.Bool
-	pointerPuts atomic.Int64
+	match    string
+	armed    atomic.Bool
+	rootPuts atomic.Int64
 }
 
 func (f *failOnce) Put(ctx context.Context, key string, data []byte) error {
-	if key == datasetMetaKey {
-		f.pointerPuts.Add(1)
+	if strings.HasPrefix(key, rootsPrefix) {
+		f.rootPuts.Add(1)
 	}
 	if strings.Contains(key, f.match) && f.armed.CompareAndSwap(true, false) {
 		return errors.New("injected: Put " + key + " failed")
@@ -379,12 +401,12 @@ func (f *failOnce) Put(ctx context.Context, key string, data []byte) error {
 }
 
 // TestFailedCommitLeavesHandleWhereItWas: whichever of a commit's Puts fails
-// — a chunk upload or one of its three metadata Puts — the handle stays on the
-// uncommitted head, the pointer is not touched unless it is what failed, and
+// — a chunk upload or one of its two metadata Puts — the handle stays on the
+// uncommitted head, the root is not written unless it is what failed, and
 // the retried Commit is the one and only commit.
 func TestFailedCommitLeavesHandleWhereItWas(t *testing.T) {
 	ctx := context.Background()
-	for _, object := range []string{"state.json", rootsPrefix, datasetMetaKey, "/chunks/"} {
+	for _, object := range []string{"state.json", rootsPrefix, "/chunks/"} {
 		t.Run(object, func(t *testing.T) {
 			mem := storage.NewMemory()
 			f := &failOnce{Provider: mem, match: object}
@@ -404,19 +426,19 @@ func TestFailedCommitLeavesHandleWhereItWas(t *testing.T) {
 			}
 
 			f.armed.Store(true)
-			f.pointerPuts.Store(0)
+			f.rootPuts.Store(0)
 			if id, err := ds.Commit(ctx, "only"); err == nil {
 				t.Fatalf("Commit through the failing Put returned %q", id)
 			}
 			if f.armed.Load() {
 				t.Fatalf("the Commit issued no Put matching %q", object)
 			}
-			var want int64 // round 1 failed: no pointer Put was issued
-			if object == datasetMetaKey {
-				want = 1 // round 1 succeeded and the pointer Put is the failure
+			var want int64 // round 1 failed: no root Put was issued
+			if object == rootsPrefix {
+				want = 1 // round 1 succeeded and the root Put is the failure
 			}
-			if n := f.pointerPuts.Load(); n != want {
-				t.Fatalf("failed Commit attempted %d %s Puts, want %d", n, datasetMetaKey, want)
+			if n := f.rootPuts.Load(); n != want {
+				t.Fatalf("failed Commit attempted %d root Puts, want %d", n, want)
 			}
 			if log, _ := ds.Log(); ds.Version() != head || len(log) != 0 {
 				t.Fatalf("failed Commit moved the handle: version %s → %s, %d commits", head, ds.Version(), len(log))
@@ -563,12 +585,12 @@ func TestDetachedCheckoutKeepsCurrentBranch(t *testing.T) {
 	}
 }
 
-// gate holds every Put issued while it is armed until want of them are
-// waiting at once, then releases them all together. A publish that issues its
-// round-1 Puts concurrently fills the gate; one that waits for any of them
-// before issuing the next never does, and hangs. It also records how many
-// held Puts had returned when the dataset.json Put arrived: the pointer must
-// wait for every one of them.
+// gate holds every Put and Delete issued while it is armed, except root Puts,
+// until want of them are waiting at once, then releases them all together. A
+// publish that issues its round-1 ops concurrently fills the gate; one that
+// waits for any of them before issuing the next never does, and hangs. It also
+// records how many held ops had returned when the root Put arrived: the root
+// must wait for every one of them.
 type gate struct {
 	storage.Provider
 
@@ -577,28 +599,39 @@ type gate struct {
 	held     []string
 	returned int
 	open     chan struct{}
-	// pointerAfter is returned at the moment dataset.json was Put, or -1.
-	pointerAfter int
+	// rootAfter is returned at the moment the root was Put, or -1.
+	rootAfter int
 }
 
-// arm starts holding Puts until want are waiting.
+// arm starts holding ops until want are waiting.
 func (g *gate) arm(want int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.want, g.held, g.returned, g.pointerAfter = want, nil, 0, -1
+	g.want, g.held, g.returned, g.rootAfter = want, nil, 0, -1
 	g.open = make(chan struct{})
 }
 
 func (g *gate) Put(ctx context.Context, key string, data []byte) error {
-	g.mu.Lock()
-	if g.open == nil {
+	if strings.HasPrefix(key, rootsPrefix) {
+		g.mu.Lock()
+		if g.open != nil {
+			g.rootAfter = g.returned
+		}
 		g.mu.Unlock()
 		return g.Provider.Put(ctx, key, data)
 	}
-	if key == datasetMetaKey {
-		g.pointerAfter = g.returned
+	return g.hold(key, func() error { return g.Provider.Put(ctx, key, data) })
+}
+
+func (g *gate) Delete(ctx context.Context, key string) error {
+	return g.hold(key, func() error { return g.Provider.Delete(ctx, key) })
+}
+
+func (g *gate) hold(key string, op func() error) error {
+	g.mu.Lock()
+	if g.open == nil {
 		g.mu.Unlock()
-		return g.Provider.Put(ctx, key, data)
+		return op()
 	}
 	g.held = append(g.held, key)
 	if len(g.held) == g.want {
@@ -607,7 +640,7 @@ func (g *gate) Put(ctx context.Context, key string, data []byte) error {
 	open := g.open
 	g.mu.Unlock()
 	<-open
-	err := g.Provider.Put(ctx, key, data)
+	err := op()
 	g.mu.Lock()
 	g.returned++
 	g.mu.Unlock()
@@ -615,26 +648,27 @@ func (g *gate) Put(ctx context.Context, key string, data []byte) error {
 }
 
 // TestPublishIssuesRoundOneAtOnce pins the publish protocol by the order of
-// events alone: every Put an operation makes before its pointer flip — the k
-// chunks it seals, the frozen state object (Commit) and the root — is in
-// flight at the same time, and dataset.json arrives only after all of them
-// returned. CreateTensor seals nothing: its round 1 is the root alone.
+// events alone: every op an operation makes before its root Put — the k
+// chunks it seals, the frozen state object (Commit) and the delete of the
+// root two generations back — is in flight at the same time, and the root
+// arrives only after all of them returned. CreateTensor seals nothing: its
+// round 1 is the delete alone.
 func TestPublishIssuesRoundOneAtOnce(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
-		// metadata is the number of round-1 metadata Puts; seals says
+		// states is the number of round-1 state object Puts; seals says
 		// whether the operation seals the builders' pending chunks.
-		metadata int
-		seals    bool
-		op       func(*Dataset) error
+		states int
+		seals  bool
+		op     func(*Dataset) error
 	}{
-		{"CreateTensor", 1, false, func(ds *Dataset) error {
+		{"CreateTensor", 0, false, func(ds *Dataset) error {
 			_, err := ds.CreateTensor(ctx, TensorSpec{Name: "extra", Dtype: tensor.Int64, Bounds: smallBounds})
 			return err
 		}},
-		{"Flush", 1, true, func(ds *Dataset) error { return ds.Flush(ctx) }},
-		{"Commit", 2, true, func(ds *Dataset) error { _, err := ds.Commit(ctx, "gated"); return err }},
+		{"Flush", 0, true, func(ds *Dataset) error { return ds.Flush(ctx) }},
+		{"Commit", 1, true, func(ds *Dataset) error { _, err := ds.Commit(ctx, "gated"); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := &gate{Provider: storage.NewMemory()}
@@ -665,7 +699,7 @@ func TestPublishIssuesRoundOneAtOnce(t *testing.T) {
 					}
 				}
 			}
-			want := k + tc.metadata
+			want := k + tc.states + 1
 			if tc.seals && (k == 0 || k > defaultFlushWorkers) {
 				t.Fatalf("%d pending chunks: want 1..%d so every upload holds a lane at once", k, defaultFlushWorkers)
 			}
@@ -687,11 +721,11 @@ func TestPublishIssuesRoundOneAtOnce(t *testing.T) {
 					roots++
 				}
 			}
-			if len(g.held) != want || chunks != k || roots != 1 || states != tc.metadata-1 {
-				t.Fatalf("round 1 held %v, want %d chunks, %d state object(s) and 1 root", g.held, k, tc.metadata-1)
+			if len(g.held) != want || chunks != k || roots != 1 || states != tc.states {
+				t.Fatalf("round 1 held %v, want %d chunks, %d state object(s) and 1 root delete", g.held, k, tc.states)
 			}
-			if g.pointerAfter != want {
-				t.Fatalf("dataset.json was Put after %d of the %d round-1 Puts returned (-1: never)", g.pointerAfter, want)
+			if g.rootAfter != want {
+				t.Fatalf("the root was Put after %d of the %d round-1 ops returned (-1: never)", g.rootAfter, want)
 			}
 		})
 	}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/storage"
 	"repro/internal/tensor"
@@ -26,10 +28,11 @@ type versionState struct {
 }
 
 // rootFile is the root snapshot (roots/<gen>), the only metadata a flush
-// writes: dataset metadata, the version tree, and the state of the version
-// the handle is on. publish stages it under a brand-new key and only then
-// rewrites dataset.json to point at it, so the snapshot a reader follows is
-// immutable once published and a writer killed mid-flush cannot tear it.
+// writes and the dataset's commit point: dataset metadata, the version tree,
+// and the state of the version the handle is on. publish writes it under a
+// brand-new key once everything it names is durable, and the newest root is
+// the published one, so a reader's snapshot is immutable and a writer killed
+// mid-flush cannot tear it.
 type rootFile struct {
 	Meta datasetMeta `json:"meta"`
 	// Branch/Head name the version the embedded state belongs to: always
@@ -92,15 +95,53 @@ func (ds *Dataset) savedVersionState() versionState {
 	return vs
 }
 
-// loadRoot fetches and parses the snapshot for one generation.
+// errNoDataset reports a location that holds no root.
+var errNoDataset = errors.New("core: no dataset at this location")
+
+// listRoots lists the generations stored under roots/, ascending, and the
+// keys there that name none.
+func listRoots(ctx context.Context, store storage.Provider) (gens []uint64, stray []string, err error) {
+	keys, err := store.List(ctx, rootsPrefix)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, key := range keys {
+		// rootKey pads to a fixed width, so List's order is generation order.
+		if g, err := strconv.ParseUint(strings.TrimPrefix(key, rootsPrefix), 16, 64); err == nil && rootKey(g) == key {
+			gens = append(gens, g)
+		} else {
+			stray = append(stray, key)
+		}
+	}
+	return gens, stray, nil
+}
+
+// publishedGeneration is the newest generation under roots/, which is the
+// published one: a root is written only after everything it names is durable.
+func publishedGeneration(ctx context.Context, store storage.Provider) (uint64, error) {
+	gens, _, err := listRoots(ctx, store)
+	if err != nil {
+		return 0, err
+	}
+	if len(gens) == 0 {
+		return 0, errNoDataset
+	}
+	return gens[len(gens)-1], nil
+}
+
+// loadRoot fetches and parses the snapshot for one generation, refusing any
+// other format version by the snapshot's key.
 func loadRoot(ctx context.Context, store storage.Provider, gen uint64) (*rootFile, error) {
 	raw, err := store.Get(ctx, rootKey(gen))
 	if err != nil {
-		return nil, fmt.Errorf("core: root snapshot %s that dataset.json points at: %w", rootKey(gen), err)
+		return nil, fmt.Errorf("core: root snapshot %s: %w", rootKey(gen), err)
 	}
 	root := &rootFile{}
 	if err := unmarshalJSON(raw, root); err != nil {
 		return nil, fmt.Errorf("core: corrupt root snapshot %s: %w", rootKey(gen), err)
+	}
+	if v := root.Meta.FormatVersion; v != FormatVersion {
+		return nil, fmt.Errorf("core: root snapshot %s: unsupported format version %d (this tree reads version %d)", rootKey(gen), v, FormatVersion)
 	}
 	return root, nil
 }
@@ -114,8 +155,8 @@ func (ds *Dataset) loadVersionState(ctx context.Context, vid string) (versionSta
 	switch {
 	case ds.branch != "" && vid == ds.head:
 		return ds.savedVersionState(), nil
-	case ds.branch == "" && vid == ds.tree.Heads[ds.meta.CurrentBranch]:
-		root, err := loadRoot(ctx, ds.store, ds.meta.Generation)
+	case ds.branch == "" && vid == ds.tree.Heads[ds.rootBranch]:
+		root, err := loadRoot(ctx, ds.store, ds.gen)
 		if err != nil {
 			return versionState{}, err
 		}
@@ -218,18 +259,12 @@ func (ds *Dataset) seedChecksums() {
 }
 
 // IntegrityInfo summarizes what the integrity machinery knows about an open
-// dataset: which commit generation it reads from, whether a staged-but-never-
-// published generation from a crashed writer was found, and how much of the
-// chunk population carries checksums.
+// dataset: which commit generation it reads from and how much of the chunk
+// population carries checksums.
 type IntegrityInfo struct {
 	// Generation is the published generation this handle opened at (0 for
 	// the handle that created the dataset in this process).
 	Generation uint64
-	// AbandonedGeneration is a staged generation found past the published
-	// one — the footprint of a writer killed between staging its snapshot
-	// and publishing it. Zero when none was found. The abandoned snapshot
-	// and its chunks are garbage; fsck -repair removes them.
-	AbandonedGeneration uint64
 	// ChunksWithChecksum counts resolved chunks with a recorded CRC32C.
 	ChunksWithChecksum int
 	// SeededDigests is how many digests were handed to a storage.Verify

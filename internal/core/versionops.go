@@ -112,7 +112,7 @@ func (ds *Dataset) Checkout(ctx context.Context, ref string, create bool) error 
 	// loadVersionState will look for it from now on, staged with the root.
 	var parkedKey string
 	var parkedBlob []byte
-	if left := ds.tree.Heads[ds.meta.CurrentBranch]; left != node.ID {
+	if left := ds.tree.Heads[ds.rootBranch]; left != node.ID {
 		parked, err := ds.loadVersionState(ctx, left)
 		if err != nil {
 			return err
@@ -341,6 +341,7 @@ func (ds *Dataset) ReadAtVersion(ctx context.Context, ref string) (*Dataset, err
 	}
 	out := newHandle(ds.store)
 	out.meta, out.tree, out.head, out.now = ds.meta, ds.tree, node.ID, ds.now
+	out.gen, out.rootBranch = ds.gen, ds.rootBranch
 	tensors, err := out.tensorsFromState(vs)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"errors"
 	"io"
 	"io/fs"
 	"os"
@@ -80,9 +81,9 @@ func (f *FS) GetRange(ctx context.Context, key string, offset, length int64) ([]
 // an fsync of the parent directory — so concurrent readers never observe a
 // torn object, and a power cut after Put returns cannot roll the rename
 // back or resurface a half-written file. The directory fsync is what makes
-// the rename a real publish point: without it the staged-root commit
-// protocol's "atomic publish" (core.persistRoot) could tear on crash, with
-// dataset.json pointing at a generation whose rename never hit the disk.
+// the rename a real commit point: without it the root Put that publishes a
+// generation (core's publish) could roll back on crash after the writer
+// moved on.
 // Every failure path removes the temp file, so no .tmp-* residue outlives a
 // failed Put.
 func (f *FS) Put(ctx context.Context, key string, data []byte) error {
@@ -157,25 +158,34 @@ func (f *FS) Exists(ctx context.Context, key string) (bool, error) {
 	return err == nil, err
 }
 
-// List implements Provider.
+// List implements Provider. It walks only the directory part of prefix (all
+// of it up to the last slash), and below that only the directories the rest
+// of prefix can match, so listing roots/ never visits a chunk file. A
+// missing directory lists nothing.
 func (f *FS) List(ctx context.Context, prefix string) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	start := f.path(prefix[:strings.LastIndex(prefix, "/")+1])
 	var keys []string
-	err := filepath.WalkDir(f.root, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(start, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
+			if path == start && errors.Is(err, fs.ErrNotExist) {
+				return nil
+			}
 			return err
-		}
-		if d.IsDir() {
-			return nil
 		}
 		rel, err := filepath.Rel(f.root, path)
 		if err != nil {
 			return err
 		}
 		key := filepath.ToSlash(rel)
-		if strings.HasPrefix(key, prefix) && !strings.HasPrefix(filepath.Base(key), ".tmp-") {
+		switch {
+		case d.IsDir():
+			if path != start && !strings.HasPrefix(key+"/", prefix) {
+				return filepath.SkipDir
+			}
+		case strings.HasPrefix(key, prefix) && !strings.HasPrefix(d.Name(), ".tmp-"):
 			keys = append(keys, key)
 		}
 		return nil

@@ -17,6 +17,7 @@ package transform
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -131,6 +132,12 @@ type Options struct {
 	Workers int
 }
 
+// ErrWorkerDied marks a run aborted because a worker goroutine died mid-batch
+// without returning: a Fn (or a Source) called runtime.Goexit, as t.Fatal
+// does. The run's error wraps it with the row the worker died on, and rows
+// before that row are committed, as with any other failure.
+var ErrWorkerDied = errors.New("transform: worker died")
+
 // batchSize is how many adjacent input rows a worker loads and transforms
 // as one unit of work.
 const batchSize = 16
@@ -200,7 +207,8 @@ func (p *Pipeline) EvalInPlace(ctx context.Context, ds *core.Dataset, opts Optio
 }
 
 // batch is one unit of work: input rows [lo, lo+batchSize) clipped to the
-// source, with transformRows' results, which are ready once done is closed.
+// source, with transformRows' results, which are ready once done is closed:
+// one entry of outs per row up to the first row that fails, and that failure.
 type batch struct {
 	lo   int
 	outs [][]Sample
@@ -232,8 +240,19 @@ func (p *Pipeline) run(ctx context.Context, src Source, workers int, commit func
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// A worker that dies holding a batch still fails it, or run
+			// would wait on it forever.
+			var held *batch
+			defer func() {
+				if held != nil {
+					held.err = fmt.Errorf("%w at row %d", ErrWorkerDied, held.lo+len(held.outs))
+					close(held.done)
+				}
+			}()
 			for b := range jobs {
-				b.outs, b.err = p.transformRows(ctx, src, b.lo, min(b.lo+batchSize, n))
+				held = b
+				b.err = p.transformRows(ctx, src, b, min(b.lo+batchSize, n))
+				held = nil
 				close(b.done)
 			}
 		}()
@@ -263,22 +282,22 @@ func (p *Pipeline) run(ctx context.Context, src Source, workers int, commit func
 	return nil
 }
 
-// transformRows loads and transforms input rows [lo, hi): one entry of
-// outputs per row, up to the first row that fails, and that failure.
-func (p *Pipeline) transformRows(ctx context.Context, src Source, lo, hi int) (outs [][]Sample, err error) {
-	for i := lo; i < hi; i++ {
+// transformRows loads and transforms input rows [b.lo, hi) into b.outs, one
+// entry per row, up to the first row that fails, and returns that failure.
+func (p *Pipeline) transformRows(ctx context.Context, src Source, b *batch, hi int) error {
+	for i := b.lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
-			return outs, err
+			return err
 		}
 		in, err := src.At(ctx, i)
 		if err != nil {
-			return outs, err
+			return err
 		}
 		produced, err := p.apply(in)
 		if err != nil {
-			return outs, err
+			return err
 		}
-		outs = append(outs, produced)
+		b.outs = append(b.outs, produced)
 	}
-	return outs, nil
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +18,20 @@ import (
 
 var smallBounds = chunk.Bounds{Min: 64, Target: 128, Max: 256}
 
+// flushOnCleanup flushes ds when the test ends and waits for the goroutines
+// started since ds was created to exit, so no upload a failed run left in
+// flight outlives the test that started it and the next test counts
+// goroutines from a settled start.
+func flushOnCleanup(t testing.TB, ds *core.Dataset) {
+	n := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		if err := ds.Flush(context.Background()); err != nil {
+			t.Error(err)
+		}
+		settledGoroutines(n)
+	})
+}
+
 func sourceDataset(t testing.TB, n int) *core.Dataset {
 	t.Helper()
 	ctx := context.Background()
@@ -24,6 +39,7 @@ func sourceDataset(t testing.TB, n int) *core.Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flushOnCleanup(t, ds)
 	x, _ := ds.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.Int32, Bounds: smallBounds})
 	for i := 0; i < n; i++ {
 		if err := x.Append(ctx, tensor.Scalar(tensor.Int32, float64(i))); err != nil {
@@ -43,6 +59,7 @@ func destDataset(t *testing.T, names ...string) *core.Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flushOnCleanup(t, ds)
 	for _, n := range names {
 		if _, err := ds.CreateTensor(ctx, core.TensorSpec{Name: n, Dtype: tensor.Float64, Bounds: smallBounds}); err != nil {
 			t.Fatal(err)
@@ -253,6 +270,7 @@ func settledGoroutines(want int) int {
 func TestFailedEvalJoinsItsGoroutines(t *testing.T) {
 	ctx := context.Background()
 	boom := errors.New("bad input")
+	start := runtime.NumGoroutine()
 	src := sourceDataset(t, 400)
 	dst := destDataset(t)
 	if _, err := dst.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.Int32, Bounds: smallBounds}); err != nil {
@@ -269,7 +287,8 @@ func TestFailedEvalJoinsItsGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := runtime.NumGoroutine()
+	// The setup's uploads have landed; count once their goroutines are gone.
+	before := settledGoroutines(start)
 	if _, err := failAt(5, boom).Eval(ctx, FromDataset(src), dst, Options{Workers: 4}); !errors.Is(err, boom) {
 		t.Fatalf("Eval err = %v, want %v", err, boom)
 	}
@@ -281,6 +300,86 @@ func TestFailedEvalJoinsItsGoroutines(t *testing.T) {
 	}
 	if after := settledGoroutines(before); after != before {
 		t.Fatalf("failed EvalInPlace left %d goroutines behind", after-before)
+	}
+}
+
+// poolWorkers reports how many goroutines are inside a run's worker, yielding
+// until there are none for up to five seconds: a worker that has signalled
+// its WaitGroup is still listed until the scheduler runs it to its exit, but
+// a leaked one never leaves. Unlike a goroutine count, it does not depend on
+// what else the process runs.
+func poolWorkers() int {
+	deadline := time.Now().Add(5 * time.Second)
+	buf := make([]byte, 1<<20)
+	for {
+		dump := string(buf[:runtime.Stack(buf, true)])
+		n := strings.Count(dump, "transform.(*Pipeline).run.func")
+		if n == 0 || time.Now().After(deadline) {
+			return n
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestGoexitInTransformFailsTheRun checks that a Fn ending its goroutine with
+// runtime.Goexit, as t.Fatal inside a transform does, fails Eval and
+// EvalInPlace with ErrWorkerDied naming the row, with every row before it
+// committed and every worker joined, at any worker count. A dying worker that
+// leaves its batch unfinished makes this test hang until -timeout.
+func TestGoexitInTransformFailsTheRun(t *testing.T) {
+	ctx := context.Background()
+	const n, k = 400, 37
+	exitAt := Compute(func(in Sample, out *Collector) error {
+		v, _ := in["x"].Item()
+		if v == k {
+			runtime.Goexit()
+		}
+		out.Emit(Sample{"x": tensor.Scalar(tensor.Int32, v+1000)})
+		return nil
+	})
+	died := func(t *testing.T, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrWorkerDied) || !strings.Contains(err.Error(), fmt.Sprintf("at row %d", k)) {
+			t.Fatalf("err = %v, want %v at row %d", err, ErrWorkerDied, k)
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			src := sourceDataset(t, n)
+			dst := destDataset(t)
+			if _, err := dst.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.Int32, Bounds: smallBounds}); err != nil {
+				t.Fatal(err)
+			}
+
+			_, err := exitAt.Eval(ctx, FromDataset(src), dst, Options{Workers: workers})
+			died(t, err)
+			if got := dst.Tensor("x").Len(); got != k {
+				t.Fatalf("Eval committed %d rows, want the %d before the dying one", got, k)
+			}
+			if left := poolWorkers(); left != 0 {
+				t.Fatalf("Eval left %d workers behind", left)
+			}
+
+			_, err = exitAt.EvalInPlace(ctx, src, Options{Workers: workers})
+			died(t, err)
+			if left := poolWorkers(); left != 0 {
+				t.Fatalf("EvalInPlace left %d workers behind", left)
+			}
+			for _, i := range []int{0, k - 1, k, n - 1} {
+				arr, err := src.Tensor("x").At(ctx, uint64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, _ := arr.Item()
+				want := float64(i)
+				if i < k {
+					want += 1000
+				}
+				if v != want {
+					t.Fatalf("x[%d] = %v, want %v", i, v, want)
+				}
+			}
+		})
 	}
 }
 
