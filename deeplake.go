@@ -39,11 +39,12 @@
 // on the same key at the same moment, exactly one load runs and every
 // waiter shares its result. The policies add only what is theirs:
 //
-//   - WithLRUCache / WithCache (storage.LRU): whole objects, copied out to
-//     each reader, written through on Put, bypassed when larger than a
-//     shard, warmed by coalesced batched Prefetch. Stats (per-shard hits,
-//     misses, resident bytes, the coalesced-fetch count, and the counters
-//     of every layer below) are available from the concrete *storage.LRU.
+//   - WithLRUCache / WithCache (storage.LRU): whole objects, handed to
+//     every reader as the one read-only cached slice, written through on
+//     Put, bypassed when larger than a shard, warmed by coalesced batched
+//     Prefetch. Stats (per-shard hits, misses, resident and peak bytes,
+//     the coalesced-fetch count, and the counters of every layer below)
+//     are available from the concrete *storage.LRU.
 //   - WithDiskTier (storage.Disk): an index of files that survives the
 //     process, CRC-verified on read; eviction deletes the file.
 //   - NewNodeCache (the dataloader's chunk cache): decoded chunks keyed by

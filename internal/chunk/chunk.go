@@ -267,7 +267,8 @@ func DecodeAppend(raw []byte, dst []Sample) ([]Sample, error) {
 	for i := 0; i < n; i++ {
 		dst = append(dst, Sample{
 			Shape: d.Shapes[i],
-			Data:  data[d.Offsets[i]:d.Offsets[i+1]],
+			// Capped, so an append to one sample cannot write into the next.
+			Data: data[d.Offsets[i]:d.Offsets[i+1]:d.Offsets[i+1]],
 		})
 	}
 	return dst, nil

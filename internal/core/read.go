@@ -172,8 +172,10 @@ func (t *Tensor) rangeReadFirstAxis(ctx context.Context, idx uint64, r tensor.Ra
 	if err != nil {
 		return nil, false, err
 	}
+	// The range may be a sub-slice of a cached object (storage.Provider's
+	// bytes are read-only), and the array is the caller's to write.
 	outShape := append([]int{hi - lo}, sampleShape[1:]...)
-	arr, err := tensor.FromBytes(t.Dtype(), outShape, data)
+	arr, err := tensor.FromBytes(t.Dtype(), outShape, slices.Clone(data))
 	if err != nil {
 		return nil, false, err
 	}
@@ -266,7 +268,10 @@ func (t *Tensor) ChunkOf(idx uint64) (uint64, int, error) {
 }
 
 // ReadChunkSamples fetches a whole chunk and returns its stored samples;
-// the dataloader fetches each chunk once for all samples it needs.
+// the dataloader fetches each chunk once for all samples it needs. The
+// slice is the caller's, but each sample's Data and Shape are storage-owned
+// and read-only: for an uncompressed chunk, Data aliases the bytes the
+// provider chain returned, which a byte cache shares with every reader.
 func (t *Tensor) ReadChunkSamples(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()

@@ -200,7 +200,9 @@ func (r *ScanReader) item(ctx context.Context, idx uint64) (*tensor.NDArray, err
 // StoredAt returns the stored (still media-encoded) sample idx, decoding the
 // containing chunk once and reusing it across calls; a write-buffered row is
 // served from its copy. ok=false, with no IO, means idx has no one stored
-// sample: a sequence row or a tiled sample, which At reads.
+// sample: a sequence row or a tiled sample, which At reads. The sample's
+// Data and Shape are storage-owned and read-only, as ReadChunkSamples says;
+// At returns the caller's own array.
 func (r *ScanReader) StoredAt(ctx context.Context, idx uint64) (chunk.Sample, bool, error) {
 	if r.t.spec.Sequence {
 		return chunk.Sample{}, false, nil
@@ -219,7 +221,8 @@ func (r *ScanReader) StoredAt(ctx context.Context, idx uint64) (chunk.Sample, bo
 // a caller walking the span's rows resolves none of them on its own.
 // ok=false, with no IO, means idx is not in a stored chunk (sequences,
 // tiles, write-buffered rows), which At reads; every error is the one
-// StoredAt returns.
+// StoredAt returns. The samples are storage-owned and read-only, as
+// ReadChunkSamples says.
 func (r *ScanReader) Chunk(ctx context.Context, idx uint64) (samples []chunk.Sample, first uint64, ok bool, err error) {
 	if r.t.spec.Sequence {
 		return nil, 0, false, nil

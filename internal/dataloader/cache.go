@@ -69,6 +69,9 @@ type NodeCacheStats struct {
 	// UsedBytes/Entries describe the resident population; Pinned counts
 	// entries currently protected by outstanding planned jobs.
 	UsedBytes, Entries, Pinned int64
+	// PeakBytes is the high-water mark of UsedBytes
+	// (storage.CacheStats.PeakBytes).
+	PeakBytes int64
 }
 
 type cacheKey struct {
@@ -156,6 +159,7 @@ func (c *NodeCache) Stats() NodeCacheStats {
 		Decodes:   c.decodes.Load(),
 		Evictions: cs.Evictions,
 		UsedBytes: cs.UsedBytes,
+		PeakBytes: cs.PeakBytes,
 		Entries:   int64(cs.Entries),
 		Pinned:    int64(cs.Pinned),
 	}

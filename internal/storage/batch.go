@@ -300,7 +300,7 @@ func ExecutePlans(ctx context.Context, p Provider, nReqs int, plans []Plan) ([][
 					if !ok {
 						continue
 					}
-					out[pt.Index] = payload[lo:hi]
+					out[pt.Index] = payload[lo:hi:hi]
 				}
 			}
 		}(pi, plan)
@@ -401,16 +401,16 @@ func (l *LRU) prefetchExec(ctx context.Context, reqs []RangeReq, finishes []func
 	for i, data := range results {
 		l.inflight.Add(-opts.SizeHint)
 		if data != nil {
-			// Admit a private copy: ExecutePlans payload slices may alias a
-			// larger wire buffer shared with sibling parts.
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			l.admit(reqs[i].Key, cp, true)
+			// Admitted as it landed: every claim is a whole-object request
+			// and Coalesce never merges two keys into one wire request, so
+			// data is one object's whole payload, and the cache keeps alive
+			// no byte it does not charge.
+			l.admit(reqs[i].Key, data, true)
 			// Checked after the admit, so this or the walk's Disown clears it.
 			if ctx.Err() != nil {
 				l.table.owe(reqs[i].Key, false)
 			}
-			finishes[i](cp, nil)
+			finishes[i](data, nil)
 			fetched++
 			continue
 		}

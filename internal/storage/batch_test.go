@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -306,6 +307,86 @@ func TestLRUPrefetchSkipsCachedKeys(t *testing.T) {
 	}
 	if reqs := counting.Snapshot().Requests(); reqs != 0 {
 		t.Fatalf("reads after prefetch reached the origin %d times", reqs)
+	}
+}
+
+// payloadRecorder remembers the payload each wire request of a GetRanges
+// round trip returned, by key.
+type payloadRecorder struct {
+	Provider
+	mu       sync.Mutex
+	wires    int
+	payloads map[string][]byte
+}
+
+func (p *payloadRecorder) GetRanges(ctx context.Context, reqs []RangeReq) ([][]byte, error) {
+	out, err := GetRanges(ctx, p.Provider, reqs)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.wires += len(reqs)
+	for i, r := range reqs {
+		if out[i] != nil {
+			p.payloads[r.Key] = out[i]
+		}
+	}
+	return out, err
+}
+
+// TestPrefetchAdmitsLandedPayloads: a prefetch admits each wire payload as
+// it landed, one whole object per payload, and every later read is handed
+// those bytes: Get the payload itself, a GetRange hit a capped sub-slice of
+// it. The cache charges exactly the objects' bytes, and no cached slice
+// reaches past its object, so it keeps nothing alive that it does not
+// charge.
+func TestPrefetchAdmitsLandedPayloads(t *testing.T) {
+	ctx := context.Background()
+	origin := &payloadRecorder{Provider: NewMemory(), payloads: map[string][]byte{}}
+	lru := NewShardedLRU(origin, 1<<20, 4)
+	var keys []string
+	var total int64
+	for i := 0; i < 12; i++ {
+		k := fmt.Sprintf("chunk/%03d", i)
+		obj := bytes.Repeat([]byte{byte(i)}, 50+10*i)
+		if err := origin.Put(ctx, k, obj); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+		total += int64(len(obj))
+	}
+	// A key listed twice is claimed once; a small request cap spreads the
+	// claims over several round trips of several wire requests each.
+	claim := append(slices.Clone(keys), keys[3], keys[7])
+	fetched, err := lru.Prefetch(ctx, claim, PlanOptions{SizeHint: 100, MaxRequestBytes: 400})
+	if err != nil || fetched != len(keys) {
+		t.Fatalf("Prefetch = %d, %v; want %d objects", fetched, err, len(keys))
+	}
+	if origin.wires != len(keys) {
+		t.Fatalf("%d wire requests for %d objects, want one each", origin.wires, len(keys))
+	}
+	if st := lru.Stats(); st.UsedBytes != total {
+		t.Fatalf("cache charges %d bytes, want the objects' %d", st.UsedBytes, total)
+	}
+	for i, k := range keys {
+		payload := origin.payloads[k]
+		for read := 0; read < 2; read++ {
+			got, err := lru.Get(ctx, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 50+10*i || got[0] != byte(i) {
+				t.Fatalf("Get(%s) = %d bytes of %d", k, len(got), got[0])
+			}
+			if &got[0] != &payload[0] || cap(got) != len(got) || cap(payload) != len(payload) {
+				t.Fatalf("Get(%s) read %d is not the landed payload, whole and capped", k, read)
+			}
+		}
+		part, err := lru.GetRange(ctx, k, 5, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(part) != 20 || cap(part) != 20 || &part[0] != &payload[5] {
+			t.Fatalf("GetRange(%s) is not a capped sub-slice of the cached object", k)
+		}
 	}
 }
 

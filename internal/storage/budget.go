@@ -16,6 +16,13 @@ package storage
 //   - DiskBytes caps the local-disk tier, with DiskOptions semantics:
 //     zero means DefaultDiskCapacity, negative means unbounded.
 //
+// The two RAM shares may charge the same bytes. An uncompressed chunk's
+// decoded samples alias the raw object the LRU hands out, so while both
+// caches hold that chunk, each charges it in full. The RAM the two hold is
+// therefore at most the sum of their charges, and less when they overlap.
+// Their high-water marks are LRU.Stats().PeakBytes and the dataloader's
+// NodeCacheStats.PeakBytes.
+//
 // Zero or negative MemoryBytes means DefaultNodeMemoryBytes. The split is
 // a default derivation, not a cage — callers needing asymmetric tiers keep
 // sizing them directly.

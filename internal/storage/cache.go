@@ -3,6 +3,7 @@ package storage
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -77,6 +78,11 @@ type CacheFuncs[K comparable, V any] struct {
 // An unread entry (AddUnread, or re-armed by Lead) is owed to a reader: its
 // bytes count in Unread until the first Get of its key, until GetOrLoad
 // hands it to a caller that joined the load, or until it is disowned.
+//
+// Values are handed out, not copied: every reader of a key gets the value
+// that was added, and none may write into it. Built with the cachecheck tag,
+// the cache records each entry's CRC32C at admit and re-checks it on every
+// hit and when the entry leaves, panicking with the key on a mismatch.
 type Cache[K comparable, V any] struct {
 	fn       CacheFuncs[K, V]
 	capacity int64
@@ -85,6 +91,8 @@ type Cache[K comparable, V any] struct {
 
 	coalesced atomic.Int64
 	unread    atomic.Int64 // bytes of entries owed to a reader
+	used      atomic.Int64 // resident bytes over all shards
+	peak      atomic.Int64 // high-water mark of used
 }
 
 type cacheShard[K comparable, V any] struct {
@@ -106,6 +114,15 @@ type cacheEntry[K comparable, V any] struct {
 	val    V
 	size   int64
 	unread bool
+	crc    uint32 // of val at admit, kept only under the cachecheck tag
+}
+
+// check panics, under the cachecheck tag, when ent's value is not the bytes
+// it was admitted with: a reader wrote into a value the cache hands out.
+func (ent *cacheEntry[K, V]) check(event string) {
+	if cacheCheck && valueCRC(&ent.val) != ent.crc {
+		panic(fmt.Sprintf("storage: cached value of key %v changed after admit (seen on %s)", ent.key, event))
+	}
 }
 
 // NewCache builds a cache of the given byte capacity split across shards
@@ -158,6 +175,7 @@ func (c *Cache[K, V]) find(k K, count bool) (v V, ok bool) {
 		return v, false
 	}
 	ent := el.Value.(*cacheEntry[K, V])
+	ent.check("hit")
 	if count {
 		s.hits++
 		c.markRead(ent)
@@ -185,6 +203,7 @@ func (c *Cache[K, V]) owe(k K, unread bool) (v V, ok bool) {
 		return v, false
 	}
 	ent := el.Value.(*cacheEntry[K, V])
+	ent.check("hit")
 	c.markRead(ent)
 	if unread {
 		ent.unread = true
@@ -217,8 +236,10 @@ func (c *Cache[K, V]) add(k K, v V, unread bool) {
 	el, ok := s.items[k]
 	if ok {
 		ent := el.Value.(*cacheEntry[K, V])
+		ent.check("replace")
 		c.markRead(ent)
 		s.used -= ent.size
+		c.used.Add(-ent.size)
 		ent.val, ent.size = v, size
 		s.order.MoveToFront(el)
 	} else {
@@ -226,8 +247,13 @@ func (c *Cache[K, V]) add(k K, v V, unread bool) {
 		s.items[k] = el
 	}
 	s.used += size
+	c.used.Add(size)
+	ent := el.Value.(*cacheEntry[K, V])
+	if cacheCheck {
+		ent.crc = valueCRC(&ent.val)
+	}
 	if unread {
-		el.Value.(*cacheEntry[K, V]).unread = true
+		ent.unread = true
 		c.unread.Add(size)
 	}
 	for el := s.order.Back(); s.capacity >= 0 && s.used > s.capacity && el != s.order.Front(); {
@@ -243,14 +269,24 @@ func (c *Cache[K, V]) add(k K, v V, unread bool) {
 			c.fn.OnEvict(ent.key, ent.val)
 		}
 	}
+	// Raised once the eviction pass is done, so the mark is of bytes
+	// actually kept: a transient over-budget admit does not count.
+	for used := c.used.Load(); ; {
+		peak := c.peak.Load()
+		if used <= peak || c.peak.CompareAndSwap(peak, used) {
+			break
+		}
+	}
 }
 
 // drop unlinks ent from its shard s, whose lock the caller holds.
 func (c *Cache[K, V]) drop(s *cacheShard[K, V], el *list.Element, ent *cacheEntry[K, V]) {
+	ent.check("evict")
 	c.markRead(ent)
 	s.order.Remove(el)
 	delete(s.items, ent.key)
 	s.used -= ent.size
+	c.used.Add(-ent.size)
 }
 
 // Remove drops k if present. It is the caller discarding an entry, not an
@@ -362,6 +398,10 @@ type ShardStats struct {
 // ShardStats holds the totals over Shards.
 type CacheStats struct {
 	ShardStats
+	// PeakBytes is the high-water mark of UsedBytes, taken after each
+	// admit's eviction pass: over Capacity only when pinned or unread
+	// entries held a shard over its budget.
+	PeakBytes int64
 	// Coalesced counts GetOrLoad misses served by another caller's load.
 	Coalesced int64
 	// Shards is the per-shard breakdown, indexed by shard number.
@@ -370,7 +410,7 @@ type CacheStats struct {
 
 // Stats reports the cache's counters.
 func (c *Cache[K, V]) Stats() CacheStats {
-	st := CacheStats{Coalesced: c.coalesced.Load(), Shards: make([]ShardStats, len(c.shards))}
+	st := CacheStats{PeakBytes: c.peak.Load(), Coalesced: c.coalesced.Load(), Shards: make([]ShardStats, len(c.shards))}
 	st.Capacity = c.capacity
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -188,6 +188,35 @@ func TestCacheEvictionRule(t *testing.T) {
 	}
 }
 
+// TestCachePeakBytes: the high-water mark follows resident bytes through
+// admits, evictions and removals. An admit whose eviction pass brings the
+// shard back under budget does not raise it; one held over budget by pinned
+// and unread entries does, and the mark stays after they leave.
+func TestCachePeakBytes(t *testing.T) {
+	c := newSizedCache(100, 1, nil)
+	steps := []struct {
+		do         func()
+		what       string
+		used, peak int64
+	}{
+		{func() { c.Add("a", 40) }, "admit a", 40, 40},
+		{func() { c.Add("b", 40) }, "admit b", 80, 80},
+		{func() { c.Add("c", 40) }, "admit c, evicting a", 80, 80},
+		{func() { c.Pin("b"); c.Pin("c"); c.AddUnread("d", 40) }, "unread d over pinned b and c", 120, 120},
+		{func() { c.Unpin("b"); c.Unpin("c"); c.Add("e", 40) }, "admit e, evicting b and c", 80, 120},
+		{func() { c.Remove("d") }, "remove d", 40, 120},
+	}
+	for _, st := range steps {
+		st.do()
+		if got := c.Stats(); got.UsedBytes != st.used || got.PeakBytes != st.peak {
+			t.Fatalf("after %s: used/peak = %d/%d, want %d/%d", st.what, got.UsedBytes, got.PeakBytes, st.used, st.peak)
+		}
+	}
+	if ev := c.Stats().Evictions; ev != 3 {
+		t.Fatalf("evictions = %d, want 3", ev)
+	}
+}
+
 // TestCacheShardCapacities: the budget is split with no byte lost, whatever
 // the remainder, and an unbounded cache is unbounded in every shard.
 func TestCacheShardCapacities(t *testing.T) {

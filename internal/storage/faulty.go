@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -195,7 +196,8 @@ func (f *Faulty) rollSeq(class int, errRate float64) (faultKind, int64) {
 // damage applies the seeded silent fault to data fetched successfully from
 // the inner provider: faultCorrupt XORs one byte at a seeded position,
 // faultTruncate cuts the payload at a seeded point. Empty payloads are
-// returned unchanged (there is nothing to damage).
+// returned unchanged (there is nothing to damage). The flip lands in a copy:
+// the inner provider's bytes are read-only (see Provider).
 func (f *Faulty) damage(kind faultKind, seq int64, data []byte) []byte {
 	if len(data) == 0 {
 		return data
@@ -203,6 +205,7 @@ func (f *Faulty) damage(kind faultKind, seq int64, data []byte) []byte {
 	h := splitmix64(uint64(f.cfg.Seed)<<28 ^ uint64(seq))
 	switch kind {
 	case faultCorrupt:
+		data = slices.Clone(data)
 		data[h%uint64(len(data))] ^= 0xA5
 	case faultTruncate:
 		data = data[:h%uint64(len(data))] // cut in [0, len)

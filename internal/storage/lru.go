@@ -16,8 +16,10 @@ const minShardBytes = 16 << 20
 // raw-object policy over the shared Cache core, which supplies the sharded
 // table, the eviction rule and the coalesced-miss protocol (any number of
 // workers missing on the same object trigger exactly one origin Get). What
-// is the LRU's own: whole objects are cached on Get and Put (write-through)
-// and copied out to every reader; range reads consult the cache and fall
+// is the LRU's own: whole objects are cached on Get and Put (write-through),
+// and every reader of an object is handed the one cached slice, read-only as
+// the Provider contract says, so a hit allocates nothing; range reads
+// consult the cache (a hit is a sub-slice of the cached object) and fall
 // back to a range request against the origin without promoting the full
 // object, so streaming sub-chunk access never inflates the cache with 8MB
 // chunks the training loop only needed a slice of; objects larger than
@@ -95,8 +97,9 @@ type Stats struct {
 	// flowing through the chain.
 	Bypassed int64
 	// UsedBytes is the total resident payload size; unread prefetches can
-	// take it over the capacity.
-	UsedBytes int64
+	// take it over the capacity. PeakBytes is its high-water mark
+	// (CacheStats.PeakBytes).
+	UsedBytes, PeakBytes int64
 	// Origin is the per-op-class origin request ledger gathered from the
 	// first Counting layer below this cache in the provider chain (zero when
 	// none is stacked), so callers can assert request-count contracts like
@@ -133,6 +136,7 @@ func (l *LRU) Stats() Stats {
 		Bypassed:     l.bypassed.Load(),
 		PrefetchShed: l.shed.Load(),
 		UsedBytes:    cs.UsedBytes,
+		PeakBytes:    cs.PeakBytes,
 		Shards:       cs.Shards,
 	}
 	sawCounting := false
@@ -205,14 +209,9 @@ func (l *LRU) Get(ctx context.Context, key string) ([]byte, error) {
 		// This reader coalesced onto a batch prefetch whose round trip
 		// failed before reaching the key; fall back to an on-demand fetch
 		// instead of inheriting the batch's failure.
-		data, err = fetch()
+		return fetch()
 	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, nil
+	return data, err
 }
 
 // GetRange implements Provider.
@@ -222,9 +221,7 @@ func (l *LRU) GetRange(ctx context.Context, key string, offset, length int64) ([
 		if !ok {
 			return nil, rangeErr(key, offset, length, int64(len(data)))
 		}
-		out := make([]byte, hi-lo)
-		copy(out, data[lo:hi])
-		return out, nil
+		return data[lo:hi:hi], nil
 	}
 	return l.inner.GetRange(ctx, key, offset, length)
 }

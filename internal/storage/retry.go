@@ -234,10 +234,11 @@ func (r *Retry) do(ctx context.Context, opName, key string, op func(context.Cont
 		if err == nil {
 			return nil
 		}
-		if ctx.Err() != nil {
+		if cerr := ctx.Err(); cerr != nil {
 			// The caller gave up (or its deadline passed); never retry on
-			// its behalf, and surface its context error over the inner one.
-			return err
+			// its behalf, and surface its context error over the inner one,
+			// which may be a fault that raced the cancel.
+			return cerr
 		}
 		// Our own per-attempt deadline firing while the caller is still
 		// live is a stalled origin call: transient by construction.

@@ -174,9 +174,25 @@ func TestRetryHonorsCallerDeadline(t *testing.T) {
 	}
 }
 
+// firstGet closes entered when the first Get reaches it.
+type firstGet struct {
+	Provider
+	once    sync.Once
+	entered chan struct{}
+}
+
+func (f *firstGet) Get(ctx context.Context, key string) ([]byte, error) {
+	f.once.Do(func() { close(f.entered) })
+	return f.Provider.Get(ctx, key)
+}
+
+// TestRetryCancelDuringBackoffReturnsPromptly: a cancel while the first
+// attempt fails or while Retry waits out its 10 s backoff ends the call with
+// the caller's context error. Were the cancel ignored, the second attempt
+// would run and the call would fail on the injected fault instead.
 func TestRetryCancelDuringBackoffReturnsPromptly(t *testing.T) {
-	faulty := NewFaulty(NewMemory(), FaultConfig{GetErrRate: 1})
-	r := NewRetry(faulty, RetryOptions{
+	origin := &firstGet{Provider: NewFaulty(NewMemory(), FaultConfig{GetErrRate: 1}), entered: make(chan struct{})}
+	r := NewRetry(origin, RetryOptions{
 		Attempts: 2,
 		Backoff:  Backoff{Base: 10 * time.Second, Max: 10 * time.Second},
 	})
@@ -186,15 +202,10 @@ func TestRetryCancelDuringBackoffReturnsPromptly(t *testing.T) {
 		_, err := r.Get(ctx, "k")
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let the first attempt fail and enter backoff
+	<-origin.entered
 	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want canceled", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("cancel did not abort the 10s backoff wait")
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want canceled", err)
 	}
 }
 

@@ -449,7 +449,8 @@ func TestLRUCoalescesConcurrentMisses(t *testing.T) {
 
 // TestShardedLRUStress hammers overlapping keys from 32 goroutines and
 // asserts (a) the origin saw at most one Get per key (coalescing + caching),
-// (b) returned data is correct, and (c) the stats ledger is consistent.
+// (b) returned data is correct and every reader of a key shares the one
+// backing array the cache holds, and (c) the stats ledger is consistent.
 func TestShardedLRUStress(t *testing.T) {
 	ctx := context.Background()
 	origin := NewCounting(NewMemory())
@@ -467,6 +468,7 @@ func TestShardedLRUStress(t *testing.T) {
 	cache := NewShardedLRU(origin, 1<<20, 8)
 
 	const goroutines, rounds = 32, 200
+	var arrays sync.Map // key -> the first reader's *byte
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -483,9 +485,10 @@ func TestShardedLRUStress(t *testing.T) {
 					t.Errorf("Get(%s) = %q, want %q", k, got, want[k])
 					return
 				}
-				// Mutating the returned slice must not poison the cache.
-				if len(got) > 0 {
-					got[0] = 'X'
+				// Readers of one key share one backing array.
+				if first, _ := arrays.LoadOrStore(k, &got[0]); first != &got[0] {
+					t.Errorf("Get(%s) handed out a second copy of the object", k)
+					return
 				}
 			}
 		}(g)

@@ -82,6 +82,14 @@ func IsNotFound(err error) bool { return errors.Is(err, ErrNotFound) }
 // sub-chunk streaming, §3.5), existence checks, listing, and delete.
 //
 // Implementations must be safe for concurrent use.
+//
+// Returned bytes are shared and read-only. The slices Get, GetRange and
+// GetRanges (BatchProvider) return may be handed to every caller at once
+// (the LRU returns its cached object, and a range hit a sub-slice of it), so
+// no caller writes into them: one that needs to change returned bytes copies
+// them at the point of mutation. No layer writes into bytes it has handed
+// out either; a Put installs new bytes under the key. The bytes passed to
+// Put stay the caller's, so a layer that keeps them keeps a copy.
 type Provider interface {
 	// Get returns the full object stored under key.
 	Get(ctx context.Context, key string) ([]byte, error)

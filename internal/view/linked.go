@@ -37,7 +37,8 @@ func (r *Resolver) Register(base string, p storage.Provider) {
 	r.providers[strings.TrimSuffix(base, "/")] = p
 }
 
-// Fetch retrieves the raw bytes behind url.
+// Fetch retrieves the raw bytes behind url. They are the provider's and
+// read-only (see storage.Provider).
 func (r *Resolver) Fetch(ctx context.Context, url string) ([]byte, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
