@@ -51,11 +51,12 @@
 //     dataset and commit, pinned while planned jobs still need them, one
 //     fetch+decode per chunk per node however many workers or Loaders ask.
 //
-// Ahead of the chunk cache the loader's job feeder hands the provider chain
-// the next strips of its fetch itinerary (chunks in the order the delivery
-// stream first needs them) as coalesced batched reads, as many as the whole
-// LRU can hold unread (storage.Headroom), so origin latency overlaps with
-// decode and transform work. On a JPEG/PNG primary the workers decode in
+// Ahead of the chunk cache the loader, as its walk (core.Walk, one chunk
+// job a step) hands out each job, hands the provider chain the next strips
+// of its fetch itinerary (chunks in the order the delivery stream first
+// needs them) as coalesced batched reads, as many as the whole LRU can hold
+// unread (storage.Headroom), so origin latency overlaps with decode and
+// transform work. On a JPEG/PNG primary the workers decode in
 // delivery order, one chunk's rows of one batch at a time, so the first batch
 // waits for its own rows' decodes. Run
 //
@@ -289,7 +290,7 @@ type QueryOptions struct {
 
 // QueryWith is Query with explicit execution options: the WHERE clause's
 // leading shape-only conjuncts are answered by the shape encoder with zero
-// chunk IO, and the remainder is evaluated across a bounded worker pool
+// chunk IO, and the remainder is evaluated on the workers of a core.Walk
 // over chunk-aligned row partitions. Ahead of the workers, a strip plan
 // hands the provider chain fixed-width runs of the scan's global chunk
 // order, so chunks owned by different workers still share coalesced ranged

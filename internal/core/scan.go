@@ -325,9 +325,11 @@ func (t *Tensor) PrefetchChunks(ctx context.Context, ids []uint64) (int, error) 
 // ids a step). Strips ignore which worker owns which step, so chunks adjacent
 // in the keyspace share a coalesced ranged origin request whoever reads them.
 // How far ahead of the frontier the plan runs is set by the byte cache the
-// strips land in (storage.Headroom), not by a constant. The TQL scan advances
-// the frontier when a worker claims a partition; the dataloader's job feeder
-// advances it before it enqueues a job. A walk ends with Disown.
+// strips land in (storage.Headroom), not by a constant. Both walks run on
+// Walk: the TQL scan's step advances the frontier, on a worker, before it
+// evaluates its partition; the dataloader's steps function advances it, on
+// the walk's goroutine, before it hands out a job. A walk ends with Disown,
+// once Walk has returned.
 type StripPlan struct {
 	t       *Tensor
 	ids     []uint64

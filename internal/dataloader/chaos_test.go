@@ -353,8 +353,9 @@ func TestLoaderWarmRestartsFromDiskTier(t *testing.T) {
 // code calling runtime.Goexit — the Go analogue of a dataloader worker
 // process dying) must not truncate the stream silently. The contract is the
 // worker-failure contract: an in-order prefix strictly before the dying
-// row's delivery position, full batches only, and a deterministic
-// ErrWorkerDied from Err() — at any worker count, every run.
+// row's delivery position, full batches only — every full batch before it —
+// and a deterministic ErrWorkerDied from Err(), at any worker count, every
+// run.
 func TestLoaderSurfacesWorkerDeath(t *testing.T) {
 	const n, killRow = 200, 97
 	ds := loaderDataset(t, storage.NewMemory(), n)
@@ -383,6 +384,9 @@ func TestLoaderSurfacesWorkerDeath(t *testing.T) {
 		}
 		if next > killRow {
 			t.Fatalf("workers=%d: delivered %d rows at/past the dying row %d", workers, next, killRow)
+		}
+		if full := killRow / 8 * 8; next != full {
+			t.Fatalf("workers=%d: delivered %d rows, want the %d of every full batch before the dying row", workers, next, full)
 		}
 		err := l.Err()
 		if !errors.Is(err, ErrWorkerDied) {

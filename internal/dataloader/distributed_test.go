@@ -181,8 +181,9 @@ func TestChunksDecodedOncePerEpochPerRank(t *testing.T) {
 // TestWorkerErrorSurfacesDeterministically is the regression test for error
 // delivery: a failing sample must surface the SAME error through Err()
 // after the channel closes — never nil, never the cancellation fallout of
-// sibling workers — and the rows delivered first must be an in-order,
-// full-batch prefix strictly before the failure's delivery position.
+// sibling workers — and the rows delivered first must be the in-order,
+// full-batch prefix strictly before the failure's delivery position: every
+// full batch before it, at any worker count.
 func TestWorkerErrorSurfacesDeterministically(t *testing.T) {
 	const n, failRow = 200, 97
 	ds := loaderDataset(t, storage.NewMemory(), n)
@@ -218,6 +219,9 @@ func TestWorkerErrorSurfacesDeterministically(t *testing.T) {
 		}
 		if len(rows) >= failRow+1 {
 			t.Fatalf("workers=%d: delivered %d rows at/past the failing row %d", workers, len(rows), failRow)
+		}
+		if full := failRow / 8 * 8; len(rows) != full {
+			t.Fatalf("workers=%d: delivered %d rows, want the %d of every full batch before the failing row", workers, len(rows), full)
 		}
 	}
 }

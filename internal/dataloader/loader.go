@@ -4,9 +4,9 @@
 // batches, and bounded prefetching — delivering data fast enough that the
 // (simulated) accelerator, not IO, is the bottleneck.
 //
-// The pipeline is:
+// The pipeline is one core.Walk, whose steps are chunk jobs:
 //
-//	epoch plans -> feed (pin, strip look-ahead, chunk jobs) -> work (fetch+decode+transform) -> deliver (reorder, collate) -> Batches()
+//	epoch plans -> feed (pin, strip look-ahead, chunk jobs) -> workers (fetch+decode+transform) -> deliver in job order (reorder, collate) -> Batches()
 //
 // The sampler precomputes, per epoch, a chunk visit order (shuffled and
 // sharded across Rank/WorldSize), a delivery order (rows spilled through a
@@ -20,11 +20,11 @@
 // workers touch it — concurrent fetches of the same chunk
 // coalesce through a singleflight layer — and the job feeder hands the
 // storage layer's fetch planner the itinerary in strips of chunks, as far
-// ahead of the jobs it enqueues as the byte cache
+// ahead of the jobs it hands out as the byte cache
 // has room for unread prefetches (core.StripPlan, the planner the TQL scan
 // also uses), so fetch latency overlaps with decode and chunks arrive in
-// coalesced batched requests. Media decoding runs inside
-// the worker pool (the Go analogue of the paper's per-process C++ decode
+// coalesced batched requests. Media decoding runs on
+// the walk's workers (the Go analogue of the paper's per-process C++ decode
 // that avoids the Python GIL). Because the delivery order is fixed before
 // any worker starts, the batch stream is byte-identical for a given seed at
 // any worker count.
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/chunk"
@@ -46,8 +45,8 @@ import (
 	"repro/internal/view"
 )
 
-// Transform mutates one sample row; it runs inside the worker pool and must
-// be safe for concurrent use.
+// Transform mutates one sample row; it runs on the walk's workers and must be
+// safe for concurrent use.
 type Transform func(map[string]*tensor.NDArray) (map[string]*tensor.NDArray, error)
 
 // ErrWorkerDied marks an epoch aborted because a worker goroutine died
@@ -82,7 +81,7 @@ type Options struct {
 	// Workers sets the fetch/decode/transform worker count (default
 	// GOMAXPROCS).
 	Workers int
-	// Transform is applied per sample in the worker pool.
+	// Transform is applied per sample on the walk's workers.
 	Transform Transform
 	// DropLast drops each epoch's trailing partial batch.
 	DropLast bool
@@ -210,8 +209,8 @@ func ForDataset(ds *core.Dataset, opts Options) *Loader {
 // Err returns the first pipeline error once Batches' channel is closed. A
 // worker failure always surfaces here (never silently truncates the
 // stream), and when the pipeline fails on a sample it is the error of the
-// earliest delivery position that aborted the epoch — not whatever
-// cancellation fallout other workers produced while shutting down.
+// first failing row in job order — the one a 1-worker loader reports — not
+// whatever cancellation fallout other workers produced while shutting down.
 func (l *Loader) Err() error {
 	if e, ok := l.err.Load().(error); ok {
 		return e
@@ -276,56 +275,6 @@ func primaryColumn(cols []view.Column) string {
 	return ""
 }
 
-type result struct {
-	seq    int
-	sample map[string]*tensor.NDArray
-}
-
-// errSink resolves which failure an epoch reports. Workers record errors
-// with the delivery sequence of the failing row; the sink keeps the error
-// of the earliest delivery position and never lets cancellation fallout
-// (other workers aborting after the pipeline context is cancelled) displace
-// a real failure — so Err() is deterministic for a deterministic fault.
-type errSink struct {
-	mu  sync.Mutex
-	set bool
-	seq int
-	err error
-}
-
-func isCancel(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func (s *errSink) record(seq int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case !s.set:
-		s.set, s.seq, s.err = true, seq, err
-	case isCancel(err):
-		// Shutdown fallout never displaces the recorded failure.
-	case isCancel(s.err):
-		s.seq, s.err = seq, err
-	case seq < s.seq:
-		s.seq, s.err = seq, err
-	}
-}
-
-// barrier returns the delivery sequence of the recorded failure; rows at or
-// past it are never delivered.
-func (s *errSink) barrier() (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq, s.set
-}
-
-func (s *errSink) get() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
 // Batches starts the pipeline and returns the batch channel. The channel
 // closes when every requested epoch completes, the context is cancelled, or
 // an error occurs (check Err afterwards). Batches may only be called once
@@ -341,7 +290,6 @@ func (l *Loader) Batches(ctx context.Context) <-chan Batch {
 		close(out)
 		return out
 	}
-	ctx, cancel := context.WithCancel(ctx)
 
 	// Group rows by primary chunk once (the partition never changes), then
 	// walk every epoch's shuffled, sharded chunk visit order to fix the
@@ -363,52 +311,46 @@ func (l *Loader) Batches(ctx context.Context) <-chan Batch {
 	// When strips are being prefetched, the fetch planner — not the worker
 	// count — overlaps origin latency: workers almost never block on the
 	// wire, so goroutines beyond the CPU count only add scheduler churn. Cap
-	// the spawned pool at a small multiple of GOMAXPROCS then; the batch
+	// the spawned workers at a small multiple of GOMAXPROCS then; the batch
 	// stream is delivery-sequence ordered, so the cap (like Workers itself)
 	// never changes what is delivered. Strips are prefetched only over a
 	// provider chain that can (StripPlan.Cover is a no-op over any other):
 	// without one, workers ARE the IO parallelism and the full count is
-	// spawned. Jobs queue two per spawned worker: each finds its next job
-	// waiting, and the strips covered whatever the headroom stay few.
+	// spawned. The walk's window is three jobs per spawned worker, one
+	// running and two waiting, so each worker finds its next job ready, and
+	// the strips covered whatever the headroom stay few.
 	spawn := l.opts.Workers
 	if _, canPrefetch := l.v.Dataset().Store().(storage.Prefetcher); canPrefetch && len(planned) > 0 {
 		spawn = min(spawn, 2*runtime.GOMAXPROCS(0))
 	}
 
-	jobs := make(chan chunkJob, spawn*2)
-	results := make(chan result, l.opts.Workers*4)
-	sink := &errSink{}
-	// Strips are claimed under walkCtx, which the sweep below ends first.
-	walkCtx, endWalk := context.WithCancel(ctx)
-	// The feeder joins the worker WaitGroup so the pin sweep below runs
-	// strictly after the last pin is taken.
-	var wg sync.WaitGroup
-	var walks []*core.StripPlan
-	wg.Add(1 + spawn)
 	go func() {
-		defer wg.Done()
-		walks = l.feed(walkCtx, l.v.Dataset().Tensor(primary), planned, groups, jobs)
-	}()
-	for w := 0; w < spawn; w++ {
-		go func() {
-			defer wg.Done()
-			l.work(ctx, cancel, cols, jobs, results, sink)
-		}()
-	}
-	go func() {
-		wg.Wait()
-		// Pipeline over (feeder and workers both done): drop whatever pins
-		// are still held — jobs stranded in the channel by a cancellation,
-		// jobs a dying worker never finished — and every strip claim, so an
-		// aborted epoch leaks neither into a shared, long-lived cache.
-		endWalk()
+		var walks []*core.StripPlan
+		err := core.Walk(ctx, spawn, 3*spawn,
+			func(ctx context.Context, yield func(chunkJob) bool) {
+				walks = l.feed(ctx, l.v.Dataset().Tensor(primary), planned, groups, yield)
+			},
+			func(ctx context.Context) (func(chunkJob, *[]map[string]*tensor.NDArray) error, func()) {
+				rl := newRowLoader(l, cols)
+				return func(cj chunkJob, samples *[]map[string]*tensor.NDArray) error {
+					return rl.run(ctx, cj, samples)
+				}, nil
+			},
+			l.deliver(ctx, epochEnd, out))
+		// The walk is over and its workers have exited: drop every strip
+		// claim and whatever pins are still held (jobs handed out but never
+		// run after a cancellation or failure), so an aborted epoch leaks
+		// neither into a shared, long-lived cache. Err is final before the
+		// channel closes.
 		for _, w := range walks {
 			w.Disown()
 		}
 		l.pins.releaseAll(l.cache)
-		close(results)
+		if err != nil {
+			l.err.Store(err)
+		}
+		close(out)
 	}()
-	go l.deliver(ctx, cancel, epochEnd, results, sink, out)
 	return out
 }
 
@@ -461,31 +403,31 @@ func stripIDs(v *view.View, t *core.Tensor, groups []groupRef) (ids []uint64, th
 	return ids, through
 }
 
-// feed is the pipeline's first stage and the strip planner's frontier
+// feed hands out the walk's steps and is the strip planner's frontier
 // (§4.6 "fetches the next batch in advance"): chunk jobs in plan order —
 // the fetch itinerary, first needed, first fetched, or for a media primary
 // delivery order, in which each group's first job still comes in itinerary
 // order — epochs back to back, with sequences renumbered into the global
-// stream. It blocks on the bounded jobs channel, so it runs just ahead of
-// the workers; before it enqueues a group's first job it has the planned
-// columns' strips cover that itinerary group — every column's strips are
-// cut at the same itinerary groups, stripWidth of them a strip — and run on
-// ahead as far as the byte cache has headroom for (core.StripPlan.Cover).
-// Every chunk is therefore claimed in the byte cache's singleflight layer
-// before a job that reads it exists: workers find it cached or join the
-// strip's in-flight batched request and never race the planner with a
-// one-chunk round trip. The strips land in the byte cache; workers
-// container-decode them on arrival through the node cache. Strips leave out
-// chunks already decoded there, and are returned for the pipeline's sweep.
+// stream. The walk takes a job only when its window has room, so feed runs
+// just ahead of the workers; before it yields a group's first job it has
+// the planned columns' strips cover that itinerary group — every column's
+// strips are cut at the same itinerary groups, stripWidth of them a strip —
+// and run on ahead as far as the byte cache has headroom for
+// (core.StripPlan.Cover). Every chunk is therefore claimed in the byte
+// cache's singleflight layer before a job that reads it exists: workers
+// find it cached or join the strip's in-flight batched request and never
+// race the planner with a one-chunk round trip. The strips land in the byte
+// cache; workers container-decode them on arrival through the node cache.
+// Strips leave out chunks already decoded there, and are returned for the
+// pipeline's sweep.
 //
 // A group's primary chunk is pinned in the node cache once per job, all
-// before its first job is enqueued, and each worker that finishes one of
-// its jobs drops one pin, so a tight MemoryBudget can never evict a decoded
+// before its first job is yielded, and each worker that finishes one of its
+// jobs drops one pin, so a tight MemoryBudget can never evict a decoded
 // chunk that a planned-but-unstarted job still needs (the silent re-decode
 // that would break the fetch+decode-once contract) — a media chunk stays
 // pinned from its first batch window to its last.
-func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core.Tensor, groups []groupRef, jobs chan<- chunkJob) (walks []*core.StripPlan) {
-	defer close(jobs)
+func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core.Tensor, groups []groupRef, yield func(chunkJob) bool) (walks []*core.StripPlan) {
 	seqBase := 0
 	for e := 0; e < l.opts.Epochs; e++ {
 		p := buildPlan(l.v, buildShard(groups, l.opts, e), l.opts, e)
@@ -527,9 +469,7 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 			for ri := range cj.rows {
 				cj.rows[ri].seq += seqBase
 			}
-			select {
-			case jobs <- *cj:
-			case <-ctx.Done():
+			if !yield(*cj) {
 				return walks
 			}
 		}
@@ -538,95 +478,28 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 	return walks
 }
 
-// work is one worker: it drains chunk jobs through reused per-tensor
-// ScanReaders backed by the shared chunk cache, where the job's chunk stays
-// pinned, so however many jobs a chunk is cut into it is fetched and decoded
-// exactly once.
-func (l *Loader) work(ctx context.Context, cancel context.CancelFunc, cols []view.Column, jobs <-chan chunkJob, results chan<- result, sink *errSink) {
-	// Worker-death watchdog: a goroutine that dies mid-job without reaching
-	// a normal exit path (user code calling runtime.Goexit, or a panic
-	// unwinding) would otherwise strand its undelivered rows — the reorder
-	// stage would wait on sequence numbers that never arrive and the stream
-	// would truncate silently with a nil Err. Record the death at the dying
-	// row's delivery position instead: the contract stays the worker-failure
-	// contract — an in-order prefix strictly before the death position, then
-	// a deterministic error.
-	exited, deathSeq := false, 0
-	defer func() {
-		if exited {
-			return
-		}
-		sink.record(deathSeq, fmt.Errorf("%w at delivery position %d", ErrWorkerDied, deathSeq))
-		cancel()
-	}()
-	rl := newRowLoader(l, cols)
-	for cj := range jobs {
-		for _, rj := range cj.rows {
-			deathSeq = rj.seq
-			sample, err := rl.load(ctx, rj)
-			if err != nil {
-				sink.record(rj.seq, err)
-				cancel()
-				exited = true
-				return
-			}
-			select {
-			case results <- result{seq: rj.seq, sample: sample}:
-			case <-ctx.Done():
-				exited = true
-				return
-			}
-		}
-		// Job done: its chunk no longer needs eviction protection from this
-		// job. Early-return paths above leave the pin to the pipeline sweep.
-		if cj.pinned {
-			l.pins.unpin(l.cache, cj.pin)
-		}
-		rl.arena.Forget()
-	}
-	exited = true
-}
-
-// deliver is the last stage — reorder, collate, emit: rows leave in the
-// precomputed delivery order regardless of which worker decoded them, and
-// never at or past a recorded failure's position.
-func (l *Loader) deliver(ctx context.Context, cancel context.CancelFunc, epochEnd []int, results <-chan result, sink *errSink, out chan<- Batch) {
-	defer cancel()
-	defer close(out)
-	// Wait for the pipeline's sweep (then results closes) before out closes.
-	defer func() {
-		for range results {
-		}
-	}()
-	// Finalize the epoch error before the channel closes (LIFO: this runs
-	// first), whichever path unwound the stage: a recorded worker failure
-	// always wins over cancellation fallout, so Err() is deterministic once
-	// the consumer sees the close.
-	defer func() {
-		if err := sink.get(); err != nil {
-			l.err.Store(err)
-			return
-		}
-		if ctx.Err() != nil {
-			l.err.Store(ctx.Err())
-		}
-	}()
+// deliver returns the walk's commit — reorder, collate, emit: rows leave in
+// the precomputed delivery order regardless of which worker decoded them.
+// Jobs commit in walk order, and a failing job commits only its rows before
+// the failing one, so delivery stops strictly before the first failure's
+// position.
+func (l *Loader) deliver(ctx context.Context, epochEnd []int, out chan<- Batch) func(chunkJob, []map[string]*tensor.NDArray, error) error {
 	pending := map[int]map[string]*tensor.NDArray{}
 	next := 0
 	epoch := 0
 	batchIdx := 0
 	coll := newCollator()
 	var cur []map[string]*tensor.NDArray
-	flush := func(force bool) bool {
+	flush := func(force bool) error {
 		if len(cur) == 0 {
-			return true
+			return nil
 		}
 		if !force && len(cur) < l.opts.BatchSize {
-			return true
+			return nil
 		}
 		if force && l.opts.DropLast && len(cur) < l.opts.BatchSize {
 			cur = nil
-			return true
+			return nil
 		}
 		stacked, unstacked := coll.collate(cur)
 		b := Batch{Index: batchIdx, Epoch: epoch, Samples: cur, Stacked: stacked, Unstacked: unstacked}
@@ -634,43 +507,33 @@ func (l *Loader) deliver(ctx context.Context, cancel context.CancelFunc, epochEn
 		cur = nil
 		select {
 		case out <- b:
-			return true
+			return nil
 		case <-ctx.Done():
-			return false
+			return ctx.Err()
 		}
 	}
-	for r := range results {
-		if bseq, bad := sink.barrier(); bad && r.seq >= bseq {
-			continue
-		}
-		pending[r.seq] = r.sample
-		l.pendingPeak = max(l.pendingPeak, len(pending))
-		for {
-			if bseq, bad := sink.barrier(); bad && next >= bseq {
-				break
-			}
-			s, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			// Skip past epochs the rank's shard left empty.
-			for epoch+1 < len(epochEnd) && next >= epochEnd[epoch] {
-				epoch++
-			}
-			next++
-			cur = append(cur, s)
-			atomic.AddInt64(&l.rows, 1)
-			if next == epochEnd[epoch] {
-				if !flush(true) {
-					return
+	return func(cj chunkJob, samples []map[string]*tensor.NDArray, err error) error {
+		for i, s := range samples {
+			pending[cj.rows[i].seq] = s
+			l.pendingPeak = max(l.pendingPeak, len(pending))
+			for r, ok := pending[next]; ok; r, ok = pending[next] {
+				delete(pending, next)
+				// Skip past epochs the rank's shard left empty.
+				for epoch+1 < len(epochEnd) && next >= epochEnd[epoch] {
+					epoch++
 				}
-			} else if len(cur) == l.opts.BatchSize {
-				if !flush(false) {
-					return
+				next++
+				cur = append(cur, r)
+				atomic.AddInt64(&l.rows, 1)
+				if err := flush(next == epochEnd[epoch]); err != nil {
+					return err
 				}
 			}
 		}
+		if errors.Is(err, core.ErrWorkerDied) {
+			return fmt.Errorf("%w at delivery position %d", ErrWorkerDied, cj.rows[len(samples)].seq)
+		}
+		return err
 	}
 }
 
@@ -693,6 +556,28 @@ type rowLoader struct {
 
 func newRowLoader(l *Loader, cols []view.Column) *rowLoader {
 	return &rowLoader{l: l, cols: cols, readers: map[string]*core.ScanReader{}, arena: chunk.NewArena()}
+}
+
+// run is one walk step: it loads cj's rows into samples, in job order, up to
+// the first that fails. However the step ends, the job's chunk no longer
+// needs eviction protection from this job, and the arena's slabs are left to
+// the samples cut from them.
+func (w *rowLoader) run(ctx context.Context, cj chunkJob, samples *[]map[string]*tensor.NDArray) error {
+	defer func() {
+		if cj.pinned {
+			w.l.pins.unpin(w.l.cache, cj.pin)
+		}
+		w.arena.Forget()
+	}()
+	*samples = make([]map[string]*tensor.NDArray, 0, len(cj.rows))
+	for _, rj := range cj.rows {
+		sample, err := w.load(ctx, rj)
+		if err != nil {
+			return err
+		}
+		*samples = append(*samples, sample)
+	}
+	return nil
 }
 
 func (w *rowLoader) reader(t *core.Tensor) *core.ScanReader {

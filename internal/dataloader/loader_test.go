@@ -309,10 +309,10 @@ func TestWorkersAreIOParallelismWithoutPrefetcher(t *testing.T) {
 	const want, rows = 8, 2048
 	gate := &gatedGets{Provider: storage.NewMemory(), want: want, open: make(chan struct{})}
 	ds := loaderDataset(t, gate, rows)
-	// Chunk groups larger than rows/(Workers*oversubscribe) are split into
+	// Chunk groups larger than rows/(Workers*core.Oversubscribe) are split into
 	// sub-jobs that share one fetch; keep them smaller, so 16 busy workers
 	// are 16 distinct chunks.
-	if n := ds.Tensor("x").NumChunks(); n < 16*oversubscribe {
+	if n := ds.Tensor("x").NumChunks(); n < 16*core.Oversubscribe {
 		t.Fatalf("dataset has %d chunks; workers would share chunk fetches", n)
 	}
 	gate.mu.Lock()

@@ -41,15 +41,6 @@ import (
 // and is never pinned.
 const noChunk = ^uint64(0)
 
-// oversubscribe controls how many jobs each worker gets on average: large
-// chunk groups are split into sub-jobs so per-sample work (media decode,
-// transforms) inside one hot chunk still spreads across the pool — the
-// chunk itself is fetched and container-decoded once either way, through
-// the shared cache's singleflight layer. More jobs smooth out skew in
-// per-chunk cost at slightly more scheduling overhead (the same policy as
-// the TQL scan engine).
-const oversubscribe = 4
-
 // rowJob is one view row inside a chunk job: the view row, its source row,
 // and the delivery sequence at which the reorder stage emits it.
 type rowJob struct {
@@ -255,7 +246,7 @@ func buildPlan(v *view.View, shard epochShard, o Options, epoch int) *epochPlan 
 	// per-sample decode work behind a single worker; cut a media group in
 	// delivery order at every batch window as well. Sub-jobs keep their
 	// group's ordinal: the strip look-ahead counts chunks, not jobs.
-	maxRows := (next + o.Workers*oversubscribe - 1) / (o.Workers * oversubscribe)
+	maxRows := (next + o.Workers*core.Oversubscribe - 1) / (o.Workers * core.Oversubscribe)
 	if maxRows < 1 {
 		maxRows = 1
 	}

@@ -10,11 +10,12 @@
 //
 // Queries run on a chunk-partitioned parallel scan engine (ExecuteWith,
 // Options.Workers). The row space is partitioned along the chunk
-// boundaries of the first tensor the filter references, partitions are
-// evaluated by a bounded worker pool — each worker reusing one environment
-// whose per-tensor ScanReaders fetch and decode every chunk it owns once —
-// and per-partition results merge positionally, so results are identical
-// at any worker count. A WHERE clause's leading run of shape-only
+// boundaries of the first tensor the filter references, partitions are the
+// steps of a core.Walk, the ordered walk the dataloader and transforms also
+// run on — each worker reusing one environment whose per-tensor
+// ScanReaders fetch and decode every chunk it owns once — and
+// per-partition results merge positionally, so results, and the error of a
+// failing scan, are identical at any worker count. A WHERE clause's leading run of shape-only
 // conjuncts is answered entirely from the shape encoder with zero chunk IO
 // (shape-encoder pushdown), with the remainder evaluated only over the
 // pushdown's surviving rows — in textual order, so AND short-circuit

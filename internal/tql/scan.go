@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -126,16 +125,11 @@ func (s *ScanStats) String() string {
 		s.PrefetchPlanned(), s.PrefetchClaimed(), s.PrefetchSkipped(), s.PrefetchFailed(), s.PrefetchStrips())
 }
 
-// oversubscribe controls how many partitions each worker gets on average:
-// more partitions smooth out skew in per-chunk cost (compressed chunks,
-// cache hits vs misses) at slightly more scheduling overhead.
-const oversubscribe = 4
-
 // span is a half-open range [lo, hi) of positions in a row slice.
 type span struct{ lo, hi int }
 
-// scanner evaluates expressions over many rows through a bounded worker
-// pool, partitioning work along chunk boundaries.
+// scanner evaluates expressions over many rows on a core.Walk, partitioning
+// work along chunk boundaries.
 type scanner struct {
 	ds      *core.Dataset
 	workers int
@@ -241,20 +235,22 @@ func (sc *scanner) keys(ctx context.Context, rows []uint64, key Expr, stage stri
 	return keys, nil
 }
 
-// eval evaluates x for every row across the worker pool. Partitions follow
-// the chunk boundaries of the first tensor x references; each worker reuses
-// one environment (and its per-tensor ScanReaders), so a partition fetches
-// and decodes every chunk it covers at most once, and concurrent fetches of
-// a chunk shared between workers coalesce in the provider chain. When x is
-// in the chunk-at-a-time subset (see chunkeval.go) and rows ascend, a
-// worker evaluates its partition a batch of rows inside one chunk at a time
-// with typed loops, and hands only the rows that subset cannot serve exactly
-// to the row-at-a-time tree walker; otherwise every row goes through the
-// walker. Either way sink sees each position once, in position order within
-// a partition, with the value, error and row the walker would have produced.
-// sink runs on worker goroutines with disjoint positions: it may write into
-// shared slices at pos without locking, but must not touch other positions.
-// Errors are wrapped with the stage name and failing row.
+// eval evaluates x for every row on a core.Walk whose steps are partitions.
+// Partitions follow the chunk boundaries of the first tensor x references;
+// each worker reuses one environment (and its per-tensor ScanReaders), so a
+// partition fetches and decodes every chunk it covers at most once, and
+// concurrent fetches of a chunk shared between workers coalesce in the
+// provider chain. When x is in the chunk-at-a-time subset (see chunkeval.go)
+// and rows ascend, a worker evaluates its partition a batch of rows inside
+// one chunk at a time with typed loops, and hands only the rows that subset
+// cannot serve exactly to the row-at-a-time tree walker; otherwise every row
+// goes through the walker. Either way sink sees each position once, in
+// position order within a partition, with the value, error and row the
+// walker would have produced. sink runs on worker goroutines with disjoint
+// positions: it may write into shared slices at pos without locking, but
+// must not touch other positions. Errors are wrapped with the stage name and
+// failing row; a failing scan reports the lowest failing partition's error,
+// the one a 1-worker scan reports.
 //
 // Ownership: the arrays a row loads, and every view cut from them (v itself,
 // when x is a tensor or a subscript of one), live in the worker's arena,
@@ -266,24 +262,30 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 	if len(rows) == 0 {
 		return nil
 	}
+	// Partitions and strips follow the driver tensor's chunks, which only an
+	// ascending row list can use; the chunk evaluator needs one too.
+	var chunks []core.ChunkSpan
+	var driver *core.Tensor
+	asc := ascending(rows)
+	if asc {
+		if driver = scanDriver(sc.ds, x); driver != nil {
+			chunks = driver.ChunkSpans()
+		}
+	}
 	var prog *chunkProg
-	if !sc.rowAtATime && ascending(rows) {
+	if !sc.rowAtATime && asc {
 		if prog = compileChunk(x); prog != nil && !prog.bind(sc.ds) {
 			prog = nil
 		}
 	}
-	spans := sc.partition(x, rows)
-	workers := sc.workers
-	if workers > len(spans) {
-		workers = len(spans)
-	}
+	spans := sc.partition(rows, chunks)
 	// Prefetch: before a worker walks a partition, the chunks the scan will
 	// touch are handed to the storage layer's fetch planner, so near-adjacent
 	// chunk objects arrive in coalesced ranged origin requests instead of one
 	// round trip each. The strips of a core.StripPlan cut across partition
 	// boundaries, so chunks owned by different workers still share a
-	// coalesced request; a worker claiming partition i covers the plan up to
-	// that partition's last chunk, and on as far as the byte cache has
+	// coalesced request; the step that runs partition i first covers the plan
+	// up to that partition's last chunk, and on as far as the byte cache has
 	// headroom, so later partitions find their strips in flight. Shape-only
 	// expressions are excluded: they resolve from the shape encoder
 	// (pushdown's zero-chunk-IO guarantee), so prefetching chunks for them
@@ -291,88 +293,44 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 	// the per-row read path re-fetches and reports with row context.
 	var strips *core.StripPlan
 	var spanEnd []int
-	if driver := scanDriver(sc.ds, x); driver != nil && ascending(rows) && (sc.rawShapes || !shapeOnly(x)) {
-		if chunks := driver.ChunkSpans(); len(chunks) > 0 {
-			var ids []uint64
-			ids, spanEnd = stripIDs(chunks, rows, spans)
-			strips = core.NewStripPlan(driver, ids, nil, stripWidth, sc.stats.record)
-		}
+	if len(chunks) > 0 && (sc.rawShapes || !shapeOnly(x)) {
+		var ids []uint64
+		ids, spanEnd = stripIDs(chunks, rows, spans)
+		strips = core.NewStripPlan(driver, ids, nil, stripWidth, sc.stats.record)
+		defer strips.Disown() // the walk has ended every context Cover saw
 	}
-	scanCtx, cancel := context.WithCancel(ctx)
-	if strips != nil {
-		defer strips.Disown() // however the scan exits, once scanCtx has ended
-	}
-	defer cancel()
-	// runWorker evaluates partitions on one worker's env until next reports
-	// none is left.
-	runWorker := func(ctx context.Context, next func() (int, bool)) error {
-		e := sc.newWorkerEnv(ctx)
-		defer e.arena.Release()
-		var cw *chunkWorker
-		if prog != nil {
-			cw = prog.worker(e, len(rows))
-		}
-		for i, ok := next(); ok; i, ok = next() {
-			if strips != nil {
-				strips.Cover(ctx, spanEnd[i])
+	// The window is every partition, so workers run as far ahead as they
+	// can; a partition's results are positional, so its commit is a no-op.
+	return core.Walk(ctx, sc.workers, len(spans),
+		func(_ context.Context, yield func(int) bool) {
+			for i := 0; i < len(spans) && yield(i); i++ {
 			}
-			if cw != nil {
-				if err := cw.run(ctx, rows, spans[i], stage, sink); err != nil {
-					return err
-				}
-				continue
+		},
+		func(ctx context.Context) (func(int, *struct{}) error, func()) {
+			e := sc.newWorkerEnv(ctx)
+			var cw *chunkWorker
+			if prog != nil {
+				cw = prog.worker(e, len(rows))
 			}
-			for pos := spans[i].lo; pos < spans[i].hi; pos++ {
-				if err := ctx.Err(); err != nil {
-					return err
+			return func(i int, _ *struct{}) error {
+				if strips != nil {
+					strips.Cover(ctx, spanEnd[i])
 				}
-				if err := evalRow(e, x, rows, pos, stage, sink); err != nil {
-					return err
+				if cw != nil {
+					return cw.run(ctx, rows, spans[i], stage, sink)
 				}
-			}
-		}
-		return nil
-	}
-	if workers <= 1 {
-		i := 0
-		return runWorker(scanCtx, func() (int, bool) {
-			i++
-			return i - 1, i <= len(spans)
-		})
-	}
-	// Partitions are claimed in index order. A failure in partition i stops
-	// claims past i, while lower partitions run to completion, so the scan
-	// reports the lowest failing partition's error: the one a 1-worker scan
-	// reports.
-	var (
-		wg       sync.WaitGroup
-		nextSpan atomic.Int64
-		mu       sync.Mutex
-		failed   = len(spans) // the lowest partition that failed
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cur := 0
-			err := runWorker(scanCtx, func() (int, bool) {
-				cur = int(nextSpan.Add(1)) - 1
-				mu.Lock()
-				defer mu.Unlock()
-				return cur, cur < failed
-			})
-			if err != nil {
-				mu.Lock()
-				if cur < failed {
-					failed, firstErr = cur, err
+				for pos := spans[i].lo; pos < spans[i].hi; pos++ {
+					if err := ctx.Err(); err != nil {
+						return err
+					}
+					if err := evalRow(e, x, rows, pos, stage, sink); err != nil {
+						return err
+					}
 				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+				return nil
+			}, e.arena.Release
+		},
+		func(int, struct{}, error) error { return nil })
 }
 
 // evalRow is the tree walker on one row: it repositions e on rows[pos],
@@ -430,19 +388,16 @@ func stripIDs(chunks []core.ChunkSpan, rows []uint64, spans []span) (ids []uint6
 }
 
 // partition splits the positions of rows into contiguous partitions aligned
-// with the chunk boundaries of the first tensor x references. Row lists that
-// are not ascending (after ORDER BY, ARRANGE BY, ...) and expressions that
-// touch no tensor fall back to an even split.
-func (sc *scanner) partition(x Expr, rows []uint64) []span {
-	maxParts := sc.workers * oversubscribe
-	if maxParts > len(rows) {
-		maxParts = len(rows)
-	}
+// with chunks, the driver tensor's chunk layout. Without one (rows not
+// ascending after ORDER BY, ARRANGE BY, ..., or an expression that touches
+// no tensor) it falls back to an even split.
+func (sc *scanner) partition(rows []uint64, chunks []core.ChunkSpan) []span {
+	maxParts := min(sc.workers*core.Oversubscribe, len(rows))
 	if maxParts <= 1 {
 		return []span{{0, len(rows)}}
 	}
-	if spans := sc.chunkAlignedSpans(x, rows, maxParts); spans != nil {
-		return spans
+	if len(chunks) > 0 {
+		return chunkAlignedSpans(chunks, rows, maxParts)
 	}
 	return evenSpans(len(rows), maxParts)
 }
@@ -458,19 +413,11 @@ func evenSpans(n, parts int) []span {
 	return out
 }
 
-// chunkAlignedSpans cuts the row positions at the driver tensor's chunk
-// boundaries, merging adjacent chunks until at most maxParts partitions
-// remain. Cutting only on boundaries keeps every chunk inside exactly one
-// partition, so no chunk is decoded by two workers.
-func (sc *scanner) chunkAlignedSpans(x Expr, rows []uint64, maxParts int) []span {
-	driver := scanDriver(sc.ds, x)
-	if driver == nil {
-		return nil
-	}
-	chunks := driver.ChunkSpans()
-	if len(chunks) == 0 || !ascending(rows) {
-		return nil
-	}
+// chunkAlignedSpans cuts the ascending row positions at chunk boundaries,
+// merging adjacent chunks until at most maxParts partitions remain. Cutting
+// only on boundaries keeps every chunk inside exactly one partition, so no
+// chunk is decoded by two workers.
+func chunkAlignedSpans(chunks []core.ChunkSpan, rows []uint64, maxParts int) []span {
 	minRows := (len(rows) + maxParts - 1) / maxParts
 	var spans []span
 	start, ci := 0, 0

@@ -1,10 +1,10 @@
 // Package transform implements the parallel ingestion/transformation
 // framework of §4.1.2: user functions that consume one input sample and
 // emit zero or more output samples (one-to-one and one-to-many), stacked
-// into pipelines and run by one worker pool: each worker loads and
-// transforms a batch of adjacent input rows, and the calling goroutine
-// commits every row's outputs in input order, so the produced dataset is
-// deterministic for any worker count.
+// into pipelines and run on a core.Walk: each worker loads and transforms a
+// batch of adjacent input rows, and the calling goroutine commits every
+// row's outputs in input order, so the produced dataset is deterministic
+// for any worker count.
 //
 // Outputs write through the destination's flush pipeline, configured however
 // the destination was (core.WriteOptions): the ordered commit loop appends at
@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/tensor"
@@ -86,9 +85,9 @@ type Source interface {
 // DatasetSource adapts a dataset (all visible tensors) as a Source. At
 // reads one row through View.Row, whose Tensor.At is a one-shot ScanReader,
 // so each call decodes the row's whole chunk of every column. It keeps no
-// readers of its own because Source.At is called from every pool worker at
-// once and a ScanReader serves one goroutine; a reader per worker needs
-// per-worker state the pool does not have.
+// readers of its own because Source.At is called from every walk worker at
+// once and a ScanReader serves one goroutine; a reader per walk worker
+// needs a Source that hands each worker its own reading state.
 type DatasetSource struct {
 	View *view.View
 }
@@ -206,86 +205,44 @@ func (p *Pipeline) EvalInPlace(ctx context.Context, ds *core.Dataset, opts Optio
 	return stats, ds.Flush(ctx)
 }
 
-// batch is one unit of work: input rows [lo, lo+batchSize) clipped to the
-// source, with transformRows' results, which are ready once done is closed:
-// one entry of outs per row up to the first row that fails, and that failure.
-type batch struct {
-	lo   int
-	outs [][]Sample
-	err  error
-	done chan struct{}
-}
-
-// run is the worker pool under Eval and EvalInPlace. The calling goroutine
-// hands batches to the workers through a window of 2×workers batches kept
-// in input order, waits on the oldest and passes commit each of its rows'
-// outputs, in input order, before it queues the next. The first error — a
-// load, a stage or commit — ends the run: rows before the failing one are
-// committed and none after it. On every exit run cancels the context its
-// workers read under and returns only after all of them have exited.
+// run is the ordered walk under Eval and EvalInPlace (core.Walk): a step is
+// batchSize adjacent input rows, which a worker loads and transforms, and
+// the calling goroutine passes commit each of its rows' outputs in input
+// order, holding a window of 2×workers batches. The first error — a load, a
+// stage or commit — ends the run: rows before the failing one are committed
+// and none after it. run returns only after every worker has exited.
 func (p *Pipeline) run(ctx context.Context, src Source, workers int, commit func(row int, outs []Sample) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	// jobs' capacity is the window: two batches per worker keep every
-	// worker busy while the caller commits the oldest.
-	jobs := make(chan *batch, 2*workers)
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer close(jobs)
-	defer cancel()
 	n := src.Len()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A worker that dies holding a batch still fails it, or run
-			// would wait on it forever.
-			var held *batch
-			defer func() {
-				if held != nil {
-					held.err = fmt.Errorf("%w at row %d", ErrWorkerDied, held.lo+len(held.outs))
-					close(held.done)
+	return core.Walk(ctx, workers, 2*workers,
+		func(_ context.Context, yield func(int) bool) {
+			for lo := 0; lo < n && yield(lo); lo += batchSize {
+			}
+		},
+		func(ctx context.Context) (func(int, *[][]Sample) error, func()) {
+			return func(lo int, outs *[][]Sample) error {
+				return p.transformRows(ctx, src, lo, min(lo+batchSize, n), outs)
+			}, nil
+		},
+		func(lo int, outs [][]Sample, err error) error {
+			for i, o := range outs {
+				if err := commit(lo+i, o); err != nil {
+					return err
 				}
-			}()
-			for b := range jobs {
-				held = b
-				b.err = p.transformRows(ctx, src, b, min(b.lo+batchSize, n))
-				held = nil
-				close(b.done)
 			}
-		}()
-	}
-
-	var window []*batch
-	for lo := 0; lo < n || len(window) > 0; {
-		if lo < n && len(window) < cap(jobs) {
-			b := &batch{lo: lo, done: make(chan struct{})}
-			jobs <- b // never blocks: jobs holds only batches in the window
-			window = append(window, b)
-			lo += batchSize
-			continue
-		}
-		b := window[0]
-		window = window[1:]
-		<-b.done
-		for i, outs := range b.outs {
-			if err := commit(b.lo+i, outs); err != nil {
-				return err
+			if errors.Is(err, core.ErrWorkerDied) {
+				return fmt.Errorf("%w at row %d", ErrWorkerDied, lo+len(outs))
 			}
-		}
-		if b.err != nil {
-			return b.err
-		}
-	}
-	return nil
+			return err
+		})
 }
 
-// transformRows loads and transforms input rows [b.lo, hi) into b.outs, one
+// transformRows loads and transforms input rows [lo, hi) into outs, one
 // entry per row, up to the first row that fails, and returns that failure.
-func (p *Pipeline) transformRows(ctx context.Context, src Source, b *batch, hi int) error {
-	for i := b.lo; i < hi; i++ {
+func (p *Pipeline) transformRows(ctx context.Context, src Source, lo, hi int, outs *[][]Sample) error {
+	for i := lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -297,7 +254,7 @@ func (p *Pipeline) transformRows(ctx context.Context, src Source, b *batch, hi i
 		if err != nil {
 			return err
 		}
-		b.outs = append(b.outs, produced)
+		*outs = append(*outs, produced)
 	}
 	return nil
 }

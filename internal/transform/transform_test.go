@@ -303,17 +303,17 @@ func TestFailedEvalJoinsItsGoroutines(t *testing.T) {
 	}
 }
 
-// poolWorkers reports how many goroutines are inside a run's worker, yielding
-// until there are none for up to five seconds: a worker that has signalled
-// its WaitGroup is still listed until the scheduler runs it to its exit, but
-// a leaked one never leaves. Unlike a goroutine count, it does not depend on
-// what else the process runs.
+// poolWorkers reports how many goroutines are inside a run's worker, the
+// core.Walk worker frame, yielding until there are none for up to five
+// seconds: a worker that has signalled its WaitGroup is still listed until
+// the scheduler runs it to its exit, but a leaked one never leaves. Unlike a
+// goroutine count, it does not depend on what else the process runs.
 func poolWorkers() int {
 	deadline := time.Now().Add(5 * time.Second)
 	buf := make([]byte, 1<<20)
 	for {
 		dump := string(buf[:runtime.Stack(buf, true)])
-		n := strings.Count(dump, "transform.(*Pipeline).run.func")
+		n := strings.Count(dump, "core.(*walk[...]).work(")
 		if n == 0 || time.Now().After(deadline) {
 			return n
 		}
