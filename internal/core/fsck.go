@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/chunk"
+	"repro/internal/compress"
 	"repro/internal/encoder"
 	"repro/internal/storage"
 	"repro/internal/version"
@@ -26,7 +28,9 @@ const (
 	// its state's chunk_versions (the issue then names the state object).
 	FsckMissingChunk = "missing-chunk"
 	// FsckChecksumMismatch: a stored chunk's bytes fail the CRC32C recorded
-	// in the tensor's checksum manifest, or the manifest records none.
+	// in the tensor's checksum manifest, or the manifest records none. The
+	// detail names the data block, or the directory or block table seal,
+	// whose own CRC32C fails, when one does.
 	FsckChecksumMismatch = "checksum-mismatch"
 	// FsckOrphanChunk: a stored chunk not referenced by its version's chunk
 	// set (e.g. uploaded for a generation that was never published, or left
@@ -287,7 +291,7 @@ func (f *fsckState) checkVersions(ctx context.Context) error {
 				}
 				if got := storage.Checksum(raw); got != want {
 					f.issue(FsckChecksumMismatch, key,
-						fmt.Sprintf("stored bytes have CRC32C %08x, manifest records %08x", got, want), nil)
+						fmt.Sprintf("stored bytes have CRC32C %08x, manifest records %08x%s", got, want, chunkDamage(st.Meta, raw)), nil)
 					continue
 				}
 				f.rep.ChunksVerified++
@@ -369,4 +373,25 @@ func (f *fsckState) repair(ctx context.Context) error {
 		f.rep.Issues[i].Repaired = true
 	}
 	return nil
+}
+
+// chunkDamage says where inside a chunk object whose digest failed the
+// damage is: the block whose CRC32C fails, or the directory or block table
+// seal (chunk.VerifyBlocks). It is empty when the chunk's own checks all
+// pass, so only the manifest's digest disagrees.
+func chunkDamage(meta TensorMeta, raw []byte) string {
+	blob := raw
+	if meta.ChunkCompression != "none" {
+		codec, err := compress.ByName(meta.ChunkCompression)
+		if err != nil {
+			return ""
+		}
+		if blob, err = codec.Decompress(raw); err != nil {
+			return fmt.Sprintf("; the chunk does not decompress: %v", err)
+		}
+	}
+	if err := chunk.VerifyBlocks(blob); err != nil {
+		return "; " + err.Error()
+	}
+	return ""
 }

@@ -66,8 +66,8 @@ func (t *Tensor) decode(s chunk.Sample, a *chunk.Arena) (*tensor.NDArray, error)
 
 // Slice reads a sub-region of sample idx (TQL's images[a:b, c:d]). Tiled
 // samples fetch only overlapping tiles; raw uncompressed samples whose
-// region constrains only the first axis are read with a sub-chunk byte
-// range request (§3.5), never transferring the rest of the sample. Any
+// region constrains only the first axis are read with checked sub-chunk
+// byte range requests (§3.5), never transferring the rest of the sample. Any
 // other sample is read whole by a one-shot ScanReader and then sliced.
 func (t *Tensor) Slice(ctx context.Context, idx uint64, region []tensor.Range) (*tensor.NDArray, error) {
 	if t.spec.Sequence {
@@ -97,94 +97,73 @@ func (t *Tensor) Slice(ctx context.Context, idx uint64, region []tensor.Range) (
 	return arr.Slice(region...)
 }
 
-// rangeReadFirstAxis serves Slice(idx, [lo:hi]) with one byte-range request
-// when the sample is raw and its chunk is uncompressed. ok=false means the
-// fast path does not apply (e.g. the sample sits in the write buffer or in
-// a chunk still in flight).
+// rangeReadFirstAxis serves Slice(idx, [lo:hi]) with the sparse read of a
+// chunk (readRanges): its block table, its directory and the blocks holding
+// the slice's bytes, each checked. ok=false means the fast path does not
+// apply (the sample sits in the write buffer or in a chunk still in flight,
+// or is a scalar).
 func (t *Tensor) rangeReadFirstAxis(ctx context.Context, idx uint64, r tensor.Range) (*tensor.NDArray, bool, error) {
 	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	chunkID, local, err := t.chunkEnc.Lookup(idx)
-	if err != nil {
+	sp, ok, err := t.planSlice(idx, r)
+	t.mu.RUnlock()
+	t.ds.mu.RUnlock()
+	if !ok || err != nil {
 		return nil, false, err
 	}
-	if t.builder.Len() > 0 && chunkID == t.pendingID {
-		return nil, false, nil
-	}
-	vid, ok := t.chunkVersion[chunkID]
-	if !ok {
-		return nil, false, fmt.Errorf("core: chunk %d not found in any version", chunkID)
-	}
-	key := chunkKey(vid, t.name, chunkID)
-	// A sealed chunk whose upload has not landed lives only in the
-	// pipeline's pending map; the ScanReader reads it from there.
-	if _, inflight := t.ds.flusher.lookup(key); inflight {
-		return nil, false, nil
-	}
-
-	shape, err := t.shapeEnc.Get(idx)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(shape) == 0 {
-		return nil, false, nil
-	}
-	// Fetch the directory with a header read tightly bounded by the
-	// chunk's actual sample count (known from the chunk encoder row) and
-	// this sample's rank.
-	row := 0
-	for ; row < t.chunkEnc.NumChunks(); row++ {
-		if _, _, id, _ := t.chunkEnc.ChunkRange(row); id == chunkID {
-			break
-		}
-	}
-	first, last, _, err := t.chunkEnc.ChunkRange(row)
-	if err != nil {
-		return nil, false, err
-	}
-	headerLen := chunk.HeaderRange(int(last-first+1), maxRankHint)
-	head, err := t.ds.store.GetRange(ctx, key, 0, headerLen)
-	if err != nil {
-		return nil, false, err
-	}
-	dir, err := chunk.DecodeDirectory(head)
-	if err != nil {
-		return nil, false, err
-	}
-	sampleOff, _, sampleShape, err := dir.SampleRange(head, local)
-	if err != nil {
-		return nil, false, err
-	}
-	lo, hi, err := resolveAxis(r, sampleShape[0])
-	if err != nil {
-		return nil, false, err
-	}
-	rowElems := 1
-	for _, d := range sampleShape[1:] {
-		rowElems *= d
-	}
-	elem := t.Dtype().Size()
-	off := sampleOff + int64(lo*rowElems*elem)
-	length := int64((hi - lo) * rowElems * elem)
-	data, err := t.ds.store.GetRange(ctx, key, off, length)
+	parts, err := t.readRanges(ctx, sp.key, sp.plan, getEach(t.ds.store))
 	if err != nil {
 		return nil, false, err
 	}
 	// The range may be a sub-slice of a cached object (storage.Provider's
 	// bytes are read-only), and the array is the caller's to write.
-	outShape := append([]int{hi - lo}, sampleShape[1:]...)
-	arr, err := tensor.FromBytes(t.Dtype(), outShape, slices.Clone(data))
+	data := slices.Clone(sp.plan.SampleBytes(parts, sp.local, sp.start, sp.end))
+	arr, err := tensor.FromBytes(t.Dtype(), sp.shape, data)
 	if err != nil {
 		return nil, false, err
 	}
 	return arr, true, nil
 }
 
-// maxRankHint bounds the per-sample shape entries assumed when sizing the
-// directory prefetch for range reads.
-const maxRankHint = 8
+// slicePlan is the sparse read of a first-axis slice of one sample: bytes
+// [start, end) of sample local of the chunk under key, which form an array
+// of the given shape.
+type slicePlan struct {
+	plan       *chunk.Sparse
+	key        string
+	local      int
+	start, end uint64
+	shape      []int
+}
+
+// planSlice plans the read of region r of sample idx's first axis. The
+// caller holds the tensor's read locks.
+func (t *Tensor) planSlice(idx uint64, r tensor.Range) (sp slicePlan, ok bool, err error) {
+	first, last, id, err := t.chunkEnc.Span(idx)
+	if err != nil {
+		return sp, false, err
+	}
+	if sp.key, ok = t.landedKey(id); !ok {
+		return sp, false, nil
+	}
+	shape, err := t.shapeEnc.Get(idx)
+	if err != nil || len(shape) == 0 {
+		return sp, false, err
+	}
+	lo, hi, err := resolveAxis(r, shape[0])
+	if err != nil {
+		return sp, false, err
+	}
+	layout, err := t.layout(first, last)
+	if err != nil {
+		return sp, false, err
+	}
+	rowBytes := uint64(prod(shape[1:]) * t.dtype.Size())
+	sp.local, sp.start, sp.end = int(idx-first), uint64(lo)*rowBytes, uint64(hi)*rowBytes
+	sp.shape = append([]int{hi - lo}, shape[1:]...)
+	sp.plan = layout.Bytes(sp.local, sp.start, sp.end)
+	return sp, true, nil
+}
 
 // SequenceAt returns the items of sequence row i through a one-shot
 // ScanReader.

@@ -271,21 +271,22 @@ func (r *ScanReader) SequenceAt(ctx context.Context, row int) ([]*tensor.NDArray
 	return items, nil
 }
 
-// PrefetchChunks resolves the given chunk ids to storage keys and hands them
-// to the provider chain's Prefetcher (the LRU cache's coalescing fetch
-// planner), which packs near-adjacent chunk objects into batched ranged
-// origin requests running in the background: the call returns once every
-// eligible chunk is claimed in the cache's singleflight layer, so readers
-// arriving later coalesce onto the in-flight batch rather than issuing their
-// own round trips. Chunks still in the write buffer, in the flush pipeline's
-// pending map, or unknown to the version map are skipped. A provider chain
-// without a Prefetcher makes this a no-op, so callers can prefetch
-// unconditionally. Returns the number of chunk objects claimed for fetch.
-// StripPlan is its one caller outside tests.
-func (t *Tensor) PrefetchChunks(ctx context.Context, ids []uint64) (int, error) {
-	pf, ok := t.ds.store.(storage.Prefetcher)
-	if !ok || len(ids) == 0 {
-		return 0, nil
+// prefetch resolves the given chunk ids to storage keys and hands them to
+// the byte cache's coalescing fetch planner, which packs them into batched
+// ranged origin requests running in the background: the call returns once
+// every eligible chunk is claimed in the cache's singleflight layer, so
+// readers arriving later coalesce onto the in-flight batch rather than
+// issuing their own round trips. A chunk sparse plans is carried as its
+// checked ranges in the same batches (storage.PrefetchRanges, which finds
+// the cache down the chain); a strip of whole chunks goes to the chain's
+// Prefetcher. Chunks still in the write buffer, in the flush pipeline's
+// pending map, or unknown to the version map are skipped, and a chain
+// without a byte cache prefetches nothing, so callers can prefetch
+// unconditionally. Returns the number of requests claimed for fetch.
+func (t *Tensor) prefetch(ctx context.Context, ids []uint64, sparse map[uint64]*SparseChunk) int {
+	pf, whole := t.ds.store.(storage.Prefetcher)
+	if !whole && len(sparse) == 0 {
+		return 0
 	}
 	t.ds.mu.RLock()
 	t.mu.RLock()
@@ -293,43 +294,48 @@ func (t *Tensor) PrefetchChunks(ctx context.Context, ids []uint64) (int, error) 
 	// requests it cannot stat with this.
 	opts := storage.PlanOptions{SizeHint: int64(t.meta.Bounds.Target)}
 	keys := make([]string, 0, len(ids))
+	var ranges []storage.RangeReq
 	for _, id := range ids {
-		if t.builder.Len() > 0 && id == t.pendingID {
-			continue
+		key, ok := t.landedKey(id)
+		switch {
+		case !ok:
+		case sparse[id] != nil:
+			ranges = append(ranges, sparse[id].requests()...)
+		default:
+			keys = append(keys, key)
 		}
-		vid, known := t.chunkVersion[id]
-		if !known {
-			continue
-		}
-		key := chunkKey(vid, t.name, id)
-		if _, inflight := t.ds.flusher.lookup(key); inflight {
-			continue
-		}
-		keys = append(keys, key)
 	}
 	t.mu.RUnlock()
 	t.ds.mu.RUnlock()
-	if len(keys) == 0 {
-		return 0, nil
+	if len(ranges) > 0 {
+		reqs := make([]storage.RangeReq, 0, len(keys)+len(ranges))
+		for _, k := range keys {
+			reqs = append(reqs, storage.RangeReq{Key: k, Offset: 0, Length: -1})
+		}
+		return storage.PrefetchRanges(ctx, t.ds.store, append(reqs, ranges...), opts)
 	}
-	return pf.PrefetchAsync(ctx, keys, opts), nil
+	if !whole || len(keys) == 0 {
+		return 0
+	}
+	return pf.PrefetchAsync(ctx, keys, opts)
 }
 
 // StripPlan is the look-ahead both chunk walks share (§4.6 "fetches the next
 // batch in advance" within a resource budget): the chunk ids of one tensor in
 // the order a walk will need them, cut into strips a fixed number of steps
-// wide and handed to PrefetchChunks strip by strip as the walk's frontier
+// wide and handed to the byte cache strip by strip as the walk's frontier
 // advances. A step is one stop of the walk: a chunk of the tensor that drives
 // it (one id a step) or, for a tensor read beside the driver, whatever new
 // chunks of its own the rows of the driver's chunk reach into (any number of
 // ids a step). Strips ignore which worker owns which step, so chunks adjacent
 // in the keyspace share a coalesced ranged origin request whoever reads them.
-// How far ahead of the frontier the plan runs is set by the byte cache the
-// strips land in (storage.Headroom), not by a constant. Both walks run on
-// Walk: the TQL scan's step advances the frontier, on a worker, before it
-// evaluates its partition; the dataloader's steps function advances it, on
-// the walk's goroutine, before it hands out a job. A walk ends with Disown,
-// once Walk has returned.
+// A chunk the walk reads in part (Sparse) goes in its strip's request as its
+// checked ranges. How far ahead of the frontier the plan runs is set by the
+// byte cache the strips land in (storage.Headroom), not by a constant. Both
+// walks run on Walk: the TQL scan's step advances the frontier, on a worker,
+// before it evaluates its partition; the dataloader's steps function advances
+// it, on the walk's goroutine, before it hands out a job. A walk ends with
+// Disown, once Walk has returned.
 type StripPlan struct {
 	t       *Tensor
 	ids     []uint64
@@ -338,18 +344,21 @@ type StripPlan struct {
 	issued  func(planned, claimed int, err error)
 	// Skip, set before the first Cover, leaves out ids no reader will read.
 	Skip func(id uint64) bool
+	// Sparse, set before the first Cover, names the chunks the walk reads in
+	// part, and how.
+	Sparse map[uint64]*SparseChunk
 
 	mu     sync.Mutex
-	next   int      // first step not yet handed to PrefetchChunks
-	handed []uint64 // ids handed to PrefetchChunks
+	next   int      // first step not yet handed to the byte cache
+	handed []uint64 // ids handed to the byte cache
 }
 
 // NewStripPlan plans strips of width (at least one) steps over ids, the
 // tensor's chunk ids in visit order. through[s] is how many of ids the steps
 // up to and including s need; nil means one id a step. issued, when non-nil,
-// observes every strip handed over: the ids in it, how many of them the cache
-// claimed for fetch, and the hand-off's error (never fatal: readers re-fetch
-// on demand).
+// observes every strip handed over: the ids in it, how many requests the
+// cache claimed for fetch, and the hand-off's error (never fatal: readers
+// re-fetch on demand).
 func NewStripPlan(t *Tensor, ids []uint64, through []int, width int, issued func(planned, claimed int, err error)) *StripPlan {
 	return &StripPlan{t: t, ids: ids, through: through, width: width, issued: issued}
 }
@@ -365,10 +374,11 @@ func (p *StripPlan) before(step int) int {
 // Cover hands out strips, each id exactly once however many goroutines call
 // it. Every strip up to the one holding step n-1 is issued whatever the cache
 // can hold: the walk is about to read it. Past that, whole next strips are
-// issued while the byte cache's headroom covers a strip's estimated bytes
-// (its ids at the tensor's chunk target each), so the look-ahead deepens when
-// fetched chunks are read and stops before it would evict its own unread
-// strips. Over a chain without a byte cache only the first part runs.
+// issued while the byte cache's headroom covers a strip's bytes (a sparse
+// chunk's ranges, any other chunk at the tensor's chunk target), so the
+// look-ahead deepens when fetched chunks are read and stops before it would
+// evict its own unread strips. Over a chain without a byte cache only the
+// first part runs.
 func (p *StripPlan) Cover(ctx context.Context, n int) {
 	steps := len(p.ids)
 	if p.through != nil {
@@ -380,7 +390,7 @@ func (p *StripPlan) Cover(ctx context.Context, n int) {
 	for p.next < steps {
 		hi := min(p.next+p.width, steps)
 		strip := p.ids[p.before(p.next):p.before(hi)]
-		if p.next >= n && storage.Headroom(p.t.ds.store) < int64(len(strip))*target {
+		if p.next >= n && storage.Headroom(p.t.ds.store) < p.bytes(strip, target) {
 			return
 		}
 		p.next = hi
@@ -391,13 +401,26 @@ func (p *StripPlan) Cover(ctx context.Context, n int) {
 			continue
 		}
 		p.handed = append(p.handed, strip...)
-		// PrefetchChunks claims keys and returns while the coalesced fetches
-		// run in the background, so holding mu serialises planning, not IO.
-		claimed, err := p.t.PrefetchChunks(ctx, strip)
+		// prefetch claims keys and returns while the coalesced fetches run
+		// in the background, so holding mu serialises planning, not IO.
+		claimed := p.t.prefetch(ctx, strip, p.Sparse)
 		if p.issued != nil {
-			p.issued(len(strip), claimed, err)
+			p.issued(len(strip), claimed, nil)
 		}
 	}
+}
+
+// bytes is what a strip owes the byte cache until it is read.
+func (p *StripPlan) bytes(strip []uint64, target int64) int64 {
+	var n int64
+	for _, id := range strip {
+		if s := p.Sparse[id]; s != nil {
+			n += s.Size()
+		} else {
+			n += target
+		}
+	}
+	return n
 }
 
 // Disown ends the walk (storage.Disown): call it once every context passed
@@ -405,9 +428,13 @@ func (p *StripPlan) Cover(ctx context.Context, n int) {
 func (p *StripPlan) Disown() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	keys := make([]string, len(p.handed))
-	for i, id := range p.handed {
-		keys[i] = p.t.ChunkIdentity(id)
+	reqs := make([]storage.RangeReq, 0, len(p.handed))
+	for _, id := range p.handed {
+		if s := p.Sparse[id]; s != nil {
+			reqs = append(reqs, s.requests()...)
+			continue
+		}
+		reqs = append(reqs, storage.RangeReq{Key: p.t.ChunkIdentity(id), Offset: 0, Length: -1})
 	}
-	storage.Disown(p.t.ds.store, keys)
+	storage.Disown(p.t.ds.store, reqs)
 }

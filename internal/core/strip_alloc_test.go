@@ -68,8 +68,8 @@ func stripAllocRatio(tb testing.TB, n int) float64 {
 		for _, k := range keys {
 			storage.Evict(cache, k)
 		}
-		if claimed, err := x.PrefetchChunks(ctx, ids); err != nil || claimed != chunks {
-			tb.Fatalf("prefetch claimed %d of %d chunks: %v", claimed, chunks, err)
+		if claimed := x.prefetch(ctx, ids, nil); claimed != chunks {
+			tb.Fatalf("prefetch claimed %d of %d chunks", claimed, chunks)
 		}
 		for _, id := range ids {
 			if _, err := x.ReadChunkSamples(ctx, id); err != nil {

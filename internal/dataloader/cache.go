@@ -81,6 +81,9 @@ type cacheKey struct {
 	// obj is the commit-scoped chunk object key
 	// (core.Tensor.ChunkIdentity): versions/<vid>/tensors/<name>/chunks/<id>.
 	obj string
+	// sel is empty for a chunk read whole, and names the samples of one
+	// read in part (selectionKey).
+	sel string
 }
 
 // minShardBytes floors the automatic per-shard budget: decoded chunks are a
@@ -127,9 +130,20 @@ type cacheLedger struct {
 // Loaders — ask concurrently. led receives the calling Loader's share of
 // the counters.
 func (c *NodeCache) get(ctx context.Context, led *cacheLedger, scope uint64, t *core.Tensor, chunkID uint64) ([]chunk.Sample, error) {
-	key := cacheKey{scope: scope, obj: t.ChunkIdentity(chunkID)}
+	return c.load(ctx, led, cacheKey{scope: scope, obj: t.ChunkIdentity(chunkID)}, t, chunkID, nil)
+}
+
+// load is get under key, reading the chunk in part when s plans it so
+// (core.Tensor.ReadSparse): one entry and one decode, like a whole chunk.
+func (c *NodeCache) load(ctx context.Context, led *cacheLedger, key cacheKey, t *core.Tensor, chunkID uint64, s *core.SparseChunk) ([]chunk.Sample, error) {
 	samples, hit, coalesced, err := c.table.GetOrLoad(ctx, key, func() ([]chunk.Sample, error) {
-		samples, err := t.ReadChunkSamples(ctx, chunkID)
+		var samples []chunk.Sample
+		var err error
+		if s != nil {
+			samples, err = t.ReadSparse(ctx, s)
+		} else {
+			samples, err = t.ReadChunkSamples(ctx, chunkID)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -147,6 +161,21 @@ func (c *NodeCache) get(ctx context.Context, led *cacheLedger, scope uint64, t *
 		}
 	}
 	return samples, err
+}
+
+// selectionKey is the part of a node-cache key that tells a chunk read in
+// part from the chunk read whole (""), and from the same chunk read in part
+// for other samples: a bitmap of the samples read.
+func selectionKey(s *core.SparseChunk) string {
+	if s == nil {
+		return ""
+	}
+	sel := s.Selection()
+	bits := make([]byte, sel[len(sel)-1]/8+1)
+	for _, i := range sel {
+		bits[i/8] |= 1 << (i % 8)
+	}
+	return string(bits)
 }
 
 // Stats reports the cache's node-level counters.

@@ -451,6 +451,8 @@ func TestLookAheadDepthIsTheByteCache(t *testing.T) {
 type claimCounter struct {
 	*storage.LRU
 	claimed atomic.Int64
+	// ranges counts the claims of PrefetchRanges, which claimed includes.
+	ranges atomic.Int64
 }
 
 func (c *claimCounter) Unwrap() storage.Provider { return c.LRU }
@@ -458,6 +460,13 @@ func (c *claimCounter) Unwrap() storage.Provider { return c.LRU }
 func (c *claimCounter) PrefetchAsync(ctx context.Context, keys []string, opts storage.PlanOptions) int {
 	n := c.LRU.PrefetchAsync(ctx, keys, opts)
 	c.claimed.Add(int64(n))
+	return n
+}
+
+func (c *claimCounter) PrefetchRanges(ctx context.Context, reqs []storage.RangeReq, opts storage.PlanOptions) int {
+	n := c.LRU.PrefetchRanges(ctx, reqs, opts)
+	c.claimed.Add(int64(n))
+	c.ranges.Add(int64(n))
 	return n
 }
 
@@ -629,7 +638,7 @@ func TestEpochPlanInvariants(t *testing.T) {
 
 		// The primary's strip plan is the itinerary itself: one chunk id
 		// per itinerary group.
-		ids, through := stripIDs(v, ds.Tensor(primary), plan.groups)
+		ids, through, _ := stripIDs(v, ds.Tensor(primary), plan.groups)
 		for ord, g := range plan.groups {
 			if ids[ord] != g.key || through[ord] != ord+1 {
 				t.Fatalf("itinerary ordinal %d (chunk %d): strip plan holds chunk %d and needs %d ids through it", ord, g.key, ids[ord], through[ord])

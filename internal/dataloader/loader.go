@@ -23,7 +23,13 @@
 // ahead of the jobs it hands out as the byte cache
 // has room for unread prefetches (core.StripPlan, the planner the TQL scan
 // also uses), so fetch latency overlaps with decode and chunks arrive in
-// coalesced batched requests. Media decoding runs on
+// coalesced batched requests. A sparse view reads what it selects
+// (§3.5): a chunk of a column with neither sample nor chunk compression
+// whose rows the epoch reads lie in at most half of its data blocks is read
+// in part — the strip's batched request carries the chunk's block table,
+// directory and those blocks as checked ranges (core.Tensor.PlanSparse),
+// and the node cache keeps the result as one entry keyed by the selection,
+// pinned, skipped and disowned like a whole chunk. Media decoding runs on
 // the walk's workers (the Go analogue of the paper's per-process C++ decode
 // that avoids the Python GIL). Because the delivery order is fixed before
 // any worker starts, the batch stream is byte-identical for a given seed at
@@ -116,6 +122,9 @@ type Options struct {
 	// cache sized by MemoryBudget; when Cache is set the shared cache's own
 	// budget governs and MemoryBudget is ignored.
 	Cache *NodeCache
+
+	// readWhole is a test hook: it reads every chunk whole, never in part.
+	readWhole bool
 }
 
 func (o Options) withDefaults() Options {
@@ -195,10 +204,16 @@ func New(v *view.View, opts Options) *Loader {
 // handed in via Options.Cache, or its private default.
 func (l *Loader) Cache() *NodeCache { return l.cache }
 
-// cacheGet reads one chunk's samples through the node cache, attributing
-// ledger counters to this Loader.
-func (l *Loader) cacheGet(ctx context.Context, t *core.Tensor, chunkID uint64) ([]chunk.Sample, error) {
-	return l.cache.get(ctx, &l.led, l.scope, t, chunkID)
+// cacheGet reads one chunk's samples through the node cache, in part when
+// s plans it so, attributing ledger counters to this Loader.
+func (l *Loader) cacheGet(ctx context.Context, t *core.Tensor, chunkID uint64, s *core.SparseChunk) ([]chunk.Sample, error) {
+	return l.cache.load(ctx, &l.led, l.key(t, chunkID, s), t, chunkID, s)
+}
+
+// key is the node-cache key of chunk id of t as this Loader reads it: whole,
+// or in part as s plans.
+func (l *Loader) key(t *core.Tensor, id uint64, s *core.SparseChunk) cacheKey {
+	return cacheKey{scope: l.scope, obj: t.ChunkIdentity(id), sel: selectionKey(s)}
 }
 
 // ForDataset is a convenience wrapper over the identity view.
@@ -383,24 +398,65 @@ func stripTensors(v *view.View, cols []view.Column) []*core.Tensor {
 // images, say) has its own chunk layout, which without this the workers would
 // first touch as bare origin round trips on the delivery critical path. Rows
 // that fail to resolve (computed views) are skipped — the worker's own read
-// path handles them.
-func stripIDs(v *view.View, t *core.Tensor, groups []groupRef) (ids []uint64, through []int) {
+// path handles them. rows[i] is the source rows the groups read of chunk
+// ids[i].
+func stripIDs(v *view.View, t *core.Tensor, groups []groupRef) (ids []uint64, through []int, rows [][]uint64) {
 	through = make([]int, len(groups))
-	seen := map[uint64]bool{}
+	index := map[uint64]int{}
+	cur := -1 // index of the chunk the previous row resolved to
 	for ord, g := range groups {
 		for _, row := range g.rows {
 			src, err := v.SourceRow(row)
 			if err != nil {
 				continue
 			}
-			if id, _, err := t.ChunkOf(src); err == nil && !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
+			id, _, err := t.ChunkOf(src)
+			if err != nil {
+				continue
 			}
+			// Rows run in stored order inside a group, so the map is
+			// consulted once per chunk change, not once per row.
+			if cur < 0 || ids[cur] != id {
+				i, seen := index[id]
+				if !seen {
+					i = len(ids)
+					index[id] = i
+					ids = append(ids, id)
+					rows = append(rows, nil)
+				}
+				cur = i
+			}
+			rows[cur] = append(rows[cur], src)
 		}
 		through[ord] = len(ids)
 	}
-	return ids, through
+	return ids, through, rows
+}
+
+// epochReads names, per tensor and chunk, the chunks one epoch reads in
+// part and how; every other chunk is read whole.
+type epochReads struct {
+	sparse map[string]map[uint64]*core.SparseChunk
+}
+
+// sparseReads is the choice of how to read each chunk of t an epoch
+// touches, ids[i] holding rows[i]: in part when the blocks holding the rows
+// it reads of the chunk are at most half of the chunk's data, whole
+// otherwise. Only chunks core.Tensor.PlanSparse can read in part are
+// candidates.
+func (l *Loader) sparseReads(t *core.Tensor, ids []uint64, rows [][]uint64) map[uint64]*core.SparseChunk {
+	if l.opts.readWhole {
+		return nil
+	}
+	out := map[uint64]*core.SparseChunk{}
+	for i, id := range ids {
+		if s, ok := t.PlanSparse(rows[i]); ok {
+			if read, total := s.Blocks(); 2*read <= total {
+				out[id] = s
+			}
+		}
+	}
+	return out
 }
 
 // feed hands out the walk's steps and is the strip planner's frontier
@@ -432,11 +488,15 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 	for e := 0; e < l.opts.Epochs; e++ {
 		p := buildPlan(l.v, buildShard(groups, l.opts, e), l.opts, e)
 		plans := make([]*core.StripPlan, len(planned))
+		reads := &epochReads{sparse: map[string]map[uint64]*core.SparseChunk{}}
 		for i, t := range planned {
-			ids, through := stripIDs(l.v, t, p.groups)
+			ids, through, rows := stripIDs(l.v, t, p.groups)
+			sparse := l.sparseReads(t, ids, rows)
+			reads.sparse[t.Name()] = sparse
 			plans[i] = core.NewStripPlan(t, ids, through, stripWidth, nil)
+			plans[i].Sparse = sparse
 			plans[i].Skip = func(id uint64) bool {
-				_, decoded := l.cache.table.Peek(cacheKey{scope: l.scope, obj: t.ChunkIdentity(id)})
+				_, decoded := l.cache.table.Peek(l.key(t, id, sparse[id]))
 				return decoded
 			}
 		}
@@ -456,7 +516,7 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 				// unpinned while a sibling is still planned.
 				nextOrd++
 				if cj.chunkID != noChunk {
-					keys[cj.ord] = cacheKey{scope: l.scope, obj: primary.ChunkIdentity(cj.chunkID)}
+					keys[cj.ord] = l.key(primary, cj.chunkID, reads.sparse[primary.Name()][cj.chunkID])
 					for range subJobs[cj.ord] {
 						l.pins.pin(l.cache, keys[cj.ord])
 					}
@@ -466,6 +526,7 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 				}
 			}
 			cj.pin, cj.pinned = keys[cj.ord], cj.chunkID != noChunk
+			cj.reads = reads
 			for ri := range cj.rows {
 				cj.rows[ri].seq += seqBase
 			}
@@ -543,8 +604,11 @@ func (l *Loader) deliver(ctx context.Context, epochEnd []int, out chan<- Batch) 
 // however many rows and columns it covers, and chunks shared between workers
 // or jobs are still fetched once (singleflight, pins).
 type rowLoader struct {
-	l       *Loader
-	cols    []view.Column
+	l    *Loader
+	cols []view.Column
+	// readers serve the epoch whose reads they were made for: a chunk read
+	// in part holds only that epoch's rows.
+	reads   *epochReads
 	readers map[string]*core.ScanReader
 	// arena serves the worker's sample decodes from 256KB slabs: few large
 	// allocations instead of one per sample. The decoded arrays escape into
@@ -569,6 +633,10 @@ func (w *rowLoader) run(ctx context.Context, cj chunkJob, samples *[]map[string]
 		}
 		w.arena.Forget()
 	}()
+	if w.reads != cj.reads {
+		w.reads = cj.reads
+		clear(w.readers)
+	}
 	*samples = make([]map[string]*tensor.NDArray, 0, len(cj.rows))
 	for _, rj := range cj.rows {
 		sample, err := w.load(ctx, rj)
@@ -583,8 +651,9 @@ func (w *rowLoader) run(ctx context.Context, cj chunkJob, samples *[]map[string]
 func (w *rowLoader) reader(t *core.Tensor) *core.ScanReader {
 	r, ok := w.readers[t.Name()]
 	if !ok {
+		sparse := w.reads.sparse[t.Name()]
 		r = t.NewScanReaderWith(func(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
-			return w.l.cacheGet(ctx, t, chunkID)
+			return w.l.cacheGet(ctx, t, chunkID, sparse[chunkID])
 		})
 		r.SetArena(w.arena)
 		w.readers[t.Name()] = r

@@ -66,6 +66,8 @@ type chunkJob struct {
 	// it. Sub-jobs of one split group each carry their own pin reference.
 	pin    cacheKey
 	pinned bool
+	// reads is the job's epoch's choice of chunks read in part.
+	reads *epochReads
 }
 
 // epochShard is one epoch's shuffled, rank-sharded chunk visit order —

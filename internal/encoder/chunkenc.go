@@ -93,16 +93,22 @@ func (e *ChunkEncoder) Append(chunkID uint64, count int) error {
 // Lookup returns the chunk holding sample idx and its local index within
 // that chunk.
 func (e *ChunkEncoder) Lookup(idx uint64) (chunkID uint64, local int, err error) {
+	first, _, chunkID, err := e.Span(idx)
+	if err != nil {
+		return 0, 0, err
+	}
+	return chunkID, int(idx - first), nil
+}
+
+// Span returns the chunk holding sample idx and the [first, last] sample
+// indices it stores.
+func (e *ChunkEncoder) Span(idx uint64) (first, last, chunkID uint64, err error) {
 	n := e.NumSamples()
 	if idx >= n {
-		return 0, 0, fmt.Errorf("encoder: sample %d out of range (%d samples)", idx, n)
+		return 0, 0, 0, fmt.Errorf("encoder: sample %d out of range (%d samples)", idx, n)
 	}
 	row := sort.Search(len(e.rows), func(i int) bool { return e.rows[i].lastIndex >= idx })
-	first := uint64(0)
-	if row > 0 {
-		first = e.rows[row-1].lastIndex + 1
-	}
-	return e.rows[row].chunkID, int(idx - first), nil
+	return e.ChunkRange(row)
 }
 
 // ChunkRange returns the [first, last] sample indices stored in row r.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -18,6 +19,14 @@ type RangeReq struct {
 	// Length is the byte count; negative means "to the end of the object",
 	// mirroring GetRange semantics.
 	Length int64
+	// Check, when set on a sub-object range, checks the range's bytes the
+	// way its reader's format says, since a whole-object digest cannot:
+	// an error marks them corrupt, and checked false with no error means
+	// the check depends on a range before it in the same batch that this
+	// batch did not carry. Verify runs the checks of one batch in request
+	// order and heals a failed range; Coalesce never merges a checked
+	// range with its neighbours. The storage layers only run it.
+	Check func(data []byte) (checked bool, err error)
 }
 
 // whole reports whether the request covers the full object.
@@ -141,7 +150,10 @@ func Requests(plans []Plan) int {
 // trips: same-key ranges within GapTolerance merge into one over-reading
 // request, then merged requests pack greedily, in order, into batches whose
 // estimated payload stays under MaxRequestBytes. Each returned Plan is one
-// GetRanges call — one request's latency for all its wire ranges.
+// GetRanges call — one request's latency for all its wire ranges. A checked
+// range (RangeReq.Check) is a wire request of its own, after its key's other
+// requests and in input order, and is never cut from its key's request
+// before it into another batch, so a batch carries what its checks need.
 func Coalesce(reqs []RangeReq, opts PlanOptions) []Plan {
 	opts = opts.withDefaults()
 	if len(reqs) == 0 {
@@ -174,6 +186,14 @@ func Coalesce(reqs []RangeReq, opts PlanOptions) []Plan {
 		}
 		for _, key := range keyOrder {
 			idxs := byKey[key]
+			var checked []int
+			idxs = slices.DeleteFunc(idxs, func(i int) bool {
+				if reqs[i].Check != nil {
+					checked = append(checked, i)
+					return true
+				}
+				return false
+			})
 			sort.SliceStable(idxs, func(a, b int) bool {
 				ra, rb := reqs[idxs[a]], reqs[idxs[b]]
 				if ra.whole() != rb.whole() {
@@ -194,6 +214,9 @@ func Coalesce(reqs []RangeReq, opts PlanOptions) []Plan {
 					req:   r,
 					parts: []PlanPart{{Index: i, Offset: 0, Length: r.Length}},
 				})
+			}
+			for _, i := range checked {
+				merged = append(merged, wireReq{req: reqs[i], parts: []PlanPart{{Index: i, Offset: 0, Length: reqs[i].Length}}})
 			}
 		}
 	}
@@ -216,7 +239,8 @@ func Coalesce(reqs []RangeReq, opts PlanOptions) []Plan {
 	}
 	for _, w := range merged {
 		sz := estimate(w.req)
-		if len(cur.Wire) > 0 && curBytes+sz > opts.MaxRequestBytes {
+		n := len(cur.Wire)
+		if n > 0 && curBytes+sz > opts.MaxRequestBytes && (w.req.Check == nil || cur.Wire[n-1].Key != w.req.Key) {
 			flush()
 		}
 		cur.Wire = append(cur.Wire, w.req)
@@ -350,7 +374,7 @@ var errPrefetchShed = errors.New("storage: prefetch batch did not reach this key
 // execute. fetched counts objects actually transferred and admitted.
 func (l *LRU) Prefetch(ctx context.Context, keys []string, opts PlanOptions) (int, error) {
 	opts = opts.withDefaults()
-	reqs, finishes := l.prefetchClaim(keys, opts)
+	reqs, finishes := l.prefetchClaim(wholeObjects(keys), opts)
 	if len(reqs) == 0 {
 		return 0, nil
 	}
@@ -363,8 +387,48 @@ func (l *LRU) Prefetch(ctx context.Context, keys []string, opts PlanOptions) (in
 // origin round trips run in the background. Returns how many objects are
 // being fetched.
 func (l *LRU) PrefetchAsync(ctx context.Context, keys []string, opts PlanOptions) int {
+	return l.prefetchAsync(ctx, wholeObjects(keys), opts)
+}
+
+// PrefetchRanges is PrefetchAsync for requests that may be sub-object
+// ranges. Each range is claimed, lands unread and is disowned as an entry of
+// its own, owing Headroom its exact length; one whose object is resident
+// whole is served by that object, which the claim re-arms as unread
+// instead. Returns how many requests it claimed.
+func (l *LRU) PrefetchRanges(ctx context.Context, reqs []RangeReq, opts PlanOptions) int {
+	return l.prefetchAsync(ctx, reqs, opts)
+}
+
+// PrefetchRanges hands reqs to the first layer of p's chain that can
+// prefetch ranges (LRU.PrefetchRanges), found by following Unwrap like
+// Headroom, so a wrapper above the cache that forwards only Unwrap and the
+// key-based Prefetcher keeps it reachable. Returns how many requests were
+// claimed; a chain without such a layer claims none.
+func PrefetchRanges(ctx context.Context, p Provider, reqs []RangeReq, opts PlanOptions) int {
+	claimed := 0
+	walkChain(p, func(p Provider) bool {
+		rp, ok := p.(interface {
+			PrefetchRanges(context.Context, []RangeReq, PlanOptions) int
+		})
+		if ok {
+			claimed = rp.PrefetchRanges(ctx, reqs, opts)
+		}
+		return !ok
+	})
+	return claimed
+}
+
+func wholeObjects(keys []string) []RangeReq {
+	reqs := make([]RangeReq, len(keys))
+	for i, k := range keys {
+		reqs[i] = RangeReq{Key: k, Offset: 0, Length: -1}
+	}
+	return reqs
+}
+
+func (l *LRU) prefetchAsync(ctx context.Context, reqs []RangeReq, opts PlanOptions) int {
 	opts = opts.withDefaults()
-	reqs, finishes := l.prefetchClaim(keys, opts)
+	reqs, finishes := l.prefetchClaim(reqs, opts)
 	if len(reqs) == 0 {
 		return 0
 	}
@@ -372,43 +436,61 @@ func (l *LRU) PrefetchAsync(ctx context.Context, keys []string, opts PlanOptions
 	return len(reqs)
 }
 
-// prefetchClaim takes fetch leadership for every key that is neither cached
-// nor already in flight, returning the whole-object requests to issue and,
-// parallel to them, the flight-completion callbacks. Each claim owes the
-// cache opts.SizeHint bytes until it lands.
-func (l *LRU) prefetchClaim(keys []string, opts PlanOptions) ([]RangeReq, []func([]byte, error)) {
-	reqs := make([]RangeReq, 0, len(keys))
-	finishes := make([]func([]byte, error), 0, len(keys))
-	for _, key := range keys {
-		finish, ok := l.table.Lead(key)
+// owed is what a claimed request owes Headroom until it lands: a whole
+// object its SizeHint, a range its length.
+func owed(r RangeReq, opts PlanOptions) int64 {
+	if r.whole() {
+		return opts.SizeHint
+	}
+	return r.Length
+}
+
+// prefetchClaim takes fetch leadership for every request whose entry is
+// neither cached nor already in flight, returning the requests to issue
+// and, parallel to them, the flight-completion callbacks. A range whose
+// object is resident whole is not claimed: the object serves it, re-armed
+// as unread.
+func (l *LRU) prefetchClaim(reqs []RangeReq, opts PlanOptions) ([]RangeReq, []func([]byte, error)) {
+	claimed := make([]RangeReq, 0, len(reqs))
+	finishes := make([]func([]byte, error), 0, len(reqs))
+	var debt int64
+	for _, r := range reqs {
+		if !r.whole() {
+			if _, ok := l.table.owe(r.Key, true); ok {
+				continue
+			}
+		}
+		finish, ok := l.table.Lead(entryKey(r))
 		if !ok {
 			continue // cached (re-armed, no wire traffic) or already being fetched
 		}
-		reqs = append(reqs, RangeReq{Key: key, Offset: 0, Length: -1})
+		claimed = append(claimed, r)
 		finishes = append(finishes, finish)
+		debt += owed(r, opts)
 	}
-	l.inflight.Add(int64(len(reqs)) * opts.SizeHint)
-	return reqs, finishes
+	l.inflight.Add(debt)
+	return claimed, finishes
 }
 
 // prefetchExec runs the claimed requests as coalesced plans and admits what
 // lands, unread, completing every claimed flight (with data, or with
 // errPrefetchShed so waiting readers fall back to their own fetch).
 func (l *LRU) prefetchExec(ctx context.Context, reqs []RangeReq, finishes []func([]byte, error), opts PlanOptions) (int, error) {
+	// No merging: every wire request is one claimed entry, so each lands as
+	// that entry's whole payload and the cache keeps alive no byte it does
+	// not charge.
+	opts.GapTolerance = -1
 	plans := Coalesce(reqs, opts)
 	results, err := ExecutePlans(ctx, l.inner, len(reqs), plans)
 	fetched := 0
 	for i, data := range results {
-		l.inflight.Add(-opts.SizeHint)
+		l.inflight.Add(-owed(reqs[i], opts))
+		key := entryKey(reqs[i])
 		if data != nil {
-			// Admitted as it landed: every claim is a whole-object request
-			// and Coalesce never merges two keys into one wire request, so
-			// data is one object's whole payload, and the cache keeps alive
-			// no byte it does not charge.
-			l.admit(reqs[i].Key, data, true)
+			l.admit(key, data, true)
 			// Checked after the admit, so this or the walk's Disown clears it.
 			if ctx.Err() != nil {
-				l.table.owe(reqs[i].Key, false)
+				l.table.owe(key, false)
 			}
 			finishes[i](data, nil)
 			fetched++
@@ -427,11 +509,12 @@ func (l *LRU) prefetchExec(ctx context.Context, reqs []RangeReq, finishes []func
 
 // Headroom reports how many more bytes of read-ahead the byte cache in p's
 // chain can take: the LRU's capacity minus the bytes it owes to prefetch,
-// that is claimed objects still on the wire (at their PlanOptions.SizeHint)
-// and unread ones, which it never evicts. Everything reading through one LRU
-// shares its headroom. The walk follows Unwrap, like SeedDigests and Evict,
-// so wrappers above the cache keep it visible; a chain without an LRU has no
-// headroom (0).
+// that is claimed objects still on the wire (at their PlanOptions.SizeHint),
+// claimed ranges still on the wire (at their length) and unread entries,
+// which it never evicts. Everything reading through one LRU shares its
+// headroom. The walk follows Unwrap, like SeedDigests and Evict, so wrappers
+// above the cache keep it visible; a chain without an LRU has no headroom
+// (0).
 func Headroom(p Provider) int64 {
 	var room int64
 	walkChain(p, func(p Provider) bool {
@@ -444,16 +527,20 @@ func Headroom(p Provider) int64 {
 	return room
 }
 
-// Disown hands a walk's prefetch claims on keys back to the byte cache in
-// p's chain, to age from then on like anything read. Call it once every
-// context the walk claimed under is done, so claims still on the wire land
-// disowned too.
-func Disown(p Provider, keys []string) {
+// Disown hands a walk's prefetch claims back to the byte cache in p's chain,
+// to age from then on like anything read: the entries of reqs, and for a
+// range also its object, which a claim re-arms when it is resident whole.
+// Call it once every context the walk claimed under is done, so claims still
+// on the wire land disowned too.
+func Disown(p Provider, reqs []RangeReq) {
 	walkChain(p, func(p Provider) bool {
 		l, ok := p.(*LRU)
 		if ok {
-			for _, k := range keys {
-				l.table.owe(k, false)
+			for _, r := range reqs {
+				l.table.owe(entryKey(r), false)
+				if !r.whole() {
+					l.table.owe(r.Key, false)
+				}
 			}
 		}
 		return !ok

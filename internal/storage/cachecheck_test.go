@@ -38,6 +38,20 @@ func TestCacheCheckCatchesAWriter(t *testing.T) {
 		got[0] = 'X' // a reader breaking the Provider contract
 		mustPanicNaming(t, "chunks/7", func() { _, _ = l.Get(ctx, "chunks/7") })
 	})
+	t.Run("range entry", func(t *testing.T) {
+		mem := storage.NewMemory()
+		if err := mem.Put(ctx, "chunks/8", []byte("write-once bytes")); err != nil {
+			t.Fatal(err)
+		}
+		l := storage.NewLRU(mem, 1<<20)
+		reqs := []storage.RangeReq{{Key: "chunks/8", Offset: 6, Length: 4}}
+		got, err := l.GetRanges(ctx, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[0][0] = 'X'
+		mustPanicNaming(t, "chunks/8", func() { _, _ = l.GetRanges(ctx, reqs) })
+	})
 	t.Run("evict", func(t *testing.T) {
 		c := storage.NewCache(8, 1, storage.CacheFuncs[string, []byte]{
 			Hash: func(k string) uint64 { return storage.HashString(storage.HashSeed, k) },

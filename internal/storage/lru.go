@@ -3,6 +3,10 @@ package storage
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -18,15 +22,20 @@ const minShardBytes = 16 << 20
 // workers missing on the same object trigger exactly one origin Get). What
 // is the LRU's own: whole objects are cached on Get and Put (write-through),
 // and every reader of an object is handed the one cached slice, read-only as
-// the Provider contract says, so a hit allocates nothing; range reads
-// consult the cache (a hit is a sub-slice of the cached object) and fall
-// back to a range request against the origin without promoting the full
-// object, so streaming sub-chunk access never inflates the cache with 8MB
-// chunks the training loop only needed a slice of; objects larger than
-// their shard bypass the cache; Prefetch warms it with coalesced batched
-// reads (batch.go); and Stats gathers the counters of the whole chain below.
-// List is not intercepted: the cache holds a subset of the origin and cannot
-// answer authoritatively.
+// the Provider contract says, so a hit allocates nothing; objects larger
+// than their shard bypass the cache; Prefetch warms it with coalesced
+// batched reads (batch.go); and Stats gathers the counters of the whole
+// chain below. List is not intercepted: the cache holds a subset of the
+// origin and cannot answer authoritatively.
+//
+// Range reads come two ways. GetRanges and PrefetchRanges keep each
+// sub-object range as an entry of its own, at its exact length: claimed,
+// landed unread, singleflighted and disowned like an object, so a sparse
+// reader fetches a chunk's few useful kilobytes instead of the chunk, and a
+// range whose object is resident whole is served from that object. Put,
+// Delete and Evict of an object drop its range entries with it. GetRange
+// consults only the whole object (a hit is a capped sub-slice of it) and
+// otherwise passes through uncached.
 type LRU struct {
 	passthrough // inner is the origin
 	table       *Cache[string, []byte]
@@ -35,9 +44,32 @@ type LRU struct {
 	bypassed   atomic.Int64
 	shed       atomic.Int64
 	// inflight is the bytes of claimed prefetches still on the wire, each
-	// at its PlanOptions.SizeHint; landing moves an object into the
-	// table's Unread bytes at its real size.
+	// object at its PlanOptions.SizeHint and each range at its length;
+	// landing moves an entry into the table's Unread bytes at its real size.
 	inflight atomic.Int64
+
+	// ranges indexes the resident range entries of each object key.
+	mu     sync.Mutex
+	ranges map[string]map[string]struct{}
+}
+
+// entryKey is a request's cache key: the object key for a whole object,
+// and for a range the object key, a NUL (which no object key holds) and the
+// range.
+func entryKey(r RangeReq) string {
+	if r.whole() {
+		return r.Key
+	}
+	return r.Key + "\x00" + strconv.FormatInt(r.Offset, 10) + "+" + strconv.FormatInt(r.Length, 10)
+}
+
+// objectOf returns the object key of a range entry's key.
+func objectOf(key string) (string, bool) {
+	i := strings.IndexByte(key, 0)
+	if i < 0 {
+		return "", false
+	}
+	return key[:i], true
 }
 
 // NewLRU wraps origin with an in-memory cache of the given byte capacity.
@@ -57,10 +89,13 @@ func NewLRU(origin Provider, capacity int64) *LRU {
 // choosing an explicit shard count are expected to size shards for their
 // objects, or use NewLRU which does so automatically.
 func NewShardedLRU(origin Provider, capacity int64, shards int) *LRU {
-	return &LRU{passthrough: passthrough{origin}, table: NewCache(capacity, shards, CacheFuncs[string, []byte]{
-		Hash: func(key string) uint64 { return HashString(HashSeed, key) },
-		Size: func(data []byte) int64 { return int64(len(data)) },
-	})}
+	l := &LRU{passthrough: passthrough{origin}, ranges: map[string]map[string]struct{}{}}
+	l.table = NewCache(capacity, shards, CacheFuncs[string, []byte]{
+		Hash:    func(key string) uint64 { return HashString(HashSeed, key) },
+		Size:    func(data []byte) int64 { return int64(len(data)) },
+		OnEvict: func(key string, _ []byte) { l.unindex(key) },
+	})
+	return l
 }
 
 // Origin returns the wrapped provider.
@@ -172,26 +207,65 @@ func (l *LRU) Stats() Stats {
 	return s
 }
 
-// admit caches an object, unless it is larger than its shard's whole budget:
+// admit caches an entry, unless it is larger than its shard's whole budget:
 // the cache cannot hold it, and the bypass is counted in Stats.Bypassed so
 // undersized shard configurations do not masquerade as a stream of misses.
-// A prefetched object is admitted unread: it counts against Headroom until
+// A prefetched entry is admitted unread: it counts against Headroom until
 // its first read.
 func (l *LRU) admit(key string, data []byte, prefetched bool) {
-	switch {
-	case int64(len(data)) > l.table.ShardCapacity(key):
+	if int64(len(data)) > l.table.ShardCapacity(key) {
 		l.bypassed.Add(1)
-	case prefetched:
+		return
+	}
+	if prefetched {
 		l.table.AddUnread(key, data)
-	default:
+	} else {
 		l.table.Add(key, data)
+	}
+	// Indexed once resident: an eviction racing the admit leaves at worst
+	// an index entry for nothing, never an entry the index misses.
+	if obj, ok := objectOf(key); ok {
+		l.mu.Lock()
+		if l.ranges[obj] == nil {
+			l.ranges[obj] = map[string]struct{}{}
+		}
+		l.ranges[obj][key] = struct{}{}
+		l.mu.Unlock()
 	}
 }
 
-// Evict drops key from the cache without touching the origin. Callers that
-// discover a cached object is bad (a failed chunk-footer check above the
-// cache) evict it so the next Get re-fetches through the verifying chain.
-func (l *LRU) Evict(key string) { l.table.Remove(key) }
+// unindex forgets an evicted range entry. It runs under the entry's shard
+// lock, and takes only l.mu, which is never held across a table call.
+func (l *LRU) unindex(key string) {
+	obj, ok := objectOf(key)
+	if !ok {
+		return
+	}
+	l.mu.Lock()
+	delete(l.ranges[obj], key)
+	if len(l.ranges[obj]) == 0 {
+		delete(l.ranges, obj)
+	}
+	l.mu.Unlock()
+}
+
+// drop removes an object and its range entries from the cache.
+func (l *LRU) drop(key string) {
+	l.table.Remove(key)
+	l.mu.Lock()
+	entries := l.ranges[key]
+	delete(l.ranges, key)
+	l.mu.Unlock()
+	for k := range entries {
+		l.table.Remove(k)
+	}
+}
+
+// Evict drops key, and its range entries, from the cache without touching
+// the origin. Callers that discover cached bytes are bad (a failed chunk
+// check above the cache) evict them so the next read re-fetches through the
+// verifying chain.
+func (l *LRU) Evict(key string) { l.drop(key) }
 
 // Get implements Provider. Concurrent misses on the same key are coalesced
 // into a single origin fetch.
@@ -217,13 +291,111 @@ func (l *LRU) Get(ctx context.Context, key string) ([]byte, error) {
 // GetRange implements Provider.
 func (l *LRU) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
 	if data, ok := l.table.Get(key); ok {
-		lo, hi, ok := clampRange(int64(len(data)), offset, length)
-		if !ok {
-			return nil, rangeErr(key, offset, length, int64(len(data)))
-		}
-		return data[lo:hi:hi], nil
+		return sliceOf(key, data, offset, length)
 	}
 	return l.inner.GetRange(ctx, key, offset, length)
+}
+
+// sliceOf serves a range out of its whole object.
+func sliceOf(key string, data []byte, offset, length int64) ([]byte, error) {
+	lo, hi, ok := clampRange(int64(len(data)), offset, length)
+	if !ok {
+		return nil, rangeErr(key, offset, length, int64(len(data)))
+	}
+	return data[lo:hi:hi], nil
+}
+
+// GetRanges implements BatchProvider. Whole objects are read as Get reads
+// them. A sub-object range is served from its object when that is resident
+// whole, else from its own entry, else by joining the flight of a caller
+// already fetching it (a prefetch, say); the ranges left over go to the
+// origin as one batch and are admitted as entries of their own. On error the
+// entries from the first failed request on are nil.
+func (l *LRU) GetRanges(ctx context.Context, reqs []RangeReq) ([][]byte, error) {
+	out := make([][]byte, len(reqs))
+	errs := make([]error, len(reqs))
+	var lead, join, whole []int
+	var finishes []func([]byte, error)
+	for i, r := range reqs {
+		if r.whole() {
+			whole = append(whole, i)
+			continue
+		}
+		if data, ok := l.table.owe(r.Key, false); ok {
+			out[i], errs[i] = sliceOf(r.Key, data, r.Offset, r.Length)
+			continue
+		}
+		key := entryKey(r)
+		if data, ok := l.table.Get(key); ok {
+			out[i] = data
+			continue
+		}
+		finish, ok := l.table.flight.Lead(key)
+		if !ok {
+			join = append(join, i)
+			continue
+		}
+		// Re-checked as leader: the entry may have landed in between.
+		if data, ok := l.table.owe(key, false); ok {
+			finish(data, nil)
+			out[i] = data
+			continue
+		}
+		lead = append(lead, i)
+		finishes = append(finishes, finish)
+	}
+	if len(lead) > 0 {
+		sub := make([]RangeReq, len(lead))
+		for j, i := range lead {
+			sub[j] = reqs[i]
+		}
+		got, err := GetRanges(ctx, l.inner, sub)
+		for j, i := range lead {
+			if j < len(got) && got[j] != nil {
+				l.admit(entryKey(reqs[i]), got[j], false)
+				out[i] = got[j]
+				finishes[j](got[j], nil)
+				continue
+			}
+			if errs[i] = err; err == nil {
+				errs[i] = fmt.Errorf("storage: range [%d, +%d) of %q not served: %w", reqs[i].Offset, reqs[i].Length, reqs[i].Key, ErrNotFound)
+			}
+			// Joined readers fetch their own rather than inherit this failure.
+			finishes[j](nil, fmt.Errorf("%w (key %q): %w", errPrefetchShed, reqs[i].Key, errs[i]))
+		}
+	}
+	// Only now wait on others: this call's own flights are done.
+	for _, i := range whole {
+		out[i], errs[i] = l.Get(ctx, reqs[i].Key)
+	}
+	for _, i := range join {
+		out[i], errs[i] = l.getRange(ctx, reqs[i])
+	}
+	for i, err := range errs {
+		if err != nil {
+			clear(out[i:])
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// getRange reads one range entry through the coalesced-miss protocol.
+func (l *LRU) getRange(ctx context.Context, r RangeReq) ([]byte, error) {
+	key := entryKey(r)
+	fetch := func() ([]byte, error) {
+		got, err := GetRanges(ctx, l.inner, []RangeReq{r})
+		if err != nil {
+			return nil, err
+		}
+		l.admit(key, got[0], false)
+		return got[0], nil
+	}
+	data, _, _, err := l.table.GetOrLoad(ctx, key, fetch)
+	if err != nil && errors.Is(err, errPrefetchShed) && ctx.Err() == nil {
+		return fetch()
+	}
+	return data, err
 }
 
 // Put implements Provider. Write-through: the object lands in the origin and
@@ -232,6 +404,7 @@ func (l *LRU) Put(ctx context.Context, key string, data []byte) error {
 	if err := l.inner.Put(ctx, key, data); err != nil {
 		return err
 	}
+	l.drop(key)
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	l.admit(key, cp, false)
@@ -240,7 +413,7 @@ func (l *LRU) Put(ctx context.Context, key string, data []byte) error {
 
 // Delete implements Provider.
 func (l *LRU) Delete(ctx context.Context, key string) error {
-	l.table.Remove(key)
+	l.drop(key)
 	return l.inner.Delete(ctx, key)
 }
 

@@ -28,7 +28,8 @@
 // Get/GetRange, which is what a layer that keeps per-key state needs; a
 // stateless layer forwards the batch with the package-level GetRanges so a
 // coalesced plan stays one round trip), SeedDigest(key, crc) (found by
-// SeedDigests) and Evict(key) (found by Evict). Inner errors are returned
+// SeedDigests), Evict(key) (found by Evict) and PrefetchRanges (found by
+// the package-level PrefetchRanges). Inner errors are returned
 // unchanged, or wrapped with fmt.Errorf("...: %w", err), so the predicates
 // above keep working through the layer: one that flattens an inner error
 // into a new string breaks retry classification for everything stacked

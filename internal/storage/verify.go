@@ -47,11 +47,13 @@ const (
 
 // VerifyStats is a point-in-time copy of a Verify wrapper's counters.
 type VerifyStats struct {
-	// Verified counts reads checked against a recorded digest and found
-	// intact on the first fetch.
+	// Verified counts reads that passed their check — a whole object its
+	// recorded digest, a sub-object range its RangeReq.Check — on the first
+	// fetch or healed.
 	Verified int64
 	// Unverified counts reads of keys with no recorded digest (legacy
-	// objects), which pass through unchecked.
+	// objects), which pass through unchecked, and checked ranges whose
+	// check could not run (the range it builds on was not in the batch).
 	Unverified int64
 	// Detected counts digest mismatches observed (every corrupted fetch,
 	// including failed heal attempts).
@@ -66,7 +68,8 @@ type VerifyStats struct {
 // Verify wraps a provider with CRC32C verify-on-read and self-healing
 // re-fetch. It keeps an in-memory registry of expected digests — recorded on
 // every Put and seedable from a persisted manifest via SeedDigest — and
-// checks whole-object Get/GetRanges results against it. See the package doc
+// checks whole-object Get/GetRanges results against it, and sub-object
+// GetRanges results by their own RangeReq.Check. See the package doc
 // ("Integrity") for where Verify sits in the chain and why a mismatch is
 // classified transient.
 //
@@ -197,35 +200,66 @@ func (v *Verify) quarantineErr(key string) error {
 	return fmt.Errorf("storage: %q is quarantined after repeated checksum mismatches (replace the object to clear): %w", key, ErrCorrupted)
 }
 
-// checkAndHeal verifies data for key against want, re-fetching from the
-// inner chain until the bytes verify or the heal budget runs out. It is the
-// single verification path for whole-object reads; the terminal error is
-// Transient (an upper retry layer may legitimately try again — the origin
-// copy could be rewritten meanwhile) and wraps ErrCorrupted.
-func (v *Verify) checkAndHeal(ctx context.Context, key string, want uint32, data []byte) ([]byte, error) {
-	if Checksum(data) == want {
+// errDigest is a whole object's failed digest check.
+var errDigest = errors.New("CRC32C digest mismatch")
+
+// digestCheck is the check of a whole object against its recorded digest.
+func digestCheck(want uint32) func([]byte) (bool, error) {
+	return func(data []byte) (bool, error) {
+		if Checksum(data) != want {
+			return true, errDigest
+		}
+		return true, nil
+	}
+}
+
+// checkAndHeal checks data read for r — a whole object against its digest,
+// a sub-object range by its RangeReq.Check — re-fetching r alone from the
+// inner chain until the bytes pass or the heal budget runs out. It is the
+// single verification path: bytes that pass, first time or healed, count as
+// verified, and a check that could not run as unverified. The terminal
+// error is Transient (an upper retry layer may legitimately try again — the
+// origin copy could be rewritten meanwhile) and wraps ErrCorrupted.
+func (v *Verify) checkAndHeal(ctx context.Context, r RangeReq, check func([]byte) (bool, error), data []byte) ([]byte, error) {
+	checked, err := check(data)
+	if err == nil {
+		if !checked {
+			v.unverified.Add(1)
+			return data, nil
+		}
 		v.verified.Add(1)
-		v.clearStrikes(key)
+		v.clearStrikes(r.Key)
 		return data, nil
+	}
+	what := fmt.Sprintf("%q", r.Key)
+	if !r.whole() {
+		what = fmt.Sprintf("range [%d, +%d) of %q", r.Offset, r.Length, r.Key)
 	}
 	mismatches := int64(1)
 	v.detected.Add(1)
 	for attempt := 0; attempt < v.opts.HealAttempts; attempt++ {
-		fresh, err := v.inner.Get(ctx, key)
-		if err != nil {
-			return nil, fmt.Errorf("storage: re-fetch of corrupted %q failed: %w", key, err)
+		var fresh []byte
+		var ferr error
+		if r.whole() {
+			fresh, ferr = v.inner.Get(ctx, r.Key)
+		} else {
+			fresh, ferr = v.inner.GetRange(ctx, r.Key, r.Offset, r.Length)
 		}
-		if Checksum(fresh) == want {
+		if ferr != nil {
+			return nil, fmt.Errorf("storage: re-fetch of corrupted %s failed: %w", what, ferr)
+		}
+		if _, err = check(fresh); err == nil {
 			v.repaired.Add(mismatches)
-			v.clearStrikes(key)
+			v.verified.Add(1)
+			v.clearStrikes(r.Key)
 			return fresh, nil
 		}
 		mismatches++
 		v.detected.Add(1)
 	}
-	v.strike(key)
-	return nil, Transient(fmt.Errorf("storage: %q failed CRC32C verification after %d fetches: %w",
-		key, v.opts.HealAttempts+1, ErrCorrupted))
+	v.strike(r.Key)
+	return nil, Transient(fmt.Errorf("storage: %s failed verification after %d fetches (%v): %w",
+		what, v.opts.HealAttempts+1, err, ErrCorrupted))
 }
 
 // Get implements Provider: fetch, verify against the recorded digest, heal
@@ -243,15 +277,16 @@ func (v *Verify) Get(ctx context.Context, key string) ([]byte, error) {
 		v.unverified.Add(1)
 		return data, nil
 	}
-	return v.checkAndHeal(ctx, key, want, data)
+	return v.checkAndHeal(ctx, RangeReq{Key: key, Offset: 0, Length: -1}, digestCheck(want), data)
 }
 
 // GetRanges implements BatchProvider. Whole-object results are verified
-// against recorded digests; a corrupted entry is healed individually with a
-// re-fetch, so one flipped bit in a coalesced batch costs one extra request
-// for that object, not a re-issue of the whole plan. Sub-object ranges
-// cannot be checked against a whole-object digest and pass through (the
-// chunk-level footer above catches what slips past).
+// against recorded digests, and sub-object ranges by their RangeReq.Check,
+// in request order, so a range's check can build on one before it in the
+// same batch (a chunk's block ranges on its block table). A corrupted entry
+// is healed individually with a re-fetch, so one flipped bit in a coalesced
+// batch costs one extra request for that object or range, not a re-issue of
+// the whole plan. A range without a Check passes through unchecked.
 func (v *Verify) GetRanges(ctx context.Context, reqs []RangeReq) ([][]byte, error) {
 	for _, r := range reqs {
 		if v.Quarantined(r.Key) {
@@ -263,19 +298,22 @@ func (v *Verify) GetRanges(ctx context.Context, reqs []RangeReq) ([][]byte, erro
 		return out, err
 	}
 	for i, r := range reqs {
-		if !r.whole() || out[i] == nil {
-			continue
+		check := r.Check
+		if r.whole() {
+			want, known, _ := v.expect(r.Key)
+			if !known {
+				v.unverified.Add(1)
+				continue
+			}
+			check = digestCheck(want)
 		}
-		want, known, _ := v.expect(r.Key)
-		if !known {
-			v.unverified.Add(1)
-			continue
+		if check == nil {
+			continue // an unchecked range passes through
 		}
-		healed, herr := v.checkAndHeal(ctx, r.Key, want, out[i])
-		if herr != nil {
+		var herr error
+		if out[i], herr = v.checkAndHeal(ctx, r, check, out[i]); herr != nil {
 			return out, herr
 		}
-		out[i] = healed
 	}
 	return out, nil
 }
@@ -336,8 +374,9 @@ func SeedDigests(p Provider, digests map[string]uint32) int {
 }
 
 // Evict drops key from every cache layer in the provider chain rooted at p
-// that can purge a single entry — one with an Evict(key) method: LRU.
-// Readers that detect corruption above the cache (the chunk footer check)
+// that can purge a single entry — one with an Evict(key) method: LRU, which
+// drops the key's range entries with it. Readers that detect corruption
+// above the cache (the chunk footer check, a sparse read's range checks)
 // use it to purge the poisoned entry before re-fetching, so the heal does
 // not simply re-read the bad cached bytes.
 func Evict(p Provider, key string) {
