@@ -29,26 +29,6 @@ type Codec interface {
 	Decompress(src []byte) ([]byte, error)
 }
 
-// AppendDecompressor is the allocation-aware decompression fast path: codecs
-// that can decode into a caller-provided buffer implement it, letting hot
-// read loops (chunk decode in a scan) reuse one scratch buffer instead of
-// allocating per chunk. dst's capacity is reused; its contents are
-// overwritten from length zero.
-type AppendDecompressor interface {
-	DecompressAppend(src, dst []byte) ([]byte, error)
-}
-
-// DecompressAppend decodes src with c, reusing dst's capacity when the codec
-// supports it and falling back to plain Decompress (a fresh allocation)
-// otherwise. Callers must use the returned slice, which may or may not alias
-// dst.
-func DecompressAppend(c Codec, src, dst []byte) ([]byte, error) {
-	if ad, ok := c.(AppendDecompressor); ok {
-		return ad.DecompressAppend(src, dst)
-	}
-	return c.Decompress(src)
-}
-
 var (
 	registryMu sync.RWMutex
 	registry   = make(map[string]Codec)
@@ -107,10 +87,6 @@ func (none) Decompress(src []byte) ([]byte, error) {
 	out := make([]byte, len(src))
 	copy(out, src)
 	return out, nil
-}
-
-func (none) DecompressAppend(src, dst []byte) ([]byte, error) {
-	return append(dst[:0], src...), nil
 }
 
 func init() {

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -108,6 +109,10 @@ func TestLZ4RejectsCorruptInput(t *testing.T) {
 		{lz4Block, 0x10, 0xFF, 0xFF},            // nonsense block
 		{lz4Block, 0x08, 0x02, 'a'},             // literal run past end
 		{lz4Block, 0x04, 0x01, 'a', 0x09, 0x00}, // offset beyond output
+		{lz4Block, 0x02, 0x30, 'a', 'b', 'c'},   // output past the header's size
+		// A size header of 2^40 over a 2-byte block: refused before any
+		// allocation, not a fatal out-of-memory.
+		append(binary.AppendUvarint([]byte{lz4Block}, 1<<40), 0x10, 'a'),
 	}
 	for i, in := range cases {
 		if _, err := c.Decompress(in); err == nil {

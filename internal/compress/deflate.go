@@ -35,13 +35,6 @@ func (deflateCodec) Decompress(src []byte) ([]byte, error) {
 	return io.ReadAll(r)
 }
 
-// DecompressAppend implements AppendDecompressor over the streaming reader.
-func (deflateCodec) DecompressAppend(src, dst []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(src))
-	defer r.Close()
-	return readAllInto(r, dst)
-}
-
 // gzipCodec is DEFLATE with the gzip container, provided for parity with
 // formats (TFRecord, WebDataset) that conventionally gzip their payloads.
 type gzipCodec struct{}
@@ -70,34 +63,6 @@ func (gzipCodec) Decompress(src []byte) ([]byte, error) {
 	}
 	defer r.Close()
 	return io.ReadAll(r)
-}
-
-// DecompressAppend implements AppendDecompressor over the streaming reader.
-func (gzipCodec) DecompressAppend(src, dst []byte) ([]byte, error) {
-	r, err := gzip.NewReader(bytes.NewReader(src))
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return readAllInto(r, dst)
-}
-
-// readAllInto is io.ReadAll growing from dst[:0] instead of a fresh buffer.
-func readAllInto(r io.Reader, dst []byte) ([]byte, error) {
-	dst = dst[:0]
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
 }
 
 func init() {

@@ -4,17 +4,24 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"sync"
 )
 
 // lz4 implements the LZ4 block format from scratch: a byte-oriented LZ77
 // variant with 64KB windows, 4-byte minimum matches, and token-encoded
-// sequence lengths. It is the paper's choice for chunk compression of small
-// numeric tensors (labels, shapes) where decode speed matters far more than
-// ratio.
+// sequence lengths. It is the paper's choice for chunk compression of
+// numeric tensors (labels, boxes, segmentation masks) where decode speed
+// matters far more than ratio: a shuffled epoch's first batch waits for
+// whole mask chunks to decompress.
 //
 // Framing: because the raw LZ4 block format does not record the decompressed
 // size, Compress prepends a one-byte mode tag (lz4Raw when compression did
-// not help, lz4Block otherwise) and a uvarint decompressed length.
+// not help, lz4Block otherwise) and a uvarint decompressed length. A block
+// decodes to at most 255 bytes per stored byte, so Decompress refuses a
+// larger size header before it allocates anything: stored bytes are
+// untrusted input.
 type lz4 struct{}
 
 func (lz4) Name() string { return "lz4" }
@@ -32,34 +39,28 @@ const (
 	lz4HashLog    = 16
 	lz4TokenLits  = 15
 	lz4TokenMatch = 15
+	// lz4MaxRatio bounds a block's output: every input byte decodes to
+	// at most 255 bytes (a 255 extension byte adds 255 to a match).
+	lz4MaxRatio = 255
 )
 
 // lz4CompressBound is the worst-case size of an LZ4 block for n input bytes.
 func lz4CompressBound(n int) int { return n + n/255 + 16 }
 
 func (lz4) Compress(src []byte) ([]byte, error) {
-	header := make([]byte, 0, binary.MaxVarintLen64+1)
-	header = append(header, lz4Block)
-	header = binary.AppendUvarint(header, uint64(len(src)))
-
-	block := lz4CompressBlock(src)
-	if block == nil || len(block)+len(header) >= len(src)+len(header) {
-		// Incompressible: store raw.
-		out := make([]byte, 0, len(src)+len(header))
-		out = append(out, lz4Raw)
-		out = binary.AppendUvarint(out, uint64(len(src)))
-		return append(out, src...), nil
+	e := lz4Encoders.Get().(*lz4Encoder)
+	defer lz4Encoders.Put(e)
+	mode, payload := byte(lz4Block), e.compressBlock(src)
+	if payload == nil || len(payload) >= len(src) {
+		mode, payload = lz4Raw, src // incompressible: store raw
 	}
-	return append(header, block...), nil
+	out := make([]byte, 0, 1+binary.MaxVarintLen64+len(payload))
+	out = append(out, mode)
+	out = binary.AppendUvarint(out, uint64(len(src)))
+	return append(out, payload...), nil
 }
 
-func (c lz4) Decompress(src []byte) ([]byte, error) {
-	return c.DecompressAppend(src, nil)
-}
-
-// DecompressAppend implements AppendDecompressor: the output grows from
-// dst[:0], so a caller looping over chunks reuses one buffer.
-func (lz4) DecompressAppend(src, dst []byte) ([]byte, error) {
+func (lz4) Decompress(src []byte) ([]byte, error) {
 	if len(src) == 0 {
 		return nil, errors.New("lz4: empty input")
 	}
@@ -74,9 +75,14 @@ func (lz4) DecompressAppend(src, dst []byte) ([]byte, error) {
 		if uint64(len(payload)) != size {
 			return nil, fmt.Errorf("lz4: raw payload size %d != header %d", len(payload), size)
 		}
-		return append(dst[:0], payload...), nil
+		return append([]byte(nil), payload...), nil
 	case lz4Block:
-		return lz4DecompressBlock(payload, int(size), dst)
+		// Checked before the output is allocated: a corrupt header must
+		// fail here, not size an allocation the process cannot survive.
+		if size > lz4MaxRatio*uint64(len(payload)) {
+			return nil, fmt.Errorf("lz4: header claims %d bytes, more than a %d-byte block decodes to", size, len(payload))
+		}
+		return lz4DecompressBlock(payload, int(size))
 	default:
 		return nil, fmt.Errorf("lz4: unknown mode byte %#x", mode)
 	}
@@ -90,31 +96,60 @@ func le32(b []byte) uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// lz4CompressBlock encodes src as a raw LZ4 block. It returns nil when src
-// is too short to contain any match, signalling the caller to store raw.
-func lz4CompressBlock(src []byte) []byte {
+// lz4Encoder is one compression's scratch: the match finder's hash table and
+// the block being written. Encoders are pooled, so Compress allocates only
+// its output.
+type lz4Encoder struct {
+	// table[h] is base plus the last position hashed to h. An entry below
+	// base was written by an earlier call and reads as empty, so the table
+	// is cleared only when base would overflow.
+	table [1 << lz4HashLog]int32
+	base  int32
+	block []byte
+}
+
+var lz4Encoders = sync.Pool{New: func() any { return &lz4Encoder{base: 1} }}
+
+// compressBlock encodes src as a raw LZ4 block into the encoder's scratch,
+// valid until its next call. It returns nil when src is too short to contain
+// any match, or has none, signalling the caller to store raw.
+func (e *lz4Encoder) compressBlock(src []byte) []byte {
 	if len(src) < lz4MFLimit+lz4MinMatch {
 		return nil
 	}
-	var table [1 << lz4HashLog]int32
-	for i := range table {
-		table[i] = -1
+	if int64(e.base)+int64(len(src)) > math.MaxInt32 {
+		clear(e.table[:])
+		e.base = 1
 	}
-	dst := make([]byte, 0, lz4CompressBound(len(src)))
+	base := int(e.base)
+	e.base += int32(len(src))
+	if bound := lz4CompressBound(len(src)); cap(e.block) < bound {
+		e.block = make([]byte, 0, bound)
+	}
+	dst := e.block[:0]
 	anchor := 0
 	i := 0
 	limit := len(src) - lz4MFLimit
 	for i <= limit {
-		h := lz4Hash(le32(src[i:]))
-		ref := int(table[h])
-		table[h] = int32(i)
-		if ref < 0 || i-ref > lz4MaxOffset || le32(src[ref:]) != le32(src[i:]) {
+		cur := le32(src[i:])
+		h := lz4Hash(cur)
+		ref := int(e.table[h]) - base
+		e.table[h] = int32(base + i)
+		if ref < 0 || i-ref > lz4MaxOffset || le32(src[ref:]) != cur {
 			i++
 			continue
 		}
-		// Extend the match forward, leaving the final literals intact.
+		// Extend the match forward, leaving the final literals intact:
+		// eight bytes a compare, then byte by byte.
 		matchLen := lz4MinMatch
 		maxLen := len(src) - lz4LastLits - i
+		for matchLen+8 <= maxLen {
+			if x := binary.LittleEndian.Uint64(src[i+matchLen:]) ^ binary.LittleEndian.Uint64(src[ref+matchLen:]); x != 0 {
+				matchLen += bits.TrailingZeros64(x) / 8
+				break
+			}
+			matchLen += 8
+		}
 		for matchLen < maxLen && src[ref+matchLen] == src[i+matchLen] {
 			matchLen++
 		}
@@ -125,8 +160,7 @@ func lz4CompressBlock(src []byte) []byte {
 	if anchor == 0 {
 		return nil // no matches at all; raw storage is cheaper
 	}
-	dst = lz4EmitLiterals(dst, src[anchor:])
-	return dst
+	return lz4EmitLiterals(dst, src[anchor:])
 }
 
 // lz4EmitSequence appends one literal run + match to dst.
@@ -179,14 +213,13 @@ func lz4AppendExtLen(dst []byte, n int) []byte {
 
 var errLZ4Corrupt = errors.New("lz4: corrupt block")
 
-// lz4DecompressBlock decodes a raw LZ4 block into exactly size bytes,
-// reusing scratch's capacity when it suffices.
-func lz4DecompressBlock(src []byte, size int, scratch []byte) ([]byte, error) {
-	dst := scratch[:0]
-	if cap(dst) < size {
-		dst = make([]byte, 0, size)
-	}
-	s := 0
+// lz4DecompressBlock decodes a raw LZ4 block into exactly size bytes. It
+// writes into the output by index: a literal run, or a match at least as far
+// back as it is long, is one copy; a closer match repeats its period with
+// copies that double each time.
+func lz4DecompressBlock(src []byte, size int) ([]byte, error) {
+	dst := make([]byte, size)
+	d, s := 0, 0
 	for s < len(src) {
 		token := src[s]
 		s++
@@ -200,21 +233,26 @@ func lz4DecompressBlock(src []byte, size int, scratch []byte) ([]byte, error) {
 			litLen += n
 			s = ns
 		}
-		if s+litLen > len(src) {
+		if litLen > len(src)-s {
 			return nil, errLZ4Corrupt
 		}
-		dst = append(dst, src[s:s+litLen]...)
-		s += litLen
+		if litLen > size-d {
+			return nil, lz4Overrun(size)
+		}
+		if litLen > 0 { // most sequences of a mask chunk carry none
+			d += copy(dst[d:], src[s:s+litLen])
+			s += litLen
+		}
 		if s == len(src) {
 			break // final literal-only sequence
 		}
 		// Match.
-		if s+2 > len(src) {
+		if len(src)-s < 2 {
 			return nil, errLZ4Corrupt
 		}
 		offset := int(src[s]) | int(src[s+1])<<8
 		s += 2
-		if offset == 0 || offset > len(dst) {
+		if offset == 0 || offset > d {
 			return nil, errLZ4Corrupt
 		}
 		matchLen := int(token & 0x0F)
@@ -227,16 +265,28 @@ func lz4DecompressBlock(src []byte, size int, scratch []byte) ([]byte, error) {
 			s = ns
 		}
 		matchLen += lz4MinMatch
-		// Overlapping copy must proceed byte-wise.
-		start := len(dst) - offset
-		for k := 0; k < matchLen; k++ {
-			dst = append(dst, dst[start+k])
+		if matchLen > size-d {
+			return nil, lz4Overrun(size)
+		}
+		if offset >= matchLen {
+			d += copy(dst[d:d+matchLen], dst[d-offset:])
+			continue
+		}
+		// dst[d-offset:d] holds a whole number of periods, so copying it
+		// on continues the period.
+		start, end := d-offset, d+matchLen
+		for d < end {
+			d += copy(dst[d:end], dst[start:d])
 		}
 	}
-	if len(dst) != size {
-		return nil, fmt.Errorf("lz4: decoded %d bytes, header said %d", len(dst), size)
+	if d != size {
+		return nil, fmt.Errorf("lz4: decoded %d bytes, header said %d", d, size)
 	}
 	return dst, nil
+}
+
+func lz4Overrun(size int) error {
+	return fmt.Errorf("lz4: decoded past the header's %d bytes", size)
 }
 
 func lz4ReadExtLen(src []byte, s int) (n, next int, err error) {

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/chunk"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 )
@@ -628,6 +630,67 @@ func TestSelfHealingReadThroughVerifyChain(t *testing.T) {
 	chunks := int64(back.Tensor("labels").NumChunks())
 	if moved := counting.Snapshot().Requests(); moved != chunks+fs.Corruptions {
 		t.Fatalf("origin requests = %d, want %d chunks + %d corruptions", moved, chunks, fs.Corruptions)
+	}
+}
+
+// TestCorruptLZ4SizeHeaderIsACorruptChunk: a stored lz4 chunk whose size
+// header claims 2^40 bytes fails to decompress instead of sizing an
+// allocation the process cannot survive. The read evicts the chunk, fetches
+// it once more, and reports an error wrapping chunk.ErrCorrupt.
+func TestCorruptLZ4SizeHeaderIsACorruptChunk(t *testing.T) {
+	ctx := context.Background()
+	mem := storage.NewMemory()
+	ds, err := Create(ctx, mem, "lz4header")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbl, err := ds.CreateTensor(ctx, TensorSpec{Name: "labels", Htype: "class_label", Bounds: smallBounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lbl.Meta().ChunkCompression != "lz4" {
+		t.Fatalf("labels chunk compression = %q, want lz4", lbl.Meta().ChunkCompression)
+	}
+	appendLabels(t, ds, 0, 40)
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	keys, err := mem.List(ctx, "versions/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := 0
+	for _, key := range keys {
+		if !strings.Contains(key, "/chunks/") {
+			continue
+		}
+		raw, err := mem.Get(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, n := binary.Uvarint(raw[1:])
+		bad := append(binary.AppendUvarint([]byte{0x01}, 1<<40), raw[1+n:]...)
+		if err := mem.Put(ctx, key, bad); err != nil {
+			t.Fatal(err)
+		}
+		damaged++
+	}
+	if damaged == 0 {
+		t.Fatal("no chunk objects to damage")
+	}
+
+	counting := storage.NewCounting(mem)
+	back, err := Open(ctx, counting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counting.Reset()
+	_, err = back.Tensor("labels").At(ctx, 0)
+	if !errors.Is(err, chunk.ErrCorrupt) {
+		t.Fatalf("At over a chunk with a corrupt lz4 size header = %v, want chunk.ErrCorrupt", err)
+	}
+	if gets := counting.Snapshot().Gets; gets != 2 {
+		t.Fatalf("read made %d Gets, want 2: the fetch and one re-fetch", gets)
 	}
 }
 

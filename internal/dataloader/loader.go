@@ -402,6 +402,7 @@ func stripTensors(v *view.View, cols []view.Column) []*core.Tensor {
 // ids[i].
 func stripIDs(v *view.View, t *core.Tensor, groups []groupRef) (ids []uint64, through []int, rows [][]uint64) {
 	through = make([]int, len(groups))
+	spans := newSpanCursor(t)
 	index := map[uint64]int{}
 	cur := -1 // index of the chunk the previous row resolved to
 	for ord, g := range groups {
@@ -410,8 +411,8 @@ func stripIDs(v *view.View, t *core.Tensor, groups []groupRef) (ids []uint64, th
 			if err != nil {
 				continue
 			}
-			id, _, err := t.ChunkOf(src)
-			if err != nil {
+			id, ok := spans.chunkOf(src)
+			if !ok {
 				continue
 			}
 			// Rows run in stored order inside a group, so the map is

@@ -1,7 +1,9 @@
 package dataloader
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -27,7 +29,9 @@ import (
 // All three are fixed before any worker starts, so batches are
 // byte-identical for a given (Seed, epoch, Rank, WorldSize) at any worker
 // count: workers race only over who decodes which chunk, never over what
-// the consumer receives.
+// the consumer receives. Planning runs before the first job does, so it
+// resolves rows to chunks through one Tensor.ChunkSpans snapshot per tensor
+// (a spanCursor), never a locked lookup per row.
 //
 // Worker jobs are cut from the itinerary's groups. A JPEG/PNG primary's rows
 // decode one at a time from their chunk's stored bytes, so its groups are cut
@@ -109,13 +113,17 @@ func chunkGroups(v *view.View, primary string) []groupRef {
 		t = nil
 	}
 	media := t != nil && t.Meta().SampleCompression != "none"
+	var spans spanCursor
+	if t != nil {
+		spans = newSpanCursor(t)
+	}
 	n := v.Len()
 	idx := map[uint64]int{}
 	var groups []groupRef
 	for row := 0; row < n; row++ {
 		src, err := v.SourceRow(row)
 		if err == nil && t != nil {
-			if id, _, cerr := t.ChunkOf(src); cerr == nil {
+			if id, ok := spans.chunkOf(src); ok {
 				g, ok := idx[id]
 				if !ok {
 					g = len(groups)
@@ -129,6 +137,31 @@ func chunkGroups(v *view.View, primary string) []groupRef {
 		groups = append(groups, groupRef{key: noChunk, rows: []int{row}})
 	}
 	return groups
+}
+
+// spanCursor resolves source rows to chunks through one snapshot of a
+// tensor's chunk spans, instead of a locked lookup per row. It searches only
+// when a row leaves the span the previous row fell in, so rows in stored
+// order cost one comparison each.
+type spanCursor struct {
+	spans []core.ChunkSpan
+	cur   int
+}
+
+func newSpanCursor(t *core.Tensor) spanCursor { return spanCursor{spans: t.ChunkSpans()} }
+
+// chunkOf returns the id of the chunk holding source row src, and false
+// when no chunk holds it.
+func (c *spanCursor) chunkOf(src uint64) (uint64, bool) {
+	if c.cur < len(c.spans) && c.spans[c.cur].First <= src && src <= c.spans[c.cur].Last {
+		return c.spans[c.cur].ChunkID, true
+	}
+	i := sort.Search(len(c.spans), func(i int) bool { return c.spans[i].Last >= src })
+	if i == len(c.spans) {
+		return 0, false
+	}
+	c.cur = i
+	return c.spans[i].ChunkID, true
 }
 
 // epochSeed decorrelates per-epoch rngs (§4.6 per-epoch reseeding) while
@@ -242,7 +275,7 @@ func buildPlan(v *view.View, shard epochShard, o Options, epoch int) *epochPlan 
 			first[i] = min(first[i], seqOf[row])
 		}
 	}
-	sort.Slice(order, func(a, b int) bool { return first[order[a]] < first[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(first[a], first[b]) })
 
 	// Split oversized groups so one hot chunk cannot serialize the pool's
 	// per-sample decode work behind a single worker; cut a media group in
@@ -261,7 +294,7 @@ func buildPlan(v *view.View, shard epochShard, o Options, epoch int) *epochPlan 
 		if g.media {
 			windowed = true
 			rows = append([]int(nil), rows...)
-			sort.Slice(rows, func(a, b int) bool { return seqOf[rows[a]] < seqOf[rows[b]] })
+			slices.SortFunc(rows, func(a, b int) int { return cmp.Compare(seqOf[a], seqOf[b]) })
 		}
 		for lo := 0; lo < len(rows); {
 			hi := lo + 1
@@ -285,8 +318,9 @@ func buildPlan(v *view.View, shard epochShard, o Options, epoch int) *epochPlan 
 	}
 	if windowed {
 		// Jobs in delivery order. Each ordinal's first job still comes in
-		// itinerary order: both are sorted by first delivery position.
-		sort.SliceStable(plan.jobs, func(a, b int) bool { return plan.jobs[a].rows[0].seq < plan.jobs[b].rows[0].seq })
+		// itinerary order: both are sorted by first delivery position. No
+		// two jobs share a first position, so the order is total.
+		slices.SortFunc(plan.jobs, func(a, b chunkJob) int { return cmp.Compare(a.rows[0].seq, b.rows[0].seq) })
 	}
 	return plan
 }
