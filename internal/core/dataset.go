@@ -90,6 +90,10 @@ type Dataset struct {
 	// literally the same handle. Immutable after construction.
 	scope uint64
 
+	// chunks is the handle's decoded-chunk cache (chunkCache), nil until
+	// the first read of a landed chunk.
+	chunks atomic.Pointer[chunkCache]
+
 	// now supplies timestamps; replaceable in tests.
 	now func() time.Time
 }

@@ -13,8 +13,9 @@ import (
 // At returns sample idx as an array. Sequence rows come back stacked when
 // items share a shape (use SequenceAt otherwise); link samples come back as
 // the stored URL bytes (use view.Resolve to fetch the target). It is a
-// one-shot ScanReader, so every call fetches and decodes the row's whole
-// chunk: a walk over many rows keeps one reader instead.
+// one-shot ScanReader, so it reads the row's chunk through the handle's
+// decoded-chunk cache: only the first read of a chunk fetches and decodes
+// it.
 func (t *Tensor) At(ctx context.Context, idx uint64) (*tensor.NDArray, error) {
 	return t.NewScanReader().At(ctx, idx)
 }
@@ -203,9 +204,7 @@ func (t *Tensor) LinkAt(ctx context.Context, idx uint64) (string, error) {
 
 // RawAt returns a copy of the stored (still media-encoded) bytes and the
 // logical shape of sample idx, read by a one-shot ScanReader. A tiled
-// sample is raw, so its bytes are those of the assembled array. The
-// streaming dataloader keeps a ScanReader instead, which reuses the decoded
-// chunk.
+// sample is raw, so its bytes are those of the assembled array.
 func (t *Tensor) RawAt(ctx context.Context, idx uint64) ([]byte, []int, error) {
 	r := t.NewScanReader()
 	loc, err := r.locate(idx)
@@ -250,7 +249,9 @@ func (t *Tensor) ChunkOf(idx uint64) (uint64, int, error) {
 // the dataloader fetches each chunk once for all samples it needs. The
 // slice is the caller's, but each sample's Data and Shape are storage-owned
 // and read-only: for an uncompressed chunk, Data aliases the bytes the
-// provider chain returned, which a byte cache shares with every reader.
+// provider chain returned, which a byte cache shares with every reader. It
+// reads past the handle's decoded-chunk cache: it is the load the
+// dataloader's NodeCache runs on its own misses.
 func (t *Tensor) ReadChunkSamples(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()

@@ -152,3 +152,36 @@ func BenchmarkRechunk(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTensorAt is a point read, Tensor.At, of a row whose chunk the
+// handle has decoded already: what one row costs a caller that keeps no
+// reader of its own.
+func BenchmarkTensorAt(b *testing.B) {
+	for _, n := range []int{1024, 8192} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			ctx := context.Background()
+			ds, err := Create(ctx, storage.NewMemory(), "bench")
+			if err != nil {
+				b.Fatal(err)
+			}
+			x, err := ds.CreateTensor(ctx, TensorSpec{Name: "x", Dtype: tensor.Int32})
+			if err != nil {
+				b.Fatal(err)
+			}
+			appendInt32Rows(b, x, n)
+			if err := ds.Flush(ctx); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := x.At(ctx, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := x.At(ctx, uint64(i%n)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

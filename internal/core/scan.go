@@ -49,18 +49,21 @@ type ChunkFetch func(ctx context.Context, chunkID uint64) ([]chunk.Sample, error
 // ScanReader is the one read path from a flat sample index to its stored
 // sample and decoded array: Tensor.At, SequenceAt, LinkAt, RawAt and
 // Slice's whole-sample case are one-shot readers. A reader keeps the last
-// chunk it decoded in a one-chunk slot, so a walk over rows in ascending
-// order fetches and decodes each chunk once instead of once per row.
-// Without a ChunkFetch the fetch goes through the provider chain, so
-// concurrent readers pulling the same chunk still coalesce into one origin
-// Get. A row still in the write buffer is copied out under the tensor's
+// chunk it loaded in a one-chunk slot, so a walk over rows in ascending
+// order looks each chunk up once instead of once per row. Without a
+// ChunkFetch of its own, a reader loads through the dataset handle's
+// decoded-chunk cache: a landed chunk is fetched and decoded once per
+// handle, whichever readers ask — the TQL scan's stages, repeated queries,
+// one-shot point reads — and concurrent loads of one chunk coalesce into one
+// decode. A row still in the write buffer is copied out under the tensor's
 // locks, and a tiled sample is assembled from its tiles; neither goes
 // through the slot.
 //
-// Lifetime: a reader's slot lives for one walk. SetAt rewrites a chunk
-// copy-on-write under the same id, so a reader kept across a write can serve
-// the chunk as it was before; take a new reader after writing. A ScanReader
-// is NOT safe for concurrent use; each scan or loader worker owns one per
+// Lifetime: a reader's slot still lives for one walk. SetAt rewrites a chunk
+// copy-on-write under the same id, which drops it from the handle cache but
+// not from a reader's slot, so a reader kept across a write can serve the
+// chunk as it was before; take a new reader after writing. A ScanReader is
+// NOT safe for concurrent use; each scan or loader worker owns one per
 // tensor.
 type ScanReader struct {
 	t       *Tensor
@@ -72,12 +75,12 @@ type ScanReader struct {
 }
 
 // NewScanReader returns a reader with an empty chunk slot whose fetches go
-// through ReadChunkSamples.
+// through the handle's decoded-chunk cache.
 func (t *Tensor) NewScanReader() *ScanReader { return &ScanReader{t: t} }
 
 // NewScanReaderWith returns a reader whose chunk fetches are served by fetch
-// (e.g. the dataloader's decoded-chunk cache) instead of ReadChunkSamples.
-// Tiles are read through ReadChunkSamples either way.
+// (e.g. the dataloader's NodeCache) instead of the handle's decoded-chunk
+// cache. Tiles are read through ReadChunkSamples either way.
 func (t *Tensor) NewScanReaderWith(fetch ChunkFetch) *ScanReader {
 	return &ScanReader{t: t, fetch: fetch}
 }
@@ -136,7 +139,7 @@ func (r *ScanReader) load(ctx context.Context, id uint64) error {
 	}
 	fetch := r.fetch
 	if fetch == nil {
-		fetch = r.t.ReadChunkSamples
+		fetch = r.t.cachedSamples
 	}
 	samples, err := fetch(ctx, id)
 	if err != nil {

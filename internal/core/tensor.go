@@ -165,9 +165,13 @@ func (t *Tensor) Name() string { return t.name }
 // so the same chunk id on two branches (NextChunkID rides versioned meta
 // and can collide across them) yields two distinct identities, and a
 // checkout that rebinds the id to another version's bytes changes the
-// identity with it. Shared decoded-chunk caches use this (plus the
-// dataset's ScopeID) as their key. A chunk not yet resolved to a version —
-// a pending chunk still in the writer — is attributed to the current head.
+// identity with it. Decoded-chunk caches key on it: the handle's own cache
+// as it is, since the handle scopes it, and the dataloader's NodeCache,
+// which a node shares across handles, together with the dataset's ScopeID.
+// A rewrite under the same identity (SetAt in the head, Rechunk, a tensor
+// recreated under a deleted one's name) drops it from the handle's cache. A
+// chunk not yet resolved to a version — a pending chunk still in the writer
+// — is attributed to the current head.
 func (t *Tensor) ChunkIdentity(chunkID uint64) string {
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()
@@ -270,8 +274,10 @@ func (t *Tensor) flushPending(ctx context.Context) error {
 // writeChunk compresses one chunk blob, binds its id to the head version and
 // enqueues it on the flush pipeline; the call returns once the chunk is
 // queued, and readers see it through the pipeline's pending map until the
-// upload lands. Caller holds the tensor write lock (or ds.mu exclusively);
-// ds.head is stable because every writer also holds ds.mu shared.
+// upload lands. It drops the identity it writes from the handle's
+// decoded-chunk cache, which covers every rewrite of a chunk under its id.
+// Caller holds the tensor write lock (or ds.mu exclusively); ds.head is
+// stable because every writer also holds ds.mu shared.
 func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
 	if t.chunkCodec != nil {
 		var err error
@@ -293,8 +299,10 @@ func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
 	// consistent with the rows the chunk encoder already references, then
 	// surface the error as deferred — append paths finish recording their
 	// row before reporting it, keeping multi-tensor rows aligned.
-	err := t.ds.flusher.enqueue(ctx, chunkKey(t.ds.head, t.name, id), blob)
+	key := chunkKey(t.ds.head, t.name, id)
+	err := t.ds.flusher.enqueue(ctx, key, blob)
 	t.chunkVersion[id] = t.ds.head
+	t.ds.forget(key)
 	if err != nil {
 		return &DeferredFlushError{Cause: err}
 	}

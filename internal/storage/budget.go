@@ -23,6 +23,15 @@ package storage
 // Their high-water marks are LRU.Stats().PeakBytes and the dataloader's
 // NodeCacheStats.PeakBytes.
 //
+// A third RAM consumer sits outside the split: every open core.Dataset
+// handle keeps its own decoded-chunk cache, which its point reads and
+// queries read through, sized by DecodedBytesOver from the handle's chain.
+// It pins nothing and admits nothing larger than a shard, so each handle's
+// cache holds at most that many charged bytes (core.ChunkCacheStats'
+// PeakBytes), and a process holds at most that per open handle. Like the
+// NodeCache's, its uncompressed entries alias the raw objects the LRU handed
+// out, and keep those bytes alive after the LRU evicts them.
+//
 // Zero or negative MemoryBytes means DefaultNodeMemoryBytes. The split is
 // a default derivation, not a cage — callers needing asymmetric tiers keep
 // sizing them directly.
@@ -54,6 +63,26 @@ func (b NodeBudget) LRUBytes() int64 { return b.memory() * 3 / 8 }
 // remaining 5/8 (exactly MemoryBytes - LRUBytes, so the shares always sum
 // to the budget).
 func (b NodeBudget) DecodedBytes() int64 { return b.memory() - b.LRUBytes() }
+
+// DecodedBytesOver sizes the decoded-chunk cache of a dataset handle over
+// chain p, with no option of its own: the decoded share of the NodeBudget
+// whose LRU share is the capacity C of p's byte LRU (found as Headroom finds
+// it), which is C × 5/3. A chain without a bounded LRU gets the default
+// budget's decoded share, NodeBudget{}.DecodedBytes().
+func DecodedBytesOver(p Provider) int64 {
+	var lru int64
+	walkChain(p, func(p Provider) bool {
+		l, ok := p.(*LRU)
+		if ok {
+			lru = l.Capacity()
+		}
+		return !ok
+	})
+	if lru <= 0 {
+		return NodeBudget{}.DecodedBytes()
+	}
+	return NodeBudget{MemoryBytes: lru * 8 / 3}.DecodedBytes()
+}
 
 // DiskCapacity is the value to hand DiskOptions.Capacity: DiskBytes as
 // given, since DiskOptions already maps zero to DefaultDiskCapacity and

@@ -39,6 +39,15 @@ var crossCheckDtypes = []tensor.Dtype{
 // The last 20 rows are appended after the Flush and stay in the write buffer.
 func crossCheckDataset(t *testing.T, store storage.Provider) *core.Dataset {
 	t.Helper()
+	ds, _ := crossCheckHandles(t, store)
+	return ds
+}
+
+// crossCheckHandles is crossCheckDataset, plus reopen, which opens a new
+// handle on store and appends the write-buffered rows to it again: the
+// writer's rows behind a handle that has read nothing yet.
+func crossCheckHandles(t *testing.T, store storage.Provider) (writer *core.Dataset, reopen func() *core.Dataset) {
+	t.Helper()
 	ctx := context.Background()
 	ds, err := core.Create(ctx, store, "xc")
 	if err != nil {
@@ -83,6 +92,11 @@ func crossCheckDataset(t *testing.T, store storage.Provider) *core.Dataset {
 		}
 		return float64(rng.Intn(11) - 3)
 	}
+	type buffered struct {
+		name string
+		arr  *tensor.NDArray
+	}
+	var unflushed []buffered
 	for i := 0; i < crossCheckRows; i++ {
 		if i == crossCheckRows-crossCheckUnflushed {
 			if err := ds.Flush(ctx); err != nil {
@@ -112,9 +126,23 @@ func crossCheckDataset(t *testing.T, store storage.Provider) *core.Dataset {
 			if err := c.t.Append(ctx, arr); err != nil {
 				t.Fatal(err)
 			}
+			if i >= crossCheckRows-crossCheckUnflushed {
+				unflushed = append(unflushed, buffered{c.t.Name(), arr})
+			}
 		}
 	}
-	return ds
+	return ds, func() *core.Dataset {
+		h, err := core.Open(ctx, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range unflushed {
+			if err := h.Tensor(b.name).Append(ctx, b.arr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return h
+	}
 }
 
 // randomChunkExpr draws a TQL expression over every node the chunk-at-a-time
@@ -170,19 +198,22 @@ func sameKey(a, b keyed) bool {
 // random expressions over every node it compiles, as a WHERE filter and as a
 // sort key, at 1, 2 and 8 workers: the same rows, the same keys bit for bit,
 // the same error text naming the same row (at 2 and 8 workers, the same
-// outcome), and — for every scan that succeeds — the same storage requests. Requests are counted at the origin:
-// at one worker on the writer's handle, whose last rows are still in its
-// write buffer; at two and eight on a reopened handle under a fresh byte
-// cache, because partitions go to whichever worker is free, and without a
-// cache a chunk two workers' partitions share is fetched once or twice by
-// that race, for either path. The cache is wrapped so it prefetches
-// nothing: a strip still in flight when the scan returns would be counted
-// or not by another race. A failed scan's count depends on where each path
-// stopped, which is racy across workers anyway.
+// outcome), and — for every scan that succeeds — the same storage requests.
+// Requests are counted at the origin, each path on a new handle, since a
+// handle decodes a chunk once for all its readers (so the sort key reads
+// what the filter decoded): at one worker on a handle holding the writer's
+// last rows in its write buffer too (crossCheckHandles' reopen); at two and
+// eight on a reopened handle under a fresh byte cache, because partitions
+// go to whichever worker is free, and without a cache a chunk two workers'
+// partitions share is fetched once or twice by that race, for either path.
+// The cache is wrapped so it prefetches nothing: a strip still in flight
+// when the scan returns would be counted or not by another race. A failed
+// scan's count depends on where each path stopped, which is racy across
+// workers anyway.
 func TestChunkEvalMatchesTreeWalkerRandomized(t *testing.T) {
 	ctx := context.Background()
 	count := storage.NewCounting(storage.NewMemory())
-	writer := crossCheckDataset(t, count)
+	writer, reopen := crossCheckHandles(t, count)
 	rows := allRows(crossCheckRows)
 	flushed := allRows(crossCheckRows - crossCheckUnflushed)
 	rng := rand.New(rand.NewSource(17))
@@ -196,7 +227,8 @@ func TestChunkEvalMatchesTreeWalkerRandomized(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 8} {
 			run := func(rowAtATime bool) (kept []uint64, keys []keyed, ferr, kerr error, reqs int64) {
-				ds, rows := writer, rows
+				var ds *core.Dataset
+				rows := rows
 				if workers > 1 {
 					var err error
 					cache := struct{ storage.Provider }{storage.NewShardedLRU(count, 1<<30, 1)}
@@ -204,6 +236,8 @@ func TestChunkEvalMatchesTreeWalkerRandomized(t *testing.T) {
 						t.Fatal(err)
 					}
 					rows = flushed
+				} else {
+					ds = reopen()
 				}
 				sc := &scanner{ds: ds, workers: workers, rowAtATime: rowAtATime}
 				count.Reset()

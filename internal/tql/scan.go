@@ -237,16 +237,18 @@ func (sc *scanner) keys(ctx context.Context, rows []uint64, key Expr, stage stri
 
 // eval evaluates x for every row on a core.Walk whose steps are partitions.
 // Partitions follow the chunk boundaries of the first tensor x references;
-// each worker reuses one environment (and its per-tensor ScanReaders), so a
-// partition fetches and decodes every chunk it covers at most once, and
-// concurrent fetches of a chunk shared between workers coalesce in the
-// provider chain. When x is in the chunk-at-a-time subset (see chunkeval.go)
-// and rows ascend, a worker evaluates its partition a batch of rows inside
-// one chunk at a time with typed loops, and hands only the rows that subset
-// cannot serve exactly to the row-at-a-time tree walker; otherwise every row
-// goes through the walker. Either way sink sees each position once, in
-// position order within a partition, with the value, error and row the
-// walker would have produced. sink runs on worker goroutines with disjoint
+// each worker reuses one environment (and its per-tensor ScanReaders), whose
+// readers load through the handle's decoded-chunk cache. So a chunk is
+// fetched and decoded once per handle, not once per stage or per query: a
+// column read by WHERE and again by the sort key, or by the next query on
+// the handle, is decoded once, and concurrent loads of a chunk shared
+// between workers coalesce into one. When x is in the chunk-at-a-time
+// subset (see chunkeval.go) and rows ascend, a worker evaluates its
+// partition a batch of rows inside one chunk at a time with typed loops,
+// and hands only the rows that subset cannot serve exactly to the
+// row-at-a-time tree walker; otherwise every row goes through the walker.
+// Either way sink sees each position once, in position order within a
+// partition, with the value, error and row the walker would have produced. sink runs on worker goroutines with disjoint
 // positions: it may write into shared slices at pos without locking, but
 // must not touch other positions. Errors are wrapped with the stage name and
 // failing row; a failing scan reports the lowest failing partition's error,
@@ -286,7 +288,9 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 	// boundaries, so chunks owned by different workers still share a
 	// coalesced request; the step that runs partition i first covers the plan
 	// up to that partition's last chunk, and on as far as the byte cache has
-	// headroom, so later partitions find their strips in flight. Shape-only
+	// headroom, so later partitions find their strips in flight. Chunks the
+	// handle cache holds decoded are left out (StripPlan.Skip): a repeated
+	// query claims no strip and re-arms no byte-cache entry. Shape-only
 	// expressions are excluded: they resolve from the shape encoder
 	// (pushdown's zero-chunk-IO guarantee), so prefetching chunks for them
 	// would be pure waste. Errors are counted into ScanStats, never fatal —
@@ -297,6 +301,7 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 		var ids []uint64
 		ids, spanEnd = stripIDs(chunks, rows, spans)
 		strips = core.NewStripPlan(driver, ids, nil, stripWidth, sc.stats.record)
+		strips.Skip = driver.ChunkCached
 		defer strips.Disown() // the walk has ended every context Cover saw
 	}
 	// The window is every partition, so workers run as far ahead as they

@@ -149,25 +149,39 @@ func TestPartialPushdownPrefiltersChunkIO(t *testing.T) {
 }
 
 // TestChunkAwareScanFetchesEachChunkOnce asserts the chunk-partitioned
-// engine's IO contract: a full data-touching WHERE fetches every chunk of
-// the scanned tensor exactly once, regardless of worker count, because
-// partitions are chunk-aligned and workers reuse decoded chunks.
+// engine's IO contract: a full data-touching WHERE on a new handle fetches
+// every chunk of the scanned tensor exactly once, regardless of worker
+// count, because partitions are chunk-aligned and workers reuse decoded
+// chunks. The same query again on that handle fetches and decodes nothing:
+// the handle's decoded-chunk cache holds every chunk.
 func TestChunkAwareScanFetchesEachChunkOnce(t *testing.T) {
 	ctx := context.Background()
 	count := storage.NewCounting(storage.NewMemory())
-	ds := scanDataset(t, count, 60, []int{8})
-	total := int64(ds.Tensor("x").NumChunks())
+	total := int64(scanDataset(t, count, 60, []int{8}).Tensor("x").NumChunks())
+	const q = "SELECT labels FROM scan WHERE MEAN(x) >= 0"
 	for _, workers := range []int{1, 4, 16} {
-		count.Reset()
-		v, err := RunWith(ctx, ds, "SELECT labels FROM scan WHERE MEAN(x) >= 0", Options{Workers: workers})
+		ds, err := core.Open(ctx, count)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.Len() != 60 {
-			t.Fatalf("workers=%d rows = %d, want 60", workers, v.Len())
-		}
-		if gets := count.Snapshot().Gets; gets != total {
-			t.Fatalf("workers=%d fetched %d chunk(s), want exactly %d (one per chunk)", workers, gets, total)
+		for _, repeat := range []bool{false, true} {
+			count.Reset()
+			decodes := ds.ChunkCacheStats().Decodes
+			v, err := RunWith(ctx, ds, q, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Len() != 60 {
+				t.Fatalf("workers=%d repeat=%v rows = %d, want 60", workers, repeat, v.Len())
+			}
+			gets, decoded := count.Snapshot().Gets, ds.ChunkCacheStats().Decodes-decodes
+			want := total
+			if repeat {
+				want = 0
+			}
+			if gets != want || decoded != want {
+				t.Fatalf("workers=%d repeat=%v fetched %d chunk(s) and decoded %d, want exactly %d of each", workers, repeat, gets, decoded, want)
+			}
 		}
 	}
 }
@@ -303,18 +317,25 @@ func TestStripPrefetchCoalescesAcrossPartitions(t *testing.T) {
 }
 
 // TestScanStatsCountSkippedPrefetch asserts the planned/claimed/skipped
-// ledger: a rescan over a warm cache plans the same chunks but claims none
-// of them — every one counts as skipped, not silently dropped.
+// ledger: a rescan over a warm byte cache, on a new handle, plans the same
+// chunks but claims none of them — every one counts as skipped, not silently
+// dropped. On the handle that scanned, every chunk is decoded already, so
+// the rescan plans none.
 func TestScanStatsCountSkippedPrefetch(t *testing.T) {
 	ctx := context.Background()
-	ds, err := core.Open(ctx, storage.NewShardedLRU(func() storage.Provider {
+	lru := storage.NewShardedLRU(func() storage.Provider {
 		mem := storage.NewMemory()
 		scanDataset(t, mem, 60, []int{8})
 		return mem
-	}(), 1<<30, 1))
-	if err != nil {
-		t.Fatal(err)
+	}(), 1<<30, 1)
+	open := func() *core.Dataset {
+		ds, err := core.Open(ctx, lru)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
 	}
+	ds := open()
 	const q = "SELECT labels FROM scan WHERE MEAN(x) >= 0"
 	var cold ScanStats
 	if _, err := RunWith(ctx, ds, q, Options{Workers: 4, Stats: &cold}); err != nil {
@@ -324,7 +345,7 @@ func TestScanStatsCountSkippedPrefetch(t *testing.T) {
 		t.Fatalf("cold scan claimed nothing: %s", &cold)
 	}
 	var warm ScanStats
-	if _, err := RunWith(ctx, ds, q, Options{Workers: 4, Stats: &warm}); err != nil {
+	if _, err := RunWith(ctx, open(), q, Options{Workers: 4, Stats: &warm}); err != nil {
 		t.Fatal(err)
 	}
 	if warm.PrefetchPlanned() == 0 || warm.PrefetchClaimed() != 0 {
@@ -332,6 +353,13 @@ func TestScanStatsCountSkippedPrefetch(t *testing.T) {
 	}
 	if warm.PrefetchSkipped() != warm.PrefetchPlanned() {
 		t.Fatalf("skipped %d != planned %d on warm cache", warm.PrefetchSkipped(), warm.PrefetchPlanned())
+	}
+	var decoded ScanStats
+	if _, err := RunWith(ctx, ds, q, Options{Workers: 4, Stats: &decoded}); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.PrefetchPlanned() != 0 || decoded.PrefetchStrips() != 0 {
+		t.Fatalf("rescan on the scanning handle should plan nothing: %s", &decoded)
 	}
 }
 

@@ -455,3 +455,51 @@ func BenchmarkEvalLanes(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEvalIdentity copies one int32 column through an identity
+// pipeline at two workers, beside view's BenchmarkMaterialize: ns/row stays
+// flat as the rows per chunk grow, because every row after a chunk's first
+// reads it decoded.
+func BenchmarkEvalIdentity(b *testing.B) {
+	ctx := context.Background()
+	identity := Compute(func(in Sample, out *Collector) error {
+		out.Emit(Sample{"x": in["x"]})
+		return nil
+	})
+	for _, n := range []int{4096, 16384, 65536} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			src, err := core.Create(ctx, storage.NewMemory(), "src")
+			if err != nil {
+				b.Fatal(err)
+			}
+			x, err := src.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.Int32, Bounds: chunk.DefaultBounds()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := x.Append(ctx, tensor.Scalar(tensor.Int32, float64(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := src.Flush(ctx); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dst, err := core.Create(ctx, storage.NewMemory(), "dst")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := dst.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.Int32, Bounds: chunk.DefaultBounds()}); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := identity.Eval(ctx, FromDataset(src), dst, Options{Workers: 2}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
+	}
+}
