@@ -30,8 +30,8 @@
 //
 // The paper caches at three depths — raw objects in RAM in front of remote
 // object storage (§3.6), the same objects on local disk under that, and
-// decoded chunks in the dataloader's buffer cache (§3.5, §4.6). Here that is
-// one cache core (storage.Cache) and three policies over it. The core is a
+// decoded chunks in a buffer cache (§3.5, §4.6). Here that is one cache core
+// (storage.Cache) and three policies over it. The core is a
 // byte-budgeted LRU table spread over mutex-striped shards, so parallel
 // lookups do not serialize behind a single lock; it has one eviction rule
 // (least recently used first, never a pinned entry, never the one just
@@ -47,9 +47,9 @@
 //     are available from the concrete *storage.LRU.
 //   - WithDiskTier (storage.Disk): an index of files that survives the
 //     process, CRC-verified on read; eviction deletes the file.
-//   - NewNodeCache (the dataloader's chunk cache): decoded chunks keyed by
-//     dataset and commit, pinned while planned jobs still need them, one
-//     fetch+decode per chunk per node however many workers or Loaders ask.
+//   - core.ChunkCache: decoded chunks keyed by dataset, commit and write,
+//     one per open dataset handle, and NewNodeCache's for Loaders, pinned
+//     while planned jobs need them: one fetch+decode per chunk per node.
 //
 // Ahead of the chunk cache the loader, as its walk (core.Walk, one chunk
 // job a step) hands out each job, hands the provider chain the next strips
@@ -470,18 +470,19 @@ func WithDiskTier(origin Provider, dir string, opts DiskTierOptions) (*storage.D
 // LoaderOptions.Cache: every rank's loader colocated on one node reads
 // through it, so a chunk shared between ranks is fetched and decoded once
 // per NODE per epoch instead of once per rank (§3.5's buffer cache at node
-// scope). Entries are keyed by dataset + commit + tensor + chunk, so
-// loaders over different datasets or commits share one cache safely, and
-// chunks with outstanding planned jobs are pinned against eviction so a
-// tight budget never forces a silent re-decode. NodeCache.Stats reports the
-// node-level counters.
+// scope). Entries are keyed by dataset + commit + the handle's writes +
+// tensor + chunk, so loaders over different datasets or commits, or before
+// and after a write, share one cache safely, and chunks with outstanding
+// planned jobs are pinned against eviction so a tight budget never forces a
+// silent re-decode. NodeCache.Stats reports the node-level counters.
 type NodeCache = dataloader.NodeCache
 
 // NodeCacheStats is a point-in-time copy of a NodeCache's counters.
 type NodeCacheStats = dataloader.NodeCacheStats
 
-// NewNodeCache builds a shared decoded-chunk cache with the given byte
-// budget (<=0 means the loader default, 256MB):
+// NewNodeCache builds a shared decoded-chunk cache, keyed by dataset, commit
+// and write, with the given byte budget (<=0 means the loader default,
+// 256MB):
 //
 //	node := deeplake.NewNodeCache(1 << 30)
 //	for rank := 0; rank < 4; rank++ {
@@ -513,8 +514,9 @@ const DefaultNodeMemoryBytes = storage.DefaultNodeMemoryBytes
 // ProvisionNode derives a node's cache hierarchy from one NodeBudget: a
 // sharded read-coalescing RAM cache (budget.LRUBytes) over an optional
 // local-disk tier at cacheDir (budget.DiskCapacity; empty cacheDir skips
-// the tier) over origin, plus a NodeCache (budget.DecodedBytes) to share
-// between the node's Loaders via LoaderOptions.Cache. The returned
+// the tier) over origin, plus a NodeCache (budget.DecodedBytes, keyed by
+// dataset, commit and write) to share between the node's Loaders via
+// LoaderOptions.Cache. The returned
 // *storage.LRU is the provider to Open datasets through.
 func ProvisionNode(origin Provider, cacheDir string, budget NodeBudget) (*storage.LRU, *NodeCache, error) {
 	chain := origin

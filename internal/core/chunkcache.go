@@ -8,34 +8,57 @@ import (
 	"repro/internal/storage"
 )
 
-// chunkCache is a dataset handle's decoded-chunk cache, §3.5's "buffer cache
-// of fetched and unutilized data" for every ScanReader without a ChunkFetch
-// of its own: a landed chunk is fetched, checked and decoded once per
-// handle, not once per reader. It is a policy over storage.Cache, like the
-// byte LRU and the dataloader's NodeCache: the key is the chunk's identity
-// (ChunkIdentity), the value what chunk.Decode returned, whose uncompressed
-// payloads alias the fetched object, charged at its payload bytes. Each
-// handle owns its cache, so the key needs no handle scope, and a write on
-// another handle is never seen through it.
+// ChunkCache is the decoded-chunk cache, §3.5's "buffer cache of fetched
+// and unutilized data": a chunk is fetched, checked and decoded once per
+// cache however many readers ask, at a time or in turn. Every dataset handle
+// builds one lazily, the default fetch of each ScanReader without a
+// ChunkFetch of its own, and the dataloader's Loaders read through one of
+// their own (NodeCache), private or shared across a node's ranks.
 //
-// An entry goes stale only when this handle rewrites the chunk under the
-// same identity (SetAt's copy-on-write into the head, Rechunk, a seal, a
-// tensor recreated under a deleted one's name): writeChunk drops it under
-// the tensor's write lock, and a load decodes and adds under the tensor's
-// read lock, so no rewrite falls between the two.
-type chunkCache struct {
-	table   *storage.Cache[string, []chunk.Sample]
+// It is a policy over storage.Cache, which owns the sharded LRU table, the
+// eviction rule and the coalesced-miss protocol. Its own are the key
+// (ChunkKey, made by Tensor.ChunkKey), the value — the loaded samples, whose
+// uncompressed payloads alias the fetched object, charged at their payload
+// bytes — and one admit rule: a loaded chunk is kept when it fits its shard
+// or its key is pinned. Loaders pin the chunks their planned jobs still
+// need, so the budget is soft against pins; a cache nobody pins never holds
+// more than its capacity.
+type ChunkCache struct {
+	table   *storage.Cache[ChunkKey, []chunk.Sample]
 	decodes atomic.Int64
 }
 
-// chunkCacheShardBytes floors a shard of the handle cache, as NodeCache's
-// floor does: decoded chunks are a few to ~16MB.
-const chunkCacheShardBytes = 32 << 20
+// ChunkKey is a decoded chunk's key in a ChunkCache. Two reads share an
+// entry only when they read the same bytes: of the same handle (scope,
+// Dataset.ScopeID), stored object (obj, Tensor.ChunkIdentity, which names
+// the version owning the bytes), write of that object (stamp) and samples
+// (sel: empty for a whole chunk, else a bitmap of the samples read).
+//
+// stamp is the one invalidation rule: it counts the handle's writes of obj
+// (Dataset.stamps), so a chunk rewritten under its object key — SetAt's
+// copy into the head, Rechunk, a seal, a tensor recreated under a deleted
+// one's name — gets a new key in every cache, and an entry of the bytes
+// before the write is never read again.
+type ChunkKey struct {
+	scope uint64
+	obj   string
+	stamp uint64
+	sel   string
+}
 
-func newChunkCache(capacity int64) *chunkCache {
-	return &chunkCache{table: storage.NewCache(capacity, storage.ShardsFor(capacity, chunkCacheShardBytes),
-		storage.CacheFuncs[string, []chunk.Sample]{
-			Hash: func(key string) uint64 { return storage.HashString(storage.HashSeed, key) },
+// chunkShardBytes floors a shard: decoded chunks are a few to ~16MB, so a
+// 32MB shard always fits several.
+const chunkShardBytes = 32 << 20
+
+// NewChunkCache builds a decoded-chunk cache of the given byte capacity.
+func NewChunkCache(capacity int64) *ChunkCache {
+	return &ChunkCache{table: storage.NewCache(capacity, storage.ShardsFor(capacity, chunkShardBytes),
+		storage.CacheFuncs[ChunkKey, []chunk.Sample]{
+			// The scope is folded in ahead of the object key so distinct
+			// handles spread over the shards independently.
+			Hash: func(k ChunkKey) uint64 {
+				return storage.HashString(storage.HashUint64(storage.HashSeed, k.scope), k.obj)
+			},
 			Size: samplesBytes,
 		})}
 }
@@ -47,89 +70,144 @@ func samplesBytes(samples []chunk.Sample) (n int64) {
 	return n
 }
 
-// chunkCache returns the handle's decoded-chunk cache, built on the first
-// read of a landed chunk, so an Open that reads nothing allocates none.
-func (ds *Dataset) chunkCache() *chunkCache {
-	if c := ds.chunks.Load(); c != nil {
-		return c
-	}
-	ds.chunks.CompareAndSwap(nil, newChunkCache(storage.DecodedBytesOver(ds.store)))
-	return ds.chunks.Load()
+// Budget returns the cache's byte capacity across shards.
+func (c *ChunkCache) Budget() int64 { return c.table.Capacity() }
+
+// Load returns key's samples. On a miss it runs load once however many
+// callers ask at a time, and keeps what it returns under the admit rule. hit
+// reports the lookup found key, coalesced that a miss was served by another
+// caller's load; a miss that is neither ran load itself, and decoded unless
+// err is set (a failed load caches nothing). The samples are storage-owned
+// and read-only.
+func (c *ChunkCache) Load(ctx context.Context, key ChunkKey, load func() ([]chunk.Sample, error)) (samples []chunk.Sample, hit, coalesced bool, err error) {
+	return c.table.GetOrLoad(ctx, key, func() ([]chunk.Sample, error) {
+		samples, err := load()
+		if err != nil {
+			return nil, err
+		}
+		c.decodes.Add(1)
+		if samplesBytes(samples) <= c.table.ShardCapacity(key) || c.table.Pinned(key) {
+			c.table.Add(key, samples)
+		}
+		return samples, nil
+	})
 }
 
-// forget drops key from the handle cache, if there is one. The caller holds
-// the key's tensor write lock (or ds.mu exclusively).
-func (ds *Dataset) forget(key string) {
-	if c := ds.chunks.Load(); c != nil {
-		c.table.Remove(key)
-	}
+// Cached reports whether key is resident, without counting a lookup: a walk
+// reading through the cache leaves such chunks out of its strips
+// (StripPlan.Skip).
+func (c *ChunkCache) Cached(key ChunkKey) bool {
+	_, ok := c.table.Peek(key)
+	return ok
 }
 
-// ChunkCacheStats is a point-in-time copy of a handle's decoded-chunk cache
-// counters: the cache core's, and Decodes, the chunk loads that fetched and
-// decoded (every miss that was neither coalesced nor failed).
+// Pin protects key from eviction, and admits its load whatever its size,
+// until a matching Unpin; calls nest. A key may be pinned before its load.
+func (c *ChunkCache) Pin(key ChunkKey) { c.table.Pin(key) }
+
+// Unpin drops one pin reference of key.
+func (c *ChunkCache) Unpin(key ChunkKey) { c.table.Unpin(key) }
+
+// ChunkCacheStats is a point-in-time copy of a ChunkCache's counters: the
+// cache core's, and Decodes, the loads that fetched and decoded (every miss
+// that was neither coalesced nor failed).
 type ChunkCacheStats struct {
 	storage.CacheStats
 	Decodes int64
 }
 
+// Stats reports the cache's counters.
+func (c *ChunkCache) Stats() ChunkCacheStats {
+	return ChunkCacheStats{CacheStats: c.table.Stats(), Decodes: c.decodes.Load()}
+}
+
+// ChunkKey returns chunk id's key in a ChunkCache, read whole when s is
+// nil, else in part as s plans.
+func (t *Tensor) ChunkKey(id uint64, s *SparseChunk) ChunkKey {
+	t.ds.mu.RLock()
+	defer t.ds.mu.RUnlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	vid, ok := t.chunkVersion[id]
+	if !ok {
+		vid = t.ds.head
+	}
+	return t.ds.cacheKey(chunkKey(vid, t.name, id), s)
+}
+
+// cacheKey is Tensor.ChunkKey for the chunk stored under object key obj.
+func (ds *Dataset) cacheKey(obj string, s *SparseChunk) ChunkKey {
+	ds.stampMu.RLock()
+	stamp := ds.stamps[obj]
+	ds.stampMu.RUnlock()
+	key := ChunkKey{scope: ds.scope, obj: obj, stamp: stamp}
+	if s != nil {
+		sel := s.plan.Selection()
+		bits := make([]byte, sel[len(sel)-1]/8+1)
+		for _, i := range sel {
+			bits[i/8] |= 1 << (i % 8)
+		}
+		key.sel = string(bits)
+	}
+	return key
+}
+
+// stamp records a write of object key, so its ChunkKeys from now on differ
+// from those before. The caller holds the key's tensor write lock.
+func (ds *Dataset) stamp(key string) {
+	ds.stampMu.Lock()
+	if ds.stamps == nil {
+		ds.stamps = map[string]uint64{}
+	}
+	ds.stamps[key]++
+	ds.stampMu.Unlock()
+}
+
+// chunkCache returns the handle's decoded-chunk cache, sized from its chain
+// and built on the first read of a landed chunk, so an Open that reads
+// nothing allocates none.
+func (ds *Dataset) chunkCache() *ChunkCache {
+	if c := ds.chunks.Load(); c != nil {
+		return c
+	}
+	ds.chunks.CompareAndSwap(nil, NewChunkCache(storage.DecodedBytesOver(ds.store)))
+	return ds.chunks.Load()
+}
+
 // ChunkCacheStats reports the handle's decoded-chunk cache; all zero until
 // the handle first reads a landed chunk.
 func (ds *Dataset) ChunkCacheStats() ChunkCacheStats {
-	c := ds.chunks.Load()
-	if c == nil {
-		return ChunkCacheStats{}
+	if c := ds.chunks.Load(); c != nil {
+		return c.Stats()
 	}
-	return ChunkCacheStats{CacheStats: c.table.Stats(), Decodes: c.decodes.Load()}
+	return ChunkCacheStats{}
 }
 
 // cachedSamples is a ScanReader's default ChunkFetch: chunk id's stored
 // samples from the handle cache, loaded through ReadChunkSamples' path on a
-// miss, once however many readers ask at a time. The write buffer's chunk,
-// a chunk still in the flush pipeline, one bound to no version and any
-// chunk of a tensor the handle no longer holds (deleted, or left by a
-// checkout) are read as ReadChunkSamples reads them and not cached. The
-// samples are storage-owned and read-only.
+// miss. The write buffer's chunk, a chunk still in the flush pipeline, one
+// bound to no version and any chunk of a tensor the handle no longer holds
+// are read as ReadChunkSamples reads them and not cached. Key and load are
+// made under one tensor read lock, so no write falls between them.
 func (t *Tensor) cachedSamples(ctx context.Context, id uint64) ([]chunk.Sample, error) {
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	key, ok := t.landedKey(id)
+	obj, ok := t.landedKey(id)
 	if !ok || t.ds.tensors[t.name] != t {
 		return t.chunkSamples(ctx, id)
 	}
-	c := t.ds.chunkCache()
-	samples, _, _, err := c.table.GetOrLoad(ctx, key, func() ([]chunk.Sample, error) {
-		samples, err := t.chunkSamples(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		c.decodes.Add(1)
-		if samplesBytes(samples) <= c.table.ShardCapacity(key) {
-			c.table.Add(key, samples)
-		}
-		return samples, nil
+	samples, _, _, err := t.ds.chunkCache().Load(ctx, t.ds.cacheKey(obj, nil), func() ([]chunk.Sample, error) {
+		return t.chunkSamples(ctx, id)
 	})
 	return samples, err
 }
 
 // ChunkCached reports whether chunk id is resident, decoded, in the handle
-// cache: a walk reading through the cache leaves such chunks out of its
-// strips (StripPlan.Skip), as the loader does for its NodeCache.
+// cache: a walk reading through it leaves such chunks out of its strips
+// (StripPlan.Skip), as the loader does for its own.
 func (t *Tensor) ChunkCached(id uint64) bool {
 	c := t.ds.chunks.Load()
-	if c == nil {
-		return false
-	}
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	key, ok := t.landedKey(id)
-	if !ok {
-		return false
-	}
-	_, ok = c.table.Peek(key)
-	return ok
+	return c != nil && c.Cached(t.ChunkKey(id, nil))
 }

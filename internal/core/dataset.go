@@ -85,14 +85,18 @@ type Dataset struct {
 	integrity IntegrityInfo
 
 	// scope is a process-unique handle identity assigned at Create/Open,
-	// used to namespace shared (node-level) dataloader caches: datasets
+	// used to namespace shared decoded-chunk caches (ChunkKey): datasets
 	// have no UUID, so two handles are assumed distinct unless they are
 	// literally the same handle. Immutable after construction.
 	scope uint64
 
-	// chunks is the handle's decoded-chunk cache (chunkCache), nil until
-	// the first read of a landed chunk.
-	chunks atomic.Pointer[chunkCache]
+	// chunks is the handle's decoded-chunk cache, nil until the first read
+	// of a landed chunk.
+	chunks atomic.Pointer[ChunkCache]
+	// stamps counts the handle's writes of each chunk object key (ChunkKey).
+	// It outlives tensors and checkouts; nil until the first write.
+	stampMu sync.RWMutex
+	stamps  map[string]uint64
 
 	// now supplies timestamps; replaceable in tests.
 	now func() time.Time
@@ -103,8 +107,8 @@ type Dataset struct {
 var scopeCounter atomic.Uint64
 
 // ScopeID returns the process-unique identity of this dataset handle.
-// Shared caches keyed across datasets (the dataloader's node cache) include
-// it so chunks from different handles can never alias: the id is unique per
+// Decoded-chunk cache keys (ChunkKey) include it, so chunks from different
+// handles sharing one cache can never alias: the id is unique per
 // handle, so two Opens of the same store are treated as distinct datasets —
 // conservative (they won't share decoded chunks) but never wrong.
 func (ds *Dataset) ScopeID() uint64 { return ds.scope }

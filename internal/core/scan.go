@@ -42,8 +42,8 @@ func (t *Tensor) ChunkSpans() []ChunkSpan {
 
 // ChunkFetch is a pluggable fetch+decode source for a ScanReader: given a
 // chunk id it returns the chunk's stored samples. The streaming dataloader
-// passes its decoded-chunk cache here, so the reader's chunk loads coalesce
-// with other workers instead of going straight to the tensor's read path.
+// passes a read through its own ChunkCache (its NodeCache, which Loaders
+// share and pin) here in place of the handle's.
 type ChunkFetch func(ctx context.Context, chunkID uint64) ([]chunk.Sample, error)
 
 // ScanReader is the one read path from a flat sample index to its stored
@@ -60,8 +60,8 @@ type ChunkFetch func(ctx context.Context, chunkID uint64) ([]chunk.Sample, error
 // through the slot.
 //
 // Lifetime: a reader's slot still lives for one walk. SetAt rewrites a chunk
-// copy-on-write under the same id, which drops it from the handle cache but
-// not from a reader's slot, so a reader kept across a write can serve the
+// copy-on-write under the same id, which changes its cache key (ChunkKey)
+// but not a reader's slot, so a reader kept across a write can serve the
 // chunk as it was before; take a new reader after writing. A ScanReader is
 // NOT safe for concurrent use; each scan or loader worker owns one per
 // tensor.
@@ -79,8 +79,9 @@ type ScanReader struct {
 func (t *Tensor) NewScanReader() *ScanReader { return &ScanReader{t: t} }
 
 // NewScanReaderWith returns a reader whose chunk fetches are served by fetch
-// (e.g. the dataloader's NodeCache) instead of the handle's decoded-chunk
-// cache. Tiles are read through ReadChunkSamples either way.
+// (the dataloader reads through its NodeCache, a ChunkCache of its own)
+// instead of the handle's ChunkCache. Tiles are read through
+// ReadChunkSamples either way.
 func (t *Tensor) NewScanReaderWith(fetch ChunkFetch) *ScanReader {
 	return &ScanReader{t: t, fetch: fetch}
 }

@@ -25,10 +25,6 @@ func (s *SparseChunk) Blocks() (read, total int64) { return s.plan.Blocks() }
 // Size is the bytes the read fetches.
 func (s *SparseChunk) Size() int64 { return s.plan.Size() }
 
-// Selection returns the planned samples' local indices in the chunk,
-// ascending.
-func (s *SparseChunk) Selection() []int { return s.plan.Selection() }
-
 // requests returns the read's ranges as storage requests, each carrying its
 // check against one fresh checker, so a batch that carries them all is
 // checked in full by a Verify layer below.

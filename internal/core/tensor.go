@@ -165,24 +165,13 @@ func (t *Tensor) Name() string { return t.name }
 // so the same chunk id on two branches (NextChunkID rides versioned meta
 // and can collide across them) yields two distinct identities, and a
 // checkout that rebinds the id to another version's bytes changes the
-// identity with it. Decoded-chunk caches key on it: the handle's own cache
-// as it is, since the handle scopes it, and the dataloader's NodeCache,
-// which a node shares across handles, together with the dataset's ScopeID.
-// A rewrite under the same identity (SetAt in the head, Rechunk, a tensor
-// recreated under a deleted one's name) drops it from the handle's cache. A
-// chunk not yet resolved to a version — a pending chunk still in the writer
-// — is attributed to the current head.
-func (t *Tensor) ChunkIdentity(chunkID uint64) string {
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	vid, ok := t.chunkVersion[chunkID]
-	if !ok {
-		vid = t.ds.head
-	}
-	return chunkKey(vid, t.name, chunkID)
-}
+// identity with it. A decoded-chunk cache key (ChunkKey) carries it beside
+// the handle's count of its writes, which tells a rewrite under the same
+// identity (SetAt in the head, Rechunk, a tensor recreated under a deleted
+// one's name) from the bytes before it. A chunk not yet resolved to a
+// version — a pending chunk still in the writer — is attributed to the
+// current head.
+func (t *Tensor) ChunkIdentity(chunkID uint64) string { return t.ChunkKey(chunkID, nil).obj }
 
 // Meta returns a copy of the tensor metadata.
 func (t *Tensor) Meta() TensorMeta {
@@ -274,8 +263,8 @@ func (t *Tensor) flushPending(ctx context.Context) error {
 // writeChunk compresses one chunk blob, binds its id to the head version and
 // enqueues it on the flush pipeline; the call returns once the chunk is
 // queued, and readers see it through the pipeline's pending map until the
-// upload lands. It drops the identity it writes from the handle's
-// decoded-chunk cache, which covers every rewrite of a chunk under its id.
+// upload lands. It stamps the object key it writes, so the chunk's
+// decoded-chunk cache key changes with every rewrite of it under its id.
 // Caller holds the tensor write lock (or ds.mu exclusively); ds.head is
 // stable because every writer also holds ds.mu shared.
 func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
@@ -302,7 +291,7 @@ func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
 	key := chunkKey(t.ds.head, t.name, id)
 	err := t.ds.flusher.enqueue(ctx, key, blob)
 	t.chunkVersion[id] = t.ds.head
-	t.ds.forget(key)
+	t.ds.stamp(key)
 	if err != nil {
 		return &DeferredFlushError{Cause: err}
 	}

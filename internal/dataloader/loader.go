@@ -117,10 +117,11 @@ type Options struct {
 	// the same NodeCache to every Loader (every rank) colocated on one
 	// node and each shared chunk is fetched+decoded once per node instead
 	// of once per rank (the §3.5 buffer cache promoted to node scope). Keys
-	// carry dataset and commit identity, so Loaders over different datasets
-	// or commits can share one cache safely. Nil keeps a private per-Loader
-	// cache sized by MemoryBudget; when Cache is set the shared cache's own
-	// budget governs and MemoryBudget is ignored.
+	// carry dataset, commit and write identity, so Loaders over different
+	// datasets or commits, or before and after a write, can share one cache
+	// safely. Nil keeps a private per-Loader cache sized by MemoryBudget;
+	// when Cache is set the shared cache's own budget governs and
+	// MemoryBudget is ignored.
 	Cache *NodeCache
 
 	// readWhole is a test hook: it reads every chunk whole, never in part.
@@ -138,7 +139,7 @@ func (o Options) withDefaults() Options {
 		o.ShuffleBuffer = 2048
 	}
 	if o.MemoryBudget <= 0 {
-		o.MemoryBudget = 256 << 20
+		o.MemoryBudget = defaultMemoryBudget
 	}
 	if o.WorldSize <= 0 {
 		o.WorldSize = 1
@@ -175,9 +176,6 @@ type Loader struct {
 	v     *view.View
 	opts  Options
 	cache *NodeCache
-	// scope is the owning dataset handle's identity, part of every cache
-	// key so Loaders sharing a NodeCache across datasets never alias.
-	scope uint64
 	// led is this Loader's share of the (possibly shared) cache counters;
 	// pins tracks the eviction pins its pipeline currently holds.
 	led  cacheLedger
@@ -197,24 +195,12 @@ func New(v *view.View, opts Options) *Loader {
 	if cache == nil {
 		cache = NewNodeCache(opts.MemoryBudget)
 	}
-	return &Loader{v: v, opts: opts, cache: cache, scope: v.Dataset().ScopeID()}
+	return &Loader{v: v, opts: opts, cache: cache}
 }
 
 // Cache returns the node cache this Loader reads through — the shared one
 // handed in via Options.Cache, or its private default.
 func (l *Loader) Cache() *NodeCache { return l.cache }
-
-// cacheGet reads one chunk's samples through the node cache, in part when
-// s plans it so, attributing ledger counters to this Loader.
-func (l *Loader) cacheGet(ctx context.Context, t *core.Tensor, chunkID uint64, s *core.SparseChunk) ([]chunk.Sample, error) {
-	return l.cache.load(ctx, &l.led, l.key(t, chunkID, s), t, chunkID, s)
-}
-
-// key is the node-cache key of chunk id of t as this Loader reads it: whole,
-// or in part as s plans.
-func (l *Loader) key(t *core.Tensor, id uint64, s *core.SparseChunk) cacheKey {
-	return cacheKey{scope: l.scope, obj: t.ChunkIdentity(id), sel: selectionKey(s)}
-}
 
 // ForDataset is a convenience wrapper over the identity view.
 func ForDataset(ds *core.Dataset, opts Options) *Loader {
@@ -497,8 +483,7 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 			plans[i] = core.NewStripPlan(t, ids, through, stripWidth, nil)
 			plans[i].Sparse = sparse
 			plans[i].Skip = func(id uint64) bool {
-				_, decoded := l.cache.table.Peek(l.key(t, id, sparse[id]))
-				return decoded
+				return l.cache.Cached(t.ChunkKey(id, sparse[id]))
 			}
 		}
 		walks = append(walks, plans...)
@@ -506,7 +491,7 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 		for _, cj := range p.jobs {
 			subJobs[cj.ord]++
 		}
-		keys := make([]cacheKey, len(p.groups))
+		keys := make([]core.ChunkKey, len(p.groups))
 		nextOrd := 0
 		for i := range p.jobs {
 			cj := &p.jobs[i]
@@ -517,7 +502,7 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 				// unpinned while a sibling is still planned.
 				nextOrd++
 				if cj.chunkID != noChunk {
-					keys[cj.ord] = l.key(primary, cj.chunkID, reads.sparse[primary.Name()][cj.chunkID])
+					keys[cj.ord] = primary.ChunkKey(cj.chunkID, reads.sparse[primary.Name()][cj.chunkID])
 					for range subJobs[cj.ord] {
 						l.pins.pin(l.cache, keys[cj.ord])
 					}

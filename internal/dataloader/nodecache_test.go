@@ -182,32 +182,39 @@ func assertNoCacheAliasing(t *testing.T, dsA, dsB *core.Dataset, n int, off floa
 // pinned entry survives budget pressure that evicts its unpinned neighbors,
 // and loses protection once unpinned.
 func TestNodeCachePinBlocksEviction(t *testing.T) {
-	c := NewNodeCache(100) // single shard, tiny budget
-	mk := func(obj string) (cacheKey, []chunk.Sample) {
-		return cacheKey{scope: 1, obj: obj}, []chunk.Sample{{Data: make([]byte, 64)}}
+	ctx := context.Background()
+	x := loaderDataset(t, storage.NewMemory(), 256).Tensor("x")
+	if x.NumChunks() < 4 {
+		t.Fatalf("%d chunks, want 4 distinct keys", x.NumChunks())
 	}
-	ka, sa := mk("a")
-	kb, sb := mk("b")
-	kc, sc := mk("c")
+	c := NewNodeCache(100) // single shard, tiny budget
+	admit := func(key core.ChunkKey) {
+		t.Helper()
+		if _, _, _, err := c.Load(ctx, key, func() ([]chunk.Sample, error) {
+			return []chunk.Sample{{Data: make([]byte, 64)}}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ka, kb, kc, kd := x.ChunkKey(0, nil), x.ChunkKey(1, nil), x.ChunkKey(2, nil), x.ChunkKey(3, nil)
 
-	c.pin(ka) // pinned before its entry exists, like the feeder does
-	c.admit(ka, sa)
-	c.admit(kb, sb) // over budget; a is pinned, b is the fresh admit → both stay
-	if _, ok := c.peek(ka); !ok {
+	c.Pin(ka) // pinned before its entry exists, like the feeder does
+	admit(ka)
+	admit(kb) // over budget; a is pinned, b is the fresh admit → both stay
+	if !c.Cached(ka) {
 		t.Fatal("pinned entry evicted by the admit that overflowed the budget")
 	}
-	c.admit(kc, sc) // b is now evictable and LRU → evicted; a stays
-	if _, ok := c.peek(kb); ok {
+	admit(kc) // b is now evictable and LRU → evicted; a stays
+	if c.Cached(kb) {
 		t.Fatal("unpinned LRU entry survived eviction pressure")
 	}
-	if _, ok := c.peek(ka); !ok {
+	if !c.Cached(ka) {
 		t.Fatal("pinned entry evicted while unpinned victims existed")
 	}
 
-	c.unpin(ka)
-	kd, sd := mk("d")
-	c.admit(kd, sd) // a lost protection: evictable now
-	if _, ok := c.peek(ka); ok {
+	c.Unpin(ka)
+	admit(kd) // a lost protection: evictable now
+	if c.Cached(ka) {
 		t.Fatal("unpinned entry survived eviction (pin leaked)")
 	}
 	if st := c.Stats(); st.Pinned != 0 {

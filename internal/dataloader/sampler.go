@@ -68,7 +68,7 @@ type chunkJob struct {
 	// pin is the node-cache key the feeder pinned on behalf of this job
 	// (valid when pinned is true); the worker that finishes the job drops
 	// it. Sub-jobs of one split group each carry their own pin reference.
-	pin    cacheKey
+	pin    core.ChunkKey
 	pinned bool
 	// reads is the job's epoch's choice of chunks read in part.
 	reads *epochReads

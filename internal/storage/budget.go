@@ -24,9 +24,10 @@ package storage
 // NodeCacheStats.PeakBytes.
 //
 // A third RAM consumer sits outside the split: every open core.Dataset
-// handle keeps its own decoded-chunk cache, which its point reads and
-// queries read through, sized by DecodedBytesOver from the handle's chain.
-// It pins nothing and admits nothing larger than a shard, so each handle's
+// handle keeps a decoded-chunk cache of the NodeCache's type
+// (core.ChunkCache) for its point reads and queries, sized by
+// DecodedBytesOver from the handle's chain. Only loaders pin, and an
+// unpinned chunk larger than a shard is not admitted, so each handle's
 // cache holds at most that many charged bytes (core.ChunkCacheStats'
 // PeakBytes), and a process holds at most that per open handle. Like the
 // NodeCache's, its uncompressed entries alias the raw objects the LRU handed

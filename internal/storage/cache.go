@@ -62,11 +62,11 @@ type CacheFuncs[K comparable, V any] struct {
 }
 
 // Cache is the one LRU table under every cache tier: storage.LRU (raw
-// objects in RAM), storage.Disk (an index of files) and
-// dataloader.NodeCache (decoded chunks) are policies over it. It is a
-// byte-budgeted map split across mutex-striped shards, with pin reference
-// counts that protect entries from eviction and a singleflight layer that
-// collapses concurrent misses on one key into a single load.
+// objects in RAM), storage.Disk (an index of files) and core.ChunkCache
+// (decoded chunks, per dataset handle and per NodeCache) are policies over
+// it. It is a byte-budgeted map split across mutex-striped shards, with pin
+// reference counts that protect entries from eviction and a singleflight
+// layer that collapses concurrent misses on one key into a single load.
 //
 // There is one eviction rule and no policy switches. After an Add, while
 // the shard is over capacity, its least recently used entries are dropped —
@@ -310,6 +310,14 @@ func (c *Cache[K, V]) Pin(k K) {
 	s.mu.Lock()
 	s.pins[k]++
 	s.mu.Unlock()
+}
+
+// Pinned reports whether k holds a pin.
+func (c *Cache[K, V]) Pinned(k K) bool {
+	s := c.shard(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pins[k] > 0
 }
 
 // Unpin drops one pin reference of k.

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/chunk"
 	"repro/internal/core"
+	"repro/internal/dataloader"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 )
@@ -67,9 +68,10 @@ func identityValues(n int) []int {
 }
 
 // checkReads reads every row of ds's "x" through Tensor.At, then through a
-// query whose WHERE and ORDER BY stages both read x, and fails unless both
-// see want.
-func checkReads(t *testing.T, ds *core.Dataset, want []int, when string) {
+// query whose WHERE and ORDER BY stages both read x, then through a loader
+// epoch over node, the node cache the case shares across its reads, and
+// fails unless all three see want.
+func checkReads(t *testing.T, ds *core.Dataset, node *dataloader.NodeCache, want []int, when string) {
 	t.Helper()
 	ctx := context.Background()
 	x := ds.Tensor("x")
@@ -97,6 +99,22 @@ func checkReads(t *testing.T, ds *core.Dataset, want []int, when string) {
 	if !reflect.DeepEqual(v.Indices(), order) {
 		t.Fatalf("%s: query order %v, want %v", when, v.Indices(), order)
 	}
+	l := dataloader.ForDataset(ds, dataloader.Options{BatchSize: 16, Workers: 2, Fields: []string{"x"}, Cache: node})
+	row := 0
+	for b := range l.Batches(ctx) {
+		for _, s := range b.Samples {
+			if v, _ := s["x"].Item(); row < len(want) && int(v) != want[row] {
+				t.Fatalf("%s: loader row %d = %v, want %d", when, row, v, want[row])
+			}
+			row++
+		}
+	}
+	if err := l.Err(); err != nil {
+		t.Fatalf("%s: loader: %v", when, err)
+	}
+	if row != len(want) {
+		t.Fatalf("%s: loader delivered %d rows, want %d", when, row, len(want))
+	}
 }
 
 func setAt(t *testing.T, x *core.Tensor, row, value int) {
@@ -110,67 +128,67 @@ func setAt(t *testing.T, x *core.Tensor, row, value int) {
 // chunk rewrite — SetAt in a landed head chunk and in an ancestor version's
 // chunk, Rechunk, a tensor deleted and recreated under its name, a checkout
 // away and back, a failed Flush and its redrive — returns the bytes written,
-// through Tensor.At and through a query, at one and at eight flush lanes.
-// Every case reads first, so whatever a read keeps is in place when the
-// write lands.
+// through Tensor.At, through a query and through a loader over a node cache
+// the case shares, at one and at eight flush lanes. Every case reads first,
+// so whatever a read keeps is in place when the write lands.
 func TestReadsAfterWritesSeeNewBytes(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
 		name string
-		run  func(t *testing.T, lanes int)
+		run  func(t *testing.T, lanes int, node *dataloader.NodeCache)
 	}{
-		{"SetAt in a landed head chunk", func(t *testing.T, lanes int) {
+		{"SetAt in a landed head chunk", func(t *testing.T, lanes int, node *dataloader.NodeCache) {
 			want := identityValues(staleRows)
 			ds, x := staleDataset(t, storage.NewLRU(storage.NewMemory(), 1<<20), lanes, want)
-			checkReads(t, ds, want, "before")
+			checkReads(t, ds, node, want, "before")
 			setAt(t, x, 40, 5000)
 			want[40] = 5000
-			checkReads(t, ds, want, "after SetAt")
+			checkReads(t, ds, node, want, "after SetAt")
 			if err := ds.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-			checkReads(t, ds, want, "after Flush")
+			checkReads(t, ds, node, want, "after Flush")
 			setAt(t, x, 41, -7)
 			want[41] = -7
-			checkReads(t, ds, want, "after a second SetAt")
+			checkReads(t, ds, node, want, "after a second SetAt")
 		}},
-		{"SetAt in an ancestor version's chunk", func(t *testing.T, lanes int) {
+		{"SetAt in an ancestor version's chunk", func(t *testing.T, lanes int, node *dataloader.NodeCache) {
 			want := identityValues(staleRows)
 			ds, x := staleDataset(t, storage.NewLRU(storage.NewMemory(), 1<<20), lanes, want)
 			if _, err := ds.Commit(ctx, "base"); err != nil {
 				t.Fatal(err)
 			}
-			checkReads(t, ds, want, "before")
+			checkReads(t, ds, node, want, "before")
 			setAt(t, x, 70, -3)
 			want[70] = -3
-			checkReads(t, ds, want, "after copy-on-write SetAt")
+			checkReads(t, ds, node, want, "after copy-on-write SetAt")
 			if err := ds.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-			checkReads(t, ds, want, "after Flush")
+			checkReads(t, ds, node, want, "after Flush")
 		}},
-		{"Rechunk", func(t *testing.T, lanes int) {
+		{"Rechunk", func(t *testing.T, lanes int, node *dataloader.NodeCache) {
 			want := identityValues(staleRows)
 			ds, x := staleDataset(t, storage.NewLRU(storage.NewMemory(), 1<<20), lanes, want)
-			checkReads(t, ds, want, "before")
+			checkReads(t, ds, node, want, "before")
 			setAt(t, x, 10, 9000)
 			want[10] = 9000
 			if err := ds.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-			checkReads(t, ds, want, "after SetAt")
+			checkReads(t, ds, node, want, "after SetAt")
 			if err := x.Rechunk(ctx); err != nil {
 				t.Fatal(err)
 			}
-			checkReads(t, ds, want, "after Rechunk")
+			checkReads(t, ds, node, want, "after Rechunk")
 			if err := ds.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-			checkReads(t, ds, want, "after Flush")
+			checkReads(t, ds, node, want, "after Flush")
 		}},
-		{"DeleteTensor then CreateTensor", func(t *testing.T, lanes int) {
+		{"DeleteTensor then CreateTensor", func(t *testing.T, lanes int, node *dataloader.NodeCache) {
 			ds, _ := staleDataset(t, storage.NewLRU(storage.NewMemory(), 1<<20), lanes, identityValues(staleRows))
-			checkReads(t, ds, identityValues(staleRows), "before")
+			checkReads(t, ds, node, identityValues(staleRows), "before")
 			if err := ds.DeleteTensor(ctx, "x"); err != nil {
 				t.Fatal(err)
 			}
@@ -179,15 +197,15 @@ func TestReadsAfterWritesSeeNewBytes(t *testing.T) {
 				want[i] = staleRows - i
 			}
 			staleColumn(t, ds, want)
-			checkReads(t, ds, want, "after recreate")
+			checkReads(t, ds, node, want, "after recreate")
 		}},
-		{"Checkout away and back", func(t *testing.T, lanes int) {
+		{"Checkout away and back", func(t *testing.T, lanes int, node *dataloader.NodeCache) {
 			base := identityValues(staleRows)
 			ds, _ := staleDataset(t, storage.NewLRU(storage.NewMemory(), 1<<20), lanes, base)
 			if _, err := ds.Commit(ctx, "base"); err != nil {
 				t.Fatal(err)
 			}
-			checkReads(t, ds, base, "main before")
+			checkReads(t, ds, node, base, "main before")
 			if err := ds.Checkout(ctx, "dev", true); err != nil {
 				t.Fatal(err)
 			}
@@ -197,50 +215,71 @@ func TestReadsAfterWritesSeeNewBytes(t *testing.T) {
 			if err := ds.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-			checkReads(t, ds, dev, "dev")
+			checkReads(t, ds, node, dev, "dev")
 			if err := ds.Checkout(ctx, "main", false); err != nil {
 				t.Fatal(err)
 			}
-			checkReads(t, ds, base, "main again")
+			checkReads(t, ds, node, base, "main again")
 			setAt(t, ds.Tensor("x"), 6, -6)
 			base[6] = -6
-			checkReads(t, ds, base, "main after SetAt")
+			checkReads(t, ds, node, base, "main after SetAt")
 			if err := ds.Checkout(ctx, "dev", false); err != nil {
 				t.Fatal(err)
 			}
-			checkReads(t, ds, dev, "dev again")
+			checkReads(t, ds, node, dev, "dev again")
 		}},
-		{"failed Flush and its redrive", func(t *testing.T, lanes int) {
+		{"SetAt again after a checkout away and back", func(t *testing.T, lanes int, node *dataloader.NodeCache) {
+			want := identityValues(staleRows)
+			ds, x := staleDataset(t, storage.NewLRU(storage.NewMemory(), 1<<20), lanes, want)
+			checkReads(t, ds, node, want, "before")
+			setAt(t, x, 40, 5000)
+			want[40] = 5000
+			checkReads(t, ds, node, want, "after SetAt")
+			for _, ref := range []string{"dev", "main"} {
+				if err := ds.Checkout(ctx, ref, ref == "dev"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The head chunk is written a third time: its cache key must
+			// differ from both earlier ones, whatever the checkouts rebuilt.
+			setAt(t, ds.Tensor("x"), 41, -7)
+			want[41] = -7
+			checkReads(t, ds, node, want, "after the checkouts and a SetAt")
+		}},
+		{"failed Flush and its redrive", func(t *testing.T, lanes int, node *dataloader.NodeCache) {
 			store := &failingPuts{Provider: storage.NewMemory()}
 			want := identityValues(staleRows)
 			ds, x := staleDataset(t, storage.NewLRU(store, 1<<20), lanes, want)
-			checkReads(t, ds, want, "before")
-			// The rewritten chunk's upload fails and parks, and so does the
-			// redrive of the Flush after it.
-			store.fail.Store(2)
+			checkReads(t, ds, node, want, "before")
+			// Chunk uploads fail until the Flush after the SetAt has reported
+			// the failure: the rewritten chunk's upload fails and parks before
+			// that Flush (whose redrive fails again) or during it, as the
+			// upload goroutine happens to be scheduled.
+			store.failing.Store(true)
 			err := x.SetAt(ctx, 50, tensor.Scalar(tensor.Int32, 4000))
 			var dfe *core.DeferredFlushError
 			if err != nil && !errors.As(err, &dfe) {
 				t.Fatalf("SetAt: %v", err)
 			}
 			want[50] = 4000
-			checkReads(t, ds, want, "parked")
+			checkReads(t, ds, node, want, "parked")
 			if err := ds.Flush(ctx); err == nil {
 				t.Fatal("the flush over a failing upload reported nothing")
 			}
-			checkReads(t, ds, want, "after the failed Flush")
+			store.failing.Store(false)
+			if store.failed.Load() == 0 {
+				t.Fatal("no upload failed")
+			}
+			checkReads(t, ds, node, want, "after the failed Flush")
 			if err := ds.Flush(ctx); err != nil {
 				t.Fatalf("redrive: %v", err)
 			}
-			if n := store.fail.Load(); n != 0 {
-				t.Fatalf("%d planned upload failures never happened", n)
-			}
-			checkReads(t, ds, want, "after the redrive")
+			checkReads(t, ds, node, want, "after the redrive")
 		}},
 	}
 	for _, lanes := range []int{1, 8} {
 		for _, tc := range cases {
-			t.Run(fmt.Sprintf("lanes=%d/%s", lanes, tc.name), func(t *testing.T) { tc.run(t, lanes) })
+			t.Run(fmt.Sprintf("lanes=%d/%s", lanes, tc.name), func(t *testing.T) { tc.run(t, lanes, dataloader.NewNodeCache(0)) })
 		}
 	}
 }
@@ -303,18 +342,19 @@ func TestQueriesSeeEverySetAtBeforeThem(t *testing.T) {
 	}
 }
 
-// failingPuts fails the next fail chunk Puts with a permanent error, which
-// the flush pipeline parks for the next Flush to redrive.
+// failingPuts fails every chunk Put with a permanent error while failing is
+// set, which the flush pipeline parks for the next Flush to redrive, and
+// counts the failures in failed.
 type failingPuts struct {
 	storage.Provider
-	fail atomic.Int64
+	failing atomic.Bool
+	failed  atomic.Int64
 }
 
 func (p *failingPuts) Put(ctx context.Context, key string, data []byte) error {
-	for n := p.fail.Load(); n > 0 && strings.Contains(key, "/chunks/"); n = p.fail.Load() {
-		if p.fail.CompareAndSwap(n, n-1) {
-			return fmt.Errorf("put %q: permanent: access denied", key)
-		}
+	if p.failing.Load() && strings.Contains(key, "/chunks/") {
+		p.failed.Add(1)
+		return fmt.Errorf("put %q: permanent: access denied", key)
 	}
 	return p.Provider.Put(ctx, key, data)
 }

@@ -83,11 +83,11 @@ type Source interface {
 }
 
 // DatasetSource adapts a dataset (all visible tensors) as a Source. At
-// reads one row through View.Row, whose Tensor.At is a one-shot ScanReader,
-// so each call decodes the row's whole chunk of every column. It keeps no
-// readers of its own because Source.At is called from every walk worker at
-// once and a ScanReader serves one goroutine; a reader per walk worker
-// needs a Source that hands each worker its own reading state.
+// reads one row through View.Row, whose Tensor.At reads through the handle's
+// decoded-chunk cache, so a row costs a cache hit and a copy per column and
+// each landed chunk is decoded once. It keeps no readers of its own because
+// Source.At is called from every walk worker at once and a ScanReader
+// serves one goroutine.
 type DatasetSource struct {
 	View *view.View
 }
