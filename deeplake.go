@@ -330,8 +330,8 @@ func NewView(ds *Dataset, indices []uint64, columns []Column) *View {
 }
 
 // Materialize writes a view into a fresh dataset with an optimal streaming
-// layout (§4.5). Chunk uploads overlap row evaluation through the
-// destination's flush pipeline; see MaterializeWith for the commit message.
+// layout (§4.5), each stored column's samples copied byte for byte; chunk
+// uploads overlap the copy. See MaterializeWith for the commit message.
 func Materialize(ctx context.Context, v *View, dst Provider, name string) (*Dataset, error) {
 	return view.Materialize(ctx, v, dst, view.MaterializeOptions{Name: name})
 }

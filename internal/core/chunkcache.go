@@ -37,8 +37,9 @@ type ChunkCache struct {
 // stamp is the one invalidation rule: it counts the handle's writes of obj
 // (Dataset.stamps), so a chunk rewritten under its object key — SetAt's
 // copy into the head, Rechunk, a seal, a tensor recreated under a deleted
-// one's name — gets a new key in every cache, and an entry of the bytes
-// before the write is never read again.
+// one's name — gets a new key in every cache. An entry of the bytes before
+// the write is never read again: the handle's cache drops it at the write,
+// any other ages out.
 type ChunkKey struct {
 	scope uint64
 	obj   string
@@ -153,14 +154,20 @@ func (ds *Dataset) cacheKey(obj string, s *SparseChunk) ChunkKey {
 }
 
 // stamp records a write of object key, so its ChunkKeys from now on differ
-// from those before. The caller holds the key's tensor write lock.
+// from those before, and drops the handle cache's entry of the bytes before
+// the write, which no reader of this handle asks for again. The caller holds
+// the key's tensor write lock, so no load of the key is in flight.
 func (ds *Dataset) stamp(key string) {
 	ds.stampMu.Lock()
 	if ds.stamps == nil {
 		ds.stamps = map[string]uint64{}
 	}
+	old := ds.stamps[key]
 	ds.stamps[key]++
 	ds.stampMu.Unlock()
+	if c := ds.chunks.Load(); c != nil {
+		c.table.Remove(ChunkKey{scope: ds.scope, obj: key, stamp: old})
+	}
 }
 
 // chunkCache returns the handle's decoded-chunk cache, sized from its chain

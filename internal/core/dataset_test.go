@@ -432,3 +432,71 @@ func TestLinkTensor(t *testing.T) {
 		t.Fatal("LinkAt on plain tensor should error")
 	}
 }
+
+// TestCopyRowAcrossStoredForms: a row of a tensor that stores rows otherwise
+// than the destination (here PNG into uncompressed) is decoded and encoded
+// for it, a sequence row item by item, and reads back as the source row.
+func TestCopyRowAcrossStoredForms(t *testing.T) {
+	ctx := context.Background()
+	ds, _ := newTestDataset(t)
+	pixels := make([]byte, 4*5*3)
+	for i := range pixels {
+		pixels[i] = byte(i * 7)
+	}
+	img, _ := tensor.FromBytes(tensor.UInt8, []int{4, 5, 3}, pixels)
+	for _, htype := range []string{"image", "sequence[image]"} {
+		src, err := ds.CreateTensor(ctx, TensorSpec{Name: "src " + htype, Htype: htype, SampleCompression: "png"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := ds.CreateTensor(ctx, TensorSpec{Name: "dst " + htype, Htype: htype, SampleCompression: "none"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if htype == "image" {
+			err = src.Append(ctx, img)
+		} else {
+			err = src.AppendSequence(ctx, []*tensor.NDArray{img, img})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.CopyRow(ctx, src.NewScanReader(), 0); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := src.At(ctx, 0)
+		got, err := dst.At(ctx, 0)
+		if err != nil || !reflect.DeepEqual(got.Shape(), want.Shape()) || !reflect.DeepEqual(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: copied row %v (%v), want %v", htype, got, err, want)
+		}
+		if raw, _, _ := dst.RawAt(ctx, 0); !reflect.DeepEqual(raw, pixels) {
+			t.Fatalf("%s: stored %d bytes, want the %d raw pixels", htype, len(raw), len(pixels))
+		}
+	}
+}
+
+// TestCopyRowTilesForItsBounds: a stored raw sample that fits the source's
+// chunks but not the destination's is tiled there, as Append would tile it.
+func TestCopyRowTilesForItsBounds(t *testing.T) {
+	ctx := context.Background()
+	ds, _ := newTestDataset(t)
+	src, _ := ds.CreateTensor(ctx, TensorSpec{Name: "src", Dtype: tensor.UInt8})
+	dst, _ := ds.CreateTensor(ctx, TensorSpec{Name: "dst", Dtype: tensor.UInt8, Bounds: smallBounds})
+	raw := make([]byte, 24*24)
+	for i := range raw {
+		raw[i] = byte(i)
+	}
+	arr, _ := tensor.FromBytes(tensor.UInt8, []int{24, 24}, raw)
+	if err := src.Append(ctx, arr); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.CopyRow(ctx, src.NewScanReader(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, tiled := dst.tileEnc.Get(0); !tiled {
+		t.Fatal("a sample over the destination's Bounds.Max was not tiled")
+	}
+	if got, _, err := dst.RawAt(ctx, 0); err != nil || !reflect.DeepEqual(got, raw) {
+		t.Fatalf("tiled copy reads %d bytes (%v), want the source's %d", len(got), err, len(raw))
+	}
+}

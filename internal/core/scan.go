@@ -219,6 +219,31 @@ func (r *ScanReader) StoredAt(ctx context.Context, idx uint64) (chunk.Sample, bo
 	return s, err == nil, err
 }
 
+// storedRow returns row idx's stored samples — a sequence row's items, else
+// its one sample — as StoredAt returns each; ok=false means one is tiled.
+func (r *ScanReader) storedRow(ctx context.Context, idx uint64) ([]chunk.Sample, bool, error) {
+	first, end := idx, idx+1
+	if r.t.spec.Sequence {
+		var err error
+		if first, end, err = r.t.itemRange(int(idx)); err != nil {
+			return nil, false, err
+		}
+	}
+	out := make([]chunk.Sample, 0, end-first)
+	for i := first; i < end; i++ {
+		loc, err := r.locate(i)
+		if err != nil || loc.tiled {
+			return nil, false, err
+		}
+		s, err := r.sample(ctx, loc)
+		if err != nil {
+			return nil, false, err
+		}
+		out = append(out, s)
+	}
+	return out, true, nil
+}
+
 // Chunk returns the stored samples of the chunk holding sample idx, through
 // the same one-chunk slot as StoredAt, and the index of the chunk's first
 // sample: sample first+i of the chunk's span (ChunkSpans) is samples[i], so

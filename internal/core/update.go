@@ -5,13 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/chunk"
-	"repro/internal/encoder"
 	"repro/internal/tensor"
 )
-
-func tileEntryOf(layout chunk.TileLayout, ids []uint64) encoder.TileEntry {
-	return encoder.TileEntry{Layout: layout, ChunkIDs: ids}
-}
 
 // SetAt replaces sample idx in place (§3.5 random-access writes: annotators
 // writing labels, models storing predictions). The containing chunk is
@@ -28,12 +23,18 @@ func (t *Tensor) SetAt(ctx context.Context, idx uint64, arr *tensor.NDArray) err
 	if t.spec.Sequence {
 		return fmt.Errorf("core: SetAt on sequence tensors is not supported")
 	}
-	// Encode outside the locks; only the index/chunk surgery below needs
+	// Encode outside the locks; only setStored's index/chunk surgery needs
 	// exclusive access.
 	s, err := t.encodeSample(arr)
 	if err != nil {
 		return err
 	}
+	return t.setStored(ctx, idx, s)
+}
+
+// setStored is SetAt's stored half: it writes storage-ready sample s at idx
+// under the write locks. Merge writes a source row's stored sample through it.
+func (t *Tensor) setStored(ctx context.Context, idx uint64, s chunk.Sample) error {
 	if err := t.beginWrite(); err != nil {
 		return err
 	}
@@ -75,7 +76,7 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 		if err != nil {
 			return err
 		}
-		if err := note(t.appendTiledReplace(ctx, idx, arr)); err != nil {
+		if _, err := t.writeTiles(ctx, idx, arr, note); err != nil {
 			return err
 		}
 		return dc.err()
@@ -123,37 +124,6 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 	return dc.err()
 }
 
-// appendTiledReplace re-tiles a sample that was already tiled, reusing its
-// index slot. Deferred flush errors from tile uploads are collected; the
-// tile layout is still fully recorded before they surface.
-func (t *Tensor) appendTiledReplace(ctx context.Context, idx uint64, arr *tensor.NDArray) error {
-	var dc deferredCollector
-	layout, err := chunk.PlanTiles(arr.Shape(), arr.Dtype().Size(), t.meta.Bounds.Target)
-	if err != nil {
-		return err
-	}
-	tiles, err := layout.Split(arr)
-	if err != nil {
-		return err
-	}
-	ids := make([]uint64, 0, len(tiles))
-	for _, tile := range tiles {
-		id := t.allocChunkID()
-		blob, err := chunk.Encode([]chunk.Sample{{Shape: tile.Shape(), Data: tile.Bytes()}})
-		if err != nil {
-			return err
-		}
-		if err := dc.note(t.writeChunk(ctx, id, blob)); err != nil {
-			return err
-		}
-		ids = append(ids, id)
-	}
-	if err := t.tileEnc.Set(idx, tileEntryOf(layout, ids)); err != nil {
-		return err
-	}
-	return dc.err()
-}
-
 // rebuildPending re-syncs the chunk builder after an in-buffer update.
 func (t *Tensor) rebuildPending() error {
 	b := chunk.NewBuilder(t.meta.Bounds)
@@ -191,12 +161,9 @@ func (t *Tensor) PadTo(ctx context.Context, n uint64) error {
 func (t *Tensor) padToLocked(ctx context.Context, n uint64) error {
 	var dc deferredCollector
 	for t.meta.Length < n {
-		empty := chunk.Sample{Shape: []int{0}, Data: nil}
-		if err := dc.note(t.appendEncodedSample(ctx, empty, nil)); err != nil {
+		if err := dc.note(t.appendLocked(ctx, []chunk.Sample{{Shape: []int{0}}}, nil)); err != nil {
 			return err
 		}
-		t.meta.Length++
-		t.diff.AddedTo = t.meta.Length
 	}
 	return dc.err()
 }
@@ -228,7 +195,6 @@ func (t *Tensor) Rechunk(ctx context.Context) error {
 		newCounts []int
 		builder   = chunk.NewBuilder(t.meta.Bounds)
 		curID     uint64
-		curCount  int
 		// The last source chunk read: rows ascend, so each is read once.
 		srcID  uint64
 		source []chunk.Sample
@@ -246,7 +212,6 @@ func (t *Tensor) Rechunk(ctx context.Context) error {
 		}
 		newIDs = append(newIDs, curID)
 		newCounts = append(newCounts, n)
-		curCount = 0
 		return nil
 	}
 	for idx := uint64(0); idx < total; idx++ {
@@ -272,10 +237,10 @@ func (t *Tensor) Rechunk(ctx context.Context) error {
 		if local >= len(source) {
 			return fmt.Errorf("core: sample %d beyond chunk %d (%d samples)", local, id, len(source))
 		}
+		// The builder keeps the read-only source sample until flush
+		// encodes it into the new chunk's own bytes.
 		s := source[local]
-		// Deep-copy: source chunk buffers are reused across reads.
-		cp := chunk.Sample{Shape: append([]int(nil), s.Shape...), Data: append([]byte(nil), s.Data...)}
-		if builder.ShouldFlushBefore(len(cp.Data)) {
+		if builder.ShouldFlushBefore(len(s.Data)) {
 			if err := flush(); err != nil {
 				return err
 			}
@@ -283,15 +248,13 @@ func (t *Tensor) Rechunk(ctx context.Context) error {
 		if builder.Len() == 0 {
 			curID = t.allocChunkID()
 		}
-		if err := builder.Append(cp); err != nil {
+		if err := builder.Append(s); err != nil {
 			return err
 		}
-		curCount++
 	}
 	if err := flush(); err != nil {
 		return err
 	}
-	_ = curCount
 	if err := t.chunkEnc.ReplaceAll(newIDs, newCounts); err != nil {
 		return err
 	}

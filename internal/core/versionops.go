@@ -235,9 +235,11 @@ const (
 )
 
 // Merge applies the changes of srcBranch since the common ancestor onto the
-// current branch (§4.2 Merge): appended samples are appended here; in-place
-// updates are re-applied, with conflicts (both sides updated the same
-// index) resolved by policy.
+// current branch (§4.2 Merge): appended rows are copied here (CopyRow) and
+// in-place updates re-applied, with conflicts (both sides updated the same
+// index) resolved by policy. Both keep the source's stored samples as they
+// are, so every htype merges and a JPEG row keeps its bytes. A merge records
+// no second parent, is not atomic, and appends the rows again if repeated.
 func (ds *Dataset) Merge(ctx context.Context, srcBranch string, policy MergePolicy) error {
 	if ds.Branch() == "" {
 		return fmt.Errorf("core: cannot merge into a detached checkout")
@@ -285,11 +287,7 @@ func (ds *Dataset) Merge(ctx context.Context, srcBranch string, policy MergePoli
 		// Appends: source samples beyond its base length.
 		srcLen := srcT.Len()
 		for idx := srcLen - change.Added; idx < srcLen; idx++ {
-			arr, err := r.At(ctx, idx)
-			if err != nil {
-				return err
-			}
-			if err := dstT.Append(ctx, arr); err != nil {
+			if err := dstT.CopyRow(ctx, r, idx); err != nil {
 				return err
 			}
 		}
@@ -307,11 +305,12 @@ func (ds *Dataset) Merge(ctx context.Context, srcBranch string, policy MergePoli
 			if idx >= dstT.Len() {
 				continue // updated a sample we do not have
 			}
-			arr, err := r.At(ctx, idx)
+			// SetAt rejects sequence tensors, so an update is one sample.
+			samples, _, err := dstT.rowFrom(ctx, r, idx)
 			if err != nil {
 				return err
 			}
-			if err := dstT.SetAt(ctx, idx, arr); err != nil {
+			if err := dstT.setStored(ctx, idx, samples[0]); err != nil {
 				return err
 			}
 		}

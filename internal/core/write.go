@@ -16,11 +16,11 @@ import (
 
 // The append paths below share one locking discipline: sample validation
 // and encoding (htype checks, media codecs, byte copies — the CPU-heavy
-// part) run outside every lock, then the append takes ds.mu shared (so the
-// dataset cannot be flushed, committed, or checked out mid-append, while
-// appends to other tensors proceed concurrently) plus this tensor's write
-// lock for the index/builder mutation, which is pure in-memory work: sealed
-// chunks leave through the flush pipeline.
+// part) run outside every lock, then appendRows, the one locked tail, takes
+// ds.mu shared (so the dataset cannot be flushed, committed, or checked out
+// mid-append, while other tensors append concurrently) plus this tensor's
+// write lock for the index/builder mutation, which is pure in-memory work:
+// sealed chunks leave through the flush pipeline.
 
 // beginWrite takes the shared structure lock and re-checks that the write
 // can proceed: the dataset must be writable, and this handle must still be
@@ -52,32 +52,14 @@ func (ds *Dataset) writableNow() error {
 // Append adds one sample to the tensor. For sequence tensors use
 // AppendSequence; for link tensors use AppendLink.
 func (t *Tensor) Append(ctx context.Context, arr *tensor.NDArray) error {
-	if err := t.ds.writableNow(); err != nil {
+	if err := t.checkPlainAppend(); err != nil {
 		return err
-	}
-	if t.spec.Sequence {
-		return fmt.Errorf("core: tensor %q is a sequence tensor; use AppendSequence", t.name)
-	}
-	if t.spec.Link {
-		return fmt.Errorf("core: tensor %q is a link tensor; use AppendLink", t.name)
 	}
 	s, err := t.encodeSample(arr)
 	if err != nil {
 		return err
 	}
-	if err := t.beginWrite(); err != nil {
-		return err
-	}
-	defer t.ds.mu.RUnlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	err = t.appendEncodedSample(ctx, s, arr)
-	if err != nil && !isDeferredFlush(err) {
-		return err
-	}
-	t.meta.Length++
-	t.diff.AddedTo = t.meta.Length
-	return err
+	return t.appendRows(ctx, []chunk.Sample{s}, []*tensor.NDArray{arr})
 }
 
 // AppendBatch appends samples along the first axis of a stacked array: a
@@ -89,6 +71,26 @@ func (t *Tensor) AppendBatch(ctx context.Context, batch *tensor.NDArray) error {
 	if batch.NDim() == 0 {
 		return fmt.Errorf("core: batch must have a leading axis")
 	}
+	if err := t.checkPlainAppend(); err != nil {
+		return err
+	}
+	rows := make([]*tensor.NDArray, batch.Shape()[0])
+	for i := range rows {
+		var err error
+		if rows[i], err = batch.Index(i); err != nil {
+			return err
+		}
+	}
+	encoded, err := t.encodeSamples(rows)
+	if err != nil {
+		return err
+	}
+	return t.appendRows(ctx, encoded, rows)
+}
+
+// checkPlainAppend surfaces, before any encoding, the errors of appending a
+// plain row: an unwritable dataset, a sequence tensor, a link tensor.
+func (t *Tensor) checkPlainAppend() error {
 	if err := t.ds.writableNow(); err != nil {
 		return err
 	}
@@ -98,36 +100,7 @@ func (t *Tensor) AppendBatch(ctx context.Context, batch *tensor.NDArray) error {
 	if t.spec.Link {
 		return fmt.Errorf("core: tensor %q is a link tensor; use AppendLink", t.name)
 	}
-	n := batch.Shape()[0]
-	rows := make([]*tensor.NDArray, 0, n)
-	encoded := make([]chunk.Sample, 0, n)
-	for i := 0; i < n; i++ {
-		row, err := batch.Index(i)
-		if err != nil {
-			return err
-		}
-		s, err := t.encodeSample(row)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, row)
-		encoded = append(encoded, s)
-	}
-	if err := t.beginWrite(); err != nil {
-		return err
-	}
-	defer t.ds.mu.RUnlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var dc deferredCollector
-	for i, s := range encoded {
-		if err := dc.note(t.appendEncodedSample(ctx, s, rows[i])); err != nil {
-			return err
-		}
-		t.meta.Length++
-		t.diff.AddedTo = t.meta.Length
-	}
-	return dc.err()
+	return nil
 }
 
 // AppendSequence adds one row of ordered items to a sequence tensor
@@ -139,57 +112,23 @@ func (t *Tensor) AppendSequence(ctx context.Context, items []*tensor.NDArray) er
 	if !t.spec.Sequence {
 		return fmt.Errorf("core: tensor %q is not a sequence tensor", t.name)
 	}
-	encoded := make([]chunk.Sample, 0, len(items))
-	for _, item := range items {
-		s, err := t.encodeSample(item)
-		if err != nil {
-			return err
-		}
-		encoded = append(encoded, s)
-	}
-	if err := t.beginWrite(); err != nil {
+	encoded, err := t.encodeSamples(items)
+	if err != nil {
 		return err
 	}
-	defer t.ds.mu.RUnlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var dc deferredCollector
-	for i, s := range encoded {
-		if err := dc.note(t.appendEncodedSample(ctx, s, items[i])); err != nil {
-			return err
-		}
-	}
-	if err := t.seqEnc.AppendRow(len(items)); err != nil {
-		return err
-	}
-	t.meta.Length++
-	t.diff.AddedTo = t.meta.Length
-	return dc.err()
+	return t.appendRows(ctx, encoded, items)
 }
 
 // AppendLink adds a reference to externally stored data to a link tensor
 // (§4.5: linked tensors store pointers to one or multiple cloud providers).
 func (t *Tensor) AppendLink(ctx context.Context, url string) error {
-	// No expensive encoding precedes the lock here, so a single
-	// beginWrite suffices (writability is checked under it, before the
-	// link-type check, matching the other append paths' error order).
-	if err := t.beginWrite(); err != nil {
+	if err := t.ds.writableNow(); err != nil {
 		return err
 	}
-	defer t.ds.mu.RUnlock()
 	if !t.spec.Link {
 		return fmt.Errorf("core: tensor %q is not a link tensor", t.name)
 	}
-	s := chunk.Sample{Shape: []int{len(url)}, Data: []byte(url)}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	err := t.appendEncodedSample(ctx, s, nil)
-	if err != nil && !isDeferredFlush(err) {
-		return err
-	}
-	t.meta.Length++
-	t.diff.AddedTo = t.meta.Length
-	return err
+	return t.appendRows(ctx, []chunk.Sample{{Shape: []int{len(url)}, Data: []byte(url)}}, nil)
 }
 
 // AppendEncoded copies pre-encoded media bytes straight into a chunk
@@ -215,20 +154,87 @@ func (t *Tensor) AppendEncoded(ctx context.Context, data []byte) error {
 	if cfg.ColorModel == color.GrayModel || cfg.ColorModel == color.Gray16Model {
 		shape = []int{cfg.Height, cfg.Width}
 	}
-	s := chunk.Sample{Shape: shape, Data: data}
+	return t.appendRows(ctx, []chunk.Sample{{Shape: shape, Data: data}}, nil)
+}
+
+// CopyRow appends row idx of r's tensor to t. If that tensor stores rows as
+// t does (same htype, dtype and sample compression), the row's stored samples
+// land as they are, with no sample decode or encode (§5: "directly copied
+// into a chunk without additional decoding"). A tiled row, or a row of a
+// tensor that stores rows otherwise, is decoded and encoded for t.
+func (t *Tensor) CopyRow(ctx context.Context, r *ScanReader, idx uint64) error {
+	if err := t.ds.writableNow(); err != nil {
+		return err
+	}
+	samples, arrs, err := t.rowFrom(ctx, r, idx)
+	if err != nil {
+		return err
+	}
+	return t.appendRows(ctx, samples, arrs)
+}
+
+// rowFrom returns row idx of r's tensor in t's stored form: its read-only
+// stored samples when they already are, else t's encoding of the decoded row
+// and the row. SampleCompression, like spec and dtype, never changes.
+func (t *Tensor) rowFrom(ctx context.Context, r *ScanReader, idx uint64) ([]chunk.Sample, []*tensor.NDArray, error) {
+	if t.spec == r.t.spec && t.dtype == r.t.dtype && t.meta.SampleCompression == r.t.meta.SampleCompression {
+		if samples, ok, err := r.storedRow(ctx, idx); err != nil || ok {
+			return samples, nil, err
+		}
+	}
+	arrs := []*tensor.NDArray{nil} // or a sequence row's items
+	var err error
+	if t.spec.Sequence {
+		arrs, err = r.SequenceAt(ctx, int(idx))
+	} else {
+		arrs[0], err = r.At(ctx, idx)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	samples, err := t.encodeSamples(arrs)
+	return samples, arrs, err
+}
+
+// appendRows is the one locked tail of every public append: their checks,
+// encoding and sniffing run before it, outside every lock.
+func (t *Tensor) appendRows(ctx context.Context, samples []chunk.Sample, arrs []*tensor.NDArray) error {
 	if err := t.beginWrite(); err != nil {
 		return err
 	}
 	defer t.ds.mu.RUnlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	err = t.appendEncodedSample(ctx, s, nil)
-	if err != nil && !isDeferredFlush(err) {
-		return err
+	return t.appendLocked(ctx, samples, arrs)
+}
+
+// appendLocked appends stored samples under the write locks: each one a
+// row, or on a sequence tensor all of them one row. arrs, if non-nil, holds
+// their decoded arrays for tiling. A sample may alias read-only source bytes
+// (CopyRow): the builder holds it unwritten until chunk.Encode copies it.
+func (t *Tensor) appendLocked(ctx context.Context, samples []chunk.Sample, arrs []*tensor.NDArray) error {
+	var dc deferredCollector
+	for i, s := range samples {
+		var arr *tensor.NDArray
+		if arrs != nil {
+			arr = arrs[i]
+		}
+		if err := dc.note(t.appendEncodedSample(ctx, s, arr)); err != nil {
+			return err
+		}
+		if !t.spec.Sequence {
+			t.meta.Length++
+			t.diff.AddedTo = t.meta.Length
+		}
 	}
-	t.meta.Length++
-	t.diff.AddedTo = t.meta.Length
-	return err
+	if t.spec.Sequence {
+		if err := t.seqEnc.AppendRow(len(samples)); err != nil {
+			return err
+		}
+		t.meta.Length++
+		t.diff.AddedTo = t.meta.Length
+	}
+	return dc.err()
 }
 
 // encodeSample validates a sample against the htype and encodes it for
@@ -278,10 +284,23 @@ func (t *Tensor) encodeSample(arr *tensor.NDArray) (chunk.Sample, error) {
 	return chunk.Sample{Shape: append([]int(nil), arr.Shape()...), Data: data}, nil
 }
 
+// encodeSamples encodes each of arrs with encodeSample.
+func (t *Tensor) encodeSamples(arrs []*tensor.NDArray) ([]chunk.Sample, error) {
+	out := make([]chunk.Sample, len(arrs))
+	for i, arr := range arrs {
+		var err error
+		if out[i], err = t.encodeSample(arr); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // appendEncodedSample routes a storage-ready sample to the buffered
 // builder, an oversized single-sample chunk, or the tiling path. Caller
-// holds the tensor write lock. arr is the decoded array when available
-// (needed for tiling); nil for media/link samples which are never tiled.
+// holds the tensor write lock. arr is the decoded array when the caller has
+// it; a raw sample that needs tiling without one is decoded here. Media and
+// link samples are never tiled.
 //
 // Deferred flush errors (a writeChunk whose bytes were accepted and parked
 // by the pipeline) do not abort the append: the sample is fully recorded
@@ -293,9 +312,24 @@ func (t *Tensor) appendEncodedSample(ctx context.Context, s chunk.Sample, arr *t
 	note := dc.note
 	idx := t.chunkEnc.NumSamples()
 	switch {
-	case t.builder.NeedsTiling(len(s.Data)) && arr != nil && t.sampleCodec == nil && t.spec.Base.Name != "video":
+	case t.builder.NeedsTiling(len(s.Data)) && t.sampleCodec == nil && !t.spec.Link && t.spec.Base.Name != "video":
 		// Raw oversize sample: spatial tiling (§3.4).
-		if err := t.appendTiled(ctx, idx, arr, note); err != nil {
+		if arr == nil {
+			var err error
+			if arr, err = t.decode(s, nil); err != nil {
+				return err
+			}
+		}
+		if err := note(t.flushPending(ctx)); err != nil {
+			return err
+		}
+		first, err := t.writeTiles(ctx, idx, arr, note)
+		if err != nil {
+			return err
+		}
+		// The chunk encoder still needs a row so index arithmetic stays
+		// contiguous; the first tile chunk stands for the sample.
+		if err := t.chunkEnc.Append(first, 1); err != nil {
 			return err
 		}
 	case t.builder.NeedsTiling(len(s.Data)):
@@ -336,41 +370,29 @@ func (t *Tensor) appendEncodedSample(ctx context.Context, s chunk.Sample, arr *t
 	return dc.err()
 }
 
-// appendTiled splits an oversize raw sample across tile chunks and records
-// the layout in the tile encoder. Caller holds the tensor write lock; note
-// classifies writeChunk errors (deferred flush failures are collected, the
-// tile layout is still fully recorded).
-func (t *Tensor) appendTiled(ctx context.Context, idx uint64, arr *tensor.NDArray, note func(error) error) error {
-	if err := note(t.flushPending(ctx)); err != nil {
-		return err
-	}
+// writeTiles tiles raw oversize sample idx (§3.4): it writes the tile chunks,
+// records the layout and returns the first tile's chunk id. Caller holds the
+// tensor write lock; note classifies writeChunk errors.
+func (t *Tensor) writeTiles(ctx context.Context, idx uint64, arr *tensor.NDArray, note func(error) error) (uint64, error) {
 	layout, err := chunk.PlanTiles(arr.Shape(), arr.Dtype().Size(), t.meta.Bounds.Target)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	tiles, err := layout.Split(arr)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	ids := make([]uint64, 0, len(tiles))
 	for _, tile := range tiles {
 		id := t.allocChunkID()
-		blob, err := chunk.Encode([]chunk.Sample{{
-			Shape: tile.Shape(),
-			Data:  tile.Bytes(),
-		}})
+		blob, err := chunk.Encode([]chunk.Sample{{Shape: tile.Shape(), Data: tile.Bytes()}})
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if err := note(t.writeChunk(ctx, id, blob)); err != nil {
-			return err
+			return 0, err
 		}
 		ids = append(ids, id)
 	}
-	if err := t.tileEnc.Set(idx, encoder.TileEntry{Layout: layout, ChunkIDs: ids}); err != nil {
-		return err
-	}
-	// The chunk encoder still needs a row so index arithmetic stays
-	// contiguous; the first tile chunk stands for the sample.
-	return t.chunkEnc.Append(ids[0], 1)
+	return ids[0], t.tileEnc.Set(idx, encoder.TileEntry{Layout: layout, ChunkIDs: ids})
 }

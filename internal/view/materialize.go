@@ -20,10 +20,11 @@ type MaterializeOptions struct {
 // Materialize evaluates every view row and writes a fresh dataset with an
 // optimal chunk layout onto dst (§4.5: "materialization transforms the
 // dataset view into an optimal layout to stream into deep learning
-// frameworks"). Identity columns keep their tensor metadata (htype and
-// compressions); computed and resolved-link columns are written from their
-// evaluated arrays. Chunk uploads overlap row evaluation through the new
-// dataset's flush pipeline; the final Commit drains it.
+// frameworks"): it changes the layout, not the data. Identity columns keep
+// their tensor metadata (htype and compressions) and their stored samples,
+// byte for byte (core.Tensor.CopyRow); computed and resolved-link columns are
+// written from their evaluated arrays. Chunk uploads overlap row evaluation
+// through the new dataset's flush pipeline; the final Commit drains it.
 func Materialize(ctx context.Context, v *View, dst storage.Provider, opts MaterializeOptions) (*core.Dataset, error) {
 	if opts.Name == "" {
 		opts.Name = v.ds.Name() + "-view"
@@ -89,31 +90,13 @@ func Materialize(ctx context.Context, v *View, dst storage.Provider, opts Materi
 }
 
 // materializeCell appends one view cell to dst: an identity column's (r
-// non-nil) through its source reader, keeping the link and sequence append
-// paths, and a computed column's from its evaluated array.
+// non-nil) as its source row's stored samples (CopyRow), a computed
+// column's from its evaluated array.
 func materializeCell(ctx context.Context, v *View, dst *core.Tensor, r *core.ScanReader, row int, src uint64, c Column) error {
-	if r == nil {
-		arr, err := v.At(ctx, row, c.Name)
-		if err != nil {
-			return err
-		}
-		return dst.Append(ctx, arr)
+	if r != nil {
+		return dst.CopyRow(ctx, r, src)
 	}
-	switch h := dst.Htype(); {
-	case h.Sequence:
-		items, err := r.SequenceAt(ctx, int(src))
-		if err != nil {
-			return err
-		}
-		return dst.AppendSequence(ctx, items)
-	case h.Link:
-		s, _, err := r.StoredAt(ctx, src)
-		if err != nil {
-			return err
-		}
-		return dst.AppendLink(ctx, string(s.Data))
-	}
-	arr, err := r.At(ctx, src)
+	arr, err := v.At(ctx, row, c.Name)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,12 @@
 package view
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/chunk"
@@ -65,19 +69,239 @@ func TestMaterializeReadsEachChunkOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkMaterialize materializes one int32 column; ns/row stays flat as
-// the rows per chunk grow.
+// BenchmarkMaterialize materializes one int32 column, whose ns/row stays
+// flat as the rows per chunk grow, and one column of 32×32 JPEGs.
 func BenchmarkMaterialize(b *testing.B) {
 	for _, n := range []int{4096, 65536} {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			ds := int32Dataset(b, storage.NewMemory(), n, chunk.DefaultBounds())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Materialize(context.Background(), All(ds), storage.NewMemory(), MaterializeOptions{}); err != nil {
-					b.Fatal(err)
+			benchMaterialize(b, int32Dataset(b, storage.NewMemory(), n, chunk.DefaultBounds()), n)
+		})
+	}
+	b.Run("jpeg/rows=512", func(b *testing.B) {
+		const n = 512
+		ctx := context.Background()
+		ds, err := core.Create(ctx, storage.NewMemory(), "src")
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := ds.CreateTensor(ctx, core.TensorSpec{Name: "x", Htype: "image", SampleCompression: "jpeg"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := x.Append(ctx, noise(i, 32, 32)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := ds.Flush(ctx); err != nil {
+			b.Fatal(err)
+		}
+		benchMaterialize(b, ds, n)
+	})
+}
+
+func benchMaterialize(b *testing.B, ds *core.Dataset, rows int) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Materialize(context.Background(), All(ds), storage.NewMemory(), MaterializeOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+}
+
+// copyCase is one column kind of TestCopiesKeepStoredBytes: its spec, how to
+// append row i, and row i's replacement for an update (nil: the kind has no
+// SetAt).
+type copyCase struct {
+	name   string
+	spec   core.TensorSpec
+	append func(ctx context.Context, x *core.Tensor, i int) error
+	update func(i int) *tensor.NDArray
+}
+
+// noise is an HxW RGB image of seeded random pixels: a lossy codec that ran
+// twice over it would change its bytes and its pixels.
+func noise(seed, h, w int) *tensor.NDArray {
+	px := make([]byte, h*w*3)
+	rand.New(rand.NewSource(int64(seed))).Read(px)
+	arr, err := tensor.FromBytes(tensor.UInt8, []int{h, w, 3}, px)
+	if err != nil {
+		panic(err)
+	}
+	return arr
+}
+
+func appendArr(f func(i int) *tensor.NDArray) func(context.Context, *core.Tensor, int) error {
+	return func(ctx context.Context, x *core.Tensor, i int) error { return x.Append(ctx, f(i)) }
+}
+
+func copyCases() []copyCase {
+	img := func(i int) *tensor.NDArray { return noise(i, 16, 16) }
+	ints := func(i int) *tensor.NDArray {
+		raw := make([]byte, 5*4)
+		for j := 0; j < 5; j++ {
+			binary.LittleEndian.PutUint32(raw[4*j:], uint32(100*i+j))
+		}
+		arr, _ := tensor.FromBytes(tensor.Int32, []int{5}, raw)
+		return arr
+	}
+	// Even rows are 24×24 bytes, over smallBounds.Max, and tile.
+	tiles := func(i int) *tensor.NDArray {
+		side := 4
+		if i%2 == 0 {
+			side = 24
+		}
+		raw := make([]byte, side*side)
+		rand.New(rand.NewSource(int64(i))).Read(raw)
+		arr, _ := tensor.FromBytes(tensor.UInt8, []int{side, side}, raw)
+		return arr
+	}
+	return []copyCase{
+		{"jpeg", core.TensorSpec{Htype: "image", SampleCompression: "jpeg"}, appendArr(img), func(i int) *tensor.NDArray { return img(1000 + i) }},
+		{"png", core.TensorSpec{Htype: "image", SampleCompression: "png"}, appendArr(img), func(i int) *tensor.NDArray { return img(1000 + i) }},
+		{"lz4 int32", core.TensorSpec{Dtype: tensor.Int32, ChunkCompression: "lz4", Bounds: smallBounds}, appendArr(ints), func(i int) *tensor.NDArray { return ints(1000 + i) }},
+		{"link", core.TensorSpec{Htype: "link[image]"}, func(ctx context.Context, x *core.Tensor, i int) error {
+			return x.AppendLink(ctx, fmt.Sprintf("sim://bucket/%d.jpg", i))
+		}, nil},
+		{"sequence[image] jpeg", core.TensorSpec{Htype: "sequence[image]", SampleCompression: "jpeg"}, func(ctx context.Context, x *core.Tensor, i int) error {
+			items := make([]*tensor.NDArray, 1+i%3)
+			for j := range items {
+				items[j] = noise(10*i+j, 8, 8)
+			}
+			return x.AppendSequence(ctx, items)
+		}, nil},
+		{"tiled raw", core.TensorSpec{Dtype: tensor.UInt8, Bounds: smallBounds}, appendArr(tiles), func(i int) *tensor.NDArray { return tiles(1000 + i) }},
+	}
+}
+
+// sameRows fails unless got holds want's rows: equal stored bytes and shape
+// (RawAt, which indexes a sequence tensor's items) and equal decoded rows
+// (At).
+func sameRows(t *testing.T, want, got *core.Tensor) {
+	t.Helper()
+	ctx := context.Background()
+	if got.Len() != want.Len() {
+		t.Fatalf("%d rows, want %d", got.Len(), want.Len())
+	}
+	samples := want.Len()
+	if want.Htype().Sequence {
+		samples = 0
+		for row := 0; row < int(want.Len()); row++ {
+			n, err := want.SequenceLen(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samples += uint64(n)
+		}
+	}
+	for i := uint64(0); i < samples; i++ {
+		wb, ws, err := want.RawAt(ctx, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, gs, err := got.RawAt(ctx, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb, wb) || !reflect.DeepEqual(gs, ws) {
+			t.Errorf("sample %d: stored %d B of shape %v, want the source's %d B of shape %v", i, len(gb), gs, len(wb), ws)
+		}
+	}
+	for i := uint64(0); i < want.Len(); i++ {
+		wa, err := want.At(ctx, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ga, err := got.At(ctx, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ga.Bytes(), wa.Bytes()) || !reflect.DeepEqual(ga.Shape(), wa.Shape()) {
+			t.Errorf("row %d: decodes to other values than the source's", i)
+		}
+	}
+}
+
+// TestCopiesKeepStoredBytes: Materialize and Merge copy a row's stored
+// samples as they are, so every htype copies and no sample codec runs twice:
+// each copied row keeps the source's stored bytes and decodes to the
+// source's values.
+func TestCopiesKeepStoredBytes(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range copyCases() {
+		c.spec.Name = "x"
+		t.Run(c.name+"/materialize", func(t *testing.T) {
+			ds, err := core.Create(ctx, storage.NewMemory(), "src")
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := ds.CreateTensor(ctx, c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				if err := c.append(ctx, x, i); err != nil {
+					t.Fatal(err)
+				}
+				if i == 5 { // landed rows, then write-buffered ones
+					if err := ds.Flush(ctx); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			out, err := Materialize(ctx, All(ds), storage.NewMemory(), MaterializeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, x, out.Tensor("x"))
+		})
+		t.Run(c.name+"/merge", func(t *testing.T) {
+			ds, err := core.Create(ctx, storage.NewMemory(), "src")
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := ds.CreateTensor(ctx, c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if err := c.append(ctx, x, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := ds.Commit(ctx, "base"); err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.Checkout(ctx, "dev", true); err != nil {
+				t.Fatal(err)
+			}
+			for i := 4; i < 7; i++ {
+				if err := c.append(ctx, ds.Tensor("x"), i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.update != nil {
+				for _, i := range []int{0, 2} {
+					if err := ds.Tensor("x").SetAt(ctx, uint64(i), c.update(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if _, err := ds.Commit(ctx, "dev work"); err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.Checkout(ctx, "main", false); err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.Merge(ctx, "dev", core.MergeTheirs); err != nil {
+				t.Fatal(err)
+			}
+			dev, err := ds.ReadAtVersion(ctx, "dev")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, dev.Tensor("x"), ds.Tensor("x"))
 		})
 	}
 }
