@@ -151,8 +151,10 @@
 //	... concurrent Append / AppendBatch / transform.Pipeline.Eval ...
 //	ds.Flush(ctx) // barrier: drains the pipeline, then persists metadata
 //
-// Flush and Commit act as barriers: every queued chunk lands before any
-// metadata that references it is persisted, upload errors (including
+// Flush and Commit act as barriers: the lanes pace only the uploads that
+// overlap appends, so a barrier sends every upload still waiting for a lane
+// at once, every queued chunk lands before any metadata that references it
+// is persisted (the root, in one more round trip), upload errors (including
 // context cancellation) surface there, and the stored objects are
 // byte-identical at every lane count — only the upload order differs. A
 // failed upload keeps its chunk in memory, readable, and the next Flush
@@ -222,9 +224,10 @@ type (
 	// MergePolicy resolves merge conflicts (§4.2).
 	MergePolicy = core.MergePolicy
 
-	// WriteOptions configures the parallel ingestion engine: sealed chunks
-	// upload through FlushWorkers concurrent background Puts (8 unless
-	// set). Apply with Dataset.SetWriteOptions; Flush/Commit drain the
+	// WriteOptions configures the parallel ingestion engine: while appends
+	// run, sealed chunks upload through FlushWorkers concurrent background
+	// Puts (8 unless set). Apply with Dataset.SetWriteOptions; Flush/Commit
+	// send every upload still waiting for a lane at once and drain the
 	// pipeline before persisting metadata. Upload retries: stack WithRetry
 	// under the dataset.
 	WriteOptions = core.WriteOptions

@@ -11,8 +11,10 @@
 // chunks modified in that version (§4.2) and, once a handle has left the
 // version, its state.json. Nothing else is written or read. Every publish
 // (Create, CreateTensor, DeleteTensor, Flush, Commit, Checkout, Merge) takes
-// two write round trips: the chunk uploads and the state objects of versions
-// being left land together, then the new root.
+// the write round trips its bytes need: the chunk uploads and the state
+// objects of versions being left land together, then the new root goes out
+// with the delete of the snapshot two generations back. A publish with
+// nothing to upload is one round trip.
 package core
 
 import (
@@ -493,8 +495,8 @@ func (ds *Dataset) Flush(ctx context.Context) error {
 }
 
 // flushLocked makes everything appended so far durable and publishes it:
-// seal, then the publish's two round trips (the chunk uploads landing, then
-// the root snapshot). Caller holds ds.mu exclusively.
+// seal, then the publish (the chunk uploads landing, then the root
+// snapshot). Caller holds ds.mu exclusively.
 func (ds *Dataset) flushLocked(ctx context.Context) error {
 	if err := ds.sealLocked(ctx); err != nil {
 		return err
@@ -546,22 +548,26 @@ func (ds *Dataset) persistRoot(ctx context.Context) error {
 }
 
 // publish makes vs, as the state of branch's head version in tree, the
-// dataset's published head in two round trips. Round 1 does everything the
-// new root needs at once: it waits for the flush pipeline to land every chunk
-// upload, Puts the staged object (stagedKey → stagedBlob unless the key is
-// empty: the state object of the version the root moves past), and drops the
-// snapshot two generations back best-effort. Round 2, only once every round-1
-// step succeeded, Puts the root under the next generation's roots/ key: the
-// commit point, since the newest root is the published one and a Put replaces
-// a whole object atomically (FS providers rename into place). That is the one
-// ordering crash consistency needs: everything the root references is durable
-// before the root is written. A writer killed anywhere before the root Put
-// leaves the previous generation untouched and fully readable; the chunks
-// uploaded for the lost root are orphans fsck collects, and a staged state
-// object of a version the published root is still on is ignored and
-// overwritten by the next Commit. The same holds for a newest root deleted
-// from outside the program: the previous generation opens, as after a crash
-// before its publish, and fsck names the lost generation's chunks as orphans.
+// dataset's published head in the round trips its bytes need. Round 1 lands
+// everything the new root names at once: it rushes the flush pipeline, so
+// every chunk upload still waiting for a lane goes out now, and Puts the
+// staged object (stagedKey → stagedBlob unless the key is empty: the state
+// object of the version the root moves past) meanwhile. A publish with
+// neither skips it. Round 2, only once every round-1 step succeeded, Puts the
+// root under the next generation's roots/ key and drops the snapshot two
+// generations back best-effort. The root Put is the commit point, since the
+// newest root is the published one and a Put replaces a whole object
+// atomically (FS providers rename into place). That is the one ordering crash
+// consistency needs: everything the root references is durable before the
+// root is written. The delete needs no such wait: the new root names nothing
+// it removes, and a reader that listed roots/ chose the published generation,
+// which stays. A writer killed anywhere before the root Put leaves the
+// previous generation untouched and fully readable; the chunks uploaded for
+// the lost root are orphans fsck collects, and a staged state object of a
+// version the published root is still on is ignored and overwritten by the
+// next Commit. The same holds for a newest root deleted from outside the
+// program: the previous generation opens, as after a crash before its
+// publish, and fsck names the lost generation's chunks as orphans.
 //
 // The handle moves onto tree/branch/head only once the publish succeeded, so
 // a failed Commit or Checkout leaves it where it was, and the generation
@@ -578,27 +584,29 @@ func (ds *Dataset) publish(ctx context.Context, tree *version.Tree, branch, head
 	ds.idMu.Unlock()
 	gen := ds.gen + 1
 
-	// Round 1: the staged Put and the old-root delete on their own
-	// goroutines, the drain on this one. Two snapshots stay (the published
-	// one and the one being written), so a reader that just listed roots/
-	// still finds the root it chose.
-	var wg sync.WaitGroup
+	// Round 1: the staged Put on its own goroutine, the pipeline's rush on
+	// this one.
+	var staged sync.WaitGroup
 	var stagedErr error
 	if stagedKey != "" {
-		wg.Add(1)
-		go func() { defer wg.Done(); stagedErr = ds.store.Put(ctx, stagedKey, stagedBlob) }()
+		staged.Add(1)
+		go func() { defer staged.Done(); stagedErr = ds.store.Put(ctx, stagedKey, stagedBlob) }()
 	}
-	if gen > 2 {
-		wg.Add(1)
-		go func() { defer wg.Done(); _ = ds.store.Delete(ctx, rootKey(gen-2)) }()
-	}
-	drainErr := ds.flusher.drain(ctx)
-	wg.Wait()
-	if err := cmp.Or(drainErr, stagedErr); err != nil {
+	rushErr := ds.flusher.rush(ctx)
+	staged.Wait()
+	if err := cmp.Or(rushErr, stagedErr); err != nil {
 		return err
 	}
-	// Round 2, the commit point: after this Put, the new generation is live.
-	if err := ds.store.Put(ctx, rootKey(gen), mustJSON(root)); err != nil {
+	// Round 2, the commit point: after the root Put, the new generation is
+	// live. Two snapshots stay, the published one and the new one.
+	var dropped sync.WaitGroup
+	if gen > 2 {
+		dropped.Add(1)
+		go func() { defer dropped.Done(); _ = ds.store.Delete(ctx, rootKey(gen-2)) }()
+	}
+	err = ds.store.Put(ctx, rootKey(gen), mustJSON(root))
+	dropped.Wait()
+	if err != nil {
 		return err
 	}
 	ds.gen, ds.rootBranch = gen, branch

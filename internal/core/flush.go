@@ -13,17 +13,20 @@ import (
 // which uploads with bounded concurrency so appends never stall on
 // object-store Put latency. Uploads carry the appending caller's context
 // values but not its cancellation. Every publish waits for the pipeline to
-// drain while its staged state Put is in flight, and writes the root only
-// after both, so the stored objects (chunks, version states, root
-// snapshots) are byte-identical at every lane count — only the upload order
-// differs. Upload retries are the provider chain's job: stack storage.Retry
+// drain while its staged state Put is in flight, sending every upload still
+// waiting for a lane at once, and writes the root only after both, so the
+// stored objects (chunks, version states, root snapshots) are byte-identical
+// at every lane count — only the upload order differs. Upload retries are the provider chain's job: stack storage.Retry
 // (deeplake.WithRetry) under the dataset, and its attempts, backoff and
 // per-attempt timeout cover chunk uploads and publish Puts alike. Chunk size
 // is not a write option: each tensor's TensorSpec.Bounds sets it.
 type WriteOptions struct {
-	// FlushWorkers is the number of concurrent chunk uploads; twice as many
-	// sealed chunks may be queued or uploading before appends block for
-	// backpressure. Zero or negative means the default, 8.
+	// FlushWorkers is the number of concurrent chunk uploads while appends
+	// run; twice as many sealed chunks may be queued or uploading before
+	// appends block for backpressure. The lanes pace only uploads that
+	// overlap appends: a publish (Flush, Commit, Checkout, CreateTensor,
+	// DeleteTensor) sends every upload still waiting for a lane at once.
+	// Zero or negative means the default, 8.
 	FlushWorkers int
 }
 
@@ -74,7 +77,10 @@ const defaultFlushWorkers = 8
 // flushPipeline is the background chunk uploader, the one way a sealed chunk
 // reaches storage. Sealed blobs enter through enqueue (blocking once twice
 // the lane count of uploads are in flight — backpressure on the appenders)
-// and are uploaded by at most one Put per lane.
+// and are uploaded by at most one Put per lane while appends run. A publish
+// waits through rush, which sends every upload still waiting for a lane at
+// once: nothing is left for the lanes to overlap, and a second wave of Puts
+// would only add a round trip before the root.
 //
 // The pending map is the source of truth for every blob that is not yet
 // durable: readers consult it before the provider, so same-process reads
@@ -104,9 +110,11 @@ const defaultFlushWorkers = 8
 type flushPipeline struct {
 	store storage.Provider
 
-	// slots bounds total in-flight uploads; workers bounds concurrent Puts.
+	// slots bounds total in-flight uploads; workers bounds concurrent Puts
+	// until rush closes rushed, which sends the uploads waiting for a lane.
 	slots   chan struct{}
 	workers chan struct{}
+	rushed  chan struct{}
 
 	mu       sync.Mutex
 	firstErr error
@@ -142,6 +150,7 @@ func newFlushPipeline(store storage.Provider, lanes int) *flushPipeline {
 		store:   store,
 		slots:   make(chan struct{}, 2*lanes),
 		workers: make(chan struct{}, lanes),
+		rushed:  make(chan struct{}),
 		pending: map[string]*pendingChunk{},
 		idle:    idle,
 	}
@@ -234,16 +243,22 @@ func (p *flushPipeline) park(key string) {
 	p.mu.Unlock()
 }
 
-// upload runs in its own goroutine holding one slot: acquire a worker
-// lane, Put the latest generation of the key, release. If a re-enqueue
-// replaced the blob while the Put was on the wire, Put again until the
-// written generation is the newest, so the store converges to the final
-// bytes. A failed Put parks the entry and records the sticky error.
+// upload runs in its own goroutine holding one slot: acquire a worker lane
+// (or go without one once a publish rushes the pipeline), Put the latest
+// generation of the key, release. If a re-enqueue replaced the blob while
+// the Put was on the wire, Put again until the written generation is the
+// newest, so the store converges to the final bytes. A failed Put parks the entry and records the sticky error.
 func (p *flushPipeline) upload(key string) {
 	defer p.end()
 	defer func() { <-p.slots }()
-	p.workers <- struct{}{}
-	defer func() { <-p.workers }()
+	p.mu.Lock()
+	rushed := p.rushed
+	p.mu.Unlock()
+	select {
+	case p.workers <- struct{}{}:
+		defer func() { <-p.workers }()
+	case <-rushed:
+	}
 	for {
 		p.mu.Lock()
 		pc := p.pending[key]
@@ -347,14 +362,31 @@ func (p *flushPipeline) drain(ctx context.Context) error {
 	}
 }
 
-// land redrives every parked upload and waits for all of them: afterwards
+// rush is drain for a caller that appends nothing until it returns, a
+// publish: every upload still waiting for a lane goes out at once, since no
+// append is left for the lanes to overlap. The slots still bound what the
+// pipeline holds. Uploads enqueued after rush returns wait for lanes again.
+// Caller holds the dataset structure lock exclusively.
+func (p *flushPipeline) rush(ctx context.Context) error {
+	p.mu.Lock()
+	close(p.rushed)
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.rushed = make(chan struct{})
+		p.mu.Unlock()
+	}()
+	return p.drain(ctx)
+}
+
+// land redrives every parked upload and rushes all of them out: afterwards
 // nothing the pipeline held is still on its way to storage, or the error says
 // why. Caller holds the dataset structure lock exclusively.
 func (p *flushPipeline) land(ctx context.Context) error {
 	if err := p.redrive(ctx); err != nil {
 		return err
 	}
-	return p.drain(ctx)
+	return p.rush(ctx)
 }
 
 // SetWriteOptions reconfigures the dataset's write path: it lands every

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -585,46 +587,63 @@ func TestDetachedCheckoutKeepsCurrentBranch(t *testing.T) {
 	}
 }
 
-// gate holds every Put and Delete issued while it is armed, except root Puts,
-// until want of them are waiting at once, then releases them all together. A
-// publish that issues its round-1 ops concurrently fills the gate; one that
-// waits for any of them before issuing the next never does, and hangs. It also
-// records how many held ops had returned when the root Put arrived: the root
-// must wait for every one of them.
+// gate holds a publish's storage ops while it is armed and releases them in
+// the publish's two rounds. Round 1 is every Put and Delete but those of a
+// root: they are held until want of them are waiting at once, then released
+// together. Round 2 is the root Put and the delete of the root two
+// generations back: both are held until both are waiting, and each records how
+// many round-1 ops had returned when it arrived, which must be all of them. A
+// publish that waits for one op of a round before it issues the next never
+// fills that round, and hangs.
 type gate struct {
 	storage.Provider
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// want is the number of round-1 ops to hold; -1 until expect sets it.
 	want     int
 	held     []string
 	returned int
 	open     chan struct{}
-	// rootAfter is returned at the moment the root was Put, or -1.
-	rootAfter int
+	// last names round 2's ops ("put <key>" or "delete <key>"); after[i] is
+	// the number of round-1 ops that had returned when last[i] arrived.
+	last     []string
+	after    []int
+	lastOpen chan struct{}
 }
 
-// arm starts holding ops until want are waiting.
-func (g *gate) arm(want int) {
+// arm starts holding ops; round 1 waits for expect to say how many it has.
+func (g *gate) arm() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.want, g.held, g.returned, g.rootAfter = want, nil, 0, -1
-	g.open = make(chan struct{})
+	g.want, g.held, g.returned, g.last, g.after = -1, nil, 0, nil, nil
+	g.open, g.lastOpen = make(chan struct{}), make(chan struct{})
+}
+
+// expect releases round 1 once want ops are waiting, those already held
+// included.
+func (g *gate) expect(want int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.want = want
+	if len(g.held) == want {
+		close(g.open)
+	}
 }
 
 func (g *gate) Put(ctx context.Context, key string, data []byte) error {
+	op := func() error { return g.Provider.Put(ctx, key, data) }
 	if strings.HasPrefix(key, rootsPrefix) {
-		g.mu.Lock()
-		if g.open != nil {
-			g.rootAfter = g.returned
-		}
-		g.mu.Unlock()
-		return g.Provider.Put(ctx, key, data)
+		return g.finish("put "+key, op)
 	}
-	return g.hold(key, func() error { return g.Provider.Put(ctx, key, data) })
+	return g.hold(key, op)
 }
 
 func (g *gate) Delete(ctx context.Context, key string) error {
-	return g.hold(key, func() error { return g.Provider.Delete(ctx, key) })
+	op := func() error { return g.Provider.Delete(ctx, key) }
+	if strings.HasPrefix(key, rootsPrefix) {
+		return g.finish("delete "+key, op)
+	}
+	return g.hold(key, op)
 }
 
 func (g *gate) hold(key string, op func() error) error {
@@ -647,33 +666,89 @@ func (g *gate) hold(key string, op func() error) error {
 	return err
 }
 
+func (g *gate) finish(name string, op func() error) error {
+	g.mu.Lock()
+	if g.open == nil {
+		g.mu.Unlock()
+		return op()
+	}
+	g.last = append(g.last, name)
+	g.after = append(g.after, g.returned)
+	if len(g.last) == 2 {
+		close(g.lastOpen)
+	}
+	open := g.lastOpen
+	g.mu.Unlock()
+	<-open
+	return op()
+}
+
+// pendingUploads is the number of sealed chunks the pipeline holds that are
+// not yet durable.
+func (p *flushPipeline) pendingUploads() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.pending)
+}
+
 // TestPublishIssuesRoundOneAtOnce pins the publish protocol by the order of
-// events alone: every op an operation makes before its root Put — the k
-// chunks it seals, the frozen state object (Commit) and the delete of the
-// root two generations back — is in flight at the same time, and the root
-// arrives only after all of them returned. CreateTensor seals nothing: its
-// round 1 is the delete alone.
+// events alone. Round 1 is every op that lands what the new root names: the
+// k chunk uploads not yet durable and the frozen state object (Commit). All
+// of them are in flight at the same time, whatever the lane count, and also
+// when uploads sealed by appends still wait for a lane as the publish starts.
+// Round 2 is the root Put and the delete of the root two generations back, in
+// flight together once every round-1 op returned. A publish with nothing to
+// upload (CreateTensor, a second Flush) has an empty round 1.
 func TestPublishIssuesRoundOneAtOnce(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
+		// lanes is the FlushWorkers setting, 0 for the default.
+		lanes int
+		// before runs ahead of the gate; behind appends vals rows behind
+		// the armed gate until an upload waits for a lane.
+		before func(*Dataset) error
+		behind bool
 		// states is the number of round-1 state object Puts; seals says
 		// whether the operation seals the builders' pending chunks.
 		states int
 		seals  bool
 		op     func(*Dataset) error
 	}{
-		{"CreateTensor", 0, false, func(ds *Dataset) error {
+		{name: "CreateTensor", op: func(ds *Dataset) error {
 			_, err := ds.CreateTensor(ctx, TensorSpec{Name: "extra", Dtype: tensor.Int64, Bounds: smallBounds})
 			return err
 		}},
-		{"Flush", 0, true, func(ds *Dataset) error { return ds.Flush(ctx) }},
-		{"Commit", 1, true, func(ds *Dataset) error { _, err := ds.Commit(ctx, "gated"); return err }},
+		{name: "Flush with nothing to upload", seals: true,
+			before: func(ds *Dataset) error { return ds.Flush(ctx) },
+			op:     func(ds *Dataset) error { return ds.Flush(ctx) }},
+		{name: "Flush", seals: true, op: func(ds *Dataset) error { return ds.Flush(ctx) }},
+		{name: "Commit", states: 1, seals: true, op: func(ds *Dataset) error { _, err := ds.Commit(ctx, "gated"); return err }},
+		// Two chunks on one lane: one row each in labels and vals, none in
+		// the hidden sample-id tensor, so both fit the pipeline's 2 slots.
+		{name: "Commit on one lane", lanes: 1, states: 1, seals: true,
+			before: func(ds *Dataset) error {
+				if err := ds.Flush(ctx); err != nil {
+					return err
+				}
+				if err := ds.Tensor("labels").Append(ctx, tensor.Scalar(tensor.Int32, 1)); err != nil {
+					return err
+				}
+				return ds.Tensor("vals").Append(ctx, tensor.Scalar(tensor.Int64, 1))
+			},
+			op: func(ds *Dataset) error { _, err := ds.Commit(ctx, "gated"); return err }},
+		{name: "Commit behind uploads waiting for a lane", lanes: 2, behind: true, states: 1, seals: true,
+			before: func(ds *Dataset) error { return ds.Flush(ctx) },
+			op:     func(ds *Dataset) error { _, err := ds.Commit(ctx, "gated"); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := &gate{Provider: storage.NewMemory()}
 			ds, err := Create(ctx, g, "gated")
 			if err != nil {
+				t.Fatal(err)
+			}
+			lanes := cmp.Or(tc.lanes, defaultFlushWorkers)
+			if err := ds.SetWriteOptions(WriteOptions{FlushWorkers: lanes}); err != nil {
 				t.Fatal(err)
 			}
 			for _, spec := range []TensorSpec{
@@ -684,14 +759,31 @@ func TestPublishIssuesRoundOneAtOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Generation 4 onward, so round 1 also drops a snapshot.
+			// Generation 4 onward, so round 2 also drops a snapshot.
 			if err := appendPairs(ctx, ds, 0, 3); err != nil {
 				t.Fatal(err)
+			}
+			if tc.before != nil {
+				if err := tc.before(ds); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := ds.flusher.drain(ctx); err != nil {
 				t.Fatal(err)
 			}
-			k := 0
+
+			g.arm()
+			if tc.behind {
+				// The gate holds every upload that gets a lane, so once
+				// more chunks are sealed than there are lanes, one waits.
+				vals := ds.Tensor("vals")
+				for i := 0; ds.flusher.pendingUploads() <= lanes; i++ {
+					if err := vals.Append(ctx, tensor.Scalar(tensor.Int64, float64(i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			k := ds.flusher.pendingUploads()
 			if tc.seals {
 				for _, tr := range ds.tensors {
 					if tr.builder.Len() > 0 {
@@ -699,33 +791,42 @@ func TestPublishIssuesRoundOneAtOnce(t *testing.T) {
 					}
 				}
 			}
-			want := k + tc.states + 1
-			if tc.seals && (k == 0 || k > defaultFlushWorkers) {
-				t.Fatalf("%d pending chunks: want 1..%d so every upload holds a lane at once", k, defaultFlushWorkers)
+			if tc.lanes == 1 && k < 2 {
+				t.Fatalf("%d chunks to upload on one lane, want at least 2", k)
 			}
-
-			g.arm(want)
+			if k > 2*lanes {
+				t.Fatalf("%d chunks to upload, more than the pipeline's %d slots hold", k, 2*lanes)
+			}
+			want := k + tc.states
+			g.expect(want)
 			if err := tc.op(ds); err != nil {
 				t.Fatal(err)
 			}
+
 			g.mu.Lock()
 			defer g.mu.Unlock()
-			var chunks, states, roots int
+			var chunks, states int
 			for _, key := range g.held {
 				switch {
 				case strings.Contains(key, "/chunks/"):
 					chunks++
 				case strings.HasSuffix(key, "/state.json"):
 					states++
-				case strings.HasPrefix(key, rootsPrefix):
-					roots++
 				}
 			}
-			if len(g.held) != want || chunks != k || roots != 1 || states != tc.states {
-				t.Fatalf("round 1 held %v, want %d chunks, %d state object(s) and 1 root delete", g.held, k, tc.states)
+			if len(g.held) != want || chunks != k || states != tc.states {
+				t.Fatalf("round 1 held %v, want %d chunks and %d state object(s)", g.held, k, tc.states)
 			}
-			if g.rootAfter != want {
-				t.Fatalf("the root was Put after %d of the %d round-1 ops returned (-1: never)", g.rootAfter, want)
+			gen := ds.gen
+			last := slices.Clone(g.last)
+			slices.Sort(last)
+			if fmt.Sprint(last) != fmt.Sprint([]string{"delete " + rootKey(gen-2), "put " + rootKey(gen)}) {
+				t.Fatalf("round 2 was %v, want the root Put of generation %d and the delete of %d", g.last, gen, gen-2)
+			}
+			for i, n := range g.after {
+				if n != want {
+					t.Fatalf("%s arrived after %d of the %d round-1 ops returned", g.last[i], n, want)
+				}
 			}
 		})
 	}
