@@ -153,8 +153,10 @@
 //
 // Flush and Commit act as barriers: the lanes pace only the uploads that
 // overlap appends, so a barrier sends every upload still waiting for a lane
-// at once, every queued chunk lands before any metadata that references it
-// is persisted (the root, in one more round trip), upload errors (including
+// and the tail chunks it seals at once (up to the 2 × FlushWorkers uploads
+// the pipeline holds; the rest follow as those return), every queued chunk
+// lands before any metadata that references it is persisted (the root, in
+// one more round trip), upload errors (including
 // context cancellation) surface there, and the stored objects are
 // byte-identical at every lane count — only the upload order differs. A
 // failed upload keeps its chunk in memory, readable, and the next Flush
@@ -227,9 +229,10 @@ type (
 	// WriteOptions configures the parallel ingestion engine: while appends
 	// run, sealed chunks upload through FlushWorkers concurrent background
 	// Puts (8 unless set). Apply with Dataset.SetWriteOptions; Flush/Commit
-	// send every upload still waiting for a lane at once and drain the
-	// pipeline before persisting metadata. Upload retries: stack WithRetry
-	// under the dataset.
+	// send every upload still waiting for a lane at once, up to the
+	// 2 × FlushWorkers the pipeline holds, and drain the pipeline before
+	// persisting metadata. Upload retries: stack WithRetry under the
+	// dataset.
 	WriteOptions = core.WriteOptions
 
 	// MaterializeOptions configures MaterializeWith (§4.5).

@@ -498,6 +498,8 @@ func (ds *Dataset) Flush(ctx context.Context) error {
 // seal, then the publish (the chunk uploads landing, then the root
 // snapshot). Caller holds ds.mu exclusively.
 func (ds *Dataset) flushLocked(ctx context.Context) error {
+	// Rushed from before the seal, so the chunks it seals skip the lanes too.
+	defer ds.flusher.rush()()
 	if err := ds.sealLocked(ctx); err != nil {
 		return err
 	}
@@ -549,25 +551,28 @@ func (ds *Dataset) persistRoot(ctx context.Context) error {
 
 // publish makes vs, as the state of branch's head version in tree, the
 // dataset's published head in the round trips its bytes need. Round 1 lands
-// everything the new root names at once: it rushes the flush pipeline, so
-// every chunk upload still waiting for a lane goes out now, and Puts the
-// staged object (stagedKey → stagedBlob unless the key is empty: the state
-// object of the version the root moves past) meanwhile. A publish with
-// neither skips it. Round 2, only once every round-1 step succeeded, Puts the
-// root under the next generation's roots/ key and drops the snapshot two
+// everything the new root names at once: the flush pipeline is rushed (by the
+// caller before its seal, or here), so every chunk upload still waiting for a
+// lane goes out now, up to the 2 × lanes the pipeline holds, and the staged
+// object (stagedKey → stagedBlob unless the key is empty: the state object of
+// the version the root moves past) is Put meanwhile. Round 1 sends nothing
+// when there is nothing to upload or stage. A seal of more chunks than the
+// pipeline holds sent the rest as uploads returned, so round 1 then takes more
+// than one round trip. Round 2, only once every round-1 step succeeded, Puts
+// the root under the next generation's roots/ key and drops the snapshot two
 // generations back best-effort. The root Put is the commit point, since the
 // newest root is the published one and a Put replaces a whole object
 // atomically (FS providers rename into place). That is the one ordering crash
-// consistency needs: everything the root references is durable before the
-// root is written. The delete needs no such wait: the new root names nothing
-// it removes, and a reader that listed roots/ chose the published generation,
+// consistency needs: everything the root references is durable before the root
+// is written. The delete needs no such wait: the new root names nothing it
+// removes, and a reader that listed roots/ chose the published generation,
 // which stays. A writer killed anywhere before the root Put leaves the
 // previous generation untouched and fully readable; the chunks uploaded for
 // the lost root are orphans fsck collects, and a staged state object of a
 // version the published root is still on is ignored and overwritten by the
 // next Commit. The same holds for a newest root deleted from outside the
-// program: the previous generation opens, as after a crash before its
-// publish, and fsck names the lost generation's chunks as orphans.
+// program: the previous generation opens, as after a crash before its publish,
+// and fsck names the lost generation's chunks as orphans.
 //
 // The handle moves onto tree/branch/head only once the publish succeeded, so
 // a failed Commit or Checkout leaves it where it was, and the generation
@@ -584,17 +589,19 @@ func (ds *Dataset) publish(ctx context.Context, tree *version.Tree, branch, head
 	ds.idMu.Unlock()
 	gen := ds.gen + 1
 
-	// Round 1: the staged Put on its own goroutine, the pipeline's rush on
-	// this one.
+	// Round 1: the staged Put on its own goroutine, the rushed pipeline's
+	// drain on this one.
 	var staged sync.WaitGroup
 	var stagedErr error
 	if stagedKey != "" {
 		staged.Add(1)
 		go func() { defer staged.Done(); stagedErr = ds.store.Put(ctx, stagedKey, stagedBlob) }()
 	}
-	rushErr := ds.flusher.rush(ctx)
+	pace := ds.flusher.rush()
+	drainErr := ds.flusher.drain(ctx)
+	pace()
 	staged.Wait()
-	if err := cmp.Or(rushErr, stagedErr); err != nil {
+	if err := cmp.Or(drainErr, stagedErr); err != nil {
 		return err
 	}
 	// Round 2, the commit point: after the root Put, the new generation is

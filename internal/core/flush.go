@@ -16,16 +16,19 @@ import (
 // drain while its staged state Put is in flight, sending every upload still
 // waiting for a lane at once, and writes the root only after both, so the
 // stored objects (chunks, version states, root snapshots) are byte-identical
-// at every lane count — only the upload order differs. Upload retries are the provider chain's job: stack storage.Retry
-// (deeplake.WithRetry) under the dataset, and its attempts, backoff and
-// per-attempt timeout cover chunk uploads and publish Puts alike. Chunk size
-// is not a write option: each tensor's TensorSpec.Bounds sets it.
+// at every lane count — only the upload order differs. Upload retries are
+// the provider chain's job: stack storage.Retry (deeplake.WithRetry) under
+// the dataset, and its attempts, backoff and per-attempt timeout cover chunk
+// uploads and publish Puts alike. Chunk size is not a write option: each
+// tensor's TensorSpec.Bounds sets it.
 type WriteOptions struct {
 	// FlushWorkers is the number of concurrent chunk uploads while appends
 	// run; twice as many sealed chunks may be queued or uploading before
 	// appends block for backpressure. The lanes pace only uploads that
 	// overlap appends: a publish (Flush, Commit, Checkout, CreateTensor,
-	// DeleteTensor) sends every upload still waiting for a lane at once.
+	// DeleteTensor) sends every upload still waiting for a lane at once,
+	// and the chunks it seals itself, up to the 2 × FlushWorkers the
+	// pipeline holds; a seal with more sends the rest as uploads return.
 	// Zero or negative means the default, 8.
 	FlushWorkers int
 }
@@ -78,9 +81,12 @@ const defaultFlushWorkers = 8
 // reaches storage. Sealed blobs enter through enqueue (blocking once twice
 // the lane count of uploads are in flight — backpressure on the appenders)
 // and are uploaded by at most one Put per lane while appends run. A publish
-// waits through rush, which sends every upload still waiting for a lane at
-// once: nothing is left for the lanes to overlap, and a second wave of Puts
-// would only add a round trip before the root.
+// rushes the pipeline before it seals: every upload still waiting for a lane,
+// and every one the seal enqueues, goes out at once, since nothing is left
+// for the lanes to overlap and a second wave of Puts would only add a round
+// trip before the root. The slots still bound what is in flight: a seal of
+// more than 2 × lanes chunks waits for slots, and sends the rest as uploads
+// return.
 //
 // The pending map is the source of truth for every blob that is not yet
 // durable: readers consult it before the provider, so same-process reads
@@ -111,7 +117,7 @@ type flushPipeline struct {
 	store storage.Provider
 
 	// slots bounds total in-flight uploads; workers bounds concurrent Puts
-	// until rush closes rushed, which sends the uploads waiting for a lane.
+	// except while rushed is closed (see rush).
 	slots   chan struct{}
 	workers chan struct{}
 	rushed  chan struct{}
@@ -244,10 +250,11 @@ func (p *flushPipeline) park(key string) {
 }
 
 // upload runs in its own goroutine holding one slot: acquire a worker lane
-// (or go without one once a publish rushes the pipeline), Put the latest
+// (or go without one while a publish rushes the pipeline), Put the latest
 // generation of the key, release. If a re-enqueue replaced the blob while
 // the Put was on the wire, Put again until the written generation is the
-// newest, so the store converges to the final bytes. A failed Put parks the entry and records the sticky error.
+// newest, so the store converges to the final bytes. A failed Put parks the
+// entry and records the sticky error.
 func (p *flushPipeline) upload(key string) {
 	defer p.end()
 	defer func() { <-p.slots }()
@@ -362,31 +369,37 @@ func (p *flushPipeline) drain(ctx context.Context) error {
 	}
 }
 
-// rush is drain for a caller that appends nothing until it returns, a
-// publish: every upload still waiting for a lane goes out at once, since no
-// append is left for the lanes to overlap. The slots still bound what the
-// pipeline holds. Uploads enqueued after rush returns wait for lanes again.
-// Caller holds the dataset structure lock exclusively.
-func (p *flushPipeline) rush(ctx context.Context) error {
+// rush lets every upload go without a lane until the returned pace runs:
+// those waiting for one go out at once, and so do those enqueued meanwhile,
+// up to the slots. A publish rushes before it seals, since it appends nothing
+// until it returns and no append is left for the lanes to overlap. A rush
+// inside another is a no-op whose pace leaves the outer one in force. Caller
+// holds the dataset structure lock exclusively.
+func (p *flushPipeline) rush() (pace func()) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	select {
+	case <-p.rushed:
+		return func() {}
+	default:
+	}
 	close(p.rushed)
-	p.mu.Unlock()
-	defer func() {
+	return func() {
 		p.mu.Lock()
 		p.rushed = make(chan struct{})
 		p.mu.Unlock()
-	}()
-	return p.drain(ctx)
+	}
 }
 
 // land redrives every parked upload and rushes all of them out: afterwards
 // nothing the pipeline held is still on its way to storage, or the error says
 // why. Caller holds the dataset structure lock exclusively.
 func (p *flushPipeline) land(ctx context.Context) error {
+	defer p.rush()()
 	if err := p.redrive(ctx); err != nil {
 		return err
 	}
-	return p.rush(ctx)
+	return p.drain(ctx)
 }
 
 // SetWriteOptions reconfigures the dataset's write path: it lands every

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/tensor"
@@ -710,16 +711,19 @@ func TestPublishIssuesRoundOneAtOnce(t *testing.T) {
 		before func(*Dataset) error
 		behind bool
 		// states is the number of round-1 state object Puts; seals says
-		// whether the operation seals the builders' pending chunks.
+		// whether the operation seals the builders' pending chunks; idle
+		// says it has no chunk to upload, while every other case has one
+		// at least.
 		states int
 		seals  bool
+		idle   bool
 		op     func(*Dataset) error
 	}{
-		{name: "CreateTensor", op: func(ds *Dataset) error {
+		{name: "CreateTensor", idle: true, op: func(ds *Dataset) error {
 			_, err := ds.CreateTensor(ctx, TensorSpec{Name: "extra", Dtype: tensor.Int64, Bounds: smallBounds})
 			return err
 		}},
-		{name: "Flush with nothing to upload", seals: true,
+		{name: "Flush with nothing to upload", seals: true, idle: true,
 			before: func(ds *Dataset) error { return ds.Flush(ctx) },
 			op:     func(ds *Dataset) error { return ds.Flush(ctx) }},
 		{name: "Flush", seals: true, op: func(ds *Dataset) error { return ds.Flush(ctx) }},
@@ -791,11 +795,18 @@ func TestPublishIssuesRoundOneAtOnce(t *testing.T) {
 					}
 				}
 			}
+			if tc.idle && k != 0 {
+				t.Fatalf("%d chunks to upload, want none", k)
+			}
+			if !tc.idle && k == 0 {
+				t.Fatal("no chunk to upload, want at least 1")
+			}
 			if tc.lanes == 1 && k < 2 {
 				t.Fatalf("%d chunks to upload on one lane, want at least 2", k)
 			}
+			// Past the slots, the seal waits for a slot a held upload has.
 			if k > 2*lanes {
-				t.Fatalf("%d chunks to upload, more than the pipeline's %d slots hold", k, 2*lanes)
+				t.Fatalf("%d chunks to upload, more than the pipeline's %d slots hold at once", k, 2*lanes)
 			}
 			want := k + tc.states
 			g.expect(want)
@@ -829,6 +840,78 @@ func TestPublishIssuesRoundOneAtOnce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// pairs holds every chunk Put until a second one is in flight, so uploads
+// pass two at a time. A Put left alone for a second stops waiting and is
+// counted, so a publish that paces its seal's uploads on the lanes fails the
+// test instead of hanging it.
+type pairs struct {
+	storage.Provider
+
+	mu      sync.Mutex
+	waiting chan struct{}
+	puts    int
+	alone   int
+}
+
+func (p *pairs) Put(ctx context.Context, key string, data []byte) error {
+	if !strings.Contains(key, "/chunks/") {
+		return p.Provider.Put(ctx, key, data)
+	}
+	p.mu.Lock()
+	p.puts++
+	if w := p.waiting; w != nil {
+		p.waiting = nil
+		close(w)
+		p.mu.Unlock()
+		return p.Provider.Put(ctx, key, data)
+	}
+	w := make(chan struct{})
+	p.waiting = w
+	p.mu.Unlock()
+	select {
+	case <-w:
+	case <-time.After(time.Second):
+		p.mu.Lock()
+		if p.waiting == w {
+			p.waiting = nil
+			p.alone++
+		}
+		p.mu.Unlock()
+	}
+	return p.Provider.Put(ctx, key, data)
+}
+
+// TestPublishRushesItsOwnSeal: the chunks a publish seals skip the lanes as
+// well as those sealed before it. On one lane the pipeline holds two uploads,
+// and the four tail chunks a Flush seals go out two at a time: the seal waits
+// for a slot, never for the lane.
+func TestPublishRushesItsOwnSeal(t *testing.T) {
+	ctx := context.Background()
+	p := &pairs{Provider: storage.NewMemory()}
+	ds, err := Create(ctx, p, "seal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.SetWriteOptions(WriteOptions{FlushWorkers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c", "d"} {
+		tr, err := ds.CreateTensor(ctx, TensorSpec{Name: name, Dtype: tensor.Int32, Bounds: smallBounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendInts(t, tr, 1)
+	}
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.puts != 4 || p.alone != 0 {
+		t.Fatalf("%d of %d chunk Puts went out alone, want 0 of 4", p.alone, p.puts)
 	}
 }
 

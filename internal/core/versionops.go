@@ -18,6 +18,8 @@ func (ds *Dataset) Commit(ctx context.Context, message string) (string, error) {
 	if err := ds.ensureWritable(); err != nil {
 		return "", err
 	}
+	// Rushed from before the seal, as in flushLocked.
+	defer ds.flusher.rush()()
 	if err := ds.sealLocked(ctx); err != nil {
 		return "", err
 	}
