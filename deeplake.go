@@ -24,7 +24,10 @@
 // is one dataset layout (core.FormatVersion): root snapshots under roots/,
 // the newest being the published one, and per-version directories under
 // versions/. An older layout is refused by the key of its root, not
-// half-read.
+// half-read. Chunk objects are chunk format v4 (chunk.FormatVersion): a
+// tensor with chunk compression compresses each block of a chunk on its
+// own, so a read inflates only the blocks it touches; a chunk of any other
+// version is refused as corrupt.
 //
 // # Caching and the concurrent read path
 //
@@ -47,9 +50,10 @@
 //     are available from the concrete *storage.LRU.
 //   - WithDiskTier (storage.Disk): an index of files that survives the
 //     process, CRC-verified on read; eviction deletes the file.
-//   - core.ChunkCache: decoded chunks keyed by dataset, commit and write,
+//   - core.ChunkCache: opened chunks keyed by dataset, commit and write,
 //     one per open dataset handle, and NewNodeCache's for Loaders, pinned
-//     while planned jobs need them: one fetch+decode per chunk per node.
+//     while planned jobs need them: one fetch+open per chunk per node, and
+//     one inflation per compressed block, by the first read to touch it.
 //
 // Ahead of the chunk cache the loader, as its walk (core.Walk, one chunk
 // job a step) hands out each job, hands the provider chain the next strips

@@ -22,19 +22,21 @@ func (b Bounds) Validate() error {
 	return nil
 }
 
-// Builder accumulates samples into one chunk under a Bounds policy.
+// Builder accumulates samples into one chunk under a Bounds policy, and
+// encodes it with a block codec.
 type Builder struct {
 	bounds  Bounds
+	codec   Codec
 	samples []Sample
 	bytes   int
 }
 
 // NewBuilder returns an empty builder. Invalid bounds fall back to defaults.
-func NewBuilder(bounds Bounds) *Builder {
+func NewBuilder(bounds Bounds, codec Codec) *Builder {
 	if bounds.Validate() != nil {
 		bounds = DefaultBounds()
 	}
-	return &Builder{bounds: bounds}
+	return &Builder{bounds: bounds, codec: codec}
 }
 
 // Bounds returns the configured sizing policy.
@@ -83,7 +85,7 @@ func (b *Builder) Flush() ([]byte, int, error) {
 	if len(b.samples) == 0 {
 		return nil, 0, nil
 	}
-	blob, err := Encode(b.samples)
+	blob, err := b.codec.Encode(b.samples)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -5,17 +5,24 @@
 // streaming while accommodating mixed-shape samples; samples larger than the
 // upper bound are tiled across spatial dimensions by the layer above.
 //
-// A version-3 chunk is laid out as
+// A version-4 chunk is laid out as
 //
-//	header | directory | data | block table | footer
+//	header | directory | data blocks | block table
 //
-// The footer's CRC32C covers the whole blob, so a whole-chunk read checks
-// one digest. The block table holds a CRC32C per BlockSize bytes of the data
-// section, so a reader that fetches only some samples' bytes (§3.5 range
-// requests) checks exactly what it fetched: Layout computes where the
-// sections of a chunk lie from its sample shapes and sizes, and a Sparse
-// plan names the table, directory and block ranges holding a selection of
-// samples, with the checks that make each range safe to use.
+// The data section — the samples' payloads end to end — is cut into blocks
+// of the size the header records. A chunk with a codec (chunk compression)
+// stores each block compressed on its own, so a read inflates only the
+// blocks its samples span (§3.5 range access inside a chunk), and Open
+// inflates each block the first time a read touches it. The block table
+// holds each block's CRC32C over its stored bytes (and, in a compressed
+// chunk, where its stored bytes end), sealed by a CRC32C of the header and
+// directory and one of the table itself, so a reader checks exactly the
+// blocks it reads. An uncompressed chunk's blocks are 1 KiB, so a reader
+// that fetches only some samples' bytes (range requests) fetches and checks
+// little beyond them: Layout computes where the sections of such a chunk lie
+// from its sample shapes and sizes, and a Sparse plan names the table,
+// directory and block ranges holding a selection of samples, with the
+// checks that make each range safe to use.
 package chunk
 
 import (
@@ -23,33 +30,29 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"math/bits"
 	"slices"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/compress"
 )
 
 // Format constants.
 const (
 	// Magic identifies a chunk blob.
 	Magic = "DLCH"
-	// FormatVersion is bumped on layout changes. Version 3 adds the block
-	// table (see BlockSize) between the data section and version 2's CRC32C
-	// footer (see FooterMagic). It is the only version decoded: this tree
-	// reads what this tree writes, and a header naming any other version is
-	// corruption.
-	FormatVersion = 3
+	// FormatVersion is bumped on layout changes. Version 4 records the
+	// block size and codec in the header, compresses each block of a
+	// compressed chunk on its own, and drops version 3's whole-blob CRC32C
+	// footer: the block table checks every byte. It is the only version
+	// decoded: this tree reads what this tree writes, and a header naming
+	// any other version is corruption.
+	FormatVersion = 4
 
-	// FooterMagic opens the 8-byte trailer of a chunk: FooterMagic(4) then
-	// CRC32C(4, little-endian, Castagnoli) of every preceding byte of the
-	// blob (header, directory, payload, block table, footer magic). The
-	// footer sits after the data section so a directory-prefix read never
-	// needs it.
-	FooterMagic = "DLCF"
-	// footerSize is the byte length of the trailer.
-	footerSize = len(FooterMagic) + 4
-
-	// BlockSize is the span of the data section one block-table CRC32C
-	// covers. The table sits after the data section: a directory seal
-	// (CRC32C of header and directory), one CRC32C per block, then a table
-	// seal (CRC32C of the table bytes before it), 4 bytes each. The size is
+	// BlockSize is the block of an uncompressed chunk: the span one
+	// block-table CRC32C covers and the unit of a sparse read. The size is
 	// the trade between the table's share of every stored byte, 4/BlockSize,
 	// and what a sparse read over-reads, up to one block on either side of a
 	// sample. At 1 KiB the table adds 0.39 % to every chunk, and a 16 KiB
@@ -60,6 +63,15 @@ const (
 	// blocks, ≈ 25 % over-read on average, and that view ≈ 15.8 MB, the
 	// edge of the cache.
 	BlockSize = 1 << 10
+
+	// CompressedBlockSize is the block of a compressed chunk: the unit of
+	// inflation. A read of one sample inflates every block the sample spans,
+	// so a smaller block inflates less beyond the sample; each block also
+	// restarts the codec's window and costs 8 bytes of table. On D_img's
+	// 4 KiB lz4 masks in 256 KiB chunks, 4 KiB blocks stored the fewest
+	// bytes and gave the fastest shuffled first batch of the 4–64 KiB
+	// sizes tried (see CHANGES.md for the sweep).
+	CompressedBlockSize = 4 << 10
 
 	// DefaultTargetBytes is the paper's default chunk size (§3.5: "the
 	// default chunk size is 8MB").
@@ -72,6 +84,17 @@ const (
 	DefaultMaxBytes = DefaultTargetBytes * 2
 )
 
+// Block sizes a header may record, as log2: from BlockSize to 64 KiB.
+const (
+	minBlockLog = 10
+	maxBlockLog = 16
+)
+
+// maxRatio bounds how many bytes one stored byte of a compressed block may
+// claim to inflate to: DEFLATE's ceiling (LZ4's is 255). Open refuses a
+// block table claiming more, before it sizes the decoded buffer from it.
+const maxRatio = 1032
+
 // Sample is one entry in a chunk: the (possibly media-encoded) payload plus
 // the logical sample shape. For sample-compressed tensors Data holds e.g.
 // JPEG bytes while Shape records the decoded pixel shape, so shape queries
@@ -81,12 +104,88 @@ type Sample struct {
 	Data  []byte
 }
 
-// header layout: magic(4) version(u16) numSamples(u32) dirBytes(u32).
-const headerSize = 4 + 2 + 4 + 4
+// Codec is the block codec of a chunk, by the id its header records.
+type Codec uint8
+
+// Block codecs.
+const (
+	None Codec = iota
+	LZ4
+	Deflate
+)
+
+// codecNames are the compress codecs behind the ids.
+var codecNames = [...]string{None: "none", LZ4: "lz4", Deflate: "deflate"}
+
+// CodecNamed returns the block codec of a tensor's chunk compression: ""
+// and "none" mean uncompressed. gzip tensors store deflate blocks: gzip's
+// container adds nothing to a block the table already checks.
+func CodecNamed(name string) (Codec, error) {
+	switch name {
+	case "", "none":
+		return None, nil
+	case "lz4":
+		return LZ4, nil
+	case "deflate", "gzip":
+		return Deflate, nil
+	}
+	return None, fmt.Errorf("chunk: no block codec for chunk compression %q", name)
+}
+
+// blockCodec is what a chunk needs of a compress codec: one block in, one
+// block out, with the block's decoded length recorded by the chunk.
+type blockCodec interface {
+	AppendBlock(dst, src []byte) ([]byte, bool)
+	DecodeBlock(dst, src []byte) error
+}
+
+// blocks resolves a compressed chunk's codec.
+func (c Codec) blocks() (blockCodec, error) {
+	if c == None || int(c) >= len(codecNames) {
+		return nil, corruptf("unknown block codec %d", c)
+	}
+	codec, err := compress.ByName(codecNames[c])
+	if err != nil {
+		return nil, err
+	}
+	bc, ok := codec.(blockCodec)
+	if !ok {
+		return nil, fmt.Errorf("chunk: codec %s has no block form", codecNames[c])
+	}
+	return bc, nil
+}
+
+// blockLog is log2 of the codec's block size.
+func (c Codec) blockLog() uint8 {
+	if c == None {
+		return uint8(bits.TrailingZeros(BlockSize))
+	}
+	return uint8(bits.TrailingZeros(CompressedBlockSize))
+}
+
+// entrySize is the bytes one block takes in the table: its CRC32C, and in a
+// compressed chunk first the end of its stored bytes.
+func (c Codec) entrySize() int {
+	if c == None {
+		return 4
+	}
+	return 8
+}
+
+// header layout: magic(4) version(u16) numSamples(u32) dirBytes(u32)
+// codec(u8) blockLog(u8).
+const headerSize = 4 + 2 + 4 + 4 + 1 + 1
+
+// header is a parsed chunk header.
+type header struct {
+	samples, dirBytes int
+	codec             Codec
+	blockLog          uint8
+}
 
 // Directory describes where each sample lives inside a chunk. Offsets are
-// relative to the start of the data section and have length numSamples+1 so
-// sample i spans [Offsets[i], Offsets[i+1]).
+// relative to the start of the (decoded) data section and have length
+// numSamples+1 so sample i spans [Offsets[i], Offsets[i+1]).
 type Directory struct {
 	Offsets []uint64
 	Shapes  [][]int
@@ -95,52 +194,83 @@ type Directory struct {
 // NumSamples returns the number of samples described.
 func (d *Directory) NumSamples() int { return len(d.Shapes) }
 
-// DataStart returns the absolute byte offset of the data section for a chunk
-// whose directory serializes to dirBytes.
-func dataStart(dirBytes int) int { return headerSize + dirBytes }
-
-// castagnoli is the CRC32C table of the footer and the block table.
+// castagnoli is the CRC32C table of the block table.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // numBlocks is how many BlockSize blocks a data section of n bytes spans.
 func numBlocks(n uint64) uint64 { return (n + BlockSize - 1) / BlockSize }
 
-// tableSize is the byte length of the block table of a data section of n
-// bytes: the directory seal, one CRC32C per block and the table seal.
-func tableSize(n uint64) uint64 { return 4 * (numBlocks(n) + 2) }
+// tableSize is the byte length of the block table of an uncompressed data
+// section of n bytes: the directory seal, one CRC32C per block, the block
+// count and the table seal.
+func tableSize(n uint64) uint64 { return 4 * (numBlocks(n) + 3) }
 
-// Encode serializes samples into a version-3 chunk blob: header, directory,
-// payload, block table and CRC32C footer.
-func Encode(samples []Sample) ([]byte, error) {
+// Encode serializes samples into an uncompressed chunk blob.
+func Encode(samples []Sample) ([]byte, error) { return None.Encode(samples) }
+
+// Encode serializes samples into a chunk blob whose data blocks are
+// compressed with c, each on its own; a block compression would not shrink
+// is stored as it is.
+func (c Codec) Encode(samples []Sample) ([]byte, error) {
 	dir, err := encodeDirectory(samples)
 	if err != nil {
 		return nil, err
 	}
-	var payload int
+	var size int
 	for _, s := range samples {
-		payload += len(s.Data)
+		size += len(s.Data)
 	}
-	// One allocation of the exact size: the table's CRCs are computed over
-	// bytes of out that appending the table never moves.
-	out := make([]byte, 0, headerSize+len(dir)+payload+int(tableSize(uint64(payload)))+footerSize)
+	bs := 1 << c.blockLog()
+	nb := (size + bs - 1) / bs
+	out := make([]byte, 0, headerSize+len(dir)+size+4*3+nb*c.entrySize())
 	out = append(out, Magic...)
 	out = binary.LittleEndian.AppendUint16(out, FormatVersion)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(samples)))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(dir)))
+	out = append(out, byte(c), c.blockLog())
 	out = append(out, dir...)
-	dataStart := len(out)
-	for _, s := range samples {
-		out = append(out, s.Data...)
+	start := len(out)
+	ends := make([]int, nb) // where each block's stored bytes end in out
+	if c == None {
+		for _, s := range samples {
+			out = append(out, s.Data...)
+		}
+		for b := range ends {
+			ends[b] = start + min((b+1)*bs, size)
+		}
+	} else {
+		bc, err := c.blocks()
+		if err != nil {
+			return nil, err
+		}
+		data := make([]byte, 0, size)
+		for _, s := range samples {
+			data = append(data, s.Data...)
+		}
+		for b := range ends {
+			block := data[b*bs : min((b+1)*bs, size)]
+			var ok bool
+			if out, ok = bc.AppendBlock(out, block); !ok {
+				out = append(out, block...)
+			}
+			ends[b] = len(out)
+		}
+		if len(out)-start > math.MaxUint32 {
+			return nil, fmt.Errorf("chunk: %d stored data bytes overflow the block table", len(out)-start)
+		}
 	}
-	tableStart := len(out)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[:dataStart], castagnoli))
-	for b := dataStart; b < tableStart; b += BlockSize {
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[b:min(b+BlockSize, tableStart)], castagnoli))
+	table := len(out)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[:start], castagnoli))
+	prev := start
+	for _, end := range ends {
+		if c != None {
+			out = binary.LittleEndian.AppendUint32(out, uint32(end-start))
+		}
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[prev:end], castagnoli))
+		prev = end
 	}
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[tableStart:], castagnoli))
-	out = append(out, FooterMagic...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
-	return out, nil
+	out = binary.LittleEndian.AppendUint32(out, uint32(nb))
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[table:], castagnoli)), nil
 }
 
 func encodeDirectory(samples []Sample) ([]byte, error) {
@@ -170,10 +300,10 @@ func encodeDirectory(samples []Sample) ([]byte, error) {
 
 // ErrCorrupt marks a chunk blob whose bytes do not form a valid chunk:
 // short or garbled header, directory that disagrees with its own length,
-// non-monotone offsets, or a failed CRC32C footer check. Every decode-path
-// corruption error wraps it, so callers can separate data corruption
-// (errors.Is(err, ErrCorrupt) — re-fetch, heal, or fsck) from logic bugs
-// like out-of-range sample indices, which do not.
+// non-monotone offsets, a failed seal or block CRC32C, or a block that does
+// not inflate. Every decode-path corruption error wraps it, so callers can
+// separate data corruption (errors.Is(err, ErrCorrupt) — re-fetch, heal, or
+// fsck) from logic bugs like out-of-range sample indices, which do not.
 var ErrCorrupt = errors.New("chunk: corrupt blob")
 
 // corruptf builds a corruption error wrapping ErrCorrupt.
@@ -181,47 +311,30 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 }
 
-// parseHeader validates the fixed header and returns sample count and
-// directory length.
-func parseHeader(raw []byte) (numSamples, dirBytes int, err error) {
+// parseHeader validates the fixed header.
+func parseHeader(raw []byte) (h header, err error) {
 	if len(raw) < headerSize {
-		return 0, 0, corruptf("%d bytes is shorter than the %d-byte header", len(raw), headerSize)
+		return h, corruptf("%d bytes is shorter than the %d-byte header", len(raw), headerSize)
 	}
 	if string(raw[:4]) != Magic {
-		return 0, 0, corruptf("bad magic %q", raw[:4])
+		return h, corruptf("bad magic %q", raw[:4])
 	}
 	if version := binary.LittleEndian.Uint16(raw[4:]); version != FormatVersion {
-		return 0, 0, corruptf("unsupported version %d", version)
+		return h, corruptf("unsupported version %d", version)
 	}
-	numSamples = int(binary.LittleEndian.Uint32(raw[6:]))
-	dirBytes = int(binary.LittleEndian.Uint32(raw[10:]))
-	if dirBytes < 0 || headerSize+dirBytes > len(raw) {
-		return 0, 0, corruptf("directory of %d bytes overruns %d-byte blob", dirBytes, len(raw))
+	h.samples = int(binary.LittleEndian.Uint32(raw[6:]))
+	h.dirBytes = int(binary.LittleEndian.Uint32(raw[10:]))
+	h.codec, h.blockLog = Codec(raw[14]), raw[15]
+	if int(h.codec) >= len(codecNames) {
+		return h, corruptf("unknown block codec %d", h.codec)
 	}
-	return numSamples, dirBytes, nil
-}
-
-// Verify checks the integrity footer of a full chunk blob. checked reports
-// that the header parsed and the footer was examined; a missing or
-// mismatched footer yields an error wrapping ErrCorrupt. Verify only
-// inspects the header and trailer, so it is safe to call before (or instead
-// of) a full Decode.
-func Verify(raw []byte) (checked bool, err error) {
-	if _, _, err := parseHeader(raw); err != nil {
-		return false, err
+	if h.blockLog < minBlockLog || h.blockLog > maxBlockLog {
+		return h, corruptf("block size 2^%d is outside 2^%d..2^%d", h.blockLog, minBlockLog, maxBlockLog)
 	}
-	if len(raw) < headerSize+footerSize {
-		return true, corruptf("%d bytes is too short for the footer", len(raw))
+	if h.dirBytes < 0 || headerSize+h.dirBytes > len(raw) {
+		return h, corruptf("directory of %d bytes overruns %d-byte blob", h.dirBytes, len(raw))
 	}
-	trailer := raw[len(raw)-footerSize:]
-	if string(trailer[:len(FooterMagic)]) != FooterMagic {
-		return true, corruptf("bad footer magic %q", trailer[:len(FooterMagic)])
-	}
-	want := binary.LittleEndian.Uint32(trailer[len(FooterMagic):])
-	if got := crc32.Checksum(raw[:len(raw)-4], castagnoli); got != want {
-		return true, corruptf("CRC32C mismatch: stored %08x, computed %08x", want, got)
-	}
-	return true, nil
+	return h, nil
 }
 
 // DecodeDirectory parses only the header + directory of a chunk blob. The
@@ -229,11 +342,12 @@ func Verify(raw []byte) (checked bool, err error) {
 // covers the directory. Every count it reads is bounded by the bytes it
 // holds before anything is sized from it.
 func DecodeDirectory(raw []byte) (*Directory, error) {
-	n, dirBytes, err := parseHeader(raw)
+	h, err := parseHeader(raw)
 	if err != nil {
 		return nil, err
 	}
-	dir := raw[headerSize : headerSize+dirBytes]
+	n := h.samples
+	dir := raw[headerSize : headerSize+h.dirBytes]
 	// Each sample takes an 8-byte offset and at least its rank byte, and
 	// one more offset closes the list.
 	need := (n + 1) * 8
@@ -283,46 +397,291 @@ func HeaderRange(maxSamples, maxRank int) int64 {
 	return int64(headerSize + (maxSamples+1)*8 + maxSamples*(1+4*maxRank))
 }
 
-// Decode parses a full chunk blob into its samples. Sample Data slices
-// alias raw.
-func Decode(raw []byte) ([]Sample, error) { return DecodeAppend(raw, nil) }
+// parsed is a whole chunk blob whose structure and seals have been checked,
+// but not yet its blocks.
+type parsed struct {
+	h       header
+	dir     *Directory
+	size    int    // decoded data section bytes
+	stored  []byte // the data blocks as stored
+	entries []byte // the table's per-block entries
+}
 
-// DecodeAppend is Decode reusing dst's capacity for the sample directory,
-// so a streaming reader that decodes chunks in a loop pays zero steady-state
-// allocations for the slice itself. dst is truncated and appended to; Sample
-// Data slices alias raw.
-func DecodeAppend(raw []byte, dst []Sample) ([]Sample, error) {
+// parse checks a whole chunk blob's structure and its two seals. The table
+// is found from the blob's end — its seal, then the block count before it —
+// not from the directory it protects, and it is checked first, then the
+// header and directory against it: so a damaged byte is named by the seal or
+// block that covers it. Every failure wraps ErrCorrupt.
+func parse(raw []byte) (*parsed, error) {
+	h, err := parseHeader(raw)
+	if err != nil {
+		return nil, err
+	}
+	start := headerSize + h.dirBytes
+	rest := raw[start:]
+	if len(rest) < 12 {
+		return nil, corruptf("%d bytes after the directory hold no block table", len(rest))
+	}
+	w := h.codec.entrySize()
+	nb := int(binary.LittleEndian.Uint32(rest[len(rest)-8:]))
+	if nb > (len(rest)-12)/w {
+		return nil, corruptf("block table of %d blocks overruns the %d bytes after the directory", nb, len(rest))
+	}
+	table := rest[len(rest)-12-nb*w:]
+	n := len(table)
+	if got, seal := crc32.Checksum(table[:n-4], castagnoli), binary.LittleEndian.Uint32(table[n-4:]); got != seal {
+		return nil, corruptf("block table seal mismatch: stored %08x, computed %08x", seal, got)
+	}
+	if got, seal := crc32.Checksum(raw[:start], castagnoli), binary.LittleEndian.Uint32(table); got != seal {
+		return nil, corruptf("directory seal mismatch: stored %08x, computed %08x", seal, got)
+	}
 	d, err := DecodeDirectory(raw)
 	if err != nil {
 		return nil, err
 	}
-	_, dirBytes, err := parseHeader(raw)
+	p := &parsed{h: h, dir: d, stored: rest[:len(rest)-n], entries: table[4 : n-8]}
+	total := d.Offsets[d.NumSamples()]
+	bs := uint64(1) << h.blockLog
+	if total > uint64(nb)*bs || (nb > 0 && total <= uint64(nb-1)*bs) {
+		return nil, corruptf("directory spans %d data bytes, which is not %d blocks of %d", total, nb, bs)
+	}
+	p.size = int(total)
+	if h.codec == None {
+		if len(p.stored) != p.size {
+			return nil, corruptf("directory spans %d data bytes, the blob stores %d", total, len(p.stored))
+		}
+		return p, nil
+	}
+	prev := 0
+	for b := 0; b < nb; b++ {
+		end := int(binary.LittleEndian.Uint32(p.entries[8*b:]))
+		decoded := min(p.size-b*int(bs), int(bs))
+		if end < prev || end-prev > decoded || (end-prev)*maxRatio < decoded {
+			return nil, corruptf("block %d stores bytes [%d, %d) for %d decoded bytes", b, prev, end, decoded)
+		}
+		prev = end
+	}
+	if prev != len(p.stored) {
+		return nil, corruptf("the block table stores %d data bytes, the blob %d", prev, len(p.stored))
+	}
+	return p, nil
+}
+
+// block returns block b's stored bytes, its stored CRC32C and its span of
+// the decoded data section.
+func (p *parsed) block(b int) (stored []byte, crc uint32, lo, hi int) {
+	bs := 1 << p.h.blockLog
+	lo, hi = b*bs, min((b+1)*bs, p.size)
+	if p.h.codec == None {
+		return p.stored[lo:hi], binary.LittleEndian.Uint32(p.entries[4*b:]), lo, hi
+	}
+	var from int
+	if b > 0 {
+		from = int(binary.LittleEndian.Uint32(p.entries[8*(b-1):]))
+	}
+	to := int(binary.LittleEndian.Uint32(p.entries[8*b:]))
+	return p.stored[from:to], binary.LittleEndian.Uint32(p.entries[8*b+4:]), lo, hi
+}
+
+// blocks is the chunk's block count.
+func (p *parsed) blocks() int { return len(p.entries) / p.h.codec.entrySize() }
+
+// check checks block b's stored bytes against the table.
+func (p *parsed) check(b int) error {
+	stored, want, _, _ := p.block(b)
+	if got := crc32.Checksum(stored, castagnoli); got != want {
+		return corruptf("block %d CRC32C mismatch: stored %08x, computed %08x", b, want, got)
+	}
+	return nil
+}
+
+// Verify checks a whole chunk blob: its block table seal, its directory seal
+// and every data block's stored bytes, naming the first that fails, without
+// inflating anything — fsck's account of where a damaged chunk is damaged.
+// checked reports that the header parsed. Every failure wraps ErrCorrupt.
+func Verify(raw []byte) (checked bool, err error) {
+	if _, err := parseHeader(raw); err != nil {
+		return false, err
+	}
+	p, err := parse(raw)
+	if err != nil {
+		return true, err
+	}
+	for b := 0; b < p.blocks(); b++ {
+		if err := p.check(b); err != nil {
+			return true, err
+		}
+	}
+	return true, nil
+}
+
+// Chunk is an opened chunk: its samples' shapes, and their payloads. An
+// uncompressed chunk's payloads alias the blob it was opened from, every
+// block checked at Open. A compressed chunk holds one buffer of its decoded
+// data section, which fills block by block: the first read of a sample
+// checks and inflates the blocks it spans that no read has touched, once
+// per block however many goroutines read at a time, with nothing allocated
+// per block. A block that fails its check or does not inflate fails every
+// read that touches it, and no other. A Chunk is safe for concurrent use;
+// what it returns is read-only.
+type Chunk struct {
+	samples []Sample
+	lazy    *lazyBlocks
+}
+
+// lazyBlocks is a compressed chunk's decoded data section and the state of
+// each of its blocks.
+type lazyBlocks struct {
+	p        *parsed
+	codec    blockCodec
+	data     []byte
+	once     []sync.Once
+	errs     []error
+	inflated *atomic.Int64
+}
+
+// Open opens a whole chunk blob. It checks the blob's structure and seals,
+// and an uncompressed chunk's every block; a compressed chunk's blocks are
+// checked as reads touch them. Every failure wraps ErrCorrupt.
+func Open(raw []byte) (*Chunk, error) {
+	p, err := parse(raw)
 	if err != nil {
 		return nil, err
 	}
-	// The data section ends where the directory's last offset says; the
-	// block table and the footer follow it and end the blob.
-	data := raw[dataStart(dirBytes):]
-	n := d.NumSamples()
-	size := d.Offsets[n]
-	if size > uint64(len(data)) || uint64(len(data))-size != tableSize(size)+uint64(footerSize) {
-		return nil, corruptf("directory spans %d data bytes, which with the block table and footer is not the %d bytes after the directory", size, len(data))
+	data := p.stored
+	var lazy *lazyBlocks
+	if p.h.codec == None {
+		for b := 0; b < p.blocks(); b++ {
+			if err := p.check(b); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		codec, err := p.h.codec.blocks()
+		if err != nil {
+			return nil, err
+		}
+		nb := p.blocks()
+		data = make([]byte, p.size)
+		lazy = &lazyBlocks{p: p, codec: codec, data: data, once: make([]sync.Once, nb), errs: make([]error, nb)}
 	}
-	data = data[:size]
-	dst = slices.Grow(dst[:0], n)
-	for i := 0; i < n; i++ {
-		dst = append(dst, Sample{
+	d := p.dir
+	samples := make([]Sample, d.NumSamples())
+	for i := range samples {
+		samples[i] = Sample{
 			Shape: d.Shapes[i],
 			// Capped, so an append to one sample cannot write into the next.
 			Data: data[d.Offsets[i]:d.Offsets[i+1]:d.Offsets[i+1]],
-		})
+		}
 	}
-	return dst, nil
+	return &Chunk{samples: samples, lazy: lazy}, nil
 }
 
-// SampleRange returns the absolute byte range of sample i inside a chunk
-// blob, computed from its directory; streaming readers pass it to
-// Provider.GetRange to fetch a single sample out of an 8MB chunk (§3.5).
+// FromSamples is a Chunk of samples already in memory: a chunk still in a
+// writer's buffer, or the part of one a sparse read fetched.
+func FromSamples(samples []Sample) *Chunk { return &Chunk{samples: samples} }
+
+// Len is the chunk's sample count.
+func (c *Chunk) Len() int { return len(c.samples) }
+
+// Bytes is the chunk's decoded payload bytes: what it holds once every
+// block is inflated.
+func (c *Chunk) Bytes() int64 {
+	var n int64
+	for _, s := range c.samples {
+		n += int64(len(s.Data))
+	}
+	return n
+}
+
+// CountInflated makes the chunk add the decoded bytes of every block it
+// inflates from now on to n. Call it before the chunk is shared.
+func (c *Chunk) CountInflated(n *atomic.Int64) {
+	if c.lazy != nil {
+		c.lazy.inflated = n
+	}
+}
+
+// Sample returns sample i, inflating the blocks it spans on first touch.
+func (c *Chunk) Sample(i int) (Sample, error) {
+	if i < 0 || i >= len(c.samples) {
+		return Sample{}, fmt.Errorf("chunk: sample %d out of range (%d samples)", i, len(c.samples))
+	}
+	if c.lazy != nil {
+		offs := c.lazy.p.dir.Offsets
+		if err := c.lazy.touch(offs[i], offs[i+1]); err != nil {
+			return Sample{}, err
+		}
+	}
+	return c.samples[i], nil
+}
+
+// Samples returns every sample, inflating every block not yet touched: the
+// read of a whole chunk. The slice is shared and read-only.
+func (c *Chunk) Samples() ([]Sample, error) {
+	if c.lazy != nil {
+		if err := c.lazy.touch(0, uint64(len(c.lazy.data))); err != nil {
+			return nil, err
+		}
+	}
+	return c.samples, nil
+}
+
+// touch makes decoded bytes [lo, hi) readable.
+func (l *lazyBlocks) touch(lo, hi uint64) error {
+	if hi <= lo {
+		return nil
+	}
+	shift := l.p.h.blockLog
+	for b := int(lo >> shift); b <= int((hi-1)>>shift); b++ {
+		l.once[b].Do(func() { l.errs[b] = l.inflate(b) })
+		if err := l.errs[b]; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// inflate checks block b and decodes it into its span of the buffer.
+func (l *lazyBlocks) inflate(b int) error {
+	if err := l.p.check(b); err != nil {
+		return err
+	}
+	stored, _, lo, hi := l.p.block(b)
+	dst := l.data[lo:hi]
+	if len(stored) == len(dst) {
+		copy(dst, stored)
+	} else if err := l.codec.DecodeBlock(dst, stored); err != nil {
+		return corruptf("block %d does not inflate: %v", b, err)
+	}
+	if l.inflated != nil {
+		l.inflated.Add(int64(len(dst)))
+	}
+	return nil
+}
+
+// Decode parses a full chunk blob into its samples.
+func Decode(raw []byte) ([]Sample, error) { return DecodeAppend(raw, nil) }
+
+// DecodeAppend is Decode reusing dst's capacity for the sample list. dst is
+// truncated and appended to; an uncompressed chunk's sample Data slices
+// alias raw, a compressed one's a buffer of their own.
+func DecodeAppend(raw []byte, dst []Sample) ([]Sample, error) {
+	c, err := Open(raw)
+	if err != nil {
+		return nil, err
+	}
+	samples, err := c.Samples()
+	if err != nil {
+		return nil, err
+	}
+	return append(slices.Grow(dst[:0], len(samples)), samples...), nil
+}
+
+// SampleRange returns the absolute byte range of sample i inside an
+// uncompressed chunk blob, computed from its directory; streaming readers
+// pass it to Provider.GetRange to fetch a single sample out of an 8MB chunk
+// (§3.5).
 func SampleRange(raw []byte, i int) (offset, length int64, shape []int, err error) {
 	d, err := DecodeDirectory(raw)
 	if err != nil {
@@ -332,15 +691,19 @@ func SampleRange(raw []byte, i int) (offset, length int64, shape []int, err erro
 }
 
 // SampleRange computes the absolute byte range of sample i given the chunk
-// prefix raw (which must include the directory).
+// prefix raw (which must include the directory). A compressed chunk's
+// samples have no byte range of their own.
 func (d *Directory) SampleRange(raw []byte, i int) (offset, length int64, shape []int, err error) {
 	if i < 0 || i >= d.NumSamples() {
 		return 0, 0, nil, fmt.Errorf("chunk: sample %d out of range (%d samples)", i, d.NumSamples())
 	}
-	_, dirBytes, err := parseHeader(raw)
+	h, err := parseHeader(raw)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	start := int64(dataStart(dirBytes)) + int64(d.Offsets[i])
+	if h.codec != None {
+		return 0, 0, nil, fmt.Errorf("chunk: sample %d of a compressed chunk has no byte range", i)
+	}
+	start := int64(headerSize+h.dirBytes) + int64(d.Offsets[i])
 	return start, int64(d.Offsets[i+1] - d.Offsets[i]), d.Shapes[i], nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -87,39 +88,30 @@ func mustDecodeErr(t *testing.T, raw []byte) error {
 	return err
 }
 
-func TestVerifyFooter(t *testing.T) {
-	blob, err := Encode([]Sample{{Shape: []int{3}, Data: []byte("abc")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if checked, err := Verify(blob); !checked || err != nil {
-		t.Fatalf("Verify(clean v2) = %v, %v; want checked, nil", checked, err)
-	}
-
-	// A single flipped payload bit must fail verification with ErrCorrupt,
-	// even though the blob still parses structurally.
-	flipped := append([]byte(nil), blob...)
-	flipped[len(flipped)-footerSize-1] ^= 0x01
-	checked, err := Verify(flipped)
-	if !checked || err == nil {
-		t.Fatalf("Verify(bit flip) = %v, %v; want checked, error", checked, err)
-	}
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Verify error %v does not wrap ErrCorrupt", err)
-	}
-
-	// Garbled footer magic is corruption too.
-	badMagic := append([]byte(nil), blob...)
-	copy(badMagic[len(badMagic)-footerSize:], "XXXX")
-	if _, err := Verify(badMagic); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Verify(bad footer magic) = %v, want ErrCorrupt", err)
+// TestVerifyCatchesAFlippedBit: one flipped payload bit fails Verify with
+// ErrCorrupt naming the block, though the blob still parses structurally.
+func TestVerifyCatchesAFlippedBit(t *testing.T) {
+	for _, codec := range []Codec{None, LZ4} {
+		blob, err := codec.Encode([]Sample{{Shape: []int{3}, Data: []byte("abc")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checked, err := Verify(blob); !checked || err != nil {
+			t.Fatalf("codec %d: Verify(clean) = %v, %v; want checked, nil", codec, checked, err)
+		}
+		flipped := append([]byte(nil), blob...)
+		flipped[len(flipped)-12-codec.entrySize()-1] ^= 0x01 // the last data byte
+		checked, err := Verify(flipped)
+		if !checked || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "block 0 ") {
+			t.Fatalf("codec %d: Verify(bit flip) = %v, %v; want checked, ErrCorrupt naming block 0", codec, checked, err)
+		}
 	}
 }
 
-// TestV1BlobsAreRejected: a blob down-converted to the retired footerless
-// version-1 layout is corruption to every entry point — in particular Verify
-// must not wave it through unchecked because its version field reads 1.
-func TestV1BlobsAreRejected(t *testing.T) {
+// TestOtherVersionsAreRejected: a blob whose header names the retired
+// version 3 is corruption to every entry point — in particular Verify must
+// not wave it through unchecked.
+func TestOtherVersionsAreRejected(t *testing.T) {
 	blob, err := Encode([]Sample{
 		{Shape: []int{2}, Data: []byte("hi")},
 		{Shape: []int{3}, Data: []byte("bye")},
@@ -127,16 +119,16 @@ func TestV1BlobsAreRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := append([]byte(nil), blob[:len(blob)-footerSize]...)
-	old[4], old[5] = 1, 0
+	old := append([]byte(nil), blob...)
+	old[4], old[5] = 3, 0
 	if _, err := Decode(old); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Decode(v1) = %v, want ErrCorrupt", err)
+		t.Fatalf("Decode(v3) = %v, want ErrCorrupt", err)
 	}
 	if _, err := DecodeDirectory(old); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("DecodeDirectory(v1) = %v, want ErrCorrupt", err)
+		t.Fatalf("DecodeDirectory(v3) = %v, want ErrCorrupt", err)
 	}
 	if checked, err := Verify(old); checked || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Verify(v1) = %v, %v; want unchecked, ErrCorrupt", checked, err)
+		t.Fatalf("Verify(v3) = %v, %v; want unchecked, ErrCorrupt", checked, err)
 	}
 }
 
@@ -241,7 +233,7 @@ func normShape(s []int) []int {
 }
 
 func TestBuilderBoundsPolicy(t *testing.T) {
-	b := NewBuilder(Bounds{Min: 10, Target: 20, Max: 30})
+	b := NewBuilder(Bounds{Min: 10, Target: 20, Max: 30}, None)
 
 	// Empty builder never flushes first.
 	if b.ShouldFlushBefore(100) {
@@ -289,7 +281,7 @@ func TestBuilderBoundsPolicy(t *testing.T) {
 }
 
 func TestBuilderRejectsOverflow(t *testing.T) {
-	b := NewBuilder(Bounds{Min: 10, Target: 20, Max: 30})
+	b := NewBuilder(Bounds{Min: 10, Target: 20, Max: 30}, None)
 	if err := b.Append(Sample{Data: make([]byte, 25)}); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +291,7 @@ func TestBuilderRejectsOverflow(t *testing.T) {
 }
 
 func TestBuilderTiling(t *testing.T) {
-	b := NewBuilder(Bounds{Min: 10, Target: 20, Max: 30})
+	b := NewBuilder(Bounds{Min: 10, Target: 20, Max: 30}, None)
 	if !b.NeedsTiling(31) {
 		t.Fatal("31 > max must tile")
 	}
@@ -309,7 +301,7 @@ func TestBuilderTiling(t *testing.T) {
 }
 
 func TestInvalidBoundsFallBack(t *testing.T) {
-	b := NewBuilder(Bounds{Min: -1, Target: 0, Max: 0})
+	b := NewBuilder(Bounds{Min: -1, Target: 0, Max: 0}, None)
 	if b.Bounds() != DefaultBounds() {
 		t.Fatalf("invalid bounds should fall back to defaults, got %+v", b.Bounds())
 	}

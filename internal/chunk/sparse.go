@@ -196,6 +196,9 @@ func (s *Sparse) Check(parts [][]byte) error {
 	if err != nil {
 		return err
 	}
+	if h, _ := parseHeader(parts[1]); h.codec != None || h.blockLog != None.blockLog() {
+		return corruptf("a chunk of codec %d and 2^%d-byte blocks has no sparse read", h.codec, h.blockLog)
+	}
 	if !slices.Equal(d.Offsets, s.layout.offsets) {
 		return corruptf("directory offsets disagree with the layout the reader computed")
 	}
@@ -237,57 +240,4 @@ func (s *Sparse) Decode(parts [][]byte) []Sample {
 		out[i].Data = s.data(parts, l.offsets[i], l.offsets[i+1])
 	}
 	return out
-}
-
-// VerifyBlocks checks a whole chunk blob's block table seal, directory seal
-// and every data block, naming the first that fails: fsck's account of where
-// a damaged chunk is damaged. The table is found from the blob's length, not
-// from the directory it protects. Every failure wraps ErrCorrupt.
-func VerifyBlocks(raw []byte) error {
-	_, dirBytes, err := parseHeader(raw)
-	if err != nil {
-		return err
-	}
-	start := dataStart(dirBytes)
-	size, ok := dataSizeFor(uint64(len(raw) - start))
-	if !ok {
-		return corruptf("%d bytes after the directory are no data section, block table and footer", len(raw)-start)
-	}
-	end := start + int(size)
-	table := raw[end : len(raw)-footerSize]
-	n := len(table)
-	if got, seal := crc32.Checksum(table[:n-4], castagnoli), binary.LittleEndian.Uint32(table[n-4:]); got != seal {
-		return corruptf("block table seal mismatch: stored %08x, computed %08x", seal, got)
-	}
-	if got, seal := crc32.Checksum(raw[:start], castagnoli), binary.LittleEndian.Uint32(table); got != seal {
-		return corruptf("directory seal mismatch: stored %08x, computed %08x", seal, got)
-	}
-	if err := checkBlocks(table, 0, raw[start:end]); err != nil {
-		return err
-	}
-	d, err := DecodeDirectory(raw)
-	if err != nil {
-		return err
-	}
-	if got := d.Offsets[d.NumSamples()]; got != size {
-		return corruptf("directory spans %d data bytes, the blob holds %d", got, size)
-	}
-	return nil
-}
-
-// dataSizeFor inverts the length of a data section, its block table and the
-// footer, rest, into the data section's length: the one size whose sections
-// add up to rest, if any.
-func dataSizeFor(rest uint64) (uint64, bool) {
-	fixed := uint64(footerSize + 8)
-	if rest < fixed {
-		return 0, false
-	}
-	m := rest - fixed // size + 4 * numBlocks(size)
-	for nb := m / (BlockSize + 4); nb <= m/(BlockSize+4)+1; nb++ {
-		if size := m - min(m, 4*nb); numBlocks(size) == nb && size+4*nb == m {
-			return size, true
-		}
-	}
-	return 0, false
 }

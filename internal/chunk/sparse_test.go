@@ -183,30 +183,30 @@ func TestSliceOfOneSampleReadsItsBlocks(t *testing.T) {
 	}
 }
 
-// TestVerifyBlocksNamesTheDamage: a whole blob's seals and blocks are
-// checked one by one, and the failure names the block.
-func TestVerifyBlocksNamesTheDamage(t *testing.T) {
+// TestVerifyNamesTheDamage: a whole blob's seals and blocks are checked one
+// by one, and the failure names the block.
+func TestVerifyNamesTheDamage(t *testing.T) {
 	data := bytes.Repeat([]byte{7}, 5*BlockSize+10)
 	blob, err := Encode([]Sample{{Shape: []int{len(data)}, Data: data}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBlocks(blob); err != nil {
+	if _, err := Verify(blob); err != nil {
 		t.Fatal(err)
 	}
-	start := len(blob) - footerSize - int(tableSize(uint64(len(data)))) - len(data)
+	start := len(blob) - int(tableSize(uint64(len(data)))) - len(data)
 	cases := map[string]int{
 		"block 3 ":          start + 3*BlockSize + 1,
 		"directory seal":    20,
-		"block table seal":  len(blob) - footerSize - 6,
-		"block table seal ": len(blob) - footerSize - 2,
+		"block table seal":  len(blob) - 10,
+		"block table seal ": len(blob) - 2,
 	}
 	for want, at := range cases {
 		bad := bytes.Clone(blob)
 		bad[at] ^= 1
-		err := VerifyBlocks(bad)
+		_, err := Verify(bad)
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), strings.TrimSpace(want)) {
-			t.Errorf("flip at %d: VerifyBlocks = %v, want ErrCorrupt naming %q", at, err, want)
+			t.Errorf("flip at %d: Verify = %v, want ErrCorrupt naming %q", at, err, want)
 		}
 	}
 }
@@ -216,13 +216,14 @@ func TestVerifyBlocksNamesTheDamage(t *testing.T) {
 // sized from the count.
 func TestDirectoryCountIsBoundedByItsBytes(t *testing.T) {
 	raw := bombHeader()
-	if len(raw) != 34 {
+	if len(raw) != 36 {
 		t.Fatalf("blob is %d bytes", len(raw))
 	}
 	for name, fn := range map[string]func([]byte) error{
 		"DecodeDirectory": func(b []byte) error { _, err := DecodeDirectory(b); return err },
 		"Decode":          func(b []byte) error { _, err := Decode(b); return err },
-		"VerifyBlocks":    VerifyBlocks,
+		"Verify":          func(b []byte) error { _, err := Verify(b); return err },
+		"Open":            func(b []byte) error { _, err := Open(b); return err },
 	} {
 		if err := fn(raw); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s(sample-count bomb) = %v, want ErrCorrupt", name, err)
@@ -230,23 +231,27 @@ func TestDirectoryCountIsBoundedByItsBytes(t *testing.T) {
 	}
 }
 
-// bombHeader is a 34-byte chunk header and directory that claims 0xFFFFFFF0
+// bombHeader is a 36-byte chunk header and directory that claims 0xFFFFFFF0
 // samples.
 func bombHeader() []byte {
 	raw := []byte(Magic)
 	raw = binary.LittleEndian.AppendUint16(raw, FormatVersion)
 	raw = binary.LittleEndian.AppendUint32(raw, 0xFFFFFFF0)
 	raw = binary.LittleEndian.AppendUint32(raw, 20)
+	raw = append(raw, byte(None), None.blockLog())
 	return append(raw, make([]byte, 20)...)
 }
 
 // FuzzChunkDirectory feeds arbitrary bytes to every entry point that reads
-// stored chunk bytes: each either accepts them or returns an error wrapping
-// ErrCorrupt, never panics, and never allocates more than a small multiple
-// of what it was given.
+// stored chunk bytes — the directory, whole-chunk decode and verify, Open and
+// the first-touch inflation of each sample's blocks of an lz4 or deflate
+// chunk, and the sparse reads' range checks: each either accepts them or
+// returns an error wrapping ErrCorrupt, never panics, and never sizes an
+// allocation from a block count, stored offset or decoded length the blob
+// does not hold the bytes for.
 func FuzzChunkDirectory(f *testing.F) {
 	rng := rand.New(rand.NewSource(4))
-	blob, _, layout := randomChunk(f, rng, 6)
+	blob, samples, layout := randomChunk(f, rng, 6)
 	sp := layout.Samples([]int{0, 3, 5})
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
@@ -254,6 +259,17 @@ func FuzzChunkDirectory(f *testing.F) {
 	empty, _ := Encode(nil)
 	f.Add(empty)
 	f.Add([]byte{})
+	for i := range samples {
+		samples[i].Data = bytes.Repeat(samples[i].Data[:min(len(samples[i].Data), 7)], 300)
+		samples[i].Shape = []int{len(samples[i].Data)}
+	}
+	for _, codec := range []Codec{LZ4, Deflate} {
+		packed, err := codec.Encode(samples)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(packed)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		check := func(what string, err error) {
 			if err != nil && !errors.Is(err, ErrCorrupt) {
@@ -266,7 +282,19 @@ func FuzzChunkDirectory(f *testing.F) {
 		check("Decode", err)
 		_, err = Verify(raw)
 		check("Verify", err)
-		check("VerifyBlocks", VerifyBlocks(raw))
+		if c, err := Open(raw); err != nil {
+			check("Open", err)
+		} else {
+			if c.Bytes() > maxRatio*int64(len(raw)) {
+				t.Fatalf("Open sized %d decoded bytes from a %d-byte blob", c.Bytes(), len(raw))
+			}
+			for i := c.Len() - 1; i >= 0; i-- {
+				_, err := c.Sample(i)
+				check("Chunk.Sample", err)
+			}
+			_, err = c.Samples()
+			check("Chunk.Samples", err)
+		}
 		// The input as the fetched ranges of a sparse read, cut to the
 		// planned lengths while it lasts.
 		parts := make([][]byte, len(sp.Ranges()))

@@ -1,8 +1,9 @@
 // Package compress provides the compression substrate for the Tensor Storage
 // Format. The paper uses two distinct notions of compression (§5):
 //
-//   - chunk compression: a byte codec applied to a whole chunk (the paper's
-//     example stores class_label chunks with LZ4);
+//   - chunk compression: a byte codec applied to a chunk's data (the
+//     paper's example stores class_label chunks with LZ4); the chunk format
+//     compresses each block of a chunk on its own (AppendBlock, DecodeBlock);
 //   - sample compression: a per-sample media codec (the paper's example
 //     stores image samples as JPEG so raw JPEG files can be copied into
 //     chunks without recoding).

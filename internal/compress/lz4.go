@@ -13,15 +13,16 @@ import (
 // variant with 64KB windows, 4-byte minimum matches, and token-encoded
 // sequence lengths. It is the paper's choice for chunk compression of
 // numeric tensors (labels, boxes, segmentation masks) where decode speed
-// matters far more than ratio: a shuffled epoch's first batch waits for
-// whole mask chunks to decompress.
+// matters far more than ratio: a shuffled epoch's first batch waits for the
+// mask blocks its rows span to decompress.
 //
 // Framing: because the raw LZ4 block format does not record the decompressed
 // size, Compress prepends a one-byte mode tag (lz4Raw when compression did
 // not help, lz4Block otherwise) and a uvarint decompressed length. A block
 // decodes to at most 255 bytes per stored byte, so Decompress refuses a
 // larger size header before it allocates anything: stored bytes are
-// untrusted input.
+// untrusted input. AppendBlock and DecodeBlock are the unframed blocks of a
+// container that records each block's length itself, as a chunk does.
 type lz4 struct{}
 
 func (lz4) Name() string { return "lz4" }
@@ -86,6 +87,45 @@ func (lz4) Decompress(src []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("lz4: unknown mode byte %#x", mode)
 	}
+}
+
+// AppendBlock appends the raw LZ4 block of src to dst, for a container that
+// records src's length itself (a chunk's block table). ok is false, and dst
+// is returned unchanged, when the block would not be shorter than src.
+func (lz4) AppendBlock(dst, src []byte) (out []byte, ok bool) {
+	e := lz4Encoders.Get().(*lz4Encoder)
+	defer lz4Encoders.Put(e)
+	payload := e.compressBlock(src)
+	if payload == nil || len(payload) >= len(src) {
+		return dst, false
+	}
+	return append(dst, payload...), true
+}
+
+// DecodeBlock decodes a raw LZ4 block AppendBlock wrote into exactly
+// len(dst) bytes, allocating nothing.
+func (lz4) DecodeBlock(dst, src []byte) error { return lz4DecodeInto(dst, src) }
+
+// LZ4Stored frames b as Compress frames an incompressible input, in the
+// stored mode: Decompress returns b.
+func LZ4Stored(b []byte) []byte {
+	out := make([]byte, 0, 1+binary.MaxVarintLen64+len(b))
+	out = append(out, lz4Raw)
+	out = binary.AppendUvarint(out, uint64(len(b)))
+	return append(out, b...)
+}
+
+// LZ4StoredPayload returns the bytes a stored-mode frame holds, aliasing
+// frame: the inverse of LZ4Stored, without Decompress's copy.
+func LZ4StoredPayload(frame []byte) ([]byte, error) {
+	if len(frame) == 0 || frame[0] != lz4Raw {
+		return nil, errors.New("lz4: not a stored-mode frame")
+	}
+	size, n := binary.Uvarint(frame[1:])
+	if n <= 0 || size != uint64(len(frame)-1-n) {
+		return nil, errors.New("lz4: stored-mode size header disagrees with the frame")
+	}
+	return frame[1+n:], nil
 }
 
 func lz4Hash(v uint32) uint32 {
@@ -213,12 +253,21 @@ func lz4AppendExtLen(dst []byte, n int) []byte {
 
 var errLZ4Corrupt = errors.New("lz4: corrupt block")
 
-// lz4DecompressBlock decodes a raw LZ4 block into exactly size bytes. It
-// writes into the output by index: a literal run, or a match at least as far
-// back as it is long, is one copy; a closer match repeats its period with
-// copies that double each time.
+// lz4DecompressBlock decodes a raw LZ4 block into exactly size bytes.
 func lz4DecompressBlock(src []byte, size int) ([]byte, error) {
 	dst := make([]byte, size)
+	if err := lz4DecodeInto(dst, src); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// lz4DecodeInto decodes a raw LZ4 block into exactly len(dst) bytes. It
+// writes into dst by index: a literal run, or a match at least as far back
+// as it is long, is one copy; a closer match repeats its period with copies
+// that double each time.
+func lz4DecodeInto(dst, src []byte) error {
+	size := len(dst)
 	d, s := 0, 0
 	for s < len(src) {
 		token := src[s]
@@ -228,16 +277,16 @@ func lz4DecompressBlock(src []byte, size int) ([]byte, error) {
 		if litLen == lz4TokenLits {
 			n, ns, err := lz4ReadExtLen(src, s)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			litLen += n
 			s = ns
 		}
 		if litLen > len(src)-s {
-			return nil, errLZ4Corrupt
+			return errLZ4Corrupt
 		}
 		if litLen > size-d {
-			return nil, lz4Overrun(size)
+			return lz4Overrun(size)
 		}
 		if litLen > 0 { // most sequences of a mask chunk carry none
 			d += copy(dst[d:], src[s:s+litLen])
@@ -248,25 +297,25 @@ func lz4DecompressBlock(src []byte, size int) ([]byte, error) {
 		}
 		// Match.
 		if len(src)-s < 2 {
-			return nil, errLZ4Corrupt
+			return errLZ4Corrupt
 		}
 		offset := int(src[s]) | int(src[s+1])<<8
 		s += 2
 		if offset == 0 || offset > d {
-			return nil, errLZ4Corrupt
+			return errLZ4Corrupt
 		}
 		matchLen := int(token & 0x0F)
 		if matchLen == lz4TokenMatch {
 			n, ns, err := lz4ReadExtLen(src, s)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			matchLen += n
 			s = ns
 		}
 		matchLen += lz4MinMatch
 		if matchLen > size-d {
-			return nil, lz4Overrun(size)
+			return lz4Overrun(size)
 		}
 		if offset >= matchLen {
 			d += copy(dst[d:d+matchLen], dst[d-offset:])
@@ -280,9 +329,9 @@ func lz4DecompressBlock(src []byte, size int) ([]byte, error) {
 		}
 	}
 	if d != size {
-		return nil, fmt.Errorf("lz4: decoded %d bytes, header said %d", d, size)
+		return fmt.Errorf("lz4: decoded %d bytes, header said %d", d, size)
 	}
-	return dst, nil
+	return nil
 }
 
 func lz4Overrun(size int) error {

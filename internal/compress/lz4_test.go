@@ -158,6 +158,41 @@ func TestLZ4AllocatesOnlyItsOutput(t *testing.T) {
 	}
 }
 
+// TestDecodeBlockAllocatesNothing: the block form of lz4 and deflate
+// round-trips a mask block, refuses to grow an incompressible one, and
+// decodes into the caller's buffer without allocating.
+func TestDecodeBlockAllocatesNothing(t *testing.T) {
+	src := lz4Masks()[:4<<10]
+	for _, name := range []string{"lz4", "deflate"} {
+		c, _ := ByName(name)
+		bc := c.(interface {
+			AppendBlock(dst, src []byte) ([]byte, bool)
+			DecodeBlock(dst, src []byte) error
+		})
+		enc, ok := bc.AppendBlock([]byte("prefix"), src)
+		if !ok || string(enc[:6]) != "prefix" || len(enc)-6 >= len(src) {
+			t.Fatalf("%s: AppendBlock of a mask block = %d bytes, %v", name, len(enc)-6, ok)
+		}
+		dst := make([]byte, len(src))
+		if err := bc.DecodeBlock(dst, enc[6:]); err != nil || !bytes.Equal(dst, src) {
+			t.Fatalf("%s: DecodeBlock = %v, or other bytes", name, err)
+		}
+		if err := bc.DecodeBlock(dst[:len(dst)-1], enc[6:]); err == nil {
+			t.Fatalf("%s: DecodeBlock into a short buffer succeeds", name)
+		}
+		// deflate's decoder state is pooled, which the race detector's
+		// pool drops at random.
+		if name == "lz4" || !raceEnabled {
+			if n := testing.AllocsPerRun(100, func() { bc.DecodeBlock(dst, enc[6:]) }); n != 0 {
+				t.Errorf("%s: DecodeBlock: %v allocs, want 0", name, n)
+			}
+		}
+		if out, ok := bc.AppendBlock(nil, lz4Random(4<<10)); ok || out != nil {
+			t.Errorf("%s: AppendBlock of random bytes = %d bytes, %v; want refused", name, len(out), ok)
+		}
+	}
+}
+
 func benchLZ4Inputs() []struct {
 	name string
 	src  []byte

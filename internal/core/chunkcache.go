@@ -9,23 +9,28 @@ import (
 )
 
 // ChunkCache is the decoded-chunk cache, §3.5's "buffer cache of fetched
-// and unutilized data": a chunk is fetched, checked and decoded once per
-// cache however many readers ask, at a time or in turn. Every dataset handle
-// builds one lazily, the default fetch of each ScanReader without a
-// ChunkFetch of its own, and the dataloader's Loaders read through one of
-// their own (NodeCache), private or shared across a node's ranks.
+// and unutilized data": a chunk is fetched, checked and opened once per
+// cache however many readers ask, at a time or in turn, and each block of a
+// compressed chunk is inflated once, by the first read that touches it.
+// Every dataset handle builds one lazily, the default fetch of each
+// ScanReader without a ChunkFetch of its own, and the dataloader's Loaders
+// read through one of their own (NodeCache), private or shared across a
+// node's ranks.
 //
 // It is a policy over storage.Cache, which owns the sharded LRU table, the
 // eviction rule and the coalesced-miss protocol. Its own are the key
-// (ChunkKey, made by Tensor.ChunkKey), the value — the loaded samples, whose
-// uncompressed payloads alias the fetched object, charged at their payload
-// bytes — and one admit rule: a loaded chunk is kept when it fits its shard
-// or its key is pinned. Loaders pin the chunks their planned jobs still
-// need, so the budget is soft against pins; a cache nobody pins never holds
-// more than its capacity.
+// (ChunkKey, made by Tensor.ChunkKey), the value — the opened chunk
+// (chunk.Chunk), whose uncompressed payloads alias the fetched object and
+// whose compressed blocks inflate into a buffer of its own as reads touch
+// them, charged at its full decoded payload bytes from the start — and one
+// admit rule: a loaded chunk is kept when it fits its shard or its key is
+// pinned. Loaders pin the chunks their planned jobs still need, so the
+// budget is soft against pins; a cache nobody pins never holds more than its
+// capacity.
 type ChunkCache struct {
-	table   *storage.Cache[ChunkKey, []chunk.Sample]
-	decodes atomic.Int64
+	table    *storage.Cache[ChunkKey, *chunk.Chunk]
+	decodes  atomic.Int64
+	inflated atomic.Int64
 }
 
 // ChunkKey is a decoded chunk's key in a ChunkCache. Two reads share an
@@ -54,43 +59,37 @@ const chunkShardBytes = 32 << 20
 // NewChunkCache builds a decoded-chunk cache of the given byte capacity.
 func NewChunkCache(capacity int64) *ChunkCache {
 	return &ChunkCache{table: storage.NewCache(capacity, storage.ShardsFor(capacity, chunkShardBytes),
-		storage.CacheFuncs[ChunkKey, []chunk.Sample]{
+		storage.CacheFuncs[ChunkKey, *chunk.Chunk]{
 			// The scope is folded in ahead of the object key so distinct
 			// handles spread over the shards independently.
 			Hash: func(k ChunkKey) uint64 {
 				return storage.HashString(storage.HashUint64(storage.HashSeed, k.scope), k.obj)
 			},
-			Size: samplesBytes,
+			Size: (*chunk.Chunk).Bytes,
 		})}
-}
-
-func samplesBytes(samples []chunk.Sample) (n int64) {
-	for _, s := range samples {
-		n += int64(len(s.Data))
-	}
-	return n
 }
 
 // Budget returns the cache's byte capacity across shards.
 func (c *ChunkCache) Budget() int64 { return c.table.Capacity() }
 
-// Load returns key's samples. On a miss it runs load once however many
+// Load returns key's chunk. On a miss it runs load once however many
 // callers ask at a time, and keeps what it returns under the admit rule. hit
 // reports the lookup found key, coalesced that a miss was served by another
 // caller's load; a miss that is neither ran load itself, and decoded unless
-// err is set (a failed load caches nothing). The samples are storage-owned
-// and read-only.
-func (c *ChunkCache) Load(ctx context.Context, key ChunkKey, load func() ([]chunk.Sample, error)) (samples []chunk.Sample, hit, coalesced bool, err error) {
-	return c.table.GetOrLoad(ctx, key, func() ([]chunk.Sample, error) {
-		samples, err := load()
+// err is set (a failed load caches nothing). What the chunk returns is
+// storage-owned and read-only.
+func (c *ChunkCache) Load(ctx context.Context, key ChunkKey, load func() (*chunk.Chunk, error)) (ch *chunk.Chunk, hit, coalesced bool, err error) {
+	return c.table.GetOrLoad(ctx, key, func() (*chunk.Chunk, error) {
+		ch, err := load()
 		if err != nil {
 			return nil, err
 		}
 		c.decodes.Add(1)
-		if samplesBytes(samples) <= c.table.ShardCapacity(key) || c.table.Pinned(key) {
-			c.table.Add(key, samples)
+		ch.CountInflated(&c.inflated)
+		if ch.Bytes() <= c.table.ShardCapacity(key) || c.table.Pinned(key) {
+			c.table.Add(key, ch)
 		}
-		return samples, nil
+		return ch, nil
 	})
 }
 
@@ -110,16 +109,18 @@ func (c *ChunkCache) Pin(key ChunkKey) { c.table.Pin(key) }
 func (c *ChunkCache) Unpin(key ChunkKey) { c.table.Unpin(key) }
 
 // ChunkCacheStats is a point-in-time copy of a ChunkCache's counters: the
-// cache core's, and Decodes, the loads that fetched and decoded (every miss
-// that was neither coalesced nor failed).
+// cache core's; Decodes, the loads that fetched and opened a chunk (every
+// miss that was neither coalesced nor failed); and Inflated, the decoded
+// bytes of the compressed blocks reads of those chunks have inflated.
 type ChunkCacheStats struct {
 	storage.CacheStats
-	Decodes int64
+	Decodes  int64
+	Inflated int64
 }
 
 // Stats reports the cache's counters.
 func (c *ChunkCache) Stats() ChunkCacheStats {
-	return ChunkCacheStats{CacheStats: c.table.Stats(), Decodes: c.decodes.Load()}
+	return ChunkCacheStats{CacheStats: c.table.Stats(), Decodes: c.decodes.Load(), Inflated: c.inflated.Load()}
 }
 
 // ChunkKey returns chunk id's key in a ChunkCache, read whole when s is
@@ -190,28 +191,28 @@ func (ds *Dataset) ChunkCacheStats() ChunkCacheStats {
 	return ChunkCacheStats{}
 }
 
-// cachedSamples is a ScanReader's default ChunkFetch: chunk id's stored
-// samples from the handle cache, loaded through ReadChunkSamples' path on a
-// miss. The write buffer's chunk, a chunk still in the flush pipeline, one
-// bound to no version and any chunk of a tensor the handle no longer holds
-// are read as ReadChunkSamples reads them and not cached. Key and load are
-// made under one tensor read lock, so no write falls between them.
-func (t *Tensor) cachedSamples(ctx context.Context, id uint64) ([]chunk.Sample, error) {
+// cachedChunk is a ScanReader's default ChunkFetch: chunk id from the
+// handle cache, loaded through ReadChunk's path on a miss. The write
+// buffer's chunk, a chunk still in the flush pipeline, one bound to no
+// version and any chunk of a tensor the handle no longer holds are read as
+// ReadChunk reads them and not cached. Key and load are made under one
+// tensor read lock, so no write falls between them.
+func (t *Tensor) cachedChunk(ctx context.Context, id uint64) (*chunk.Chunk, error) {
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	obj, ok := t.landedKey(id)
 	if !ok || t.ds.tensors[t.name] != t {
-		return t.chunkSamples(ctx, id)
+		return t.loadChunk(ctx, id)
 	}
-	samples, _, _, err := t.ds.chunkCache().Load(ctx, t.ds.cacheKey(obj, nil), func() ([]chunk.Sample, error) {
-		return t.chunkSamples(ctx, id)
+	c, _, _, err := t.ds.chunkCache().Load(ctx, t.ds.cacheKey(obj, nil), func() (*chunk.Chunk, error) {
+		return t.loadChunk(ctx, id)
 	})
-	return samples, err
+	return c, err
 }
 
-// ChunkCached reports whether chunk id is resident, decoded, in the handle
+// ChunkCached reports whether chunk id is resident, opened, in the handle
 // cache: a walk reading through it leaves such chunks out of its strips
 // (StripPlan.Skip), as the loader does for its own.
 func (t *Tensor) ChunkCached(id uint64) bool {

@@ -30,11 +30,11 @@ func TestChunkCacheAdmitRule(t *testing.T) {
 			if tc.pinned {
 				c.Pin(key)
 			}
-			samples, _, _, err := c.Load(context.Background(), key, func() ([]chunk.Sample, error) {
-				return []chunk.Sample{{Data: make([]byte, tc.size)}}, nil
+			loaded, _, _, err := c.Load(context.Background(), key, func() (*chunk.Chunk, error) {
+				return chunk.FromSamples([]chunk.Sample{{Data: make([]byte, tc.size)}}), nil
 			})
-			if err != nil || len(samples) != 1 || len(samples[0].Data) != tc.size {
-				t.Fatalf("Load = %d samples, %v; want the loaded chunk whether kept or not", len(samples), err)
+			if err != nil || loaded.Len() != 1 || loaded.Bytes() != int64(tc.size) {
+				t.Fatalf("Load = %v, %v; want the loaded chunk whether kept or not", loaded, err)
 			}
 			st := c.Stats()
 			if c.Cached(key) != tc.admit || st.Entries != map[bool]int{false: 0, true: 1}[tc.admit] {

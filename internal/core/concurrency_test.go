@@ -99,9 +99,14 @@ func TestConcurrentChunkReads(t *testing.T) {
 					t.Errorf("ChunkOf(%d): %v", i, err)
 					return
 				}
-				samples, err := x.ReadChunkSamples(ctx, chunkID)
+				c, err := x.ReadChunk(ctx, chunkID)
 				if err != nil {
-					t.Errorf("ReadChunkSamples(%d): %v", chunkID, err)
+					t.Errorf("ReadChunk(%d): %v", chunkID, err)
+					return
+				}
+				samples, err := c.Samples()
+				if err != nil {
+					t.Errorf("ReadChunk(%d).Samples: %v", chunkID, err)
 					return
 				}
 				arr, err := x.At(ctx, i)

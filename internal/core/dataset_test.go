@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/chunk"
@@ -469,8 +470,14 @@ func TestCopyRowAcrossStoredForms(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got.Shape(), want.Shape()) || !reflect.DeepEqual(got.Bytes(), want.Bytes()) {
 			t.Fatalf("%s: copied row %v (%v), want %v", htype, got, err, want)
 		}
-		if raw, _, _ := dst.RawAt(ctx, 0); !reflect.DeepEqual(raw, pixels) {
-			t.Fatalf("%s: stored %d bytes, want the %d raw pixels", htype, len(raw), len(pixels))
+		items, ok, err := dst.NewScanReader().StoredRow(ctx, 0)
+		if err != nil || !ok {
+			t.Fatalf("%s: StoredRow = %v, %v", htype, ok, err)
+		}
+		for _, s := range items {
+			if !reflect.DeepEqual(s.Data, pixels) {
+				t.Fatalf("%s: stored %d bytes, want the %d raw pixels", htype, len(s.Data), len(pixels))
+			}
 		}
 	}
 }
@@ -498,5 +505,35 @@ func TestCopyRowTilesForItsBounds(t *testing.T) {
 	}
 	if got, _, err := dst.RawAt(ctx, 0); err != nil || !reflect.DeepEqual(got, raw) {
 		t.Fatalf("tiled copy reads %d bytes (%v), want the source's %d", len(got), err, len(raw))
+	}
+}
+
+// TestRawAtRefusesSequenceRows: RawAt takes a row, and a sequence row has no
+// one stored sample, so on a sequence tensor it fails for every row, naming
+// the tensor, instead of reading the flat item of that index — another
+// row's bytes.
+func TestRawAtRefusesSequenceRows(t *testing.T) {
+	ctx := context.Background()
+	ds, _ := newTestDataset(t)
+	seq, err := ds.CreateTensor(ctx, TensorSpec{Name: "clips", Htype: "sequence[image]", SampleCompression: "jpeg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row := 0; row < 8; row++ {
+		items := make([]*tensor.NDArray, 1+row%3)
+		for k := range items {
+			items[k] = tensor.MustNew(tensor.UInt8, 8, 8, 3)
+		}
+		if err := seq.AppendSequence(ctx, items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for row := uint64(0); row < 8; row++ {
+		if raw, _, err := seq.RawAt(ctx, row); err == nil || !strings.Contains(err.Error(), `"clips"`) {
+			t.Fatalf("RawAt(%d) = %d bytes, %v; want an error naming the sequence tensor", row, len(raw), err)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/chunk"
-	"repro/internal/compress"
 	"repro/internal/encoder"
 	"repro/internal/storage"
 	"repro/internal/version"
@@ -376,21 +375,20 @@ func (f *fsckState) repair(ctx context.Context) error {
 }
 
 // chunkDamage says where inside a chunk object whose digest failed the
-// damage is: the block whose CRC32C fails, or the directory or block table
-// seal (chunk.VerifyBlocks). It is empty when the chunk's own checks all
-// pass, so only the manifest's digest disagrees.
+// damage is: the block whose CRC32C fails or that does not inflate, or the
+// directory or block table seal. It opens the chunk and reads every block.
+// It is empty when the chunk's own checks all pass, so only the manifest's
+// digest disagrees.
 func chunkDamage(meta TensorMeta, raw []byte) string {
-	blob := raw
-	if meta.ChunkCompression != "none" {
-		codec, err := compress.ByName(meta.ChunkCompression)
-		if err != nil {
-			return ""
-		}
-		if blob, err = codec.Decompress(raw); err != nil {
-			return fmt.Sprintf("; the chunk does not decompress: %v", err)
-		}
+	codec, err := chunk.CodecNamed(meta.ChunkCompression)
+	if err != nil {
+		return ""
 	}
-	if err := chunk.VerifyBlocks(blob); err != nil {
+	c, err := openStored(codec, raw)
+	if err == nil {
+		_, err = c.Samples()
+	}
+	if err != nil {
 		return "; " + err.Error()
 	}
 	return ""

@@ -84,7 +84,7 @@ func (t *Tensor) Slice(ctx context.Context, idx uint64, region []tensor.Range) (
 	}
 	// Range-read fast path: uncompressed chunk + raw sample + region
 	// constraining only axis 0.
-	if t.chunkCodec == nil && t.sampleCodec == nil && len(region) == 1 {
+	if t.codec == chunk.None && t.sampleCodec == nil && len(region) == 1 {
 		if arr, ok, err := t.rangeReadFirstAxis(ctx, idx, region[0]); err != nil {
 			return nil, err
 		} else if ok {
@@ -203,9 +203,14 @@ func (t *Tensor) LinkAt(ctx context.Context, idx uint64) (string, error) {
 }
 
 // RawAt returns a copy of the stored (still media-encoded) bytes and the
-// logical shape of sample idx, read by a one-shot ScanReader. A tiled
-// sample is raw, so its bytes are those of the assembled array.
+// logical shape of row idx, read by a one-shot ScanReader. A tiled sample is
+// raw, so its bytes are those of the assembled array. A sequence row has no
+// one stored sample, so RawAt refuses a sequence tensor (ScanReader.StoredRow
+// reads a row's stored items).
 func (t *Tensor) RawAt(ctx context.Context, idx uint64) ([]byte, []int, error) {
+	if t.spec.Sequence {
+		return nil, nil, fmt.Errorf("core: RawAt of sequence tensor %q: a row holds several stored items; use SequenceAt or ScanReader.StoredRow", t.name)
+	}
 	r := t.NewScanReader()
 	loc, err := r.locate(idx)
 	if err != nil {
@@ -245,33 +250,43 @@ func (t *Tensor) ChunkOf(idx uint64) (uint64, int, error) {
 	return t.chunkEnc.Lookup(idx)
 }
 
-// ReadChunkSamples fetches a whole chunk and returns its stored samples;
-// the dataloader fetches each chunk once for all samples it needs. The
-// slice is the caller's, but each sample's Data and Shape are storage-owned
-// and read-only: for an uncompressed chunk, Data aliases the bytes the
-// provider chain returned, which a byte cache shares with every reader. It
-// reads past the handle's decoded-chunk cache: it is the load the
-// dataloader's NodeCache runs on its own misses.
-func (t *Tensor) ReadChunkSamples(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
+// ReadChunk fetches a whole chunk and opens it; the dataloader fetches each
+// chunk once for all samples it needs. Each sample's Data and Shape are
+// storage-owned and read-only: for an uncompressed chunk, Data aliases the
+// bytes the provider chain returned, which a byte cache shares with every
+// reader; a compressed chunk inflates the blocks a read touches into a
+// buffer of its own. It reads past the handle's decoded-chunk cache: it is
+// the load the dataloader's NodeCache runs on its own misses.
+func (t *Tensor) ReadChunk(ctx context.Context, chunkID uint64) (*chunk.Chunk, error) {
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.chunkSamples(ctx, chunkID)
+	return t.loadChunk(ctx, chunkID)
 }
 
-// chunkSamples is ReadChunkSamples under the caller's tensor locks, read or
-// write: Rechunk and SetAt, which hold the write lock, read through it. The
-// write buffer's chunk comes back as a copy of its sample list.
-func (t *Tensor) chunkSamples(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
+// loadChunk is ReadChunk under the caller's tensor locks, read or write. The
+// write buffer's chunk comes back over a copy of its sample list.
+func (t *Tensor) loadChunk(ctx context.Context, chunkID uint64) (*chunk.Chunk, error) {
 	if t.builder.Len() > 0 && chunkID == t.pendingID {
-		return slices.Clone(t.pendingSamples), nil
+		return chunk.FromSamples(slices.Clone(t.pendingSamples)), nil
 	}
-	raw, err := t.readChunk(ctx, chunkID)
+	return t.readChunk(ctx, chunkID)
+}
+
+// chunkSamples is every sample of chunk id, in a list of the caller's own,
+// read under the caller's tensor locks: Rechunk and SetAt, which hold the
+// write lock, read whole chunks through it.
+func (t *Tensor) chunkSamples(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
+	c, err := t.loadChunk(ctx, chunkID)
 	if err != nil {
 		return nil, err
 	}
-	return chunk.Decode(raw)
+	samples, err := c.Samples()
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(samples), nil
 }
 
 func prod(shape []int) int {

@@ -211,12 +211,12 @@ func tensorFromState(ds *Dataset, name string, st tensorRootState) (*Tensor, err
 	if err != nil {
 		return nil, err
 	}
-	t := newTensorShell(ds, name, st.Meta, hspec)
-	// The record's manifest stays frozen (twins share it); the live one grows.
-	t.meta.Checksums = maps.Clone(st.Meta.Checksums)
-	if err := t.resolveCodecs(); err != nil {
+	t, err := newTensorShell(ds, name, st.Meta, hspec)
+	if err != nil {
 		return nil, err
 	}
+	// The record's manifest stays frozen (twins share it); the live one grows.
+	t.meta.Checksums = maps.Clone(st.Meta.Checksums)
 	for blob, enc := range map[*[]byte]encoding.BinaryUnmarshaler{
 		&st.ChunkEnc: t.chunkEnc,
 		&st.ShapeEnc: t.shapeEnc,

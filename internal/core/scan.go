@@ -40,11 +40,11 @@ func (t *Tensor) ChunkSpans() []ChunkSpan {
 	return out
 }
 
-// ChunkFetch is a pluggable fetch+decode source for a ScanReader: given a
-// chunk id it returns the chunk's stored samples. The streaming dataloader
-// passes a read through its own ChunkCache (its NodeCache, which Loaders
-// share and pin) here in place of the handle's.
-type ChunkFetch func(ctx context.Context, chunkID uint64) ([]chunk.Sample, error)
+// ChunkFetch is a pluggable fetch+open source for a ScanReader: given a
+// chunk id it returns the opened chunk. The streaming dataloader passes a
+// read through its own ChunkCache (its NodeCache, which Loaders share and
+// pin) here in place of the handle's.
+type ChunkFetch func(ctx context.Context, chunkID uint64) (*chunk.Chunk, error)
 
 // ScanReader is the one read path from a flat sample index to its stored
 // sample and decoded array: Tensor.At, SequenceAt, LinkAt, RawAt and
@@ -52,10 +52,11 @@ type ChunkFetch func(ctx context.Context, chunkID uint64) ([]chunk.Sample, error
 // chunk it loaded in a one-chunk slot, so a walk over rows in ascending
 // order looks each chunk up once instead of once per row. Without a
 // ChunkFetch of its own, a reader loads through the dataset handle's
-// decoded-chunk cache: a landed chunk is fetched and decoded once per
+// decoded-chunk cache: a landed chunk is fetched and opened once per
 // handle, whichever readers ask — the TQL scan's stages, repeated queries,
-// one-shot point reads — and concurrent loads of one chunk coalesce into one
-// decode. A row still in the write buffer is copied out under the tensor's
+// one-shot point reads — concurrent loads of one chunk coalesce into one,
+// and each block of a compressed chunk is inflated once, by the first read
+// that touches it. A row still in the write buffer is copied out under the tensor's
 // locks, and a tiled sample is assembled from its tiles; neither goes
 // through the slot.
 //
@@ -71,7 +72,7 @@ type ScanReader struct {
 	arena   *chunk.Arena
 	valid   bool
 	chunkID uint64
-	samples []chunk.Sample
+	chunk   *chunk.Chunk
 }
 
 // NewScanReader returns a reader with an empty chunk slot whose fetches go
@@ -81,7 +82,7 @@ func (t *Tensor) NewScanReader() *ScanReader { return &ScanReader{t: t} }
 // NewScanReaderWith returns a reader whose chunk fetches are served by fetch
 // (the dataloader reads through its NodeCache, a ChunkCache of its own)
 // instead of the handle's ChunkCache. Tiles are read through
-// ReadChunkSamples either way.
+// ReadChunk either way.
 func (t *Tensor) NewScanReaderWith(fetch ChunkFetch) *ScanReader {
 	return &ScanReader{t: t, fetch: fetch}
 }
@@ -133,24 +134,25 @@ func (r *ScanReader) locate(idx uint64) (location, error) {
 
 // load fills the slot with chunk id's stored samples unless it holds them.
 // It runs outside the tensor locks, so a ChunkFetch may re-enter tensor read
-// methods (the dataloader's cache calls ReadChunkSamples).
+// methods (the dataloader's cache calls ReadChunk).
 func (r *ScanReader) load(ctx context.Context, id uint64) error {
 	if r.valid && r.chunkID == id {
 		return nil
 	}
 	fetch := r.fetch
 	if fetch == nil {
-		fetch = r.t.cachedSamples
+		fetch = r.t.cachedChunk
 	}
-	samples, err := fetch(ctx, id)
+	c, err := fetch(ctx, id)
 	if err != nil {
 		return err
 	}
-	r.chunkID, r.samples, r.valid = id, samples, true
+	r.chunkID, r.chunk, r.valid = id, c, true
 	return nil
 }
 
-// sample returns the stored sample at an untiled location.
+// sample returns the stored sample at an untiled location, inflating the
+// blocks of a compressed chunk it spans that no read has touched.
 func (r *ScanReader) sample(ctx context.Context, loc location) (chunk.Sample, error) {
 	if loc.pending != nil {
 		return *loc.pending, nil
@@ -158,10 +160,11 @@ func (r *ScanReader) sample(ctx context.Context, loc location) (chunk.Sample, er
 	if err := r.load(ctx, loc.chunkID); err != nil {
 		return chunk.Sample{}, err
 	}
-	if loc.local >= len(r.samples) {
-		return chunk.Sample{}, fmt.Errorf("core: sample %d beyond chunk %d (%d samples)", loc.local, loc.chunkID, len(r.samples))
+	s, err := r.chunk.Sample(loc.local)
+	if err != nil {
+		return chunk.Sample{}, fmt.Errorf("core: chunk object %q of tensor %q: %w", r.t.ChunkIdentity(loc.chunkID), r.t.name, err)
 	}
-	return r.samples[loc.local], nil
+	return s, nil
 }
 
 // tiled assembles a tiled sample from the tiles overlapping region (nil
@@ -171,14 +174,18 @@ func (r *ScanReader) tiled(ctx context.Context, entry encoder.TileEntry, region 
 	needed := entry.Layout.TilesOverlapping(region)
 	tiles := make(map[int]*tensor.NDArray, len(needed))
 	for _, ti := range needed {
-		samples, err := r.t.ReadChunkSamples(ctx, entry.ChunkIDs[ti])
+		c, err := r.t.ReadChunk(ctx, entry.ChunkIDs[ti])
 		if err != nil {
 			return nil, err
 		}
-		if len(samples) != 1 {
-			return nil, fmt.Errorf("core: tile chunk holds %d samples, want 1", len(samples))
+		if c.Len() != 1 {
+			return nil, fmt.Errorf("core: tile chunk holds %d samples, want 1", c.Len())
 		}
-		if tiles[ti], err = r.t.decode(samples[0], r.arena); err != nil {
+		s, err := c.Sample(0)
+		if err != nil {
+			return nil, err
+		}
+		if tiles[ti], err = r.t.decode(s, r.arena); err != nil {
 			return nil, err
 		}
 	}
@@ -201,12 +208,12 @@ func (r *ScanReader) item(ctx context.Context, idx uint64) (*tensor.NDArray, err
 	return r.t.decode(s, r.arena)
 }
 
-// StoredAt returns the stored (still media-encoded) sample idx, decoding the
+// StoredAt returns the stored (still media-encoded) sample idx, opening the
 // containing chunk once and reusing it across calls; a write-buffered row is
 // served from its copy. ok=false, with no IO, means idx has no one stored
 // sample: a sequence row or a tiled sample, which At reads. The sample's
-// Data and Shape are storage-owned and read-only, as ReadChunkSamples says;
-// At returns the caller's own array.
+// Data and Shape are storage-owned and read-only, as ReadChunk says; At
+// returns the caller's own array.
 func (r *ScanReader) StoredAt(ctx context.Context, idx uint64) (chunk.Sample, bool, error) {
 	if r.t.spec.Sequence {
 		return chunk.Sample{}, false, nil
@@ -219,9 +226,9 @@ func (r *ScanReader) StoredAt(ctx context.Context, idx uint64) (chunk.Sample, bo
 	return s, err == nil, err
 }
 
-// storedRow returns row idx's stored samples — a sequence row's items, else
+// StoredRow returns row idx's stored samples — a sequence row's items, else
 // its one sample — as StoredAt returns each; ok=false means one is tiled.
-func (r *ScanReader) storedRow(ctx context.Context, idx uint64) ([]chunk.Sample, bool, error) {
+func (r *ScanReader) StoredRow(ctx context.Context, idx uint64) ([]chunk.Sample, bool, error) {
 	first, end := idx, idx+1
 	if r.t.spec.Sequence {
 		var err error
@@ -247,11 +254,12 @@ func (r *ScanReader) storedRow(ctx context.Context, idx uint64) ([]chunk.Sample,
 // Chunk returns the stored samples of the chunk holding sample idx, through
 // the same one-chunk slot as StoredAt, and the index of the chunk's first
 // sample: sample first+i of the chunk's span (ChunkSpans) is samples[i], so
-// a caller walking the span's rows resolves none of them on its own.
-// ok=false, with no IO, means idx is not in a stored chunk (sequences,
-// tiles, write-buffered rows), which At reads; every error is the one
-// StoredAt returns. The samples are storage-owned and read-only, as
-// ReadChunkSamples says.
+// a caller walking the span's rows resolves none of them on its own. It
+// reads the whole chunk, inflating every block of a compressed one no read
+// has touched. ok=false, with no IO, means idx is not in a stored chunk
+// (sequences, tiles, write-buffered rows), which At reads; every error is
+// the one StoredAt returns. The samples are storage-owned and read-only, as
+// ReadChunk says.
 func (r *ScanReader) Chunk(ctx context.Context, idx uint64) (samples []chunk.Sample, first uint64, ok bool, err error) {
 	if r.t.spec.Sequence {
 		return nil, 0, false, nil
@@ -263,11 +271,15 @@ func (r *ScanReader) Chunk(ctx context.Context, idx uint64) (samples []chunk.Sam
 	if err := r.load(ctx, loc.chunkID); err != nil {
 		return nil, 0, false, err
 	}
-	return r.samples, idx - uint64(loc.local), true, nil
+	samples, err = r.chunk.Samples()
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("core: chunk object %q of tensor %q: %w", r.t.ChunkIdentity(loc.chunkID), r.t.name, err)
+	}
+	return samples, idx - uint64(loc.local), true, nil
 }
 
-// At returns sample idx like Tensor.At, reusing the slot's decoded chunk, so
-// sequential reads within one chunk pay a single fetch+decode.
+// At returns sample idx like Tensor.At, reusing the slot's opened chunk, so
+// sequential reads within one chunk pay a single fetch+open.
 func (r *ScanReader) At(ctx context.Context, idx uint64) (*tensor.NDArray, error) {
 	if !r.t.spec.Sequence {
 		return r.item(ctx, idx)

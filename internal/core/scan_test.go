@@ -55,9 +55,9 @@ func TestScanReaderFetchHook(t *testing.T) {
 	_, x := scanDataset(t, n)
 
 	var fetches int64
-	r := x.NewScanReaderWith(func(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
+	r := x.NewScanReaderWith(func(ctx context.Context, chunkID uint64) (*chunk.Chunk, error) {
 		atomic.AddInt64(&fetches, 1)
-		return x.ReadChunkSamples(ctx, chunkID)
+		return x.ReadChunk(ctx, chunkID)
 	})
 	for i := uint64(0); i < n; i++ {
 		s, ok, err := r.StoredAt(ctx, i)
@@ -87,8 +87,8 @@ func TestScanReaderAtMatchesTensorAt(t *testing.T) {
 	ctx := context.Background()
 	_, x := scanDataset(t, n)
 	direct := x.NewScanReader()
-	hooked := x.NewScanReaderWith(func(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
-		return x.ReadChunkSamples(ctx, chunkID)
+	hooked := x.NewScanReaderWith(func(ctx context.Context, chunkID uint64) (*chunk.Chunk, error) {
+		return x.ReadChunk(ctx, chunkID)
 	})
 	for i := uint64(0); i < n; i++ {
 		want, err := x.At(ctx, i)

@@ -49,7 +49,7 @@ func rangeRequests(key string, plan *chunk.Sparse) []storage.RangeReq {
 // lie. ok is false when the chunk cannot be read in part, or the rows are
 // all of it.
 func (t *Tensor) PlanSparse(rows []uint64) (s *SparseChunk, ok bool) {
-	if len(rows) == 0 || t.chunkCodec != nil || t.sampleCodec != nil || t.spec.Sequence || t.spec.Link {
+	if len(rows) == 0 || t.codec != chunk.None || t.sampleCodec != nil || t.spec.Sequence || t.spec.Link {
 		return nil, false
 	}
 	t.ds.mu.RLock()
@@ -115,21 +115,21 @@ func (t *Tensor) layout(first, last uint64) (chunk.Layout, error) {
 // ReadSparse reads a planned sparse chunk: the chunk's samples, each with
 // its shape and only the planned ones with their payload, which aliases the
 // bytes the provider chain returned (storage-owned and read-only, as
-// ReadChunkSamples says). The ranges go to the chain in one batch, so they
-// join a strip's prefetch of them, and every one is checked here whatever
-// the chain below checked.
-func (t *Tensor) ReadSparse(ctx context.Context, s *SparseChunk) ([]chunk.Sample, error) {
+// ReadChunk says). The ranges go to the chain in one batch, so they join a
+// strip's prefetch of them, and every one is checked here whatever the chain
+// below checked.
+func (t *Tensor) ReadSparse(ctx context.Context, s *SparseChunk) (*chunk.Chunk, error) {
 	parts, err := t.readRanges(ctx, s.key, s.plan, func(ctx context.Context, reqs []storage.RangeReq) ([][]byte, error) {
 		return storage.GetRanges(ctx, t.ds.store, reqs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return s.plan.Decode(parts), nil
+	return chunk.FromSamples(s.plan.Decode(parts)), nil
 }
 
 // readRanges fetches plan's ranges of object key with get and checks them
-// all, as readChunk checks a whole chunk's footer: a failed check evicts the
+// all, as readChunk checks a whole chunk: a failed check evicts the
 // object's cached bytes from the chain and fetches once more, and bytes still
 // bad after that are an error naming the object that wraps chunk.ErrCorrupt.
 func (t *Tensor) readRanges(ctx context.Context, key string, plan *chunk.Sparse, get func(context.Context, []storage.RangeReq) ([][]byte, error)) ([][]byte, error) {

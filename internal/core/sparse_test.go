@@ -53,7 +53,11 @@ func TestReadSparseReadsWhatItSelects(t *testing.T) {
 		t.Fatal("a plan of every sample of the chunk is no sparse read")
 	}
 	count.Reset()
-	samples, err := x.ReadSparse(ctx, s)
+	c, err := x.ReadSparse(ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := c.Samples()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // stripAllocRatio reads one strip of 16 raw chunks, 16 KiB frames at 16 a
 // chunk, n times over an LRU → Verify → Memory chain: each time it evicts
 // the strip, prefetches it as one coalesced strip and reads every chunk
-// back with ReadChunkSamples. It returns the bytes allocated per strip byte.
+// back with ReadChunk. It returns the bytes allocated per strip byte.
 // The origin's copy (Memory.GetRanges, standing in for the network read) is
 // the one allocation of the strip's size the read path may make.
 func stripAllocRatio(tb testing.TB, n int) float64 {
@@ -72,7 +72,7 @@ func stripAllocRatio(tb testing.TB, n int) float64 {
 			tb.Fatalf("prefetch claimed %d of %d chunks", claimed, chunks)
 		}
 		for _, id := range ids {
-			if _, err := x.ReadChunkSamples(ctx, id); err != nil {
+			if _, err := x.ReadChunk(ctx, id); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -98,7 +98,7 @@ func stripAllocRatio(tb testing.TB, n int) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(int64(n)*stripBytes)
 }
 
-// TestPrefetchedStripAllocBytes: from the wire to ReadChunkSamples, a
+// TestPrefetchedStripAllocBytes: from the wire to ReadChunk, a
 // prefetched strip costs the program no copy of its own: at most 1.1× the
 // strip's bytes are allocated, the origin's copy and the decode's sample
 // directories.

@@ -34,7 +34,7 @@ type Tensor struct {
 
 	mu sync.RWMutex
 
-	chunkCodec  compress.Codec       // nil means uncompressed chunks
+	codec       chunk.Codec          // the block codec of its chunks
 	sampleCodec compress.SampleCodec // nil means raw samples
 
 	chunkEnc *encoder.ChunkEncoder
@@ -99,8 +99,8 @@ func newTensor(ds *Dataset, spec TensorSpec) (*Tensor, error) {
 		Hidden:            spec.Hidden,
 		Bounds:            bounds,
 	}
-	t := newTensorShell(ds, spec.Name, meta, hspec)
-	if err := t.resolveCodecs(); err != nil {
+	t, err := newTensorShell(ds, spec.Name, meta, hspec)
+	if err != nil {
 		return nil, err
 	}
 	// An empty tensor references no chunk, so its state is durable as is.
@@ -111,24 +111,35 @@ func newTensor(ds *Dataset, spec TensorSpec) (*Tensor, error) {
 }
 
 // newTensorShell builds the common in-memory skeleton of a tensor handle:
-// fresh encoders, an empty builder sized from meta.Bounds, an empty chunk
-// map. Callers still resolve codecs and (when loading) hydrate
-// encoder/diff/chunk state.
-func newTensorShell(ds *Dataset, name string, meta TensorMeta, hspec tensor.HtypeSpec) *Tensor {
+// its codecs, fresh encoders, an empty builder sized from meta.Bounds, an
+// empty chunk map. Callers loading a tensor still hydrate encoder/diff/chunk
+// state.
+func newTensorShell(ds *Dataset, name string, meta TensorMeta, hspec tensor.HtypeSpec) (*Tensor, error) {
 	dtype, _ := tensor.ParseDtype(meta.Dtype)
-	return &Tensor{
+	codec, err := chunk.CodecNamed(meta.ChunkCompression)
+	if err != nil {
+		return nil, err
+	}
+	t := &Tensor{
 		ds:           ds,
 		name:         name,
 		meta:         meta,
 		spec:         hspec,
 		dtype:        dtype,
+		codec:        codec,
 		chunkEnc:     encoder.NewChunkEncoder(),
 		shapeEnc:     encoder.NewShapeEncoder(),
 		tileEnc:      encoder.NewTileEncoder(),
 		seqEnc:       encoder.NewSequenceEncoder(),
-		builder:      chunk.NewBuilder(meta.Bounds),
+		builder:      chunk.NewBuilder(meta.Bounds, codec),
 		chunkVersion: map[uint64]string{},
 	}
+	if meta.SampleCompression != "none" {
+		if t.sampleCodec, err = compress.SampleByName(meta.SampleCompression); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
 }
 
 func normalizeCodecName(name string) string {
@@ -136,24 +147,6 @@ func normalizeCodecName(name string) string {
 		return "none"
 	}
 	return name
-}
-
-func (t *Tensor) resolveCodecs() error {
-	if t.meta.ChunkCompression != "none" {
-		c, err := compress.ByName(t.meta.ChunkCompression)
-		if err != nil {
-			return err
-		}
-		t.chunkCodec = c
-	}
-	if t.meta.SampleCompression != "none" {
-		c, err := compress.SampleByName(t.meta.SampleCompression)
-		if err != nil {
-			return err
-		}
-		t.sampleCodec = c
-	}
-	return nil
 }
 
 // Name returns the tensor name.
@@ -260,20 +253,23 @@ func (t *Tensor) flushPending(ctx context.Context) error {
 	return t.writeChunk(ctx, t.pendingID, blob)
 }
 
-// writeChunk compresses one chunk blob, binds its id to the head version and
+// writeChunk stores one chunk blob, encoded with the tensor's codec (which
+// compresses each block on its own), binds its id to the head version and
 // enqueues it on the flush pipeline; the call returns once the chunk is
 // queued, and readers see it through the pipeline's pending map until the
 // upload lands. It stamps the object key it writes, so the chunk's
 // decoded-chunk cache key changes with every rewrite of it under its id.
 // Caller holds the tensor write lock (or ds.mu exclusively); ds.head is
 // stable because every writer also holds ds.mu shared.
+//
+// An lz4 tensor's chunk object is its chunk in the lz4 codec's stored frame
+// (compress.LZ4Stored, a few bytes of prefix): inflated whole with the
+// codec, as lakebench's layer replay inflates the chunk objects of lz4
+// tensors, the object yields the chunk. The frame compresses nothing; the
+// chunk's blocks carry the compression.
 func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
-	if t.chunkCodec != nil {
-		var err error
-		blob, err = t.chunkCodec.Compress(blob)
-		if err != nil {
-			return err
-		}
+	if t.codec == chunk.LZ4 {
+		blob = compress.LZ4Stored(blob)
 	}
 	// Record the stored object's CRC32C in the checksum manifest before the
 	// bytes go out: the digest describes the blob we hand to storage, so
@@ -298,17 +294,19 @@ func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
 	return nil
 }
 
-// readChunk fetches, decompresses and integrity-checks chunk id, resolving
-// the owning version directory through the version map. Chunks whose upload
-// is still in flight are served from the pipeline's pending map, so
-// same-process readers never race the background uploaders.
+// readChunk fetches and opens chunk id (openStored), resolving the owning
+// version directory through the version map. Chunks whose upload is still in
+// flight are served from the pipeline's pending map, so same-process readers
+// never race the background uploaders.
 //
-// Corruption detected above the storage chain (a decompression failure or a
-// failed chunk-footer CRC) is healed once: the poisoned copy is evicted from
-// any cache in the chain and the chunk re-fetched through the verifying
-// providers. Bytes that are still bad after that surface as an error naming
-// the exact object, wrapping chunk.ErrCorrupt.
-func (t *Tensor) readChunk(ctx context.Context, id uint64) ([]byte, error) {
+// Corruption Open detects above the storage chain (a bad frame, header,
+// directory or table, or an uncompressed chunk's failed block) is healed
+// once: the poisoned copy is evicted from any cache in the chain and the
+// chunk re-fetched through the verifying providers. Bytes that are still bad
+// after that surface as an error naming the exact object, wrapping
+// chunk.ErrCorrupt. A compressed chunk's blocks are checked as reads first
+// touch them (chunk.Chunk), and a bad one fails those reads.
+func (t *Tensor) readChunk(ctx context.Context, id uint64) (*chunk.Chunk, error) {
 	vid, ok := t.chunkVersion[id]
 	if !ok {
 		return nil, fmt.Errorf("core: chunk %d of tensor %q not found in any version", id, t.name)
@@ -325,9 +323,9 @@ func (t *Tensor) readChunk(ctx context.Context, id uint64) ([]byte, error) {
 			return nil, err
 		}
 	}
-	blob, err := t.decodeChunkBlob(raw)
+	c, err := openStored(t.codec, raw)
 	if err == nil {
-		return blob, nil
+		return c, nil
 	}
 	if inflight {
 		// In-memory pending bytes never involve a cache or transport;
@@ -339,30 +337,25 @@ func (t *Tensor) readChunk(ctx context.Context, id uint64) ([]byte, error) {
 	if ferr != nil {
 		return nil, fmt.Errorf("core: re-fetch of corrupt chunk %q of tensor %q failed: %w", key, t.name, ferr)
 	}
-	blob, err = t.decodeChunkBlob(raw)
+	c, err = openStored(t.codec, raw)
 	if err != nil {
 		return nil, fmt.Errorf("core: chunk object %q of tensor %q is corrupt after re-fetch: %w", key, t.name, err)
 	}
-	return blob, nil
+	return c, nil
 }
 
-// decodeChunkBlob decompresses a stored chunk object and verifies its footer
-// CRC when the chunk format carries one. Every failure mode wraps
-// chunk.ErrCorrupt: a blob that fails to decompress is by definition not the
-// bytes the writer produced.
-func (t *Tensor) decodeChunkBlob(raw []byte) ([]byte, error) {
-	blob := raw
-	if t.chunkCodec != nil {
+// openStored opens the stored chunk object of a tensor whose block codec is
+// codec (chunk.Open), out of the lz4 tensor's stored frame (writeChunk).
+// Every failure wraps chunk.ErrCorrupt: an object that is no frame is by
+// definition not the bytes the writer produced.
+func openStored(codec chunk.Codec, obj []byte) (*chunk.Chunk, error) {
+	if codec == chunk.LZ4 {
 		var err error
-		blob, err = t.chunkCodec.Decompress(raw)
-		if err != nil {
-			return nil, fmt.Errorf("%w: decompress: %w", chunk.ErrCorrupt, err)
+		if obj, err = compress.LZ4StoredPayload(obj); err != nil {
+			return nil, fmt.Errorf("%w: %w", chunk.ErrCorrupt, err)
 		}
 	}
-	if _, err := chunk.Verify(blob); err != nil {
-		return nil, err
-	}
-	return blob, nil
+	return chunk.Open(obj)
 }
 
 func mustJSON(v any) []byte {

@@ -112,7 +112,7 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 		return fmt.Errorf("core: sample %d beyond chunk %d", local, chunkID)
 	}
 	samples[local] = s
-	blob, err := chunk.Encode(samples)
+	blob, err := t.codec.Encode(samples)
 	if err != nil {
 		return err
 	}
@@ -126,7 +126,7 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 
 // rebuildPending re-syncs the chunk builder after an in-buffer update.
 func (t *Tensor) rebuildPending() error {
-	b := chunk.NewBuilder(t.meta.Bounds)
+	b := chunk.NewBuilder(t.meta.Bounds, t.codec)
 	for _, s := range t.pendingSamples {
 		if err := b.Append(s); err != nil {
 			return err
@@ -193,7 +193,7 @@ func (t *Tensor) Rechunk(ctx context.Context) error {
 	var (
 		newIDs    []uint64
 		newCounts []int
-		builder   = chunk.NewBuilder(t.meta.Bounds)
+		builder   = chunk.NewBuilder(t.meta.Bounds, t.codec)
 		curID     uint64
 		// The last source chunk read: rows ascend, so each is read once.
 		srcID  uint64

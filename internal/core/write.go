@@ -178,7 +178,7 @@ func (t *Tensor) CopyRow(ctx context.Context, r *ScanReader, idx uint64) error {
 // and the row. SampleCompression, like spec and dtype, never changes.
 func (t *Tensor) rowFrom(ctx context.Context, r *ScanReader, idx uint64) ([]chunk.Sample, []*tensor.NDArray, error) {
 	if t.spec == r.t.spec && t.dtype == r.t.dtype && t.meta.SampleCompression == r.t.meta.SampleCompression {
-		if samples, ok, err := r.storedRow(ctx, idx); err != nil || ok {
+		if samples, ok, err := r.StoredRow(ctx, idx); err != nil || ok {
 			return samples, nil, err
 		}
 	}
@@ -211,7 +211,7 @@ func (t *Tensor) appendRows(ctx context.Context, samples []chunk.Sample, arrs []
 // appendLocked appends stored samples under the write locks: each one a
 // row, or on a sequence tensor all of them one row. arrs, if non-nil, holds
 // their decoded arrays for tiling. A sample may alias read-only source bytes
-// (CopyRow): the builder holds it unwritten until chunk.Encode copies it.
+// (CopyRow): the builder holds it unwritten until the chunk encoding copies it.
 func (t *Tensor) appendLocked(ctx context.Context, samples []chunk.Sample, arrs []*tensor.NDArray) error {
 	var dc deferredCollector
 	for i, s := range samples {
@@ -339,7 +339,7 @@ func (t *Tensor) appendEncodedSample(ctx context.Context, s chunk.Sample, arr *t
 			return err
 		}
 		id := t.allocChunkID()
-		blob, err := chunk.Encode([]chunk.Sample{s})
+		blob, err := t.codec.Encode([]chunk.Sample{s})
 		if err != nil {
 			return err
 		}
@@ -385,7 +385,7 @@ func (t *Tensor) writeTiles(ctx context.Context, idx uint64, arr *tensor.NDArray
 	ids := make([]uint64, 0, len(tiles))
 	for _, tile := range tiles {
 		id := t.allocChunkID()
-		blob, err := chunk.Encode([]chunk.Sample{{Shape: tile.Shape(), Data: tile.Bytes()}})
+		blob, err := t.codec.Encode([]chunk.Sample{{Shape: tile.Shape(), Data: tile.Bytes()}})
 		if err != nil {
 			return 0, err
 		}

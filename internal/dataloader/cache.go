@@ -51,18 +51,18 @@ type cacheLedger struct {
 	hits, misses, coalesced, decodes atomic.Int64
 }
 
-// cacheGet reads one chunk's samples through the node cache, in part when
-// s plans it so (core.Tensor.ReadSparse), crediting this Loader's ledger.
-func (l *Loader) cacheGet(ctx context.Context, t *core.Tensor, chunkID uint64, s *core.SparseChunk) ([]chunk.Sample, error) {
-	samples, hit, coalesced, err := l.cache.Load(ctx, t.ChunkKey(chunkID, s), func() ([]chunk.Sample, error) {
+// cacheGet reads one chunk through the node cache, in part when s plans it
+// so (core.Tensor.ReadSparse), crediting this Loader's ledger.
+func (l *Loader) cacheGet(ctx context.Context, t *core.Tensor, chunkID uint64, s *core.SparseChunk) (*chunk.Chunk, error) {
+	c, hit, coalesced, err := l.cache.Load(ctx, t.ChunkKey(chunkID, s), func() (*chunk.Chunk, error) {
 		if s != nil {
 			return t.ReadSparse(ctx, s)
 		}
-		return t.ReadChunkSamples(ctx, chunkID)
+		return t.ReadChunk(ctx, chunkID)
 	})
 	if hit {
 		l.led.hits.Add(1)
-		return samples, err
+		return c, err
 	}
 	l.led.misses.Add(1)
 	if coalesced {
@@ -70,7 +70,7 @@ func (l *Loader) cacheGet(ctx context.Context, t *core.Tensor, chunkID uint64, s
 	} else if err == nil {
 		l.led.decodes.Add(1)
 	}
-	return samples, err
+	return c, err
 }
 
 // pinLedger tracks the pins one Loader currently holds on a (possibly

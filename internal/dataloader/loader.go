@@ -638,7 +638,7 @@ func (w *rowLoader) reader(t *core.Tensor) *core.ScanReader {
 	r, ok := w.readers[t.Name()]
 	if !ok {
 		sparse := w.reads.sparse[t.Name()]
-		r = t.NewScanReaderWith(func(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
+		r = t.NewScanReaderWith(func(ctx context.Context, chunkID uint64) (*chunk.Chunk, error) {
 			return w.l.cacheGet(ctx, t, chunkID, sparse[chunkID])
 		})
 		r.SetArena(w.arena)

@@ -190,8 +190,8 @@ func TestNodeCachePinBlocksEviction(t *testing.T) {
 	c := NewNodeCache(100) // single shard, tiny budget
 	admit := func(key core.ChunkKey) {
 		t.Helper()
-		if _, _, _, err := c.Load(ctx, key, func() ([]chunk.Sample, error) {
-			return []chunk.Sample{{Data: make([]byte, 64)}}, nil
+		if _, _, _, err := c.Load(ctx, key, func() (*chunk.Chunk, error) {
+			return chunk.FromSamples([]chunk.Sample{{Data: make([]byte, 64)}}), nil
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -176,36 +176,37 @@ func copyCases() []copyCase {
 }
 
 // sameRows fails unless got holds want's rows: equal stored bytes and shape
-// (RawAt, which indexes a sequence tensor's items) and equal decoded rows
-// (At).
+// of every stored item (StoredRow; RawAt for a tiled sample, which it
+// assembles) and equal decoded rows (At).
 func sameRows(t *testing.T, want, got *core.Tensor) {
 	t.Helper()
 	ctx := context.Background()
 	if got.Len() != want.Len() {
 		t.Fatalf("%d rows, want %d", got.Len(), want.Len())
 	}
-	samples := want.Len()
-	if want.Htype().Sequence {
-		samples = 0
-		for row := 0; row < int(want.Len()); row++ {
-			n, err := want.SequenceLen(row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			samples += uint64(n)
+	stored := func(x *core.Tensor, r *core.ScanReader, row uint64) []chunk.Sample {
+		t.Helper()
+		items, ok, err := r.StoredRow(ctx, row)
+		if err == nil && !ok {
+			var s chunk.Sample
+			s.Data, s.Shape, err = x.RawAt(ctx, row)
+			items = []chunk.Sample{s}
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return items
 	}
-	for i := uint64(0); i < samples; i++ {
-		wb, ws, err := want.RawAt(ctx, i)
-		if err != nil {
-			t.Fatal(err)
+	wr, gr := want.NewScanReader(), got.NewScanReader()
+	for row := uint64(0); row < want.Len(); row++ {
+		wi, gi := stored(want, wr, row), stored(got, gr, row)
+		if len(gi) != len(wi) {
+			t.Fatalf("row %d: %d stored items, want the source's %d", row, len(gi), len(wi))
 		}
-		gb, gs, err := got.RawAt(ctx, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gb, wb) || !reflect.DeepEqual(gs, ws) {
-			t.Errorf("sample %d: stored %d B of shape %v, want the source's %d B of shape %v", i, len(gb), gs, len(wb), ws)
+		for k := range wi {
+			if !bytes.Equal(gi[k].Data, wi[k].Data) || !reflect.DeepEqual(gi[k].Shape, wi[k].Shape) {
+				t.Errorf("row %d item %d: stored %d B of shape %v, want the source's %d B of shape %v", row, k, len(gi[k].Data), gi[k].Shape, len(wi[k].Data), wi[k].Shape)
+			}
 		}
 	}
 	for i := uint64(0); i < want.Len(); i++ {
