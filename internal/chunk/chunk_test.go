@@ -108,10 +108,46 @@ func TestVerifyCatchesAFlippedBit(t *testing.T) {
 	}
 }
 
-// TestOtherVersionsAreRejected: a blob whose header names the retired
-// version 3 is corruption to every entry point — in particular Verify must
-// not wave it through unchecked.
+// TestVerifyFooter: the block table ends the blob with the block count and
+// the table seal, and a reader finds the table from there, so any flipped bit
+// in those last bytes, or a blob cut short, fails Verify with ErrCorrupt
+// though the header still parses.
+func TestVerifyFooter(t *testing.T) {
+	for _, codec := range []Codec{None, LZ4} {
+		blob, err := codec.Encode([]Sample{{Shape: []int{3}, Data: []byte("abc")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for at := len(blob) - 8; at < len(blob); at++ {
+			for bit := 0; bit < 8; bit++ {
+				bad := bytes.Clone(blob)
+				bad[at] ^= 1 << bit
+				if checked, err := Verify(bad); !checked || !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("codec %d, flip %d.%d: Verify = %v, %v; want checked, ErrCorrupt", codec, at, bit, checked, err)
+				}
+			}
+		}
+		if checked, err := Verify(blob[:len(blob)-1]); !checked || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("codec %d, truncated: Verify = %v, %v; want checked, ErrCorrupt", codec, checked, err)
+		}
+	}
+}
+
+// TestV1BlobsAreRejected: a blob whose header names the retired version 1
+// is corruption to every entry point — in particular Verify must not wave
+// it through unchecked.
+func TestV1BlobsAreRejected(t *testing.T) { checkVersionRejected(t, 1) }
+
+// TestOtherVersionsAreRejected: so is one naming the retired versions 2 or
+// 3, or one not yet written.
 func TestOtherVersionsAreRejected(t *testing.T) {
+	for _, v := range []byte{2, 3, FormatVersion + 1} {
+		checkVersionRejected(t, v)
+	}
+}
+
+func checkVersionRejected(t *testing.T, version byte) {
+	t.Helper()
 	blob, err := Encode([]Sample{
 		{Shape: []int{2}, Data: []byte("hi")},
 		{Shape: []int{3}, Data: []byte("bye")},
@@ -120,15 +156,15 @@ func TestOtherVersionsAreRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := append([]byte(nil), blob...)
-	old[4], old[5] = 3, 0
+	old[4], old[5] = version, 0
 	if _, err := Decode(old); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Decode(v3) = %v, want ErrCorrupt", err)
+		t.Fatalf("Decode(v%d) = %v, want ErrCorrupt", version, err)
 	}
 	if _, err := DecodeDirectory(old); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("DecodeDirectory(v3) = %v, want ErrCorrupt", err)
+		t.Fatalf("DecodeDirectory(v%d) = %v, want ErrCorrupt", version, err)
 	}
 	if checked, err := Verify(old); checked || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Verify(v3) = %v, %v; want unchecked, ErrCorrupt", checked, err)
+		t.Fatalf("Verify(v%d) = %v, %v; want unchecked, ErrCorrupt", version, checked, err)
 	}
 }
 

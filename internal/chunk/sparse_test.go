@@ -183,9 +183,9 @@ func TestSliceOfOneSampleReadsItsBlocks(t *testing.T) {
 	}
 }
 
-// TestVerifyNamesTheDamage: a whole blob's seals and blocks are checked one
-// by one, and the failure names the block.
-func TestVerifyNamesTheDamage(t *testing.T) {
+// TestVerifyBlocksNamesTheDamage: Verify checks a whole blob's seals and
+// blocks one by one, and the failure names the block.
+func TestVerifyBlocksNamesTheDamage(t *testing.T) {
 	data := bytes.Repeat([]byte{7}, 5*BlockSize+10)
 	blob, err := Encode([]Sample{{Shape: []int{len(data)}, Data: data}})
 	if err != nil {
