@@ -114,45 +114,17 @@ const (
 	Deflate
 )
 
-// codecNames are the compress codecs behind the ids.
-var codecNames = [...]string{None: "none", LZ4: "lz4", Deflate: "deflate"}
+// blockCodecs are the compress block codecs behind the ids.
+var blockCodecs = [...]compress.BlockCodec{None: nil, LZ4: compress.LZ4Block, Deflate: compress.DeflateBlock}
 
-// CodecNamed returns the block codec of a tensor's chunk compression: ""
-// and "none" mean uncompressed. gzip tensors store deflate blocks: gzip's
-// container adds nothing to a block the table already checks.
+// CodecNamed returns the block codec of a tensor's chunk compression
+// (compress.BlockNamed): "" and "none" mean uncompressed.
 func CodecNamed(name string) (Codec, error) {
-	switch name {
-	case "", "none":
-		return None, nil
-	case "lz4":
-		return LZ4, nil
-	case "deflate", "gzip":
-		return Deflate, nil
-	}
-	return None, fmt.Errorf("chunk: no block codec for chunk compression %q", name)
-}
-
-// blockCodec is what a chunk needs of a compress codec: one block in, one
-// block out, with the block's decoded length recorded by the chunk.
-type blockCodec interface {
-	AppendBlock(dst, src []byte) ([]byte, bool)
-	DecodeBlock(dst, src []byte) error
-}
-
-// blocks resolves a compressed chunk's codec.
-func (c Codec) blocks() (blockCodec, error) {
-	if c == None || int(c) >= len(codecNames) {
-		return nil, corruptf("unknown block codec %d", c)
-	}
-	codec, err := compress.ByName(codecNames[c])
+	bc, err := compress.BlockNamed(name)
 	if err != nil {
-		return nil, err
+		return None, err
 	}
-	bc, ok := codec.(blockCodec)
-	if !ok {
-		return nil, fmt.Errorf("chunk: codec %s has no block form", codecNames[c])
-	}
-	return bc, nil
+	return Codec(slices.Index(blockCodecs[:], bc)), nil
 }
 
 // blockLog is log2 of the codec's block size.
@@ -212,6 +184,9 @@ func Encode(samples []Sample) ([]byte, error) { return None.Encode(samples) }
 // compressed with c, each on its own; a block compression would not shrink
 // is stored as it is.
 func (c Codec) Encode(samples []Sample) ([]byte, error) {
+	if int(c) >= len(blockCodecs) {
+		return nil, fmt.Errorf("chunk: unknown block codec %d", c)
+	}
 	dir, err := encodeDirectory(samples)
 	if err != nil {
 		return nil, err
@@ -239,10 +214,7 @@ func (c Codec) Encode(samples []Sample) ([]byte, error) {
 			ends[b] = start + min((b+1)*bs, size)
 		}
 	} else {
-		bc, err := c.blocks()
-		if err != nil {
-			return nil, err
-		}
+		bc := blockCodecs[c]
 		data := make([]byte, 0, size)
 		for _, s := range samples {
 			data = append(data, s.Data...)
@@ -325,7 +297,7 @@ func parseHeader(raw []byte) (h header, err error) {
 	h.samples = int(binary.LittleEndian.Uint32(raw[6:]))
 	h.dirBytes = int(binary.LittleEndian.Uint32(raw[10:]))
 	h.codec, h.blockLog = Codec(raw[14]), raw[15]
-	if int(h.codec) >= len(codecNames) {
+	if int(h.codec) >= len(blockCodecs) {
 		return h, corruptf("unknown block codec %d", h.codec)
 	}
 	if h.blockLog < minBlockLog || h.blockLog > maxBlockLog {
@@ -522,22 +494,28 @@ func Verify(raw []byte) (checked bool, err error) {
 // checks and inflates the blocks it spans that no read has touched, once
 // per block however many goroutines read at a time, with nothing allocated
 // per block. A block that fails its check or does not inflate fails every
-// read that touches it, and no other. A Chunk is safe for concurrent use;
+// read that touches it, and no other: the reader heals by fetching the
+// chunk's object again (MarkStale). A Chunk is safe for concurrent use;
 // what it returns is read-only.
 type Chunk struct {
 	samples []Sample
 	lazy    *lazyBlocks
+	stale   atomic.Bool
 }
 
 // lazyBlocks is a compressed chunk's decoded data section and the state of
 // each of its blocks.
 type lazyBlocks struct {
 	p        *parsed
-	codec    blockCodec
+	codec    compress.BlockCodec
 	data     []byte
 	once     []sync.Once
 	errs     []error
 	inflated *atomic.Int64
+	// sums, after SumBlocks, holds each inflated block's CRC32C of its
+	// decoded bytes, written before its summed flag is set.
+	sums   []uint32
+	summed []atomic.Bool
 }
 
 // Open opens a whole chunk blob. It checks the blob's structure and seals,
@@ -557,13 +535,9 @@ func Open(raw []byte) (*Chunk, error) {
 			}
 		}
 	} else {
-		codec, err := p.h.codec.blocks()
-		if err != nil {
-			return nil, err
-		}
 		nb := p.blocks()
 		data = make([]byte, p.size)
-		lazy = &lazyBlocks{p: p, codec: codec, data: data, once: make([]sync.Once, nb), errs: make([]error, nb)}
+		lazy = &lazyBlocks{p: p, codec: blockCodecs[p.h.codec], data: data, once: make([]sync.Once, nb), errs: make([]error, nb)}
 	}
 	d := p.dir
 	samples := make([]Sample, d.NumSamples())
@@ -601,6 +575,51 @@ func (c *Chunk) CountInflated(n *atomic.Int64) {
 		c.lazy.inflated = n
 	}
 }
+
+// SumBlocks makes each block the chunk inflates from now on record the
+// CRC32C of its decoded bytes, which Digest checks. Call it before the chunk
+// is shared.
+func (c *Chunk) SumBlocks() {
+	if c.lazy != nil {
+		c.lazy.sums = make([]uint32, len(c.lazy.once))
+		c.lazy.summed = make([]atomic.Bool, len(c.lazy.once))
+	}
+}
+
+// Digest is a CRC32C of the bytes no reader of the chunk may write: an
+// uncompressed chunk's payloads; a compressed chunk's stored blocks and
+// block table, which alias the blob it was opened from, and — after
+// SumBlocks — each inflated block's decoded bytes, held to the CRC32C they
+// inflated to. Inflating a block changes no digest; writing into a payload
+// read out of the chunk does. It is the mutation detector's view of a
+// cached chunk (storage.CacheFuncs.Digest).
+func (c *Chunk) Digest() uint32 {
+	var crc uint32
+	if c.lazy == nil {
+		for _, s := range c.samples {
+			crc = crc32.Update(crc, castagnoli, s.Data)
+		}
+		return crc
+	}
+	l := c.lazy
+	crc = crc32.Update(crc32.Checksum(l.p.stored, castagnoli), castagnoli, l.p.entries)
+	for b := range l.summed {
+		if !l.summed[b].Load() {
+			continue
+		}
+		if _, _, lo, hi := l.p.block(b); crc32.Checksum(l.data[lo:hi], castagnoli) != l.sums[b] {
+			return ^crc
+		}
+	}
+	return crc
+}
+
+// MarkStale marks the chunk as one a reader found a damaged block in and
+// fetches again, to heal it: a cache holding it drops it on its next lookup.
+func (c *Chunk) MarkStale() { c.stale.Store(true) }
+
+// Stale reports whether MarkStale was called.
+func (c *Chunk) Stale() bool { return c.stale.Load() }
 
 // Sample returns sample i, inflating the blocks it spans on first touch.
 func (c *Chunk) Sample(i int) (Sample, error) {
@@ -656,6 +675,10 @@ func (l *lazyBlocks) inflate(b int) error {
 	}
 	if l.inflated != nil {
 		l.inflated.Add(int64(len(dst)))
+	}
+	if l.sums != nil {
+		l.sums[b] = crc32.Checksum(dst, castagnoli)
+		l.summed[b].Store(true)
 	}
 	return nil
 }

@@ -90,6 +90,40 @@ func (none) Decompress(src []byte) ([]byte, error) {
 	return out, nil
 }
 
+// BlockCodec is the unframed block form of a chunk compression codec, for a
+// container that records each block's decoded length itself and checks its
+// bytes (a chunk's block table). Implementations are safe for concurrent use.
+type BlockCodec interface {
+	// AppendBlock appends src's encoded block to dst. ok is false, and dst
+	// is returned unchanged, when the block would not be shorter than src.
+	AppendBlock(dst, src []byte) (out []byte, ok bool)
+	// DecodeBlock decodes a block AppendBlock wrote into exactly len(dst)
+	// bytes.
+	DecodeBlock(dst, src []byte) error
+}
+
+// The block codecs.
+var (
+	LZ4Block     BlockCodec = lz4{}
+	DeflateBlock BlockCodec = deflateCodec{}
+)
+
+// BlockNamed returns the block codec of chunk compression name: nil, for
+// uncompressed blocks, when name is "" or "none". A gzip tensor's blocks
+// are DEFLATE's: gzip's container adds nothing to a block its container
+// already checks.
+func BlockNamed(name string) (BlockCodec, error) {
+	switch name {
+	case "", "none":
+		return nil, nil
+	case "lz4":
+		return LZ4Block, nil
+	case "deflate", "gzip":
+		return DeflateBlock, nil
+	}
+	return nil, fmt.Errorf("compress: no block codec for chunk compression %q", name)
+}
+
 func init() {
 	Register(none{})
 }

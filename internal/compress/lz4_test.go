@@ -164,11 +164,7 @@ func TestLZ4AllocatesOnlyItsOutput(t *testing.T) {
 func TestDecodeBlockAllocatesNothing(t *testing.T) {
 	src := lz4Masks()[:4<<10]
 	for _, name := range []string{"lz4", "deflate"} {
-		c, _ := ByName(name)
-		bc := c.(interface {
-			AppendBlock(dst, src []byte) ([]byte, bool)
-			DecodeBlock(dst, src []byte) error
-		})
+		bc, _ := BlockNamed(name)
 		enc, ok := bc.AppendBlock([]byte("prefix"), src)
 		if !ok || string(enc[:6]) != "prefix" || len(enc)-6 >= len(src) {
 			t.Fatalf("%s: AppendBlock of a mask block = %d bytes, %v", name, len(enc)-6, ok)

@@ -65,7 +65,8 @@ func NewChunkCache(capacity int64) *ChunkCache {
 			Hash: func(k ChunkKey) uint64 {
 				return storage.HashString(storage.HashUint64(storage.HashSeed, k.scope), k.obj)
 			},
-			Size: (*chunk.Chunk).Bytes,
+			Size:   (*chunk.Chunk).Bytes,
+			Digest: (*chunk.Chunk).Digest,
 		})}
 }
 
@@ -78,19 +79,33 @@ func (c *ChunkCache) Budget() int64 { return c.table.Capacity() }
 // caller's load; a miss that is neither ran load itself, and decoded unless
 // err is set (a failed load caches nothing). What the chunk returns is
 // storage-owned and read-only.
+//
+// A resident chunk a reader marked stale, having found a damaged block in it
+// (chunk.Chunk.MarkStale), is dropped and loaded again: the heal of a block,
+// whose reader evicts the object's byte-cache copy before it asks again
+// (ScanReader.reload).
 func (c *ChunkCache) Load(ctx context.Context, key ChunkKey, load func() (*chunk.Chunk, error)) (ch *chunk.Chunk, hit, coalesced bool, err error) {
-	return c.table.GetOrLoad(ctx, key, func() (*chunk.Chunk, error) {
+	fill := func() (*chunk.Chunk, error) {
 		ch, err := load()
 		if err != nil {
 			return nil, err
 		}
 		c.decodes.Add(1)
 		ch.CountInflated(&c.inflated)
+		if storage.CacheCheck {
+			ch.SumBlocks()
+		}
 		if ch.Bytes() <= c.table.ShardCapacity(key) || c.table.Pinned(key) {
 			c.table.Add(key, ch)
 		}
 		return ch, nil
-	})
+	}
+	ch, hit, coalesced, err = c.table.GetOrLoad(ctx, key, fill)
+	if err == nil && ch.Stale() {
+		c.table.RemoveIf(key, (*chunk.Chunk).Stale)
+		ch, hit, coalesced, err = c.table.GetOrLoad(ctx, key, fill)
+	}
+	return ch, hit, coalesced, err
 }
 
 // Cached reports whether key is resident, without counting a lookup: a walk

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chunk"
@@ -84,10 +85,27 @@ func TestConcurrentFirstTouchInflatesOnce(t *testing.T) {
 	}
 }
 
+// block1Byte is the offset in lz4 chunk object obj of a byte in the middle
+// of its chunk's block 1 as stored: block 1's stored bytes end where its
+// table entry says, and start where block 0's entry does.
+func block1Byte(t *testing.T, obj []byte) int {
+	t.Helper()
+	raw, err := compress.LZ4StoredPayload(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := int(binary.LittleEndian.Uint32(raw[len(raw)-8:]))
+	entries := raw[len(raw)-8-8*nb:]
+	dataStart := 16 + int(binary.LittleEndian.Uint32(raw[10:]))
+	from, to := binary.LittleEndian.Uint32(entries), binary.LittleEndian.Uint32(entries[8:])
+	return len(obj) - len(raw) + dataStart + int(from+to)/2
+}
+
 // TestCorruptBlockFailsOnlyItsReads: on a chain without Verify, a flipped
 // byte inside one compressed block of an lz4 chunk fails the reads of the
 // rows that block holds, with an error naming the block and the object,
-// and no other read — without another request.
+// and no other read. Each failed read re-fetches the object once, its heal;
+// no other read fetches anything.
 func TestCorruptBlockFailsOnlyItsReads(t *testing.T) {
 	ctx := context.Background()
 	mem := storage.NewMemory()
@@ -97,18 +115,8 @@ func TestCorruptBlockFailsOnlyItsReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := compress.LZ4StoredPayload(obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Block 1 of the chunk's table: its stored bytes end where entry 1
-	// says, and start where entry 0 does.
-	nb := int(binary.LittleEndian.Uint32(raw[len(raw)-8:]))
-	entries := raw[len(raw)-8-8*nb:]
-	dataStart := 16 + int(binary.LittleEndian.Uint32(raw[10:]))
-	from, to := binary.LittleEndian.Uint32(entries), binary.LittleEndian.Uint32(entries[8:])
 	bad := bytes.Clone(obj)
-	bad[len(obj)-len(raw)+dataStart+int(from+to)/2] ^= 0x40
+	bad[block1Byte(t, obj)] ^= 0x40
 	if err := mem.Put(ctx, key, bad); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +152,67 @@ func TestCorruptBlockFailsOnlyItsReads(t *testing.T) {
 	if failed == 0 || good == 0 {
 		t.Fatalf("%d reads failed and %d passed; the damage shows nothing", failed, good)
 	}
-	if got := counting.Snapshot().Gets; got != 1 {
-		t.Fatalf("%d Gets, want the chunk's one", got)
+	if got := counting.Snapshot().Gets; got != int64(1+failed) {
+		t.Fatalf("%d Gets, want the chunk's one and one heal for each of the %d failed reads", got, failed)
+	}
+}
+
+// flipOnce serves key's first Get with one byte flipped, as a flip on the
+// wire would, and every later Get clean.
+type flipOnce struct {
+	storage.Provider
+	key     string
+	at      int
+	flipped atomic.Bool
+}
+
+func (f *flipOnce) Get(ctx context.Context, key string) ([]byte, error) {
+	b, err := f.Provider.Get(ctx, key)
+	if err != nil || key != f.key || !f.flipped.CompareAndSwap(false, true) {
+		return b, err
+	}
+	b = bytes.Clone(b)
+	b[f.at] ^= 0x40
+	return b, nil
+}
+
+// TestTransientBlockFlipHeals: on a chain without Verify, a byte cache over
+// an origin whose first Get of an lz4 chunk flips a byte in one of its
+// compressed blocks. The first read touching that block drops the damaged
+// chunk from the handle's cache and its copy from the byte cache, and
+// re-fetches it: every row reads right, for exactly one extra request.
+func TestTransientBlockFlipHeals(t *testing.T) {
+	ctx := context.Background()
+	mem := storage.NewMemory()
+	_, x := lz4Rows(t, mem, 200)
+	key := x.ChunkIdentity(0)
+	obj, err := mem.Get(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counting := storage.NewCounting(mem)
+	back, err := Open(ctx, storage.NewLRU(&flipOnce{Provider: counting, key: key, at: block1Byte(t, obj)}, 64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := back.Tensor("x")
+	counting.Reset()
+	span := y.ChunkSpans()[0]
+	for pass := 0; pass < 2; pass++ {
+		for i := span.First; i <= span.Last; i++ {
+			arr, err := y.At(ctx, i)
+			if err != nil {
+				t.Fatalf("pass %d, row %d: %v", pass, i, err)
+			}
+			if !bytes.Equal(arr.Bytes(), rowOf(int(i)).Bytes()) {
+				t.Fatalf("pass %d, row %d reads other bytes", pass, i)
+			}
+		}
+	}
+	if got := counting.Snapshot().Gets; got != 2 {
+		t.Fatalf("%d Gets, want the chunk's one and one heal", got)
+	}
+	if st := back.ChunkCacheStats(); st.Decodes != 2 {
+		t.Fatalf("%d chunk loads, want the damaged one and its heal", st.Decodes)
 	}
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
 	"repro/internal/chunk"
 	"repro/internal/compress"
+	"repro/internal/storage"
 	"repro/internal/tensor"
 )
 
@@ -278,15 +280,46 @@ func (t *Tensor) loadChunk(ctx context.Context, chunkID uint64) (*chunk.Chunk, e
 // read under the caller's tensor locks: Rechunk and SetAt, which hold the
 // write lock, read whole chunks through it.
 func (t *Tensor) chunkSamples(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
+	samples, err := t.wholeChunk(ctx, chunkID)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(samples), nil
+}
+
+// readWhole is wholeChunk under the tensor's read locks: a tile's read.
+func (t *Tensor) readWhole(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
+	t.ds.mu.RLock()
+	defer t.ds.mu.RUnlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.wholeChunk(ctx, chunkID)
+}
+
+// wholeChunk is every sample of chunk id, every block inflated, read past
+// the decoded-chunk cache under the caller's tensor locks. A damaged block
+// (chunk.ErrCorrupt) is healed once, as readChunk heals a damaged header:
+// the object's byte-cache copy is evicted and the chunk read again.
+func (t *Tensor) wholeChunk(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
 	c, err := t.loadChunk(ctx, chunkID)
 	if err != nil {
 		return nil, err
 	}
 	samples, err := c.Samples()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		return samples, nil
 	}
-	return slices.Clone(samples), nil
+	key := chunkKey(t.chunkVersion[chunkID], t.name, chunkID)
+	if errors.Is(err, chunk.ErrCorrupt) {
+		storage.Evict(t.ds.store, key)
+		if c, err = t.loadChunk(ctx, chunkID); err == nil {
+			samples, err = c.Samples()
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: chunk object %q of tensor %q: %w", key, t.name, err)
+	}
+	return samples, nil
 }
 
 func prod(shape []int) int {

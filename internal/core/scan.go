@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -161,10 +162,29 @@ func (r *ScanReader) sample(ctx context.Context, loc location) (chunk.Sample, er
 		return chunk.Sample{}, err
 	}
 	s, err := r.chunk.Sample(loc.local)
+	if errors.Is(err, chunk.ErrCorrupt) {
+		if err = r.reload(ctx, loc.chunkID); err == nil {
+			s, err = r.chunk.Sample(loc.local)
+		}
+	}
 	if err != nil {
 		return chunk.Sample{}, fmt.Errorf("core: chunk object %q of tensor %q: %w", r.t.ChunkIdentity(loc.chunkID), r.t.name, err)
 	}
 	return s, nil
+}
+
+// reload heals a damaged block a read of the slot's chunk id found
+// (chunk.ErrCorrupt), once, as readChunk heals a damaged header: it marks
+// the slot's chunk stale, evicts the object's copy from any byte cache in
+// the chain and fetches the chunk again, which a ChunkCache holding the
+// stale chunk serves by dropping it and loading it anew (ChunkCache.Load) —
+// one extra request. The caller reads again; a block still bad fails that
+// read. A read touching no damaged block keeps using the cached chunk.
+func (r *ScanReader) reload(ctx context.Context, id uint64) error {
+	r.chunk.MarkStale()
+	storage.Evict(r.t.ds.store, r.t.ChunkIdentity(id))
+	r.valid = false
+	return r.load(ctx, id)
 }
 
 // tiled assembles a tiled sample from the tiles overlapping region (nil
@@ -174,18 +194,14 @@ func (r *ScanReader) tiled(ctx context.Context, entry encoder.TileEntry, region 
 	needed := entry.Layout.TilesOverlapping(region)
 	tiles := make(map[int]*tensor.NDArray, len(needed))
 	for _, ti := range needed {
-		c, err := r.t.ReadChunk(ctx, entry.ChunkIDs[ti])
+		samples, err := r.t.readWhole(ctx, entry.ChunkIDs[ti])
 		if err != nil {
 			return nil, err
 		}
-		if c.Len() != 1 {
-			return nil, fmt.Errorf("core: tile chunk holds %d samples, want 1", c.Len())
+		if len(samples) != 1 {
+			return nil, fmt.Errorf("core: tile chunk holds %d samples, want 1", len(samples))
 		}
-		s, err := c.Sample(0)
-		if err != nil {
-			return nil, err
-		}
-		if tiles[ti], err = r.t.decode(s, r.arena); err != nil {
+		if tiles[ti], err = r.t.decode(samples[0], r.arena); err != nil {
 			return nil, err
 		}
 	}
@@ -272,6 +288,11 @@ func (r *ScanReader) Chunk(ctx context.Context, idx uint64) (samples []chunk.Sam
 		return nil, 0, false, err
 	}
 	samples, err = r.chunk.Samples()
+	if errors.Is(err, chunk.ErrCorrupt) {
+		if err = r.reload(ctx, loc.chunkID); err == nil {
+			samples, err = r.chunk.Samples()
+		}
+	}
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("core: chunk object %q of tensor %q: %w", r.t.ChunkIdentity(loc.chunkID), r.t.name, err)
 	}

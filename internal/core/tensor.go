@@ -305,7 +305,8 @@ func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
 // chunk re-fetched through the verifying providers. Bytes that are still bad
 // after that surface as an error naming the exact object, wrapping
 // chunk.ErrCorrupt. A compressed chunk's blocks are checked as reads first
-// touch them (chunk.Chunk), and a bad one fails those reads.
+// touch them (chunk.Chunk); the read that finds one bad heals it the same
+// way (ScanReader.reload, wholeChunk).
 func (t *Tensor) readChunk(ctx context.Context, id uint64) (*chunk.Chunk, error) {
 	vid, ok := t.chunkVersion[id]
 	if !ok {

@@ -1,8 +1,11 @@
 package dataloader
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chunk"
@@ -20,9 +23,14 @@ const maskSide = 60
 // masks of a few filled discs, in 64 KiB chunks of many blocks each, behind
 // a byte cache (whose bytes the cachecheck build guards against writes).
 func maskDataset(t testing.TB, n int) *core.Dataset {
+	return maskDatasetOver(t, storage.NewLRU(storage.NewMemory(), 64<<20), n)
+}
+
+// maskDatasetOver is maskDataset over store.
+func maskDatasetOver(t testing.TB, store storage.Provider, n int) *core.Dataset {
 	t.Helper()
 	ctx := context.Background()
-	ds, err := core.Create(ctx, storage.NewLRU(storage.NewMemory(), 64<<20), "masks")
+	ds, err := core.Create(ctx, store, "masks")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,5 +175,64 @@ func TestEpochInflatesEachBlockOnce(t *testing.T) {
 	}
 	if st.Decodes != int64(x.NumChunks()) {
 		t.Fatalf("%d chunk loads for %d chunks: decodes_per_chunk_epoch is not 1", st.Decodes, x.NumChunks())
+	}
+}
+
+// flipOnce serves key's first Get with one byte flipped, as a flip on the
+// wire would, and every later Get clean.
+type flipOnce struct {
+	storage.Provider
+	key     string
+	at      int
+	flipped atomic.Bool
+}
+
+func (f *flipOnce) Get(ctx context.Context, key string) ([]byte, error) {
+	b, err := f.Provider.Get(ctx, key)
+	if err != nil || key != f.key || !f.flipped.CompareAndSwap(false, true) {
+		return b, err
+	}
+	b = bytes.Clone(b)
+	b[f.at] ^= 0x40
+	return b, nil
+}
+
+// TestLoaderHealsATransientBlockFlip: a shuffled epoch over an lz4 column
+// behind a byte cache and no Verify, whose origin serves one chunk's first
+// Get with a byte of its last compressed block flipped. The worker whose
+// read finds the block damaged drops the chunk from the NodeCache and its
+// copy from the byte cache and fetches it again: the epoch delivers every
+// row right, for exactly one extra request and one extra chunk load.
+func TestLoaderHealsATransientBlockFlip(t *testing.T) {
+	const n = 400
+	ctx := context.Background()
+	mem := storage.NewMemory()
+	x := maskDatasetOver(t, mem, n).Tensor("masks")
+	key := x.ChunkIdentity(x.ChunkSpans()[0].ChunkID)
+	obj, err := mem.Get(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last stored byte of the last block: the table's per-block
+	// entries, block count and seal follow it.
+	nb := int(binary.LittleEndian.Uint32(obj[len(obj)-8:]))
+	counting := storage.NewCounting(mem)
+	ds, err := core.Open(ctx, storage.NewLRU(&flipOnce{Provider: counting, key: key, at: len(obj) - 8 - 8*nb - 4 - 1}, 64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counting.Reset()
+	l := ForDataset(ds, Options{BatchSize: 16, Workers: 4, Shuffle: true, Seed: 3})
+	rows := make([]uint64, n)
+	for i := range rows {
+		rows[i] = uint64(i)
+	}
+	checkMasks(t, drain(t, l), rows)
+	chunks := int64(x.NumChunks())
+	if got := counting.Snapshot().Gets; got != chunks+1 {
+		t.Fatalf("%d Gets for %d chunks, want one each and one heal", got, chunks)
+	}
+	if st := l.Cache().Stats(); st.Decodes != chunks+1 {
+		t.Fatalf("%d chunk loads for %d chunks, want one each and one heal", st.Decodes, chunks)
 	}
 }

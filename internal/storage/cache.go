@@ -59,6 +59,12 @@ type CacheFuncs[K comparable, V any] struct {
 	// policy releasing an outside resource (the disk tier's file) does so
 	// in the same order the table forgot the entries.
 	OnEvict func(K, V)
+	// Digest, when set, is what the mutation detector of a cachecheck
+	// build (CacheCheck) checks of a value, in place of the bytes it
+	// reaches through slices, arrays and struct fields: a value that holds
+	// its bytes behind a pointer, or fills them in after admit, says here
+	// what no reader may change. Other builds never call it.
+	Digest func(V) uint32
 }
 
 // Cache is the one LRU table under every cache tier: storage.LRU (raw
@@ -81,8 +87,9 @@ type CacheFuncs[K comparable, V any] struct {
 //
 // Values are handed out, not copied: every reader of a key gets the value
 // that was added, and none may write into it. Built with the cachecheck tag,
-// the cache records each entry's CRC32C at admit and re-checks it on every
-// hit and when the entry leaves, panicking with the key on a mismatch.
+// the cache records each entry's CRC32C (CacheFuncs.Digest) at admit and
+// re-checks it on every hit and when the entry leaves, panicking with the key
+// on a mismatch.
 type Cache[K comparable, V any] struct {
 	fn       CacheFuncs[K, V]
 	capacity int64
@@ -117,10 +124,19 @@ type cacheEntry[K comparable, V any] struct {
 	crc    uint32 // of val at admit, kept only under the cachecheck tag
 }
 
+// digest is v's CRC32C under the mutation detector: CacheFuncs.Digest's,
+// else that of the bytes reachable from v.
+func (c *Cache[K, V]) digest(v *V) uint32 {
+	if c.fn.Digest != nil {
+		return c.fn.Digest(*v)
+	}
+	return valueCRC(v)
+}
+
 // check panics, under the cachecheck tag, when ent's value is not the bytes
 // it was admitted with: a reader wrote into a value the cache hands out.
-func (ent *cacheEntry[K, V]) check(event string) {
-	if cacheCheck && valueCRC(&ent.val) != ent.crc {
+func (c *Cache[K, V]) check(ent *cacheEntry[K, V], event string) {
+	if CacheCheck && c.digest(&ent.val) != ent.crc {
 		panic(fmt.Sprintf("storage: cached value of key %v changed after admit (seen on %s)", ent.key, event))
 	}
 }
@@ -175,7 +191,7 @@ func (c *Cache[K, V]) find(k K, count bool) (v V, ok bool) {
 		return v, false
 	}
 	ent := el.Value.(*cacheEntry[K, V])
-	ent.check("hit")
+	c.check(ent, "hit")
 	if count {
 		s.hits++
 		c.markRead(ent)
@@ -203,7 +219,7 @@ func (c *Cache[K, V]) owe(k K, unread bool) (v V, ok bool) {
 		return v, false
 	}
 	ent := el.Value.(*cacheEntry[K, V])
-	ent.check("hit")
+	c.check(ent, "hit")
 	c.markRead(ent)
 	if unread {
 		ent.unread = true
@@ -236,7 +252,7 @@ func (c *Cache[K, V]) add(k K, v V, unread bool) {
 	el, ok := s.items[k]
 	if ok {
 		ent := el.Value.(*cacheEntry[K, V])
-		ent.check("replace")
+		c.check(ent, "replace")
 		c.markRead(ent)
 		s.used -= ent.size
 		c.used.Add(-ent.size)
@@ -249,8 +265,8 @@ func (c *Cache[K, V]) add(k K, v V, unread bool) {
 	s.used += size
 	c.used.Add(size)
 	ent := el.Value.(*cacheEntry[K, V])
-	if cacheCheck {
-		ent.crc = valueCRC(&ent.val)
+	if CacheCheck {
+		ent.crc = c.digest(&ent.val)
 	}
 	if unread {
 		ent.unread = true
@@ -281,7 +297,7 @@ func (c *Cache[K, V]) add(k K, v V, unread bool) {
 
 // drop unlinks ent from its shard s, whose lock the caller holds.
 func (c *Cache[K, V]) drop(s *cacheShard[K, V], el *list.Element, ent *cacheEntry[K, V]) {
-	ent.check("evict")
+	c.check(ent, "evict")
 	c.markRead(ent)
 	s.order.Remove(el)
 	delete(s.items, ent.key)
@@ -297,6 +313,21 @@ func (c *Cache[K, V]) Remove(k K) {
 	defer s.mu.Unlock()
 	if el, ok := s.items[k]; ok {
 		c.drop(s, el, el.Value.(*cacheEntry[K, V]))
+	}
+}
+
+// RemoveIf drops k if present and stale reports its value stale, under the
+// shard lock: a policy discarding a value it found bad, without dropping a
+// good one another caller put in its place. Like Remove it is not an
+// eviction.
+func (c *Cache[K, V]) RemoveIf(k K, stale func(V) bool) {
+	s := c.shard(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.items[k]; ok {
+		if ent := el.Value.(*cacheEntry[K, V]); stale(ent.val) {
+			c.drop(s, el, ent)
+		}
 	}
 }
 

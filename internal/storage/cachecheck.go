@@ -7,13 +7,15 @@ import (
 	"reflect"
 )
 
-// cacheCheck turns on Cache's mutation detector (see the Cache type doc).
-// It is a test build's safety net: go test -tags cachecheck.
-const cacheCheck = true
+// CacheCheck turns on Cache's mutation detector (see the Cache type doc).
+// It is a test build's safety net: go test -tags cachecheck. A policy
+// whose Digest needs state kept for it keeps that state only when it is on.
+const CacheCheck = true
 
 // valueCRC is the CRC32C of every byte slice reachable from *p through
 // slices, arrays and struct fields, in order: the raw object of the byte
-// cache, the sample payloads of a decoded chunk. p is a pointer so that
+// cache. It follows no pointer; a value that holds its bytes behind one
+// has a CacheFuncs.Digest of its own. p is a pointer so that
 // boxing it allocates nothing, and the allocation gates hold in this build.
 func valueCRC(p any) uint32 { return crcOf(0, reflect.ValueOf(p).Elem()) }
 

@@ -2,7 +2,7 @@
 
 package storage
 
-// cacheCheck is off outside cachecheck builds; see cachecheck.go.
-const cacheCheck = false
+// CacheCheck is off outside cachecheck builds; see cachecheck.go.
+const CacheCheck = false
 
 func valueCRC(any) uint32 { return 0 }

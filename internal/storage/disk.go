@@ -65,7 +65,7 @@ type DiskStats struct {
 // is detected, deleted, and transparently re-fetched from the origin
 // instead of poisoning the epoch. Files that predate checksums (no seeded
 // digest) are served unverified, exactly like Verify's legacy behavior; the
-// chunk-level footer above the storage chain backstops them.
+// chunk's block table above the storage chain backstops them.
 //
 // Writes are write-through (origin first, then disk), and the on-disk files
 // are published atomically (temp file + fsync + rename, the FS provider's

@@ -49,7 +49,8 @@ type FaultConfig struct {
 	// GetRanges) *succeeds* with silently corrupted bytes: the object is
 	// genuinely fetched through the inner provider, then one seeded byte is
 	// flipped. Unlike the error-kind faults this failure is invisible to the
-	// transport — only a digest check (Verify) or chunk footer catches it.
+	// transport — only a digest check (Verify) or a chunk's block table
+	// catches it.
 	CorruptRate float64
 	// TruncateRate is the probability that a Get (or one range of a batched
 	// GetRanges) *succeeds* with the payload cut short at a seeded point —
@@ -80,7 +81,8 @@ func (s FaultStats) Total() int64 {
 // testing: per-op-class transient error rates, stalls that black-hole until
 // the context deadline, fail-after-N-bytes partial reads, and silent
 // bit-flip/truncation faults that succeed with damaged bytes (CorruptRate /
-// TruncateRate — the faults only a Verify layer or chunk footer catches).
+// TruncateRate — the faults only a Verify layer or a chunk's block table
+// catches).
 // Injected errors carry ErrTransient, so a Retry layer stacked above
 // recovers them while tests without one observe the raw failure. Typically Faulty wraps a
 // Sim provider, making the flaky endpoint also pay simulated network costs.

@@ -376,7 +376,8 @@ func SeedDigests(p Provider, digests map[string]uint32) int {
 // Evict drops key from every cache layer in the provider chain rooted at p
 // that can purge a single entry — one with an Evict(key) method: LRU, which
 // drops the key's range entries with it. Readers that detect corruption
-// above the cache (the chunk footer check, a sparse read's range checks)
+// above the cache (a chunk's seal and block checks, a sparse read's range
+// checks)
 // use it to purge the poisoned entry before re-fetching, so the heal does
 // not simply re-read the bad cached bytes.
 func Evict(p Provider, key string) {
