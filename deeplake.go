@@ -121,9 +121,10 @@
 // Queries execute on a chunk-partitioned parallel scanner (§4.4). The WHERE
 // clause's leading run of shape-only conjuncts — built from
 // SHAPE/NDIM/LEN/SIZE of tensor references — is answered from the shape
-// encoder with zero chunk IO (pushdown), and the remainder is evaluated only
-// over the pushdown's surviving rows, fanned out across
-// QueryOptions.Workers along chunk boundaries. Each worker reuses one
+// encoder with zero chunk IO (pushdown), once per run of rows whose shapes
+// agree, and the remainder is evaluated only over the pushdown's surviving
+// rows, fanned out across QueryOptions.Workers along chunk boundaries.
+// ORDER BY … LIMIT keeps only the rows the limit needs (top-k). Each worker reuses one
 // evaluation environment and decodes every chunk it owns exactly once;
 // fetches of chunks shared between workers coalesce in the provider chain.
 // Ahead of evaluation, the scan prefetches the driver tensor's chunks in

@@ -501,6 +501,11 @@ type Chunk struct {
 	samples []Sample
 	lazy    *lazyBlocks
 	stale   atomic.Bool
+	// data is the decoded data section the payloads slice; elem is the byte
+	// length of every sample when each holds one element and they lie back
+	// to back (see Column), else 0.
+	data []byte
+	elem int
 }
 
 // lazyBlocks is a compressed chunk's decoded data section and the state of
@@ -541,14 +546,31 @@ func Open(raw []byte) (*Chunk, error) {
 	}
 	d := p.dir
 	samples := make([]Sample, d.NumSamples())
+	var elem uint64
+	if len(samples) > 0 && d.Offsets[0] == 0 {
+		elem = d.Offsets[1]
+	}
 	for i := range samples {
 		samples[i] = Sample{
 			Shape: d.Shapes[i],
 			// Capped, so an append to one sample cannot write into the next.
 			Data: data[d.Offsets[i]:d.Offsets[i+1]:d.Offsets[i+1]],
 		}
+		if elem > 0 && (d.Offsets[i+1] != uint64(i+1)*elem || !oneElement(d.Shapes[i])) {
+			elem = 0
+		}
 	}
-	return &Chunk{samples: samples, lazy: lazy}, nil
+	return &Chunk{samples: samples, lazy: lazy, data: data[:p.size:p.size], elem: int(elem)}, nil
+}
+
+// oneElement reports whether a shape holds exactly one element.
+func oneElement(shape []int) bool {
+	for _, d := range shape {
+		if d != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // FromSamples is a Chunk of samples already in memory: a chunk still in a
@@ -644,6 +666,23 @@ func (c *Chunk) Samples() ([]Sample, error) {
 		}
 	}
 	return c.samples, nil
+}
+
+// Column returns the payloads of a chunk whose samples each hold one
+// element of size bytes, stored back to back, as one byte run: sample i is
+// col[i*size:(i+1)*size]. Open decides this once from the directory; for
+// any other chunk Column returns nil, with nothing inflated. Like Samples it
+// inflates every block not yet touched. The bytes are shared and read-only.
+func (c *Chunk) Column(size int) ([]byte, error) {
+	if size <= 0 || c.elem != size {
+		return nil, nil
+	}
+	if c.lazy != nil {
+		if err := c.lazy.touch(0, uint64(len(c.lazy.data))); err != nil {
+			return nil, err
+		}
+	}
+	return c.data, nil
 }
 
 // touch makes decoded bytes [lo, hi) readable.

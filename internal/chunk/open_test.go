@@ -138,3 +138,63 @@ func TestInflationAllocatesNothing(t *testing.T) {
 		t.Fatalf("open and inflate %v allocs/op against open's %v: inflation allocates", inflate, open)
 	}
 }
+
+// TestColumnIsDecidedFromTheDirectory: a chunk whose samples each hold one
+// element of size bytes, back to back, is one byte run for that size, in an
+// uncompressed and an lz4 chunk (inflating its blocks); a chunk with an
+// empty sample, a longer one, or one shaped for more than one element whose
+// bytes happen to line up is not, nor is any chunk for another size.
+func TestColumnIsDecidedFromTheDirectory(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	scalars := func(n int) []Sample {
+		samples := make([]Sample, n)
+		for i := range samples {
+			data := make([]byte, 4)
+			rng.Read(data)
+			samples[i] = Sample{Shape: [][]int{{}, {1}, {1, 1}}[i%3], Data: data}
+		}
+		return samples
+	}
+	for _, codec := range []Codec{None, LZ4} {
+		for _, c := range []struct {
+			name  string
+			edit  func([]Sample)
+			isCol bool
+		}{
+			{"scalars", func([]Sample) {}, true},
+			{"an empty sample", func(s []Sample) { s[700] = Sample{Shape: []int{0}} }, false},
+			{"a longer sample", func(s []Sample) { s[3] = Sample{Shape: []int{2}, Data: make([]byte, 8)} }, false},
+			{"two int16 elements", func(s []Sample) { s[1500].Shape = []int{2} }, false},
+		} {
+			samples := scalars(2000)
+			c.edit(samples)
+			blob, err := codec.Encode(samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, err := Open(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, size := range []int{2, 4, 8} {
+				col, err := ch.Column(size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := c.isCol && size == 4; (col != nil) != want {
+					t.Fatalf("%v %s: Column(%d) is a column: %v, want %v", codec, c.name, size, col != nil, want)
+				}
+				if col == nil {
+					continue
+				}
+				var want []byte
+				for _, s := range samples {
+					want = append(want, s.Data...)
+				}
+				if !bytes.Equal(col, want) {
+					t.Fatalf("%v %s: column differs from the samples' payloads", codec, c.name)
+				}
+			}
+		}
+	}
+}

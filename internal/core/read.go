@@ -242,6 +242,42 @@ func (t *Tensor) Shape(idx uint64) ([]int, error) {
 	return t.shapeEnc.Get(idx)
 }
 
+// RowShape returns the logical shape of row idx from the shape encoder, with
+// no chunk IO. A sequence row's shape is the stacked shape At returns, its
+// item count and then its items' shape, when every item has one shape; ok
+// is false, with no error, for a row with no items or with items of
+// differing shapes, which only a read can answer (At fails on both).
+func (t *Tensor) RowShape(idx uint64) (shape []int, ok bool, err error) {
+	t.ds.mu.RLock()
+	defer t.ds.mu.RUnlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if !t.spec.Sequence {
+		shape, err = t.shapeEnc.Get(idx)
+		return shape, err == nil, err
+	}
+	start, end, err := t.seqEnc.RowRange(int(idx))
+	if err != nil || start == end {
+		return nil, false, err
+	}
+	last, item, err := t.shapeEnc.Run(start)
+	if err != nil || last < end-1 {
+		return nil, false, err
+	}
+	return append([]int{int(end - start)}, item...), true, nil
+}
+
+// ShapeRunEnds returns, in sample order, the index of the last sample of
+// each run of samples the shape encoder records one shape for, with no
+// chunk IO. A sequence tensor's samples are its items.
+func (t *Tensor) ShapeRunEnds() []uint64 {
+	t.ds.mu.RLock()
+	defer t.ds.mu.RUnlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.shapeEnc.RunEnds()
+}
+
 // ChunkOf exposes the chunk id and local index of a sample; the chunk-aware
 // dataloader scheduler groups requests by chunk with it.
 func (t *Tensor) ChunkOf(idx uint64) (uint64, int, error) {

@@ -267,36 +267,52 @@ func (r *ScanReader) StoredRow(ctx context.Context, idx uint64) ([]chunk.Sample,
 	return out, true, nil
 }
 
-// Chunk returns the stored samples of the chunk holding sample idx, through
-// the same one-chunk slot as StoredAt, and the index of the chunk's first
-// sample: sample first+i of the chunk's span (ChunkSpans) is samples[i], so
-// a caller walking the span's rows resolves none of them on its own. It
-// reads the whole chunk, inflating every block of a compressed one no read
-// has touched. ok=false, with no IO, means idx is not in a stored chunk
-// (sequences, tiles, write-buffered rows), which At reads; every error is
-// the one StoredAt returns. The samples are storage-owned and read-only, as
-// ReadChunk says.
-func (r *ScanReader) Chunk(ctx context.Context, idx uint64) (samples []chunk.Sample, first uint64, ok bool, err error) {
+// ChunkRows is the stored chunk holding a sample, as ScanReader.Chunk reads
+// it. Sample First+i of the chunk's span (ChunkSpans) is Samples[i], so a
+// caller walking the span's rows resolves none of them on its own.
+type ChunkRows struct {
+	First   uint64
+	Samples []chunk.Sample
+	// Column, when the chunk's samples each hold one element of the
+	// tensor's dtype stored back to back (chunk.Chunk.Column), is their
+	// payloads as one byte run: sample First+i is Column[i*size:(i+1)*size]
+	// for the dtype's size. Nil otherwise.
+	Column []byte
+}
+
+// Chunk returns the stored chunk holding sample idx, through the same
+// one-chunk slot as StoredAt. It reads the whole chunk, inflating every
+// block of a compressed one no read has touched. ok=false, with no IO,
+// means idx is not in a stored chunk (sequences, tiles, write-buffered
+// rows), which At reads; every error is the one StoredAt returns. The
+// samples and column are storage-owned and read-only, as ReadChunk says.
+func (r *ScanReader) Chunk(ctx context.Context, idx uint64) (rows ChunkRows, ok bool, err error) {
 	if r.t.spec.Sequence {
-		return nil, 0, false, nil
+		return ChunkRows{}, false, nil
 	}
 	loc, err := r.locate(idx)
 	if err != nil || loc.tiled || loc.pending != nil {
-		return nil, 0, false, err
+		return ChunkRows{}, false, err
 	}
 	if err := r.load(ctx, loc.chunkID); err != nil {
-		return nil, 0, false, err
+		return ChunkRows{}, false, err
 	}
-	samples, err = r.chunk.Samples()
+	samples, err := r.chunk.Samples()
 	if errors.Is(err, chunk.ErrCorrupt) {
 		if err = r.reload(ctx, loc.chunkID); err == nil {
 			samples, err = r.chunk.Samples()
 		}
 	}
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("core: chunk object %q of tensor %q: %w", r.t.ChunkIdentity(loc.chunkID), r.t.name, err)
+	var col []byte
+	if err == nil {
+		// Samples inflated every block, so Column only reads the directory's
+		// verdict.
+		col, err = r.chunk.Column(r.t.dtype.Size())
 	}
-	return samples, idx - uint64(loc.local), true, nil
+	if err != nil {
+		return ChunkRows{}, false, fmt.Errorf("core: chunk object %q of tensor %q: %w", r.t.ChunkIdentity(loc.chunkID), r.t.name, err)
+	}
+	return ChunkRows{First: idx - uint64(loc.local), Samples: samples, Column: col}, true, nil
 }
 
 // At returns sample idx like Tensor.At, reusing the slot's opened chunk, so

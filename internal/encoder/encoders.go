@@ -193,11 +193,30 @@ func (e *ShapeEncoder) NumRows() int { return len(e.rows) }
 
 // Get returns the shape of sample idx.
 func (e *ShapeEncoder) Get(idx uint64) ([]int, error) {
-	if idx >= e.NumSamples() {
-		return nil, fmt.Errorf("encoder: shape of sample %d out of range (%d samples)", idx, e.NumSamples())
+	_, shape, err := e.Run(idx)
+	if err != nil {
+		return nil, err
 	}
-	row := sort.Search(len(e.rows), func(i int) bool { return e.rows[i].LastIndex >= idx })
-	return append([]int(nil), e.rows[row].Shape...), nil
+	return append([]int(nil), shape...), nil
+}
+
+// Run returns the run holding sample idx: the index of its last sample, and
+// its shape, which is shared and read-only.
+func (e *ShapeEncoder) Run(idx uint64) (last uint64, shape []int, err error) {
+	if idx >= e.NumSamples() {
+		return 0, nil, fmt.Errorf("encoder: shape of sample %d out of range (%d samples)", idx, e.NumSamples())
+	}
+	row := e.rows[sort.Search(len(e.rows), func(i int) bool { return e.rows[i].LastIndex >= idx })]
+	return row.LastIndex, row.Shape, nil
+}
+
+// RunEnds returns the index of each run's last sample, in sample order.
+func (e *ShapeEncoder) RunEnds() []uint64 {
+	ends := make([]uint64, len(e.rows))
+	for i, row := range e.rows {
+		ends[i] = row.LastIndex
+	}
+	return ends
 }
 
 // Set overwrites the shape of sample idx (in-place update support). The

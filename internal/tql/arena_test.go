@@ -169,13 +169,13 @@ func TestScanSinksKeepNothingFromTheRowArena(t *testing.T) {
 	sc := &scanner{ds: ds, workers: 1}
 	images := parseExprT(t, "images")
 	kept := make([]*tensor.NDArray, n)
-	err := sc.eval(ctx, rows, images, "test", func(pos int, _ uint64, v Value) error {
+	err := sc.scan(ctx, rows, images, "test", sink{row: func(pos int, _ uint64, v Value) error {
 		kept[pos] = v.arr
 		if want := heapEval(images, rows[pos]).arr; !v.arr.Equal(want) {
 			t.Fatalf("row %d: array differs from the heap decode while the row is current", pos)
 		}
 		return nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,3 +202,37 @@ func (q *Query) String() string {
 	}
 	return sb.String()
 }
+
+// inspect visits x and its subexpressions in evaluation order, each node
+// before its operands, and stops as soon as visit returns false; it reports
+// whether it visited everything. A nil x visits nothing.
+func inspect(x Expr, visit func(Expr) bool) bool {
+	if x == nil {
+		return true
+	}
+	if !visit(x) {
+		return false
+	}
+	var kids []Expr
+	switch n := x.(type) {
+	case Unary:
+		kids = []Expr{n.X}
+	case Binary:
+		kids = []Expr{n.L, n.R}
+	case ArrayLit:
+		kids = n
+	case Call:
+		kids = n.Args
+	case Index:
+		kids = []Expr{n.X}
+		for _, s := range n.Specs {
+			kids = append(kids, s.Point, s.Lo, s.Hi)
+		}
+	}
+	for _, k := range kids {
+		if !inspect(k, visit) {
+			return false
+		}
+	}
+	return true
+}

@@ -84,6 +84,12 @@ func BenchmarkQueryFilter(b *testing.B) {
 	benchQuery(b, "SELECT * FROM bench WHERE labels < 100 ORDER BY labels LIMIT 20")
 }
 
+// BenchmarkQueryPush is lakebench's Q_push: a shape-only WHERE, answered
+// from the shape encoder.
+func BenchmarkQueryPush(b *testing.B) {
+	benchQuery(b, "SELECT * FROM bench WHERE SHAPE(frames)[0] == 74")
+}
+
 // BenchmarkQueryGroup is lakebench's Q_group.
 func BenchmarkQueryGroup(b *testing.B) {
 	benchQuery(b, "SELECT * FROM bench GROUP BY labels")

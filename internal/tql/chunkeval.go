@@ -2,6 +2,7 @@ package tql
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"sort"
 
@@ -21,8 +22,19 @@ import (
 // walker (evalExpr) stays the fallback and the reference.
 //
 // A batch is a run of a partition's rows inside one chunk of every tensor the
-// expression reads (and at most batchRows long), so each tensor's ScanReader
-// holds one chunk for the whole batch and its rows take no per-row locate.
+// expression reads (and at most batchRows long), found by binary search in
+// the row list, so each tensor's ScanReader holds one chunk for the whole
+// batch and its rows take no per-row locate. A stage costs a few nanoseconds
+// a row plus a fixed cost per chunk and per batch:
+//   - a bare reference to a chunk whose samples each hold one element, back
+//     to back (core.ChunkRows.Column, decided once per chunk from its
+//     directory), loads with one loop per dtype and no per-row check; any
+//     other chunk is read sample by sample, checking each one's element
+//     count and length;
+//   - the stage takes the root's value column a run of positions at a time
+//     (sink.col): WHERE's keep vector and the keys' slice fill from it, and
+//     only the rows handed to the walker reach the per-row sink.
+//
 // Every value is exactly the tree walker's:
 //   - a bool is 1 or 0, which AsNumber, IsTruthy, NOT, AND and OR read as the
 //     walker reads the bool;
@@ -251,9 +263,9 @@ func (p *chunkProg) worker(e *env, size int) *chunkWorker {
 	return w
 }
 
-// run evaluates the partition sp of rows batch by batch, handing sink each
-// row's value in position order.
-func (w *chunkWorker) run(ctx context.Context, rows []uint64, sp span, stage string, sink func(pos int, row uint64, v Value) error) error {
+// run evaluates the partition sp of rows batch by batch, handing each
+// row's value to out in position order.
+func (w *chunkWorker) run(ctx context.Context, rows []uint64, sp span, stage string, out sink) error {
 	for s, spans := range w.p.spans {
 		w.cursor[s] = sort.Search(len(spans), func(c int) bool { return spans[c].Last >= rows[sp.lo] })
 	}
@@ -262,7 +274,7 @@ func (w *chunkWorker) run(ctx context.Context, rows []uint64, sp span, stage str
 			return err
 		}
 		hi := w.batchEnd(rows, lo, sp.hi)
-		if err := w.batch(ctx, rows, lo, hi, stage, sink); err != nil {
+		if err := w.batch(ctx, rows, lo, hi, stage, out); err != nil {
 			return err
 		}
 		lo = hi
@@ -271,7 +283,8 @@ func (w *chunkWorker) run(ctx context.Context, rows []uint64, sp span, stage str
 }
 
 // batchEnd returns the end of the batch starting at position lo: the first
-// later position whose row lies past the current chunk of some tensor.
+// later position whose row lies past the current chunk of some tensor, found
+// by binary search in the ascending rows.
 func (w *chunkWorker) batchEnd(rows []uint64, lo, hi int) int {
 	limit := uint64(math.MaxUint64)
 	for s, spans := range w.p.spans {
@@ -284,17 +297,13 @@ func (w *chunkWorker) batchEnd(rows []uint64, lo, hi int) int {
 			limit = min(limit, spans[c].Last)
 		}
 	}
-	end := min(hi, lo+len(w.sel))
-	for i := lo + 1; i < end; i++ {
-		if rows[i] > limit {
-			return i
-		}
-	}
-	return end
+	return rowsThrough(rows, lo+1, min(hi, lo+len(w.sel)), limit)
 }
 
-// batch evaluates positions [lo, hi) and hands their values to sink.
-func (w *chunkWorker) batch(ctx context.Context, rows []uint64, lo, hi int, stage string, sink func(pos int, row uint64, v Value) error) error {
+// batch evaluates positions [lo, hi) and hands their values to out: each
+// run of chunk-evaluated positions as one column, and each row handed to
+// the walker on its own.
+func (w *chunkWorker) batch(ctx context.Context, rows []uint64, lo, hi int, stage string, out sink) error {
 	n := hi - lo
 	w.rows = rows[lo:hi]
 	w.cap, w.capErr = n, nil
@@ -305,18 +314,23 @@ func (w *chunkWorker) batch(ctx context.Context, rows []uint64, lo, hi int, stag
 		sel[i] = int32(i)
 	}
 	w.eval(ctx, w.p.root, sel)
-	out := w.vals[w.p.root.id]
-	for i := 0; i < w.cap; i++ {
-		pos := lo + i
+	vals := w.vals[w.p.root.id]
+	for i := 0; i < w.cap; {
 		if walk[i] {
-			if err := evalRow(w.e, w.p.x, rows, pos, stage, sink); err != nil {
+			if err := evalRow(w.e, w.p.x, rows, lo+i, stage, out.row); err != nil {
 				return err
 			}
+			i++
 			continue
 		}
-		if err := sink(pos, rows[pos], w.p.value(out[i])); err != nil {
-			return rowError(stage, rows[pos], err)
+		j := i + 1
+		for j < w.cap && !walk[j] {
+			j++
 		}
+		if err := out.values(w.p, stage, rows, lo+i, vals[i:j]); err != nil {
+			return err
+		}
+		i = j
 	}
 	if w.capErr != nil {
 		return rowError(stage, w.rows[w.cap], w.capErr)
@@ -442,12 +456,15 @@ func binaryLoop(op string, out, x, y []float64, sel []int32) {
 	}
 }
 
-// load fills a tensor leaf's column from the batch's chunk of its tensor.
+// load fills a tensor leaf's column from the batch's chunk of its tensor:
+// with one typed loop when the chunk's samples are a column of single
+// elements (core.ChunkRows.Column) and the node is a bare reference, else
+// sample by sample, handing the walker each sample it cannot read exactly.
 func (w *chunkWorker) load(ctx context.Context, nd *vnode, sel []int32) []int32 {
 	if len(sel) == 0 {
 		return sel
 	}
-	samples, first, ok, err := w.readers[nd.slot].Chunk(ctx, w.rows[sel[0]])
+	ch, ok, err := w.readers[nd.slot].Chunk(ctx, w.rows[sel[0]])
 	if err != nil {
 		w.cap, w.capErr = int(sel[0]), err
 		w.cuts++
@@ -462,14 +479,19 @@ func (w *chunkWorker) load(ctx context.Context, nd *vnode, sel []int32) []int32 
 	}
 	d := w.p.dtypes[nd.slot]
 	out := w.vals[nd.id]
+	// Rows ascend, so the last selected row bounds them all.
+	if nd.op == vLeaf && ch.Column != nil && w.rows[sel[len(sel)-1]]-ch.First < uint64(len(ch.Column)/d.Size()) {
+		gather(d, out, ch.Column, w.rows, ch.First, sel)
+		return sel
+	}
 	kept := sel[:0]
 	for _, i := range sel {
-		k := w.rows[i] - first
-		if k >= uint64(len(samples)) {
+		k := w.rows[i] - ch.First
+		if k >= uint64(len(ch.Samples)) {
 			w.walk[i] = true
 			continue
 		}
-		s := samples[k]
+		s := ch.Samples[k]
 		n := 1
 		for _, dim := range s.Shape {
 			n *= dim
@@ -485,6 +507,58 @@ func (w *chunkWorker) load(ctx context.Context, nd *vnode, sel []int32) []int32 
 		w.cuts++
 	}
 	return kept
+}
+
+// gather sets out[i], for each selected batch position i, to the element
+// of row rows[i] in col, a column of dtype d elements starting at row
+// first: one loop per dtype, each element loaded as tensor.Dtype.Load does.
+func gather(d tensor.Dtype, out []float64, col []byte, rows []uint64, first uint64, sel []int32) {
+	switch d {
+	case tensor.Bool:
+		for _, i := range sel {
+			out[i] = b2f(col[rows[i]-first] != 0)
+		}
+	case tensor.UInt8:
+		for _, i := range sel {
+			out[i] = float64(col[rows[i]-first])
+		}
+	case tensor.Int8:
+		for _, i := range sel {
+			out[i] = float64(int8(col[rows[i]-first]))
+		}
+	case tensor.UInt16:
+		for _, i := range sel {
+			out[i] = float64(binary.LittleEndian.Uint16(col[2*(rows[i]-first):]))
+		}
+	case tensor.Int16:
+		for _, i := range sel {
+			out[i] = float64(int16(binary.LittleEndian.Uint16(col[2*(rows[i]-first):])))
+		}
+	case tensor.UInt32:
+		for _, i := range sel {
+			out[i] = float64(binary.LittleEndian.Uint32(col[4*(rows[i]-first):]))
+		}
+	case tensor.Int32:
+		for _, i := range sel {
+			out[i] = float64(int32(binary.LittleEndian.Uint32(col[4*(rows[i]-first):])))
+		}
+	case tensor.Float32:
+		for _, i := range sel {
+			out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(col[4*(rows[i]-first):])))
+		}
+	case tensor.UInt64:
+		for _, i := range sel {
+			out[i] = float64(binary.LittleEndian.Uint64(col[8*(rows[i]-first):]))
+		}
+	case tensor.Int64:
+		for _, i := range sel {
+			out[i] = float64(int64(binary.LittleEndian.Uint64(col[8*(rows[i]-first):])))
+		}
+	case tensor.Float64:
+		for _, i := range sel {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(col[8*(rows[i]-first):]))
+		}
+	}
 }
 
 // reduce is a leaf's value for one sample's bytes.

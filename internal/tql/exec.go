@@ -42,7 +42,7 @@ func Compile(q *Query) (*Plan, error) {
 	if touchesChunkData(q) {
 		p.stages = append(p.stages, "prefetch chunk strips [cross-partition coalesced origin fetch]")
 	}
-	// A stage scanner.eval runs goes a chunk at a time when its expression is
+	// A stage scanner.scan runs goes a chunk at a time when its expression is
 	// in the chunk-at-a-time subset, the rows still arrive in stored order
 	// (no ORDER, GROUP or ARRANGE BY before it), and the tensors it reads
 	// turn out to be raw numeric ones.
@@ -55,11 +55,12 @@ func Compile(q *Query) (*Plan, error) {
 	}
 	if q.Where != nil {
 		shapeConj, dataConj := splitConjuncts(q.Where)
+		const pushdown = " [shape-encoder pushdown: no chunk IO, one check per shape run]"
 		switch {
 		case len(dataConj) == 0:
-			p.stages = append(p.stages, "filter "+q.Where.String()+" [shape-encoder pushdown: no chunk IO]")
+			p.stages = append(p.stages, "filter "+q.Where.String()+pushdown)
 		case len(shapeConj) > 0:
-			p.stages = append(p.stages, "prefilter "+andAll(shapeConj).String()+" [shape-encoder pushdown: no chunk IO]")
+			p.stages = append(p.stages, "prefilter "+andAll(shapeConj).String()+pushdown)
 			p.stages = append(p.stages, "filter "+andAll(dataConj).String()+" [parallel chunk scan]"+chunked(andAll(dataConj)))
 		default:
 			p.stages = append(p.stages, "filter "+q.Where.String()+" [parallel chunk scan]"+chunked(q.Where))
@@ -70,7 +71,11 @@ func Compile(q *Query) (*Plan, error) {
 		if q.OrderDesc {
 			dir = "desc"
 		}
-		p.stages = append(p.stages, fmt.Sprintf("order by %s %s", q.OrderBy, dir)+chunked(q.OrderBy))
+		top := ""
+		if k := topK(q); k >= 0 {
+			top = fmt.Sprintf(" [top-k: keeps the %d least (key, position)]", k)
+		}
+		p.stages = append(p.stages, fmt.Sprintf("order by %s %s", q.OrderBy, dir)+chunked(q.OrderBy)+top)
 		inOrder = false
 	}
 	if q.GroupBy != nil {
@@ -192,45 +197,14 @@ var knownFunctions = map[string]bool{
 }
 
 // validateExpr rejects unknown functions before execution.
-func validateExpr(x Expr) error {
-	switch n := x.(type) {
-	case Unary:
-		return validateExpr(n.X)
-	case Binary:
-		if err := validateExpr(n.L); err != nil {
-			return err
+func validateExpr(x Expr) (err error) {
+	inspect(x, func(n Expr) bool {
+		if c, ok := n.(Call); ok && !knownFunctions[c.Name] {
+			err = fmt.Errorf("tql: unknown function %q", c.Name)
 		}
-		return validateExpr(n.R)
-	case ArrayLit:
-		for _, el := range n {
-			if err := validateExpr(el); err != nil {
-				return err
-			}
-		}
-	case Call:
-		if !knownFunctions[n.Name] {
-			return fmt.Errorf("tql: unknown function %q", n.Name)
-		}
-		for _, a := range n.Args {
-			if err := validateExpr(a); err != nil {
-				return err
-			}
-		}
-	case Index:
-		if err := validateExpr(n.X); err != nil {
-			return err
-		}
-		for _, s := range n.Specs {
-			for _, e := range []Expr{s.Point, s.Lo, s.Hi} {
-				if e != nil {
-					if err := validateExpr(e); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return nil
+		return err == nil
+	})
+	return err
 }
 
 func validateQuery(q *Query) error {
@@ -251,13 +225,16 @@ func validateQuery(q *Query) error {
 
 // ExecuteWith runs a parsed query through the chunk-partitioned parallel
 // scan engine. WHERE's leading shape-only conjuncts become a shape-encoder
-// prefilter (zero chunk IO) with the remainder evaluated only over the
-// prefilter's survivors; both phases, and every key evaluation, fan out across
+// prefilter (zero chunk IO, one check per shape run, on the caller's
+// goroutine) with the remainder evaluated only over the prefilter's
+// survivors, which, like every key evaluation, fans out across
 // Options.Workers with chunk-aligned partitions and positional merges, so
-// results are byte-identical for any worker count. Each of those evaluations
+// results are byte-identical for any worker count. ORDER BY with a LIMIT
+// and no later GROUP, ARRANGE or SAMPLE BY keeps only the OFFSET+LIMIT
+// first rows of the order (topK). Each of those evaluations
 // runs a chunk at a time — typed loops over a batch of rows inside one
 // decoded chunk — when its expression and the tensors it reads allow it (see
-// scanner.eval), and row at a time through the tree walker otherwise, with
+// scanner.scan), and row at a time through the tree walker otherwise, with
 // the same results either way.
 func ExecuteWith(ctx context.Context, ds *core.Dataset, q *Query, opts Options) (*view.View, error) {
 	if err := validateQuery(q); err != nil {
@@ -291,7 +268,7 @@ func ExecuteWith(ctx context.Context, ds *core.Dataset, q *Query, opts Options) 
 		}
 		var err error
 		if pre := andAll(shapeConj); pre != nil {
-			if rows, err = sc.filter(ctx, rows, pre); err != nil {
+			if rows, err = sc.filterShapes(ctx, rows, pre); err != nil {
 				return nil, err
 			}
 		}
@@ -301,15 +278,17 @@ func ExecuteWith(ctx context.Context, ds *core.Dataset, q *Query, opts Options) 
 			}
 		}
 	}
-	// Order.
+	// Order: the first topK(q) rows, or every row.
 	if q.OrderBy != nil {
-		if err := sortRows(ctx, sc, rows, q.OrderBy, q.OrderDesc); err != nil {
+		var err error
+		if rows, err = sortRows(ctx, sc, rows, q.OrderBy, q.OrderDesc, topK(q)); err != nil {
 			return nil, err
 		}
 	}
 	// Group (stable, so ORDER BY survives within groups).
 	if q.GroupBy != nil {
-		if err := sortRows(ctx, sc, rows, q.GroupBy, false); err != nil {
+		var err error
+		if rows, err = sortRows(ctx, sc, rows, q.GroupBy, false, -1); err != nil {
 			return nil, err
 		}
 	}
@@ -348,17 +327,105 @@ func ExecuteWith(ctx context.Context, ds *core.Dataset, q *Query, opts Options) 
 	return view.New(ds, rows, columns), nil
 }
 
-// sortRows stably sorts rows by key. Keys are batch-evaluated through the
-// parallel scanner into a slice parallel to rows (duplicate row indices get
-// their own entries), and comparisons index that slice through a
-// permutation — no per-comparison hashing.
-func sortRows(ctx context.Context, sc *scanner, rows []uint64, key Expr, desc bool) error {
+// topK is how many leading rows of ORDER BY's order a query keeps, OFFSET
+// plus LIMIT, when nothing after the sort reorders or draws from its rows
+// (no GROUP, ARRANGE or SAMPLE BY); -1 when it needs them all.
+func topK(q *Query) int {
+	if q.Limit < 0 || q.GroupBy != nil || q.ArrangeBy != nil || q.SampleBy != nil {
+		return -1
+	}
+	if q.Offset > math.MaxInt-q.Limit {
+		return math.MaxInt
+	}
+	return q.Offset + q.Limit
+}
+
+// sortRows stably sorts rows by key and returns them, or, with k >= 0, only
+// the first k of that order. Keys are batch-evaluated through the parallel
+// scanner into a slice parallel to rows (duplicate row indices get their
+// own entries), so every row's key is evaluated, and fails, as in a full
+// sort.
+func sortRows(ctx context.Context, sc *scanner, rows []uint64, key Expr, desc bool, k int) ([]uint64, error) {
 	keys, err := sc.keys(ctx, rows, key, "sort key")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sortByKeys(rows, keys, desc)
-	return nil
+	return orderRows(rows, keys, desc, k), nil
+}
+
+// orderRows is sortRows on keys already evaluated.
+func orderRows(rows []uint64, keys []keyed, desc bool, k int) []uint64 {
+	if k < 0 || k >= len(rows) {
+		sortByKeys(rows, keys, desc)
+		return rows
+	}
+	if !least(rows, keys, desc, k) {
+		sortByKeys(rows, keys, desc)
+	}
+	return rows[:k]
+}
+
+// least moves into rows[:k], in order, the k rows a stable sort by keys
+// puts first, and reports true; with a NaN or string key it moves nothing
+// and reports false, leaving the order to sortByKeys. Numeric keys without
+// NaN are ordered, so (key, position) is their one stable order, and the k
+// least entries of it are kept in a max-heap of k over one pass: O(n log k)
+// instead of sorting all n.
+func least(rows []uint64, keys []keyed, desc bool, k int) bool {
+	type entry struct {
+		num float64
+		pos int
+	}
+	less := func(a, b entry) bool { return a.num < b.num || a.num == b.num && a.pos < b.pos }
+	heap := make([]entry, 0, k)
+	// down restores the max-heap below i.
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(heap) {
+				return
+			}
+			if c+1 < len(heap) && less(heap[c], heap[c+1]) {
+				c++
+			}
+			if !less(heap[i], heap[c]) {
+				return
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
+	}
+	for pos, key := range keys {
+		if key.isStr || math.IsNaN(key.num) {
+			return false
+		}
+		e := entry{key.num, pos}
+		if desc {
+			e.num = -e.num
+		}
+		switch {
+		case len(heap) < k:
+			heap = append(heap, e)
+			for i := len(heap) - 1; i > 0 && less(heap[(i-1)/2], heap[i]); i = (i - 1) / 2 {
+				heap[i], heap[(i-1)/2] = heap[(i-1)/2], heap[i]
+			}
+		case k > 0 && less(e, heap[0]):
+			heap[0] = e
+			down(0)
+		}
+	}
+	slices.SortFunc(heap, func(a, b entry) int {
+		if less(a, b) {
+			return -1
+		}
+		return 1
+	})
+	top := make([]uint64, len(heap))
+	for i, e := range heap {
+		top[i] = rows[e.pos]
+	}
+	copy(rows, top)
+	return true
 }
 
 // sortByKeys stably sorts rows by keys, its parallel slice.
@@ -469,13 +536,16 @@ func arrangeRows(ctx context.Context, sc *scanner, rows []uint64, key Expr) ([]u
 // in parallel, then the random keys are drawn in one serial pass.
 func sampleRows(ctx context.Context, sc *scanner, rows []uint64, q *Query) ([]uint64, error) {
 	weights := make([]float64, len(rows))
-	err := sc.eval(ctx, rows, q.SampleBy, "sample weight", func(pos int, _ uint64, v Value) error {
-		w, err := v.AsNumber()
-		if err != nil {
-			return err
-		}
-		weights[pos] = w
-		return nil
+	err := sc.scan(ctx, rows, q.SampleBy, "sample weight", sink{
+		row: func(pos int, _ uint64, v Value) error {
+			w, err := v.AsNumber()
+			if err != nil {
+				return err
+			}
+			weights[pos] = w
+			return nil
+		},
+		col: func(lo int, vals []float64) { copy(weights[lo:], vals) },
 	})
 	if err != nil {
 		return nil, err

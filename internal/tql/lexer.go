@@ -15,23 +15,26 @@
 // run on — each worker reusing one environment whose per-tensor
 // ScanReaders fetch and decode every chunk it owns once — and
 // per-partition results merge positionally, so results, and the error of a
-// failing scan, are identical at any worker count. A WHERE clause's leading run of shape-only
-// conjuncts is answered entirely from the shape encoder with zero chunk IO
-// (shape-encoder pushdown), with the remainder evaluated only over the
-// pushdown's surviving rows — in textual order, so AND short-circuit
-// guards keep protecting later conjuncts. Compile renders these stages; for
+// failing scan, are identical at any worker count. A WHERE clause's leading
+// run of shape-only conjuncts is answered entirely from the shape encoder
+// with zero chunk IO (shape-encoder pushdown), once per run of rows whose
+// shapes agree, with the remainder evaluated only over the pushdown's
+// surviving rows — in textual order, so AND short-circuit guards keep
+// protecting later conjuncts. ORDER BY … LIMIT keeps only the rows the
+// limit and offset need (top-k). Compile renders these stages; for
 //
 //	SELECT images FROM ds WHERE SHAPE(images)[0] > 100 AND MEAN(images) > 50
 //
 // Explain prints:
 //
 //	scan ds [chunk-partitioned]
-//	prefilter (SHAPE(images)[0] > 100) [shape-encoder pushdown: no chunk IO]
-//	filter (MEAN(images) > 50) [parallel chunk scan]
+//	prefetch chunk strips [cross-partition coalesced origin fetch]
+//	prefilter (SHAPE(images)[0] > 100) [shape-encoder pushdown: no chunk IO, one check per shape run]
+//	filter (MEAN(images) > 50) [parallel chunk scan] [chunk-at-a-time over raw numeric tensors]
 //	project images
 //
-// while a fully shape-only WHERE compiles to a single
-// "filter ... [shape-encoder pushdown: no chunk IO]" stage.
+// while a fully shape-only WHERE compiles to a single "filter ...
+// [shape-encoder pushdown: ...]" stage.
 package tql
 
 import (

@@ -3,7 +3,10 @@ package tql
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -182,9 +185,16 @@ func andAll(xs []Expr) Expr {
 // merge is positional, so the result is identical for any worker count.
 func (sc *scanner) filter(ctx context.Context, rows []uint64, pred Expr) ([]uint64, error) {
 	keep := make([]bool, len(rows))
-	err := sc.eval(ctx, rows, pred, "WHERE", func(pos int, _ uint64, v Value) error {
-		keep[pos] = v.IsTruthy()
-		return nil
+	err := sc.scan(ctx, rows, pred, "WHERE", sink{
+		row: func(pos int, _ uint64, v Value) error {
+			keep[pos] = v.IsTruthy()
+			return nil
+		},
+		col: func(lo int, vals []float64) {
+			for i, f := range vals {
+				keep[lo+i] = f != 0
+			}
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -196,6 +206,91 @@ func (sc *scanner) filter(ctx context.Context, rows []uint64, pred Expr) ([]uint
 		}
 	}
 	return out, nil
+}
+
+// filterShapes is filter for a shape-only predicate (see shapeOnly) over
+// ascending rows. Such a predicate reads nothing of a row but the shapes of
+// the tensors it names and, through ROW, the row index. So the tree walker
+// evaluates it once per run of rows across which every named tensor keeps
+// one shape — their shape encoders' runs, intersected — or once per row of
+// the run when it calls ROW, on the caller's goroutine, with no walk and no
+// chunk IO. Every row of a run takes the run's answer, and a failing run
+// fails at its first row with the walker's error: the row and the error a
+// scan reports. A row past a named tensor's last shape is a run of its own;
+// a predicate naming an unknown or sequence tensor (a sequence row's shape
+// is not one encoder run) goes to filter.
+func (sc *scanner) filterShapes(ctx context.Context, rows []uint64, pred Expr) ([]uint64, error) {
+	names, perRow := shapeRefs(pred)
+	ends := make([][]uint64, len(names))
+	for i, name := range names {
+		t := sc.ds.Tensor(name)
+		if t == nil || t.Htype().Sequence {
+			return sc.filter(ctx, rows, pred)
+		}
+		ends[i] = t.ShapeRunEnds()
+	}
+	e := newEnv(ctx, sc.ds, 0)
+	var keep bool
+	test := func(_ int, _ uint64, v Value) error {
+		keep = v.IsTruthy()
+		return nil
+	}
+	cursor := make([]int, len(names))
+	out := rows[:0]
+	for pos := 0; pos < len(rows); {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// The run holding rows[pos] ends at the first end of a named
+		// tensor's run at or after it.
+		last, covered := uint64(math.MaxUint64), true
+		for i, te := range ends {
+			c := cursor[i]
+			for c < len(te) && te[c] < rows[pos] {
+				c++
+			}
+			cursor[i] = c
+			if c == len(te) {
+				covered = false
+				break
+			}
+			last = min(last, te[c])
+		}
+		end := pos + 1
+		if covered {
+			end = rowsThrough(rows, pos, len(rows), last)
+		}
+		for p := pos; p < end; p++ {
+			if p == pos || perRow {
+				if err := evalRow(e, pred, rows, p, "WHERE", test); err != nil {
+					return nil, err
+				}
+			}
+			if keep {
+				out = append(out, rows[p])
+			}
+		}
+		pos = end
+	}
+	return out, nil
+}
+
+// shapeRefs lists the tensors whose shapes a shape-only expression reads
+// (its only references are SHAPE/NDIM/LEN/SIZE arguments), and whether it
+// calls ROW.
+func shapeRefs(x Expr) (names []string, row bool) {
+	inspect(x, func(n Expr) bool {
+		switch n := n.(type) {
+		case Call:
+			row = row || n.Name == "ROW"
+		case Ident:
+			if !slices.Contains(names, string(n)) {
+				names = append(names, string(n))
+			}
+		}
+		return true
+	})
+	return names, row
 }
 
 // keyed is one evaluated sort/group/arrange key.
@@ -221,13 +316,20 @@ func (a keyed) less(b keyed) bool {
 // during sorting index the slice directly with no hashing.
 func (sc *scanner) keys(ctx context.Context, rows []uint64, key Expr, stage string) ([]keyed, error) {
 	keys := make([]keyed, len(rows))
-	err := sc.eval(ctx, rows, key, stage, func(pos int, _ uint64, v Value) error {
-		isStr, num, str, err := v.sortKey()
-		if err != nil {
-			return err
-		}
-		keys[pos] = keyed{isStr, num, str}
-		return nil
+	err := sc.scan(ctx, rows, key, stage, sink{
+		row: func(pos int, _ uint64, v Value) error {
+			isStr, num, str, err := v.sortKey()
+			if err != nil {
+				return err
+			}
+			keys[pos] = keyed{isStr, num, str}
+			return nil
+		},
+		col: func(lo int, vals []float64) {
+			for i, f := range vals {
+				keys[lo+i] = keyed{num: f}
+			}
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -235,32 +337,60 @@ func (sc *scanner) keys(ctx context.Context, rows []uint64, key Expr, stage stri
 	return keys, nil
 }
 
-// eval evaluates x for every row on a core.Walk whose steps are partitions.
-// Partitions follow the chunk boundaries of the first tensor x references;
-// each worker reuses one environment (and its per-tensor ScanReaders), whose
-// readers load through the handle's decoded-chunk cache. So a chunk is
-// fetched and decoded once per handle, not once per stage or per query: a
-// column read by WHERE and again by the sort key, or by the next query on
-// the handle, is decoded once, and concurrent loads of a chunk shared
-// between workers coalesce into one. When x is in the chunk-at-a-time
-// subset (see chunkeval.go) and rows ascend, a worker evaluates its
-// partition a batch of rows inside one chunk at a time with typed loops,
-// and hands only the rows that subset cannot serve exactly to the
-// row-at-a-time tree walker; otherwise every row goes through the walker.
-// Either way sink sees each position once, in position order within a
-// partition, with the value, error and row the walker would have produced. sink runs on worker goroutines with disjoint
-// positions: it may write into shared slices at pos without locking, but
-// must not touch other positions. Errors are wrapped with the stage name and
-// failing row; a failing scan reports the lowest failing partition's error,
-// the one a 1-worker scan reports.
+// sink takes the values a scan computes. row takes one row's Value, as the
+// tree walker yields it. col, when set, takes the values of consecutive
+// chunk-evaluated positions lo, lo+1, ... at once, as float64s: f stands
+// for the Value chunkProg.value(f) that row would otherwise take, so f != 0
+// is its IsTruthy, and f its AsNumber and numeric sort key.
+type sink struct {
+	row func(pos int, row uint64, v Value) error
+	col func(lo int, vals []float64)
+}
+
+// values hands s the chunk-evaluated values of positions [lo, lo+len(vals)):
+// to col at once, or else to row one by one.
+func (s sink) values(p *chunkProg, stage string, rows []uint64, lo int, vals []float64) error {
+	if s.col != nil {
+		s.col(lo, vals)
+		return nil
+	}
+	for i, f := range vals {
+		if err := s.row(lo+i, rows[lo+i], p.value(f)); err != nil {
+			return rowError(stage, rows[lo+i], err)
+		}
+	}
+	return nil
+}
+
+// scan evaluates x for every row on a core.Walk whose steps are partitions.
+// Partitions follow the chunk boundaries of the first tensor x references,
+// planned a chunk at a time (chunkAlignedSpans, stripIDs); each worker
+// reuses one environment (and its per-tensor ScanReaders), whose readers
+// load through the handle's decoded-chunk cache. So a chunk is fetched and
+// decoded once per handle, not once per stage or per query: a column read
+// by WHERE and again by the sort key, or by the next query on the handle,
+// is decoded once, and concurrent loads of a chunk shared between workers
+// coalesce into one. When x is in the chunk-at-a-time subset (see
+// chunkeval.go) and rows ascend, a worker evaluates its partition a batch
+// of rows inside one chunk at a time with typed loops, and hands only the
+// rows that subset cannot serve exactly to the row-at-a-time tree walker;
+// otherwise every row goes through the walker. Either way out sees each
+// position once, in position order within a partition, with the value,
+// error and row the walker would have produced. out runs on worker
+// goroutines with disjoint positions: it may write into shared slices at
+// its positions without locking, but must not touch other positions.
+// Errors are wrapped with the stage name and failing row; a failing scan
+// reports the lowest failing partition's error, the one a 1-worker scan
+// reports.
 //
 // Ownership: the arrays a row loads, and every view cut from them (v itself,
 // when x is a tensor or a subscript of one), live in the worker's arena,
-// which the env recycles when it moves to the next row. sink must therefore
-// reduce v to what it keeps (a bool, a number, a string) before it returns
-// and never retain v or an array reached through it. A chunk-evaluated
-// tensor reference arrives already reduced to its one element.
-func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string, sink func(pos int, row uint64, v Value) error) error {
+// which the env recycles when it moves to the next row. out.row must
+// therefore reduce v to what it keeps (a bool, a number, a string) before
+// it returns and never retain v or an array reached through it. A
+// chunk-evaluated tensor reference arrives already reduced to its one
+// element.
+func (sc *scanner) scan(ctx context.Context, rows []uint64, x Expr, stage string, out sink) error {
 	if len(rows) == 0 {
 		return nil
 	}
@@ -322,13 +452,13 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 					strips.Cover(ctx, spanEnd[i])
 				}
 				if cw != nil {
-					return cw.run(ctx, rows, spans[i], stage, sink)
+					return cw.run(ctx, rows, spans[i], stage, out)
 				}
 				for pos := spans[i].lo; pos < spans[i].hi; pos++ {
 					if err := ctx.Err(); err != nil {
 						return err
 					}
-					if err := evalRow(e, x, rows, pos, stage, sink); err != nil {
+					if err := evalRow(e, x, rows, pos, stage, out.row); err != nil {
 						return err
 					}
 				}
@@ -364,32 +494,46 @@ func (sc *scanner) newWorkerEnv(ctx context.Context) *env {
 
 // stripIDs lists every distinct chunk id the scan will visit, in visit
 // order, and for each partition the exclusive end of its chunks within that
-// list — what a worker claiming the partition needs covered.
+// list — what a worker claiming the partition needs covered. It visits the
+// ascending rows a chunk at a time, finding where each chunk's rows end by
+// binary search.
 func stripIDs(chunks []core.ChunkSpan, rows []uint64, spans []span) (ids []uint64, spanEnd []int) {
 	spanEnd = make([]int, len(spans))
 	ci, si := 0, 0
-	for pos, row := range rows {
-		for si < len(spans) && pos >= spans[si].hi {
-			spanEnd[si] = len(ids)
-			si++
-		}
-		for ci < len(chunks) && row > chunks[ci].Last {
+	for pos := 0; pos < len(rows); {
+		for ci < len(chunks) && rows[pos] > chunks[ci].Last {
 			ci++
 		}
-		if ci >= len(chunks) {
+		if ci == len(chunks) {
 			break
 		}
-		if row < chunks[ci].First {
-			continue
+		c := chunks[ci]
+		end := rowsThrough(rows, pos, len(rows), c.Last)
+		// Rows before c.First lie in a gap between chunks and read none.
+		at := pos
+		if c.First > 0 {
+			at = rowsThrough(rows, pos, end, c.First-1)
 		}
-		if n := len(ids); n == 0 || ids[n-1] != chunks[ci].ChunkID {
-			ids = append(ids, chunks[ci].ChunkID)
+		if at < end {
+			for ; si < len(spans) && spans[si].hi <= at; si++ {
+				spanEnd[si] = len(ids)
+			}
+			if n := len(ids); n == 0 || ids[n-1] != c.ChunkID {
+				ids = append(ids, c.ChunkID)
+			}
 		}
+		pos = end
 	}
 	for ; si < len(spans); si++ {
 		spanEnd[si] = len(ids)
 	}
 	return ids, spanEnd
+}
+
+// rowsThrough returns the first position in [lo, hi) of the ascending rows
+// whose row is past last, or hi.
+func rowsThrough(rows []uint64, lo, hi int, last uint64) int {
+	return lo + sort.Search(hi-lo, func(i int) bool { return rows[lo+i] > last })
 }
 
 // partition splits the positions of rows into contiguous partitions aligned
@@ -421,21 +565,24 @@ func evenSpans(n, parts int) []span {
 // chunkAlignedSpans cuts the ascending row positions at chunk boundaries,
 // merging adjacent chunks until at most maxParts partitions remain. Cutting
 // only on boundaries keeps every chunk inside exactly one partition, so no
-// chunk is decoded by two workers.
+// chunk is decoded by two workers. It visits the rows a chunk at a time, as
+// stripIDs does; the rows past the last chunk form one last group.
 func chunkAlignedSpans(chunks []core.ChunkSpan, rows []uint64, maxParts int) []span {
 	minRows := (len(rows) + maxParts - 1) / maxParts
 	var spans []span
 	start, ci := 0, 0
-	prevChunk := -1
-	for pos, row := range rows {
-		for ci < len(chunks) && row > chunks[ci].Last {
+	for pos := 0; pos < len(rows); {
+		for ci < len(chunks) && rows[pos] > chunks[ci].Last {
 			ci++
 		}
-		if prevChunk >= 0 && ci != prevChunk && pos-start >= minRows {
+		if pos > 0 && pos-start >= minRows {
 			spans = append(spans, span{start, pos})
 			start = pos
 		}
-		prevChunk = ci
+		if ci == len(chunks) {
+			break
+		}
+		pos = rowsThrough(rows, pos, len(rows), chunks[ci].Last)
 	}
 	if start < len(rows) {
 		spans = append(spans, span{start, len(rows)})
@@ -445,49 +592,13 @@ func chunkAlignedSpans(chunks []core.ChunkSpan, rows []uint64, maxParts int) []s
 
 // scanDriver picks the tensor whose chunk layout drives partitioning: the
 // first tensor reference in the expression.
-func scanDriver(ds *core.Dataset, x Expr) *core.Tensor {
-	var found *core.Tensor
-	var walk func(Expr) bool
-	walk = func(x Expr) bool {
-		switch n := x.(type) {
-		case Ident:
-			if t := ds.Tensor(string(n)); t != nil {
-				found = t
-				return true
-			}
-		case Unary:
-			return walk(n.X)
-		case Binary:
-			return walk(n.L) || walk(n.R)
-		case ArrayLit:
-			for _, el := range n {
-				if walk(el) {
-					return true
-				}
-			}
-		case Call:
-			for _, a := range n.Args {
-				if walk(a) {
-					return true
-				}
-			}
-		case Index:
-			if walk(n.X) {
-				return true
-			}
-			for _, s := range n.Specs {
-				for _, e := range []Expr{s.Point, s.Lo, s.Hi} {
-					if e != nil && walk(e) {
-						return true
-					}
-				}
-			}
+func scanDriver(ds *core.Dataset, x Expr) (found *core.Tensor) {
+	inspect(x, func(n Expr) bool {
+		if id, ok := n.(Ident); ok {
+			found = ds.Tensor(string(id))
 		}
-		return false
-	}
-	if x != nil {
-		walk(x)
-	}
+		return found == nil
+	})
 	return found
 }
 

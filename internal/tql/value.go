@@ -118,7 +118,7 @@ type env struct {
 	// per-call envs (view columns) leave readers nil.
 	readers map[string]*core.ScanReader
 	// arena, set with readers, backs every array the readers decode. reset
-	// recycles it, so a row's arrays die with the row (see scanner.eval).
+	// recycles it, so a row's arrays die with the row (see scanner.scan).
 	arena *chunk.Arena
 	// rawShapes resolves SHAPE/NDIM/LEN/SIZE from decoded sample data
 	// instead of the shape encoder (Options.disablePushdown).
@@ -206,12 +206,22 @@ func (e *env) reader(t *core.Tensor) *core.ScanReader {
 	return r
 }
 
-// shapeOf resolves a sample shape through the shape encoder without chunk
-// IO (§3.4 fast shape queries).
+// shapeOf resolves a row's shape through the shape encoder without chunk
+// IO (§3.4 fast shape queries). A sequence row whose items have no one
+// shape (or which has none) is read instead, so its shape, or its error, is
+// the decoded path's.
 func (e *env) shapeOf(name string) ([]int, error) {
 	t := e.ds.Tensor(name)
 	if t == nil {
 		return nil, fmt.Errorf("tql: unknown tensor %q", name)
 	}
-	return t.Shape(e.row)
+	shape, ok, err := t.RowShape(e.row)
+	if err != nil || ok {
+		return shape, err
+	}
+	arr, err := e.lookupTensor(name)
+	if err != nil {
+		return nil, err
+	}
+	return arr.Shape(), nil
 }
