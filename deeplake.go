@@ -121,8 +121,9 @@
 // Queries execute on a chunk-partitioned parallel scanner (§4.4). The WHERE
 // clause's leading run of shape-only conjuncts — built from
 // SHAPE/NDIM/LEN/SIZE of tensor references — is answered from the shape
-// encoder with zero chunk IO (pushdown), once per run of rows whose shapes
-// agree, and the remainder is evaluated only over the pushdown's surviving
+// encoder with zero chunk IO (pushdown; only a sequence row whose items
+// differ in shape is read), once per run of rows whose shapes agree when
+// runs are long, and the remainder is evaluated only over the pushdown's surviving
 // rows, fanned out across QueryOptions.Workers along chunk boundaries.
 // ORDER BY … LIMIT keeps only the rows the limit needs (top-k). Each worker reuses one
 // evaluation environment and decodes every chunk it owns exactly once;

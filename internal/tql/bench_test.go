@@ -19,6 +19,9 @@ const benchRows = 4000
 var (
 	benchOnce sync.Once
 	benchDS   *core.Dataset
+
+	variedOnce sync.Once
+	variedDS   *core.Dataset
 )
 
 // benchDataset builds, once per test binary, an in-memory dataset shaped
@@ -63,8 +66,41 @@ func benchDataset(b *testing.B) *core.Dataset {
 	return benchDS
 }
 
+// variedDataset builds, once per test binary, benchRows raw uint8 images
+// whose shape changes on every row ([8+row%5, 8, 3]): the variable-size
+// images of a typical dataset, where every row is a shape run of its own.
+func variedDataset(b *testing.B) *core.Dataset {
+	variedOnce.Do(func() {
+		ctx := context.Background()
+		ds, err := core.Create(ctx, storage.NewMemory(), "varied")
+		if err != nil {
+			b.Fatal(err)
+		}
+		images, err := ds.CreateTensor(ctx, core.TensorSpec{Name: "images", Dtype: tensor.UInt8, ChunkCompression: "none"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < benchRows; i++ {
+			if err := images.Append(ctx, tensor.MustNew(tensor.UInt8, 8+i%5, 8, 3)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := ds.Flush(ctx); err != nil {
+			b.Fatal(err)
+		}
+		variedDS = ds
+	})
+	if variedDS == nil {
+		b.Fatal("benchmark dataset failed to build")
+	}
+	return variedDS
+}
+
 func benchQuery(b *testing.B, src string) {
-	ds := benchDataset(b)
+	benchQueryOn(b, benchDataset(b), src)
+}
+
+func benchQueryOn(b *testing.B, ds *core.Dataset, src string) {
 	q, err := Parse(src)
 	if err != nil {
 		b.Fatal(err)
@@ -88,6 +124,12 @@ func BenchmarkQueryFilter(b *testing.B) {
 // from the shape encoder.
 func BenchmarkQueryPush(b *testing.B) {
 	benchQuery(b, "SELECT * FROM bench WHERE SHAPE(frames)[0] == 74")
+}
+
+// BenchmarkQueryPushVaried is Q_push over images whose shape changes on
+// every row, so no two rows share a shape run.
+func BenchmarkQueryPushVaried(b *testing.B) {
+	benchQueryOn(b, variedDataset(b), "SELECT * FROM varied WHERE SHAPE(images)[0] == 10")
 }
 
 // BenchmarkQueryGroup is lakebench's Q_group.

@@ -377,7 +377,7 @@ func TestSortRowsMatchesStableSort(t *testing.T) {
 			for i, o := range ord {
 				want[i] = rows[o]
 			}
-			sortByKeys(rows, keys, desc)
+			sortByKeys(rows, keys, desc, -1)
 			if !reflect.DeepEqual(rows, want) {
 				t.Fatalf("trial %d desc=%v: %v, stable sort %v", trial, desc, rows, want)
 			}

@@ -305,8 +305,8 @@ func TestPlannerMatchesRowWalk(t *testing.T) {
 	}
 }
 
-// TestTopKMatchesSortByKeys checks orderRows, which keeps the k least
-// (key, position) entries, against sortByKeys followed by the cut, over
+// TestTopKMatchesSortByKeys checks sortByKeys with a k, which keeps the k
+// least (key, position) entries, against its full sort followed by the cut, over
 // random keys with ties, ±0, ±Inf, and in some trials NaN or string keys,
 // which take the stable sort.
 func TestTopKMatchesSortByKeys(t *testing.T) {
@@ -335,11 +335,11 @@ func TestTopKMatchesSortByKeys(t *testing.T) {
 					rows[i] = uint64(rng.Intn(50))
 				}
 				want := append([]uint64(nil), rows...)
-				sortByKeys(want, keys, desc)
+				sortByKeys(want, keys, desc, -1)
 				if k >= 0 && k < n {
 					want = want[:k]
 				}
-				if got := orderRows(rows, keys, desc, k); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+				if got := sortByKeys(rows, keys, desc, k); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 					t.Fatalf("trial %d desc=%v k=%d: %v, sort %v", trial, desc, k, got, want)
 				}
 			}
@@ -398,7 +398,7 @@ func TestTopKQueriesMatchFullSort(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sortByKeys(want, keys, dir != "")
+				sortByKeys(want, keys, dir != "", -1)
 				want = want[min(cut[1], n):]
 				want = want[:min(cut[0], len(want))]
 				for _, workers := range []int{1, 4} {
@@ -475,9 +475,11 @@ func shapeRunDataset(t *testing.T) *core.Dataset {
 
 // TestShapeRunsMatchDecodedPath checks the per-run shape prefilter against
 // the decoded path (disablePushdown) at 1 and 4 workers, over a tensor whose
-// shape changes every few rows, two tensors with interleaved runs, ROW (one
-// check per row of a run) and write-buffered rows: the same rows, and an
-// out-of-range subscript fails at the same row with the same error.
+// shape changes every few rows, two tensors with interleaved runs, ROW (a
+// check per row) and write-buffered rows: the same rows, and an
+// out-of-range subscript fails at the same row with the same error. At 1
+// worker the prefilter checks once per run; at 4 most queries' runs are too
+// short and it hands their rows to the parallel filter.
 func TestShapeRunsMatchDecodedPath(t *testing.T) {
 	ctx := context.Background()
 	ds := shapeRunDataset(t)
@@ -571,6 +573,17 @@ func TestSequenceShapePushdown(t *testing.T) {
 				t.Fatalf("%s (pushdown %v): rows %v, want %v", c.where, push, got, c.want)
 			}
 		}
+	}
+	q, err := Parse("SELECT * FROM seq WHERE NDIM(m) == 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan.Explain(), "but a read of a sequence row whose items differ in shape") {
+		t.Fatalf("Explain does not name the read of a mixed-shape sequence row:\n%s", plan.Explain())
 	}
 	_, pushErr := RunWith(ctx, ds, "SELECT * FROM seq WHERE NDIM(m) == 2", Options{})
 	_, readErr := RunWith(ctx, ds, "SELECT * FROM seq WHERE NDIM(m) == 2", Options{disablePushdown: true})

@@ -55,12 +55,20 @@ func Compile(q *Query) (*Plan, error) {
 	}
 	if q.Where != nil {
 		shapeConj, dataConj := splitConjuncts(q.Where)
-		const pushdown = " [shape-encoder pushdown: no chunk IO, one check per shape run]"
+		// pushdown tags a shape-only predicate with how scanner.filterShapes
+		// evaluates it.
+		pushdown := func(x Expr) string {
+			checks := "one check per shape run when runs average Workers rows or more, else per row"
+			if names, row := shapeRefs(x); row || len(names) == 0 {
+				checks = "one check per row"
+			}
+			return " [shape-encoder pushdown: no chunk IO but a read of a sequence row whose items differ in shape; " + checks + "]"
+		}
 		switch {
 		case len(dataConj) == 0:
-			p.stages = append(p.stages, "filter "+q.Where.String()+pushdown)
+			p.stages = append(p.stages, "filter "+q.Where.String()+pushdown(q.Where))
 		case len(shapeConj) > 0:
-			p.stages = append(p.stages, "prefilter "+andAll(shapeConj).String()+pushdown)
+			p.stages = append(p.stages, "prefilter "+andAll(shapeConj).String()+pushdown(andAll(shapeConj)))
 			p.stages = append(p.stages, "filter "+andAll(dataConj).String()+" [parallel chunk scan]"+chunked(andAll(dataConj)))
 		default:
 			p.stages = append(p.stages, "filter "+q.Where.String()+" [parallel chunk scan]"+chunked(q.Where))
@@ -225,9 +233,10 @@ func validateQuery(q *Query) error {
 
 // ExecuteWith runs a parsed query through the chunk-partitioned parallel
 // scan engine. WHERE's leading shape-only conjuncts become a shape-encoder
-// prefilter (zero chunk IO, one check per shape run, on the caller's
-// goroutine) with the remainder evaluated only over the prefilter's
-// survivors, which, like every key evaluation, fans out across
+// prefilter (no chunk IO but for a sequence row whose items differ in
+// shape; one check per shape run on the caller's goroutine when runs are
+// long, see scanner.filterShapes) with the remainder evaluated only over
+// the prefilter's survivors, which, like every key evaluation, fans out across
 // Options.Workers with chunk-aligned partitions and positional merges, so
 // results are byte-identical for any worker count. ORDER BY with a LIMIT
 // and no later GROUP, ARRANGE or SAMPLE BY keeps only the OFFSET+LIMIT
@@ -259,8 +268,8 @@ func ExecuteWith(ctx context.Context, ds *core.Dataset, q *Query, opts Options) 
 	for i := range rows {
 		rows[i] = uint64(i)
 	}
-	// Filter: leading shape-only conjuncts first (shape-encoder pushdown,
-	// no chunk IO), then the remainder over the surviving rows.
+	// Filter: leading shape-only conjuncts first (shape-encoder pushdown),
+	// then the remainder over the surviving rows.
 	if q.Where != nil {
 		shapeConj, dataConj := splitConjuncts(q.Where)
 		if opts.disablePushdown {
@@ -350,109 +359,40 @@ func sortRows(ctx context.Context, sc *scanner, rows []uint64, key Expr, desc bo
 	if err != nil {
 		return nil, err
 	}
-	return orderRows(rows, keys, desc, k), nil
+	return sortByKeys(rows, keys, desc, k), nil
 }
 
-// orderRows is sortRows on keys already evaluated.
-func orderRows(rows []uint64, keys []keyed, desc bool, k int) []uint64 {
-	if k < 0 || k >= len(rows) {
-		sortByKeys(rows, keys, desc)
-		return rows
+// sortByKeys stably sorts rows by keys, its parallel slice, in place and
+// returns them, or, with 0 <= k < len(rows), only the first k of that
+// order.
+func sortByKeys(rows []uint64, keys []keyed, desc bool, k int) []uint64 {
+	if k < 0 || k > len(rows) {
+		k = len(rows)
 	}
-	if !least(rows, keys, desc, k) {
-		sortByKeys(rows, keys, desc)
-	}
-	return rows[:k]
-}
-
-// least moves into rows[:k], in order, the k rows a stable sort by keys
-// puts first, and reports true; with a NaN or string key it moves nothing
-// and reports false, leaving the order to sortByKeys. Numeric keys without
-// NaN are ordered, so (key, position) is their one stable order, and the k
-// least entries of it are kept in a max-heap of k over one pass: O(n log k)
-// instead of sorting all n.
-func least(rows []uint64, keys []keyed, desc bool, k int) bool {
-	type entry struct {
-		num float64
-		pos int
-	}
-	less := func(a, b entry) bool { return a.num < b.num || a.num == b.num && a.pos < b.pos }
-	heap := make([]entry, 0, k)
-	// down restores the max-heap below i.
-	down := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(heap) {
-				return
-			}
-			if c+1 < len(heap) && less(heap[c], heap[c+1]) {
-				c++
-			}
-			if !less(heap[i], heap[c]) {
-				return
-			}
-			heap[i], heap[c] = heap[c], heap[i]
-			i = c
-		}
-	}
-	for pos, key := range keys {
-		if key.isStr || math.IsNaN(key.num) {
-			return false
-		}
-		e := entry{key.num, pos}
-		if desc {
-			e.num = -e.num
-		}
-		switch {
-		case len(heap) < k:
-			heap = append(heap, e)
-			for i := len(heap) - 1; i > 0 && less(heap[(i-1)/2], heap[i]); i = (i - 1) / 2 {
-				heap[i], heap[(i-1)/2] = heap[(i-1)/2], heap[i]
-			}
-		case k > 0 && less(e, heap[0]):
-			heap[0] = e
-			down(0)
-		}
-	}
-	slices.SortFunc(heap, func(a, b entry) int {
-		if less(a, b) {
-			return -1
-		}
-		return 1
-	})
-	top := make([]uint64, len(heap))
-	for i, e := range heap {
-		top[i] = rows[e.pos]
-	}
-	copy(rows, top)
-	return true
-}
-
-// sortByKeys stably sorts rows by keys, its parallel slice.
-func sortByKeys(rows []uint64, keys []keyed, desc bool) {
 	// Numeric keys without NaN are ordered, so (key, position) is their one
 	// stable order, which pdqsort reaches over compact entries without the
-	// merge sort's rotations. Any other key list keeps the merge sort,
-	// comparison for comparison: NaN is unordered, and which stable order
-	// comes out then depends on the algorithm.
+	// merge sort's rotations; a max-heap of the k least over one pass keeps
+	// the sort to those k (top-k: O(n log k)). Any other key list keeps the
+	// merge sort, comparison for comparison: NaN is unordered, and which
+	// stable order comes out then depends on the algorithm.
 	type numEntry struct {
 		num float64
 		pos int
 	}
 	ents := make([]numEntry, 0, len(keys))
-	for i, k := range keys {
-		if k.isStr || math.IsNaN(k.num) {
+	for i, key := range keys {
+		if key.isStr || math.IsNaN(key.num) {
 			ents = nil
 			break
 		}
 		if desc {
-			k.num = -k.num
+			key.num = -key.num
 		}
-		ents = append(ents, numEntry{k.num, i})
+		ents = append(ents, numEntry{key.num, i})
 	}
-	sorted := make([]uint64, len(rows))
+	sorted := make([]uint64, k)
 	if ents != nil {
-		slices.SortFunc(ents, func(a, b numEntry) int {
+		cmp := func(a, b numEntry) int {
 			switch {
 			case a.num < b.num:
 				return -1
@@ -460,7 +400,38 @@ func sortByKeys(rows []uint64, keys []keyed, desc bool) {
 				return 1
 			}
 			return a.pos - b.pos
-		})
+		}
+		if k < len(ents) {
+			heap := ents[:k]
+			// down restores the max-heap below i.
+			down := func(i int) {
+				for {
+					c := 2*i + 1
+					if c >= len(heap) {
+						return
+					}
+					if c+1 < len(heap) && cmp(heap[c], heap[c+1]) < 0 {
+						c++
+					}
+					if cmp(heap[i], heap[c]) >= 0 {
+						return
+					}
+					heap[i], heap[c] = heap[c], heap[i]
+					i = c
+				}
+			}
+			for i := k/2 - 1; i >= 0; i-- {
+				down(i)
+			}
+			for _, e := range ents[k:] {
+				if k > 0 && cmp(e, heap[0]) < 0 {
+					heap[0] = e
+					down(0)
+				}
+			}
+			ents = heap
+		}
+		slices.SortFunc(ents, cmp)
 		for i, e := range ents {
 			sorted[i] = rows[e.pos]
 		}
@@ -479,11 +450,12 @@ func sortByKeys(rows []uint64, keys []keyed, desc bool) {
 			}
 			return 0
 		})
-		for i, o := range ord {
+		for i, o := range ord[:k] {
 			sorted[i] = rows[o]
 		}
 	}
 	copy(rows, sorted)
+	return rows[:k]
 }
 
 // arrangeRows groups rows by key (first-appearance group order) and

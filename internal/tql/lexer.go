@@ -16,10 +16,11 @@
 // ScanReaders fetch and decode every chunk it owns once — and
 // per-partition results merge positionally, so results, and the error of a
 // failing scan, are identical at any worker count. A WHERE clause's leading
-// run of shape-only conjuncts is answered entirely from the shape encoder
-// with zero chunk IO (shape-encoder pushdown), once per run of rows whose
-// shapes agree, with the remainder evaluated only over the pushdown's
-// surviving rows — in textual order, so AND short-circuit guards keep
+// run of shape-only conjuncts is answered from the shape encoder with zero
+// chunk IO (shape-encoder pushdown) — only a sequence row whose items
+// differ in shape is read — once per run of rows whose shapes agree when
+// runs average Workers rows or more and once per row otherwise, with the
+// remainder evaluated only over the pushdown's surviving rows — in textual order, so AND short-circuit guards keep
 // protecting later conjuncts. ORDER BY … LIMIT keeps only the rows the
 // limit and offset need (top-k). Compile renders these stages; for
 //
@@ -29,7 +30,7 @@
 //
 //	scan ds [chunk-partitioned]
 //	prefetch chunk strips [cross-partition coalesced origin fetch]
-//	prefilter (SHAPE(images)[0] > 100) [shape-encoder pushdown: no chunk IO, one check per shape run]
+//	prefilter (SHAPE(images)[0] > 100) [shape-encoder pushdown: no chunk IO but a read of a sequence row whose items differ in shape; one check per shape run when runs average Workers rows or more, else per row]
 //	filter (MEAN(images) > 50) [parallel chunk scan] [chunk-at-a-time over raw numeric tensors]
 //	project images
 //

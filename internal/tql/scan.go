@@ -210,17 +210,22 @@ func (sc *scanner) filter(ctx context.Context, rows []uint64, pred Expr) ([]uint
 
 // filterShapes is filter for a shape-only predicate (see shapeOnly) over
 // ascending rows. Such a predicate reads nothing of a row but the shapes of
-// the tensors it names and, through ROW, the row index. So the tree walker
-// evaluates it once per run of rows across which every named tensor keeps
-// one shape — their shape encoders' runs, intersected — or once per row of
-// the run when it calls ROW, on the caller's goroutine, with no walk and no
-// chunk IO. Every row of a run takes the run's answer, and a failing run
+// the tensors it names, so the tree walker can evaluate it once per run of
+// rows across which every named tensor keeps one shape — their shape
+// encoders' runs, intersected — on the caller's goroutine, with no walk and
+// no chunk IO. Every row of a run takes the run's answer, and a failing run
 // fails at its first row with the walker's error: the row and the error a
-// scan reports. A row past a named tensor's last shape is a run of its own;
-// a predicate naming an unknown or sequence tensor (a sequence row's shape
-// is not one encoder run) goes to filter.
+// scan reports. A row past a named tensor's last shape is a run of its own.
+// That is one evaluation per run against filter's one per row spread over
+// the workers, so it is taken only when runs are no more than rows/workers;
+// filter takes the rest, and any predicate that calls ROW, names no tensor,
+// or names an unknown or sequence tensor (a sequence row's shape is not one
+// encoder run).
 func (sc *scanner) filterShapes(ctx context.Context, rows []uint64, pred Expr) ([]uint64, error) {
-	names, perRow := shapeRefs(pred)
+	names, row := shapeRefs(pred)
+	if row || len(names) == 0 {
+		return sc.filter(ctx, rows, pred)
+	}
 	ends := make([][]uint64, len(names))
 	for i, name := range names {
 		t := sc.ds.Tensor(name)
@@ -229,21 +234,12 @@ func (sc *scanner) filterShapes(ctx context.Context, rows []uint64, pred Expr) (
 		}
 		ends[i] = t.ShapeRunEnds()
 	}
-	e := newEnv(ctx, sc.ds, 0)
-	var keep bool
-	test := func(_ int, _ uint64, v Value) error {
-		keep = v.IsTruthy()
-		return nil
-	}
 	cursor := make([]int, len(names))
-	out := rows[:0]
-	for pos := 0; pos < len(rows); {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// The run holding rows[pos] ends at the first end of a named
-		// tensor's run at or after it.
-		last, covered := uint64(math.MaxUint64), true
+	// runEnd returns the position in rows past the run holding rows[pos],
+	// which ends at the first end of a named tensor's run at or after it.
+	// Calls take ascending positions, as the cursors into ends advance.
+	runEnd := func(pos int) int {
+		last := uint64(math.MaxUint64)
 		for i, te := range ends {
 			c := cursor[i]
 			for c < len(te) && te[c] < rows[pos] {
@@ -251,24 +247,36 @@ func (sc *scanner) filterShapes(ctx context.Context, rows []uint64, pred Expr) (
 			}
 			cursor[i] = c
 			if c == len(te) {
-				covered = false
-				break
+				return pos + 1
 			}
 			last = min(last, te[c])
 		}
-		end := pos + 1
-		if covered {
-			end = rowsThrough(rows, pos, len(rows), last)
+		return rowsThrough(rows, pos, len(rows), last)
+	}
+	runs := 0
+	for pos := 0; pos < len(rows); pos = runEnd(pos) {
+		if runs++; runs*sc.workers > len(rows) {
+			return sc.filter(ctx, rows, pred)
 		}
-		for p := pos; p < end; p++ {
-			if p == pos || perRow {
-				if err := evalRow(e, pred, rows, p, "WHERE", test); err != nil {
-					return nil, err
-				}
-			}
-			if keep {
-				out = append(out, rows[p])
-			}
+	}
+	clear(cursor)
+	e := newEnv(ctx, sc.ds, 0)
+	var keep bool
+	test := func(_ int, _ uint64, v Value) error {
+		keep = v.IsTruthy()
+		return nil
+	}
+	out := rows[:0]
+	for pos := 0; pos < len(rows); {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := evalRow(e, pred, rows, pos, "WHERE", test); err != nil {
+			return nil, err
+		}
+		end := runEnd(pos)
+		if keep {
+			out = append(out, rows[pos:end]...)
 		}
 		pos = end
 	}
