@@ -36,19 +36,16 @@ type ChunkCache struct {
 // ChunkKey is a decoded chunk's key in a ChunkCache. Two reads share an
 // entry only when they read the same bytes: of the same handle (scope,
 // Dataset.ScopeID), stored object (obj, Tensor.ChunkIdentity, which names
-// the version owning the bytes), write of that object (stamp) and samples
-// (sel: empty for a whole chunk, else a bitmap of the samples read).
+// the version owning the bytes) and samples (sel: empty for a whole chunk,
+// else a bitmap of the samples read).
 //
-// stamp is the one invalidation rule: it counts the handle's writes of obj
-// (Dataset.stamps), so a chunk rewritten under its object key — SetAt's
-// copy into the head, Rechunk, a seal, a tensor recreated under a deleted
-// one's name — gets a new key in every cache. An entry of the bytes before
-// the write is never read again: the handle's cache drops it at the write,
-// any other ages out.
+// No entry goes stale: an object key is written once, and a rewrite of a
+// chunk's rows (SetAt, Rechunk, a tensor recreated under a deleted one's name)
+// takes a fresh key. The handle's cache drops the entries its seals unbind
+// (Tensor.unbindDropped); any other cache ages them out.
 type ChunkKey struct {
 	scope uint64
 	obj   string
-	stamp uint64
 	sel   string
 }
 
@@ -154,10 +151,7 @@ func (t *Tensor) ChunkKey(id uint64, s *SparseChunk) ChunkKey {
 
 // cacheKey is Tensor.ChunkKey for the chunk stored under object key obj.
 func (ds *Dataset) cacheKey(obj string, s *SparseChunk) ChunkKey {
-	ds.stampMu.RLock()
-	stamp := ds.stamps[obj]
-	ds.stampMu.RUnlock()
-	key := ChunkKey{scope: ds.scope, obj: obj, stamp: stamp}
+	key := ChunkKey{scope: ds.scope, obj: obj}
 	if s != nil {
 		sel := s.plan.Selection()
 		bits := make([]byte, sel[len(sel)-1]/8+1)
@@ -167,23 +161,6 @@ func (ds *Dataset) cacheKey(obj string, s *SparseChunk) ChunkKey {
 		key.sel = string(bits)
 	}
 	return key
-}
-
-// stamp records a write of object key, so its ChunkKeys from now on differ
-// from those before, and drops the handle cache's entry of the bytes before
-// the write, which no reader of this handle asks for again. The caller holds
-// the key's tensor write lock, so no load of the key is in flight.
-func (ds *Dataset) stamp(key string) {
-	ds.stampMu.Lock()
-	if ds.stamps == nil {
-		ds.stamps = map[string]uint64{}
-	}
-	old := ds.stamps[key]
-	ds.stamps[key]++
-	ds.stampMu.Unlock()
-	if c := ds.chunks.Load(); c != nil {
-		c.table.Remove(ChunkKey{scope: ds.scope, obj: key, stamp: old})
-	}
 }
 
 // chunkCache returns the handle's decoded-chunk cache, sized from its chain
@@ -208,17 +185,16 @@ func (ds *Dataset) ChunkCacheStats() ChunkCacheStats {
 
 // cachedChunk is a ScanReader's default ChunkFetch: chunk id from the
 // handle cache, loaded through ReadChunk's path on a miss. The write
-// buffer's chunk, a chunk still in the flush pipeline, one bound to no
-// version and any chunk of a tensor the handle no longer holds are read as
-// ReadChunk reads them and not cached. Key and load are made under one
-// tensor read lock, so no write falls between them.
+// buffer's chunk, a chunk still in the flush pipeline and one bound to no
+// version are read as ReadChunk reads them and not cached. Key and load are
+// made under one tensor read lock, so no write falls between them.
 func (t *Tensor) cachedChunk(ctx context.Context, id uint64) (*chunk.Chunk, error) {
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	obj, ok := t.landedKey(id)
-	if !ok || t.ds.tensors[t.name] != t {
+	if !ok {
 		return t.loadChunk(ctx, id)
 	}
 	c, _, _, err := t.ds.chunkCache().Load(ctx, t.ds.cacheKey(obj, nil), func() (*chunk.Chunk, error) {

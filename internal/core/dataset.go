@@ -9,12 +9,12 @@
 // and the state of the version being written, the newest being the published
 // one; and per-version sub-directories versions/<vid>/ holding only the
 // chunks modified in that version (§4.2) and, once a handle has left the
-// version, its state.json. Nothing else is written or read. Every publish
-// (Create, CreateTensor, DeleteTensor, Flush, Commit, Checkout, Merge) takes
-// the write round trips its bytes need: the chunk uploads and the state
-// objects of versions being left land together, then the new root goes out
-// with the delete of the snapshot two generations back. A publish with
-// nothing to upload is one round trip.
+// version, its state.json; a chunk object is written once. Nothing else is
+// written or read. Every publish (Create, CreateTensor, DeleteTensor, Flush,
+// Commit, Checkout, Merge) takes the write round trips its bytes need: the
+// chunk uploads and the state objects of versions being left land together,
+// then the new root goes out with the delete of the snapshot two generations
+// back. A publish with nothing to upload is one round trip.
 package core
 
 import (
@@ -95,10 +95,11 @@ type Dataset struct {
 	// chunks is the handle's decoded-chunk cache, nil until the first read
 	// of a landed chunk.
 	chunks atomic.Pointer[ChunkCache]
-	// stamps counts the handle's writes of each chunk object key (ChunkKey).
-	// It outlives tensors and checkouts; nil until the first write.
-	stampMu sync.RWMutex
-	stamps  map[string]uint64
+	// superseded and collect are the chunks the next root lists and the next
+	// publish deletes (see publish); deletedNext maps a deleted tensor's name
+	// to its NextChunkID, where a tensor created under it starts. Under ds.mu.
+	superseded, collect []string
+	deletedNext         map[string]uint64
 
 	// now supplies timestamps; replaceable in tests.
 	now func() time.Time
@@ -150,11 +151,12 @@ func Create(ctx context.Context, store storage.Provider, name string) (*Dataset,
 // its flush pipeline.
 func newHandle(store storage.Provider) *Dataset {
 	return &Dataset{
-		store:   store,
-		flusher: newFlushPipeline(store, 0),
-		tensors: map[string]*Tensor{},
-		now:     func() time.Time { return time.Now().UTC() },
-		scope:   scopeCounter.Add(1),
+		store:       store,
+		flusher:     newFlushPipeline(store, 0),
+		tensors:     map[string]*Tensor{},
+		deletedNext: map[string]uint64{},
+		now:         func() time.Time { return time.Now().UTC() },
+		scope:       scopeCounter.Add(1),
 	}
 }
 
@@ -179,7 +181,7 @@ func Open(ctx context.Context, store storage.Provider) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds.head = headNode.ID
+	ds.head, ds.collect = headNode.ID, root.Superseded
 	if root.Head != ds.head {
 		return nil, fmt.Errorf("core: root snapshot %s holds version %s, not the head %s of branch %q", rootKey(gen), root.Head, ds.head, ds.branch)
 	}
@@ -282,6 +284,7 @@ func (ds *Dataset) DeleteTensor(ctx context.Context, name string) error {
 		ds.order = slices.Insert(ds.order, at, name)
 		return err
 	}
+	ds.deletedNext[name] = t.meta.NextChunkID
 	// Chunks written in this head are garbage; ancestors keep theirs. The
 	// collection is best-effort: whatever a failed List or Delete leaves,
 	// fsck names and repairs as orphan-chunk. The prefix also matches the
@@ -506,13 +509,13 @@ func (ds *Dataset) flushLocked(ctx context.Context) error {
 	return ds.persistRoot(ctx)
 }
 
-// sealLocked hands every tensor's pending chunk to the flush pipeline and
+// sealLocked hands every tensor's pending chunk to the flush pipeline,
+// unbinds what the encoders no longer name (Tensor.unbindDropped) and
 // snapshots each tensor's state as its savedState. It does not wait for the
 // uploads: the snapshot does not depend on them landing (writeChunk records
-// each chunk's CRC before the bytes go out), and the publish that follows
-// waits for the pipeline to drain before it writes the root, so nothing
-// published references a chunk that is not in storage. Caller holds ds.mu
-// exclusively.
+// each chunk's CRC first), and the publish that follows drains the pipeline
+// before it writes the root, so nothing published references a chunk that
+// is not in storage. Caller holds ds.mu exclusively.
 func (ds *Dataset) sealLocked(ctx context.Context) error {
 	// A new flush attempt restarts uploads that failed or were cancelled
 	// earlier — their blobs are still in the pipeline's pending map, so a
@@ -527,6 +530,7 @@ func (ds *Dataset) sealLocked(ctx context.Context) error {
 	}
 	for _, name := range ds.order {
 		t := ds.tensors[name]
+		t.unbindDropped()
 		st, err := t.snapshotState()
 		if err != nil {
 			return err
@@ -559,14 +563,17 @@ func (ds *Dataset) persistRoot(ctx context.Context) error {
 // when there is nothing to upload or stage. A seal of more chunks than the
 // pipeline holds sent the rest as uploads returned, so round 1 then takes more
 // than one round trip. Round 2, only once every round-1 step succeeded, Puts
-// the root under the next generation's roots/ key and drops the snapshot two
-// generations back best-effort. The root Put is the commit point, since the
+// the root under the next generation's roots/ key, its superseded list naming
+// the chunks the seals unbound that the published root may name. Beside it, on
+// at most lanes goroutines, it deletes best-effort the snapshot two generations
+// back and collect: the chunks only that snapshot names, and unbound ones no
+// root names. The root Put is the commit point, since the
 // newest root is the published one and a Put replaces a whole object
 // atomically (FS providers rename into place). That is the one ordering crash
 // consistency needs: everything the root references is durable before the root
-// is written. The delete needs no such wait: the new root names nothing it
-// removes, and a reader that listed roots/ chose the published generation,
-// which stays. A writer killed anywhere before the root Put leaves the
+// is written. The deletes need no such wait: the new root names nothing they
+// remove, and a reader that listed roots/ chose the published generation,
+// whose objects stay. A writer killed anywhere before the root Put leaves the
 // previous generation untouched and fully readable; the chunks uploaded for
 // the lost root are orphans fsck collects, and a staged state object of a
 // version the published root is still on is ignored and overwritten by the
@@ -584,8 +591,9 @@ func (ds *Dataset) publish(ctx context.Context, tree *version.Tree, branch, head
 	if err != nil {
 		return err
 	}
+	slices.Sort(ds.superseded)
 	ds.idMu.Lock()
-	root := rootFile{Meta: ds.meta, Branch: branch, Head: head, Tree: rawTree, versionState: vs}
+	root := rootFile{Meta: ds.meta, Branch: branch, Head: head, Tree: rawTree, Superseded: ds.superseded, versionState: vs}
 	ds.idMu.Unlock()
 	gen := ds.gen + 1
 
@@ -606,16 +614,17 @@ func (ds *Dataset) publish(ctx context.Context, tree *version.Tree, branch, head
 	}
 	// Round 2, the commit point: after the root Put, the new generation is
 	// live. Two snapshots stay, the published one and the new one.
-	var dropped sync.WaitGroup
+	doomed := ds.collect
 	if gen > 2 {
-		dropped.Add(1)
-		go func() { defer dropped.Done(); _ = ds.store.Delete(ctx, rootKey(gen-2)) }()
+		doomed = append([]string{rootKey(gen - 2)}, doomed...)
 	}
+	dropped := ds.flusher.remove(ctx, doomed)
 	err = ds.store.Put(ctx, rootKey(gen), mustJSON(root))
-	dropped.Wait()
+	dropped()
 	if err != nil {
 		return err
 	}
+	ds.collect, ds.superseded = ds.superseded, nil
 	ds.gen, ds.rootBranch = gen, branch
 	ds.tree, ds.branch, ds.head = tree, branch, head
 	return nil

@@ -102,10 +102,8 @@ const defaultFlushWorkers = 8
 // owns the key, which holds its lane through the backoff, so only what
 // survives those attempts parks and drain waits for the recovery. The
 // sticky error clears once every pending blob has drained, so a recovered
-// dataset never reports a stale failure.
-// Re-enqueueing a key still in flight (copy-on-write SetAt rewrites a chunk
-// under its existing id) hands the newer bytes to the existing uploader via
-// a generation counter instead of racing a second Put on the same object.
+// dataset never reports a stale failure. A key is enqueued once
+// (Tensor.writeChunk never reuses a name), so each upload is one Put.
 //
 // Uploads run on the enqueuing (or redriving) caller's context stripped of
 // its cancellation (context.WithoutCancel): they carry the caller's values,
@@ -136,7 +134,6 @@ type flushPipeline struct {
 
 type pendingChunk struct {
 	blob []byte
-	gen  uint64
 	// ctx is the latest enqueuing (or redriving) caller's context without
 	// its cancellation: the upload carries the caller's values (trace spans,
 	// request ids) but outlives the caller.
@@ -207,27 +204,13 @@ func (p *flushPipeline) lookup(key string) ([]byte, bool) {
 // backpressure wait).
 func (p *flushPipeline) enqueue(ctx context.Context, key string, blob []byte) error {
 	p.mu.Lock()
-	pc, ok := p.pending[key]
-	if ok {
-		pc.blob = blob
-		pc.gen++
-	} else {
-		pc = &pendingChunk{blob: blob, gen: 1}
-		p.pending[key] = pc
-	}
-	pc.ctx = context.WithoutCancel(ctx)
-	if err := p.firstErr; err != nil {
-		// Writes are failing; park the entry and fail fast.
-		p.mu.Unlock()
+	// While writes are failing, park the entry and fail fast.
+	err := p.firstErr
+	p.pending[key] = &pendingChunk{blob: blob, ctx: context.WithoutCancel(ctx), uploader: err == nil}
+	p.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	if pc.uploader {
-		// The existing uploader will observe the new generation.
-		p.mu.Unlock()
-		return nil
-	}
-	pc.uploader = true
-	p.mu.Unlock()
 
 	select {
 	case p.slots <- struct{}{}:
@@ -250,11 +233,8 @@ func (p *flushPipeline) park(key string) {
 }
 
 // upload runs in its own goroutine holding one slot: acquire a worker lane
-// (or go without one while a publish rushes the pipeline), Put the latest
-// generation of the key, release. If a re-enqueue replaced the blob while
-// the Put was on the wire, Put again until the written generation is the
-// newest, so the store converges to the final bytes. A failed Put parks the
-// entry and records the sticky error.
+// (or go without one while a publish rushes the pipeline), Put the key's
+// blob, release. A failed Put parks the entry and records the sticky error.
 func (p *flushPipeline) upload(key string) {
 	defer p.end()
 	defer func() { <-p.slots }()
@@ -266,38 +246,25 @@ func (p *flushPipeline) upload(key string) {
 		defer func() { <-p.workers }()
 	case <-rushed:
 	}
-	for {
-		p.mu.Lock()
-		pc := p.pending[key]
-		if pc == nil || !pc.uploader {
-			p.mu.Unlock()
-			return
-		}
-		blob, gen, ctx := pc.blob, pc.gen, pc.ctx
-		p.mu.Unlock()
-		// The caller's values without its cancellation: cancelling the
-		// enqueuing caller must not retroactively fail an acknowledged
-		// write. A Retry layer's OpTimeout keeps a black-holed Put from
-		// pinning this lane forever.
-		if err := p.store.Put(ctx, key, blob); err != nil {
-			p.failAndPark(key, err)
-			return
-		}
-		p.mu.Lock()
-		if cur, ok := p.pending[key]; ok && cur == pc && cur.gen == gen {
-			delete(p.pending, key)
-			if len(p.pending) == 0 {
-				// Every blob is durable. A sticky error left over from a
-				// failure that has since been redriven successfully would
-				// misreport this recovered dataset on the next
-				// Flush/Commit, so clear it.
-				p.firstErr = nil
-			}
-			p.mu.Unlock()
-			return
-		}
-		p.mu.Unlock()
+	p.mu.Lock()
+	pc := p.pending[key]
+	p.mu.Unlock()
+	// The caller's values without its cancellation: cancelling the enqueuing
+	// caller must not fail an acknowledged write. A Retry layer's OpTimeout
+	// keeps a black-holed Put from pinning this lane forever.
+	if err := p.store.Put(pc.ctx, key, pc.blob); err != nil {
+		p.failAndPark(key, err)
+		return
 	}
+	p.mu.Lock()
+	delete(p.pending, key)
+	if len(p.pending) == 0 {
+		// Every blob is durable. A sticky error left over from a failure
+		// that has since been redriven successfully would misreport this
+		// recovered dataset on the next Flush/Commit, so clear it.
+		p.firstErr = nil
+	}
+	p.mu.Unlock()
 }
 
 // failAndPark atomically parks key's entry and records the sticky error —
@@ -400,6 +367,23 @@ func (p *flushPipeline) land(ctx context.Context) error {
 		return err
 	}
 	return p.drain(ctx)
+}
+
+// remove deletes keys best-effort on at most the pipeline's lane count of
+// goroutines, and returns the wait for them.
+func (p *flushPipeline) remove(ctx context.Context, keys []string) (wait func()) {
+	var wg sync.WaitGroup
+	lanes := min(cap(p.workers), len(keys))
+	for lane := range lanes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lane; i < len(keys); i += lanes {
+				_ = p.store.Delete(ctx, keys[i])
+			}
+		}()
+	}
+	return wg.Wait
 }
 
 // SetWriteOptions reconfigures the dataset's write path: it lands every

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,7 +34,8 @@ const (
 	FsckChecksumMismatch = "checksum-mismatch"
 	// FsckOrphanChunk: a stored chunk not referenced by its version's chunk
 	// set (e.g. uploaded for a generation that was never published, or left
-	// by a tensor the version's schema no longer has).
+	// by a tensor the version's schema no longer has), and not listed as
+	// superseded by the published root.
 	FsckOrphanChunk = "orphan-chunk"
 	// FsckOrphanVersion: a version directory with no node in the version
 	// tree.
@@ -230,12 +232,7 @@ func (f *fsckState) checkBindings(stateKey, name string, st tensorRootState) {
 		f.issue(FsckCorruptObject, stateKey, fmt.Sprintf("tensor %q: encoder does not parse: %v", name, err), nil)
 		return
 	}
-	ids := chunks.ChunkIDs()
-	for _, idx := range tiles.Indices() {
-		entry, _ := tiles.Get(idx)
-		ids = append(ids, entry.ChunkIDs...)
-	}
-	for _, id := range ids {
+	for _, id := range namedChunks(chunks, tiles) {
 		if !bound[id] {
 			bound[id] = true // one issue per id
 			f.issue(FsckMissingChunk, stateKey,
@@ -315,7 +312,7 @@ func (f *fsckState) checkVersions(ctx context.Context) error {
 			if !inSchema {
 				detail = fmt.Sprintf("stored for tensor %q, which the version's schema does not have (e.g. deleted before its chunks were collected)", name)
 			}
-			if n, ok := parseChunkName(id); !ok || !chunks[n] {
+			if n, ok := parseChunkName(id); (!ok || !chunks[n]) && !slices.Contains(f.root.Superseded, key) {
 				f.issue(FsckOrphanChunk, key, detail, f.deleteFix(key))
 			}
 		}

@@ -127,7 +127,7 @@ func buildGoldenDatasetOn(t *testing.T, store storage.Provider, opts WriteOption
 			t.Fatal(err)
 		}
 	}
-	// In-place updates (copy-on-write chunk rewrites under existing ids).
+	// In-place updates (copy-on-write chunk rewrites under fresh ids).
 	for _, idx := range []uint64{3, 40, 95} {
 		if err := vals.SetAt(ctx, idx, tensor.Scalar(tensor.Float64, float64(idx)+0.25)); err != nil {
 			t.Fatal(err)

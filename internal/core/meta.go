@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/chunk"
@@ -91,11 +91,17 @@ type diffRecord struct {
 const rootsPrefix = "roots/"
 
 // rootKey is the root snapshot of one generation; see Dataset.publish.
-func rootKey(gen uint64) string { return fmt.Sprintf("%s%016x", rootsPrefix, gen) }
+func rootKey(gen uint64) string { return rootsPrefix + chunkName(gen) }
 
-// chunkName is the canonical textual name of a chunk id, used both as the
-// final key segment and as the TensorMeta.Checksums map key.
-func chunkName(id uint64) string { return fmt.Sprintf("%016x", id) }
+// chunkName is the canonical textual name of a chunk id, "%016x" without fmt
+// (every landed-chunk read names one), used as the final key segment and as
+// the TensorMeta.Checksums map key.
+func chunkName(id uint64) string {
+	var buf [32]byte
+	copy(buf[:], "0000000000000000")
+	name := strconv.AppendUint(buf[:16], id, 16)
+	return string(name[len(name)-16:])
+}
 
 func versionPrefix(vid string) string { return "versions/" + vid }
 

@@ -40,6 +40,9 @@ type rootFile struct {
 	Branch string          `json:"branch"`
 	Head   string          `json:"head"`
 	Tree   json.RawMessage `json:"tree"`
+	// Superseded lists the head chunks the previous root names and this one
+	// does not: the next publish deletes them with the previous root.
+	Superseded []string `json:"superseded,omitempty"`
 	versionState
 }
 

@@ -61,10 +61,10 @@ type ChunkFetch func(ctx context.Context, chunkID uint64) (*chunk.Chunk, error)
 // locks, and a tiled sample is assembled from its tiles; neither goes
 // through the slot.
 //
-// Lifetime: a reader's slot still lives for one walk. SetAt rewrites a chunk
-// copy-on-write under the same id, which changes its cache key (ChunkKey)
-// but not a reader's slot, so a reader kept across a write can serve the
-// chunk as it was before; take a new reader after writing. A ScanReader is
+// Lifetime: a reader's slot lives for one walk. A write never changes a
+// sealed chunk's bytes: SetAt and Rechunk move the rows they rewrite to fresh
+// ids, so a reader kept across a write resolves them to a chunk its slot
+// does not hold and reads what was written. A ScanReader is
 // NOT safe for concurrent use; each scan or loader worker owns one per
 // tensor.
 type ScanReader struct {

@@ -98,6 +98,7 @@ func newTensor(ds *Dataset, spec TensorSpec) (*Tensor, error) {
 		ChunkCompression:  normalizeCodecName(chunkComp),
 		Hidden:            spec.Hidden,
 		Bounds:            bounds,
+		NextChunkID:       ds.deletedNext[spec.Name],
 	}
 	t, err := newTensorShell(ds, spec.Name, meta, hspec)
 	if err != nil {
@@ -158,12 +159,10 @@ func (t *Tensor) Name() string { return t.name }
 // so the same chunk id on two branches (NextChunkID rides versioned meta
 // and can collide across them) yields two distinct identities, and a
 // checkout that rebinds the id to another version's bytes changes the
-// identity with it. A decoded-chunk cache key (ChunkKey) carries it beside
-// the handle's count of its writes, which tells a rewrite under the same
-// identity (SetAt in the head, Rechunk, a tensor recreated under a deleted
-// one's name) from the bytes before it. A chunk not yet resolved to a
-// version — a pending chunk still in the writer — is attributed to the
-// current head.
+// identity with it. An object key is written once (writeChunk), so the
+// identity names one byte string for life, and a decoded-chunk cache key
+// (ChunkKey) carries it. A chunk not yet resolved to a version — a pending
+// chunk still in the writer — is attributed to the current head.
 func (t *Tensor) ChunkIdentity(chunkID uint64) string { return t.ChunkKey(chunkID, nil).obj }
 
 // Meta returns a copy of the tensor metadata.
@@ -257,10 +256,9 @@ func (t *Tensor) flushPending(ctx context.Context) error {
 // compresses each block on its own), binds its id to the head version and
 // enqueues it on the flush pipeline; the call returns once the chunk is
 // queued, and readers see it through the pipeline's pending map until the
-// upload lands. It stamps the object key it writes, so the chunk's
-// decoded-chunk cache key changes with every rewrite of it under its id.
-// Caller holds the tensor write lock (or ds.mu exclusively); ds.head is
-// stable because every writer also holds ds.mu shared.
+// upload lands. Each id is written once. Caller holds the tensor write lock
+// (or ds.mu exclusively); ds.head is stable because every writer also holds
+// ds.mu shared.
 //
 // An lz4 tensor's chunk object is its chunk in the lz4 codec's stored frame
 // (compress.LZ4Stored, a few bytes of prefix): inflated whole with the
@@ -287,11 +285,50 @@ func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
 	key := chunkKey(t.ds.head, t.name, id)
 	err := t.ds.flusher.enqueue(ctx, key, blob)
 	t.chunkVersion[id] = t.ds.head
-	t.ds.stamp(key)
 	if err != nil {
 		return &DeferredFlushError{Cause: err}
 	}
 	return nil
+}
+
+// namedChunks lists the chunk ids a tensor's chunk and tile encoders name.
+func namedChunks(chunks *encoder.ChunkEncoder, tiles *encoder.TileEncoder) []uint64 {
+	ids := chunks.ChunkIDs()
+	for _, idx := range tiles.Indices() {
+		entry, _ := tiles.Get(idx)
+		ids = append(ids, entry.ChunkIDs...)
+	}
+	return ids
+}
+
+// unbindDropped drops the chunks the encoders no longer name (replaced by
+// SetAt, Merge, Rechunk or a re-tile) from the chunk map, the checksum
+// manifest and the handle cache at the seal, so a reader that resolved one
+// before the update finds it until then. A head chunk the last seal bound
+// may be in the published root, so the next root lists it as superseded;
+// publish deletes any other. Caller holds ds.mu exclusively.
+func (t *Tensor) unbindDropped() {
+	named := make(map[uint64]bool, len(t.chunkVersion))
+	for _, id := range namedChunks(t.chunkEnc, t.tileEnc) {
+		named[id] = true
+	}
+	cache := t.ds.chunks.Load()
+	for id, vid := range t.chunkVersion {
+		if named[id] {
+			continue
+		}
+		key := chunkKey(vid, t.name, id)
+		delete(t.chunkVersion, id)
+		delete(t.meta.Checksums, chunkName(id))
+		if cache != nil {
+			cache.table.Remove(ChunkKey{scope: t.ds.scope, obj: key})
+		}
+		if vid == t.ds.head && id < t.savedState.Meta.NextChunkID {
+			t.ds.superseded = append(t.ds.superseded, key)
+		} else if vid == t.ds.head {
+			t.ds.collect = append(t.ds.collect, key)
+		}
+	}
 }
 
 // readChunk fetches and opens chunk id (openStored), resolving the owning

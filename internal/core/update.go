@@ -10,8 +10,8 @@ import (
 
 // SetAt replaces sample idx in place (§3.5 random-access writes: annotators
 // writing labels, models storing predictions). The containing chunk is
-// rewritten copy-on-write into the current head version, so committed
-// versions keep the original bytes (§4.2).
+// rewritten copy-on-write under a fresh id into the current head version,
+// so committed versions and published roots keep the original bytes (§4.2).
 //
 // When Strict is disabled on the dataset and idx is beyond the current
 // length, the tensor is padded with empty samples up to idx first (§3.5
@@ -68,15 +68,18 @@ func (t *Tensor) setStored(ctx context.Context, idx uint64, s chunk.Sample) erro
 // (bytes parked, redrivable) is carried through — the replacement still
 // completes — so the caller's index state never diverges from the data.
 func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) error {
-	var dc deferredCollector
-	note := dc.note
 	if _, tiled := t.tileEnc.Get(idx); tiled {
-		// Replacing a tiled sample re-tiles it from scratch.
+		// Re-tile from scratch; the row's placeholder moves to the new first tile.
 		arr, err := t.decode(s, nil)
 		if err != nil {
 			return err
 		}
-		if _, err := t.writeTiles(ctx, idx, arr, note); err != nil {
+		var dc deferredCollector
+		first, err := t.writeTiles(ctx, idx, arr, dc.note)
+		if err != nil {
+			return err
+		}
+		if err := t.chunkEnc.Rebind(idx, first); err != nil {
 			return err
 		}
 		return dc.err()
@@ -89,20 +92,19 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 		if local >= len(t.pendingSamples) {
 			return fmt.Errorf("core: pending sample %d out of range", local)
 		}
-		old := t.pendingSamples[local]
-		grown := t.builder.PayloadBytes() - len(old.Data) + len(s.Data)
+		grown := t.builder.PayloadBytes() - len(t.pendingSamples[local].Data) + len(s.Data)
+		t.pendingSamples[local] = s
 		if grown <= t.meta.Bounds.Max || len(t.pendingSamples) == 1 {
-			t.pendingSamples[local] = s
 			return t.rebuildPending()
 		}
-		// The replacement would overflow the buffered chunk: persist
-		// the pending chunk as-is and rewrite it copy-on-write below,
-		// where chunks may exceed the bound (Rechunk repairs layout,
-		// §3.5). A deferred seal failure parks the blob readable, so the
-		// rewrite below still sees the current bytes.
-		if err := note(t.flushPending(ctx)); err != nil {
+		// Overflowing the buffered chunk: seal it, replacement included, under
+		// its id; chunks may exceed the bound (Rechunk repairs layout, §3.5).
+		blob, err := t.codec.Encode(t.pendingSamples)
+		if err != nil {
 			return err
 		}
+		t.builder, t.pendingSamples = chunk.NewBuilder(t.meta.Bounds, t.codec), nil
+		return t.writeChunk(ctx, t.pendingID, blob)
 	}
 	samples, err := t.chunkSamples(ctx, chunkID)
 	if err != nil {
@@ -116,12 +118,12 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 	if err != nil {
 		return err
 	}
-	// Copy-on-write: the rewritten chunk lands in the head version under
-	// the same id; ancestry lookup finds the newest copy first.
-	if err := note(t.writeChunk(ctx, chunkID, blob)); err != nil {
+	// Copy-on-write into the head version, under a fresh id.
+	id := t.allocChunkID()
+	if err := t.chunkEnc.Rebind(idx, id); err != nil {
 		return err
 	}
-	return dc.err()
+	return t.writeChunk(ctx, id, blob)
 }
 
 // rebuildPending re-syncs the chunk builder after an in-buffer update.
@@ -180,10 +182,8 @@ func (t *Tensor) Rechunk(ctx context.Context) error {
 	defer t.ds.mu.RUnlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Deferred flush errors must not abort a rechunk midway: writeChunk
-	// has already registered the new id, so bailing before ReplaceAll
-	// would persist chunk ids no row references. Collect them, finish the
-	// swap, surface afterwards.
+	// Deferred flush errors must not abort a rechunk midway: collect them,
+	// finish the swap, surface them afterwards.
 	var dc deferredCollector
 	note := dc.note
 	if err := note(t.flushPending(ctx)); err != nil {

@@ -131,6 +131,19 @@ func (e *ChunkEncoder) ChunkIDs() []uint64 {
 	return out
 }
 
+// Rebind moves the chunk holding sample idx to chunkID, a fresh id.
+func (e *ChunkEncoder) Rebind(idx, chunkID uint64) error {
+	if n := e.NumSamples(); idx >= n {
+		return fmt.Errorf("encoder: sample %d out of range (%d samples)", idx, n)
+	}
+	e.ensureSeen()
+	r := &e.rows[sort.Search(len(e.rows), func(i int) bool { return e.rows[i].lastIndex >= idx })]
+	delete(e.seen, r.chunkID)
+	r.chunkID = chunkID
+	e.seen[chunkID] = struct{}{}
+	return nil
+}
+
 // ReplaceAll swaps the full mapping, used by the re-chunking optimizer. Rows
 // are (chunkID, count) pairs in index order.
 func (e *ChunkEncoder) ReplaceAll(chunkIDs []uint64, counts []int) error {

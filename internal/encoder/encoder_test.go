@@ -96,6 +96,35 @@ func TestChunkEncoderReplaceAll(t *testing.T) {
 	}
 }
 
+// TestChunkEncoderRebind: Rebind moves one chunk's samples to a fresh id,
+// leaves every other chunk where it was, frees the old id and refuses a
+// sample out of range.
+func TestChunkEncoderRebind(t *testing.T) {
+	e := NewChunkEncoder()
+	e.Append(0, 10)
+	e.Append(1, 5)
+	e.Append(2, 1)
+	if err := e.Rebind(12, 7); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.ChunkIDs(); !reflect.DeepEqual(got, []uint64{0, 7, 2}) {
+		t.Fatalf("ChunkIDs = %v, want [0 7 2]", got)
+	}
+	if first, last, id, _ := e.Span(14); first != 10 || last != 14 || id != 7 {
+		t.Fatalf("Span(14) = %d..%d in %d, want 10..14 in 7", first, last, id)
+	}
+	if err := e.Rebind(16, 9); err == nil {
+		t.Fatal("out-of-range rebind should error")
+	}
+	// The freed id is no longer registered; the new one is.
+	if err := e.Rebind(3, 1); err != nil {
+		t.Fatalf("rebinding onto the freed id: %v", err)
+	}
+	if err := e.Append(7, 1); err == nil {
+		t.Fatal("appending to the rebound, closed chunk should error")
+	}
+}
+
 func TestChunkEncoderSerialization(t *testing.T) {
 	e := NewChunkEncoder()
 	e.Append(3, 7)
