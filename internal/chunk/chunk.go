@@ -12,17 +12,18 @@
 // The data section — the samples' payloads end to end — is cut into blocks
 // of the size the header records. A chunk with a codec (chunk compression)
 // stores each block compressed on its own, so a read inflates only the
-// blocks its samples span (§3.5 range access inside a chunk), and Open
-// inflates each block the first time a read touches it. The block table
-// holds each block's CRC32C over its stored bytes (and, in a compressed
-// chunk, where its stored bytes end), sealed by a CRC32C of the header and
-// directory and one of the table itself, so a reader checks exactly the
-// blocks it reads. An uncompressed chunk's blocks are 1 KiB, so a reader
-// that fetches only some samples' bytes (range requests) fetches and checks
-// little beyond them: Layout computes where the sections of such a chunk lie
-// from its sample shapes and sizes, and a Sparse plan names the table,
-// directory and block ranges holding a selection of samples, with the
-// checks that make each range safe to use.
+// blocks its samples span (§3.5 range access inside a chunk). An opened
+// chunk checks each block, and inflates a compressed one, the first time a
+// read touches it. The block table holds each block's CRC32C over its
+// stored bytes (and, in a compressed chunk, where its stored bytes end),
+// sealed by a CRC32C of the header and directory and one of the table
+// itself, so a reader checks exactly the blocks it reads. An uncompressed
+// chunk's blocks are 1 KiB, so a reader that fetches only some samples'
+// bytes (range requests) fetches and checks little beyond them: Layout
+// computes where the sections of such a chunk lie from its sample shapes
+// and sizes, and a Sparse plan names the table, directory and block ranges
+// holding a selection of samples, with the checks that make each range safe
+// to use.
 package chunk
 
 import (
@@ -487,80 +488,72 @@ func Verify(raw []byte) (checked bool, err error) {
 	return true, nil
 }
 
-// Chunk is an opened chunk: its samples' shapes, and their payloads. An
-// uncompressed chunk's payloads alias the blob it was opened from, every
-// block checked at Open. A compressed chunk holds one buffer of its decoded
-// data section, which fills block by block: the first read of a sample
-// checks and inflates the blocks it spans that no read has touched, once
-// per block however many goroutines read at a time, with nothing allocated
-// per block. A block that fails its check or does not inflate fails every
-// read that touches it, and no other: the reader heals by fetching the
-// chunk's object again (MarkStale). A Chunk is safe for concurrent use;
-// what it returns is read-only.
+// Chunk is an opened chunk: its samples' shapes, and their payloads. Open
+// checks the blob's structure and seals and decodes the directory; a data
+// block is checked the first time a read touches it, and nothing sized by
+// the data is allocated until a read asks for it. An uncompressed chunk's
+// payloads alias the blob it was opened from. A compressed chunk inflates
+// each block the first time a read touches it, once however many goroutines
+// read at a time, into a buffer of that block's own: a sample inside one
+// block aliases that block, and a sample spanning blocks is copied together
+// from theirs into a buffer of the read's own. A whole read (Samples,
+// Column) fills one buffer of the decoded data section once, from the
+// blocks already inflated and by inflating the rest straight into it, and
+// later reads alias it. A block that fails its check or does not inflate
+// fails every read that touches it, and no other: the reader heals by
+// fetching the chunk's object again (MarkStale). A Chunk is safe for
+// concurrent use; what it returns is read-only.
 type Chunk struct {
+	// dir and data are an opened chunk's directory and data section; nil
+	// for a chunk made FromSamples.
+	dir  *Directory
+	data section
+	// samples is the sample table: given to FromSamples, or built from the
+	// directory by an opened chunk's first whole read.
 	samples []Sample
-	lazy    *lazyBlocks
+	table   sync.Once
 	stale   atomic.Bool
-	// data is the decoded data section the payloads slice; elem is the byte
-	// length of every sample when each holds one element and they lie back
-	// to back (see Column), else 0.
-	data []byte
+	// elem is the byte length of every sample when each holds one element
+	// and they lie back to back (see Column), else 0.
 	elem int
 }
 
-// lazyBlocks is a compressed chunk's decoded data section and the state of
-// each of its blocks.
-type lazyBlocks struct {
-	p        *parsed
-	codec    compress.BlockCodec
-	data     []byte
-	once     []sync.Once
-	errs     []error
-	inflated *atomic.Int64
-	// sums, after SumBlocks, holds each inflated block's CRC32C of its
-	// decoded bytes, written before its summed flag is set.
-	sums   []uint32
-	summed []atomic.Bool
+// section is an opened chunk's data section.
+type section interface {
+	// read returns decoded bytes [lo, hi), checking and inflating the
+	// blocks they span that no read has.
+	read(lo, hi uint64) ([]byte, error)
+	// whole returns the whole decoded data section, every block checked.
+	whole() ([]byte, error)
 }
 
-// Open opens a whole chunk blob. It checks the blob's structure and seals,
-// and an uncompressed chunk's every block; a compressed chunk's blocks are
-// checked as reads touch them. Every failure wraps ErrCorrupt.
+// Open opens a whole chunk blob. It checks the blob's structure and seals
+// and decodes the directory; the data blocks are checked, and a compressed
+// chunk's inflated, as reads touch them. Every failure wraps ErrCorrupt.
 func Open(raw []byte) (*Chunk, error) {
 	p, err := parse(raw)
 	if err != nil {
 		return nil, err
 	}
-	data := p.stored
-	var lazy *lazyBlocks
-	if p.h.codec == None {
-		for b := 0; b < p.blocks(); b++ {
-			if err := p.check(b); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		nb := p.blocks()
-		data = make([]byte, p.size)
-		lazy = &lazyBlocks{p: p, codec: blockCodecs[p.h.codec], data: data, once: make([]sync.Once, nb), errs: make([]error, nb)}
-	}
 	d := p.dir
-	samples := make([]Sample, d.NumSamples())
+	c := &Chunk{dir: d}
+	if p.h.codec == None {
+		c.data = &plainBlocks{p: p, checked: make([]atomic.Uint64, (p.blocks()+63)/64)}
+	} else {
+		c.data = &lazyBlocks{p: p, codec: blockCodecs[p.h.codec], blocks: make([]lazyBlock, p.blocks())}
+	}
+	n := d.NumSamples()
 	var elem uint64
-	if len(samples) > 0 && d.Offsets[0] == 0 {
+	if n > 0 && d.Offsets[0] == 0 {
 		elem = d.Offsets[1]
 	}
-	for i := range samples {
-		samples[i] = Sample{
-			Shape: d.Shapes[i],
-			// Capped, so an append to one sample cannot write into the next.
-			Data: data[d.Offsets[i]:d.Offsets[i+1]:d.Offsets[i+1]],
-		}
-		if elem > 0 && (d.Offsets[i+1] != uint64(i+1)*elem || !oneElement(d.Shapes[i])) {
+	for i := 0; i < n && elem > 0; i++ {
+		if d.Offsets[i+1] != uint64(i+1)*elem || !oneElement(d.Shapes[i]) {
 			elem = 0
 		}
 	}
-	return &Chunk{samples: samples, lazy: lazy, data: data[:p.size:p.size], elem: int(elem)}, nil
+	c.elem = int(elem)
+	return c, nil
 }
 
 // oneElement reports whether a shape holds exactly one element.
@@ -578,11 +571,19 @@ func oneElement(shape []int) bool {
 func FromSamples(samples []Sample) *Chunk { return &Chunk{samples: samples} }
 
 // Len is the chunk's sample count.
-func (c *Chunk) Len() int { return len(c.samples) }
+func (c *Chunk) Len() int {
+	if c.dir != nil {
+		return c.dir.NumSamples()
+	}
+	return len(c.samples)
+}
 
 // Bytes is the chunk's decoded payload bytes: what it holds once every
-// block is inflated.
+// block is inflated, an upper bound on what its reads have allocated.
 func (c *Chunk) Bytes() int64 {
+	if d := c.dir; d != nil {
+		return int64(d.Offsets[d.NumSamples()] - d.Offsets[0])
+	}
 	var n int64
 	for _, s := range c.samples {
 		n += int64(len(s.Data))
@@ -593,8 +594,8 @@ func (c *Chunk) Bytes() int64 {
 // CountInflated makes the chunk add the decoded bytes of every block it
 // inflates from now on to n. Call it before the chunk is shared.
 func (c *Chunk) CountInflated(n *atomic.Int64) {
-	if c.lazy != nil {
-		c.lazy.inflated = n
+	if l, ok := c.data.(*lazyBlocks); ok {
+		l.inflated = n
 	}
 }
 
@@ -602,36 +603,40 @@ func (c *Chunk) CountInflated(n *atomic.Int64) {
 // CRC32C of its decoded bytes, which Digest checks. Call it before the chunk
 // is shared.
 func (c *Chunk) SumBlocks() {
-	if c.lazy != nil {
-		c.lazy.sums = make([]uint32, len(c.lazy.once))
-		c.lazy.summed = make([]atomic.Bool, len(c.lazy.once))
+	if l, ok := c.data.(*lazyBlocks); ok {
+		l.sum = true
 	}
 }
 
 // Digest is a CRC32C of the bytes no reader of the chunk may write: an
 // uncompressed chunk's payloads; a compressed chunk's stored blocks and
 // block table, which alias the blob it was opened from, and — after
-// SumBlocks — each inflated block's decoded bytes, held to the CRC32C they
-// inflated to. Inflating a block changes no digest; writing into a payload
-// read out of the chunk does. It is the mutation detector's view of a
-// cached chunk (storage.CacheFuncs.Digest).
+// SumBlocks — each inflated block's decoded bytes where reads find them
+// (its own buffer, or its span of the whole-read buffer), held to the
+// CRC32C they inflated to. Inflating a block or filling the whole-read
+// buffer changes no digest; writing into a payload read out of the chunk
+// does. It is the mutation detector's view of a cached chunk
+// (storage.CacheFuncs.Digest).
 func (c *Chunk) Digest() uint32 {
-	var crc uint32
-	if c.lazy == nil {
-		for _, s := range c.samples {
-			crc = crc32.Update(crc, castagnoli, s.Data)
+	switch s := c.data.(type) {
+	case *plainBlocks:
+		return crc32.Checksum(s.p.stored, castagnoli)
+	case *lazyBlocks:
+		crc := crc32.Update(crc32.Checksum(s.p.stored, castagnoli), castagnoli, s.p.entries)
+		for b := range s.blocks {
+			blk := &s.blocks[b]
+			if !blk.summed.Load() {
+				continue
+			}
+			if buf := blk.buf.Load(); buf != nil && crc32.Checksum(*buf, castagnoli) != blk.sum {
+				return ^crc
+			}
 		}
 		return crc
 	}
-	l := c.lazy
-	crc = crc32.Update(crc32.Checksum(l.p.stored, castagnoli), castagnoli, l.p.entries)
-	for b := range l.summed {
-		if !l.summed[b].Load() {
-			continue
-		}
-		if _, _, lo, hi := l.p.block(b); crc32.Checksum(l.data[lo:hi], castagnoli) != l.sums[b] {
-			return ^crc
-		}
+	var crc uint32
+	for _, s := range c.samples {
+		crc = crc32.Update(crc, castagnoli, s.Data)
 	}
 	return crc
 }
@@ -643,70 +648,223 @@ func (c *Chunk) MarkStale() { c.stale.Store(true) }
 // Stale reports whether MarkStale was called.
 func (c *Chunk) Stale() bool { return c.stale.Load() }
 
-// Sample returns sample i, inflating the blocks it spans on first touch.
+// Sample returns sample i, checking and inflating the blocks it spans on
+// first touch.
 func (c *Chunk) Sample(i int) (Sample, error) {
-	if i < 0 || i >= len(c.samples) {
-		return Sample{}, fmt.Errorf("chunk: sample %d out of range (%d samples)", i, len(c.samples))
+	if i < 0 || i >= c.Len() {
+		return Sample{}, fmt.Errorf("chunk: sample %d out of range (%d samples)", i, c.Len())
 	}
-	if c.lazy != nil {
-		offs := c.lazy.p.dir.Offsets
-		if err := c.lazy.touch(offs[i], offs[i+1]); err != nil {
-			return Sample{}, err
-		}
+	if c.data == nil {
+		return c.samples[i], nil
 	}
-	return c.samples[i], nil
+	data, err := c.data.read(c.dir.Offsets[i], c.dir.Offsets[i+1])
+	if err != nil {
+		return Sample{}, err
+	}
+	return Sample{Shape: c.dir.Shapes[i], Data: data}, nil
 }
 
-// Samples returns every sample, inflating every block not yet touched: the
-// read of a whole chunk. The slice is shared and read-only.
+// Samples returns every sample, checking and inflating every block not yet
+// touched: the read of a whole chunk. The slice is shared and read-only.
 func (c *Chunk) Samples() ([]Sample, error) {
-	if c.lazy != nil {
-		if err := c.lazy.touch(0, uint64(len(c.lazy.data))); err != nil {
-			return nil, err
-		}
+	if c.data == nil {
+		return c.samples, nil
 	}
+	data, err := c.data.whole()
+	if err != nil {
+		return nil, err
+	}
+	c.table.Do(func() {
+		d := c.dir
+		c.samples = make([]Sample, d.NumSamples())
+		for i := range c.samples {
+			// Capped, so an append to one sample cannot write into the next.
+			c.samples[i] = Sample{Shape: d.Shapes[i], Data: data[d.Offsets[i]:d.Offsets[i+1]:d.Offsets[i+1]]}
+		}
+	})
 	return c.samples, nil
 }
 
 // Column returns the payloads of a chunk whose samples each hold one
 // element of size bytes, stored back to back, as one byte run: sample i is
 // col[i*size:(i+1)*size]. Open decides this once from the directory; for
-// any other chunk Column returns nil, with nothing inflated. Like Samples it
-// inflates every block not yet touched. The bytes are shared and read-only.
+// any other chunk Column returns nil, with nothing read. Like Samples it
+// checks and inflates every block not yet touched. The bytes are shared and
+// read-only.
 func (c *Chunk) Column(size int) ([]byte, error) {
 	if size <= 0 || c.elem != size {
 		return nil, nil
 	}
-	if c.lazy != nil {
-		if err := c.lazy.touch(0, uint64(len(c.lazy.data))); err != nil {
-			return nil, err
-		}
-	}
-	return c.data, nil
+	return c.data.whole()
 }
 
-// touch makes decoded bytes [lo, hi) readable.
-func (l *lazyBlocks) touch(lo, hi uint64) error {
+// plainBlocks is an uncompressed chunk's data section, the blob's own
+// bytes, with a bit per block set once the block has passed its check, and
+// all set once every block has. A block that fails is checked again by the
+// next read touching it.
+type plainBlocks struct {
+	p       *parsed
+	checked []atomic.Uint64
+	all     atomic.Bool
+}
+
+func (s *plainBlocks) read(lo, hi uint64) ([]byte, error) {
+	if err := s.check(lo, hi); err != nil {
+		return nil, err
+	}
+	return s.p.stored[lo:hi:hi], nil
+}
+
+func (s *plainBlocks) whole() ([]byte, error) {
+	if !s.all.Load() {
+		if err := s.check(0, uint64(s.p.size)); err != nil {
+			return nil, err
+		}
+		s.all.Store(true)
+	}
+	return s.p.stored[:s.p.size:s.p.size], nil
+}
+
+// check checks the blocks spanning bytes [lo, hi) that have not passed yet.
+func (s *plainBlocks) check(lo, hi uint64) error {
 	if hi <= lo {
 		return nil
 	}
-	shift := l.p.h.blockLog
+	shift := s.p.h.blockLog
 	for b := int(lo >> shift); b <= int((hi-1)>>shift); b++ {
-		l.once[b].Do(func() { l.errs[b] = l.inflate(b) })
-		if err := l.errs[b]; err != nil {
+		word, bit := &s.checked[b/64], uint64(1)<<(b%64)
+		if word.Load()&bit != 0 {
+			continue
+		}
+		if err := s.p.check(b); err != nil {
 			return err
+		}
+		for old := word.Load(); !word.CompareAndSwap(old, old|bit); old = word.Load() {
 		}
 	}
 	return nil
 }
 
-// inflate checks block b and decodes it into its span of the buffer.
-func (l *lazyBlocks) inflate(b int) error {
+// lazyBlocks is a compressed chunk's data section: the blocks as stored,
+// each block's decoded bytes once a read has touched it, and the whole-read
+// buffer once a whole read has filled it.
+type lazyBlocks struct {
+	p        *parsed
+	codec    compress.BlockCodec
+	blocks   []lazyBlock
+	inflated *atomic.Int64
+	// sum makes inflation record each block's CRC32C (SumBlocks).
+	sum bool
+	// fill serialises whole reads; full is the whole-read buffer once filled.
+	fill sync.Mutex
+	full atomic.Pointer[[]byte]
+}
+
+// lazyBlock is one block of a compressed chunk: inflated under once, into
+// the buffer buf points at (its own, or after a whole read its span of the
+// whole-read buffer), or failed with err. After SumBlocks, sum is the
+// CRC32C of its decoded bytes, written before summed is set.
+type lazyBlock struct {
+	once   sync.Once
+	err    error
+	buf    atomic.Pointer[[]byte]
+	sum    uint32
+	summed atomic.Bool
+}
+
+func (l *lazyBlocks) read(lo, hi uint64) ([]byte, error) {
+	if full := l.full.Load(); full != nil {
+		return (*full)[lo:hi:hi], nil
+	}
+	if hi <= lo {
+		return []byte{}, nil
+	}
+	shift := l.p.h.blockLog
+	first, last := int(lo>>shift), int((hi-1)>>shift)
+	if first == last {
+		buf, err := l.block(first)
+		if err != nil {
+			return nil, err
+		}
+		base := uint64(first) << shift
+		return buf[lo-base : hi-base : hi-base], nil
+	}
+	out := make([]byte, hi-lo)
+	for b := first; b <= last; b++ {
+		buf, err := l.block(b)
+		if err != nil {
+			return nil, err
+		}
+		base := uint64(b) << shift
+		from, to := max(lo, base), min(hi, base+uint64(len(buf)))
+		copy(out[from-lo:to-lo], buf[from-base:to-base])
+	}
+	return out, nil
+}
+
+// block returns block b's decoded bytes, inflating it into a buffer of its
+// own if no read has.
+func (l *lazyBlocks) block(b int) ([]byte, error) {
+	blk := &l.blocks[b]
+	blk.once.Do(func() {
+		_, _, lo, hi := l.p.block(b)
+		buf := make([]byte, hi-lo)
+		if blk.err = l.inflate(b, buf); blk.err == nil {
+			blk.buf.Store(&buf)
+		}
+	})
+	if blk.err != nil {
+		return nil, blk.err
+	}
+	return *blk.buf.Load(), nil
+}
+
+// whole fills the whole-read buffer once: a block already inflated is
+// copied in, any other is inflated straight into its span. Every block then
+// reads from the buffer, and the blocks' own buffers are left to the reads
+// holding them.
+func (l *lazyBlocks) whole() ([]byte, error) {
+	if full := l.full.Load(); full != nil {
+		return *full, nil
+	}
+	l.fill.Lock()
+	defer l.fill.Unlock()
+	if full := l.full.Load(); full != nil {
+		return *full, nil
+	}
+	full := make([]byte, l.p.size)
+	spans := make([][]byte, len(l.blocks))
+	for b := range l.blocks {
+		_, _, lo, hi := l.p.block(b)
+		spans[b] = full[lo:hi:hi]
+		blk := &l.blocks[b]
+		inflated := false
+		blk.once.Do(func() {
+			if blk.err = l.inflate(b, spans[b]); blk.err == nil {
+				blk.buf.Store(&spans[b])
+				inflated = true
+			}
+		})
+		if blk.err != nil {
+			return nil, blk.err
+		}
+		if !inflated {
+			copy(spans[b], *blk.buf.Load())
+		}
+	}
+	l.full.Store(&full)
+	for b := range l.blocks {
+		l.blocks[b].buf.Store(&spans[b])
+	}
+	return full, nil
+}
+
+// inflate checks block b and decodes it into dst, its decoded length.
+func (l *lazyBlocks) inflate(b int, dst []byte) error {
 	if err := l.p.check(b); err != nil {
 		return err
 	}
-	stored, _, lo, hi := l.p.block(b)
-	dst := l.data[lo:hi]
+	stored, _, _, _ := l.p.block(b)
 	if len(stored) == len(dst) {
 		copy(dst, stored)
 	} else if err := l.codec.DecodeBlock(dst, stored); err != nil {
@@ -715,9 +873,10 @@ func (l *lazyBlocks) inflate(b int) error {
 	if l.inflated != nil {
 		l.inflated.Add(int64(len(dst)))
 	}
-	if l.sums != nil {
-		l.sums[b] = crc32.Checksum(dst, castagnoli)
-		l.summed[b].Store(true)
+	if l.sum {
+		blk := &l.blocks[b]
+		blk.sum = crc32.Checksum(dst, castagnoli)
+		blk.summed.Store(true)
 	}
 	return nil
 }

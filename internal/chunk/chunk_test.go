@@ -3,6 +3,7 @@ package chunk
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -343,5 +344,51 @@ func TestInvalidBoundsFallBack(t *testing.T) {
 	}
 	if DefaultBounds().Target != 8<<20 {
 		t.Fatalf("default target = %d, want 8MB per paper", DefaultBounds().Target)
+	}
+}
+
+// BenchmarkBlockCRC is what checking the data of a 256 KiB uncompressed
+// chunk costs: Verify (its two seals, then each 1 KiB block's CRC32C in a
+// call of its own), the block checks alone, and one CRC32C over the same
+// bytes, as a whole-blob check would take. SetBytes is the data section.
+func BenchmarkBlockCRC(b *testing.B) {
+	data := make([]byte, 256<<10)
+	rand.New(rand.NewSource(1)).Read(data)
+	blob, err := Encode([]Sample{{Shape: []int{len(data)}, Data: data}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := parse(blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"verify", func() error { _, err := Verify(blob); return err }},
+		{"blocks", func() error {
+			for blk := 0; blk < p.blocks(); blk++ {
+				if err := p.check(blk); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"one-crc", func() error {
+			if crc32.Checksum(p.stored, castagnoli) == 0 {
+				return errors.New("zero checksum")
+			}
+			return nil
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if err := c.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,9 +2,13 @@ package chunk
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // maskSamples are n samples of size bytes each: runs of a few values, as
@@ -113,29 +117,110 @@ func TestFirstTouchInflatesOnlyItsBlocks(t *testing.T) {
 	}
 }
 
-// TestInflationAllocatesNothing: inflating every block of a chunk of many
-// blocks costs no allocation beyond what opening it does.
-func TestInflationAllocatesNothing(t *testing.T) {
-	blob, err := LZ4.Encode(maskSamples(rand.New(rand.NewSource(7)), 64, 4000))
+// allocBytes is the bytes f allocates per call, over 50 calls.
+func allocBytes(f func()) int64 {
+	const runs = 50
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestReadsAllocateOnlyWhatTheyTouch: Open allocates nothing sized by the
+// data section, in an lz4 chunk of 64 samples that straddle block edges.
+// Open plus a read of one sample allocates at most the blocks that sample
+// spans, plus, for a sample spanning blocks, the buffer it is copied
+// together into, plus O(1); Open plus a whole read allocates at most one
+// buffer of the decoded data section more, besides the sample table and a
+// slice header a block.
+func TestReadsAllocateOnlyWhatTheyTouch(t *testing.T) {
+	const n, size, bs = 64, 4000, CompressedBlockSize
+	blob, err := LZ4.Encode(maskSamples(rand.New(rand.NewSource(7)), n, size))
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := testing.AllocsPerRun(50, func() {
-		if _, err := Open(blob); err != nil {
+	const slack = 256
+	open := allocBytes(func() { mustOpen(t, blob) })
+	if open > n*size/8 {
+		t.Fatalf("Open allocates %d bytes for a %d-byte data section", open, n*size)
+	}
+	for _, c := range []struct {
+		i, blocks int
+	}{{0, 1}, {2, 2}} { // [0, 4000) is in block 0; [8000, 12000) spans blocks 1 and 2
+		want := open + int64(c.blocks*bs) + slack
+		if c.blocks > 1 {
+			want += size
+		}
+		got := allocBytes(func() {
+			if _, err := mustOpen(t, blob).Sample(c.i); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > want {
+			t.Fatalf("Open and sample %d (%d blocks) allocate %d bytes, want at most %d", c.i, c.blocks, got, want)
+		}
+	}
+	nb := (n*size + bs - 1) / bs
+	whole := allocBytes(func() {
+		if _, err := mustOpen(t, blob).Samples(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	inflate := testing.AllocsPerRun(50, func() {
-		c, err := Open(blob)
-		if err != nil {
-			t.Fatal(err)
+	// A buffer that large is allocated in whole 8 KiB pages.
+	if want := open + (n*size+8191)/8192*8192 + n*int64(unsafe.Sizeof(Sample{})) + int64(nb)*int64(unsafe.Sizeof([]byte{})) + slack; whole > want {
+		t.Fatalf("Open and a whole read allocate %d bytes, want at most %d", whole, want)
+	}
+}
+
+func mustOpen(t *testing.T, blob []byte) *Chunk {
+	c, err := Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestUncompressedBlockCheckedOnFirstTouch: an uncompressed chunk with one
+// flipped data byte opens, and every sample outside the damaged block
+// reads; a read touching the block, a whole read and Verify fail with
+// ErrCorrupt naming it, again on every try.
+func TestUncompressedBlockCheckedOnFirstTouch(t *testing.T) {
+	samples := maskSamples(rand.New(rand.NewSource(8)), 20, 700)
+	blob, err := Encode(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, _, _, err := SampleRange(blob, 10) // bytes [7000, 7700): blocks 6 and 7
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Clone(blob)
+	bad[off+100] ^= 0x40 // data byte 7100, in block 6
+	c, err := Open(bad)
+	if err != nil {
+		t.Fatalf("Open = %v; a damaged data block fails only its reads", err)
+	}
+	for try := 0; try < 2; try++ {
+		for i := range samples {
+			s, err := c.Sample(i)
+			damaged := i*700 < 7*BlockSize && (i+1)*700 > 6*BlockSize
+			switch {
+			case damaged && (!errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "block 6 ")):
+				t.Fatalf("try %d, sample %d: %v, want ErrCorrupt naming block 6", try, i, err)
+			case !damaged && (err != nil || !bytes.Equal(s.Data, samples[i].Data)):
+				t.Fatalf("try %d, sample %d outside the damaged block: %v", try, i, err)
+			}
 		}
-		if _, err := c.Samples(); err != nil {
-			t.Fatal(err)
+		if _, err := c.Samples(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "block 6 ") {
+			t.Fatalf("try %d: Samples = %v, want ErrCorrupt naming block 6", try, err)
 		}
-	})
-	if inflate != open {
-		t.Fatalf("open and inflate %v allocs/op against open's %v: inflation allocates", inflate, open)
+	}
+	if _, err := Verify(bad); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "block 6 ") {
+		t.Fatalf("Verify = %v, want ErrCorrupt naming block 6", err)
 	}
 }
 

@@ -42,14 +42,19 @@ func rangeRequests(key string, plan *chunk.Sparse) []storage.RangeReq {
 	return reqs
 }
 
+// ReadsInPart reports whether PlanSparse can read any chunk of t in part:
+// t has neither sample nor chunk compression and is no sequence or link.
+func (t *Tensor) ReadsInPart() bool {
+	return t.codec == chunk.None && t.sampleCodec == nil && !t.spec.Sequence && !t.spec.Link
+}
+
 // PlanSparse plans the read of only the given rows (flat sample indices,
-// all in one chunk) of a landed, untiled chunk of a tensor with neither
-// sample nor chunk compression: from the chunk and shape encoders it
-// computes where the chunk's directory, block table and the rows' blocks
-// lie. ok is false when the chunk cannot be read in part, or the rows are
-// all of it.
+// all in one chunk) of a landed, untiled chunk of a tensor that ReadsInPart:
+// from the chunk and shape encoders it computes where the chunk's
+// directory, block table and the rows' blocks lie. ok is false when the
+// chunk cannot be read in part, or the rows are all of it.
 func (t *Tensor) PlanSparse(rows []uint64) (s *SparseChunk, ok bool) {
-	if len(rows) == 0 || t.codec != chunk.None || t.sampleCodec != nil || t.spec.Sequence || t.spec.Link {
+	if len(rows) == 0 || !t.ReadsInPart() {
 		return nil, false
 	}
 	t.ds.mu.RLock()

@@ -337,13 +337,12 @@ func (t *Tensor) unbindDropped() {
 // never race the background uploaders.
 //
 // Corruption Open detects above the storage chain (a bad frame, header,
-// directory or table, or an uncompressed chunk's failed block) is healed
-// once: the poisoned copy is evicted from any cache in the chain and the
-// chunk re-fetched through the verifying providers. Bytes that are still bad
-// after that surface as an error naming the exact object, wrapping
-// chunk.ErrCorrupt. A compressed chunk's blocks are checked as reads first
-// touch them (chunk.Chunk); the read that finds one bad heals it the same
-// way (ScanReader.reload, wholeChunk).
+// directory or table) is healed once: the poisoned copy is evicted from any
+// cache in the chain and the chunk re-fetched through the verifying
+// providers. Bytes that are still bad after that surface as an error naming
+// the exact object, wrapping chunk.ErrCorrupt. A chunk's data blocks are
+// checked as reads first touch them (chunk.Chunk); the read that finds one
+// bad heals it the same way (ScanReader.reload, wholeChunk).
 func (t *Tensor) readChunk(ctx context.Context, id uint64) (*chunk.Chunk, error) {
 	vid, ok := t.chunkVersion[id]
 	if !ok {

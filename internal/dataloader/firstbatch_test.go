@@ -16,12 +16,14 @@ import (
 
 // imageDataset builds an in-memory D_img-like dataset of n rows: "images",
 // 64×64 RGB JPEGs stored verbatim through AppendEncoded, "masks", their
-// 64×64 uint8 segmentation masks in lz4 chunks, and "labels", at 128, 256
-// and 512 KiB chunk bounds.
+// 64×64 uint8 segmentation masks in lz4 chunks, "labels" and 4×4 float32
+// "boxes", at 128, 256 and 512 KiB chunk bounds. It is read through a 1 GiB
+// byte cache, as lakebench's train_decode reads D_img: a hit hands out the
+// cached object, where bare storage.Memory would copy it on every Get.
 func imageDataset(b *testing.B, n int) *core.Dataset {
 	b.Helper()
 	ctx := context.Background()
-	ds, err := core.Create(ctx, storage.NewMemory(), "dimg")
+	ds, err := core.Create(ctx, storage.NewLRU(storage.NewMemory(), 1<<30), "dimg")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,6 +32,7 @@ func imageDataset(b *testing.B, n int) *core.Dataset {
 		{Name: "images", Htype: "image", SampleCompression: "jpeg", Bounds: bounds},
 		{Name: "masks", Dtype: tensor.UInt8, ChunkCompression: "lz4", Bounds: bounds},
 		{Name: "labels", Htype: "class_label", Bounds: bounds},
+		{Name: "boxes", Htype: "bbox", Bounds: bounds},
 	}
 	ts := make([]*core.Tensor, len(specs))
 	for i, s := range specs {
@@ -75,6 +78,17 @@ func imageDataset(b *testing.B, n int) *core.Dataset {
 		if err := ts[2].Append(ctx, tensor.Scalar(tensor.Int32, float64(rng.Intn(1000)))); err != nil {
 			b.Fatal(err)
 		}
+		coords := make([]float64, 16)
+		for j := range coords {
+			coords[j] = float64(rng.Intn(side))
+		}
+		box, err := tensor.FromFloat64s(tensor.Float32, []int{4, 4}, coords)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ts[3].Append(ctx, box); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if err := ds.Flush(ctx); err != nil {
 		b.Fatal(err)
@@ -106,4 +120,30 @@ func BenchmarkFirstBatch(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(inflated)/float64(b.N), "inflated_B/op")
+}
+
+// BenchmarkChunkOpen is, per tensor of the first-batch dataset, reading
+// one stored chunk and opening it (Tensor.ReadChunk, past every decoded-chunk
+// cache), then reading one sample from its middle: what a cold first batch
+// pays for each chunk it touches.
+func BenchmarkChunkOpen(b *testing.B) {
+	ctx := context.Background()
+	ds := imageDataset(b, 4000)
+	for _, name := range []string{"images", "masks", "labels", "boxes"} {
+		t := ds.Tensor(name)
+		span := t.ChunkSpans()[0]
+		mid := int(span.Last-span.First) / 2
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := t.ReadChunk(ctx, span.ChunkID)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.Sample(mid); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -229,6 +231,75 @@ func TestLoaderHealsATransientBlockFlip(t *testing.T) {
 	}
 	checkMasks(t, drain(t, l), rows)
 	chunks := int64(x.NumChunks())
+	if got := counting.Snapshot().Gets; got != chunks+1 {
+		t.Fatalf("%d Gets for %d chunks, want one each and one heal", got, chunks)
+	}
+	if st := l.Cache().Stats(); st.Decodes != chunks+1 {
+		t.Fatalf("%d chunk loads for %d chunks, want one each and one heal", st.Decodes, chunks)
+	}
+}
+
+// TestLoaderHealsAnUncompressedBlockFlip: as TestLoaderHealsATransientBlockFlip,
+// over an uncompressed column, whose blocks are checked on first touch
+// too. The damaged chunk object opens, and the worker whose read touches
+// the flipped block heals it: the epoch delivers every row right, for
+// exactly one extra request and one extra chunk load.
+func TestLoaderHealsAnUncompressedBlockFlip(t *testing.T) {
+	const n = 400
+	ctx := context.Background()
+	mem := storage.NewMemory()
+	ds, err := core.Create(ctx, mem, "masks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks, err := ds.CreateTensor(ctx, core.TensorSpec{Name: "masks", Dtype: tensor.UInt8,
+		Bounds: chunk.Bounds{Min: 32 << 10, Target: 64 << 10, Max: 128 << 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := masks.Append(ctx, maskOf(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	key := masks.ChunkIdentity(masks.ChunkSpans()[0].ChunkID)
+	obj, err := mem.Get(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, _, _, err := chunk.SampleRange(obj, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Clone(obj)
+	bad[off] ^= 0x40
+	c, err := chunk.Open(bad)
+	if err != nil {
+		t.Fatalf("Open = %v; a damaged data block fails only its reads", err)
+	}
+	if _, err := c.Sample(5); !errors.Is(err, chunk.ErrCorrupt) || !strings.Contains(err.Error(), "block ") {
+		t.Fatalf("the damaged sample reads %v, want ErrCorrupt naming its block", err)
+	}
+	if _, err := c.Sample(c.Len() - 1); err != nil {
+		t.Fatalf("a sample outside the damaged block: %v", err)
+	}
+
+	counting := storage.NewCounting(mem)
+	back, err := core.Open(ctx, storage.NewLRU(&flipOnce{Provider: counting, key: key, at: int(off)}, 64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counting.Reset()
+	l := ForDataset(back, Options{BatchSize: 16, Workers: 4, Shuffle: true, Seed: 3})
+	rows := make([]uint64, n)
+	for i := range rows {
+		rows[i] = uint64(i)
+	}
+	checkMasks(t, drain(t, l), rows)
+	chunks := int64(masks.NumChunks())
 	if got := counting.Snapshot().Gets; got != chunks+1 {
 		t.Fatalf("%d Gets for %d chunks, want one each and one heal", got, chunks)
 	}

@@ -377,45 +377,125 @@ func stripTensors(v *view.View, cols []view.Column) []*core.Tensor {
 	return out
 }
 
-// stripIDs resolves the distinct chunks of t covering the groups' view
+// planStrips resolves the distinct chunks of t covering the groups' view
 // rows, in the groups' order, and through[ord], how many of them the groups
 // up to and including ordinal ord need. For the primary tensor that is the
-// groups' own chunk ids, one a group; a secondary column (labels beside
-// images, say) has its own chunk layout, which without this the workers would
-// first touch as bare origin round trips on the delivery critical path. Rows
-// that fail to resolve (computed views) are skipped — the worker's own read
-// path handles them. rows[i] is the source rows the groups read of chunk
-// ids[i].
-func stripIDs(v *view.View, t *core.Tensor, groups []groupRef) (ids []uint64, through []int, rows [][]uint64) {
+// groups' own chunk ids, one a group, read off the itinerary; a secondary
+// column (labels beside images, say) has its own chunk layout, which without
+// this the workers would first touch as bare origin round trips on the
+// delivery critical path, and which takes two passes over the rows: one
+// numbering each row's chunk by the span it lies in, one collecting rows.
+// Rows that fail to resolve (computed views) are skipped — the worker's own
+// read path handles them. rows[i] is the source rows the groups read of
+// chunk ids[i], in the groups' order, for a chunk core.Tensor.PlanSparse
+// could read in part — one of a tensor that ReadsInPart whose rows here are
+// fewer than it holds — and nil for any other. The rows are cut from one
+// backing slice: a fixed number of allocations.
+func planStrips(v *view.View, t *core.Tensor, groups []groupRef, primary bool) (ids []uint64, through []int, rows [][]uint64) {
 	through = make([]int, len(groups))
 	spans := newSpanCursor(t)
-	index := map[uint64]int{}
-	cur := -1 // index of the chunk the previous row resolved to
+	want := func(count int, s int) bool {
+		return t.ReadsInPart() && uint64(count) <= spans.spans[s].Last-spans.spans[s].First
+	}
+	if primary {
+		ids = make([]uint64, 0, len(groups))
+		rows = make([][]uint64, 0, len(groups))
+		n := 0
+		for ord, g := range groups {
+			if g.chunk {
+				ids = append(ids, g.key)
+				rows = append(rows, nil)
+				if src, err := v.SourceRow(g.rows[0]); err == nil {
+					if s, ok := spans.spanOf(src); ok && want(len(g.rows), s) {
+						rows[len(rows)-1] = make([]uint64, 0, len(g.rows))
+						n += len(g.rows)
+					}
+				}
+			}
+			through[ord] = len(ids)
+		}
+		if n == 0 {
+			return ids, through, rows
+		}
+		backing := make([]uint64, 0, n)
+		i := 0
+		for _, g := range groups {
+			if !g.chunk {
+				continue
+			}
+			if rows[i] != nil {
+				start := len(backing)
+				for _, row := range g.rows {
+					if src, err := v.SourceRow(row); err == nil {
+						backing = append(backing, src)
+					}
+				}
+				rows[i] = backing[start:len(backing):len(backing)]
+			}
+			i++
+		}
+		return ids, through, rows
+	}
+	n := 0
+	for _, g := range groups {
+		n += len(g.rows)
+	}
+	// at[k] is the number of the k-th row's chunk in ids, -1 when the row
+	// does not resolve; number[s] is span s's chunk number plus one, and
+	// span[i] the span of chunk number i.
+	at := make([]int32, n)
+	number := make([]int32, len(spans.spans))
+	span := make([]int32, 0, len(spans.spans))
+	ids = make([]uint64, 0, len(spans.spans))
+	count := make([]int, len(spans.spans))
+	k := 0
 	for ord, g := range groups {
 		for _, row := range g.rows {
-			src, err := v.SourceRow(row)
-			if err != nil {
-				continue
-			}
-			id, ok := spans.chunkOf(src)
-			if !ok {
-				continue
-			}
-			// Rows run in stored order inside a group, so the map is
-			// consulted once per chunk change, not once per row.
-			if cur < 0 || ids[cur] != id {
-				i, seen := index[id]
-				if !seen {
-					i = len(ids)
-					index[id] = i
-					ids = append(ids, id)
-					rows = append(rows, nil)
+			at[k] = -1
+			if src, err := v.SourceRow(row); err == nil {
+				if s, ok := spans.spanOf(src); ok {
+					if number[s] == 0 {
+						ids = append(ids, spans.spans[s].ChunkID)
+						span = append(span, int32(s))
+						number[s] = int32(len(ids))
+					}
+					at[k] = number[s] - 1
+					count[at[k]]++
 				}
-				cur = i
 			}
-			rows[cur] = append(rows[cur], src)
+			k++
 		}
 		through[ord] = len(ids)
+	}
+	rows = make([][]uint64, len(ids))
+	wanted := 0
+	for i := range rows {
+		if want(count[i], int(span[i])) {
+			wanted += count[i]
+		} else {
+			count[i] = 0
+		}
+	}
+	if wanted == 0 {
+		return ids, through, rows
+	}
+	backing := make([]uint64, wanted)
+	off := 0
+	for i := range rows {
+		if count[i] > 0 {
+			rows[i] = backing[off : off : off+count[i]]
+			off += count[i]
+		}
+	}
+	k = 0
+	for _, g := range groups {
+		for _, row := range g.rows {
+			if c := at[k]; c >= 0 && rows[c] != nil {
+				src, _ := v.SourceRow(row)
+				rows[c] = append(rows[c], src)
+			}
+			k++
+		}
 	}
 	return ids, through, rows
 }
@@ -430,13 +510,16 @@ type epochReads struct {
 // touches, ids[i] holding rows[i]: in part when the blocks holding the rows
 // it reads of the chunk are at most half of the chunk's data, whole
 // otherwise. Only chunks core.Tensor.PlanSparse can read in part are
-// candidates.
+// candidates, and planStrips leaves every other chunk's rows nil.
 func (l *Loader) sparseReads(t *core.Tensor, ids []uint64, rows [][]uint64) map[uint64]*core.SparseChunk {
 	if l.opts.readWhole {
 		return nil
 	}
 	out := map[uint64]*core.SparseChunk{}
 	for i, id := range ids {
+		if rows[i] == nil {
+			continue
+		}
 		if s, ok := t.PlanSparse(rows[i]); ok {
 			if read, total := s.Blocks(); 2*read <= total {
 				out[id] = s
@@ -477,7 +560,7 @@ func (l *Loader) feed(ctx context.Context, primary *core.Tensor, planned []*core
 		plans := make([]*core.StripPlan, len(planned))
 		reads := &epochReads{sparse: map[string]map[uint64]*core.SparseChunk{}}
 		for i, t := range planned {
-			ids, through, rows := stripIDs(l.v, t, p.groups)
+			ids, through, rows := planStrips(l.v, t, p.groups, t == primary)
 			sparse := l.sparseReads(t, ids, rows)
 			reads.sparse[t.Name()] = sparse
 			plans[i] = core.NewStripPlan(t, ids, through, stripWidth, nil)

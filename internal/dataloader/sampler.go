@@ -1,9 +1,7 @@
 package dataloader
 
 import (
-	"cmp"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -29,9 +27,13 @@ import (
 // All three are fixed before any worker starts, so batches are
 // byte-identical for a given (Seed, epoch, Rank, WorldSize) at any worker
 // count: workers race only over who decodes which chunk, never over what
-// the consumer receives. Planning runs before the first job does, so it
-// resolves rows to chunks through one Tensor.ChunkSpans snapshot per tensor
-// (a spanCursor), never a locked lookup per row.
+// the consumer receives. Planning runs before the first job does, so the
+// first batch waits for all of it: it takes time linear in the rows, with a
+// fixed number of allocations and no comparison sort — the delivery order is
+// one permutation, the itinerary the groups in order of their first
+// appearance in it, and every job's rows are cut from one backing slice —
+// and it resolves rows to chunks through one Tensor.ChunkSpans snapshot per
+// tensor (a spanCursor), never a locked lookup per row.
 //
 // Worker jobs are cut from the itinerary's groups. A JPEG/PNG primary's rows
 // decode one at a time from their chunk's stored bytes, so its groups are cut
@@ -106,7 +108,10 @@ type groupRef struct {
 
 // chunkGroups partitions the view's rows by the primary tensor's chunks,
 // preserving stored order inside each group and first-visit order across
-// groups. Rows without a stored primary chunk become per-row groups.
+// groups. Rows without a stored primary chunk become per-row groups. Every
+// group's rows are cut from one backing slice: a first pass numbers each
+// row's group, consulting the map only when a row leaves the previous row's
+// chunk, and a second fills the groups.
 func chunkGroups(v *view.View, primary string) []groupRef {
 	t := v.Dataset().Tensor(primary)
 	if t != nil && (t.Htype().Sequence || t.Htype().Link) {
@@ -118,23 +123,42 @@ func chunkGroups(v *view.View, primary string) []groupRef {
 		spans = newSpanCursor(t)
 	}
 	n := v.Len()
+	groupOf := make([]int, n)
 	idx := map[uint64]int{}
 	var groups []groupRef
+	var counts []int
+	last := -1 // the group of the previous row that resolved to a chunk
 	for row := 0; row < n; row++ {
-		src, err := v.SourceRow(row)
-		if err == nil && t != nil {
+		g := -1
+		if src, err := v.SourceRow(row); err == nil && t != nil {
 			if id, ok := spans.chunkOf(src); ok {
-				g, ok := idx[id]
-				if !ok {
+				if last >= 0 && groups[last].key == id {
+					g = last
+				} else if g, ok = idx[id]; !ok {
 					g = len(groups)
 					idx[id] = g
 					groups = append(groups, groupRef{key: id, chunk: true, media: media})
+					counts = append(counts, 0)
 				}
-				groups[g].rows = append(groups[g].rows, row)
-				continue
+				last = g
 			}
 		}
-		groups = append(groups, groupRef{key: noChunk, rows: []int{row}})
+		if g < 0 {
+			g = len(groups)
+			groups = append(groups, groupRef{key: noChunk})
+			counts = append(counts, 0)
+		}
+		groupOf[row] = g
+		counts[g]++
+	}
+	backing := make([]int, n)
+	off := 0
+	for g := range groups {
+		groups[g].rows = backing[off : off : off+counts[g]]
+		off += counts[g]
+	}
+	for row, g := range groupOf {
+		groups[g].rows = append(groups[g].rows, row)
 	}
 	return groups
 }
@@ -153,15 +177,25 @@ func newSpanCursor(t *core.Tensor) spanCursor { return spanCursor{spans: t.Chunk
 // chunkOf returns the id of the chunk holding source row src, and false
 // when no chunk holds it.
 func (c *spanCursor) chunkOf(src uint64) (uint64, bool) {
+	i, ok := c.spanOf(src)
+	if !ok {
+		return 0, false
+	}
+	return c.spans[i].ChunkID, true
+}
+
+// spanOf returns the index in the snapshot of the span holding source row
+// src, and false when no span holds it.
+func (c *spanCursor) spanOf(src uint64) (int, bool) {
 	if c.cur < len(c.spans) && c.spans[c.cur].First <= src && src <= c.spans[c.cur].Last {
-		return c.spans[c.cur].ChunkID, true
+		return c.cur, true
 	}
 	i := sort.Search(len(c.spans), func(i int) bool { return c.spans[i].Last >= src })
 	if i == len(c.spans) {
 		return 0, false
 	}
 	c.cur = i
-	return c.spans[i].ChunkID, true
+	return i, true
 }
 
 // epochSeed decorrelates per-epoch rngs (§4.6 per-epoch reseeding) while
@@ -227,100 +261,160 @@ func buildShard(groups []groupRef, o Options, epoch int) epochShard {
 }
 
 // buildPlan expands one epoch's shard into chunk jobs with delivery
-// sequences — the O(rows) step the feeder runs lazily per epoch. The
-// delivery order is the visit order itself, or, when shuffling, the visit
-// order spilled through a bounded buffer. The jobs come in itinerary order,
-// or for a media primary in delivery order.
+// sequences — the step the feeder runs lazily per epoch, in time linear in
+// the shard's rows and a fixed number of allocations whatever their count.
+// The delivery order is the visit order itself, or, when shuffling, the
+// visit order spilled through a bounded buffer; it is kept as one
+// permutation, at[seq] being the visit position delivered at seq. The
+// itinerary is the groups in order of their first appearance in it. The
+// jobs come in itinerary order, or for a media primary in delivery order,
+// and every job's rows are cut from one backing slice.
 func buildPlan(v *view.View, shard epochShard, o Options, epoch int) *epochPlan {
-	seqOf := make([]int, v.Len())
-	next := 0
+	groups := shard.groups
+	n := shard.rows
+	// Visit positions number the shard's rows in visit order: group g's rows
+	// are positions first[g] up to first[g+1], and grp[p] is p's group.
+	first := make([]int, len(groups)+1)
+	grp := make([]int32, n)
+	for g, gr := range groups {
+		first[g+1] = first[g] + len(gr.rows)
+		for p := first[g]; p < first[g+1]; p++ {
+			grp[p] = int32(g)
+		}
+	}
+
+	// The delivery order: at[seq] is the visit position delivered at seq.
+	at := make([]int, n)
 	if !o.Shuffle {
-		for _, g := range shard.groups {
-			for _, row := range g.rows {
-				seqOf[row] = next
-				next++
-			}
+		for p := range at {
+			at[p] = p
 		}
 	} else {
 		rng := rand.New(rand.NewSource(epochSeed(o.Seed, epoch, spillSalt)))
-		buf := make([]int, 0, o.ShuffleBuffer)
+		buf := make([]int, 0, min(o.ShuffleBuffer, n))
+		next := 0
 		emit := func() {
 			k := rng.Intn(len(buf))
-			seqOf[buf[k]] = next
+			at[next] = buf[k]
 			next++
 			buf[k] = buf[len(buf)-1]
 			buf = buf[:len(buf)-1]
 		}
-		for _, g := range shard.groups {
-			for _, row := range g.rows {
-				if len(buf) == o.ShuffleBuffer {
-					emit()
-				}
-				buf = append(buf, row)
+		for p := 0; p < n; p++ {
+			if len(buf) == o.ShuffleBuffer {
+				emit()
 			}
+			buf = append(buf, p)
 		}
 		for len(buf) > 0 {
 			emit()
 		}
 	}
 
-	// The itinerary: visit groups by the first delivery position needing
-	// each. Positions are distinct, so the order is total; without shuffling
-	// they rise along the visit order, which therefore stays as it is.
-	order := make([]int, len(shard.groups))
-	first := make([]int, len(shard.groups))
-	for i, g := range shard.groups {
-		order[i], first[i] = i, next
-		for _, row := range g.rows {
-			first[i] = min(first[i], seqOf[row])
+	// The itinerary: groups by the first delivery position needing each.
+	// Without shuffling that is the visit order itself. itin lists the
+	// groups in it; ord[g] is group g's ordinal plus one, 0 while unseen.
+	itin := make([]int32, 0, len(groups))
+	ord := make([]int, len(groups))
+	windowed := false
+	for _, p := range at {
+		if g := grp[p]; ord[g] == 0 {
+			itin = append(itin, g)
+			ord[g] = len(itin)
+			windowed = windowed || groups[g].media
 		}
 	}
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(first[a], first[b]) })
+	plan := &epochPlan{rows: n, groups: make([]groupRef, len(itin))}
+	for i, g := range itin {
+		plan.groups[i] = groups[g]
+	}
 
 	// Split oversized groups so one hot chunk cannot serialize the pool's
 	// per-sample decode work behind a single worker; cut a media group in
 	// delivery order at every batch window as well. Sub-jobs keep their
 	// group's ordinal: the strip look-ahead counts chunks, not jobs.
-	maxRows := (next + o.Workers*core.Oversubscribe - 1) / (o.Workers * core.Oversubscribe)
+	maxRows := (n + o.Workers*core.Oversubscribe - 1) / (o.Workers * core.Oversubscribe)
 	if maxRows < 1 {
 		maxRows = 1
 	}
-	windowed := false
-	plan := &epochPlan{rows: next, jobs: make([]chunkJob, 0, len(order)), groups: make([]groupRef, len(order))}
-	for ord, gi := range order {
-		g := shard.groups[gi]
-		plan.groups[ord] = g
-		rows := g.rows
-		if g.media {
-			windowed = true
-			rows = append([]int(nil), rows...)
-			slices.SortFunc(rows, func(a, b int) int { return cmp.Compare(seqOf[a], seqOf[b]) })
+	backing := make([]rowJob, n)
+	top := 0
+	newJob := func(g int32, rows int) chunkJob {
+		cj := chunkJob{ord: ord[g] - 1, chunkID: noChunk, rows: backing[top : top : top+rows]}
+		if groups[g].chunk {
+			cj.chunkID = groups[g].key
 		}
-		for lo := 0; lo < len(rows); {
-			hi := lo + 1
-			for hi < min(lo+maxRows, len(rows)) && (!g.media || seqOf[rows[hi]]/o.BatchSize == seqOf[rows[lo]]/o.BatchSize) {
-				hi++
-			}
-			cj := chunkJob{ord: ord, chunkID: noChunk, rows: make([]rowJob, 0, hi-lo)}
-			if g.chunk {
-				cj.chunkID = g.key
-			}
-			for _, row := range rows[lo:hi] {
-				src, err := v.SourceRow(row)
-				if err != nil {
-					continue // unreachable: row came from the same view walk
-				}
-				cj.rows = append(cj.rows, rowJob{seq: seqOf[row], row: row, src: src})
-			}
-			plan.jobs = append(plan.jobs, cj)
-			lo = hi
+		top += rows
+		return cj
+	}
+	// add appends the row at visit position p, delivered at seq, to cj. A
+	// row that fails to resolve is skipped (unreachable: every row came from
+	// the same view walk).
+	add := func(cj *chunkJob, p, seq int) {
+		row := groups[grp[p]].rows[p-first[grp[p]]]
+		if src, err := v.SourceRow(row); err == nil {
+			cj.rows = append(cj.rows, rowJob{seq: seq, row: row, src: src})
 		}
 	}
-	if windowed {
-		// Jobs in delivery order. Each ordinal's first job still comes in
-		// itinerary order: both are sorted by first delivery position. No
-		// two jobs share a first position, so the order is total.
-		slices.SortFunc(plan.jobs, func(a, b chunkJob) int { return cmp.Compare(a.rows[0].seq, b.rows[0].seq) })
+	// tag is a second permutation: for stored-order jobs the delivery
+	// sequence of each visit position, for windowed ones the job of each
+	// delivery position.
+	tag := make([]int, n)
+	if !windowed {
+		// Each group in itinerary order, its rows in stored order, cut at
+		// maxRows.
+		for seq, p := range at {
+			tag[p] = seq
+		}
+		jobs := 0
+		for _, g := range itin {
+			jobs += (len(groups[g].rows) + maxRows - 1) / maxRows
+		}
+		plan.jobs = make([]chunkJob, 0, jobs)
+		for _, g := range itin {
+			for lo := first[g]; lo < first[g+1]; lo += maxRows {
+				hi := min(lo+maxRows, first[g+1])
+				cj := newJob(g, hi-lo)
+				for p := lo; p < hi; p++ {
+					add(&cj, p, tag[p])
+				}
+				plan.jobs = append(plan.jobs, cj)
+			}
+		}
+		return plan
+	}
+	// A media job is one group's rows inside one batch window, in delivery
+	// order, cut at maxRows. Jobs are numbered, and come, in the order of
+	// their first rows; each group's later jobs interleave with other
+	// groups', and each ordinal's first job still comes in itinerary order.
+	// (A group of any other primary in a windowed plan is a single row
+	// without a chunk, which this cuts as its stored-order job.) open[g] is
+	// group g's latest job, its batch window plus one and its row count.
+	type openJob struct{ job, window, rows int }
+	open := make([]openJob, len(groups))
+	jobs := 0
+	for seq, p := range at {
+		oj := &open[grp[p]]
+		if w := seq/o.BatchSize + 1; oj.window != w || oj.rows == maxRows {
+			*oj = openJob{job: jobs, window: w}
+			jobs++
+		}
+		oj.rows++
+		tag[seq] = oj.job
+	}
+	count := make([]int, jobs)
+	for _, j := range tag {
+		count[j]++
+	}
+	plan.jobs = make([]chunkJob, jobs)
+	made := 0
+	for seq, p := range at {
+		j := tag[seq]
+		if j == made {
+			plan.jobs[j] = newJob(grp[p], count[j])
+			made++
+		}
+		add(&plan.jobs[j], p, seq)
 	}
 	return plan
 }
