@@ -494,15 +494,16 @@ func Verify(raw []byte) (checked bool, err error) {
 // the data is allocated until a read asks for it. An uncompressed chunk's
 // payloads alias the blob it was opened from. A compressed chunk inflates
 // each block the first time a read touches it, once however many goroutines
-// read at a time, into a buffer of that block's own: a sample inside one
-// block aliases that block, and a sample spanning blocks is copied together
-// from theirs into a buffer of the read's own. A whole read (Samples,
-// Column) fills one buffer of the decoded data section once, from the
-// blocks already inflated and by inflating the rest straight into it, and
-// later reads alias it. A block that fails its check or does not inflate
-// fails every read that touches it, and no other: the reader heals by
-// fetching the chunk's object again (MarkStale). A Chunk is safe for
-// concurrent use; what it returns is read-only.
+// read at a time: a sample inside one block aliases a buffer of that
+// block's own. The first read of a sample spanning blocks, or whole read
+// (Samples, Column), makes one contiguous buffer of the decoded data
+// section, moves the blocks already inflated into it, and inflates every
+// block a read touches from then on straight into its span: such a read,
+// and every read after it, aliases that buffer, which a whole read fills.
+// A block that fails its check or does not inflate fails every read that
+// touches it, and no other: the reader heals by fetching the chunk's object
+// again (MarkStale). A Chunk is safe for concurrent use; what it returns is
+// read-only.
 type Chunk struct {
 	// dir and data are an opened chunk's directory and data section; nil
 	// for a chunk made FromSamples.
@@ -604,19 +605,18 @@ func (c *Chunk) CountInflated(n *atomic.Int64) {
 // is shared.
 func (c *Chunk) SumBlocks() {
 	if l, ok := c.data.(*lazyBlocks); ok {
-		l.sum = true
+		l.kept = make([]atomic.Pointer[[]byte], len(l.blocks))
 	}
 }
 
 // Digest is a CRC32C of the bytes no reader of the chunk may write: an
 // uncompressed chunk's payloads; a compressed chunk's stored blocks and
 // block table, which alias the blob it was opened from, and — after
-// SumBlocks — each inflated block's decoded bytes where reads find them
-// (its own buffer, or its span of the whole-read buffer), held to the
-// CRC32C they inflated to. Inflating a block or filling the whole-read
-// buffer changes no digest; writing into a payload read out of the chunk
-// does. It is the mutation detector's view of a cached chunk
-// (storage.CacheFuncs.Digest).
+// SumBlocks — each inflated block's decoded bytes wherever reads found
+// them (its own buffer, and once placed its span of the contiguous buffer),
+// held to the CRC32C they inflated to. Inflating or placing a block changes
+// no digest; writing into a payload read out of the chunk does. It is the
+// mutation detector's view of a cached chunk (storage.CacheFuncs.Digest).
 func (c *Chunk) Digest() uint32 {
 	switch s := c.data.(type) {
 	case *plainBlocks:
@@ -628,8 +628,10 @@ func (c *Chunk) Digest() uint32 {
 			if !blk.summed.Load() {
 				continue
 			}
-			if buf := blk.buf.Load(); buf != nil && crc32.Checksum(*buf, castagnoli) != blk.sum {
-				return ^crc
+			for _, buf := range [...]*[]byte{blk.buf.Load(), s.kept[b].Load()} {
+				if buf != nil && crc32.Checksum(*buf, castagnoli) != blk.sum {
+					return ^crc
+				}
 			}
 		}
 		return crc
@@ -746,26 +748,39 @@ func (s *plainBlocks) check(lo, hi uint64) error {
 }
 
 // lazyBlocks is a compressed chunk's data section: the blocks as stored,
-// each block's decoded bytes once a read has touched it, and the whole-read
-// buffer once a whole read has filled it.
+// and their decoded bytes. Until a read spans blocks or reads whole, a block
+// a read touches is inflated into a buffer of its own, which a sample inside
+// it aliases. The first read that spans blocks or reads whole makes the
+// contiguous buffer of the decoded data section, and moves the blocks
+// already inflated into their spans of it; from then on a read places each
+// block it touches in its span once, inflating it there, and aliases the
+// buffer, which a whole read fills. A read of a cached chunk allocates
+// nothing once its blocks are in place.
 type lazyBlocks struct {
 	p        *parsed
 	codec    compress.BlockCodec
 	blocks   []lazyBlock
 	inflated *atomic.Int64
-	// sum makes inflation record each block's CRC32C (SumBlocks).
-	sum bool
-	// fill serialises whole reads; full is the whole-read buffer once filled.
-	fill sync.Mutex
-	full atomic.Pointer[[]byte]
+	// kept is non-nil after SumBlocks, which makes inflation record each
+	// block's CRC32C; kept[b] is then the buffer of its own block b was
+	// read from before it was placed, which Digest still checks.
+	kept []atomic.Pointer[[]byte]
+	// alloc makes contig, the contiguous buffer, and spans, each block's
+	// span of it, once; ready is set once they are made, and full once
+	// every block is placed in contig.
+	alloc       sync.Once
+	contig      []byte
+	spans       [][]byte
+	ready, full atomic.Bool
 }
 
-// lazyBlock is one block of a compressed chunk: inflated under once, into
-// the buffer buf points at (its own, or after a whole read its span of the
-// whole-read buffer), or failed with err. After SumBlocks, sum is the
-// CRC32C of its decoded bytes, written before summed is set.
+// lazyBlock is one block of a compressed chunk: inflated under once into
+// the buffer buf points at — its own, or its span of the contiguous buffer,
+// where placed puts it once — or failed with err. After SumBlocks, sum is
+// the CRC32C of its decoded bytes, written before summed is set.
 type lazyBlock struct {
 	once   sync.Once
+	placed sync.Once
 	err    error
 	buf    atomic.Pointer[[]byte]
 	sum    uint32
@@ -773,15 +788,15 @@ type lazyBlock struct {
 }
 
 func (l *lazyBlocks) read(lo, hi uint64) ([]byte, error) {
-	if full := l.full.Load(); full != nil {
-		return (*full)[lo:hi:hi], nil
+	if l.full.Load() {
+		return l.contig[lo:hi:hi], nil
 	}
 	if hi <= lo {
 		return []byte{}, nil
 	}
 	shift := l.p.h.blockLog
 	first, last := int(lo>>shift), int((hi-1)>>shift)
-	if first == last {
+	if first == last && !l.ready.Load() {
 		buf, err := l.block(first)
 		if err != nil {
 			return nil, err
@@ -789,17 +804,13 @@ func (l *lazyBlocks) read(lo, hi uint64) ([]byte, error) {
 		base := uint64(first) << shift
 		return buf[lo-base : hi-base : hi-base], nil
 	}
-	out := make([]byte, hi-lo)
+	contig := l.contiguous()
 	for b := first; b <= last; b++ {
-		buf, err := l.block(b)
-		if err != nil {
+		if err := l.place(b); err != nil {
 			return nil, err
 		}
-		base := uint64(b) << shift
-		from, to := max(lo, base), min(hi, base+uint64(len(buf)))
-		copy(out[from-lo:to-lo], buf[from-base:to-base])
 	}
-	return out, nil
+	return contig[lo:hi:hi], nil
 }
 
 // block returns block b's decoded bytes, inflating it into a buffer of its
@@ -819,44 +830,66 @@ func (l *lazyBlocks) block(b int) ([]byte, error) {
 	return *blk.buf.Load(), nil
 }
 
-// whole fills the whole-read buffer once: a block already inflated is
-// copied in, any other is inflated straight into its span. Every block then
-// reads from the buffer, and the blocks' own buffers are left to the reads
-// holding them.
-func (l *lazyBlocks) whole() ([]byte, error) {
-	if full := l.full.Load(); full != nil {
-		return *full, nil
-	}
-	l.fill.Lock()
-	defer l.fill.Unlock()
-	if full := l.full.Load(); full != nil {
-		return *full, nil
-	}
-	full := make([]byte, l.p.size)
-	spans := make([][]byte, len(l.blocks))
-	for b := range l.blocks {
-		_, _, lo, hi := l.p.block(b)
-		spans[b] = full[lo:hi:hi]
-		blk := &l.blocks[b]
+// contiguous returns the contiguous buffer, making it once and placing in
+// it every block already inflated.
+func (l *lazyBlocks) contiguous() []byte {
+	l.alloc.Do(func() {
+		l.contig = make([]byte, l.p.size)
+		l.spans = make([][]byte, len(l.blocks))
+		for b := range l.spans {
+			_, _, lo, hi := l.p.block(b)
+			l.spans[b] = l.contig[lo:hi:hi]
+		}
+		l.ready.Store(true)
+		for b := range l.blocks {
+			if l.blocks[b].buf.Load() != nil {
+				l.place(b)
+			}
+		}
+	})
+	return l.contig
+}
+
+// place puts block b's decoded bytes in its span of the contiguous buffer
+// once: inflated there if no read has inflated it, else copied from its own
+// buffer, which reads then no longer find.
+func (l *lazyBlocks) place(b int) error {
+	blk := &l.blocks[b]
+	blk.placed.Do(func() {
+		span := &l.spans[b]
 		inflated := false
 		blk.once.Do(func() {
-			if blk.err = l.inflate(b, spans[b]); blk.err == nil {
-				blk.buf.Store(&spans[b])
+			if blk.err = l.inflate(b, *span); blk.err == nil {
+				blk.buf.Store(span)
 				inflated = true
 			}
 		})
-		if blk.err != nil {
-			return nil, blk.err
+		if blk.err != nil || inflated {
+			return
 		}
-		if !inflated {
-			copy(spans[b], *blk.buf.Load())
+		own := blk.buf.Load()
+		copy(*span, *own)
+		if l.kept != nil {
+			l.kept[b].Store(own)
 		}
+		blk.buf.Store(span)
+	})
+	return blk.err
+}
+
+// whole places every block in the contiguous buffer and returns it.
+func (l *lazyBlocks) whole() ([]byte, error) {
+	if l.full.Load() {
+		return l.contig, nil
 	}
-	l.full.Store(&full)
+	contig := l.contiguous()
 	for b := range l.blocks {
-		l.blocks[b].buf.Store(&spans[b])
+		if err := l.place(b); err != nil {
+			return nil, err
+		}
 	}
-	return full, nil
+	l.full.Store(true)
+	return contig, nil
 }
 
 // inflate checks block b and decodes it into dst, its decoded length.
@@ -873,7 +906,7 @@ func (l *lazyBlocks) inflate(b int, dst []byte) error {
 	if l.inflated != nil {
 		l.inflated.Add(int64(len(dst)))
 	}
-	if l.sum {
+	if l.kept != nil {
 		blk := &l.blocks[b]
 		blk.sum = crc32.Checksum(dst, castagnoli)
 		blk.summed.Store(true)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -132,11 +133,11 @@ func allocBytes(f func()) int64 {
 
 // TestReadsAllocateOnlyWhatTheyTouch: Open allocates nothing sized by the
 // data section, in an lz4 chunk of 64 samples that straddle block edges.
-// Open plus a read of one sample allocates at most the blocks that sample
-// spans, plus, for a sample spanning blocks, the buffer it is copied
-// together into, plus O(1); Open plus a whole read allocates at most one
-// buffer of the decoded data section more, besides the sample table and a
-// slice header a block.
+// Open plus a read of one sample inside one block allocates at most that
+// block plus O(1); Open plus a read of a sample spanning blocks, or a whole
+// read, allocates at most one contiguous buffer of the decoded data section
+// and a slice header a block plus O(1), and a whole read the sample table
+// besides.
 func TestReadsAllocateOnlyWhatTheyTouch(t *testing.T) {
 	const n, size, bs = 64, 4000, CompressedBlockSize
 	blob, err := LZ4.Encode(maskSamples(rand.New(rand.NewSource(7)), n, size))
@@ -148,12 +149,16 @@ func TestReadsAllocateOnlyWhatTheyTouch(t *testing.T) {
 	if open > n*size/8 {
 		t.Fatalf("Open allocates %d bytes for a %d-byte data section", open, n*size)
 	}
+	// A buffer that large is allocated in whole 8 KiB pages; with it comes a
+	// slice header a block, each block's span of it.
+	nb := (n*size + bs - 1) / bs
+	contig := int64((n*size+8191)/8192*8192) + int64(nb)*int64(unsafe.Sizeof([]byte{}))
 	for _, c := range []struct {
 		i, blocks int
 	}{{0, 1}, {2, 2}} { // [0, 4000) is in block 0; [8000, 12000) spans blocks 1 and 2
-		want := open + int64(c.blocks*bs) + slack
+		want := open + bs + slack
 		if c.blocks > 1 {
-			want += size
+			want = open + contig + slack
 		}
 		got := allocBytes(func() {
 			if _, err := mustOpen(t, blob).Sample(c.i); err != nil {
@@ -164,15 +169,79 @@ func TestReadsAllocateOnlyWhatTheyTouch(t *testing.T) {
 			t.Fatalf("Open and sample %d (%d blocks) allocate %d bytes, want at most %d", c.i, c.blocks, got, want)
 		}
 	}
-	nb := (n*size + bs - 1) / bs
 	whole := allocBytes(func() {
 		if _, err := mustOpen(t, blob).Samples(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// A buffer that large is allocated in whole 8 KiB pages.
-	if want := open + (n*size+8191)/8192*8192 + n*int64(unsafe.Sizeof(Sample{})) + int64(nb)*int64(unsafe.Sizeof([]byte{})) + slack; whole > want {
+	if want := open + contig + n*int64(unsafe.Sizeof(Sample{})) + slack; whole > want {
 		t.Fatalf("Open and a whole read allocate %d bytes, want at most %d", whole, want)
+	}
+}
+
+// TestSpanningReadsOfACachedChunkAllocateNothing: once an lz4 chunk's
+// samples have been read, reading them again — spanning blocks or not, one
+// by one or whole — allocates nothing, and every read returns its bytes.
+func TestSpanningReadsOfACachedChunkAllocateNothing(t *testing.T) {
+	const n, size = 40, 3000 // straddles block edges
+	samples := maskSamples(rand.New(rand.NewSource(10)), n, size)
+	blob, err := LZ4.Encode(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustOpen(t, blob)
+	read := func(i int) {
+		if s, err := c.Sample(i); err != nil || !bytes.Equal(s.Data, samples[i].Data) {
+			t.Fatalf("sample %d: %v", i, err)
+		}
+	}
+	// Sample 1, [3000, 6000), spans blocks 0 and 1; sample 2, [6000, 9000),
+	// blocks 1 and 2; sample 29, [87000, 90000), lies in block 21.
+	read(29)
+	if a := testing.AllocsPerRun(20, func() { read(1); read(2); read(29) }); a != 0 {
+		t.Fatalf("reads of samples already read allocate %v times", a)
+	}
+	if _, err := c.Samples(); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		for i := range samples {
+			read(i)
+		}
+		if _, err := c.Samples(); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("reads after a whole read allocate %v times", a)
+	}
+}
+
+// TestDigestCoversBuffersReadBeforeAMove: after SumBlocks, a write into a
+// sample read out of a block's own buffer changes the chunk's Digest also
+// after a spanning read has moved that block into the contiguous buffer.
+func TestDigestCoversBuffersReadBeforeAMove(t *testing.T) {
+	samples := maskSamples(rand.New(rand.NewSource(12)), 40, 3000)
+	blob, err := LZ4.Encode(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustOpen(t, blob)
+	c.SumBlocks()
+	s, err := c.Sample(29) // [87000, 90000), in block 21: read from its own buffer
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Samples(); err != nil { // moves block 21
+		t.Fatal(err)
+	}
+	clean := c.Digest()
+	s.Data[0] ^= 1
+	if c.Digest() == clean {
+		t.Fatal("a write into a sample read before its block moved leaves the digest unchanged")
+	}
+	s.Data[0] ^= 1
+	if c.Digest() != clean {
+		t.Fatal("undoing the write does not restore the digest")
 	}
 }
 
@@ -280,6 +349,54 @@ func TestColumnIsDecidedFromTheDirectory(t *testing.T) {
 					t.Fatalf("%v %s: column differs from the samples' payloads", codec, c.name)
 				}
 			}
+		}
+	}
+}
+
+// TestConcurrentReadsInflateEachBlockOnce: goroutines reading an lz4
+// chunk's samples in different orders, some spanning blocks and some not,
+// with a whole read and Digest among them, each read their bytes, inflate
+// every block exactly once between them, and leave the digest unchanged.
+func TestConcurrentReadsInflateEachBlockOnce(t *testing.T) {
+	const n, size = 40, 3000
+	samples := maskSamples(rand.New(rand.NewSource(13)), n, size)
+	blob, err := LZ4.Encode(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 20; trial++ {
+		c := mustOpen(t, blob)
+		var inflated atomic.Int64
+		c.CountInflated(&inflated)
+		c.SumBlocks()
+		clean := c.Digest()
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < n; k++ {
+					i := (w*17 + k*(2*w+1)) % n
+					if s, err := c.Sample(i); err != nil || !bytes.Equal(s.Data, samples[i].Data) {
+						t.Errorf("sample %d: %v", i, err)
+						return
+					}
+					if k == n/2 && w == trial%4 {
+						if _, err := c.Samples(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					if k%8 == 0 && c.Digest() != clean {
+						t.Error("the digest moved under reads")
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if got := inflated.Load(); got != n*size {
+			t.Fatalf("trial %d: %d bytes inflated, want each of the %d decoded bytes once", trial, got, n*size)
 		}
 	}
 }

@@ -161,28 +161,46 @@ func TestPlanAllocsIndependentOfRows(t *testing.T) {
 // BenchmarkPlan is one epoch's shuffled plan and its primary column's
 // strips, over a column of scalars in chunks of 32 rows, at 4 000 and
 // 256 000 rows: stored-order jobs, and with every group marked media, the
-// batch-windowed jobs a JPEG primary gets.
+// batch-windowed jobs a JPEG primary gets. The strips cases time the
+// primary's strips alone, over the media plan's itinerary: read off it, as
+// the loader plans them, and by the two passes over the rows any other
+// column takes.
 func BenchmarkPlan(b *testing.B) {
+	perRow := func(b *testing.B, n int, f func()) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			f()
+		}
+		b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+	}
 	for _, n := range []int{4000, 256000} {
 		ds := scalarDataset(b, n)
 		v := view.All(ds)
 		x := ds.Tensor("x")
-		for _, media := range []bool{false, true} {
-			b.Run(fmt.Sprintf("rows=%d/media=%v", n, media), func(b *testing.B) {
-				o := Options{BatchSize: 32, Shuffle: true, Seed: 1}.withDefaults()
-				groups := chunkGroups(v, "x")
-				for i := range groups {
-					groups[i].media = media
-				}
-				shard := buildShard(groups, o, 0)
-				b.ReportAllocs()
-				b.ResetTimer()
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
+		o := Options{BatchSize: 32, Shuffle: true, Seed: 1}.withDefaults()
+		var media *epochPlan
+		for _, m := range []bool{false, true} {
+			groups := chunkGroups(v, "x")
+			for i := range groups {
+				groups[i].media = m
+			}
+			shard := buildShard(groups, o, 0)
+			media = buildPlan(v, shard, o, 0)
+			b.Run(fmt.Sprintf("rows=%d/media=%v", n, m), func(b *testing.B) {
+				perRow(b, n, func() {
 					p := buildPlan(v, shard, o, 0)
 					planStrips(v, x, p.groups, true)
-				}
-				b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+				})
+			})
+		}
+		for _, s := range []struct {
+			name    string
+			primary bool
+		}{{"itinerary", true}, {"rows", false}} {
+			b.Run(fmt.Sprintf("rows=%d/strips=%s", n, s.name), func(b *testing.B) {
+				perRow(b, n, func() { planStrips(v, x, media.groups, s.primary) })
 			})
 		}
 	}
