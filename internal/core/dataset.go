@@ -133,7 +133,7 @@ func Create(ctx context.Context, store storage.Provider, name string) (*Dataset,
 	}
 	now := time.Now().UTC()
 	ds := newHandle(store)
-	ds.meta = datasetMeta{Name: name, FormatVersion: FormatVersion, CreatedAt: now}
+	ds.meta = datasetMeta{Name: name, FormatVersion: FormatVersion, CreatedAt: version.Stamp{Time: now}}
 	ds.tree = version.NewTree(now)
 	ds.branch = version.DefaultBranch
 	headNode, err := ds.tree.Head(ds.branch)

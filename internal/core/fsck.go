@@ -25,7 +25,7 @@ const (
 	FsckMissingObject = "missing-object"
 	// FsckMissingChunk: a chunk listed in a version's chunk set is absent,
 	// or a chunk the tensor's encoders reference is bound to no version in
-	// its state's chunk_versions (the issue then names the state object).
+	// its state's chunk→version map (the issue then names the state object).
 	FsckMissingChunk = "missing-chunk"
 	// FsckChecksumMismatch: a stored chunk's bytes fail the CRC32C recorded
 	// in the tensor's checksum manifest, or the manifest records none. The
@@ -211,7 +211,7 @@ func (f *fsckState) versionState(ctx context.Context, vid string) (versionState,
 }
 
 // checkBindings flags every chunk id a tensor's chunk or tile encoder
-// references that the state's chunk_versions binds to no version: the rows
+// references that the state's chunk→version map binds to no version: the rows
 // in such a chunk are unreadable whatever is in storage.
 func (f *fsckState) checkBindings(stateKey, name string, st tensorRootState) {
 	bound := map[uint64]bool{}
@@ -236,7 +236,7 @@ func (f *fsckState) checkBindings(stateKey, name string, st tensorRootState) {
 		if !bound[id] {
 			bound[id] = true // one issue per id
 			f.issue(FsckMissingChunk, stateKey,
-				fmt.Sprintf("tensor %q: chunk %d is referenced by the tensor's encoders but bound to no version in chunk_versions", name, id), nil)
+				fmt.Sprintf("tensor %q: chunk %d is referenced by the tensor's encoders but bound to no version in the chunk→version map", name, id), nil)
 		}
 	}
 }
@@ -280,7 +280,7 @@ func (f *fsckState) checkVersions(ctx context.Context) error {
 					}
 					return err
 				}
-				want, hasDigest := st.Meta.Checksums[chunkName(id)]
+				want, hasDigest := st.Sums.lookup(id)
 				if !hasDigest {
 					f.issue(FsckChecksumMismatch, key, "no digest recorded in the tensor's checksum manifest", nil)
 					continue

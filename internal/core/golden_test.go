@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/storage"
 	"repro/internal/tensor"
+	"repro/internal/version"
 )
 
 // Golden equivalence suite: the flush pipeline must produce a byte-identical
@@ -24,9 +25,9 @@ import (
 func pinClock(ds *Dataset) {
 	fixed := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	ds.now = func() time.Time { return fixed }
-	ds.meta.CreatedAt = fixed
+	ds.meta.CreatedAt = version.Stamp{Time: fixed}
 	for _, n := range ds.tree.Nodes {
-		n.CreatedAt = fixed
+		n.CreatedAt = version.Stamp{Time: fixed}
 	}
 }
 

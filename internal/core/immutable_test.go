@@ -316,7 +316,7 @@ func TestRechunkLeavesOnlyBoundChunks(t *testing.T) {
 		}
 	}
 	assertStoredIsBound(t, mem, n)
-	if sums := len(x.Meta().Checksums); sums != n {
+	if sums := x.savedState.Sums.len(); sums != n {
 		t.Fatalf("the checksum manifest holds %d digests for %d chunks", sums, n)
 	}
 	assertFsckClean(t, mem)

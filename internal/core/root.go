@@ -3,10 +3,11 @@ package core
 import (
 	"context"
 	"encoding"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -47,42 +48,139 @@ type rootFile struct {
 }
 
 // tensorRootState is one tensor's full state in one version. Encoder
-// payloads are their binary marshallings (base64 in JSON).
+// payloads are their binary marshallings, and the two per-chunk structures
+// binary runs (base64 in JSON).
 type tensorRootState struct {
 	Meta     TensorMeta `json:"meta"`
 	ChunkEnc []byte     `json:"chunk_encoder,omitempty"`
 	ShapeEnc []byte     `json:"shape_encoder,omitempty"`
 	TileEnc  []byte     `json:"tile_encoder,omitempty"`
 	SeqEnc   []byte     `json:"sequence_encoder,omitempty"`
+	// Sums is the checksum manifest.
+	Sums chunkSums `json:"chunk_sums,omitempty"`
 	// ChunkVersions is the resolved chunk id → version directory map (§4.2
 	// chunk resolution, done once at write time instead of by walking the
 	// ancestry at open). The chunk_set of §4.2 is the group whose Version is
 	// the state's own.
-	ChunkVersions []chunkVersionGroup `json:"chunk_versions"`
-	Diff          diffRecord          `json:"diff"`
+	ChunkVersions chunkVersionRun `json:"chunk_version_run,omitempty"`
+	Diff          diffRecord      `json:"diff"`
 }
 
 // chunkVersionGroup lists the chunk ids of one tensor whose bytes live in one
 // version directory.
 type chunkVersionGroup struct {
-	Version string   `json:"version"`
-	Chunks  []uint64 `json:"chunks"`
+	Version string
+	Chunks  []uint64
 }
 
-// groupChunkVersions renders a chunk→version map in its stored form: groups
-// ordered by version, ids ascending, so equal maps marshal to equal bytes.
-func groupChunkVersions(m map[uint64]string) []chunkVersionGroup {
+// chunkVersionRun is a chunk→version map in its stored form: groups ordered
+// by version, ids ascending, so equal maps marshal to equal bytes. Stored as
+// one binary run, per group the uvarint length of the version id, its bytes,
+// the uvarint count of its chunks, then the first id and each later id's
+// delta from the one before as uvarints.
+type chunkVersionRun []chunkVersionGroup
+
+// groupChunkVersions renders a chunk→version map in its stored form.
+func groupChunkVersions(m map[uint64]string) chunkVersionRun {
 	byVersion := map[string][]uint64{}
 	for id, vid := range m {
 		byVersion[vid] = append(byVersion[vid], id)
 	}
-	groups := make([]chunkVersionGroup, 0, len(byVersion))
+	groups := make(chunkVersionRun, 0, len(byVersion))
 	for vid, ids := range byVersion {
 		slices.Sort(ids)
 		groups = append(groups, chunkVersionGroup{Version: vid, Chunks: ids})
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Version < groups[j].Version })
 	return groups
+}
+
+func (r chunkVersionRun) MarshalText() ([]byte, error) {
+	var raw []byte
+	for _, g := range r {
+		raw = binary.AppendUvarint(raw, uint64(len(g.Version)))
+		raw = append(raw, g.Version...)
+		raw = binary.AppendUvarint(raw, uint64(len(g.Chunks)))
+		prev := uint64(0)
+		for _, id := range g.Chunks {
+			raw = binary.AppendUvarint(raw, id-prev)
+			prev = id
+		}
+	}
+	return base64.StdEncoding.AppendEncode(nil, raw), nil
+}
+
+// UnmarshalText decodes a stored run, refusing a truncated one, versions
+// that do not strictly ascend, an empty group, and a chunk id that does not
+// strictly ascend in its group or is bound to two versions. No allocation
+// is larger than the run's own bytes allow.
+func (r *chunkVersionRun) UnmarshalText(text []byte) error {
+	raw, err := base64.StdEncoding.AppendDecode(nil, text)
+	if err != nil {
+		return fmt.Errorf("chunk version run: %w", err)
+	}
+	next := func() (uint64, error) {
+		v, n := binary.Uvarint(raw)
+		if n <= 0 {
+			return 0, errors.New("chunk version run: truncated")
+		}
+		raw = raw[n:]
+		return v, nil
+	}
+	var groups chunkVersionRun
+	total := 0
+	for len(raw) > 0 {
+		n, err := next()
+		if err != nil {
+			return err
+		}
+		if n > uint64(len(raw)) {
+			return errors.New("chunk version run: truncated version id")
+		}
+		vid := string(raw[:n])
+		raw = raw[n:]
+		if len(groups) > 0 && vid <= groups[len(groups)-1].Version {
+			return fmt.Errorf("chunk version run: version %q follows %q (versions must strictly ascend)", vid, groups[len(groups)-1].Version)
+		}
+		// Each id takes at least one byte, so the count is checked against
+		// what is left before it sizes anything.
+		if n, err = next(); err != nil {
+			return err
+		}
+		if n == 0 || n > uint64(len(raw)) {
+			return fmt.Errorf("chunk version run: version %q lists %d chunks in %d bytes", vid, n, len(raw))
+		}
+		ids := make([]uint64, n)
+		for i := range ids {
+			d, err := next()
+			if err != nil {
+				return err
+			}
+			if i > 0 {
+				if d == 0 || ids[i-1]+d < ids[i-1] {
+					return fmt.Errorf("chunk version run: version %q: chunk ids must strictly ascend", vid)
+				}
+				d += ids[i-1]
+			}
+			ids[i] = d
+		}
+		groups = append(groups, chunkVersionGroup{Version: vid, Chunks: ids})
+		total += len(ids)
+	}
+	if len(groups) > 1 {
+		all := make([]uint64, 0, total)
+		for _, g := range groups {
+			all = append(all, g.Chunks...)
+		}
+		slices.Sort(all)
+		for i := 1; i < len(all); i++ {
+			if all[i] == all[i-1] {
+				return fmt.Errorf("chunk version run: chunk %d is bound to two versions", all[i])
+			}
+		}
+	}
+	*r = groups
+	return nil
 }
 
 // savedVersionState assembles the durable state of the version the handle is
@@ -218,8 +316,9 @@ func tensorFromState(ds *Dataset, name string, st tensorRootState) (*Tensor, err
 	if err != nil {
 		return nil, err
 	}
-	// The record's manifest stays frozen (twins share it); the live one grows.
-	t.meta.Checksums = maps.Clone(st.Meta.Checksums)
+	// The record's manifest stays frozen (twins share it): clipped, the
+	// live one appends into a fresh array.
+	t.sums = st.Sums[:len(st.Sums):len(st.Sums)]
 	for blob, enc := range map[*[]byte]encoding.BinaryUnmarshaler{
 		&st.ChunkEnc: t.chunkEnc,
 		&st.ShapeEnc: t.shapeEnc,
@@ -234,6 +333,11 @@ func tensorFromState(ds *Dataset, name string, st tensorRootState) (*Tensor, err
 		}
 	}
 	t.diff = st.Diff
+	bound := 0
+	for _, g := range st.ChunkVersions {
+		bound += len(g.Chunks)
+	}
+	t.chunkVersion = make(map[uint64]string, bound)
 	for _, g := range st.ChunkVersions {
 		for _, id := range g.Chunks {
 			t.chunkVersion[id] = g.Version
@@ -243,21 +347,24 @@ func tensorFromState(ds *Dataset, name string, st tensorRootState) (*Tensor, err
 	return t, nil
 }
 
-// seedChecksums registers every chunk's recorded CRC32C with a
-// storage.Verify layer in the provider chain (a no-op when none is stacked),
-// and tallies coverage for IntegrityInfo. writeChunk records a digest for
-// every chunk it stores; one without is a fault fsck names.
+// seedChecksums registers every resolved chunk's recorded CRC32C with the
+// layers of the provider chain that check digests (storage.Verify, the disk
+// tier). A chain with none gets no keys built for it. writeChunk records a
+// digest for every chunk it stores; one without is a fault fsck names.
 func (ds *Dataset) seedChecksums() {
+	ds.integrity.SeededDigests = 0
+	if !storage.TakesDigests(ds.store) {
+		return
+	}
 	digests := map[string]uint32{}
 	for _, name := range ds.order {
 		t := ds.tensors[name]
 		for id, vid := range t.chunkVersion {
-			if crc, ok := t.meta.Checksums[chunkName(id)]; ok {
+			if crc, ok := t.sums.lookup(id); ok {
 				digests[chunkKey(vid, t.name, id)] = crc
 			}
 		}
 	}
-	ds.integrity.ChunksWithChecksum = len(digests)
 	ds.integrity.SeededDigests = storage.SeedDigests(ds.store, digests)
 }
 
@@ -268,10 +375,12 @@ type IntegrityInfo struct {
 	// Generation is the published generation this handle opened at (0 for
 	// the handle that created the dataset in this process).
 	Generation uint64
-	// ChunksWithChecksum counts resolved chunks with a recorded CRC32C.
+	// ChunksWithChecksum counts the handle's resolved chunks with a
+	// recorded CRC32C.
 	ChunksWithChecksum int
-	// SeededDigests is how many digests were handed to a storage.Verify
-	// layer at load time (0 when the provider chain has none).
+	// SeededDigests is how many digests were handed to the layers that
+	// check them (storage.Verify, the disk tier) at load time: 0 when the
+	// provider chain has none.
 	SeededDigests int
 }
 
@@ -279,7 +388,18 @@ type IntegrityInfo struct {
 func (ds *Dataset) Integrity() IntegrityInfo {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
-	return ds.integrity
+	info := ds.integrity
+	for _, name := range ds.order {
+		t := ds.tensors[name]
+		t.mu.RLock()
+		for i := range t.sums.len() {
+			if _, ok := t.chunkVersion[t.sums.id(i)]; ok {
+				info.ChunksWithChecksum++
+			}
+		}
+		t.mu.RUnlock()
+	}
+	return info
 }
 
 // parseChunkName inverts chunkName; ok is false for malformed names.

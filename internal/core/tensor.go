@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"sync"
 
 	"repro/internal/chunk"
@@ -51,6 +50,9 @@ type Tensor struct {
 	// the version's state. The ids bound to ds.head are this version's
 	// chunk set.
 	chunkVersion map[uint64]string
+	// sums is the live checksum manifest; see chunkSums for how it is
+	// shared with savedState.
+	sums chunkSums
 
 	diff diffRecord
 
@@ -213,11 +215,10 @@ func (t *Tensor) allocChunkID() uint64 {
 }
 
 // snapshotState captures the tensor's live state as a state record. The
-// Checksums map is deep-copied: the live map keeps growing as chunks are
-// written, while the snapshot must stay frozen at seal time.
+// manifest is shared, clipped to its length: the live run only appends past
+// it or is replaced by a copy, so the snapshot stays frozen at seal time.
 func (t *Tensor) snapshotState() (tensorRootState, error) {
-	st := tensorRootState{Meta: t.meta, Diff: t.diff}
-	st.Meta.Checksums = maps.Clone(t.meta.Checksums)
+	st := tensorRootState{Meta: t.meta, Diff: t.diff, Sums: t.sums[:len(t.sums):len(t.sums)]}
 	var err error
 	if st.ChunkEnc, err = t.chunkEnc.MarshalBinary(); err != nil {
 		return st, err
@@ -272,10 +273,7 @@ func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
 	// Record the stored object's CRC32C in the checksum manifest before the
 	// bytes go out: the digest describes the blob we hand to storage, so
 	// even a parked-and-redriven upload lands bytes matching the manifest.
-	if t.meta.Checksums == nil {
-		t.meta.Checksums = map[string]uint32{}
-	}
-	t.meta.Checksums[chunkName(id)] = storage.Checksum(blob)
+	t.sums = t.sums.with(id, storage.Checksum(blob))
 	// The pipeline records the blob even when enqueue errors (sticky
 	// failure or cancelled backpressure wait): the bytes stay readable and a
 	// later flush redrives them. Bind the id regardless so tensor state stays
@@ -313,13 +311,17 @@ func (t *Tensor) unbindDropped() {
 		named[id] = true
 	}
 	cache := t.ds.chunks.Load()
+	var gone map[uint64]bool
 	for id, vid := range t.chunkVersion {
 		if named[id] {
 			continue
 		}
 		key := chunkKey(vid, t.name, id)
 		delete(t.chunkVersion, id)
-		delete(t.meta.Checksums, chunkName(id))
+		if gone == nil {
+			gone = map[uint64]bool{}
+		}
+		gone[id] = true
 		if cache != nil {
 			cache.table.Remove(ChunkKey{scope: t.ds.scope, obj: key})
 		}
@@ -328,6 +330,10 @@ func (t *Tensor) unbindDropped() {
 		} else if vid == t.ds.head {
 			t.ds.collect = append(t.ds.collect, key)
 		}
+	}
+	if gone != nil {
+		// A copy: snapshots and twins share the live run's records.
+		t.sums = t.sums.without(gone)
 	}
 }
 

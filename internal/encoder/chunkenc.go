@@ -25,7 +25,7 @@ type ChunkEncoder struct {
 	rows []chunkRow
 	// seen indexes registered chunk ids so Append's duplicate check is
 	// O(1); the previous full-row scan made N-chunk ingestion O(N²).
-	// Lazily rebuilt from rows when nil (zero-value encoders).
+	// Lazily rebuilt from rows when nil (zero-value or loaded encoders).
 	seen map[uint64]struct{}
 }
 
@@ -199,8 +199,9 @@ func (e *ChunkEncoder) UnmarshalBinary(data []byte) error {
 			return errors.New("encoder: non-monotone chunk encoder rows")
 		}
 	}
+	// The id index is built by the first write that needs it: a loaded
+	// encoder is mostly only read.
 	e.rows = rows
 	e.seen = nil
-	e.ensureSeen()
 	return nil
 }

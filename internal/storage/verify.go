@@ -362,7 +362,7 @@ func (v *Verify) Delete(ctx context.Context, key string) error {
 func SeedDigests(p Provider, digests map[string]uint32) int {
 	seeded := 0
 	walkChain(p, func(p Provider) bool {
-		if s, ok := p.(interface{ SeedDigest(key string, crc uint32) }); ok {
+		if s, ok := p.(digestTaker); ok {
 			for key, crc := range digests {
 				s.SeedDigest(key, crc)
 			}
@@ -372,6 +372,21 @@ func SeedDigests(p Provider, digests map[string]uint32) int {
 	})
 	return seeded
 }
+
+// TakesDigests reports whether any layer of the provider chain rooted at p
+// accepts seeded digests (see SeedDigests), so a caller can skip building
+// them for a chain that would drop them all.
+func TakesDigests(p Provider) bool {
+	takes := false
+	walkChain(p, func(p Provider) bool {
+		_, takes = p.(digestTaker)
+		return !takes
+	})
+	return takes
+}
+
+// digestTaker is a layer SeedDigests registers digests with.
+type digestTaker interface{ SeedDigest(key string, crc uint32) }
 
 // Evict drops key from every cache layer in the provider chain rooted at p
 // that can purge a single entry — one with an Evict(key) method: LRU, which

@@ -270,3 +270,27 @@ func TestEvictWalksChain(t *testing.T) {
 		t.Fatalf("post-evict read = %q, want fresh bytes", got)
 	}
 }
+
+// TestTakesDigestsFindsTheCheckingLayer: a chain takes seeded digests only
+// when a layer below its top checks them.
+func TestTakesDigestsFindsTheCheckingLayer(t *testing.T) {
+	mem := NewMemory()
+	disk, err := NewDisk(mem, t.TempDir(), DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		chain Provider
+		want  bool
+	}{
+		{"memory", mem, false},
+		{"lru over counting", NewLRU(NewCounting(mem), 1<<20), false},
+		{"lru over verify", NewLRU(NewVerify(NewCounting(mem), VerifyOptions{}), 1<<20), true},
+		{"lru over disk", NewLRU(disk, 1<<20), true},
+	} {
+		if got := TakesDigests(c.chain); got != c.want {
+			t.Errorf("%s: TakesDigests = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

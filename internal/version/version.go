@@ -31,12 +31,33 @@ type Node struct {
 	// Message is the commit message (set when committed).
 	Message string `json:"message,omitempty"`
 	// CreatedAt is when the node was created.
-	CreatedAt time.Time `json:"created_at"`
+	CreatedAt Stamp `json:"created_at"`
 	// CommittedAt is when the node was frozen; zero while mutable.
-	CommittedAt time.Time `json:"committed_at,omitempty"`
+	CommittedAt Stamp `json:"committed_at"`
 	// Committed marks an immutable snapshot. Exactly one uncommitted
 	// node exists per branch: its head.
 	Committed bool `json:"committed"`
+}
+
+// Stamp is a persisted time. Its JSON has a fixed width: RFC 3339 in UTC
+// with all nine fractional digits, where time.Time's own drops trailing
+// zeros, so the same operations at different instants store objects of the
+// same length. It reads back through time.Time's UnmarshalJSON.
+type Stamp struct{ time.Time }
+
+func (s Stamp) MarshalJSON() ([]byte, error) {
+	t := s.UTC()
+	if y := t.Year(); y < 0 || y > 9999 {
+		return nil, fmt.Errorf("version: time %v is outside years 0-9999", t)
+	}
+	// RFC3339, whole seconds, takes time's fast formatting path; the
+	// fraction goes before its closing "Z".
+	b := t.AppendFormat(append(make([]byte, 0, 32), '"'), time.RFC3339)
+	b = append(b[:len(b)-1], ".000000000"...)
+	for i, ns := len(b)-1, t.Nanosecond(); ns > 0; i, ns = i-1, ns/10 {
+		b[i] = byte('0' + ns%10)
+	}
+	return append(b, 'Z', '"'), nil
 }
 
 // Tree is the branching version-control tree stored at the dataset root.
@@ -63,7 +84,7 @@ func (t *Tree) newNode(parent, branch string, now time.Time) *Node {
 		ID:        fmt.Sprintf("v%08d", t.Counter),
 		Parent:    parent,
 		Branch:    branch,
-		CreatedAt: now,
+		CreatedAt: Stamp{now},
 	}
 	t.Nodes[n.ID] = n
 	return n
@@ -113,7 +134,7 @@ func (t *Tree) Commit(branch, message string, now time.Time) (committed, newHead
 	}
 	head.Committed = true
 	head.Message = message
-	head.CommittedAt = now
+	head.CommittedAt = Stamp{now}
 	child := t.newNode(head.ID, branch, now)
 	t.Heads[branch] = child.ID
 	return head, child, nil

@@ -1,6 +1,7 @@
 package version
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -186,5 +187,33 @@ func TestDeterministicIDs(t *testing.T) {
 	bh, _ := b.Head("main")
 	if ah.ID != bh.ID {
 		t.Fatalf("ids differ across fresh trees: %q vs %q", ah.ID, bh.ID)
+	}
+}
+
+// TestStampHasAFixedWidth: every time marshals to RFC 3339 in UTC with nine
+// fractional digits and reads back equal.
+func TestStampHasAFixedWidth(t *testing.T) {
+	base := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	for _, c := range []struct {
+		at   time.Time
+		want string
+	}{
+		{time.Time{}, `"0001-01-01T00:00:00.000000000Z"`},
+		{base, `"2026-01-02T03:04:05.000000000Z"`},
+		{base.Add(120 * time.Millisecond), `"2026-01-02T03:04:05.120000000Z"`},
+		{base.Add(7), `"2026-01-02T03:04:05.000000007Z"`},
+		{base.Add(123456789).In(time.FixedZone("x", -7*3600)), `"2026-01-02T03:04:05.123456789Z"`},
+	} {
+		raw, err := json.Marshal(Stamp{c.at})
+		if err != nil || string(raw) != c.want {
+			t.Fatalf("Stamp(%v) = %s, %v; want %s", c.at, raw, err, c.want)
+		}
+		var back Stamp
+		if err := json.Unmarshal(raw, &back); err != nil || !back.Equal(c.at) {
+			t.Fatalf("%s reads back %v, %v; want %v", raw, back, err, c.at)
+		}
+	}
+	if _, err := json.Marshal(Stamp{time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)}); err == nil {
+		t.Fatal("a year past 9999 marshalled")
 	}
 }
