@@ -41,8 +41,8 @@ type ChunkCache struct {
 //
 // No entry goes stale: an object key is written once, and a rewrite of a
 // chunk's rows (SetAt, Rechunk, a tensor recreated under a deleted one's name)
-// takes a fresh key. The handle's cache drops the entries its seals unbind
-// (Tensor.unbindDropped); any other cache ages them out.
+// takes a fresh key. The handle's cache drops the entries of the chunks it
+// retires (Tensor.retire); any other cache ages them out.
 type ChunkKey struct {
 	scope uint64
 	obj   string

@@ -95,11 +95,11 @@ type Dataset struct {
 	// chunks is the handle's decoded-chunk cache, nil until the first read
 	// of a landed chunk.
 	chunks atomic.Pointer[ChunkCache]
-	// superseded and collect are the chunks the next root lists and the next
-	// publish deletes (see publish); deletedNext maps a deleted tensor's name
-	// to its NextChunkID, where a tensor created under it starts. Under ds.mu.
+	// superseded and collect are the retired chunks the next root lists and
+	// the next publish deletes (see publish, Tensor.retire); deleted is the
+	// head schema's tombstones (schemaFile.Deleted). Under ds.mu.
 	superseded, collect []string
-	deletedNext         map[string]uint64
+	deleted             map[string]uint64
 
 	// now supplies timestamps; replaceable in tests.
 	now func() time.Time
@@ -151,12 +151,11 @@ func Create(ctx context.Context, store storage.Provider, name string) (*Dataset,
 // its flush pipeline.
 func newHandle(store storage.Provider) *Dataset {
 	return &Dataset{
-		store:       store,
-		flusher:     newFlushPipeline(store, 0),
-		tensors:     map[string]*Tensor{},
-		deletedNext: map[string]uint64{},
-		now:         func() time.Time { return time.Now().UTC() },
-		scope:       scopeCounter.Add(1),
+		store:   store,
+		flusher: newFlushPipeline(store, 0),
+		tensors: map[string]*Tensor{},
+		now:     func() time.Time { return time.Now().UTC() },
+		scope:   scopeCounter.Add(1),
 	}
 }
 
@@ -242,13 +241,18 @@ func (ds *Dataset) CreateTensor(ctx context.Context, spec TensorSpec) (*Tensor, 
 	}
 	// Publish a generation covering the schema change so a process that
 	// opens the dataset without an intervening Flush still sees the new
-	// tensor. Roll back on failure: a staged root is harmless garbage and
-	// the call can be retried.
+	// tensor, whose NextChunkID now carries its name's tombstone. Roll back
+	// on failure: a staged root is harmless garbage and the call can be retried.
 	ds.tensors[spec.Name] = t
 	ds.order = append(ds.order, spec.Name)
+	next, tombstoned := ds.deleted[spec.Name]
+	delete(ds.deleted, spec.Name)
 	if err := ds.persistRoot(ctx); err != nil {
 		delete(ds.tensors, spec.Name)
 		ds.order = ds.order[:len(ds.order)-1]
+		if tombstoned {
+			ds.deleted[spec.Name] = next
+		}
 		return nil, err
 	}
 	return t, nil
@@ -256,7 +260,9 @@ func (ds *Dataset) CreateTensor(ctx context.Context, spec TensorSpec) (*Tensor, 
 
 // DeleteTensor removes a tensor from the current working version's schema.
 // Historical commits keep the tensor (schema evolution is version-tracked,
-// §2.4(3)/§3.1); its chunks in ancestor versions remain untouched.
+// §2.4(3)/§3.1); its chunks in ancestor versions remain untouched. Its head
+// chunks are retired (Tensor.retire), and the schema keeps its NextChunkID as
+// a tombstone, where a tensor recreated under the name starts.
 func (ds *Dataset) DeleteTensor(ctx context.Context, name string) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -267,35 +273,30 @@ func (ds *Dataset) DeleteTensor(ctx context.Context, name string) error {
 	if !ok {
 		return fmt.Errorf("core: tensor %q does not exist", name)
 	}
-	// Land every queued AND parked upload before listing this tensor's
-	// keys, so neither a background Put nor a later flush's redrive
-	// resurrects an object after the delete.
+	// Land every queued AND parked upload first, so no later seal redrives
+	// one of this tensor's chunks after its collection.
 	if err := ds.flusher.land(ctx); err != nil {
 		return err
 	}
-	// Publish, then collect: the schema without the tensor goes out first,
-	// so a crash in between leaves only chunks no published root lists (fsck
-	// names them orphan-chunk). Roll back on failure, as CreateTensor does.
+	superseded := ds.superseded
+	ds.superseded = slices.Clip(superseded) // appends leave superseded as it is
+	for id, vid := range t.chunkVersion {
+		t.retire(id, vid, chunkKey(vid, name, id), t.meta.NextChunkID)
+	}
 	at := slices.Index(ds.order, name)
 	delete(ds.tensors, name)
 	ds.order = slices.Delete(ds.order, at, at+1)
+	if ds.deleted == nil {
+		ds.deleted = map[string]uint64{}
+	}
+	ds.deleted[name] = t.meta.NextChunkID
+	// Roll back on failure, as CreateTensor does.
 	if err := ds.persistRoot(ctx); err != nil {
 		ds.tensors[name] = t
 		ds.order = slices.Insert(ds.order, at, name)
+		ds.superseded = superseded
+		delete(ds.deleted, name)
 		return err
-	}
-	ds.deletedNext[name] = t.meta.NextChunkID
-	// Chunks written in this head are garbage; ancestors keep theirs. The
-	// collection is best-effort: whatever a failed List or Delete leaves,
-	// fsck names and repairs as orphan-chunk. The prefix also matches the
-	// chunks of a tensor named "<name>/chunks", so only direct chunk names
-	// are this tensor's.
-	prefix := tensorPrefix(ds.head, name) + "/chunks/"
-	keys, _ := ds.store.List(ctx, prefix)
-	for _, key := range keys {
-		if _, ok := parseChunkName(strings.TrimPrefix(key, prefix)); ok {
-			_ = ds.store.Delete(ctx, key)
-		}
 	}
 	return nil
 }
@@ -343,9 +344,6 @@ func (ds *Dataset) NumRows() uint64 {
 			n = l
 			first = false
 		}
-	}
-	if first {
-		return 0
 	}
 	return n
 }
@@ -564,10 +562,10 @@ func (ds *Dataset) persistRoot(ctx context.Context) error {
 // pipeline holds sent the rest as uploads returned, so round 1 then takes more
 // than one round trip. Round 2, only once every round-1 step succeeded, Puts
 // the root under the next generation's roots/ key, its superseded list naming
-// the chunks the seals unbound that the published root may name. Beside it, on
-// at most lanes goroutines, it deletes best-effort the snapshot two generations
-// back and collect: the chunks only that snapshot names, and unbound ones no
-// root names. The root Put is the commit point, since the
+// the retired chunks (Tensor.retire) the published root may name. Beside it,
+// on at most lanes goroutines, it deletes best-effort the snapshot two
+// generations back and collect: the chunks only that snapshot names, and
+// retired ones no root names. The root Put is the commit point, since the
 // newest root is the published one and a Put replaces a whole object
 // atomically (FS providers rename into place). That is the one ordering crash
 // consistency needs: everything the root references is durable before the root

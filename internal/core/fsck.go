@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -245,6 +244,12 @@ func (f *fsckState) checkBindings(stateKey, name string, st tensorRootState) {
 // reference must be bound to a version, referenced chunks must exist and
 // match their recorded CRC32C, and stored chunks must be referenced.
 func (f *fsckState) checkVersions(ctx context.Context) error {
+	// kept holds the chunk keys the root lists as superseded, and those each
+	// version's chunk set references as the walk reaches them.
+	kept := make(map[string]bool, len(f.root.Superseded))
+	for _, key := range f.root.Superseded {
+		kept[key] = true
+	}
 	vids := make([]string, 0, len(f.tree.Nodes))
 	for vid := range f.tree.Nodes {
 		vids = append(vids, vid)
@@ -257,7 +262,6 @@ func (f *fsckState) checkVersions(ctx context.Context) error {
 		}
 		// Per tensor in the version's schema, its chunk set: the ids its
 		// state binds to itself.
-		referenced := make(map[string]map[uint64]bool, len(vs.Schema.Tensors))
 		for _, name := range vs.Schema.Tensors {
 			st := vs.Tensors[name]
 			f.checkBindings(stateKey, name, st)
@@ -267,10 +271,9 @@ func (f *fsckState) checkVersions(ctx context.Context) error {
 					ids = append(ids, g.Chunks...)
 				}
 			}
-			referenced[name] = make(map[uint64]bool, len(ids))
 			for _, id := range ids {
-				referenced[name][id] = true
 				key := chunkKey(vid, name, id)
+				kept[key] = true
 				f.rep.ObjectsChecked++
 				raw, err := f.store.Get(ctx, key)
 				if err != nil {
@@ -293,28 +296,28 @@ func (f *fsckState) checkVersions(ctx context.Context) error {
 				f.rep.ChunksVerified++
 			}
 		}
-		// Stored chunks no chunk set of this version references, including
-		// those of tensors its schema no longer has (a DeleteTensor that
-		// published and died before collecting). Group tensor names contain
-		// "/", so the name runs up to the last /chunks/.
+		// Stored chunks no chunk set of this version references and the root
+		// does not list as superseded, including those of tensors its schema
+		// no longer has. Group tensor names contain "/", so the name runs up
+		// to the last /chunks/.
 		prefix := versionPrefix(vid) + "/tensors/"
 		keys, err := f.store.List(ctx, prefix)
 		if err != nil {
 			return err
 		}
 		for _, key := range keys {
-			name, id := strings.TrimPrefix(key, prefix), ""
+			if kept[key] {
+				continue
+			}
+			name := strings.TrimPrefix(key, prefix)
 			if i := strings.LastIndex(name, "/chunks/"); i >= 0 {
-				name, id = name[:i], name[i+len("/chunks/"):]
+				name = name[:i]
 			}
 			detail := "stored but not referenced by the version's chunk set (e.g. uploaded for a generation that was never published)"
-			chunks, inSchema := referenced[name]
-			if !inSchema {
-				detail = fmt.Sprintf("stored for tensor %q, which the version's schema does not have (e.g. deleted before its chunks were collected)", name)
+			if _, inSchema := vs.Tensors[name]; !inSchema {
+				detail = fmt.Sprintf("stored for tensor %q, which the version's schema does not have (a collection delete failed or was cut short)", name)
 			}
-			if n, ok := parseChunkName(id); (!ok || !chunks[n]) && !slices.Contains(f.root.Superseded, key) {
-				f.issue(FsckOrphanChunk, key, detail, f.deleteFix(key))
-			}
+			f.issue(FsckOrphanChunk, key, detail, f.deleteFix(key))
 		}
 	}
 	return nil

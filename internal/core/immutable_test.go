@@ -65,15 +65,7 @@ func TestCrashPointEnumerationUpdates(t *testing.T) {
 // version directory, and the ones the published root binds there, sorted.
 func headChunks(t *testing.T, store storage.Provider) (stored, bound []string) {
 	t.Helper()
-	ctx := context.Background()
-	gen, err := publishedGeneration(ctx, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := loadRoot(ctx, store, gen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := publishedRoot(t, store)
 	for name, st := range root.Tensors {
 		for _, g := range st.ChunkVersions {
 			if g.Version != root.Head {
@@ -84,7 +76,7 @@ func headChunks(t *testing.T, store storage.Provider) (stored, bound []string) {
 			}
 		}
 	}
-	keys, err := store.List(ctx, versionPrefix(root.Head)+"/tensors/")
+	keys, err := store.List(context.Background(), versionPrefix(root.Head)+"/tensors/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +107,8 @@ func assertFsckClean(t *testing.T, store storage.Provider) {
 	}
 }
 
-// publishedSuperseded is the superseded list of the published root.
-func publishedSuperseded(t *testing.T, store storage.Provider) []string {
+// publishedRoot loads the published root of store.
+func publishedRoot(t *testing.T, store storage.Provider) *rootFile {
 	t.Helper()
 	ctx := context.Background()
 	gen, err := publishedGeneration(ctx, store)
@@ -127,7 +119,13 @@ func publishedSuperseded(t *testing.T, store storage.Provider) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return root.Superseded
+	return root
+}
+
+// publishedSuperseded is the superseded list of the published root.
+func publishedSuperseded(t *testing.T, store storage.Provider) []string {
+	t.Helper()
+	return publishedRoot(t, store).Superseded
 }
 
 // TestReaderKeepsItsGenerationUntilCollected: a handle that opened

@@ -13,14 +13,16 @@ import (
 )
 
 // FormatVersion is bumped on incompatible dataset layout changes; Open
-// refuses a root carrying any other. Version 4 stores each tensor state's
-// checksum manifest and chunk→version map as binary runs (chunkSums,
-// chunkVersionRun) and every time at a fixed width (version.Stamp).
+// refuses a root carrying any other. Version 5 adds the schema's tombstones
+// (schemaFile.Deleted), which a version-4 reader would drop. Version 4
+// stores each tensor state's checksum manifest and chunk→version map as
+// binary runs (chunkSums, chunkVersionRun) and every time at a fixed width
+// (version.Stamp).
 // Version 3 stores only roots/ and versions/: the newest root is the
 // published one. Version 2 also kept a dataset.json pointer, and its roots/
 // could hold a staged root whose chunks never landed, so listing it would
 // open garbage. Version 1 spread a version's state over per-tensor objects.
-const FormatVersion = 4
+const FormatVersion = 5
 
 // TensorSpec declares a new tensor column (§3.2-3.3).
 type TensorSpec struct {
@@ -158,9 +160,11 @@ type datasetMeta struct {
 }
 
 // schemaFile lists the tensors of one version (schema evolution is tracked
-// per version, §3.1).
+// per version, §3.1). Deleted maps a deleted tensor's name to its NextChunkID
+// (a tombstone), where a tensor recreated under the name starts.
 type schemaFile struct {
-	Tensors []string `json:"tensors"`
+	Tensors []string          `json:"tensors"`
+	Deleted map[string]uint64 `json:"deleted,omitempty"`
 }
 
 // diffRecord is the per-tensor, per-version commit diff (§4.2: "for each

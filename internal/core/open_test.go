@@ -499,10 +499,11 @@ func TestDamagedRunsAreRefusedByName(t *testing.T) {
 	}
 }
 
-// TestFormat3RootIsRefusedByVersion: a root in the previous layout, with
-// the manifest as a JSON map and the chunk map as number arrays, is refused
-// by its format version, not parsed or called corrupt.
-func TestFormat3RootIsRefusedByVersion(t *testing.T) {
+// TestFormat4RootIsRefusedByVersion: a root of the previous format, the
+// current layout without the schema's tombstones, is refused by its format
+// version: a format-4 reader would drop them and reuse a deleted tensor's
+// keys.
+func TestFormat4RootIsRefusedByVersion(t *testing.T) {
 	ctx := context.Background()
 	mem := chunkedInts(t, 2)
 	gen, err := publishedGeneration(ctx, mem)
@@ -514,15 +515,14 @@ func TestFormat3RootIsRefusedByVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := strings.Replace(string(raw), fmt.Sprintf(`"format_version":%d`, FormatVersion), `"format_version":3`, 1)
-	old = strings.Replace(old, `"length":16}`, `"length":16,"checksums":{"0000000000000000":1,"0000000000000001":2}},"chunk_versions":[{"version":"v00000001","chunks":[0,1]}]`, 1)
-	if !strings.Contains(old, `"chunk_versions"`) || !strings.Contains(old, `"format_version":3`) {
+	old := strings.Replace(string(raw), fmt.Sprintf(`"format_version":%d`, FormatVersion), `"format_version":4`, 1)
+	if !strings.Contains(old, `"format_version":4`) || strings.Contains(old, `"deleted"`) {
 		t.Fatalf("%s is not in the expected shape: %s", key, raw)
 	}
 	if err := mem.Put(ctx, key, []byte(old)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(ctx, mem); err == nil || !strings.Contains(err.Error(), key+": unsupported format version 3") {
-		t.Fatalf("Open = %v, want format version 3 refused naming %s", err, key)
+	if _, err := Open(ctx, mem); err == nil || !strings.Contains(err.Error(), key+": unsupported format version 4") {
+		t.Fatalf("Open = %v, want format version 4 refused naming %s", err, key)
 	}
 }

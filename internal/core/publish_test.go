@@ -73,7 +73,9 @@ func publishScript(ctx context.Context, store storage.Provider, opts WriteOption
 }
 
 // deleteTensorScript runs publishScript, then CreateTensor → append → Flush
-// → DeleteTensor → Flush on a group tensor, whose name contains "/".
+// → DeleteTensor → Flush on a group tensor, whose name contains "/"; then a
+// second handle opens, recreates the tensor with other values, appends and
+// flushes.
 func deleteTensorScript(ctx context.Context, store storage.Provider, opts WriteOptions) (*Dataset, error) {
 	ds, err := publishScript(ctx, store, opts)
 	if err != nil {
@@ -95,7 +97,25 @@ func deleteTensorScript(ctx context.Context, store storage.Provider, opts WriteO
 	if err := ds.DeleteTensor(ctx, name); err != nil {
 		return nil, err
 	}
-	return ds, ds.Flush(ctx)
+	if err := ds.Flush(ctx); err != nil {
+		return nil, err
+	}
+	other, err := Open(ctx, store)
+	if err != nil {
+		return nil, err
+	}
+	if err := other.SetWriteOptions(opts); err != nil {
+		return nil, err
+	}
+	if extra, err = other.CreateTensor(ctx, TensorSpec{Name: name, Dtype: tensor.Int64, Bounds: smallBounds}); err != nil {
+		return nil, err
+	}
+	for i := 0; i < 40; i++ {
+		if err := extra.Append(ctx, tensor.Scalar(tensor.Int64, float64(-i))); err != nil {
+			return nil, err
+		}
+	}
+	return other, other.Flush(ctx)
 }
 
 // rowsOf renders the branch and every row of every tensor (hidden ones
@@ -133,9 +153,9 @@ func TestCrashPointEnumeration(t *testing.T) {
 }
 
 // TestCrashPointEnumerationDeleteTensor runs the same enumeration over a
-// script that ends in deleting a tensor: a kill between DeleteTensor's
-// publish and its collection leaves the tensor's chunks, which no published
-// root lists, and fsck must name them as repairable orphans.
+// script that deletes a tensor and recreates it on a second handle. The
+// delete's root lists the tensor's chunks as superseded, so a kill after it
+// leaves no orphans of them, and the recreated tensor writes fresh keys.
 func TestCrashPointEnumerationDeleteTensor(t *testing.T) {
 	t.Run("one-lane", func(t *testing.T) { enumerateCrashPoints(t, deleteTensorScript, WriteOptions{FlushWorkers: 1}) })
 	t.Run("default-lanes", func(t *testing.T) { enumerateCrashPoints(t, deleteTensorScript, WriteOptions{}) })
@@ -916,10 +936,11 @@ func TestPublishRushesItsOwnSeal(t *testing.T) {
 }
 
 // TestDeleteTensorPublishesThenCollects: DeleteTensor publishes the schema
-// without the tensor before it deletes anything. A failed publish leaves the
-// tensor open, readable and stored; a writer killed after the publish leaves
-// only chunks of a tensor the schema no longer has, which fsck names as
-// repairable orphans — the group name up to its last /chunks/ included.
+// without the tensor and lists its head chunks as superseded; the next
+// publish deletes them. A failed publish leaves the tensor open, readable
+// and stored; a writer killed before the next publish leaves a root that
+// lists the chunks, so fsck finds nothing and the reopened handle's next
+// publish collects them.
 func TestDeleteTensorPublishesThenCollects(t *testing.T) {
 	ctx := context.Background()
 	const name = "group/b"
@@ -949,6 +970,16 @@ func TestDeleteTensorPublishesThenCollects(t *testing.T) {
 		}
 		return keys
 	}
+	// listed fails unless the published root lists every key as superseded.
+	listed := func(t *testing.T, mem *storage.Memory, keys []string) {
+		t.Helper()
+		superseded := publishedSuperseded(t, mem)
+		for _, key := range keys {
+			if !slices.Contains(superseded, key) {
+				t.Fatalf("the published root does not list %s as superseded: %v", key, superseded)
+			}
+		}
+	}
 
 	t.Run("publish fails", func(t *testing.T) {
 		mem := storage.NewMemory()
@@ -965,54 +996,59 @@ func TestDeleteTensorPublishesThenCollects(t *testing.T) {
 		if got := ds.AllTensors(); fmt.Sprint(got) != fmt.Sprint([]string{"a", name}) || ds.Tensor(name).Len() != 60 {
 			t.Fatalf("failed DeleteTensor left tensors %v", got)
 		}
+		for row := uint64(0); row < 60; row++ {
+			if _, err := ds.Tensor(name).At(ctx, row); err != nil {
+				t.Fatalf("failed DeleteTensor left %s[%d] unreadable: %v", name, row, err)
+			}
+		}
 		if after := stored(t, mem, ds); len(after) != len(before) {
 			t.Fatalf("failed DeleteTensor deleted %d of %d chunks", len(before)-len(after), len(before))
 		}
 		if err := ds.DeleteTensor(ctx, name); err != nil {
 			t.Fatal(err)
 		}
-		if ds.Tensor(name) != nil || mustOpen(t, mem).Tensor(name) != nil || len(stored(t, mem, ds)) != 0 {
-			t.Fatalf("retried DeleteTensor left the tensor or its chunks behind")
+		if ds.Tensor(name) != nil || mustOpen(t, mem).Tensor(name) != nil {
+			t.Fatalf("retried DeleteTensor left the tensor behind")
 		}
-		if rep, err := Fsck(ctx, mem, FsckOptions{}); err != nil || len(rep.Issues) != 0 {
-			t.Fatalf("fsck: %v\n%s", err, rep.Format())
+		if after := stored(t, mem, ds); !slices.Equal(after, before) {
+			t.Fatalf("retried DeleteTensor left %d of %d chunks, want all until the next publish", len(after), len(before))
 		}
+		listed(t, mem, before)
+		assertFsckClean(t, mem)
+		if err := ds.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if after := stored(t, mem, ds); len(after) != 0 {
+			t.Fatalf("the next publish left %d of %d chunks", len(after), len(before))
+		}
+		assertFsckClean(t, mem)
 	})
 
-	t.Run("killed before collecting", func(t *testing.T) {
+	t.Run("killed before the next publish", func(t *testing.T) {
 		mem := storage.NewMemory()
 		g := &guillotine{Provider: mem}
 		ds := setup(t, g)
 		leftover := stored(t, mem, ds)
-		g.killAt = func(_ int, key string) bool { return strings.Contains(key, "/chunks/") }
 		if err := ds.DeleteTensor(ctx, name); err != nil {
-			t.Fatalf("collection is best-effort, yet DeleteTensor reported %v", err)
-		}
-		if back := mustOpen(t, mem); back.Tensor(name) != nil || back.Tensor("a").Len() != 60 {
-			t.Fatalf("reopened with tensors %v", back.AllTensors())
-		}
-		rep, err := Fsck(ctx, mem, FsckOptions{})
-		if err != nil {
 			t.Fatal(err)
 		}
-		orphans := map[string]bool{}
-		for _, i := range rep.Issues {
-			if i.Kind != FsckOrphanChunk || !i.Repairable || !strings.Contains(i.Detail, fmt.Sprintf("%q", name)) {
-				t.Fatalf("want only repairable orphan chunks of %s, got:\n%s", name, rep.Format())
-			}
-			orphans[i.Key] = true
+		g.killAt = func(int, string) bool { return true }
+		if err := ds.Flush(ctx); err == nil {
+			t.Fatal("the killed writer published")
 		}
-		for _, key := range leftover {
-			if !orphans[key] {
-				t.Fatalf("fsck does not name leftover %s:\n%s", key, rep.Format())
-			}
+		back := mustOpen(t, mem)
+		if back.Tensor(name) != nil || back.Tensor("a").Len() != 60 {
+			t.Fatalf("reopened with tensors %v", back.AllTensors())
 		}
-		if rep, err := Fsck(ctx, mem, FsckOptions{Repair: true}); err != nil || !rep.Clean() {
-			t.Fatalf("repair: %v\n%s", err, rep.Format())
+		listed(t, mem, leftover)
+		assertFsckClean(t, mem)
+		if err := back.Flush(ctx); err != nil {
+			t.Fatal(err)
 		}
-		if rep, err := Fsck(ctx, mem, FsckOptions{}); err != nil || len(rep.Issues) != 0 {
-			t.Fatalf("not clean after repair: %v\n%s", err, rep.Format())
+		if after := stored(t, mem, back); len(after) != 0 {
+			t.Fatalf("the reopened handle's publish left %d of %d chunks", len(after), len(leftover))
 		}
+		assertFsckClean(t, mem)
 	})
 
 	// A live tensor named "<name>/chunks" stores its chunks under the deleted

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -187,7 +188,7 @@ func (r *chunkVersionRun) UnmarshalText(text []byte) error {
 // on from each tensor's savedState. Caller holds ds.mu.
 func (ds *Dataset) savedVersionState() versionState {
 	vs := versionState{
-		Schema:  schemaFile{Tensors: append([]string{}, ds.order...)},
+		Schema:  schemaFile{Tensors: append([]string{}, ds.order...), Deleted: ds.deleted},
 		Tensors: make(map[string]tensorRootState, len(ds.order)),
 	}
 	for _, name := range ds.order {
@@ -298,10 +299,10 @@ func (ds *Dataset) tensorsFromState(vs versionState) (map[string]*Tensor, error)
 	return tensors, nil
 }
 
-// install makes the tensors built from vs the handle's open tensors and
-// seeds their digests. Caller holds ds.mu exclusively (or owns ds).
+// install makes the tensors built from vs, and its tombstones, the handle's
+// and seeds their digests. Caller holds ds.mu exclusively (or owns ds).
 func (ds *Dataset) install(vs versionState, tensors map[string]*Tensor) {
-	ds.tensors = tensors
+	ds.tensors, ds.deleted = tensors, maps.Clone(vs.Schema.Deleted) // a twin's vs shares its source's
 	ds.order = append([]string(nil), vs.Schema.Tensors...)
 	ds.seedChecksums()
 }
@@ -400,10 +401,4 @@ func (ds *Dataset) Integrity() IntegrityInfo {
 		t.mu.RUnlock()
 	}
 	return info
-}
-
-// parseChunkName inverts chunkName; ok is false for malformed names.
-func parseChunkName(name string) (uint64, bool) {
-	id, err := strconv.ParseUint(name, 16, 64)
-	return id, err == nil
 }

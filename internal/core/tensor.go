@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -70,25 +71,13 @@ func newTensor(ds *Dataset, spec TensorSpec) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	dtype := spec.Dtype
-	if dtype == tensor.InvalidDtype {
-		dtype = hspec.Base.DefaultDtype
-		if dtype == tensor.InvalidDtype {
-			dtype = tensor.Float64 // generic fallback
-		}
-	}
-	sampleComp := spec.SampleCompression
-	if sampleComp == "" {
-		sampleComp = hspec.Base.DefaultSampleCompression
-	}
+	dtype := cmp.Or(spec.Dtype, hspec.Base.DefaultDtype, tensor.Float64) // Float64: the generic fallback
+	sampleComp := cmp.Or(spec.SampleCompression, hspec.Base.DefaultSampleCompression)
 	if hspec.Link {
 		// Linked tensors store URL strings; media codecs do not apply.
 		sampleComp = "none"
 	}
-	chunkComp := spec.ChunkCompression
-	if chunkComp == "" {
-		chunkComp = hspec.Base.DefaultChunkCompression
-	}
+	chunkComp := cmp.Or(spec.ChunkCompression, hspec.Base.DefaultChunkCompression)
 	bounds := spec.Bounds
 	if bounds.Validate() != nil {
 		bounds = chunk.DefaultBounds()
@@ -100,7 +89,7 @@ func newTensor(ds *Dataset, spec TensorSpec) (*Tensor, error) {
 		ChunkCompression:  normalizeCodecName(chunkComp),
 		Hidden:            spec.Hidden,
 		Bounds:            bounds,
-		NextChunkID:       ds.deletedNext[spec.Name],
+		NextChunkID:       ds.deleted[spec.Name], // past a deleted namesake's ids
 	}
 	t, err := newTensorShell(ds, spec.Name, meta, hspec)
 	if err != nil {
@@ -300,17 +289,14 @@ func namedChunks(chunks *encoder.ChunkEncoder, tiles *encoder.TileEncoder) []uin
 }
 
 // unbindDropped drops the chunks the encoders no longer name (replaced by
-// SetAt, Merge, Rechunk or a re-tile) from the chunk map, the checksum
-// manifest and the handle cache at the seal, so a reader that resolved one
-// before the update finds it until then. A head chunk the last seal bound
-// may be in the published root, so the next root lists it as superseded;
-// publish deletes any other. Caller holds ds.mu exclusively.
+// SetAt, Merge, Rechunk or a re-tile) from the chunk map and the checksum
+// manifest at the seal, so a reader that resolved one before the update
+// finds it until then, and retires them. Caller holds ds.mu exclusively.
 func (t *Tensor) unbindDropped() {
 	named := make(map[uint64]bool, len(t.chunkVersion))
 	for _, id := range namedChunks(t.chunkEnc, t.tileEnc) {
 		named[id] = true
 	}
-	cache := t.ds.chunks.Load()
 	var gone map[uint64]bool
 	for id, vid := range t.chunkVersion {
 		if named[id] {
@@ -322,18 +308,30 @@ func (t *Tensor) unbindDropped() {
 			gone = map[uint64]bool{}
 		}
 		gone[id] = true
-		if cache != nil {
-			cache.table.Remove(ChunkKey{scope: t.ds.scope, obj: key})
-		}
-		if vid == t.ds.head && id < t.savedState.Meta.NextChunkID {
-			t.ds.superseded = append(t.ds.superseded, key)
-		} else if vid == t.ds.head {
-			t.ds.collect = append(t.ds.collect, key)
-		}
+		t.retire(id, vid, key, t.savedState.Meta.NextChunkID)
 	}
 	if gone != nil {
 		// A copy: snapshots and twins share the live run's records.
 		t.sums = t.sums.without(gone)
+	}
+}
+
+// retire drops chunk id, stored in version vid under key, from the handle
+// cache as it leaves the head's state, and hands a head chunk to collection
+// (an ancestor version keeps its own). One whose id is below named may be in
+// the published root, or in a tensor a failed publish restores, so the next
+// root lists it as superseded; publish deletes any other beside its root Put.
+// Caller holds ds.mu exclusively.
+func (t *Tensor) retire(id uint64, vid, key string, named uint64) {
+	if cache := t.ds.chunks.Load(); cache != nil {
+		cache.table.Remove(ChunkKey{scope: t.ds.scope, obj: key})
+	}
+	switch {
+	case vid != t.ds.head:
+	case id < named:
+		t.ds.superseded = append(t.ds.superseded, key)
+	default:
+		t.ds.collect = append(t.ds.collect, key)
 	}
 }
 
