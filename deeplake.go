@@ -50,10 +50,11 @@
 //     are available from the concrete *storage.LRU.
 //   - WithDiskTier (storage.Disk): an index of files that survives the
 //     process, CRC-verified on read; eviction deletes the file.
-//   - core.ChunkCache: opened chunks keyed by dataset, commit and write,
-//     one per open dataset handle, and NewNodeCache's for Loaders, pinned
-//     while planned jobs need them: one fetch+open per chunk per node, and
-//     one inflation per compressed block, by the first read to touch it.
+//   - core.ChunkCache: opened chunks keyed by handle lineage and object,
+//     one per opened dataset and its ReadAtVersion twins, and
+//     NewNodeCache's for Loaders, pinned while planned jobs need them: one
+//     fetch+open per chunk per node, and one inflation per compressed
+//     block, by the first read to touch it.
 //
 // Ahead of the chunk cache the loader, as its walk (core.Walk, one chunk
 // job a step) hands out each job, hands the provider chain the next strips

@@ -48,6 +48,17 @@ func (b *Builder) Len() int { return len(b.samples) }
 // PayloadBytes returns the buffered payload size.
 func (b *Builder) PayloadBytes() int { return b.bytes }
 
+// Samples returns the buffered samples. The slice is the builder's own and
+// read-only: Flush reuses it, so a caller copies what it keeps.
+func (b *Builder) Samples() []Sample { return b.samples }
+
+// Set replaces buffered sample i with s, whatever its size: an update may
+// take the chunk past Max.
+func (b *Builder) Set(i int, s Sample) {
+	b.bytes += len(s.Data) - len(b.samples[i].Data)
+	b.samples[i] = s
+}
+
 // NeedsTiling reports whether a sample of n payload bytes can never fit in
 // one chunk and must be tiled (§3.4), except for videos which are exempt.
 func (b *Builder) NeedsTiling(n int) bool { return n > b.bounds.Max }

@@ -327,6 +327,33 @@ func TestBuilderRejectsOverflow(t *testing.T) {
 	}
 }
 
+// TestBuilderSetKeepsPayloadBytes: Set replaces a buffered sample in place,
+// past Max too, and the payload size and the flushed chunk follow it.
+func TestBuilderSetKeepsPayloadBytes(t *testing.T) {
+	b := NewBuilder(Bounds{Min: 10, Target: 20, Max: 30}, None)
+	for _, n := range []int{8, 10} {
+		if err := b.Append(Sample{Shape: []int{n}, Data: make([]byte, n)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Set(0, Sample{Shape: []int{3}, Data: []byte{1, 2, 3}})
+	if b.PayloadBytes() != 13 || b.Samples()[0].Data[2] != 3 {
+		t.Fatalf("after Set: %d payload bytes, sample 0 %v", b.PayloadBytes(), b.Samples()[0].Data)
+	}
+	b.Set(1, Sample{Shape: []int{40}, Data: make([]byte, 40)})
+	if b.PayloadBytes() != 43 || b.Len() != 2 {
+		t.Fatalf("after an oversize Set: %d payload bytes in %d samples", b.PayloadBytes(), b.Len())
+	}
+	blob, n, err := b.Flush()
+	if err != nil || n != 2 {
+		t.Fatalf("Flush = %d samples, %v", n, err)
+	}
+	got, err := Decode(blob)
+	if err != nil || len(got) != 2 || !bytes.Equal(got[0].Data, []byte{1, 2, 3}) || len(got[1].Data) != 40 {
+		t.Fatalf("flushed chunk %v, %v", got, err)
+	}
+}
+
 func TestBuilderTiling(t *testing.T) {
 	b := NewBuilder(Bounds{Min: 10, Target: 20, Max: 30}, None)
 	if !b.NeedsTiling(31) {

@@ -12,10 +12,10 @@ import (
 // and unutilized data": a chunk is fetched, checked and opened once per
 // cache however many readers ask, at a time or in turn, and each block of a
 // compressed chunk is inflated once, by the first read that touches it.
-// Every dataset handle builds one lazily, the default fetch of each
-// ScanReader without a ChunkFetch of its own, and the dataloader's Loaders
-// read through one of their own (NodeCache), private or shared across a
-// node's ranks.
+// Every handle lineage (Dataset.ScopeID) builds one lazily, and its reads
+// of landed chunks go through it: ScanReaders without a ChunkFetch, tiles,
+// SetAt and Rechunk. The dataloader's Loaders read through one of their own
+// (NodeCache), private or shared across a node's ranks.
 //
 // It is a policy over storage.Cache, which owns the sharded LRU table, the
 // eviction rule and the coalesced-miss protocol. Its own are the key
@@ -34,15 +34,15 @@ type ChunkCache struct {
 }
 
 // ChunkKey is a decoded chunk's key in a ChunkCache. Two reads share an
-// entry only when they read the same bytes: of the same handle (scope,
-// Dataset.ScopeID), stored object (obj, Tensor.ChunkIdentity, which names
-// the version owning the bytes) and samples (sel: empty for a whole chunk,
-// else a bitmap of the samples read).
+// entry only when they read the same bytes: of the same handle lineage
+// (scope, Dataset.ScopeID), stored object (obj, Tensor.ChunkIdentity, which
+// names the version owning the bytes) and samples (sel: empty for a whole
+// chunk, else a bitmap of the samples read).
 //
 // No entry goes stale: an object key is written once, and a rewrite of a
 // chunk's rows (SetAt, Rechunk, a tensor recreated under a deleted one's name)
-// takes a fresh key. The handle's cache drops the entries of the chunks it
-// retires (Tensor.retire); any other cache ages them out.
+// takes a fresh key. The lineage's cache drops the chunks its head retires
+// (Tensor.retire; a twin reads one again); any other cache ages them out.
 type ChunkKey struct {
 	scope uint64
 	obj   string
@@ -80,7 +80,7 @@ func (c *ChunkCache) Budget() int64 { return c.table.Capacity() }
 // A resident chunk a reader marked stale, having found a damaged block in it
 // (chunk.Chunk.MarkStale), is dropped and loaded again: the heal of a block,
 // whose reader evicts the object's byte-cache copy before it asks again
-// (ScanReader.reload).
+// (Tensor.healed).
 func (c *ChunkCache) Load(ctx context.Context, key ChunkKey, load func() (*chunk.Chunk, error)) (ch *chunk.Chunk, hit, coalesced bool, err error) {
 	fill := func() (*chunk.Chunk, error) {
 		ch, err := load()
@@ -163,9 +163,9 @@ func (ds *Dataset) cacheKey(obj string, s *SparseChunk) ChunkKey {
 	return key
 }
 
-// chunkCache returns the handle's decoded-chunk cache, sized from its chain
-// and built on the first read of a landed chunk, so an Open that reads
-// nothing allocates none.
+// chunkCache returns the lineage's decoded-chunk cache, sized from its chain
+// and built on the first read of a landed chunk or the first twin, so an
+// Open that does neither allocates none.
 func (ds *Dataset) chunkCache() *ChunkCache {
 	if c := ds.chunks.Load(); c != nil {
 		return c
@@ -174,8 +174,8 @@ func (ds *Dataset) chunkCache() *ChunkCache {
 	return ds.chunks.Load()
 }
 
-// ChunkCacheStats reports the handle's decoded-chunk cache; all zero until
-// the handle first reads a landed chunk.
+// ChunkCacheStats reports the decoded-chunk cache of the handle's lineage,
+// which every twin shares; all zero until it is built.
 func (ds *Dataset) ChunkCacheStats() ChunkCacheStats {
 	if c := ds.chunks.Load(); c != nil {
 		return c.Stats()
@@ -183,16 +183,29 @@ func (ds *Dataset) ChunkCacheStats() ChunkCacheStats {
 	return ChunkCacheStats{}
 }
 
-// cachedChunk is a ScanReader's default ChunkFetch: chunk id from the
-// handle cache, loaded through ReadChunk's path on a miss. The write
-// buffer's chunk, a chunk still in the flush pipeline and one bound to no
-// version are read as ReadChunk reads them and not cached. Key and load are
-// made under one tensor read lock, so no write falls between them.
+// cachedChunk is a ScanReader's default ChunkFetch, and a tile's read:
+// chunkLocked under the tensor's read locks, so no write falls between key
+// and load.
 func (t *Tensor) cachedChunk(ctx context.Context, id uint64) (*chunk.Chunk, error) {
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.chunkLocked(ctx, id)
+}
+
+// chunkLocked is chunk id from the lineage's cache, loaded through
+// ReadChunk's path on a miss, under the caller's tensor locks, read or
+// write (SetAt and Rechunk; cachedChunk would take ds.mu again). The write
+// buffer's chunk, a chunk still in the flush pipeline and one bound to no
+// version are read as ReadChunk reads them and not cached.
+//
+// A writer holding its tensor's write lock may wait here on a flight
+// another caller leads, and cannot deadlock: every Load of this cache runs
+// its load on the leader's goroutine under the tensor locks the leader
+// already holds, and no load takes one. A leader on the writer's tensor is
+// excluded by the writer's lock; one on a twin's holds only the twin's.
+func (t *Tensor) chunkLocked(ctx context.Context, id uint64) (*chunk.Chunk, error) {
 	obj, ok := t.landedKey(id)
 	if !ok {
 		return t.loadChunk(ctx, id)
@@ -203,9 +216,9 @@ func (t *Tensor) cachedChunk(ctx context.Context, id uint64) (*chunk.Chunk, erro
 	return c, err
 }
 
-// ChunkCached reports whether chunk id is resident, opened, in the handle
-// cache: a walk reading through it leaves such chunks out of its strips
-// (StripPlan.Skip), as the loader does for its own.
+// ChunkCached reports whether chunk id is resident, opened, in the
+// lineage's cache: a walk reading through it leaves such chunks out of its
+// strips (StripPlan.Skip), as the loader does for its own.
 func (t *Tensor) ChunkCached(id uint64) bool {
 	c := t.ds.chunks.Load()
 	return c != nil && c.Cached(t.ChunkKey(id, nil))

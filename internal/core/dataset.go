@@ -86,14 +86,12 @@ type Dataset struct {
 	// integrity state (generation, checksum coverage). Guarded by ds.mu.
 	integrity IntegrityInfo
 
-	// scope is a process-unique handle identity assigned at Create/Open,
-	// used to namespace shared decoded-chunk caches (ChunkKey): datasets
-	// have no UUID, so two handles are assumed distinct unless they are
-	// literally the same handle. Immutable after construction.
+	// scope is the process-unique identity of the handle's lineage (see
+	// ScopeID). Immutable after construction.
 	scope uint64
 
-	// chunks is the handle's decoded-chunk cache, nil until the first read
-	// of a landed chunk.
+	// chunks is the lineage's decoded-chunk cache, nil until the first read
+	// of a landed chunk or the first twin.
 	chunks atomic.Pointer[ChunkCache]
 	// superseded and collect are the retired chunks the next root lists and
 	// the next publish deletes (see publish, Tensor.retire); deleted is the
@@ -105,15 +103,14 @@ type Dataset struct {
 	now func() time.Time
 }
 
-// scopeCounter hands out process-unique dataset scope ids; see
-// Dataset.scope.
+// scopeCounter hands out process-unique lineage ids; see ScopeID.
 var scopeCounter atomic.Uint64
 
-// ScopeID returns the process-unique identity of this dataset handle.
-// Decoded-chunk cache keys (ChunkKey) include it, so chunks from different
-// handles sharing one cache can never alias: the id is unique per
-// handle, so two Opens of the same store are treated as distinct datasets —
-// conservative (they won't share decoded chunks) but never wrong.
+// ScopeID returns the process-unique identity of this handle's lineage: the
+// handle Create or Open returned and every ReadAtVersion twin of it or of
+// its twins, which share its decoded-chunk cache. ChunkKey includes it, so
+// lineages sharing one cache (a NodeCache) never alias: two Opens of one
+// store are two lineages — conservative, but never wrong.
 func (ds *Dataset) ScopeID() uint64 { return ds.scope }
 
 // SetStrict toggles strict index checking for in-place assignment.
@@ -465,11 +462,9 @@ func (ds *Dataset) Append(ctx context.Context, values map[string]*tensor.NDArray
 	// first such error is surfaced after the row commits.
 	var dc deferredCollector
 	for _, p := range parts {
-		if err := dc.note(p.t.appendEncodedSample(ctx, p.s, p.arr)); err != nil {
+		if err := dc.note(p.t.appendLocked(ctx, []chunk.Sample{p.s}, []*tensor.NDArray{p.arr})); err != nil {
 			return fmt.Errorf("core: append to %q: %w", p.t.name, err)
 		}
-		p.t.meta.Length++
-		p.t.diff.AddedTo = p.t.meta.Length
 	}
 	ds.idMu.Lock()
 	id := ds.meta.NextSampleID
@@ -479,11 +474,9 @@ func (ds *Dataset) Append(ctx context.Context, values map[string]*tensor.NDArray
 	if err != nil {
 		return err
 	}
-	if err := dc.note(idt.appendEncodedSample(ctx, idSample, nil)); err != nil {
+	if err := dc.note(idt.appendLocked(ctx, []chunk.Sample{idSample}, nil)); err != nil {
 		return err
 	}
-	idt.meta.Length++
-	idt.diff.AddedTo = idt.meta.Length
 	return dc.err()
 }
 

@@ -216,3 +216,136 @@ func TestTransientBlockFlipHeals(t *testing.T) {
 		t.Fatalf("%d chunk loads, want the damaged one and its heal", st.Decodes)
 	}
 }
+
+// TestTransientBlockFlipHealsWholeChunkReads: the flip of
+// TestTransientBlockFlipHeals met first by a read of a whole chunk — a tiled
+// sample's, SetAt's and Rechunk's, each on a handle of its own. Each heals
+// it for exactly one extra Get, and every row reads right, on the handle and,
+// after a Flush, from what SetAt and Rechunk wrote.
+func TestTransientBlockFlipHealsWholeChunkReads(t *testing.T) {
+	ctx := context.Background()
+	// A 64 KiB sample in 8 KiB tiles of two blocks each.
+	tile := func(int) *tensor.NDArray {
+		pixels := make([]byte, 256*256)
+		for p := range pixels {
+			pixels[p] = byte(p / 1000)
+		}
+		arr, _ := tensor.FromBytes(tensor.UInt8, []int{256, 256}, pixels)
+		return arr
+	}
+	for _, c := range []struct {
+		name string
+		// build writes x over mem and returns the chunk to damage.
+		build func(t *testing.T, mem storage.Provider) uint64
+		// run is the whole-chunk read, and gets the Gets it makes of y's
+		// chunks with none of them cached, the damaged one's heal included.
+		run  func(y *Tensor) error
+		gets func(y *Tensor) int64
+		// row is what row i holds after run.
+		row func(int) *tensor.NDArray
+	}{{
+		name: "tiled read",
+		build: func(t *testing.T, mem storage.Provider) uint64 {
+			ds, err := Create(ctx, mem, "tiles")
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := ds.CreateTensor(ctx, TensorSpec{Name: "x", Dtype: tensor.UInt8, ChunkCompression: "lz4",
+				Bounds: chunk.Bounds{Min: 4 << 10, Target: 8 << 10, Max: 16 << 10}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Append(ctx, tile(0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			entry, _ := x.tileEnc.Get(0)
+			return entry.ChunkIDs[0]
+		},
+		run: func(y *Tensor) error { _, err := y.At(ctx, 0); return err },
+		gets: func(y *Tensor) int64 {
+			entry, _ := y.tileEnc.Get(0)
+			return int64(len(entry.ChunkIDs)) + 1
+		},
+		row: tile,
+	}, {
+		name: "SetAt",
+		build: func(t *testing.T, mem storage.Provider) uint64 {
+			lz4Rows(t, mem, 200)
+			return 0
+		},
+		run:  func(y *Tensor) error { return y.SetAt(ctx, 0, rowOf(250)) },
+		gets: func(*Tensor) int64 { return 2 },
+		row: func(i int) *tensor.NDArray {
+			if i == 0 {
+				return rowOf(250)
+			}
+			return rowOf(i)
+		},
+	}, {
+		name: "Rechunk",
+		build: func(t *testing.T, mem storage.Provider) uint64 {
+			lz4Rows(t, mem, 200)
+			return 0
+		},
+		run:  func(y *Tensor) error { return y.Rechunk(ctx) },
+		gets: func(y *Tensor) int64 { return int64(y.NumChunks()) + 1 },
+		row:  rowOf,
+	}} {
+		t.Run(c.name, func(t *testing.T) {
+			mem := storage.NewMemory()
+			id := c.build(t, mem)
+			back, err := Open(ctx, mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := back.Tensor("x").ChunkIdentity(id)
+			obj, err := mem.Get(ctx, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counting := storage.NewCounting(mem)
+			ds, err := Open(ctx, storage.NewLRU(&flipOnce{Provider: counting, key: key, at: block1Byte(t, obj)}, 64<<20))
+			if err != nil {
+				t.Fatal(err)
+			}
+			y := ds.Tensor("x")
+			want := c.gets(y)
+			counting.Reset()
+			if err := c.run(y); err != nil {
+				t.Fatal(err)
+			}
+			if gets := counting.Snapshot().Gets; gets != want {
+				t.Fatalf("%d Gets, want %d: each chunk's one and one heal", gets, want)
+			}
+			if st := ds.ChunkCacheStats(); st.Decodes != want {
+				t.Fatalf("%d chunk loads, want %d: each chunk's, the damaged one's heal included", st.Decodes, want)
+			}
+			checkEvery(t, y, c.row)
+			if err := ds.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Open(ctx, mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEvery(t, fresh.Tensor("x"), c.row)
+		})
+	}
+}
+
+// checkEvery fails unless row i of x holds want(i), for its every row.
+func checkEvery(t *testing.T, x *Tensor, want func(i int) *tensor.NDArray) {
+	t.Helper()
+	for i := 0; i < int(x.Len()); i++ {
+		arr, err := x.At(context.Background(), uint64(i))
+		if err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+		if !bytes.Equal(arr.Bytes(), want(i).Bytes()) {
+			t.Fatalf("row %d reads other bytes", i)
+		}
+	}
+}

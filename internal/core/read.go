@@ -2,13 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 
 	"repro/internal/chunk"
 	"repro/internal/compress"
-	"repro/internal/storage"
 	"repro/internal/tensor"
 )
 
@@ -293,7 +291,7 @@ func (t *Tensor) ChunkOf(idx uint64) (uint64, int, error) {
 // storage-owned and read-only: for an uncompressed chunk, Data aliases the
 // bytes the provider chain returned, which a byte cache shares with every
 // reader; a compressed chunk inflates the blocks a read touches into a
-// buffer of its own. It reads past the handle's decoded-chunk cache: it is
+// buffer of its own. It reads past the lineage's decoded-chunk cache: it is
 // the load the dataloader's NodeCache runs on its own misses.
 func (t *Tensor) ReadChunk(ctx context.Context, chunkID uint64) (*chunk.Chunk, error) {
 	t.ds.mu.RLock()
@@ -304,58 +302,32 @@ func (t *Tensor) ReadChunk(ctx context.Context, chunkID uint64) (*chunk.Chunk, e
 }
 
 // loadChunk is ReadChunk under the caller's tensor locks, read or write. The
-// write buffer's chunk comes back over a copy of its sample list.
+// write buffer's chunk comes back over a copy of the builder's sample list.
 func (t *Tensor) loadChunk(ctx context.Context, chunkID uint64) (*chunk.Chunk, error) {
 	if t.builder.Len() > 0 && chunkID == t.pendingID {
-		return chunk.FromSamples(slices.Clone(t.pendingSamples)), nil
+		return chunk.FromSamples(slices.Clone(t.builder.Samples())), nil
 	}
 	return t.readChunk(ctx, chunkID)
 }
 
 // chunkSamples is every sample of chunk id, in a list of the caller's own,
-// read under the caller's tensor locks: Rechunk and SetAt, which hold the
-// write lock, read whole chunks through it.
+// read through the lineage's cache (chunkLocked) under the caller's tensor
+// locks, a damaged block healed (Tensor.healed): Rechunk and SetAt, which
+// hold the write lock, read whole chunks through it.
 func (t *Tensor) chunkSamples(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
-	samples, err := t.wholeChunk(ctx, chunkID)
+	c, err := t.chunkLocked(ctx, chunkID)
 	if err != nil {
+		return nil, err
+	}
+	var samples []chunk.Sample
+	obj := func(id uint64) string { return chunkKey(t.chunkVersion[id], t.name, id) }
+	if _, err = t.healed(ctx, c, chunkID, t.chunkLocked, obj, func(c *chunk.Chunk) (err error) {
+		samples, err = c.Samples()
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	return slices.Clone(samples), nil
-}
-
-// readWhole is wholeChunk under the tensor's read locks: a tile's read.
-func (t *Tensor) readWhole(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.wholeChunk(ctx, chunkID)
-}
-
-// wholeChunk is every sample of chunk id, every block inflated, read past
-// the decoded-chunk cache under the caller's tensor locks. A damaged block
-// (chunk.ErrCorrupt) is healed once, as readChunk heals a damaged header:
-// the object's byte-cache copy is evicted and the chunk read again.
-func (t *Tensor) wholeChunk(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
-	c, err := t.loadChunk(ctx, chunkID)
-	if err != nil {
-		return nil, err
-	}
-	samples, err := c.Samples()
-	if err == nil {
-		return samples, nil
-	}
-	key := chunkKey(t.chunkVersion[chunkID], t.name, chunkID)
-	if errors.Is(err, chunk.ErrCorrupt) {
-		storage.Evict(t.ds.store, key)
-		if c, err = t.loadChunk(ctx, chunkID); err == nil {
-			samples, err = c.Samples()
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: chunk object %q of tensor %q: %w", key, t.name, err)
-	}
-	return samples, nil
 }
 
 func prod(shape []int) int {

@@ -52,14 +52,15 @@ type ChunkFetch func(ctx context.Context, chunkID uint64) (*chunk.Chunk, error)
 // Slice's whole-sample case are one-shot readers. A reader keeps the last
 // chunk it loaded in a one-chunk slot, so a walk over rows in ascending
 // order looks each chunk up once instead of once per row. Without a
-// ChunkFetch of its own, a reader loads through the dataset handle's
-// decoded-chunk cache: a landed chunk is fetched and opened once per
-// handle, whichever readers ask — the TQL scan's stages, repeated queries,
-// one-shot point reads — concurrent loads of one chunk coalesce into one,
-// and each block of a compressed chunk is inflated once, by the first read
-// that touches it. A row still in the write buffer is copied out under the tensor's
-// locks, and a tiled sample is assembled from its tiles; neither goes
-// through the slot.
+// ChunkFetch of its own, a reader loads through the decoded-chunk cache of
+// the handle's lineage: a landed chunk is fetched and opened once per
+// lineage, whichever readers ask — the TQL scan's stages, repeated queries,
+// time-travel twins, one-shot point reads — concurrent loads of one chunk
+// coalesce into one, and each block of a compressed chunk is inflated once,
+// by the first read that touches it. A row still in the write buffer is
+// copied out under the tensor's locks, and a tiled sample is assembled from
+// its tiles, read through the lineage's cache; neither goes through the
+// slot.
 //
 // Lifetime: a reader's slot lives for one walk. A write never changes a
 // sealed chunk's bytes: SetAt and Rechunk move the rows they rewrite to fresh
@@ -71,19 +72,18 @@ type ScanReader struct {
 	t       *Tensor
 	fetch   ChunkFetch
 	arena   *chunk.Arena
-	valid   bool
 	chunkID uint64
-	chunk   *chunk.Chunk
+	chunk   *chunk.Chunk // nil while the slot is empty
 }
 
 // NewScanReader returns a reader with an empty chunk slot whose fetches go
-// through the handle's decoded-chunk cache.
+// through the lineage's decoded-chunk cache.
 func (t *Tensor) NewScanReader() *ScanReader { return &ScanReader{t: t} }
 
 // NewScanReaderWith returns a reader whose chunk fetches are served by fetch
 // (the dataloader reads through its NodeCache, a ChunkCache of its own)
-// instead of the handle's ChunkCache. Tiles are read through
-// ReadChunk either way.
+// instead of the lineage's ChunkCache. Tiles are read through the lineage's
+// ChunkCache either way.
 func (t *Tensor) NewScanReaderWith(fetch ChunkFetch) *ScanReader {
 	return &ScanReader{t: t, fetch: fetch}
 }
@@ -124,10 +124,10 @@ func (r *ScanReader) locate(idx uint64) (location, error) {
 	}
 	loc := location{chunkID: chunkID, local: local}
 	if t.builder.Len() > 0 && chunkID == t.pendingID {
-		if local >= len(t.pendingSamples) {
+		if local >= t.builder.Len() {
 			return location{}, fmt.Errorf("core: pending sample %d out of range", local)
 		}
-		s := t.pendingSamples[local]
+		s := t.builder.Samples()[local]
 		loc.pending = &s
 	}
 	return loc, nil
@@ -137,64 +137,83 @@ func (r *ScanReader) locate(idx uint64) (location, error) {
 // It runs outside the tensor locks, so a ChunkFetch may re-enter tensor read
 // methods (the dataloader's cache calls ReadChunk).
 func (r *ScanReader) load(ctx context.Context, id uint64) error {
-	if r.valid && r.chunkID == id {
+	if r.chunk != nil && r.chunkID == id {
 		return nil
 	}
-	fetch := r.fetch
-	if fetch == nil {
-		fetch = r.t.cachedChunk
-	}
-	c, err := fetch(ctx, id)
+	c, err := r.fetcher()(ctx, id)
 	if err != nil {
 		return err
 	}
-	r.chunkID, r.chunk, r.valid = id, c, true
+	r.chunkID, r.chunk = id, c
 	return nil
+}
+
+// fetcher is the reader's ChunkFetch, else the lineage's cache.
+func (r *ScanReader) fetcher() ChunkFetch {
+	if r.fetch != nil {
+		return r.fetch
+	}
+	return r.t.cachedChunk
+}
+
+// read runs read over chunk id in the slot, loading it unless the slot holds
+// it, and heals a damaged block the read finds (Tensor.healed).
+func (r *ScanReader) read(ctx context.Context, id uint64, read func(*chunk.Chunk) error) error {
+	if err := r.load(ctx, id); err != nil {
+		return err
+	}
+	var err error
+	r.chunk, err = r.t.healed(ctx, r.chunk, id, r.fetcher(), r.t.ChunkIdentity, read)
+	return err
+}
+
+// healed runs read over c, chunk id as fetch loaded it, and is the one heal
+// of a damaged block a read finds (chunk.ErrCorrupt): it marks c stale,
+// evicts the object (obj names it) from any byte cache in the chain and
+// reads once more over what fetch returns, which a ChunkCache serves by
+// loading the stale chunk anew — one extra request. A block still bad fails
+// that read. It returns the chunk read last, nil if the re-fetch failed.
+func (t *Tensor) healed(ctx context.Context, c *chunk.Chunk, id uint64, fetch ChunkFetch, obj func(uint64) string, read func(*chunk.Chunk) error) (*chunk.Chunk, error) {
+	err := read(c)
+	if errors.Is(err, chunk.ErrCorrupt) {
+		c.MarkStale()
+		storage.Evict(t.ds.store, obj(id))
+		if c, err = fetch(ctx, id); err == nil {
+			err = read(c)
+		}
+	}
+	if err != nil {
+		return c, fmt.Errorf("core: chunk object %q of tensor %q: %w", obj(id), t.name, err)
+	}
+	return c, nil
 }
 
 // sample returns the stored sample at an untiled location, inflating the
 // blocks of a compressed chunk it spans that no read has touched.
-func (r *ScanReader) sample(ctx context.Context, loc location) (chunk.Sample, error) {
+func (r *ScanReader) sample(ctx context.Context, loc location) (s chunk.Sample, err error) {
 	if loc.pending != nil {
 		return *loc.pending, nil
 	}
-	if err := r.load(ctx, loc.chunkID); err != nil {
-		return chunk.Sample{}, err
-	}
-	s, err := r.chunk.Sample(loc.local)
-	if errors.Is(err, chunk.ErrCorrupt) {
-		if err = r.reload(ctx, loc.chunkID); err == nil {
-			s, err = r.chunk.Sample(loc.local)
-		}
-	}
-	if err != nil {
-		return chunk.Sample{}, fmt.Errorf("core: chunk object %q of tensor %q: %w", r.t.ChunkIdentity(loc.chunkID), r.t.name, err)
-	}
-	return s, nil
-}
-
-// reload heals a damaged block a read of the slot's chunk id found
-// (chunk.ErrCorrupt), once, as readChunk heals a damaged header: it marks
-// the slot's chunk stale, evicts the object's copy from any byte cache in
-// the chain and fetches the chunk again, which a ChunkCache holding the
-// stale chunk serves by dropping it and loading it anew (ChunkCache.Load) —
-// one extra request. The caller reads again; a block still bad fails that
-// read. A read touching no damaged block keeps using the cached chunk.
-func (r *ScanReader) reload(ctx context.Context, id uint64) error {
-	r.chunk.MarkStale()
-	storage.Evict(r.t.ds.store, r.t.ChunkIdentity(id))
-	r.valid = false
-	return r.load(ctx, id)
+	err = r.read(ctx, loc.chunkID, func(c *chunk.Chunk) (err error) {
+		s, err = c.Sample(loc.local)
+		return err
+	})
+	return s, err
 }
 
 // tiled assembles a tiled sample from the tiles overlapping region (nil
-// means the whole sample), each fetched directly rather than through the
-// slot.
+// means the whole sample), each read whole through the lineage's cache by a
+// reader of its own, not through the slot.
 func (r *ScanReader) tiled(ctx context.Context, entry encoder.TileEntry, region []tensor.Range) (*tensor.NDArray, error) {
 	needed := entry.Layout.TilesOverlapping(region)
 	tiles := make(map[int]*tensor.NDArray, len(needed))
+	tr := r.t.NewScanReader()
 	for _, ti := range needed {
-		samples, err := r.t.readWhole(ctx, entry.ChunkIDs[ti])
+		var samples []chunk.Sample
+		err := tr.read(ctx, entry.ChunkIDs[ti], func(c *chunk.Chunk) (err error) {
+			samples, err = c.Samples()
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -294,25 +313,19 @@ func (r *ScanReader) Chunk(ctx context.Context, idx uint64) (rows ChunkRows, ok 
 	if err != nil || loc.tiled || loc.pending != nil {
 		return ChunkRows{}, false, err
 	}
-	if err := r.load(ctx, loc.chunkID); err != nil {
+	rows = ChunkRows{First: idx - uint64(loc.local)}
+	err = r.read(ctx, loc.chunkID, func(c *chunk.Chunk) (err error) {
+		if rows.Samples, err = c.Samples(); err == nil {
+			// Samples inflated every block, so Column only reads the
+			// directory's verdict.
+			rows.Column, err = c.Column(r.t.dtype.Size())
+		}
+		return err
+	})
+	if err != nil {
 		return ChunkRows{}, false, err
 	}
-	samples, err := r.chunk.Samples()
-	if errors.Is(err, chunk.ErrCorrupt) {
-		if err = r.reload(ctx, loc.chunkID); err == nil {
-			samples, err = r.chunk.Samples()
-		}
-	}
-	var col []byte
-	if err == nil {
-		// Samples inflated every block, so Column only reads the directory's
-		// verdict.
-		col, err = r.chunk.Column(r.t.dtype.Size())
-	}
-	if err != nil {
-		return ChunkRows{}, false, fmt.Errorf("core: chunk object %q of tensor %q: %w", r.t.ChunkIdentity(loc.chunkID), r.t.name, err)
-	}
-	return ChunkRows{First: idx - uint64(loc.local), Samples: samples, Column: col}, true, nil
+	return rows, true, nil
 }
 
 // At returns sample idx like Tensor.At, reusing the slot's opened chunk, so

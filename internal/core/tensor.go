@@ -42,9 +42,8 @@ type Tensor struct {
 	tileEnc  *encoder.TileEncoder
 	seqEnc   *encoder.SequenceEncoder
 
-	builder        *chunk.Builder
-	pendingID      uint64
-	pendingSamples []chunk.Sample
+	builder   *chunk.Builder
+	pendingID uint64
 
 	// chunkVersion maps chunk id -> version directory holding it (§4.2):
 	// writeChunk binds an id to the head it writes into, and the map rides
@@ -226,10 +225,9 @@ func (t *Tensor) snapshotState() (tensorRootState, error) {
 }
 
 // flushPending seals the buffered chunk and hands it to the flush pipeline.
-// Caller holds the tensor write lock (or ds.mu exclusively). pendingSamples
-// is cleared as soon as the builder is consumed — from that point the sealed
-// blob, held in the pipeline's pending map until its upload lands, is the
-// authoritative copy those rows are read from.
+// Caller holds the tensor write lock (or ds.mu exclusively). From the seal
+// on, the blob, held in the pipeline's pending map until its upload lands,
+// is the copy those rows are read from.
 func (t *Tensor) flushPending(ctx context.Context) error {
 	if t.builder.Len() == 0 {
 		return nil
@@ -238,7 +236,6 @@ func (t *Tensor) flushPending(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	t.pendingSamples = nil
 	return t.writeChunk(ctx, t.pendingID, blob)
 }
 
@@ -346,7 +343,7 @@ func (t *Tensor) retire(id uint64, vid, key string, named uint64) {
 // providers. Bytes that are still bad after that surface as an error naming
 // the exact object, wrapping chunk.ErrCorrupt. A chunk's data blocks are
 // checked as reads first touch them (chunk.Chunk); the read that finds one
-// bad heals it the same way (ScanReader.reload, wholeChunk).
+// bad heals it the same way (Tensor.healed).
 func (t *Tensor) readChunk(ctx context.Context, id uint64) (*chunk.Chunk, error) {
 	vid, ok := t.chunkVersion[id]
 	if !ok {

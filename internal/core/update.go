@@ -89,22 +89,16 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 		return err
 	}
 	if t.builder.Len() > 0 && chunkID == t.pendingID {
-		if local >= len(t.pendingSamples) {
+		if local >= t.builder.Len() {
 			return fmt.Errorf("core: pending sample %d out of range", local)
 		}
-		grown := t.builder.PayloadBytes() - len(t.pendingSamples[local].Data) + len(s.Data)
-		t.pendingSamples[local] = s
-		if grown <= t.meta.Bounds.Max || len(t.pendingSamples) == 1 {
-			return t.rebuildPending()
+		t.builder.Set(local, s)
+		if t.builder.PayloadBytes() <= t.meta.Bounds.Max || t.builder.Len() == 1 {
+			return nil
 		}
 		// Overflowing the buffered chunk: seal it, replacement included, under
 		// its id; chunks may exceed the bound (Rechunk repairs layout, §3.5).
-		blob, err := t.codec.Encode(t.pendingSamples)
-		if err != nil {
-			return err
-		}
-		t.builder, t.pendingSamples = chunk.NewBuilder(t.meta.Bounds, t.codec), nil
-		return t.writeChunk(ctx, t.pendingID, blob)
+		return t.flushPending(ctx)
 	}
 	samples, err := t.chunkSamples(ctx, chunkID)
 	if err != nil {
@@ -124,18 +118,6 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 		return err
 	}
 	return t.writeChunk(ctx, id, blob)
-}
-
-// rebuildPending re-syncs the chunk builder after an in-buffer update.
-func (t *Tensor) rebuildPending() error {
-	b := chunk.NewBuilder(t.meta.Bounds, t.codec)
-	for _, s := range t.pendingSamples {
-		if err := b.Append(s); err != nil {
-			return err
-		}
-	}
-	t.builder = b
-	return nil
 }
 
 // recordUpdate notes idx in the commit diff, deduplicated.

@@ -320,9 +320,11 @@ func (ds *Dataset) Merge(ctx context.Context, srcBranch string, policy MergePoli
 	return ds.Flush(ctx)
 }
 
-// ReadAtVersion opens a detached read-only dataset at a specific commit,
-// sharing storage with ds — the time-travel primitive behind TQL's
-// versioned queries (§4.4).
+// ReadAtVersion opens a detached read-only dataset at a specific commit or
+// branch head, sharing storage with ds — the time-travel primitive behind
+// TQL's versioned queries (§4.4) and Merge's source. The twin joins ds's
+// lineage (ScopeID): it never writes, and reads through ds's decoded-chunk
+// cache, built here if ds has none yet.
 func (ds *Dataset) ReadAtVersion(ctx context.Context, ref string) (*Dataset, error) {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
@@ -342,7 +344,8 @@ func (ds *Dataset) ReadAtVersion(ctx context.Context, ref string) (*Dataset, err
 	}
 	out := newHandle(ds.store)
 	out.meta, out.tree, out.head, out.now = ds.meta, ds.tree, node.ID, ds.now
-	out.gen, out.rootBranch = ds.gen, ds.rootBranch
+	out.gen, out.rootBranch, out.scope = ds.gen, ds.rootBranch, ds.scope
+	out.chunks.Store(ds.chunkCache())
 	tensors, err := out.tensorsFromState(vs)
 	if err != nil {
 		return nil, err

@@ -361,7 +361,6 @@ func (t *Tensor) appendEncodedSample(ctx context.Context, s chunk.Sample, arr *t
 		if err := t.builder.Append(s); err != nil {
 			return err
 		}
-		t.pendingSamples = append(t.pendingSamples, s)
 		if err := t.chunkEnc.Append(t.pendingID, 1); err != nil {
 			return err
 		}

@@ -23,13 +23,14 @@ package storage
 // Their high-water marks are LRU.Stats().PeakBytes and the dataloader's
 // NodeCacheStats.PeakBytes.
 //
-// A third RAM consumer sits outside the split: every open core.Dataset
-// handle keeps a decoded-chunk cache of the NodeCache's type
-// (core.ChunkCache) for its point reads and queries, sized by
-// DecodedBytesOver from the handle's chain. Only loaders pin, and an
-// unpinned chunk larger than a shard is not admitted, so each handle's
-// cache holds at most that many charged bytes (core.ChunkCacheStats'
-// PeakBytes), and a process holds at most that per open handle. Like the
+// A third RAM consumer sits outside the split: every core.Dataset handle
+// lineage (an opened handle and its ReadAtVersion twins) keeps one
+// decoded-chunk cache of the NodeCache's type (core.ChunkCache) for its
+// reads, sized by DecodedBytesOver from the handle's chain. Only loaders
+// pin, and an unpinned chunk larger than a shard is not admitted, so each
+// lineage's cache holds at most that many charged bytes
+// (core.ChunkCacheStats' PeakBytes), and a process holds at most that per
+// lineage; twins add none. Like the
 // NodeCache's, its uncompressed entries alias the raw objects the LRU handed
 // out, and keep those bytes alive after the LRU evicts them.
 //

@@ -2,10 +2,13 @@ package tql
 
 import (
 	"context"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/storage"
+	"repro/internal/tensor"
 )
 
 // TestRepeatedFilterMovesNothing: lakebench's Q_filter shape (a WHERE and an
@@ -74,5 +77,68 @@ func TestHandleCacheStaysWithinItsBudget(t *testing.T) {
 	}
 	if st.PeakBytes > budget {
 		t.Fatalf("handle cache peaked at %d bytes, budget %d", st.PeakBytes, budget)
+	}
+}
+
+// chunkGets counts the Gets of chunk objects that pass it.
+type chunkGets struct {
+	storage.Provider
+	n atomic.Int64
+}
+
+func (c *chunkGets) Get(ctx context.Context, key string) ([]byte, error) {
+	if strings.Contains(key, "/chunks/") {
+		c.n.Add(1)
+	}
+	return c.Provider.Get(ctx, key)
+}
+
+// TestRepeatedVersionQueryMovesNothing: a VERSION query reads through a
+// twin of the handle, which shares the handle's decoded-chunk cache, so its
+// second run fetches and decodes no chunk. Its WHERE makes it read every row.
+func TestRepeatedVersionQueryMovesNothing(t *testing.T) {
+	ctx := context.Background()
+	store := &chunkGets{Provider: storage.NewMemory()}
+	ds, err := core.Create(ctx, store, "versions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := ds.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.Int32, Bounds: smallBounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ {
+		if err := x.Append(ctx, tensor.Scalar(tensor.Int32, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1, err := ds.Commit(ctx, "rows")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Append(ctx, tensor.Scalar(tensor.Int32, 400)); err != nil {
+		t.Fatal(err)
+	}
+	q := `SELECT x FROM versions WHERE x >= 0 VERSION "` + c1 + `"`
+	for run := 0; run < 2; run++ {
+		store.n.Store(0)
+		decodes := ds.ChunkCacheStats().Decodes
+		v, err := Run(ctx, ds, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Len() != 400 {
+			t.Fatalf("run %d: %d rows at %s, want 400", run, v.Len(), c1)
+		}
+		gets, decoded := store.n.Load(), ds.ChunkCacheStats().Decodes-decodes
+		if run == 0 {
+			if gets == 0 {
+				t.Fatal("the first run read no chunk; the repeat shows nothing")
+			}
+			continue
+		}
+		if gets != 0 || decoded != 0 {
+			t.Fatalf("repeat: %d chunk Gets and %d decodes, want none", gets, decoded)
+		}
 	}
 }

@@ -374,14 +374,15 @@ func (s sink) values(p *chunkProg, stage string, rows []uint64, lo int, vals []f
 // Partitions follow the chunk boundaries of the first tensor x references,
 // planned a chunk at a time (chunkAlignedSpans, stripIDs); each worker
 // reuses one environment (and its per-tensor ScanReaders), whose readers
-// load through the handle's decoded-chunk cache. So a chunk is fetched and
-// decoded once per handle, not once per stage or per query: a column read
-// by WHERE and again by the sort key, or by the next query on the handle,
-// is decoded once, and concurrent loads of a chunk shared between workers
-// coalesce into one. When x is in the chunk-at-a-time subset (see
-// chunkeval.go) and rows ascend, a worker evaluates its partition a batch
-// of rows inside one chunk at a time with typed loops, and hands only the
-// rows that subset cannot serve exactly to the row-at-a-time tree walker;
+// load through the handle lineage's decoded-chunk cache. So a chunk is
+// fetched and decoded once per lineage, not once per stage or per query: a
+// column read by WHERE and again by the sort key, or by the next query (or
+// VERSION query) on the handle, is decoded once, and concurrent loads of a
+// chunk shared between workers coalesce into one. When x is in the
+// chunk-at-a-time subset (see chunkeval.go) and rows ascend, a worker
+// evaluates its partition a batch of rows inside one chunk at a time with
+// typed loops, and hands only the rows that subset cannot serve exactly to
+// the row-at-a-time tree walker;
 // otherwise every row goes through the walker. Either way out sees each
 // position once, in position order within a partition, with the value,
 // error and row the walker would have produced. out runs on worker
