@@ -23,9 +23,7 @@ count() { # <label> <file> <struct>
 	count dataloader.Options internal/dataloader/loader.go Options
 	count tql.Options internal/tql/scan.go Options
 	count core.WriteOptions internal/core/flush.go WriteOptions
-	count deeplake.QueryOptions deeplake.go QueryOptions
 	count transform.Options internal/transform/transform.go Options
-	count view.MaterializeOptions internal/view/materialize.go MaterializeOptions
 } | awk '
 	NR == FNR { max[$1] = $2; next }
 	{

@@ -189,6 +189,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/tensor"
 	"repro/internal/tql"
+	"repro/internal/transform"
 	"repro/internal/view"
 )
 
@@ -241,9 +242,6 @@ type (
 	// persisting metadata. Upload retries: stack WithRetry under the
 	// dataset.
 	WriteOptions = core.WriteOptions
-
-	// MaterializeOptions configures MaterializeWith (§4.5).
-	MaterializeOptions = view.MaterializeOptions
 )
 
 // Dtype constants.
@@ -291,15 +289,9 @@ func Query(ctx context.Context, ds *Dataset, src string) (*View, error) {
 // counted cache-side in CacheStats.PrefetchShed.
 type ScanStats = tql.ScanStats
 
-// QueryOptions tunes TQL execution.
-type QueryOptions struct {
-	// Workers bounds the parallel scan width used by WHERE evaluation and
-	// by sort/group/arrange/sample key evaluation. Zero uses GOMAXPROCS; 1
-	// forces a serial scan. Results are identical for every worker count.
-	Workers int
-	// Stats, when non-nil, accumulates the scan's prefetch counters.
-	Stats *ScanStats
-}
+// QueryOptions tunes TQL execution: the scan's Workers (results are
+// identical for every count) and its prefetch Stats.
+type QueryOptions = tql.Options
 
 // QueryWith is Query with explicit execution options: the WHERE clause's
 // leading shape-only conjuncts are answered by the shape encoder with zero
@@ -309,7 +301,7 @@ type QueryOptions struct {
 // order, so chunks owned by different workers still share coalesced ranged
 // origin requests.
 func QueryWith(ctx context.Context, ds *Dataset, src string, opts QueryOptions) (*View, error) {
-	return tql.RunWith(ctx, ds, src, tql.Options{Workers: opts.Workers, Stats: opts.Stats})
+	return tql.RunWith(ctx, ds, src, opts)
 }
 
 // Explain parses a TQL statement and renders its logical plan.
@@ -343,16 +335,9 @@ func NewView(ds *Dataset, indices []uint64, columns []Column) *View {
 }
 
 // Materialize writes a view into a fresh dataset with an optimal streaming
-// layout (§4.5), each stored column's samples copied byte for byte; chunk
-// uploads overlap the copy. See MaterializeWith for the commit message.
+// layout (§4.5), stored samples copied byte for byte by parallel workers.
 func Materialize(ctx context.Context, v *View, dst Provider, name string) (*Dataset, error) {
-	return view.Materialize(ctx, v, dst, view.MaterializeOptions{Name: name})
-}
-
-// MaterializeWith is Materialize with explicit options: the produced
-// dataset's name and commit message.
-func MaterializeWith(ctx context.Context, v *View, dst Provider, opts MaterializeOptions) (*Dataset, error) {
-	return view.Materialize(ctx, v, dst, opts)
+	return transform.Materialize(ctx, v, dst, name)
 }
 
 // NewResolver builds a linked-tensor resolver.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/storage"
 	"repro/internal/tql"
+	"repro/internal/transform"
 	"repro/internal/view"
 	"repro/internal/workload"
 )
@@ -78,7 +79,7 @@ func AblationSparseViews(ctx context.Context, cfg Config) (*Result, error) {
 	// Materialize onto the same class of storage, then stream.
 	matInner := storage.NewSimObjectStore(profile)
 	matCounting := storage.NewCounting(matInner)
-	out, err := view.Materialize(ctx, v, matCounting, view.MaterializeOptions{Name: "dense"})
+	out, err := transform.Materialize(ctx, v, matCounting, "dense")
 	if err != nil {
 		return nil, err
 	}

@@ -434,6 +434,15 @@ func TestLinkTensor(t *testing.T) {
 	}
 }
 
+// copyRow appends row idx of r's tensor to dst, as Merge copies a row.
+func copyRow(ctx context.Context, dst *Tensor, r *ScanReader, idx uint64) error {
+	row, err := dst.RowFrom(ctx, r, idx)
+	if err != nil {
+		return err
+	}
+	return dst.AppendRow(ctx, row)
+}
+
 // TestCopyRowAcrossStoredForms: a row of a tensor that stores rows otherwise
 // than the destination (here PNG into uncompressed) is decoded and encoded
 // for it, a sequence row item by item, and reads back as the source row.
@@ -462,7 +471,7 @@ func TestCopyRowAcrossStoredForms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dst.CopyRow(ctx, src.NewScanReader(), 0); err != nil {
+		if err := copyRow(ctx, dst, src.NewScanReader(), 0); err != nil {
 			t.Fatal(err)
 		}
 		want, _ := src.At(ctx, 0)
@@ -497,7 +506,7 @@ func TestCopyRowTilesForItsBounds(t *testing.T) {
 	if err := src.Append(ctx, arr); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.CopyRow(ctx, src.NewScanReader(), 0); err != nil {
+	if err := copyRow(ctx, dst, src.NewScanReader(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, tiled := dst.tileEnc.Get(0); !tiled {

@@ -333,6 +333,7 @@ func tensorFromState(ds *Dataset, name string, st tensorRootState) (*Tensor, err
 			return nil, err
 		}
 	}
+	st.Diff.Updated = slices.Clip(st.Diff.Updated) // shared with savedState; see recordUpdate
 	t.diff = st.Diff
 	bound := 0
 	for _, g := range st.ChunkVersions {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/chunk"
@@ -204,8 +205,10 @@ func (t *Tensor) allocChunkID() uint64 {
 
 // snapshotState captures the tensor's live state as a state record. The
 // manifest is shared, clipped to its length: the live run only appends past
-// it or is replaced by a copy, so the snapshot stays frozen at seal time.
+// it or is replaced by a copy, so the snapshot stays frozen at seal time;
+// so do the diff's updated rows (recordUpdate).
 func (t *Tensor) snapshotState() (tensorRootState, error) {
+	t.diff.Updated = slices.Clip(t.diff.Updated)
 	st := tensorRootState{Meta: t.meta, Diff: t.diff, Sums: t.sums[:len(t.sums):len(t.sums)]}
 	var err error
 	if st.ChunkEnc, err = t.chunkEnc.MarshalBinary(); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/chunk"
 	"repro/internal/tensor"
@@ -120,14 +121,13 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 	return t.writeChunk(ctx, id, blob)
 }
 
-// recordUpdate notes idx in the commit diff, deduplicated.
+// recordUpdate notes idx in the commit diff, whose updated rows ascend
+// without repeats. A seal or a load clips the list it shares, so an insert
+// copies it rather than move rows a recorded state holds.
 func (t *Tensor) recordUpdate(idx uint64) {
-	for _, u := range t.diff.Updated {
-		if u == idx {
-			return
-		}
+	if i, found := slices.BinarySearch(t.diff.Updated, idx); !found {
+		t.diff.Updated = slices.Insert(t.diff.Updated, i, idx)
 	}
-	t.diff.Updated = append(t.diff.Updated, idx)
 }
 
 // PadTo extends the tensor with empty samples until it has n rows,

@@ -401,3 +401,39 @@ func TestSchemaEvolutionAcrossVersions(t *testing.T) {
 		t.Fatalf("tensors at head = %v", got)
 	}
 }
+
+// TestUpdatedRowsAscendAndSealedListsStayFrozen: the diff lists each updated
+// row once, ascending, whatever order SetAt ran in, and an update after a
+// Flush leaves the list the Flush sealed as it was.
+func TestUpdatedRowsAscendAndSealedListsStayFrozen(t *testing.T) {
+	ctx := context.Background()
+	ds, _ := newTestDataset(t)
+	x, err := ds.CreateTensor(ctx, TensorSpec{Name: "x", Dtype: tensor.Int32, Bounds: smallBounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendInts(t, x, 0, 1, 2, 3, 4, 5, 6, 7)
+	set := func(rows ...uint64) {
+		t.Helper()
+		for _, r := range rows {
+			if err := x.SetAt(ctx, r, tensor.Scalar(tensor.Int32, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	set(6, 2, 4, 2, 0, 7) // five rows: the list has room to spare when sealed
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sealed := x.savedState.Diff.Updated
+	if want := []uint64{0, 2, 4, 6, 7}; !reflect.DeepEqual(sealed, want) {
+		t.Fatalf("sealed updated rows %v, want %v", sealed, want)
+	}
+	set(1, 5)
+	if want := []uint64{0, 2, 4, 6, 7}; !reflect.DeepEqual(sealed, want) {
+		t.Fatalf("updates after the Flush turned its sealed rows into %v", sealed)
+	}
+	if want := []uint64{0, 1, 2, 4, 5, 6, 7}; !reflect.DeepEqual(x.diff.Updated, want) {
+		t.Fatalf("updated rows %v, want %v", x.diff.Updated, want)
+	}
+}

@@ -237,7 +237,7 @@ const (
 )
 
 // Merge applies the changes of srcBranch since the common ancestor onto the
-// current branch (§4.2 Merge): appended rows are copied here (CopyRow) and
+// current branch (§4.2 Merge): appended rows are copied here (RowFrom) and
 // in-place updates re-applied, with conflicts (both sides updated the same
 // index) resolved by policy. Both keep the source's stored samples as they
 // are, so every htype merges and a JPEG row keeps its bytes. A merge records
@@ -289,7 +289,11 @@ func (ds *Dataset) Merge(ctx context.Context, srcBranch string, policy MergePoli
 		// Appends: source samples beyond its base length.
 		srcLen := srcT.Len()
 		for idx := srcLen - change.Added; idx < srcLen; idx++ {
-			if err := dstT.CopyRow(ctx, r, idx); err != nil {
+			row, err := dstT.RowFrom(ctx, r, idx)
+			if err != nil {
+				return err
+			}
+			if err := dstT.AppendRow(ctx, row); err != nil {
 				return err
 			}
 		}
@@ -308,11 +312,11 @@ func (ds *Dataset) Merge(ctx context.Context, srcBranch string, policy MergePoli
 				continue // updated a sample we do not have
 			}
 			// SetAt rejects sequence tensors, so an update is one sample.
-			samples, _, err := dstT.rowFrom(ctx, r, idx)
+			row, err := dstT.RowFrom(ctx, r, idx)
 			if err != nil {
 				return err
 			}
-			if err := dstT.setStored(ctx, idx, samples[0]); err != nil {
+			if err := dstT.setStored(ctx, idx, row.samples[0]); err != nil {
 				return err
 			}
 		}

@@ -157,29 +157,23 @@ func (t *Tensor) AppendEncoded(ctx context.Context, data []byte) error {
 	return t.appendRows(ctx, []chunk.Sample{{Shape: shape, Data: data}}, nil)
 }
 
-// CopyRow appends row idx of r's tensor to t. If that tensor stores rows as
-// t does (same htype, dtype and sample compression), the row's stored samples
-// land as they are, with no sample decode or encode (§5: "directly copied
-// into a chunk without additional decoding"). A tiled row, or a row of a
-// tensor that stores rows otherwise, is decoded and encoded for t.
-func (t *Tensor) CopyRow(ctx context.Context, r *ScanReader, idx uint64) error {
-	if err := t.ds.writableNow(); err != nil {
-		return err
-	}
-	samples, arrs, err := t.rowFrom(ctx, r, idx)
-	if err != nil {
-		return err
-	}
-	return t.appendRows(ctx, samples, arrs)
+// Row is one row in a tensor's stored form: RowFrom reads it outside every
+// lock, on any goroutine, and AppendRow appends it.
+type Row struct {
+	samples []chunk.Sample    // one, or a sequence row's items
+	arrs    []*tensor.NDArray // their decoded arrays, when the row has them
 }
 
-// rowFrom returns row idx of r's tensor in t's stored form: its read-only
-// stored samples when they already are, else t's encoding of the decoded row
-// and the row. SampleCompression, like spec and dtype, never changes.
-func (t *Tensor) rowFrom(ctx context.Context, r *ScanReader, idx uint64) ([]chunk.Sample, []*tensor.NDArray, error) {
+// RowFrom reads row idx of r's tensor in t's stored form. If that tensor
+// stores rows as t does (same htype, dtype and sample compression), the row
+// is its stored samples, aliased read-only, with no sample decode or encode
+// (§5: "directly copied into a chunk without additional decoding"). A tiled
+// row, or a row of a tensor that stores rows otherwise, is decoded and
+// encoded for t. SampleCompression, like spec and dtype, never changes.
+func (t *Tensor) RowFrom(ctx context.Context, r *ScanReader, idx uint64) (Row, error) {
 	if t.spec == r.t.spec && t.dtype == r.t.dtype && t.meta.SampleCompression == r.t.meta.SampleCompression {
 		if samples, ok, err := r.StoredRow(ctx, idx); err != nil || ok {
-			return samples, nil, err
+			return Row{samples: samples}, err
 		}
 	}
 	arrs := []*tensor.NDArray{nil} // or a sequence row's items
@@ -190,10 +184,15 @@ func (t *Tensor) rowFrom(ctx context.Context, r *ScanReader, idx uint64) ([]chun
 		arrs[0], err = r.At(ctx, idx)
 	}
 	if err != nil {
-		return nil, nil, err
+		return Row{}, err
 	}
 	samples, err := t.encodeSamples(arrs)
-	return samples, arrs, err
+	return Row{samples: samples, arrs: arrs}, err
+}
+
+// AppendRow appends a row RowFrom read for t or a tensor storing rows alike.
+func (t *Tensor) AppendRow(ctx context.Context, row Row) error {
+	return t.appendRows(ctx, row.samples, row.arrs)
 }
 
 // appendRows is the one locked tail of every public append: their checks,
@@ -211,7 +210,7 @@ func (t *Tensor) appendRows(ctx context.Context, samples []chunk.Sample, arrs []
 // appendLocked appends stored samples under the write locks: each one a
 // row, or on a sequence tensor all of them one row. arrs, if non-nil, holds
 // their decoded arrays for tiling. A sample may alias read-only source bytes
-// (CopyRow): the builder holds it unwritten until the chunk encoding copies it.
+// (RowFrom): the builder holds it unwritten until the chunk encoding copies it.
 func (t *Tensor) appendLocked(ctx context.Context, samples []chunk.Sample, arrs []*tensor.NDArray) error {
 	var dc deferredCollector
 	for i, s := range samples {

@@ -434,3 +434,76 @@ func TestChunkEncoderAppendScales(t *testing.T) {
 		t.Fatalf("50k appends took %s; append is not O(1)", elapsed)
 	}
 }
+
+// setByRebuild is the reference for ShapeEncoder.Set: expand every sample's
+// shape, overwrite idx, and append them all again.
+func setByRebuild(e *ShapeEncoder, idx uint64, shape []int) {
+	n := e.NumSamples()
+	shapes := make([][]int, 0, n)
+	for i := uint64(0); i < n; i++ {
+		s, _ := e.Get(i)
+		shapes = append(shapes, s)
+	}
+	shapes[idx] = append([]int(nil), shape...)
+	e.rows = nil
+	for _, s := range shapes {
+		e.Append(s)
+	}
+}
+
+// Property: over random Append/Set sequences, Set leaves exactly the runs
+// the flat rebuild leaves.
+func TestShapeEncoderSetMatchesFlatRebuild(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		shapes := [][]int{{2, 2}, {3, 3}, {2, 2, 3}, {}}
+		got, want := NewShapeEncoder(), NewShapeEncoder()
+		for op := 0; op < 200; op++ {
+			s := shapes[rng.Intn(len(shapes))]
+			if n := got.NumSamples(); n == 0 || rng.Intn(3) == 0 {
+				got.Append(s)
+				want.Append(s)
+			} else {
+				idx := uint64(rng.Int63n(int64(n)))
+				if err := got.Set(idx, s); err != nil {
+					return false
+				}
+				setByRebuild(want, idx, s)
+			}
+			if !reflect.DeepEqual(got.rows, want.rows) {
+				t.Logf("seed %d op %d: runs %v, rebuild %v", seed, op, got.rows, want.rows)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShapeEncoderSetAllocsIndependentOfSamples: a Set that splits a run and
+// one that merges it back allocate the same at 4 096 and 65 536 samples.
+func TestShapeEncoderSetAllocsIndependentOfSamples(t *testing.T) {
+	var allocs []float64
+	for _, n := range []uint64{4096, 65536} {
+		e := NewShapeEncoder()
+		for i := uint64(0); i < n; i++ {
+			e.Append([]int{4, 4})
+		}
+		allocs = append(allocs, testing.AllocsPerRun(100, func() {
+			if err := e.Set(n/2, []int{8, 8}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Set(n/2, []int{4, 4}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		if e.NumRows() != 1 {
+			t.Fatalf("%d runs after the shape came back, want 1", e.NumRows())
+		}
+	}
+	if allocs[0] != allocs[1] || allocs[0] > 2 {
+		t.Fatalf("a split and a merge allocate %v at 4 096 and 65 536 samples, want the same and at most 2", allocs)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/chunk"
@@ -219,25 +220,31 @@ func (e *ShapeEncoder) RunEnds() []uint64 {
 	return ends
 }
 
-// Set overwrites the shape of sample idx (in-place update support). The
-// implementation splits the run containing idx.
+// Set overwrites the shape of sample idx (in-place update support): it
+// splits the run holding idx around it and merges the new run with equal
+// neighbours, at a cost independent of the sample count.
 func (e *ShapeEncoder) Set(idx uint64, shape []int) error {
 	if idx >= e.NumSamples() {
 		return fmt.Errorf("encoder: cannot set shape of sample %d (%d samples)", idx, e.NumSamples())
 	}
-	// Rebuild via flat expansion of affected region; runs are typically
-	// short in update-heavy workloads and this keeps the code obviously
-	// correct.
-	n := e.NumSamples()
-	shapes := make([][]int, 0, n)
-	for i := uint64(0); i < n; i++ {
-		s, _ := e.Get(i)
-		shapes = append(shapes, s)
+	i := sort.Search(len(e.rows), func(i int) bool { return e.rows[i].LastIndex >= idx })
+	run := e.rows[i]
+	if shapeEqual(run.Shape, shape) {
+		return nil
 	}
-	shapes[idx] = append([]int(nil), shape...)
-	e.rows = nil
-	for _, s := range shapes {
-		e.Append(s)
+	split := []shapeRow{{idx - 1, run.Shape}, {idx, append([]int(nil), shape...)}, run}
+	if idx == run.LastIndex {
+		split = split[:2]
+	}
+	if i == 0 && idx == 0 || i > 0 && idx == e.rows[i-1].LastIndex+1 {
+		split = split[1:] // idx starts its run
+	}
+	e.rows = slices.Replace(e.rows, i, i+1, split...)
+	for j := i + len(split) - 1; j >= max(i-1, 0); j-- { // merge equal neighbours
+		if j+1 < len(e.rows) && shapeEqual(e.rows[j].Shape, e.rows[j+1].Shape) {
+			e.rows[j].LastIndex = e.rows[j+1].LastIndex
+			e.rows = slices.Delete(e.rows, j+1, j+2)
+		}
 	}
 	return nil
 }

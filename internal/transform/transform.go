@@ -4,7 +4,8 @@
 // into pipelines and run on a core.Walk: each worker loads and transforms a
 // batch of adjacent input rows, and the calling goroutine commits every
 // row's outputs in input order, so the produced dataset is deterministic
-// for any worker count.
+// for any worker count. Its third consumer, after Eval and EvalInPlace, is
+// Materialize (§4.5), the identity transform.
 //
 // Outputs write through the destination's flush pipeline, configured however
 // the destination was (core.WriteOptions): the ordered commit loop appends at
@@ -16,12 +17,14 @@
 package transform
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 
 	"repro/internal/core"
+	"repro/internal/storage"
 	"repro/internal/tensor"
 	"repro/internal/view"
 )
@@ -151,7 +154,7 @@ type Stats struct {
 // order. dst tensors must already exist for every output key.
 func (p *Pipeline) Eval(ctx context.Context, src Source, dst *core.Dataset, opts Options) (Stats, error) {
 	stats := Stats{InputSamples: src.Len()}
-	err := p.run(ctx, src, opts.Workers, func(_ int, outs []Sample) error {
+	err := run(ctx, src.Len(), batchSize, opts.Workers, p.worker(src), func(_ int, outs []Sample) error {
 		for _, s := range outs {
 			for name, arr := range s {
 				t := dst.Tensor(name)
@@ -179,20 +182,16 @@ func (p *Pipeline) Eval(ctx context.Context, src Source, dst *core.Dataset, opts
 func (p *Pipeline) EvalInPlace(ctx context.Context, ds *core.Dataset, opts Options) (Stats, error) {
 	src := FromDataset(ds)
 	stats := Stats{InputSamples: src.Len()}
-	err := p.run(ctx, src, opts.Workers, func(i int, outs []Sample) error {
+	err := run(ctx, src.Len(), batchSize, opts.Workers, p.worker(src), func(i int, outs []Sample) error {
 		if len(outs) != 1 {
 			return fmt.Errorf("transform: in-place pipelines must be one-to-one, got %d outputs", len(outs))
-		}
-		srcRow, err := src.View.SourceRow(i)
-		if err != nil {
-			return err
 		}
 		for name, arr := range outs[0] {
 			t := ds.Tensor(name)
 			if t == nil {
 				return fmt.Errorf("transform: output tensor %q does not exist", name)
 			}
-			if err := t.SetAt(ctx, srcRow, arr); err != nil {
+			if err := t.SetAt(ctx, src.View.Indices()[i], arr); err != nil {
 				return err
 			}
 		}
@@ -205,56 +204,160 @@ func (p *Pipeline) EvalInPlace(ctx context.Context, ds *core.Dataset, opts Optio
 	return stats, ds.Flush(ctx)
 }
 
-// run is the ordered walk under Eval and EvalInPlace (core.Walk): a step is
-// batchSize adjacent input rows, which a worker loads and transforms, and
-// the calling goroutine passes commit each of its rows' outputs in input
-// order, holding a window of 2×workers batches. The first error — a load, a
-// stage or commit — ends the run: rows before the failing one are committed
-// and none after it. run returns only after every worker has exited.
-func (p *Pipeline) run(ctx context.Context, src Source, workers int, commit func(row int, outs []Sample) error) error {
+// worker loads input row i and runs the stages on it, for Eval's walk.
+func (p *Pipeline) worker(src Source) func(context.Context) func(int) ([]Sample, error) {
+	return func(ctx context.Context) func(int) ([]Sample, error) {
+		return func(i int) ([]Sample, error) {
+			in, err := src.At(ctx, i)
+			if err != nil {
+				return nil, err
+			}
+			return p.apply(in)
+		}
+	}
+}
+
+// run is the ordered walk (core.Walk) under Eval, EvalInPlace and
+// Materialize: a step is batch adjacent input rows, each turned into its
+// result by the row function its worker built, and the calling goroutine
+// commits each row's result in input order, holding 2×workers steps. The
+// first error ends the run with every earlier row committed and no later
+// one. run returns only after every worker has exited.
+func run[R any](ctx context.Context, n, batch, workers int, worker func(context.Context) func(int) (R, error), commit func(row int, res R) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := src.Len()
 	return core.Walk(ctx, workers, 2*workers,
 		func(_ context.Context, yield func(int) bool) {
-			for lo := 0; lo < n && yield(lo); lo += batchSize {
+			for lo := 0; lo < n && yield(lo); lo += batch {
 			}
 		},
-		func(ctx context.Context) (func(int, *[][]Sample) error, func()) {
-			return func(lo int, outs *[][]Sample) error {
-				return p.transformRows(ctx, src, lo, min(lo+batchSize, n), outs)
+		func(ctx context.Context) (func(int, *[]R) error, func()) {
+			row, done := worker(ctx), ctx.Done()
+			return func(lo int, res *[]R) error {
+				for i := lo; i < min(lo+batch, n); i++ {
+					select {
+					case <-done:
+						return ctx.Err()
+					default:
+					}
+					r, err := row(i)
+					if err != nil {
+						return err
+					}
+					*res = append(*res, r)
+				}
+				return nil
 			}, nil
 		},
-		func(lo int, outs [][]Sample, err error) error {
-			for i, o := range outs {
-				if err := commit(lo+i, o); err != nil {
+		func(lo int, res []R, err error) error {
+			for i, r := range res {
+				if err := commit(lo+i, r); err != nil {
 					return err
 				}
 			}
 			if errors.Is(err, core.ErrWorkerDied) {
-				return fmt.Errorf("%w at row %d", ErrWorkerDied, lo+len(outs))
+				return fmt.Errorf("%w at row %d", ErrWorkerDied, lo+len(res))
 			}
 			return err
 		})
 }
 
-// transformRows loads and transforms input rows [lo, hi) into outs, one
-// entry per row, up to the first row that fails, and returns that failure.
-func (p *Pipeline) transformRows(ctx context.Context, src Source, lo, hi int, outs *[][]Sample) error {
-	for i := lo; i < hi; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
+// copyBatch is Materialize's rows per step: a stored row copies ~10× faster than a row transforms.
+const copyBatch = 4 * batchSize
+
+// cell is an identity cell's stored row or a computed cell's value.
+type cell struct {
+	stored core.Row
+	arr    *tensor.NDArray
+}
+
+// Materialize writes the view's rows in order into a fresh dataset, name or
+// "<source>-view", on dst with an optimal layout to stream (§4.5), and
+// commits it once. Workers read identity cells in their stored form
+// (core.Tensor.RowFrom) and evaluate computed ones; the caller creates the
+// tensors at row 0, which types computed columns, and appends row by row.
+// When row k fails, rows before it are appended and nothing is committed.
+func Materialize(ctx context.Context, v *view.View, dst storage.Provider, name string) (*core.Dataset, error) {
+	src, cols := v.Dataset(), v.Columns()
+	srcs := make([]*core.Tensor, len(cols)) // nil for a computed column
+	for i, c := range cols {
+		if srcs[i] = src.Tensor(c.Source); c.Source != "" && srcs[i] == nil {
+			return nil, fmt.Errorf("transform: source tensor %q missing", c.Source)
 		}
-		in, err := src.At(ctx, i)
-		if err != nil {
-			return err
-		}
-		produced, err := p.apply(in)
-		if err != nil {
-			return err
-		}
-		*outs = append(*outs, produced)
 	}
-	return nil
+	out, err := core.Create(ctx, dst, cmp.Or(name, src.Name()+"-view"))
+	if err != nil {
+		return nil, err
+	}
+	tensors := make([]*core.Tensor, len(cols))
+	create := func(row0 []cell) (err error) {
+		for i, c := range cols {
+			spec := core.TensorSpec{Name: c.Name}
+			if s := srcs[i]; s != nil {
+				m := s.Meta()
+				spec = core.TensorSpec{Name: c.Name, Htype: m.Htype, Dtype: s.Dtype(), SampleCompression: m.SampleCompression, ChunkCompression: m.ChunkCompression, Bounds: m.Bounds}
+			} else if row0 != nil {
+				spec.Dtype = row0[i].arr.Dtype()
+			}
+			if tensors[i], err = out.CreateTensor(ctx, spec); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	cellErr := func(row, i int, err error) error {
+		return fmt.Errorf("transform: materialize row %d column %q: %w", row, cols[i].Name, err)
+	}
+	worker := func(ctx context.Context) func(int) ([]cell, error) {
+		readers := make([]*core.ScanReader, len(cols))
+		for i, c := range cols {
+			if c.Stored() {
+				readers[i] = srcs[i].NewScanReader()
+			}
+		}
+		return func(row int) (cells []cell, err error) {
+			cells = make([]cell, len(cols))
+			for i, r := range readers {
+				if r != nil { // the source stores rows as its copy does
+					cells[i].stored, err = srcs[i].RowFrom(ctx, r, v.Indices()[row])
+				} else {
+					cells[i].arr, err = v.At(ctx, row, cols[i].Name)
+				}
+				if err != nil {
+					return nil, cellErr(row, i, err)
+				}
+			}
+			return cells, nil
+		}
+	}
+	if v.Len() == 0 {
+		err = create(nil)
+	}
+	err = cmp.Or(err, run(ctx, v.Len(), copyBatch, 0, worker, func(row int, cells []cell) error {
+		if row == 0 {
+			if err := create(cells); err != nil {
+				return err
+			}
+		}
+		for i, c := range cells {
+			var err error
+			if cols[i].Stored() {
+				err = tensors[i].AppendRow(ctx, c.stored)
+			} else {
+				err = tensors[i].Append(ctx, c.arr)
+			}
+			if err != nil {
+				return cellErr(row, i, err)
+			}
+		}
+		return nil
+	}))
+	if err == nil {
+		_, err = out.Commit(ctx, fmt.Sprintf("materialized view of %s@%s (%d rows)", src.Name(), src.Version(), v.Len()))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

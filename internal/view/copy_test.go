@@ -1,4 +1,7 @@
-package view
+// Package view_test holds the test of both copy paths a view's rows take,
+// transform.Materialize and core's Merge; transform imports view, so it is
+// an external test.
+package view_test
 
 import (
 	"bytes"
@@ -13,102 +16,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/tensor"
+	"repro/internal/transform"
+	"repro/internal/view"
 )
 
-// int32Dataset is a flushed dataset over store with one int32 column "x"
-// holding 0..n-1 in chunks of the given bounds.
-func int32Dataset(t testing.TB, store storage.Provider, n int, bounds chunk.Bounds) *core.Dataset {
-	t.Helper()
-	ctx := context.Background()
-	ds, err := core.Create(ctx, store, "src")
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := ds.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.Int32, Bounds: bounds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := x.Append(ctx, tensor.Scalar(tensor.Int32, float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ds.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	return ds
-}
-
-// TestMaterializeReadsEachChunkOnce: Materialize walks each identity column
-// with one reader, so with no cache in the chain it makes one Get per source
-// chunk, not one per row.
-func TestMaterializeReadsEachChunkOnce(t *testing.T) {
-	const rows, chunks = 400, 13
-	ctx := context.Background()
-	store := storage.NewCounting(storage.NewMemory())
-	ds := int32Dataset(t, store, rows, smallBounds)
-	if n := ds.Tensor("x").NumChunks(); n != chunks {
-		t.Fatalf("%d rows in %d chunks, want %d", rows, n, chunks)
-	}
-	store.Reset()
-	out, err := Materialize(ctx, All(ds), storage.NewMemory(), MaterializeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gets := store.Snapshot().Gets; gets != chunks {
-		t.Fatalf("Materialize made %d Gets for %d source chunks", gets, chunks)
-	}
-	for i := 0; i < rows; i++ {
-		arr, err := out.Tensor("x").At(ctx, uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, _ := arr.Item(); v != float64(i) {
-			t.Fatalf("materialized row %d holds %v", i, v)
-		}
-	}
-}
-
-// BenchmarkMaterialize materializes one int32 column, whose ns/row stays
-// flat as the rows per chunk grow, and one column of 32×32 JPEGs.
-func BenchmarkMaterialize(b *testing.B) {
-	for _, n := range []int{4096, 65536} {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			benchMaterialize(b, int32Dataset(b, storage.NewMemory(), n, chunk.DefaultBounds()), n)
-		})
-	}
-	b.Run("jpeg/rows=512", func(b *testing.B) {
-		const n = 512
-		ctx := context.Background()
-		ds, err := core.Create(ctx, storage.NewMemory(), "src")
-		if err != nil {
-			b.Fatal(err)
-		}
-		x, err := ds.CreateTensor(ctx, core.TensorSpec{Name: "x", Htype: "image", SampleCompression: "jpeg"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if err := x.Append(ctx, noise(i, 32, 32)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := ds.Flush(ctx); err != nil {
-			b.Fatal(err)
-		}
-		benchMaterialize(b, ds, n)
-	})
-}
-
-func benchMaterialize(b *testing.B, ds *core.Dataset, rows int) {
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Materialize(context.Background(), All(ds), storage.NewMemory(), MaterializeOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
-}
+var smallBounds = chunk.Bounds{Min: 64, Target: 128, Max: 256}
 
 // copyCase is one column kind of TestCopiesKeepStoredBytes: its spec, how to
 // append row i, and row i's replacement for an update (nil: the kind has no
@@ -251,7 +163,7 @@ func TestCopiesKeepStoredBytes(t *testing.T) {
 					}
 				}
 			}
-			out, err := Materialize(ctx, All(ds), storage.NewMemory(), MaterializeOptions{})
+			out, err := transform.Materialize(ctx, view.All(ds), storage.NewMemory(), "")
 			if err != nil {
 				t.Fatal(err)
 			}

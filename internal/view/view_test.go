@@ -2,14 +2,11 @@ package view
 
 import (
 	"context"
-	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/chunk"
 	"repro/internal/core"
-	"repro/internal/simnet"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 )
@@ -129,38 +126,6 @@ func TestSubview(t *testing.T) {
 	}
 }
 
-func TestMaterializeDensifiesSparseView(t *testing.T) {
-	ds := buildDataset(t)
-	ctx := context.Background()
-	v := New(ds, []uint64{2, 4, 6, 8}, nil)
-	dst := storage.NewMemory()
-	out, err := Materialize(ctx, v, dst, MaterializeOptions{Name: "filtered"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Name() != "filtered" || out.NumRows() != 4 {
-		t.Fatalf("materialized: name=%q rows=%d", out.Name(), out.NumRows())
-	}
-	for i, want := range []float64{2, 4, 6, 8} {
-		arr, err := out.Tensor("x").At(ctx, uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if val, _ := arr.Item(); val != want {
-			t.Fatalf("materialized x[%d] = %v, want %v", i, val, want)
-		}
-	}
-	// Lineage: one commit recorded.
-	log, err := out.Log()
-	if err != nil || len(log) != 1 {
-		t.Fatalf("log = %v, %v", log, err)
-	}
-	// Metadata carried over.
-	if out.Tensor("x").Dtype() != tensor.Int32 {
-		t.Fatalf("materialized dtype = %v", out.Tensor("x").Dtype())
-	}
-}
-
 func TestResolverFetchAndRegistry(t *testing.T) {
 	ctx := context.Background()
 	bucket := storage.NewMemory()
@@ -214,35 +179,6 @@ func TestLinkedColumnResolvesImages(t *testing.T) {
 	if !got.Equal(src) {
 		t.Fatal("png link resolution must be lossless")
 	}
-
-	// Materializing the resolved view inlines the image.
-	out, err := Materialize(ctx, v, storage.NewMemory(), MaterializeOptions{Name: "inlined"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inlined, err := out.Tensor("images").At(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(inlined.Shape(), []int{5, 7, 3}) {
-		t.Fatalf("inlined shape = %v", inlined.Shape())
-	}
-}
-
-func TestMaterializeIdentityLinkCopiesURL(t *testing.T) {
-	ctx := context.Background()
-	ds, _ := core.Create(ctx, storage.NewMemory(), "links")
-	links, _ := ds.CreateTensor(ctx, core.TensorSpec{Name: "ext", Htype: "link[image]"})
-	links.AppendLink(ctx, "sim://b/k.jpg")
-	v := New(ds, []uint64{0}, []Column{{Name: "ext", Source: "ext"}})
-	out, err := Materialize(ctx, v, storage.NewMemory(), MaterializeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	url, err := out.Tensor("ext").LinkAt(ctx, 0)
-	if err != nil || url != "sim://b/k.jpg" {
-		t.Fatalf("copied link = %q, %v", url, err)
-	}
 }
 
 func encodePNG(arr *tensor.NDArray) ([]byte, error) {
@@ -254,99 +190,4 @@ func encodePNG(arr *tensor.NDArray) ([]byte, error) {
 	}
 	s := arr.Shape()
 	return c.Encode(arr.Bytes(), s[0], s[1], s[2])
-}
-
-// BenchmarkMaterializeLanes measures Materialize of a sparse view onto
-// simulated same-region S3. Materialize creates its destination, so it always
-// runs the default 8 flush lanes; the GOMAXPROCS side repeats its row loop
-// for the view's stored columns into a destination set through
-// SetWriteOptions, and the same loop at the default lanes checks that the
-// repeat costs what Materialize does.
-func BenchmarkMaterializeLanes(b *testing.B) {
-	ctx := context.Background()
-	ds, err := core.Create(ctx, storage.NewMemory(), "src")
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, err := ds.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.Int32, Bounds: smallBounds})
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := ds.CreateTensor(ctx, core.TensorSpec{Name: "y", Dtype: tensor.Float64, Bounds: smallBounds})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := make([]uint64, 0, 1024)
-	for i := 0; i < 2048; i++ {
-		if err := x.Append(ctx, tensor.Scalar(tensor.Int32, float64(i))); err != nil {
-			b.Fatal(err)
-		}
-		if err := y.Append(ctx, tensor.Scalar(tensor.Float64, float64(i)*0.5)); err != nil {
-			b.Fatal(err)
-		}
-		if i%2 == 0 {
-			rows = append(rows, uint64(i))
-		}
-	}
-	if err := ds.Flush(ctx); err != nil {
-		b.Fatal(err)
-	}
-	v := New(ds, rows, nil)
-	newStore := func() storage.Provider { return storage.NewSimObjectStore(simnet.S3SameRegion()) }
-
-	b.Run("materialize-default", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dst := newStore()
-			b.StartTimer()
-			if _, err := Materialize(ctx, v, dst, MaterializeOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, lanes := range []int{0, runtime.GOMAXPROCS(0)} {
-		name := "loop-default"
-		if lanes > 0 {
-			name = fmt.Sprintf("loop-gomaxprocs-%d", lanes)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dst := newStore()
-				b.StartTimer()
-				out, err := core.Create(ctx, dst, "src-view")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if lanes > 0 {
-					if err := out.SetWriteOptions(core.WriteOptions{FlushWorkers: lanes}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, c := range v.Columns() {
-					src := ds.Tensor(c.Source)
-					m := src.Meta()
-					spec := core.TensorSpec{Name: c.Name, Htype: m.Htype, Dtype: src.Dtype(),
-						SampleCompression: m.SampleCompression, ChunkCompression: m.ChunkCompression, Bounds: m.Bounds}
-					if _, err := out.CreateTensor(ctx, spec); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for row := 0; row < v.Len(); row++ {
-					for _, c := range v.Columns() {
-						arr, err := v.At(ctx, row, c.Name)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if err := out.Tensor(c.Name).Append(ctx, arr); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				if _, err := out.Commit(ctx, "materialized"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
