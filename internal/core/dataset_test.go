@@ -434,9 +434,9 @@ func TestLinkTensor(t *testing.T) {
 	}
 }
 
-// copyRow appends row idx of r's tensor to dst, as Merge copies a row.
-func copyRow(ctx context.Context, dst *Tensor, r *ScanReader, idx uint64) error {
-	row, err := dst.RowFrom(ctx, r, idx)
+// copyRow appends row idx of src to dst, as Merge copies a row.
+func copyRow(ctx context.Context, dst, src *Tensor, idx uint64) error {
+	row, err := dst.RowsFrom(src).Row(ctx, idx)
 	if err != nil {
 		return err
 	}
@@ -471,7 +471,7 @@ func TestCopyRowAcrossStoredForms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := copyRow(ctx, dst, src.NewScanReader(), 0); err != nil {
+		if err := copyRow(ctx, dst, src, 0); err != nil {
 			t.Fatal(err)
 		}
 		want, _ := src.At(ctx, 0)
@@ -491,6 +491,29 @@ func TestCopyRowAcrossStoredForms(t *testing.T) {
 	}
 }
 
+// TestAppendRowRefusesAnotherStoredForm: a row read in a PNG tensor's stored
+// form is PNG bytes, so a tensor that stores raw pixels refuses it.
+func TestAppendRowRefusesAnotherStoredForm(t *testing.T) {
+	ctx := context.Background()
+	ds, _ := newTestDataset(t)
+	src, _ := ds.CreateTensor(ctx, TensorSpec{Name: "src", Htype: "image", SampleCompression: "png"})
+	dst, _ := ds.CreateTensor(ctx, TensorSpec{Name: "dst", Htype: "image", SampleCompression: "none"})
+	img, _ := tensor.FromBytes(tensor.UInt8, []int{4, 5, 3}, make([]byte, 4*5*3))
+	if err := src.Append(ctx, img); err != nil {
+		t.Fatal(err)
+	}
+	row, err := src.RowsFrom(src).Row(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.AppendRow(ctx, row); err == nil || dst.Len() != 0 {
+		t.Fatalf("AppendRow of a PNG row into raw storage = %v, %d rows", err, dst.Len())
+	}
+	if err := src.AppendRow(ctx, row); err != nil || src.Len() != 2 {
+		t.Fatalf("AppendRow into the tensor it was read from = %v, %d rows", err, src.Len())
+	}
+}
+
 // TestCopyRowTilesForItsBounds: a stored raw sample that fits the source's
 // chunks but not the destination's is tiled there, as Append would tile it.
 func TestCopyRowTilesForItsBounds(t *testing.T) {
@@ -506,7 +529,7 @@ func TestCopyRowTilesForItsBounds(t *testing.T) {
 	if err := src.Append(ctx, arr); err != nil {
 		t.Fatal(err)
 	}
-	if err := copyRow(ctx, dst, src.NewScanReader(), 0); err != nil {
+	if err := copyRow(ctx, dst, src, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, tiled := dst.tileEnc.Get(0); !tiled {

@@ -237,7 +237,7 @@ const (
 )
 
 // Merge applies the changes of srcBranch since the common ancestor onto the
-// current branch (§4.2 Merge): appended rows are copied here (RowFrom) and
+// current branch (§4.2 Merge): appended rows are copied here (RowReader) and
 // in-place updates re-applied, with conflicts (both sides updated the same
 // index) resolved by policy. Both keep the source's stored samples as they
 // are, so every htype merges and a JPEG row keeps its bytes. A merge records
@@ -285,11 +285,11 @@ func (ds *Dataset) Merge(ctx context.Context, srcBranch string, policy MergePoli
 		// the updated ones, each ascend, so a source chunk is read once per
 		// pass. The source is a read-only twin, so writes here never
 		// rewrite a chunk under the reader.
-		r := srcT.NewScanReader()
+		r := dstT.RowsFrom(srcT)
 		// Appends: source samples beyond its base length.
 		srcLen := srcT.Len()
 		for idx := srcLen - change.Added; idx < srcLen; idx++ {
-			row, err := dstT.RowFrom(ctx, r, idx)
+			row, err := r.Row(ctx, idx)
 			if err != nil {
 				return err
 			}
@@ -312,7 +312,7 @@ func (ds *Dataset) Merge(ctx context.Context, srcBranch string, policy MergePoli
 				continue // updated a sample we do not have
 			}
 			// SetAt rejects sequence tensors, so an update is one sample.
-			row, err := dstT.RowFrom(ctx, r, idx)
+			row, err := r.Row(ctx, idx)
 			if err != nil {
 				return err
 			}

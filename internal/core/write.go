@@ -157,41 +157,82 @@ func (t *Tensor) AppendEncoded(ctx context.Context, data []byte) error {
 	return t.appendRows(ctx, []chunk.Sample{{Shape: shape, Data: data}}, nil)
 }
 
-// Row is one row in a tensor's stored form: RowFrom reads it outside every
-// lock, on any goroutine, and AppendRow appends it.
+// Row is one row in a tensor's stored form, read by one of that tensor's
+// RowReaders outside every lock, on any goroutine; AppendRow appends it to a
+// tensor storing rows alike.
 type Row struct {
+	t       *Tensor           // whose stored form the row is in
 	samples []chunk.Sample    // one, or a sequence row's items
 	arrs    []*tensor.NDArray // their decoded arrays, when the row has them
 }
 
-// RowFrom reads row idx of r's tensor in t's stored form. If that tensor
-// stores rows as t does (same htype, dtype and sample compression), the row
-// is its stored samples, aliased read-only, with no sample decode or encode
-// (§5: "directly copied into a chunk without additional decoding"). A tiled
-// row, or a row of a tensor that stores rows otherwise, is decoded and
-// encoded for t. SampleCompression, like spec and dtype, never changes.
-func (t *Tensor) RowFrom(ctx context.Context, r *ScanReader, idx uint64) (Row, error) {
-	if t.spec == r.t.spec && t.dtype == r.t.dtype && t.meta.SampleCompression == r.t.meta.SampleCompression {
-		if samples, ok, err := r.StoredRow(ctx, idx); err != nil || ok {
-			return Row{samples: samples}, err
+// RowReader reads the rows of a source tensor in a destination tensor's
+// stored form, on one goroutine, for one walk as a ScanReader does. If the
+// source stores rows as the destination does (same htype, dtype and sample
+// compression), a row is its stored samples, aliased read-only, with no
+// sample decode or encode (§5: "directly copied into a chunk without
+// additional decoding"): the reader reads a stored chunk whole once
+// (ScanReader.Chunk) and serves every row of its span without a lookup, so
+// rows in stored order take no lock. A sequence, tiled or write-buffered row
+// is read through the ScanReader, and a row of a source that stores rows
+// otherwise is decoded and encoded for the destination.
+type RowReader struct {
+	t    *Tensor
+	r    *ScanReader
+	same bool      // the source stores rows as t does
+	span ChunkRows // the stored chunk read last
+}
+
+// RowsFrom returns a reader of src's rows in t's stored form.
+func (t *Tensor) RowsFrom(src *Tensor) *RowReader {
+	return &RowReader{t: t, r: src.NewScanReader(), same: t.storesLike(src)}
+}
+
+// storesLike reports whether t stores rows as o does: the same htype, dtype
+// and sample compression, none of which ever changes.
+func (t *Tensor) storesLike(o *Tensor) bool {
+	return t.spec == o.spec && t.dtype == o.dtype && t.meta.SampleCompression == o.meta.SampleCompression
+}
+
+// Row reads source row idx.
+func (rr *RowReader) Row(ctx context.Context, idx uint64) (Row, error) {
+	if rr.same {
+		k := idx - rr.span.First // wraps past the span when idx is below it
+		if k >= uint64(len(rr.span.Samples)) {
+			span, ok, err := rr.r.Chunk(ctx, idx)
+			if err != nil {
+				return Row{}, err
+			}
+			if ok {
+				rr.span, k = span, idx-span.First
+			}
+		}
+		if k < uint64(len(rr.span.Samples)) {
+			return Row{t: rr.t, samples: rr.span.Samples[k : k+1 : k+1]}, nil
+		}
+		if samples, ok, err := rr.r.StoredRow(ctx, idx); err != nil || ok {
+			return Row{t: rr.t, samples: samples}, err
 		}
 	}
 	arrs := []*tensor.NDArray{nil} // or a sequence row's items
 	var err error
-	if t.spec.Sequence {
-		arrs, err = r.SequenceAt(ctx, int(idx))
+	if rr.t.spec.Sequence {
+		arrs, err = rr.r.SequenceAt(ctx, int(idx))
 	} else {
-		arrs[0], err = r.At(ctx, idx)
+		arrs[0], err = rr.r.At(ctx, idx)
 	}
 	if err != nil {
 		return Row{}, err
 	}
-	samples, err := t.encodeSamples(arrs)
-	return Row{samples: samples, arrs: arrs}, err
+	samples, err := rr.t.encodeSamples(arrs)
+	return Row{t: rr.t, samples: samples, arrs: arrs}, err
 }
 
-// AppendRow appends a row RowFrom read for t or a tensor storing rows alike.
+// AppendRow appends a row read in t's stored form or a form alike.
 func (t *Tensor) AppendRow(ctx context.Context, row Row) error {
+	if row.t == nil || !t.storesLike(row.t) {
+		return fmt.Errorf("core: tensor %q does not store rows as the row was read", t.name)
+	}
 	return t.appendRows(ctx, row.samples, row.arrs)
 }
 
@@ -210,7 +251,7 @@ func (t *Tensor) appendRows(ctx context.Context, samples []chunk.Sample, arrs []
 // appendLocked appends stored samples under the write locks: each one a
 // row, or on a sequence tensor all of them one row. arrs, if non-nil, holds
 // their decoded arrays for tiling. A sample may alias read-only source bytes
-// (RowFrom): the builder holds it unwritten until the chunk encoding copies it.
+// (RowReader): the builder holds it unwritten until the chunk encoding copies it.
 func (t *Tensor) appendLocked(ctx context.Context, samples []chunk.Sample, arrs []*tensor.NDArray) error {
 	var dc deferredCollector
 	for i, s := range samples {

@@ -17,7 +17,6 @@
 package transform
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -235,7 +234,9 @@ func run[R any](ctx context.Context, n, batch, workers int, worker func(context.
 		func(ctx context.Context) (func(int, *[]R) error, func()) {
 			row, done := worker(ctx), ctx.Done()
 			return func(lo int, res *[]R) error {
-				for i := lo; i < min(lo+batch, n); i++ {
+				hi := min(lo+batch, n)
+				*res = make([]R, 0, hi-lo)
+				for i := lo; i < hi; i++ {
 					select {
 					case <-done:
 						return ctx.Err()
@@ -274,24 +275,32 @@ type cell struct {
 
 // Materialize writes the view's rows in order into a fresh dataset, name or
 // "<source>-view", on dst with an optimal layout to stream (§4.5), and
-// commits it once. Workers read identity cells in their stored form
-// (core.Tensor.RowFrom) and evaluate computed ones; the caller creates the
-// tensors at row 0, which types computed columns, and appends row by row.
-// When row k fails, rows before it are appended and nothing is committed.
+// commits it once. Workers read identity cells in their source's stored form
+// (core.RowReader), which the destination's tensors copy, and evaluate
+// computed ones; the caller creates the tensors in column order when row 0
+// commits, typing computed columns from it, and appends row by row. When row
+// k fails, rows before it are appended and flushed and nothing is committed.
 func Materialize(ctx context.Context, v *view.View, dst storage.Provider, name string) (*core.Dataset, error) {
 	src, cols := v.Dataset(), v.Columns()
 	srcs := make([]*core.Tensor, len(cols)) // nil for a computed column
 	for i, c := range cols {
-		if srcs[i] = src.Tensor(c.Source); c.Source != "" && srcs[i] == nil {
+		if c.Source == "" {
+			continue
+		}
+		srcs[i] = src.Tensor(c.Source)
+		if srcs[i] == nil {
 			return nil, fmt.Errorf("transform: source tensor %q missing", c.Source)
 		}
 	}
-	out, err := core.Create(ctx, dst, cmp.Or(name, src.Name()+"-view"))
+	if name == "" {
+		name = src.Name() + "-view"
+	}
+	out, err := core.Create(ctx, dst, name)
 	if err != nil {
 		return nil, err
 	}
 	tensors := make([]*core.Tensor, len(cols))
-	create := func(row0 []cell) (err error) {
+	create := func(row0 []cell) error {
 		for i, c := range cols {
 			spec := core.TensorSpec{Name: c.Name}
 			if s := srcs[i]; s != nil {
@@ -300,6 +309,7 @@ func Materialize(ctx context.Context, v *view.View, dst storage.Provider, name s
 			} else if row0 != nil {
 				spec.Dtype = row0[i].arr.Dtype()
 			}
+			var err error
 			if tensors[i], err = out.CreateTensor(ctx, spec); err != nil {
 				return err
 			}
@@ -310,17 +320,23 @@ func Materialize(ctx context.Context, v *view.View, dst storage.Provider, name s
 		return fmt.Errorf("transform: materialize row %d column %q: %w", row, cols[i].Name, err)
 	}
 	worker := func(ctx context.Context) func(int) ([]cell, error) {
-		readers := make([]*core.ScanReader, len(cols))
+		readers := make([]*core.RowReader, len(cols))
 		for i, c := range cols {
 			if c.Stored() {
-				readers[i] = srcs[i].NewScanReader()
+				readers[i] = srcs[i].RowsFrom(srcs[i])
 			}
 		}
-		return func(row int) (cells []cell, err error) {
-			cells = make([]cell, len(cols))
+		var free []cell // carved into rows, one allocation a step
+		return func(row int) ([]cell, error) {
+			if len(free) < len(cols) {
+				free = make([]cell, copyBatch*len(cols))
+			}
+			cells := free[:len(cols):len(cols)]
+			free = free[len(cols):]
 			for i, r := range readers {
-				if r != nil { // the source stores rows as its copy does
-					cells[i].stored, err = srcs[i].RowFrom(ctx, r, v.Indices()[row])
+				var err error
+				if r != nil {
+					cells[i].stored, err = r.Row(ctx, v.Indices()[row])
 				} else {
 					cells[i].arr, err = v.At(ctx, row, cols[i].Name)
 				}
@@ -331,10 +347,7 @@ func Materialize(ctx context.Context, v *view.View, dst storage.Provider, name s
 			return cells, nil
 		}
 	}
-	if v.Len() == 0 {
-		err = create(nil)
-	}
-	err = cmp.Or(err, run(ctx, v.Len(), copyBatch, 0, worker, func(row int, cells []cell) error {
+	commit := func(row int, cells []cell) error {
 		if row == 0 {
 			if err := create(cells); err != nil {
 				return err
@@ -352,11 +365,17 @@ func Materialize(ctx context.Context, v *view.View, dst storage.Provider, name s
 			}
 		}
 		return nil
-	}))
-	if err == nil {
-		_, err = out.Commit(ctx, fmt.Sprintf("materialized view of %s@%s (%d rows)", src.Name(), src.Version(), v.Len()))
+	}
+	if v.Len() == 0 {
+		err = create(nil)
+	} else {
+		err = run(ctx, v.Len(), copyBatch, 0, worker, commit)
 	}
 	if err != nil {
+		// Land what was appended, so no upload outlives the call.
+		return nil, errors.Join(err, out.Flush(context.WithoutCancel(ctx)))
+	}
+	if _, err := out.Commit(ctx, fmt.Sprintf("materialized view of %s@%s (%d rows)", src.Name(), src.Version(), v.Len())); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -23,7 +23,7 @@ var smallBounds = chunk.Bounds{Min: 64, Target: 128, Max: 256}
 // flight outlives the test that started it and the next test counts
 // goroutines from a settled start.
 func flushOnCleanup(t testing.TB, ds *core.Dataset) {
-	n := runtime.NumGoroutine()
+	n := moduleGoroutines()
 	t.Cleanup(func() {
 		if err := ds.Flush(context.Background()); err != nil {
 			t.Error(err)
@@ -248,16 +248,31 @@ func failAt(k float64, boom error) *Pipeline {
 	})
 }
 
-// settledGoroutines reports runtime.NumGoroutine once it is at most want,
+// moduleGoroutines counts the goroutines running this module's code or
+// started by it. The testing package's own are left out: the runner of the
+// test before this one can still be exiting when this one starts, and its
+// exit would read as a change in the count.
+func moduleGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "repro/internal/") {
+			n++
+		}
+	}
+	return n
+}
+
+// settledGoroutines reports moduleGoroutines once it is at most want,
 // yielding until then for up to five seconds. A goroutine that has
 // signalled its WaitGroup is still counted until the scheduler runs it to
 // its exit, which can lag a join; a leaked goroutine never leaves.
 func settledGoroutines(want int) int {
 	deadline := time.Now().Add(5 * time.Second)
-	n := runtime.NumGoroutine()
+	n := moduleGoroutines()
 	for n > want && time.Now().Before(deadline) {
 		runtime.Gosched()
-		n = runtime.NumGoroutine()
+		n = moduleGoroutines()
 	}
 	return n
 }
@@ -270,7 +285,7 @@ func settledGoroutines(want int) int {
 func TestFailedEvalJoinsItsGoroutines(t *testing.T) {
 	ctx := context.Background()
 	boom := errors.New("bad input")
-	start := runtime.NumGoroutine()
+	start := moduleGoroutines()
 	src := sourceDataset(t, 400)
 	dst := destDataset(t)
 	if _, err := dst.CreateTensor(ctx, core.TensorSpec{Name: "x", Dtype: tensor.Int32, Bounds: smallBounds}); err != nil {

@@ -202,7 +202,7 @@ func resolverOver(bucket storage.Provider) *view.Resolver {
 
 // TestMaterializeFailureCommitsNothing: a computed column that fails at row
 // 37 of 100 fails Materialize with the same error at 1 and 8 workers, and
-// the destination holds no commit.
+// the destination holds no commit, only the 37 rows before it, flushed.
 func TestMaterializeFailureCommitsNothing(t *testing.T) {
 	const rows, k = 100, 37
 	boom := errors.New("bad row")
@@ -247,6 +247,11 @@ func TestMaterializeFailureCommitsNothing(t *testing.T) {
 			}
 			if len(log) != 0 {
 				t.Fatalf("failed Materialize left %d commits: %v", len(log), log)
+			}
+			for _, name := range []string{"x", "y"} {
+				if got := reopened.Tensor(name).Len(); got != k {
+					t.Fatalf("%s holds %d flushed rows, want the %d before the failing one", name, got, k)
+				}
 			}
 		})
 	}
