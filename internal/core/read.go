@@ -79,8 +79,8 @@ func (t *Tensor) Slice(ctx context.Context, idx uint64, region []tensor.Range) (
 	if err != nil {
 		return nil, err
 	}
-	if loc.tiled {
-		return r.tiled(ctx, loc.tile, region)
+	if loc.tile != nil {
+		return r.tiled(ctx, *loc.tile, region)
 	}
 	// Range-read fast path: uncompressed chunk + raw sample + region
 	// constraining only axis 0.
@@ -216,8 +216,8 @@ func (t *Tensor) RawAt(ctx context.Context, idx uint64) ([]byte, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if loc.tiled {
-		arr, err := r.tiled(ctx, loc.tile, nil)
+	if loc.tile != nil {
+		arr, err := r.tiled(ctx, *loc.tile, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -312,22 +312,31 @@ func (t *Tensor) loadChunk(ctx context.Context, chunkID uint64) (*chunk.Chunk, e
 
 // chunkSamples is every sample of chunk id, in a list of the caller's own,
 // read through the lineage's cache (chunkLocked) under the caller's tensor
-// locks, a damaged block healed (Tensor.healed): Rechunk and SetAt, which
-// hold the write lock, read whole chunks through it.
+// locks: Rechunk and SetAt, which hold the write lock, read whole chunks
+// through it.
 func (t *Tensor) chunkSamples(ctx context.Context, chunkID uint64) ([]chunk.Sample, error) {
-	c, err := t.chunkLocked(ctx, chunkID)
+	obj := func(id uint64) string { return chunkKey(t.chunkVersion[id], t.name, id) }
+	samples, err := t.samplesOf(ctx, chunkID, t.chunkLocked, obj)
+	return slices.Clone(samples), err
+}
+
+// samplesOf is every sample of chunk id as fetch loads it, read whole, a
+// damaged block healed (Tensor.healed; obj names the chunk's object). The
+// list is shared and read-only, as ReadChunk says.
+func (t *Tensor) samplesOf(ctx context.Context, id uint64, fetch ChunkFetch, obj func(uint64) string) ([]chunk.Sample, error) {
+	c, err := fetch(ctx, id)
 	if err != nil {
 		return nil, err
 	}
 	var samples []chunk.Sample
-	obj := func(id uint64) string { return chunkKey(t.chunkVersion[id], t.name, id) }
-	if _, err = t.healed(ctx, c, chunkID, t.chunkLocked, obj, func(c *chunk.Chunk) (err error) {
+	read := func(c *chunk.Chunk) (err error) {
 		samples, err = c.Samples()
 		return err
-	}); err != nil {
+	}
+	if _, err = t.healed(ctx, c, id, read(c), fetch, obj, read); err != nil {
 		return nil, err
 	}
-	return slices.Clone(samples), nil
+	return samples, nil
 }
 
 func prod(shape []int) int {

@@ -50,30 +50,44 @@ type ChunkFetch func(ctx context.Context, chunkID uint64) (*chunk.Chunk, error)
 // ScanReader is the one read path from a flat sample index to its stored
 // sample and decoded array: Tensor.At, SequenceAt, LinkAt, RawAt and
 // Slice's whole-sample case are one-shot readers. A reader keeps the last
-// chunk it loaded in a one-chunk slot, so a walk over rows in ascending
-// order looks each chunk up once instead of once per row. Without a
-// ChunkFetch of its own, a reader loads through the decoded-chunk cache of
-// the handle's lineage: a landed chunk is fetched and opened once per
-// lineage, whichever readers ask — the TQL scan's stages, repeated queries,
-// time-travel twins, one-shot point reads — concurrent loads of one chunk
-// coalesce into one, and each block of a compressed chunk is inflated once,
-// by the first read that touches it. A row still in the write buffer is
-// copied out under the tensor's locks, and a tiled sample is assembled from
-// its tiles, read through the lineage's cache; neither goes through the
-// slot.
+// chunk it loaded in a one-chunk slot, with the rows [first, last] that
+// chunk stores and the tensor's layout generation they were resolved at, so
+// a walk over rows in ascending order resolves and loads each chunk once:
+// a row inside the slot's span takes no lock and no chunk-encoder lookup
+// while the generation holds. Without a ChunkFetch of its own, a reader
+// loads through the decoded-chunk cache of the handle's lineage: a landed
+// chunk is fetched and opened once per lineage, whichever readers ask — the
+// TQL scan's stages, repeated queries, time-travel twins, one-shot point
+// reads — concurrent loads of one chunk coalesce into one, and each block of
+// a compressed chunk is inflated once, by the first read that touches it. A
+// row still in the write buffer is copied out under the tensor's locks, and
+// a tiled sample is assembled from its tiles, read through the lineage's
+// cache; neither goes through the slot.
 //
 // Lifetime: a reader's slot lives for one walk. A write never changes a
-// sealed chunk's bytes: SetAt and Rechunk move the rows they rewrite to fresh
-// ids, so a reader kept across a write resolves them to a chunk its slot
-// does not hold and reads what was written. A ScanReader is
+// sealed chunk's bytes, and no append grows one. SetAt, re-tiling, Merge's
+// updates and Rechunk move the rows they rewrite to fresh ids and move the
+// tensor's layout generation, so a reader kept across a write resolves its
+// next row under the locks again and reads what was written. A ScanReader is
 // NOT safe for concurrent use; each scan or loader worker owns one per
 // tensor.
 type ScanReader struct {
-	t       *Tensor
-	fetch   ChunkFetch
-	arena   *chunk.Arena
-	chunkID uint64
-	chunk   *chunk.Chunk // nil while the slot is empty
+	t     *Tensor
+	fetch ChunkFetch
+	arena *chunk.Arena
+	// The slot: the chunk read last (nil while empty), the rows it stores,
+	// and its sample table once a whole-chunk read built it.
+	chunk *chunk.Chunk
+	span  span
+	table []chunk.Sample
+}
+
+// span is a landed chunk and the rows [first, last] it stores, as the
+// tensor's layout generation gen mapped them.
+type span struct {
+	id          uint64
+	first, last uint64
+	gen         uint64
 }
 
 // NewScanReader returns a reader with an empty chunk slot whose fetches go
@@ -97,55 +111,77 @@ func (t *Tensor) NewScanReaderWith(fetch ChunkFetch) *ScanReader {
 // job) — see chunk.Arena. A nil arena restores plain heap allocation.
 func (r *ScanReader) SetArena(a *chunk.Arena) { r.arena = a }
 
-// location is a flat sample index resolved under the tensor's read locks:
-// a tiled sample's layout, a copy of a write-buffered row's stored sample,
-// or else the chunk coordinates.
+// location is a flat sample index resolved to a tiled sample's layout, a
+// copy of a write-buffered row's stored sample, or else its chunk's span
+// and its index in that chunk. It is passed by value on every row, so the
+// rare parts are pointers.
 type location struct {
-	chunkID uint64
+	span    span
 	local   int
-	tiled   bool
-	tile    encoder.TileEntry
+	tile    *encoder.TileEntry
 	pending *chunk.Sample
 }
 
-// locate resolves flat sample idx (for a sequence tensor, one item).
+// inSlot returns idx's index in the chunk in the slot, with no lock;
+// ok=false unless idx is in the slot's span and the tensor's layout
+// generation is still the slot's.
+func (r *ScanReader) inSlot(idx uint64) (local int, ok bool) {
+	if r.chunk == nil || idx < r.span.first || idx > r.span.last || r.t.layoutGen.Load() != r.span.gen {
+		return 0, false
+	}
+	return int(idx - r.span.first), true
+}
+
+// locate resolves flat sample idx (for a sequence tensor, one item): from
+// the slot when it holds idx (inSlot), else under the tensor's read locks.
 func (r *ScanReader) locate(idx uint64) (location, error) {
+	if local, ok := r.inSlot(idx); ok {
+		return location{span: r.span, local: local}, nil
+	}
 	t := r.t
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if entry, tiled := t.tileEnc.Get(idx); tiled {
-		return location{tiled: true, tile: entry}, nil
+		tile := entry // only a tiled row's escapes
+		return location{tile: &tile}, nil
 	}
-	chunkID, local, err := t.chunkEnc.Lookup(idx)
+	first, last, id, err := t.chunkEnc.Span(idx)
 	if err != nil {
 		return location{}, err
 	}
-	loc := location{chunkID: chunkID, local: local}
-	if t.builder.Len() > 0 && chunkID == t.pendingID {
-		if local >= t.builder.Len() {
-			return location{}, fmt.Errorf("core: pending sample %d out of range", local)
+	loc := location{span: span{id: id, first: first, last: last, gen: t.layoutGen.Load()}, local: int(idx - first)}
+	if t.builder.Len() > 0 && id == t.pendingID {
+		if loc.local >= t.builder.Len() {
+			return location{}, fmt.Errorf("core: pending sample %d out of range", loc.local)
 		}
-		s := t.builder.Samples()[local]
+		s := t.builder.Samples()[loc.local]
 		loc.pending = &s
 	}
 	return loc, nil
 }
 
-// load fills the slot with chunk id's stored samples unless it holds them.
-// It runs outside the tensor locks, so a ChunkFetch may re-enter tensor read
-// methods (the dataloader's cache calls ReadChunk).
-func (r *ScanReader) load(ctx context.Context, id uint64) error {
-	if r.chunk != nil && r.chunkID == id {
+// read runs read over the chunk of sp in the slot, loading it unless the
+// slot holds it, and heals a damaged block the read finds (Tensor.healed).
+// The load runs outside the tensor locks, so a ChunkFetch may re-enter
+// tensor read methods (the dataloader's cache calls ReadChunk).
+func (r *ScanReader) read(ctx context.Context, sp span, read func(*chunk.Chunk) error) error {
+	if r.chunk == nil || r.span.id != sp.id {
+		c, err := r.fetcher()(ctx, sp.id)
+		if err != nil {
+			return err
+		}
+		r.chunk, r.table = c, nil
+	}
+	r.span = sp
+	err := read(r.chunk)
+	if err == nil {
 		return nil
 	}
-	c, err := r.fetcher()(ctx, id)
-	if err != nil {
-		return err
-	}
-	r.chunkID, r.chunk = id, c
-	return nil
+	r.table = nil
+	r.chunk, err = r.t.healed(ctx, r.chunk, sp.id, err, r.fetcher(), r.t.ChunkIdentity, read)
+	return err
 }
 
 // fetcher is the reader's ChunkFetch, else the lineage's cache.
@@ -156,25 +192,14 @@ func (r *ScanReader) fetcher() ChunkFetch {
 	return r.t.cachedChunk
 }
 
-// read runs read over chunk id in the slot, loading it unless the slot holds
-// it, and heals a damaged block the read finds (Tensor.healed).
-func (r *ScanReader) read(ctx context.Context, id uint64, read func(*chunk.Chunk) error) error {
-	if err := r.load(ctx, id); err != nil {
-		return err
-	}
-	var err error
-	r.chunk, err = r.t.healed(ctx, r.chunk, id, r.fetcher(), r.t.ChunkIdentity, read)
-	return err
-}
-
-// healed runs read over c, chunk id as fetch loaded it, and is the one heal
-// of a damaged block a read finds (chunk.ErrCorrupt): it marks c stale,
-// evicts the object (obj names it) from any byte cache in the chain and
-// reads once more over what fetch returns, which a ChunkCache serves by
-// loading the stale chunk anew — one extra request. A block still bad fails
-// that read. It returns the chunk read last, nil if the re-fetch failed.
-func (t *Tensor) healed(ctx context.Context, c *chunk.Chunk, id uint64, fetch ChunkFetch, obj func(uint64) string, read func(*chunk.Chunk) error) (*chunk.Chunk, error) {
-	err := read(c)
+// healed is the one heal of a damaged block a read finds: err is what read
+// returned over c, chunk id as fetch loaded it. If err is chunk.ErrCorrupt,
+// it marks c stale, evicts the object (obj names it) from any byte cache in
+// the chain and reads once more over what fetch returns, which a ChunkCache
+// serves by loading the stale chunk anew — one extra request. A block still
+// bad fails that read. It returns the chunk read last, nil if the re-fetch
+// failed, and the error named by its object, nil if the heal succeeded.
+func (t *Tensor) healed(ctx context.Context, c *chunk.Chunk, id uint64, err error, fetch ChunkFetch, obj func(uint64) string, read func(*chunk.Chunk) error) (*chunk.Chunk, error) {
 	if errors.Is(err, chunk.ErrCorrupt) {
 		c.MarkStale()
 		storage.Evict(t.ds.store, obj(id))
@@ -194,7 +219,7 @@ func (r *ScanReader) sample(ctx context.Context, loc location) (s chunk.Sample, 
 	if loc.pending != nil {
 		return *loc.pending, nil
 	}
-	err = r.read(ctx, loc.chunkID, func(c *chunk.Chunk) (err error) {
+	err = r.read(ctx, loc.span, func(c *chunk.Chunk) (err error) {
 		s, err = c.Sample(loc.local)
 		return err
 	})
@@ -202,18 +227,13 @@ func (r *ScanReader) sample(ctx context.Context, loc location) (s chunk.Sample, 
 }
 
 // tiled assembles a tiled sample from the tiles overlapping region (nil
-// means the whole sample), each read whole through the lineage's cache by a
-// reader of its own, not through the slot.
+// means the whole sample), each read whole through the lineage's cache, not
+// through the slot.
 func (r *ScanReader) tiled(ctx context.Context, entry encoder.TileEntry, region []tensor.Range) (*tensor.NDArray, error) {
 	needed := entry.Layout.TilesOverlapping(region)
 	tiles := make(map[int]*tensor.NDArray, len(needed))
-	tr := r.t.NewScanReader()
 	for _, ti := range needed {
-		var samples []chunk.Sample
-		err := tr.read(ctx, entry.ChunkIDs[ti], func(c *chunk.Chunk) (err error) {
-			samples, err = c.Samples()
-			return err
-		})
+		samples, err := r.t.samplesOf(ctx, entry.ChunkIDs[ti], r.t.cachedChunk, r.t.ChunkIdentity)
 		if err != nil {
 			return nil, err
 		}
@@ -233,8 +253,8 @@ func (r *ScanReader) item(ctx context.Context, idx uint64) (*tensor.NDArray, err
 	if err != nil {
 		return nil, err
 	}
-	if loc.tiled {
-		return r.tiled(ctx, loc.tile, nil)
+	if loc.tile != nil {
+		return r.tiled(ctx, *loc.tile, nil)
 	}
 	s, err := r.sample(ctx, loc)
 	if err != nil {
@@ -254,7 +274,7 @@ func (r *ScanReader) StoredAt(ctx context.Context, idx uint64) (chunk.Sample, bo
 		return chunk.Sample{}, false, nil
 	}
 	loc, err := r.locate(idx)
-	if err != nil || loc.tiled {
+	if err != nil || loc.tile != nil {
 		return chunk.Sample{}, false, err
 	}
 	s, err := r.sample(ctx, loc)
@@ -262,19 +282,37 @@ func (r *ScanReader) StoredAt(ctx context.Context, idx uint64) (chunk.Sample, bo
 }
 
 // StoredRow returns row idx's stored samples — a sequence row's items, else
-// its one sample — as StoredAt returns each; ok=false means one is tiled.
+// its one sample — as StoredAt returns each; ok=false means one is tiled. A
+// one-sample row in a landed chunk is a window on the chunk's sample table,
+// which the slot reads whole once, so it allocates nothing.
 func (r *ScanReader) StoredRow(ctx context.Context, idx uint64) ([]chunk.Sample, bool, error) {
-	first, end := idx, idx+1
-	if r.t.spec.Sequence {
-		var err error
-		if first, end, err = r.t.itemRange(int(idx)); err != nil {
+	if !r.t.spec.Sequence {
+		if k, ok := r.inSlot(idx); ok && r.table != nil {
+			return r.table[k : k+1 : k+1], true, nil
+		}
+		loc, err := r.locate(idx)
+		if err != nil || loc.tile != nil {
 			return nil, false, err
 		}
+		if loc.pending != nil {
+			return []chunk.Sample{*loc.pending}, true, nil
+		}
+		if err := r.readTable(ctx, loc.span); err != nil {
+			return nil, false, err
+		}
+		if k := loc.local; k < len(r.table) {
+			return r.table[k : k+1 : k+1], true, nil
+		}
+		return nil, false, fmt.Errorf("core: sample %d beyond chunk %d (%d samples)", loc.local, loc.span.id, len(r.table))
+	}
+	first, end, err := r.t.itemRange(int(idx))
+	if err != nil {
+		return nil, false, err
 	}
 	out := make([]chunk.Sample, 0, end-first)
 	for i := first; i < end; i++ {
 		loc, err := r.locate(i)
-		if err != nil || loc.tiled {
+		if err != nil || loc.tile != nil {
 			return nil, false, err
 		}
 		s, err := r.sample(ctx, loc)
@@ -310,22 +348,29 @@ func (r *ScanReader) Chunk(ctx context.Context, idx uint64) (rows ChunkRows, ok 
 		return ChunkRows{}, false, nil
 	}
 	loc, err := r.locate(idx)
-	if err != nil || loc.tiled || loc.pending != nil {
+	if err != nil || loc.tile != nil || loc.pending != nil {
 		return ChunkRows{}, false, err
 	}
-	rows = ChunkRows{First: idx - uint64(loc.local)}
-	err = r.read(ctx, loc.chunkID, func(c *chunk.Chunk) (err error) {
-		if rows.Samples, err = c.Samples(); err == nil {
-			// Samples inflated every block, so Column only reads the
-			// directory's verdict.
-			rows.Column, err = c.Column(r.t.dtype.Size())
-		}
-		return err
-	})
+	rows = ChunkRows{First: loc.span.first}
+	if err = r.readTable(ctx, loc.span); err == nil {
+		// The table read every block, so Column only reads the directory's
+		// verdict.
+		rows.Samples = r.table
+		rows.Column, err = r.chunk.Column(r.t.dtype.Size())
+	}
 	if err != nil {
 		return ChunkRows{}, false, err
 	}
 	return rows, true, nil
+}
+
+// readTable fills the slot with the chunk of sp and its sample table,
+// inflating every block of a compressed chunk no read has touched.
+func (r *ScanReader) readTable(ctx context.Context, sp span) error {
+	return r.read(ctx, sp, func(c *chunk.Chunk) (err error) {
+		r.table, err = c.Samples()
+		return err
+	})
 }
 
 // At returns sample idx like Tensor.At, reusing the slot's opened chunk, so

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/chunk"
 	"repro/internal/compress"
@@ -45,6 +46,13 @@ type Tensor struct {
 
 	builder   *chunk.Builder
 	pendingID uint64
+	// layoutGen is the generation of the chunk encoder's map of landed rows:
+	// every remap of rows in a landed chunk (ChunkEncoder.Rebind, ReplaceAll)
+	// moves it, under mu held exclusively. Appends do not: a sealed chunk
+	// never grows, since the next append opens a fresh pendingID. A
+	// ScanReader serves the rows of the chunk in its slot with no lock while
+	// it reads the generation it resolved them at.
+	layoutGen atomic.Uint64
 
 	// chunkVersion maps chunk id -> version directory holding it (§4.2):
 	// writeChunk binds an id to the head it writes into, and the map rides

@@ -83,6 +83,7 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 		if err := t.chunkEnc.Rebind(idx, first); err != nil {
 			return err
 		}
+		t.layoutGen.Add(1)
 		return dc.err()
 	}
 	chunkID, local, err := t.chunkEnc.Lookup(idx)
@@ -118,6 +119,7 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 	if err := t.chunkEnc.Rebind(idx, id); err != nil {
 		return err
 	}
+	t.layoutGen.Add(1)
 	return t.writeChunk(ctx, id, blob)
 }
 
@@ -240,5 +242,6 @@ func (t *Tensor) Rechunk(ctx context.Context) error {
 	if err := t.chunkEnc.ReplaceAll(newIDs, newCounts); err != nil {
 		return err
 	}
+	t.layoutGen.Add(1)
 	return dc.err()
 }

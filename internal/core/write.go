@@ -169,18 +169,16 @@ type Row struct {
 // RowReader reads the rows of a source tensor in a destination tensor's
 // stored form, on one goroutine, for one walk as a ScanReader does. If the
 // source stores rows as the destination does (same htype, dtype and sample
-// compression), a row is its stored samples, aliased read-only, with no
-// sample decode or encode (§5: "directly copied into a chunk without
-// additional decoding"): the reader reads a stored chunk whole once
-// (ScanReader.Chunk) and serves every row of its span without a lookup, so
-// rows in stored order take no lock. A sequence, tiled or write-buffered row
-// is read through the ScanReader, and a row of a source that stores rows
-// otherwise is decoded and encoded for the destination.
+// compression), a row is its stored samples (ScanReader.StoredRow), aliased
+// read-only, with no sample decode or encode (§5: "directly copied into a
+// chunk without additional decoding"): the reader's slot reads a stored
+// chunk whole once, and rows of its span in stored order take no lock and
+// no allocation. A row of a source that stores rows otherwise, or a tiled
+// one, is decoded and encoded for the destination.
 type RowReader struct {
 	t    *Tensor
 	r    *ScanReader
-	same bool      // the source stores rows as t does
-	span ChunkRows // the stored chunk read last
+	same bool // the source stores rows as t does
 }
 
 // RowsFrom returns a reader of src's rows in t's stored form.
@@ -197,19 +195,6 @@ func (t *Tensor) storesLike(o *Tensor) bool {
 // Row reads source row idx.
 func (rr *RowReader) Row(ctx context.Context, idx uint64) (Row, error) {
 	if rr.same {
-		k := idx - rr.span.First // wraps past the span when idx is below it
-		if k >= uint64(len(rr.span.Samples)) {
-			span, ok, err := rr.r.Chunk(ctx, idx)
-			if err != nil {
-				return Row{}, err
-			}
-			if ok {
-				rr.span, k = span, idx-span.First
-			}
-		}
-		if k < uint64(len(rr.span.Samples)) {
-			return Row{t: rr.t, samples: rr.span.Samples[k : k+1 : k+1]}, nil
-		}
 		if samples, ok, err := rr.r.StoredRow(ctx, idx); err != nil || ok {
 			return Row{t: rr.t, samples: samples}, err
 		}

@@ -80,16 +80,16 @@ func (p *Pipeline) apply(in Sample) ([]Sample, error) {
 type Source interface {
 	// Len returns the number of input samples.
 	Len() int
-	// At loads input sample i.
-	At(ctx context.Context, i int) (Sample, error)
+	// Rows returns the loader of input samples by index for one walk
+	// worker, which calls it on one goroutine with ascending indices.
+	Rows(ctx context.Context) func(i int) (Sample, error)
 }
 
-// DatasetSource adapts a dataset (all visible tensors) as a Source. At
-// reads one row through View.Row, whose Tensor.At reads through the handle's
-// decoded-chunk cache, so a row costs a cache hit and a copy per column and
-// each landed chunk is decoded once. It keeps no readers of its own because
-// Source.At is called from every walk worker at once and a ScanReader
-// serves one goroutine.
+// DatasetSource adapts a dataset (all visible tensors) as a Source. Each
+// walk worker reads its rows through a view.Reader of its own, one
+// core.ScanReader per stored column, so a worker resolves and loads each
+// chunk once (through the handle's decoded-chunk cache) and rows inside it
+// take no lock.
 type DatasetSource struct {
 	View *view.View
 }
@@ -105,17 +105,18 @@ func FromView(v *view.View) DatasetSource { return DatasetSource{View: v} }
 // Len implements Source.
 func (s DatasetSource) Len() int { return s.View.Len() }
 
-// At implements Source.
-func (s DatasetSource) At(ctx context.Context, i int) (Sample, error) {
-	row, err := s.View.Row(ctx, i)
-	if err != nil {
-		return nil, err
+// Rows implements Source.
+func (s DatasetSource) Rows(ctx context.Context) func(int) (Sample, error) {
+	r := s.View.Reader()
+	return func(i int) (Sample, error) {
+		row, err := r.Row(ctx, i)
+		return Sample(row), err
 	}
-	return Sample(row), nil
 }
 
 // IterSource adapts an arbitrary generator (the "arbitrary iterator with
-// custom objects" ingestion path of §4.1.2).
+// custom objects" ingestion path of §4.1.2). Fn must be safe for concurrent
+// use: every walk worker calls it.
 type IterSource struct {
 	N  int
 	Fn func(i int) (Sample, error)
@@ -124,8 +125,8 @@ type IterSource struct {
 // Len implements Source.
 func (s IterSource) Len() int { return s.N }
 
-// At implements Source.
-func (s IterSource) At(ctx context.Context, i int) (Sample, error) { return s.Fn(i) }
+// Rows implements Source.
+func (s IterSource) Rows(context.Context) func(int) (Sample, error) { return s.Fn }
 
 // Options configures Eval and EvalInPlace.
 type Options struct {
@@ -203,11 +204,13 @@ func (p *Pipeline) EvalInPlace(ctx context.Context, ds *core.Dataset, opts Optio
 	return stats, ds.Flush(ctx)
 }
 
-// worker loads input row i and runs the stages on it, for Eval's walk.
+// worker loads input row i through the worker's own src.Rows and runs the
+// stages on it, for Eval's walk.
 func (p *Pipeline) worker(src Source) func(context.Context) func(int) ([]Sample, error) {
 	return func(ctx context.Context) func(int) ([]Sample, error) {
+		rows := src.Rows(ctx)
 		return func(i int) ([]Sample, error) {
-			in, err := src.At(ctx, i)
+			in, err := rows(i)
 			if err != nil {
 				return nil, err
 			}

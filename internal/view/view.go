@@ -115,11 +115,49 @@ func (v *View) At(ctx context.Context, row int, column string) (*tensor.NDArray,
 	return nil, fmt.Errorf("view: unknown column %q", column)
 }
 
-// Row evaluates all columns of one view row.
+// Row evaluates all columns of one view row, a one-shot Reader.
 func (v *View) Row(ctx context.Context, row int) (map[string]*tensor.NDArray, error) {
-	out := make(map[string]*tensor.NDArray, len(v.columns))
-	for _, c := range v.columns {
-		arr, err := v.At(ctx, row, c.Name)
+	return v.Reader().Row(ctx, row)
+}
+
+// Reader reads whole rows of a view on one goroutine: it keeps one
+// core.ScanReader per stored column, so rows read in ascending order resolve
+// and load each chunk once, and rows inside a chunk take no lock. Computed
+// columns are evaluated per row. A Reader is NOT safe for concurrent use;
+// each walk worker builds its own.
+type Reader struct {
+	v       *View
+	readers []*core.ScanReader // nil for a computed column or a missing source
+}
+
+// Reader returns a reader of v's rows for one goroutine.
+func (v *View) Reader() *Reader {
+	readers := make([]*core.ScanReader, len(v.columns))
+	for i, c := range v.columns {
+		if t := v.ds.Tensor(c.Source); c.Eval == nil && t != nil {
+			readers[i] = t.NewScanReader()
+		}
+	}
+	return &Reader{v: v, readers: readers}
+}
+
+// Row evaluates all columns of view row row.
+func (r *Reader) Row(ctx context.Context, row int) (map[string]*tensor.NDArray, error) {
+	src, err := r.v.SourceRow(row)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]*tensor.NDArray, len(r.v.columns))
+	for i, c := range r.v.columns {
+		var arr *tensor.NDArray
+		switch {
+		case c.Eval != nil:
+			arr, err = c.Eval(ctx, src)
+		case r.readers[i] != nil:
+			arr, err = r.readers[i].At(ctx, src)
+		default:
+			err = fmt.Errorf("view: source tensor %q missing", c.Source)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("view: column %q row %d: %w", c.Name, row, err)
 		}
